@@ -12,7 +12,8 @@
 //!   (4 signatures × 64 candidates × 16 ROI tiles): the seed
 //!   implementation (string-keyed clone-per-pair store, reproduced
 //!   verbatim), the retained `meta_vec` reference path, and the frozen
-//!   [`fc_tiles::SignatureIndex`] fast path;
+//!   [`fc_tiles::SignatureIndex`] fill with a disabled pair cache
+//!   (every pair computed);
 //! * `engine_predict_per_s` — steady-state two-level
 //!   `PredictionEngine::predict` throughput (k = 5);
 //! * `middleware_requests_per_s` — full `Middleware::request` cycles
@@ -33,7 +34,8 @@ use fc_bench::seed_baseline::{
     seed_encode_server_msg, seed_regrid_with, SeedMetaStore,
 };
 use fc_core::engine::PhaseSource;
-use fc_core::sb::{PredictScratch, SbConfig, SbRecommender};
+use fc_core::paircache::PairCache;
+use fc_core::sb::{PredictScratch, SbBatchJob, SbConfig, SbRecommender};
 use fc_core::signature::{attach_signatures, SignatureConfig};
 use fc_core::{
     AbRecommender, AllocationStrategy, EngineConfig, LatencyProfile, Middleware, PredictionEngine,
@@ -94,7 +96,12 @@ fn main() {
     let seed_store = SeedMetaStore::mirror(store, g);
     let index = store.signature_index().expect("signatures attached");
     let mut scratch = PredictScratch::default();
+    let mut no_cache = PairCache::new(0);
     let mut out = Vec::new();
+    let job = [SbBatchJob {
+        candidates: &candidates,
+        roi: &roi,
+    }];
 
     // Interleaved rounds: per round measure each path once; report the
     // per-path median across rounds.
@@ -115,7 +122,7 @@ fn main() {
             std::hint::black_box(sb.distances(store, &candidates, &roi));
         }));
         indexed_ns.push(measure(1, scale(256), || {
-            sb.distances_indexed_into(&index, &candidates, &roi, &mut scratch, &mut out);
+            sb.distances_into(&index, &job, &mut no_cache, &mut scratch, &mut out);
             std::hint::black_box(&out);
         }));
     }

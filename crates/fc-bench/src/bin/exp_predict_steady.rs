@@ -8,12 +8,13 @@
 //! acceptance shape (4 signatures × 64 candidates × 16 ROI) and
 //! compares:
 //!
-//! * `sb_steady_uncached_ns` — the frozen-index path
-//!   (`distances_indexed_into`), which re-runs every χ² division each
-//!   request;
-//! * `sb_steady_cached_ns` — the pair-cache path
-//!   (`distances_indexed_cached_into`) after one warm-up lap: probes
-//!   for hits, χ² only over the miss frontier;
+//! * `sb_steady_uncached_ns` — the frozen-index fill
+//!   ([`SbRecommender::distances_into`]) with a *disabled* pair cache
+//!   (`PairCache::new(0)`): every probe misses, so every χ² division
+//!   re-runs each request;
+//! * `sb_steady_cached_ns` — the same fill through a live pair cache
+//!   after one warm-up lap: probes for hits, χ² only over the miss
+//!   frontier;
 //! * `sb_cold_uncached_ns` / `sb_cold_cached_ns` — a single
 //!   first-ever request (fresh scratch, allocated-but-empty cache):
 //!   the cache's worst case — it pays the χ² sweep *plus* populating
@@ -22,8 +23,6 @@
 //!   traffic); every later request amortizes it. Compare against
 //!   `sb_cold_uncached_ns` (same single-shot measurement style), not
 //!   the warm-loop `sb_distances_indexed_ns`;
-//! * `*_recip_*` — the same with the opt-in
-//!   [`Chi2Kernel::Reciprocal`] division-free kernel on the miss path;
 //! * `sb_steady_cached_scalar_ns` — the exact cached path pinned to
 //!   [`SimdLevel::Scalar`] dispatch (own cache, own warm lap), so the
 //!   JSON records what the SIMD kernels buy on this host.
@@ -32,13 +31,12 @@
 //! fields. `--smoke` runs one short iteration of everything and skips
 //! the JSON write (CI wiring check).
 //!
-//! [`Chi2Kernel::Reciprocal`]: fc_core::sb::Chi2Kernel
 //! [`SimdLevel::Scalar`]: fc_core::SimdLevel
 
 use fc_array::{IoMode, LatencyModel, SimClock};
 use fc_bench::benchjson::{merge_bench_json, summary_line};
 use fc_core::paircache::PairCache;
-use fc_core::sb::{Chi2Kernel, PredictScratch, SbConfig, SbRecommender};
+use fc_core::sb::{PredictScratch, SbBatchJob, SbConfig, SbRecommender};
 use fc_core::signature::SignatureKind;
 use fc_core::SimdLevel;
 use fc_tiles::{Geometry, SignatureIndex, TileId, TileStore};
@@ -170,35 +168,36 @@ fn median(mut v: Vec<f64>) -> f64 {
     v[v.len() / 2]
 }
 
-/// Per-step ns for one full uncached lap.
-fn lap_uncached(
+/// One request through the fill.
+fn score(
     sb: &SbRecommender,
     index: &SignatureIndex,
-    walk: &[Step],
+    step: &Step,
+    cache: &mut PairCache,
     scratch: &mut PredictScratch,
-    out: &mut Vec<(TileId, f64)>,
-) -> f64 {
-    let t = Instant::now();
-    for step in walk {
-        sb.distances_indexed_into(index, &step.candidates, &step.roi, scratch, out);
-        std::hint::black_box(&out);
-    }
-    t.elapsed().as_nanos() as f64 / walk.len() as f64
+    outs: &mut Vec<Vec<(TileId, f64)>>,
+) {
+    let job = SbBatchJob {
+        candidates: &step.candidates,
+        roi: &step.roi,
+    };
+    sb.distances_into(index, std::slice::from_ref(&job), cache, scratch, outs);
+    std::hint::black_box(&outs);
 }
 
-/// Per-step ns for one full cached lap.
-fn lap_cached(
+/// Per-step ns for one full lap over `cache` (a disabled cache makes
+/// it the uncached lap).
+fn lap(
     sb: &SbRecommender,
     index: &SignatureIndex,
     walk: &[Step],
     cache: &mut PairCache,
     scratch: &mut PredictScratch,
-    out: &mut Vec<(TileId, f64)>,
+    outs: &mut Vec<Vec<(TileId, f64)>>,
 ) -> f64 {
     let t = Instant::now();
     for step in walk {
-        sb.distances_indexed_cached_into(index, &step.candidates, &step.roi, cache, scratch, out);
-        std::hint::black_box(&out);
+        score(sb, index, step, cache, scratch, outs);
     }
     t.elapsed().as_nanos() as f64 / walk.len() as f64
 }
@@ -215,34 +214,22 @@ fn main() {
 
     let simd = fc_simd::active_level();
     let exact = SbRecommender::new(SbConfig::all_equal());
-    let relaxed = SbRecommender::new(SbConfig {
-        kernel: Chi2Kernel::Reciprocal,
-        ..SbConfig::all_equal()
-    });
     // Scalar-pinned twin of `exact`: same walk, own cache, so the
     // steady-state delta is exactly what the SIMD dispatch buys.
     let scalar = SbRecommender::with_simd_level(SbConfig::all_equal(), SimdLevel::Scalar);
 
     let mut scratch = PredictScratch::default();
     let mut out = Vec::new();
+    let mut no_cache = PairCache::new(0);
     let mut cache = PairCache::for_index(&index);
-    let mut cache_recip = PairCache::for_index(&index);
     let mut cache_scalar = PairCache::for_index(&index);
 
-    // Interleaved rounds (uncached vs cached vs reciprocal vs scalar
-    // per round, per-path median across rounds) so slow container
-    // neighbours shift every path together. Warm the cached paths once
-    // before the measured laps.
-    lap_cached(&exact, &index, &walk, &mut cache, &mut scratch, &mut out);
-    lap_cached(
-        &relaxed,
-        &index,
-        &walk,
-        &mut cache_recip,
-        &mut scratch,
-        &mut out,
-    );
-    lap_cached(
+    // Interleaved rounds (uncached vs cached vs scalar per round,
+    // per-path median across rounds) so slow container neighbours
+    // shift every path together. Warm the cached paths once before
+    // the measured laps.
+    lap(&exact, &index, &walk, &mut cache, &mut scratch, &mut out);
+    lap(
         &scalar,
         &index,
         &walk,
@@ -252,15 +239,21 @@ fn main() {
     );
     let mut uncached_ns = Vec::new();
     let mut cached_ns = Vec::new();
-    let mut cached_recip_ns = Vec::new();
     let mut cached_scalar_ns = Vec::new();
     let mut repeat_ns = Vec::new();
     let mut hit_rates = Vec::new();
     let dwell = std::slice::from_ref(&walk[walk.len() / 2]);
     for _ in 0..rounds {
-        uncached_ns.push(lap_uncached(&exact, &index, &walk, &mut scratch, &mut out));
+        uncached_ns.push(lap(
+            &exact,
+            &index,
+            &walk,
+            &mut no_cache,
+            &mut scratch,
+            &mut out,
+        ));
         let before = cache.stats();
-        cached_ns.push(lap_cached(
+        cached_ns.push(lap(
             &exact,
             &index,
             &walk,
@@ -273,18 +266,10 @@ fn main() {
         // table lines) — the pan-pause steady state.
         let t = Instant::now();
         for _ in 0..32 {
-            lap_cached(&exact, &index, dwell, &mut cache, &mut scratch, &mut out);
+            lap(&exact, &index, dwell, &mut cache, &mut scratch, &mut out);
         }
         repeat_ns.push(t.elapsed().as_nanos() as f64 / 32.0);
-        cached_recip_ns.push(lap_cached(
-            &relaxed,
-            &index,
-            &walk,
-            &mut cache_recip,
-            &mut scratch,
-            &mut out,
-        ));
-        cached_scalar_ns.push(lap_cached(
+        cached_scalar_ns.push(lap(
             &scalar,
             &index,
             &walk,
@@ -294,16 +279,15 @@ fn main() {
         ));
     }
 
-    // Cold first request: fresh cache (and fresh-scratch uncached
-    // baseline), single call, median across rounds.
+    // Cold first request: fresh scratch, single call, median across
+    // rounds — once with the disabled cache, once with a fresh one.
     let first = &walk[0];
     let mut cold_uncached = Vec::new();
     let mut cold_cached = Vec::new();
-    let mut cold_recip = Vec::new();
     for _ in 0..rounds.max(3) {
         let mut s = PredictScratch::default();
         let t = Instant::now();
-        exact.distances_indexed_into(&index, &first.candidates, &first.roi, &mut s, &mut out);
+        score(&exact, &index, first, &mut no_cache, &mut s, &mut out);
         cold_uncached.push(t.elapsed().as_nanos() as f64);
 
         // Allocation happens once per session (engine construction /
@@ -314,41 +298,16 @@ fn main() {
         let mut c = PairCache::for_index(&index);
         let mut s = PredictScratch::default();
         let t = Instant::now();
-        exact.distances_indexed_cached_into(
-            &index,
-            &first.candidates,
-            &first.roi,
-            &mut c,
-            &mut s,
-            &mut out,
-        );
+        score(&exact, &index, first, &mut c, &mut s, &mut out);
         cold_cached.push(t.elapsed().as_nanos() as f64);
-
-        let mut c = PairCache::for_index(&index);
-        let mut s = PredictScratch::default();
-        let t = Instant::now();
-        relaxed.distances_indexed_cached_into(
-            &index,
-            &first.candidates,
-            &first.roi,
-            &mut c,
-            &mut s,
-            &mut out,
-        );
-        cold_recip.push(t.elapsed().as_nanos() as f64);
     }
 
     let uncached = median(uncached_ns);
     let cached = median(cached_ns);
-    let cached_recip = median(cached_recip_ns);
     let cached_scalar = median(cached_scalar_ns);
     let repeat = median(repeat_ns);
     let hit_rate = median(hit_rates);
-    let (cu, cc, cr) = (
-        median(cold_uncached),
-        median(cold_cached),
-        median(cold_recip),
-    );
+    let (cu, cc) = (median(cold_uncached), median(cold_cached));
 
     println!(
         "# exp_predict_steady — pair-cached SB prediction (pan/zoom replay, simd: {})",
@@ -368,28 +327,14 @@ fn main() {
     );
     println!(
         "{}",
-        summary_line("  uncached -> recip", uncached, cached_recip)
-    );
-    println!(
-        "{}",
         summary_line("  scalar -> simd", cached_scalar, cached)
     );
     println!("{}", summary_line("  uncached -> dwell", uncached, repeat));
-    if cached_recip > cached {
-        println!(
-            "note: Chi2Kernel::Reciprocal is slower than Exact on this host \
-             (pipelined hardware dividers); see the Chi2Kernel docs before opting in"
-        );
-    }
     println!("cold first request:");
     println!("  uncached                : {cu:>10.0} ns");
     println!(
-        "  pair cache (exact)      : {cc:>10.0} ns  ({:.2}x of uncached)",
+        "  pair cache              : {cc:>10.0} ns  ({:.2}x of uncached)",
         cc / cu
-    );
-    println!(
-        "  pair cache (reciprocal) : {cr:>10.0} ns  ({:.2}x of uncached)",
-        cr / cu
     );
 
     if smoke {
@@ -414,7 +359,6 @@ fn main() {
             ("sb_steady_cached_ns", format!("{cached:.1}")),
             ("sb_steady_speedup", format!("{:.2}", uncached / cached)),
             ("sb_steady_hit_rate", format!("{hit_rate:.4}")),
-            ("sb_steady_cached_recip_ns", format!("{cached_recip:.1}")),
             ("sb_steady_cached_scalar_ns", format!("{cached_scalar:.1}")),
             (
                 "sb_steady_simd_speedup",
@@ -422,7 +366,6 @@ fn main() {
             ),
             ("sb_cold_uncached_ns", format!("{cu:.1}")),
             ("sb_cold_cached_ns", format!("{cc:.1}")),
-            ("sb_cold_cached_recip_ns", format!("{cr:.1}")),
         ],
     );
     println!();

@@ -5,7 +5,6 @@ use crate::context::ExpContext;
 use crate::experiments::accuracy::{phase_table, sweep};
 use crate::fmt::{acc, banner, table};
 use fc_core::signature::SignatureKind;
-use fc_core::signature::SIGNATURE_KINDS;
 use fc_core::{AllocationStrategy, Phase, SbConfig};
 use fc_sim::replay::loocv;
 
@@ -22,7 +21,6 @@ pub fn ablation_sb(ctx: &ExpContext) -> String {
     let mut rows = Vec::new();
     for (name, manhattan, physical) in variants {
         let cfg = SbConfig {
-            weights: SIGNATURE_KINDS.iter().map(|&k| (k, 1.0)).collect(),
             manhattan_penalty: manhattan,
             physical_distance: physical,
             ..SbConfig::all_equal()

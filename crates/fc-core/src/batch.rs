@@ -1,15 +1,14 @@
 //! Cross-session predict batching (the multi-user serving core).
 //!
 //! One analyst's candidate set at prediction distance 1 is at most 24
-//! tiles — far below the ≥ 512-candidate threshold where the SB
-//! recommender's rayon fan-out pays for itself (`sb.rs`,
-//! `SB_PAR_MIN_CANDIDATES`). A busy server, however, runs many
-//! sessions whose predicts arrive *together*. The
-//! [`PredictScheduler`] exploits that: concurrent sessions submit
-//! their candidate/ROI sets, a short rendezvous coalesces them into
-//! **one** [`SbRecommender::distances_batched_into`] call per tick,
-//! and every session gets back exactly the ranking it would have
-//! computed alone (per-job normalization keeps the batch
+//! tiles, scored against a pair cache that only its own pans warm. A
+//! busy server, however, runs many sessions whose predicts arrive
+//! *together* over the same tiles. The [`PredictScheduler`] exploits
+//! that: concurrent sessions submit their candidate/ROI sets, a short
+//! rendezvous coalesces them into **one**
+//! [`SbRecommender::distances_into`] call per tick over one shared
+//! pair cache, and every session gets back exactly the ranking it
+//! would have computed alone (per-job normalization keeps the batch
 //! bit-identical to per-session predicts — a golden test enforces it).
 //!
 //! # Rendezvous protocol (group commit)
@@ -42,7 +41,7 @@
 use crate::paircache::{PairCache, PairCacheStats};
 use crate::sb::{sort_scored, PredictScratch, SbBatchJob, SbRecommender};
 use crate::signature::pair_cache_capacity_hint;
-use fc_tiles::{Pyramid, TileId};
+use fc_tiles::{Pyramid, SignatureIndex, TileId};
 use parking_lot::atomic::{AtomicU64, AtomicUsize};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -58,7 +57,7 @@ pub struct BatchConfig {
     /// pure group commit: the leader computes whatever is pending and
     /// later arrivals form the next tick — the right setting when
     /// cores are scarce. A non-zero window trades per-predict latency
-    /// for wider batches (more rayon headroom) on multi-core hosts.
+    /// for wider batches on multi-core hosts.
     pub window: Duration,
     /// Upper bound on jobs folded into one tick (0 = no bound beyond
     /// the registered-session count).
@@ -86,8 +85,7 @@ pub struct SchedulerStats {
     pub jobs: u64,
     /// Largest single tick, in jobs.
     pub largest_batch: usize,
-    /// Candidates scored across all ticks (the quantity the rayon
-    /// threshold sees).
+    /// Candidates scored across all ticks.
     pub batched_candidates: u64,
     /// Followers that timed out waiting for a dead leader and
     /// recomputed solo. Zero in healthy operation.
@@ -230,7 +228,7 @@ impl PredictScheduler {
     /// current tile when no ROI is committed), joining — or leading —
     /// the current batch tick. Blocks until the tick containing this
     /// job completes; the returned ranking is bit-identical to
-    /// [`SbRecommender::rank_indexed`] on the same inputs.
+    /// [`SbRecommender::rank_indexed_cached`] on the same inputs.
     pub fn rank(&self, candidates: &[TileId], refs: &[TileId]) -> Vec<TileId> {
         let (ticket, leading, wake_leader) = {
             let mut g = self.state.lock();
@@ -298,48 +296,30 @@ impl PredictScheduler {
         // rankings) before re-raising, or every coalesced session
         // would sleep on the condvar forever.
         let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let store = self.pyramid.store();
-            let mut ranked: Vec<(u64, Vec<TileId>)> = Vec::with_capacity(jobs.len());
-            match store.signature_index() {
-                Some(index) => {
-                    // Lazy sizing: the shared cache follows the served
-                    // index's shape (a later epoch bump keeps the
-                    // table and invalidates by generation).
-                    let want = pair_cache_capacity_hint(index.keys().len(), index.ntiles());
-                    if cache.capacity() != want {
-                        cache = PairCache::new(want);
-                    }
-                    let jobrefs: Vec<SbBatchJob<'_>> = jobs
-                        .iter()
-                        .map(|j| SbBatchJob {
-                            candidates: &j.candidates,
-                            roi: &j.roi,
-                        })
-                        .collect();
-                    self.sb.distances_batched_cached_into(
-                        &index,
-                        &jobrefs,
-                        &mut cache,
-                        &mut scratch,
-                        &mut outs,
-                    );
-                    for (j, job) in jobs.iter().enumerate() {
-                        sort_scored(&mut outs[j]);
-                        ranked.push((job.ticket, outs[j].iter().map(|&(t, _)| t).collect()));
-                    }
-                }
-                // Metadata-free store: fall back to the locked
-                // reference path per job (identical to the sessions'
-                // own fallback).
-                None => {
-                    for job in &jobs {
-                        let mut scored = self.sb.distances(store, &job.candidates, &job.roi);
-                        sort_scored(&mut scored);
-                        ranked.push((job.ticket, scored.into_iter().map(|(t, _)| t).collect()));
-                    }
+            let index = self.pyramid.store().signature_index();
+            if let Some(index) = &index {
+                // Lazy sizing: the shared cache follows the served
+                // index's shape (a later epoch bump keeps the table
+                // and invalidates by generation).
+                let want = pair_cache_capacity_hint(index.keys().len(), index.ntiles());
+                if cache.capacity() != want {
+                    cache = PairCache::new(want);
                 }
             }
-            ranked
+            let jobrefs: Vec<SbBatchJob<'_>> = jobs
+                .iter()
+                .map(|j| SbBatchJob {
+                    candidates: &j.candidates,
+                    roi: &j.roi,
+                })
+                .collect();
+            self.rank_jobs(
+                index.as_deref(),
+                &jobrefs,
+                &mut cache,
+                &mut scratch,
+                &mut outs,
+            )
         }));
         let ranked = match computed {
             Ok(r) => r,
@@ -367,11 +347,11 @@ impl PredictScheduler {
 
         let mut mine = Vec::new();
         let mut g = self.state.lock();
-        for (t, r) in ranked {
-            if t == ticket {
+        for (job, r) in jobs.iter().zip(ranked) {
+            if job.ticket == ticket {
                 mine = r;
             } else {
-                g.results.insert(t, r);
+                g.results.insert(job.ticket, r);
             }
         }
         g.job_pool.extend(jobs);
@@ -445,24 +425,54 @@ impl PredictScheduler {
 
     /// The unbatched computation for a single job — exactly what
     /// [`Self::rank`] is specified to equal. Used by the follower
-    /// rescue path; runs on fresh scratch so it never touches buffers
-    /// a dead leader may still own.
+    /// rescue path; runs on fresh scratch and a disabled cache so it
+    /// never touches buffers a dead leader may still own.
     fn rank_solo(&self, candidates: &[TileId], refs: &[TileId]) -> Vec<TileId> {
-        let store = self.pyramid.store();
-        match store.signature_index() {
+        let job = SbBatchJob {
+            candidates,
+            roi: refs,
+        };
+        let mut ranked = self.rank_jobs(
+            self.pyramid.store().signature_index().as_deref(),
+            std::slice::from_ref(&job),
+            &mut PairCache::new(0),
+            &mut PredictScratch::default(),
+            &mut Vec::new(),
+        );
+        ranked.remove(0)
+    }
+
+    /// Scores `jobs` in one fill over `cache` and returns each job's
+    /// ranking, in job order.
+    fn rank_jobs(
+        &self,
+        index: Option<&SignatureIndex>,
+        jobs: &[SbBatchJob<'_>],
+        cache: &mut PairCache,
+        scratch: &mut PredictScratch,
+        outs: &mut Vec<Vec<(TileId, f64)>>,
+    ) -> Vec<Vec<TileId>> {
+        match index {
             Some(index) => {
-                let mut scratch = PredictScratch::default();
-                let mut out = Vec::new();
-                self.sb
-                    .distances_indexed_into(&index, candidates, refs, &mut scratch, &mut out);
-                sort_scored(&mut out);
-                out.into_iter().map(|(t, _)| t).collect()
+                self.sb.distances_into(index, jobs, cache, scratch, outs);
+                outs.iter_mut()
+                    .map(|out| {
+                        sort_scored(out);
+                        out.iter().map(|&(t, _)| t).collect()
+                    })
+                    .collect()
             }
-            None => {
-                let mut scored = self.sb.distances(store, candidates, refs);
-                sort_scored(&mut scored);
-                scored.into_iter().map(|(t, _)| t).collect()
-            }
+            // Metadata-free store: fall back to the locked reference
+            // path per job (identical to the sessions' own fallback).
+            None => jobs
+                .iter()
+                .map(|job| {
+                    let store = self.pyramid.store();
+                    let mut scored = self.sb.distances(store, job.candidates, job.roi);
+                    sort_scored(&mut scored);
+                    scored.into_iter().map(|(t, _)| t).collect()
+                })
+                .collect(),
         }
     }
 }
@@ -501,6 +511,14 @@ mod tests {
         )
     }
 
+    /// The locked reference ranking, independent of the scheduler.
+    fn solo(p: &Arc<Pyramid>, cands: &[TileId], refs: &[TileId]) -> Vec<TileId> {
+        let sb = SbRecommender::new(SbConfig::single(SignatureKind::Hist1D));
+        let mut scored = sb.distances(p.store(), cands, refs);
+        sort_scored(&mut scored);
+        scored.into_iter().map(|(t, _)| t).collect()
+    }
+
     #[test]
     fn single_session_rank_matches_unbatched() {
         let p = pyramid(true);
@@ -510,14 +528,9 @@ mod tests {
         let cands = g.candidates(TileId::new(2, 2, 2), 1);
         let refs = [TileId::new(2, 2, 2)];
         let batched = s.rank(&cands, &refs);
-        let sb = SbRecommender::new(SbConfig::single(SignatureKind::Hist1D));
-        let ix = p.store().signature_index().unwrap();
-        let mut scratch = PredictScratch::default();
-        let mut out = Vec::new();
-        sb.distances_indexed_into(&ix, &cands, &refs, &mut scratch, &mut out);
-        sort_scored(&mut out);
-        let direct: Vec<TileId> = out.into_iter().map(|(t, _)| t).collect();
-        assert_eq!(batched, direct);
+        assert_eq!(batched, solo(&p, &cands, &refs));
+        // The follower-rescue computation is the same ranking.
+        assert_eq!(s.rank_solo(&cands, &refs), batched);
         assert_eq!(s.stats().batches, 1);
         assert_eq!(s.stats().jobs, 1);
         s.unregister();
@@ -547,17 +560,11 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         // Every session's ranking equals its solo computation.
-        let sb = SbRecommender::new(SbConfig::single(SignatureKind::Hist1D));
-        let ix = p.store().signature_index().unwrap();
-        let mut scratch = PredictScratch::default();
         for (i, ranked) in &results {
             let tile = TileId::new(2, (i % 4) as u32, (i / 4 + 1) as u32);
             let cands = g.candidates(tile, 1);
-            let mut out = Vec::new();
-            sb.distances_indexed_into(&ix, &cands, &[tile], &mut scratch, &mut out);
-            sort_scored(&mut out);
-            let solo: Vec<TileId> = out.into_iter().map(|(t, _)| t).collect();
-            assert_eq!(ranked, &solo, "session {i}");
+            assert_eq!(ranked, &solo(&p, &cands, &[tile]), "session {i}");
+            assert_eq!(ranked, &s.rank_solo(&cands, &[tile]), "session {i}");
         }
         let st = s.stats();
         assert_eq!(st.jobs, N as u64);
@@ -599,17 +606,6 @@ mod tests {
         let ranked = s.rank(&cands, &refs);
         assert_eq!(ranked.len(), 2);
         s.unregister();
-    }
-
-    /// Solo ranking for comparison in the rescue tests.
-    fn solo(p: &Arc<Pyramid>, cands: &[TileId], refs: &[TileId]) -> Vec<TileId> {
-        let sb = SbRecommender::new(SbConfig::single(SignatureKind::Hist1D));
-        let ix = p.store().signature_index().unwrap();
-        let mut scratch = PredictScratch::default();
-        let mut out = Vec::new();
-        sb.distances_indexed_into(&ix, cands, refs, &mut scratch, &mut out);
-        sort_scored(&mut out);
-        out.into_iter().map(|(t, _)| t).collect()
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::ab::AbRecommender;
 use crate::alloc::{boost_toward_hotspots, merge_allocated, AllocationStrategy, HotspotBlend};
+use crate::batch::PredictScheduler;
 use crate::history::{Request, SessionHistory};
 use crate::paircache::{PairCache, PairCacheStats};
 use crate::phase::{Phase, PhaseClassifier};
@@ -30,7 +31,7 @@ pub struct EngineConfig {
     /// Cache allocation strategy.
     pub strategy: AllocationStrategy,
     /// Cross-session hotspot blending (multi-user mode): when set, a
-    /// hotspot prior handed to [`PredictionEngine::predict_with_prior`]
+    /// hotspot prior handed in through [`PredictOptions::hotspots`]
     /// re-ranks each model's candidate list toward nearby communal
     /// hotspots, gated to the configured phases. `None` (the default)
     /// — and every predict call without a prior — keeps prediction
@@ -54,6 +55,36 @@ impl Default for EngineConfig {
             burst: None,
         }
     }
+}
+
+/// Per-call options of [`PredictionEngine::predict_with`]. The default
+/// value is [`PredictionEngine::predict`] exactly.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PredictOptions<'a> {
+    /// Externally supplied phase, bypassing the engine's own estimate
+    /// (used when evaluating the bottom level against hand-labeled
+    /// phases, §5.4.2).
+    pub phase: Option<Phase>,
+    /// Compute the SB ranking through the shared scheduler, coalescing
+    /// with other sessions' concurrent predicts into one batched
+    /// distance sweep. The result is bit-identical to the local path
+    /// (per-job normalization in the batch; golden-tested). The
+    /// scheduler must be built over the same pyramid as the store and
+    /// with the same SB configuration as this engine (see
+    /// [`PredictionEngine::sb_model`]).
+    pub scheduler: Option<&'a PredictScheduler>,
+    /// Cross-session hotspot prior (the current
+    /// [`crate::multiuser::HotspotSnapshot`] entries of the session's
+    /// namespace). Applied only when [`EngineConfig::hotspot`] is set
+    /// *and* its phase gate admits the phase; an empty prior, a closed
+    /// gate, or an unset config all leave the ranking untouched.
+    pub hotspots: &'a [(TileId, u64)],
+    /// Candidate horizon override: candidates come from this many
+    /// moves ahead instead of the configured
+    /// [`EngineConfig::distance`]. The burst scheduler's dwell-time
+    /// deep runs use this — the analyst is studying the current view,
+    /// so there is time to rank (and prefetch) a larger neighbourhood.
+    pub distance: Option<usize>,
 }
 
 /// How the engine learns the current analysis phase.
@@ -151,40 +182,7 @@ impl PredictionEngine {
     /// Predicts up to `k` tiles to prefetch for the last observed request,
     /// letting the engine infer the phase.
     pub fn predict(&mut self, store: &TileStore, k: usize) -> Vec<TileId> {
-        self.predict_with_phase(store, self.current_phase(), k)
-    }
-
-    /// Like [`Self::predict`], with a cross-session hotspot prior (the
-    /// current [`crate::multiuser::HotspotSnapshot`] entries of the
-    /// session's namespace). Applied only when
-    /// [`EngineConfig::hotspot`] is set *and* its phase gate admits the
-    /// inferred phase; an empty prior, a closed gate, or an unset
-    /// config all reduce to [`Self::predict`] exactly.
-    pub fn predict_with_prior(
-        &mut self,
-        store: &TileStore,
-        k: usize,
-        hotspots: &[(TileId, u64)],
-    ) -> Vec<TileId> {
-        let d = self.config.distance;
-        self.predict_inner(store, self.current_phase(), k, None, hotspots, d)
-    }
-
-    /// [`Self::predict_with_prior`] with a widened candidate horizon:
-    /// candidates come from `distance` moves ahead instead of the
-    /// configured [`EngineConfig::distance`]. The burst scheduler's
-    /// dwell-time deep runs use this — the analyst is studying the
-    /// current view, so there is time to rank (and prefetch) a larger
-    /// neighbourhood. `distance` equal to the configured one reduces
-    /// to [`Self::predict_with_prior`] exactly.
-    pub fn predict_deep_with_prior(
-        &mut self,
-        store: &TileStore,
-        k: usize,
-        hotspots: &[(TileId, u64)],
-        distance: usize,
-    ) -> Vec<TileId> {
-        self.predict_inner(store, self.current_phase(), k, None, hotspots, distance)
+        self.predict_with(store, k, PredictOptions::default())
     }
 
     /// Refreshes the cached frozen signature index. Steady state (same
@@ -225,84 +223,22 @@ impl PredictionEngine {
         self.pair_cache.stats()
     }
 
-    /// Predicts with an externally supplied phase (used when evaluating
-    /// the bottom level against hand-labeled phases, §5.4.2).
-    pub fn predict_with_phase(&mut self, store: &TileStore, phase: Phase, k: usize) -> Vec<TileId> {
-        let d = self.config.distance;
-        self.predict_inner(store, phase, k, None, &[], d)
-    }
-
-    /// Like [`Self::predict`], but the SB ranking is computed through
-    /// the shared [`crate::batch::PredictScheduler`], coalescing with other sessions'
-    /// concurrent predicts into one batched distance sweep. The result
-    /// is bit-identical to [`Self::predict`] (per-job normalization in
-    /// the batch; golden-tested). `scheduler` must be built over the
-    /// same pyramid as `store` and with the same SB configuration as
-    /// this engine (see [`Self::sb_model`]).
-    pub fn predict_batched(
+    /// [`Self::predict`] with per-call overrides — see
+    /// [`PredictOptions`].
+    pub fn predict_with(
         &mut self,
-        scheduler: &crate::batch::PredictScheduler,
         store: &TileStore,
         k: usize,
+        opts: PredictOptions<'_>,
     ) -> Vec<TileId> {
-        let d = self.config.distance;
-        self.predict_inner(store, self.current_phase(), k, Some(scheduler), &[], d)
-    }
-
-    /// [`Self::predict_batched`] with a cross-session hotspot prior
-    /// (see [`Self::predict_with_prior`] for the gating rules).
-    pub fn predict_batched_with_prior(
-        &mut self,
-        scheduler: &crate::batch::PredictScheduler,
-        store: &TileStore,
-        k: usize,
-        hotspots: &[(TileId, u64)],
-    ) -> Vec<TileId> {
-        let d = self.config.distance;
-        self.predict_inner(store, self.current_phase(), k, Some(scheduler), hotspots, d)
-    }
-
-    /// [`Self::predict_batched_with_prior`] with a widened candidate
-    /// horizon (see [`Self::predict_deep_with_prior`]).
-    pub fn predict_batched_deep_with_prior(
-        &mut self,
-        scheduler: &crate::batch::PredictScheduler,
-        store: &TileStore,
-        k: usize,
-        hotspots: &[(TileId, u64)],
-        distance: usize,
-    ) -> Vec<TileId> {
-        self.predict_inner(
-            store,
-            self.current_phase(),
-            k,
-            Some(scheduler),
+        let PredictOptions {
+            phase,
+            scheduler,
             hotspots,
             distance,
-        )
-    }
-
-    /// [`Self::predict_with_phase`] through the shared scheduler.
-    pub fn predict_batched_with_phase(
-        &mut self,
-        scheduler: &crate::batch::PredictScheduler,
-        store: &TileStore,
-        phase: Phase,
-        k: usize,
-    ) -> Vec<TileId> {
-        let d = self.config.distance;
-        self.predict_inner(store, phase, k, Some(scheduler), &[], d)
-    }
-
-    fn predict_inner(
-        &mut self,
-        store: &TileStore,
-        phase: Phase,
-        k: usize,
-        scheduler: Option<&crate::batch::PredictScheduler>,
-        hotspots: &[(TileId, u64)],
-        distance: usize,
-    ) -> Vec<TileId> {
+        } = opts;
+        let phase = phase.unwrap_or_else(|| self.current_phase());
+        let distance = distance.unwrap_or(self.config.distance);
         let Some(last) = self.history.last() else {
             return Vec::new();
         };
@@ -332,19 +268,9 @@ impl PredictionEngine {
             Vec::new()
         };
         let mut sb_list = match scheduler {
-            // Cross-session path: the scheduler owns index refresh and
-            // scratch; we resolve the reference set (ROI, or the
-            // current tile before any ROI commits) exactly as
-            // `rank_indexed` would.
-            Some(s) => {
-                let fallback = [last.tile];
-                let refs: &[TileId] = if ctx.roi.is_empty() {
-                    &fallback
-                } else {
-                    ctx.roi
-                };
-                s.rank(&candidates, refs)
-            }
+            // Cross-session path: the scheduler owns index refresh,
+            // scratch and the shared pair cache.
+            Some(s) => s.rank(&candidates, ctx.reference_tiles()),
             // SB: frozen-index fast path through the pair cache when
             // metadata exists (steady state probes instead of
             // dividing); the locked reference path only serves
@@ -546,7 +472,17 @@ mod tests {
             assert_eq!(d.len(), p.len(), "k={k}");
         }
         // Budget 9 fills completely at an interior tile.
-        assert_eq!(e.predict(&s, 9).len(), 9);
+        let full = e.predict(&s, 9);
+        assert_eq!(full.len(), 9);
+        // The options call with the defaults spelled out is `predict`.
+        let spelled = PredictOptions {
+            phase: Some(e.current_phase()),
+            scheduler: None,
+            hotspots: &[],
+            distance: Some(e.config().distance),
+        };
+        assert_eq!(e.predict_with(&s, 9, spelled), full);
+        assert_eq!(e.predict_with(&s, 9, PredictOptions::default()), full);
     }
 
     #[test]
@@ -606,8 +542,12 @@ mod tests {
         let baseline = plain.predict(&s, 4);
         let mut ignored = engine(AllocationStrategy::AbOnly);
         observe(&mut ignored);
+        let with_prior = |hotspots| PredictOptions {
+            hotspots,
+            ..PredictOptions::default()
+        };
         assert_eq!(
-            ignored.predict_with_prior(&s, 4, &hotspots),
+            ignored.predict_with(&s, 4, with_prior(&hotspots)),
             baseline,
             "prior must be inert without the config opt-in"
         );
@@ -619,14 +559,14 @@ mod tests {
             phases: [true, true, true],
         }));
         observe(&mut blended);
-        let boosted = blended.predict_with_prior(&s, 4, &hotspots);
+        let boosted = blended.predict_with(&s, 4, with_prior(&hotspots));
         assert_ne!(boosted, baseline, "prior must re-rank when opted in");
         assert!(
             boosted[0].manhattan(&hotspots[0].0) < TileId::new(2, 2, 2).manhattan(&hotspots[0].0),
             "top prediction approaches the hotspot: {boosted:?}"
         );
         // Same engine, empty prior → exactly the baseline again.
-        assert_eq!(blended.predict_with_prior(&s, 4, &[]), baseline);
+        assert_eq!(blended.predict_with(&s, 4, with_prior(&[])), baseline);
         // Phase gate closed for the inferred phase → baseline too.
         let mut gated = engine(AllocationStrategy::AbOnly);
         gated.set_hotspot_blend(Some(HotspotBlend {
@@ -634,7 +574,7 @@ mod tests {
             phases: [false, false, false],
         }));
         observe(&mut gated);
-        assert_eq!(gated.predict_with_prior(&s, 4, &hotspots), baseline);
+        assert_eq!(gated.predict_with(&s, 4, with_prior(&hotspots)), baseline);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use baselines::{HotspotRecommender, MomentumRecommender};
 pub use batch::{BatchConfig, PredictScheduler, SchedulerStats};
 pub use burst::{BurstConfig, BurstTracker, TrafficPhase};
 pub use cache::{CacheManager, CacheStats};
-pub use engine::{EngineConfig, PredictionEngine};
+pub use engine::{EngineConfig, PredictOptions, PredictionEngine};
 pub use fault::{
     FaultKind, FaultPlan, FaultRates, FaultStats, FaultWindow, FetchError, RetryPolicy,
 };
@@ -79,5 +79,5 @@ pub use phase::{Phase, PhaseClassifier};
 pub use push::{PushConfig, PushPlanner, PushPolicy, PushStats};
 pub use recommender::{PredictionContext, Recommender};
 pub use roi::RoiTracker;
-pub use sb::{Chi2Kernel, SbConfig, SbRecommender};
+pub use sb::{SbConfig, SbRecommender};
 pub use signature::{SignatureComputer, SignatureKind, SIGNATURE_KINDS};

@@ -11,7 +11,7 @@
 use crate::batch::PredictScheduler;
 use crate::burst::{BurstConfig, BurstTracker, TrafficPhase};
 use crate::cache::{CacheManager, CacheStats};
-use crate::engine::PredictionEngine;
+use crate::engine::{PredictOptions, PredictionEngine};
 use crate::fault::{FaultKind, FaultPlan, FetchError, RetryPolicy};
 use crate::history::Request;
 use crate::latency::LatencyProfile;
@@ -649,30 +649,16 @@ impl Middleware {
                 .take(cfg.dwell_keep_warm)
                 .collect()
         } else {
-            match (&scheduler, dwell) {
-                (Some(sched), Some(cfg)) => self.engine.predict_batched_deep_with_prior(
-                    sched,
-                    self.pyramid.store(),
-                    eff_k,
-                    prior,
-                    cfg.dwell_distance.max(1),
-                ),
-                (Some(sched), None) => self.engine.predict_batched_with_prior(
-                    sched,
-                    self.pyramid.store(),
-                    eff_k,
-                    prior,
-                ),
-                (None, Some(cfg)) => self.engine.predict_deep_with_prior(
-                    self.pyramid.store(),
-                    eff_k,
-                    prior,
-                    cfg.dwell_distance.max(1),
-                ),
-                (None, None) => self
-                    .engine
-                    .predict_with_prior(self.pyramid.store(), eff_k, prior),
-            }
+            self.engine.predict_with(
+                self.pyramid.store(),
+                eff_k,
+                PredictOptions {
+                    phase: None,
+                    scheduler: scheduler.as_deref(),
+                    hotspots: prior,
+                    distance: dwell.map(|cfg| cfg.dwell_distance.max(1)),
+                },
+            )
         };
         // How many leading entries of `predictions` are deliberate
         // scheduler signals (pinnable); the rest is opportunistic.

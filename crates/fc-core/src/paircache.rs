@@ -32,10 +32,10 @@
 //! # Invalidation: epochs and generation stamps
 //!
 //! The cache is valid for exactly one *domain*: a
-//! `(SignatureIndex::build_id, χ² kernel, signature key set)` triple.
+//! `(SignatureIndex::build_id, signature key set)` pair.
 //! Each [`PairCache::begin`] compares the requested domain against the
 //! current one; any difference — a metadata epoch bump rebuilt the
-//! index, the kernel switched, the recommender's key set changed —
+//! index, the recommender's key set changed —
 //! bumps the cache **generation** instead of clearing the table. Every
 //! slot is stamped with the generation that wrote it, and a probe only
 //! trusts a slot whose stamp matches: invalidation is O(1) with no
@@ -57,12 +57,11 @@
 //!
 //! [`SignatureIndex`]: fc_tiles::SignatureIndex
 
-use crate::sb::Chi2Kernel;
 use fc_tiles::{MetaKey, SignatureIndex};
 
 /// Most signatures a slot can hold inline. Configurations with more
-/// weighted signatures than this bypass the cache (the paper's SB
-/// recommender uses exactly four).
+/// weighted signatures than this run with the cache disabled (the
+/// paper's SB recommender uses exactly four).
 pub const MAX_CACHED_SIGS: usize = 4;
 
 /// Linear-probe window; beyond it an insert evicts the home slot.
@@ -96,8 +95,8 @@ pub struct PairCacheStats {
     pub hits: u64,
     /// Pair probes that fell through to the χ² kernel.
     pub misses: u64,
-    /// Domain changes (index rebuild / kernel or key-set switch) that
-    /// bumped the generation.
+    /// Domain changes (index rebuild / key-set switch) that bumped the
+    /// generation.
     pub invalidations: u64,
 }
 
@@ -268,15 +267,17 @@ impl PairCache {
         }
     }
 
-    /// Declares the domain of the upcoming fill: the frozen index, the
-    /// χ² kernel, and the recommender's signature key set. Any change
-    /// from the previous domain bumps the generation — an O(1)
-    /// invalidation with no clearing pass. Returns whether the cache is
-    /// usable for this domain (non-zero capacity, ≤
-    /// [`MAX_CACHED_SIGS`] signatures, dense indices packable).
-    pub fn begin(&mut self, index: &SignatureIndex, kernel: Chi2Kernel, keys: &[MetaKey]) -> bool {
+    /// Declares the domain of the upcoming fill: the frozen index and
+    /// the recommender's signature key set. Any change from the
+    /// previous domain bumps the generation — an O(1) invalidation
+    /// with no clearing pass. Returns whether the cache is usable for
+    /// this domain (non-zero capacity, ≤ [`MAX_CACHED_SIGS`]
+    /// signatures, dense indices packable); when it is not, the cache
+    /// is *disabled* until the next `begin`: probes miss, inserts and
+    /// the hit/miss counters are no-ops, and the fill computes every
+    /// pair.
+    pub fn begin(&mut self, index: &SignatureIndex, keys: &[MetaKey]) -> bool {
         let mut fp = splitmix64(index.build_id() ^ 0xC2B2_AE3D_27D4_EB4F);
-        fp = splitmix64(fp ^ kernel as u64);
         for k in keys {
             fp = splitmix64(fp ^ (u64::from(k.raw()) + 1));
         }
@@ -366,8 +367,12 @@ impl PairCache {
         s.vals[..vals.len()].copy_from_slice(vals);
     }
 
-    /// Adds one fill's hit/miss totals to the monotonic counters.
+    /// Adds one fill's hit/miss totals to the monotonic counters (a
+    /// disabled cache served no probes, so it counts none).
     pub(crate) fn record(&mut self, hits: u64, misses: u64) {
+        if !self.enabled {
+            return;
+        }
         self.hits += hits;
         self.misses += misses;
     }
@@ -402,7 +407,7 @@ mod tests {
         let ix = small_index();
         let keys = [MetaKey::intern("sig")];
         let mut c = PairCache::new(64);
-        assert!(c.begin(&ix, Chi2Kernel::Exact, &keys));
+        assert!(c.begin(&ix, &keys));
         let k = pair_key(1, 2);
         assert!(c.probe(k).is_none());
         c.insert(k, &[0.25], 3, 2.0);
@@ -411,17 +416,17 @@ mod tests {
         assert_eq!(s.dmanh, 3);
         assert_eq!(s.denom, 2.0);
         // Same domain again: still a hit, no invalidation.
-        assert!(c.begin(&ix, Chi2Kernel::Exact, &keys));
+        assert!(c.begin(&ix, &keys));
         assert!(c.probe(k).is_some());
         assert_eq!(c.stats().invalidations, 0);
-        // Kernel switch: O(1) invalidation, the slot reads stale.
-        assert!(c.begin(&ix, Chi2Kernel::Reciprocal, &keys));
+        // Key-set switch: O(1) invalidation, the slot reads stale.
+        let other = [MetaKey::intern("other")];
+        assert!(c.begin(&ix, &other));
         assert!(c.probe(k).is_none());
         assert_eq!(c.stats().invalidations, 1);
         // A fresh index build likewise invalidates.
-        assert!(c.begin(&ix, Chi2Kernel::Reciprocal, &keys));
         let ix2 = small_index();
-        assert!(c.begin(&ix2, Chi2Kernel::Reciprocal, &keys));
+        assert!(c.begin(&ix2, &other));
         assert_eq!(c.stats().invalidations, 2);
     }
 
@@ -430,7 +435,7 @@ mod tests {
         let ix = small_index();
         let keys = [MetaKey::intern("sig")];
         let mut c = PairCache::new(0);
-        assert!(!c.begin(&ix, Chi2Kernel::Exact, &keys));
+        assert!(!c.begin(&ix, &keys));
         c.insert(pair_key(0, 1), &[1.0], 0, 1.0);
         assert!(c.probe(pair_key(0, 1)).is_none());
         // More signatures than a slot holds: bypass.
@@ -438,7 +443,7 @@ mod tests {
             .map(|i| MetaKey::intern(&format!("k{i}")))
             .collect();
         let mut c = PairCache::new(64);
-        assert!(!c.begin(&ix, Chi2Kernel::Exact, &many));
+        assert!(!c.begin(&ix, &many));
     }
 
     #[test]
@@ -447,7 +452,7 @@ mod tests {
         let keys = [MetaKey::intern("sig")];
         // Tiny table: plenty of collisions and evictions.
         let mut c = PairCache::new(8);
-        assert!(c.begin(&ix, Chi2Kernel::Exact, &keys));
+        assert!(c.begin(&ix, &keys));
         for a in 0..8usize {
             for b in a..8usize {
                 c.insert(pair_key(a, b), &[(a * 10 + b) as f64], 0, 1.0);

@@ -24,6 +24,19 @@ pub struct PredictionContext<'a> {
     pub roi: &'a [TileId],
 }
 
+impl PredictionContext<'_> {
+    /// The SB model's reference set: the last committed ROI, or the
+    /// current tile before any ROI has been committed (the recommender
+    /// then looks for "more tiles like the one being viewed").
+    pub fn reference_tiles(&self) -> &[TileId] {
+        if self.roi.is_empty() {
+            std::slice::from_ref(&self.request.tile)
+        } else {
+            self.roi
+        }
+    }
+}
+
 /// A low-level recommendation model.
 pub trait Recommender: Send + Sync {
     /// Short stable name (used in experiment output).

@@ -14,22 +14,25 @@
 //! not yet committed an ROI, the current tile serves as the reference —
 //! the recommender then looks for "more tiles like the one being viewed".
 //!
-//! # Two evaluation paths
+//! # Reference path and hot fill
 //!
 //! [`SbRecommender::distances`] is the reference path: it reads every
 //! signature through the store's locked metadata map. It is kept for
-//! standalone use, for the golden regression test, and as the baseline
-//! the perf benches compare against. The hot path is
-//! [`SbRecommender::distances_indexed_into`]: it reads contiguous rows
-//! of a frozen [`SignatureIndex`] with all tile/key lookups hoisted out
-//! of the triple loop and every buffer reused from a caller-owned
-//! [`PredictScratch`] — no locks, no signature copies, no allocation.
-//! [`SbRecommender::distances_batched_into`] generalizes the hot path
-//! to several sessions' jobs at once: one shared pair-matrix fill
-//! (so the rayon fan-out engages on the summed candidate count) with
-//! per-job normalization, keeping every job bit-identical to its
-//! standalone run — see [`crate::batch::PredictScheduler`] for the
-//! cross-session rendezvous built on it.
+//! standalone use, for metadata-free stores, and as the golden baseline
+//! every test and perf bench compares against. The serving path is
+//! [`SbRecommender::distances_into`]: one fill over contiguous rows of
+//! a frozen [`SignatureIndex`], with all tile/key lookups hoisted out
+//! of the triple loop, every (candidate, ROI) pair probed in a
+//! [`PairCache`] before the χ² kernel runs, and every buffer reused
+//! from a caller-owned [`PredictScratch`] — no locks, no signature
+//! copies, no allocation. It takes a slice of jobs so several sessions
+//! can share one fill (and one cache); normalization and the combine
+//! stay per job, keeping every job bit-identical to its standalone run
+//! — see [`crate::batch::PredictScheduler`] for the cross-session
+//! rendezvous built on it. A disabled cache (`PairCache::new(0)`, or a
+//! domain the cache rejects) misses every probe, so the same fill
+//! serves callers that cannot cache.
+//!
 //! Both paths produce **bit-identical** distances for tiles inside
 //! the index's geometry: they perform the same floating-point
 //! operations in the same order (index rows are zero-padded, and χ²
@@ -40,61 +43,8 @@
 use crate::paircache::{pair_key, pair_key_ordered, slot_base, PairCache, MAX_CACHED_SIGS};
 use crate::recommender::{PredictionContext, Recommender};
 use crate::signature::SignatureKind;
-use fc_simd::{fast_recip, SimdLevel};
+use fc_simd::SimdLevel;
 use fc_tiles::{MetaKey, SignatureIndex, TileId, TileStore};
-use rayon::prelude::*;
-
-/// How the hot paths evaluate the per-bin χ² division.
-///
-/// Applies to the indexed/batched fills (and therefore to the values a
-/// [`PairCache`] memoizes — the cache stamps the kernel into its
-/// validity domain, so switching kernels invalidates in O(1)). The
-/// locked [`SbRecommender::distances`] reference path always computes
-/// IEEE-exact divisions: it is the golden baseline both kernels are
-/// tested against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Chi2Kernel {
-    /// IEEE-exact per-bin division. Hot-path results are bit-identical
-    /// to the reference path (golden-tested).
-    #[default]
-    Exact,
-    /// The opt-in relaxed arithmetic mode, two effects:
-    ///
-    /// * cold/miss χ² uses a division-free reciprocal-multiply (an
-    ///   exponent-trick initial guess refined by three Newton–Raphson
-    ///   steps; multiplies and subtractions only, relative error
-    ///   ≲ 4 × 10⁻⁹ per bin);
-    /// * cached fills keep raw values ROI-major and finish with a
-    ///   fused reassociated normalize/combine (`wᵢ/mᵢ²` hoisted, no
-    ///   per-element normalization division, no transpose) — the
-    ///   warm-path latency win.
-    ///
-    /// Distances stay within [`CHI2_RECIPROCAL_EPSILON`] relative of
-    /// the exact path (golden + property tested); near-tie ranks can
-    /// flip within that bound. Trades bit-exactness for divider-port
-    /// relief and fewer passes.
-    ///
-    /// **Hardware caveat:** whether this wins is CPU-dependent. On
-    /// cores with a fast pipelined double divider (e.g. recent x86-64,
-    /// where `vdivpd` approaches one result per few cycles amortized),
-    /// the three Newton–Raphson multiply chains can *lose* to the
-    /// exact division — PR 4 measured exactly that on this project's
-    /// reference container, and the SIMD exact path widens the gap.
-    /// `exp_predict_steady` measures both on the current host and
-    /// prints a one-line warning when `Reciprocal` is slower; treat it
-    /// as an opt-in for divider-starved cores, not a default.
-    Reciprocal,
-}
-
-/// Documented bound on the **relative** error of a full Algorithm 3
-/// distance computed with [`Chi2Kernel::Reciprocal`] versus
-/// [`Chi2Kernel::Exact`]: per-bin reciprocals are accurate to ≲ 4 ×
-/// 10⁻⁹, the fused combine's reassociation of non-negative terms and
-/// hoisted `1/m²` cost a few ulp more, and the subsequent sums and
-/// square root are error-contracting or mildly amplifying, so
-/// distances stay within `1e-6` relative of the exact path (golden +
-/// property tested with this constant).
-pub const CHI2_RECIPROCAL_EPSILON: f64 = 1e-6;
 
 /// Configuration for the SB recommender.
 #[derive(Debug, Clone)]
@@ -109,9 +59,6 @@ pub struct SbConfig {
     /// Apply Algorithm 3's line-13 division by `dphysical(A,B)`
     /// (disabled only by the ablation benches).
     pub physical_distance: bool,
-    /// χ² evaluation kernel for the indexed hot paths (default
-    /// [`Chi2Kernel::Exact`], bit-identical to the reference path).
-    pub kernel: Chi2Kernel,
 }
 
 impl SbConfig {
@@ -124,7 +71,6 @@ impl SbConfig {
                 .collect(),
             manhattan_penalty: true,
             physical_distance: true,
-            kernel: Chi2Kernel::Exact,
         }
     }
 
@@ -144,11 +90,11 @@ impl SbConfig {
 /// allocate nothing.
 #[derive(Debug, Default)]
 pub struct PredictScratch {
-    /// Penalized (unnormalized) χ² per (candidate, signature, roi),
-    /// candidate-major so each candidate owns one contiguous block
-    /// (enables disjoint parallel fills). Normalization by the
-    /// per-signature maxima happens inside the combine pass — the same
-    /// per-element division, fused to avoid a full rewrite sweep.
+    /// **Raw** (penalty-free, unnormalized) χ² per (candidate, roi,
+    /// signature): candidate-major blocks, ROI-major inside a block
+    /// (`nsig` contiguous lanes per pair — the layout a cache slot
+    /// holds). Penalty and normalization by the per-signature maxima
+    /// happen inside the combine pass.
     pair: Vec<f64>,
     /// Per-(job, signature) normalization maxima (Algorithm 3 line 2),
     /// job-major (`nsig` entries per job).
@@ -156,23 +102,20 @@ pub struct PredictScratch {
     /// Dense index per candidate (`usize::MAX` = outside the index).
     cand_rows: Vec<usize>,
     /// Manhattan penalty per (candidate, roi) pair — it is independent
-    /// of the signature, so it is computed once per pair instead of
+    /// of the signature, so it is resolved once per pair instead of
     /// once per (signature, pair).
     penalties: Vec<f64>,
     /// Physical-distance denominator per (candidate, roi) pair, sharing
-    /// the penalty pass's level projection.
+    /// the penalty's level projection (or cache slot).
     denoms: Vec<f64>,
     /// Matrix row offset per (signature, roi) (`usize::MAX` = the ROI
     /// tile has no vector under that signature's key).
     roi_offsets: Vec<usize>,
-    /// Per-ROI weighted-l2 partials for the current candidate.
-    sq: Vec<f64>,
-    /// Scored candidates, reused by [`SbRecommender::rank_indexed`].
-    scored: Vec<(TileId, f64)>,
-    /// Per-job layout descriptors for the batched fill.
+    /// Scored candidates, reused by
+    /// [`SbRecommender::rank_indexed_cached`] (one job).
+    scored: Vec<Vec<(TileId, f64)>>,
+    /// Per-job layout descriptors.
     descs: Vec<JobDesc>,
-    /// Job index per flat candidate across the batch.
-    job_of: Vec<u32>,
     /// Dense index per (job, ROI tile) (`usize::MAX` = outside the
     /// index) — the cache key half the pair probes share.
     roi_dense: Vec<usize>,
@@ -184,22 +127,13 @@ pub struct PredictScratch {
     gath_offs: Vec<usize>,
     /// χ² lane outputs over the miss frontier.
     gath_out: Vec<f64>,
-    /// All-ones penalty slice handed to the fused χ² lanes when the
-    /// cached fill wants raw values (`1.0 · x` is exact).
-    ones: Vec<f64>,
-    /// Whether the last fill used the cached ROI-major layout: `pair`
-    /// holds **raw** values ROI-major (`nsig` lanes per pair) and
-    /// `combine_job` must run the matching streaming pass (exact or
-    /// fused-reciprocal by kernel). Set by `batch_fill`, consumed by
-    /// `combine_job`.
-    roi_major: bool,
 }
 
 /// One session's slice of a cross-session predict batch: its candidate
-/// set scored against its own reference (ROI) tiles. Jobs in one batch
-/// share a single pair-matrix fill but are normalized and combined
-/// independently, so each job's distances are bit-identical to running
-/// [`SbRecommender::distances_indexed_into`] on that job alone.
+/// set scored against its own reference (ROI) tiles. Jobs in one
+/// [`SbRecommender::distances_into`] call share a single pair-matrix
+/// fill but are normalized and combined independently, so each job's
+/// distances are bit-identical to scoring that job alone.
 #[derive(Debug, Clone, Copy)]
 pub struct SbBatchJob<'a> {
     /// Candidate tiles to score.
@@ -227,11 +161,6 @@ struct JobDesc {
 
 /// Sentinel for "no row" in the hoisted offset tables.
 const NO_ROW: usize = usize::MAX;
-
-/// Parallelize the per-candidate distance fill only at batch sizes
-/// where the fan-out pays for itself; interactive candidate sets
-/// (|C| ≤ 24 at d = 1) stay on the allocation-free sequential path.
-const SB_PAR_MIN_CANDIDATES: usize = 512;
 
 /// The SB recommendation model.
 #[derive(Debug, Clone)]
@@ -286,7 +215,7 @@ impl SbRecommender {
     ///
     /// This is the **reference path**: it re-reads every signature
     /// through the store's metadata lock, per pair. Use
-    /// [`Self::distances_indexed_into`] on the request path.
+    /// [`Self::distances_into`] on the request path.
     pub fn distances(
         &self,
         store: &TileStore,
@@ -328,78 +257,29 @@ impl SbRecommender {
             .collect()
     }
 
-    /// The allocation-free hot path: Algorithm 3 over the frozen
-    /// [`SignatureIndex`], writing `(candidate, d_A)` pairs into `out`
-    /// (cleared first). All metadata lookups are hoisted out of the
-    /// triple loop; χ² runs over contiguous matrix rows; every buffer
-    /// comes from `scratch`. Results are bit-identical to
-    /// [`Self::distances`].
-    pub fn distances_indexed_into(
-        &self,
-        index: &SignatureIndex,
-        candidates: &[TileId],
-        roi: &[TileId],
-        scratch: &mut PredictScratch,
-        out: &mut Vec<(TileId, f64)>,
-    ) {
-        let job = SbBatchJob { candidates, roi };
-        let stride = self.batch_fill(index, std::slice::from_ref(&job), scratch, None);
-        out.clear();
-        self.combine_job(0, &job, stride, scratch, out);
-    }
-
-    /// [`Self::distances_indexed_into`] through an epoch-stamped
-    /// [`PairCache`]: every (candidate, ROI) pair is probed first, only
-    /// the miss frontier runs the χ² kernel, and misses are written
-    /// back for the next request. With [`Chi2Kernel::Exact`] (the
-    /// default) results are **bit-identical** to
-    /// [`Self::distances_indexed_into`] — and therefore to
-    /// [`Self::distances`] — across hits, misses and epoch
-    /// invalidations (golden-tested); with [`Chi2Kernel::Reciprocal`]
-    /// they are within [`CHI2_RECIPROCAL_EPSILON`] relative.
-    pub fn distances_indexed_cached_into(
-        &self,
-        index: &SignatureIndex,
-        candidates: &[TileId],
-        roi: &[TileId],
-        cache: &mut PairCache,
-        scratch: &mut PredictScratch,
-        out: &mut Vec<(TileId, f64)>,
-    ) {
-        let job = SbBatchJob { candidates, roi };
-        let stride = self.batch_fill(index, std::slice::from_ref(&job), scratch, Some(cache));
-        out.clear();
-        self.combine_job(0, &job, stride, scratch, out);
-    }
-
-    /// Algorithm 3 over several sessions' jobs at once — the
-    /// cross-session batching entry point. All jobs share **one**
-    /// pair-matrix fill (the expensive χ² sweep), so the rayon fan-out
-    /// engages on the *total* candidate count across sessions
-    /// (≥ `SB_PAR_MIN_CANDIDATES`, 512) even when each individual session
-    /// brings an interactive-sized candidate set. Normalization maxima
-    /// and the combine pass stay **per job**, so `outs[j]` is
-    /// bit-identical to calling [`Self::distances_indexed_into`] with
-    /// job `j` alone.
+    /// The serving path: Algorithm 3 over the frozen
+    /// [`SignatureIndex`] for one or more sessions' jobs, through an
+    /// epoch-stamped [`PairCache`]. All metadata lookups are hoisted
+    /// out of the triple loop; every (candidate, ROI) pair is probed
+    /// first, only the miss frontier runs the χ² kernel over
+    /// contiguous matrix rows, and misses are written back for the
+    /// next request; every buffer comes from `scratch`.
+    ///
+    /// All jobs share **one** pair-matrix fill and one cache (the
+    /// cross-session scheduler hands every tick the same cache, so one
+    /// session's pans warm the pairs another session probes), while
+    /// normalization maxima and the combine pass stay **per job**:
+    /// `outs[j]` is bit-identical to scoring job `j` alone, and to
+    /// [`Self::distances`], across hits, misses and epoch
+    /// invalidations (golden-tested). A cache that is disabled — zero
+    /// capacity, or a domain it rejects (see [`PairCache::begin`]) —
+    /// misses every probe and ignores every write-back, so callers
+    /// that cannot cache pass `PairCache::new(0)` and get the same
+    /// bits.
     ///
     /// `outs` is resized to `jobs.len()`; inner vectors are reused
     /// across calls (allocation-free at a steady batch shape).
-    pub fn distances_batched_into(
-        &self,
-        index: &SignatureIndex,
-        jobs: &[SbBatchJob<'_>],
-        scratch: &mut PredictScratch,
-        outs: &mut Vec<Vec<(TileId, f64)>>,
-    ) {
-        let stride = self.batch_fill(index, jobs, scratch, None);
-        self.combine_jobs(jobs, stride, scratch, outs);
-    }
-
-    /// [`Self::distances_batched_into`] through a shared [`PairCache`]:
-    /// the cross-session scheduler hands every tick the same cache, so
-    /// one session's pans warm the pairs another session probes. Same
-    /// exactness contract as [`Self::distances_indexed_cached_into`].
-    pub fn distances_batched_cached_into(
+    pub fn distances_into(
         &self,
         index: &SignatureIndex,
         jobs: &[SbBatchJob<'_>],
@@ -407,112 +287,86 @@ impl SbRecommender {
         scratch: &mut PredictScratch,
         outs: &mut Vec<Vec<(TileId, f64)>>,
     ) {
-        let stride = self.batch_fill(index, jobs, scratch, Some(cache));
-        self.combine_jobs(jobs, stride, scratch, outs);
-    }
-
-    /// Shared tail of the batched entry points: normalize/combine every
-    /// job into its own output vector. `outs` is resized to
-    /// `jobs.len()` (`resize_with` both grows and shrinks); inner
-    /// vectors are reused across calls.
-    fn combine_jobs(
-        &self,
-        jobs: &[SbBatchJob<'_>],
-        stride: usize,
-        scratch: &mut PredictScratch,
-        outs: &mut Vec<Vec<(TileId, f64)>>,
-    ) {
+        let stride = self.fill(index, jobs, cache, scratch);
         outs.resize_with(jobs.len(), Vec::new);
-        for (j, job) in jobs.iter().enumerate() {
-            let mut out = std::mem::take(&mut outs[j]);
+        for (j, (job, out)) in jobs.iter().zip(outs.iter_mut()).enumerate() {
             out.clear();
-            self.combine_job(j, job, stride, scratch, &mut out);
-            outs[j] = out;
+            self.combine_job(j, job, stride, scratch, out);
         }
     }
 
-    /// The shared batch core: hoists per-job lookups, fills every
-    /// candidate's penalized-χ² block (flat across jobs, parallel past
-    /// [`SB_PAR_MIN_CANDIDATES`] total candidates), then normalizes
-    /// per job (Algorithm 3 lines 2 + 10-11). Returns the per-candidate
-    /// block stride (`nsig × max_j nr_j`; blocks of jobs with fewer
-    /// reference tiles are zero-padded at the tail and never read).
+    /// The fill: hoists per-job lookups, then per candidate probes the
+    /// [`PairCache`] for every ROI pair, resolves hits (and missing
+    /// tiles) **straight into the pair matrix ROI-major** — `nsig` raw
+    /// lanes per pair, no staging buffer, no transpose — runs the χ²
+    /// kernel over the gathered miss frontier only, writes misses
+    /// back, and accumulates the per-(job, signature) maxima
+    /// (Algorithm 3 line 2) on the fly from the `pen · raw` products
+    /// ([`fc_simd::max_num`] selects one argument and is insensitive
+    /// to accumulation order, so the maxima equal the reference's
+    /// running `max` bit-for-bit). Jobs never share maxima: batching
+    /// cannot change any session's normalization. The fill is
+    /// sequential — probes and write-backs mutate the cache — and
+    /// targets interactive steady state, where hits dominate.
     ///
-    /// With a [`PairCache`], the fill probes every (candidate, ROI)
-    /// pair first and runs the χ² kernel only over the miss frontier
-    /// (see [`Self::fill_cached`]); the cached fill is sequential —
-    /// probes and write-backs mutate the cache — and targets
-    /// interactive steady state, where hits dominate and the rayon
-    /// fan-out would have nothing to chew on anyway.
-    fn batch_fill(
+    /// Returns the per-candidate block stride (`nsig × max_j nr_j`;
+    /// blocks of jobs with fewer reference tiles are zero-padded at
+    /// the tail and never read).
+    fn fill(
         &self,
         index: &SignatureIndex,
         jobs: &[SbBatchJob<'_>],
+        cache: &mut PairCache,
         scratch: &mut PredictScratch,
-        cache: Option<&mut PairCache>,
     ) -> usize {
-        let nsig = self.cfg.weights.len();
+        let nsig = self.keys.len();
         let nr_max = jobs.iter().map(|j| j.roi.len()).max().unwrap_or(0);
         let stride = nsig * nr_max;
-        // A cache only participates once it accepts the fill's domain
-        // (index build, kernel, key set); otherwise fall through to the
-        // uncached fill untouched.
-        let cache = cache.and_then(|c| {
-            if c.begin(index, self.cfg.kernel, &self.keys) {
-                Some(c)
-            } else {
-                None
-            }
-        });
-        let cached = cache.is_some();
+        // Declares the fill's domain (index build, key set). A cache
+        // that rejects it stays disabled for this fill: every probe
+        // below misses and every insert is a no-op.
+        cache.begin(index, &self.keys);
 
         // Hoisted lookups, each performed once per batch instead of
         // once per pair inside the triple loop:
-        scratch.descs.clear();
-        scratch.job_of.clear();
-        scratch.cand_rows.clear();
-        scratch.roi_offsets.clear();
-        scratch.roi_dense.clear();
-        // Cached fills write every (candidate, ROI) slot of
-        // `penalties`/`denoms` during the probe pass, so those stay
-        // grow-only there (no clearing memset); the uncached hoist
-        // pushes, so it starts from empty.
-        if !cached {
-            scratch.penalties.clear();
-            scratch.denoms.clear();
-        }
+        let s = &mut *scratch;
+        s.descs.clear();
+        s.cand_rows.clear();
+        s.roi_offsets.clear();
+        s.roi_dense.clear();
         let mut pen_len = 0usize;
         let mut total_nc = 0usize;
-        for (j, job) in jobs.iter().enumerate() {
-            scratch.descs.push(JobDesc {
+        for job in jobs {
+            s.descs.push(JobDesc {
                 nc: job.candidates.len(),
                 nr: job.roi.len(),
                 cand_off: total_nc,
-                roioff_off: scratch.roi_offsets.len(),
+                roioff_off: s.roi_offsets.len(),
                 pen_off: pen_len,
-                rd_off: scratch.roi_dense.len(),
+                rd_off: s.roi_dense.len(),
             });
-            scratch
-                .job_of
-                .extend(std::iter::repeat_n(j as u32, job.candidates.len()));
             // candidate dense indices …
-            scratch.cand_rows.extend(
+            s.cand_rows.extend(
                 job.candidates
                     .iter()
                     .map(|&t| index.dense_index(t).unwrap_or(NO_ROW)),
             );
             // … ROI dense indices (the probe key half shared by every
             // candidate of the job) …
-            scratch.roi_dense.extend(
+            s.roi_dense.extend(
                 job.roi
                     .iter()
                     .map(|&b| index.dense_index(b).unwrap_or(NO_ROW)),
             );
-            // … ROI row offsets per signature …
+            // … and ROI row offsets per signature. The
+            // signature-independent pair geometry (Manhattan penalty,
+            // physical-distance denominator) is resolved per pair by
+            // the probe pass — slot hit or miss compute — which writes
+            // every slot reserved below.
             for &key in &self.keys {
                 let mat = index.matrix(key);
-                let rd = &scratch.roi_dense[scratch.roi_dense.len() - job.roi.len()..];
-                scratch.roi_offsets.extend(rd.iter().map(|&d| {
+                let rd = &s.roi_dense[s.roi_dense.len() - job.roi.len()..];
+                s.roi_offsets.extend(rd.iter().map(|&d| {
                     if d == NO_ROW {
                         NO_ROW
                     } else {
@@ -520,184 +374,27 @@ impl SbRecommender {
                     }
                 }));
             }
-            // … and the signature-independent pair geometry: the
-            // Manhattan penalty and the physical-distance denominator
-            // share one level-projection per pair instead of
-            // recomputing it in the combine loop. The cached fill
-            // resolves geometry per pair instead (slot hit or miss
-            // compute), so it only reserves the slots here.
             pen_len += job.candidates.len() * job.roi.len();
-            if cached {
-                if scratch.penalties.len() < pen_len {
-                    scratch.penalties.resize(pen_len, 0.0);
-                    scratch.denoms.resize(pen_len, 0.0);
-                }
-            } else {
-                for &a in job.candidates {
-                    for &b in job.roi {
-                        let (dmanh, dphys) = pair_geometry(a, b);
-                        scratch.penalties.push(if self.cfg.manhattan_penalty {
-                            exp2i(dmanh as i32 - 1)
-                        } else {
-                            1.0
-                        });
-                        scratch.denoms.push(if self.cfg.physical_distance {
-                            dphys
-                        } else {
-                            1.0
-                        });
-                    }
-                }
-            }
             total_nc += job.candidates.len();
         }
 
-        // Grow-only: every cell the normalize/combine passes read is
-        // written by the fill below (rows are packed `0..nsig·nr`;
-        // the `nsig·nr..stride` padding is never read), so stale data
-        // past the high-water mark needs no clearing pass.
+        // Grow-only: every cell the combine pass reads is written by
+        // the fill below (rows are packed `0..nsig·nr`; the
+        // `nsig·nr..stride` padding is never read), so stale data past
+        // the high-water mark needs no clearing pass.
+        if s.penalties.len() < pen_len {
+            s.penalties.resize(pen_len, 0.0);
+            s.denoms.resize(pen_len, 0.0);
+        }
         let need = total_nc * stride;
-        if scratch.pair.len() < need {
-            scratch.pair.resize(need, 0.0);
+        if s.pair.len() < need {
+            s.pair.resize(need, 0.0);
         }
+        // Line 2: d_i,MAX ← 1, per (job, signature).
+        s.maxes.clear();
+        s.maxes.resize(jobs.len() * nsig, 1.0);
 
-        // Line 2: d_i,MAX ← 1, per (job, signature). The cached
-        // ROI-major fill accumulates these on the fly; the uncached
-        // path scans after the fill (gated below).
-        scratch.maxes.clear();
-        scratch.maxes.resize(jobs.len() * nsig, 1.0);
-        scratch.roi_major = cached && stride > 0;
-
-        if let Some(cache) = cache {
-            if stride > 0 {
-                self.fill_cached(index, jobs, stride, scratch, cache);
-            }
-        } else {
-            // Fill the penalized χ² block of every candidate. Blocks
-            // are disjoint, so large batches (bulk replay / coalesced
-            // multi-session predicts) fan out across cores; results
-            // are bit-identical to the sequential fill because each
-            // block's arithmetic is self-contained.
-            let kernel = self.cfg.kernel;
-            let simd = self.simd;
-            let roi_offsets = &scratch.roi_offsets;
-            let penalties = &scratch.penalties;
-            let cand_rows = &scratch.cand_rows;
-            let descs = &scratch.descs;
-            let job_of = &scratch.job_of;
-            let fill = |fi: usize, chunk: &mut [f64]| {
-                let d = descs[job_of[fi] as usize];
-                let nr = d.nr;
-                if nr == 0 {
-                    return;
-                }
-                let ai = fi - d.cand_off;
-                let ra = cand_rows[fi];
-                let pen = &penalties[d.pen_off + ai * nr..d.pen_off + (ai + 1) * nr];
-                for (i, &key) in self.keys.iter().enumerate() {
-                    let out_row = &mut chunk[i * nr..(i + 1) * nr];
-                    let offs = &roi_offsets[d.roioff_off + i * nr..d.roioff_off + (i + 1) * nr];
-                    let mat_row = index.matrix(key).and_then(|m| {
-                        let row = if ra != NO_ROW { m.row(ra) } else { None };
-                        row.map(|r| (m, r))
-                    });
-                    match mat_row {
-                        Some((mat, row_a)) => {
-                            chi_squared_lanes(kernel, simd, row_a, mat.data(), offs, pen, out_row);
-                        }
-                        // Candidate (or whole key) missing: every pair is
-                        // maximally distant (raw = 1) times its penalty.
-                        None => {
-                            for bi in 0..nr {
-                                out_row[bi] = pen[bi] * 1.0;
-                            }
-                        }
-                    }
-                }
-            };
-            if stride > 0 && total_nc >= SB_PAR_MIN_CANDIDATES {
-                scratch.pair[..need]
-                    .par_chunks_mut(stride)
-                    .with_min_len(1)
-                    .enumerate()
-                    .for_each(|(fi, chunk)| fill(fi, chunk));
-            } else if stride > 0 {
-                for (fi, chunk) in scratch.pair[..need].chunks_mut(stride).enumerate() {
-                    fill(fi, chunk);
-                }
-            }
-        }
-
-        // Line 2 **per job**: per-signature maxima over the job's pair
-        // blocks ([`fc_simd::max_num`] selects one argument and is
-        // insensitive to accumulation order, so neither the parallel
-        // fill nor the blocked/vector scan can change the result). The
-        // line-10-11 normalization division itself is fused into
-        // `combine_job` — the identical per-element `v / max`, without
-        // a full rewrite-and-reread sweep of the pair matrix. Jobs
-        // never share maxima: batching cannot change any session's
-        // normalization. (The cached ROI-major fill already
-        // accumulated its maxima — and uses a layout this scan cannot
-        // read — so it skips the scan.)
-        let scan_jobs = if scratch.roi_major { 0 } else { jobs.len() };
-        for j in 0..scan_jobs {
-            let d = scratch.descs[j];
-            if d.nr == 0 || d.nc == 0 {
-                continue;
-            }
-            let maxes = &mut scratch.maxes[j * nsig..(j + 1) * nsig];
-            for ai in 0..d.nc {
-                let chunk = &scratch.pair[(d.cand_off + ai) * stride..];
-                for (i, mx) in maxes.iter_mut().enumerate() {
-                    let row = &chunk[i * d.nr..(i + 1) * d.nr];
-                    let m = fc_simd::max_scan(self.simd, row);
-                    *mx = fc_simd::max_num(*mx, m);
-                }
-            }
-        }
-        stride
-    }
-
-    /// The cache-aware fill, shared by both kernels: per candidate,
-    /// probe the [`PairCache`] for every ROI pair, resolve hits (and
-    /// missing tiles) **straight into the pair matrix ROI-major** —
-    /// `nsig` raw lanes per pair, no staging buffer, no transpose —
-    /// run the χ² kernel over the gathered miss frontier only, write
-    /// misses back, and accumulate the per-signature maxima on the fly
-    /// from the same `pen · raw` products the uncached path scans
-    /// ([`fc_simd::max_num`] is order-insensitive, so the maxima equal
-    /// that scan's bit-for-bit). [`Self::combine_job`] consumes the
-    /// layout with one streaming pass per kernel: the exact pass
-    /// performs the reference's normalize/combine operations in the
-    /// reference order (bit-identical — `raw · pen` is the same IEEE
-    /// product as the uncached fill's `pen · raw`, and gathering
-    /// misses never regroups any accumulation), the Reciprocal pass
-    /// the fused reassociated variant (within
-    /// [`CHI2_RECIPROCAL_EPSILON`] relative).
-    fn fill_cached(
-        &self,
-        index: &SignatureIndex,
-        jobs: &[SbBatchJob<'_>],
-        stride: usize,
-        scratch: &mut PredictScratch,
-        cache: &mut PairCache,
-    ) {
-        let nsig = self.keys.len();
         let (mut hits, mut misses) = (0u64, 0u64);
-        let nr_max = stride / nsig.max(1);
-        if scratch.ones.len() < nr_max {
-            scratch.ones.resize(nr_max, 1.0);
-        }
-        let s = &mut *scratch;
-        let pair = &mut s.pair;
-        let penalties = &mut s.penalties;
-        let denoms = &mut s.denoms;
-        let all_maxes = &mut s.maxes;
-        let miss_bi = &mut s.miss_bi;
-        let miss_geo = &mut s.miss_geo;
-        let gath_offs = &mut s.gath_offs;
-        let gath_out = &mut s.gath_out;
-        let ones = &s.ones;
         for (j, job) in jobs.iter().enumerate() {
             let d = s.descs[j];
             let nr = d.nr;
@@ -706,39 +403,46 @@ impl SbRecommender {
             }
             let rd = &s.roi_dense[d.rd_off..d.rd_off + nr];
             let rd_max = rd.iter().copied().max().unwrap_or(NO_ROW);
-            let jmax = &mut all_maxes[j * nsig..(j + 1) * nsig];
+            let jmax = &mut s.maxes[j * nsig..(j + 1) * nsig];
             for ai in 0..d.nc {
                 let fi = d.cand_off + ai;
                 let ra = s.cand_rows[fi];
-                let chunk = &mut pair[fi * stride..(fi + 1) * stride];
-                let pen = &mut penalties[d.pen_off + ai * nr..d.pen_off + (ai + 1) * nr];
-                let den = &mut denoms[d.pen_off + ai * nr..d.pen_off + (ai + 1) * nr];
+                let chunk = &mut s.pair[fi * stride..(fi + 1) * stride];
+                let pen = &mut s.penalties[d.pen_off + ai * nr..d.pen_off + (ai + 1) * nr];
+                let den = &mut s.denoms[d.pen_off + ai * nr..d.pen_off + (ai + 1) * nr];
                 let a = job.candidates[ai];
                 // Resolve every pair straight into the ROI-major pair
                 // matrix (no transpose), misses deferred.
                 let (h, m) = self.resolve_pairs(
-                    cache, a, job.roi, ra, rd, rd_max, chunk, nsig, pen, den, miss_bi, miss_geo,
+                    cache,
+                    a,
+                    job.roi,
+                    ra,
+                    rd,
+                    rd_max,
+                    chunk,
+                    pen,
+                    den,
+                    &mut s.miss_bi,
+                    &mut s.miss_geo,
                 );
                 hits += h;
                 misses += m;
-                if !miss_bi.is_empty() {
+                if !s.miss_bi.is_empty() {
+                    let offs = &s.roi_offsets[d.roioff_off..d.roioff_off + nsig * nr];
                     self.miss_frontier(
                         index,
                         ra,
-                        nr,
-                        d.roioff_off,
-                        &s.roi_offsets,
-                        miss_bi,
-                        gath_offs,
-                        gath_out,
-                        ones,
-                        |i, _mi, bi, raw| chunk[bi * nsig + i] = raw,
+                        offs,
+                        &s.miss_bi,
+                        &mut s.gath_offs,
+                        &mut s.gath_out,
+                        chunk,
                     );
                     // ROI-major lanes are contiguous per pair, so the
                     // write-back reads them straight from the matrix.
-                    for (mi, &bi) in miss_bi.iter().enumerate() {
+                    for (&bi, &(dmanh, dphys)) in s.miss_bi.iter().zip(&s.miss_geo) {
                         let bi = bi as usize;
-                        let (dmanh, dphys) = miss_geo[mi];
                         cache.insert(
                             pair_key(ra, rd[bi]),
                             &chunk[bi * nsig..(bi + 1) * nsig],
@@ -748,7 +452,7 @@ impl SbRecommender {
                     }
                 }
                 // Line 2 on the fly: the same `pen · raw` products the
-                // uncached scan maximizes over, in a different order —
+                // reference maximizes over, in a different order —
                 // `max_num` doesn't care. Full-width configs take the
                 // vector kernel (one `max_num` lane per signature).
                 if nsig == MAX_CACHED_SIGS {
@@ -767,13 +471,13 @@ impl SbRecommender {
             }
         }
         cache.record(hits, misses);
+        stride
     }
 
     /// Resolves one candidate's (candidate, ROI) pairs against the
-    /// cache — the single source of the probe protocol both cached
-    /// fills share. Per pair: writes the flag-adjusted penalty and
-    /// denominator, copies hit (or missing-tile) raw lanes into
-    /// `lanes` (`lw`-strided, `lw ≥ nsig`), and defers misses into
+    /// cache — the probe protocol. Per pair: writes the flag-adjusted
+    /// penalty and denominator, copies hit (or missing-tile) raw lanes
+    /// into `lanes` (`nsig` per pair), and defers misses into
     /// `miss_bi`/`miss_geo` with their geometry stashed for
     /// write-back. Returns the (hits, misses) deltas.
     ///
@@ -795,7 +499,6 @@ impl SbRecommender {
         rd: &[usize],
         rd_max: usize,
         lanes: &mut [f64],
-        lw: usize,
         pen: &mut [f64],
         den: &mut [f64],
         miss_bi: &mut Vec<u32>,
@@ -812,7 +515,7 @@ impl SbRecommender {
                 let (dmanh, dphys) = pair_geometry(a, b);
                 pen[bi] = self.penalty_of(dmanh);
                 den[bi] = self.denom_of(dphys);
-                lanes[bi * lw..bi * lw + nsig].fill(1.0);
+                lanes[bi * nsig..(bi + 1) * nsig].fill(1.0);
             };
         if ra == NO_ROW {
             for (bi, &b) in roi.iter().enumerate() {
@@ -826,7 +529,7 @@ impl SbRecommender {
                     hits += 1;
                     pen[bi] = self.penalty_of(slot.dmanh);
                     den[bi] = self.denom_of(slot.denom);
-                    copy_lanes(lanes, bi * lw, slot, nsig);
+                    copy_lanes(lanes, bi * nsig, slot, nsig);
                 } else {
                     misses += 1;
                     let (dmanh, dphys) = pair_geometry(a, roi[bi]);
@@ -845,7 +548,7 @@ impl SbRecommender {
                     hits += 1;
                     pen[bi] = self.penalty_of(slot.dmanh);
                     den[bi] = self.denom_of(slot.denom);
-                    copy_lanes(lanes, bi * lw, slot, nsig);
+                    copy_lanes(lanes, bi * nsig, slot, nsig);
                 } else {
                     misses += 1;
                     let (dmanh, dphys) = pair_geometry(a, b);
@@ -860,45 +563,39 @@ impl SbRecommender {
     }
 
     /// Runs the χ² kernel over one candidate's miss frontier: per
-    /// signature, gathers the missing pairs' row offsets, computes raw
-    /// values (unit penalties — `1.0 · x` is exact), and hands each to
-    /// `scatter(i, mi, bi, raw)`. Shared by both cached fills; only
-    /// the scatter destination differs between layouts.
+    /// signature, gathers the missing pairs' row offsets out of the
+    /// job's `offs` table (`nr` entries per signature), computes raw
+    /// values, and scatters each into its pair's lane of the ROI-major
+    /// `chunk`.
     #[allow(clippy::too_many_arguments)]
     fn miss_frontier(
         &self,
         index: &SignatureIndex,
         ra: usize,
-        nr: usize,
-        roioff_off: usize,
-        roi_offsets: &[usize],
+        offs: &[usize],
         miss_bi: &[u32],
         gath_offs: &mut Vec<usize>,
         gath_out: &mut Vec<f64>,
-        ones: &[f64],
-        mut scatter: impl FnMut(usize, usize, usize, f64),
+        chunk: &mut [f64],
     ) {
-        let nm = miss_bi.len();
+        let nsig = self.keys.len();
+        let nr = offs.len() / nsig;
         for (i, &key) in self.keys.iter().enumerate() {
-            let offs = &roi_offsets[roioff_off + i * nr..roioff_off + (i + 1) * nr];
+            let offs = &offs[i * nr..(i + 1) * nr];
             gath_offs.clear();
             gath_offs.extend(miss_bi.iter().map(|&bi| offs[bi as usize]));
             gath_out.clear();
-            gath_out.resize(nm, 0.0);
+            gath_out.resize(miss_bi.len(), 0.0);
             match index.matrix(key).and_then(|m| m.row(ra).map(|r| (m, r))) {
-                Some((mat, row_a)) => chi_squared_lanes(
-                    self.cfg.kernel,
-                    self.simd,
-                    row_a,
-                    mat.data(),
-                    gath_offs,
-                    &ones[..nm],
-                    gath_out,
-                ),
-                None => gath_out.iter_mut().for_each(|v| *v = 1.0),
+                Some((mat, row_a)) => {
+                    chi_squared_lanes(self.simd, row_a, mat.data(), gath_offs, gath_out);
+                }
+                // Candidate lacks this signature (or the whole key is
+                // absent): every pair is maximally distant (raw = 1).
+                None => gath_out.fill(1.0),
             }
-            for (mi, &bi) in miss_bi.iter().enumerate() {
-                scatter(i, mi, bi as usize, gath_out[mi]);
+            for (&bi, &raw) in miss_bi.iter().zip(gath_out.iter()) {
+                chunk[bi as usize * nsig + i] = raw;
             }
         }
     }
@@ -925,145 +622,64 @@ impl SbRecommender {
         }
     }
 
-    /// Lines 10-15 for one job: normalize (the division by the
-    /// per-signature maxima, exactly as the reference path performs it
-    /// inside its combine closure), weighted l2 combine, physical
-    /// distance, sum over ROI — same operation order as `distances`.
-    /// The per-pair `sq`/`t` phases are element-independent
-    /// (vectorizable); only the final per-candidate sum is
-    /// order-sensitive, and it runs in ROI order exactly like the
-    /// reference path.
+    /// Lines 10-15 for one job, streaming over the ROI-major raw
+    /// layout with the reference's exact operations and order per
+    /// pair: `dv = (raw·pen)/mᵢ` (the same IEEE product as the
+    /// reference's `pen·raw`, then the division by the per-signature
+    /// maximum exactly as the reference performs it inside its combine
+    /// closure), `sq += wᵢ·dv·dv` in signature order,
+    /// `total += √sq/dphys` in ROI order. Bit-identical to
+    /// `distances`; the full-width config takes the vector kernel,
+    /// which transposes in registers while preserving exactly this
+    /// order per lane.
     fn combine_job(
         &self,
         j: usize,
         job: &SbBatchJob<'_>,
         stride: usize,
-        scratch: &mut PredictScratch,
+        scratch: &PredictScratch,
         out: &mut Vec<(TileId, f64)>,
     ) {
-        let nsig = self.cfg.weights.len();
+        let nsig = self.keys.len();
         let d = scratch.descs[j];
         let nr = d.nr;
         out.reserve(d.nc);
         let weights = &self.cfg.weights;
         let maxes = &scratch.maxes[j * nsig..(j + 1) * nsig];
-        if scratch.roi_major && self.cfg.kernel == Chi2Kernel::Reciprocal {
-            // Fused reassociated combine over the ROI-major raw
-            // layout: hoist `cᵢ = wᵢ/mᵢ²` once, then per pair
-            // `√(pen²·Σᵢ cᵢ·rawᵢ²) / dphys` — multiplies where the
-            // exact path divides per element. Epsilon-bounded against
-            // the exact path ([`CHI2_RECIPROCAL_EPSILON`]); only
-            // reachable in [`Chi2Kernel::Reciprocal`] mode.
-            let mut c = [0.0f64; MAX_CACHED_SIGS];
-            for (ci, (&(_, w), &m)) in c.iter_mut().zip(weights.iter().zip(maxes)) {
-                *ci = w / (m * m);
-            }
-            for (ai, &a) in job.candidates.iter().enumerate() {
-                let base = (d.cand_off + ai) * stride;
-                let block = &scratch.pair[base..base + nr * nsig];
-                let pens = &scratch.penalties[d.pen_off + ai * nr..d.pen_off + (ai + 1) * nr];
-                let dens = &scratch.denoms[d.pen_off + ai * nr..d.pen_off + (ai + 1) * nr];
+        let mut w4 = [0.0f64; MAX_CACHED_SIGS];
+        let mut m4 = [1.0f64; MAX_CACHED_SIGS];
+        for (i, (&(_, w), &m)) in weights.iter().zip(maxes).enumerate().take(MAX_CACHED_SIGS) {
+            w4[i] = w;
+            m4[i] = m;
+        }
+        for (ai, &a) in job.candidates.iter().enumerate() {
+            let base = (d.cand_off + ai) * stride;
+            let block = &scratch.pair[base..base + nr * nsig];
+            let pens = &scratch.penalties[d.pen_off + ai * nr..d.pen_off + (ai + 1) * nr];
+            let dens = &scratch.denoms[d.pen_off + ai * nr..d.pen_off + (ai + 1) * nr];
+            let total = if nsig == MAX_CACHED_SIGS {
+                fc_simd::combine_exact4(self.simd, block, pens, dens, &w4, &m4)
+            } else {
                 let mut total = 0.0f64;
                 for ((lanes, &p), &dn) in block.chunks_exact(nsig).zip(pens).zip(dens) {
                     let mut sq = 0.0f64;
-                    for (&ci, &v) in c[..nsig].iter().zip(lanes) {
-                        sq += ci * (v * v);
+                    for (i, &(_, w)) in weights.iter().enumerate() {
+                        let dv = (lanes[i] * p) / maxes[i];
+                        sq += w * dv * dv;
                     }
-                    total += (sq * (p * p)).sqrt() / dn;
+                    total += sq.sqrt() / dn;
                 }
-                out.push((a, total));
-            }
-            return;
-        }
-        if scratch.roi_major {
-            // Exact streaming combine over the ROI-major raw layout —
-            // Algorithm 3 lines 10-15 with the reference's exact
-            // operations and order per pair: `dv = (raw·pen)/mᵢ` (the
-            // same IEEE product as the fill's `pen·raw`), `sq += wᵢ
-            // ·dv·dv` in signature order, `total += √sq/dphys` in ROI
-            // order. Bit-identical to the sig-major path below (and
-            // therefore to the reference); the full-width config takes
-            // the vector kernel, which transposes in registers while
-            // preserving exactly this order per lane.
-            let pens_all = &scratch.penalties;
-            let dens_all = &scratch.denoms;
-            let mut w4 = [0.0f64; MAX_CACHED_SIGS];
-            let mut m4 = [1.0f64; MAX_CACHED_SIGS];
-            for (i, (&(_, w), &m)) in weights.iter().zip(maxes).enumerate().take(MAX_CACHED_SIGS) {
-                w4[i] = w;
-                m4[i] = m;
-            }
-            for (ai, &a) in job.candidates.iter().enumerate() {
-                let base = (d.cand_off + ai) * stride;
-                let block = &scratch.pair[base..base + nr * nsig];
-                let pens = &pens_all[d.pen_off + ai * nr..d.pen_off + (ai + 1) * nr];
-                let dens = &dens_all[d.pen_off + ai * nr..d.pen_off + (ai + 1) * nr];
-                let total = if nsig == MAX_CACHED_SIGS {
-                    fc_simd::combine_exact4(self.simd, block, pens, dens, &w4, &m4)
-                } else {
-                    let mut total = 0.0f64;
-                    for ((lanes, &p), &dn) in block.chunks_exact(nsig).zip(pens).zip(dens) {
-                        let mut sq = 0.0f64;
-                        for (i, &(_, w)) in weights.iter().enumerate() {
-                            let dv = (lanes[i] * p) / maxes[i];
-                            sq += w * dv * dv;
-                        }
-                        total += sq.sqrt() / dn;
-                    }
-                    total
-                };
-                out.push((a, total));
-            }
-            return;
-        }
-        scratch.sq.clear();
-        scratch.sq.resize(nr, 0.0);
-        for (ai, &a) in job.candidates.iter().enumerate() {
-            let base = (d.cand_off + ai) * stride;
-            // Phase a: sq[bi] = Σ_i w_i · (v/mᵢ)², accumulated
-            // sig-major so each addition matches the reference's
-            // i-order per pair.
-            scratch.sq.iter_mut().for_each(|v| *v = 0.0);
-            for (i, &(_, w)) in weights.iter().enumerate() {
-                let row = &scratch.pair[base + i * nr..base + (i + 1) * nr];
-                // Vector div-mul-mul-add lanes; the per-element
-                // operation order is unchanged.
-                fc_simd::norm_sq_accum(self.simd, row, maxes[i], w, &mut scratch.sq);
-            }
-            // Phase b+c: t = √sq / dphysical, summed in ROI order.
-            let denoms = &scratch.denoms[d.pen_off + ai * nr..d.pen_off + (ai + 1) * nr];
-            let total = fc_simd::sqrt_div_sum(self.simd, &scratch.sq, denoms);
+                total
+            };
             out.push((a, total));
         }
     }
 
     /// Ranks candidates against the context's reference set using the
-    /// frozen index and caller-owned scratch. Ordering is identical to
-    /// [`Recommender::rank`] on the same data.
-    pub fn rank_indexed(
-        &self,
-        ctx: &PredictionContext<'_>,
-        index: &SignatureIndex,
-        scratch: &mut PredictScratch,
-    ) -> Vec<TileId> {
-        let fallback = [ctx.request.tile];
-        let refs: &[TileId] = if ctx.roi.is_empty() {
-            &fallback
-        } else {
-            ctx.roi
-        };
-        let mut scored = std::mem::take(&mut scratch.scored);
-        self.distances_indexed_into(index, ctx.candidates, refs, scratch, &mut scored);
-        sort_scored(&mut scored);
-        let ranked = scored.iter().map(|&(t, _)| t).collect();
-        scratch.scored = scored;
-        ranked
-    }
-
-    /// [`Self::rank_indexed`] through an epoch-stamped [`PairCache`] —
-    /// the steady-state request path. Ordering is identical to
-    /// [`Self::rank_indexed`] in [`Chi2Kernel::Exact`] mode (the
-    /// distances are bit-identical).
+    /// frozen index, the session's [`PairCache`] and caller-owned
+    /// scratch — the steady-state request path. Ordering is identical
+    /// to [`Recommender::rank`] on the same data (the distances are
+    /// bit-identical).
     pub fn rank_indexed_cached(
         &self,
         ctx: &PredictionContext<'_>,
@@ -1071,23 +687,20 @@ impl SbRecommender {
         cache: &mut PairCache,
         scratch: &mut PredictScratch,
     ) -> Vec<TileId> {
-        let fallback = [ctx.request.tile];
-        let refs: &[TileId] = if ctx.roi.is_empty() {
-            &fallback
-        } else {
-            ctx.roi
+        let job = SbBatchJob {
+            candidates: ctx.candidates,
+            roi: ctx.reference_tiles(),
         };
         let mut scored = std::mem::take(&mut scratch.scored);
-        self.distances_indexed_cached_into(
+        self.distances_into(
             index,
-            ctx.candidates,
-            refs,
+            std::slice::from_ref(&job),
             cache,
             scratch,
             &mut scored,
         );
-        sort_scored(&mut scored);
-        let ranked = scored.iter().map(|&(t, _)| t).collect();
+        sort_scored(&mut scored[0]);
+        let ranked = scored[0].iter().map(|&(t, _)| t).collect();
         scratch.scored = scored;
         ranked
     }
@@ -1155,15 +768,7 @@ impl Recommender for SbRecommender {
     }
 
     fn rank(&self, ctx: &PredictionContext<'_>) -> Vec<TileId> {
-        // Reference set: the last ROI, or the current tile before any ROI
-        // has been committed.
-        let fallback = [ctx.request.tile];
-        let refs: &[TileId] = if ctx.roi.is_empty() {
-            &fallback
-        } else {
-            ctx.roi
-        };
-        let mut scored = self.distances(ctx.store, ctx.candidates, refs);
+        let mut scored = self.distances(ctx.store, ctx.candidates, ctx.reference_tiles());
         sort_scored(&mut scored);
         scored.into_iter().map(|(t, _)| t).collect()
     }
@@ -1213,19 +818,6 @@ fn copy_lanes(lanes: &mut [f64], at: usize, slot: &crate::paircache::Slot, nsig:
     }
 }
 
-/// One χ² bin division under the compile-time kernel choice. The
-/// division-free arm is [`fc_simd::fast_recip`] — shared with the
-/// vector kernels so every dispatch level performs the identical
-/// Newton–Raphson chain.
-#[inline]
-fn lane_div<const RECIP: bool>(num: f64, denom: f64) -> f64 {
-    if RECIP {
-        num * fast_recip(denom)
-    } else {
-        num / denom
-    }
-}
-
 /// χ² over two equal-length contiguous rows — the hot-path form used
 /// against [`SignatureIndex`] matrices, whose rows are zero-padded to a
 /// common width. Zero-padded bins contribute exactly 0, as in
@@ -1233,12 +825,6 @@ fn lane_div<const RECIP: bool>(num: f64, denom: f64) -> f64 {
 /// is non-negative, and adding +0.0 to a non-negative `f64` is exact).
 #[inline]
 pub fn chi_squared_rows(a: &[f64], b: &[f64]) -> f64 {
-    chi_squared_rows_k::<false>(a, b)
-}
-
-/// [`chi_squared_rows`] parameterized by the χ² kernel.
-#[inline]
-fn chi_squared_rows_k<const RECIP: bool>(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = 0.0f64;
     for (&x, &y) in a.iter().zip(b) {
@@ -1246,19 +832,15 @@ fn chi_squared_rows_k<const RECIP: bool>(a: &[f64], b: &[f64]) -> f64 {
         let num = (x - y) * (x - y);
         // Branchless select: the rejected-lane division may produce
         // inf/NaN, which is discarded, never accumulated.
-        acc += if denom > 1e-12 {
-            lane_div::<RECIP>(num, denom)
-        } else {
-            0.0
-        };
+        acc += if denom > 1e-12 { num / denom } else { 0.0 };
     }
     acc / 2.0
 }
 
-/// χ² of one candidate row against many ROI rows of the same matrix,
-/// fused with the per-pair penalty multiply: `out[bi] = pen[bi] ·
-/// χ²(row_a, row(offs[bi]))`, with `offs[bi] == NO_ROW` meaning the ROI
-/// tile lacks this signature (raw distance 1).
+/// Raw χ² of one candidate row against many ROI rows of the same
+/// matrix: `out[bi] = χ²(row_a, row(offs[bi]))`, with
+/// `offs[bi] == NO_ROW` meaning the ROI tile lacks this signature (raw
+/// distance 1).
 ///
 /// Present lanes are processed four at a time through
 /// [`fc_simd::chi2_acc4`] with one independent accumulator per lane.
@@ -1267,30 +849,12 @@ fn chi_squared_rows_k<const RECIP: bool>(a: &[f64], b: &[f64]) -> f64 {
 /// adds data parallelism without reassociating any addition, and
 /// results stay bit-identical to the scalar loop at every dispatch
 /// level (the vector guard adds `+0.0` for rejected bins, exactly the
-/// scalar's `else` arm). The per-call `kernel` dispatch monomorphizes
-/// the bin loop, so the kernel branch never reaches the inner loop.
+/// scalar's `else` arm).
 fn chi_squared_lanes(
-    kernel: Chi2Kernel,
     simd: SimdLevel,
     row_a: &[f64],
     data: &[f64],
     offs: &[usize],
-    pen: &[f64],
-    out: &mut [f64],
-) {
-    match kernel {
-        Chi2Kernel::Exact => chi_squared_lanes_k::<false>(simd, row_a, data, offs, pen, out),
-        Chi2Kernel::Reciprocal => chi_squared_lanes_k::<true>(simd, row_a, data, offs, pen, out),
-    }
-}
-
-/// [`chi_squared_lanes`] monomorphized over the kernel.
-fn chi_squared_lanes_k<const RECIP: bool>(
-    simd: SimdLevel,
-    row_a: &[f64],
-    data: &[f64],
-    offs: &[usize],
-    pen: &[f64],
     out: &mut [f64],
 ) {
     let dim = row_a.len();
@@ -1298,7 +862,7 @@ fn chi_squared_lanes_k<const RECIP: bool>(
     if dim == 0 {
         // Degenerate zero-width key: χ² of empty rows is 0.
         for bi in 0..nr {
-            out[bi] = pen[bi] * if offs[bi] == NO_ROW { 1.0 } else { 0.0 };
+            out[bi] = if offs[bi] == NO_ROW { 1.0 } else { 0.0 };
         }
         return;
     }
@@ -1309,17 +873,16 @@ fn chi_squared_lanes_k<const RECIP: bool>(
             let b1 = &data[offs[bi + 1]..][..dim];
             let b2 = &data[offs[bi + 2]..][..dim];
             let b3 = &data[offs[bi + 3]..][..dim];
-            let acc = fc_simd::chi2_acc4::<RECIP>(simd, row_a, b0, b1, b2, b3);
+            let acc = fc_simd::chi2_acc4::<false>(simd, row_a, b0, b1, b2, b3);
             for k in 0..4 {
-                out[bi + k] = pen[bi + k] * (acc[k] / 2.0);
+                out[bi + k] = acc[k] / 2.0;
             }
             bi += 4;
         } else {
-            let raw = match offs[bi] {
+            out[bi] = match offs[bi] {
                 NO_ROW => 1.0,
-                o => chi_squared_rows_k::<RECIP>(row_a, &data[o..][..dim]),
+                o => chi_squared_rows(row_a, &data[o..][..dim]),
             };
-            out[bi] = pen[bi] * raw;
             bi += 1;
         }
     }
@@ -1352,6 +915,26 @@ mod tests {
 
     fn put_hist(s: &TileStore, id: TileId, hist: &[f64]) {
         s.put_meta(id, SignatureKind::Hist1D.meta_name(), hist.to_vec());
+    }
+
+    /// One job through the fill with a disabled cache (every pair
+    /// computed), on the caller's scratch.
+    fn score(
+        sb: &SbRecommender,
+        ix: &SignatureIndex,
+        candidates: &[TileId],
+        roi: &[TileId],
+        scratch: &mut PredictScratch,
+    ) -> Vec<(TileId, f64)> {
+        let mut outs = Vec::new();
+        sb.distances_into(
+            ix,
+            &[SbBatchJob { candidates, roi }],
+            &mut PairCache::new(0),
+            scratch,
+            &mut outs,
+        );
+        outs.remove(0)
     }
 
     #[test]
@@ -1417,7 +1000,11 @@ mod tests {
         // The indexed fast path agrees exactly.
         let ix = s.signature_index().unwrap();
         let mut scratch = PredictScratch::default();
-        assert_eq!(sb.rank_indexed(&ctx, &ix, &mut scratch), ranked);
+        let mut cache = PairCache::for_index(&ix);
+        assert_eq!(
+            sb.rank_indexed_cached(&ctx, &ix, &mut cache, &mut scratch),
+            ranked
+        );
     }
 
     #[test]
@@ -1457,9 +1044,13 @@ mod tests {
         assert!(d[0].1 < d[1].1);
         // Same verdict through the index.
         let ix = s.signature_index().unwrap();
-        let mut scratch = PredictScratch::default();
-        let mut out = Vec::new();
-        sb.distances_indexed_into(&ix, &[known, unknown], &[roi], &mut scratch, &mut out);
+        let out = score(
+            &sb,
+            &ix,
+            &[known, unknown],
+            &[roi],
+            &mut PredictScratch::default(),
+        );
         assert_eq!(out[0].1.to_bits(), d[0].1.to_bits());
         assert_eq!(out[1].1.to_bits(), d[1].1.to_bits());
     }
@@ -1489,7 +1080,11 @@ mod tests {
         assert_eq!(sb.rank(&ctx)[0], like_cur);
         let ix = s.signature_index().unwrap();
         let mut scratch = PredictScratch::default();
-        assert_eq!(sb.rank_indexed(&ctx, &ix, &mut scratch)[0], like_cur);
+        let mut cache = PairCache::for_index(&ix);
+        assert_eq!(
+            sb.rank_indexed_cached(&ctx, &ix, &mut cache, &mut scratch)[0],
+            like_cur
+        );
     }
 
     #[test]
@@ -1521,14 +1116,11 @@ mod tests {
             .collect();
         let roi = [TileId::new(2, 0, 0), TileId::new(2, 3, 3)];
         let mut scratch = PredictScratch::default();
-        let mut first = Vec::new();
-        sb.distances_indexed_into(&ix, &candidates, &roi, &mut scratch, &mut first);
+        let first = score(&sb, &ix, &candidates, &roi, &mut scratch);
         // Re-running with warm scratch (including a shrunk problem in
         // between) must give identical bits.
-        let mut small = Vec::new();
-        sb.distances_indexed_into(&ix, &candidates[..3], &roi[..1], &mut scratch, &mut small);
-        let mut second = Vec::new();
-        sb.distances_indexed_into(&ix, &candidates, &roi, &mut scratch, &mut second);
+        score(&sb, &ix, &candidates[..3], &roi[..1], &mut scratch);
+        let second = score(&sb, &ix, &candidates, &roi, &mut scratch);
         assert_eq!(first.len(), second.len());
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.0, b.0);

@@ -1,15 +1,18 @@
 //! Golden regression tests for cross-session predict batching: a batch
 //! of several sessions' jobs must be **bit-identical**, job by job, to
-//! running each job alone — through the raw distance API, across the
-//! ≥512-candidate parallel threshold, and end-to-end through the
+//! running each job alone — through the raw distance API, at batch
+//! widths far past any interactive tick, and end-to-end through the
 //! [`PredictScheduler`] under real thread fan-in.
 
 use fc_array::{DenseArray, Schema};
 use fc_core::batch::{BatchConfig, PredictScheduler};
 use fc_core::engine::PhaseSource;
+use fc_core::paircache::PairCache;
 use fc_core::sb::{PredictScratch, SbBatchJob, SbConfig, SbRecommender};
 use fc_core::signature::{attach_signatures, SignatureConfig};
-use fc_core::{AbRecommender, AllocationStrategy, EngineConfig, PredictionEngine, Request};
+use fc_core::{
+    AbRecommender, AllocationStrategy, EngineConfig, PredictOptions, PredictionEngine, Request,
+};
 use fc_tiles::{Move, Pyramid, PyramidBuilder, PyramidConfig, TileId};
 use std::sync::Arc;
 
@@ -93,15 +96,23 @@ fn batched_jobs_are_bit_identical_to_solo_runs() {
         .collect();
 
     let mut batch_scratch = PredictScratch::default();
+    let mut no_cache = PairCache::new(0);
     let mut outs = Vec::new();
-    sb.distances_batched_into(&index, &jobs, &mut batch_scratch, &mut outs);
+    sb.distances_into(&index, &jobs, &mut no_cache, &mut batch_scratch, &mut outs);
     assert_eq!(outs.len(), jobs.len());
 
     let mut solo_scratch = PredictScratch::default();
-    for (j, (c, r)) in job_specs.iter().enumerate() {
-        let mut solo = Vec::new();
-        sb.distances_indexed_into(&index, c, r, &mut solo_scratch, &mut solo);
-        assert_bit_identical(&outs[j], &solo, &format!("job {j}"));
+    let mut solo = Vec::new();
+    for (j, job) in jobs.iter().enumerate() {
+        let (c, r) = (job.candidates, job.roi);
+        sb.distances_into(
+            &index,
+            std::slice::from_ref(job),
+            &mut no_cache,
+            &mut solo_scratch,
+            &mut solo,
+        );
+        assert_bit_identical(&outs[j], &solo[0], &format!("job {j}"));
         // And transitively to the locked reference path.
         let reference = sb.distances(store, c, r);
         assert_bit_identical(&outs[j], &reference, &format!("job {j} vs reference"));
@@ -109,7 +120,7 @@ fn batched_jobs_are_bit_identical_to_solo_runs() {
 
     // Re-running the same batch with warm scratch changes nothing.
     let mut outs2 = Vec::new();
-    sb.distances_batched_into(&index, &jobs, &mut batch_scratch, &mut outs2);
+    sb.distances_into(&index, &jobs, &mut no_cache, &mut batch_scratch, &mut outs2);
     for (j, (a, b)) in outs.iter().zip(&outs2).enumerate() {
         assert_bit_identical(a, b, &format!("warm rerun job {j}"));
     }
@@ -123,10 +134,9 @@ fn batches_past_the_parallel_threshold_stay_bit_identical() {
     let index = store.signature_index().expect("signatures attached");
     let sb = SbRecommender::new(SbConfig::all_equal());
 
-    // 40 jobs × 16 candidates = 640 total candidates — beyond the
-    // ≥512 fan-out threshold, so this exercises the parallel fill on
-    // multi-core hosts (and its sequential twin elsewhere). Either
-    // way the results must be bit-identical to solo runs.
+    // 40 jobs × 16 candidates = 640 total candidates in one fill —
+    // far wider than any interactive tick. The results must be
+    // bit-identical to solo runs.
     let all: Vec<TileId> = g.all_tiles().filter(|t| t.level == 2).collect();
     let job_specs: Vec<(Vec<TileId>, Vec<TileId>)> = (0..40)
         .map(|j| {
@@ -145,13 +155,20 @@ fn batches_past_the_parallel_threshold_stay_bit_identical() {
     assert!(jobs.iter().map(|j| j.candidates.len()).sum::<usize>() >= 512);
 
     let mut batch_scratch = PredictScratch::default();
+    let mut no_cache = PairCache::new(0);
     let mut outs = Vec::new();
-    sb.distances_batched_into(&index, &jobs, &mut batch_scratch, &mut outs);
+    sb.distances_into(&index, &jobs, &mut no_cache, &mut batch_scratch, &mut outs);
     let mut solo_scratch = PredictScratch::default();
-    for (j, (c, r)) in job_specs.iter().enumerate() {
-        let mut solo = Vec::new();
-        sb.distances_indexed_into(&index, c, r, &mut solo_scratch, &mut solo);
-        assert_bit_identical(&outs[j], &solo, &format!("wide batch job {j}"));
+    let mut solo = Vec::new();
+    for (j, job) in jobs.iter().enumerate() {
+        sb.distances_into(
+            &index,
+            std::slice::from_ref(job),
+            &mut no_cache,
+            &mut solo_scratch,
+            &mut solo,
+        );
+        assert_bit_identical(&outs[j], &solo[0], &format!("wide batch job {j}"));
     }
 }
 
@@ -169,6 +186,14 @@ fn engine(g: fc_tiles::Geometry) -> PredictionEngine {
             ..EngineConfig::default()
         },
     )
+}
+
+/// Predict options routing the SB ranking through `scheduler`.
+fn through(scheduler: &PredictScheduler) -> PredictOptions<'_> {
+    PredictOptions {
+        scheduler: Some(scheduler),
+        ..PredictOptions::default()
+    }
 }
 
 #[test]
@@ -201,7 +226,7 @@ fn scheduler_predictions_match_unbatched_engine_exactly() {
         batched.observe(Request::new(t, mv));
         local.observe(Request::new(t, mv));
         for k in [1, 4, 9] {
-            let a = batched.predict_batched(&scheduler, pyramid.store(), k);
+            let a = batched.predict_with(pyramid.store(), k, through(&scheduler));
             let b = local.predict(pyramid.store(), k);
             assert_eq!(a, b, "step {i}, k={k}");
         }
@@ -240,7 +265,7 @@ fn concurrent_scheduler_fan_in_matches_solo_predictions() {
                         g.apply(start, Move::PanRight).unwrap_or(start),
                         Some(Move::PanRight),
                     ));
-                    (i, e.predict_batched(&scheduler, pyramid.store(), 6))
+                    (i, e.predict_with(pyramid.store(), 6, through(&scheduler)))
                 })
             })
             .collect();

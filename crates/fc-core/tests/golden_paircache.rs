@@ -2,14 +2,14 @@
 //! cached steady-state path must be indistinguishable from the locked
 //! reference path — bit-identical distances, not just the same ranking
 //! — across cache **hits**, **misses**, and **epoch invalidations**,
-//! on a real pyramid with all four signatures attached. The relaxed
-//! [`Chi2Kernel::Reciprocal`] kernel is held to its documented epsilon
-//! instead.
+//! on a real pyramid with all four signatures attached. A disabled
+//! cache (`PairCache::new(0)`) and a cache-rejected domain (five
+//! weighted signatures) run the same fill and are held to the same
+//! bits.
 
 use fc_array::{DenseArray, Schema};
 use fc_core::paircache::PairCache;
-use fc_core::sb::CHI2_RECIPROCAL_EPSILON;
-use fc_core::sb::{Chi2Kernel, PredictScratch, SbBatchJob, SbConfig, SbRecommender};
+use fc_core::sb::{PredictScratch, SbBatchJob, SbConfig, SbRecommender};
 use fc_core::signature::{attach_signatures, SignatureConfig, SignatureKind};
 use fc_core::{BatchConfig, PredictScheduler};
 use fc_tiles::{Pyramid, PyramidBuilder, PyramidConfig, TileId};
@@ -60,6 +60,26 @@ fn assert_bits(reference: &[(TileId, f64)], got: &[(TileId, f64)], what: &str) {
     }
 }
 
+/// Scores one job through `cache`.
+fn score(
+    sb: &SbRecommender,
+    index: &fc_tiles::SignatureIndex,
+    candidates: &[TileId],
+    roi: &[TileId],
+    cache: &mut PairCache,
+    scratch: &mut PredictScratch,
+) -> Vec<(TileId, f64)> {
+    let mut outs = Vec::new();
+    sb.distances_into(
+        index,
+        &[SbBatchJob { candidates, roi }],
+        cache,
+        scratch,
+        &mut outs,
+    );
+    outs.remove(0)
+}
+
 #[test]
 fn cached_path_bit_identical_across_hits_misses_and_epochs() {
     let pyramid = seeded_pyramid();
@@ -68,7 +88,6 @@ fn cached_path_bit_identical_across_hits_misses_and_epochs() {
     let index = store.signature_index().expect("signatures attached");
     let mut cache = PairCache::for_index(&index);
     let mut scratch = PredictScratch::default();
-    let mut out = Vec::new();
 
     // Cold request: every pair misses; bits must match the reference.
     let cands = level2(0..3);
@@ -78,14 +97,14 @@ fn cached_path_bit_identical_across_hits_misses_and_epochs() {
         TileId::new(1, 1, 1),
     ];
     let reference = sb.distances(store, &cands, &roi);
-    sb.distances_indexed_cached_into(&index, &cands, &roi, &mut cache, &mut scratch, &mut out);
+    let out = score(&sb, &index, &cands, &roi, &mut cache, &mut scratch);
     assert_bits(&reference, &out, "cold fill");
     let s0 = cache.stats();
     assert_eq!(s0.hits, 0, "cold cache cannot hit");
     assert_eq!(s0.misses, (cands.len() * roi.len()) as u64);
 
     // Warm repeat: pure hits, identical bits.
-    sb.distances_indexed_cached_into(&index, &cands, &roi, &mut cache, &mut scratch, &mut out);
+    let out = score(&sb, &index, &cands, &roi, &mut cache, &mut scratch);
     assert_bits(&reference, &out, "warm repeat");
     let s1 = cache.stats();
     assert_eq!(s1.misses, s0.misses, "repeat adds no misses");
@@ -94,7 +113,7 @@ fn cached_path_bit_identical_across_hits_misses_and_epochs() {
     // Pan step: partial overlap — mixed hits and misses, identical bits.
     let panned = level2(1..4);
     let reference_pan = sb.distances(store, &panned, &roi);
-    sb.distances_indexed_cached_into(&index, &panned, &roi, &mut cache, &mut scratch, &mut out);
+    let out = score(&sb, &index, &panned, &roi, &mut cache, &mut scratch);
     assert_bits(&reference_pan, &out, "pan step");
     let s2 = cache.stats();
     assert!(s2.hits > s1.hits, "pan overlap must hit");
@@ -110,7 +129,7 @@ fn cached_path_bit_identical_across_hits_misses_and_epochs() {
     );
     let index2 = store.signature_index().expect("rebuilt");
     let reference_new = sb.distances(store, &cands, &roi);
-    sb.distances_indexed_cached_into(&index2, &cands, &roi, &mut cache, &mut scratch, &mut out);
+    let out = score(&sb, &index2, &cands, &roi, &mut cache, &mut scratch);
     assert_bits(&reference_new, &out, "post-epoch fill");
     let s3 = cache.stats();
     assert_eq!(s3.invalidations, 1, "index rebuild bumps the generation");
@@ -121,9 +140,41 @@ fn cached_path_bit_identical_across_hits_misses_and_epochs() {
     );
 
     // And the generation survives: repeating under the new epoch hits.
-    sb.distances_indexed_cached_into(&index2, &cands, &roi, &mut cache, &mut scratch, &mut out);
+    let out = score(&sb, &index2, &cands, &roi, &mut cache, &mut scratch);
     assert_bits(&reference_new, &out, "post-epoch repeat");
-    assert!(cache.stats().hits > s3.hits);
+    let s4 = cache.stats();
+    assert!(s4.hits > s3.hits);
+
+    // A different key set on the same cache is a different domain: it
+    // invalidates instead of reading the four-signature slots.
+    let sift = SbRecommender::new(SbConfig::single(SignatureKind::Sift));
+    let reference_sift = sift.distances(store, &cands, &roi);
+    let out = score(&sift, &index2, &cands, &roi, &mut cache, &mut scratch);
+    assert_bits(&reference_sift, &out, "key-set switch");
+    assert_eq!(cache.stats().invalidations, 2);
+    assert_eq!(cache.stats().hits, s4.hits, "nothing carries over");
+
+    // A disabled cache never hits and never counts, on the same bits.
+    let mut disabled = PairCache::new(0);
+    for lap in ["first", "repeat"] {
+        let out = score(&sb, &index2, &cands, &roi, &mut disabled, &mut scratch);
+        assert_bits(&reference_new, &out, &format!("disabled cache, {lap}"));
+    }
+    assert_eq!(disabled.stats(), Default::default());
+
+    // Five weighted signatures exceed what a slot holds: a live cache
+    // rejects the domain and the fill computes every pair, each time.
+    let mut cfg = SbConfig::all_equal();
+    cfg.weights.push((SignatureKind::Hist1D, 0.25));
+    let five = SbRecommender::new(cfg);
+    let reference_five = five.distances(store, &cands, &roi);
+    let before = cache.stats();
+    for lap in ["first", "repeat"] {
+        let out = score(&five, &index2, &cands, &roi, &mut cache, &mut scratch);
+        assert_bits(&reference_five, &out, &format!("five signatures, {lap}"));
+    }
+    let after = cache.stats();
+    assert_eq!((after.hits, after.misses), (before.hits, before.misses));
 }
 
 #[test]
@@ -160,7 +211,7 @@ fn batched_cached_jobs_match_solo_reference() {
     // same tick may already hit pairs earlier jobs wrote), the second
     // is all-hit. Both must be bit-identical to the solo reference.
     for tick in 0..2 {
-        sb.distances_batched_cached_into(&index, &jobs, &mut cache, &mut scratch, &mut outs);
+        sb.distances_into(&index, &jobs, &mut cache, &mut scratch, &mut outs);
         for (j, job) in jobs.iter().enumerate() {
             let reference = sb.distances(store, job.candidates, job.roi);
             assert_bits(&reference, &outs[j], &format!("tick {tick} job {j}"));
@@ -192,97 +243,19 @@ fn scheduler_shares_pairs_across_sessions() {
     assert_eq!(after_b.misses, after_a.misses);
     assert_eq!(after_b.hits, after_a.misses);
     assert_eq!(a, b);
-    // Cross-check against the uncached indexed path.
+    // Cross-check against the fill with a disabled cache.
     let sb = SbRecommender::new(SbConfig::all_equal());
     let ix = pyramid.store().signature_index().unwrap();
-    let mut scratch = PredictScratch::default();
-    let mut out = Vec::new();
-    sb.distances_indexed_into(&ix, &cands, &refs, &mut scratch, &mut out);
+    let mut out = score(
+        &sb,
+        &ix,
+        &cands,
+        &refs,
+        &mut PairCache::new(0),
+        &mut PredictScratch::default(),
+    );
     out.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
     let solo: Vec<TileId> = out.into_iter().map(|(t, _)| t).collect();
     assert_eq!(a, solo);
     sched.unregister();
-}
-
-#[test]
-fn reciprocal_kernel_is_epsilon_bounded_and_self_consistent() {
-    let pyramid = seeded_pyramid();
-    let store = pyramid.store();
-    let exact = SbRecommender::new(SbConfig::all_equal());
-    let relaxed = SbRecommender::new(SbConfig {
-        kernel: Chi2Kernel::Reciprocal,
-        ..SbConfig::all_equal()
-    });
-    let index = store.signature_index().unwrap();
-    let mut cache = PairCache::for_index(&index);
-    let mut scratch = PredictScratch::default();
-
-    let cands = level2(0..4);
-    let roi = [
-        TileId::new(2, 0, 0),
-        TileId::new(2, 3, 3),
-        TileId::new(1, 0, 0),
-    ];
-    let reference = exact.distances(store, &cands, &roi);
-
-    // Uncached relaxed fill: within the documented epsilon.
-    let mut plain = Vec::new();
-    relaxed.distances_indexed_into(&index, &cands, &roi, &mut scratch, &mut plain);
-    for (r, g) in reference.iter().zip(&plain) {
-        let tol = CHI2_RECIPROCAL_EPSILON * r.1.abs().max(1.0);
-        assert!(
-            (r.1 - g.1).abs() <= tol,
-            "{:?}: exact {} vs reciprocal {}",
-            r.0,
-            r.1,
-            g.1
-        );
-    }
-
-    // Cached relaxed fill (reciprocal misses + fused reassociated
-    // combine): within epsilon of the exact reference both cold and
-    // warm, and deterministic — the warm pass reproduces the cold
-    // pass bit-for-bit (same slot values, same arithmetic).
-    let mut cached = Vec::new();
-    let mut first_pass = Vec::new();
-    for pass in 0..2 {
-        relaxed.distances_indexed_cached_into(
-            &index,
-            &cands,
-            &roi,
-            &mut cache,
-            &mut scratch,
-            &mut cached,
-        );
-        for (r, g) in reference.iter().zip(&cached) {
-            let tol = CHI2_RECIPROCAL_EPSILON * r.1.abs().max(1.0);
-            assert!(
-                (r.1 - g.1).abs() <= tol,
-                "pass {pass} {:?}: exact {} vs relaxed-cached {}",
-                r.0,
-                r.1,
-                g.1
-            );
-        }
-        if pass == 0 {
-            first_pass = cached.clone();
-        } else {
-            assert_bits(&first_pass, &cached, "reciprocal warm determinism");
-        }
-    }
-
-    // Switching the kernel on the same cache invalidates (the kernel
-    // is part of the cache's validity domain): the exact fill through
-    // the shared cache must be bit-identical to the exact reference.
-    let mut exact_cached = Vec::new();
-    exact.distances_indexed_cached_into(
-        &index,
-        &cands,
-        &roi,
-        &mut cache,
-        &mut scratch,
-        &mut exact_cached,
-    );
-    assert_bits(&reference, &exact_cached, "kernel switch");
-    assert!(cache.stats().invalidations >= 1);
 }

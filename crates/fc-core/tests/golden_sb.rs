@@ -5,7 +5,8 @@
 
 use fc_array::{DenseArray, Schema};
 use fc_core::engine::PhaseSource;
-use fc_core::sb::{PredictScratch, SbConfig, SbRecommender};
+use fc_core::paircache::PairCache;
+use fc_core::sb::{PredictScratch, SbBatchJob, SbConfig, SbRecommender};
 use fc_core::signature::{attach_signatures, SignatureConfig, SignatureKind};
 use fc_core::{
     AbRecommender, AllocationStrategy, EngineConfig, PredictionContext, PredictionEngine,
@@ -45,6 +46,9 @@ fn indexed_path_is_bit_identical_to_meta_vec_path() {
     let g = pyramid.geometry();
     let index = store.signature_index().expect("signatures attached");
     let mut scratch = PredictScratch::default();
+    // Disabled cache: every pair of every case runs the χ² kernel.
+    let mut no_cache = PairCache::new(0);
+    let mut fast = Vec::new();
 
     for cfg in [
         SbConfig::all_equal(),
@@ -76,10 +80,13 @@ fn indexed_path_is_bit_identical_to_meta_vec_path() {
             ];
             for roi in rois {
                 let reference = sb.distances(store, &candidates, roi);
-                let mut fast = Vec::new();
-                sb.distances_indexed_into(&index, &candidates, roi, &mut scratch, &mut fast);
-                assert_eq!(reference.len(), fast.len());
-                for (r, f) in reference.iter().zip(&fast) {
+                let job = SbBatchJob {
+                    candidates: &candidates,
+                    roi,
+                };
+                sb.distances_into(&index, &[job], &mut no_cache, &mut scratch, &mut fast);
+                assert_eq!(reference.len(), fast[0].len());
+                for (r, f) in reference.iter().zip(&fast[0]) {
                     assert_eq!(r.0, f.0, "candidate order must match");
                     assert_eq!(
                         r.1.to_bits(),
@@ -105,6 +112,7 @@ fn indexed_rank_matches_reference_rank() {
     let index = store.signature_index().unwrap();
     let sb = SbRecommender::new(SbConfig::all_equal());
     let mut scratch = PredictScratch::default();
+    let mut cache = PairCache::for_index(&index);
 
     let mut h = SessionHistory::new(3);
     let cur = Request::new(TileId::new(2, 2, 2), Some(Move::PanRight));
@@ -125,7 +133,7 @@ fn indexed_rank_matches_reference_rank() {
             roi: &roi,
         };
         let reference = sb.rank(&ctx);
-        let fast = sb.rank_indexed(&ctx, &index, &mut scratch);
+        let fast = sb.rank_indexed_cached(&ctx, &index, &mut cache, &mut scratch);
         assert_eq!(reference, fast, "roi {roi:?}");
     }
 }
@@ -173,7 +181,7 @@ fn engine_predictions_unchanged_by_index() {
 }
 
 /// Recomputes a prediction through the un-indexed recommender path,
-/// mirroring `PredictionEngine::predict_with_phase`'s merge.
+/// mirroring `PredictionEngine::predict_with`'s merge.
 fn reference_predict(
     engine: &PredictionEngine,
     store: &fc_tiles::TileStore,

@@ -1,7 +1,7 @@
-//! Golden SIMD-dispatch suite: every SB entry point must produce
+//! Golden SIMD-dispatch suite: the SB fill must produce
 //! **bit-identical** distances at every available dispatch level.
 //!
-//! The fc-simd kernels (χ² accumulation, max scan, penalty fold,
+//! The fc-simd kernels (χ² accumulation, penalty-max fold,
 //! normalize/combine) promise exact IEEE semantics per lane — no FMA
 //! contraction, no reassociation beyond the documented 4-way split
 //! that the scalar fallback replays verbatim. This suite pins that
@@ -10,10 +10,12 @@
 //! compared bit-for-bit against the `Scalar` pin *and* the locked
 //! reference path [`SbRecommender::distances`], across
 //!
-//! * all four indexed entry points (plain, pair-cached, batched,
-//!   batched-cached), hit and miss cache states;
-//! * nsig 1, 2 and 4 configurations, with and without the Manhattan /
-//!   physical-distance terms;
+//! * one job and several jobs per fill, through a disabled cache
+//!   (`PairCache::new(0)`, every pair computed) and a live one in its
+//!   miss and hit states;
+//! * nsig 1, 2, 4 and 5 configurations (5 exceeds what a cache slot
+//!   holds, so the cache rejects the domain), with and without the
+//!   Manhattan / physical-distance terms;
 //! * degenerate shapes: empty candidates, empty ROI, single pairs,
 //!   odd-sized sets;
 //! * hostile metadata: NaN and ±inf bins, odd vector widths, tiles
@@ -93,11 +95,16 @@ fn odd_geometry() -> Geometry {
     Geometry::new(3, 100, 92, 24, 24)
 }
 
-/// The configurations under test: nsig 4, 2 and 1, plus the ablation
-/// with both distance terms off.
+/// The configurations under test: nsig 4, 2, 1 and 5 (one kind twice —
+/// more weighted signatures than a cache slot holds, so every cache
+/// rejects the domain), plus the ablation with both distance terms off.
 fn configs() -> Vec<SbConfig> {
+    let mut five = SbConfig::all_equal();
+    five.weights.push((SignatureKind::Sift, 0.5));
+    assert!(five.weights.len() > fc_core::paircache::MAX_CACHED_SIGS);
     vec![
         SbConfig::all_equal(),
+        five,
         SbConfig {
             weights: vec![
                 (SignatureKind::Hist1D, 0.75),
@@ -157,8 +164,29 @@ fn assert_bits(ctx: &str, want: &[(TileId, f64)], got: &[(TileId, f64)]) {
     }
 }
 
-/// Runs every entry point of `sb` on one (candidates, roi) case and
-/// checks them against the scalar pin and the reference path.
+/// Scores one job through `cache` on fresh-or-warm `scratch`.
+fn score(
+    sb: &SbRecommender,
+    index: &fc_tiles::SignatureIndex,
+    candidates: &[TileId],
+    roi: &[TileId],
+    cache: &mut PairCache,
+    scratch: &mut PredictScratch,
+) -> Vec<(TileId, f64)> {
+    let mut outs = Vec::new();
+    sb.distances_into(
+        index,
+        &[SbBatchJob { candidates, roi }],
+        cache,
+        scratch,
+        &mut outs,
+    );
+    outs.remove(0)
+}
+
+/// Runs the fill of `sb` on one (candidates, roi) case in every cache
+/// state and batch shape and checks it against the scalar pin and the
+/// reference path.
 #[allow(clippy::too_many_arguments)]
 fn check_case(
     ctx: &str,
@@ -171,26 +199,26 @@ fn check_case(
     cache: &mut PairCache,
 ) {
     let mut scratch = PredictScratch::default();
-    let mut want = Vec::new();
-    scalar.distances_indexed_into(index, candidates, roi, &mut scratch, &mut want);
+    let mut disabled = PairCache::new(0);
+    let want = score(scalar, index, candidates, roi, &mut disabled, &mut scratch);
 
     // The locked reference path is scalar by construction; the frozen
     // index at *any* level must reproduce it bit-for-bit.
     let reference = scalar.distances(store, candidates, roi);
     assert_bits(&format!("{ctx}/reference-vs-scalar"), &reference, &want);
 
-    let mut got = Vec::new();
-    sb.distances_indexed_into(index, candidates, roi, &mut scratch, &mut got);
-    assert_bits(&format!("{ctx}/indexed"), &want, &got);
+    let got = score(sb, index, candidates, roi, &mut disabled, &mut scratch);
+    assert_bits(&format!("{ctx}/disabled-cache"), &want, &got);
+    assert_eq!(disabled.stats().hits + disabled.stats().misses, 0);
 
     // Cached: first call exercises the miss frontier, second the pure
     // hit path; both must match the uncached scalar result.
     for lap in ["miss", "hit"] {
-        sb.distances_indexed_cached_into(index, candidates, roi, cache, &mut scratch, &mut got);
+        let got = score(sb, index, candidates, roi, cache, &mut scratch);
         assert_bits(&format!("{ctx}/cached-{lap}"), &want, &got);
     }
 
-    // Batched: the case twice plus a shrunk sibling job; job 0 must be
+    // Batched: the case plus a shrunk sibling job; job 0 must be
     // bit-identical to the standalone call.
     let sibling_c: Vec<TileId> = candidates.iter().copied().step_by(2).collect();
     let jobs = [
@@ -201,9 +229,9 @@ fn check_case(
         },
     ];
     let mut outs = Vec::new();
-    sb.distances_batched_into(index, &jobs, &mut scratch, &mut outs);
+    sb.distances_into(index, &jobs, &mut disabled, &mut scratch, &mut outs);
     assert_bits(&format!("{ctx}/batched"), &want, &outs[0]);
-    sb.distances_batched_cached_into(index, &jobs, cache, &mut scratch, &mut outs);
+    sb.distances_into(index, &jobs, cache, &mut scratch, &mut outs);
     assert_bits(&format!("{ctx}/batched-cached"), &want, &outs[0]);
 }
 
@@ -272,7 +300,7 @@ proptest! {
         let mut caches: Vec<PairCache> =
             levels.iter().map(|_| PairCache::for_index(&index)).collect();
         let mut scratch = PredictScratch::default();
-        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let mut disabled = PairCache::new(0);
 
         let mut anchor = TileId::new(2, 0, 0);
         for (mv, roi_code) in steps {
@@ -296,11 +324,9 @@ proptest! {
                 1 => vec![anchor],
                 _ => g.candidates(anchor, 2).into_iter().step_by(4).collect(),
             };
-            scalar.distances_indexed_into(&index, &candidates, &roi, &mut scratch, &mut want);
+            let want = score(&scalar, &index, &candidates, &roi, &mut disabled, &mut scratch);
             for (i, sb) in sbs.iter().enumerate() {
-                sb.distances_indexed_cached_into(
-                    &index, &candidates, &roi, &mut caches[i], &mut scratch, &mut got,
-                );
+                let got = score(sb, &index, &candidates, &roi, &mut caches[i], &mut scratch);
                 prop_assert_eq!(want.len(), got.len());
                 for (w, o) in want.iter().zip(&got) {
                     prop_assert_eq!(w.0, o.0);

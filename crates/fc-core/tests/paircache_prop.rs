@@ -2,14 +2,12 @@
 //! sequences — with metadata-epoch bumps mid-sequence and periodic
 //! cross-session batched jobs — against one long-lived cache, and
 //! assert that every result is bit-identical to the locked reference
-//! path [`SbRecommender::distances`] in `Exact` mode, and within the
-//! documented [`CHI2_RECIPROCAL_EPSILON`] in `Reciprocal` mode.
+//! path [`SbRecommender::distances`] — through a live cache, a disabled
+//! one, and one whose domain (five weighted signatures) it rejects.
 
 use fc_array::{IoMode, LatencyModel, SimClock};
 use fc_core::paircache::PairCache;
-use fc_core::sb::{
-    Chi2Kernel, PredictScratch, SbBatchJob, SbConfig, SbRecommender, CHI2_RECIPROCAL_EPSILON,
-};
+use fc_core::sb::{PredictScratch, SbBatchJob, SbConfig, SbRecommender};
 use fc_core::signature::{SignatureKind, SIGNATURE_KINDS};
 use fc_tiles::{Geometry, TileId, TileStore};
 use proptest::prelude::*;
@@ -109,9 +107,9 @@ fn assert_bits(reference: &[(TileId, f64)], got: &[(TileId, f64)], what: &str) {
 proptest! {
     #![proptest_config(proptest::test_runner::Config::with_cases(24))]
 
-    /// Exact mode: every step of a random pan/zoom replay — including
-    /// epoch bumps and cross-session batches — is bit-identical to the
-    /// reference path.
+    /// Every step of a random pan/zoom replay — including epoch bumps
+    /// and cross-session batches — is bit-identical to the reference
+    /// path, in every (recommender, long-lived cache) column.
     #[test]
     fn random_walk_exact_is_bit_identical(
         steps in proptest::collection::vec((0usize..6, 0u8..4), 1..20),
@@ -119,10 +117,16 @@ proptest! {
     ) {
         let g = Geometry::new(4, 128, 128, 16, 16);
         let store = synthetic_store(g, salt);
-        let sb = SbRecommender::new(SbConfig::all_equal());
-        let mut cache = PairCache::new(1 << 12);
+        let mut five = SbConfig::all_equal();
+        five.weights.push((SignatureKind::Hist1D, 0.5));
+        // Live cache; disabled cache; live cache that rejects the
+        // domain (more signatures than a slot holds).
+        let mut columns = [
+            (SbRecommender::new(SbConfig::all_equal()), PairCache::new(1 << 12)),
+            (SbRecommender::new(SbConfig::all_equal()), PairCache::new(0)),
+            (SbRecommender::new(five), PairCache::new(1 << 12)),
+        ];
         let mut scratch = PredictScratch::default();
-        let mut out = Vec::new();
         let mut outs = Vec::new();
         let mut anchor = TileId::new(2, 1, 1);
         for (i, &(mv, roi_code)) in steps.iter().enumerate() {
@@ -136,74 +140,27 @@ proptest! {
             let index = store.signature_index().expect("synthetic metadata");
             let cands = g.candidates(anchor, 1);
             let roi = roi_for(g, anchor, roi_code);
-            if i % 7 == 3 {
-                // Cross-session batch: this session plus a shifted one
-                // share the fill and the cache.
-                let other = step_anchor(g, anchor, (mv + 1) % 4);
-                let cands2 = g.candidates(other, 1);
-                let roi2 = roi_for(g, other, (roi_code + 1) % 4);
-                let jobs = [
-                    SbBatchJob { candidates: &cands, roi: &roi },
-                    SbBatchJob { candidates: &cands2, roi: &roi2 },
-                ];
-                sb.distances_batched_cached_into(&index, &jobs, &mut cache, &mut scratch, &mut outs);
+            // Every 7th step is a cross-session batch: this session
+            // plus a shifted one share the fill and the cache.
+            let other = step_anchor(g, anchor, (mv + 1) % 4);
+            let cands2 = g.candidates(other, 1);
+            let roi2 = roi_for(g, other, (roi_code + 1) % 4);
+            let jobs = [
+                SbBatchJob { candidates: &cands, roi: &roi },
+                SbBatchJob { candidates: &cands2, roi: &roi2 },
+            ];
+            let jobs = if i % 7 == 3 { &jobs[..] } else { &jobs[..1] };
+            for (c, (sb, cache)) in columns.iter_mut().enumerate() {
+                sb.distances_into(&index, jobs, cache, &mut scratch, &mut outs);
                 for (j, job) in jobs.iter().enumerate() {
                     let reference = sb.distances(&store, job.candidates, job.roi);
-                    assert_bits(&reference, &outs[j], &format!("step {i} job {j}"));
-                }
-            } else {
-                let reference = sb.distances(&store, &cands, &roi);
-                sb.distances_indexed_cached_into(
-                    &index, &cands, &roi, &mut cache, &mut scratch, &mut out,
-                );
-                assert_bits(&reference, &out, &format!("step {i}"));
-            }
-        }
-        let stats = cache.stats();
-        prop_assert!(stats.hits + stats.misses > 0, "walk exercised the cache");
-    }
-
-    /// Reciprocal mode: the same replay stays within the documented
-    /// epsilon of the exact reference — for the uncached reciprocal
-    /// fill and for the cached fill (reciprocal misses + fused
-    /// reassociated combine) alike.
-    #[test]
-    fn random_walk_reciprocal_is_epsilon_bounded(
-        steps in proptest::collection::vec((0usize..6, 0u8..4), 1..12),
-        salt in any::<u64>(),
-    ) {
-        let g = Geometry::new(4, 128, 128, 16, 16);
-        let store = synthetic_store(g, salt);
-        let exact = SbRecommender::new(SbConfig::all_equal());
-        let relaxed = SbRecommender::new(SbConfig {
-            kernel: Chi2Kernel::Reciprocal,
-            ..SbConfig::all_equal()
-        });
-        let mut cache = PairCache::new(1 << 12);
-        let mut scratch = PredictScratch::default();
-        let (mut plain, mut cached) = (Vec::new(), Vec::new());
-        let mut anchor = TileId::new(2, 1, 1);
-        for (i, &(mv, roi_code)) in steps.iter().enumerate() {
-            anchor = step_anchor(g, anchor, mv);
-            let index = store.signature_index().expect("synthetic metadata");
-            let cands = g.candidates(anchor, 1);
-            let roi = roi_for(g, anchor, roi_code);
-            let reference = exact.distances(&store, &cands, &roi);
-            relaxed.distances_indexed_into(&index, &cands, &roi, &mut scratch, &mut plain);
-            relaxed.distances_indexed_cached_into(
-                &index, &cands, &roi, &mut cache, &mut scratch, &mut cached,
-            );
-            for (which, got) in [("uncached", &plain), ("cached", &cached)] {
-                for (r, g2) in reference.iter().zip(got) {
-                    prop_assert_eq!(r.0, g2.0);
-                    let tol = CHI2_RECIPROCAL_EPSILON * r.1.abs().max(1.0);
-                    prop_assert!(
-                        (r.1 - g2.1).abs() <= tol,
-                        "step {} {}: {:?} exact {} vs reciprocal {}",
-                        i, which, r.0, r.1, g2.1
-                    );
+                    assert_bits(&reference, &outs[j], &format!("column {c} step {i} job {j}"));
                 }
             }
         }
+        let probes = |c: &PairCache| c.stats().hits + c.stats().misses;
+        prop_assert!(probes(&columns[0].1) > 0, "walk exercised the cache");
+        prop_assert_eq!(probes(&columns[1].1), 0, "a disabled cache serves no probes");
+        prop_assert_eq!(probes(&columns[2].1), 0, "a rejected domain serves no probes");
     }
 }

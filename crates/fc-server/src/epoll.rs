@@ -1,7 +1,7 @@
 //! A minimal `epoll(7)` shim over std — the readiness primitive for
 //! fleets where `poll(2)` stops scaling.
 //!
-//! [`crate::poll`] hands the kernel the *entire* descriptor table on
+//! `poll(2)` hands the kernel the *entire* descriptor table on
 //! every call, so each wakeup costs O(sessions) inside the syscall —
 //! at a thousand sessions that is roughly a millisecond per event,
 //! and the reactor's tail latency becomes O(sessions × request rate)
@@ -9,10 +9,9 @@
 //! contract: descriptors register once, the kernel keeps the interest
 //! list, and each wakeup returns only the ready entries — O(ready),
 //! independent of fleet size. The reactor and the `fc-sim` swarm
-//! driver both multiplex on this shim; the poll shim remains the
-//! simple primitive for small descriptor sets.
+//! driver both multiplex on this shim.
 //!
-//! Level-triggered (the default), matching `poll` semantics: a
+//! Level-triggered (the default), matching `poll(2)` semantics: a
 //! readiness bit stays set until the condition is drained, so the
 //! event loop never needs the re-arm bookkeeping of edge-triggered
 //! mode. Each registration carries a caller-chosen `u64` token that

@@ -20,11 +20,10 @@
 //!   [`fc_core::SharedTileCache`] (communal prefetches, fairly
 //!   repartitioned budgets) and the cross-session
 //!   [`fc_core::PredictScheduler`];
-//! * [`poll`] and [`epoll`] — minimal readiness shims over std (the
+//! * [`epoll`] — a minimal `epoll(7)` readiness shim over std (the
 //!   container has no mio/tokio; std already links libc, so the
-//!   syscalls are a plain `extern "C"` away): `poll(2)` as the simple
-//!   primitive for small descriptor sets, `epoll(7)` for the
-//!   reactor's O(ready) wakeups at thousands of sessions;
+//!   syscalls are a plain `extern "C"` away) for the reactor's
+//!   O(ready) wakeups at thousands of sessions;
 //! * the session reactor (via [`server::ServerConfig::reactor`]) —
 //!   the same sessions multiplexed on a single-threaded readiness loop:
 //!   per-session read re-assembly and bounded write queues around the
@@ -38,7 +37,6 @@
 
 pub mod client;
 pub mod epoll;
-pub mod poll;
 pub mod protocol;
 pub(crate) mod reactor;
 pub mod server;

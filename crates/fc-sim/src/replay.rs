@@ -10,8 +10,8 @@
 
 use crate::trace::Trace;
 use fc_core::{
-    LatencyProfile, Phase, PhaseClassifier, PredictionContext, PredictionEngine, Recommender,
-    Request, RoiTracker, SessionHistory,
+    LatencyProfile, Phase, PhaseClassifier, PredictOptions, PredictionContext, PredictionEngine,
+    Recommender, Request, RoiTracker, SessionHistory,
 };
 use fc_tiles::{Pyramid, TileId};
 use std::sync::Arc;
@@ -133,14 +133,19 @@ impl Predictor for EnginePredictor {
     fn step(&mut self, req: Request, phase_truth: Phase, k: usize) -> Vec<TileId> {
         self.engine.observe(req);
         let store = self.pyramid.store();
-        let out = match &self.mode {
-            EnginePhaseMode::Inferred => self.engine.predict(store, k),
-            EnginePhaseMode::Oracle => self.engine.predict_with_phase(store, phase_truth, k),
-            EnginePhaseMode::Classifier(c) => {
-                let phase = c.predict(&req, self.prev.as_ref());
-                self.engine.predict_with_phase(store, phase, k)
-            }
+        let phase = match &self.mode {
+            EnginePhaseMode::Inferred => None,
+            EnginePhaseMode::Oracle => Some(phase_truth),
+            EnginePhaseMode::Classifier(c) => Some(c.predict(&req, self.prev.as_ref())),
         };
+        let out = self.engine.predict_with(
+            store,
+            k,
+            PredictOptions {
+                phase,
+                ..PredictOptions::default()
+            },
+        );
         self.prev = Some(req);
         out
     }

@@ -101,8 +101,8 @@ pub struct SwarmReport {
     pub errors: u64,
     /// Unsolicited push frames received across the fleet.
     pub pushes: u64,
-    /// Pushed tiles the session itself requested afterwards — the
-    /// client-side view of push usefulness.
+    /// Pushes whose tile the session itself requested afterwards, each
+    /// counted once — the client-side view of push usefulness.
     pub pushes_used: u64,
     /// Server-reported totals summed over the fleet's final stats.
     pub served_requests: u64,
@@ -170,7 +170,8 @@ struct Sim {
     rbuf: Vec<u8>,
     wq: VecDeque<Vec<u8>>,
     wpos: usize,
-    /// Tiles pushed to this session, for client-side use accounting.
+    /// Tiles pushed to this session and not requested since, for
+    /// client-side use accounting.
     pushed_tiles: Vec<TileId>,
     /// Whether the epoll registration currently includes `EPOLLOUT`.
     write_interest: bool,
@@ -474,7 +475,11 @@ fn dispatch(s: &mut Sim, msg: ServerMsg, now: Instant, report: &mut SwarmReport,
         ServerMsg::Tile { payload, .. } if s.phase == Phase::AwaitTile => {
             report.requests += 1;
             report.latencies.push(now - s.sent_at);
-            if s.pushed_tiles.contains(&payload.tile) {
+            // A push is used once, by the first later request of its
+            // tile — the server's `PushPlanner::note_request` settles
+            // it the same way, so the two books agree.
+            if let Some(at) = s.pushed_tiles.iter().position(|&t| t == payload.tile) {
+                s.pushed_tiles.swap_remove(at);
                 report.pushes_used += 1;
             }
             advance(s, now);

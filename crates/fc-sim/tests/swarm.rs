@@ -8,7 +8,9 @@ use fc_core::{
     AbRecommender, AllocationStrategy, EngineConfig, FaultPlan, FaultRates, FaultWindow,
     PredictionEngine, RetryPolicy, SbConfig, SbRecommender,
 };
-use fc_server::{EngineFactory, FaultSetup, MultiUserServing, Server, ServerConfig, SessionLimits};
+use fc_server::{
+    EngineFactory, FaultSetup, MultiUserServing, PushServing, Server, ServerConfig, SessionLimits,
+};
 use fc_sim::dataset::{DatasetConfig, StudyDataset};
 use fc_sim::swarm::{run_swarm, SwarmConfig};
 use fc_tiles::Move;
@@ -80,6 +82,44 @@ fn swarm_completes_a_clean_run_on_the_reactor() {
         r.prefetch_issued
     );
     assert!(r.latency_quantile(0.5) <= r.latency_quantile(0.99));
+    wait_drained(&server);
+    server.shutdown();
+}
+
+/// Explorers random-walk a 4×4 level, so they keep coming back to tiles
+/// the server pushed earlier. The client must book each push as used at
+/// most once, like the server's planner does.
+#[test]
+fn a_pushed_tile_counts_as_used_once() {
+    let ds = StudyDataset::build(DatasetConfig::tiny());
+    let mut server = Server::bind(
+        "127.0.0.1:0",
+        ds.pyramid.clone(),
+        factory(&ds),
+        ServerConfig {
+            reactor: true,
+            multi_user: Some(MultiUserServing::default()),
+            push: Some(PushServing::default()),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server binds");
+    let cfg = SwarmConfig {
+        sessions: 4,
+        requests_per_session: 96,
+        pace: Duration::from_millis(5),
+        explorer_every: 1,
+        ..SwarmConfig::default()
+    };
+    let r = run_swarm(server.addr(), &cfg);
+    assert_eq!(r.requests, 4 * 96);
+    assert!(r.pushes > 0, "the walk must draw pushes to revisit");
+    assert!(
+        r.pushes_used <= r.pushes,
+        "used {} > pushed {}",
+        r.pushes_used,
+        r.pushes
+    );
     wait_drained(&server);
     server.shutdown();
 }

@@ -219,23 +219,6 @@ fn chi2_acc4_scalar<const RECIP: bool>(
     acc
 }
 
-fn max_scan_scalar(row: &[f64]) -> f64 {
-    let quads = row.chunks_exact(4);
-    let rest = quads.remainder();
-    let mut m4 = [f64::NEG_INFINITY; 4];
-    for q in quads {
-        m4[0] = max_num(m4[0], q[0]);
-        m4[1] = max_num(m4[1], q[1]);
-        m4[2] = max_num(m4[2], q[2]);
-        m4[3] = max_num(m4[3], q[3]);
-    }
-    let mut m = max_num(max_num(m4[0], m4[1]), max_num(m4[2], m4[3]));
-    for &v in rest {
-        m = max_num(m, v);
-    }
-    m
-}
-
 fn max_pen_accum4_scalar(block: &[f64], pen: &[f64], mx: &mut [f64; 4]) {
     for (bi, &p) in pen.iter().enumerate() {
         let lanes = &block[bi * 4..bi * 4 + 4];
@@ -261,21 +244,6 @@ fn combine_exact4_scalar(
             sq += w[i] * dv * dv;
         }
         total += sq.sqrt() / den[bi];
-    }
-    total
-}
-
-fn norm_sq_accum_scalar(row: &[f64], m: f64, w: f64, sq: &mut [f64]) {
-    for (sqv, &pv) in sq.iter_mut().zip(row) {
-        let dv = pv / m;
-        *sqv += w * dv * dv;
-    }
-}
-
-fn sqrt_div_sum_scalar(sq: &[f64], den: &[f64]) -> f64 {
-    let mut total = 0.0f64;
-    for (&s, &dn) in sq.iter().zip(den) {
-        total += s.sqrt() / dn;
     }
     total
 }
@@ -373,27 +341,12 @@ pub fn chi2_acc4<const RECIP: bool>(
     }
 }
 
-/// Blocked [`max_num`] reduction over a row, folded from
-/// `f64::NEG_INFINITY` (the NaN-skipping maximum; an all-NaN or empty
-/// row returns `−∞`). `max_num` is partition-insensitive, so every
-/// level returns bitwise-identical results regardless of lane count.
-pub fn max_scan(level: SimdLevel, row: &[f64]) -> f64 {
-    match clamp_level(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline; the kernel's own chunking keeps every read inside `row`.
-        SimdLevel::Sse2 => unsafe { x86::max_scan_sse2(row) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_level` returns `Avx2` only when runtime-detected; the kernel's own chunking keeps every read inside `row`.
-        SimdLevel::Avx2 => unsafe { x86::max_scan_avx2(row) },
-        _ => max_scan_scalar(row),
-    }
-}
-
 /// Per-signature maxima accumulation over an ROI-major 4-lane block:
 /// for each pair `bi`, `mx[i] = max_num(mx[i], pen[bi] · block[bi·4 + i])`.
-/// This is Algorithm 3 line 2 accumulated on the fly during a cached
-/// fill — the same `pen · raw` products the post-fill scan would
-/// maximize over, so the result is bit-identical to scanning.
+/// This is Algorithm 3 line 2 accumulated on the fly during the SB
+/// fill — the same `pen · raw` products the reference path's running
+/// `max` sees, in a different order, which [`max_num`] is insensitive
+/// to.
 ///
 /// # Panics
 /// Panics when `block.len() < pen.len() · 4`.
@@ -445,38 +398,6 @@ pub fn combine_exact4(
         // SAFETY: `clamp_level` returns `Avx2` only when runtime-detected; `block.len() >= pen.len()*4` and `den.len() >= pen.len()` (asserted above).
         SimdLevel::Avx2 => unsafe { x86::combine_exact4_avx2(block, pen, den, w, m) },
         _ => combine_exact4_scalar(block, pen, den, w, m),
-    }
-}
-
-/// One signature's normalize-and-accumulate pass of the sig-major
-/// combine: `sq[bi] += w · (row[bi]/m)²` (evaluated as
-/// `dv = row[bi]/m; sq[bi] += w·dv·dv`). Element-independent, so the
-/// vector variants are trivially lane-for-lane identical.
-pub fn norm_sq_accum(level: SimdLevel, row: &[f64], m: f64, w: f64, sq: &mut [f64]) {
-    match clamp_level(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline; the kernel bounds itself to `min(row.len(), sq.len())`.
-        SimdLevel::Sse2 => unsafe { x86::norm_sq_accum_sse2(row, m, w, sq) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_level` returns `Avx2` only when runtime-detected; the kernel bounds itself to `min(row.len(), sq.len())`.
-        SimdLevel::Avx2 => unsafe { x86::norm_sq_accum_avx2(row, m, w, sq) },
-        _ => norm_sq_accum_scalar(row, m, w, sq),
-    }
-}
-
-/// The combine tail `Σ_bi √(sq[bi]) / den[bi]`, summed in `bi` order
-/// (the order-sensitive reduction of Algorithm 3 line 15). Vector
-/// variants compute `√·/·` in lanes but extract and add sequentially.
-pub fn sqrt_div_sum(level: SimdLevel, sq: &[f64], den: &[f64]) -> f64 {
-    let n = sq.len().min(den.len());
-    match clamp_level(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline; `sq` and `den` are pre-trimmed to equal length.
-        SimdLevel::Sse2 => unsafe { x86::sqrt_div_sum_sse2(&sq[..n], &den[..n]) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_level` returns `Avx2` only when runtime-detected; `sq` and `den` are pre-trimmed to equal length.
-        SimdLevel::Avx2 => unsafe { x86::sqrt_div_sum_avx2(&sq[..n], &den[..n]) },
-        _ => sqrt_div_sum_scalar(&sq[..n], &den[..n]),
     }
 }
 
@@ -690,32 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn max_scan_levels_agree_bitwise() {
-        for n in [0usize, 1, 2, 3, 4, 5, 8, 13, 64] {
-            let row = vec_with(7, n, &[(1, f64::NAN), (3, f64::INFINITY), (6, 0.0)]);
-            let reference = max_scan(SimdLevel::Scalar, &row);
-            for level in available_levels() {
-                assert_eq!(
-                    bits(max_scan(level, &row)),
-                    bits(reference),
-                    "{level:?} n={n}"
-                );
-            }
-        }
-        // All-NaN and empty rows fold to −∞.
-        assert_eq!(max_scan(SimdLevel::Scalar, &[]), f64::NEG_INFINITY);
-        for level in available_levels() {
-            assert_eq!(
-                bits(max_scan(
-                    level,
-                    &[f64::NAN, f64::NAN, f64::NAN, f64::NAN, f64::NAN]
-                )),
-                bits(f64::NEG_INFINITY)
-            );
-        }
-    }
-
-    #[test]
     fn max_pen_accum4_levels_agree_bitwise() {
         for nr in [0usize, 1, 2, 5, 16] {
             let block = vec_with(11, nr * 4, &[(2, f64::NAN), (7, f64::INFINITY)]);
@@ -744,25 +639,6 @@ mod tests {
             for level in available_levels() {
                 let got = combine_exact4(level, &block, &pen, &den, &w, &m);
                 assert_eq!(bits(got), bits(reference), "{level:?} nr={nr}");
-            }
-        }
-    }
-
-    #[test]
-    fn norm_sq_and_sqrt_div_levels_agree_bitwise() {
-        for n in [0usize, 1, 3, 4, 6, 17] {
-            let row = vec_with(31, n, &[]);
-            let den: Vec<f64> = vec_with(32, n, &[]).iter().map(|v| v + 1.0).collect();
-            let mut reference = vec_with(33, n, &[]);
-            norm_sq_accum(SimdLevel::Scalar, &row, 1.7, 0.9, &mut reference);
-            let ref_sum = sqrt_div_sum(SimdLevel::Scalar, &reference, &den);
-            for level in available_levels() {
-                let mut sq = vec_with(33, n, &[]);
-                norm_sq_accum(level, &row, 1.7, 0.9, &mut sq);
-                for (a, b) in sq.iter().zip(&reference) {
-                    assert_eq!(bits(*a), bits(*b), "{level:?} n={n}");
-                }
-                assert_eq!(bits(sqrt_div_sum(level, &sq, &den)), bits(ref_sum));
             }
         }
     }
@@ -892,15 +768,6 @@ mod tests {
             let reference = combine_exact4(SimdLevel::Scalar, &block, &pen, &den, &w, &m);
             for level in available_levels() {
                 prop_assert_eq!(bits(combine_exact4(level, &block, &pen, &den, &w, &m)), bits(reference));
-            }
-        }
-
-        #[test]
-        fn prop_max_scan_bitwise(n in 0usize..50, seed in 0u64..1_000_000, nan_at in 0usize..50) {
-            let row = vec_with(seed, n, &[(nan_at, f64::NAN)]);
-            let reference = max_scan(SimdLevel::Scalar, &row);
-            for level in available_levels() {
-                prop_assert_eq!(bits(max_scan(level, &row)), bits(reference));
             }
         }
 

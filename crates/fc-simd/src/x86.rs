@@ -19,8 +19,6 @@
 
 use core::arch::x86_64::*;
 
-use crate::max_num;
-
 /// Bit pattern whose wrapping subtraction approximates `1/x` in the
 /// exponent field (see `fast_recip` in `lib.rs`).
 const RECIP_MAGIC: i64 = 0x7FDE_6238_22FC_16E6u64 as i64;
@@ -211,53 +209,8 @@ pub(crate) unsafe fn chi2_acc4_avx2<const RECIP: bool>(
 }
 
 // ---------------------------------------------------------------------------
-// max_scan / max_pen_accum4
+// max_pen_accum4
 // ---------------------------------------------------------------------------
-
-// SAFETY: SSE2 is the x86-64 baseline; loads read the two halves of each
-// `chunks_exact(4)` chunk, always in bounds; stores target the local array.
-pub(crate) unsafe fn max_scan_sse2(row: &[f64]) -> f64 {
-    unsafe {
-        let quads = row.chunks_exact(4);
-        let rest = quads.remainder();
-        let mut m01 = _mm_set1_pd(f64::NEG_INFINITY);
-        let mut m23 = _mm_set1_pd(f64::NEG_INFINITY);
-        for q in quads {
-            m01 = mm_max_num(m01, _mm_loadu_pd(q.as_ptr()));
-            m23 = mm_max_num(m23, _mm_loadu_pd(q.as_ptr().add(2)));
-        }
-        let mut l = [0.0f64; 4];
-        _mm_storeu_pd(l.as_mut_ptr(), m01);
-        _mm_storeu_pd(l.as_mut_ptr().add(2), m23);
-        let mut m = max_num(max_num(l[0], l[1]), max_num(l[2], l[3]));
-        for &v in rest {
-            m = max_num(m, v);
-        }
-        m
-    }
-}
-
-// SAFETY: AVX2 is runtime-detected by the dispatcher; each load reads one
-// whole `chunks_exact(4)` chunk, always in bounds; stores target the local
-// array.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn max_scan_avx2(row: &[f64]) -> f64 {
-    unsafe {
-        let quads = row.chunks_exact(4);
-        let rest = quads.remainder();
-        let mut m4 = _mm256_set1_pd(f64::NEG_INFINITY);
-        for q in quads {
-            m4 = mm256_max_num(m4, _mm256_loadu_pd(q.as_ptr()));
-        }
-        let mut l = [0.0f64; 4];
-        _mm256_storeu_pd(l.as_mut_ptr(), m4);
-        let mut m = max_num(max_num(l[0], l[1]), max_num(l[2], l[3]));
-        for &v in rest {
-            m = max_num(m, v);
-        }
-        m
-    }
-}
 
 // SAFETY: SSE2 is the x86-64 baseline; reads cover `block[bi*4..bi*4+4]` for
 // `bi < pen.len()` and the dispatcher asserts `block.len() >= pen.len()*4`;
@@ -421,115 +374,6 @@ pub(crate) unsafe fn combine_exact4_avx2(
         while bi < nr {
             total += combine_pair_scalar(&block[bi * 4..bi * 4 + 4], pen[bi], den[bi], w, m);
             bi += 1;
-        }
-        total
-    }
-}
-
-// ---------------------------------------------------------------------------
-// norm_sq_accum / sqrt_div_sum
-// ---------------------------------------------------------------------------
-
-// SAFETY: SSE2 is the x86-64 baseline; the loop bound `i + 2 <= n` with
-// `n = min(row.len(), sq.len())` keeps every load and store in bounds.
-pub(crate) unsafe fn norm_sq_accum_sse2(row: &[f64], m: f64, w: f64, sq: &mut [f64]) {
-    unsafe {
-        let n = row.len().min(sq.len());
-        let mv = _mm_set1_pd(m);
-        let wv = _mm_set1_pd(w);
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let dv = _mm_div_pd(_mm_loadu_pd(row.as_ptr().add(i)), mv);
-            let s = _mm_loadu_pd(sq.as_ptr().add(i));
-            let add = _mm_mul_pd(_mm_mul_pd(wv, dv), dv);
-            _mm_storeu_pd(sq.as_mut_ptr().add(i), _mm_add_pd(s, add));
-            i += 2;
-        }
-        while i < n {
-            let dv = row[i] / m;
-            sq[i] += w * dv * dv;
-            i += 1;
-        }
-    }
-}
-
-// SAFETY: AVX2 is runtime-detected by the dispatcher; the loop bound
-// `i + 4 <= n` with `n = min(row.len(), sq.len())` keeps every load and
-// store in bounds.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn norm_sq_accum_avx2(row: &[f64], m: f64, w: f64, sq: &mut [f64]) {
-    unsafe {
-        let n = row.len().min(sq.len());
-        let mv = _mm256_set1_pd(m);
-        let wv = _mm256_set1_pd(w);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let dv = _mm256_div_pd(_mm256_loadu_pd(row.as_ptr().add(i)), mv);
-            let s = _mm256_loadu_pd(sq.as_ptr().add(i));
-            let add = _mm256_mul_pd(_mm256_mul_pd(wv, dv), dv);
-            _mm256_storeu_pd(sq.as_mut_ptr().add(i), _mm256_add_pd(s, add));
-            i += 4;
-        }
-        while i < n {
-            let dv = row[i] / m;
-            sq[i] += w * dv * dv;
-            i += 1;
-        }
-    }
-}
-
-// SAFETY: SSE2 is the x86-64 baseline; the loop bound `i + 2 <= sq.len()`
-// keeps loads in bounds (the dispatcher pre-trims `sq` and `den` to equal
-// length).
-pub(crate) unsafe fn sqrt_div_sum_sse2(sq: &[f64], den: &[f64]) -> f64 {
-    unsafe {
-        let n = sq.len();
-        let mut total = 0.0f64;
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let t = _mm_div_pd(
-                _mm_sqrt_pd(_mm_loadu_pd(sq.as_ptr().add(i))),
-                _mm_loadu_pd(den.as_ptr().add(i)),
-            );
-            let mut l = [0.0f64; 2];
-            _mm_storeu_pd(l.as_mut_ptr(), t);
-            total += l[0];
-            total += l[1];
-            i += 2;
-        }
-        while i < n {
-            total += sq[i].sqrt() / den[i];
-            i += 1;
-        }
-        total
-    }
-}
-
-// SAFETY: AVX2 is runtime-detected by the dispatcher; the loop bound
-// `i + 4 <= sq.len()` keeps loads in bounds (the dispatcher pre-trims `sq`
-// and `den` to equal length).
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn sqrt_div_sum_avx2(sq: &[f64], den: &[f64]) -> f64 {
-    unsafe {
-        let n = sq.len();
-        let mut total = 0.0f64;
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let t = _mm256_div_pd(
-                _mm256_sqrt_pd(_mm256_loadu_pd(sq.as_ptr().add(i))),
-                _mm256_loadu_pd(den.as_ptr().add(i)),
-            );
-            let mut l = [0.0f64; 4];
-            _mm256_storeu_pd(l.as_mut_ptr(), t);
-            total += l[0];
-            total += l[1];
-            total += l[2];
-            total += l[3];
-            i += 4;
-        }
-        while i < n {
-            total += sq[i].sqrt() / den[i];
-            i += 1;
         }
         total
     }
