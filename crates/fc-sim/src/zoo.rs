@@ -23,7 +23,9 @@
 
 use crate::trace::{Trace, TraceStep};
 use fc_core::engine::heuristic_phase;
-use fc_core::{BurstConfig, BurstTracker, Middleware, MiddlewareStats, Request, TrafficPhase};
+use fc_core::{
+    BurstConfig, BurstTracker, Middleware, MiddlewareStats, Request, Response, TrafficPhase,
+};
 use fc_tiles::{Geometry, Move, Quadrant, TileId};
 use std::time::Duration;
 
@@ -628,13 +630,7 @@ pub struct ZooOutcome {
 pub fn replay_workload(mw: &mut Middleware, w: &Workload) -> ZooOutcome {
     let mut served = 0usize;
     let mut hits = 0usize;
-    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |v: u64| {
-        for byte in v.to_le_bytes() {
-            fp ^= u64::from(byte);
-            fp = fp.wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut fp = FNV_OFFSET;
     for (i, step) in w.trace.steps.iter().enumerate() {
         mw.note_idle(w.think[i]);
         let mv = if i == 0 { None } else { step.mv };
@@ -643,24 +639,36 @@ pub fn replay_workload(mw: &mut Middleware, w: &Workload) -> ZooOutcome {
         };
         served += 1;
         hits += usize::from(resp.cache_hit);
-        fold(u64::from(step.tile.level));
-        fold(u64::from(step.tile.y));
-        fold(u64::from(step.tile.x));
-        fold(u64::try_from(resp.latency.as_nanos()).unwrap_or(u64::MAX));
-        fold(u64::from(resp.cache_hit));
-        fold(resp.traffic.map_or(u64::MAX, |t| t.index() as u64));
-        fold(resp.prefetched.len() as u64);
-        for t in &resp.prefetched {
-            fold(u64::from(t.level));
-            fold(u64::from(t.y));
-            fold(u64::from(t.x));
-        }
+        fold_response(&mut fp, step.tile, &resp);
     }
     ZooOutcome {
         served,
         hits,
         fingerprint: fp,
         stats: mw.stats(),
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds one response's observable surface — requested tile, latency,
+/// hit flag, traffic phase, prefetched ids — into the FNV-1a
+/// fingerprint `fp`. The one fold both replay harnesses use.
+fn fold_response(fp: &mut u64, tile: TileId, resp: &Response) {
+    let mut fold = |v: u64| {
+        for byte in v.to_le_bytes() {
+            *fp ^= u64::from(byte);
+            *fp = fp.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    let words = |t: TileId| [u64::from(t.level), u64::from(t.y), u64::from(t.x)];
+    words(tile).into_iter().for_each(&mut fold);
+    fold(u64::try_from(resp.latency.as_nanos()).unwrap_or(u64::MAX));
+    fold(u64::from(resp.cache_hit));
+    fold(resp.traffic.map_or(u64::MAX, |t| t.index() as u64));
+    fold(resp.prefetched.len() as u64);
+    for &t in &resp.prefetched {
+        words(t).into_iter().for_each(&mut fold);
     }
 }
 
@@ -757,13 +765,7 @@ where
         })
         .collect();
 
-    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |v: u64| {
-        for byte in v.to_le_bytes() {
-            fp ^= u64::from(byte);
-            fp = fp.wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut fp = FNV_OFFSET;
     let longest = workloads.iter().map(Workload::len).max().unwrap_or(0);
     let mut requests = 0usize;
     let mut hits = 0usize;
@@ -779,12 +781,7 @@ where
             };
             requests += 1;
             hits += usize::from(resp.cache_hit);
-            fold(u64::from(t.tile.level));
-            fold(u64::from(t.tile.y));
-            fold(u64::from(t.tile.x));
-            fold(u64::from(resp.cache_hit));
-            fold(resp.traffic.map_or(u64::MAX, |p| p.index() as u64));
-            fold(resp.prefetched.len() as u64);
+            fold_response(&mut fp, t.tile, &resp);
         }
     }
 

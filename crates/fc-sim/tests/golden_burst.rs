@@ -1,4 +1,6 @@
-//! Golden pin: with `BurstConfig: None` the middleware is bit-identical
+//! Golden pins for the burst scheduler, off and on.
+//!
+//! **Off:** with `BurstConfig: None` the middleware is bit-identical
 //! to the pre-burst-scheduler code.
 //!
 //! The fingerprints below were captured by replaying a recorded
@@ -9,15 +11,25 @@
 //! cache contents — in both private and shared mode, at every SIMD
 //! dispatch level (CI runs the suite once per level; prediction is
 //! golden-tested bit-identical across levels, so one pin serves all).
+//!
+//! **On:** the six zoo workloads at the `exp_multiuser` A/B shape
+//! (4 sessions × 256 steps, capacity 64 / 4 shards, k = 4, seed 77, the
+//! same geometry, signatures and engine, so the counts equal
+//! `BENCH_multiuser.json`'s `workload_zoo` rows) are pinned by value with
+//! `BurstConfig::default()` — the shared-mode `run_zoo_shared` report
+//! and the private-mode `replay_workload` fingerprint — plus the
+//! shared-mode report with momentum and the auto sweep fallback off.
 
 use fc_core::engine::PhaseSource;
 use fc_core::signature::SignatureKind;
 use fc_core::{
-    AbRecommender, AllocationStrategy, EngineConfig, LatencyProfile, Middleware, MultiUserCache,
-    PredictionEngine, SbConfig, SbRecommender, SharedSessionHandle, SharedTileCache,
+    AbRecommender, AllocationStrategy, BurstConfig, EngineConfig, LatencyProfile, Middleware,
+    MultiUserCache, PredictionEngine, SbConfig, SbRecommender, SharedSessionHandle,
+    SharedTileCache,
 };
 use fc_sim::multiuser::synthetic_workload;
 use fc_sim::trace::Trace;
+use fc_sim::zoo::{self, replay_workload, run_zoo_shared, ZooAbConfig, ZooReport, ZOO_NAMES};
 use fc_tiles::{Move, Pyramid, PyramidBuilder, PyramidConfig};
 use std::sync::Arc;
 
@@ -190,3 +202,232 @@ fn burst_config_none_is_bit_identical_shared() {
 /// landed (PR 7 head), replaying the workload above.
 const GOLDEN_PRIVATE: u64 = 8_000_549_341_828_953_720;
 const GOLDEN_SHARED: u64 = 4_225_050_109_384_278_978;
+
+/// `exp_multiuser`'s zoo A/B pyramid: 256² base, 16-cell tiles, four
+/// levels (341 tiles), synthetic per-tile signatures.
+fn zoo_pyramid() -> Arc<Pyramid> {
+    let side = 256;
+    let schema = fc_array::Schema::grid2d("ZOO", side, side, &["v"]).unwrap();
+    let data: Vec<f64> = (0..side * side)
+        .map(|i| (i % side) as f64 / side as f64)
+        .collect();
+    let base = fc_array::DenseArray::from_vec(schema, data).unwrap();
+    let p = PyramidBuilder::new()
+        .build(&base, &PyramidConfig::simple(4, 16, &["v"]))
+        .unwrap();
+    for id in p.geometry().all_tiles() {
+        let mut h = [0.0f64; 8];
+        h[(id.x as usize)
+            .wrapping_mul(7)
+            .wrapping_add(id.y as usize * 3)
+            % 8] = 0.7;
+        h[(id.level as usize + id.x as usize) % 8] += 0.3;
+        p.store()
+            .put_meta(id, SignatureKind::Hist1D.meta_name(), h.to_vec());
+    }
+    Arc::new(p)
+}
+
+/// `exp_multiuser`'s engine: AB trained on one 50-step right-pan run.
+fn zoo_engine(p: &Arc<Pyramid>) -> PredictionEngine {
+    let r = Move::PanRight.index() as u16;
+    let traces: Vec<Vec<u16>> = vec![vec![r; 50]];
+    let refs: Vec<&[u16]> = traces.iter().map(|t| t.as_slice()).collect();
+    PredictionEngine::new(
+        p.geometry(),
+        AbRecommender::train(refs, 3),
+        SbRecommender::new(SbConfig::single(SignatureKind::Hist1D)),
+        PhaseSource::Heuristic,
+        EngineConfig {
+            strategy: AllocationStrategy::Updated,
+            ..EngineConfig::default()
+        },
+    )
+}
+
+/// What one burst-on zoo run is pinned to: the `ZooReport` integers
+/// and its fingerprint.
+#[derive(Debug, PartialEq, Eq)]
+struct ZooPin {
+    hits: usize,
+    prefetch_issued: usize,
+    prefetch_used: usize,
+    per_traffic: [usize; 3],
+    fingerprint: u64,
+}
+
+impl From<ZooReport> for ZooPin {
+    fn from(r: ZooReport) -> Self {
+        ZooPin {
+            hits: r.hits,
+            prefetch_issued: r.prefetch_issued,
+            prefetch_used: r.prefetch_used,
+            per_traffic: r.per_traffic,
+            fingerprint: r.fingerprint,
+        }
+    }
+}
+
+fn zoo_shared(p: &Arc<Pyramid>, name: &str, burst: BurstConfig) -> ZooPin {
+    let workloads = zoo::crowd(name, p.geometry(), 256, 4, 77);
+    let cfg = ZooAbConfig {
+        cache_capacity: 64,
+        shards: 4,
+        k: 4,
+        burst: Some(burst),
+        ..ZooAbConfig::default()
+    };
+    run_zoo_shared(p, || zoo_engine(p), &workloads, &cfg).into()
+}
+
+/// Burst-on, shared mode, default config: every zoo workload's report
+/// is pinned by value.
+#[test]
+fn burst_on_zoo_reports_are_pinned_shared() {
+    let p = zoo_pyramid();
+    for (name, want) in ZOO_NAMES.iter().zip(GOLDEN_ZOO_SHARED) {
+        let got = zoo_shared(&p, name, BurstConfig::default());
+        assert_eq!(got, want, "{name}: burst-on shared replay diverged");
+    }
+}
+
+/// The counter-cyclical core alone (momentum and the auto sweep
+/// fallback off) — the arms the default config's sweeps never reach.
+#[test]
+fn burst_on_zoo_reports_are_pinned_without_momentum_or_auto() {
+    let p = zoo_pyramid();
+    let legacy = BurstConfig {
+        momentum: false,
+        auto_window: 0,
+        ..BurstConfig::default()
+    };
+    for (name, want) in ZOO_NAMES.iter().zip(GOLDEN_ZOO_SHARED_LEGACY) {
+        let got = zoo_shared(&p, name, legacy);
+        assert_eq!(got, want, "{name}: legacy burst-on shared replay diverged");
+    }
+}
+
+/// Burst-on, private mode: session 0 of each crowd through one
+/// private-cache middleware.
+#[test]
+fn burst_on_zoo_fingerprints_are_pinned_private() {
+    let p = zoo_pyramid();
+    for (name, want) in ZOO_NAMES.iter().zip(GOLDEN_ZOO_PRIVATE) {
+        let w = &zoo::crowd(name, p.geometry(), 256, 4, 77)[0];
+        let mut mw = Middleware::new(zoo_engine(&p), p.clone(), LatencyProfile::paper(), 4, 4);
+        mw.set_burst(Some(BurstConfig::default()));
+        let got = replay_workload(&mut mw, w).fingerprint;
+        assert_eq!(got, want, "{name}: burst-on private replay diverged");
+    }
+}
+
+/// Captured at the commit before `try_request` was cut into stages
+/// (PR 14 head), in `ZOO_NAMES` order.
+const GOLDEN_ZOO_SHARED: [ZooPin; 6] = [
+    // bursty-pan-sprint
+    ZooPin {
+        hits: 1012,
+        prefetch_issued: 103,
+        prefetch_used: 77,
+        per_traffic: [834, 190, 0],
+        fingerprint: 16_495_438_416_011_971_826,
+    },
+    // zoom-dive
+    ZooPin {
+        hits: 787,
+        prefetch_issued: 189,
+        prefetch_used: 66,
+        per_traffic: [469, 527, 28],
+        fingerprint: 5_475_797_138_390_366_722,
+    },
+    // spiral-sweep
+    ZooPin {
+        hits: 880,
+        prefetch_issued: 443,
+        prefetch_used: 196,
+        per_traffic: [904, 120, 0],
+        fingerprint: 13_846_531_013_990_201_243,
+    },
+    // grid-sweep
+    ZooPin {
+        hits: 953,
+        prefetch_issued: 813,
+        prefetch_used: 365,
+        per_traffic: [964, 60, 0],
+        fingerprint: 9_785_061_738_628_772_910,
+    },
+    // revisit-loop
+    ZooPin {
+        hits: 1002,
+        prefetch_issued: 172,
+        prefetch_used: 18,
+        per_traffic: [814, 181, 29],
+        fingerprint: 11_121_800_178_766_335_557,
+    },
+    // flash-crowd
+    ZooPin {
+        hits: 1015,
+        prefetch_issued: 54,
+        prefetch_used: 23,
+        per_traffic: [989, 31, 4],
+        fingerprint: 17_732_057_901_580_216_429,
+    },
+];
+const GOLDEN_ZOO_SHARED_LEGACY: [ZooPin; 6] = [
+    // bursty-pan-sprint
+    ZooPin {
+        hits: 982,
+        prefetch_issued: 77,
+        prefetch_used: 56,
+        per_traffic: [834, 190, 0],
+        fingerprint: 8_648_804_472_720_397_783,
+    },
+    // zoom-dive
+    ZooPin {
+        hits: 728,
+        prefetch_issued: 70,
+        prefetch_used: 12,
+        per_traffic: [469, 527, 28],
+        fingerprint: 6_261_493_600_417_690_879,
+    },
+    // spiral-sweep
+    ZooPin {
+        hits: 164,
+        prefetch_issued: 192,
+        prefetch_used: 36,
+        per_traffic: [904, 120, 0],
+        fingerprint: 9_966_563_258_602_432_946,
+    },
+    // grid-sweep
+    ZooPin {
+        hits: 165,
+        prefetch_issued: 239,
+        prefetch_used: 27,
+        per_traffic: [964, 60, 0],
+        fingerprint: 26_427_286_338_429_185,
+    },
+    // revisit-loop
+    ZooPin {
+        hits: 986,
+        prefetch_issued: 161,
+        prefetch_used: 12,
+        per_traffic: [814, 181, 29],
+        fingerprint: 7_449_887_454_562_960_736,
+    },
+    // flash-crowd
+    ZooPin {
+        hits: 1015,
+        prefetch_issued: 51,
+        prefetch_used: 23,
+        per_traffic: [989, 31, 4],
+        fingerprint: 14_941_530_416_227_293_326,
+    },
+];
+const GOLDEN_ZOO_PRIVATE: [u64; 6] = [
+    12_422_136_480_886_145_266, // bursty-pan-sprint
+    957_979_319_557_922_192,    // zoom-dive
+    3_876_421_633_544_906_898,  // spiral-sweep
+    17_214_899_408_682_880_678, // grid-sweep
+    12_647_431_890_640_224_279, // revisit-loop
+    1_567_964_768_897_925_805,  // flash-crowd
+];
