@@ -26,7 +26,6 @@
 
 #![warn(missing_docs)]
 
-pub mod afl;
 pub mod agg;
 pub mod bitvec;
 pub mod database;
@@ -37,7 +36,6 @@ pub mod query;
 pub mod schema;
 pub mod storage;
 
-pub use afl::UdfRegistry;
 pub use agg::{AggFn, AggState};
 pub use bitvec::BitVec;
 pub use database::Database;

@@ -59,9 +59,6 @@ pub struct BatchConfig {
     /// cores are scarce. A non-zero window trades per-predict latency
     /// for wider batches on multi-core hosts.
     pub window: Duration,
-    /// Upper bound on jobs folded into one tick (0 = no bound beyond
-    /// the registered-session count).
-    pub max_batch: usize,
     /// How long a follower sleeps on the leader's deposit before
     /// rescuing itself with a bit-identical solo computation (zero =
     /// [`DEFAULT_FOLLOWER_TIMEOUT`]). The leader's `catch_unwind`
@@ -266,10 +263,7 @@ impl PredictScheduler {
             let deadline = parking_lot::time::now() + self.cfg.window;
             g.leader_waiting = true;
             loop {
-                let mut target = self.registered.load(Ordering::Relaxed).max(1);
-                if self.cfg.max_batch > 0 {
-                    target = target.min(self.cfg.max_batch);
-                }
+                let target = self.registered.load(Ordering::Relaxed).max(1);
                 if g.pending.len() >= target {
                     break;
                 }

@@ -1,5 +1,5 @@
 //! Burst-aware traffic-phase classification and the counter-cyclical
-//! prefetch budget policy.
+//! prefetch planner.
 //!
 //! Real exploration traffic does not arrive at the uniform cadence the
 //! paper's replay harness uses: requests come in **bursts** (a pan
@@ -20,37 +20,42 @@
 //! classification is a pure function of the gap sequence — same trace,
 //! same phases, on any host and at any SIMD dispatch level.
 //!
-//! [`BurstConfig`] carries the thresholds plus the budget policy the
-//! middleware applies per phase:
+//! `BurstPlanner` is where every prefetch decision is made once a
+//! session has a scheduler (`Middleware::set_burst`, fed by the
+//! server's `ServerConfig::burst` — the only way in). It owns the
+//! tracker, the session timeline, the recent-tile ring, the previous
+//! move and the last pinned plan. The middleware calls it twice per
+//! request: `begin` classifies the request and says where the ranked
+//! list comes from, `plan` turns that list into the `Plan` the install
+//! stage executes. Without a planner every request gets
+//! `Plan::uniform` — the paper's fixed budget `k`.
 //!
-//! * **burst** — reactive-only: at most [`BurstConfig::burst_budget`]
-//!   speculative tiles (default 0), so prefetch I/O never competes
-//!   with the user's own misses for backend budget;
-//! * **dwell** — deep speculative run: the per-request budget `k` is
-//!   multiplied by [`BurstConfig::dwell_boost`], the engine's
-//!   candidate horizon widens to [`BurstConfig::dwell_distance`], the
-//!   current pan run is extrapolated [`BurstConfig::dwell_depth`]
-//!   steps ahead, and up to [`BurstConfig::dwell_hotspots`] communal
-//!   hotspot tiles ride along;
-//! * **idle** — a bounded keep-warm trickle of
-//!   [`BurstConfig::idle_trickle`] tiles per request.
+//! [`BurstConfig`] carries what callers vary: the four gap thresholds,
+//! and the two refinements that close the policy's blind spot,
+//! pause-free sweeps with no quiet window to spend a budget in
+//! (momentum lookahead; the auto sweep fallback to the uniform plan).
+//! The per-phase budget policy is constants: the values every
+//! `workload_zoo` row of `BENCH_multiuser.json` was measured at
+//! (`exp_multiuser` part 4: 4 sessions × 256 steps, 64-tile cache in 4
+//! shards, k = 4, seed 77), which no caller ever changed:
 //!
-//! Two refinements close the policy's known blind spot — pause-free
-//! sweeps, where there is no quiet window to spend the budget in:
+//! | constant | value | role, and the zoo evidence for it |
+//! |---|---|---|
+//! | `BURST_BUDGET` | 0 | burst is reactive-only, prefetch I/O never competes with the user's own misses: sprint issues 1167 → 103 fetches, efficiency 0.078 → 0.748 |
+//! | `DWELL_BOOST` | 2 | dwell fetch budget `2k`: a pause is when the backend is free |
+//! | `DWELL_DISTANCE` | 2 | engine candidate horizon during dwell |
+//! | `DWELL_DEPTH` | 8 | steps a live pan run is extrapolated: a zoo sprint leg is 4–9 pans |
+//! | `DWELL_KEEP_WARM` | 8 | recent tiles a dwell or idle plan re-pins: revisit-loop hit rate 0.943 → 0.979 |
+//! | `DWELL_HOTSPOTS` | 2 | communal hotspot riders per dwell plan (the zoo runs without a hotspot model) |
+//! | `IDLE_TRICKLE` | 1 | re-fetches per idle request |
 //!
-//! * **momentum** ([`BurstConfig::momentum`]) — a model-free 1-deep
-//!   same-direction lookahead on burst-paced pans, cheap enough to run
-//!   even reactively;
-//! * **auto sweep fallback** ([`BurstConfig::auto_window`]) — a
-//!   Schmitt trigger over burst occupancy in a sliding request window;
-//!   a session classified as *sweeping* is served with the uniform
-//!   per-request budget until its occupancy drops back out of the
-//!   sweep band.
-//!
-//! Everything is gated behind `EngineConfig::burst: Option<BurstConfig>`
-//! defaulting to `None`, which keeps the middleware byte-for-byte the
-//! pre-scheduler code (golden-pinned in `fc-sim/tests/golden_burst.rs`).
+//! Burst-off is golden-pinned to the pre-scheduler middleware, and
+//! burst-on to per-workload zoo fingerprints, in
+//! `fc-sim/tests/golden_burst.rs`.
 
+use crate::history::Request;
+use fc_tiles::{Geometry, TileId};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// One session's traffic phase, classified from inter-request gaps.
@@ -104,8 +109,8 @@ impl TrafficPhase {
         [TrafficPhase::Burst, TrafficPhase::Dwell, TrafficPhase::Idle];
 }
 
-/// Thresholds of the phase state machine plus the counter-cyclical
-/// budget policy. See the module docs for the semantics of each knob.
+/// Thresholds of the phase state machine, plus the two sweep
+/// refinements. The per-phase budget policy is fixed (module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BurstConfig {
     /// A gap at or below this (re-)enters **burst** from any phase.
@@ -119,26 +124,6 @@ pub struct BurstConfig {
     pub idle_exit: Duration,
     /// A gap at or above this enters **idle** from any phase.
     pub idle_enter: Duration,
-    /// Speculative budget while bursting (default 0: reactive-only).
-    pub burst_budget: usize,
-    /// Multiplier on the per-request budget `k` during dwell.
-    pub dwell_boost: usize,
-    /// Engine candidate horizon (prediction distance) during dwell.
-    pub dwell_distance: usize,
-    /// Steps the current pan run is extrapolated ahead during dwell.
-    pub dwell_depth: usize,
-    /// Communal hotspot tiles appended to a dwell run (shared mode
-    /// with a hotspot model only).
-    pub dwell_hotspots: usize,
-    /// Recent distinct tiles re-pinned (and re-fetched if evicted)
-    /// during dwell — the keep-warm half of the dwell plan. It leads
-    /// the plan unless the dwell move repeats the previous one (only
-    /// a same-direction pan run has confirmed momentum; any turn,
-    /// reversal, or zoom is a pivot whose retrace path *is* the
-    /// recent set); behind a live run it rides second.
-    pub dwell_keep_warm: usize,
-    /// Keep-warm budget per request while idle.
-    pub idle_trickle: usize,
     /// Burst-phase momentum prefetch: a 1-deep same-direction
     /// lookahead on every burst-paced pan. It consults no model (one
     /// geometry step, one fetch), so it is nearly free even on the
@@ -166,6 +151,18 @@ pub struct BurstConfig {
     pub auto_exit_per_mille: u32,
 }
 
+// The fixed budget policy (module docs have the table).
+const BURST_BUDGET: usize = 0;
+const DWELL_BOOST: usize = 2;
+const DWELL_DISTANCE: usize = 2;
+const DWELL_DEPTH: usize = 8;
+const DWELL_HOTSPOTS: usize = 2;
+const DWELL_KEEP_WARM: usize = 8;
+const IDLE_TRICKLE: usize = 1;
+/// Cap on the planner's recent-tile ring. Bounds the bookkeeping, not
+/// the plan: a plan takes `DWELL_KEEP_WARM` of it.
+const RECENT_RING: usize = 32;
+
 impl Default for BurstConfig {
     fn default() -> Self {
         Self {
@@ -173,13 +170,6 @@ impl Default for BurstConfig {
             burst_exit: Duration::from_millis(500),
             idle_exit: Duration::from_secs(10),
             idle_enter: Duration::from_secs(30),
-            burst_budget: 0,
-            dwell_boost: 2,
-            dwell_distance: 2,
-            dwell_depth: 8,
-            dwell_hotspots: 2,
-            dwell_keep_warm: 8,
-            idle_trickle: 1,
             momentum: true,
             // Defaults calibrated against the workload zoo: the
             // bursty-pan-sprint's worst sustained window is 29/32
@@ -207,14 +197,15 @@ impl BurstConfig {
             && self.auto_enter_per_mille <= 1000
     }
 
-    /// The speculative prefetch budget for one request: the
+    /// The speculative fetch budget for one request: the
     /// counter-cyclical schedule applied to the session's configured
-    /// budget `k`.
+    /// budget `k` — none while bursting, `2k` during dwell, a one-tile
+    /// trickle when idle.
     pub fn speculative_budget(&self, phase: TrafficPhase, k: usize) -> usize {
         match phase {
-            TrafficPhase::Burst => self.burst_budget.min(k),
-            TrafficPhase::Dwell => k.saturating_mul(self.dwell_boost.max(1)),
-            TrafficPhase::Idle => self.idle_trickle.min(k),
+            TrafficPhase::Burst => BURST_BUDGET,
+            TrafficPhase::Dwell => k.saturating_mul(DWELL_BOOST),
+            TrafficPhase::Idle => IDLE_TRICKLE.min(k),
         }
     }
 }
@@ -230,7 +221,7 @@ pub struct BurstTracker {
     transitions: u64,
     /// Ring of `phase == Burst` verdicts for the last
     /// `cfg.auto_window` requests (empty when auto mode is off).
-    window: std::collections::VecDeque<bool>,
+    window: VecDeque<bool>,
     bursts_in_window: usize,
     sweeping: bool,
 }
@@ -253,7 +244,7 @@ impl BurstTracker {
             phase: TrafficPhase::Burst,
             observed: 0,
             transitions: 0,
-            window: std::collections::VecDeque::with_capacity(cfg.auto_window),
+            window: VecDeque::with_capacity(cfg.auto_window),
             bursts_in_window: 0,
             sweeping: false,
         }
@@ -356,6 +347,296 @@ impl BurstTracker {
     /// The thresholds and policy this tracker runs under.
     pub fn config(&self) -> &BurstConfig {
         &self.cfg
+    }
+}
+
+/// How the install stage treats what the session already has staged.
+pub(crate) enum Install {
+    /// Hold the whole ranked list until the next request (shared) or
+    /// replace the private prefetch set with the fetched tiles.
+    Replace,
+    /// Pin only the first `n` ranked entries: shared mode promotes
+    /// private copies, holds and retains exactly that prefix; private
+    /// mode folds the fetched tiles in around it.
+    Pin(usize),
+    /// Leave holds and the prefetch set as they are; a private-mode
+    /// fetch folds in around this keep list.
+    Keep(Vec<TileId>),
+}
+
+/// One request's prefetch decision: made by [`BurstPlanner`] (or
+/// [`Plan::uniform`] when the session has none) and handed from stage
+/// to stage through `Middleware::try_request`.
+pub(crate) struct Plan {
+    /// The traffic phase the request is served under (`None`: no
+    /// scheduler).
+    pub traffic: Option<TrafficPhase>,
+    /// `(budget, distance)` the predict stage asks the engine for
+    /// (`distance` `None` = the engine's configured one); `None` keeps
+    /// the engine off this request entirely.
+    pub engine: Option<(usize, Option<usize>)>,
+    /// Prefetch candidates, best first.
+    pub ranked: Vec<TileId>,
+    /// Most tiles of `ranked` the install stage may fetch.
+    pub fetch_cap: usize,
+    /// What happens to holds and the private prefetch set.
+    pub install: Install,
+}
+
+impl Plan {
+    /// The paper's plan: ask the engine for `k` tiles, fetch up to
+    /// `k`, hold them all until the next request.
+    pub(crate) fn uniform(k: usize) -> Self {
+        Plan {
+            traffic: None,
+            engine: Some((k, None)),
+            ranked: Vec::new(),
+            fetch_cap: k,
+            install: Install::Replace,
+        }
+    }
+}
+
+/// One session's burst scheduler: classifies each request's traffic
+/// phase and decides its [`Plan`].
+///
+/// The timeline the gaps are measured on advances by each served
+/// request's user-visible latency and by explicit
+/// [`BurstPlanner::note_idle`] charges (think time) — the same
+/// nanoseconds the shared `SimClock` accounts, but private to the
+/// session, so a co-resident session's backend charges can never
+/// bleed into this session's classification and multi-session replays
+/// stay deterministic.
+pub(crate) struct BurstPlanner {
+    tracker: BurstTracker,
+    /// Session-local timeline reading.
+    now: Duration,
+    /// Timeline reading when the previous request finished.
+    last_done: Option<Duration>,
+    /// The prefix the last dwell or idle plan pinned. Shared mode keeps
+    /// holding it while the session rides a burst reactively (it is
+    /// capped to the fair budget slice, so planning sessions can never
+    /// pin more than the communal capacity between them); private mode
+    /// keeps it when a momentum fetch folds in.
+    dwell_plan: Vec<TileId>,
+    /// The previous request's move: a dwell move that repeats it (same
+    /// pan, same direction) is a live run, anything else is a pivot.
+    last_move: Option<fc_tiles::Move>,
+    /// Recent distinct requests, most recent first — the keep-warm
+    /// candidates.
+    recent: VecDeque<TileId>,
+}
+
+impl BurstPlanner {
+    pub(crate) fn new(cfg: BurstConfig) -> Self {
+        Self {
+            tracker: BurstTracker::new(cfg),
+            now: Duration::ZERO,
+            last_done: None,
+            dwell_plan: Vec::new(),
+            last_move: None,
+            recent: VecDeque::new(),
+        }
+    }
+
+    /// Back to a fresh session under the same config.
+    pub(crate) fn reset(&mut self) {
+        *self = Self::new(*self.tracker.config());
+    }
+
+    pub(crate) fn tracker(&self) -> &BurstTracker {
+        &self.tracker
+    }
+
+    /// Advances the timeline by `d` of think time.
+    pub(crate) fn note_idle(&mut self, d: Duration) {
+        self.now += d;
+    }
+
+    /// First call of a request: classifies it from the gap since the
+    /// last one finished and says where its ranked list comes from. A
+    /// sweeping session gets the uniform plan; classification goes on.
+    pub(crate) fn begin(&mut self, k: usize) -> Plan {
+        let gap = self.last_done.map(|at| self.now.saturating_sub(at));
+        let phase = self.tracker.observe(gap);
+        let mut plan = Plan::uniform(k);
+        plan.traffic = Some(phase);
+        if !self.tracker.sweeping() {
+            let budget = self.tracker.config().speculative_budget(phase, k);
+            plan.fetch_cap = budget;
+            plan.engine = match phase {
+                // A burst is reactive (the engine and any batch
+                // rendezvous stay off its path); idle keep-warm
+                // maintains the working set, it does not speculate.
+                TrafficPhase::Burst | TrafficPhase::Idle => None,
+                TrafficPhase::Dwell => Some((budget, Some(DWELL_DISTANCE))),
+            };
+        }
+        plan
+    }
+
+    /// Second call, after the predict stage filled `plan.ranked` from
+    /// the engine (when `plan.engine` asked for it): settles the
+    /// ranked list, the fetch cap and the install mode.
+    ///
+    /// `organic_hit` is a cache hit on a tile this session did not
+    /// prefetch; `hotspots` is the communal prior, best first; `slice`
+    /// is the session's fair shared-cache budget (`None` in private
+    /// mode).
+    pub(crate) fn plan(
+        &mut self,
+        plan: &mut Plan,
+        req: Request,
+        organic_hit: bool,
+        geometry: Geometry,
+        hotspots: &[(TileId, u64)],
+        slice: Option<usize>,
+    ) {
+        let pan = req.mv.filter(|m| m.is_pan());
+        match self.tracker.phase() {
+            _ if self.tracker.sweeping() => self.dwell_plan.clear(),
+            TrafficPhase::Burst => {
+                // Momentum: the one speculation with a confirmed
+                // signal mid-burst is the pan being executed right
+                // now. Its lookahead leads the list and rides on top
+                // of the phase budget, so each request of a straight
+                // leg hits its predecessor's lookahead. It fires on a
+                // miss (the run outran the cache) or a speculative hit
+                // (the run is live and staged coverage ends here); an
+                // organic hit is inside a revisited or pinned set,
+                // where a lookahead would only churn others' pins.
+                let next = pan
+                    .filter(|_| self.tracker.config().momentum && !organic_hit)
+                    .and_then(|m| geometry.apply(req.tile, m));
+                if let Some(next) = next.filter(|n| !plan.ranked.contains(n)) {
+                    plan.ranked.insert(0, next);
+                    plan.fetch_cap += 1;
+                }
+                // Holds stay as they are: the dwell plan's pins keep
+                // protecting the run the burst is consuming, and the
+                // holder registrations each hit adds pin the working
+                // set; both release at the next planning step. Private
+                // mode has no holds (a replacing install would drop
+                // the staged plan), so a momentum fetch keeps the plan
+                // plus the recent ring — both capped, so the set stays
+                // bounded however long the burst.
+                let mut keep = Vec::new();
+                if slice.is_none() && !plan.ranked.is_empty() {
+                    keep.extend(self.dwell_plan.iter().chain(&self.recent));
+                }
+                plan.install = Install::Keep(keep);
+            }
+            phase => {
+                let deliberate = match phase {
+                    TrafficPhase::Dwell => self.dwell_list(plan, req, pan, geometry, hotspots),
+                    _ => {
+                        // Idle keep-warm: the recent ring is the plan;
+                        // resident tiles stay pinned, evicted ones
+                        // trickle back in under the fetch cap.
+                        let others = self.recent.iter().filter(|&&t| t != req.tile);
+                        plan.ranked = others.take(DWELL_KEEP_WARM).copied().collect();
+                        plan.ranked.len()
+                    }
+                };
+                // Shared mode pins only the deliberate prefix, capped
+                // at the fair slice: pinning the opportunistic tail too
+                // would leave the communal LRU no slack, and plans
+                // would evict each other on every foreground miss.
+                // Private mode keeps the whole list.
+                let pinned = slice.map_or(plan.ranked.len(), |s| deliberate.min(s));
+                self.dwell_plan = plan.ranked[..pinned].to_vec();
+                plan.install = Install::Pin(pinned);
+            }
+        }
+    }
+
+    /// Replaces `plan.ranked` with the dwell plan and returns how many
+    /// leading entries are deliberate (pinnable).
+    ///
+    /// The engine's list is dropped: it scores the *next single move*
+    /// from transition history, which a pause contradicts, and
+    /// fetching it is what turns a deep dwell budget into junk I/O.
+    /// The plan is the scheduler's own two signals — **run
+    /// extrapolation** (the current pan walked `DWELL_DEPTH` steps on,
+    /// the one candidate set the models cannot rank) and **keep-warm**
+    /// (the recent tiles: an analyst who paused mid-loop comes back
+    /// over them) — ordered by whether the run is still alive. It is
+    /// *live* only when this move repeats the previous one; then
+    /// extrapolation leads, deliberate. Anything else (reversal, turn,
+    /// zoom) is a *pivot*: extrapolating one unconfirmed move would
+    /// pin tiles nobody may touch and outrank re-fetching evicted
+    /// keep-warm tiles (a hold pins residents only, so a tile that
+    /// loses its fetch slot loses its pin too), so keep-warm leads and
+    /// the extrapolation rides behind, fetched but never pinned.
+    fn dwell_list(
+        &self,
+        plan: &mut Plan,
+        req: Request,
+        pan: Option<fc_tiles::Move>,
+        geometry: Geometry,
+        hotspots: &[(TileId, u64)],
+    ) -> usize {
+        let id = req.tile;
+        let list = &mut plan.ranked;
+        list.clear();
+        let push = |list: &mut Vec<TileId>, t: TileId| {
+            let fresh = t != id && !list.contains(&t);
+            if fresh {
+                list.push(t);
+            }
+            fresh
+        };
+        let extrapolate = |list: &mut Vec<TileId>| {
+            let mut cur = id;
+            for _ in 0..DWELL_DEPTH {
+                let Some(next) = pan.and_then(|m| geometry.apply(cur, m)) else {
+                    break;
+                };
+                push(list, next);
+                cur = next;
+            }
+        };
+        let live = pan.is_some() && self.last_move == req.mv;
+        if live {
+            extrapolate(list);
+        }
+        for &t in self.recent.iter().take(DWELL_KEEP_WARM) {
+            push(list, t);
+        }
+        // Hotspot riders reach across the dataset to where the crowd
+        // is (the engine's blend only re-ranks candidates near the
+        // session's own position). The sketch always contains the
+        // tile being served; it is not a rider.
+        let mut riders = 0;
+        for &(t, _) in hotspots {
+            if riders == DWELL_HOTSPOTS {
+                break;
+            }
+            riders += usize::from(push(list, t));
+        }
+        let deliberate = list.len();
+        if !live {
+            extrapolate(list);
+        }
+        deliberate
+    }
+
+    /// Books a served request (clean or degraded) that took `latency`.
+    pub(crate) fn served(&mut self, req: Request, latency: Duration) {
+        self.last_move = req.mv;
+        if let Some(pos) = self.recent.iter().position(|&t| t == req.tile) {
+            self.recent.remove(pos);
+        }
+        self.recent.push_front(req.tile);
+        self.recent.truncate(RECENT_RING);
+        self.waited(latency);
+    }
+
+    /// Books time the user spent waiting — a served request's latency,
+    /// or a failed request's burned fetch budget.
+    pub(crate) fn waited(&mut self, d: Duration) {
+        self.now += d;
+        self.last_done = Some(self.now);
     }
 }
 

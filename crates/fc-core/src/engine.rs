@@ -37,12 +37,6 @@ pub struct EngineConfig {
     /// — and every predict call without a prior — keeps prediction
     /// bit-identical to the paper engine.
     pub hotspot: Option<HotspotBlend>,
-    /// Burst-aware prefetch scheduling: when set, the middleware
-    /// classifies the session's traffic phase (burst / dwell / idle)
-    /// from inter-request gaps and spends the prefetch budget
-    /// counter-cyclically (see [`crate::burst`]). `None` (the default)
-    /// keeps the middleware byte-for-byte the uniform-budget code.
-    pub burst: Option<crate::burst::BurstConfig>,
 }
 
 impl Default for EngineConfig {
@@ -52,7 +46,6 @@ impl Default for EngineConfig {
             distance: 1,
             strategy: AllocationStrategy::Updated,
             hotspot: None,
-            burst: None,
         }
     }
 }

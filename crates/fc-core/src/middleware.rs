@@ -9,7 +9,7 @@
 //!    top-k tiles into the cache for the *next* request.
 
 use crate::batch::PredictScheduler;
-use crate::burst::{BurstConfig, BurstTracker, TrafficPhase};
+use crate::burst::{BurstConfig, BurstPlanner, Install, Plan, TrafficPhase};
 use crate::cache::{CacheManager, CacheStats};
 use crate::engine::{PredictOptions, PredictionEngine};
 use crate::fault::{FaultKind, FaultPlan, FetchError, RetryPolicy};
@@ -22,7 +22,7 @@ use crate::paircache::PairCacheStats;
 use crate::phase::Phase;
 use fc_tiles::{Pyramid, Tile, TileId, TileStore};
 use rayon::prelude::*;
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -229,84 +229,19 @@ pub struct Middleware {
     /// Fault injection (chaos runs only): `None` keeps the fetch path
     /// byte-for-byte the fault-free code.
     faults: Option<FaultInjector>,
-    /// Burst-aware prefetch scheduling: `None` (the default) keeps
-    /// the predict/prefetch path byte-for-byte the uniform-budget
-    /// code.
-    burst: Option<BurstState>,
+    /// Burst-aware prefetch scheduling: `None` (the default) plans
+    /// every request with [`Plan::uniform`].
+    burst: Option<BurstPlanner>,
     /// Tiles this session prefetched that have not been requested
     /// yet — the outstanding speculation `prefetch_used` is settled
     /// against. Tracked unconditionally (it never changes behavior).
     speculative: HashSet<TileId>,
-    /// The last dwell plan (burst-on): shared mode pins it as the
-    /// hold set the session keeps while riding a burst reactively
-    /// (kept to the session's fair budget slice so four planning
-    /// sessions can never pin more than the communal capacity between
-    /// them); private mode uses it as the keep list a momentum fetch
-    /// folds in around.
-    dwell_plan: Vec<TileId>,
-    /// The previous request's interface move — the momentum signal
-    /// the dwell planner checks: a dwell move that repeats it (same
-    /// pan, same direction) is a live run, anything else is a pivot.
-    /// Tracked unconditionally; read only when burst-aware scheduling
-    /// is on.
-    last_move: Option<fc_tiles::Move>,
-    /// The session's recent distinct requests, most recent first —
-    /// the keep-warm candidate set the dwell planner re-pins (and
-    /// re-fetches if evicted). Tracked unconditionally; read only
-    /// when burst-aware scheduling is on.
-    recent: VecDeque<TileId>,
     /// The last request's full ranked prediction list, captured
     /// *before* the fetch-budget truncation — the server-push
     /// planner's candidate feed ([`Middleware::take_push_candidates`]).
     /// Tracked unconditionally; behavior-inert (no stats, no cache
     /// effect) until something drains it.
     push_candidates: Vec<TileId>,
-}
-
-/// Cap on the [`Middleware::recent`] ring. Bounds the bookkeeping,
-/// not the plan: the per-plan keep-warm budget is
-/// [`BurstConfig::dwell_keep_warm`].
-const RECENT_RING: usize = 32;
-
-/// The session's burst-scheduling state: the phase tracker plus the
-/// session-local timeline its gaps are measured on.
-///
-/// The timeline advances by each served request's user-visible latency
-/// and by explicit [`Middleware::note_idle`] charges (the replay
-/// harness's think time) — the same nanoseconds the shared `SimClock`
-/// accounts, but private to the session, so a co-resident session's
-/// backend charges can never bleed into this session's gap
-/// classification and multi-session replays stay deterministic.
-struct BurstState {
-    cfg: BurstConfig,
-    tracker: BurstTracker,
-    /// Session-local timeline reading.
-    now: Duration,
-    /// Timeline reading when the previous request finished.
-    last_done: Option<Duration>,
-}
-
-impl BurstState {
-    fn new(cfg: BurstConfig) -> Self {
-        Self {
-            cfg,
-            tracker: BurstTracker::new(cfg),
-            now: Duration::ZERO,
-            last_done: None,
-        }
-    }
-
-    /// Classifies the request arriving now.
-    fn classify(&mut self) -> TrafficPhase {
-        let gap = self.last_done.map(|at| self.now.saturating_sub(at));
-        self.tracker.observe(gap)
-    }
-
-    /// Books a finished request that took `latency`.
-    fn finish(&mut self, latency: Duration) {
-        self.now += latency;
-        self.last_done = Some(self.now);
-    }
 }
 
 /// The session's attachment to a fault plan: the shared plan, the
@@ -320,6 +255,10 @@ struct FaultInjector {
     /// coordinate fault windows are expressed in.
     request_index: u64,
 }
+
+/// One request's view of the attached fault plan: the plan, the retry
+/// policy, and this request's index.
+type FaultCtx = (Arc<FaultPlan>, RetryPolicy, u64);
 
 /// A guarded fetch that gave up, with the simulated time it burned
 /// (already charged to the clock) for latency accounting.
@@ -349,7 +288,6 @@ impl Middleware {
         history_cache: usize,
         k: usize,
     ) -> Self {
-        let burst = engine.config().burst.map(BurstState::new);
         Self {
             engine,
             cache: CacheManager::new(history_cache),
@@ -359,27 +297,23 @@ impl Middleware {
             stats: MiddlewareStats::default(),
             shared: None,
             faults: None,
-            burst,
+            burst: None,
             speculative: HashSet::new(),
-            dwell_plan: Vec::new(),
-            last_move: None,
-            recent: VecDeque::new(),
             push_candidates: Vec::new(),
         }
     }
 
-    /// Attaches (or detaches) burst-aware prefetch scheduling after
-    /// construction — how the drivers flip the scheduler on for an A/B
-    /// measurement. Resets the phase tracker and the session timeline.
+    /// Attaches (or detaches) burst-aware prefetch scheduling — the
+    /// one way to turn it on. Starts a fresh planner: phase tracker,
+    /// session timeline, recent-tile ring and pinned plan all reset.
     pub fn set_burst(&mut self, cfg: Option<BurstConfig>) {
-        self.burst = cfg.map(BurstState::new);
-        self.dwell_plan.clear();
+        self.burst = cfg.map(BurstPlanner::new);
     }
 
     /// The session's current traffic phase (`None` when burst-aware
     /// scheduling is off).
     pub fn traffic_phase(&self) -> Option<TrafficPhase> {
-        self.burst.as_ref().map(|b| b.tracker.phase())
+        self.burst.as_ref().map(|b| b.tracker().phase())
     }
 
     /// Whether the auto sweep detector currently has this session on
@@ -387,7 +321,7 @@ impl Middleware {
     /// scheduling off or [`crate::burst::BurstConfig::auto_window`]
     /// = 0).
     pub fn sweeping(&self) -> bool {
-        self.burst.as_ref().is_some_and(|b| b.tracker.sweeping())
+        self.burst.as_ref().is_some_and(|b| b.tracker().sweeping())
     }
 
     /// Takes the last request's full ranked prediction list (before
@@ -404,7 +338,7 @@ impl Middleware {
     /// when burst-aware scheduling is off.
     pub fn note_idle(&mut self, d: Duration) {
         if let Some(b) = self.burst.as_mut() {
-            b.now += d;
+            b.note_idle(d);
         }
     }
 
@@ -479,6 +413,12 @@ impl Middleware {
     /// to degrade to. Without an attached fault plan this never
     /// returns `Err` and behaves exactly like [`Middleware::request`].
     ///
+    /// The request runs as four stages that hand one `Plan` forward:
+    /// **serve** the tile and record it, **predict** the ranked list
+    /// the plan asks the engine for, **plan** what to fetch and pin,
+    /// **install** it for the next request. The plan is the burst
+    /// planner's when one is attached, else the uniform plan.
+    ///
     /// # Errors
     /// [`FetchError`] as above (fault plans only).
     pub fn try_request(
@@ -497,498 +437,128 @@ impl Middleware {
         // Under a fault plan every serviceable request ticks the
         // session's request index — the coordinate fault windows are
         // keyed by — whether it ends in a hit, a miss, or a failure.
-        let fault_ctx: Option<(Arc<FaultPlan>, RetryPolicy, u64)> = self.faults.as_mut().map(|f| {
+        let faults: Option<FaultCtx> = self.faults.as_mut().map(|f| {
             let idx = f.request_index;
             f.request_index += 1;
             (f.plan.clone(), f.retry, idx)
         });
-        // Burst scheduling: classify this request's traffic phase from
-        // the gap on the session's timeline since the last request
-        // finished (None with the scheduler off).
-        let traffic = self.burst.as_mut().map(BurstState::classify);
-        // Auto sweep fallback: when burst occupancy over the sliding
-        // window says this session is a pause-free sweep, the
-        // counter-cyclical schedule has no quiet windows to spend its
-        // budget in — every budget decision below reverts to the
-        // uniform per-request path while classification (and the
-        // per-traffic accounting) keeps running.
-        let sweeping = self.burst.as_ref().is_some_and(|b| b.tracker.sweeping());
+        let mut plan = match self.burst.as_mut() {
+            Some(b) => b.begin(self.k),
+            None => Plan::uniform(self.k),
+        };
         // Settle outstanding speculation: if this tile was one of our
         // prefetches, the request decides whether it was useful (it
         // must still be resident to count).
         let was_speculative = self.speculative.remove(&id);
-        // 1. Serve the tile: private cache, then the shared cache
-        // (another session may have prefetched it — the §6.2 sharing
-        // benefit), then the backend. The private probe is uncounted:
-        // the hit/miss is booked once below, after the whole serve
-        // path resolves, so a shared-cache answer counts as a cache
-        // hit (not a private miss) and a request the backend cannot
-        // serve counts as nothing at all.
-        let cache_probe = match self.cache.peek(id) {
-            Some(t) => Some(t),
-            None => self
-                .shared
-                .as_ref()
-                .and_then(|sh| sh.cache.lookup(sh.id, id)),
+        let req = Request::new(id, mv);
+        let Some(mut resp) = self.serve(req, plan.traffic, faults.as_ref())? else {
+            return Ok(None);
         };
-        let mut fetch_retries = 0u32;
-        let (tile, latency, cache_hit) = match cache_probe {
-            Some(t) => {
+        // A degraded reply skips prediction and prefetch: the backend
+        // is in no state for speculative I/O.
+        if !resp.degraded {
+            let start = parking_lot::time::now();
+            // The cross-session hotspot prior (when the handle carries
+            // a model), read through the epoch-cached view. Every
+            // request ticks the model's refresh cadence.
+            let prior = self
+                .shared
+                .as_mut()
+                .and_then(SharedSessionHandle::hotspot_prior);
+            let prior: &[(TileId, u64)] = prior.as_ref().map_or(&[], |s| s.hotspots.as_slice());
+            resp.pair_cache = self.predict(&mut plan, prior);
+            self.plan(&mut plan, req, resp.cache_hit && !was_speculative, prior);
+            resp.predict_time = parking_lot::time::now().saturating_duration_since(start);
+            resp.prefetched = self.install(plan, faults.as_ref());
+        }
+        self.book(req, &resp, was_speculative);
+        Ok(Some(resp))
+    }
+
+    /// Stage 1 — serve and record: private cache, then the shared
+    /// cache (another session may have prefetched it — the §6.2
+    /// sharing benefit), then the backend; then the request is
+    /// recorded with the engine and the cache manager. Returns the
+    /// reply with its prefetch fields still empty, or `Ok(None)` when
+    /// the backend has no such tile (nothing was counted).
+    ///
+    /// Under a fault plan a fetch that spends its budget climbs the
+    /// degradation ladder: the nearest resident ancestor answers as a
+    /// flagged degraded reply — the user waited out the failed fetch
+    /// (already on the clock), then the ancestor served at cache-hit
+    /// cost, booked as a miss for the requested tile. With nothing
+    /// resident the request fails cleanly.
+    fn serve(
+        &mut self,
+        req: Request,
+        traffic: Option<TrafficPhase>,
+        faults: Option<&FaultCtx>,
+    ) -> Result<Option<Response>, FetchError> {
+        let id = req.tile;
+        // The private probe is uncounted: the hit/miss is booked once
+        // below, after the whole serve path resolves, so a
+        // shared-cache answer counts as a cache hit (not a private
+        // miss) and a request the backend cannot serve counts as
+        // nothing at all.
+        let cache_probe = self.cache.peek(id).or_else(|| {
+            let sh = self.shared.as_ref()?;
+            sh.cache.lookup(sh.id, id)
+        });
+        let (mut fetch_retries, mut degraded) = (0u32, false);
+        let (tile, latency, cache_hit) = match (cache_probe, faults) {
+            (Some(t), _) => {
                 self.pyramid.store().clock().advance(self.profile.hit);
                 (t, self.profile.hit, true)
             }
-            None => match &fault_ctx {
-                None => {
-                    // Backend query; the store charges its own
-                    // (SciDB-like) latency on the shared clock. A
-                    // missing tile returns before the count below —
-                    // the request was never served, so no counter
-                    // moves.
-                    let Some((t, cost)) = self.pyramid.store().fetch_backend(id) else {
-                        return Ok(None);
-                    };
-                    (t, cost, false)
-                }
-                Some((plan, retry, idx)) => {
-                    match fetch_guarded(self.pyramid.store(), plan, retry, id, *idx) {
-                        Ok((t, cost, retries)) => {
-                            fetch_retries = retries;
-                            (t, cost, false)
-                        }
-                        Err(fail) => {
-                            // Degradation ladder: the fetch budget is
-                            // spent, so serve the nearest resident
-                            // ancestor as a flagged degraded reply
-                            // (prediction and prefetch skipped — the
-                            // backend is in no state for speculative
-                            // I/O); with nothing resident, fail the
-                            // request cleanly.
-                            return match self.resident_ancestor(id) {
-                                Some(anc) => {
-                                    Ok(Some(self.serve_degraded(id, mv, anc, &fail, traffic)))
-                                }
-                                None => {
-                                    self.stats.fetch_failures += 1;
-                                    // The user still waited out the
-                                    // failed fetch on the session
-                                    // timeline.
-                                    if let Some(b) = self.burst.as_mut() {
-                                        b.finish(fail.waited);
-                                    }
-                                    Err(fail.error)
-                                }
-                            };
-                        }
+            (None, None) => {
+                // Backend query; the store charges its own
+                // (SciDB-like) latency on the shared clock.
+                let Some((t, cost)) = self.pyramid.store().fetch_backend(id) else {
+                    return Ok(None);
+                };
+                (t, cost, false)
+            }
+            (None, Some((plan, retry, idx))) => {
+                match fetch_guarded(self.pyramid.store(), plan, retry, id, *idx) {
+                    Ok((t, cost, retries)) => {
+                        fetch_retries = retries;
+                        (t, cost, false)
+                    }
+                    Err(fail) => {
+                        let Some(ancestor) = self.resident_ancestor(id) else {
+                            self.stats.fetch_failures += 1;
+                            // The user still waited out the failed
+                            // fetch on the session timeline.
+                            if let Some(b) = self.burst.as_mut() {
+                                b.waited(fail.waited);
+                            }
+                            return Err(fail.error);
+                        };
+                        self.pyramid.store().clock().advance(self.profile.hit);
+                        let (FetchError::Unavailable { attempts }
+                        | FetchError::DeadlineExceeded { attempts }) = fail.error;
+                        fetch_retries = attempts.saturating_sub(1);
+                        degraded = true;
+                        (ancestor, fail.waited + self.profile.hit, false)
                     }
                 }
-            },
+            }
         };
         self.cache.count_lookup(cache_hit);
-
-        // 2. Record the request.
-        let req = Request::new(id, mv);
         self.engine.observe(req);
         self.cache.note_request(tile.clone());
-        let phase = self.engine.current_phase();
-
-        // 3. Re-evaluate allocations and prefetch for the next request.
-        // The cross-session hotspot prior (when the handle carries a
-        // model) is read through the epoch-cached view; the engine
-        // applies it only if its config opts in for this phase.
-        // Burst scheduling spends the budget counter-cyclically:
-        // reactive-only during bursts (the speculative budget drops to
-        // `burst_budget`, default 0 — prefetch I/O must not compete
-        // with the user's own misses), a deep speculative run during
-        // dwell (boosted budget, widened candidate horizon, multi-step
-        // run extrapolation, hotspot riders), and a keep-warm trickle
-        // when idle. With the scheduler off (`traffic` None) every
-        // value below reduces to today's uniform budget.
-        let (eff_k, dwell) = match (traffic, self.burst.as_ref()) {
-            // Sweeping sessions take the exact burst-off arm: uniform
-            // budget, no dwell plan.
-            _ if sweeping => (self.k, None),
-            (Some(tp), Some(b)) => (
-                b.cfg.speculative_budget(tp, self.k),
-                (tp == TrafficPhase::Dwell).then_some(b.cfg),
-            ),
-            _ => (self.k, None),
-        };
-        let reactive_only = !sweeping && matches!(traffic, Some(TrafficPhase::Burst)) && eff_k == 0;
-        // Idle keep-warm: the trickle maintains the analyst's working
-        // set, it does not speculate — the plan is the recent ring,
-        // the engine stays off the idle path entirely.
-        let idle_warm = (!sweeping && matches!(traffic, Some(TrafficPhase::Idle)))
-            .then(|| self.burst.as_ref().map(|b| b.cfg))
-            .flatten();
-        let predict_start = parking_lot::time::now();
-        let scheduler = self.shared.as_ref().and_then(|sh| sh.scheduler.clone());
-        let prior = self
-            .shared
-            .as_mut()
-            .and_then(SharedSessionHandle::hotspot_prior);
-        let prior: &[(TileId, u64)] = prior.as_ref().map_or(&[], |s| s.hotspots.as_slice());
-        let pair_before = match &scheduler {
-            Some(sched) => sched.pair_cache_stats(),
-            None => self.engine.pair_cache_stats(),
-        };
-        let mut predictions = if reactive_only {
-            // Reactive-only: no speculation at all this cycle — the
-            // prediction engine is not even consulted, so its cost
-            // (and any batch rendezvous) stays off the burst path.
-            Vec::new()
-        } else if let Some(cfg) = idle_warm {
-            // Keep-warm plan: the recent distinct tiles, most recent
-            // first. Resident ones stay pinned; at most `idle_trickle`
-            // evicted ones are re-fetched per request (the fetch cap
-            // below), so an idle session trickles its working set back
-            // in instead of campaigning the engine's speculation.
-            self.recent
-                .iter()
-                .copied()
-                .filter(|&t| t != id)
-                .take(cfg.dwell_keep_warm)
-                .collect()
-        } else {
-            self.engine.predict_with(
-                self.pyramid.store(),
-                eff_k,
-                PredictOptions {
-                    phase: None,
-                    scheduler: scheduler.as_deref(),
-                    hotspots: prior,
-                    distance: dwell.map(|cfg| cfg.dwell_distance.max(1)),
-                },
-            )
-        };
-        // How many leading entries of `predictions` are deliberate
-        // scheduler signals (pinnable); the rest is opportunistic.
-        let mut deliberate = predictions.len();
-        if let Some(cfg) = dwell {
-            // The dwell plan leads with the scheduler's own signals,
-            // ahead of the models' ranked list: shared mode truncates
-            // the fetch set to the session's fair budget slice, and
-            // tiles past that cap are silently dropped — tail
-            // position would starve the plan of exactly the tiles it
-            // exists to stage. Two signals, ordered by whether the
-            // run that led here is still alive:
-            //
-            //  * **run extrapolation** — walk the current pan move
-            //    forward `dwell_depth` steps; the one candidate set
-            //    the per-step models cannot rank (they score
-            //    similarity and transition history, not momentum);
-            //  * **keep-warm** — the session's recent distinct tiles,
-            //    re-pinned (and re-fetched if evicted): the analyst
-            //    who paused mid-loop comes back over this set.
-            //
-            // A run is *live* only when this move repeats the
-            // previous one (a pan continuing in the same direction) —
-            // that is the one case where momentum is established and
-            // extrapolation leads, pinned as a deliberate signal.
-            // Anything else — a reversal, a turn, a zoom — is a
-            // *pivot*: extrapolating a single unconfirmed move would
-            // pin tiles nobody may touch, and worse, its fetches
-            // would outrank re-fetching evicted keep-warm tiles
-            // (hold() only pins residents, so a keep-warm tile that
-            // loses its fetch slot silently loses its pin too). On a
-            // pivot, keep-warm takes the budget and the speculative
-            // extrapolation rides behind, unpinned.
-            let mut plan: Vec<TileId> = Vec::new();
-            let push = |plan: &mut Vec<TileId>, t: TileId| {
-                if t != id && !plan.contains(&t) {
-                    plan.push(t);
-                }
-            };
-            let extrapolate = |plan: &mut Vec<TileId>| {
-                if let Some(m) = mv.filter(|m| m.is_pan()) {
-                    let geometry = self.pyramid.geometry();
-                    let mut cur = id;
-                    for _ in 0..cfg.dwell_depth {
-                        let Some(next) = geometry.apply(cur, m) else {
-                            break;
-                        };
-                        if !plan.contains(&next) {
-                            plan.push(next);
-                        }
-                        cur = next;
-                    }
-                }
-            };
-            let pivot = match (self.last_move, mv) {
-                (Some(prev), Some(cur)) => !(cur.is_pan() && prev == cur),
-                _ => true,
-            };
-            if !pivot {
-                extrapolate(&mut plan);
-            }
-            for &t in self.recent.iter().take(cfg.dwell_keep_warm) {
-                push(&mut plan, t);
-            }
-            // Hotspot riders: the communal model's top tiles join the
-            // dwell plan directly (the blend only re-ranks candidates
-            // near the session's own position; this reaches across the
-            // dataset to where the crowd actually is).
-            let mut added = 0usize;
-            for &(t, _) in prior {
-                if added >= cfg.dwell_hotspots {
-                    break;
-                }
-                if !plan.contains(&t) {
-                    plan.push(t);
-                    added += 1;
-                }
-            }
-            // Everything up to here is deliberate — the pinnable core
-            // of the plan. A pivot's dead-run extrapolation rides
-            // behind it, fetched opportunistically but never pinned.
-            // The per-step models' ranked list is dropped outright:
-            // it scores the *next single move* from transition
-            // history, which a pause step contradicts by definition —
-            // during dwell the scheduler's own retrace + momentum
-            // signals are strictly better, and fetching the model's
-            // candidates anyway is what turns a deep dwell budget
-            // into junk I/O that dilutes the useful-prefetch ratio.
-            deliberate = plan.len();
-            if pivot {
-                extrapolate(&mut plan);
-            }
-            predictions = plan;
-        }
-        // Burst-phase momentum ([`BurstConfig::momentum`]): mid-burst
-        // the one speculation with a confirmed signal is the pan the
-        // user is executing *right now* — a 1-deep same-direction
-        // lookahead that consults no model (one geometry step) and so
-        // stays cheap even on the reactive path. It leads the list and
-        // rides on top of the phase budget (`momentum_extra` below),
-        // which is what makes pause-free sweeps survivable: every
-        // request of a straight sweep leg after the first hits its
-        // predecessor's lookahead. It fires on a MISS (the run has
-        // outrun the cache, the next tile is about to miss too) or on
-        // a *speculative* hit (the chain case: this tile was itself a
-        // prefetch — momentum's own lookahead, a dwell extrapolation
-        // — so the run is live and the staged coverage ends here).
-        // An organic hit stays quiet: the run is inside a revisited
-        // working set or a pinned plan, and a lookahead would only
-        // churn tiles other sessions have pinned.
-        let mut momentum_extra = 0usize;
-        if !sweeping
-            && (!cache_hit || was_speculative)
-            && matches!(traffic, Some(TrafficPhase::Burst))
-            && self.burst.as_ref().is_some_and(|b| b.cfg.momentum)
-        {
-            if let Some(next) = mv
-                .filter(|m| m.is_pan())
-                .and_then(|m| self.pyramid.geometry().apply(id, m))
-            {
-                if !predictions.contains(&next) {
-                    predictions.insert(0, next);
-                    momentum_extra = 1;
-                }
-            }
-        }
-        let predictions = predictions;
-        // Captured pre-truncation: the push planner wants the whole
-        // ranked belief, including tiles already resident (they are
-        // exactly the ones a push can ship without new backend I/O).
-        self.push_candidates.clear();
-        self.push_candidates.extend_from_slice(&predictions);
-        let predict_time = parking_lot::time::now().saturating_duration_since(predict_start);
-        let pair_cache = match &scheduler {
-            Some(sched) => sched.pair_cache_stats(),
-            None => self.engine.pair_cache_stats(),
-        }
-        .since(pair_before);
-        let store = self.pyramid.store();
-        let mut to_fetch: Vec<TileId> = predictions
-            .iter()
-            .copied()
-            .filter(|p| {
-                !self.cache.contains(*p)
-                    && self.shared.as_ref().is_none_or(|sh| !sh.cache.contains(*p))
-            })
-            .collect();
-        // The speculative *fetch* budget is `eff_k` in every phase —
-        // the idle trickle, the boosted dwell run, the uniform k. A
-        // dwell plan may list more than that (pinned keep-warm tiles
-        // plus the opportunistic tail), but the list's extra entries
-        // are for `hold`; fetch I/O stays within the phase budget.
-        // Burst-off predictions never exceed `eff_k`, so this is
-        // byte-for-byte inert without a scheduler. The momentum
-        // lookahead (list head) rides on top of the phase budget: a
-        // reactive burst still fetches its one confirmed tile.
-        to_fetch.truncate(eff_k + momentum_extra);
-        // Shared mode: install() keeps at most the session's fair
-        // budget slice, so fetching past it would charge backend I/O
-        // for tiles the cache immediately discards. Predictions are
-        // ranked best-first; the cap keeps the best.
-        if let Some(sh) = &self.shared {
-            to_fetch.truncate(sh.cache.session_budget());
-        }
-        // Prefetch I/O happens while the user analyzes the current tile;
-        // it costs backend time (accounted on the shared clock) but not
-        // user-visible latency. The fetches are independent reads of the
-        // immutable backend, so bulk budgets fan out across cores; each
-        // fetch's cost is computed locally and the sum is charged to the
-        // shared clock once, so the clock reading is identical to the
-        // sequential loop's regardless of worker interleaving.
-        let model = store.latency_model();
-        let fetched: Vec<(Arc<Tile>, Duration)> = to_fetch
-            .par_iter()
-            .with_min_len(PREFETCH_PAR_MIN_LEN)
-            .map(|p| {
-                // Prefetches are best-effort under a fault plan: a
-                // failed speculative fetch skips the tile (no retries
-                // — the budget belongs to foreground requests), a
-                // spike only raises its background cost. Decisions
-                // key on (tile, request index), so the outcome is
-                // deterministic under any worker interleaving.
-                let mut extra = Duration::ZERO;
-                if let Some((plan, _, idx)) = &fault_ctx {
-                    match plan.decide_prefetch(*p, *idx) {
-                        Some(FaultKind::Transient | FaultKind::Stuck) => return None,
-                        Some(FaultKind::LatencySpike(d)) => extra = d,
-                        None => {}
-                    }
-                }
-                store.fetch_offline(*p).map(|t| {
-                    let cost = model.cost(t.array.nbytes()) + extra;
-                    (t, cost)
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .collect();
-        store.clock().advance(fetched.iter().map(|(_, c)| *c).sum());
-        let prefetched_ids: Vec<TileId> = fetched.iter().map(|(t, _)| t.id).collect();
-        let fetched_tiles: Vec<Arc<Tile>> = fetched.into_iter().map(|(t, _)| t).collect();
-        match &self.shared {
-            // Shared mode: the prefetch set lives in the communal
-            // cache (capped at this session's fair budget slice).
-            // `hold` covers predictions already resident — fetched by
-            // this session earlier or by *another* session — so the
-            // whole prediction list is protected from eviction until
-            // the next request, when `retain_for` re-partitions the
-            // hold set to the new list.
-            Some(sh) => {
-                sh.cache.install(sh.id, fetched_tiles);
-                if reactive_only {
-                    // Mid-burst, holds are left exactly as they are.
-                    // The dwell plan's pins keep protecting the run
-                    // the burst is consuming, and the holder
-                    // registrations each hit adds accumulate into a
-                    // keep-warm pin over the session's working set —
-                    // the protection a revisit pattern needs. Both
-                    // kinds release at the next planning step's
-                    // `retain_for`; until then eviction pressure
-                    // resolves against popularity, so an unconsumed
-                    // plan dies before a working set ever does.
-                } else if dwell.is_some() || idle_warm.is_some() {
-                    // A dwell (or idle keep-warm) plan pins only the
-                    // scheduler's own deliberate signals — live run,
-                    // keep-warm, riders — capped at the session's
-                    // fair slice. The opportunistic tail (a pivot's
-                    // dead-run extrapolation, the boosted model
-                    // candidates) is fetched but left unpinned:
-                    // holding it would put every session at its full
-                    // slice and leave the communal LRU no slack, so
-                    // plans would evict each other on every
-                    // foreground miss.
-                    let cap = deliberate.min(sh.cache.session_budget());
-                    let plan = &predictions[..cap];
-                    // Promote local copies first: a just-visited tile
-                    // lives only in this session's private LRU
-                    // (foreground misses never install communally),
-                    // so it is skipped by the fetch set as already
-                    // resident — and then skipped by `hold`, which
-                    // pins communal residents only. Without promotion
-                    // the plan silently loses exactly the tiles the
-                    // analyst just walked, and they die with the tiny
-                    // private LRU a few requests later. The `Arc` is
-                    // already in hand; this is a map insert, not
-                    // backend I/O.
-                    let promoted: Vec<Arc<Tile>> = plan
-                        .iter()
-                        .filter(|&&t| !sh.cache.contains(t))
-                        .filter_map(|&t| self.cache.peek(t))
-                        .collect();
-                    sh.cache.install(sh.id, promoted);
-                    sh.cache.hold(sh.id, plan);
-                    sh.cache.retain_for(sh.id, plan);
-                    self.dwell_plan = plan.to_vec();
-                } else {
-                    sh.cache.hold(sh.id, &predictions);
-                    sh.cache.retain_for(sh.id, &predictions);
-                    self.dwell_plan.clear();
-                }
-            }
-            None if reactive_only => {
-                // Private mode, mid-burst: leave the prefetch set
-                // alone — install's replace semantics would drop the
-                // dwell plan the burst is consuming. A momentum fetch
-                // folds in through the keeping install, with the keep
-                // list the staged plan plus the recent ring (both
-                // capped), so the set stays bounded across an
-                // arbitrarily long burst.
-                if !fetched_tiles.is_empty() {
-                    let mut keep: Vec<TileId> = self.dwell_plan.clone();
-                    keep.extend(self.recent.iter().copied());
-                    self.cache.install_prefetch_keeping(fetched_tiles, &keep);
-                }
-            }
-            None if dwell.is_some() || idle_warm.is_some() => {
-                self.cache
-                    .install_prefetch_keeping(fetched_tiles, &predictions);
-                self.dwell_plan = predictions.clone();
-            }
-            None => {
-                self.cache.install_prefetch(fetched_tiles);
-                self.dwell_plan.clear();
-            }
-        }
-
-        self.stats.requests += 1;
-        if cache_hit {
-            self.stats.hits += 1;
-        }
-        self.stats.total_latency += latency;
-        self.stats.per_phase[phase.index()] += 1;
-        if let Some(tp) = traffic {
-            self.stats.per_traffic[tp.index()] += 1;
-        }
-        if was_speculative && cache_hit {
-            self.stats.prefetch_used += 1;
-        }
-        self.stats.prefetch_issued += prefetched_ids.len();
-        self.speculative.extend(prefetched_ids.iter().copied());
-        self.note_recent(id, mv);
-        if let Some(b) = self.burst.as_mut() {
-            b.finish(latency);
-        }
-
         Ok(Some(Response {
             tile,
             latency,
             cache_hit,
-            phase,
-            prefetched: prefetched_ids,
-            predict_time,
-            pair_cache,
-            degraded: false,
+            phase: self.engine.current_phase(),
+            prefetched: Vec::new(),
+            predict_time: Duration::ZERO,
+            pair_cache: PairCacheStats::default(),
+            degraded,
             fetch_retries,
             traffic,
         }))
-    }
-
-    /// Books `id`/`mv` into the momentum and keep-warm trackers the
-    /// dwell planner reads. Pure bookkeeping: tracked on every served
-    /// request (clean or degraded) regardless of scheduler state.
-    fn note_recent(&mut self, id: TileId, mv: Option<fc_tiles::Move>) {
-        self.last_move = mv;
-        if let Some(pos) = self.recent.iter().position(|&t| t == id) {
-            self.recent.remove(pos);
-        }
-        self.recent.push_front(id);
-        self.recent.truncate(RECENT_RING);
     }
 
     /// The nearest ancestor of `id` resident in the private or shared
@@ -1009,51 +579,173 @@ impl Middleware {
         None
     }
 
-    /// Books and builds a degraded reply: the user waited out the
-    /// failed fetch (`fail.waited`, already on the clock), then the
-    /// resident `ancestor` answered at cache-hit cost. Booked as a
-    /// miss for the requested tile; prediction and prefetch skipped.
-    fn serve_degraded(
-        &mut self,
-        id: TileId,
-        mv: Option<fc_tiles::Move>,
-        ancestor: Arc<Tile>,
-        fail: &FailedFetch,
-        traffic: Option<TrafficPhase>,
-    ) -> Response {
-        self.pyramid.store().clock().advance(self.profile.hit);
-        let latency = fail.waited + self.profile.hit;
-        self.cache.count_lookup(false);
-        self.engine.observe(Request::new(id, mv));
-        self.cache.note_request(ancestor.clone());
-        let phase = self.engine.current_phase();
+    /// Stage 2 — predict: one engine call for the budget and horizon
+    /// the plan names (coalescing with other sessions through the
+    /// handle's scheduler, blending `prior` if the engine's config
+    /// opts in), or none at all when the plan keeps the engine off.
+    /// Returns the χ² pair-cache activity across the call.
+    fn predict(&mut self, plan: &mut Plan, prior: &[(TileId, u64)]) -> PairCacheStats {
+        let Some((k, distance)) = plan.engine else {
+            return PairCacheStats::default();
+        };
+        let scheduler = self.shared.as_ref().and_then(|sh| sh.scheduler.clone());
+        let pair_stats = |engine: &PredictionEngine| match &scheduler {
+            Some(sched) => sched.pair_cache_stats(),
+            None => engine.pair_cache_stats(),
+        };
+        let before = pair_stats(&self.engine);
+        plan.ranked = self.engine.predict_with(
+            self.pyramid.store(),
+            k,
+            PredictOptions {
+                phase: None,
+                scheduler: scheduler.as_deref(),
+                hotspots: prior,
+                distance,
+            },
+        );
+        pair_stats(&self.engine).since(before)
+    }
+
+    /// Stage 3 — plan: the burst planner (when attached) settles the
+    /// ranked list, the fetch cap and the install mode; the uniform
+    /// plan already has all three.
+    fn plan(&mut self, plan: &mut Plan, req: Request, organic_hit: bool, prior: &[(TileId, u64)]) {
+        // Shared mode: install() keeps at most the session's fair
+        // budget slice, so fetching past it would charge backend I/O
+        // for tiles the cache immediately discards. The list is ranked
+        // best-first; the cap keeps the best.
+        let slice = self.shared.as_ref().map(|sh| sh.cache.session_budget());
+        let geometry = self.pyramid.geometry();
+        if let Some(b) = self.burst.as_mut() {
+            b.plan(plan, req, organic_hit, geometry, prior, slice);
+        }
+        plan.fetch_cap = plan.fetch_cap.min(slice.unwrap_or(usize::MAX));
+        // Captured before the fetch cap applies: the push planner
+        // wants the whole ranked belief, including tiles already
+        // resident (they are exactly the ones a push can ship without
+        // new backend I/O).
+        self.push_candidates.clear();
+        self.push_candidates.extend_from_slice(&plan.ranked);
+    }
+
+    /// Stage 4 — install: fetches the plan's non-resident tiles up to
+    /// its cap and stages them for the next request. Returns the ids
+    /// fetched.
+    fn install(&mut self, plan: Plan, faults: Option<&FaultCtx>) -> Vec<TileId> {
+        let store = self.pyramid.store();
+        let mut to_fetch: Vec<TileId> = plan
+            .ranked
+            .iter()
+            .copied()
+            .filter(|p| {
+                !self.cache.contains(*p)
+                    && self.shared.as_ref().is_none_or(|sh| !sh.cache.contains(*p))
+            })
+            .collect();
+        to_fetch.truncate(plan.fetch_cap);
+        // Prefetch I/O happens while the user analyzes the current tile;
+        // it costs backend time (accounted on the shared clock) but not
+        // user-visible latency. The fetches are independent reads of the
+        // immutable backend, so bulk budgets fan out across cores; each
+        // fetch's cost is computed locally and the sum is charged to the
+        // shared clock once, so the clock reading is identical to the
+        // sequential loop's regardless of worker interleaving.
+        let model = store.latency_model();
+        let fetched: Vec<(Arc<Tile>, Duration)> = to_fetch
+            .par_iter()
+            .with_min_len(PREFETCH_PAR_MIN_LEN)
+            .map(|p| {
+                // Prefetches are best-effort under a fault plan: a
+                // failed speculative fetch skips the tile (no retries
+                // — the budget belongs to foreground requests), a
+                // spike only raises its background cost. Decisions
+                // key on (tile, request index), so the outcome is
+                // deterministic under any worker interleaving.
+                let mut extra = Duration::ZERO;
+                if let Some((fault_plan, _, idx)) = faults {
+                    match fault_plan.decide_prefetch(*p, *idx) {
+                        Some(FaultKind::Transient | FaultKind::Stuck) => return None,
+                        Some(FaultKind::LatencySpike(d)) => extra = d,
+                        None => {}
+                    }
+                }
+                store.fetch_offline(*p).map(|t| {
+                    let cost = model.cost(t.array.nbytes()) + extra;
+                    (t, cost)
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .flatten()
+            .collect();
+        store.clock().advance(fetched.iter().map(|(_, c)| *c).sum());
+        let ids: Vec<TileId> = fetched.iter().map(|(t, _)| t.id).collect();
+        let tiles: Vec<Arc<Tile>> = fetched.into_iter().map(|(t, _)| t).collect();
+        match (&self.shared, plan.install) {
+            // Shared mode: the prefetch set lives in the communal
+            // cache (capped at this session's fair budget slice).
+            // `hold` covers listed tiles already resident — fetched by
+            // this session earlier or by *another* session — so they
+            // are protected from eviction until the next request, when
+            // `retain_for` re-partitions the hold set to the new list.
+            (Some(sh), mode) => {
+                sh.cache.install(sh.id, tiles);
+                let pinned = match mode {
+                    Install::Replace => &plan.ranked[..],
+                    Install::Pin(n) => {
+                        // Promote local copies first: a just-visited
+                        // tile lives only in the private LRU
+                        // (foreground misses never install
+                        // communally), so the fetch set skips it as
+                        // resident and `hold`, which pins communal
+                        // residents only, skips it too — the plan
+                        // would lose exactly the tiles the analyst
+                        // just walked. The `Arc` is in hand: a map
+                        // insert, not backend I/O.
+                        let pinned = &plan.ranked[..n];
+                        let promoted: Vec<Arc<Tile>> = pinned
+                            .iter()
+                            .filter(|&&t| !sh.cache.contains(t))
+                            .filter_map(|&t| self.cache.peek(t))
+                            .collect();
+                        sh.cache.install(sh.id, promoted);
+                        pinned
+                    }
+                    Install::Keep(_) => return ids,
+                };
+                sh.cache.hold(sh.id, pinned);
+                sh.cache.retain_for(sh.id, pinned);
+            }
+            (None, Install::Replace) => self.cache.install_prefetch(tiles),
+            (None, Install::Pin(n)) => self
+                .cache
+                .install_prefetch_keeping(tiles, &plan.ranked[..n]),
+            (None, Install::Keep(keep)) => {
+                if !tiles.is_empty() {
+                    self.cache.install_prefetch_keeping(tiles, &keep);
+                }
+            }
+        }
+        ids
+    }
+
+    /// Books a served reply, clean or degraded, into the session's
+    /// statistics and the burst planner's timeline.
+    fn book(&mut self, req: Request, resp: &Response, was_speculative: bool) {
         self.stats.requests += 1;
-        self.stats.degraded += 1;
-        self.stats.total_latency += latency;
-        self.stats.per_phase[phase.index()] += 1;
-        if let Some(tp) = traffic {
+        self.stats.hits += usize::from(resp.cache_hit);
+        self.stats.degraded += usize::from(resp.degraded);
+        self.stats.total_latency += resp.latency;
+        self.stats.per_phase[resp.phase.index()] += 1;
+        if let Some(tp) = resp.traffic {
             self.stats.per_traffic[tp.index()] += 1;
         }
-        self.note_recent(id, mv);
+        self.stats.prefetch_used += usize::from(was_speculative && resp.cache_hit);
+        self.stats.prefetch_issued += resp.prefetched.len();
+        self.speculative.extend(resp.prefetched.iter().copied());
         if let Some(b) = self.burst.as_mut() {
-            b.finish(latency);
-        }
-        let attempts = match fail.error {
-            FetchError::Unavailable { attempts } | FetchError::DeadlineExceeded { attempts } => {
-                attempts
-            }
-        };
-        Response {
-            tile: ancestor,
-            latency,
-            cache_hit: false,
-            phase,
-            prefetched: Vec::new(),
-            predict_time: Duration::ZERO,
-            pair_cache: PairCacheStats::default(),
-            degraded: true,
-            fetch_retries: attempts.saturating_sub(1),
-            traffic,
+            b.served(req, resp.latency);
         }
     }
 
@@ -1095,11 +787,8 @@ impl Middleware {
         }
         self.stats = MiddlewareStats::default();
         self.speculative.clear();
-        self.dwell_plan.clear();
-        self.last_move = None;
-        self.recent.clear();
         if let Some(b) = self.burst.as_mut() {
-            *b = BurstState::new(b.cfg);
+            b.reset();
         }
     }
 }
@@ -1212,24 +901,27 @@ mod tests {
         Arc::new(p)
     }
 
-    fn middleware(p: Arc<Pyramid>, k: usize) -> Middleware {
+    /// AB-only keeps the prefetch target deterministic for the pan-run
+    /// tests (the SB model would chase the synthetic gradient's
+    /// vertical stripes instead).
+    fn engine(p: &Pyramid) -> PredictionEngine {
         let r = Move::PanRight.index() as u16;
         let traces: Vec<Vec<u16>> = vec![vec![r; 12]];
         let refs: Vec<&[u16]> = traces.iter().map(|t| t.as_slice()).collect();
-        let engine = PredictionEngine::new(
+        PredictionEngine::new(
             p.geometry(),
             AbRecommender::train(refs, 3),
             SbRecommender::new(SbConfig::single(SignatureKind::Hist1D)),
             PhaseSource::Heuristic,
             EngineConfig {
-                // AB-only keeps the prefetch target deterministic for the
-                // pan-run tests (the SB model would chase the synthetic
-                // gradient's vertical stripes instead).
                 strategy: AllocationStrategy::AbOnly,
                 ..EngineConfig::default()
             },
-        );
-        Middleware::new(engine, p, LatencyProfile::paper(), 3, k)
+        )
+    }
+
+    fn middleware(p: Arc<Pyramid>, k: usize) -> Middleware {
+        Middleware::new(engine(&p), p, LatencyProfile::paper(), 3, k)
     }
 
     #[test]
@@ -1315,21 +1007,8 @@ mod tests {
     }
 
     fn shared_middleware(p: Arc<Pyramid>, cache: Arc<dyn MultiUserCache>, k: usize) -> Middleware {
-        let r = Move::PanRight.index() as u16;
-        let traces: Vec<Vec<u16>> = vec![vec![r; 12]];
-        let refs: Vec<&[u16]> = traces.iter().map(|t| t.as_slice()).collect();
-        let engine = PredictionEngine::new(
-            p.geometry(),
-            AbRecommender::train(refs, 3),
-            SbRecommender::new(SbConfig::single(SignatureKind::Hist1D)),
-            PhaseSource::Heuristic,
-            EngineConfig {
-                strategy: AllocationStrategy::AbOnly,
-                ..EngineConfig::default()
-            },
-        );
         let handle = SharedSessionHandle::open(cache, None);
-        Middleware::new_shared(engine, p, LatencyProfile::paper(), 3, k, handle)
+        Middleware::new_shared(engine(&p), p, LatencyProfile::paper(), 3, k, handle)
     }
 
     /// Regression (reset-session hold leak): before the fix,
@@ -1451,19 +1130,7 @@ mod tests {
             let _ = MultiUserCache::lookup(cache.as_ref(), other, hot_tile);
         }
         let build = |blend: Option<HotspotBlend>| {
-            let r = Move::PanRight.index() as u16;
-            let traces: Vec<Vec<u16>> = vec![vec![r; 12]];
-            let refs: Vec<&[u16]> = traces.iter().map(|t| t.as_slice()).collect();
-            let mut engine = PredictionEngine::new(
-                p.geometry(),
-                AbRecommender::train(refs, 3),
-                SbRecommender::new(SbConfig::single(SignatureKind::Hist1D)),
-                PhaseSource::Heuristic,
-                EngineConfig {
-                    strategy: AllocationStrategy::AbOnly,
-                    ..EngineConfig::default()
-                },
-            );
+            let mut engine = engine(&p);
             engine.set_hotspot_blend(blend);
             let cache: Arc<dyn MultiUserCache> = cache.clone();
             let handle = SharedSessionHandle::open(cache, None).with_hotspots(model.clone());
@@ -1549,7 +1216,7 @@ mod tests {
             .unwrap();
         assert_eq!(r4.traffic, Some(TrafficPhase::Idle));
         assert!(
-            r4.prefetched.len() <= BurstConfig::default().idle_trickle,
+            r4.prefetched.len() <= 1,
             "idle trickle exceeded: {:?}",
             r4.prefetched
         );
@@ -1564,6 +1231,43 @@ mod tests {
         assert!(s.prefetch_used >= 1);
         let eff = s.prefetch_efficiency();
         assert!(eff > 0.0 && eff <= 1.0, "{eff}");
+    }
+
+    /// Regression (self-hotspot rider): the communal sketch counts the
+    /// session's own lookups, so the tile being requested can top the
+    /// hotspot prior. It used to take a rider slot of the dwell plan —
+    /// promoted into the shared cache and pinned there.
+    #[test]
+    fn dwell_hotspot_rider_skips_the_requested_tile() {
+        use crate::burst::{BurstConfig, TrafficPhase};
+        use crate::multiuser::{HotspotConfig, SharedHotspotModel, SharedTileCache};
+        let p = pyramid();
+        let cache = Arc::new(SharedTileCache::with_shards(64, 1));
+        let model = Arc::new(SharedHotspotModel::new(HotspotConfig {
+            top_n: 1,
+            refresh_every: 1,
+        }));
+        let hot = TileId::new(2, 2, 1);
+        let other = cache.open_session();
+        for _ in 0..50 {
+            let _ = MultiUserCache::lookup(cache.as_ref(), other, hot);
+        }
+        let mut mw = shared_middleware(p, cache.clone(), 4);
+        mw.shared = mw.shared.take().map(|h| h.with_hotspots(model));
+        mw.set_burst(Some(BurstConfig::default()));
+        mw.request(TileId::new(2, 2, 0), None).unwrap();
+        mw.note_idle(Duration::from_secs(1));
+        let r = mw.request(hot, Some(Move::PanRight)).unwrap();
+        assert_eq!(r.traffic, Some(TrafficPhase::Dwell));
+        assert!(!r.cache_hit);
+        assert!(
+            !mw.take_push_candidates().contains(&hot),
+            "the requested tile must not ride its own dwell plan"
+        );
+        assert!(
+            !cache.contains(hot),
+            "a foreground miss must not be promoted and pinned as a rider"
+        );
     }
 
     #[test]

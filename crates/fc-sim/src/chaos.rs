@@ -27,7 +27,7 @@
 //!   follower-timeout rescue is the backstop; its trips are reported
 //!   in [`fc_core::SchedulerStats::rescues`]).
 
-use crate::multiuser::{build_cache, MultiUserConfig};
+use crate::multiuser::{build_cache, percentile, replay_cycled, MultiUserConfig};
 use crate::trace::Trace;
 use fc_core::{
     BatchConfig, BurstConfig, FaultPlan, Middleware, PredictScheduler, PredictionEngine,
@@ -220,53 +220,39 @@ where
                             .then(|| cfg.think[i % cfg.think.len()].as_slice());
                         let mut out = SessionOutcome::default();
                         let (from, until) = cfg.fault_window;
-                        'replay: loop {
-                            let before = mw.fault_request_index();
-                            for (j, step) in trace.steps.iter().enumerate() {
-                                let idx = mw.fault_request_index();
-                                if idx >= cfg.base.steps_per_session as u64 {
-                                    break 'replay;
-                                }
-                                let mv = if j == 0 { None } else { step.mv };
-                                if let Some(d) = think.and_then(|t| t.get(j)) {
-                                    mw.note_idle(*d);
-                                }
-                                let result = mw.try_request(step.tile, mv);
-                                let bucket = if idx < from {
-                                    &mut out.before
-                                } else if idx < until {
-                                    &mut out.during
-                                } else {
-                                    &mut out.after
-                                };
-                                match result {
-                                    // Unservable tile: no attempt, no
-                                    // index tick — nothing to book.
-                                    Ok(None) => continue,
-                                    Ok(Some(resp)) => {
-                                        bucket.attempts += 1;
-                                        bucket.served += 1;
-                                        bucket.hits += usize::from(resp.cache_hit);
-                                        bucket.degraded += usize::from(resp.degraded);
-                                        out.retries += u64::from(resp.fetch_retries);
-                                        out.latency_ns.push(
-                                            u64::try_from(resp.latency.as_nanos())
-                                                .unwrap_or(u64::MAX),
-                                        );
-                                    }
-                                    Err(_) => {
-                                        bucket.attempts += 1;
-                                        bucket.failures += 1;
-                                    }
-                                }
-                                out.max_resident = out.max_resident.max(cache.len());
+                        // Attempts count: every serviceable request
+                        // ticks the session's fault request index, an
+                        // unservable tile (`Ok(None)`) does not.
+                        replay_cycled(trace, cfg.base.steps_per_session, |j, tile, mv| {
+                            let idx = mw.fault_request_index();
+                            if let Some(d) = think.and_then(|t| t.get(j)) {
+                                mw.note_idle(*d);
                             }
-                            // A full pass that attempted nothing can
-                            // never progress: stop instead of spinning.
-                            if mw.fault_request_index() == before {
-                                break;
+                            let result = mw.try_request(tile, mv);
+                            let bucket = if idx < from {
+                                &mut out.before
+                            } else if idx < until {
+                                &mut out.during
+                            } else {
+                                &mut out.after
+                            };
+                            match result {
+                                Ok(None) => return false,
+                                Ok(Some(resp)) => {
+                                    bucket.served += 1;
+                                    bucket.hits += usize::from(resp.cache_hit);
+                                    bucket.degraded += usize::from(resp.degraded);
+                                    out.retries += u64::from(resp.fetch_retries);
+                                    out.latency_ns.push(
+                                        u64::try_from(resp.latency.as_nanos()).unwrap_or(u64::MAX),
+                                    );
+                                }
+                                Err(_) => bucket.failures += 1,
                             }
-                        }
+                            bucket.attempts += 1;
+                            out.max_resident = out.max_resident.max(cache.len());
+                            true
+                        });
                         let st = mw.stats();
                         out.per_traffic = st.per_traffic;
                         out.prefetch_issued = st.prefetch_issued;
@@ -312,14 +298,6 @@ where
         all_ns.extend_from_slice(&o.latency_ns);
     }
     all_ns.sort_unstable();
-    let pct = |p: f64| -> std::time::Duration {
-        if all_ns.is_empty() {
-            return std::time::Duration::ZERO;
-        }
-        let idx = ((all_ns.len() as f64 - 1.0) * p).round() as usize;
-        std::time::Duration::from_nanos(all_ns[idx.min(all_ns.len() - 1)])
-    };
-    let (latency_p50, latency_p99) = (pct(0.50), pct(0.99));
 
     ChaosReport {
         sessions: cfg.base.sessions,
@@ -336,8 +314,8 @@ where
         max_resident,
         shared: cache.stats(),
         scheduler: scheduler.map(|s| s.stats()),
-        latency_p50,
-        latency_p99,
+        latency_p50: percentile(&all_ns, 0.50),
+        latency_p99: percentile(&all_ns, 0.99),
         per_traffic,
         prefetch_issued,
         prefetch_used,

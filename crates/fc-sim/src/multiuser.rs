@@ -171,33 +171,16 @@ where
                         hits: 0,
                         predict_ns: Vec::with_capacity(cfg.steps_per_session),
                     };
-                    'replay: loop {
-                        let before = out.requests;
-                        for (j, step) in trace.steps.iter().enumerate() {
-                            if out.requests >= cfg.steps_per_session {
-                                break 'replay;
-                            }
-                            // A repeat of the trace starts a fresh
-                            // navigation arc: no move on its first step.
-                            let mv = if j == 0 { None } else { step.mv };
-                            let Some(resp) = mw.request(step.tile, mv) else {
-                                continue;
-                            };
-                            out.requests += 1;
-                            if resp.cache_hit {
-                                out.hits += 1;
-                            }
-                            out.predict_ns.push(
-                                u64::try_from(resp.predict_time.as_nanos()).unwrap_or(u64::MAX),
-                            );
-                        }
-                        // A full pass that served nothing (empty trace,
-                        // or every tile unservable) can never progress:
-                        // report what we have instead of spinning.
-                        if out.requests == before {
-                            break;
-                        }
-                    }
+                    replay_cycled(trace, cfg.steps_per_session, |_, tile, mv| {
+                        let Some(resp) = mw.request(tile, mv) else {
+                            return false;
+                        };
+                        out.requests += 1;
+                        out.hits += usize::from(resp.cache_hit);
+                        out.predict_ns
+                            .push(u64::try_from(resp.predict_time.as_nanos()).unwrap_or(u64::MAX));
+                        true
+                    });
                     out
                 })
             })
@@ -213,13 +196,6 @@ where
     let hits: usize = outcomes.iter().map(|o| o.hits).sum();
     let mut all_ns: Vec<u64> = outcomes.into_iter().flat_map(|o| o.predict_ns).collect();
     all_ns.sort_unstable();
-    let pct = |p: f64| -> Duration {
-        if all_ns.is_empty() {
-            return Duration::ZERO;
-        }
-        let idx = ((all_ns.len() as f64 - 1.0) * p).round() as usize;
-        Duration::from_nanos(all_ns[idx.min(all_ns.len() - 1)])
-    };
 
     MultiUserReport {
         sessions: cfg.sessions,
@@ -230,8 +206,8 @@ where
         } else {
             0.0
         },
-        predict_p50: pct(0.50),
-        predict_p99: pct(0.99),
+        predict_p50: percentile(&all_ns, 0.50),
+        predict_p99: percentile(&all_ns, 0.99),
         hit_rate: if requests == 0 {
             0.0
         } else {
@@ -240,6 +216,43 @@ where
         shared: cache.stats(),
         scheduler: scheduler.map(|s| s.stats()),
     }
+}
+
+/// Cycles `trace` until `target` requests have counted. A repeat of
+/// the trace starts a fresh navigation arc, so the first step of each
+/// pass carries no move; a full pass that counted nothing (empty
+/// trace, or every tile unservable) can never progress and ends the
+/// replay. `request(step index, tile, move)` issues one request and
+/// says whether it counted.
+pub(crate) fn replay_cycled(
+    trace: &Trace,
+    target: usize,
+    mut request: impl FnMut(usize, TileId, Option<Move>) -> bool,
+) {
+    let mut counted = 0usize;
+    loop {
+        let before = counted;
+        for (j, step) in trace.steps.iter().enumerate() {
+            if counted >= target {
+                return;
+            }
+            let mv = if j == 0 { None } else { step.mv };
+            counted += usize::from(request(j, step.tile, mv));
+        }
+        if counted == before {
+            return;
+        }
+    }
+}
+
+/// The `p`-quantile (nearest rank) of ascending nanosecond samples;
+/// zero when there are none.
+pub(crate) fn percentile(sorted_ns: &[u64], p: f64) -> Duration {
+    let Some(last) = sorted_ns.len().checked_sub(1) else {
+        return Duration::ZERO;
+    };
+    let idx = ((last as f64) * p).round() as usize;
+    Duration::from_nanos(sorted_ns[idx.min(last)])
 }
 
 /// Builds `sessions` deterministic scripted traces over `geometry`:
@@ -562,28 +575,14 @@ where
                         requests: 0,
                         hits: 0,
                     };
-                    'replay: loop {
-                        let before = out.requests;
-                        for (j, step) in trace.steps.iter().enumerate() {
-                            if out.requests >= cfg.steps_per_session {
-                                break 'replay;
-                            }
-                            let mv = if j == 0 { None } else { step.mv };
-                            let Some(resp) = mw.request(step.tile, mv) else {
-                                continue;
-                            };
-                            out.requests += 1;
-                            if resp.cache_hit {
-                                out.hits += 1;
-                            }
-                        }
-                        // A pass that served nothing can never
-                        // progress (empty trace or unservable tiles):
-                        // report what we have instead of spinning.
-                        if out.requests == before {
-                            break;
-                        }
-                    }
+                    replay_cycled(trace, cfg.steps_per_session, |_, tile, mv| {
+                        let Some(resp) = mw.request(tile, mv) else {
+                            return false;
+                        };
+                        out.requests += 1;
+                        out.hits += usize::from(resp.cache_hit);
+                        true
+                    });
                     out
                 }));
             }

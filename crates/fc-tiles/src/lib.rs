@@ -26,7 +26,6 @@ pub mod geometry;
 pub mod id;
 pub mod nav;
 pub mod pyramid;
-pub mod pyramid3d;
 pub mod sigindex;
 pub mod store;
 pub mod tile;
@@ -35,7 +34,6 @@ pub use geometry::Geometry;
 pub use id::TileId;
 pub use nav::{Move, Quadrant, MOVES};
 pub use pyramid::{lift_1d, AttrAgg, Pyramid, PyramidBuilder, PyramidConfig};
-pub use pyramid3d::{Geometry3, Move3, TileId3};
 pub use sigindex::{SigMatrix, SignatureIndex};
 pub use store::{MetaKey, MetadataComputer, TileMeta, TileStore};
 pub use tile::Tile;
