@@ -74,14 +74,11 @@ impl AbRecommender {
         }
         best
     }
-}
 
-impl Recommender for AbRecommender {
-    fn name(&self) -> &str {
-        "AB"
-    }
-
-    fn rank(&self, ctx: &PredictionContext<'_>) -> Vec<TileId> {
+    /// The candidates with their AB scores, best first: score
+    /// descending, ties by `TileId` ascending. [`Recommender::rank`] is
+    /// this list without the scores.
+    pub fn scored(&self, ctx: &PredictionContext<'_>) -> Vec<(TileId, f64)> {
         let mut seq = ctx.history.move_sequence();
         let dist = self.model.distribution(&seq);
         let mut scored: Vec<(TileId, f64)> = ctx
@@ -101,7 +98,17 @@ impl Recommender for AbRecommender {
                 .expect("finite probabilities")
                 .then(a.0.cmp(&b.0))
         });
-        scored.into_iter().map(|(t, _)| t).collect()
+        scored
+    }
+}
+
+impl Recommender for AbRecommender {
+    fn name(&self) -> &str {
+        "AB"
+    }
+
+    fn rank(&self, ctx: &PredictionContext<'_>) -> Vec<TileId> {
+        self.scored(ctx).into_iter().map(|(t, _)| t).collect()
     }
 }
 
