@@ -67,22 +67,26 @@ impl TransitionCounts {
         }
     }
 
+    /// The per-token counts observed after `context`, or `None` for a
+    /// context never seen: one table lookup for a whole vocabulary row.
+    pub fn row(&self, context: &[u16]) -> Option<&[u32]> {
+        self.table.get(context).map(Vec::as_slice)
+    }
+
     /// Count for `context → next`.
     pub fn count(&self, context: &[u16], next: u16) -> u32 {
-        self.table.get(context).map_or(0, |c| c[next as usize])
+        self.row(context).map_or(0, |c| c[next as usize])
     }
 
     /// Total transitions observed from `context`.
     pub fn context_total(&self, context: &[u16]) -> u32 {
-        self.table.get(context).map_or(0, |c| c.iter().sum())
+        self.row(context).map_or(0, row_total)
     }
 
     /// Number of distinct next-tokens observed after `context`
     /// (`N1+(context ·)` in Kneser–Ney notation).
     pub fn distinct_continuations(&self, context: &[u16]) -> u32 {
-        self.table
-            .get(context)
-            .map_or(0, |c| c.iter().filter(|&&x| x > 0).count() as u32)
+        self.row(context).map_or(0, row_distinct)
     }
 
     /// Context length of this table.
@@ -147,6 +151,16 @@ impl TransitionCounts {
         }
         (n1, n2)
     }
+}
+
+/// Sum of one row's counts (`count(c)`).
+pub(crate) fn row_total(row: &[u32]) -> u32 {
+    row.iter().sum()
+}
+
+/// Number of nonzero counts in one row (`N1+(c ·)`).
+pub(crate) fn row_distinct(row: &[u32]) -> u32 {
+    row.iter().filter(|&&x| x > 0).count() as u32
 }
 
 #[cfg(test)]

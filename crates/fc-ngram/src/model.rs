@@ -13,7 +13,7 @@
 //! where `c′` drops the oldest token and `D` is the per-order absolute
 //! discount `n1 / (n1 + 2·n2)` estimated from that order's table.
 
-use crate::counts::TransitionCounts;
+use crate::counts::{row_distinct, row_total, TransitionCounts};
 
 /// A trained Kneser–Ney n-gram model.
 #[derive(Debug, Clone)]
@@ -72,17 +72,51 @@ impl KneserNey {
     /// P(next | history): uses the last `order` tokens of `history`
     /// (fewer if the history is shorter). Never returns 0 — smoothing
     /// guarantees mass on unseen moves.
+    ///
+    /// This is the module-level recursion written out for one token;
+    /// [`Self::distribution_into`] computes the same values (bit for
+    /// bit, property-tested) a vocabulary row at a time.
     pub fn prob(&self, history: &[u16], next: u16) -> f64 {
-        let ctx_len = history.len().min(self.order);
-        let ctx = &history[history.len() - ctx_len..];
-        self.prob_at(ctx, next)
+        self.prob_at(self.context(history), next)
     }
 
     /// The full next-token distribution given `history`; sums to 1.
     pub fn distribution(&self, history: &[u16]) -> Vec<f64> {
-        (0..self.vocab)
-            .map(|w| self.prob(history, w as u16))
-            .collect()
+        let mut out = vec![0.0; self.vocab];
+        self.distribution_into(history, &mut out);
+        out
+    }
+
+    /// [`Self::distribution`] written into `out`, without allocating:
+    /// one table-row lookup per order, lowest order first, each order
+    /// folding its discounted counts over the lower-order row already
+    /// in `out`. Orders whose context was never seen leave `out` as it
+    /// is (full weight on the lower-order model).
+    ///
+    /// # Panics
+    /// Panics when `out.len()` is not the vocabulary size.
+    pub fn distribution_into(&self, history: &[u16], out: &mut [f64]) {
+        assert_eq!(out.len(), self.vocab, "one slot per vocabulary token");
+        let ctx = self.context(history);
+        out.fill(1.0 / self.vocab as f64);
+        for k in 0..=ctx.len() {
+            let Some(row) = self.tables[k].row(&ctx[ctx.len() - k..]) else {
+                continue;
+            };
+            // A stored row holds at least one observation: total > 0.
+            let total = row_total(row) as f64;
+            let d = self.discounts[k];
+            let backoff_weight = d * row_distinct(row) as f64 / total;
+            for (p, &c) in out.iter_mut().zip(row) {
+                let discounted = (c as f64 - d).max(0.0) / total;
+                *p = discounted + backoff_weight * *p;
+            }
+        }
+    }
+
+    /// The last `order` tokens of `history` (all of it when shorter).
+    fn context<'h>(&self, history: &'h [u16]) -> &'h [u16] {
+        &history[history.len() - history.len().min(self.order)..]
     }
 
     /// Tokens ranked by probability (descending), with ties broken by

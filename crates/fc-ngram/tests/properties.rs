@@ -55,4 +55,22 @@ proptest! {
         }
         let _ = truncated;
     }
+
+    /// The row-wise routine is the per-token recursion, bit for bit:
+    /// orders 0–5, empty, short and over-long histories, and (random
+    /// histories over sparse traces) contexts never seen at some or
+    /// every order. `distribution` is the same row, allocated.
+    #[test]
+    fn distribution_into_is_prob_bitwise(ts in traces(), order in 0usize..6,
+                                         hist in proptest::collection::vec(0u16..V as u16, 0..8)) {
+        let refs: Vec<&[u16]> = ts.iter().map(|t| t.as_slice()).collect();
+        let m = KneserNey::train(refs, order, V);
+        let mut row = [f64::NAN; V];
+        m.distribution_into(&hist, &mut row);
+        for (w, p) in row.iter().enumerate() {
+            prop_assert_eq!(p.to_bits(), m.prob(&hist, w as u16).to_bits(), "token {}", w);
+        }
+        let bits = |d: &[f64]| d.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&m.distribution(&hist)), bits(&row));
+    }
 }
