@@ -109,6 +109,16 @@ fn bench_models(c: &mut Criterion) {
     c.bench_function("AB rank 9 candidates", |b| {
         b.iter(|| ab.rank(black_box(&ctx)))
     });
+    // The dwell-request shape (`DWELL_DISTANCE = 2`): candidates two
+    // moves away make AB walk the request tile's move tree.
+    let deep = g.candidates(cur.tile, 2);
+    let deep_ctx = PredictionContext {
+        candidates: &deep,
+        ..ctx
+    };
+    c.bench_function(&format!("AB rank {} candidates (d = 2)", deep.len()), |b| {
+        b.iter(|| ab.rank(black_box(&deep_ctx)))
+    });
     c.bench_function("SB rank 9 candidates (4 signatures)", |b| {
         b.iter(|| sb.rank(black_box(&ctx)))
     });

@@ -1,13 +1,46 @@
 //! The Action-Based (AB) recommender (§4.3.2).
 //!
 //! "our AB recommender … builds an n-th order Markov chain from users'
-//! past actions", smoothed with Kneser–Ney. Candidates one move away are
-//! scored by the probability of the move that reaches them; candidates
-//! further away (d > 1) by the best move-path product.
+//! past actions", smoothed with Kneser–Ney. A candidate's score is the
+//! probability of the likeliest short move path that reaches it from
+//! the requested tile, each move conditioned on the session's move
+//! history extended by the moves before it on the path:
+//!
+//! * a candidate one move `m` away scores `P(m | history)` **alone** —
+//!   never a longer path, even when one has a higher product;
+//! * any other candidate scores the maximum, over paths of two or three
+//!   legal moves ending at it, of the product of the moves'
+//!   probabilities, right-associated as `p1 * p2` and `p1 * (p2 * p3)`.
+//!   Paths may pass back through the requested tile;
+//! * a candidate no such path reaches scores `0.0`.
+//!
+//! Candidates rank by score descending, ties by `TileId` ascending.
+//!
+//! The move tree is walked **once per request**, forward from the
+//! requested tile: each of its ≤ 1 + 9 + 81 interior nodes computes its
+//! smoothed distribution once, and every path's endpoint keeps the best
+//! probability seen. The work does not depend on how many candidates
+//! there are, and when every candidate is one move away (prediction
+//! distance 1, the default) only the root's distribution is computed.
 
 use crate::recommender::{PredictionContext, Recommender};
 use fc_ngram::KneserNey;
 use fc_tiles::{Geometry, TileId, MOVES};
+
+/// One smoothed next-move distribution, indexed by `Move::index`.
+type MoveDist = [f64; MOVES.len()];
+
+#[cfg(test)]
+thread_local! {
+    static DISTRIBUTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Distributions computed so far on this thread — what the work-count
+/// pins measure.
+#[cfg(test)]
+pub(crate) fn distributions_computed() -> usize {
+    DISTRIBUTIONS.with(std::cell::Cell::get)
+}
 
 /// The AB recommendation model: a Kneser–Ney smoothed move-sequence
 /// Markov chain.
@@ -29,7 +62,11 @@ impl AbRecommender {
     }
 
     /// Wraps an already-trained model.
+    ///
+    /// # Panics
+    /// Panics when the model's vocabulary is not the nine moves.
     pub fn from_model(model: KneserNey) -> Self {
+        assert_eq!(model.vocab(), MOVES.len(), "one token per move");
         Self { model }
     }
 
@@ -44,61 +81,81 @@ impl AbRecommender {
         self.model.distribution(move_history)
     }
 
-    /// Best move-path probability from `from` to `target` within
-    /// `depth` moves, extending `seq` greedily per step.
-    fn path_prob(
-        &self,
-        geometry: Geometry,
-        seq: &mut Vec<u16>,
-        from: TileId,
-        target: TileId,
-        depth: usize,
-    ) -> f64 {
-        if depth == 0 {
-            return 0.0;
-        }
-        let dist = self.model.distribution(seq);
-        let mut best = 0.0f64;
-        for m in MOVES {
-            if let Some(next) = geometry.apply(from, m) {
-                let p = dist[m.index()];
-                if next == target {
-                    best = best.max(p);
-                } else if depth > 1 && p > best {
-                    seq.push(m.index() as u16);
-                    let tail = self.path_prob(geometry, seq, next, target, depth - 1);
-                    seq.pop();
-                    best = best.max(p * tail);
-                }
-            }
-        }
-        best
+    /// The smoothed distribution of the move after `seq`.
+    fn dist(&self, seq: &[u16]) -> MoveDist {
+        #[cfg(test)]
+        DISTRIBUTIONS.with(|n| n.set(n.get() + 1));
+        let mut dist = [0.0; MOVES.len()];
+        self.model.distribution_into(seq, &mut dist);
+        dist
     }
 
     /// The candidates with their AB scores, best first: score
     /// descending, ties by `TileId` ascending. [`Recommender::rank`] is
-    /// this list without the scores.
+    /// this list without the scores. The module doc states the scoring
+    /// rule.
     pub fn scored(&self, ctx: &PredictionContext<'_>) -> Vec<(TileId, f64)> {
+        let g = ctx.geometry;
+        let origin = ctx.request.tile;
         let mut seq = ctx.history.move_sequence();
-        let dist = self.model.distribution(&seq);
-        let mut scored: Vec<(TileId, f64)> = ctx
-            .candidates
-            .iter()
-            .map(|&c| {
-                // Fast path: single-move candidates (d = 1, the default).
-                let score = match ctx.geometry.move_between(ctx.request.tile, c) {
-                    Some(m) => dist[m.index()],
-                    None => self.path_prob(ctx.geometry, &mut seq, ctx.request.tile, c, 3),
-                };
-                (c, score)
-            })
-            .collect();
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("finite probabilities")
-                .then(a.0.cmp(&b.0))
-        });
+        let first = self.dist(&seq);
+        // Kept sorted by tile while scoring, so a path's endpoint finds
+        // its candidates by binary search.
+        let mut scored: Vec<(TileId, f64)> = ctx.candidates.iter().map(|&c| (c, 0.0)).collect();
+        scored.sort_unstable_by_key(|&(t, _)| t);
+        let hops = MOVES.map(|m| g.apply(origin, m));
+        if scored.iter().any(|&(c, _)| !hops.contains(&Some(c))) {
+            for (m1, t1, p1) in steps(g, origin, &first) {
+                seq.push(m1);
+                let second = self.dist(&seq);
+                for (m2, t2, p2) in steps(g, t1, &second) {
+                    raise(&mut scored, t2, p1 * p2);
+                    seq.push(m2);
+                    let third = self.dist(&seq);
+                    for (_, t3, p3) in steps(g, t2, &third) {
+                        raise(&mut scored, t3, p1 * (p2 * p3));
+                    }
+                    seq.pop();
+                }
+                seq.pop();
+            }
+        }
+        // One move away: that move's probability, whatever longer
+        // paths led back here.
+        for (_, t1, p1) in steps(g, origin, &first) {
+            for e in entries(&mut scored, t1) {
+                e.1 = p1;
+            }
+        }
+        scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         scored
+    }
+}
+
+/// The legal moves out of `from`: `(move id, tile reached, probability)`.
+fn steps(
+    g: Geometry,
+    from: TileId,
+    dist: &MoveDist,
+) -> impl Iterator<Item = (u16, TileId, f64)> + '_ {
+    MOVES.into_iter().filter_map(move |m| {
+        let to = g.apply(from, m)?;
+        Some((m.index() as u16, to, dist[m.index()]))
+    })
+}
+
+/// The entries of `scored` (sorted by tile) for `tile`: none when it is
+/// not a candidate, several when the caller listed it more than once.
+fn entries(scored: &mut [(TileId, f64)], tile: TileId) -> &mut [(TileId, f64)] {
+    let lo = scored.partition_point(|&(t, _)| t < tile);
+    let n = scored[lo..].iter().take_while(|&&(t, _)| t == tile).count();
+    &mut scored[lo..lo + n]
+}
+
+/// Records a path of probability `p` ending at `tile`.
+fn raise(scored: &mut [(TileId, f64)], tile: TileId, p: f64) {
+    for e in entries(scored, tile) {
+        e.1 = e.1.max(p);
     }
 }
 
@@ -118,6 +175,7 @@ mod tests {
     use crate::history::{Request, SessionHistory};
     use fc_array::{IoMode, LatencyModel, SimClock};
     use fc_tiles::{Move, Quadrant, TileStore};
+    use proptest::prelude::*;
 
     fn geometry() -> Geometry {
         Geometry::new(4, 512, 512, 64, 64)
@@ -125,6 +183,68 @@ mod tests {
 
     fn store(g: Geometry) -> TileStore {
         TileStore::new(g, LatencyModel::free(), IoMode::Simulated, SimClock::new())
+    }
+
+    /// The search `scored` replaced, kept as its oracle: best move-path
+    /// probability from `from` to `target` within `depth` moves, one
+    /// depth-first search per candidate.
+    fn path_prob(
+        model: &KneserNey,
+        geometry: Geometry,
+        seq: &mut Vec<u16>,
+        from: TileId,
+        target: TileId,
+        depth: usize,
+    ) -> f64 {
+        if depth == 0 {
+            return 0.0;
+        }
+        let dist = model.distribution(seq);
+        let mut best = 0.0f64;
+        for m in MOVES {
+            if let Some(next) = geometry.apply(from, m) {
+                let p = dist[m.index()];
+                if next == target {
+                    best = best.max(p);
+                } else if depth > 1 && p > best {
+                    seq.push(m.index() as u16);
+                    let tail = path_prob(model, geometry, seq, next, target, depth - 1);
+                    seq.pop();
+                    best = best.max(p * tail);
+                }
+            }
+        }
+        best
+    }
+
+    /// `scored` as it was computed before the forward expansion.
+    fn dfs_scored(ab: &AbRecommender, ctx: &PredictionContext<'_>) -> Vec<(TileId, f64)> {
+        let mut seq = ctx.history.move_sequence();
+        let dist = ab.model.distribution(&seq);
+        let mut scored: Vec<(TileId, f64)> = ctx
+            .candidates
+            .iter()
+            .map(|&c| {
+                let score = match ctx.geometry.move_between(ctx.request.tile, c) {
+                    Some(m) => dist[m.index()],
+                    None => path_prob(&ab.model, ctx.geometry, &mut seq, ctx.request.tile, c, 3),
+                };
+                (c, score)
+            })
+            .collect();
+        scored.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .expect("finite probabilities")
+                .then(a.0.cmp(&b.0))
+        });
+        scored
+    }
+
+    /// Distributions `scored` computes for `ctx`.
+    fn distributions(ab: &AbRecommender, ctx: &PredictionContext<'_>) -> usize {
+        let before = distributions_computed();
+        ab.scored(ctx);
+        distributions_computed() - before
     }
 
     /// Traces where three rights are always followed by a fourth.
@@ -214,5 +334,111 @@ mod tests {
         let ab = AbRecommender::train(refs, 3);
         let d = ab.move_distribution(&[3, 3, 3]);
         assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    }
+
+    /// The deterministic guard against a per-candidate search coming
+    /// back: the distributions one ranking computes depend on the
+    /// request tile's move tree, never on how many candidates are read
+    /// off it.
+    #[test]
+    fn work_does_not_grow_with_candidates() {
+        let traces = right_runs();
+        let refs: Vec<&[u16]> = traces.iter().map(|t| t.as_slice()).collect();
+        let ab = AbRecommender::train(refs, 3);
+        let g = geometry();
+        let s = store(g);
+        let mut h = SessionHistory::new(3);
+        // Level 2 of 4 is interior: all nine moves are legal.
+        let cur = Request::new(TileId::new(2, 1, 1), Some(Move::PanRight));
+        h.push(cur);
+        let count = |candidates: &[TileId]| {
+            let ctx = PredictionContext {
+                request: cur,
+                history: &h,
+                candidates,
+                geometry: g,
+                store: &s,
+                roi: &[],
+            };
+            distributions(&ab, &ctx)
+        };
+        let (d1, d2, d3) = (
+            g.candidates(cur.tile, 1),
+            g.candidates(cur.tile, 2),
+            g.candidates(cur.tile, 3),
+        );
+        assert_eq!(d1.len(), MOVES.len());
+        assert!(d1.len() < d2.len() && d2.len() < d3.len());
+        // Every candidate adjacent: the root's distribution only.
+        assert_eq!(count(&d1), 1);
+        assert_eq!(count(&d1[..3]), 1);
+        assert_eq!(count(&[]), 1);
+        // Anything further: one walk of the move tree, root + ≤ 9 + ≤ 81
+        // interior nodes, whether one candidate needs it or hundreds.
+        let walk = count(&d2);
+        assert!(walk > 1 && walk <= 91, "{walk} distributions");
+        assert_eq!(count(&d3), walk);
+        assert_eq!(count(&d2[d1.len()..d1.len() + 1]), walk);
+        let repeated: Vec<TileId> = d3.iter().cycle().take(4 * d3.len()).copied().collect();
+        assert_eq!(count(&repeated), walk);
+    }
+
+    const GEOMETRIES: [(u8, usize, usize, usize, usize); 4] = [
+        (4, 512, 512, 64, 64),
+        (6, 1024, 1024, 32, 32),
+        (3, 1, 1024, 1, 256),  // one-row time series
+        (3, 300, 500, 64, 64), // ragged grid
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The forward expansion is the per-candidate search, bit for
+        /// bit: same scores, same order — over random models of order
+        /// 0–4, every geometry shape, any tile, histories of 0–4 moves,
+        /// d = 1..3, and candidate lists that also hold the request
+        /// tile, a repeated tile and a tile no path reaches.
+        #[test]
+        fn forward_expansion_matches_per_candidate_search(
+            traces in proptest::collection::vec(
+                proptest::collection::vec(0u16..MOVES.len() as u16, 0..40), 1..6),
+            order in 0usize..5,
+            shape in 0usize..GEOMETRIES.len(),
+            tile in any::<u32>(),
+            moves in proptest::collection::vec(0usize..MOVES.len(), 0..5),
+            capacity in 1usize..5,
+            d in 1usize..4,
+            extras in any::<bool>(),
+        ) {
+            let ab = AbRecommender::train(traces.iter().map(Vec::as_slice), order);
+            let (levels, raw_h, raw_w, tile_h, tile_w) = GEOMETRIES[shape];
+            let g = Geometry::new(levels, raw_h, raw_w, tile_h, tile_w);
+            let s = store(g);
+            let tile = g.all_tiles().nth(tile as usize % g.total_tiles()).unwrap();
+            let mut h = SessionHistory::new(capacity);
+            let mut cur = Request::initial(tile);
+            h.push(cur);
+            for m in moves {
+                cur = Request::new(tile, Some(MOVES[m]));
+                h.push(cur);
+            }
+            let mut candidates = g.candidates(tile, d);
+            if extras {
+                candidates.push(tile);
+                candidates.extend(candidates.first().copied());
+                candidates.extend(g.all_tiles().last());
+            }
+            let ctx = PredictionContext {
+                request: cur,
+                history: &h,
+                candidates: &candidates,
+                geometry: g,
+                store: &s,
+                roi: &[],
+            };
+            let bits = |scored: Vec<(TileId, f64)>| -> Vec<(TileId, u64)> {
+                scored.into_iter().map(|(t, p)| (t, p.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(ab.scored(&ctx)), bits(dfs_scored(&ab, &ctx)));
+        }
     }
 }
