@@ -255,11 +255,6 @@ impl PredictionEngine {
             roi: self.roi.roi(),
         };
         let (ab_slots, sb_slots) = self.config.strategy.allocate(phase, k);
-        let mut ab_list = if ab_slots > 0 || sb_slots > 0 {
-            self.ab.rank(&ctx)
-        } else {
-            Vec::new()
-        };
         let mut sb_list = match scheduler {
             // Cross-session path: the scheduler owns index refresh,
             // scratch and the shared pair cache.
@@ -275,6 +270,15 @@ impl PredictionEngine {
                 }
                 None => self.sb.rank(&ctx),
             },
+        };
+        // AB is read for its own slots, and past them only to backfill
+        // an SB list too short to fill the budget (`merge_allocated`);
+        // otherwise (Sensemaking under `Updated`, `SbOnly`) skip it.
+        let sb_fills_budget = sb_list.len() >= (ab_slots + sb_slots).min(candidates.len());
+        let mut ab_list = if ab_slots > 0 || !sb_fills_budget {
+            self.ab.rank(&ctx)
+        } else {
+            Vec::new()
         };
         // Cross-session hotspot prior: re-rank each model's *full*
         // candidate list toward nearby communal hotspots before the
@@ -358,6 +362,7 @@ pub fn heuristic_phase(geometry: Geometry, request: &Request) -> Phase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ab::distributions_computed;
     use crate::sb::SbConfig;
     use crate::signature::SignatureKind;
     use fc_array::{IoMode, LatencyModel, SimClock};
@@ -476,6 +481,56 @@ mod tests {
         };
         assert_eq!(e.predict_with(&s, 9, spelled), full);
         assert_eq!(e.predict_with(&s, 9, PredictOptions::default()), full);
+    }
+
+    /// AB is ranked only when it has slots (SB here always fills its
+    /// own), and skipping it changes no prediction: every strategy ×
+    /// phase × budget equals the merge of both lists ranked eagerly, at
+    /// d = 1 and at the dwell distance.
+    #[test]
+    fn lazy_ab_ranking_matches_eager_merge() {
+        let s = store(geometry());
+        for strategy in [
+            AllocationStrategy::Original,
+            AllocationStrategy::Updated,
+            AllocationStrategy::AbOnly,
+            AllocationStrategy::SbOnly,
+        ] {
+            let mut e = engine(strategy);
+            e.observe(Request::initial(TileId::new(2, 2, 0)));
+            for x in 1..=2 {
+                e.observe(Request::new(TileId::new(2, 2, x), Some(Move::PanRight)));
+            }
+            let last = *e.history.last().unwrap();
+            for distance in [1, 2] {
+                let candidates = e.geometry.candidates(last.tile, distance);
+                let ctx = PredictionContext {
+                    request: last,
+                    history: &e.history,
+                    candidates: &candidates,
+                    geometry: e.geometry,
+                    store: &s,
+                    roi: e.roi.roi(),
+                };
+                let (ab_list, sb_list) = (e.ab.rank(&ctx), e.sb.rank(&ctx));
+                for phase in Phase::ALL {
+                    for k in 0..=9 {
+                        let (ab_slots, sb_slots) = strategy.allocate(phase, k);
+                        let eager = merge_allocated(&ab_list, &sb_list, ab_slots, sb_slots);
+                        let opts = PredictOptions {
+                            phase: Some(phase),
+                            distance: Some(distance),
+                            ..PredictOptions::default()
+                        };
+                        let case = format!("{strategy:?} {phase} k={k} d={distance}");
+                        let before = distributions_computed();
+                        assert_eq!(e.predict_with(&s, k, opts), eager, "{case}");
+                        let ab_ranked = distributions_computed() > before;
+                        assert_eq!(ab_ranked, ab_slots > 0, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
