@@ -130,24 +130,23 @@ impl Geometry {
     /// default `d = 1`). Order: BFS (distance-1 tiles first), move order
     /// within a ring.
     pub fn candidates(&self, from: TileId, d: usize) -> Vec<TileId> {
-        let mut seen = vec![from];
-        let mut frontier = vec![from];
-        let mut out = Vec::new();
+        // `out` is its own seen-set and, by index range, its own
+        // frontier; `from` sits at the front until the search is done.
+        let mut out = vec![from];
+        let mut ring = 0..1;
         for _ in 0..d {
-            let mut next = Vec::new();
-            for &t in &frontier {
+            for i in ring.clone() {
                 for m in MOVES {
-                    if let Some(n) = self.apply(t, m) {
-                        if !seen.contains(&n) {
-                            seen.push(n);
-                            next.push(n);
+                    if let Some(n) = self.apply(out[i], m) {
+                        if !out.contains(&n) {
                             out.push(n);
                         }
                     }
                 }
             }
-            frontier = next;
+            ring = ring.end..out.len();
         }
+        out.remove(0);
         out
     }
 }
