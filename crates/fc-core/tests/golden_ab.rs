@@ -14,6 +14,7 @@ use fc_core::{AbRecommender, PredictionContext, Recommender, Request, SessionHis
 use fc_sim::dataset::{DatasetConfig, StudyDataset};
 use fc_sim::study::{Study, StudyConfig};
 use fc_tiles::{Geometry, Move, Quadrant, TileId, TileStore};
+use std::sync::OnceLock;
 
 /// FNV-1a 64-bit fold; stable across platforms and runs.
 struct Fold(u64);
@@ -35,13 +36,17 @@ impl Fold {
     }
 }
 
-/// Markov-3 over the move sequences of the 18-user synthetic study.
-fn study_model() -> AbRecommender {
-    let dataset = StudyDataset::build(DatasetConfig::tiny());
-    let study = Study::generate(&dataset, &StudyConfig::default());
-    let seqs: Vec<Vec<u16>> = study.traces.iter().map(|t| t.move_sequence()).collect();
-    assert!(seqs.iter().map(Vec::len).sum::<usize>() > 500);
-    AbRecommender::train(seqs.iter().map(Vec::as_slice), 3)
+/// Markov-3 over the move sequences of the 18-user synthetic study
+/// (built once for both tests).
+fn study_model() -> &'static AbRecommender {
+    static MODEL: OnceLock<AbRecommender> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let dataset = StudyDataset::build(DatasetConfig::tiny());
+        let study = Study::generate(&dataset, &StudyConfig::default());
+        let seqs: Vec<Vec<u16>> = study.traces.iter().map(|t| t.move_sequence()).collect();
+        assert!(seqs.iter().map(Vec::len).sum::<usize>() > 500);
+        AbRecommender::train(seqs.iter().map(Vec::as_slice), 3)
+    })
 }
 
 /// Move histories of length 0–3, as they sit in a 3-request session
@@ -114,7 +119,7 @@ fn study_geometry_rankings_are_pinned() {
         TileId::new(5, 10, 17), // deepest-level interior: no zoom-in
     ];
     let ab = study_model();
-    let got: Vec<u64> = (1..=3).map(|d| fingerprint(&ab, g, &tiles, d)).collect();
+    let got: Vec<u64> = (1..=3).map(|d| fingerprint(ab, g, &tiles, d)).collect();
     assert_eq!(
         got,
         [
@@ -138,7 +143,7 @@ fn one_row_time_series_rankings_are_pinned() {
         TileId::new(2, 0, 3),
     ];
     let ab = study_model();
-    let got: Vec<u64> = (1..=3).map(|d| fingerprint(&ab, g, &tiles, d)).collect();
+    let got: Vec<u64> = (1..=3).map(|d| fingerprint(ab, g, &tiles, d)).collect();
     assert_eq!(
         got,
         [
