@@ -185,7 +185,6 @@ fn batched_cached_jobs_match_solo_reference() {
     let index = store.signature_index().unwrap();
     let mut cache = PairCache::for_index(&index);
     let mut scratch = PredictScratch::default();
-    let mut outs = Vec::new();
 
     let c1 = level2(0..2);
     let c2 = level2(1..4);
@@ -193,28 +192,16 @@ fn batched_cached_jobs_match_solo_reference() {
     let r1 = [TileId::new(2, 1, 1)];
     let r2 = [TileId::new(2, 1, 1), TileId::new(2, 2, 2)];
     let r3 = [TileId::new(1, 0, 1)];
-    let jobs = [
-        SbBatchJob {
-            candidates: &c1,
-            roi: &r1,
-        },
-        SbBatchJob {
-            candidates: &c2,
-            roi: &r2,
-        },
-        SbBatchJob {
-            candidates: &c3,
-            roi: &r3,
-        },
-    ];
-    // Two ticks: the first fills (jobs overlap, so later jobs in the
-    // same tick may already hit pairs earlier jobs wrote), the second
-    // is all-hit. Both must be bit-identical to the solo reference.
-    for tick in 0..2 {
-        sb.distances_into(&index, &jobs, &mut cache, &mut scratch, &mut outs);
-        for (j, job) in jobs.iter().enumerate() {
-            let reference = sb.distances(store, job.candidates, job.roi);
-            assert_bits(&reference, &outs[j], &format!("tick {tick} job {j}"));
+    let jobs: [(&[TileId], &[TileId]); 3] = [(&c1, &r1), (&c2, &r2), (&c3, &r3)];
+    // Three "sessions" take turns on one cache and one scratch, twice:
+    // the first lap fills (jobs overlap, so a later job may already
+    // hit pairs an earlier one wrote), the second is all-hit. Both must
+    // be bit-identical to the solo reference.
+    for lap in 0..2 {
+        for (j, &(candidates, roi)) in jobs.iter().enumerate() {
+            let out = score(&sb, &index, candidates, roi, &mut cache, &mut scratch);
+            let reference = sb.distances(store, candidates, roi);
+            assert_bits(&reference, &out, &format!("lap {lap} job {j}"));
         }
     }
     assert!(cache.stats().hits > 0);

@@ -185,8 +185,8 @@ fn score(
 }
 
 /// Runs the fill of `sb` on one (candidates, roi) case in every cache
-/// state and batch shape and checks it against the scalar pin and the
-/// reference path.
+/// state, alone and after a sibling job on the same cache and scratch,
+/// and checks it against the scalar pin and the reference path.
 #[allow(clippy::too_many_arguments)]
 fn check_case(
     ctx: &str,
@@ -218,21 +218,15 @@ fn check_case(
         assert_bits(&format!("{ctx}/cached-{lap}"), &want, &got);
     }
 
-    // Batched: the case plus a shrunk sibling job; job 0 must be
-    // bit-identical to the standalone call.
+    // A second session on the same cache and scratch: a shrunk sibling
+    // job runs in between, and the case must come out bit-identical
+    // after it.
     let sibling_c: Vec<TileId> = candidates.iter().copied().step_by(2).collect();
-    let jobs = [
-        SbBatchJob { candidates, roi },
-        SbBatchJob {
-            candidates: &sibling_c,
-            roi,
-        },
-    ];
-    let mut outs = Vec::new();
-    sb.distances_into(index, &jobs, &mut disabled, &mut scratch, &mut outs);
-    assert_bits(&format!("{ctx}/batched"), &want, &outs[0]);
-    sb.distances_into(index, &jobs, cache, &mut scratch, &mut outs);
-    assert_bits(&format!("{ctx}/batched-cached"), &want, &outs[0]);
+    for (what, c) in [("disabled", &mut disabled), ("cached", cache)] {
+        score(sb, index, &sibling_c, roi, c, &mut scratch);
+        let got = score(sb, index, candidates, roi, c, &mut scratch);
+        assert_bits(&format!("{ctx}/after-sibling-{what}"), &want, &got);
+    }
 }
 
 /// The main grid: {clean, hostile} stores × configs × available levels

@@ -1,6 +1,6 @@
 //! Property test for the χ² pair cache: replay random pan/zoom
-//! sequences — with metadata-epoch bumps mid-sequence and periodic
-//! cross-session batched jobs — against one long-lived cache, and
+//! sequences — with metadata-epoch bumps mid-sequence and a second
+//! session's jobs interleaved — against one long-lived cache, and
 //! assert that every result is bit-identical to the locked reference
 //! path [`SbRecommender::distances`] — through a live cache, a disabled
 //! one, and one whose domain (five weighted signatures) it rejects.
@@ -108,7 +108,7 @@ proptest! {
     #![proptest_config(proptest::test_runner::Config::with_cases(24))]
 
     /// Every step of a random pan/zoom replay — including epoch bumps
-    /// and cross-session batches — is bit-identical to the reference
+    /// and a second session's turns — is bit-identical to the reference
     /// path, in every (recommender, long-lived cache) column.
     #[test]
     fn random_walk_exact_is_bit_identical(
@@ -140,21 +140,19 @@ proptest! {
             let index = store.signature_index().expect("synthetic metadata");
             let cands = g.candidates(anchor, 1);
             let roi = roi_for(g, anchor, roi_code);
-            // Every 7th step is a cross-session batch: this session
-            // plus a shifted one share the fill and the cache.
+            // Every 7th step a second, shifted session takes its turn
+            // on the same cache and scratch.
             let other = step_anchor(g, anchor, (mv + 1) % 4);
             let cands2 = g.candidates(other, 1);
             let roi2 = roi_for(g, other, (roi_code + 1) % 4);
-            let jobs = [
-                SbBatchJob { candidates: &cands, roi: &roi },
-                SbBatchJob { candidates: &cands2, roi: &roi2 },
-            ];
+            let jobs: [(&[TileId], &[TileId]); 2] = [(&cands, &roi), (&cands2, &roi2)];
             let jobs = if i % 7 == 3 { &jobs[..] } else { &jobs[..1] };
             for (c, (sb, cache)) in columns.iter_mut().enumerate() {
-                sb.distances_into(&index, jobs, cache, &mut scratch, &mut outs);
-                for (j, job) in jobs.iter().enumerate() {
-                    let reference = sb.distances(&store, job.candidates, job.roi);
-                    assert_bits(&reference, &outs[j], &format!("column {c} step {i} job {j}"));
+                for (j, &(candidates, roi)) in jobs.iter().enumerate() {
+                    let job = SbBatchJob { candidates, roi };
+                    sb.distances_into(&index, &[job], cache, &mut scratch, &mut outs);
+                    let reference = sb.distances(&store, candidates, roi);
+                    assert_bits(&reference, &outs[0], &format!("column {c} step {i} job {j}"));
                 }
             }
         }
