@@ -10,7 +10,7 @@ use fc_bench::seed_baseline::{
 };
 use fc_core::engine::PhaseSource;
 use fc_core::paircache::PairCache;
-use fc_core::sb::{chi_squared, PredictScratch, SbBatchJob};
+use fc_core::sb::{chi_squared, PredictScratch};
 use fc_core::signature::{attach_signatures, SignatureConfig, SignatureKind};
 use fc_core::{
     AbRecommender, AllocationStrategy, CacheManager, EngineConfig, MomentumRecommender,
@@ -174,15 +174,12 @@ fn bench_sb_distances(c: &mut Criterion) {
     // Disabled cache: every pair runs the χ² kernel each iteration.
     let mut no_cache = PairCache::new(0);
     let mut out = Vec::new();
-    let job = [SbBatchJob {
-        candidates: &candidates,
-        roi: &roi,
-    }];
     c.bench_function("SB distances 4sig x 64cand x 16roi (frozen index)", |b| {
         b.iter(|| {
             sb.distances_into(
                 black_box(&index),
-                &job,
+                &candidates,
+                &roi,
                 &mut no_cache,
                 &mut scratch,
                 &mut out,

@@ -1,5 +1,5 @@
-//! Multi-user serving benchmark: sharded cache + cross-session predict
-//! batching vs. the retained single-mutex reference, plus the
+//! Multi-user serving benchmark: sharded cache + dataset-shared pair
+//! cache vs. the retained single-mutex reference, plus the
 //! multi-dataset hotspot-model scenario.
 //!
 //! **Part 1 — contention sweep.** Runs the `fc-sim` multi-user replay
@@ -8,10 +8,10 @@
 //! serving configurations:
 //!
 //! * `single_mutex` — the pre-sharding [`fc_core::SingleMutexTileCache`]
-//!   with per-session (uncoalesced) predicts: the seed multi-user path;
+//!   with per-session pair caches: the seed multi-user path;
 //! * `sharded_batched` — the lock-striped [`fc_core::SharedTileCache`]
-//!   plus the [`fc_core::PredictScheduler`] coalescing concurrent
-//!   sessions' SB rankings into one batched sweep per tick.
+//!   plus the [`fc_core::PredictScheduler`]: every session's SB
+//!   ranking runs through one shared χ² pair cache, one at a time.
 //!
 //! **Part 2 — multi-dataset hotspot model.** Two pyramids served from
 //! one process through a [`fc_core::DatasetRegistry`] (one cache
@@ -61,8 +61,7 @@
 //! `--smoke` (CI) it runs one short iteration of everything and does
 //! **not** overwrite the JSON. See `docs/BENCHMARKS.md` for field
 //! definitions and the single-CPU-container caveat: on one core the
-//! ratio measures lock-hold and eviction-scan costs, not parallelism —
-//! the batched rayon fan-out engages on multi-core hosts.
+//! ratio measures lock-hold and eviction-scan costs, not parallelism.
 
 use fc_core::engine::PhaseSource;
 use fc_core::signature::SignatureKind;
@@ -174,8 +173,6 @@ struct Row {
     hit_rate: f64,
     cross_session_hits: usize,
     evictions: usize,
-    batches: u64,
-    largest_batch: usize,
 }
 
 /// One namespace's off/on pair from the multi-dataset A/B.
@@ -554,7 +551,7 @@ fn run_fault_arm(
 fn fault_arm_json(r: &ChaosReport) -> String {
     let rate = |n: usize, d: usize| if d == 0 { 0.0 } else { n as f64 / d as f64 };
     format!(
-        "{{\"attempts\": {}, \"served\": {}, \"degraded_rate\": {:.4}, \"failure_rate\": {:.4}, \"hit_rate_during\": {:.3}, \"hit_rate_after\": {:.3}, \"retries\": {}, \"latency_p50_us\": {:.1}, \"latency_p99_us\": {:.1}, \"scheduler_rescues\": {}}}",
+        "{{\"attempts\": {}, \"served\": {}, \"degraded_rate\": {:.4}, \"failure_rate\": {:.4}, \"hit_rate_during\": {:.3}, \"hit_rate_after\": {:.3}, \"retries\": {}, \"latency_p50_us\": {:.1}, \"latency_p99_us\": {:.1}}}",
         r.attempts,
         r.served,
         rate(r.degraded, r.served),
@@ -564,7 +561,6 @@ fn fault_arm_json(r: &ChaosReport) -> String {
         r.retries,
         r.latency_p50.as_nanos() as f64 / 1e3,
         r.latency_p99.as_nanos() as f64 / 1e3,
-        r.scheduler.as_ref().map_or(0, |s| s.rescues),
     )
 }
 
@@ -634,8 +630,6 @@ fn main() {
                     hit_rate: r.hit_rate,
                     cross_session_hits: r.shared.cross_session_hits,
                     evictions: r.shared.evictions,
-                    batches: r.scheduler.as_ref().map_or(0, |s| s.batches),
-                    largest_batch: r.scheduler.as_ref().map_or(0, |s| s.largest_batch),
                 });
             }
         }
@@ -743,7 +737,7 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"cache\": \"{}\", \"batched\": {}, \"sessions\": {}, \"throughput_rps\": {:.0}, \"predict_p50_us\": {:.1}, \"predict_p99_us\": {:.1}, \"hit_rate\": {:.3}, \"cross_session_hits\": {}, \"evictions\": {}, \"batches\": {}, \"largest_batch\": {}}}",
+            "    {{\"cache\": \"{}\", \"batched\": {}, \"sessions\": {}, \"throughput_rps\": {:.0}, \"predict_p50_us\": {:.1}, \"predict_p99_us\": {:.1}, \"hit_rate\": {:.3}, \"cross_session_hits\": {}, \"evictions\": {}}}",
             r.cache,
             r.batched,
             r.sessions,
@@ -753,8 +747,6 @@ fn main() {
             r.hit_rate,
             r.cross_session_hits,
             r.evictions,
-            r.batches,
-            r.largest_batch,
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
@@ -874,7 +866,7 @@ fn main() {
         std::fs::write("BENCH_multiuser.json", &json).expect("write BENCH_multiuser.json");
     }
 
-    println!("# exp_multiuser — sharded + batched serving vs single-mutex reference");
+    println!("# exp_multiuser — sharded cache + shared pair cache vs single-mutex reference");
     println!();
     println!(
         "{:<16} {:>8} {:>14} {:>12} {:>12} {:>9} {:>12} {:>10}",

@@ -35,7 +35,7 @@ use fc_bench::seed_baseline::{
 };
 use fc_core::engine::PhaseSource;
 use fc_core::paircache::PairCache;
-use fc_core::sb::{PredictScratch, SbBatchJob, SbConfig, SbRecommender};
+use fc_core::sb::{PredictScratch, SbConfig, SbRecommender};
 use fc_core::signature::{attach_signatures, SignatureConfig};
 use fc_core::{
     AbRecommender, AllocationStrategy, EngineConfig, LatencyProfile, Middleware, PredictionEngine,
@@ -98,10 +98,6 @@ fn main() {
     let mut scratch = PredictScratch::default();
     let mut no_cache = PairCache::new(0);
     let mut out = Vec::new();
-    let job = [SbBatchJob {
-        candidates: &candidates,
-        roi: &roi,
-    }];
 
     // Interleaved rounds: per round measure each path once; report the
     // per-path median across rounds.
@@ -122,7 +118,14 @@ fn main() {
             std::hint::black_box(sb.distances(store, &candidates, &roi));
         }));
         indexed_ns.push(measure(1, scale(256), || {
-            sb.distances_into(&index, &job, &mut no_cache, &mut scratch, &mut out);
+            sb.distances_into(
+                &index,
+                &candidates,
+                &roi,
+                &mut no_cache,
+                &mut scratch,
+                &mut out,
+            );
             std::hint::black_box(&out);
         }));
     }

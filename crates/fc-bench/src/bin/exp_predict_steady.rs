@@ -36,7 +36,7 @@
 use fc_array::{IoMode, LatencyModel, SimClock};
 use fc_bench::benchjson::{merge_bench_json, summary_line};
 use fc_core::paircache::PairCache;
-use fc_core::sb::{PredictScratch, SbBatchJob, SbConfig, SbRecommender};
+use fc_core::sb::{PredictScratch, SbConfig, SbRecommender};
 use fc_core::signature::SignatureKind;
 use fc_core::SimdLevel;
 use fc_tiles::{Geometry, SignatureIndex, TileId, TileStore};
@@ -175,14 +175,10 @@ fn score(
     step: &Step,
     cache: &mut PairCache,
     scratch: &mut PredictScratch,
-    outs: &mut Vec<Vec<(TileId, f64)>>,
+    out: &mut Vec<(TileId, f64)>,
 ) {
-    let job = SbBatchJob {
-        candidates: &step.candidates,
-        roi: &step.roi,
-    };
-    sb.distances_into(index, std::slice::from_ref(&job), cache, scratch, outs);
-    std::hint::black_box(&outs);
+    sb.distances_into(index, &step.candidates, &step.roi, cache, scratch, out);
+    std::hint::black_box(&out);
 }
 
 /// Per-step ns for one full lap over `cache` (a disabled cache makes
@@ -193,11 +189,11 @@ fn lap(
     walk: &[Step],
     cache: &mut PairCache,
     scratch: &mut PredictScratch,
-    outs: &mut Vec<Vec<(TileId, f64)>>,
+    out: &mut Vec<(TileId, f64)>,
 ) -> f64 {
     let t = Instant::now();
     for step in walk {
-        score(sb, index, step, cache, scratch, outs);
+        score(sb, index, step, cache, scratch, out);
     }
     t.elapsed().as_nanos() as f64 / walk.len() as f64
 }

@@ -465,8 +465,8 @@ impl BurstPlanner {
             let budget = self.tracker.config().speculative_budget(phase, k);
             plan.fetch_cap = budget;
             plan.engine = match phase {
-                // A burst is reactive (the engine and any batch
-                // rendezvous stay off its path); idle keep-warm
+                // A burst is reactive (the engine and the shared
+                // pair cache's lock stay off its path); idle keep-warm
                 // maintains the working set, it does not speculate.
                 TrafficPhase::Burst | TrafficPhase::Idle => None,
                 TrafficPhase::Dwell => Some((budget, Some(DWELL_DISTANCE))),

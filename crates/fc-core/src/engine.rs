@@ -15,7 +15,6 @@ use crate::phase::{Phase, PhaseClassifier};
 use crate::recommender::{PredictionContext, Recommender};
 use crate::roi::RoiTracker;
 use crate::sb::{PredictScratch, SbRecommender};
-use crate::signature::pair_cache_capacity_hint;
 use fc_tiles::{Geometry, SignatureIndex, TileId, TileStore};
 use std::sync::Arc;
 
@@ -58,12 +57,11 @@ pub struct PredictOptions<'a> {
     /// (used when evaluating the bottom level against hand-labeled
     /// phases, §5.4.2).
     pub phase: Option<Phase>,
-    /// Compute the SB ranking through the shared scheduler, coalescing
-    /// with other sessions' concurrent predicts into one batched
-    /// distance sweep. The result is bit-identical to the local path
-    /// (per-job normalization in the batch; golden-tested). The
-    /// scheduler must be built over the same pyramid as the store and
-    /// with the same SB configuration as this engine (see
+    /// Compute the SB ranking through the dataset's shared pair cache
+    /// instead of the engine's own. The result is bit-identical to
+    /// the local path (golden-tested). The scheduler must be built
+    /// over the same pyramid as the store and with the same SB
+    /// configuration as this engine (see
     /// [`PredictionEngine::sb_model`]).
     pub scheduler: Option<&'a PredictScheduler>,
     /// Cross-session hotspot prior (the current
@@ -111,9 +109,13 @@ pub struct PredictionEngine {
     /// Reused buffers for the allocation-free SB fast path.
     scratch: PredictScratch,
     /// Epoch-stamped χ² pair-distance cache for steady-state SB
-    /// prediction, sized for the current index (resized alongside
-    /// `sig_cache`; domain changes invalidate it in O(1)).
+    /// prediction, sized for the current index by the first predict
+    /// that ranks through it (never, when every predict goes through a
+    /// shared scheduler); domain changes invalidate it in O(1).
     pair_cache: PairCache,
+    /// Pair-cache activity of the last predict — see
+    /// [`Self::last_pair_cache`].
+    last_pair_cache: PairCacheStats,
     /// The store's frozen signature index, cached with the
     /// `(store_id, meta_epoch)` it was read at; revalidated per
     /// predict with one atomic load so the steady state acquires no
@@ -150,6 +152,7 @@ impl PredictionEngine {
             phase_source,
             scratch: PredictScratch::default(),
             pair_cache: PairCache::default(),
+            last_pair_cache: PairCacheStats::default(),
             sig_cache: None,
         }
     }
@@ -194,26 +197,15 @@ impl PredictionEngine {
         self.sig_cache.as_ref().map(|(_, ix)| ix.clone())
     }
 
-    /// Sizes the engine's pair cache for `index`, lazily: only the
-    /// unbatched predict path calls this (in scheduler-batched mode
-    /// the scheduler's *shared* cache does the caching, and a
-    /// per-session table would be dead weight). When the capacity is
-    /// already right (the common epoch-bump case) the table is kept
-    /// as-is: `PairCache::begin` sees the new build id and invalidates
-    /// by generation, no clearing pass.
-    fn ensure_pair_cache(&mut self, index: &SignatureIndex) {
-        let want = pair_cache_capacity_hint(index.keys().len(), index.ntiles());
-        if self.pair_cache.capacity() != want {
-            self.pair_cache = PairCache::new(want);
-        }
-    }
-
-    /// Counters of the engine's χ² pair-distance cache (cumulative for
-    /// the session). In scheduler-batched mode the scheduler's shared
-    /// cache does the caching instead — see
-    /// [`crate::batch::PredictScheduler::pair_cache_stats`].
-    pub fn pair_cache_stats(&self) -> PairCacheStats {
-        self.pair_cache.stats()
+    /// χ² pair-cache activity of the most recent
+    /// [`Self::predict_with`] alone: the hits and misses its SB
+    /// ranking made, in the engine's own cache or — through
+    /// [`PredictOptions::scheduler`] — in the shared one, where the
+    /// counts are taken under the cache's lock and so never include
+    /// another session's probes. All zero when the call ranked without
+    /// a cache (no history yet, metadata-free store).
+    pub fn last_pair_cache(&self) -> PairCacheStats {
+        self.last_pair_cache
     }
 
     /// [`Self::predict`] with per-call overrides — see
@@ -232,6 +224,7 @@ impl PredictionEngine {
         } = opts;
         let phase = phase.unwrap_or_else(|| self.current_phase());
         let distance = distance.unwrap_or(self.config.distance);
+        self.last_pair_cache = PairCacheStats::default();
         let Some(last) = self.history.last() else {
             return Vec::new();
         };
@@ -240,11 +233,6 @@ impl PredictionEngine {
         // one atomic load (unused on the scheduler path, which owns
         // its own index refresh).
         let index = self.refresh_sig_cache(store);
-        if scheduler.is_none() {
-            if let Some(ix) = &index {
-                self.ensure_pair_cache(ix);
-            }
-        }
         let candidates = self.geometry.candidates(last.tile, distance);
         let ctx = PredictionContext {
             request: last,
@@ -255,22 +243,25 @@ impl PredictionEngine {
             roi: self.roi.roi(),
         };
         let (ab_slots, sb_slots) = self.config.strategy.allocate(phase, k);
-        let mut sb_list = match scheduler {
+        let (mut sb_list, probes) = match (scheduler, &index) {
             // Cross-session path: the scheduler owns index refresh,
             // scratch and the shared pair cache.
-            Some(s) => s.rank(&candidates, ctx.reference_tiles()),
+            (Some(s), _) => s.rank_counted(&candidates, ctx.reference_tiles()),
             // SB: frozen-index fast path through the pair cache when
             // metadata exists (steady state probes instead of
             // dividing); the locked reference path only serves
             // metadata-free stores.
-            None => match &index {
-                Some(ix) => {
+            (None, Some(ix)) => {
+                self.pair_cache.fit(ix);
+                let before = self.pair_cache.stats();
+                let ranked =
                     self.sb
-                        .rank_indexed_cached(&ctx, ix, &mut self.pair_cache, &mut self.scratch)
-                }
-                None => self.sb.rank(&ctx),
-            },
+                        .rank_indexed_cached(&ctx, ix, &mut self.pair_cache, &mut self.scratch);
+                (ranked, self.pair_cache.stats().since(before))
+            }
+            (None, None) => (self.sb.rank(&ctx), PairCacheStats::default()),
         };
+        self.last_pair_cache = probes;
         // AB is read for its own slots, and past them only to backfill
         // an SB list too short to fill the budget (`merge_allocated`);
         // otherwise (Sensemaking under `Updated`, `SbOnly`) skip it.
@@ -302,7 +293,7 @@ impl PredictionEngine {
     }
 
     /// The engine's SB model (e.g. to clone into a
-    /// [`crate::batch::PredictScheduler`] so the batched and local
+    /// [`crate::batch::PredictScheduler`] so the shared and local
     /// paths share one configuration).
     pub fn sb_model(&self) -> &SbRecommender {
         &self.sb

@@ -45,16 +45,15 @@ pub struct Response {
     pub phase: Phase,
     /// Tiles prefetched after answering (for the next request).
     pub prefetched: Vec<TileId>,
-    /// Wall time the prediction-engine call took (includes any
-    /// cross-session batch rendezvous) — the quantity `exp_multiuser`
-    /// reports percentiles of.
+    /// Wall time the prediction-engine call took (includes any wait
+    /// for the dataset's shared pair cache) — the quantity
+    /// `exp_multiuser` reports percentiles of.
     pub predict_time: Duration,
-    /// χ² pair-cache activity attributed to this request's prediction:
-    /// the counter delta across the predict call, from the engine's
-    /// private cache or — in scheduler-batched mode — the shared
-    /// cross-session cache (there the delta can include pairs other
-    /// coalesced sessions probed in the same tick; treat it as
-    /// approximate under concurrency).
+    /// χ² pair-cache activity of this request's prediction alone
+    /// ([`PredictionEngine::last_pair_cache`]): probes of the engine's
+    /// private cache or — with a shared scheduler — of the dataset's
+    /// shared cache, counted under its lock, so summed over every
+    /// session's responses they equal the cache's own totals.
     pub pair_cache: PairCacheStats,
     /// Whether this is a **degraded** reply: the requested tile's fetch
     /// failed within its deadline budget, so the middleware served the
@@ -72,10 +71,10 @@ pub struct Response {
 }
 
 /// A session's membership in the multi-user serving layer: its slot in
-/// the shared tile cache, plus (optionally) the cross-session predict
-/// scheduler it coalesces with. Dropping the handle closes the session
-/// — holds release, the prefetch budget repartitions across the
-/// remaining sessions, and the scheduler's fan-in target shrinks.
+/// the shared tile cache, plus (optionally) the scheduler whose pair
+/// cache it shares with the dataset's other sessions. Dropping the
+/// handle closes the session — holds release and the prefetch budget
+/// repartitions across the remaining sessions.
 pub struct SharedSessionHandle {
     cache: Arc<dyn MultiUserCache>,
     id: SessionId,
@@ -98,13 +97,10 @@ impl std::fmt::Debug for SharedSessionHandle {
 }
 
 impl SharedSessionHandle {
-    /// Opens a session on `cache` (and registers with `scheduler` when
-    /// cross-session batching is enabled).
+    /// Opens a session on `cache`, ranking through `scheduler`'s shared
+    /// pair cache when one is given.
     pub fn open(cache: Arc<dyn MultiUserCache>, scheduler: Option<Arc<PredictScheduler>>) -> Self {
         let id = cache.open_session();
-        if let Some(s) = &scheduler {
-            s.register();
-        }
         Self {
             cache,
             id,
@@ -144,9 +140,6 @@ impl SharedSessionHandle {
 
 impl Drop for SharedSessionHandle {
     fn drop(&mut self) {
-        if let Some(s) = &self.scheduler {
-            s.unregister();
-        }
         self.cache.close_session(self.id);
     }
 }
@@ -224,7 +217,8 @@ pub struct Middleware {
     stats: MiddlewareStats,
     /// Multi-user mode: prefetched tiles go to the shared cache (under
     /// the session's fair budget slice) instead of the private
-    /// prefetch set, and predictions may coalesce with other sessions.
+    /// prefetch set, and predictions may rank through the dataset's
+    /// shared pair cache.
     shared: Option<SharedSessionHandle>,
     /// Fault injection (chaos runs only): `None` keeps the fetch path
     /// byte-for-byte the fault-free code.
@@ -373,9 +367,9 @@ impl Middleware {
     /// back to the shared tile cache (earning cross-session hits),
     /// prefetched tiles install into it under the session's fair
     /// budget slice, and — when the handle carries a scheduler —
-    /// predictions coalesce with other sessions' into batched SB
-    /// sweeps. The private cache still keeps the last `history_cache`
-    /// requested tiles, as in single-user mode.
+    /// predictions rank through the χ² pair cache every session of
+    /// the dataset shares. The private cache still keeps the last
+    /// `history_cache` requested tiles, as in single-user mode.
     pub fn new_shared(
         engine: PredictionEngine,
         pyramid: Arc<Pyramid>,
@@ -580,31 +574,25 @@ impl Middleware {
     }
 
     /// Stage 2 — predict: one engine call for the budget and horizon
-    /// the plan names (coalescing with other sessions through the
-    /// handle's scheduler, blending `prior` if the engine's config
-    /// opts in), or none at all when the plan keeps the engine off.
-    /// Returns the χ² pair-cache activity across the call.
+    /// the plan names (through the handle's shared scheduler when it
+    /// has one, blending `prior` if the engine's config opts in), or
+    /// none at all when the plan keeps the engine off. Returns the
+    /// call's own χ² pair-cache activity.
     fn predict(&mut self, plan: &mut Plan, prior: &[(TileId, u64)]) -> PairCacheStats {
         let Some((k, distance)) = plan.engine else {
             return PairCacheStats::default();
         };
-        let scheduler = self.shared.as_ref().and_then(|sh| sh.scheduler.clone());
-        let pair_stats = |engine: &PredictionEngine| match &scheduler {
-            Some(sched) => sched.pair_cache_stats(),
-            None => engine.pair_cache_stats(),
-        };
-        let before = pair_stats(&self.engine);
         plan.ranked = self.engine.predict_with(
             self.pyramid.store(),
             k,
             PredictOptions {
                 phase: None,
-                scheduler: scheduler.as_deref(),
+                scheduler: self.shared.as_ref().and_then(|sh| sh.scheduler.as_deref()),
                 hotspots: prior,
                 distance,
             },
         );
-        pair_stats(&self.engine).since(before)
+        self.engine.last_pair_cache()
     }
 
     /// Stage 3 — plan: the burst planner (when attached) settles the
@@ -1076,6 +1064,54 @@ mod tests {
             b.stats()
         );
         assert!(cache.stats().cross_session_hits > 0);
+    }
+
+    /// Each response reports the pair-cache probes of its own
+    /// prediction only: two sessions on two threads, one shared
+    /// ranker, and the responses sum to the shared cache's totals.
+    /// (Counters read around the engine call, outside the lock, also
+    /// pick up whatever the other session probed meanwhile.)
+    #[test]
+    fn shared_pair_cache_counts_are_the_requests_own() {
+        use crate::batch::{BatchConfig, PredictScheduler};
+        use crate::multiuser::SharedTileCache;
+        let p = pyramid();
+        let cache: Arc<dyn MultiUserCache> = Arc::new(SharedTileCache::with_shards(64, 1));
+        let sched = Arc::new(PredictScheduler::new(
+            engine(&p).sb_model().clone(),
+            p.clone(),
+            BatchConfig::default(),
+        ));
+        const STEPS: u32 = 4;
+        let walk = |row: u32| {
+            let handle = SharedSessionHandle::open(cache.clone(), Some(sched.clone()));
+            let mut mw = Middleware::new_shared(
+                engine(&p),
+                p.clone(),
+                LatencyProfile::paper(),
+                3,
+                2,
+                handle,
+            );
+            let (mut hits, mut misses) = (0, 0);
+            for _lap in 0..8 {
+                for x in 0..STEPS {
+                    let mv = (x > 0).then_some(Move::PanRight);
+                    let r = mw.request(TileId::new(2, row, x), mv).unwrap();
+                    hits += r.pair_cache.hits;
+                    misses += r.pair_cache.misses;
+                }
+            }
+            (hits, misses)
+        };
+        let ((h1, m1), (h2, m2)) = std::thread::scope(|scope| {
+            let other = scope.spawn(|| walk(2));
+            (walk(1), other.join().unwrap())
+        });
+        let total = sched.pair_cache_stats();
+        assert_eq!((h1 + h2, m1 + m2), (total.hits, total.misses));
+        assert!(total.hits > 0 && total.misses > 0, "{total:?}");
+        assert_eq!(sched.stats().jobs, u64::from(2 * 8 * STEPS));
     }
 
     /// Regression (dangling miss counter): a request the backend

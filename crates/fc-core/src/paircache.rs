@@ -51,7 +51,7 @@
 //!
 //! [`crate::engine::PredictionEngine`] owns one cache per session next
 //! to its `PredictScratch`; [`crate::batch::PredictScheduler`] owns one
-//! cache *shared by every coalesced session*, so session B hits the
+//! cache *shared by every session of a dataset*, so session B hits the
 //! pairs session A computed — the multi-user analogue of §6.2's shared
 //! tile cache, applied to prediction arithmetic.
 //!
@@ -244,13 +244,26 @@ impl PairCache {
         }
     }
 
-    /// A cache sized for steady-state prediction over `index` — see
-    /// [`crate::signature::pair_cache_capacity_hint`].
+    /// A cache sized for steady-state prediction over `index`.
     pub fn for_index(index: &SignatureIndex) -> Self {
-        Self::new(crate::signature::pair_cache_capacity_hint(
-            index.keys().len(),
-            index.ntiles(),
-        ))
+        let mut cache = Self::default();
+        cache.fit(index);
+        cache
+    }
+
+    /// Sizes the cache for steady-state prediction over `index` (see
+    /// [`crate::signature::pair_cache_capacity_hint`]) — the one place
+    /// a pair cache gets its capacity. A table that already has it is
+    /// kept as it is: after an epoch bump [`Self::begin`] sees the new
+    /// build id and invalidates by generation, with no clearing pass.
+    /// Only a different capacity (the first call on a
+    /// [`Default`] cache, or an index of another shape) allocates, and
+    /// the new table starts with zeroed counters.
+    pub fn fit(&mut self, index: &SignatureIndex) {
+        let want = crate::signature::pair_cache_capacity_hint(index.keys().len(), index.ntiles());
+        if self.capacity() != want {
+            *self = Self::new(want);
+        }
     }
 
     /// Slot count (a power of two, or zero when permanently disabled).

@@ -13,12 +13,11 @@
 //! [`PushPlanner`] keeps one bounded candidate queue per session,
 //! refilled after each served request from the middleware's ranked
 //! prediction list ([`crate::Middleware::take_push_candidates`] — the
-//! capture point sits right behind the [`crate::PredictScheduler`]
-//! group-commit rendezvous, so candidate ranking inherits the batched
-//! predictor's amortized cost and its cross-session coalescing). At
-//! drain time the reactor asks for a *plan*: the best
-//! `(session, tile)` picks for the sessions whose sockets are
-//! writable and whose write queues have headroom.
+//! capture point sits right behind the predict stage, so the planner
+//! reuses the ranking the request already paid for). At drain time the
+//! reactor asks for a *plan*: the best `(session, tile)` picks for the
+//! sessions whose sockets are writable and whose write queues have
+//! headroom.
 //!
 //! Candidate utility is a product of four deterministic factors:
 //!

@@ -25,12 +25,13 @@
 //! of the triple loop, every (candidate, ROI) pair probed in a
 //! [`PairCache`] before the χ² kernel runs, and every buffer reused
 //! from a caller-owned [`PredictScratch`] — no locks, no signature
-//! copies, no allocation. It takes a slice of jobs so several sessions
-//! can share one fill (and one cache); normalization and the combine
-//! stay per job, keeping every job bit-identical to its standalone run
-//! — see [`crate::batch::PredictScheduler`] for the cross-session
-//! rendezvous built on it. A disabled cache (`PairCache::new(0)`, or a
-//! domain the cache rejects) misses every probe, so the same fill
+//! copies, no allocation. One call scores one job — one session's
+//! candidates against its reference tiles; sessions that share a cache
+//! (see [`crate::batch::PredictScheduler`]) take turns, each call
+//! normalizing over its own pairs only, so what another session left
+//! in the cache changes which pairs are probed instead of computed and
+//! never a bit of the result. A disabled cache (`PairCache::new(0)`,
+//! or a domain the cache rejects) misses every probe, so the same fill
 //! serves callers that cannot cache.
 //!
 //! Both paths produce **bit-identical** distances for tiles inside
@@ -96,8 +97,7 @@ pub struct PredictScratch {
     /// holds). Penalty and normalization by the per-signature maxima
     /// happen inside the combine pass.
     pair: Vec<f64>,
-    /// Per-(job, signature) normalization maxima (Algorithm 3 line 2),
-    /// job-major (`nsig` entries per job).
+    /// Per-signature normalization maxima (Algorithm 3 line 2).
     maxes: Vec<f64>,
     /// Dense index per candidate (`usize::MAX` = outside the index).
     cand_rows: Vec<usize>,
@@ -111,13 +111,10 @@ pub struct PredictScratch {
     /// Matrix row offset per (signature, roi) (`usize::MAX` = the ROI
     /// tile has no vector under that signature's key).
     roi_offsets: Vec<usize>,
-    /// Scored candidates, reused by
-    /// [`SbRecommender::rank_indexed_cached`] (one job).
-    scored: Vec<Vec<(TileId, f64)>>,
-    /// Per-job layout descriptors.
-    descs: Vec<JobDesc>,
-    /// Dense index per (job, ROI tile) (`usize::MAX` = outside the
-    /// index) — the cache key half the pair probes share.
+    /// Scored candidates, reused by [`SbRecommender::rank_tiles`].
+    scored: Vec<(TileId, f64)>,
+    /// Dense index per ROI tile (`usize::MAX` = outside the index) —
+    /// the cache key half the pair probes share.
     roi_dense: Vec<usize>,
     /// ROI positions of the current candidate's cache misses.
     miss_bi: Vec<u32>,
@@ -127,36 +124,6 @@ pub struct PredictScratch {
     gath_offs: Vec<usize>,
     /// χ² lane outputs over the miss frontier.
     gath_out: Vec<f64>,
-}
-
-/// One session's slice of a cross-session predict batch: its candidate
-/// set scored against its own reference (ROI) tiles. Jobs in one
-/// [`SbRecommender::distances_into`] call share a single pair-matrix
-/// fill but are normalized and combined independently, so each job's
-/// distances are bit-identical to scoring that job alone.
-#[derive(Debug, Clone, Copy)]
-pub struct SbBatchJob<'a> {
-    /// Candidate tiles to score.
-    pub candidates: &'a [TileId],
-    /// Reference tiles (the session's ROI, or its current tile).
-    pub roi: &'a [TileId],
-}
-
-/// Offsets of one job's slices inside the flat batch scratch buffers.
-#[derive(Debug, Clone, Copy, Default)]
-struct JobDesc {
-    /// Candidate count.
-    nc: usize,
-    /// Reference-tile count.
-    nr: usize,
-    /// First flat candidate index (into `cand_rows` / pair blocks).
-    cand_off: usize,
-    /// Offset into `roi_offsets` (job occupies `nsig * nr` entries).
-    roioff_off: usize,
-    /// Offset into `penalties`/`denoms` (job occupies `nc * nr`).
-    pen_off: usize,
-    /// Offset into `roi_dense` (job occupies `nr` entries).
-    rd_off: usize,
 }
 
 /// Sentinel for "no row" in the hoisted offset tables.
@@ -258,220 +225,178 @@ impl SbRecommender {
     }
 
     /// The serving path: Algorithm 3 over the frozen
-    /// [`SignatureIndex`] for one or more sessions' jobs, through an
-    /// epoch-stamped [`PairCache`]. All metadata lookups are hoisted
-    /// out of the triple loop; every (candidate, ROI) pair is probed
-    /// first, only the miss frontier runs the χ² kernel over
-    /// contiguous matrix rows, and misses are written back for the
-    /// next request; every buffer comes from `scratch`.
+    /// [`SignatureIndex`] for one job — `candidates` scored against
+    /// the reference tiles `roi` — through an epoch-stamped
+    /// [`PairCache`]. All metadata lookups are hoisted out of the
+    /// triple loop; every (candidate, ROI) pair is probed first, only
+    /// the miss frontier runs the χ² kernel over contiguous matrix
+    /// rows, and misses are written back for the next request; every
+    /// buffer comes from `scratch`.
     ///
-    /// All jobs share **one** pair-matrix fill and one cache (the
-    /// cross-session scheduler hands every tick the same cache, so one
-    /// session's pans warm the pairs another session probes), while
-    /// normalization maxima and the combine pass stay **per job**:
-    /// `outs[j]` is bit-identical to scoring job `j` alone, and to
-    /// [`Self::distances`], across hits, misses and epoch
-    /// invalidations (golden-tested). A cache that is disabled — zero
-    /// capacity, or a domain it rejects (see [`PairCache::begin`]) —
-    /// misses every probe and ignores every write-back, so callers
-    /// that cannot cache pass `PairCache::new(0)` and get the same
-    /// bits.
-    ///
-    /// `outs` is resized to `jobs.len()`; inner vectors are reused
-    /// across calls (allocation-free at a steady batch shape).
+    /// `out` is cleared and filled with `(candidate, d_A)` in candidate
+    /// order, bit-identical to [`Self::distances`] across hits, misses
+    /// and epoch invalidations, whoever warmed the cache
+    /// (golden-tested). A cache that is disabled — zero capacity, or a
+    /// domain it rejects (see [`PairCache::begin`]) — misses every
+    /// probe and ignores every write-back, so callers that cannot
+    /// cache pass `PairCache::new(0)` and get the same bits.
     pub fn distances_into(
         &self,
         index: &SignatureIndex,
-        jobs: &[SbBatchJob<'_>],
+        candidates: &[TileId],
+        roi: &[TileId],
         cache: &mut PairCache,
         scratch: &mut PredictScratch,
-        outs: &mut Vec<Vec<(TileId, f64)>>,
+        out: &mut Vec<(TileId, f64)>,
     ) {
-        let stride = self.fill(index, jobs, cache, scratch);
-        outs.resize_with(jobs.len(), Vec::new);
-        for (j, (job, out)) in jobs.iter().zip(outs.iter_mut()).enumerate() {
-            out.clear();
-            self.combine_job(j, job, stride, scratch, out);
-        }
+        self.fill(index, candidates, roi, cache, scratch);
+        out.clear();
+        self.combine(candidates, roi.len(), scratch, out);
     }
 
-    /// The fill: hoists per-job lookups, then per candidate probes the
-    /// [`PairCache`] for every ROI pair, resolves hits (and missing
+    /// The fill: hoists the job's lookups, then per candidate probes
+    /// the [`PairCache`] for every ROI pair, resolves hits (and missing
     /// tiles) **straight into the pair matrix ROI-major** — `nsig` raw
     /// lanes per pair, no staging buffer, no transpose — runs the χ²
     /// kernel over the gathered miss frontier only, writes misses
-    /// back, and accumulates the per-(job, signature) maxima
-    /// (Algorithm 3 line 2) on the fly from the `pen · raw` products
+    /// back, and accumulates the per-signature maxima (Algorithm 3
+    /// line 2) on the fly from the `pen · raw` products
     /// ([`fc_simd::max_num`] selects one argument and is insensitive
     /// to accumulation order, so the maxima equal the reference's
-    /// running `max` bit-for-bit). Jobs never share maxima: batching
-    /// cannot change any session's normalization. The fill is
-    /// sequential — probes and write-backs mutate the cache — and
-    /// targets interactive steady state, where hits dominate.
-    ///
-    /// Returns the per-candidate block stride (`nsig × max_j nr_j`;
-    /// blocks of jobs with fewer reference tiles are zero-padded at
-    /// the tail and never read).
+    /// running `max` bit-for-bit). The fill is sequential — probes and
+    /// write-backs mutate the cache — and targets interactive steady
+    /// state, where hits dominate.
     fn fill(
         &self,
         index: &SignatureIndex,
-        jobs: &[SbBatchJob<'_>],
+        candidates: &[TileId],
+        roi: &[TileId],
         cache: &mut PairCache,
         scratch: &mut PredictScratch,
-    ) -> usize {
+    ) {
         let nsig = self.keys.len();
-        let nr_max = jobs.iter().map(|j| j.roi.len()).max().unwrap_or(0);
-        let stride = nsig * nr_max;
+        let (nc, nr) = (candidates.len(), roi.len());
         // Declares the fill's domain (index build, key set). A cache
         // that rejects it stays disabled for this fill: every probe
         // below misses and every insert is a no-op.
         cache.begin(index, &self.keys);
 
-        // Hoisted lookups, each performed once per batch instead of
-        // once per pair inside the triple loop:
+        // Hoisted lookups, each performed once per call instead of
+        // once per pair inside the triple loop: candidate dense
+        // indices …
         let s = &mut *scratch;
-        s.descs.clear();
         s.cand_rows.clear();
-        s.roi_offsets.clear();
+        s.cand_rows.extend(
+            candidates
+                .iter()
+                .map(|&t| index.dense_index(t).unwrap_or(NO_ROW)),
+        );
+        // … ROI dense indices (the probe key half shared by every
+        // candidate) …
         s.roi_dense.clear();
-        let mut pen_len = 0usize;
-        let mut total_nc = 0usize;
-        for job in jobs {
-            s.descs.push(JobDesc {
-                nc: job.candidates.len(),
-                nr: job.roi.len(),
-                cand_off: total_nc,
-                roioff_off: s.roi_offsets.len(),
-                pen_off: pen_len,
-                rd_off: s.roi_dense.len(),
-            });
-            // candidate dense indices …
-            s.cand_rows.extend(
-                job.candidates
-                    .iter()
-                    .map(|&t| index.dense_index(t).unwrap_or(NO_ROW)),
-            );
-            // … ROI dense indices (the probe key half shared by every
-            // candidate of the job) …
-            s.roi_dense.extend(
-                job.roi
-                    .iter()
-                    .map(|&b| index.dense_index(b).unwrap_or(NO_ROW)),
-            );
-            // … and ROI row offsets per signature. The
-            // signature-independent pair geometry (Manhattan penalty,
-            // physical-distance denominator) is resolved per pair by
-            // the probe pass — slot hit or miss compute — which writes
-            // every slot reserved below.
-            for &key in &self.keys {
-                let mat = index.matrix(key);
-                let rd = &s.roi_dense[s.roi_dense.len() - job.roi.len()..];
-                s.roi_offsets.extend(rd.iter().map(|&d| {
-                    if d == NO_ROW {
-                        NO_ROW
-                    } else {
-                        mat.and_then(|m| m.row_offset(d)).unwrap_or(NO_ROW)
-                    }
-                }));
-            }
-            pen_len += job.candidates.len() * job.roi.len();
-            total_nc += job.candidates.len();
+        s.roi_dense
+            .extend(roi.iter().map(|&b| index.dense_index(b).unwrap_or(NO_ROW)));
+        // … and ROI row offsets per signature. The
+        // signature-independent pair geometry (Manhattan penalty,
+        // physical-distance denominator) is resolved per pair by the
+        // probe pass — slot hit or miss compute — which writes every
+        // slot reserved below.
+        s.roi_offsets.clear();
+        for &key in &self.keys {
+            let mat = index.matrix(key);
+            s.roi_offsets.extend(s.roi_dense.iter().map(|&d| {
+                if d == NO_ROW {
+                    NO_ROW
+                } else {
+                    mat.and_then(|m| m.row_offset(d)).unwrap_or(NO_ROW)
+                }
+            }));
         }
 
         // Grow-only: every cell the combine pass reads is written by
-        // the fill below (rows are packed `0..nsig·nr`; the
-        // `nsig·nr..stride` padding is never read), so stale data past
-        // the high-water mark needs no clearing pass.
-        if s.penalties.len() < pen_len {
-            s.penalties.resize(pen_len, 0.0);
-            s.denoms.resize(pen_len, 0.0);
+        // the fill below, so stale data past the high-water mark needs
+        // no clearing pass.
+        if s.penalties.len() < nc * nr {
+            s.penalties.resize(nc * nr, 0.0);
+            s.denoms.resize(nc * nr, 0.0);
         }
-        let need = total_nc * stride;
-        if s.pair.len() < need {
-            s.pair.resize(need, 0.0);
+        let stride = nsig * nr;
+        if s.pair.len() < nc * stride {
+            s.pair.resize(nc * stride, 0.0);
         }
-        // Line 2: d_i,MAX ← 1, per (job, signature).
+        // Line 2: d_i,MAX ← 1, per signature.
         s.maxes.clear();
-        s.maxes.resize(jobs.len() * nsig, 1.0);
+        s.maxes.resize(nsig, 1.0);
+        if nr == 0 {
+            return;
+        }
 
+        let rd = &s.roi_dense[..];
+        let rd_max = rd.iter().copied().max().unwrap_or(NO_ROW);
         let (mut hits, mut misses) = (0u64, 0u64);
-        for (j, job) in jobs.iter().enumerate() {
-            let d = s.descs[j];
-            let nr = d.nr;
-            if nr == 0 {
-                continue;
-            }
-            let rd = &s.roi_dense[d.rd_off..d.rd_off + nr];
-            let rd_max = rd.iter().copied().max().unwrap_or(NO_ROW);
-            let jmax = &mut s.maxes[j * nsig..(j + 1) * nsig];
-            for ai in 0..d.nc {
-                let fi = d.cand_off + ai;
-                let ra = s.cand_rows[fi];
-                let chunk = &mut s.pair[fi * stride..(fi + 1) * stride];
-                let pen = &mut s.penalties[d.pen_off + ai * nr..d.pen_off + (ai + 1) * nr];
-                let den = &mut s.denoms[d.pen_off + ai * nr..d.pen_off + (ai + 1) * nr];
-                let a = job.candidates[ai];
-                // Resolve every pair straight into the ROI-major pair
-                // matrix (no transpose), misses deferred.
-                let (h, m) = self.resolve_pairs(
-                    cache,
-                    a,
-                    job.roi,
+        for (ai, &a) in candidates.iter().enumerate() {
+            let ra = s.cand_rows[ai];
+            let chunk = &mut s.pair[ai * stride..(ai + 1) * stride];
+            let pen = &mut s.penalties[ai * nr..(ai + 1) * nr];
+            let den = &mut s.denoms[ai * nr..(ai + 1) * nr];
+            // Resolve every pair straight into the ROI-major pair
+            // matrix (no transpose), misses deferred.
+            let (h, m) = self.resolve_pairs(
+                cache,
+                a,
+                roi,
+                ra,
+                rd,
+                rd_max,
+                chunk,
+                pen,
+                den,
+                &mut s.miss_bi,
+                &mut s.miss_geo,
+            );
+            hits += h;
+            misses += m;
+            if !s.miss_bi.is_empty() {
+                self.miss_frontier(
+                    index,
                     ra,
-                    rd,
-                    rd_max,
+                    &s.roi_offsets,
+                    &s.miss_bi,
+                    &mut s.gath_offs,
+                    &mut s.gath_out,
                     chunk,
-                    pen,
-                    den,
-                    &mut s.miss_bi,
-                    &mut s.miss_geo,
                 );
-                hits += h;
-                misses += m;
-                if !s.miss_bi.is_empty() {
-                    let offs = &s.roi_offsets[d.roioff_off..d.roioff_off + nsig * nr];
-                    self.miss_frontier(
-                        index,
-                        ra,
-                        offs,
-                        &s.miss_bi,
-                        &mut s.gath_offs,
-                        &mut s.gath_out,
-                        chunk,
+                // ROI-major lanes are contiguous per pair, so the
+                // write-back reads them straight from the matrix.
+                for (&bi, &(dmanh, dphys)) in s.miss_bi.iter().zip(&s.miss_geo) {
+                    let bi = bi as usize;
+                    cache.insert(
+                        pair_key(ra, rd[bi]),
+                        &chunk[bi * nsig..(bi + 1) * nsig],
+                        dmanh,
+                        dphys,
                     );
-                    // ROI-major lanes are contiguous per pair, so the
-                    // write-back reads them straight from the matrix.
-                    for (&bi, &(dmanh, dphys)) in s.miss_bi.iter().zip(&s.miss_geo) {
-                        let bi = bi as usize;
-                        cache.insert(
-                            pair_key(ra, rd[bi]),
-                            &chunk[bi * nsig..(bi + 1) * nsig],
-                            dmanh,
-                            dphys,
-                        );
-                    }
                 }
-                // Line 2 on the fly: the same `pen · raw` products the
-                // reference maximizes over, in a different order —
-                // `max_num` doesn't care. Full-width configs take the
-                // vector kernel (one `max_num` lane per signature).
-                if nsig == MAX_CACHED_SIGS {
-                    let jm: &mut [f64; MAX_CACHED_SIGS] = (&mut jmax[..MAX_CACHED_SIGS])
-                        .try_into()
-                        .expect("nsig == 4");
-                    fc_simd::max_pen_accum4(self.simd, &chunk[..nr * nsig], pen, jm);
-                } else {
-                    for (bi, &p) in pen.iter().enumerate() {
-                        let lanes = &chunk[bi * nsig..(bi + 1) * nsig];
-                        for (mx, &v) in jmax.iter_mut().zip(lanes) {
-                            *mx = fc_simd::max_num(*mx, p * v);
-                        }
+            }
+            // Line 2 on the fly: the same `pen · raw` products the
+            // reference maximizes over, in a different order —
+            // `max_num` doesn't care. Full-width configs take the
+            // vector kernel (one `max_num` lane per signature).
+            if nsig == MAX_CACHED_SIGS {
+                let jm: &mut [f64; MAX_CACHED_SIGS] = (&mut s.maxes[..MAX_CACHED_SIGS])
+                    .try_into()
+                    .expect("nsig == 4");
+                fc_simd::max_pen_accum4(self.simd, chunk, pen, jm);
+            } else {
+                for (bi, &p) in pen.iter().enumerate() {
+                    let lanes = &chunk[bi * nsig..(bi + 1) * nsig];
+                    for (mx, &v) in s.maxes.iter_mut().zip(lanes) {
+                        *mx = fc_simd::max_num(*mx, p * v);
                     }
                 }
             }
         }
         cache.record(hits, misses);
-        stride
     }
 
     /// Resolves one candidate's (candidate, ROI) pairs against the
@@ -564,7 +489,7 @@ impl SbRecommender {
 
     /// Runs the χ² kernel over one candidate's miss frontier: per
     /// signature, gathers the missing pairs' row offsets out of the
-    /// job's `offs` table (`nr` entries per signature), computes raw
+    /// `offs` table (`nr` entries per signature), computes raw
     /// values, and scatters each into its pair's lane of the ROI-major
     /// `chunk`.
     #[allow(clippy::too_many_arguments)]
@@ -622,41 +547,37 @@ impl SbRecommender {
         }
     }
 
-    /// Lines 10-15 for one job, streaming over the ROI-major raw
-    /// layout with the reference's exact operations and order per
-    /// pair: `dv = (raw·pen)/mᵢ` (the same IEEE product as the
-    /// reference's `pen·raw`, then the division by the per-signature
-    /// maximum exactly as the reference performs it inside its combine
-    /// closure), `sq += wᵢ·dv·dv` in signature order,
-    /// `total += √sq/dphys` in ROI order. Bit-identical to
+    /// Lines 10-15, streaming over the ROI-major raw layout the fill
+    /// left in `scratch`, with the reference's exact operations and
+    /// order per pair: `dv = (raw·pen)/mᵢ` (the same IEEE product as
+    /// the reference's `pen·raw`, then the division by the
+    /// per-signature maximum exactly as the reference performs it
+    /// inside its combine closure), `sq += wᵢ·dv·dv` in signature
+    /// order, `total += √sq/dphys` in ROI order. Bit-identical to
     /// `distances`; the full-width config takes the vector kernel,
     /// which transposes in registers while preserving exactly this
     /// order per lane.
-    fn combine_job(
+    fn combine(
         &self,
-        j: usize,
-        job: &SbBatchJob<'_>,
-        stride: usize,
+        candidates: &[TileId],
+        nr: usize,
         scratch: &PredictScratch,
         out: &mut Vec<(TileId, f64)>,
     ) {
         let nsig = self.keys.len();
-        let d = scratch.descs[j];
-        let nr = d.nr;
-        out.reserve(d.nc);
+        out.reserve(candidates.len());
         let weights = &self.cfg.weights;
-        let maxes = &scratch.maxes[j * nsig..(j + 1) * nsig];
+        let maxes = &scratch.maxes[..];
         let mut w4 = [0.0f64; MAX_CACHED_SIGS];
         let mut m4 = [1.0f64; MAX_CACHED_SIGS];
         for (i, (&(_, w), &m)) in weights.iter().zip(maxes).enumerate().take(MAX_CACHED_SIGS) {
             w4[i] = w;
             m4[i] = m;
         }
-        for (ai, &a) in job.candidates.iter().enumerate() {
-            let base = (d.cand_off + ai) * stride;
-            let block = &scratch.pair[base..base + nr * nsig];
-            let pens = &scratch.penalties[d.pen_off + ai * nr..d.pen_off + (ai + 1) * nr];
-            let dens = &scratch.denoms[d.pen_off + ai * nr..d.pen_off + (ai + 1) * nr];
+        for (ai, &a) in candidates.iter().enumerate() {
+            let block = &scratch.pair[ai * nsig * nr..(ai + 1) * nsig * nr];
+            let pens = &scratch.penalties[ai * nr..(ai + 1) * nr];
+            let dens = &scratch.denoms[ai * nr..(ai + 1) * nr];
             let total = if nsig == MAX_CACHED_SIGS {
                 fc_simd::combine_exact4(self.simd, block, pens, dens, &w4, &m4)
             } else {
@@ -687,20 +608,38 @@ impl SbRecommender {
         cache: &mut PairCache,
         scratch: &mut PredictScratch,
     ) -> Vec<TileId> {
-        let job = SbBatchJob {
-            candidates: ctx.candidates,
-            roi: ctx.reference_tiles(),
-        };
+        self.rank_tiles(index, ctx.candidates, ctx.reference_tiles(), cache, scratch)
+    }
+
+    /// [`Recommender::rank`] on bare tile lists: the locked reference
+    /// path, for stores without an index.
+    pub(crate) fn rank_reference(
+        &self,
+        store: &TileStore,
+        candidates: &[TileId],
+        roi: &[TileId],
+    ) -> Vec<TileId> {
+        let mut scored = self.distances(store, candidates, roi);
+        sort_scored(&mut scored);
+        scored.into_iter().map(|(t, _)| t).collect()
+    }
+
+    /// [`Self::rank_indexed_cached`] on bare tile lists: the fill, the
+    /// sort, the ranked ids. The one ranking routine behind the
+    /// engine's own path and the dataset-shared one
+    /// ([`crate::batch::PredictScheduler::rank`]).
+    pub(crate) fn rank_tiles(
+        &self,
+        index: &SignatureIndex,
+        candidates: &[TileId],
+        roi: &[TileId],
+        cache: &mut PairCache,
+        scratch: &mut PredictScratch,
+    ) -> Vec<TileId> {
         let mut scored = std::mem::take(&mut scratch.scored);
-        self.distances_into(
-            index,
-            std::slice::from_ref(&job),
-            cache,
-            scratch,
-            &mut scored,
-        );
-        sort_scored(&mut scored[0]);
-        let ranked = scored[0].iter().map(|&(t, _)| t).collect();
+        self.distances_into(index, candidates, roi, cache, scratch, &mut scored);
+        sort_scored(&mut scored);
+        let ranked = scored.iter().map(|&(t, _)| t).collect();
         scratch.scored = scored;
         ranked
     }
@@ -754,7 +693,7 @@ fn combine_one(cfg: &SbConfig, a: TileId, roi: &[TileId], d: impl Fn(usize, usiz
 }
 
 /// Ascending by distance, candidate id as the deterministic tiebreak.
-pub(crate) fn sort_scored(scored: &mut [(TileId, f64)]) {
+fn sort_scored(scored: &mut [(TileId, f64)]) {
     scored.sort_by(|a, b| {
         a.1.partial_cmp(&b.1)
             .expect("finite distances")
@@ -768,9 +707,7 @@ impl Recommender for SbRecommender {
     }
 
     fn rank(&self, ctx: &PredictionContext<'_>) -> Vec<TileId> {
-        let mut scored = self.distances(ctx.store, ctx.candidates, ctx.reference_tiles());
-        sort_scored(&mut scored);
-        scored.into_iter().map(|(t, _)| t).collect()
+        self.rank_reference(ctx.store, ctx.candidates, ctx.reference_tiles())
     }
 }
 
@@ -926,15 +863,16 @@ mod tests {
         roi: &[TileId],
         scratch: &mut PredictScratch,
     ) -> Vec<(TileId, f64)> {
-        let mut outs = Vec::new();
+        let mut out = Vec::new();
         sb.distances_into(
             ix,
-            &[SbBatchJob { candidates, roi }],
+            candidates,
+            roi,
             &mut PairCache::new(0),
             scratch,
-            &mut outs,
+            &mut out,
         );
-        outs.remove(0)
+        out
     }
 
     #[test]

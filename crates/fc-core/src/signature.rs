@@ -128,7 +128,8 @@ impl SignatureConfig {
 /// touch only the live runs, so the cache *footprint* scales with the
 /// working set, not the table. The result is clamped to `[2¹², 2¹⁸]`
 /// slots (256 KiB – 16 MiB of address space at 64-byte slots; engines
-/// allocate lazily and scheduler-batched sessions share one table).
+/// allocate lazily and sessions ranking through a scheduler share one
+/// table).
 pub fn pair_cache_capacity_hint(nsig: usize, ntiles: usize) -> usize {
     nsig.max(1)
         .saturating_mul(ntiles.max(1))

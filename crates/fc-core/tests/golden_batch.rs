@@ -1,14 +1,12 @@
-//! Golden regression tests for cross-session predict batching: a batch
-//! of several sessions' jobs must be **bit-identical**, job by job, to
-//! running each job alone — through the raw distance API, at batch
-//! widths far past any interactive tick, and end-to-end through the
-//! [`PredictScheduler`] under real thread fan-in.
+//! Golden regression tests for prediction through the dataset-shared
+//! pair cache: an engine ranking through a [`PredictScheduler`] must
+//! predict exactly what it predicts alone — step by step beside a twin
+//! engine, and with several sessions' threads on one scheduler at once.
 
 use fc_array::{DenseArray, Schema};
 use fc_core::batch::{BatchConfig, PredictScheduler};
 use fc_core::engine::PhaseSource;
-use fc_core::paircache::PairCache;
-use fc_core::sb::{PredictScratch, SbBatchJob, SbConfig, SbRecommender};
+use fc_core::sb::{SbConfig, SbRecommender};
 use fc_core::signature::{attach_signatures, SignatureConfig};
 use fc_core::{
     AbRecommender, AllocationStrategy, EngineConfig, PredictOptions, PredictionEngine, Request,
@@ -38,138 +36,6 @@ fn seeded_pyramid() -> Arc<Pyramid> {
     cfg.domain = (0.0, 1.0);
     attach_signatures(&pyramid, &cfg);
     pyramid
-}
-
-fn assert_bit_identical(a: &[(TileId, f64)], b: &[(TileId, f64)], label: &str) {
-    assert_eq!(a.len(), b.len(), "{label}: lengths");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.0, y.0, "{label}: candidate order");
-        assert_eq!(
-            x.1.to_bits(),
-            y.1.to_bits(),
-            "{label}: distance bits for {:?} ({} vs {})",
-            x.0,
-            x.1,
-            y.1
-        );
-    }
-}
-
-#[test]
-fn batched_jobs_are_bit_identical_to_solo_runs() {
-    let pyramid = seeded_pyramid();
-    let store = pyramid.store();
-    let g = pyramid.geometry();
-    let index = store.signature_index().expect("signatures attached");
-    let sb = SbRecommender::new(SbConfig::all_equal());
-
-    // Heterogeneous jobs: different candidate sets, different ROI
-    // sizes (including the current-tile fallback shape and an
-    // out-of-geometry candidate that ranks as "missing").
-    let job_specs: Vec<(Vec<TileId>, Vec<TileId>)> = vec![
-        (
-            g.candidates(TileId::new(2, 2, 2), 1),
-            vec![TileId::new(2, 1, 1), TileId::new(2, 3, 3)],
-        ),
-        (
-            g.candidates(TileId::new(1, 0, 1), 1),
-            vec![TileId::new(1, 1, 1)],
-        ),
-        (
-            g.candidates(TileId::new(2, 0, 0), 2),
-            vec![
-                TileId::new(2, 0, 1),
-                TileId::new(2, 1, 0),
-                TileId::new(1, 0, 0),
-                TileId::new(2, 3, 1),
-            ],
-        ),
-        // Degenerate: single candidate, single reference.
-        (vec![TileId::new(2, 3, 0)], vec![TileId::new(2, 0, 3)]),
-    ];
-    let jobs: Vec<SbBatchJob<'_>> = job_specs
-        .iter()
-        .map(|(c, r)| SbBatchJob {
-            candidates: c,
-            roi: r,
-        })
-        .collect();
-
-    let mut batch_scratch = PredictScratch::default();
-    let mut no_cache = PairCache::new(0);
-    let mut outs = Vec::new();
-    sb.distances_into(&index, &jobs, &mut no_cache, &mut batch_scratch, &mut outs);
-    assert_eq!(outs.len(), jobs.len());
-
-    let mut solo_scratch = PredictScratch::default();
-    let mut solo = Vec::new();
-    for (j, job) in jobs.iter().enumerate() {
-        let (c, r) = (job.candidates, job.roi);
-        sb.distances_into(
-            &index,
-            std::slice::from_ref(job),
-            &mut no_cache,
-            &mut solo_scratch,
-            &mut solo,
-        );
-        assert_bit_identical(&outs[j], &solo[0], &format!("job {j}"));
-        // And transitively to the locked reference path.
-        let reference = sb.distances(store, c, r);
-        assert_bit_identical(&outs[j], &reference, &format!("job {j} vs reference"));
-    }
-
-    // Re-running the same batch with warm scratch changes nothing.
-    let mut outs2 = Vec::new();
-    sb.distances_into(&index, &jobs, &mut no_cache, &mut batch_scratch, &mut outs2);
-    for (j, (a, b)) in outs.iter().zip(&outs2).enumerate() {
-        assert_bit_identical(a, b, &format!("warm rerun job {j}"));
-    }
-}
-
-#[test]
-fn batches_past_the_parallel_threshold_stay_bit_identical() {
-    let pyramid = seeded_pyramid();
-    let store = pyramid.store();
-    let g = pyramid.geometry();
-    let index = store.signature_index().expect("signatures attached");
-    let sb = SbRecommender::new(SbConfig::all_equal());
-
-    // 40 jobs × 16 candidates = 640 total candidates in one fill —
-    // far wider than any interactive tick. The results must be
-    // bit-identical to solo runs.
-    let all: Vec<TileId> = g.all_tiles().filter(|t| t.level == 2).collect();
-    let job_specs: Vec<(Vec<TileId>, Vec<TileId>)> = (0..40)
-        .map(|j| {
-            let c: Vec<TileId> = all.iter().cycle().skip(j * 3).take(16).copied().collect();
-            let r = vec![all[(j * 5) % all.len()], all[(j * 9 + 2) % all.len()]];
-            (c, r)
-        })
-        .collect();
-    let jobs: Vec<SbBatchJob<'_>> = job_specs
-        .iter()
-        .map(|(c, r)| SbBatchJob {
-            candidates: c,
-            roi: r,
-        })
-        .collect();
-    assert!(jobs.iter().map(|j| j.candidates.len()).sum::<usize>() >= 512);
-
-    let mut batch_scratch = PredictScratch::default();
-    let mut no_cache = PairCache::new(0);
-    let mut outs = Vec::new();
-    sb.distances_into(&index, &jobs, &mut no_cache, &mut batch_scratch, &mut outs);
-    let mut solo_scratch = PredictScratch::default();
-    let mut solo = Vec::new();
-    for (j, job) in jobs.iter().enumerate() {
-        sb.distances_into(
-            &index,
-            std::slice::from_ref(job),
-            &mut no_cache,
-            &mut solo_scratch,
-            &mut solo,
-        );
-        assert_bit_identical(&outs[j], &solo[0], &format!("wide batch job {j}"));
-    }
 }
 
 fn engine(g: fc_tiles::Geometry) -> PredictionEngine {
@@ -205,7 +71,6 @@ fn scheduler_predictions_match_unbatched_engine_exactly() {
         pyramid.clone(),
         BatchConfig::default(),
     );
-    scheduler.register();
 
     // Twin engines observe the same walk; one predicts through the
     // scheduler, the other locally. Every prediction list must match.
@@ -231,7 +96,6 @@ fn scheduler_predictions_match_unbatched_engine_exactly() {
             assert_eq!(a, b, "step {i}, k={k}");
         }
     }
-    scheduler.unregister();
 }
 
 #[test]
@@ -241,17 +105,9 @@ fn concurrent_scheduler_fan_in_matches_solo_predictions() {
     let scheduler = Arc::new(PredictScheduler::new(
         SbRecommender::new(SbConfig::all_equal()),
         pyramid.clone(),
-        BatchConfig {
-            // A real fan-in window so this test exercises leader waits
-            // and multi-job ticks, not just width-1 group commit.
-            window: std::time::Duration::from_millis(5),
-            ..BatchConfig::default()
-        },
+        BatchConfig::default(),
     ));
     const N: usize = 6;
-    for _ in 0..N {
-        scheduler.register();
-    }
     let results: Vec<(usize, Vec<TileId>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..N)
             .map(|i| {
@@ -282,7 +138,5 @@ fn concurrent_scheduler_fan_in_matches_solo_predictions() {
         let solo = e.predict(pyramid.store(), 6);
         assert_eq!(got, solo, "session {i}");
     }
-    let stats = scheduler.stats();
-    assert_eq!(stats.jobs, N as u64);
-    assert!(stats.largest_batch >= 2, "fan-in window should coalesce");
+    assert_eq!(scheduler.stats().jobs, N as u64);
 }

@@ -9,7 +9,7 @@
 
 use fc_array::{DenseArray, Schema};
 use fc_core::paircache::PairCache;
-use fc_core::sb::{PredictScratch, SbBatchJob, SbConfig, SbRecommender};
+use fc_core::sb::{PredictScratch, SbConfig, SbRecommender};
 use fc_core::signature::{attach_signatures, SignatureConfig, SignatureKind};
 use fc_core::{BatchConfig, PredictScheduler};
 use fc_tiles::{Pyramid, PyramidBuilder, PyramidConfig, TileId};
@@ -69,15 +69,9 @@ fn score(
     cache: &mut PairCache,
     scratch: &mut PredictScratch,
 ) -> Vec<(TileId, f64)> {
-    let mut outs = Vec::new();
-    sb.distances_into(
-        index,
-        &[SbBatchJob { candidates, roi }],
-        cache,
-        scratch,
-        &mut outs,
-    );
-    outs.remove(0)
+    let mut out = Vec::new();
+    sb.distances_into(index, candidates, roi, cache, scratch, &mut out);
+    out
 }
 
 #[test]
@@ -215,7 +209,6 @@ fn scheduler_shares_pairs_across_sessions() {
         pyramid.clone(),
         BatchConfig::default(),
     );
-    sched.register();
     let cands = level2(0..4);
     let refs = [TileId::new(2, 2, 2)];
     // "Session A" computes the pairs…
@@ -244,5 +237,4 @@ fn scheduler_shares_pairs_across_sessions() {
     out.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
     let solo: Vec<TileId> = out.into_iter().map(|(t, _)| t).collect();
     assert_eq!(a, solo);
-    sched.unregister();
 }

@@ -6,7 +6,7 @@
 use fc_array::{DenseArray, Schema};
 use fc_core::engine::PhaseSource;
 use fc_core::paircache::PairCache;
-use fc_core::sb::{PredictScratch, SbBatchJob, SbConfig, SbRecommender};
+use fc_core::sb::{PredictScratch, SbConfig, SbRecommender};
 use fc_core::signature::{attach_signatures, SignatureConfig, SignatureKind};
 use fc_core::{
     AbRecommender, AllocationStrategy, EngineConfig, PredictionContext, PredictionEngine,
@@ -80,13 +80,16 @@ fn indexed_path_is_bit_identical_to_meta_vec_path() {
             ];
             for roi in rois {
                 let reference = sb.distances(store, &candidates, roi);
-                let job = SbBatchJob {
-                    candidates: &candidates,
+                sb.distances_into(
+                    &index,
+                    &candidates,
                     roi,
-                };
-                sb.distances_into(&index, &[job], &mut no_cache, &mut scratch, &mut fast);
-                assert_eq!(reference.len(), fast[0].len());
-                for (r, f) in reference.iter().zip(&fast[0]) {
+                    &mut no_cache,
+                    &mut scratch,
+                    &mut fast,
+                );
+                assert_eq!(reference.len(), fast.len());
+                for (r, f) in reference.iter().zip(&fast) {
                     assert_eq!(r.0, f.0, "candidate order must match");
                     assert_eq!(
                         r.1.to_bits(),

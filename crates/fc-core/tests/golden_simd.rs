@@ -26,7 +26,7 @@
 
 use fc_array::{IoMode, LatencyModel, SimClock};
 use fc_core::paircache::PairCache;
-use fc_core::sb::{PredictScratch, SbBatchJob, SbConfig, SbRecommender};
+use fc_core::sb::{PredictScratch, SbConfig, SbRecommender};
 use fc_core::signature::{SignatureKind, SIGNATURE_KINDS};
 use fc_core::SimdLevel;
 use fc_tiles::{Geometry, TileId, TileStore};
@@ -173,15 +173,9 @@ fn score(
     cache: &mut PairCache,
     scratch: &mut PredictScratch,
 ) -> Vec<(TileId, f64)> {
-    let mut outs = Vec::new();
-    sb.distances_into(
-        index,
-        &[SbBatchJob { candidates, roi }],
-        cache,
-        scratch,
-        &mut outs,
-    );
-    outs.remove(0)
+    let mut out = Vec::new();
+    sb.distances_into(index, candidates, roi, cache, scratch, &mut out);
+    out
 }
 
 /// Runs the fill of `sb` on one (candidates, roi) case in every cache

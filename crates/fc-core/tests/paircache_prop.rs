@@ -7,7 +7,7 @@
 
 use fc_array::{IoMode, LatencyModel, SimClock};
 use fc_core::paircache::PairCache;
-use fc_core::sb::{PredictScratch, SbBatchJob, SbConfig, SbRecommender};
+use fc_core::sb::{PredictScratch, SbConfig, SbRecommender};
 use fc_core::signature::{SignatureKind, SIGNATURE_KINDS};
 use fc_tiles::{Geometry, TileId, TileStore};
 use proptest::prelude::*;
@@ -127,7 +127,7 @@ proptest! {
             (SbRecommender::new(five), PairCache::new(1 << 12)),
         ];
         let mut scratch = PredictScratch::default();
-        let mut outs = Vec::new();
+        let mut out = Vec::new();
         let mut anchor = TileId::new(2, 1, 1);
         for (i, &(mv, roi_code)) in steps.iter().enumerate() {
             anchor = step_anchor(g, anchor, mv);
@@ -149,10 +149,9 @@ proptest! {
             let jobs = if i % 7 == 3 { &jobs[..] } else { &jobs[..1] };
             for (c, (sb, cache)) in columns.iter_mut().enumerate() {
                 for (j, &(candidates, roi)) in jobs.iter().enumerate() {
-                    let job = SbBatchJob { candidates, roi };
-                    sb.distances_into(&index, &[job], cache, &mut scratch, &mut outs);
+                    sb.distances_into(&index, candidates, roi, cache, &mut scratch, &mut out);
                     let reference = sb.distances(&store, candidates, roi);
-                    assert_bits(&reference, &outs[0], &format!("column {c} step {i} job {j}"));
+                    assert_bits(&reference, &out, &format!("column {c} step {i} job {j}"));
                 }
             }
         }

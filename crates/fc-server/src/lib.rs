@@ -18,8 +18,8 @@
 //!   in parallel"); with [`server::ServerConfig::multi_user`] set,
 //!   sessions additionally share the lock-striped
 //!   [`fc_core::SharedTileCache`] (communal prefetches, fairly
-//!   repartitioned budgets) and the cross-session
-//!   [`fc_core::PredictScheduler`];
+//!   repartitioned budgets) and the dataset's shared χ² pair cache
+//!   ([`fc_core::PredictScheduler`]);
 //! * [`epoll`] — a minimal `epoll(7)` readiness shim over std (the
 //!   container has no mio/tokio; std already links libc, so the
 //!   syscalls are a plain `extern "C"` away) for the reactor's

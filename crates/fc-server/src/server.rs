@@ -6,10 +6,9 @@
 //! **namespace** from a [`fc_core::DatasetRegistry`] partitioning one
 //! global tile budget — sessions of a dataset share that namespace's
 //! lock-striped tile cache (prefetches are communal; the per-session
-//! budget re-partitions as sessions come and go), a cross-session
-//! predict scheduler that coalesces concurrent sessions' SB rankings
-//! into one batched sweep per tick, and (opt-in) the namespace's
-//! cross-session hotspot model.
+//! budget re-partitions as sessions come and go), one χ² pair cache
+//! that every session's SB ranking runs through, and (opt-in) the
+//! namespace's cross-session hotspot model.
 
 use crate::protocol::{
     read_frame, write_frame, ClientMsg, ErrorCode, FrameBuf, ServerMsg, TilePayload,
@@ -29,7 +28,7 @@ use std::time::{Duration, Instant};
 
 /// Builds a fresh prediction engine per session (sessions never share
 /// history/ROI state; what *is* shared in multi-user mode — the tile
-/// cache and the predict batch — carries no per-session model state).
+/// cache and the pair cache — carries no per-session model state).
 pub type EngineFactory = Arc<dyn Fn() -> PredictionEngine + Send + Sync>;
 
 /// One dataset a server process serves: its pyramid plus the factory
@@ -55,7 +54,7 @@ impl std::fmt::Debug for DatasetSpec {
 }
 
 /// Multi-user serving parameters (see `fc_core::multiuser` for the
-/// sharding invariants and `fc_core::batch` for the rendezvous).
+/// sharding invariants and `fc_core::batch` for the shared pair cache).
 #[derive(Debug, Clone)]
 pub struct MultiUserServing {
     /// **Global** tile budget: partitioned exactly across dataset
@@ -65,12 +64,10 @@ pub struct MultiUserServing {
     /// Shard count per namespace (power of two); 0 picks the default
     /// striping.
     pub shards: usize,
-    /// Whether concurrent sessions' predicts coalesce into batched SB
-    /// sweeps (one scheduler per dataset).
+    /// Whether a dataset's sessions rank through one shared χ² pair
+    /// cache (one `fc_core::PredictScheduler` per dataset) instead of
+    /// one pair cache each.
     pub batch_predicts: bool,
-    /// Extra fan-in time a batch leader waits for the other sessions;
-    /// zero (default) is pure group commit — see `fc_core::batch`.
-    pub batch_window: Duration,
     /// Opt-in cross-session hotspot model: when set, every session's
     /// handle carries its namespace's `SharedHotspotModel` at this
     /// cadence. The prior only takes effect for engines whose
@@ -85,7 +82,6 @@ impl Default for MultiUserServing {
             cache_capacity: 4096,
             shards: 0,
             batch_predicts: true,
-            batch_window: Duration::ZERO,
             hotspots: None,
         }
     }
@@ -343,10 +339,7 @@ impl Server {
                         Arc::new(PredictScheduler::new(
                             probe.sb_model().clone(),
                             spec.pyramid.clone(),
-                            BatchConfig {
-                                window: mu.batch_window,
-                                ..BatchConfig::default()
-                            },
+                            BatchConfig::default(),
                         ))
                     });
                     DatasetShared {
@@ -434,8 +427,8 @@ impl Server {
             .collect()
     }
 
-    /// Cross-session predict-scheduler statistics of the default
-    /// dataset when batching is on.
+    /// Predict-scheduler statistics of the default dataset, when its
+    /// sessions share one (`MultiUserServing::batch_predicts`).
     pub fn scheduler_stats(&self) -> Option<fc_core::SchedulerStats> {
         self.served
             .datasets

@@ -148,8 +148,8 @@ fn multi_user_mode_shares_prefetched_tiles_across_sessions() {
         shared.cross_session_hits > 0,
         "expected cross-session hits, got {shared:?}"
     );
-    let sched = server.scheduler_stats().expect("batching on");
-    assert!(sched.batches > 0 && sched.jobs >= sched.batches);
+    let sched = server.scheduler_stats().expect("shared pair cache on");
+    assert!(sched.jobs > 0);
     first.expect("held client").bye().expect("bye");
     server.shutdown();
 }

@@ -7,16 +7,16 @@
 //! [`Middleware`] session (engine + private history cache) over one
 //! shared pyramid, joined through a [`MultiUserCache`] (the lock-striped
 //! [`fc_core::SharedTileCache`] or the retained
-//! [`fc_core::SingleMutexTileCache`] reference) and, optionally, the
-//! cross-session [`PredictScheduler`]. Sessions replay *different*
+//! [`fc_core::SingleMutexTileCache`] reference) and, optionally, one
+//! χ² pair cache shared through a [`PredictScheduler`]. Sessions replay *different*
 //! traces (mixed pan runs and zoom cadences at distinct rows — mixed
 //! ROI workloads), so the shared cache sees both disjoint working sets
 //! and communal hotspots.
 //!
 //! The report aggregates what `exp_multiuser` publishes: wall-clock
 //! request throughput, p50/p99 per-request predict latency (including
-//! any batch rendezvous), hit rates, shared-cache statistics, and
-//! scheduler statistics.
+//! any wait for the shared pair cache), hit rates, shared-cache
+//! statistics, and scheduler statistics.
 
 use crate::trace::{Trace, TraceStep};
 use fc_core::{
@@ -51,11 +51,9 @@ pub struct MultiUserConfig {
     pub cache_capacity: usize,
     /// Shared-cache implementation under test.
     pub cache: CacheImpl,
-    /// Whether concurrent predicts coalesce through a
-    /// [`PredictScheduler`].
+    /// Whether sessions rank through one shared pair cache (a
+    /// [`PredictScheduler`]) instead of one each.
     pub batch_predicts: bool,
-    /// Scheduler fan-in window (ignored unless `batch_predicts`).
-    pub batch_window: Duration,
     /// Per-session prefetch budget k.
     pub k: usize,
     /// Private last-n history cache per session.
@@ -72,7 +70,6 @@ impl Default for MultiUserConfig {
             cache_capacity: 1024,
             cache: CacheImpl::Sharded { shards: 0 },
             batch_predicts: true,
-            batch_window: Duration::ZERO,
             k: 4,
             history_cache: 4,
             profile: LatencyProfile::paper(),
@@ -99,7 +96,7 @@ pub struct MultiUserReport {
     pub hit_rate: f64,
     /// Shared-cache counters.
     pub shared: SharedCacheStats,
-    /// Scheduler counters when batching was on.
+    /// Scheduler counters when `batch_predicts` was on.
     pub scheduler: Option<SchedulerStats>,
 }
 
@@ -134,10 +131,7 @@ where
         Arc::new(PredictScheduler::new(
             engine_factory().sb_model().clone(),
             pyramid.clone(),
-            BatchConfig {
-                window: cfg.batch_window,
-                ..BatchConfig::default()
-            },
+            BatchConfig::default(),
         ))
     });
 
@@ -728,9 +722,8 @@ mod tests {
             let s = r.shared;
             assert!(s.hits + s.misses > 0);
             assert!(s.cross_session_hits <= s.hits);
-            let sched = r.scheduler.expect("batching on");
+            let sched = r.scheduler.expect("shared pair cache on");
             assert_eq!(sched.jobs, 4 * 30, "one predict per request");
-            assert!(sched.batches >= 1 && sched.batches <= sched.jobs);
         }
     }
 

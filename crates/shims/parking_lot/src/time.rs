@@ -4,9 +4,9 @@
 //! In release builds this is a zero-cost passthrough. In debug builds,
 //! threads inside a model-checker run (see [`crate::model`]) get a
 //! *virtual* clock that advances only when a timed condvar wait fires
-//! — so timeout-based loops (scheduler follower rescue, deadline
-//! checks) terminate under exhaustive schedule exploration instead of
-//! livelocking on a frozen wall clock.
+//! — so timeout-based loops (deadline checks) terminate under
+//! exhaustive schedule exploration instead of livelocking on a frozen
+//! wall clock.
 //!
 //! The `fc-check lint` `wall-clock` rule enforces that `fc-core`,
 //! `fc-tiles`, and `fc-array` use this (or `SimClock`) rather than

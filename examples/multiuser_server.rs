@@ -2,8 +2,8 @@
 //! tile pyramid across several concurrent browsing sessions (§3, §5.5:
 //! "many users can actively navigate the data freely and in parallel")
 //! — running the multi-user serving core: a lock-striped shared tile
-//! cache (communal prefetches, fairly repartitioned budgets) plus
-//! cross-session predict batching.
+//! cache (communal prefetches, fairly repartitioned budgets) plus one
+//! χ² pair cache every session's predictions rank through.
 //!
 //! ```sh
 //! cargo run --example multiuser_server --release
@@ -52,13 +52,13 @@ fn main() {
 
     let config = ServerConfig {
         // The multi-user serving core: sessions share a lock-striped
-        // tile cache and coalesce concurrent predictions.
+        // tile cache and rank through one shared pair cache.
         multi_user: Some(MultiUserServing::default()),
         ..ServerConfig::default()
     };
     let mut server = Server::bind("127.0.0.1:0", pyramid, factory, config).expect("server binds");
     let addr = server.addr();
-    println!("server listening on {addr} (multi-user: shared cache + batched predicts)");
+    println!("server listening on {addr} (multi-user: shared tile cache + shared pair cache)");
 
     // Three users explore different corners of the dataset concurrently.
     let walks: Vec<Vec<(TileId, Option<Move>)>> = vec![
@@ -122,10 +122,7 @@ fn main() {
         );
     }
     if let Some(sched) = server.scheduler_stats() {
-        println!(
-            "predict scheduler: {} jobs in {} batches (widest {})",
-            sched.jobs, sched.batches, sched.largest_batch
-        );
+        println!("shared pair cache: {} rankings served", sched.jobs);
     }
     server.shutdown();
     println!("server stopped");
