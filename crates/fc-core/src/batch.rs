@@ -126,9 +126,7 @@ impl PredictScheduler {
         let mut shared = self.shared.lock();
         let (cache, scratch) = &mut *shared;
         cache.fit(&index);
-        let before = cache.stats();
-        let ranked = self.sb.rank_tiles(&index, candidates, refs, cache, scratch);
-        (ranked, cache.stats().since(before))
+        self.sb.rank_tiles(&index, candidates, refs, cache, scratch)
     }
 }
 

@@ -253,11 +253,13 @@ impl PredictionEngine {
             // metadata-free stores.
             (None, Some(ix)) => {
                 self.pair_cache.fit(ix);
-                let before = self.pair_cache.stats();
-                let ranked =
-                    self.sb
-                        .rank_indexed_cached(&ctx, ix, &mut self.pair_cache, &mut self.scratch);
-                (ranked, self.pair_cache.stats().since(before))
+                self.sb.rank_tiles(
+                    ix,
+                    &candidates,
+                    ctx.reference_tiles(),
+                    &mut self.pair_cache,
+                    &mut self.scratch,
+                )
             }
             (None, None) => (self.sb.rank(&ctx), PairCacheStats::default()),
         };

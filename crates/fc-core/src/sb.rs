@@ -41,7 +41,9 @@
 //! not representable in the index and ranks as "missing" there — see
 //! the scope note in `fc_tiles::sigindex`.
 
-use crate::paircache::{pair_key, pair_key_ordered, slot_base, PairCache, MAX_CACHED_SIGS};
+use crate::paircache::{
+    pair_key, pair_key_ordered, slot_base, PairCache, PairCacheStats, MAX_CACHED_SIGS,
+};
 use crate::recommender::{PredictionContext, Recommender};
 use crate::signature::SignatureKind;
 use fc_simd::SimdLevel;
@@ -609,6 +611,7 @@ impl SbRecommender {
         scratch: &mut PredictScratch,
     ) -> Vec<TileId> {
         self.rank_tiles(index, ctx.candidates, ctx.reference_tiles(), cache, scratch)
+            .0
     }
 
     /// [`Recommender::rank`] on bare tile lists: the locked reference
@@ -624,9 +627,10 @@ impl SbRecommender {
         scored.into_iter().map(|(t, _)| t).collect()
     }
 
-    /// [`Self::rank_indexed_cached`] on bare tile lists: the fill, the
-    /// sort, the ranked ids. The one ranking routine behind the
-    /// engine's own path and the dataset-shared one
+    /// [`Self::rank_indexed_cached`] on bare tile lists — the fill, the
+    /// sort, the ranked ids — plus what this call alone added to
+    /// `cache`'s counters. The one ranking routine behind the engine's
+    /// own path and the dataset-shared one
     /// ([`crate::batch::PredictScheduler::rank`]).
     pub(crate) fn rank_tiles(
         &self,
@@ -635,13 +639,14 @@ impl SbRecommender {
         roi: &[TileId],
         cache: &mut PairCache,
         scratch: &mut PredictScratch,
-    ) -> Vec<TileId> {
+    ) -> (Vec<TileId>, PairCacheStats) {
+        let before = cache.stats();
         let mut scored = std::mem::take(&mut scratch.scored);
         self.distances_into(index, candidates, roi, cache, scratch, &mut scored);
         sort_scored(&mut scored);
         let ranked = scored.iter().map(|&(t, _)| t).collect();
         scratch.scored = scored;
-        ranked
+        (ranked, cache.stats().since(before))
     }
 }
 
