@@ -18,6 +18,18 @@ use crate::sb::{PredictScratch, SbRecommender};
 use fc_tiles::{Geometry, SignatureIndex, TileId, TileStore};
 use std::sync::Arc;
 
+#[cfg(test)]
+thread_local! {
+    static CLASSIFICATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Phase estimates computed so far on this thread — what the
+/// work-count pin on the request path measures.
+#[cfg(test)]
+pub(crate) fn phases_classified() -> usize {
+    CLASSIFICATIONS.with(std::cell::Cell::get)
+}
+
 /// Engine configuration (paper §4.1: history length `n` and prediction
 /// distance `d` are system parameters set before the session starts).
 #[derive(Debug, Clone, Copy)]
@@ -169,6 +181,8 @@ impl PredictionEngine {
         let Some(last) = self.history.last() else {
             return Phase::Foraging;
         };
+        #[cfg(test)]
+        CLASSIFICATIONS.with(|n| n.set(n.get() + 1));
         match &self.phase_source {
             PhaseSource::Classifier(c) => c.predict(last, self.history.previous()),
             PhaseSource::Heuristic => heuristic_phase(self.geometry, last),

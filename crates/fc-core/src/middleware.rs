@@ -460,7 +460,7 @@ impl Middleware {
                 .as_mut()
                 .and_then(SharedSessionHandle::hotspot_prior);
             let prior: &[(TileId, u64)] = prior.as_ref().map_or(&[], |s| s.hotspots.as_slice());
-            resp.pair_cache = self.predict(&mut plan, prior);
+            resp.pair_cache = self.predict(&mut plan, resp.phase, prior);
             self.plan(&mut plan, req, resp.cache_hit && !was_speculative, prior);
             resp.predict_time = parking_lot::time::now().saturating_duration_since(start);
             resp.prefetched = self.install(plan, faults.as_ref());
@@ -576,9 +576,16 @@ impl Middleware {
     /// Stage 2 — predict: one engine call for the budget and horizon
     /// the plan names (through the handle's shared scheduler when it
     /// has one, blending `prior` if the engine's config opts in), or
-    /// none at all when the plan keeps the engine off. Returns the
-    /// call's own χ² pair-cache activity.
-    fn predict(&mut self, plan: &mut Plan, prior: &[(TileId, u64)]) -> PairCacheStats {
+    /// none at all when the plan keeps the engine off. `phase` is the
+    /// estimate stage 1 put in the reply: nothing was observed since,
+    /// so the engine would classify the same history to the same
+    /// answer. Returns the call's own χ² pair-cache activity.
+    fn predict(
+        &mut self,
+        plan: &mut Plan,
+        phase: Phase,
+        prior: &[(TileId, u64)],
+    ) -> PairCacheStats {
         let Some((k, distance)) = plan.engine else {
             return PairCacheStats::default();
         };
@@ -586,7 +593,7 @@ impl Middleware {
             self.pyramid.store(),
             k,
             PredictOptions {
-                phase: None,
+                phase: Some(phase),
                 scheduler: self.shared.as_ref().and_then(|sh| sh.scheduler.as_deref()),
                 hotspots: prior,
                 distance,
@@ -980,6 +987,49 @@ mod tests {
         mw.set_prefetch_budget(8);
         let r = mw.request(TileId::new(2, 2, 2), None).unwrap();
         assert!(r.prefetched.len() > 1);
+    }
+
+    /// Work count: a request estimates the phase once — for the reply —
+    /// and the predict stage ranks under that estimate instead of
+    /// classifying the same history again. A degraded reply still
+    /// reports its phase (one estimate) and predicts nothing.
+    #[test]
+    fn a_request_classifies_its_phase_once() {
+        use crate::engine::phases_classified;
+        use crate::fault::{FaultRates, FaultWindow};
+        let p = pyramid();
+        let mut mw = middleware(p, 2);
+        let parent = TileId::new(1, 1, 0);
+        let before = phases_classified();
+        let r = mw.request(parent, None).unwrap();
+        assert!(!r.prefetched.is_empty(), "the predict stage ran");
+        assert_eq!(phases_classified() - before, 1, "served request");
+        // Every fetch from the next request on fails: a child that was
+        // not prefetched degrades to its resident parent.
+        let (q, child) = fc_tiles::Quadrant::ALL
+            .into_iter()
+            .zip(parent.children())
+            .find(|(_, c)| !r.prefetched.contains(c))
+            .unwrap();
+        let rates = FaultRates {
+            transient_per_mille: 1000,
+            transient_first_attempts: u32::MAX,
+            ..FaultRates::default()
+        };
+        let window = FaultWindow {
+            from: 0,
+            until: u64::MAX,
+            rates,
+        };
+        mw.set_faults(
+            Arc::new(FaultPlan::windowed(99, window)),
+            RetryPolicy::default(),
+        );
+        let before = phases_classified();
+        let mv = Move::ZoomIn(q);
+        let r = mw.try_request(child, Some(mv)).unwrap().unwrap();
+        assert!(r.degraded);
+        assert_eq!(phases_classified() - before, 1, "degraded reply");
     }
 
     #[test]
