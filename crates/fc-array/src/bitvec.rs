@@ -155,6 +155,20 @@ impl BitVec {
         (0..self.len).map(move |i| self.get(i))
     }
 
+    /// Appends the bits to `out` as one byte each (1 = set) — the wire
+    /// form of a validity mask. Expands a 64-bit word at a time: one
+    /// bounds check and one length update per word, where pushing
+    /// [`BitVec::iter`]'s bits pays a range assert and a divide per bit.
+    pub fn expand_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.len);
+        let mut left = self.len;
+        for &word in &self.words {
+            let n = left.min(64);
+            out.extend((0..n).map(|b| (word >> b) as u8 & 1));
+            left -= n;
+        }
+    }
+
     /// Approximate heap footprint in bytes (used by the simulated disk to
     /// charge transfer time).
     pub fn nbytes(&self) -> usize {
@@ -260,6 +274,30 @@ mod tests {
                 assert_eq!(w.all_set_in(lo, hi), expect, "{lo}..{hi}");
             }
         }
+    }
+
+    #[test]
+    fn expand_into_matches_per_bit_iteration() {
+        let per_bit = |v: &BitVec| v.iter().map(u8::from).collect::<Vec<u8>>();
+        for len in [0, 1, 63, 64, 65, 4096] {
+            // A pattern with no period dividing 64, so a word expanded
+            // at the wrong offset cannot look right.
+            let v: BitVec = (0..len).map(|i| i % 7 < 3 || i % 64 == 63).collect();
+            let mut out = vec![9, 9];
+            v.expand_into(&mut out);
+            assert_eq!(&out[..2], [9, 9], "appends, len {len}");
+            assert_eq!(out[2..], per_bit(&v), "len {len}");
+        }
+        // A ragged tail after bulk writes: bits past `len` in the last
+        // word never reach the output.
+        let mut v = BitVec::filled(130, false);
+        v.set_range(60, 130, true);
+        v.set_range(100, 129, false);
+        let mut out = Vec::new();
+        v.expand_into(&mut out);
+        assert_eq!(out, per_bit(&v));
+        assert_eq!(out.len(), 130);
+        assert_eq!(out.iter().map(|&b| b as usize).sum::<usize>(), 41);
     }
 
     #[test]

@@ -211,9 +211,14 @@ impl DenseArray {
         self.valid.get(idx)
     }
 
-    /// Raw row-major values of attribute `ai` (columnar access for the
-    /// blocked operators; callers must pair with [`Self::validity`]).
-    pub(crate) fn attr_col(&self, ai: usize) -> &[f64] {
+    /// Raw row-major values of the attribute at schema position `ai`
+    /// — [`Self::attr_values`] without the name lookup, for callers
+    /// that walk every attribute in order (the blocked operators, the
+    /// wire codec). Pair with [`Self::validity`].
+    ///
+    /// # Panics
+    /// Panics when `ai` is not below the schema's attribute count.
+    pub fn attr_col(&self, ai: usize) -> &[f64] {
         &self.attrs[ai]
     }
 
