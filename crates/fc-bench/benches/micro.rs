@@ -252,6 +252,22 @@ fn bench_protocol(c: &mut Criterion) {
             black_box(msg.encode_into(&mut frame));
         })
     });
+    // What the server does per reply since replies leave by reference
+    // (the encode cases above are the reference encoder): build the
+    // owned part of the frame; `to_vec` adds the copy of the columns
+    // that serving leaves to the kernel.
+    let schema = Schema::grid2d("T", 64, 64, &["a", "b", "c", "d"]).expect("schema");
+    let mut array = DenseArray::filled(schema, 0.5);
+    array.clear_cell(&[3, 5]).expect("cell");
+    let wide = Arc::new(Tile::new(TileId::new(4, 1, 2), array));
+    c.bench_function("reply frame 64x64x4: build", |b| {
+        b.iter(|| fc_server::Frame::tile(black_box(&wide).clone(), 19_500_000, true, 1, false))
+    });
+    c.bench_function("reply frame 64x64x4: build + to_vec", |b| {
+        b.iter(|| {
+            fc_server::Frame::tile(black_box(&wide).clone(), 19_500_000, true, 1, false).to_vec()
+        })
+    });
     let encoded = msg.encode();
     c.bench_function("protocol decode 32x32 tile (seed impl)", |b| {
         b.iter(|| {

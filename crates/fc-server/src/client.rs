@@ -1,6 +1,8 @@
 //! A blocking ForeCache client.
 
-use crate::protocol::{read_frame, write_frame, ClientMsg, ErrorCode, ServerMsg, TilePayload};
+use crate::protocol::{
+    read_frame, write_frame, ClientMsg, ErrorCode, FrameBuf, ServerMsg, TilePayload,
+};
 use fc_tiles::{Move, TileId};
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -15,6 +17,9 @@ pub struct Client {
     /// Unsolicited [`ServerMsg::Push`] tiles received while awaiting
     /// replies, in arrival order (drained by [`Client::take_pushed`]).
     pushed: Vec<TilePayload>,
+    /// Every request is encoded here: after the Hello, sending
+    /// allocates nothing.
+    frame: FrameBuf,
 }
 
 /// A structured server-side error reply, carried as the source of the
@@ -111,14 +116,12 @@ impl Client {
         }
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        write_frame(
-            &mut stream,
-            &ClientMsg::Hello {
-                prefetch_k: k,
-                dataset: dataset.to_string(),
-            }
-            .encode(),
-        )?;
+        let mut frame = FrameBuf::new();
+        let hello = ClientMsg::Hello {
+            prefetch_k: k,
+            dataset: dataset.to_string(),
+        };
+        write_frame(&mut stream, hello.encode_into(&mut frame))?;
         match ServerMsg::decode(read_frame(&mut stream)?)? {
             ServerMsg::Welcome {
                 levels,
@@ -128,6 +131,7 @@ impl Client {
                 levels,
                 deepest_tiles,
                 pushed: Vec::new(),
+                frame,
             }),
             ServerMsg::Error { code, reason } => Err(server_err(code, reason)),
             other => Err(io::Error::other(format!(
@@ -152,10 +156,7 @@ impl Client {
     /// Socket errors or a server-side error reply (e.g. nonexistent
     /// tile).
     pub fn request_tile(&mut self, tile: TileId, mv: Option<Move>) -> io::Result<TileAnswer> {
-        write_frame(
-            &mut self.stream,
-            &ClientMsg::RequestTile { tile, mv }.encode(),
-        )?;
+        self.send(&ClientMsg::RequestTile { tile, mv })?;
         match self.read_reply()? {
             ServerMsg::Tile {
                 payload,
@@ -182,7 +183,7 @@ impl Client {
     /// # Errors
     /// Socket or protocol errors.
     pub fn stats(&mut self) -> io::Result<SessionStats> {
-        write_frame(&mut self.stream, &ClientMsg::GetStats.encode())?;
+        self.send(&ClientMsg::GetStats)?;
         match self.read_reply()? {
             ServerMsg::Stats {
                 requests,
@@ -202,6 +203,10 @@ impl Client {
                 "unexpected reply to GetStats: {other:?}"
             ))),
         }
+    }
+
+    fn send(&mut self, msg: &ClientMsg) -> io::Result<()> {
+        write_frame(&mut self.stream, msg.encode_into(&mut self.frame))
     }
 
     /// Reads the next *reply*, stashing any unsolicited
@@ -230,6 +235,6 @@ impl Client {
     /// # Errors
     /// Socket errors.
     pub fn bye(mut self) -> io::Result<()> {
-        write_frame(&mut self.stream, &ClientMsg::Bye.encode())
+        self.send(&ClientMsg::Bye)
     }
 }

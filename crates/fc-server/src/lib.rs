@@ -26,8 +26,9 @@
 //!   O(ready) wakeups at thousands of sessions;
 //! * the session reactor (via [`server::ServerConfig::reactor`]) —
 //!   the same sessions multiplexed on a single-threaded readiness loop:
-//!   per-session read re-assembly and bounded write queues around the
-//!   same codec and message handler, bit-identical replies, plus the
+//!   per-session read re-assembly and bounded write queues of
+//!   [`protocol::Frame`]s around the same message handler,
+//!   bit-identical replies, plus the
 //!   utility-scheduled server push
 //!   ([`server::ServerConfig::push`], [`fc_core::PushPlanner`]);
 //! * [`client`] — a blocking client for Rust front-ends and tests.
@@ -42,7 +43,7 @@ pub(crate) mod reactor;
 pub mod server;
 
 pub use client::{Client, ServerError};
-pub use protocol::{ClientMsg, ErrorCode, FrameBuf, ServerMsg, TilePayload};
+pub use protocol::{ClientMsg, ErrorCode, Frame, FrameBuf, ServerMsg, TilePayload};
 pub use server::{
     DatasetSpec, EngineFactory, FaultSetup, MultiUserServing, PushServing, Server, ServerConfig,
     SessionLimits,

@@ -3,39 +3,58 @@
 //! Frame layout: `u32 LE payload length | u8 message tag | payload`.
 //! All integers little-endian; strings are `u16 LE length + UTF-8`.
 //!
-//! # Zero-copy tile codec and frame reuse
+//! # Replies leave by reference: [`Frame`]
 //!
-//! `ServerMsg::Tile` carries `attrs × h·w` f64 columns; the codec moves
-//! them in bulk instead of value-at-a-time:
+//! A tile message carries `attrs × h·w` f64 columns and a byte-per-cell
+//! presence mask. The protocol is little-endian, so on a little-endian
+//! host a tile's `Vec<f64>` columns **are** their wire bytes, and the
+//! server sends them from where they lie:
 //!
-//! * **encode** stages `f64::to_le_bytes` through a fixed 512-byte
-//!   chunk buffer, appending one contiguous copy per chunk — no
-//!   per-value writer calls, no per-value capacity checks. Frames are
-//!   pre-sized to their exact encoded length (each message's
-//!   `encoded_body_len`), so a frame is built in a single pass with at
-//!   most one buffer growth; the length prefix is patched afterwards
-//!   from the bytes actually written, so it can never disagree with
-//!   the body.
+//! * **send** — a [`Frame`] owns only the small bytes of a message
+//!   (length prefix, tag, header, attribute names, presence mask) and
+//!   holds the `Arc<Tile>` whose columns are spliced between them by
+//!   reference. [`Frame::write_to`] hands all pieces to one vectored
+//!   write and resumes at any byte, so a reply is never copied into a
+//!   payload, an encode buffer or a write queue; a queued tile frame
+//!   is an `Arc` and a few KiB. Both serving substrates send `Frame`s
+//!   and nothing else. (On a big-endian host [`Frame::tile`] falls
+//!   back to an owned, byte-swapped frame from the reference encoder.)
+//! * **reference encode** — [`TilePayload`] (from
+//!   `server::tile_payload`) through [`ServerMsg::encode`] /
+//!   [`ServerMsg::encode_into`] builds the same bytes as one owned
+//!   buffer, staging `f64::to_le_bytes` through a fixed 512-byte chunk.
+//!   It is what the tests compare [`Frame`] against byte for byte, what
+//!   benchmarks time, and the big-endian fallback. Both encoders write
+//!   a tile body through one layout function, so the format is written
+//!   down once.
 //! * **decode** takes one zero-copy sub-view of the frame per attribute
-//!   column (`copy_to_bytes` shares the frame allocation) and converts
-//!   with `f64::from_le_bytes` over `chunks_exact(8)` — the only copy
-//!   is into the destination `Vec<f64>` itself.
+//!   column (`copy_to_bytes` shares the frame allocation) and collects
+//!   `f64::from_le_bytes` over `chunks_exact(8)` — the only copy is
+//!   into the destination `Vec<f64>` itself. [`read_frame`] reads a
+//!   body into reserved capacity without zero-filling it first.
+//!
+//! Frames are pre-sized to their exact encoded length (each message's
+//! `encoded_body_len`); the length prefix is patched afterwards from
+//! the bytes actually written, so it can never disagree with the body.
 //!
 //! ## The [`FrameBuf`] reuse contract
 //!
 //! [`ClientMsg::encode`]/[`ServerMsg::encode`] allocate a fresh buffer
-//! per call. Steady-state senders (the per-session server loop, bulk
-//! benchmarks) should hold one [`FrameBuf`] and call
+//! per call. Steady-state senders of owned frames (the [`Client`]'s
+//! requests, bulk benchmarks) hold one [`FrameBuf`] and call
 //! `encode_into(&mut buf)` instead: the returned `&[u8]` is the framed
 //! message, valid until the next `encode_into` on the same buffer, and
 //! after warm-up encoding allocates nothing — the buffer retains the
 //! high-water capacity of the largest frame it has carried. A
 //! `FrameBuf` is plain reusable memory: it may be moved across
 //! messages, sessions, and threads freely.
+//!
+//! [`Client`]: crate::client::Client
 
 use bytes::{Buf, Bytes};
-use fc_tiles::{Move, TileId};
-use std::io::{self, Read, Write};
+use fc_tiles::{Move, Tile, TileId};
+use std::io::{self, IoSlice, Read, Write};
+use std::sync::Arc;
 
 /// Maximum accepted frame size (guards against corrupt length prefixes).
 pub const MAX_FRAME: usize = 64 << 20;
@@ -227,14 +246,16 @@ impl FrameBuf {
         &mut self.buf
     }
 
-    /// Patches the length prefix from the bytes actually encoded and
-    /// returns the frame. Deriving the prefix from reality (rather than
-    /// the predicted size) means an inconsistent payload — say `data`
-    /// columns shorter than `h·w` — still yields a self-consistent
-    /// frame the receiver rejects cleanly, never a desynced stream.
-    fn finish_frame(&mut self) -> &[u8] {
+    /// Patches the length prefix from the bytes actually encoded —
+    /// plus `spliced`, the column bytes a [`Frame`] sends by reference
+    /// between them — and returns the frame. Deriving the prefix from
+    /// reality (rather than the predicted size) means an inconsistent
+    /// payload — say `data` columns shorter than `h·w` — still yields a
+    /// self-consistent frame the receiver rejects cleanly, never a
+    /// desynced stream.
+    fn finish_frame(&mut self, spliced: usize) -> &[u8] {
         // fc-check: allow(handler-unwrap) -- encoder-built frame; length is capped far below u32::MAX by MAX_FRAME
-        let body_len = u32::try_from(self.buf.len() - 4).expect("frame fits u32");
+        let body_len = u32::try_from(self.buf.len() - 4 + spliced).expect("frame fits u32");
         self.buf[..4].copy_from_slice(&body_len.to_le_bytes());
         &self.buf
     }
@@ -307,16 +328,15 @@ fn put_f64_column(out: &mut Vec<u8>, values: &[f64]) {
 }
 
 /// Bulk-reads `n` little-endian f64s from the front of `buf` via a
-/// zero-copy sub-view; the destination `Vec` is the only copy made.
+/// zero-copy sub-view; the destination `Vec` is the only copy made,
+/// allocated at its exact size and written once.
 fn get_f64_column(buf: &mut Bytes, n: usize) -> Vec<f64> {
     debug_assert!(buf.remaining() >= n * 8);
     let raw = buf.copy_to_bytes(n * 8);
-    let mut values = vec![0.0f64; n];
-    for (v, b) in values.iter_mut().zip(raw.chunks_exact(8)) {
+    raw.chunks_exact(8)
         // fc-check: allow(handler-unwrap) -- chunks_exact(8) yields exactly 8-byte slices
-        *v = f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
-    }
-    values
+        .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+        .collect()
 }
 
 fn get_tile_id(buf: &mut Bytes) -> io::Result<TileId> {
@@ -332,6 +352,196 @@ fn get_tile_id(buf: &mut Bytes) -> io::Result<TileId> {
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// The scalars a [`ServerMsg::Tile`] carries beside its payload.
+#[derive(Debug, Clone, Copy)]
+struct ReplyMeta {
+    latency_ns: u64,
+    cache_hit: bool,
+    phase: u8,
+    degraded: bool,
+}
+
+/// What a tile-bearing body holds ahead of its attributes: identity,
+/// shape, and — in a `Tile`; a `Push` has none — the reply scalars.
+/// `reply` decides the tag.
+#[derive(Debug, Clone, Copy)]
+struct TileHeader {
+    tile: TileId,
+    h: u32,
+    w: u32,
+    reply: Option<ReplyMeta>,
+}
+
+const TAG_TILE: u8 = 1;
+const TAG_PUSH: u8 = 4;
+
+impl TileHeader {
+    fn of_payload(p: &TilePayload, reply: Option<ReplyMeta>) -> Self {
+        Self {
+            tile: p.tile,
+            h: p.h,
+            w: p.w,
+            reply,
+        }
+    }
+
+    /// Encoded size, tag through attribute count.
+    const fn len(reply: bool) -> usize {
+        1 + 9 + 4 + 4 + if reply { 8 + 1 + 1 + 1 } else { 0 } + 2
+    }
+
+    fn put(&self, out: &mut Vec<u8>, nattrs: usize) {
+        let reply = self.reply.is_some();
+        out.push(if reply { TAG_TILE } else { TAG_PUSH });
+        put_tile_id(out, self.tile);
+        out.extend_from_slice(&self.h.to_le_bytes());
+        out.extend_from_slice(&self.w.to_le_bytes());
+        if let Some(r) = self.reply {
+            out.extend_from_slice(&r.latency_ns.to_le_bytes());
+            out.push(u8::from(r.cache_hit));
+            out.push(r.phase);
+            out.push(u8::from(r.degraded));
+        }
+        // fc-check: allow(handler-unwrap) -- attr count comes from the served dataset schema, far below u16::MAX
+        let nattrs = u16::try_from(nattrs).expect("attr count");
+        out.extend_from_slice(&nattrs.to_le_bytes());
+    }
+
+    /// Reads the header behind a `TAG_TILE` (`reply`) or `TAG_PUSH`
+    /// tag, and the attribute count that closes it.
+    fn get(reply: bool, body: &mut Bytes) -> io::Result<(Self, usize)> {
+        let tile = get_tile_id(body)?;
+        if body.remaining() < Self::len(reply) - 1 - 9 {
+            return Err(bad(if reply {
+                "truncated Tile header"
+            } else {
+                "truncated Push header"
+            }));
+        }
+        let (h, w) = (body.get_u32_le(), body.get_u32_le());
+        let reply = reply.then(|| ReplyMeta {
+            latency_ns: body.get_u64_le(),
+            cache_hit: body.get_u8() != 0,
+            phase: body.get_u8(),
+            degraded: body.get_u8() != 0,
+        });
+        let nattrs = body.get_u16_le() as usize;
+        Ok((Self { tile, h, w, reply }, nattrs))
+    }
+}
+
+/// Exact size of a tile-bearing body whose columns take `column_len`
+/// bytes each (0 for the bytes a [`Frame`] owns: its columns are not
+/// in the buffer).
+fn tile_body_len<'a>(
+    reply: bool,
+    names: impl Iterator<Item = &'a str>,
+    column_len: usize,
+    mask_len: usize,
+) -> usize {
+    let attrs: usize = names.map(|n| 2 + wire_str(n).len() + column_len).sum();
+    TileHeader::len(reply) + attrs + mask_len
+}
+
+/// Writes a tile-bearing body, `Tile` and `Push` alike — the one place
+/// the layout is written down: the header, then per attribute its name
+/// and its column, then the presence mask. `column(out, i)` puts
+/// attribute `i`'s values (the reference encoder) or only notes where
+/// they belong (a [`Frame`]).
+fn put_tile_body<'a>(
+    out: &mut Vec<u8>,
+    header: &TileHeader,
+    names: impl ExactSizeIterator<Item = &'a str>,
+    mut column: impl FnMut(&mut Vec<u8>, usize),
+    mask: impl FnOnce(&mut Vec<u8>),
+) {
+    header.put(out, names.len());
+    for (i, name) in names.enumerate() {
+        put_string(out, name);
+        column(out, i);
+    }
+    mask(out);
+}
+
+/// The reference encoder's two halves of the above, over an owned
+/// [`TilePayload`].
+fn payload_body_len(p: &TilePayload, reply: bool) -> usize {
+    let column_len = p.h as usize * p.w as usize * 8;
+    let names = p.attrs.iter().map(String::as_str);
+    tile_body_len(reply, names, column_len, p.present.len())
+}
+
+fn put_payload(out: &mut Vec<u8>, p: &TilePayload, reply: Option<ReplyMeta>) {
+    put_tile_body(
+        out,
+        &TileHeader::of_payload(p, reply),
+        p.attrs.iter().map(String::as_str),
+        |out, i| put_f64_column(out, p.data.get(i).map_or(&[], Vec::as_slice)),
+        |out| out.extend_from_slice(&p.present),
+    );
+}
+
+/// Reads a tile-bearing body behind its tag back into a message.
+fn get_tile_msg(reply: bool, body: &mut Bytes) -> io::Result<ServerMsg> {
+    let (header, nattrs) = TileHeader::get(reply, body)?;
+    // Bound the cell count before any size arithmetic: a crafted h×w
+    // near usize::MAX would wrap `ncells * 8` below and slip past the
+    // truncation checks. No valid frame can carry more than MAX_FRAME
+    // bytes anyway.
+    let ncells = (header.h as usize)
+        .checked_mul(header.w as usize)
+        .filter(|&n| n <= MAX_FRAME)
+        .ok_or_else(|| bad("tile dimensions too large"))?;
+    let mut attrs = Vec::with_capacity(nattrs);
+    let mut data = Vec::with_capacity(nattrs);
+    for _ in 0..nattrs {
+        let name = get_string(body)?;
+        if body.remaining() < ncells * 8 {
+            return Err(bad("truncated attribute data"));
+        }
+        attrs.push(name);
+        data.push(get_f64_column(body, ncells));
+    }
+    if body.remaining() < ncells {
+        return Err(bad("truncated presence mask"));
+    }
+    let payload = TilePayload {
+        tile: header.tile,
+        h: header.h,
+        w: header.w,
+        attrs,
+        data,
+        present: body.copy_to_bytes(ncells).to_vec(),
+    };
+    Ok(tile_msg(payload, header.reply))
+}
+
+/// A `Tile` (with its reply scalars) or a `Push` (without) around
+/// `payload`.
+fn tile_msg(payload: TilePayload, reply: Option<ReplyMeta>) -> ServerMsg {
+    match reply {
+        Some(r) => ServerMsg::Tile {
+            payload,
+            latency_ns: r.latency_ns,
+            cache_hit: r.cache_hit,
+            phase: r.phase,
+            degraded: r.degraded,
+        },
+        None => ServerMsg::Push { payload },
+    }
+}
+
+/// A tile's shape as the wire carries it.
+pub(crate) fn wire_shape(tile: &Tile) -> (u32, u32) {
+    let (h, w) = tile.shape();
+    (
+        // fc-check: allow(handler-unwrap) -- tile dimensions are server-configured and far below u32::MAX
+        u32::try_from(h).expect("tile height"),
+        // fc-check: allow(handler-unwrap) -- tile dimensions are server-configured and far below u32::MAX
+        u32::try_from(w).expect("tile width"),
+    )
 }
 
 impl ClientMsg {
@@ -377,7 +587,7 @@ impl ClientMsg {
             ClientMsg::GetStats => body.push(2),
             ClientMsg::Bye => body.push(3),
         }
-        frame.finish_frame()
+        frame.finish_frame(0)
     }
 
     /// Decodes one unframed message body.
@@ -434,26 +644,10 @@ impl ServerMsg {
     fn encoded_body_len(&self) -> usize {
         match self {
             ServerMsg::Welcome { .. } => 1 + 1 + 4 + 4,
-            ServerMsg::Tile { payload, .. } => {
-                let ncells = payload.h as usize * payload.w as usize;
-                let columns: usize = payload
-                    .attrs
-                    .iter()
-                    .map(|name| 2 + wire_str(name).len() + ncells * 8)
-                    .sum();
-                1 + 9 + 4 + 4 + 8 + 1 + 1 + 1 + 2 + columns + payload.present.len()
-            }
+            ServerMsg::Tile { payload, .. } => payload_body_len(payload, true),
             ServerMsg::Stats { .. } => 1 + 8 + 8 + 8 + 8 + 8,
             ServerMsg::Error { reason, .. } => 1 + 1 + 2 + wire_str(reason).len(),
-            ServerMsg::Push { payload } => {
-                let ncells = payload.h as usize * payload.w as usize;
-                let columns: usize = payload
-                    .attrs
-                    .iter()
-                    .map(|name| 2 + wire_str(name).len() + ncells * 8)
-                    .sum();
-                1 + 9 + 4 + 4 + 2 + columns + payload.present.len()
-            }
+            ServerMsg::Push { payload } => payload_body_len(payload, false),
         }
     }
 
@@ -479,24 +673,16 @@ impl ServerMsg {
                 cache_hit,
                 phase,
                 degraded,
-            } => {
-                body.push(1);
-                put_tile_id(body, payload.tile);
-                body.extend_from_slice(&payload.h.to_le_bytes());
-                body.extend_from_slice(&payload.w.to_le_bytes());
-                body.extend_from_slice(&latency_ns.to_le_bytes());
-                body.push(u8::from(*cache_hit));
-                body.push(*phase);
-                body.push(u8::from(*degraded));
-                // fc-check: allow(handler-unwrap) -- attr count comes from the served dataset schema, far below u16::MAX
-                let nattrs = u16::try_from(payload.attrs.len()).expect("attr count");
-                body.extend_from_slice(&nattrs.to_le_bytes());
-                for (name, values) in payload.attrs.iter().zip(&payload.data) {
-                    put_string(body, name);
-                    put_f64_column(body, values);
-                }
-                body.extend_from_slice(&payload.present);
-            }
+            } => put_payload(
+                body,
+                payload,
+                Some(ReplyMeta {
+                    latency_ns: *latency_ns,
+                    cache_hit: *cache_hit,
+                    phase: *phase,
+                    degraded: *degraded,
+                }),
+            ),
             ServerMsg::Stats {
                 requests,
                 hits,
@@ -516,22 +702,9 @@ impl ServerMsg {
                 body.push(*code as u8);
                 put_string(body, reason);
             }
-            ServerMsg::Push { payload } => {
-                body.push(4);
-                put_tile_id(body, payload.tile);
-                body.extend_from_slice(&payload.h.to_le_bytes());
-                body.extend_from_slice(&payload.w.to_le_bytes());
-                // fc-check: allow(handler-unwrap) -- attr count comes from the served dataset schema, far below u16::MAX
-                let nattrs = u16::try_from(payload.attrs.len()).expect("attr count");
-                body.extend_from_slice(&nattrs.to_le_bytes());
-                for (name, values) in payload.attrs.iter().zip(&payload.data) {
-                    put_string(body, name);
-                    put_f64_column(body, values);
-                }
-                body.extend_from_slice(&payload.present);
-            }
+            ServerMsg::Push { payload } => put_payload(body, payload, None),
         }
-        frame.finish_frame()
+        frame.finish_frame(0)
     }
 
     /// Decodes one unframed message body.
@@ -552,55 +725,7 @@ impl ServerMsg {
                     deepest_tiles: (body.get_u32_le(), body.get_u32_le()),
                 })
             }
-            1 => {
-                let tile = get_tile_id(&mut body)?;
-                if body.remaining() < 4 + 4 + 8 + 1 + 1 + 1 + 2 {
-                    return Err(bad("truncated Tile header"));
-                }
-                let h = body.get_u32_le();
-                let w = body.get_u32_le();
-                let latency_ns = body.get_u64_le();
-                let cache_hit = body.get_u8() != 0;
-                let phase = body.get_u8();
-                let degraded = body.get_u8() != 0;
-                let nattrs = body.get_u16_le() as usize;
-                // Bound the cell count before any size arithmetic: a
-                // crafted h×w near usize::MAX would wrap `ncells * 8`
-                // below and slip past the truncation checks. No valid
-                // frame can carry more than MAX_FRAME bytes anyway.
-                let ncells = (h as usize)
-                    .checked_mul(w as usize)
-                    .filter(|&n| n <= MAX_FRAME)
-                    .ok_or_else(|| bad("tile dimensions too large"))?;
-                let mut attrs = Vec::with_capacity(nattrs);
-                let mut data = Vec::with_capacity(nattrs);
-                for _ in 0..nattrs {
-                    let name = get_string(&mut body)?;
-                    if body.remaining() < ncells * 8 {
-                        return Err(bad("truncated attribute data"));
-                    }
-                    attrs.push(name);
-                    data.push(get_f64_column(&mut body, ncells));
-                }
-                if body.remaining() < ncells {
-                    return Err(bad("truncated presence mask"));
-                }
-                let present = body.copy_to_bytes(ncells).to_vec();
-                Ok(ServerMsg::Tile {
-                    payload: TilePayload {
-                        tile,
-                        h,
-                        w,
-                        attrs,
-                        data,
-                        present,
-                    },
-                    latency_ns,
-                    cache_hit,
-                    phase,
-                    degraded,
-                })
-            }
+            tag @ (TAG_TILE | TAG_PUSH) => get_tile_msg(tag == TAG_TILE, &mut body),
             2 => {
                 if body.remaining() < 40 {
                     return Err(bad("truncated Stats"));
@@ -623,45 +748,189 @@ impl ServerMsg {
                     reason: get_string(&mut body)?,
                 })
             }
-            4 => {
-                let tile = get_tile_id(&mut body)?;
-                if body.remaining() < 4 + 4 + 2 {
-                    return Err(bad("truncated Push header"));
-                }
-                let h = body.get_u32_le();
-                let w = body.get_u32_le();
-                let nattrs = body.get_u16_le() as usize;
-                let ncells = (h as usize)
-                    .checked_mul(w as usize)
-                    .filter(|&n| n <= MAX_FRAME)
-                    .ok_or_else(|| bad("tile dimensions too large"))?;
-                let mut attrs = Vec::with_capacity(nattrs);
-                let mut data = Vec::with_capacity(nattrs);
-                for _ in 0..nattrs {
-                    let name = get_string(&mut body)?;
-                    if body.remaining() < ncells * 8 {
-                        return Err(bad("truncated attribute data"));
-                    }
-                    attrs.push(name);
-                    data.push(get_f64_column(&mut body, ncells));
-                }
-                if body.remaining() < ncells {
-                    return Err(bad("truncated presence mask"));
-                }
-                let present = body.copy_to_bytes(ncells).to_vec();
-                Ok(ServerMsg::Push {
-                    payload: TilePayload {
-                        tile,
-                        h,
-                        w,
-                        attrs,
-                        data,
-                        present,
-                    },
-                })
-            }
             t => Err(bad(&format!("unknown server tag {t}"))),
         }
+    }
+}
+
+/// One server → client message ready to leave: the bytes it owns and,
+/// for a tile, the columns it sends **by reference**.
+///
+/// `owned` is the whole frame for the small messages ([`Frame::msg`]).
+/// For a tile ([`Frame::tile`], [`Frame::push`]) it is everything but
+/// the f64 columns — length prefix, tag, header, `u16`-prefixed
+/// attribute names, presence mask — and `cuts[i]` is the offset in it
+/// where attribute `i`'s column belongs; the columns themselves stay
+/// in the `Arc<Tile>`, which the frame keeps alive until it is dropped
+/// (so a queued reply survives the tile's eviction). On the wire the
+/// frame is its `2·attrs + 1` pieces in order, byte for byte what
+/// [`ServerMsg::encode`] builds from `server::tile_payload`.
+pub struct Frame {
+    owned: Vec<u8>,
+    cuts: Vec<usize>,
+    tile: Option<Arc<Tile>>,
+}
+
+impl std::fmt::Debug for Frame {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Frame")
+            .field("len", &self.len())
+            .field("tile", &self.tile.as_ref().map(|t| t.id))
+            .finish()
+    }
+}
+
+/// Pieces one [`Frame::write_to`] call hands the writer: a tile of up
+/// to seven attributes goes out in one vectored write, a wider one in
+/// several.
+const MAX_IOV: usize = 16;
+
+/// A column's wire bytes. The protocol is little-endian, so on a
+/// little-endian host (the only kind that builds a spliced [`Frame`])
+/// they are the values as they lie in memory.
+fn column_bytes(values: &[f64]) -> &[u8] {
+    // SAFETY: `values` is a live, initialised `[f64]`, so the
+    // `size_of_val(values)` bytes behind its pointer are readable and
+    // initialised for the lifetime of the borrow the result keeps;
+    // `u8` has alignment 1 and no invalid bit patterns, and nothing
+    // writes through a shared borrow.
+    unsafe { std::slice::from_raw_parts(values.as_ptr().cast(), std::mem::size_of_val(values)) }
+}
+
+// A frame always has its prefix and tag: there is no empty one to ask about.
+#[allow(clippy::len_without_is_empty)]
+impl Frame {
+    /// An owned frame: `msg` through [`ServerMsg::encode_into`].
+    pub fn msg(msg: &ServerMsg) -> Frame {
+        let mut buf = FrameBuf::new();
+        msg.encode_into(&mut buf);
+        Frame {
+            owned: buf.buf,
+            cuts: Vec::new(),
+            tile: None,
+        }
+    }
+
+    /// The [`ServerMsg::Tile`] reply carrying `tile`, its columns by
+    /// reference.
+    pub fn tile(
+        tile: Arc<Tile>,
+        latency_ns: u64,
+        cache_hit: bool,
+        phase: u8,
+        degraded: bool,
+    ) -> Frame {
+        let reply = ReplyMeta {
+            latency_ns,
+            cache_hit,
+            phase,
+            degraded,
+        };
+        Self::spliced(tile, Some(reply))
+    }
+
+    /// The [`ServerMsg::Push`] carrying `tile`, its columns by
+    /// reference.
+    pub fn push(tile: Arc<Tile>) -> Frame {
+        Self::spliced(tile, None)
+    }
+
+    fn spliced(tile: Arc<Tile>, reply: Option<ReplyMeta>) -> Frame {
+        if cfg!(target_endian = "big") {
+            // The columns in memory are not their wire bytes here:
+            // send an owned, byte-swapped frame.
+            return Frame::msg(&tile_msg(crate::server::tile_payload(&tile), reply));
+        }
+        let array = &tile.array;
+        let attrs = &array.schema().attrs;
+        let names = || attrs.iter().map(|a| a.name.as_str());
+        let (h, w) = wire_shape(&tile);
+        let header = TileHeader {
+            tile: tile.id,
+            h,
+            w,
+            reply,
+        };
+        let mut buf = FrameBuf::new();
+        let owned = buf.start_frame(tile_body_len(reply.is_some(), names(), 0, array.ncells()));
+        let mut cuts = Vec::with_capacity(attrs.len());
+        put_tile_body(
+            owned,
+            &header,
+            names(),
+            |out, _| cuts.push(out.len()),
+            |out| array.validity().expand_into(out),
+        );
+        buf.finish_frame(cuts.len() * array.ncells() * 8);
+        Frame {
+            owned: buf.buf,
+            cuts,
+            tile: Some(tile),
+        }
+    }
+
+    /// Calls `f` on each piece of the frame in wire order: the owned
+    /// bytes up to each cut, then the column that belongs there, and
+    /// last the owned tail.
+    fn for_each_piece<'a>(&'a self, mut f: impl FnMut(&'a [u8])) {
+        let mut at = 0;
+        if let Some(tile) = &self.tile {
+            for (i, &cut) in self.cuts.iter().enumerate() {
+                f(&self.owned[at..cut]);
+                f(column_bytes(tile.array.attr_col(i)));
+                at = cut;
+            }
+        }
+        f(&self.owned[at..]);
+    }
+
+    /// Total bytes on the wire, length prefix included.
+    pub fn len(&self) -> usize {
+        let column_len = self.tile.as_ref().map_or(0, |t| t.array.ncells() * 8);
+        self.owned.len() + self.cuts.len() * column_len
+    }
+
+    /// The frame as one owned buffer (what the tests compare against
+    /// the reference encoder; serving never concatenates).
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each_piece(|piece| out.extend_from_slice(piece));
+        out
+    }
+
+    /// Writes the frame from byte `*pos` on — any byte: mid-header,
+    /// mid-column, mid-mask — with vectored writes over the pieces
+    /// that remain, advancing `*pos` by what the writer took, until
+    /// the frame is out.
+    ///
+    /// # Errors
+    /// Whatever the writer refuses with, `*pos` left at the first
+    /// unwritten byte — including `WouldBlock`, after which the caller
+    /// resumes with the same `pos` once the writer has room.
+    /// `Interrupted` is retried; a writer that takes nothing is
+    /// `WriteZero`.
+    pub fn write_to(&self, w: &mut impl Write, pos: &mut usize) -> io::Result<()> {
+        let len = self.len();
+        while *pos < len {
+            let mut iov = [IoSlice::new(&[]); MAX_IOV];
+            let (mut n, mut skip) = (0, *pos);
+            self.for_each_piece(|piece| {
+                if skip >= piece.len() {
+                    skip -= piece.len();
+                } else if n < MAX_IOV {
+                    iov[n] = IoSlice::new(&piece[skip..]);
+                    n += 1;
+                    skip = 0;
+                }
+            });
+            match w.write_vectored(&iov[..n]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(written) => *pos += written,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -679,7 +948,7 @@ pub fn write_frame<W: Write>(w: &mut W, framed: &[u8]) -> io::Result<()> {
 ///
 /// # Errors
 /// Propagates I/O errors; `InvalidData` for oversized frames;
-/// `UnexpectedEof` at clean stream end.
+/// `UnexpectedEof` when the stream ends, between frames or inside one.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Bytes> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
@@ -687,8 +956,17 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Bytes> {
     if len > MAX_FRAME {
         return Err(bad("frame too large"));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    // `read_to_end` fills the reserved capacity as it stands — no
+    // zero-fill of bytes the read is about to overwrite — and `take`
+    // stops it at this frame's end.
+    let mut body = Vec::with_capacity(len);
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "stream ended mid-frame",
+        ));
+    }
     Ok(Bytes::from(body))
 }
 
@@ -924,6 +1202,20 @@ mod tests {
         let f2 = read_frame(&mut cursor).unwrap();
         assert_eq!(ClientMsg::decode(f2).unwrap(), ClientMsg::Bye);
         assert!(read_frame(&mut cursor).is_err(), "EOF");
+    }
+
+    #[test]
+    fn stream_ending_mid_body_is_unexpected_eof() {
+        // A prefix promising 100 bytes, 10 delivered, then the end.
+        let mut buf = 100u32.to_le_bytes().to_vec();
+        buf.extend_from_slice(&[7u8; 10]);
+        let err = read_frame(&mut std::io::Cursor::new(buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // Likewise inside the prefix, and at a clean end.
+        for prefix in [&[1u8, 0][..], &[]] {
+            let err = read_frame(&mut std::io::Cursor::new(prefix)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        }
     }
 
     #[test]

@@ -20,12 +20,15 @@
 //! * a **read accumulator** re-assembling length-prefixed frames from
 //!   whatever byte granularity the socket delivers (a mid-frame
 //!   disconnect is detected as EOF with bytes pending);
-//! * a **bounded write queue** of encoded frames
-//!   ([`crate::server::SessionLimits::max_write_queue`]): replies are
-//!   flushed opportunistically, queued only past a full socket
-//!   buffer, and a slow reader whose backlog hits the bound is shed
-//!   with [`ErrorCode::Overloaded`] — backpressure is explicit and
-//!   bounded, never an unbounded heap;
+//! * a **bounded write queue** of [`Frame`]s
+//!   ([`crate::server::SessionLimits::max_write_queue`]): a reply is
+//!   flushed opportunistically with one vectored write straight from
+//!   the tile's columns, waits in the queue only past a full socket
+//!   buffer — as an `Arc` to its tile and the few KiB it owns, resumed
+//!   later at whatever byte the socket stopped — and a slow reader
+//!   whose backlog hits the bound is shed with
+//!   [`ErrorCode::Overloaded`]: backpressure is explicit and bounded,
+//!   never an unbounded heap;
 //! * **liveness clocks**: `read_timeout` doubles as the idle-session
 //!   timeout, `write_timeout` as the write-stall timeout (measured
 //!   from the moment a write first refuses to make progress).
@@ -35,17 +38,17 @@
 //! [`fc_core::PushPlanner`] (ranked predictions via
 //! [`fc_core::Middleware::take_push_candidates`], phase via
 //! [`fc_core::Middleware::traffic_phase`]), and each tick drains the
-//! planner's picks into [`ServerMsg::Push`] frames — only to sessions
+//! planner's picks into [`Frame::push`] frames — only to sessions
 //! whose socket is writable *and* whose write queue is empty, so a
 //! push never queues behind (or delays) a reply.
 
 use crate::epoll::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT};
-use crate::protocol::{write_frame, ClientMsg, ErrorCode, FrameBuf, ServerMsg, MAX_FRAME};
-use crate::server::{handle_msg, tile_payload, Flow, PushCounters, ServedDatasets, ServerConfig};
+use crate::protocol::{ClientMsg, ErrorCode, Frame, ServerMsg, MAX_FRAME};
+use crate::server::{handle_msg, Flow, PushCounters, Reply, ServedDatasets, ServerConfig};
 use fc_core::{Middleware, MultiUserCache, PushPlanner};
 use fc_tiles::TileId;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -85,9 +88,9 @@ struct Session {
     /// inter-request gap that drives the session's burst timeline
     /// (see `serve_msg`).
     last_request: Option<Instant>,
-    /// Encoded frames awaiting socket room; `wpos` is the progress
-    /// into the front frame.
-    wq: VecDeque<Vec<u8>>,
+    /// Frames awaiting socket room; `wpos` is the progress into the
+    /// front frame.
+    wq: VecDeque<Frame>,
     wpos: usize,
     last_read: Instant,
     /// When the socket first refused write progress with output
@@ -153,7 +156,6 @@ pub(crate) fn reactor_loop(
     let mut sessions: HashMap<u64, Session> = HashMap::new();
     let mut next_sid: u64 = 0;
     let mut planner = config.push.map(|p| PushPlanner::new(p.planner));
-    let mut frame = FrameBuf::new();
     let mut scratch = vec![0u8; READ_CHUNK];
     let Ok(ep) = Epoll::new() else {
         // No readiness primitive, no reactor: unbind by returning (the
@@ -205,7 +207,7 @@ pub(crate) fn reactor_loop(
                     flush_writes(s, now);
                 }
                 if ev.readable() && !s.closing && !s.dead {
-                    handle_readable(s, &served, &config, &mut frame, &mut scratch, now);
+                    handle_readable(s, &served, &config, &mut scratch, now);
                     flush_writes(s, now);
                 }
                 if let Some(p) = planner.as_mut() {
@@ -250,7 +252,6 @@ pub(crate) fn reactor_loop(
                         // fc-check: allow(handler-unwrap) -- the planner is only constructed when push config is present
                         .expect("planner implies push config")
                         .tick_budget,
-                    &mut frame,
                     now,
                 );
             }
@@ -303,7 +304,7 @@ fn accept_ready(
                     // path: a kernel send buffer swallows a small
                     // frame even from a nonblocking socket.
                     let _ = stream.set_nodelay(true);
-                    let _ = write_frame(&mut stream, &reply.encode());
+                    let _ = Frame::msg(&reply).write_to(&mut stream, &mut 0);
                     continue;
                 }
                 if stream.set_nonblocking(true).is_err() {
@@ -330,7 +331,6 @@ fn handle_readable(
     s: &mut Session,
     served: &ServedDatasets,
     config: &ServerConfig,
-    frame: &mut FrameBuf,
     scratch: &mut [u8],
     now: Instant,
 ) {
@@ -360,7 +360,7 @@ fn handle_readable(
     // pipelines a request and immediately half-closes still gets its
     // reply, exactly as the threaded loop (which reads the frame
     // first and only sees EOF on the next read) behaves.
-    serve_buffered(s, served, config, frame);
+    serve_buffered(s, served, config);
     if saw_eof && !s.dead {
         // Whatever is left in the accumulator is a mid-frame
         // disconnect; either way the peer sends no more — flush any
@@ -373,12 +373,7 @@ fn handle_readable(
 }
 
 /// Parses and serves complete frames from the accumulator.
-fn serve_buffered(
-    s: &mut Session,
-    served: &ServedDatasets,
-    config: &ServerConfig,
-    frame: &mut FrameBuf,
-) {
+fn serve_buffered(s: &mut Session, served: &ServedDatasets, config: &ServerConfig) {
     let mut consumed = 0;
     while !s.closing && !s.dead {
         let rest = &s.rbuf[consumed..];
@@ -398,20 +393,14 @@ fn serve_buffered(
         }
         let body = bytes::Bytes::from(rest[4..4 + len].to_vec());
         consumed += 4 + len;
-        serve_msg(s, body, served, config, frame);
+        serve_msg(s, body, served, config);
     }
     s.rbuf.drain(..consumed);
 }
 
 /// Decodes and serves one client message — the reactor twin of one
 /// iteration of the threaded session loop, with identical semantics.
-fn serve_msg(
-    s: &mut Session,
-    body: bytes::Bytes,
-    served: &ServedDatasets,
-    config: &ServerConfig,
-    frame: &mut FrameBuf,
-) {
+fn serve_msg(s: &mut Session, body: bytes::Bytes, served: &ServedDatasets, config: &ServerConfig) {
     let msg = match ClientMsg::decode(body) {
         Ok(m) => m,
         Err(e) => {
@@ -419,7 +408,7 @@ fn serve_msg(
                 code: ErrorCode::Malformed,
                 reason: format!("malformed message: {e}"),
             };
-            enqueue(s, &reply, config, frame);
+            enqueue(s, Frame::msg(&reply), config);
             s.closing = true;
             return;
         }
@@ -456,60 +445,56 @@ fn serve_msg(
         Flow::Reply(reply) => {
             // A successful Hello re-bound the session; refresh the
             // push payload source to the (new) namespace cache.
-            if let (Some(name), ServerMsg::Welcome { .. }) = (&hello_dataset, &reply) {
+            if let (Some(name), Reply::Msg(ServerMsg::Welcome { .. })) = (&hello_dataset, &reply) {
                 s.push_cache = served
                     .resolve(name)
                     .and_then(|d| d.shared.as_ref())
                     .map(|sh| sh.namespace.cache().clone() as Arc<dyn MultiUserCache>);
             }
-            enqueue(s, &reply, config, frame);
+            enqueue(s, reply.into_frame(), config);
         }
         Flow::ReplyClose(reply) => {
-            enqueue(s, &reply, config, frame);
+            enqueue(s, Frame::msg(&reply), config);
             s.closing = true;
         }
         Flow::Close => s.closing = true,
     }
 }
 
-/// Queues one encoded reply, enforcing the write-queue bound: a
-/// session past it is shed with `Overloaded` (the shed notice itself
-/// rides outside the bound — it is the last frame the session sees).
-fn enqueue(s: &mut Session, reply: &ServerMsg, config: &ServerConfig, frame: &mut FrameBuf) {
+/// Queues one reply, enforcing the write-queue bound: a session past
+/// it is shed with `Overloaded` (the shed notice itself rides outside
+/// the bound — it is the last frame the session sees).
+fn enqueue(s: &mut Session, reply: Frame, config: &ServerConfig) {
     let bound = config.limits.max_write_queue;
     if bound > 0 && !s.closing && s.wq.len() >= bound {
         let shed = ServerMsg::Error {
             code: ErrorCode::Overloaded,
             reason: format!("write backlog exceeded {bound} frames; shedding session"),
         };
-        s.wq.push_back(shed.encode_into(frame).to_vec());
+        s.wq.push_back(Frame::msg(&shed));
         s.closing = true;
         return;
     }
-    s.wq.push_back(reply.encode_into(frame).to_vec());
+    s.wq.push_back(reply);
 }
 
 /// Writes as much of the queue as the socket accepts right now.
 fn flush_writes(s: &mut Session, now: Instant) {
     while let Some(front) = s.wq.front() {
-        match s.stream.write(&front[s.wpos..]) {
-            Ok(0) => {
-                s.dead = true;
-                return;
-            }
-            Ok(n) => {
-                s.write_blocked = None;
-                s.wpos += n;
-                if s.wpos == front.len() {
-                    s.wq.pop_front();
-                    s.wpos = 0;
-                }
+        let before = s.wpos;
+        let outcome = front.write_to(&mut s.stream, &mut s.wpos);
+        if s.wpos > before {
+            s.write_blocked = None;
+        }
+        match outcome {
+            Ok(()) => {
+                s.wq.pop_front();
+                s.wpos = 0;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 s.write_blocked.get_or_insert(now);
                 return;
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
                 s.dead = true;
                 return;
@@ -558,7 +543,6 @@ fn push_tick(
     ep: &Epoll,
     planner: &mut PushPlanner,
     budget: usize,
-    frame: &mut FrameBuf,
     now: Instant,
 ) {
     if budget == 0 || planner.pending_sessions() == 0 {
@@ -591,10 +575,7 @@ fn push_tick(
         let Some(t) = s.push_cache.as_ref().and_then(|c| c.peek(tile)) else {
             continue; // evicted between plan and drain
         };
-        let reply = ServerMsg::Push {
-            payload: tile_payload(&t),
-        };
-        s.wq.push_back(reply.encode_into(frame).to_vec());
+        s.wq.push_back(Frame::push(t));
         flush_writes(s, now);
         sync_interest(ep, s);
     }

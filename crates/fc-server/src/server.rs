@@ -11,7 +11,7 @@
 //! namespace's cross-session hotspot model.
 
 use crate::protocol::{
-    read_frame, write_frame, ClientMsg, ErrorCode, FrameBuf, ServerMsg, TilePayload,
+    read_frame, wire_shape, ClientMsg, ErrorCode, Frame, ServerMsg, TilePayload,
 };
 use fc_core::{
     BatchConfig, DatasetNamespace, DatasetRegistry, FaultPlan, HotspotConfig, LatencyProfile,
@@ -116,7 +116,9 @@ pub struct SessionLimits {
     /// with [`ErrorCode::Overloaded`] — a slow reader's backlog is
     /// bounded memory, never unbounded (0 = unbounded, the historical
     /// behaviour). The threaded path needs no bound: its blocking
-    /// writes hold at most one frame.
+    /// writes hold at most one frame. A queued tile frame holds its
+    /// tile by `Arc`, not by copy, so it keeps that tile's memory alive
+    /// past a cache eviction: at most this many tiles per session.
     pub max_write_queue: usize,
 }
 
@@ -496,7 +498,7 @@ fn accept_loop(
                         reason: format!("server at capacity ({max} sessions)"),
                     };
                     let _ = stream.set_nodelay(true);
-                    let _ = write_frame(&mut stream, &reply.encode());
+                    let _ = Frame::msg(&reply).write_to(&mut stream, &mut 0);
                     continue;
                 }
                 let served = served.clone();
@@ -530,11 +532,41 @@ fn accept_loop(
 /// bit-identical.
 pub(crate) enum Flow {
     /// Send the reply, keep serving.
-    Reply(ServerMsg),
+    Reply(Reply),
     /// Send the reply (best-effort), then tear the session down.
     ReplyClose(ServerMsg),
     /// Tear the session down silently (client said Bye).
     Close,
+}
+
+/// What [`handle_msg`] answers a request with: a small owned message,
+/// or a tile as the middleware handed it over — the `Arc` and the four
+/// reply scalars, never a [`TilePayload`] copy of its columns.
+pub(crate) enum Reply {
+    Msg(ServerMsg),
+    Tile {
+        tile: Arc<Tile>,
+        latency_ns: u64,
+        cache_hit: bool,
+        phase: u8,
+        degraded: bool,
+    },
+}
+
+impl Reply {
+    /// The frame both substrates send for this reply.
+    pub(crate) fn into_frame(self) -> Frame {
+        match self {
+            Reply::Msg(msg) => Frame::msg(&msg),
+            Reply::Tile {
+                tile,
+                latency_ns,
+                cache_hit,
+                phase,
+                degraded,
+            } => Frame::tile(tile, latency_ns, cache_hit, phase, degraded),
+        }
+    }
 }
 
 fn serve_session(
@@ -551,9 +583,6 @@ fn serve_session(
     // prefetch budget repartitions across the namespace's surviving
     // sessions.
     let mut middleware: Option<Middleware> = None;
-    // One reusable frame buffer per session: steady-state replies encode
-    // with zero allocations (see protocol.rs, "FrameBuf reuse contract").
-    let mut frame = FrameBuf::new();
     // Wall-clock arrival of the previous tile request: live serving
     // drives the session's burst timeline with real inter-request
     // gaps (the analyst's think time), where the replay harnesses
@@ -582,7 +611,7 @@ fn serve_session(
                     code: ErrorCode::Malformed,
                     reason: format!("malformed message: {e}"),
                 };
-                let _ = write_frame(&mut stream, reply.encode_into(&mut frame));
+                let _ = Frame::msg(&reply).write_to(&mut stream, &mut 0);
                 return Err(e);
             }
         };
@@ -608,10 +637,12 @@ fn serve_session(
                 reason: "internal error; closing session".into(),
             })
         });
+        // The blocking socket takes the whole frame or fails the
+        // session (a write timeout surfaces as an error here).
         match flow {
-            Flow::Reply(reply) => write_frame(&mut stream, reply.encode_into(&mut frame))?,
+            Flow::Reply(reply) => reply.into_frame().write_to(&mut stream, &mut 0)?,
             Flow::ReplyClose(reply) => {
-                let _ = write_frame(&mut stream, reply.encode_into(&mut frame));
+                let _ = Frame::msg(&reply).write_to(&mut stream, &mut 0);
                 return Ok(());
             }
             Flow::Close => return Ok(()),
@@ -715,35 +746,33 @@ pub(crate) fn handle_msg(
                     }
                 }
             };
-            Flow::Reply(reply)
+            Flow::Reply(Reply::Msg(reply))
         }
         ClientMsg::RequestTile { tile, mv } => {
+            let error = |code, reason| Reply::Msg(ServerMsg::Error { code, reason });
             let reply = match middleware.as_mut() {
-                None => ServerMsg::Error {
-                    code: ErrorCode::General,
-                    reason: "session not opened: send Hello first".into(),
-                },
+                None => error(
+                    ErrorCode::General,
+                    "session not opened: send Hello first".into(),
+                ),
                 Some(mw) => match mw.try_request(tile, mv) {
-                    Ok(Some(resp)) => ServerMsg::Tile {
-                        payload: tile_payload(&resp.tile),
+                    Ok(Some(resp)) => Reply::Tile {
+                        tile: resp.tile,
                         latency_ns: u64::try_from(resp.latency.as_nanos()).unwrap_or(u64::MAX),
                         cache_hit: resp.cache_hit,
                         // fc-check: allow(handler-unwrap) -- phase index is 0..3 by construction, always fits u8
                         phase: u8::try_from(resp.phase.index()).expect("phase id"),
                         degraded: resp.degraded,
                     },
-                    Ok(None) => ServerMsg::Error {
-                        code: ErrorCode::NoSuchTile,
-                        reason: format!("no such tile: {tile}"),
-                    },
+                    Ok(None) => error(ErrorCode::NoSuchTile, format!("no such tile: {tile}")),
                     // The fetch exhausted its retry/deadline budget
                     // with nothing resident to degrade to. The session
                     // stays up: the fault may be transient and the
                     // client decides whether to retry or re-navigate.
-                    Err(e) => ServerMsg::Error {
-                        code: ErrorCode::Unavailable,
-                        reason: format!("tile {tile} unavailable: {e}"),
-                    },
+                    Err(e) => error(
+                        ErrorCode::Unavailable,
+                        format!("tile {tile} unavailable: {e}"),
+                    ),
                 },
             };
             Flow::Reply(reply)
@@ -766,31 +795,30 @@ pub(crate) fn handle_msg(
                     }
                 }
             };
-            Flow::Reply(reply)
+            Flow::Reply(Reply::Msg(reply))
         }
         ClientMsg::Bye => Flow::Close,
     }
 }
 
-/// Converts a tile into its wire payload.
+/// Converts a tile into its wire payload: an owned copy of its names,
+/// columns and expanded presence mask. Serving does not call this —
+/// replies leave by reference ([`Frame::tile`]) — it feeds the
+/// reference encoder the tests and benchmarks compare against.
 pub fn tile_payload(tile: &Tile) -> TilePayload {
-    let (h, w) = tile.shape();
-    let schema = tile.array.schema();
-    let attrs: Vec<String> = schema.attrs.iter().map(|a| a.name.clone()).collect();
-    let data: Vec<Vec<f64>> = attrs
-        .iter()
-        // fc-check: allow(handler-unwrap) -- attr names are read from this same array's schema two lines up
-        .map(|a| tile.array.attr_values(a).expect("attr exists").to_vec())
-        .collect();
-    let present: Vec<u8> = tile.array.validity().iter().map(u8::from).collect();
+    let (h, w) = wire_shape(tile);
+    let array = &tile.array;
+    let attrs = &array.schema().attrs;
+    let mut present = Vec::new();
+    array.validity().expand_into(&mut present);
     TilePayload {
         tile: tile.id,
-        // fc-check: allow(handler-unwrap) -- tile dimensions are server-configured and far below u32::MAX
-        h: u32::try_from(h).expect("tile height"),
-        // fc-check: allow(handler-unwrap) -- tile dimensions are server-configured and far below u32::MAX
-        w: u32::try_from(w).expect("tile width"),
-        attrs,
-        data,
+        h,
+        w,
+        attrs: attrs.iter().map(|a| a.name.clone()).collect(),
+        data: (0..attrs.len())
+            .map(|ai| array.attr_col(ai).to_vec())
+            .collect(),
         present,
     }
 }

@@ -2,13 +2,19 @@
 //! encode → decode must reproduce the message exactly (bit-level for
 //! f64 payloads, NaN and ±∞ included), empty-attribute tiles must
 //! survive, and truncating any frame must be rejected, never panic or
-//! mis-decode.
+//! mis-decode. And for the frames the server actually sends: a
+//! [`Frame`] with its columns spliced in by reference is, byte for
+//! byte, the reference encoder's frame, however its write is cut up.
 
 use bytes::Bytes;
+use fc_array::{Attribute, DenseArray, Dimension, Schema};
 use fc_server::protocol::unframe;
-use fc_server::{ClientMsg, ErrorCode, FrameBuf, ServerMsg, TilePayload};
-use fc_tiles::{Move, TileId, MOVES};
+use fc_server::server::tile_payload;
+use fc_server::{ClientMsg, ErrorCode, Frame, FrameBuf, ServerMsg, TilePayload};
+use fc_tiles::{Move, Tile, TileId, MOVES};
 use proptest::prelude::*;
+use std::io::{self, IoSlice, Write};
+use std::sync::Arc;
 
 /// All assigned error codes plus the catch-all, for exhaustive cycling.
 const CODES: [ErrorCode; 7] = [
@@ -57,6 +63,65 @@ fn tile_msg(level: u8, y: u32, x: u32, h: u32, w: u32, nattrs: usize, seed: u64)
         cache_hit: seed.is_multiple_of(2),
         phase: (seed % 4) as u8,
         degraded: seed & 4 != 0,
+    }
+}
+
+/// The tile whose wire payload is `p`. The schema is built literally:
+/// `Schema::new` refuses zero attributes and zero-length dimensions,
+/// the wire format carries both.
+fn tile_of(p: &TilePayload) -> Arc<Tile> {
+    let (h, w) = (p.h as usize, p.w as usize);
+    let schema = Schema {
+        name: "T".into(),
+        dims: vec![Dimension::new("y", h), Dimension::new("x", w)],
+        attrs: p.attrs.iter().map(Attribute::new).collect(),
+    };
+    let mut array = DenseArray::filled(schema, 0.0);
+    for (name, column) in p.attrs.iter().zip(&p.data) {
+        array
+            .attr_values_mut(name)
+            .expect("attr of the schema")
+            .copy_from_slice(column);
+    }
+    for (cell, _) in p.present.iter().enumerate().filter(|(_, &b)| b == 0) {
+        array
+            .clear_cell(&[cell / w, cell % w])
+            .expect("cell in range");
+    }
+    Arc::new(Tile::new(p.tile, array))
+}
+
+/// A writer that takes what its script says, call by call (the script
+/// repeats): `0` refuses with `WouldBlock`, `k` accepts up to `k`
+/// bytes of the call — across the boundaries of its slices.
+struct Scripted {
+    script: Vec<usize>,
+    calls: usize,
+    out: Vec<u8>,
+}
+
+impl Write for Scripted {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.write_vectored(&[IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        let mut room = self.script[self.calls % self.script.len()];
+        self.calls += 1;
+        if room == 0 {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        let before = self.out.len();
+        for buf in bufs {
+            let n = room.min(buf.len());
+            self.out.extend_from_slice(&buf[..n]);
+            room -= n;
+        }
+        Ok(self.out.len() - before)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
@@ -169,6 +234,83 @@ proptest! {
             prop_assert_eq!(&a.present, &b.present);
         } else {
             panic!("decoded to a different variant");
+        }
+    }
+
+    /// The frame the server sends — columns spliced in by reference
+    /// from the tile — is the reference encoder's frame over
+    /// `tile_payload` of the same tile, byte for byte, `Tile` and
+    /// `Push` alike, and knows its own length.
+    #[test]
+    fn frame_is_the_reference_encoding_byte_for_byte(
+        level in 0u8..10,
+        y in 0u32..1000,
+        x in 0u32..1000,
+        h in 0u32..6,
+        w in 0u32..6,
+        nattrs in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let ServerMsg::Tile { payload, latency_ns, cache_hit, phase, degraded } =
+            tile_msg(level, y, x, h, w, nattrs, seed)
+        else {
+            unreachable!("tile_msg builds a Tile");
+        };
+        let tile = tile_of(&payload);
+        let tile_ref = ServerMsg::Tile {
+            payload: tile_payload(&tile),
+            latency_ns,
+            cache_hit,
+            phase,
+            degraded,
+        }
+        .encode();
+        let generated = ServerMsg::Tile { payload, latency_ns, cache_hit, phase, degraded };
+        prop_assert_eq!(&tile_ref[..], &generated.encode()[..], "tile_of is faithful");
+        let frame = Frame::tile(tile.clone(), latency_ns, cache_hit, phase, degraded);
+        prop_assert_eq!(frame.len(), tile_ref.len());
+        prop_assert_eq!(&frame.to_vec()[..], &tile_ref[..]);
+
+        let push_ref = ServerMsg::Push { payload: tile_payload(&tile) }.encode();
+        let frame = Frame::push(tile);
+        prop_assert_eq!(frame.len(), push_ref.len());
+        prop_assert_eq!(&frame.to_vec()[..], &push_ref[..]);
+    }
+
+    /// `write_to` through a writer that accepts arbitrary amounts and
+    /// refuses at arbitrary calls: what came out is the frame, and
+    /// `pos` tracked every byte — so a resume lands right wherever the
+    /// previous write stopped (mid-header, mid-column, mid-mask).
+    #[test]
+    fn write_to_resumes_at_any_byte(
+        h in 0u32..6,
+        w in 0u32..6,
+        nattrs in 0usize..4,
+        seed in any::<u64>(),
+        script in proptest::collection::vec(0usize..300, 1..24),
+        last in 1usize..1200,
+    ) {
+        let ServerMsg::Tile { payload, .. } = tile_msg(3, 1, 2, h, w, nattrs, seed) else {
+            unreachable!("tile_msg builds a Tile");
+        };
+        let owned = ServerMsg::Error { code: ErrorCode::Internal, reason: "e".repeat(h as usize) };
+        for frame in [Frame::push(tile_of(&payload)), Frame::msg(&owned)] {
+            // The script ends on a call that accepts, so it cannot
+            // refuse forever.
+            let script = script.iter().copied().chain([last]).collect();
+            let mut writer = Scripted { script, calls: 0, out: Vec::new() };
+            let mut pos = 0;
+            loop {
+                match frame.write_to(&mut writer, &mut pos) {
+                    Ok(()) => break,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        prop_assert_eq!(pos, writer.out.len(), "pos at a refusal");
+                    }
+                    Err(e) => prop_assert!(false, "unexpected error {}", e),
+                }
+            }
+            prop_assert_eq!(pos, frame.len());
+            prop_assert_eq!(&writer.out[..], &frame.to_vec()[..]);
         }
     }
 

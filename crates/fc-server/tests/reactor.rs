@@ -9,6 +9,7 @@ use fc_core::{
     SbConfig, SbRecommender,
 };
 use fc_server::protocol::{read_frame, write_frame, ClientMsg, ServerMsg};
+use fc_server::server::tile_payload;
 use fc_server::{
     Client, DatasetSpec, EngineFactory, ErrorCode, MultiUserServing, PushServing, Server,
     ServerConfig, ServerError, SessionLimits,
@@ -254,6 +255,79 @@ fn slow_reader_backlog_is_shed_with_overloaded() {
         "the session must not survive to serve everything"
     );
     wait_for(|| server.active_sessions() == 0, "shed session reaped");
+    server.shutdown();
+}
+
+/// Caps every read at 1 KiB, so the peer's blocked writes are let
+/// through a sliver at a time.
+struct Trickle(TcpStream);
+
+impl std::io::Read for Trickle {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(1024);
+        self.0.read(&mut buf[..n])
+    }
+}
+
+/// The vectored write's resume on a real socket after real
+/// `WouldBlock`s: a client pipelines far more tile requests than the
+/// kernel's buffers hold in replies (under a write-queue bound that
+/// never sheds), reads nothing until all are sent, then drains in
+/// 1 KiB reads. Most replies are cut somewhere — header, column,
+/// mask — by a full socket and finished later from the queue; every
+/// one must still be its tile, bit for bit.
+#[test]
+fn pipelined_replies_resume_mid_frame_through_a_full_socket() {
+    const REQUESTS: usize = 600; // × 33 KiB ≈ 20 MB of replies
+    let (mut server, ds) = start_server_with(ServerConfig {
+        reactor: true,
+        limits: SessionLimits {
+            max_write_queue: REQUESTS + 1,
+            ..SessionLimits::default()
+        },
+        ..ServerConfig::default()
+    });
+    // A tile's payload as bytes (NaN-safe): what each reply must carry.
+    let bits = |payload| ServerMsg::Push { payload }.encode();
+    let store = ds.pyramid.store();
+    let tiles: Vec<TileId> = ds.pyramid.geometry().all_tiles().collect();
+    let expected: Vec<_> = tiles
+        .iter()
+        .map(|&id| bits(tile_payload(&store.fetch_offline(id).expect("tile"))))
+        .collect();
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let hello = ClientMsg::Hello {
+        prefetch_k: 2,
+        dataset: String::new(),
+    };
+    write_frame(&mut stream, &hello.encode()).expect("hello");
+    for i in 0..REQUESTS {
+        let request = ClientMsg::RequestTile {
+            tile: tiles[i % tiles.len()],
+            mv: None,
+        };
+        write_frame(&mut stream, &request.encode()).expect("pipelined request");
+    }
+    let mut stream = Trickle(stream);
+    let welcome = ServerMsg::decode(read_frame(&mut stream).expect("welcome")).expect("decode");
+    assert!(matches!(welcome, ServerMsg::Welcome { .. }));
+    for i in 0..REQUESTS {
+        let frame = read_frame(&mut stream).expect("reply frame");
+        match ServerMsg::decode(frame).expect("well-formed reply") {
+            ServerMsg::Tile {
+                payload, degraded, ..
+            } => {
+                assert!(!degraded);
+                assert_eq!(payload.tile, tiles[i % tiles.len()], "reply {i}");
+                assert!(bits(payload) == expected[i % tiles.len()], "reply {i}");
+            }
+            other => panic!("reply {i}: {other:?}"),
+        }
+    }
+    write_frame(&mut stream.0, &ClientMsg::Bye.encode()).expect("bye");
+    wait_for(|| server.active_sessions() == 0, "session closed");
     server.shutdown();
 }
 
