@@ -378,15 +378,6 @@ const TAG_TILE: u8 = 1;
 const TAG_PUSH: u8 = 4;
 
 impl TileHeader {
-    fn of_payload(p: &TilePayload, reply: Option<ReplyMeta>) -> Self {
-        Self {
-            tile: p.tile,
-            h: p.h,
-            w: p.w,
-            reply,
-        }
-    }
-
     /// Encoded size, tag through attribute count.
     const fn len(reply: bool) -> usize {
         1 + 9 + 4 + 4 + if reply { 8 + 1 + 1 + 1 } else { 0 } + 2
@@ -474,9 +465,10 @@ fn payload_body_len(p: &TilePayload, reply: bool) -> usize {
 }
 
 fn put_payload(out: &mut Vec<u8>, p: &TilePayload, reply: Option<ReplyMeta>) {
+    let (tile, h, w) = (p.tile, p.h, p.w);
     put_tile_body(
         out,
-        &TileHeader::of_payload(p, reply),
+        &TileHeader { tile, h, w, reply },
         p.attrs.iter().map(String::as_str),
         |out, i| put_f64_column(out, p.data.get(i).map_or(&[], Vec::as_slice)),
         |out| out.extend_from_slice(&p.present),
@@ -765,19 +757,11 @@ impl ServerMsg {
 /// (so a queued reply survives the tile's eviction). On the wire the
 /// frame is its `2·attrs + 1` pieces in order, byte for byte what
 /// [`ServerMsg::encode`] builds from `server::tile_payload`.
+#[derive(Debug)]
 pub struct Frame {
     owned: Vec<u8>,
     cuts: Vec<usize>,
     tile: Option<Arc<Tile>>,
-}
-
-impl std::fmt::Debug for Frame {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Frame")
-            .field("len", &self.len())
-            .field("tile", &self.tile.as_ref().map(|t| t.id))
-            .finish()
-    }
 }
 
 /// Pieces one [`Frame::write_to`] call hands the writer: a tile of up
