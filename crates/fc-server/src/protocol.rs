@@ -751,17 +751,17 @@ impl ServerMsg {
 /// `owned` is the whole frame for the small messages ([`Frame::msg`]).
 /// For a tile ([`Frame::tile`], [`Frame::push`]) it is everything but
 /// the f64 columns — length prefix, tag, header, `u16`-prefixed
-/// attribute names, presence mask — and `cuts[i]` is the offset in it
-/// where attribute `i`'s column belongs; the columns themselves stay
-/// in the `Arc<Tile>`, which the frame keeps alive until it is dropped
-/// (so a queued reply survives the tile's eviction). On the wire the
-/// frame is its `2·attrs + 1` pieces in order, byte for byte what
+/// attribute names, presence mask — and `spliced` holds the tile with
+/// the cuts: `cuts[i]` is the offset in `owned` where attribute `i`'s
+/// column belongs. The columns themselves stay in the `Arc<Tile>`,
+/// which the frame keeps alive until it is dropped (so a queued reply
+/// survives the tile's eviction). On the wire the frame is its
+/// `2·attrs + 1` pieces in order, byte for byte what
 /// [`ServerMsg::encode`] builds from `server::tile_payload`.
 #[derive(Debug)]
 pub struct Frame {
     owned: Vec<u8>,
-    cuts: Vec<usize>,
-    tile: Option<Arc<Tile>>,
+    spliced: Option<(Arc<Tile>, Vec<usize>)>,
 }
 
 /// Pieces one [`Frame::write_to`] call hands the writer: a tile of up
@@ -790,8 +790,7 @@ impl Frame {
         msg.encode_into(&mut buf);
         Frame {
             owned: buf.buf,
-            cuts: Vec::new(),
-            tile: None,
+            spliced: None,
         }
     }
 
@@ -810,16 +809,16 @@ impl Frame {
             phase,
             degraded,
         };
-        Self::spliced(tile, Some(reply))
+        Self::of_tile(tile, Some(reply))
     }
 
     /// The [`ServerMsg::Push`] carrying `tile`, its columns by
     /// reference.
     pub fn push(tile: Arc<Tile>) -> Frame {
-        Self::spliced(tile, None)
+        Self::of_tile(tile, None)
     }
 
-    fn spliced(tile: Arc<Tile>, reply: Option<ReplyMeta>) -> Frame {
+    fn of_tile(tile: Arc<Tile>, reply: Option<ReplyMeta>) -> Frame {
         if cfg!(target_endian = "big") {
             // The columns in memory are not their wire bytes here:
             // send an owned, byte-swapped frame.
@@ -848,8 +847,7 @@ impl Frame {
         buf.finish_frame(cuts.len() * array.ncells() * 8);
         Frame {
             owned: buf.buf,
-            cuts,
-            tile: Some(tile),
+            spliced: Some((tile, cuts)),
         }
     }
 
@@ -858,8 +856,8 @@ impl Frame {
     /// last the owned tail.
     fn for_each_piece<'a>(&'a self, mut f: impl FnMut(&'a [u8])) {
         let mut at = 0;
-        if let Some(tile) = &self.tile {
-            for (i, &cut) in self.cuts.iter().enumerate() {
+        if let Some((tile, cuts)) = &self.spliced {
+            for (i, &cut) in cuts.iter().enumerate() {
                 f(&self.owned[at..cut]);
                 f(column_bytes(tile.array.attr_col(i)));
                 at = cut;
@@ -870,8 +868,11 @@ impl Frame {
 
     /// Total bytes on the wire, length prefix included.
     pub fn len(&self) -> usize {
-        let column_len = self.tile.as_ref().map_or(0, |t| t.array.ncells() * 8);
-        self.owned.len() + self.cuts.len() * column_len
+        let columns = match &self.spliced {
+            Some((tile, cuts)) => cuts.len() * tile.array.ncells() * 8,
+            None => 0,
+        };
+        self.owned.len() + columns
     }
 
     /// The frame as one owned buffer (what the tests compare against
