@@ -199,9 +199,9 @@ fn single_cell_and_single_row_arrays() {
 }
 
 #[test]
-fn large_parallel_threshold_path() {
-    // 1024×512 = 2^19 cells clears the parallel threshold (2^18): the
-    // fanned-out row blocks must still match the sequential reference.
+fn blocked_matches_reference_at_half_a_million_cells() {
+    // 1024×512 = 2^19 cells, the size of a study-scale level: 256
+    // output rows of four-row stripes against the cell-by-cell gather.
     let mut rng = Rng(0x5EED_000A);
     let ny = 1024;
     let nx = 512;

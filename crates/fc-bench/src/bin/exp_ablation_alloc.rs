@@ -1,4 +1,4 @@
-//! Regenerates the paper's `ablation_alloc` experiment (see DESIGN.md §4).
+//! Regenerates the paper's `ablation_alloc` experiment (docs/BENCHMARKS.md, "`run_all`").
 fn main() {
     let ctx = fc_bench::ExpContext::load();
     let f = fc_bench::experiments::by_name("ablation_alloc").expect("known experiment");

@@ -1,4 +1,4 @@
-//! Regenerates the paper's `fig10b` experiment (see DESIGN.md §4).
+//! Regenerates the paper's `fig10b` experiment (docs/BENCHMARKS.md, "`run_all`").
 fn main() {
     let ctx = fc_bench::ExpContext::load();
     let f = fc_bench::experiments::by_name("fig10b").expect("known experiment");

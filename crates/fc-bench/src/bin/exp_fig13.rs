@@ -1,4 +1,4 @@
-//! Regenerates the paper's `fig13` experiment (see DESIGN.md §4).
+//! Regenerates the paper's `fig13` experiment (docs/BENCHMARKS.md, "`run_all`").
 fn main() {
     let ctx = fc_bench::ExpContext::load();
     let f = fc_bench::experiments::by_name("fig13").expect("known experiment");

@@ -1,4 +1,4 @@
-//! Regenerates the paper's `table1` experiment (see DESIGN.md §4).
+//! Regenerates the paper's `table1` experiment (docs/BENCHMARKS.md, "`run_all`").
 fn main() {
     let ctx = fc_bench::ExpContext::load();
     let f = fc_bench::experiments::by_name("table1").expect("known experiment");

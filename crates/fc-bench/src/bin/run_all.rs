@@ -1,5 +1,7 @@
 //! Runs every experiment against one shared dataset build and writes the
-//! combined report to `EXPERIMENTS-report.txt`.
+//! combined report to `EXPERIMENTS-report.txt`. The report is a function
+//! of the scale alone — timings go to stderr — so CI diffs the `small`
+//! one against its committed twin (`docs/EXPERIMENTS-report.small.txt`).
 use std::io::Write;
 
 fn main() {
@@ -16,16 +18,10 @@ fn main() {
         let t = std::time::Instant::now();
         let section = f(&ctx);
         report.push_str(&section);
-        report.push_str(&format!(
-            "\n[{name} took {:.1}s]\n",
-            t.elapsed().as_secs_f64()
-        ));
         print!("{section}");
+        eprintln!("[{name} took {:.1}s]", t.elapsed().as_secs_f64());
     }
-    report.push_str(&format!(
-        "\ntotal wall time: {:.1}s\n",
-        started.elapsed().as_secs_f64()
-    ));
+    eprintln!("total wall time: {:.1}s", started.elapsed().as_secs_f64());
     let path = "EXPERIMENTS-report.txt";
     let mut file = std::fs::File::create(path).expect("create report file");
     file.write_all(report.as_bytes()).expect("write report");

@@ -13,7 +13,8 @@ use crate::context::ExpContext;
 /// An experiment runner: renders one table/figure from the context.
 pub type ExpRunner = fn(&ExpContext) -> String;
 
-/// Every experiment, in DESIGN.md order: `(id, runner)`.
+/// Every experiment, in the order of the report (docs/BENCHMARKS.md,
+/// "`run_all` → the paper reproduction report"): `(id, runner)`.
 pub fn all() -> Vec<(&'static str, ExpRunner)> {
     vec![
         ("fig3_4", data_model::fig3_4 as fn(&ExpContext) -> String),

@@ -1,5 +1,6 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
-//! Algorithm 3's distance penalties, and the cache allocation strategies.
+//! Ablation benches for two design choices in ARCHITECTURE.md's "Where
+//! each paper algorithm lives": Algorithm 3's distance penalties
+//! (`fc-core::sb`) and the cache allocation strategies (`fc-core::alloc`).
 
 use crate::context::ExpContext;
 use crate::experiments::accuracy::{phase_table, sweep};

@@ -181,7 +181,7 @@ fn assert_array_bits_equal(a: &DenseArray, b: &DenseArray, label: &str) {
 }
 
 #[test]
-fn parallel_attach_signatures_matches_seed_attach() {
+fn attach_signatures_matches_seed_attach() {
     use fc_bench::seed_baseline::seed_attach_signatures;
     use fc_core::signature::{SignatureConfig, SIGNATURE_KINDS};
 

@@ -1461,4 +1461,150 @@ mod tests {
         let r = mw.request(TileId::new(2, 2, 0), None).unwrap();
         assert_eq!(r.traffic, Some(TrafficPhase::Burst));
     }
+
+    /// Two requests of a distance-3 engine with a budget of 72 on a
+    /// 341-tile pyramid, private cache: the first plan installs 72
+    /// fetches, the second the part of its 72 that the first left
+    /// non-resident. Returns what the install stage decides — the ids
+    /// fetched, in ranked order, per request — and what it charges:
+    /// the backend clock, the session's and the cache's counters.
+    fn bulk_install(
+        faults: Option<FaultPlan>,
+    ) -> ([Vec<String>; 2], Duration, MiddlewareStats, CacheStats) {
+        let schema = Schema::grid2d("G", 256, 256, &["v"]).unwrap();
+        let data: Vec<f64> = (0..256 * 256).map(|i| (i % 256) as f64 / 256.0).collect();
+        let base = DenseArray::from_vec(schema, data).unwrap();
+        let mut cfg = PyramidConfig::simple(5, 16, &["v"]);
+        cfg.latency = fc_array::LatencyModel::scidb_like();
+        let p = Arc::new(PyramidBuilder::new().build(&base, &cfg).unwrap());
+        let r = Move::PanRight.index() as u16;
+        let engine = PredictionEngine::new(
+            p.geometry(),
+            AbRecommender::train([&[r; 12][..]], 3),
+            SbRecommender::new(SbConfig::single(SignatureKind::Hist1D)),
+            PhaseSource::Heuristic,
+            EngineConfig {
+                strategy: AllocationStrategy::AbOnly,
+                distance: 3,
+                ..EngineConfig::default()
+            },
+        );
+        let mut mw = Middleware::new(engine, p.clone(), LatencyProfile::paper(), 3, 72);
+        if let Some(plan) = faults {
+            mw.set_faults(Arc::new(plan), RetryPolicy::default());
+        }
+        let fetched = [
+            (TileId::new(3, 4, 3), None),
+            (TileId::new(3, 4, 4), Some(Move::PanRight)),
+        ]
+        .map(|(id, mv)| {
+            let served = mw.request(id, mv).unwrap();
+            let ids = served.prefetched.iter();
+            ids.map(|t| format!("{}.{}.{}", t.level, t.y, t.x))
+                .collect()
+        });
+        (
+            fetched,
+            p.store().clock().now(),
+            mw.stats(),
+            mw.cache_stats(),
+        )
+    }
+
+    /// One miss, then a hit on a tile the first plan installed.
+    fn bulk_stats(prefetch_issued: usize) -> MiddlewareStats {
+        MiddlewareStats {
+            requests: 2,
+            hits: 1,
+            total_latency: Duration::from_nanos(999_531_380),
+            per_phase: [1, 0, 1],
+            prefetch_issued,
+            prefetch_used: 1,
+            ..MiddlewareStats::default()
+        }
+    }
+
+    fn bulk_cache(prefetched: usize) -> CacheStats {
+        CacheStats {
+            hits: 1,
+            misses: 1,
+            prefetched,
+        }
+    }
+
+    fn ids(list: &str) -> Vec<String> {
+        list.split(' ').map(String::from).collect()
+    }
+
+    /// The install stage pinned by value on a plan of 72 fetches — past
+    /// every size threshold the stage ever had.
+    #[test]
+    fn bulk_install_is_pinned_by_value() {
+        let (fetched, clock, stats, cache) = bulk_install(None);
+        assert_eq!(fetched[0].len(), 72);
+        assert_eq!(
+            fetched[0],
+            ids(
+                "3.4.4 2.2.1 3.3.3 3.4.2 3.5.3 4.8.6 4.8.7 4.9.6 4.9.7 3.4.5 \
+                 2.2.2 3.3.4 3.5.4 4.8.8 4.9.8 4.8.9 4.9.9 1.1.0 2.1.1 2.2.0 \
+                 2.3.1 3.2.3 3.3.2 3.4.1 3.5.2 3.6.3 4.6.6 4.6.7 4.7.6 4.7.7 \
+                 4.8.4 4.8.5 4.9.4 4.9.5 4.10.6 4.10.7 4.11.6 4.11.7 3.4.6 2.2.3 \
+                 3.3.5 3.5.5 4.8.10 4.8.11 4.9.10 4.9.11 1.1.1 2.1.2 2.3.2 3.2.4 \
+                 3.6.4 4.6.8 4.7.8 4.10.8 4.11.8 4.6.9 4.7.9 4.10.9 4.11.9 0.0.0 \
+                 1.0.0 2.0.1 2.1.0 2.3.0 3.1.3 3.2.2 3.3.1 3.4.0 3.5.0 3.5.1 \
+                 3.6.2 3.7.2"
+            )
+        );
+        assert_eq!(
+            fetched[1],
+            ids(
+                "3.4.7 3.3.6 3.5.6 4.8.12 4.9.12 3.2.5 3.6.5 4.6.10 4.6.11 4.7.10 \
+                 4.7.11 4.10.10 4.10.11 4.11.10 4.11.11 2.1.3 2.3.3 3.5.7 1.0.1 \
+                 2.0.2 3.1.4 3.7.4 3.7.5 4.4.8"
+            )
+        );
+        assert_eq!(clock, Duration::from_nanos(95_082_526_580));
+        assert_eq!(stats, bulk_stats(96));
+        assert_eq!(cache, bulk_cache(96));
+    }
+
+    /// The same two requests under a fault plan that skips some
+    /// prefetches (transient, stuck) and spikes others: skipped tiles
+    /// leave the list without reordering it and stay candidates for the
+    /// next plan, spikes are charged to the clock.
+    #[test]
+    fn bulk_install_under_faults_is_pinned_by_value() {
+        use crate::fault::FaultRates;
+        let rates = FaultRates {
+            transient_per_mille: 150,
+            spike_per_mille: 200,
+            spike: Duration::from_millis(250),
+            stuck_per_mille: 50,
+            ..FaultRates::default()
+        };
+        let (fetched, clock, stats, cache) = bulk_install(Some(FaultPlan::new(7, rates)));
+        assert_eq!(
+            fetched[0],
+            ids(
+                "3.4.4 2.2.1 3.3.3 3.4.2 3.5.3 4.8.6 4.9.6 4.9.7 3.4.5 2.2.2 \
+                 3.3.4 3.5.4 4.8.8 4.9.8 4.8.9 4.9.9 1.1.0 2.1.1 2.2.0 3.2.3 \
+                 3.6.3 4.6.6 4.6.7 4.7.6 4.7.7 4.8.4 4.9.4 4.9.5 4.10.6 4.10.7 \
+                 4.11.6 4.11.7 3.4.6 4.8.10 4.9.10 4.9.11 2.1.2 2.3.2 3.2.4 3.6.4 \
+                 4.6.8 4.7.8 4.11.8 4.6.9 4.10.9 4.11.9 0.0.0 1.0.0 2.0.1 2.1.0 \
+                 2.3.0 3.2.2 3.3.1 3.4.0 3.5.0 3.5.1 3.6.2 3.7.2"
+            )
+        );
+        assert_eq!(
+            fetched[1],
+            ids(
+                "3.4.7 3.3.5 3.5.5 4.8.11 4.7.9 4.8.7 4.10.8 3.3.6 3.5.6 4.8.12 \
+                 3.2.5 3.6.5 4.6.10 4.6.11 4.7.11 4.10.10 4.10.11 4.11.10 4.11.11 \
+                 2.1.3 2.3.3 3.5.7 2.0.2 2.3.1 3.1.4 3.3.2 3.4.1 3.5.2 3.7.4 \
+                 4.4.8"
+            )
+        );
+        assert_eq!(clock, Duration::from_nanos(90_242_276_980));
+        assert_eq!(stats, bulk_stats(88));
+        assert_eq!(cache, bulk_cache(88));
+    }
 }
