@@ -143,6 +143,9 @@ pub fn boost_toward_hotspots(
 /// Merges two ranked lists under an allocation: take `ab_slots` from
 /// `ab`, then `sb_slots` from `sb`, skipping duplicates; if either list
 /// runs short, backfill from the other so the budget is used fully.
+///
+/// The slots are a budget, not a size: a session's `k` comes off the
+/// wire, so the output reserves for the tiles the lists can supply.
 pub fn merge_allocated(
     ab: &[fc_tiles::TileId],
     sb: &[fc_tiles::TileId],
@@ -150,7 +153,7 @@ pub fn merge_allocated(
     sb_slots: usize,
 ) -> Vec<fc_tiles::TileId> {
     let budget = ab_slots + sb_slots;
-    let mut out = Vec::with_capacity(budget);
+    let mut out = Vec::with_capacity(budget.min(ab.len() + sb.len()));
     let push = |t: fc_tiles::TileId, out: &mut Vec<fc_tiles::TileId>| {
         if !out.contains(&t) && out.len() < budget {
             out.push(t);
@@ -242,6 +245,9 @@ mod tests {
         let sb = [tid(4), tid(5), tid(6)];
         assert_eq!(merge_allocated(&ab, &sb, 1, 1).len(), 2);
         assert_eq!(merge_allocated(&ab, &sb, 0, 0).len(), 0);
+        // A budget far past what the lists hold reserves nothing for it.
+        let k = u32::MAX as usize;
+        assert_eq!(merge_allocated(&ab, &sb, 4, k - 4).len(), 6);
     }
 
     #[test]

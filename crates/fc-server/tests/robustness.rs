@@ -201,6 +201,43 @@ fn session_panic_becomes_error_reply_and_clean_teardown() {
     server.shutdown();
 }
 
+/// `Hello { prefetch_k: u32::MAX }`, then one tile request, with a
+/// bystander session open. The budget used to size the ranked list's
+/// reservation on the session's first predict — 51 GB, an allocation
+/// failure, which aborts the process past every `catch_unwind`.
+fn hostile_prefetch_budget(reactor: bool) {
+    let p = pyramid(good_sig);
+    let config = ServerConfig {
+        reactor,
+        ..ServerConfig::default()
+    };
+    let mut server = bind(p, AllocationStrategy::Updated, config);
+    let mut bystander = Client::connect(server.addr(), 2).expect("bystander connects");
+    bystander
+        .request_tile(TileId::ROOT, None)
+        .expect("bystander served");
+    let mut hostile = Client::connect(server.addr(), u32::MAX).expect("hello accepted");
+    // A tile or a structured error, never a dead socket.
+    if let Err(e) = hostile.request_tile(TileId::ROOT, None) {
+        assert!(code_of(&e).is_some(), "{e}");
+    }
+    let zoom = Move::ZoomIn(fc_tiles::Quadrant::Nw);
+    bystander
+        .request_tile(TileId::new(1, 0, 0), Some(zoom))
+        .expect("the bystander's next request is served");
+    server.shutdown();
+}
+
+#[test]
+fn hostile_prefetch_budget_costs_only_its_own_session_threaded() {
+    hostile_prefetch_budget(false);
+}
+
+#[test]
+fn hostile_prefetch_budget_costs_only_its_own_session_reactor() {
+    hostile_prefetch_budget(true);
+}
+
 #[test]
 fn malformed_frames_draw_an_error_then_close() {
     let p = pyramid(good_sig);
