@@ -24,25 +24,17 @@
 //! 3. input rows whose validity words are all-ones (checked via
 //!    [`crate::bitvec::BitVec::all_set_in`]) take a branch-free path.
 //!
-//! Output row blocks are independent (windows never straddle an output
-//! row), so large inputs fan the stripe passes out across worker
-//! threads with `rayon`; values fold in the same order as the
-//! sequential pass, keeping results bit-identical. The original
-//! cell-by-cell gather is retained as [`regrid_with_reference`] — it
-//! serves n-dimensional inputs and anchors the golden equivalence
-//! tests (`tests/golden_regrid.rs`).
+//! Every output cell folds its window in the reference's row-major
+//! order, so results are bit-identical to the original cell-by-cell
+//! gather, retained as [`regrid_with_reference`] — it serves
+//! n-dimensional inputs and anchors the golden equivalence tests
+//! (`tests/golden_regrid.rs`).
 
 use crate::agg::{AggFn, AggState};
 use crate::bitvec::BitVec;
 use crate::dense::{CellView, DenseArray};
 use crate::error::{ArrayError, Result};
 use crate::schema::Schema;
-use rayon::prelude::*;
-
-/// Input cell count below which the blocked regrid stays on one thread:
-/// spawning scoped workers costs tens of microseconds, which the stripe
-/// passes only amortize on large levels.
-const REGRID_PAR_MIN_CELLS: usize = 1 << 18;
 
 /// Aggregates every `windows[i]`-sized window along each dimension into a
 /// single output cell (the paper's Fig. 3: a 16×16 array with parameters
@@ -203,35 +195,32 @@ fn regrid_blocked_2d(input: &DenseArray, windows: &[usize], aggs: &[AggFn], out:
     let (wy, wx) = (windows[0], windows[1]);
     let (oh, ow) = (h.div_ceil(wy), w.div_ceil(wx));
     let valid = input.validity();
-    let parallel = h * w >= REGRID_PAR_MIN_CELLS;
 
     // Fully-present input rows take the branch-free accumulation path.
     let row_full: Vec<bool> = (0..h).map(|y| valid.all_set_in(y * w, y * w + w)).collect();
 
     // Presence pass: per-output-cell count of present input cells.
     let mut counts = vec![0u32; oh * ow];
-    for_each_row_block(&mut counts, ow, parallel, |oy0, block| {
-        for (r, out_row) in block.chunks_mut(ow).enumerate() {
-            let y0 = (oy0 + r) * wy;
-            let y1 = (y0 + wy).min(h);
-            for (y, &full) in row_full.iter().enumerate().take(y1).skip(y0) {
-                let base = y * w;
-                if full {
-                    for (ox, c) in out_row.iter_mut().enumerate() {
-                        let x0 = ox * wx;
-                        *c += ((x0 + wx).min(w) - x0) as u32;
-                    }
-                } else {
-                    for (ox, c) in out_row.iter_mut().enumerate() {
-                        let x0 = ox * wx;
-                        for x in x0..(x0 + wx).min(w) {
-                            *c += u32::from(valid.get(base + x));
-                        }
+    for (oy, out_row) in counts.chunks_mut(ow).enumerate() {
+        let y0 = oy * wy;
+        let y1 = (y0 + wy).min(h);
+        for (y, &full) in row_full.iter().enumerate().take(y1).skip(y0) {
+            let base = y * w;
+            if full {
+                for (ox, c) in out_row.iter_mut().enumerate() {
+                    let x0 = ox * wx;
+                    *c += ((x0 + wx).min(w) - x0) as u32;
+                }
+            } else {
+                for (ox, c) in out_row.iter_mut().enumerate() {
+                    let x0 = ox * wx;
+                    for x in x0..(x0 + wx).min(w) {
+                        *c += u32::from(valid.get(base + x));
                     }
                 }
             }
         }
-    });
+    }
 
     // Attribute passes: aggregate-specialized stripe sweeps.
     for (ai, &agg) in aggs.iter().enumerate() {
@@ -254,7 +243,6 @@ fn regrid_blocked_2d(input: &DenseArray, windows: &[usize], aggs: &[AggFn], out:
                     wy,
                     wx,
                     ow,
-                    parallel,
                     0.0,
                     |a, v| a + v,
                 );
@@ -281,7 +269,6 @@ fn regrid_blocked_2d(input: &DenseArray, windows: &[usize], aggs: &[AggFn], out:
                     wy,
                     wx,
                     ow,
-                    parallel,
                     f64::INFINITY,
                     f64::min,
                 );
@@ -302,7 +289,6 @@ fn regrid_blocked_2d(input: &DenseArray, windows: &[usize], aggs: &[AggFn], out:
                     wy,
                     wx,
                     ow,
-                    parallel,
                     f64::NEG_INFINITY,
                     f64::max,
                 );
@@ -338,73 +324,45 @@ fn sweep_attr<U>(
     wy: usize,
     wx: usize,
     ow: usize,
-    parallel: bool,
     init: f64,
     update: U,
 ) where
-    U: Fn(f64, f64) -> f64 + Copy + Sync,
+    U: Fn(f64, f64) -> f64,
 {
-    for_each_row_block(out_col, ow, parallel, |oy0, block| {
-        for (r, out_row) in block.chunks_mut(ow).enumerate() {
-            out_row.fill(init);
-            let y0 = (oy0 + r) * wy;
-            let y1 = (y0 + wy).min(h);
-            for y in y0..y1 {
-                let row = &col[y * w..y * w + w];
-                if row_full[y] {
-                    let mut x0 = 0usize;
-                    for acc in out_row.iter_mut() {
-                        let x1 = (x0 + wx).min(w);
-                        let mut a = *acc;
-                        for &v in &row[x0..x1] {
+    for (oy, out_row) in out_col.chunks_mut(ow).enumerate() {
+        out_row.fill(init);
+        let y0 = oy * wy;
+        let y1 = (y0 + wy).min(h);
+        for y in y0..y1 {
+            let row = &col[y * w..y * w + w];
+            if row_full[y] {
+                let mut x0 = 0usize;
+                for acc in out_row.iter_mut() {
+                    let x1 = (x0 + wx).min(w);
+                    let mut a = *acc;
+                    for &v in &row[x0..x1] {
+                        a = update(a, v);
+                    }
+                    *acc = a;
+                    x0 = x1;
+                }
+            } else {
+                let base = y * w;
+                let mut x0 = 0usize;
+                for acc in out_row.iter_mut() {
+                    let x1 = (x0 + wx).min(w);
+                    let mut a = *acc;
+                    for (off, &v) in row[x0..x1].iter().enumerate() {
+                        if valid.get(base + x0 + off) {
                             a = update(a, v);
                         }
-                        *acc = a;
-                        x0 = x1;
                     }
-                } else {
-                    let base = y * w;
-                    let mut x0 = 0usize;
-                    for acc in out_row.iter_mut() {
-                        let x1 = (x0 + wx).min(w);
-                        let mut a = *acc;
-                        for (off, &v) in row[x0..x1].iter().enumerate() {
-                            if valid.get(base + x0 + off) {
-                                a = update(a, v);
-                            }
-                        }
-                        *acc = a;
-                        x0 = x1;
-                    }
+                    *acc = a;
+                    x0 = x1;
                 }
             }
         }
-    });
-}
-
-/// Runs `body(first_output_row, rows_slice)` over blocks of whole output
-/// rows of `buf` (row length `ow`), fanning blocks out across workers
-/// when `parallel`. Blocks never split an output row and windows never
-/// straddle output rows, so every output cell is produced by exactly one
-/// block — results are identical to the sequential order.
-fn for_each_row_block<T, F>(buf: &mut [T], ow: usize, parallel: bool, body: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let oh = buf.len() / ow.max(1);
-    if !parallel || oh < 2 {
-        body(0, buf);
-        return;
     }
-    // Aim for a handful of blocks per worker so stripe cost imbalance
-    // (ragged validity) evens out without shredding the cache.
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let rows_per_block = oh.div_ceil(4 * workers).max(1);
-    buf.par_chunks_mut(rows_per_block * ow)
-        .with_min_len(2)
-        .enumerate()
-        .for_each(|(bi, block)| body(bi * rows_per_block, block));
 }
 
 /// Row-major iterator over the flat indices of a hyper-rectangular window.

@@ -16,15 +16,14 @@
 //!   cut tiles with `subarray` + per-cell padding
 //!   ([`seed_build_pyramid`]); the rebuilt path cuts padded tiles with
 //!   contiguous row copies.
-//! * **signature attachment** — the seed ran both offline passes on one
-//!   thread ([`seed_attach_signatures`]) over the seed's scalar vision
+//! * **signature attachment** — the seed ran the vision pipeline twice
+//!   per tile ([`seed_attach_signatures`]) over its scalar vision
 //!   stack: nested-loop Gaussian blur and gradients, per-patch
 //!   `sqrt`/`atan2`/`exp` descriptor pooling recomputed for SIFT and
 //!   denseSIFT separately, and a scalar-`nearest` k-means
 //!   ([`SeedKMeans`]). All of it is pinned here verbatim so the baseline
 //!   keeps the seed's cost even though the live pipeline now runs on the
-//!   `fc-simd` kernel layer with a shared per-tile gradient field;
-//!   `attach_signatures` also fans tiles out across workers.
+//!   `fc-simd` kernel layer with a shared per-tile gradient field.
 //! * **tile wire codec** — the seed encoded/decoded every `f64` through
 //!   per-value `put_f64_le`/`get_f64_le` calls and framed bodies with
 //!   an extra copy ([`seed_encode_server_msg`] /
@@ -781,7 +780,7 @@ impl SeedVocabulary {
 }
 
 // ---------------------------------------------------------------------
-// Seed signature attachment: both offline passes on one thread
+// Seed signature attachment: both offline passes
 // (fc-core/src/signature.rs at the seed commit), over the pinned seed
 // vision stack above.
 // ---------------------------------------------------------------------

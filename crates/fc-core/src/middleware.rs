@@ -21,16 +21,9 @@ use crate::multiuser::{
 use crate::paircache::PairCacheStats;
 use crate::phase::Phase;
 use fc_tiles::{Pyramid, Tile, TileId, TileStore};
-use rayon::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Fan the prefetch-fetch loop out across cores only for bulk budgets;
-/// interactive budgets (k ≤ 9) stay on the sequential path where the
-/// per-fetch work (a map lookup + `Arc` clone) is far below the cost of
-/// spawning workers.
-const PREFETCH_PAR_MIN_LEN: usize = 64;
 
 /// The middleware's answer to one tile request.
 #[derive(Debug, Clone)]
@@ -629,54 +622,36 @@ impl Middleware {
     /// fetched.
     fn install(&mut self, plan: Plan, faults: Option<&FaultCtx>) -> Vec<TileId> {
         let store = self.pyramid.store();
-        let mut to_fetch: Vec<TileId> = plan
-            .ranked
-            .iter()
-            .copied()
-            .filter(|p| {
-                !self.cache.contains(*p)
-                    && self.shared.as_ref().is_none_or(|sh| !sh.cache.contains(*p))
-            })
-            .collect();
-        to_fetch.truncate(plan.fetch_cap);
+        let model = store.latency_model();
+        let wanted = plan.ranked.iter().copied().filter(|p| {
+            !self.cache.contains(*p) && self.shared.as_ref().is_none_or(|sh| !sh.cache.contains(*p))
+        });
         // Prefetch I/O happens while the user analyzes the current tile;
         // it costs backend time (accounted on the shared clock) but not
-        // user-visible latency. The fetches are independent reads of the
-        // immutable backend, so bulk budgets fan out across cores; each
-        // fetch's cost is computed locally and the sum is charged to the
-        // shared clock once, so the clock reading is identical to the
-        // sequential loop's regardless of worker interleaving.
-        let model = store.latency_model();
-        let fetched: Vec<(Arc<Tile>, Duration)> = to_fetch
-            .par_iter()
-            .with_min_len(PREFETCH_PAR_MIN_LEN)
-            .map(|p| {
-                // Prefetches are best-effort under a fault plan: a
-                // failed speculative fetch skips the tile (no retries
-                // — the budget belongs to foreground requests), a
-                // spike only raises its background cost. Decisions
-                // key on (tile, request index), so the outcome is
-                // deterministic under any worker interleaving.
-                let mut extra = Duration::ZERO;
-                if let Some((fault_plan, _, idx)) = faults {
-                    match fault_plan.decide_prefetch(*p, *idx) {
-                        Some(FaultKind::Transient | FaultKind::Stuck) => return None,
-                        Some(FaultKind::LatencySpike(d)) => extra = d,
-                        None => {}
-                    }
+        // user-visible latency.
+        let mut ids: Vec<TileId> = Vec::new();
+        let mut tiles: Vec<Arc<Tile>> = Vec::new();
+        let mut cost = Duration::ZERO;
+        for p in wanted.take(plan.fetch_cap) {
+            // Prefetches are best-effort under a fault plan: a failed
+            // speculative fetch skips the tile (no retries — the budget
+            // belongs to foreground requests), a spike only raises its
+            // background cost.
+            let mut extra = Duration::ZERO;
+            if let Some((fault_plan, _, idx)) = faults {
+                match fault_plan.decide_prefetch(p, *idx) {
+                    Some(FaultKind::Transient | FaultKind::Stuck) => continue,
+                    Some(FaultKind::LatencySpike(d)) => extra = d,
+                    None => {}
                 }
-                store.fetch_offline(*p).map(|t| {
-                    let cost = model.cost(t.array.nbytes()) + extra;
-                    (t, cost)
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .collect();
-        store.clock().advance(fetched.iter().map(|(_, c)| *c).sum());
-        let ids: Vec<TileId> = fetched.iter().map(|(t, _)| t.id).collect();
-        let tiles: Vec<Arc<Tile>> = fetched.into_iter().map(|(t, _)| t).collect();
+            }
+            if let Some(t) = store.fetch_offline(p) {
+                cost += model.cost(t.array.nbytes()) + extra;
+                ids.push(p);
+                tiles.push(t);
+            }
+        }
+        store.clock().advance(cost);
         match (&self.shared, plan.install) {
             // Shared mode: the prefetch set lives in the communal
             // cache (capped at this session's fair budget slice).

@@ -19,7 +19,6 @@ use fc_vision::{
     dense_descriptors, dense_descriptors_on, describe_keypoints, describe_keypoints_on,
     detect_keypoints, DetectorParams, GradientField, GrayImage, Vocabulary,
 };
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// The four signature families of Table 2.
@@ -278,23 +277,15 @@ impl MetadataComputer for SignatureComputer {
     }
 }
 
-/// Splits `items` into one contiguous span per worker thread, so a
-/// parallel map over the spans lets each worker keep mutable scratch
-/// across its whole span while preserving input order.
-fn worker_spans<T>(items: &[T]) -> Vec<&[T]> {
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    items.chunks(items.len().div_ceil(workers).max(1)).collect()
-}
-
-/// Per-tile output of the parallel harvest pass: the two cheap stats
-/// signatures plus the tile's own SIFT / denseSIFT descriptors (kept so
-/// the histogram pass never re-runs the vision pipeline).
+/// Per-tile output of the harvest pass: the two cheap stats signatures
+/// and where the tile's SIFT / denseSIFT descriptors sit in the corpora
+/// (so the histogram pass never re-runs the vision pipeline).
 struct TileHarvest {
     id: fc_tiles::TileId,
     normal: Vec<f64>,
     hist: Vec<f64>,
-    sift: Vec<Vec<f64>>,
-    dense: Vec<Vec<f64>>,
+    sift: std::ops::Range<usize>,
+    dense: std::ops::Range<usize>,
 }
 
 /// Runs the full offline metadata pipeline over a built pyramid:
@@ -306,62 +297,45 @@ struct TileHarvest {
 /// Returns the trained vocabularies `(sift, dense_sift)` so callers can
 /// attach signatures to future tiles.
 ///
-/// The harvest fans tiles out across worker threads — one contiguous
-/// tile span per worker, per-worker value scratch reused across its
-/// span — and each tile's descriptors are computed **once** and reused
-/// for both vocabulary training and its own histograms (the seed ran
-/// the whole vision pipeline twice per tile). Per-tile math is
-/// independent of the split and spans are concatenated in tile order
-/// before training or `put_meta`, so the output is identical to a
-/// sequential build regardless of worker count.
+/// The harvest walks the tiles once, in tile order, with one value
+/// scratch: each tile's descriptors are computed **once**, appended to
+/// the training corpora, and quantized from there for its own
+/// histograms (the seed ran the whole vision pipeline twice per tile).
 pub fn attach_signatures(
     pyramid: &Pyramid,
     cfg: &SignatureConfig,
 ) -> (Arc<Vocabulary>, Arc<Vocabulary>) {
     let store = pyramid.store();
-    let ids: Vec<_> = pyramid.geometry().all_tiles().collect();
-
-    let harvested: Vec<Vec<TileHarvest>> = worker_spans(&ids)
-        .par_iter()
-        .with_min_len(1)
-        .map(|span| {
-            let mut vals: Vec<f64> = Vec::new();
-            let mut out = Vec::with_capacity(span.len());
-            for &id in *span {
-                if let Some(tile) = store.fetch_offline(id) {
-                    if tile.present_values_into(&cfg.attr, &mut vals).is_err() {
-                        vals.clear();
-                    }
-                    let img = tile_image(&tile, &cfg.attr, cfg.domain);
-                    // One gradient field per tile, shared by both vision
-                    // signatures (the seed ran the gradient pass — and the
-                    // per-pixel sqrt/atan2 behind it — twice per tile).
-                    let field = GradientField::new(&img);
-                    out.push(TileHarvest {
-                        id,
-                        normal: normal_signature_from(&vals),
-                        hist: hist_signature_from(&vals, cfg.domain, cfg.hist_bins),
-                        sift: sift_descriptors_on(&img, &field, cfg),
-                        dense: dense_descriptors_on(&field, cfg.dense_step, cfg.dense_radius),
-                    });
-                }
-            }
-            out
-        })
-        .collect();
-    let mut harvested: Vec<TileHarvest> = harvested.into_iter().flatten().collect();
-
-    // Concatenate the corpora (tile order, as sequential), remembering
-    // each tile's descriptor range so the histogram step can quantize
-    // straight out of the corpus without copies.
+    let mut vals: Vec<f64> = Vec::new();
     let mut sift_corpus: Vec<Vec<f64>> = Vec::new();
     let mut dense_corpus: Vec<Vec<f64>> = Vec::new();
-    let mut ranges = Vec::with_capacity(harvested.len());
-    for t in &mut harvested {
+    let mut harvested: Vec<TileHarvest> = Vec::new();
+    for id in pyramid.geometry().all_tiles() {
+        let Some(tile) = store.fetch_offline(id) else {
+            continue;
+        };
+        if tile.present_values_into(&cfg.attr, &mut vals).is_err() {
+            vals.clear();
+        }
+        let img = tile_image(&tile, &cfg.attr, cfg.domain);
+        // One gradient field per tile, shared by both vision
+        // signatures (the seed ran the gradient pass — and the
+        // per-pixel sqrt/atan2 behind it — twice per tile).
+        let field = GradientField::new(&img);
         let (s0, d0) = (sift_corpus.len(), dense_corpus.len());
-        sift_corpus.append(&mut t.sift);
-        dense_corpus.append(&mut t.dense);
-        ranges.push((s0..sift_corpus.len(), d0..dense_corpus.len()));
+        sift_corpus.append(&mut sift_descriptors_on(&img, &field, cfg));
+        dense_corpus.append(&mut dense_descriptors_on(
+            &field,
+            cfg.dense_step,
+            cfg.dense_radius,
+        ));
+        harvested.push(TileHarvest {
+            id,
+            normal: normal_signature_from(&vals),
+            hist: hist_signature_from(&vals, cfg.domain, cfg.hist_bins),
+            sift: s0..sift_corpus.len(),
+            dense: d0..dense_corpus.len(),
+        });
     }
     // Degenerate datasets (entirely flat) still need a non-empty corpus.
     if sift_corpus.is_empty() {
@@ -377,22 +351,19 @@ pub fn attach_signatures(
         cfg.seed ^ 0xD5,
     ));
 
-    // Quantize the harvested descriptors and store in tile order
-    // (single-threaded: put_meta takes the metadata write lock and bumps
-    // the epoch; batching writes here keeps that serialization out of
-    // the parallel region).
-    for (t, (srange, drange)) in harvested.into_iter().zip(ranges) {
+    // Quantize the harvested descriptors and store in tile order.
+    for t in harvested {
         store.put_meta(t.id, SignatureKind::NormalDist.meta_name(), t.normal);
         store.put_meta(t.id, SignatureKind::Hist1D.meta_name(), t.hist);
         store.put_meta(
             t.id,
             SignatureKind::Sift.meta_name(),
-            sift_vocab.histogram(&sift_corpus[srange]),
+            sift_vocab.histogram(&sift_corpus[t.sift]),
         );
         store.put_meta(
             t.id,
             SignatureKind::DenseSift.meta_name(),
-            dense_vocab.histogram(&dense_corpus[drange]),
+            dense_vocab.histogram(&dense_corpus[t.dense]),
         );
     }
     // Freeze the signature index now that the metadata map is complete,

@@ -14,12 +14,7 @@ use fc_array::{
     extract_block_2d, regrid_with, AggFn, ArrayError, Database, DenseArray, IoMode, LatencyModel,
     Result, Schema, SimClock,
 };
-use rayon::prelude::*;
 use std::sync::Arc;
-
-/// Tile count per level above which tile cutting fans out across worker
-/// threads; below it, thread spawn-up would outweigh the row copies.
-const PARTITION_PAR_MIN_TILES: usize = 256;
 
 /// How one attribute aggregates when building coarser levels.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,10 +208,9 @@ impl PyramidBuilder {
     /// Cuts one materialized level into `tile_h × tile_w` tiles with
     /// [`extract_block_2d`] (row-wise contiguous copies; ragged edge
     /// tiles come back already padded to the nominal size with empty
-    /// cells, so "all tiles have the same dimensions" — §2.3). Large
-    /// levels cut tiles in parallel; metadata computers and store
-    /// inserts run afterwards in row-major tile order either way, so
-    /// the build is deterministic.
+    /// cells, so "all tiles have the same dimensions" — §2.3). Each
+    /// tile is cut, handed to the metadata computers and stored before
+    /// the next is cut, in row-major tile order.
     fn partition_level(
         &self,
         view: &DenseArray,
@@ -225,31 +219,22 @@ impl PyramidBuilder {
         store: &TileStore,
     ) -> Result<()> {
         let (rows, cols) = geometry.tiles_at(level);
-        let ids: Vec<TileId> = (0..rows)
-            .flat_map(|ty| (0..cols).map(move |tx| TileId::new(level, ty, tx)))
-            .collect();
-        let cut = |id: &TileId| -> Result<Tile> {
-            let block = extract_block_2d(
-                view,
-                id.y as usize * geometry.tile_h,
-                id.x as usize * geometry.tile_w,
-                geometry.tile_h,
-                geometry.tile_w,
-            )?;
-            Ok(Tile::new(*id, block))
-        };
-        let tiles: Vec<Result<Tile>> = if ids.len() >= PARTITION_PAR_MIN_TILES {
-            ids.par_iter().with_min_len(1).map(cut).collect()
-        } else {
-            ids.iter().map(cut).collect()
-        };
-        for tile in tiles {
-            let tile = tile?;
-            for c in &self.computers {
-                let value = c.compute(&tile);
-                store.put_meta(tile.id, c.name(), value);
+        for ty in 0..rows {
+            for tx in 0..cols {
+                let block = extract_block_2d(
+                    view,
+                    ty as usize * geometry.tile_h,
+                    tx as usize * geometry.tile_w,
+                    geometry.tile_h,
+                    geometry.tile_w,
+                )?;
+                let tile = Tile::new(TileId::new(level, ty, tx), block);
+                for c in &self.computers {
+                    let value = c.compute(&tile);
+                    store.put_meta(tile.id, c.name(), value);
+                }
+                store.put_tile(tile);
             }
-            store.put_tile(tile);
         }
         Ok(())
     }
