@@ -30,21 +30,6 @@ impl Database {
         arc
     }
 
-    /// Stores `array` only if `name` is free.
-    ///
-    /// # Errors
-    /// [`ArrayError::AlreadyExists`] when the name is taken.
-    pub fn store_new(&self, name: impl Into<String>, array: DenseArray) -> Result<Arc<DenseArray>> {
-        let name = name.into();
-        let mut guard = self.arrays.write();
-        if guard.contains_key(&name) {
-            return Err(ArrayError::AlreadyExists(name));
-        }
-        let arc = Arc::new(array.with_name(name.clone()));
-        guard.insert(name, arc.clone());
-        Ok(arc)
-    }
-
     /// Fetches the array named `name` (SciDB `scan(name)`).
     ///
     /// # Errors
@@ -96,16 +81,6 @@ mod tests {
         let a = db.scan("A").unwrap();
         assert_eq!(a.schema().name, "A");
         assert!(db.scan("B").is_err());
-    }
-
-    #[test]
-    fn store_new_rejects_duplicates() {
-        let db = Database::new();
-        db.store_new("A", small("x")).unwrap();
-        assert!(matches!(
-            db.store_new("A", small("y")),
-            Err(ArrayError::AlreadyExists(_))
-        ));
     }
 
     #[test]

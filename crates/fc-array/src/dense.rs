@@ -131,14 +131,6 @@ impl DenseArray {
         self.valid.count_ones()
     }
 
-    /// Whether the cell at `coords` is present.
-    ///
-    /// # Errors
-    /// [`ArrayError::OutOfBounds`] for bad coordinates.
-    pub fn is_present(&self, coords: &[usize]) -> Result<bool> {
-        Ok(self.valid.get(self.schema.flat_index(coords)?))
-    }
-
     /// Reads attribute `attr` at `coords`; `None` when the cell is empty.
     ///
     /// # Errors

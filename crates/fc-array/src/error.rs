@@ -23,8 +23,6 @@ pub enum ArrayError {
     },
     /// A named array was not found in the [`crate::Database`].
     NoSuchArray(String),
-    /// A named array already exists and overwrite was not requested.
-    AlreadyExists(String),
 }
 
 impl fmt::Display for ArrayError {
@@ -40,7 +38,6 @@ impl fmt::Display for ArrayError {
                 )
             }
             ArrayError::NoSuchArray(n) => write!(f, "no such array: {n}"),
-            ArrayError::AlreadyExists(n) => write!(f, "array already exists: {n}"),
         }
     }
 }

@@ -186,17 +186,6 @@ impl Schema {
             .ok_or_else(|| ArrayError::UnknownName(name.to_string()))
     }
 
-    /// Index of the dimension named `name`.
-    ///
-    /// # Errors
-    /// [`ArrayError::UnknownName`] if not present.
-    pub fn dim_index(&self, name: &str) -> Result<usize> {
-        self.dims
-            .iter()
-            .position(|d| d.name == name)
-            .ok_or_else(|| ArrayError::UnknownName(name.to_string()))
-    }
-
     /// True when both schemas have identical dimension names and lengths
     /// (attribute sets may differ) — the precondition for cell-wise `join`.
     pub fn dims_match(&self, other: &Schema) -> bool {
@@ -298,9 +287,7 @@ mod tests {
     fn lookup_by_name() {
         let s = schema_2d();
         assert_eq!(s.attr_index("v").unwrap(), 0);
-        assert_eq!(s.dim_index("x").unwrap(), 1);
         assert!(s.attr_index("nope").is_err());
-        assert!(s.dim_index("nope").is_err());
     }
 
     #[test]

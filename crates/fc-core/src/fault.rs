@@ -230,12 +230,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Sets the base (outside-window) rates on a windowed plan.
-    pub fn with_base(mut self, base: FaultRates) -> Self {
-        self.base = base;
-        self
-    }
-
     /// A plan that never injects anything — for A/B baselines where
     /// the *mechanism* (guarded fetch, retry bookkeeping) should run
     /// but no fault should fire.

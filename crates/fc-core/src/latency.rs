@@ -30,13 +30,6 @@ impl LatencyProfile {
         let a = accuracy.clamp(0.0, 1.0);
         Duration::from_secs_f64(self.hit.as_secs_f64() * a + self.miss.as_secs_f64() * (1.0 - a))
     }
-
-    /// The slope of response-vs-accuracy in milliseconds per unit
-    /// accuracy (the paper fits ≈ −939 ms with their measured data; the
-    /// pure two-point model gives `hit − miss` ≈ −964.5 ms).
-    pub fn slope_ms(&self) -> f64 {
-        (self.hit.as_secs_f64() - self.miss.as_secs_f64()) * 1e3
-    }
 }
 
 impl Default for LatencyProfile {
@@ -73,11 +66,5 @@ mod tests {
         let p = LatencyProfile::paper();
         assert_eq!(p.expected_response(2.0), p.hit);
         assert_eq!(p.expected_response(-1.0), p.miss);
-    }
-
-    #[test]
-    fn slope_matches_paper_order_of_magnitude() {
-        let s = LatencyProfile::paper().slope_ms();
-        assert!((-970.0..=-950.0).contains(&s), "{s}");
     }
 }

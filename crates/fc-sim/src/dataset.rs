@@ -125,13 +125,6 @@ impl StudyDataset {
         Some(fc_ml::mean(&vals))
     }
 
-    /// Maximum value of `attr` over a tile.
-    pub fn tile_max(&self, id: TileId, attr: &str) -> Option<f64> {
-        let t = self.pyramid.store().fetch_offline(id)?;
-        let vals = t.present_values(attr).ok()?;
-        vals.into_iter().reduce(f64::max)
-    }
-
     /// Fraction of a tile's cells with `attr ≥ threshold`.
     pub fn tile_fraction_above(&self, id: TileId, attr: &str, threshold: f64) -> Option<f64> {
         let t = self.pyramid.store().fetch_offline(id)?;
