@@ -323,8 +323,8 @@ pub fn attach_signatures(
         // per-pixel sqrt/atan2 behind it — twice per tile).
         let field = GradientField::new(&img);
         let (s0, d0) = (sift_corpus.len(), dense_corpus.len());
-        sift_corpus.append(&mut sift_descriptors_on(&img, &field, cfg));
-        dense_corpus.append(&mut dense_descriptors_on(
+        sift_corpus.extend(sift_descriptors_on(&img, &field, cfg));
+        dense_corpus.extend(dense_descriptors_on(
             &field,
             cfg.dense_step,
             cfg.dense_radius,
