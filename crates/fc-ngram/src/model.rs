@@ -69,6 +69,12 @@ impl KneserNey {
         self.vocab
     }
 
+    /// The absolute discount of each order, `discounts()[k]` for
+    /// contexts of length `k`.
+    pub fn discounts(&self) -> &[f64] {
+        &self.discounts
+    }
+
     /// P(next | history): uses the last `order` tokens of `history`
     /// (fewer if the history is shorter). Never returns 0 — smoothing
     /// guarantees mass on unseen moves.
