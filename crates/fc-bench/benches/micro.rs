@@ -104,7 +104,11 @@ fn bench_models(c: &mut Criterion) {
     c.bench_function("kneser-ney distribution (order 3)", |b| {
         let m = KneserNey::train(refs.clone(), 3, 9);
         let h = [right, right, right];
-        b.iter(|| m.distribution(black_box(&h)))
+        let mut row = [0.0; 9];
+        b.iter(|| {
+            m.distribution_into(black_box(&h), &mut row);
+            black_box(row[0])
+        })
     });
     c.bench_function("AB rank 9 candidates", |b| {
         b.iter(|| ab.rank(black_box(&ctx)))

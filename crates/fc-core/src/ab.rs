@@ -19,9 +19,11 @@
 //! The move tree is walked **once per request**, forward from the
 //! requested tile: each of its ≤ 1 + 9 + 81 interior nodes computes its
 //! smoothed distribution once, and every path's endpoint keeps the best
-//! probability seen. The work does not depend on how many candidates
-//! there are, and when every candidate is one move away (prediction
-//! distance 1, the default) only the root's distribution is computed.
+//! probability seen, reaching its candidates by one probe of an index
+//! built from the candidate list when the request starts. The work
+//! does not depend on how many candidates there are, and when every
+//! candidate is one move away (prediction distance 1, the default)
+//! only the root's distribution is computed.
 
 use crate::recommender::{PredictionContext, Recommender};
 use fc_ngram::KneserNey;
@@ -61,24 +63,9 @@ impl AbRecommender {
         }
     }
 
-    /// Wraps an already-trained model.
-    ///
-    /// # Panics
-    /// Panics when the model's vocabulary is not the nine moves.
-    pub fn from_model(model: KneserNey) -> Self {
-        assert_eq!(model.vocab(), MOVES.len(), "one token per move");
-        Self { model }
-    }
-
     /// Context length of the underlying chain.
     pub fn order(&self) -> usize {
         self.model.order()
-    }
-
-    /// Probability of each move given the history (exposed for the
-    /// Markov-sweep experiment).
-    pub fn move_distribution(&self, move_history: &[u16]) -> Vec<f64> {
-        self.model.distribution(move_history)
     }
 
     /// The smoothed distribution of the move after `seq`.
@@ -99,21 +86,22 @@ impl AbRecommender {
         let origin = ctx.request.tile;
         let mut seq = ctx.history.move_sequence();
         let first = self.dist(&seq);
-        // Kept sorted by tile while scoring, so a path's endpoint finds
-        // its candidates by binary search.
+        // Kept sorted by tile while scoring: a listed-twice candidate's
+        // entries are adjacent, and `at` knows where each tile's begin.
         let mut scored: Vec<(TileId, f64)> = ctx.candidates.iter().map(|&c| (c, 0.0)).collect();
         scored.sort_unstable_by_key(|&(t, _)| t);
+        let at = Endpoints::new(&scored);
         let hops = MOVES.map(|m| g.apply(origin, m));
         if scored.iter().any(|&(c, _)| !hops.contains(&Some(c))) {
             for (m1, t1, p1) in steps(g, origin, &first) {
                 seq.push(m1);
                 let second = self.dist(&seq);
                 for (m2, t2, p2) in steps(g, t1, &second) {
-                    raise(&mut scored, t2, p1 * p2);
+                    at.raise(&mut scored, t2, p1 * p2);
                     seq.push(m2);
                     let third = self.dist(&seq);
                     for (_, t3, p3) in steps(g, t2, &third) {
-                        raise(&mut scored, t3, p1 * (p2 * p3));
+                        at.raise(&mut scored, t3, p1 * (p2 * p3));
                     }
                     seq.pop();
                 }
@@ -123,7 +111,7 @@ impl AbRecommender {
         // One move away: that move's probability, whatever longer
         // paths led back here.
         for (_, t1, p1) in steps(g, origin, &first) {
-            for e in entries(&mut scored, t1) {
+            for e in at.entries(&mut scored, t1) {
                 e.1 = p1;
             }
         }
@@ -144,18 +132,76 @@ fn steps(
     })
 }
 
-/// The entries of `scored` (sorted by tile) for `tile`: none when it is
-/// not a candidate, several when the caller listed it more than once.
-fn entries(scored: &mut [(TileId, f64)], tile: TileId) -> &mut [(TileId, f64)] {
-    let lo = scored.partition_point(|&(t, _)| t < tile);
-    let n = scored[lo..].iter().take_while(|&&(t, _)| t == tile).count();
-    &mut scored[lo..lo + n]
+/// Where each distinct tile's entries begin in a candidate list sorted
+/// by tile: an open-addressed table, built once per request, so that
+/// each of the walk's ≤ 810 path endpoints costs one probe instead of a
+/// binary search. At most a quarter full, because most endpoints are
+/// not candidates and a miss should end at its home slot.
+struct Endpoints {
+    /// Power-of-two many; an index into the list, or `VACANT`.
+    slots: Vec<u32>,
+    /// `64 − log2(slots.len())`: the hash's top bits are the home slot.
+    shift: u32,
 }
 
-/// Records a path of probability `p` ending at `tile`.
-fn raise(scored: &mut [(TileId, f64)], tile: TileId, p: f64) {
-    for e in entries(scored, tile) {
-        e.1 = e.1.max(p);
+const VACANT: u32 = u32::MAX;
+
+impl Endpoints {
+    fn new(scored: &[(TileId, f64)]) -> Self {
+        assert!(scored.len() < VACANT as usize, "candidate list too long");
+        let len = (scored.len() * 4).next_power_of_two().max(2);
+        let mut at = Self {
+            slots: vec![VACANT; len],
+            shift: 64 - len.trailing_zeros(),
+        };
+        for (i, &(tile, _)) in scored.iter().enumerate() {
+            if i > 0 && scored[i - 1].0 == tile {
+                continue;
+            }
+            let mut s = at.home(tile);
+            while at.slots[s] != VACANT {
+                s = (s + 1) & (len - 1);
+            }
+            at.slots[s] = i as u32;
+        }
+        at
+    }
+
+    /// Fibonacci hash of the packed coordinates (a collision costs a
+    /// probe, never a wrong answer: `entries` compares the tile).
+    fn home(&self, t: TileId) -> usize {
+        let packed = (u64::from(t.level) << 58) ^ (u64::from(t.y) << 29) ^ u64::from(t.x);
+        (packed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// The entries of `scored` (the list this was built from) for
+    /// `tile`: none when it is not a candidate, several when the caller
+    /// listed it more than once.
+    fn entries<'s>(
+        &self,
+        scored: &'s mut [(TileId, f64)],
+        tile: TileId,
+    ) -> &'s mut [(TileId, f64)] {
+        let mask = self.slots.len() - 1;
+        let mut s = self.home(tile);
+        loop {
+            let lo = self.slots[s] as usize;
+            if lo == VACANT as usize {
+                return &mut [];
+            }
+            if scored[lo].0 == tile {
+                let n = scored[lo..].iter().take_while(|e| e.0 == tile).count();
+                return &mut scored[lo..lo + n];
+            }
+            s = (s + 1) & mask;
+        }
+    }
+
+    /// Records a path of probability `p` ending at `tile`.
+    fn raise(&self, scored: &mut [(TileId, f64)], tile: TileId, p: f64) {
+        for e in self.entries(scored, tile) {
+            e.1 = e.1.max(p);
+        }
     }
 }
 
@@ -232,11 +278,7 @@ mod tests {
                 (c, score)
             })
             .collect();
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("finite probabilities")
-                .then(a.0.cmp(&b.0))
-        });
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         scored
     }
 
@@ -325,15 +367,6 @@ mod tests {
         let traces = right_runs();
         let refs: Vec<&[u16]> = traces.iter().map(|t| t.as_slice()).collect();
         assert_eq!(AbRecommender::train(refs, 5).order(), 5);
-    }
-
-    #[test]
-    fn move_distribution_sums_to_one() {
-        let traces = right_runs();
-        let refs: Vec<&[u16]> = traces.iter().map(|t| t.as_slice()).collect();
-        let ab = AbRecommender::train(refs, 3);
-        let d = ab.move_distribution(&[3, 3, 3]);
-        assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     /// The deterministic guard against a per-candidate search coming

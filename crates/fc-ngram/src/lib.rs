@@ -16,6 +16,33 @@
 //!   a uniform base distribution;
 //! * tokens are plain `u16` ids so the crate stays independent of the
 //!   move enum (ForeCache's vocabulary is the nine interface moves).
+//!
+//! # Packed tables
+//!
+//! Like BerkeleyLM, the tables pack an n-gram into a 64-bit key probed
+//! in an open-addressed array. A context of `n` tokens is the `u64`
+//! `Σ c_i · vocab^(n−i)` (newest token in the units place), so a longer
+//! context's key is its suffix's key plus one multiply-add, and one
+//! representation — per order, one index from key to row and one flat
+//! arena of rows ([`counts`]) — serves every order whose contexts fit
+//! the key: up to Markov-20 over nine moves; [`TransitionCounts::new`]
+//! rejects the rest.
+//!
+//! A trained [`KneserNey`] keeps no counts. Per stored context it holds
+//! the `vocab` discounted terms `max(count − D, 0) / total` and the
+//! backoff weight `D · N1+ / total`, evaluated once when the model is
+//! built, and a query folds them lowest order first as
+//! `term + weight · lower`. Those are the expressions, operands and
+//! order of operations the count-table model evaluated on every query
+//! (no fused multiply-add either way), so every probability is
+//! bit-identical to it: `tests/golden_ngram.rs` pins values captured
+//! from that model, and `tests/properties.rs` keeps its per-query
+//! recursion over raw counts as the oracle.
+//!
+//! Packed, a token outside the vocabulary would alias another
+//! context's key, so tokens are checked where they enter
+//! ([`TransitionCounts::update_frequencies`], the context of every
+//! [`KneserNey`] query) and rejected with a panic.
 
 #![warn(missing_docs)]
 

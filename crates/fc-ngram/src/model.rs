@@ -12,19 +12,38 @@
 //!
 //! where `c′` drops the oldest token and `D` is the per-order absolute
 //! discount `n1 / (n1 + 2·n2)` estimated from that order's table.
+//!
+//! The two fractions depend only on the stored counts, so
+//! [`KneserNey::from_counts`] evaluates them once per stored context
+//! and drops the counts; a query is one probe per order and
+//! `term + weight · P(w | c′)` per token, lowest order first. The
+//! crate doc says why that is bit-identical to evaluating the
+//! recursion from the counts on every query.
 
-use crate::counts::{row_distinct, row_total, TransitionCounts};
+use crate::counts::{row_distinct, row_total, PackedRows, TransitionCounts};
 
 /// A trained Kneser–Ney n-gram model.
 #[derive(Debug, Clone)]
 pub struct KneserNey {
-    /// `tables[k]` covers contexts of length `k`; `tables[n]` is raw
-    /// counts, the rest are continuation counts.
-    tables: Vec<TransitionCounts>,
-    /// Per-order discounts, aligned with `tables`.
+    /// `orders[k]` answers contexts of length `k`: [`smoothed`] rows.
+    orders: Vec<PackedRows<f64>>,
+    /// Per-order discounts, aligned with `orders`.
     discounts: Vec<f64>,
     vocab: usize,
     order: usize,
+}
+
+/// One order's table with the smoothing already applied: per context,
+/// the `vocab` discounted terms `max(count(c, w) − D, 0) / count(c)`
+/// followed by the backoff weight `D · N1+(c·) / count(c)`.
+fn smoothed(table: TransitionCounts, d: f64) -> PackedRows<f64> {
+    let vocab = table.vocab();
+    table.into_rows().map_rows(vocab + 1, |row, terms| {
+        // A stored row holds at least one observation: total > 0.
+        let total = row_total(row) as f64;
+        terms.extend(row.iter().map(|&c| (c as f64 - d).max(0.0) / total));
+        terms.push(d * row_distinct(row) as f64 / total);
+    })
 }
 
 impl KneserNey {
@@ -43,16 +62,22 @@ impl KneserNey {
     pub fn from_counts(top: TransitionCounts) -> Self {
         let order = top.order();
         let vocab = top.vocab();
-        let mut tables = Vec::with_capacity(order + 1);
-        tables.push(top);
+        // `tables[k]` covers contexts of length `k`: raw counts at the
+        // top, below it each order the continuation counts of the next.
+        let mut tables = vec![top];
         for _ in 0..order {
             let next = tables.last().expect("nonempty").continuation_table();
             tables.push(next);
         }
-        tables.reverse(); // tables[k] = context length k
-        let discounts = tables.iter().map(estimate_discount).collect();
+        tables.reverse();
+        let discounts: Vec<f64> = tables.iter().map(estimate_discount).collect();
+        let orders = tables
+            .into_iter()
+            .zip(&discounts)
+            .map(|(table, &d)| smoothed(table, d))
+            .collect();
         Self {
-            tables,
+            orders,
             discounts,
             vocab,
             order,
@@ -62,11 +87,6 @@ impl KneserNey {
     /// Context length of the model.
     pub fn order(&self) -> usize {
         self.order
-    }
-
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
     }
 
     /// The absolute discount of each order, `discounts()[k]` for
@@ -79,11 +99,20 @@ impl KneserNey {
     /// (fewer if the history is shorter). Never returns 0 — smoothing
     /// guarantees mass on unseen moves.
     ///
-    /// This is the module-level recursion written out for one token;
+    /// This is the module-level recursion for one token;
     /// [`Self::distribution_into`] computes the same values (bit for
     /// bit, property-tested) a vocabulary row at a time.
+    ///
+    /// # Panics
+    /// Panics when `next`, or a token of the context, is outside the
+    /// vocabulary.
     pub fn prob(&self, history: &[u16], next: u16) -> f64 {
-        self.prob_at(self.context(history), next)
+        assert!((next as usize) < self.vocab, "token out of vocabulary");
+        let mut p = 1.0 / self.vocab as f64;
+        for row in self.rows(self.context(history)) {
+            p = row[next as usize] + row[self.vocab] * p;
+        }
+        p
     }
 
     /// The full next-token distribution given `history`; sums to 1.
@@ -94,71 +123,51 @@ impl KneserNey {
     }
 
     /// [`Self::distribution`] written into `out`, without allocating:
-    /// one table-row lookup per order, lowest order first, each order
-    /// folding its discounted counts over the lower-order row already
-    /// in `out`. Orders whose context was never seen leave `out` as it
-    /// is (full weight on the lower-order model).
+    /// one probe per order, lowest order first, each order folding its
+    /// stored row over the lower-order distribution already in `out`
+    /// with one multiply and one add per token. Orders whose context
+    /// was never seen leave `out` as it is (full weight on the
+    /// lower-order model).
     ///
     /// # Panics
-    /// Panics when `out.len()` is not the vocabulary size.
+    /// Panics when `out.len()` is not the vocabulary size, or a token of
+    /// the context is outside the vocabulary.
     pub fn distribution_into(&self, history: &[u16], out: &mut [f64]) {
         assert_eq!(out.len(), self.vocab, "one slot per vocabulary token");
-        let ctx = self.context(history);
         out.fill(1.0 / self.vocab as f64);
-        for k in 0..=ctx.len() {
-            let Some(row) = self.tables[k].row(&ctx[ctx.len() - k..]) else {
-                continue;
-            };
-            // A stored row holds at least one observation: total > 0.
-            let total = row_total(row) as f64;
-            let d = self.discounts[k];
-            let backoff_weight = d * row_distinct(row) as f64 / total;
-            for (p, &c) in out.iter_mut().zip(row) {
-                let discounted = (c as f64 - d).max(0.0) / total;
-                *p = discounted + backoff_weight * *p;
+        for row in self.rows(self.context(history)) {
+            let (discounted, backoff_weight) = row.split_at(self.vocab);
+            for (p, &d) in out.iter_mut().zip(discounted) {
+                *p = d + backoff_weight[0] * *p;
             }
         }
     }
 
-    /// The last `order` tokens of `history` (all of it when shorter).
+    /// The last `order` tokens of `history` (all of it when shorter),
+    /// each checked to be a vocabulary token: packed, a foreign token
+    /// would read another context's row.
     fn context<'h>(&self, history: &'h [u16]) -> &'h [u16] {
-        &history[history.len() - history.len().min(self.order)..]
+        let ctx = &history[history.len() - history.len().min(self.order)..];
+        assert!(
+            ctx.iter().all(|&t| (t as usize) < self.vocab),
+            "history token out of vocabulary"
+        );
+        ctx
     }
 
-    /// Tokens ranked by probability (descending), with ties broken by
-    /// token id for determinism.
-    pub fn ranked(&self, history: &[u16]) -> Vec<(u16, f64)> {
-        let mut v: Vec<(u16, f64)> = self
-            .distribution(history)
-            .into_iter()
-            .enumerate()
-            .map(|(w, p)| (w as u16, p))
-            .collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        v
-    }
-
-    fn prob_at(&self, ctx: &[u16], next: u16) -> f64 {
-        let k = ctx.len();
-        let table = &self.tables[k];
-        let total = table.context_total(ctx) as f64;
-        let lower = |this: &Self| -> f64 {
-            if k == 0 {
-                1.0 / this.vocab as f64
-            } else {
-                this.prob_at(&ctx[1..], next)
+    /// The stored rows of `ctx`'s suffixes, shortest first, the unseen
+    /// ones skipped. The key grows with the suffix: one multiply-add
+    /// prepends the next older token (`counts` module doc).
+    fn rows<'a>(&'a self, ctx: &'a [u16]) -> impl Iterator<Item = &'a [f64]> + 'a {
+        let mut key = 0u64;
+        let mut place = 1u64;
+        (0..=ctx.len()).filter_map(move |k| {
+            if k > 0 {
+                key += u64::from(ctx[ctx.len() - k]) * place;
+                place *= self.vocab as u64;
             }
-        };
-        if total == 0.0 {
-            // Unseen context: full weight on the lower-order model.
-            return lower(self);
-        }
-        let d = self.discounts[k];
-        let c = table.count(ctx, next) as f64;
-        let n1plus = table.distinct_continuations(ctx) as f64;
-        let discounted = (c - d).max(0.0) / total;
-        let backoff_weight = d * n1plus / total;
-        discounted + backoff_weight * lower(self)
+            self.orders[k].get(key)
+        })
     }
 }
 
@@ -177,6 +186,37 @@ mod tests {
     use super::*;
 
     const V: usize = 9; // ForeCache's nine-move vocabulary
+
+    #[test]
+    #[should_panic(expected = "history token out of vocabulary")]
+    fn out_of_vocabulary_history_is_rejected() {
+        // Unchecked, the context (9) would pack to the key of (1, 0).
+        toy_model(3).distribution(&[3, 3, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "token out of vocabulary")]
+    fn out_of_vocabulary_next_token_is_rejected() {
+        // Unchecked, token 9 would read a row's backoff weight.
+        toy_model(3).prob(&[3, 3, 3], 9);
+    }
+
+    /// Tokens older than the context never enter a key, so they are
+    /// not checked.
+    #[test]
+    fn tokens_before_the_context_are_ignored() {
+        let m = toy_model(2);
+        assert_eq!(m.distribution(&[700, 3, 3]), m.distribution(&[3, 3]));
+    }
+
+    /// Markov-20 over nine tokens is the longest model the key admits.
+    #[test]
+    fn longest_order_trains_and_answers() {
+        let m = toy_model(20);
+        let d = m.distribution(&[3; 25]);
+        assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        assert!(std::panic::catch_unwind(|| toy_model(21)).is_err());
+    }
 
     fn toy_model(order: usize) -> KneserNey {
         // Two traces with a strong "after two 3s comes another 3" pattern
@@ -211,28 +251,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frequent_continuation_dominates() {
-        let m = toy_model(3);
-        let d = m.distribution(&[3, 3, 3]);
-        let best = d
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        assert_eq!(best, 3, "panning right thrice should predict right");
+    /// The likeliest next token after `history`.
+    fn likeliest(m: &KneserNey, history: &[u16]) -> usize {
+        let d = m.distribution(history);
+        (0..d.len()).max_by(|&a, &b| d[a].total_cmp(&d[b])).unwrap()
     }
 
     #[test]
-    fn ranked_is_sorted_desc_and_deterministic() {
+    fn frequent_continuation_dominates() {
         let m = toy_model(3);
-        let r = m.ranked(&[3, 3, 3]);
-        assert_eq!(r.len(), V);
-        for w in r.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
-        assert_eq!(r, m.ranked(&[3, 3, 3]));
+        assert_eq!(
+            likeliest(&m, &[3, 3, 3]),
+            3,
+            "panning right thrice should predict right"
+        );
     }
 
     #[test]
@@ -276,10 +308,8 @@ mod tests {
         // Pattern: 4 5 → 6, but 5 alone → 7 most often.
         let trace: Vec<u16> = vec![4, 5, 6, 1, 5, 7, 2, 5, 7, 3, 5, 7, 4, 5, 6, 0, 4, 5, 6];
         let m2 = KneserNey::train([trace.as_slice()], 2, V);
-        let after_45 = m2.ranked(&[4, 5]);
-        assert_eq!(after_45[0].0, 6);
-        let after_x5 = m2.ranked(&[2, 5]);
-        assert_eq!(after_x5[0].0, 7);
+        assert_eq!(likeliest(&m2, &[4, 5]), 6);
+        assert_eq!(likeliest(&m2, &[2, 5]), 7);
     }
 
     #[test]

@@ -1,9 +1,66 @@
 //! Property-based tests: Kneser–Ney invariants over random traces.
 
-use fc_ngram::KneserNey;
+use fc_ngram::{KneserNey, TransitionCounts};
 use proptest::prelude::*;
 
 const V: usize = 9;
+
+/// The model as it answered before rows were smoothed at training time,
+/// kept as the oracle of [`KneserNey::prob`] and
+/// [`KneserNey::distribution_into`]: the Kneser–Ney recursion for one
+/// token, every term evaluated from the raw `u32` count rows on each
+/// call, over tables and discounts built here from the counting API.
+struct CountRecursion {
+    /// `tables[k]`: raw counts at the top order, continuation counts below.
+    tables: Vec<TransitionCounts>,
+    discounts: Vec<f64>,
+}
+
+impl CountRecursion {
+    fn train(traces: &[Vec<u16>], order: usize) -> Self {
+        let top = TransitionCounts::process_traces(traces.iter().map(Vec::as_slice), order, V);
+        let mut tables = vec![top];
+        for _ in 0..order {
+            tables.push(tables.last().unwrap().continuation_table());
+        }
+        tables.reverse();
+        let discounts = tables
+            .iter()
+            .map(|t| match t.count_of_counts() {
+                (0, _) => 0.5,
+                (n1, n2) => (n1 as f64 / (n1 as f64 + 2.0 * n2 as f64)).clamp(0.05, 0.95),
+            })
+            .collect();
+        Self { tables, discounts }
+    }
+
+    fn prob(&self, history: &[u16], next: u16) -> f64 {
+        let order = self.tables.len() - 1;
+        self.prob_at(&history[history.len() - history.len().min(order)..], next)
+    }
+
+    fn prob_at(&self, ctx: &[u16], next: u16) -> f64 {
+        let k = ctx.len();
+        let lower = || -> f64 {
+            if k == 0 {
+                1.0 / V as f64
+            } else {
+                self.prob_at(&ctx[1..], next)
+            }
+        };
+        let Some(row) = self.tables[k].row(ctx) else {
+            // Unseen context: full weight on the lower-order model.
+            return lower();
+        };
+        let total = row.iter().sum::<u32>() as f64;
+        let d = self.discounts[k];
+        let c = row[next as usize] as f64;
+        let n1plus = row.iter().filter(|&&x| x > 0).count() as f64;
+        let discounted = (c - d).max(0.0) / total;
+        let backoff_weight = d * n1plus / total;
+        discounted + backoff_weight * lower()
+    }
+}
 
 fn traces() -> impl Strategy<Value = Vec<Vec<u16>>> {
     proptest::collection::vec(proptest::collection::vec(0u16..V as u16, 0..40), 1..6)
@@ -20,22 +77,6 @@ proptest! {
         let sum: f64 = d.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-6, "sum = {sum}");
         prop_assert!(d.iter().all(|&p| p > 0.0 && p <= 1.0));
-    }
-
-    /// ranked() is a permutation of the vocabulary sorted by probability.
-    #[test]
-    fn ranked_is_sorted_permutation(ts in traces(), order in 0usize..4,
-                                    hist in proptest::collection::vec(0u16..V as u16, 0..5)) {
-        let refs: Vec<&[u16]> = ts.iter().map(|t| t.as_slice()).collect();
-        let m = KneserNey::train(refs, order, V);
-        let r = m.ranked(&hist);
-        prop_assert_eq!(r.len(), V);
-        let mut seen: Vec<u16> = r.iter().map(|(w, _)| *w).collect();
-        seen.sort_unstable();
-        prop_assert_eq!(seen, (0..V as u16).collect::<Vec<_>>());
-        for w in r.windows(2) {
-            prop_assert!(w[0].1 >= w[1].1);
-        }
     }
 
     /// prob() only depends on the last `order` tokens of history.
@@ -56,21 +97,26 @@ proptest! {
         let _ = truncated;
     }
 
-    /// The row-wise routine is the per-token recursion, bit for bit:
-    /// orders 0–5, empty, short and over-long histories, and (random
+    /// Rows smoothed once at training time answer what the per-query
+    /// recursion over raw counts answers, bit for bit — row-wise
+    /// (`distribution_into`, `distribution`) and per token (`prob`):
+    /// orders 0–10, empty, short and over-long histories, and (random
     /// histories over sparse traces) contexts never seen at some or
-    /// every order. `distribution` is the same row, allocated.
+    /// every order.
     #[test]
-    fn distribution_into_is_prob_bitwise(ts in traces(), order in 0usize..6,
-                                         hist in proptest::collection::vec(0u16..V as u16, 0..8)) {
-        let refs: Vec<&[u16]> = ts.iter().map(|t| t.as_slice()).collect();
-        let m = KneserNey::train(refs, order, V);
+    fn distribution_into_is_prob_bitwise(ts in traces(), order in 0usize..11,
+                                         hist in proptest::collection::vec(0u16..V as u16, 0..13)) {
+        let m = KneserNey::train(ts.iter().map(Vec::as_slice), order, V);
+        let oracle = CountRecursion::train(&ts, order);
+        let bits = |d: &[f64]| d.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(m.discounts()), bits(&oracle.discounts));
         let mut row = [f64::NAN; V];
         m.distribution_into(&hist, &mut row);
         for (w, p) in row.iter().enumerate() {
-            prop_assert_eq!(p.to_bits(), m.prob(&hist, w as u16).to_bits(), "token {}", w);
+            let want = oracle.prob(&hist, w as u16).to_bits();
+            prop_assert_eq!(p.to_bits(), want, "row, token {}", w);
+            prop_assert_eq!(m.prob(&hist, w as u16).to_bits(), want, "prob, token {}", w);
         }
-        let bits = |d: &[f64]| d.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&m.distribution(&hist)), bits(&row));
     }
 }
