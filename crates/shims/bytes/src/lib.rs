@@ -12,7 +12,7 @@ use std::sync::Arc;
 /// An immutable, reference-counted byte buffer with a consuming cursor.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -72,10 +72,11 @@ impl Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes ownership of `v`'s allocation; the bytes are not copied.
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Self {
-            data: v.into(),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -279,6 +280,16 @@ mod tests {
         assert_eq!(&*s, &[2, 3, 4]);
         assert_eq!(s.slice(1..).to_vec(), vec![3, 4]);
         assert_eq!(b.len(), 5, "original view unchanged");
+    }
+
+    #[test]
+    fn from_vec_keeps_the_allocation() {
+        let v = vec![9u8; 4096];
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at);
+        assert_eq!(b.slice(10..).as_ptr(), at.wrapping_add(10));
+        assert_eq!(b.clone().as_ptr(), at);
     }
 
     #[test]
