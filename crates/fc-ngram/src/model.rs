@@ -136,9 +136,9 @@ impl KneserNey {
         assert_eq!(out.len(), self.vocab, "one slot per vocabulary token");
         out.fill(1.0 / self.vocab as f64);
         for row in self.rows(self.context(history)) {
-            let (discounted, backoff_weight) = row.split_at(self.vocab);
-            for (p, &d) in out.iter_mut().zip(discounted) {
-                *p = d + backoff_weight[0] * *p;
+            let backoff_weight = row[self.vocab];
+            for (p, &discounted) in out.iter_mut().zip(row) {
+                *p = discounted + backoff_weight * *p;
             }
         }
     }
