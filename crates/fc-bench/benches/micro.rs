@@ -4,6 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fc_array::{regrid, AggFn, DenseArray, Schema};
+use fc_bench::context::ExpContext;
 use fc_bench::seed_baseline::{
     sb_distances_seed, seed_decode_server_msg, seed_encode_server_msg, seed_regrid_with,
     SeedMetaStore,
@@ -232,6 +233,38 @@ fn bench_engine_and_cache(c: &mut Criterion) {
     });
 }
 
+/// What a Hello costs before the first byte is served: an engine built
+/// from the dataset's trained models, then its first prediction at the
+/// benchmark's `predict-deep` shape (1365 tiles, four signatures,
+/// candidates two moves out), which is when the engine's pair cache is
+/// allocated.
+fn bench_session_open(c: &mut Criterion) {
+    let ctx = ExpContext::build(1024, 6, 32, 18);
+    let train: Vec<_> = ctx.study.traces.iter().collect();
+    let (ab, classifier) = (ctx.ab_model(&train, 3), ctx.classifier_for(&train));
+    let pyramid = &ctx.dataset.pyramid;
+    let open = || {
+        PredictionEngine::new(
+            pyramid.geometry(),
+            ab.clone(),
+            SbRecommender::new(SbConfig::all_equal()),
+            PhaseSource::Classifier(Box::new(classifier.clone())),
+            EngineConfig {
+                distance: 2,
+                ..EngineConfig::default()
+            },
+        )
+    };
+    c.bench_function("session open: engine from trained models", |b| b.iter(open));
+    c.bench_function("session open + first predict (4 signatures, d = 2)", |b| {
+        b.iter(|| {
+            let mut engine = open();
+            engine.observe(Request::initial(TileId::new(4, 8, 8)));
+            engine.predict(pyramid.store(), black_box(8))
+        })
+    });
+}
+
 fn bench_protocol(c: &mut Criterion) {
     let pyramid = built_pyramid();
     let tile = pyramid
@@ -294,6 +327,7 @@ criterion_group!(
     bench_models,
     bench_sb_distances,
     bench_engine_and_cache,
+    bench_session_open,
     bench_protocol
 );
 criterion_main!(benches);

@@ -18,7 +18,12 @@ use std::sync::Arc;
 /// A deterministic 128×128 terrain with enough structure that the four
 /// signatures disagree between tiles (same seed as `golden_sb.rs`).
 fn seeded_pyramid() -> Arc<Pyramid> {
-    let side = 128;
+    terrain_pyramid(128, 3, 32)
+}
+
+/// [`seeded_pyramid`]'s terrain at any size: `levels` levels of
+/// `tile`-cell tiles over a `side`×`side` array, signatures attached.
+fn terrain_pyramid(side: usize, levels: u8, tile: usize) -> Arc<Pyramid> {
     let schema = Schema::grid2d("G", side, side, &["v"]).unwrap();
     let data: Vec<f64> = (0..side * side)
         .map(|i| {
@@ -30,7 +35,7 @@ fn seeded_pyramid() -> Arc<Pyramid> {
     let base = DenseArray::from_vec(schema, data).unwrap();
     let pyramid = Arc::new(
         PyramidBuilder::new()
-            .build(&base, &PyramidConfig::simple(3, 32, &["v"]))
+            .build(&base, &PyramidConfig::simple(levels, tile, &["v"]))
             .unwrap(),
     );
     let mut cfg = SignatureConfig::ndsi("v");
@@ -237,4 +242,79 @@ fn scheduler_shares_pairs_across_sessions() {
     out.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
     let solo: Vec<TileId> = out.into_iter().map(|(t, _)| t).collect();
     assert_eq!(a, solo);
+}
+
+/// Growth is invisible: a level-wide serpentine with ROI re-commits
+/// fills far more pairs than a table starts with, and every step's
+/// distances are the disabled cache's, bit for bit. The table only
+/// ever gets larger, never past the size it was asked for, and a
+/// mid-walk epoch bump invalidates it without resizing it.
+#[test]
+fn growth_walk_is_bit_identical_to_the_disabled_fill() {
+    const CEILING: usize = 1 << 16;
+    // 1 + 4 + 16 + 64 + 256 tiles; the walk covers the deepest level.
+    let pyramid = terrain_pyramid(256, 5, 16);
+    let (store, g) = (pyramid.store(), pyramid.geometry());
+    let sb = SbRecommender::new(SbConfig::all_equal());
+    let mut index = store.signature_index().expect("signatures attached");
+    let mut cache = PairCache::new(CEILING);
+    let mut disabled = PairCache::new(0);
+    let mut scratch = PredictScratch::default();
+
+    let (rows, cols) = g.tiles_at(4);
+    let walk: Vec<TileId> = (0..rows)
+        .flat_map(|y| {
+            (0..cols).map(move |i| TileId::new(4, y, if y % 2 == 0 { i } else { cols - 1 - i }))
+        })
+        .collect();
+    let bump_at = walk.len() * 3 / 4;
+    let mut roi = Vec::new();
+    let (mut capacity, mut doublings) = (cache.capacity(), 0);
+    for (step, &at) in walk.iter().enumerate() {
+        // Re-commit the ROI every sixth step: the 4×4 block around the
+        // current tile, clamped to the level.
+        if step % 6 == 0 {
+            let (y0, x0) = (at.y.min(rows - 4), at.x.min(cols - 4));
+            roi = (y0..y0 + 4)
+                .flat_map(|y| (x0..x0 + 4).map(move |x| TileId::new(4, y, x)))
+                .collect();
+        }
+        if step == bump_at {
+            let before = (cache.capacity(), cache.stats());
+            store.put_meta(at, SignatureKind::Hist1D.meta_name(), vec![0.5; 16]);
+            index = store.signature_index().expect("rebuilt");
+            let cands = g.candidates(at, 2);
+            let reference = score(&sb, &index, &cands, &roi, &mut disabled, &mut scratch);
+            let out = score(&sb, &index, &cands, &roi, &mut cache, &mut scratch);
+            assert_bits(&reference, &out, "epoch bump");
+            // Nothing carries over: each unordered pair of the fill
+            // misses once (a candidate that is also an ROI tile meets
+            // its mirror pair later in the same fill, and hits).
+            let mut pairs: Vec<(TileId, TileId)> = cands
+                .iter()
+                .flat_map(|&c| roi.iter().map(move |&r| (c.min(r), c.max(r))))
+                .collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            let after = cache.stats().since(before.1);
+            assert_eq!(after.invalidations, 1);
+            assert_eq!(after.misses, pairs.len() as u64, "every pair recomputed");
+            assert_eq!(cache.capacity(), before.0, "a bump keeps the table");
+        }
+        let cands = g.candidates(at, 2);
+        let reference = score(&sb, &index, &cands, &roi, &mut disabled, &mut scratch);
+        let out = score(&sb, &index, &cands, &roi, &mut cache, &mut scratch);
+        assert_bits(&reference, &out, &format!("step {step} at {at:?}"));
+        assert!(
+            cache.capacity() >= capacity,
+            "step {step}: a table never shrinks"
+        );
+        assert!(cache.capacity() <= CEILING, "step {step}: past its ceiling");
+        doublings += usize::from(cache.capacity() > capacity);
+        capacity = cache.capacity();
+    }
+    let stats = cache.stats();
+    assert!(stats.hits > stats.misses, "a serpentine revisits its pairs");
+    assert!(stats.misses > 8192, "enough distinct pairs to outgrow 2^13");
+    let _ = doublings;
 }

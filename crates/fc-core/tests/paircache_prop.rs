@@ -2,8 +2,9 @@
 //! sequences — with metadata-epoch bumps mid-sequence and a second
 //! session's jobs interleaved — against one long-lived cache, and
 //! assert that every result is bit-identical to the locked reference
-//! path [`SbRecommender::distances`] — through a live cache, a disabled
-//! one, and one whose domain (five weighted signatures) it rejects.
+//! path [`SbRecommender::distances`] — through a live cache of fixed
+//! size, one that grows, a disabled one, and one whose domain (five
+//! weighted signatures) it rejects.
 
 use fc_array::{IoMode, LatencyModel, SimClock};
 use fc_core::paircache::PairCache;
@@ -119,15 +120,29 @@ proptest! {
         let store = synthetic_store(g, salt);
         let mut five = SbConfig::all_equal();
         five.weights.push((SignatureKind::Hist1D, 0.5));
-        // Live cache; disabled cache; live cache that rejects the
-        // domain (more signatures than a slot holds).
+        // Live cache at its full size from the start; disabled cache;
+        // live cache that rejects the domain (more signatures than a
+        // slot holds); live cache with room to grow.
         let mut columns = [
             (SbRecommender::new(SbConfig::all_equal()), PairCache::new(1 << 12)),
             (SbRecommender::new(SbConfig::all_equal()), PairCache::new(0)),
             (SbRecommender::new(five), PairCache::new(1 << 12)),
+            (SbRecommender::new(SbConfig::all_equal()), PairCache::new(1 << 16)),
         ];
         let mut scratch = PredictScratch::default();
         let mut out = Vec::new();
+        // A survey before the walk — every tile against the deepest
+        // level, some 3,400 distinct pairs — so the walk runs on tables that
+        // have evicted (the fixed one) and grown (the last one).
+        let everything: Vec<TileId> = g.all_tiles().collect();
+        let deepest = &everything[everything.len() - 64..];
+        let index = store.signature_index().expect("synthetic metadata");
+        for (c, (sb, cache)) in columns.iter_mut().enumerate() {
+            sb.distances_into(&index, &everything, deepest, cache, &mut scratch, &mut out);
+            let reference = sb.distances(&store, &everything, deepest);
+            assert_bits(&reference, &out, &format!("column {c} survey"));
+        }
+        prop_assert!(columns[3].1.capacity() > 1 << 12, "the survey outgrew the first table");
         let mut anchor = TileId::new(2, 1, 1);
         for (i, &(mv, roi_code)) in steps.iter().enumerate() {
             anchor = step_anchor(g, anchor, mv);
@@ -159,5 +174,6 @@ proptest! {
         prop_assert!(probes(&columns[0].1) > 0, "walk exercised the cache");
         prop_assert_eq!(probes(&columns[1].1), 0, "a disabled cache serves no probes");
         prop_assert_eq!(probes(&columns[2].1), 0, "a rejected domain serves no probes");
+        prop_assert!(probes(&columns[3].1) > 0, "walk exercised the growing cache");
     }
 }
