@@ -28,6 +28,7 @@
 use crate::recommender::{PredictionContext, Recommender};
 use fc_ngram::KneserNey;
 use fc_tiles::{Geometry, TileId, MOVES};
+use std::sync::Arc;
 
 /// One smoothed next-move distribution, indexed by `Move::index`.
 type MoveDist = [f64; MOVES.len()];
@@ -45,10 +46,11 @@ pub(crate) fn distributions_computed() -> usize {
 }
 
 /// The AB recommendation model: a Kneser–Ney smoothed move-sequence
-/// Markov chain.
+/// Markov chain. The chain is immutable once trained, so a clone — one
+/// per session — shares its tables.
 #[derive(Debug, Clone)]
 pub struct AbRecommender {
-    model: KneserNey,
+    model: Arc<KneserNey>,
 }
 
 impl AbRecommender {
@@ -59,7 +61,7 @@ impl AbRecommender {
         I: IntoIterator<Item = &'a [u16]>,
     {
         Self {
-            model: KneserNey::train(traces, order, MOVES.len()),
+            model: Arc::new(KneserNey::train(traces, order, MOVES.len())),
         }
     }
 

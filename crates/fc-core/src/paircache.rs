@@ -47,13 +47,47 @@
 //! meets — the key cannot live past it — which makes misses on a cold
 //! cache nearly free (one load).
 //!
+//! # Sizing: the table follows what it holds
+//!
+//! A table is asked for with a **ceiling** ([`PairCache::new`];
+//! [`PairCache::fit`] takes it from
+//! [`crate::signature::pair_cache_capacity_hint`]) and starts with at
+//! most 2¹² slots (256 KiB) of it, so opening a session costs a
+//! request's worth of time rather than a 16 MiB fill. The cache counts
+//! the slots written in the current generation; when an insert takes
+//! that count past half the table, the table doubles, until it reaches
+//! the ceiling — where it is a fixed-size table that evicts, as every
+//! table here was before. Half is a measured choice: a doubling holds
+//! the old and the new table at once, and an earlier one (¼, ⅛) takes a
+//! dataset-shared table to its ceiling, and the process past its old
+//! peak, for pairs that half-full tables hold in half the memory; the
+//! price is the evictions a fuller table makes (ROADMAP item 5 has the
+//! sweep). A generation bump restarts the count and keeps the table.
+//!
+//! A doubling **re-homes** the live generation's slots and drops the
+//! stale ones. The probe invariant survives it because the new table
+//! is filled by the same rule as any other — first stale slot of the
+//! key's window — and no pair is lost because the order of filling
+//! never runs a key out of its window: the old table is read
+//! circularly from a stale slot, so every run of live slots is read
+//! head first, and then each key lands no further from its new home
+//! than it sat from its old one. (Induction along a run. A key `δ`
+//! slots past its old home `h` had only live slots between `h` and
+//! itself. Its new home is `h` or `h` plus the old length; a key
+//! already re-homed into the `δ + 1` slots from there sits, modulo the
+//! old length, at or after `h` and — by the induction — at or before
+//! its own old slot, which was read earlier: it came from one of the
+//! `δ` old slots between `h` and the key, a different one for each. So
+//! one of the `δ + 1` is still stale, and `δ < PROBE_WINDOW`.)
+//!
 //! # Sharing
 //!
 //! [`crate::engine::PredictionEngine`] owns one cache per session next
 //! to its `PredictScratch`; [`crate::batch::PredictScheduler`] owns one
 //! cache *shared by every session of a dataset*, so session B hits the
 //! pairs session A computed — the multi-user analogue of §6.2's shared
-//! tile cache, applied to prediction arithmetic.
+//! tile cache, applied to prediction arithmetic. Both are this one
+//! growing table.
 //!
 //! [`SignatureIndex`]: fc_tiles::SignatureIndex
 
@@ -73,8 +107,13 @@ pub const MAX_CACHED_SIGS: usize = 4;
 const PROBE_WINDOW: usize = 24;
 
 /// Bits per dense index in a packed pair key (two indices + headroom
-/// must fit 64 bits). Indexes ≥ 2⁲⁸ disable the cache.
+/// must fit 64 bits). Indexes ≥ 2²⁸ disable the cache.
 const DENSE_BITS: u32 = 28;
+
+/// Most slots a table starts with (256 KiB), and the least
+/// [`crate::signature::pair_cache_capacity_hint`] asks for — so a
+/// table asked for at this size or below never grows.
+const START_SLOTS: usize = 1 << 12;
 
 /// The SplitMix64 finalizer: a stateless, deterministic mix whose low
 /// bits are well distributed, so power-of-two masks spread dense key
@@ -197,10 +236,14 @@ fn home_slot(key: u64, mask: usize) -> usize {
 /// The epoch-stamped, symmetric χ² pair-distance cache. See the module
 /// docs for semantics; see `sb.rs`'s cache-aware fill for the probe /
 /// miss-frontier / write-back protocol.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PairCache {
     slots: Vec<Slot>,
     mask: usize,
+    /// Most slots the table may grow to (a power of two, or zero).
+    ceiling: usize,
+    /// Slots written in the current generation.
+    live: usize,
     /// Current generation; slots stamped otherwise are stale.
     gen: u64,
     /// Fingerprint of the domain the current generation serves
@@ -221,18 +264,22 @@ impl Default for PairCache {
 }
 
 impl PairCache {
-    /// Creates a cache with `capacity` slots (rounded up to a power of
-    /// two; `0` builds a permanently disabled cache that misses every
-    /// probe).
+    /// Creates a cache of at most `capacity` slots (rounded up to a
+    /// power of two; `0` builds a permanently disabled cache that
+    /// misses every probe). The table starts with at most 2¹² of them
+    /// and doubles as it fills (module docs, "Sizing").
     pub fn new(capacity: usize) -> Self {
-        let cap = if capacity == 0 {
+        let ceiling = if capacity == 0 {
             0
         } else {
             capacity.next_power_of_two()
         };
+        let start = ceiling.min(START_SLOTS);
         Self {
-            slots: vec![EMPTY_SLOT; cap],
-            mask: cap.wrapping_sub(1),
+            slots: vec![EMPTY_SLOT; start],
+            mask: start.wrapping_sub(1),
+            ceiling,
+            live: 0,
             // Starts above every pre-initialized slot stamp, so the
             // fresh table reads as all-stale.
             gen: 1,
@@ -251,22 +298,24 @@ impl PairCache {
         cache
     }
 
-    /// Sizes the cache for steady-state prediction over `index` (see
+    /// Bounds the cache for steady-state prediction over `index` (see
     /// [`crate::signature::pair_cache_capacity_hint`]) — the one place
-    /// a pair cache gets its capacity. A table that already has it is
-    /// kept as it is: after an epoch bump [`Self::begin`] sees the new
-    /// build id and invalidates by generation, with no clearing pass.
-    /// Only a different capacity (the first call on a
-    /// [`Default`] cache, or an index of another shape) allocates, and
-    /// the new table starts with zeroed counters.
+    /// a pair cache gets its ceiling. A table that already has it is
+    /// kept as it is, at whatever size it has grown to: after an epoch
+    /// bump [`Self::begin`] sees the new build id and invalidates by
+    /// generation, with no clearing pass. Only a different ceiling (the
+    /// first call on a [`Default`] cache, or an index of another
+    /// shape) starts a new table, small and with zeroed counters.
     pub fn fit(&mut self, index: &SignatureIndex) {
         let want = crate::signature::pair_cache_capacity_hint(index.keys().len(), index.ntiles());
-        if self.capacity() != want {
+        if self.ceiling != want {
             *self = Self::new(want);
         }
     }
 
-    /// Slot count (a power of two, or zero when permanently disabled).
+    /// Slots the table has now (a power of two, or zero when
+    /// permanently disabled). Only ever rises, to at most what
+    /// [`Self::new`] was asked for.
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
@@ -300,6 +349,7 @@ impl PairCache {
             }
             self.domain = Some(fp);
             self.gen += 1;
+            self.live = 0;
         }
         self.enabled = !self.slots.is_empty()
             && keys.len() <= MAX_CACHED_SIGS
@@ -350,20 +400,44 @@ impl PairCache {
     }
 
     /// Writes (or refreshes) a pair's raw χ² values and geometry.
-    /// `vals.len()` must be the domain's signature count.
+    /// `vals.len()` must be the domain's signature count. The write
+    /// that takes a table below its ceiling past half full doubles it.
     #[inline]
     pub(crate) fn insert(&mut self, key: u64, vals: &[f64], dmanh: u32, denom: f64) {
         if !self.enabled {
             return;
         }
         debug_assert!(vals.len() <= MAX_CACHED_SIGS);
-        let gen = self.gen;
-        let home = home_slot(key, self.mask);
+        let mut slot = Slot {
+            key,
+            gen: self.gen,
+            dmanh,
+            denom,
+            ..EMPTY_SLOT
+        };
+        slot.vals[..vals.len()].copy_from_slice(vals);
+        self.place(slot);
+        // Past half full, below the ceiling (module docs, "Sizing").
+        if self.live > self.slots.len() / 2 && self.slots.len() < self.ceiling {
+            self.grow();
+        }
+    }
+
+    /// Stores a slot of the current generation in the first stale (or
+    /// same-key) slot of its key's probe window.
+    #[inline]
+    fn place(&mut self, slot: Slot) {
+        let home = home_slot(slot.key, self.mask);
         let mut victim = home;
         let mut i = home;
         for _ in 0..PROBE_WINDOW {
             let s = &self.slots[i];
-            if s.gen != gen || s.key == key {
+            if s.gen != slot.gen {
+                self.live += 1;
+                victim = i;
+                break;
+            }
+            if s.key == slot.key {
                 victim = i;
                 break;
             }
@@ -372,12 +446,26 @@ impl PairCache {
         // Window full of live foreign keys: evict the home slot. That
         // keeps the probe invariant (stale slots never reappear within
         // a generation) — eviction replaces live with live.
-        let s = &mut self.slots[victim];
-        s.key = key;
-        s.gen = gen;
-        s.dmanh = dmanh;
-        s.denom = denom;
-        s.vals[..vals.len()].copy_from_slice(vals);
+        self.slots[victim] = slot;
+    }
+
+    /// Doubles the table and re-homes the live generation's slots into
+    /// it, each run of live slots from its head — the order in which no
+    /// key runs out of window, so none is lost (module docs, "Sizing").
+    /// The old table is freed on return; until then both are held.
+    #[cold]
+    fn grow(&mut self) {
+        let doubled = vec![EMPTY_SLOT; self.slots.len() * 2];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        self.mask = self.slots.len() - 1;
+        self.live = 0;
+        let gen = self.gen;
+        let head = old.iter().position(|s| s.gen != gen).unwrap_or(0);
+        for s in old[head..].iter().chain(&old[..head]) {
+            if s.gen == gen {
+                self.place(*s);
+            }
+        }
     }
 
     /// Adds one fill's hit/miss totals to the monotonic counters (a
@@ -459,6 +547,23 @@ mod tests {
         assert!(!c.begin(&ix, &many));
     }
 
+    /// Inserts every pair over `n` tiles, each with a value of its
+    /// own, then checks that whatever survived reads back that value.
+    fn check_eviction(c: &mut PairCache, n: usize) {
+        for a in 0..n {
+            for b in a..n {
+                c.insert(pair_key(a, b), &[(a * n + b) as f64], 0, 1.0);
+            }
+        }
+        for a in 0..n {
+            for b in a..n {
+                if let Some(s) = c.probe(pair_key(a, b)) {
+                    assert_eq!(s.vals[0], (a * n + b) as f64, "pair ({a},{b})");
+                }
+            }
+        }
+    }
+
     #[test]
     fn eviction_keeps_probes_correct() {
         let ix = small_index();
@@ -466,18 +571,85 @@ mod tests {
         // Tiny table: plenty of collisions and evictions.
         let mut c = PairCache::new(8);
         assert!(c.begin(&ix, &keys));
-        for a in 0..8usize {
-            for b in a..8usize {
-                c.insert(pair_key(a, b), &[(a * 10 + b) as f64], 0, 1.0);
+        check_eviction(&mut c, 8);
+        assert_eq!(c.capacity(), 8, "a table asked for below 2^12 never grows");
+        // A table grown to its ceiling is that fixed-size table: 32,896
+        // pairs through 8,192 slots.
+        let mut c = PairCache::new(1 << 13);
+        assert!(c.begin(&ix, &keys));
+        assert_eq!(c.capacity(), START_SLOTS);
+        check_eviction(&mut c, 256);
+        assert_eq!(c.capacity(), 1 << 13);
+    }
+
+    /// The fill's key pattern: candidate `hi` against sixteen
+    /// consecutive ROI indices, a run of adjacent home slots.
+    fn run_keys() -> impl Iterator<Item = (u64, f64)> {
+        (0..).flat_map(|c| (0..16).map(move |lo| (pair_key(lo, 1000 + c), (c * 16 + lo) as f64)))
+    }
+
+    #[test]
+    fn doubling_loses_no_pair() {
+        let ix = small_index();
+        let keys = [MetaKey::intern("sig")];
+        let mut c = PairCache::new(1 << 14);
+        assert!(c.begin(&ix, &keys));
+        let pairs: Vec<(u64, f64)> = run_keys().take(1 << 15).collect();
+        let mut next = 0;
+        let mut insert_next = |c: &mut PairCache| {
+            let (k, v) = pairs[next];
+            c.insert(k, &[v], 7, 2.0);
+            next += 1;
+            next
+        };
+        for size in [START_SLOTS, 2 * START_SLOTS] {
+            // Fill to exactly half: the next new pair doubles the table.
+            let mut inserted = 0;
+            while c.live < size / 2 {
+                inserted = insert_next(&mut c);
+            }
+            assert_eq!(c.capacity(), size);
+            let mut held: Vec<(u64, f64)> = pairs[..inserted]
+                .iter()
+                .copied()
+                .filter(|&(k, _)| c.probe(k).is_some())
+                .collect();
+            assert_eq!(held.len(), c.live, "one slot per pair held");
+            held.push(pairs[insert_next(&mut c) - 1]);
+            assert_eq!(c.capacity(), 2 * size, "past half full");
+            assert_eq!(c.live, held.len(), "every live slot re-homed");
+            for (k, v) in held {
+                let s = c.probe(k).expect("a pair held before the doubling");
+                assert_eq!((s.vals[0], s.dmanh, s.denom), (v, 7, 2.0));
             }
         }
-        // Whatever survived must read back its own value.
-        for a in 0..8usize {
-            for b in a..8usize {
-                if let Some(s) = c.probe(pair_key(a, b)) {
-                    assert_eq!(s.vals[0], (a * 10 + b) as f64, "pair ({a},{b})");
-                }
-            }
+        // At the ceiling the table stays, however much is written.
+        while insert_next(&mut c) < pairs.len() {}
+        assert_eq!(c.capacity(), 1 << 14);
+    }
+
+    #[test]
+    fn generation_bump_restarts_the_live_count_and_keeps_the_table() {
+        let ix = small_index();
+        let mut c = PairCache::new(1 << 14);
+        assert!(c.begin(&ix, &[MetaKey::intern("sig")]));
+        let mut pairs = run_keys();
+        let (mut k, mut v) = (0, 0.0);
+        while c.capacity() == START_SLOTS {
+            (k, v) = pairs.next().unwrap();
+            c.insert(k, &[v], 0, 1.0);
         }
+        assert_eq!(
+            (c.capacity(), c.live),
+            (2 * START_SLOTS, START_SLOTS / 2 + 1)
+        );
+        // Refreshing a pair writes no new slot.
+        c.insert(k, &[v], 0, 1.0);
+        assert_eq!(c.live, START_SLOTS / 2 + 1);
+        assert!(c.begin(&ix, &[MetaKey::intern("other")]));
+        assert_eq!((c.capacity(), c.live), (2 * START_SLOTS, 0));
+        assert!(c.probe(k).is_none());
+        c.insert(k, &[v], 0, 1.0);
+        assert_eq!(c.live, 1);
     }
 }

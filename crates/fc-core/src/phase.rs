@@ -8,6 +8,7 @@ use crate::features::{phase_features, NUM_FEATURES};
 use crate::history::Request;
 use fc_ml::{Scaler, SvmClassifier, SvmParams};
 use std::fmt;
+use std::sync::Arc;
 
 /// The user's current frame of mind while exploring (§4.2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,11 +63,11 @@ impl fmt::Display for Phase {
 
 /// The top-level classifier: a multi-class SVM with an RBF kernel over the
 /// Table-1 feature vector, with min-max scaling fitted on the training
-/// fold (the paper used LibSVM; §4.2.2).
+/// fold (the paper used LibSVM; §4.2.2). Both are immutable once
+/// trained, so a clone — one per session — shares them.
 #[derive(Debug, Clone)]
 pub struct PhaseClassifier {
-    scaler: Scaler,
-    svm: SvmClassifier,
+    trained: Arc<(Scaler, SvmClassifier)>,
 }
 
 impl PhaseClassifier {
@@ -95,7 +96,9 @@ impl PhaseClassifier {
         let scaled = scaler.transform_all(feats);
         let dim = feats.first().map_or(NUM_FEATURES, |f| f.len());
         let svm = SvmClassifier::train(&scaled, label_ids, SvmParams::rbf_default(dim));
-        Self { scaler, svm }
+        Self {
+            trained: Arc::new((scaler, svm)),
+        }
     }
 
     /// Predicts the phase for a `(current, previous)` request pair.
@@ -106,7 +109,8 @@ impl PhaseClassifier {
 
     /// Predicts a class id from a raw feature vector.
     pub fn predict_features(&self, features: &[f64]) -> usize {
-        self.svm.predict(&self.scaler.transform(features))
+        let (scaler, svm) = &*self.trained;
+        svm.predict(&scaler.transform(features))
     }
 }
 

@@ -111,24 +111,30 @@ impl SignatureConfig {
     }
 }
 
-/// Sizing hint for the χ² pair cache ([`crate::paircache::PairCache`]):
-/// slots for `nsig` signatures over an `ntiles`-tile index.
+/// Ceiling for the χ² pair cache ([`crate::paircache::PairCache`]):
+/// the most slots a table for `nsig` signatures over an `ntiles`-tile
+/// index may grow to. Nothing is allocated at this size up front.
 ///
 /// An interactive request touches `|C| × |R|` pairs (≤ 64 × 16 = 1024
 /// at the acceptance shape) and a pan/zoom neighbourhood revisits a few
 /// multiples of that, so the working set scales with how much of the
 /// pyramid a session explores — not with the full pair count `ntiles²`.
 /// One slot covers **all** of a pair's signatures, so `nsig` barely
-/// matters; `32 × nsig × ntiles` keeps the load factor low enough
-/// (≲ 0.1 for serpentine exploration of a whole level) that the
-/// additive slot mapping's runs-of-`|R|` rarely overlap another
-/// candidate's probe window — overlaps turn into chronic
-/// evict-and-recompute churn. A sparse table is cheap: warm probes
-/// touch only the live runs, so the cache *footprint* scales with the
-/// working set, not the table. The result is clamped to `[2¹², 2¹⁸]`
-/// slots (256 KiB – 16 MiB of address space at 64-byte slots; engines
-/// allocate lazily and sessions ranking through a scheduler share one
-/// table).
+/// matters; `32 × nsig × ntiles` keeps the load factor of a table that
+/// has reached it low enough (≲ 0.1 for serpentine exploration of a
+/// whole level) that the additive slot mapping's runs-of-`|R|` rarely
+/// overlap another candidate's probe window — overlaps turn into
+/// evict-and-recompute churn. The result is clamped to `[2¹², 2¹⁸]`
+/// slots (256 KiB – 16 MiB at 64-byte slots).
+///
+/// A table starts at the floor and doubles when half of it holds
+/// pairs of the current generation, so what a session or a dataset
+/// pays follows the pairs it has met (a median study session ends
+/// with a few hundred, a dataset-shared table with a few thousand to
+/// tens of thousands): the ceiling only says where doubling stops and
+/// eviction takes over. An engine has no table at all until its first
+/// predict ranks through one, and sessions ranking through a scheduler
+/// share one table.
 pub fn pair_cache_capacity_hint(nsig: usize, ntiles: usize) -> usize {
     nsig.max(1)
         .saturating_mul(ntiles.max(1))
