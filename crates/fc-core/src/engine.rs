@@ -121,9 +121,11 @@ pub struct PredictionEngine {
     /// Reused buffers for the allocation-free SB fast path.
     scratch: PredictScratch,
     /// Epoch-stamped χ² pair-distance cache for steady-state SB
-    /// prediction, sized for the current index by the first predict
-    /// that ranks through it (never, when every predict goes through a
-    /// shared scheduler); domain changes invalidate it in O(1).
+    /// prediction: empty until the first predict that ranks through
+    /// it (never, when every predict goes through a shared scheduler),
+    /// which bounds it for the current index; from there it grows with
+    /// the pairs the session meets. Domain changes invalidate it in
+    /// O(1).
     pair_cache: PairCache,
     /// Pair-cache activity of the last predict — see
     /// [`Self::last_pair_cache`].
@@ -217,7 +219,8 @@ impl PredictionEngine {
     /// [`PredictOptions::scheduler`] — in the shared one, where the
     /// counts are taken under the cache's lock and so never include
     /// another session's probes. All zero when the call ranked without
-    /// a cache (no history yet, metadata-free store).
+    /// a cache (no history yet, metadata-free store) or did not rank SB
+    /// at all (the allocation gave it no slot and AB filled the budget).
     pub fn last_pair_cache(&self) -> PairCacheStats {
         self.last_pair_cache
     }
@@ -257,7 +260,7 @@ impl PredictionEngine {
             roi: self.roi.roi(),
         };
         let (ab_slots, sb_slots) = self.config.strategy.allocate(phase, k);
-        let (mut sb_list, probes) = match (scheduler, &index) {
+        let mut rank_sb = || match (scheduler, &index) {
             // Cross-session path: the scheduler owns index refresh,
             // scratch and the shared pair cache.
             (Some(s), _) => s.rank_counted(&candidates, ctx.reference_tiles()),
@@ -277,16 +280,28 @@ impl PredictionEngine {
             }
             (None, None) => (self.sb.rank(&ctx), PairCacheStats::default()),
         };
-        self.last_pair_cache = probes;
-        // AB is read for its own slots, and past them only to backfill
-        // an SB list too short to fill the budget (`merge_allocated`);
-        // otherwise (Sensemaking under `Updated`, `SbOnly`) skip it.
-        let sb_fills_budget = sb_list.len() >= (ab_slots + sb_slots).min(candidates.len());
-        let mut ab_list = if ab_slots > 0 || !sb_fills_budget {
-            self.ab.rank(&ctx)
+        // A list is read for its own slots, and past them only to
+        // backfill the other when that one is too short to fill the
+        // budget (`merge_allocated`). So the model that has slots ranks
+        // first and the other is skipped when it would go unread: AB in
+        // Sensemaking under `Updated` and under `SbOnly`; SB wherever
+        // the allocation gives it no slot (`AbOnly`, Navigation, small
+        // budgets outside Sensemaking).
+        let budget = (ab_slots + sb_slots).min(candidates.len());
+        let (mut ab_list, mut sb_list) = (Vec::new(), Vec::new());
+        if sb_slots > 0 {
+            (sb_list, self.last_pair_cache) = rank_sb();
+            if ab_slots > 0 || sb_list.len() < budget {
+                ab_list = self.ab.rank(&ctx);
+            }
         } else {
-            Vec::new()
-        };
+            if ab_slots > 0 {
+                ab_list = self.ab.rank(&ctx);
+            }
+            if ab_list.len() < budget {
+                (sb_list, self.last_pair_cache) = rank_sb();
+            }
+        }
         // Cross-session hotspot prior: re-rank each model's *full*
         // candidate list toward nearby communal hotspots before the
         // budget split, so the prior can change which tiles make the
@@ -490,10 +505,12 @@ mod tests {
         assert_eq!(e.predict_with(&s, 9, PredictOptions::default()), full);
     }
 
-    /// AB is ranked only when it has slots (SB here always fills its
-    /// own), and skipping it changes no prediction: every strategy ×
-    /// phase × budget equals the merge of both lists ranked eagerly, at
-    /// d = 1 and at the dwell distance.
+    /// Each model is ranked only when it has slots (either list here
+    /// always fills its own), and skipping the other changes no
+    /// prediction: every strategy × phase × budget equals the merge of
+    /// both lists ranked eagerly, at d = 1 and at the dwell distance.
+    /// AB's work is counted in distributions, SB's in the pairs its
+    /// fill probed.
     #[test]
     fn lazy_ab_ranking_matches_eager_merge() {
         let s = store(geometry());
@@ -534,6 +551,9 @@ mod tests {
                         assert_eq!(e.predict_with(&s, k, opts), eager, "{case}");
                         let ab_ranked = distributions_computed() > before;
                         assert_eq!(ab_ranked, ab_slots > 0, "{case}");
+                        let filled = e.last_pair_cache();
+                        let pairs = if sb_slots > 0 { candidates.len() } else { 0 };
+                        assert_eq!(filled.hits + filled.misses, pairs as u64, "{case}");
                     }
                 }
             }

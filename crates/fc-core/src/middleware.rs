@@ -875,6 +875,10 @@ mod tests {
     /// tests (the SB model would chase the synthetic gradient's
     /// vertical stripes instead).
     fn engine(p: &Pyramid) -> PredictionEngine {
+        engine_with(p, AllocationStrategy::AbOnly)
+    }
+
+    fn engine_with(p: &Pyramid, strategy: AllocationStrategy) -> PredictionEngine {
         let r = Move::PanRight.index() as u16;
         let traces: Vec<Vec<u16>> = vec![vec![r; 12]];
         let refs: Vec<&[u16]> = traces.iter().map(|t| t.as_slice()).collect();
@@ -884,7 +888,7 @@ mod tests {
             SbRecommender::new(SbConfig::single(SignatureKind::Hist1D)),
             PhaseSource::Heuristic,
             EngineConfig {
-                strategy: AllocationStrategy::AbOnly,
+                strategy,
                 ..EngineConfig::default()
             },
         )
@@ -897,31 +901,40 @@ mod tests {
     #[test]
     fn first_request_misses_then_prefetch_hits() {
         let p = pyramid();
-        let mut mw = middleware(p, 4);
+        let mut mw = middleware(p.clone(), 4);
         let r1 = mw.request(TileId::new(2, 2, 0), None).unwrap();
         assert!(!r1.cache_hit);
         assert!(r1.latency >= Duration::from_millis(900), "{:?}", r1.latency);
         assert!(!r1.prefetched.is_empty());
-        // The first prediction runs against a cold pair cache.
-        assert_eq!(r1.pair_cache.hits, 0);
-        assert!(r1.pair_cache.misses > 0, "{:?}", r1.pair_cache);
+        // AB holds every slot and fills them: SB is never ranked.
+        assert_eq!(r1.pair_cache, PairCacheStats::default());
 
         // Pan right repeatedly: the AB model (trained on right-runs)
         // prefetches the continuation, so subsequent requests hit.
         let mut hits = 0;
-        let mut pair_hits = 0;
         for x in 1..=3 {
             let r = mw
                 .request(TileId::new(2, 2, x), Some(Move::PanRight))
                 .unwrap();
-            pair_hits += r.pair_cache.hits;
             if r.cache_hit {
                 hits += 1;
                 assert_eq!(r.latency, LatencyProfile::paper().hit);
             }
         }
-        assert!(pair_hits > 0, "pan overlap must hit the pair cache");
         assert!(hits >= 2, "prefetching should produce hits, got {hits}");
+
+        // The same walk with SB holding the slots: the first prediction
+        // runs against a cold pair cache, the pan overlap hits it.
+        let sb_only = engine_with(&p, AllocationStrategy::SbOnly);
+        let mut sb = Middleware::new(sb_only, p, LatencyProfile::paper(), 3, 4);
+        let r1 = sb.request(TileId::new(2, 2, 0), None).unwrap();
+        assert_eq!(r1.pair_cache.hits, 0);
+        assert!(r1.pair_cache.misses > 0, "{:?}", r1.pair_cache);
+        let pair_hits: u64 = (1..=3)
+            .map(|x| sb.request(TileId::new(2, 2, x), Some(Move::PanRight)))
+            .map(|r| r.unwrap().pair_cache.hits)
+            .sum();
+        assert!(pair_hits > 0, "pan overlap must hit the pair cache");
         let stats = mw.stats();
         assert_eq!(stats.requests, 4);
         assert!(stats.hit_rate() > 0.0);
@@ -1111,7 +1124,7 @@ mod tests {
         let walk = |row: u32| {
             let handle = SharedSessionHandle::open(cache.clone(), Some(sched.clone()));
             let mut mw = Middleware::new_shared(
-                engine(&p),
+                engine_with(&p, AllocationStrategy::SbOnly),
                 p.clone(),
                 LatencyProfile::paper(),
                 3,

@@ -370,12 +370,13 @@ pub fn assert_invariants(r: &ChaosReport) {
         );
     }
     if let Some(s) = &r.scheduler {
-        // One rank per predicted request: a degraded reply skips
-        // prediction, and the burst planner may keep the engine off.
+        // At most one rank per predicted request: a degraded reply
+        // skips prediction, the burst planner may keep the engine off,
+        // and the engine skips SB where the allocation gives it no slot.
         let predicted = (r.served - r.degraded) as u64;
         assert!(
-            s.jobs <= predicted && (r.burst_active || s.jobs == predicted),
-            "scheduler jobs must match predicted requests: {s:?} vs {r:?}"
+            s.jobs <= predicted,
+            "more scheduler jobs than predicted requests: {s:?} vs {r:?}"
         );
     }
 }

@@ -710,7 +710,9 @@ mod tests {
                 cache_capacity: 16,
                 cache,
                 batch_predicts: true,
-                k: 3,
+                // Past AB's four slots, so SB has one in every phase
+                // and every request ranks through the shared cache.
+                k: 5,
                 ..MultiUserConfig::default()
             };
             let r = run_multi_user(&p, factory(g), &traces, &cfg);
@@ -723,7 +725,7 @@ mod tests {
             assert!(s.hits + s.misses > 0);
             assert!(s.cross_session_hits <= s.hits);
             let sched = r.scheduler.expect("shared pair cache on");
-            assert_eq!(sched.jobs, 4 * 30, "one predict per request");
+            assert_eq!(sched.jobs, 4 * 30, "one SB rank per request");
         }
     }
 
