@@ -291,16 +291,12 @@ impl PredictionEngine {
         let (mut ab_list, mut sb_list) = (Vec::new(), Vec::new());
         if sb_slots > 0 {
             (sb_list, self.last_pair_cache) = rank_sb();
-            if ab_slots > 0 || sb_list.len() < budget {
-                ab_list = self.ab.rank(&ctx);
-            }
-        } else {
-            if ab_slots > 0 {
-                ab_list = self.ab.rank(&ctx);
-            }
-            if ab_list.len() < budget {
-                (sb_list, self.last_pair_cache) = rank_sb();
-            }
+        }
+        if ab_slots > 0 || sb_list.len() < budget {
+            ab_list = self.ab.rank(&ctx);
+        }
+        if sb_slots == 0 && ab_list.len() < budget {
+            (sb_list, self.last_pair_cache) = rank_sb();
         }
         // Cross-session hotspot prior: re-rank each model's *full*
         // candidate list toward nearby communal hotspots before the

@@ -923,6 +923,11 @@ mod tests {
         }
         assert!(hits >= 2, "prefetching should produce hits, got {hits}");
 
+        let stats = mw.stats();
+        assert_eq!(stats.requests, 4);
+        assert!(stats.hit_rate() > 0.0);
+        assert!(stats.avg_latency() < Duration::from_millis(984));
+
         // The same walk with SB holding the slots: the first prediction
         // runs against a cold pair cache, the pan overlap hits it.
         let sb_only = engine_with(&p, AllocationStrategy::SbOnly);
@@ -935,10 +940,6 @@ mod tests {
             .map(|r| r.unwrap().pair_cache.hits)
             .sum();
         assert!(pair_hits > 0, "pan overlap must hit the pair cache");
-        let stats = mw.stats();
-        assert_eq!(stats.requests, 4);
-        assert!(stats.hit_rate() > 0.0);
-        assert!(stats.avg_latency() < Duration::from_millis(984));
     }
 
     #[test]
