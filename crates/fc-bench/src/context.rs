@@ -14,7 +14,6 @@ use fc_sim::terrain::TerrainConfig;
 use fc_sim::trace::Trace;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// Everything the experiments need, built once.
 pub struct ExpContext {
@@ -25,8 +24,9 @@ pub struct ExpContext {
     /// The labeled phase dataset derived from the study.
     pub phases: PhaseDataset,
     /// Fold-trained classifiers, keyed by the sorted training-user set
-    /// (classifier training dominates sweep time; k-sweeps reuse folds).
-    classifier_cache: Mutex<HashMap<Vec<usize>, Arc<PhaseClassifier>>>,
+    /// (classifier training dominates sweep time; k-sweeps reuse folds;
+    /// a clone shares the trained model).
+    classifier_cache: Mutex<HashMap<Vec<usize>, PhaseClassifier>>,
 }
 
 impl ExpContext {
@@ -117,14 +117,14 @@ impl ExpContext {
     }
 
     /// A fold-trained phase classifier, cached by training-user set.
-    pub fn classifier_for_cached(&self, train: &[&Trace]) -> Arc<PhaseClassifier> {
+    pub fn classifier_for_cached(&self, train: &[&Trace]) -> PhaseClassifier {
         let mut users: Vec<usize> = train.iter().map(|t| t.user).collect();
         users.sort_unstable();
         users.dedup();
         if let Some(c) = self.classifier_cache.lock().get(&users) {
             return c.clone();
         }
-        let built = Arc::new(self.classifier_for(train));
+        let built = self.classifier_for(train);
         self.classifier_cache.lock().insert(users, built.clone());
         built
     }
@@ -172,7 +172,7 @@ impl ExpContext {
         Box::new(EnginePredictor::new(
             engine,
             self.dataset.pyramid.clone(),
-            EnginePhaseMode::Classifier(Box::new((*clf).clone())),
+            EnginePhaseMode::Classifier(Box::new(clf)),
             format!("hybrid:{}", strategy.name()),
         ))
     }

@@ -260,44 +260,43 @@ impl PredictionEngine {
             roi: self.roi.roi(),
         };
         let (ab_slots, sb_slots) = self.config.strategy.allocate(phase, k);
-        let mut rank_sb = || match (scheduler, &index) {
-            // Cross-session path: the scheduler owns index refresh,
-            // scratch and the shared pair cache.
-            (Some(s), _) => s.rank_counted(&candidates, ctx.reference_tiles()),
-            // SB: frozen-index fast path through the pair cache when
-            // metadata exists (steady state probes instead of
-            // dividing); the locked reference path only serves
-            // metadata-free stores.
-            (None, Some(ix)) => {
-                self.pair_cache.fit(ix);
-                self.sb.rank_tiles(
-                    ix,
-                    &candidates,
-                    ctx.reference_tiles(),
-                    &mut self.pair_cache,
-                    &mut self.scratch,
-                )
-            }
-            (None, None) => (self.sb.rank(&ctx), PairCacheStats::default()),
-        };
         // A list is read for its own slots, and past them only to
         // backfill the other when that one is too short to fill the
-        // budget (`merge_allocated`). So the model that has slots ranks
-        // first and the other is skipped when it would go unread: AB in
-        // Sensemaking under `Updated` and under `SbOnly`; SB wherever
-        // the allocation gives it no slot (`AbOnly`, Navigation, small
-        // budgets outside Sensemaking).
-        let budget = (ab_slots + sb_slots).min(candidates.len());
-        let (mut ab_list, mut sb_list) = (Vec::new(), Vec::new());
+        // budget (`merge_allocated`). AB ranks every candidate, so it
+        // is never too short: SB ranks only where it has a slot (not
+        // under `AbOnly`, in Navigation under `Original`, or at small
+        // budgets outside Sensemaking). AB is skipped in turn where SB
+        // fills the budget alone (Sensemaking under `Updated`,
+        // `SbOnly`).
+        let mut sb_list = Vec::new();
         if sb_slots > 0 {
-            (sb_list, self.last_pair_cache) = rank_sb();
+            (sb_list, self.last_pair_cache) = match (scheduler, &index) {
+                // Cross-session path: the scheduler owns index refresh,
+                // scratch and the shared pair cache.
+                (Some(s), _) => s.rank_counted(&candidates, ctx.reference_tiles()),
+                // SB: frozen-index fast path through the pair cache
+                // when metadata exists (steady state probes instead of
+                // dividing); the locked reference path only serves
+                // metadata-free stores.
+                (None, Some(ix)) => {
+                    self.pair_cache.fit(ix);
+                    self.sb.rank_tiles(
+                        ix,
+                        &candidates,
+                        ctx.reference_tiles(),
+                        &mut self.pair_cache,
+                        &mut self.scratch,
+                    )
+                }
+                (None, None) => (self.sb.rank(&ctx), PairCacheStats::default()),
+            };
         }
-        if ab_slots > 0 || sb_list.len() < budget {
-            ab_list = self.ab.rank(&ctx);
-        }
-        if sb_slots == 0 && ab_list.len() < budget {
-            (sb_list, self.last_pair_cache) = rank_sb();
-        }
+        let sb_fills_budget = sb_list.len() >= (ab_slots + sb_slots).min(candidates.len());
+        let mut ab_list = if ab_slots > 0 || !sb_fills_budget {
+            self.ab.rank(&ctx)
+        } else {
+            Vec::new()
+        };
         // Cross-session hotspot prior: re-rank each model's *full*
         // candidate list toward nearby communal hotspots before the
         // budget split, so the prior can change which tiles make the

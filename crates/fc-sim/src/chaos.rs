@@ -129,6 +129,10 @@ pub struct ChaosReport {
     pub shared: SharedCacheStats,
     /// Scheduler counters when `batch_predicts` was on.
     pub scheduler: Option<SchedulerStats>,
+    /// Non-degraded replies whose phase the allocation strategy gives
+    /// an SB slot at the configured budget: the requests that rank SB,
+    /// derived from the replies and not from the engine's own counts.
+    pub sb_ranked: usize,
     /// Median user-visible latency over served replies (includes
     /// spike charges and retry backoff on the simulated clock).
     pub latency_p50: std::time::Duration,
@@ -162,9 +166,11 @@ where
     assert!(cfg.base.sessions > 0, "need at least one session");
     assert!(!traces.is_empty(), "need at least one trace");
     let cache = build_cache(&cfg.base);
+    let template = engine_factory();
+    let strategy = template.config().strategy;
     let scheduler = cfg.base.batch_predicts.then(|| {
         Arc::new(PredictScheduler::new(
-            engine_factory().sb_model().clone(),
+            template.sb_model().clone(),
             pyramid.clone(),
             BatchConfig::default(),
         ))
@@ -176,6 +182,7 @@ where
         during: PhaseStats,
         after: PhaseStats,
         retries: u64,
+        sb_ranked: usize,
         max_resident: usize,
         panicked: bool,
         latency_ns: Vec<u64>,
@@ -237,6 +244,8 @@ where
                                     bucket.hits += usize::from(resp.cache_hit);
                                     bucket.degraded += usize::from(resp.degraded);
                                     out.retries += u64::from(resp.fetch_retries);
+                                    let (_, sb_slots) = strategy.allocate(resp.phase, cfg.base.k);
+                                    out.sb_ranked += usize::from(!resp.degraded && sb_slots > 0);
                                     out.latency_ns.push(
                                         u64::try_from(resp.latency.as_nanos()).unwrap_or(u64::MAX),
                                     );
@@ -271,6 +280,7 @@ where
     let mut during = PhaseStats::default();
     let mut after = PhaseStats::default();
     let mut retries = 0u64;
+    let mut sb_ranked = 0usize;
     let mut max_resident = 0usize;
     let mut panics = 0usize;
     let mut per_traffic = [0usize; 3];
@@ -282,6 +292,7 @@ where
         during.absorb(&o.during);
         after.absorb(&o.after);
         retries += o.retries;
+        sb_ranked += o.sb_ranked;
         max_resident = max_resident.max(o.max_resident);
         panics += usize::from(o.panicked);
         for (sum, n) in per_traffic.iter_mut().zip(o.per_traffic) {
@@ -308,6 +319,7 @@ where
         max_resident,
         shared: cache.stats(),
         scheduler: scheduler.map(|s| s.stats()),
+        sb_ranked,
         latency_p50: percentile(&all_ns, 0.50),
         latency_p99: percentile(&all_ns, 0.99),
         per_traffic,
@@ -370,13 +382,13 @@ pub fn assert_invariants(r: &ChaosReport) {
         );
     }
     if let Some(s) = &r.scheduler {
-        // At most one rank per predicted request: a degraded reply
-        // skips prediction, the burst planner may keep the engine off,
-        // and the engine skips SB where the allocation gives it no slot.
+        // One rank per predicted request whose allocation gives SB a
+        // slot: a degraded reply skips prediction, and the burst
+        // planner may keep the engine off or change the budget.
         let predicted = (r.served - r.degraded) as u64;
         assert!(
-            s.jobs <= predicted,
-            "more scheduler jobs than predicted requests: {s:?} vs {r:?}"
+            s.jobs <= predicted && (r.burst_active || s.jobs == r.sb_ranked as u64),
+            "scheduler jobs must match the requests that rank SB: {s:?} vs {r:?}"
         );
     }
 }

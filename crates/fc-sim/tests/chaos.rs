@@ -99,6 +99,15 @@ fn chaos_backend_brownout_recovers() {
     let r = run_chaos(&p, factory(g), &traces, &cfg);
     assert_invariants(&r);
     assert_eq!(r.attempts, 4 * 40, "every session drained its steps");
+    // The scheduler check bites under faults: at k = 4 under `Updated`
+    // only Sensemaking requests rank SB, so the job count sits strictly
+    // inside the predicted requests, and a report one job short is
+    // refused.
+    let jobs = r.scheduler.expect("batch_predicts is the default").jobs;
+    assert!(0 < jobs && jobs < (r.served - r.degraded) as u64, "{r:?}");
+    let mut short = r.clone();
+    short.scheduler.as_mut().unwrap().jobs -= 1;
+    assert!(std::panic::catch_unwind(|| assert_invariants(&short)).is_err());
     // Outside the window the plan is quiet: clean serving only.
     assert_eq!(r.before.failures + r.before.degraded, 0, "{:?}", r.before);
     assert_eq!(r.after.failures + r.after.degraded, 0, "{:?}", r.after);

@@ -198,15 +198,12 @@ fn burst_config_none_is_bit_identical_shared() {
     );
 }
 
-/// Captured from the tree at the commit *before* the burst scheduler
-/// landed (PR 7 head), replaying the workload above. The private value
-/// was re-captured when the engine stopped ranking SB for requests
-/// whose allocation gives it no slot (k = 4 under `Updated`, outside
-/// Sensemaking): each response's pair-cache counts fold in, and those
-/// requests now report none. With the two counts folded as zero the
-/// tree before that change and the tree after it both read
-/// 11_772_037_619_383_595_445, so nothing else moved; it was
-/// 8_000_549_341_828_953_720.
+/// The replays above with burst scheduling off. The shared value is
+/// the one captured at the commit *before* the burst scheduler landed
+/// (PR 7 head). The private replay also folds each response's
+/// pair-cache counts, so its value moves with which requests rank SB
+/// (at k = 4 under `Updated`, only those in Sensemaking) as well as
+/// with what they are served.
 const GOLDEN_PRIVATE: u64 = 13_123_499_312_440_946_627;
 const GOLDEN_SHARED: u64 = 4_225_050_109_384_278_978;
 
