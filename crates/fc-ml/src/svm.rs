@@ -47,7 +47,9 @@ pub struct BinarySvm {
 }
 
 impl BinarySvm {
-    /// Trains on `x` with labels `y ∈ {-1, +1}` via simplified SMO.
+    /// Trains on `x` with labels `y ∈ {-1, +1}` via simplified SMO. A
+    /// single row has no partner to be optimized against and trains to
+    /// the machine without support vectors.
     ///
     /// # Panics
     /// Panics when inputs are empty, lengths mismatch, or labels are not
@@ -60,20 +62,32 @@ impl BinarySvm {
             "labels must be -1 or +1"
         );
         let m = x.len();
+        if m == 1 {
+            return Self {
+                support: Vec::new(),
+                coeffs: Vec::new(),
+                bias: 0.0,
+                kernel: p.kernel,
+            };
+        }
         let mut rng = StdRng::seed_from_u64(p.seed);
 
-        // Precompute the kernel matrix; training sets here are small
-        // (≈1.4k rows in the paper's study).
+        // Precompute the kernel matrix, dense and symmetric so that
+        // `f(i)` reads along a contiguous row; training sets here are
+        // small (≈1.4k rows in the paper's study).
         let k = gram(x, p.kernel);
+        let at = |i: usize, j: usize| k[i * m + j];
         let mut alpha = vec![0.0f64; m];
+        // The terms of `f`: `(t, alpha[t] * y[t])` for every non-zero
+        // `alpha[t]`, ascending in `t` — the sum runs in row order.
+        let mut terms: Vec<(usize, f64)> = Vec::new();
         let mut b = 0.0f64;
 
-        let f = |alpha: &[f64], b: f64, k: &Gram, i: usize| -> f64 {
+        let f = |terms: &[(usize, f64)], b: f64, i: usize| -> f64 {
+            let row = &k[i * m..(i + 1) * m];
             let mut s = b;
-            for t in 0..m {
-                if alpha[t] != 0.0 {
-                    s += alpha[t] * y[t] * k.at(t, i);
-                }
+            for &(t, alpha_y) in terms {
+                s += alpha_y * row[t];
             }
             s
         };
@@ -84,7 +98,7 @@ impl BinarySvm {
             iters += 1;
             let mut num_changed = 0usize;
             for i in 0..m {
-                let ei = f(&alpha, b, &k, i) - y[i];
+                let ei = f(&terms, b, i) - y[i];
                 let r = y[i] * ei;
                 if (r < -p.tol && alpha[i] < p.c) || (r > p.tol && alpha[i] > 0.0) {
                     // Pick a random partner j != i (Platt's simplification).
@@ -92,7 +106,7 @@ impl BinarySvm {
                     if j >= i {
                         j += 1;
                     }
-                    let ej = f(&alpha, b, &k, j) - y[j];
+                    let ej = f(&terms, b, j) - y[j];
                     let (ai_old, aj_old) = (alpha[i], alpha[j]);
                     let (lo, hi) = if y[i] != y[j] {
                         ((aj_old - ai_old).max(0.0), (p.c + aj_old - ai_old).min(p.c))
@@ -102,7 +116,7 @@ impl BinarySvm {
                     if (hi - lo).abs() < 1e-12 {
                         continue;
                     }
-                    let eta = 2.0 * k.at(i, j) - k.at(i, i) - k.at(j, j);
+                    let eta = 2.0 * at(i, j) - at(i, i) - at(j, j);
                     if eta >= 0.0 {
                         continue;
                     }
@@ -114,14 +128,12 @@ impl BinarySvm {
                     let ai = ai_old + y[i] * y[j] * (aj_old - aj);
                     alpha[i] = ai;
                     alpha[j] = aj;
-                    let b1 = b
-                        - ei
-                        - y[i] * (ai - ai_old) * k.at(i, i)
-                        - y[j] * (aj - aj_old) * k.at(i, j);
-                    let b2 = b
-                        - ej
-                        - y[i] * (ai - ai_old) * k.at(i, j)
-                        - y[j] * (aj - aj_old) * k.at(j, j);
+                    set_term(&mut terms, i, ai * y[i]);
+                    set_term(&mut terms, j, aj * y[j]);
+                    let b1 =
+                        b - ei - y[i] * (ai - ai_old) * at(i, i) - y[j] * (aj - aj_old) * at(i, j);
+                    let b2 =
+                        b - ej - y[i] * (ai - ai_old) * at(i, j) - y[j] * (aj - aj_old) * at(j, j);
                     b = if ai > 0.0 && ai < p.c {
                         b1
                     } else if aj > 0.0 && aj < p.c {
@@ -180,28 +192,30 @@ impl BinarySvm {
     }
 }
 
-/// Lower-triangular packed Gram matrix.
-struct Gram {
-    vals: Vec<f64>,
-}
-
-impl Gram {
-    #[inline]
-    fn at(&self, i: usize, j: usize) -> f64 {
-        let (a, b) = if i >= j { (i, j) } else { (j, i) };
-        self.vals[a * (a + 1) / 2 + b]
+/// Sets row `t`'s term of `f` to `alpha_y`; a zero multiplier has none.
+fn set_term(terms: &mut Vec<(usize, f64)>, t: usize, alpha_y: f64) {
+    match terms.binary_search_by_key(&t, |&(row, _)| row) {
+        Ok(pos) if alpha_y == 0.0 => {
+            terms.remove(pos);
+        }
+        Ok(pos) => terms[pos].1 = alpha_y,
+        Err(_) if alpha_y == 0.0 => {}
+        Err(pos) => terms.insert(pos, (t, alpha_y)),
     }
 }
 
-fn gram(x: &[Vec<f64>], kernel: Kernel) -> Gram {
+/// The kernel matrix of `x`, row-major; each pair is evaluated once.
+fn gram(x: &[Vec<f64>], kernel: Kernel) -> Vec<f64> {
     let n = x.len();
-    let mut vals = Vec::with_capacity(n * (n + 1) / 2);
+    let mut vals = vec![0.0; n * n];
     for i in 0..n {
         for j in 0..=i {
-            vals.push(kernel.eval(&x[i], &x[j]));
+            let v = kernel.eval(&x[i], &x[j]);
+            vals[i * n + j] = v;
+            vals[j * n + i] = v;
         }
     }
-    Gram { vals }
+    vals
 }
 
 /// A multi-class SVM using one-vs-one voting over all class pairs, as in
@@ -397,6 +411,17 @@ mod tests {
         assert_eq!(clf.num_machines(), 1);
         assert_eq!(clf.predict(&[0.05]), 0);
         assert_eq!(clf.predict(&[5.05]), 2);
+    }
+
+    /// The row violates KKT on the first sweep and there is no second
+    /// row to pair it with.
+    #[test]
+    fn single_row_trains_to_no_support_vectors() {
+        for y in [1.0, -1.0] {
+            let svm = BinarySvm::train(&[vec![0.0]], &[y], SvmParams::rbf_default(1));
+            assert_eq!(svm.num_support(), 0);
+            assert_eq!(svm.decision(&[3.0]), 0.0);
+        }
     }
 
     #[test]

@@ -106,35 +106,102 @@ fn lattice(seed: u64, xi: i64, yi: i64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Smoothstep-interpolated value noise at `(x, y)` (unit frequency).
-fn value_noise(seed: u64, x: f64, y: f64) -> f64 {
-    let (x0, y0) = (x.floor(), y.floor());
-    let (fx, fy) = (x - x0, y - y0);
-    let sx = fx * fx * (3.0 - 2.0 * fx);
-    let sy = fy * fy * (3.0 - 2.0 * fy);
-    let (xi, yi) = (x0 as i64, y0 as i64);
-    let v00 = lattice(seed, xi, yi);
-    let v10 = lattice(seed, xi + 1, yi);
-    let v01 = lattice(seed, xi, yi + 1);
-    let v11 = lattice(seed, xi + 1, yi + 1);
-    let top = v00 + (v10 - v00) * sx;
-    let bot = v01 + (v11 - v01) * sx;
-    top + (bot - top) * sy
+/// One octave of value noise. It remembers the lattice cell it last
+/// evaluated — `corners` are always the four hashes of the cell whose
+/// floor is `(x0, y0)` — so a sample that lands in the same cell skips
+/// the floors and the hashing, and a sample anywhere else refills them:
+/// a cache keyed on the cell, correct in any call order. Along a raster
+/// row 2–170 consecutive samples share a cell.
+struct Octave {
+    seed: u64,
+    /// `x.floor()` and `y.floor()` of the last sample that left a cell.
+    x0: f64,
+    y0: f64,
+    /// `lattice` at `(xi, yi)`, `(xi + 1, yi)`, `(xi, yi + 1)` and
+    /// `(xi + 1, yi + 1)` for `(xi, yi) = (x0 as i64, y0 as i64)`.
+    corners: [f64; 4],
 }
 
-/// Fractal Brownian motion: octaves of value noise, persistence 0.5.
-pub fn fbm(seed: u64, x: f64, y: f64, octaves: u32) -> f64 {
-    let mut amp = 0.5;
-    let mut freq = 1.0;
-    let mut total = 0.0;
-    let mut norm = 0.0;
-    for o in 0..octaves {
-        total += amp * value_noise(seed.wrapping_add(o as u64), x * freq, y * freq);
-        norm += amp;
-        amp *= 0.5;
-        freq *= 2.0;
+impl Octave {
+    fn new(seed: u64) -> Self {
+        let mut octave = Self {
+            seed,
+            x0: 0.0,
+            y0: 0.0,
+            corners: [0.0; 4],
+        };
+        octave.enter(0.0, 0.0);
+        octave
     }
-    total / norm
+
+    /// Moves to the cell whose floor is `(x0, y0)`.
+    fn enter(&mut self, x0: f64, y0: f64) {
+        let (xi, yi) = (x0 as i64, y0 as i64);
+        self.x0 = x0;
+        self.y0 = y0;
+        self.corners = [
+            lattice(self.seed, xi, yi),
+            lattice(self.seed, xi + 1, yi),
+            lattice(self.seed, xi, yi + 1),
+            lattice(self.seed, xi + 1, yi + 1),
+        ];
+    }
+
+    /// Smoothstep-interpolated value noise at `(x, y)` (unit frequency).
+    fn at(&mut self, x: f64, y: f64) -> f64 {
+        // For an integral `x0`, `x0 <= x < x0 + 1.0` is `x.floor() ==
+        // x0` (where `x0 + 1.0` rounds, every float in between is
+        // `x0`), and a NaN fails it. The zeros compare equal and so
+        // may stand in for each other: the sign of a zero `fx` is
+        // squared away in `sx`.
+        let same_cell = self.x0 <= x && x < self.x0 + 1.0 && self.y0 <= y && y < self.y0 + 1.0;
+        if !same_cell {
+            self.enter(x.floor(), y.floor());
+        }
+        let (fx, fy) = (x - self.x0, y - self.y0);
+        let sx = fx * fx * (3.0 - 2.0 * fx);
+        let sy = fy * fy * (3.0 - 2.0 * fy);
+        let [v00, v10, v01, v11] = self.corners;
+        let top = v00 + (v10 - v00) * sx;
+        let bot = v01 + (v11 - v01) * sx;
+        top + (bot - top) * sy
+    }
+}
+
+/// Fractal Brownian motion — octaves of value noise, persistence 0.5 —
+/// as a sampler to be asked point after point.
+struct Fbm {
+    octaves: Vec<Octave>,
+}
+
+impl Fbm {
+    fn new(seed: u64, octaves: u32) -> Self {
+        Self {
+            octaves: (0..octaves)
+                .map(|o| Octave::new(seed.wrapping_add(o as u64)))
+                .collect(),
+        }
+    }
+
+    fn at(&mut self, x: f64, y: f64) -> f64 {
+        let mut amp = 0.5;
+        let mut freq = 1.0;
+        let mut total = 0.0;
+        let mut norm = 0.0;
+        for octave in &mut self.octaves {
+            total += amp * octave.at(x * freq, y * freq);
+            norm += amp;
+            amp *= 0.5;
+            freq *= 2.0;
+        }
+        total / norm
+    }
+}
+
+/// Fractal Brownian motion at one point: octaves of value noise,
+/// persistence 0.5.
+pub fn fbm(seed: u64, x: f64, y: f64, octaves: u32) -> f64 {
+    Fbm::new(seed, octaves).at(x, y)
 }
 
 /// Distance from point `p` to segment `ab`, all in unit coordinates.
@@ -174,19 +241,24 @@ pub fn generate(cfg: &TerrainConfig) -> Terrain {
     let mut swir = vec![0.0f64; n * n];
     let mut mask = vec![0.0f64; n * n];
 
+    let mut base_noise = Fbm::new(cfg.seed, 5);
+    let mut crag_noise = Fbm::new(cfg.seed ^ 0xC4A6, 5);
+    let mut vis_noise = Fbm::new(band_noise_seed, 4);
+    let mut swir_noise = Fbm::new(band_noise_seed ^ 0x51, 4);
+
     for yi in 0..n {
         for xi in 0..n {
             let u = xi as f64 / n as f64;
             let v = yi as f64 / n as f64;
             // Base continent: low rolling noise.
-            let base = 0.30 * fbm(cfg.seed, u * 6.0, v * 6.0, 5);
-            // Ridge systems.
+            let base = 0.30 * base_noise.at(u * 6.0, v * 6.0);
+            // Ridge systems, under one craggy modulation so ranges
+            // contain distinct peaks.
+            let crag = 0.55 + 0.9 * crag_noise.at(u * 28.0, v * 28.0);
             let mut ridge_elev = 0.0f64;
             for r in &ridges {
                 let d = dist_to_segment((u, v), r.a, r.b);
                 let bump = r.amp * (-d * d / (r.width * r.width)).exp();
-                // Craggy modulation so ranges contain distinct peaks.
-                let crag = 0.55 + 0.9 * fbm(cfg.seed ^ 0xC4A6, u * 28.0, v * 28.0, 5);
                 ridge_elev += bump * crag;
             }
             let elev = (base + ridge_elev).clamp(0.0, 1.0);
@@ -197,8 +269,8 @@ pub fn generate(cfg: &TerrainConfig) -> Terrain {
 
             // Band synthesis. Snow is bright in VIS, dark in SWIR
             // (that contrast is what the NDSI detects).
-            let noise_v = 0.13 * (fbm(band_noise_seed, u * 56.0, v * 56.0, 4) - 0.5);
-            let noise_s = 0.13 * (fbm(band_noise_seed ^ 0x51, u * 56.0, v * 56.0, 4) - 0.5);
+            let noise_v = 0.13 * (vis_noise.at(u * 56.0, v * 56.0) - 0.5);
+            let noise_s = 0.13 * (swir_noise.at(u * 56.0, v * 56.0) - 0.5);
             let visr = (0.16 + 0.64 * snow + 0.08 * elev + noise_v).clamp(0.01, 1.0);
             let swirr = (0.44 - 0.34 * snow + 0.05 * (1.0 - elev) + noise_s).clamp(0.01, 1.0);
 
@@ -276,6 +348,7 @@ pub fn build_ndsi_database(cfg: &TerrainConfig) -> (Database, std::sync::Arc<Den
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small_cfg() -> TerrainConfig {
         TerrainConfig {
@@ -370,6 +443,57 @@ mod tests {
             ridge_avg > 0.2 && plain_avg < 0.0,
             "ridge {ridge_avg} plains {plain_avg}"
         );
+    }
+
+    /// The zeros compare equal, so a sampler sitting in cell 0 serves
+    /// `-0.0` from `x0 = 0.0` (and one sitting at `-0.0` serves `0.3`);
+    /// a fresh sampler would have floored to the other zero.
+    #[test]
+    fn sampler_matches_one_shot_across_the_zeros() {
+        let mut noise = Fbm::new(9, 3);
+        for (x, y) in [
+            (0.3, 0.3),
+            (-0.0, 0.3),
+            (-0.4, -0.0),
+            (-0.0, -0.0),
+            (0.3, 0.0),
+        ] {
+            assert_eq!(
+                noise.at(x, y).to_bits(),
+                fbm(9, x, y, 3).to_bits(),
+                "({x}, {y})"
+            );
+        }
+    }
+
+    proptest! {
+        /// A sampler that has been anywhere answers as a fresh one does:
+        /// the corner memory is a cache, not an assumption about raster
+        /// order. Each step jumps anywhere in ±40, creeps along x or y
+        /// in either direction (so runs of samples share cells and
+        /// leave them through every side), or lands on a cell boundary.
+        #[test]
+        fn sampler_matches_one_shot_in_any_call_order(
+            seed in any::<u64>(),
+            octaves in 1u32..=6,
+            steps in proptest::collection::vec((0u8..4, -40.0f64..40.0, -40.0f64..40.0), 1..200),
+        ) {
+            let mut noise = Fbm::new(seed, octaves);
+            let (mut x, mut y) = (0.0f64, 0.0f64);
+            for (kind, a, b) in steps {
+                match kind {
+                    0 => (x, y) = (a, b),
+                    1 => x += a * 0.01,
+                    2 => y += b * 0.01,
+                    _ => x = x.round(),
+                }
+                prop_assert_eq!(
+                    noise.at(x, y).to_bits(),
+                    fbm(seed, x, y, octaves).to_bits(),
+                    "at ({}, {})", x, y
+                );
+            }
+        }
     }
 
     #[test]
