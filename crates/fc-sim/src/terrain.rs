@@ -106,39 +106,57 @@ fn lattice(seed: u64, xi: i64, yi: i64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// One octave of value noise. It remembers the lattice cell it last
-/// evaluated — `corners` are always the four hashes of the cell whose
-/// floor is `(x0, y0)` — so a sample that lands in the same cell skips
-/// the floors and the hashing, and a sample anywhere else refills them:
-/// a cache keyed on the cell, correct in any call order. Along a raster
-/// row 2–170 consecutive samples share a cell.
+/// One octave of value noise. It remembers what the next sample of a
+/// raster row needs again: the row's `y` with its floor and smoothstep
+/// weight, and the four corner hashes of the lattice cell it is in.
+/// Each is kept under the value it was computed from — the weight
+/// under `y`, the corners under the cell — and recomputed when a
+/// sample brings another, so any call order gives what a fresh octave
+/// would. Along a row 2–170 consecutive samples share a cell.
 struct Octave {
     seed: u64,
-    /// `x.floor()` and `y.floor()` of the last sample that left a cell.
-    x0: f64,
+    /// The last sample's `y`, `y.floor()`, and the smoothstep of their
+    /// difference.
+    y: f64,
     y0: f64,
-    /// `lattice` at `(xi, yi)`, `(xi + 1, yi)`, `(xi, yi + 1)` and
-    /// `(xi + 1, yi + 1)` for `(xi, yi) = (x0 as i64, y0 as i64)`.
+    sy: f64,
+    /// `corners` are `lattice` at `(xi, yi)`, `(xi + 1, yi)`,
+    /// `(xi, yi + 1)` and `(xi + 1, yi + 1)` for `(xi, yi) = (x0 as
+    /// i64, y0 as i64)`, and stand for `x0 <= x < x1`: `x1` is `x0 +
+    /// 1.0`, or `x0` — no `x` — once `y0` has moved on.
+    x0: f64,
+    x1: f64,
     corners: [f64; 4],
 }
 
 impl Octave {
     fn new(seed: u64) -> Self {
-        let mut octave = Self {
+        Self {
             seed,
-            x0: 0.0,
+            y: 0.0,
             y0: 0.0,
+            sy: 0.0,
+            x0: 0.0,
+            x1: 0.0,
             corners: [0.0; 4],
-        };
-        octave.enter(0.0, 0.0);
-        octave
+        }
     }
 
-    /// Moves to the cell whose floor is `(x0, y0)`.
-    fn enter(&mut self, x0: f64, y0: f64) {
-        let (xi, yi) = (x0 as i64, y0 as i64);
+    fn set_row(&mut self, y: f64) {
+        let y0 = y.floor();
+        if y0 != self.y0 {
+            self.y0 = y0;
+            self.x1 = self.x0;
+        }
+        let fy = y - y0;
+        self.y = y;
+        self.sy = fy * fy * (3.0 - 2.0 * fy);
+    }
+
+    fn enter_cell(&mut self, x0: f64) {
+        let (xi, yi) = (x0 as i64, self.y0 as i64);
         self.x0 = x0;
-        self.y0 = y0;
+        self.x1 = x0 + 1.0;
         self.corners = [
             lattice(self.seed, xi, yi),
             lattice(self.seed, xi + 1, yi),
@@ -149,22 +167,23 @@ impl Octave {
 
     /// Smoothstep-interpolated value noise at `(x, y)` (unit frequency).
     fn at(&mut self, x: f64, y: f64) -> f64 {
-        // For an integral `x0`, `x0 <= x < x0 + 1.0` is `x.floor() ==
-        // x0` (where `x0 + 1.0` rounds, every float in between is
-        // `x0`), and a NaN fails it. The zeros compare equal and so
-        // may stand in for each other: the sign of a zero `fx` is
-        // squared away in `sx`.
-        let same_cell = self.x0 <= x && x < self.x0 + 1.0 && self.y0 <= y && y < self.y0 + 1.0;
-        if !same_cell {
-            self.enter(x.floor(), y.floor());
+        // NaN fails both tests and is recomputed every time. The two
+        // zeros pass for each other, and may: a zero `fx` or `fy` of
+        // either sign squares to the same weight.
+        if y != self.y {
+            self.set_row(y);
         }
-        let (fx, fy) = (x - self.x0, y - self.y0);
+        // For an integral `x0`, `x0 <= x < x0 + 1.0` is `x.floor() ==
+        // x0`; where the sum rounds, every float between is `x0`.
+        if !(self.x0 <= x && x < self.x1) {
+            self.enter_cell(x.floor());
+        }
+        let fx = x - self.x0;
         let sx = fx * fx * (3.0 - 2.0 * fx);
-        let sy = fy * fy * (3.0 - 2.0 * fy);
         let [v00, v10, v01, v11] = self.corners;
         let top = v00 + (v10 - v00) * sx;
         let bot = v01 + (v11 - v01) * sx;
-        top + (bot - top) * sy
+        top + (bot - top) * self.sy
     }
 }
 
@@ -445,9 +464,9 @@ mod tests {
         );
     }
 
-    /// The zeros compare equal, so a sampler sitting in cell 0 serves
-    /// `-0.0` from `x0 = 0.0` (and one sitting at `-0.0` serves `0.3`);
-    /// a fresh sampler would have floored to the other zero.
+    /// The zeros compare equal, so in x and in y a sampler serves
+    /// `-0.0` from what it kept for `0.0` and the other way round,
+    /// where a fresh one would have floored to the other zero.
     #[test]
     fn sampler_matches_one_shot_across_the_zeros() {
         let mut noise = Fbm::new(9, 3);
@@ -468,15 +487,18 @@ mod tests {
 
     proptest! {
         /// A sampler that has been anywhere answers as a fresh one does:
-        /// the corner memory is a cache, not an assumption about raster
-        /// order. Each step jumps anywhere in ±40, creeps along x or y
+        /// what an octave keeps is a cache, not an assumption about
+        /// raster order. Each step jumps anywhere in ±40, creeps along x or y
         /// in either direction (so runs of samples share cells and
         /// leave them through every side), or lands on a cell boundary.
         #[test]
         fn sampler_matches_one_shot_in_any_call_order(
             seed in any::<u64>(),
             octaves in 1u32..=6,
-            steps in proptest::collection::vec((0u8..4, -40.0f64..40.0, -40.0f64..40.0), 1..200),
+            steps in proptest::collection::vec(
+                (0u8..4, -40.0f64..40.0, -40.0f64..40.0),
+                1..200,
+            ),
         ) {
             let mut noise = Fbm::new(seed, octaves);
             let (mut x, mut y) = (0.0f64, 0.0f64);
