@@ -1,14 +1,14 @@
 //! Criterion micro-benchmarks for the hot paths of every subsystem:
 //! array aggregation, pyramid building, signatures, model prediction
-//! steps, cache operations, and protocol encoding.
+//! steps, cache operations, and protocol encoding. The `(seed impl)`
+//! rows time the seed implementations in `fc_bench::seed_baseline`
+//! next to the live ones; run under `FC_FORCE_SCALAR=1` for the scalar
+//! dispatch level.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use fc_array::{regrid, AggFn, DenseArray, Schema};
+use fc_array::{regrid, AggFn, DenseArray, IoMode, LatencyModel, Schema, SimClock};
 use fc_bench::context::ExpContext;
-use fc_bench::seed_baseline::{
-    sb_distances_seed, seed_decode_server_msg, seed_encode_server_msg, seed_regrid_with,
-    SeedMetaStore,
-};
+use fc_bench::seed_baseline::{seed_decode_server_msg, seed_encode_server_msg, seed_regrid_with};
 use fc_core::engine::PhaseSource;
 use fc_core::paircache::PairCache;
 use fc_core::sb::{chi_squared, PredictScratch};
@@ -19,7 +19,7 @@ use fc_core::{
     SessionHistory,
 };
 use fc_ngram::KneserNey;
-use fc_tiles::{Geometry, Move, Pyramid, PyramidBuilder, PyramidConfig, Tile, TileId};
+use fc_tiles::{Geometry, Move, Pyramid, PyramidBuilder, PyramidConfig, Tile, TileId, TileStore};
 use fc_vision::{dense_descriptors, detect_keypoints, DetectorParams, GrayImage};
 use std::sync::Arc;
 
@@ -160,17 +160,6 @@ fn bench_sb_distances(c: &mut Criterion) {
     let g = pyramid.geometry();
     let (candidates, roi) = sb_bench_shape(g);
     let sb = SbRecommender::new(SbConfig::all_equal());
-    let seed_store = SeedMetaStore::mirror(store, g);
-    c.bench_function("SB distances 4sig x 64cand x 16roi (seed impl)", |b| {
-        b.iter(|| {
-            sb_distances_seed(
-                &SbConfig::all_equal(),
-                black_box(&seed_store),
-                &candidates,
-                &roi,
-            )
-        })
-    });
     c.bench_function("SB distances 4sig x 64cand x 16roi (meta_vec ref)", |b| {
         b.iter(|| sb.distances(black_box(store), &candidates, &roi))
     });
@@ -190,6 +179,109 @@ fn bench_sb_distances(c: &mut Criterion) {
                 &mut out,
             )
         })
+    });
+}
+
+/// A 5-level, 512² store (1365 tiles) with deterministic synthetic
+/// signatures of the ndsi widths (NormalDist 2, the others 16): the χ²
+/// cost per pair depends on the widths, not on how the vectors were
+/// made, so the vision pipeline is skipped.
+fn steady_store() -> TileStore {
+    let g = Geometry::new(5, 512, 512, 32, 32);
+    let s = TileStore::new(g, LatencyModel::free(), IoMode::Simulated, SimClock::new());
+    for id in g.all_tiles() {
+        for (k, kind) in fc_core::signature::SIGNATURE_KINDS.iter().enumerate() {
+            let dim = match kind {
+                SignatureKind::NormalDist => 2,
+                _ => 16,
+            };
+            // xorshift64* over a per-(tile, kind) seed, normalized.
+            let mut state = ((u64::from(id.level) << 48)
+                ^ (u64::from(id.y) << 28)
+                ^ (u64::from(id.x) << 8)
+                ^ k as u64)
+                | 1;
+            let mut v: Vec<f64> = (0..dim)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state % 1000) as f64 / 1000.0
+                })
+                .collect();
+            let total: f64 = v.iter().sum();
+            if total > 0.0 {
+                v.iter_mut().for_each(|x| *x /= total);
+            }
+            s.put_meta(id, kind.meta_name(), v);
+        }
+    }
+    s
+}
+
+fn tile_block(level: u8, y0: u32, x0: u32, side: u32) -> Vec<TileId> {
+    (0..side)
+        .flat_map(|dy| (0..side).map(move |dx| TileId::new(level, y0 + dy, x0 + dx)))
+        .collect()
+}
+
+/// The 96-request pan/zoom walk, as `(candidates, roi)` pairs: an 8×8
+/// candidate block walks a serpentine over level 4 one tile at a time
+/// (87.5 % candidate overlap), every 24th request zooms out to all of
+/// level 3, and the 4×4 level-3 ROI moves one tile every 12th request.
+/// Consecutive requests share 78.5 % of their (candidate, ROI) pairs.
+fn steady_walk(g: Geometry) -> Vec<(Vec<TileId>, Vec<TileId>)> {
+    let (rows4, cols4) = g.tiles_at(4);
+    let (span_y, span_x) = (rows4 - 8, cols4 - 8);
+    let roi_span = g.tiles_at(3).1 - 4 + 1;
+    let (mut y, mut x, mut right, mut roi_x) = (0u32, 0u32, true, 0u32);
+    (0..96)
+        .map(|i| {
+            if i > 0 {
+                if right && x < span_x {
+                    x += 1;
+                } else if !right && x > 0 {
+                    x -= 1;
+                } else if y < span_y {
+                    y += 1;
+                    right = !right;
+                } else {
+                    y = 0;
+                }
+            }
+            if i % 12 == 11 {
+                roi_x = (roi_x + 1) % roi_span;
+            }
+            let candidates = if i % 24 == 23 {
+                tile_block(3, 0, 0, 8)
+            } else {
+                tile_block(4, y, x, 8)
+            };
+            (candidates, tile_block(3, 2, roi_x, 4))
+        })
+        .collect()
+}
+
+/// What an interactive session's SB ranking costs once its pair cache
+/// is warm: one iteration is the whole 96-request walk through a live
+/// [`PairCache`], after one untimed warm lap.
+fn bench_sb_steady_walk(c: &mut Criterion) {
+    let store = steady_store();
+    let index = store.signature_index().expect("synthetic signatures");
+    let walk = steady_walk(store.geometry());
+    let sb = SbRecommender::new(SbConfig::all_equal());
+    let mut cache = PairCache::for_index(&index);
+    let mut scratch = PredictScratch::default();
+    let mut out = Vec::new();
+    let mut lap = || {
+        for (candidates, roi) in &walk {
+            sb.distances_into(&index, candidates, roi, &mut cache, &mut scratch, &mut out);
+            black_box(&out);
+        }
+    };
+    lap();
+    c.bench_function("SB steady walk 96 req, warm pair cache (per lap)", |b| {
+        b.iter(&mut lap)
     });
 }
 
@@ -326,6 +418,7 @@ criterion_group!(
     bench_vision,
     bench_models,
     bench_sb_distances,
+    bench_sb_steady_walk,
     bench_engine_and_cache,
     bench_session_open,
     bench_protocol

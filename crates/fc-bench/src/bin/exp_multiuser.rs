@@ -109,6 +109,17 @@ const MD_ATTRACTORS: usize = 3;
 /// what gets prefetched and the hotspot prior has room to matter.
 const MD_K: usize = 2;
 
+/// One-line human summary of an old-vs-new measurement:
+/// `label : old µs -> new µs (speedup x)`.
+fn summary_line(label: &str, old_ns: f64, new_ns: f64) -> String {
+    format!(
+        "{label:<24}: {:>10.1} µs -> {:>9.1} µs  ({:.2}x)",
+        old_ns / 1e3,
+        new_ns / 1e3,
+        old_ns / new_ns
+    )
+}
+
 fn pyramid(seed: u64) -> Arc<Pyramid> {
     // 1024² base, 16-cell tiles, 6 levels → 5460 tiles: enough distinct
     // tiles that a CAPACITY-tile (4096) cache stays saturated at 64
@@ -593,9 +604,9 @@ fn main() {
         ),
     ];
 
-    // Interleaved rounds with a per-cell median (as in
-    // exp_perf_baseline): slow container neighbours shift every
-    // configuration of a round together instead of skewing one ratio.
+    // Interleaved rounds with a per-cell median: slow container
+    // neighbours shift every configuration of a round together instead
+    // of skewing one ratio.
     let mut cells: Vec<Vec<Row>> = (0..session_counts.len() * configs.len())
         .map(|_| Vec::new())
         .collect();
@@ -896,7 +907,7 @@ fn main() {
     {
         println!(
             "{}  (p50 at {max_sessions} sessions)",
-            fc_bench::benchjson::summary_line("mutex -> sharded+batch", mutex_p50, sharded_p50)
+            summary_line("mutex -> sharded+batch", mutex_p50, sharded_p50)
         );
     }
     println!("speedup at {max_sessions} sessions: {speedup64:.2}x (acceptance: >= 4x)");
@@ -1048,5 +1059,18 @@ fn main() {
         if eff(push_util_stats) <= eff(push_rr_stats) {
             eprintln!("WARNING: utility push efficiency did not beat round-robin");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn summary_line_reports_speedup() {
+        let s = summary_line("attach", 2_000_000.0, 500_000.0);
+        assert!(s.contains("2000.0"), "{s}");
+        assert!(s.contains("500.0"), "{s}");
+        assert!(s.contains("4.00x"), "{s}");
     }
 }

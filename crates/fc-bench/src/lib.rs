@@ -12,7 +12,6 @@
 
 #![warn(missing_docs)]
 
-pub mod benchjson;
 pub mod context;
 pub mod experiments;
 pub mod fmt;

@@ -1,13 +1,9 @@
 //! The seed commit's implementations of the measured hot paths,
-//! reproduced verbatim as the perf baselines the refactors are measured
-//! against. Used by `benches/micro.rs` and `bin/exp_perf_baseline.rs`.
+//! reproduced verbatim as the references the refactors are measured
+//! and checked against: `benches/micro.rs` times the regrid and codec
+//! against them, and `tests/golden_datapath.rs` checks the live
+//! pyramid, signatures and codec against them bit for bit.
 //!
-//! * **SB distances** — the seed stored per-tile metadata as a
-//!   `RwLock`ed map of string-keyed `(String, Vec<f64>)` entry lists
-//!   whose `meta_vec` cloned the vector on every read, and its
-//!   Algorithm 3 loop fetched `sig_b` per (signature × candidate × ROI)
-//!   triple — one lock round-trip plus one heap copy each
-//!   ([`sb_distances_seed`]).
 //! * **regrid** — the seed aggregated one output cell at a time through
 //!   a `WindowIter` odometer gather, allocating the `lo`/`hi` window
 //!   bounds per cell ([`seed_regrid_with`]); the blocked columnar
@@ -31,115 +27,15 @@
 //!   `fc_server::protocol` replaced it.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use fc_core::sb::{chi_squared, physical_distance, SbConfig};
 use fc_core::signature::{
     hist_signature, normal_signature, tile_image, SignatureConfig, SignatureKind,
 };
 use fc_server::{ServerMsg, TilePayload};
 use fc_tiles::{Geometry, Tile, TileId, TileStore};
 use fc_vision::{DetectorParams, GrayImage, Keypoint};
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::io;
-
-/// The seed's metadata map shape: string-keyed entry lists per tile.
-pub type SeedMetaMap = HashMap<TileId, Vec<(String, Vec<f64>)>>;
-
-/// The seed's shared metadata structure.
-pub struct SeedMetaStore {
-    meta: RwLock<SeedMetaMap>,
-}
-
-impl SeedMetaStore {
-    /// Copies a refactored store's metadata into the seed layout.
-    pub fn mirror(store: &TileStore, g: Geometry) -> Self {
-        let mut map = HashMap::new();
-        for id in g.all_tiles() {
-            if let Some(m) = store.meta(id) {
-                map.insert(
-                    id,
-                    m.entries()
-                        .map(|(k, v)| (k.name().to_string(), v.to_vec()))
-                        .collect::<Vec<_>>(),
-                );
-            }
-        }
-        Self {
-            meta: RwLock::new(map),
-        }
-    }
-
-    /// Seed `TileStore::meta_vec`: lock, hash, linear string-keyed
-    /// scan, clone.
-    pub fn meta_vec(&self, id: TileId, name: &str) -> Option<Vec<f64>> {
-        self.meta
-            .read()
-            .get(&id)
-            .and_then(|m| m.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone()))
-    }
-}
-
-/// The seed's `SbRecommender::distances` loop, verbatim
-/// (`fc-core/src/sb.rs` at the seed commit), against the seed
-/// metadata structure.
-pub fn sb_distances_seed(
-    cfg: &SbConfig,
-    store: &SeedMetaStore,
-    candidates: &[TileId],
-    roi: &[TileId],
-) -> Vec<(TileId, f64)> {
-    let nsig = cfg.weights.len();
-    let mut per_sig = vec![vec![0.0f64; candidates.len() * roi.len()]; nsig];
-    let mut maxes = vec![1.0f64; nsig];
-    for (i, &(kind, _)) in cfg.weights.iter().enumerate() {
-        for (ai, &a) in candidates.iter().enumerate() {
-            let sig_a = store.meta_vec(a, kind.meta_name());
-            for (bi, &b) in roi.iter().enumerate() {
-                let sig_b = store.meta_vec(b, kind.meta_name());
-                let raw = match (&sig_a, &sig_b) {
-                    (Some(x), Some(y)) => chi_squared(x, y),
-                    _ => 1.0,
-                };
-                let penalty = if cfg.manhattan_penalty {
-                    2.0f64.powi(a.manhattan(&b) as i32 - 1)
-                } else {
-                    1.0
-                };
-                let v = penalty * raw;
-                per_sig[i][ai * roi.len() + bi] = v;
-                maxes[i] = maxes[i].max(v);
-            }
-        }
-    }
-    for (i, sig) in per_sig.iter_mut().enumerate() {
-        for v in sig.iter_mut() {
-            *v /= maxes[i];
-        }
-    }
-    candidates
-        .iter()
-        .enumerate()
-        .map(|(ai, &a)| {
-            let mut total = 0.0f64;
-            for (bi, &b) in roi.iter().enumerate() {
-                let mut sq = 0.0f64;
-                for (i, &(_, w)) in cfg.weights.iter().enumerate() {
-                    let d = per_sig[i][ai * roi.len() + bi];
-                    sq += w * d * d;
-                }
-                let denom = if cfg.physical_distance {
-                    physical_distance(a, b)
-                } else {
-                    1.0
-                };
-                total += sq.sqrt() / denom;
-            }
-            (a, total)
-        })
-        .collect()
-}
 
 // ---------------------------------------------------------------------
 // Seed regrid: per-output-cell WindowIter gather (fc-array/src/ops.rs at
@@ -345,8 +241,7 @@ fn seed_pad_to(block: &DenseArray, h: usize, w: usize) -> ArrayResult<DenseArray
     Ok(out)
 }
 
-/// The seed's `PyramidBuilder::build` loop (no metadata computers),
-/// verbatim: project, regrid every level from the base, partition with
+/// The seed's `PyramidBuilder::build` loop, verbatim: project, regrid every level from the base, partition with
 /// `subarray` + padding. Returns the geometry and populated store.
 ///
 /// # Errors
@@ -788,8 +683,8 @@ impl SeedVocabulary {
 /// The seed's `attach_signatures`, verbatim: sequential descriptor
 /// harvest, vocabulary training, then sequential per-tile computation —
 /// each vision signature re-rendering the tile and re-running the full
-/// detector/descriptor pipeline, exactly as the seed's
-/// `MetadataComputer` objects did.
+/// detector/descriptor pipeline, exactly as the seed's per-signature
+/// computer objects did.
 pub fn seed_attach_signatures(
     geometry: Geometry,
     store: &TileStore,

@@ -164,20 +164,6 @@ impl CacheManager {
         self.prefetch.is_empty() && self.resident.is_empty()
     }
 
-    /// Approximate resident bytes (for the paper's "less than 10MB of
-    /// prefetching space per user" claim).
-    pub fn resident_bytes(&self) -> usize {
-        use fc_array::BlobSize;
-        let mut seen = std::collections::HashSet::new();
-        let mut total = 0usize;
-        for (id, t) in self.prefetch.iter().chain(self.resident.iter()) {
-            if seen.insert(*id) {
-                total += t.nbytes();
-            }
-        }
-        total
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -263,7 +249,6 @@ mod tests {
         c.note_request(tile(tid(1)));
         c.install_prefetch(vec![tile(tid(1)), tile(tid(2))]);
         assert_eq!(c.len(), 2);
-        assert!(c.resident_bytes() > 0);
     }
 
     #[test]

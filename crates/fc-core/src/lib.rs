@@ -80,4 +80,4 @@ pub use push::{PushConfig, PushPlanner, PushPolicy, PushStats};
 pub use recommender::{PredictionContext, Recommender};
 pub use roi::RoiTracker;
 pub use sb::{SbConfig, SbRecommender};
-pub use signature::{SignatureComputer, SignatureKind, SIGNATURE_KINDS};
+pub use signature::{SignatureKind, SIGNATURE_KINDS};

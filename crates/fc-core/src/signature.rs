@@ -14,10 +14,10 @@
 //! corpus first — [`attach_signatures`] performs the whole offline
 //! pipeline (§2.3, "Computing Metadata").
 
-use fc_tiles::{MetadataComputer, Pyramid, Tile};
+use fc_tiles::{Pyramid, Tile};
 use fc_vision::{
-    dense_descriptors, dense_descriptors_on, describe_keypoints, describe_keypoints_on,
-    detect_keypoints, DetectorParams, GradientField, GrayImage, Vocabulary,
+    dense_descriptors_on, describe_keypoints_on, detect_keypoints, DetectorParams, GradientField,
+    GrayImage, Vocabulary,
 };
 use std::sync::Arc;
 
@@ -188,18 +188,11 @@ fn hist_signature_from(vals: &[f64], domain: (f64, f64), bins: usize) -> Vec<f64
     h
 }
 
-/// Extracts SIFT keypoint descriptors from a tile image (strongest
-/// `max_keypoints`).
-pub fn sift_descriptors(img: &GrayImage, cfg: &SignatureConfig) -> Vec<Vec<f64>> {
-    let mut kps = detect_keypoints(img, &cfg.detector);
-    kps.truncate(cfg.max_keypoints);
-    describe_keypoints(img, &kps)
-}
-
-/// [`sift_descriptors`] over a prebuilt [`GradientField`] for `img`, so
-/// the SIFT and denseSIFT harvests of one tile share a single gradient
-/// pass (detection still runs on the image — the DoG pyramid needs the
-/// raw pixels, not gradients).
+/// SIFT keypoint descriptors of a tile image (strongest
+/// `max_keypoints`) over a prebuilt [`GradientField`] for `img`, so the
+/// SIFT and denseSIFT harvests of one tile share a single gradient pass
+/// (detection still runs on the image — the DoG pyramid needs the raw
+/// pixels, not gradients).
 fn sift_descriptors_on(
     img: &GrayImage,
     field: &GradientField,
@@ -208,79 +201,6 @@ fn sift_descriptors_on(
     let mut kps = detect_keypoints(img, &cfg.detector);
     kps.truncate(cfg.max_keypoints);
     describe_keypoints_on(field, &kps)
-}
-
-/// A [`MetadataComputer`] producing one signature kind per tile.
-pub struct SignatureComputer {
-    kind: SignatureKind,
-    cfg: SignatureConfig,
-    /// Trained codebook; required for the SIFT kinds.
-    vocab: Option<Arc<Vocabulary>>,
-}
-
-impl SignatureComputer {
-    /// A computer for a value-statistics signature (NormalDist / Hist1D).
-    ///
-    /// # Panics
-    /// Panics when `kind` is a SIFT kind (those need a vocabulary).
-    pub fn stats(kind: SignatureKind, cfg: SignatureConfig) -> Self {
-        assert!(
-            matches!(kind, SignatureKind::NormalDist | SignatureKind::Hist1D),
-            "SIFT kinds need a vocabulary; use SignatureComputer::vision"
-        );
-        Self {
-            kind,
-            cfg,
-            vocab: None,
-        }
-    }
-
-    /// A computer for a vision signature with a trained vocabulary.
-    ///
-    /// # Panics
-    /// Panics when `kind` is a stats kind.
-    pub fn vision(kind: SignatureKind, cfg: SignatureConfig, vocab: Arc<Vocabulary>) -> Self {
-        assert!(
-            matches!(kind, SignatureKind::Sift | SignatureKind::DenseSift),
-            "stats kinds take no vocabulary; use SignatureComputer::stats"
-        );
-        Self {
-            kind,
-            cfg,
-            vocab: Some(vocab),
-        }
-    }
-}
-
-impl MetadataComputer for SignatureComputer {
-    fn name(&self) -> &str {
-        self.kind.meta_name()
-    }
-
-    fn compute(&self, tile: &Tile) -> Vec<f64> {
-        match self.kind {
-            SignatureKind::NormalDist => normal_signature(tile, &self.cfg.attr),
-            SignatureKind::Hist1D => {
-                hist_signature(tile, &self.cfg.attr, self.cfg.domain, self.cfg.hist_bins)
-            }
-            SignatureKind::Sift => {
-                let img = tile_image(tile, &self.cfg.attr, self.cfg.domain);
-                let descs = sift_descriptors(&img, &self.cfg);
-                self.vocab
-                    .as_ref()
-                    .expect("vision computer has vocabulary")
-                    .histogram(&descs)
-            }
-            SignatureKind::DenseSift => {
-                let img = tile_image(tile, &self.cfg.attr, self.cfg.domain);
-                let descs = dense_descriptors(&img, self.cfg.dense_step, self.cfg.dense_radius);
-                self.vocab
-                    .as_ref()
-                    .expect("vision computer has vocabulary")
-                    .histogram(&descs)
-            }
-        }
-    }
 }
 
 /// Per-tile output of the harvest pass: the two cheap stats signatures
@@ -465,11 +385,5 @@ mod tests {
         d.dedup();
         assert_eq!(d.len(), names.len());
         assert_eq!(SignatureKind::Sift.display_name(), "SIFT");
-    }
-
-    #[test]
-    #[should_panic(expected = "need a vocabulary")]
-    fn stats_constructor_rejects_sift() {
-        SignatureComputer::stats(SignatureKind::Sift, SignatureConfig::ndsi("v"));
     }
 }

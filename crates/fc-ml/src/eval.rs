@@ -28,7 +28,11 @@ impl ConfusionMatrix {
     }
 
     /// Count in cell `(truth, pred)`.
+    ///
+    /// # Panics
+    /// Panics when either index is out of range.
     pub fn get(&self, truth: usize, pred: usize) -> usize {
+        assert!(truth < self.n && pred < self.n, "class out of range");
         self.cells[truth * self.n + pred]
     }
 
@@ -55,16 +59,6 @@ impl ConfusionMatrix {
             0.0
         } else {
             self.get(class, class) as f64 / row as f64
-        }
-    }
-
-    /// Precision of one class; 0 when the class is never predicted.
-    pub fn precision(&self, class: usize) -> f64 {
-        let col: usize = (0..self.n).map(|t| self.get(t, class)).sum();
-        if col == 0 {
-            0.0
-        } else {
-            self.get(class, class) as f64 / col as f64
         }
     }
 
@@ -214,9 +208,17 @@ mod tests {
         assert_eq!(cm.total(), 6);
         assert!((cm.accuracy() - 4.0 / 6.0).abs() < 1e-12);
         assert!((cm.recall(0) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((cm.precision(0) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(cm.recall(1), 1.0);
         assert!((cm.recall(2) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "class out of range")]
+    fn get_rejects_out_of_range_class() {
+        let mut cm = ConfusionMatrix::new(3);
+        cm.add(1, 0);
+        // Unchecked, `(0, 3)` would alias cell `(1, 0)` and return 1.
+        cm.get(0, 3);
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl KMeans {
         nearest(&self.centroids, point).0
     }
 
-    /// Squared distance to the nearest centroid (for diagnostics).
-    pub fn distortion(&self, point: &[f64]) -> f64 {
-        nearest(&self.centroids, point).1
-    }
-
     /// The fitted centroids.
     pub fn centroids(&self) -> &[Vec<f64>] {
         &self.centroids
@@ -216,8 +211,6 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(b, c);
         assert_ne!(a, c);
-        // Distortion at a blob center is tiny.
-        assert!(km.distortion(&[0.0, 0.0]) < 0.1);
     }
 
     #[test]

@@ -35,5 +35,5 @@ pub use id::TileId;
 pub use nav::{Move, Quadrant, MOVES};
 pub use pyramid::{lift_1d, AttrAgg, Pyramid, PyramidBuilder, PyramidConfig};
 pub use sigindex::{SigMatrix, SignatureIndex};
-pub use store::{MetaKey, MetadataComputer, TileMeta, TileStore};
+pub use store::{MetaKey, TileMeta, TileStore};
 pub use tile::Tile;

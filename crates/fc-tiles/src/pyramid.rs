@@ -8,13 +8,12 @@
 
 use crate::geometry::Geometry;
 use crate::id::TileId;
-use crate::store::{MetadataComputer, TileStore};
+use crate::store::TileStore;
 use crate::tile::Tile;
 use fc_array::{
-    extract_block_2d, regrid_with, AggFn, ArrayError, Database, DenseArray, IoMode, LatencyModel,
-    Result, Schema, SimClock,
+    extract_block_2d, regrid_with, AggFn, ArrayError, DenseArray, IoMode, LatencyModel, Result,
+    Schema, SimClock,
 };
-use std::sync::Arc;
 
 /// How one attribute aggregates when building coarser levels.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,31 +107,13 @@ impl Pyramid {
 }
 
 /// Builds pyramids from base arrays.
-#[derive(Default)]
-pub struct PyramidBuilder {
-    computers: Vec<Arc<dyn MetadataComputer>>,
-}
-
-impl std::fmt::Debug for PyramidBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PyramidBuilder")
-            .field("computers", &self.computers.len())
-            .finish()
-    }
-}
+#[derive(Debug, Default)]
+pub struct PyramidBuilder;
 
 impl PyramidBuilder {
-    /// Creates a builder with no metadata computers.
+    /// Creates a builder.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a per-tile metadata computer (e.g. a signature); run for
-    /// every tile during the build, stored in the shared metadata
-    /// structure (§2.3 "Computing Metadata").
-    pub fn with_metadata(mut self, computer: Arc<dyn MetadataComputer>) -> Self {
-        self.computers.push(computer);
-        self
+        Self
     }
 
     /// Builds all zoom levels and tiles from `base` (the raw, deepest
@@ -172,72 +153,38 @@ impl PyramidBuilder {
             } else {
                 regrid_with(&projected, &[window, window], &aggs)?
             };
-            self.partition_level(&view, level, &geometry, &store)?;
+            partition_level(&view, level, &geometry, &store)?;
         }
         Ok(Pyramid { geometry, store })
     }
+}
 
-    /// Convenience: build and also register each materialized view in a
-    /// [`Database`] under `"{name}_L{level}"`, mirroring the paper's
-    /// "separate materialized view … for each zoom level" stored in SciDB.
-    ///
-    /// # Errors
-    /// As [`PyramidBuilder::build`].
-    pub fn build_into(
-        &self,
-        db: &Database,
-        name: &str,
-        base: &DenseArray,
-        cfg: &PyramidConfig,
-    ) -> Result<Pyramid> {
-        let projected = project(base, &cfg.aggs)?;
-        let aggs: Vec<AggFn> = cfg.aggs.iter().map(|a| a.agg).collect();
-        let pyramid = self.build(base, cfg)?;
-        for level in 0..cfg.levels {
-            let window = pyramid.geometry.agg_window(level);
-            let view = if window == 1 {
-                projected.clone()
-            } else {
-                regrid_with(&projected, &[window, window], &aggs)?
-            };
-            db.store(format!("{name}_L{level}"), view);
+/// Cuts one materialized level into `tile_h × tile_w` tiles with
+/// [`extract_block_2d`] (row-wise contiguous copies; ragged edge tiles
+/// come back already padded to the nominal size with empty cells, so
+/// "all tiles have the same dimensions" — §2.3), stored in row-major
+/// tile order. Signatures are attached afterwards, over the whole
+/// pyramid, by `fc_core::signature::attach_signatures`.
+fn partition_level(
+    view: &DenseArray,
+    level: u8,
+    geometry: &Geometry,
+    store: &TileStore,
+) -> Result<()> {
+    let (rows, cols) = geometry.tiles_at(level);
+    for ty in 0..rows {
+        for tx in 0..cols {
+            let block = extract_block_2d(
+                view,
+                ty as usize * geometry.tile_h,
+                tx as usize * geometry.tile_w,
+                geometry.tile_h,
+                geometry.tile_w,
+            )?;
+            store.put_tile(Tile::new(TileId::new(level, ty, tx), block));
         }
-        Ok(pyramid)
     }
-
-    /// Cuts one materialized level into `tile_h × tile_w` tiles with
-    /// [`extract_block_2d`] (row-wise contiguous copies; ragged edge
-    /// tiles come back already padded to the nominal size with empty
-    /// cells, so "all tiles have the same dimensions" — §2.3). Each
-    /// tile is cut, handed to the metadata computers and stored before
-    /// the next is cut, in row-major tile order.
-    fn partition_level(
-        &self,
-        view: &DenseArray,
-        level: u8,
-        geometry: &Geometry,
-        store: &TileStore,
-    ) -> Result<()> {
-        let (rows, cols) = geometry.tiles_at(level);
-        for ty in 0..rows {
-            for tx in 0..cols {
-                let block = extract_block_2d(
-                    view,
-                    ty as usize * geometry.tile_h,
-                    tx as usize * geometry.tile_w,
-                    geometry.tile_h,
-                    geometry.tile_w,
-                )?;
-                let tile = Tile::new(TileId::new(level, ty, tx), block);
-                for c in &self.computers {
-                    let value = c.compute(&tile);
-                    store.put_meta(tile.id, c.name(), value);
-                }
-                store.put_tile(tile);
-            }
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Keeps only the attributes in `aggs` (in that order) via the columnar
@@ -357,31 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn metadata_computers_run_per_tile() {
-        struct MeanMeta;
-        impl MetadataComputer for MeanMeta {
-            fn name(&self) -> &str {
-                "mean"
-            }
-            fn compute(&self, tile: &Tile) -> Vec<f64> {
-                let vals = tile.present_values("v").unwrap();
-                vec![vals.iter().sum::<f64>() / vals.len().max(1) as f64]
-            }
-        }
-        let p = PyramidBuilder::new()
-            .with_metadata(Arc::new(MeanMeta))
-            .build(&base(), &cfg())
-            .unwrap();
-        let meta = p.store().meta(TileId::ROOT).unwrap();
-        let mean = meta.get("mean").unwrap()[0];
-        assert!((mean - 15.5).abs() < 1e-9, "{mean}");
-        // Every tile has the metadata.
-        for id in p.geometry().all_tiles() {
-            assert!(p.store().meta(id).unwrap().get("mean").is_some());
-        }
-    }
-
-    #[test]
     fn rejects_unknown_attr_and_bad_dims() {
         let b = base();
         let mut bad = cfg();
@@ -418,17 +340,5 @@ mod tests {
         let (root, _) = p.store().fetch_backend(TileId::ROOT).unwrap();
         assert_eq!(root.array.get("bpm", &[0, 0]).unwrap(), Some(63.0 + 0.0));
         assert!(lift_1d(&lifted).is_err());
-    }
-
-    #[test]
-    fn build_into_registers_views() {
-        let db = Database::new();
-        PyramidBuilder::new()
-            .build_into(&db, "NDSI", &base(), &cfg())
-            .unwrap();
-        assert!(db.scan("NDSI_L0").is_ok());
-        assert!(db.scan("NDSI_L2").is_ok());
-        assert_eq!(db.scan("NDSI_L0").unwrap().shape(), vec![8, 8]);
-        assert_eq!(db.scan("NDSI_L2").unwrap().shape(), vec![32, 32]);
     }
 }

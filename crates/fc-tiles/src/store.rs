@@ -155,15 +155,6 @@ impl TileMeta {
     }
 }
 
-/// Computes one named metadata vector per tile during the pyramid build.
-/// `fc-core` registers its tile signatures through this trait.
-pub trait MetadataComputer: Send + Sync {
-    /// Metadata key (e.g. `"hist"`, `"sift"`).
-    fn name(&self) -> &str;
-    /// Computes the vector for one tile.
-    fn compute(&self, tile: &Tile) -> Vec<f64>;
-}
-
 /// The backend store holding every pre-computed tile (on the simulated
 /// DBMS disk) and the shared metadata map.
 #[derive(Debug)]

@@ -22,9 +22,9 @@
 //!   systematically (DFS with a preemption bound) and replay failing
 //!   schedules deterministically.
 //!
-//! [`time::now`] and the [`atomic`] wrappers are the matching seams
-//! for code that must stay model-checkable: virtualized monotonic time
-//! and atomics whose accesses are scheduling points.
+//! The [`atomic`] wrappers are the matching seam for code that must
+//! stay model-checkable: atomics whose accesses are scheduling points.
+//! [`time::now`] is the one sanctioned read of monotonic time.
 
 #![warn(missing_docs)]
 
@@ -34,7 +34,6 @@ use std::ops::{Deref, DerefMut};
 use std::panic::Location;
 #[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
 
 pub mod atomic;
 #[cfg(debug_assertions)]
@@ -197,8 +196,8 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 pub struct MutexGuard<'a, T: ?Sized> {
     #[cfg(debug_assertions)]
     lock: &'a Mutex<T>,
-    /// `None` only transiently inside a condvar wait (the guard is
-    /// mutably borrowed for the whole wait, so users never observe it).
+    /// `None` only inside `drop`, which releases the real lock before
+    /// the witness and model bookkeeping run.
     inner: Option<std::sync::MutexGuard<'a, T>>,
 }
 
@@ -207,7 +206,7 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     fn deref(&self) -> &T {
         match &self.inner {
             Some(g) => g,
-            None => unreachable!("guard empty outside a condvar wait"),
+            None => unreachable!("mutex guard is never emptied before drop"),
         }
     }
 }
@@ -216,7 +215,7 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         match &mut self.inner {
             Some(g) => g,
-            None => unreachable!("guard empty outside a condvar wait"),
+            None => unreachable!("mutex guard is never emptied before drop"),
         }
     }
 }
@@ -238,152 +237,6 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
                 model::mutex_release(id);
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Condvar
-// ---------------------------------------------------------------------------
-
-/// Whether a [`Condvar::wait_for`] returned because the timeout
-/// elapsed (vs. a notification).
-#[derive(Clone, Copy, Debug)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// `true` when the wait ended by timeout.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// A condition variable with `parking_lot`'s guard-based API.
-#[derive(Default)]
-pub struct Condvar {
-    #[cfg(debug_assertions)]
-    id: AtomicU32,
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Self {
-            #[cfg(debug_assertions)]
-            id: AtomicU32::new(0),
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    #[cfg(debug_assertions)]
-    fn iid(&self) -> u32 {
-        assign_id(&self.id)
-    }
-
-    /// Blocks on this condvar, atomically releasing the mutex behind
-    /// `guard`; the mutex is re-acquired before returning. Subject to
-    /// spurious wakeups, like every condvar.
-    #[cfg_attr(debug_assertions, track_caller)]
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        self.wait_inner(guard, None);
-    }
-
-    /// Like [`wait`](Condvar::wait) with a timeout; says whether the
-    /// timeout elapsed.
-    #[cfg_attr(debug_assertions, track_caller)]
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        WaitTimeoutResult(self.wait_inner(guard, Some(timeout)))
-    }
-
-    #[cfg_attr(debug_assertions, track_caller)]
-    fn wait_inner<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Option<Duration>) -> bool {
-        #[cfg(debug_assertions)]
-        {
-            let site = Location::caller();
-            let lock_id = guard.lock.iid();
-            let relink = lockgraph::wait_unlink(lock_id);
-            let timed_out;
-            if model::is_model_thread() {
-                guard.inner = None; // release the real lock for the wait
-                timed_out = model::cv_wait(self.iid(), lock_id, timeout, site);
-                // Virtually granted exclusive again; re-take for real.
-                guard.inner = Some(guard.lock.inner.lock().unwrap_or_else(|e| e.into_inner()));
-            } else {
-                let g = guard
-                    .inner
-                    .take()
-                    .unwrap_or_else(|| unreachable!("guard empty outside a condvar wait"));
-                match timeout {
-                    Some(t) => {
-                        let (g2, to) = self
-                            .inner
-                            .wait_timeout(g, t)
-                            .unwrap_or_else(|e| e.into_inner());
-                        guard.inner = Some(g2);
-                        timed_out = to.timed_out();
-                    }
-                    None => {
-                        guard.inner = Some(self.inner.wait(g).unwrap_or_else(|e| e.into_inner()));
-                        timed_out = false;
-                    }
-                }
-            }
-            lockgraph::wait_relink(relink);
-            timed_out
-        }
-        #[cfg(not(debug_assertions))]
-        {
-            let g = guard
-                .inner
-                .take()
-                .unwrap_or_else(|| unreachable!("guard empty outside a condvar wait"));
-            match timeout {
-                Some(t) => {
-                    let (g2, to) = self
-                        .inner
-                        .wait_timeout(g, t)
-                        .unwrap_or_else(|e| e.into_inner());
-                    guard.inner = Some(g2);
-                    to.timed_out()
-                }
-                None => {
-                    guard.inner = Some(self.inner.wait(g).unwrap_or_else(|e| e.into_inner()));
-                    false
-                }
-            }
-        }
-    }
-
-    /// Wakes one waiter.
-    #[cfg_attr(debug_assertions, track_caller)]
-    pub fn notify_one(&self) {
-        #[cfg(debug_assertions)]
-        if model::is_model_thread() {
-            model::cv_notify(self.iid(), false, Location::caller());
-            return;
-        }
-        self.inner.notify_one();
-    }
-
-    /// Wakes all waiters.
-    #[cfg_attr(debug_assertions, track_caller)]
-    pub fn notify_all(&self) {
-        #[cfg(debug_assertions)]
-        if model::is_model_thread() {
-            model::cv_notify(self.iid(), true, Location::caller());
-            return;
-        }
-        self.inner.notify_all();
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar { .. }")
     }
 }
 
@@ -600,35 +453,6 @@ mod tests {
         let l = RwLock::new(vec![1]);
         l.write().push(2);
         assert_eq!(l.read().len(), 2);
-    }
-
-    #[test]
-    fn condvar_wakes_a_waiter() {
-        use std::sync::Arc;
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let h = std::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            let mut g = m.lock();
-            *g = true;
-            cv.notify_one();
-        });
-        let (m, cv) = &*pair;
-        let mut g = m.lock();
-        while !*g {
-            cv.wait(&mut g);
-        }
-        drop(g);
-        h.join().expect("notifier");
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let r = cv.wait_for(&mut g, Duration::from_millis(10));
-        assert!(r.timed_out());
     }
 
     #[cfg(debug_assertions)]

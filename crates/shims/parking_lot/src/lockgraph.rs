@@ -53,7 +53,7 @@ pub(crate) enum LockKind {
 }
 
 /// One entry of the thread-local held-locks stack.
-pub(crate) struct Held {
+struct Held {
     id: u32,
     site: &'static Location<'static>,
     kind: LockKind,
@@ -178,25 +178,6 @@ pub(crate) fn released(id: u32, kind: LockKind) {
             h.remove(pos);
         }
     });
-}
-
-/// Unlinks a mutex from the held stack for the duration of a condvar
-/// wait (the wait releases it); returns the entry to re-link on wake.
-pub(crate) fn wait_unlink(id: u32) -> Option<Held> {
-    HELD.with(|h| {
-        let mut h = h.borrow_mut();
-        h.iter()
-            .rposition(|e| e.id == id && e.kind == LockKind::Mutex)
-            .map(|pos| h.remove(pos))
-    })
-}
-
-/// Re-links a mutex entry after a condvar wait re-acquired it,
-/// re-recording edges against whatever is held now.
-pub(crate) fn wait_relink(entry: Option<Held>) {
-    if let Some(e) = entry {
-        acquired(e.id, e.kind, e.site);
-    }
 }
 
 /// Runs `f` with edge recording diverted to a local buffer; returns

@@ -3,17 +3,15 @@
 //! Runs a small multi-threaded model under *cooperative scheduling*:
 //! real OS threads, but exactly one runnable at a time, with a
 //! scheduling decision at every synchronization operation (lock,
-//! try-lock, rwlock, condvar wait/notify, atomic access, spawn, join,
-//! explicit yield). The set of decisions made during one run is a
+//! try-lock, rwlock, atomic access, spawn, join, explicit yield). The set of decisions made during one run is a
 //! *schedule*; the checker explores schedules systematically — DFS
 //! with an optional preemption bound (CHESS-style), a seeded-random
 //! fallback for larger models, and deterministic replay of a failing
 //! schedule.
 //!
 //! What a clean exhaustive pass proves: under sequential consistency
-//! at sync-op granularity, no explored interleaving deadlocks, loses
-//! a wakeup, or violates a model invariant (`assert!` in the model
-//! body). What it does **not** prove: weak-memory effects (the model
+//! at sync-op granularity, no explored interleaving deadlocks or
+//! violates a model invariant (`assert!` in the model body). What it does **not** prove: weak-memory effects (the model
 //! serializes every atomic), data races on non-atomic shared state
 //! without lock protection, or anything about interleavings beyond
 //! the preemption bound / schedule cap.
@@ -32,7 +30,6 @@ use std::panic::{self, AssertUnwindSafe, Location};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, OnceLock};
 use std::thread::JoinHandle as OsJoinHandle;
-use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Thread identity
@@ -70,21 +67,6 @@ pub(crate) enum Op {
     TryMutex(u32),
     AcqRead(u32),
     AcqWrite(u32),
-    /// Re-acquire the mutex after a condvar wait completed.
-    Reacquire {
-        lock: u32,
-        timed_out: bool,
-    },
-    /// Atomically release the mutex and start waiting on the condvar.
-    CvWait {
-        cv: u32,
-        lock: u32,
-        timeout_ns: Option<u64>,
-    },
-    Notify {
-        cv: u32,
-        all: bool,
-    },
     Atomic,
     Yield,
     Spawn,
@@ -99,24 +81,6 @@ impl fmt::Display for Op {
             Op::TryMutex(l) => write!(f, "try_lock(m{l})"),
             Op::AcqRead(l) => write!(f, "read(rw{l})"),
             Op::AcqWrite(l) => write!(f, "write(rw{l})"),
-            Op::Reacquire {
-                lock,
-                timed_out: true,
-            } => write!(f, "wait timeout, relock(m{lock})"),
-            Op::Reacquire {
-                lock,
-                timed_out: false,
-            } => write!(f, "woken, relock(m{lock})"),
-            Op::CvWait {
-                cv,
-                timeout_ns: Some(ns),
-                ..
-            } => {
-                write!(f, "cv{cv}.wait_for({ns}ns)")
-            }
-            Op::CvWait { cv, .. } => write!(f, "cv{cv}.wait"),
-            Op::Notify { cv, all: true } => write!(f, "cv{cv}.notify_all"),
-            Op::Notify { cv, all: false } => write!(f, "cv{cv}.notify_one"),
             Op::Atomic => write!(f, "atomic"),
             Op::Yield => write!(f, "yield"),
             Op::Spawn => write!(f, "spawn"),
@@ -131,22 +95,12 @@ enum ThStatus {
     Ready,
     /// Currently the single running thread.
     Running,
-    /// Parked in a condvar wait; woken by notify or timeout.
-    Blocked,
     Finished,
-}
-
-struct Waiter {
-    cv: u32,
-    lock: u32,
-    /// Virtual-clock deadline; `None` waits forever.
-    deadline_ns: Option<u64>,
 }
 
 struct Th {
     status: ThStatus,
     pending: Option<(Op, &'static Location<'static>)>,
-    waiting: Option<Waiter>,
 }
 
 impl Th {
@@ -154,7 +108,6 @@ impl Th {
         Th {
             status: ThStatus::Ready,
             pending: Some((op, site)),
-            waiting: None,
         }
     }
 }
@@ -195,7 +148,6 @@ struct RtState {
     preemption_bound: Option<usize>,
     steps: usize,
     max_steps: usize,
-    vclock_ns: u64,
     trace: Vec<String>,
     abort: bool,
     failure: Option<Failure>,
@@ -258,22 +210,15 @@ fn lock_has_no_writer(st: &RtState, l: u32) -> bool {
 
 fn can_run(st: &RtState, tid: usize) -> bool {
     let th = &st.threads[tid];
-    match th.status {
-        ThStatus::Ready => match th.pending.map(|(op, _)| op) {
-            Some(Op::AcqMutex(l) | Op::AcqWrite(l)) => lock_free_for_write(st, l),
-            Some(Op::AcqRead(l)) => lock_has_no_writer(st, l),
-            Some(Op::Reacquire { lock, .. }) => lock_free_for_write(st, lock),
-            Some(Op::Join(t)) => st.threads[t].status == ThStatus::Finished,
-            Some(_) => true,
-            None => false,
-        },
-        // A timed condvar waiter becomes runnable (timeout fires) once
-        // its mutex is free to re-acquire.
-        ThStatus::Blocked => th
-            .waiting
-            .as_ref()
-            .is_some_and(|w| w.deadline_ns.is_some() && lock_free_for_write(st, w.lock)),
-        _ => false,
+    if th.status != ThStatus::Ready {
+        return false;
+    }
+    match th.pending.map(|(op, _)| op) {
+        Some(Op::AcqMutex(l) | Op::AcqWrite(l)) => lock_free_for_write(st, l),
+        Some(Op::AcqRead(l)) => lock_has_no_writer(st, l),
+        Some(Op::Join(t)) => st.threads[t].status == ThStatus::Finished,
+        Some(_) => true,
+        None => false,
     }
 }
 
@@ -298,17 +243,14 @@ fn fail(st: &mut RtState, message: String) {
 fn thread_dump(st: &RtState) -> String {
     let mut s = String::new();
     for (i, th) in st.threads.iter().enumerate() {
-        let what = match (&th.status, &th.pending, &th.waiting) {
-            (ThStatus::Blocked, _, Some(w)) => {
-                format!("blocked on cv{} (mutex m{})", w.cv, w.lock)
-            }
-            (_, Some((op, site)), _) => format!(
+        let what = match &th.pending {
+            Some((op, site)) => format!(
                 "{:?} at `{op}` ({}:{})",
                 th.status,
                 site.file(),
                 site.line()
             ),
-            _ => format!("{:?}", th.status),
+            None => format!("{:?}", th.status),
         };
         s.push_str(&format!("  t{i}: {what}\n"));
     }
@@ -317,7 +259,7 @@ fn thread_dump(st: &RtState) -> String {
 
 /// Picks the next thread to run. Called with the runtime lock held, by
 /// the thread that is currently active (it has just parked itself or
-/// blocked/finished). Notifies all model threads afterwards.
+/// finished). Notifies all model threads afterwards.
 fn schedule(st: &mut RtState) {
     if st.abort {
         return;
@@ -330,7 +272,7 @@ fn schedule(st: &mut RtState) {
             fail(
                 st,
                 format!(
-                    "deadlock: no runnable thread (lost wakeup or lock cycle)\n{}",
+                    "deadlock: no runnable thread (lock cycle)\n{}",
                     thread_dump(st)
                 ),
             );
@@ -401,29 +343,6 @@ fn schedule(st: &mut RtState) {
     });
     st.preemptions += cost;
     st.decisions.push(tid);
-    // A blocked (timed) waiter chosen here has its timeout fired: the
-    // virtual clock jumps to the deadline and the thread converts to a
-    // ready re-acquire.
-    if st.threads[tid].status == ThStatus::Blocked {
-        let w = st.threads[tid]
-            .waiting
-            .take()
-            .expect("blocked without waiter");
-        let dl = w.deadline_ns.expect("untimed waiter cannot fire");
-        st.vclock_ns = st.vclock_ns.max(dl);
-        let site = st.threads[tid]
-            .pending
-            .map(|(_, s)| s)
-            .unwrap_or_else(Location::caller);
-        st.threads[tid].pending = Some((
-            Op::Reacquire {
-                lock: w.lock,
-                timed_out: true,
-            },
-            site,
-        ));
-        st.threads[tid].status = ThStatus::Ready;
-    }
     if let Some((op, site)) = st.threads[tid].pending {
         st.trace.push(format!(
             "{:>3}. t{tid} {op}  [{}:{}]",
@@ -438,82 +357,31 @@ fn schedule(st: &mut RtState) {
 enum Applied {
     Unit,
     Try(bool),
-    Wait { timed_out: bool },
-}
-
-enum ApplyOutcome {
-    Done(Applied),
-    NowBlocked,
 }
 
 /// Applies the granted operation's effect. Called by the chosen thread
 /// itself, with the runtime lock held.
-fn apply(st: &mut RtState, tid: usize) -> ApplyOutcome {
-    let (op, site) = st.threads[tid]
+fn apply(st: &mut RtState, tid: usize) -> Applied {
+    let (op, _) = st.threads[tid]
         .pending
         .take()
         .expect("granted without pending op");
     match op {
-        Op::Begin | Op::Atomic | Op::Yield | Op::Spawn | Op::Join(_) | Op::Notify { .. } => {
-            if let Op::Notify { cv, all } = op {
-                let mut woke = false;
-                for t in 0..st.threads.len() {
-                    if woke && !all {
-                        break;
-                    }
-                    let th = &mut st.threads[t];
-                    if th.status == ThStatus::Blocked
-                        && th.waiting.as_ref().is_some_and(|w| w.cv == cv)
-                    {
-                        let w = th.waiting.take().expect("checked above");
-                        th.pending = Some((
-                            Op::Reacquire {
-                                lock: w.lock,
-                                timed_out: false,
-                            },
-                            site,
-                        ));
-                        th.status = ThStatus::Ready;
-                        woke = true;
-                    }
-                }
-            }
-            ApplyOutcome::Done(Applied::Unit)
-        }
+        Op::Begin | Op::Atomic | Op::Yield | Op::Spawn | Op::Join(_) => Applied::Unit,
         Op::AcqMutex(l) | Op::AcqWrite(l) => {
             st.locks.entry(l).or_default().writer = Some(tid);
-            ApplyOutcome::Done(Applied::Unit)
+            Applied::Unit
         }
         Op::TryMutex(l) => {
             let free = lock_free_for_write(st, l);
             if free {
                 st.locks.entry(l).or_default().writer = Some(tid);
             }
-            ApplyOutcome::Done(Applied::Try(free))
+            Applied::Try(free)
         }
         Op::AcqRead(l) => {
             st.locks.entry(l).or_default().readers.push(tid);
-            ApplyOutcome::Done(Applied::Unit)
-        }
-        Op::Reacquire { lock, timed_out } => {
-            st.locks.entry(lock).or_default().writer = Some(tid);
-            ApplyOutcome::Done(Applied::Wait { timed_out })
-        }
-        Op::CvWait {
-            cv,
-            lock,
-            timeout_ns,
-        } => {
-            let ls = st.locks.entry(lock).or_default();
-            debug_assert_eq!(ls.writer, Some(tid), "cv wait without holding the mutex");
-            ls.writer = None;
-            st.threads[tid].waiting = Some(Waiter {
-                cv,
-                lock,
-                deadline_ns: timeout_ns.map(|t| st.vclock_ns.saturating_add(t)),
-            });
-            st.threads[tid].status = ThStatus::Blocked;
-            ApplyOutcome::NowBlocked
+            Applied::Unit
         }
     }
 }
@@ -536,7 +404,6 @@ fn reach(op: Op, site: &'static Location<'static>) -> Applied {
     }
     rtx.cv.notify_all();
     loop {
-        let mut recheck = false;
         {
             let st = g.as_mut().expect("model state missing");
             if st.abort {
@@ -545,25 +412,10 @@ fn reach(op: Op, site: &'static Location<'static>) -> Applied {
                 panic::panic_any(ModelAbort);
             }
             if st.active == Some(tid) && st.threads[tid].status == ThStatus::Ready {
-                match apply(st, tid) {
-                    ApplyOutcome::Done(r) => {
-                        st.threads[tid].status = ThStatus::Running;
-                        return r;
-                    }
-                    ApplyOutcome::NowBlocked => {
-                        // The schedule below may pick this very thread
-                        // again (timed wait firing with nobody else
-                        // runnable) — re-check before parking or the
-                        // wakeup is lost.
-                        schedule(st);
-                        rtx.cv.notify_all();
-                        recheck = true;
-                    }
-                }
+                let r = apply(st, tid);
+                st.threads[tid].status = ThStatus::Running;
+                return r;
             }
-        }
-        if recheck {
-            continue;
         }
         g = rtx.cv.wait(g).unwrap_or_else(|e| e.into_inner());
     }
@@ -577,7 +429,6 @@ fn finish(tid: usize) {
     if let Some(st) = g.as_mut() {
         st.threads[tid].status = ThStatus::Finished;
         st.threads[tid].pending = None;
-        st.threads[tid].waiting = None;
         if st.active == Some(tid) {
             schedule(st);
         }
@@ -636,28 +487,6 @@ pub(crate) fn rw_write_release(lock: u32) {
     mutex_release(lock);
 }
 
-/// Returns whether the wait timed out (vs. was notified).
-pub(crate) fn cv_wait(
-    cv: u32,
-    lock: u32,
-    timeout: Option<Duration>,
-    site: &'static Location<'static>,
-) -> bool {
-    let op = Op::CvWait {
-        cv,
-        lock,
-        timeout_ns: timeout.map(|d| d.as_nanos() as u64),
-    };
-    match reach(op, site) {
-        Applied::Wait { timed_out } => timed_out,
-        _ => unreachable!("cv wait resolved to a non-wait grant"),
-    }
-}
-
-pub(crate) fn cv_notify(cv: u32, all: bool, site: &'static Location<'static>) {
-    reach(Op::Notify { cv, all }, site);
-}
-
 /// Scheduling point before an atomic access.
 pub(crate) fn atomic_point(site: &'static Location<'static>) {
     reach(Op::Atomic, site);
@@ -670,19 +499,6 @@ pub fn yield_now() {
     if is_model_thread() {
         reach(Op::Yield, Location::caller());
     }
-}
-
-/// Virtual now for model threads (`None` outside a model run). The
-/// virtual clock advances only when a timed condvar wait fires.
-pub(crate) fn virtual_now() -> Option<Instant> {
-    if !is_model_thread() {
-        return None;
-    }
-    static BASE: OnceLock<Instant> = OnceLock::new();
-    let base = *BASE.get_or_init(Instant::now);
-    let g = rt().m.lock().unwrap_or_else(|e| e.into_inner());
-    g.as_ref()
-        .map(|st| base + Duration::from_nanos(st.vclock_ns))
 }
 
 // ---------------------------------------------------------------------------
@@ -922,7 +738,6 @@ fn run_once(
             preemption_bound: opts.preemption_bound,
             steps: 0,
             max_steps: opts.max_steps,
-            vclock_ns: 0,
             trace: Vec::new(),
             abort: false,
             failure: None,
@@ -984,8 +799,8 @@ fn install_quiet_hook() {
 /// failing schedule.
 ///
 /// # Errors
-/// The first [`Failure`] found (invariant panic, deadlock, lost
-/// wakeup, step-limit livelock, or replay divergence).
+/// The first [`Failure`] found (invariant panic, deadlock, step-limit
+/// livelock, or replay divergence).
 pub fn try_check<F>(opts: Options, body: F) -> Result<Stats, Box<Failure>>
 where
     F: Fn() + Send + Sync + 'static,
@@ -1082,7 +897,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Condvar, Mutex};
+    use crate::Mutex;
 
     #[test]
     fn exhausts_a_two_thread_counter_model() {
@@ -1138,67 +953,6 @@ mod tests {
         )
         .expect_err("replay must reproduce");
         assert!(replay.message.contains("lost update"));
-    }
-
-    #[test]
-    fn missing_notify_is_reported_as_deadlock() {
-        let err = try_check(Options::default(), || {
-            let pair = Arc::new((Mutex::new(false), Condvar::new()));
-            let pair2 = Arc::clone(&pair);
-            let h = spawn(move || {
-                let (m, _cv) = &*pair2;
-                // BUG under test: flips the flag without notifying.
-                *m.lock() = true;
-            });
-            let (m, cv) = &*pair;
-            let mut g = m.lock();
-            while !*g {
-                cv.wait(&mut g);
-            }
-            drop(g);
-            h.join();
-        })
-        .expect_err("lost wakeup must be caught");
-        assert!(err.message.contains("deadlock"), "got: {}", err.message);
-    }
-
-    #[test]
-    fn notify_fixes_the_lost_wakeup_model() {
-        let stats = check(Options::default(), || {
-            let pair = Arc::new((Mutex::new(false), Condvar::new()));
-            let pair2 = Arc::clone(&pair);
-            let h = spawn(move || {
-                let (m, cv) = &*pair2;
-                *m.lock() = true;
-                cv.notify_all();
-            });
-            let (m, cv) = &*pair;
-            let mut g = m.lock();
-            while !*g {
-                cv.wait(&mut g);
-            }
-            drop(g);
-            h.join();
-        });
-        assert!(stats.exhausted);
-    }
-
-    #[test]
-    fn timed_wait_fires_and_advances_virtual_time() {
-        let stats = check(Options::default(), || {
-            let start = crate::time::now();
-            let m = Mutex::new(());
-            let cv = Condvar::new();
-            let mut g = m.lock();
-            let r = cv.wait_for(&mut g, Duration::from_millis(250));
-            assert!(r.timed_out(), "nobody notifies: must time out");
-            drop(g);
-            assert!(
-                crate::time::now().duration_since(start) >= Duration::from_millis(250),
-                "virtual clock must advance past the deadline"
-            );
-        });
-        assert!(stats.exhausted);
     }
 
     #[test]
