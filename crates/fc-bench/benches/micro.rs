@@ -14,9 +14,9 @@ use fc_core::paircache::PairCache;
 use fc_core::sb::{chi_squared, PredictScratch};
 use fc_core::signature::{attach_signatures, SignatureConfig, SignatureKind};
 use fc_core::{
-    AbRecommender, AllocationStrategy, CacheManager, EngineConfig, MomentumRecommender,
-    PredictionContext, PredictionEngine, Recommender, Request, SbConfig, SbRecommender,
-    SessionHistory,
+    phase_features, AbRecommender, AllocationStrategy, CacheManager, EngineConfig,
+    MomentumRecommender, PredictionContext, PredictionEngine, Recommender, Request, SbConfig,
+    SbRecommender, SessionHistory,
 };
 use fc_ngram::KneserNey;
 use fc_tiles::{Geometry, Move, Pyramid, PyramidBuilder, PyramidConfig, Tile, TileId, TileStore};
@@ -117,6 +117,9 @@ fn bench_models(c: &mut Criterion) {
     // The dwell-request shape (`DWELL_DISTANCE = 2`): candidates two
     // moves away make AB walk the request tile's move tree.
     let deep = g.candidates(cur.tile, 2);
+    c.bench_function("geometry candidates d = 2", |b| {
+        b.iter(|| g.candidates(black_box(cur.tile), 2))
+    });
     let deep_ctx = PredictionContext {
         candidates: &deep,
         ..ctx
@@ -325,16 +328,19 @@ fn bench_engine_and_cache(c: &mut Criterion) {
     });
 }
 
-/// What a Hello costs before the first byte is served: an engine built
-/// from the dataset's trained models, then its first prediction at the
-/// benchmark's `predict-deep` shape (1365 tiles, four signatures,
-/// candidates two moves out), which is when the engine's pair cache is
-/// allocated.
-fn bench_session_open(c: &mut Criterion) {
+/// Over the benchmark's `ctx32` dataset and its trained models: the
+/// phase classifier's two paths — the SVM, which each (tile, move kind)
+/// meets once per process, and the memo hit every later request takes
+/// — then what a Hello costs before the first byte is served: an engine
+/// built from the models, then its first prediction at the
+/// `predict-deep` shape (1365 tiles, four signatures, candidates two
+/// moves out), which is when the engine's pair cache is allocated.
+fn bench_trained_models(c: &mut Criterion) {
     let ctx = ExpContext::build(1024, 6, 32, 18);
     let train: Vec<_> = ctx.study.traces.iter().collect();
     let (ab, classifier) = (ctx.ab_model(&train, 3), ctx.classifier_for(&train));
     let pyramid = &ctx.dataset.pyramid;
+
     let open = || {
         PredictionEngine::new(
             pyramid.geometry(),
@@ -347,6 +353,19 @@ fn bench_session_open(c: &mut Criterion) {
             },
         )
     };
+
+    let deep_pan = Request::new(TileId::new(5, 17, 9), Some(Move::PanRight));
+    c.bench_function("phase classify (SVM)", |b| {
+        b.iter(|| classifier.predict_features(&phase_features(black_box(&deep_pan), None)))
+    });
+    // An engine binds the memo that every clone shares; one predict
+    // fills the cell.
+    open();
+    classifier.predict(&deep_pan, None);
+    c.bench_function("phase classify (memo hit)", |b| {
+        b.iter(|| classifier.predict(black_box(&deep_pan), None))
+    });
+
     c.bench_function("session open: engine from trained models", |b| b.iter(open));
     c.bench_function("session open + first predict (4 signatures, d = 2)", |b| {
         b.iter(|| {
@@ -420,7 +439,7 @@ criterion_group!(
     bench_sb_distances,
     bench_sb_steady_walk,
     bench_engine_and_cache,
-    bench_session_open,
+    bench_trained_models,
     bench_protocol
 );
 criterion_main!(benches);

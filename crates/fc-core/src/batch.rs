@@ -22,7 +22,7 @@
 //! it merged under 0.3 % of them. `benchmark/src/sut.rs`, which
 //! ordinary changes may not edit, spells `PredictScheduler::new(sb,
 //! pyramid, BatchConfig::default())` and reads `stats().largest_batch`,
-//! so those stay until the benchmark's own change (ROADMAP item 1).
+//! so those stay until the benchmark's own change (ROADMAP item 2(a)).
 
 use crate::paircache::{PairCache, PairCacheStats};
 use crate::sb::{PredictScratch, SbRecommender};

@@ -148,7 +148,8 @@ impl std::fmt::Debug for PredictionEngine {
 }
 
 impl PredictionEngine {
-    /// Builds an engine.
+    /// Builds an engine. A classifier phase source gets its memo bound
+    /// to `geometry`, unless it (or a clone) already has one.
     pub fn new(
         geometry: Geometry,
         ab: AbRecommender,
@@ -156,6 +157,9 @@ impl PredictionEngine {
         phase_source: PhaseSource,
         config: EngineConfig,
     ) -> Self {
+        if let PhaseSource::Classifier(c) = &phase_source {
+            c.memoize(geometry);
+        }
         Self {
             history: SessionHistory::new(config.history_len.max(1)),
             roi: RoiTracker::new(),

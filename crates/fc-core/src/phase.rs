@@ -7,8 +7,10 @@
 use crate::features::{phase_features, NUM_FEATURES};
 use crate::history::Request;
 use fc_ml::{Scaler, SvmClassifier, SvmParams};
+use fc_tiles::{Geometry, TileId};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// The user's current frame of mind while exploring (§4.2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -64,10 +66,95 @@ impl fmt::Display for Phase {
 /// The top-level classifier: a multi-class SVM with an RBF kernel over the
 /// Table-1 feature vector, with min-max scaling fitted on the training
 /// fold (the paper used LibSVM; §4.2.2). Both are immutable once
-/// trained, so a clone — one per session — shares them.
-#[derive(Debug, Clone)]
+/// trained, so a clone — one per session — shares them, and shares the
+/// memo of their answers that the first [`crate::PredictionEngine`]
+/// built over it binds to its geometry.
+#[derive(Clone)]
 pub struct PhaseClassifier {
-    trained: Arc<(Scaler, SvmClassifier)>,
+    trained: Arc<Trained>,
+}
+
+struct Trained {
+    scaler: Scaler,
+    svm: SvmClassifier,
+    memo: OnceLock<PhaseMemo>,
+}
+
+/// Most cells a memo holds (one byte each); a grid larger than this is
+/// memoized from level 0 down to the last level that fits.
+const MEMO_CELLS: usize = 1 << 20;
+
+/// Move kinds a memo cell is keyed by: none (a session's first request,
+/// a jump), pan, zoom in, zoom out — the Table-1 one-hot.
+const MOVE_KINDS: usize = 4;
+
+// Table-1 features are the tile's x, y, level and the move's one-hot,
+// and nothing else: a memo cell keyed by (tile, move kind) holds the
+// whole input. A feature that reads more (the previous request, say)
+// must come with a different key.
+const _: () = assert!(NUM_FEATURES == 6);
+
+/// The classifier's answer per (tile, move kind) over one geometry's
+/// tile grid: 0 while unknown, else the class id + 1. Every fill of a
+/// cell stores the same byte, so relaxed loads and stores suffice.
+struct PhaseMemo {
+    /// Per memoized level: first cell, tile rows, tile columns.
+    levels: Vec<(usize, u32, u32)>,
+    cells: Box<[AtomicU8]>,
+}
+
+impl PhaseMemo {
+    fn new(geometry: Geometry) -> Self {
+        let mut levels = Vec::new();
+        let mut total = 0usize;
+        for level in 0..geometry.levels {
+            let (rows, cols) = geometry.tiles_at(level);
+            let next = (rows as usize)
+                .checked_mul(cols as usize)
+                .and_then(|n| n.checked_mul(MOVE_KINDS))
+                .and_then(|n| n.checked_add(total))
+                .filter(|&n| n <= MEMO_CELLS);
+            let Some(next) = next else { break };
+            levels.push((total, rows, cols));
+            total = next;
+        }
+        Self {
+            levels,
+            cells: (0..total).map(|_| AtomicU8::new(0)).collect(),
+        }
+    }
+
+    /// The cell of `tile` reached by the move whose one-hot is
+    /// `features[3..6]`; `None` off the memoized grid.
+    fn cell(&self, tile: TileId, features: &[f64; NUM_FEATURES]) -> Option<&AtomicU8> {
+        let &(first, rows, cols) = self.levels.get(usize::from(tile.level))?;
+        if tile.y >= rows || tile.x >= cols {
+            return None;
+        }
+        let kind = features[3..]
+            .iter()
+            .position(|&f| f == 1.0)
+            .map_or(0, |i| i + 1);
+        let tile_ix = tile.y as usize * cols as usize + tile.x as usize;
+        self.cells.get(first + tile_ix * MOVE_KINDS + kind)
+    }
+
+    fn filled(&self) -> usize {
+        self.cells
+            .iter()
+            .filter(|c| c.load(Ordering::Relaxed) != 0)
+            .count()
+    }
+}
+
+impl fmt::Debug for PhaseClassifier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let memo = self.trained.memo.get();
+        f.debug_struct("PhaseClassifier")
+            .field("memo_filled", &memo.map_or(0, PhaseMemo::filled))
+            .field("memo_cells", &memo.map_or(0, |m| m.cells.len()))
+            .finish()
+    }
 }
 
 impl PhaseClassifier {
@@ -97,19 +184,53 @@ impl PhaseClassifier {
         let dim = feats.first().map_or(NUM_FEATURES, |f| f.len());
         let svm = SvmClassifier::train(&scaled, label_ids, SvmParams::rbf_default(dim));
         Self {
-            trained: Arc::new((scaler, svm)),
+            trained: Arc::new(Trained {
+                scaler,
+                svm,
+                memo: OnceLock::new(),
+            }),
         }
     }
 
-    /// Predicts the phase for a `(current, previous)` request pair.
-    pub fn predict(&self, r: &Request, prev: Option<&Request>) -> Phase {
-        let f = phase_features(r, prev);
-        Phase::from_index(self.predict_features(&f))
+    /// Binds the memo of [`PhaseClassifier::predict`]'s answers to
+    /// `geometry`'s tile grid, for this classifier and every clone of
+    /// it. The first call binds; later calls — whatever their geometry
+    /// — do nothing. The answer is a function of (tile, move kind)
+    /// alone, so any grid is correct: the bound one only decides which
+    /// tiles are memoized. Cells fill lazily, one SVM evaluation each.
+    pub(crate) fn memoize(&self, geometry: Geometry) {
+        self.trained.memo.get_or_init(|| PhaseMemo::new(geometry));
     }
 
-    /// Predicts a class id from a raw feature vector.
+    /// Predicts the phase for a `(current, previous)` request pair: from
+    /// the memo once this (tile, move kind) has been classified in this
+    /// process, else from the SVM (and then into the memo, when the
+    /// tile is on its grid).
+    pub fn predict(&self, r: &Request, prev: Option<&Request>) -> Phase {
+        let f = phase_features(r, prev);
+        let Some(cell) = self.trained.memo.get().and_then(|m| m.cell(r.tile, &f)) else {
+            return Phase::from_index(self.predict_features(&f));
+        };
+        match cell.load(Ordering::Relaxed) {
+            0 => self.fill(cell, &f),
+            known => Phase::from_index(usize::from(known - 1)),
+        }
+    }
+
+    /// The SVM's answer for `features`, stored in `cell`: once per cell
+    /// and process, so kept out of line of the memo hit.
+    #[cold]
+    fn fill(&self, cell: &AtomicU8, features: &[f64]) -> Phase {
+        let class = self.predict_features(features);
+        let phase = Phase::from_index(class);
+        cell.store(class as u8 + 1, Ordering::Relaxed);
+        phase
+    }
+
+    /// Predicts a class id from a raw feature vector, through the SVM
+    /// (never the memo: the Table-1 ablation feeds other feature sets).
     pub fn predict_features(&self, features: &[f64]) -> usize {
-        let (scaler, svm) = &*self.trained;
+        let Trained { scaler, svm, .. } = &*self.trained;
         svm.predict(&scaler.transform(features))
     }
 }

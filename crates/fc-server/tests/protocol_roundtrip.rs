@@ -4,16 +4,17 @@
 //! survive, and truncating any frame must be rejected, never panic or
 //! mis-decode. And for the frames the server actually sends: a
 //! [`Frame`] with its columns spliced in by reference is, byte for
-//! byte, the reference encoder's frame, however its write is cut up.
+//! byte, the reference encoder's frame, however its write is cut up —
+//! and `read_frame` re-assembles it however the read is cut up.
 
 use bytes::Bytes;
 use fc_array::{Attribute, DenseArray, Dimension, Schema};
-use fc_server::protocol::unframe;
+use fc_server::protocol::{read_frame, unframe};
 use fc_server::server::tile_payload;
 use fc_server::{ClientMsg, ErrorCode, Frame, FrameBuf, ServerMsg, TilePayload};
 use fc_tiles::{Move, Tile, TileId, MOVES};
 use proptest::prelude::*;
-use std::io::{self, IoSlice, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::sync::Arc;
 
 /// All assigned error codes plus the catch-all, for exhaustive cycling.
@@ -122,6 +123,30 @@ impl Write for Scripted {
 
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
+    }
+}
+
+/// A reader that hands out its bytes in the sizes its script says, call
+/// by call (the script repeats): `0` fails with `Interrupted`, `k`
+/// gives up to `k` bytes. Past its last byte it reads 0: end of stream.
+struct ScriptedRead {
+    bytes: Vec<u8>,
+    pos: usize,
+    script: Vec<usize>,
+    calls: usize,
+}
+
+impl Read for ScriptedRead {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let room = self.script[self.calls % self.script.len()];
+        self.calls += 1;
+        if room == 0 {
+            return Err(io::ErrorKind::Interrupted.into());
+        }
+        let n = room.min(buf.len()).min(self.bytes.len() - self.pos);
+        buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
     }
 }
 
@@ -312,6 +337,57 @@ proptest! {
             prop_assert_eq!(pos, frame.len());
             prop_assert_eq!(&writer.out[..], &frame.to_vec()[..]);
         }
+    }
+
+    /// The read side of `write_to_resumes_at_any_byte`: a request frame
+    /// and a tile frame back to back, handed out in arbitrary chunks
+    /// with `Interrupted` between them. `read_frame` returns each body
+    /// whole — so it decodes as the unsplit body does — without taking
+    /// a byte of the next frame, and a stream cut anywhere inside
+    /// either frame (or between them) ends in `UnexpectedEof`.
+    #[test]
+    fn read_frame_reassembles_any_split(
+        h in 0u32..6,
+        w in 0u32..6,
+        nattrs in 0usize..4,
+        seed in any::<u64>(),
+        script in proptest::collection::vec(0usize..300, 1..24),
+        last in 1usize..1200,
+        cut in any::<u64>(),
+    ) {
+        let request = ClientMsg::RequestTile {
+            tile: TileId::new(3, 1, 2),
+            mv: Some(Move::from_index((seed % MOVES.len() as u64) as usize)),
+        };
+        let frames = [request.encode(), tile_msg(3, 1, 2, h, w, nattrs, seed).encode()];
+        let stream: Vec<u8> = frames.iter().flat_map(|f| f.iter().copied()).collect();
+        // The script ends on a call that reads, so it cannot interrupt
+        // forever.
+        let script: Vec<usize> = script.iter().copied().chain([last]).collect();
+        let mut r = ScriptedRead { bytes: stream.clone(), pos: 0, script: script.clone(), calls: 0 };
+
+        let body = read_frame(&mut r).expect("request frame");
+        prop_assert_eq!(r.pos, frames[0].len(), "read past the request frame");
+        prop_assert_eq!(&body[..], &unframe(&frames[0])[..]);
+        prop_assert_eq!(ClientMsg::decode(body).expect("decodes"), request);
+
+        let body = read_frame(&mut r).expect("tile frame");
+        prop_assert_eq!(r.pos, stream.len());
+        prop_assert_eq!(&body[..], &unframe(&frames[1])[..]);
+        assert_reencode_identical(&frames[1], &ServerMsg::decode(body).expect("decodes"));
+        let eof = read_frame(&mut r).expect_err("the stream has ended");
+        prop_assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof);
+
+        // Cut the stream short of its end: every whole frame before the
+        // cut still reads, then the cut frame fails.
+        let cut = (cut % (stream.len() as u64 - 1)) as usize + 1;
+        let mut r = ScriptedRead { bytes: stream[..cut].to_vec(), pos: 0, script, calls: 0 };
+        let whole = usize::from(cut >= frames[0].len());
+        for _ in 0..whole {
+            read_frame(&mut r).expect("a whole frame before the cut");
+        }
+        let eof = read_frame(&mut r).expect_err("the cut frame");
+        prop_assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     /// Truncating any valid frame of any variant at any byte yields a

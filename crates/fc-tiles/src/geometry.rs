@@ -24,15 +24,25 @@ pub struct Geometry {
     pub tile_h: usize,
     /// Tile width in cells.
     pub tile_w: usize,
+    /// Tile grid `(rows, cols)` of the deepest level, from which every
+    /// coarser grid follows by a shift (see [`Geometry::tiles_at`]).
+    deepest: (usize, usize),
 }
 
 impl Geometry {
     /// Creates a geometry.
     ///
     /// # Panics
-    /// Panics on zero levels, tile sizes, or raw dimensions.
+    /// Panics on zero levels, tile sizes, or raw dimensions, and on more
+    /// levels than a `usize` has bits: level 0's aggregation window,
+    /// `2^(levels − 1)`, must fit one.
     pub fn new(levels: u8, raw_h: usize, raw_w: usize, tile_h: usize, tile_w: usize) -> Self {
         assert!(levels >= 1, "need at least one zoom level");
+        assert!(
+            u32::from(levels) <= usize::BITS,
+            "at most {} zoom levels: level 0's aggregation window 2^(levels - 1) must fit a usize",
+            usize::BITS
+        );
         assert!(tile_h >= 1 && tile_w >= 1, "tile size must be positive");
         assert!(raw_h >= 1 && raw_w >= 1, "raw shape must be positive");
         Self {
@@ -41,6 +51,7 @@ impl Geometry {
             raw_w,
             tile_h,
             tile_w,
+            deepest: (raw_h.div_ceil(tile_h), raw_w.div_ceil(tile_w)),
         }
     }
 
@@ -55,12 +66,17 @@ impl Geometry {
         (self.raw_h.div_ceil(w), self.raw_w.div_ceil(w))
     }
 
-    /// Tile-grid dimensions `(rows, cols)` at `level`.
+    /// Tile-grid dimensions `(rows, cols)` at `level`:
+    /// `⌈⌈raw / 2^s⌉ / tile⌉ = ⌈⌈raw / tile⌉ / 2^s⌉` (nested ceilings
+    /// compose), with `s = levels − 1 − level` — a shift of the deepest
+    /// grid instead of four divisions.
     pub fn tiles_at(&self, level: u8) -> (u32, u32) {
-        let (h, w) = self.level_shape(level);
+        let s = self.levels - 1 - level;
+        let ceil_shr = |n: usize| (n >> s) + usize::from(n & ((1usize << s) - 1) != 0);
+        let (rows, cols) = self.deepest;
         (
-            u32::try_from(h.div_ceil(self.tile_h)).expect("tile rows fit u32"),
-            u32::try_from(w.div_ceil(self.tile_w)).expect("tile cols fit u32"),
+            u32::try_from(ceil_shr(rows)).expect("tile rows fit u32"),
+            u32::try_from(ceil_shr(cols)).expect("tile cols fit u32"),
         )
     }
 
@@ -181,6 +197,45 @@ mod tests {
         // level 0 window 4: 75x125 cells → 2x2 tiles
         assert_eq!(g.level_shape(0), (75, 125));
         assert_eq!(g.tiles_at(0), (2, 2));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// The shifted deepest grid is the per-level division formula,
+        /// ragged shapes included.
+        #[test]
+        fn tiles_at_is_the_div_ceil_formula(
+            levels in 1u8..=16,
+            raw_h in 1usize..=4096,
+            raw_w in 1usize..=4096,
+            tile_h in 1usize..=257,
+            tile_w in 1usize..=257,
+        ) {
+            let g = Geometry::new(levels, raw_h, raw_w, tile_h, tile_w);
+            for level in 0..levels {
+                let w = 1usize << (levels - 1 - level);
+                let rows = raw_h.div_ceil(w).div_ceil(tile_h);
+                let cols = raw_w.div_ceil(w).div_ceil(tile_w);
+                proptest::prop_assert_eq!(g.tiles_at(level), (rows as u32, cols as u32));
+            }
+        }
+    }
+
+    #[test]
+    fn sixty_four_levels_reach_a_one_tile_root() {
+        let g = Geometry::new(64, 1024, 1024, 32, 32);
+        assert_eq!(g.agg_window(0), 1 << 63);
+        assert_eq!(g.tiles_at(0), (1, 1));
+        assert_eq!(g.tiles_at(63), (32, 32));
+    }
+
+    /// Past 64 levels, level 0's window `1 << 64` would wrap (release
+    /// masks the shift to `1 << 0`) and hand back the deepest grid.
+    #[test]
+    #[should_panic(expected = "at most 64 zoom levels")]
+    fn more_than_sixty_four_levels_are_rejected() {
+        Geometry::new(65, 1024, 1024, 32, 32);
     }
 
     #[test]
