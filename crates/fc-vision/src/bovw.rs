@@ -32,6 +32,11 @@ impl Vocabulary {
         self.codebook.k()
     }
 
+    /// The visual words (the fitted k-means centroids).
+    pub fn centroids(&self) -> &[Vec<f64>] {
+        self.codebook.centroids()
+    }
+
     /// Normalized histogram of `descriptors` over the visual words — the
     /// per-tile SIFT/denseSIFT signature. Empty input → zero histogram
     /// (a featureless tile).
