@@ -18,9 +18,12 @@ use fc_core::{
     MomentumRecommender, PredictionContext, PredictionEngine, Recommender, Request, SbConfig,
     SbRecommender, SessionHistory,
 };
+use fc_ml::KMeans;
 use fc_ngram::KneserNey;
 use fc_tiles::{Geometry, Move, Pyramid, PyramidBuilder, PyramidConfig, Tile, TileId, TileStore};
-use fc_vision::{dense_descriptors, detect_keypoints, DetectorParams, GrayImage};
+use fc_vision::{
+    dense_descriptors, detect_keypoints, DetectorParams, GradientField, GrayImage, DESCRIPTOR_DIM,
+};
 use std::sync::Arc;
 
 fn base_array(side: usize) -> DenseArray {
@@ -74,6 +77,47 @@ fn bench_vision(c: &mut Criterion) {
     });
     c.bench_function("dense descriptors 64x64 step 8", |b| {
         b.iter(|| dense_descriptors(black_box(&img), 8, 6.0))
+    });
+    // The benchmark's tiles are 32²: per tile, `attach_signatures` runs
+    // one detection (15 blurs) and one gradient field.
+    let tile = GrayImage::new(
+        32,
+        32,
+        (0..32 * 32)
+            .map(|i| (i as f64 * 0.11).sin().abs())
+            .collect(),
+    );
+    c.bench_function("sift detect 32x32", |b| {
+        b.iter(|| detect_keypoints(black_box(&tile), &DetectorParams::default()))
+    });
+    c.bench_function("gradient field 32x32", |b| {
+        b.iter(|| GradientField::new(black_box(&tile)))
+    });
+}
+
+/// The vocabulary fit at the benchmark's shape (16 words of 128-d
+/// descriptors, 30 Lloyd iterations) on 4,096 synthetic unit-norm
+/// descriptors. Under `FC_FORCE_SCALAR=1` every assignment runs the
+/// exact kernel; at `avx2` with FMA the certified filter decides.
+fn bench_kmeans(c: &mut Criterion) {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let data: Vec<Vec<f64>> = (0..4096)
+        .map(|_| {
+            let mut d: Vec<f64> = (0..DESCRIPTOR_DIM)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state % 1000) as f64 / 1000.0
+                })
+                .collect();
+            let n = d.iter().map(|v| v * v).sum::<f64>().sqrt();
+            d.iter_mut().for_each(|v| *v /= n);
+            d
+        })
+        .collect();
+    c.bench_function("k-means fit 4096 × 128-d, 16 words", |b| {
+        b.iter(|| KMeans::fit(black_box(&data), 16, 30, 7))
     });
 }
 
@@ -435,6 +479,7 @@ criterion_group!(
     benches,
     bench_array_ops,
     bench_vision,
+    bench_kmeans,
     bench_models,
     bench_sb_distances,
     bench_sb_steady_walk,

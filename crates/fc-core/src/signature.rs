@@ -152,9 +152,20 @@ pub fn tile_image(tile: &Tile, attr: &str, domain: (f64, f64)) -> GrayImage {
     GrayImage::new(w, h, raster)
 }
 
+/// Fills `out` with the tile's finite values of `attr`: a NaN or ±inf
+/// counts as a missing cell in every signature, as it does in
+/// [`tile_image`]. An unknown attribute leaves `out` empty.
+fn signature_values(tile: &Tile, attr: &str, out: &mut Vec<f64>) {
+    if tile.present_values_into(attr, out).is_err() {
+        out.clear();
+    }
+    out.retain(|v| v.is_finite());
+}
+
 /// Computes the [`SignatureKind::NormalDist`] vector: `[mean, std]`.
 pub fn normal_signature(tile: &Tile, attr: &str) -> Vec<f64> {
-    let vals = tile.present_values(attr).unwrap_or_default();
+    let mut vals = Vec::new();
+    signature_values(tile, attr, &mut vals);
     normal_signature_from(&vals)
 }
 
@@ -166,7 +177,8 @@ fn normal_signature_from(vals: &[f64]) -> Vec<f64> {
 /// Computes the [`SignatureKind::Hist1D`] vector: a normalized
 /// `bins`-bucket histogram of attribute values over `domain`.
 pub fn hist_signature(tile: &Tile, attr: &str, domain: (f64, f64), bins: usize) -> Vec<f64> {
-    let vals = tile.present_values(attr).unwrap_or_default();
+    let mut vals = Vec::new();
+    signature_values(tile, attr, &mut vals);
     hist_signature_from(&vals, domain, bins)
 }
 
@@ -240,9 +252,7 @@ pub fn attach_signatures(
         let Some(tile) = store.fetch_offline(id) else {
             continue;
         };
-        if tile.present_values_into(&cfg.attr, &mut vals).is_err() {
-            vals.clear();
-        }
+        signature_values(&tile, &cfg.attr, &mut vals);
         let img = tile_image(&tile, &cfg.attr, cfg.domain);
         // One gradient field per tile, shared by both vision
         // signatures (the seed ran the gradient pass — and the
@@ -375,6 +385,34 @@ mod tests {
         }
         // I/O stats untouched: signature work is offline.
         assert_eq!(pyramid.store().io_stats().reads, 0);
+    }
+
+    #[test]
+    fn one_nan_cell_is_a_missing_cell_to_the_signature_pass() {
+        // The textured base of `golden_datapath`, one present cell NaN;
+        // every coarser level's average over it is NaN too.
+        let schema = Schema::grid2d("B", 64, 64, &["v"]).unwrap();
+        let mut data: Vec<f64> = (0..64 * 64)
+            .map(|i| ((i as f64 * 0.37).sin().abs() + (i % 64) as f64 / 64.0) / 2.0)
+            .collect();
+        data[21 * 64 + 37] = f64::NAN;
+        let base = DenseArray::from_vec(schema, data).unwrap();
+        let pyramid = PyramidBuilder::new()
+            .build(&base, &PyramidConfig::simple(3, 16, &["v"]))
+            .unwrap();
+        let mut cfg = SignatureConfig::ndsi("v");
+        cfg.domain = (0.0, 1.0);
+        attach_signatures(&pyramid, &cfg);
+        for id in pyramid.geometry().all_tiles() {
+            for kind in SIGNATURE_KINDS {
+                let v = pyramid.store().meta_vec(id, kind.meta_name()).unwrap();
+                assert!(
+                    v.iter().all(|x| x.is_finite()),
+                    "{} on {id}: {v:?}",
+                    kind.meta_name()
+                );
+            }
+        }
     }
 
     #[test]

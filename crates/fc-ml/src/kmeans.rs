@@ -7,14 +7,15 @@
 //!
 //! The two nearest-centroid hot loops — Lloyd assignment inside
 //! [`KMeans::fit`] and the per-point quantization behind
-//! [`KMeans::histogram`] — run on [`fc_simd::nearest_groups4`] over a
-//! group-major transposed copy of the centroids (4 centroids per SIMD
-//! group). The kernel preserves the scalar accumulation order per
-//! centroid and the strict first-minimum-wins tie rule, so fitted models
-//! and assignments are **bit-identical** to the scalar path at every
-//! dispatch level. The k-means++ seeding pass stays scalar (it mixes
-//! distance updates with RNG draws and runs once).
+//! [`KMeans::histogram`] — run on [`fc_simd::Codebook::nearest`], which
+//! returns exactly the index of the scalar `Σ (x−c)²` scan with its
+//! strict first-minimum-wins tie rule (certified from dot products where
+//! an error bound allows, the exact kernel everywhere else). Fitted
+//! models and assignments are therefore **bit-identical** to the scalar
+//! path at every dispatch level. The k-means++ seeding pass stays scalar
+//! (it mixes distance updates with RNG draws and runs once).
 
+use fc_simd::Codebook;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,6 +23,8 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone, PartialEq)]
 pub struct KMeans {
     centroids: Vec<Vec<f64>>,
+    /// `centroids` laid out for [`KMeans::histogram`]'s search.
+    codebook: Codebook,
 }
 
 impl KMeans {
@@ -30,7 +33,8 @@ impl KMeans {
     /// `k` points, the number of clusters is reduced to `data.len()`.
     ///
     /// # Panics
-    /// Panics on empty data, `k == 0`, or inconsistent arity.
+    /// Panics on empty data, `k == 0`, inconsistent arity, or a point
+    /// with a NaN or infinite coordinate (the message names its index).
     pub fn fit(data: &[Vec<f64>], k: usize, max_iters: usize, seed: u64) -> Self {
         assert!(!data.is_empty(), "k-means needs data");
         assert!(k > 0, "k must be positive");
@@ -39,6 +43,9 @@ impl KMeans {
             data.iter().all(|d| d.len() == dim),
             "inconsistent point arity"
         );
+        if let Some(i) = data.iter().position(|p| !p.iter().all(|v| v.is_finite())) {
+            panic!("k-means point {i} has a non-finite coordinate");
+        }
         let k = k.min(data.len());
         let mut rng = StdRng::seed_from_u64(seed);
 
@@ -71,30 +78,33 @@ impl KMeans {
         }
 
         // Lloyd iterations. Centroids only move between iterations, so
-        // each iteration transposes them once and streams every point
-        // through the SIMD nearest-centroid kernel.
+        // each iteration lays them out once and streams every point
+        // through the nearest-centroid search, adding it to its
+        // cluster's sum in the same pass: each sum still runs in point
+        // order, as a separate pass would add them.
         let level = fc_simd::active_level();
+        let norms: Vec<f64> = data.iter().map(|p| fc_simd::norm(p)).collect();
         let mut assignment = vec![0usize; data.len()];
+        let mut sums = vec![vec![0.0f64; dim]; k];
+        let mut counts = vec![0usize; k];
         for _ in 0..max_iters {
-            let tposed = transpose_groups(&centroids, dim);
+            let codebook = Codebook::new(&centroids);
+            sums.iter_mut().for_each(|s| s.fill(0.0));
+            counts.fill(0);
             let mut changed = false;
             for (i, p) in data.iter().enumerate() {
-                let best = fc_simd::nearest_groups4(level, p, &tposed, centroids.len()).0;
+                let best = codebook.nearest(level, p, norms[i]);
                 if best != assignment[i] {
                     assignment[i] = best;
                     changed = true;
                 }
+                counts[best] += 1;
+                for (s, &v) in sums[best].iter_mut().zip(p) {
+                    *s += v;
+                }
             }
             if !changed {
                 break;
-            }
-            let mut sums = vec![vec![0.0f64; dim]; centroids.len()];
-            let mut counts = vec![0usize; centroids.len()];
-            for (p, &a) in data.iter().zip(&assignment) {
-                counts[a] += 1;
-                for (s, &v) in sums[a].iter_mut().zip(p) {
-                    *s += v;
-                }
             }
             for (c, (sum, &count)) in centroids.iter_mut().zip(sums.iter().zip(&counts)) {
                 if count > 0 {
@@ -105,7 +115,10 @@ impl KMeans {
                 // Empty clusters keep their previous centroid.
             }
         }
-        Self { centroids }
+        Self {
+            codebook: Codebook::new(&centroids),
+            centroids,
+        }
     }
 
     /// Index of the nearest centroid.
@@ -133,12 +146,11 @@ impl KMeans {
         }
         let level = fc_simd::active_level();
         let dim = self.centroids[0].len();
-        let tposed = transpose_groups(&self.centroids, dim);
         for p in points {
             // Arity-mismatched points keep the scalar path so the
             // truncating-zip semantics of `sq_dist` are preserved.
             let best = if p.len() == dim {
-                fc_simd::nearest_groups4(level, p, &tposed, self.k()).0
+                self.codebook.nearest(level, p, fc_simd::norm(p))
             } else {
                 nearest(&self.centroids, p).0
             };
@@ -152,22 +164,6 @@ impl KMeans {
         }
         h
     }
-}
-
-/// Packs centroids into the group-major layout of
-/// [`fc_simd::nearest_groups4`]: `tposed[(g*dim + j)*4 + lane]` holds
-/// coordinate `j` of centroid `4g + lane`, zero-padded in the last
-/// group.
-fn transpose_groups(centroids: &[Vec<f64>], dim: usize) -> Vec<f64> {
-    let ngroups = centroids.len().div_ceil(4);
-    let mut t = vec![0.0f64; ngroups * dim * 4];
-    for (ci, c) in centroids.iter().enumerate() {
-        let (g, lane) = (ci / 4, ci % 4);
-        for (j, &v) in c.iter().enumerate() {
-            t[(g * dim + j) * 4 + lane] = v;
-        }
-    }
-    t
 }
 
 fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
@@ -249,6 +245,13 @@ mod tests {
         let data = vec![vec![1.0, 1.0]; 20];
         let km = KMeans::fit(&data, 4, 10, 9);
         assert_eq!(km.assign(&[1.0, 1.0]), km.assign(&[1.0, 1.0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "k-means point 2 has a non-finite coordinate")]
+    fn non_finite_point_is_rejected_by_index() {
+        let data = vec![vec![0.0, 1.0], vec![1.0, 0.0], vec![f64::NAN, 0.5]];
+        KMeans::fit(&data, 2, 10, 3);
     }
 
     /// The seed's fully-scalar fit, kept verbatim as the bit-identity

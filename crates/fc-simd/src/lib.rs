@@ -12,6 +12,13 @@
 //! variants may partition work differently, but the returned value is
 //! still bitwise equal.
 //!
+//! One entry meets the contract at its output instead of per lane:
+//! [`Codebook::nearest`] may decide the nearest centroid from dot
+//! products (AVX2 with FMA), but only when a stated error bound proves
+//! that the exact kernel would return the same index; otherwise it runs
+//! the exact kernel. The index it returns is the exact kernel's at
+//! every level.
+//!
 //! # Dispatch rules
 //!
 //! * [`active_level`] resolves the process-wide default once: the best
@@ -83,6 +90,23 @@ fn detected_max() -> SimdLevel {
         #[cfg(not(target_arch = "x86_64"))]
         {
             SimdLevel::Scalar
+        }
+    })
+}
+
+/// Whether the CPU has FMA (cached after first probe). Only the
+/// certified nearest-centroid filter uses it; no kernel whose lanes
+/// must match the scalar reference does.
+fn fma_detected() -> bool {
+    static FMA: OnceLock<bool> = OnceLock::new();
+    *FMA.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            std::arch::is_x86_feature_detected!("fma")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
         }
     })
 }
@@ -258,9 +282,29 @@ fn conv_valid_scalar(padded: &[f64], taps: &[f64], out: &mut [f64]) {
     }
 }
 
-fn axpy_scalar(a: f64, x: &[f64], y: &mut [f64]) {
-    for (yv, &xv) in y.iter_mut().zip(x) {
-        *yv += a * xv;
+/// Source row of output row `y`'s tap `i`: `clamp(y + i − radius)`.
+#[inline(always)]
+fn clamped_row(y: usize, i: usize, radius: usize, height: usize) -> usize {
+    (y + i).saturating_sub(radius).min(height - 1)
+}
+
+/// One output element of [`conv_columns`]: the tap-order chain from
+/// `+0.0` down column `x` around row `y`.
+#[inline(always)]
+fn column_chain(src: &[f64], width: usize, taps: &[f64], y: usize, x: usize) -> f64 {
+    let (height, radius) = (src.len() / width, taps.len() / 2);
+    let mut acc = 0.0f64;
+    for (i, &t) in taps.iter().enumerate() {
+        acc += t * src[clamped_row(y, i, radius, height) * width + x];
+    }
+    acc
+}
+
+fn conv_columns_scalar(src: &[f64], width: usize, taps: &[f64], out: &mut [f64]) {
+    for (y, orow) in out.chunks_exact_mut(width).enumerate() {
+        for (x, o) in orow.iter_mut().enumerate() {
+            *o = column_chain(src, width, taps, y, x);
+        }
     }
 }
 
@@ -424,21 +468,30 @@ pub fn conv_valid(level: SimdLevel, padded: &[f64], taps: &[f64], out: &mut [f64
     }
 }
 
-/// `y[i] += a · x[i]` over `min(x.len(), y.len())` elements — the
-/// vertical Gaussian pass accumulates one scaled source row at a time
-/// with this, preserving the tap-order accumulation of the scalar
-/// reference.
-pub fn axpy(level: SimdLevel, a: f64, x: &[f64], y: &mut [f64]) {
-    let n = x.len().min(y.len());
-    let (x, y) = (&x[..n], &mut y[..n]);
+/// Column convolution with clamp-to-edge rows over a row-major image of
+/// `width` columns — the separable Gaussian's vertical pass:
+/// `out[y·w + x] = Σ_i taps[i] · src[clamp(y + i − r, 0, h − 1)·w + x]`
+/// with `r = taps.len() / 2` and `h = src.len() / w`. Each element is
+/// accumulated from `+0.0` in tap order, a multiply then an add (no
+/// FMA): `((0 + k₀·t₀) + k₁·t₁) + …`. Lane-for-lane identical across
+/// levels.
+///
+/// # Panics
+/// Panics when `width == 0`, `src.len()` is not a multiple of `width`,
+/// or `out.len() != src.len()`.
+pub fn conv_columns(level: SimdLevel, src: &[f64], width: usize, taps: &[f64], out: &mut [f64]) {
+    assert!(
+        width > 0 && src.len().is_multiple_of(width) && out.len() == src.len(),
+        "conv_columns: src and out must be the same whole rows"
+    );
     match clamp_level(level) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline; `x` and `y` are pre-trimmed to equal length.
-        SimdLevel::Sse2 => unsafe { x86::axpy_sse2(a, x, y) },
+        // SAFETY: SSE2 is the x86-64 baseline; `src` and `out` are the same whole rows of `width > 0` (asserted above).
+        SimdLevel::Sse2 => unsafe { x86::conv_columns_sse2(src, width, taps, out) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_level` returns `Avx2` only when runtime-detected; `x` and `y` are pre-trimmed to equal length.
-        SimdLevel::Avx2 => unsafe { x86::axpy_avx2(a, x, y) },
-        _ => axpy_scalar(a, x, y),
+        // SAFETY: `clamp_level` returns `Avx2` only when runtime-detected; `src` and `out` are the same whole rows of `width > 0` (asserted above).
+        SimdLevel::Avx2 => unsafe { x86::conv_columns_avx2(src, width, taps, out) },
+        _ => conv_columns_scalar(src, width, taps, out),
     }
 }
 
@@ -485,19 +538,20 @@ pub fn magnitude(level: SimdLevel, gx: &[f64], gy: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Nearest centroid over a group-major transposed codebook — the
-/// k-means assignment kernel. `tposed` holds `⌈k/4⌉` groups of four
+/// Nearest centroid over a group-major transposed codebook — the exact
+/// k-means assignment kernel, and the fallback and oracle of
+/// [`Codebook::nearest`]. `tposed` holds `⌈k/4⌉` groups of four
 /// centroids each, laid out `[group][dimension][lane]` with padded
 /// lanes zero-filled; `p` must have the codebook dimensionality.
 /// Returns `(index, squared distance)` with the scalar tie-break:
 /// strictly smaller distance wins, first index on ties. Per-centroid
 /// accumulation runs in dimension order, so distances are bit-identical
-/// to the scalar `Σ (x−y)²` fold. Finite inputs only (a NaN distance
-/// never wins a comparison and is skipped).
+/// to the scalar `Σ (x−y)²` fold. A NaN distance never wins a
+/// comparison and is skipped.
 ///
 /// # Panics
 /// Panics when `tposed.len() < ⌈k/4⌉ · p.len() · 4` or `k == 0`.
-pub fn nearest_groups4(level: SimdLevel, p: &[f64], tposed: &[f64], k: usize) -> (usize, f64) {
+fn nearest_groups4(level: SimdLevel, p: &[f64], tposed: &[f64], k: usize) -> (usize, f64) {
     assert!(k > 0, "nearest_groups4: empty codebook");
     assert!(
         tposed.len() >= k.div_ceil(4) * p.len() * 4,
@@ -511,6 +565,162 @@ pub fn nearest_groups4(level: SimdLevel, p: &[f64], tposed: &[f64], k: usize) ->
         // SAFETY: `clamp_level` returns `Avx2` only when runtime-detected; `tposed.len() >= (k/4 rounded up)*p.len()*4` (asserted above).
         SimdLevel::Avx2 => unsafe { x86::nearest_groups4_avx2(p, tposed, k) },
         _ => nearest_groups4_scalar(p, tposed, k),
+    }
+}
+
+/// `‖p‖`: the square root of `Σ x²`, summed in four interleaved chains.
+/// This is the norm [`Codebook::nearest`] expects; its error bound
+/// allows any summation order.
+pub fn norm(p: &[f64]) -> f64 {
+    let mut acc = [0.0f64; 4];
+    let chunks = p.chunks_exact(4);
+    let tail = chunks.remainder();
+    for c in chunks {
+        for (a, &x) in acc.iter_mut().zip(c) {
+            *a += x * x;
+        }
+    }
+    for (a, &x) in acc.iter_mut().zip(tail) {
+        *a += x * x;
+    }
+    ((acc[0] + acc[1]) + (acc[2] + acc[3])).sqrt()
+}
+
+/// `s = ‖p‖ + max ‖c‖` must lie in `[CERT_MIN, CERT_MAX)` for the
+/// certified path. Below, the absolute error of underflowed products
+/// and norms is no longer small against the relative bound; above,
+/// `s²` and the sums it bounds could overflow. NaN and ±inf fail the
+/// test too. Real descriptors sit near `s = 2`.
+const CERT_MIN: f64 = f64::from_bits((1023 - 300) << 52);
+const CERT_MAX: f64 = f64::from_bits((1023 + 500) << 52);
+
+/// A k-means codebook laid out for nearest-centroid search: the
+/// centroids transposed group-major (the layout of the exact kernel,
+/// `[group][dimension][lane]`, four centroids per group, padded lanes
+/// zero), each centroid's `‖c‖²` (`+inf` in padded lanes), and
+/// `max ‖c‖`. Build it once per set of centroids (a Lloyd iteration, a
+/// fitted model) and query it per point with [`Codebook::nearest`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Codebook {
+    k: usize,
+    dim: usize,
+    tposed: Vec<f64>,
+    norm2: Vec<f64>,
+    max_norm: f64,
+    /// `γ_{dim+2}·(1 + 2⁻¹⁰)`: the certificate's error bound per unit
+    /// of `(‖p‖ + max ‖c‖)²` (see [`Codebook::nearest`]).
+    err_scale: f64,
+}
+
+impl Codebook {
+    /// Lays out `centroids` (all of one dimensionality).
+    ///
+    /// # Panics
+    /// Panics when `centroids` is empty or their lengths differ.
+    pub fn new(centroids: &[Vec<f64>]) -> Self {
+        assert!(!centroids.is_empty(), "Codebook: no centroids");
+        let (k, dim) = (centroids.len(), centroids[0].len());
+        assert!(
+            centroids.iter().all(|c| c.len() == dim),
+            "Codebook: centroids differ in dimensionality"
+        );
+        let ngroups = k.div_ceil(4);
+        let mut tposed = vec![0.0f64; ngroups * dim * 4];
+        // Padded lanes score `+inf` in the certified filter.
+        let mut norm2 = vec![f64::INFINITY; ngroups * 4];
+        for (ci, c) in centroids.iter().enumerate() {
+            let (g, lane) = (ci / 4, ci % 4);
+            for (j, &v) in c.iter().enumerate() {
+                tposed[(g * dim + j) * 4 + lane] = v;
+            }
+            norm2[ci] = c.iter().map(|v| v * v).sum();
+        }
+        // NaN-propagating max: a NaN or infinite centroid makes every
+        // query take the exact kernel.
+        let max2 = norm2[..k]
+            .iter()
+            .fold(0.0f64, |m, &n| if n > m || n.is_nan() { n } else { m });
+        // γ_m = m·u / (1 − m·u), u = 2⁻⁵³. Past m·u ≈ 2⁻¹² the 2⁻¹⁰
+        // inflation would no longer cover the bound's own rounding, so
+        // such codebooks (dim ≳ 2⁴⁰, never allocatable) never certify.
+        let mu = (dim + 2) as f64 * (f64::EPSILON / 2.0);
+        let gamma = mu / (1.0 - mu);
+        let err_scale = if gamma < 1.0 / 4096.0 {
+            gamma * (1.0 + 1.0 / 1024.0)
+        } else {
+            f64::INFINITY
+        };
+        Self {
+            k,
+            dim,
+            tposed,
+            norm2,
+            max_norm: max2.sqrt(),
+            err_scale,
+        }
+    }
+
+    /// Index of the nearest centroid to `p`, where `p_norm` is
+    /// [`norm`]`(p)` (any larger value is also sound, only slower).
+    /// Returns exactly `nearest_groups4(level, p, ..).0` — the
+    /// strict-first-minimum of the sequential `Σ fl((x − c)²)` — at
+    /// every dispatch level, for every input.
+    ///
+    /// On AVX2 with FMA it first scores every word by
+    /// `a_c = ‖c‖² − 2·(p·c)` (FMA, any summation order) and accepts the
+    /// minimum `b` only if every other word has `a_c − a_b > 4E`, with
+    /// `E = γ_{dim+2}·(‖p‖ + max ‖c‖)²`. Why that suffices, with
+    /// `D_c = ‖p − c‖²` exact and `S = (‖p‖ + max‖c‖)² ≥ D_c`:
+    ///
+    /// * the exact kernel's `D̂_c` takes 3 roundings per term and
+    ///   `dim − 1` in the sum, so `|D̂_c − D_c| ≤ γ_{dim+2}·D_c ≤ E`;
+    /// * `a_c` is `‖c‖²` and `p·c` (each within `γ_dim` of their
+    ///   absolute sums) and one subtraction, and `D_c = ‖p‖² + A_c`
+    ///   for the exact `A_c`, so `|a_c − A_c| ≤ γ_{dim+1}·S ≤ E`;
+    /// * hence `D̂_c − D̂_b ≥ (a_c − a_b) − 4E > 0`: `b` is the exact
+    ///   kernel's strict minimum, so also its first minimum.
+    ///
+    /// `E` is inflated by `2⁻¹⁰` to cover its own rounding, the rounding
+    /// of the `a_c − a_b > 4E` test and of `p_norm` and `max ‖c‖`. The
+    /// bound is relative, so `s = ‖p‖ + max‖c‖` must lie in
+    /// `[2⁻³⁰⁰, 2⁵⁰⁰)`, where underflow's absolute error is far below
+    /// `E` and nothing overflows.
+    ///
+    /// Everything else runs the exact kernel: near-ties and duplicate
+    /// words (no margin), NaN or ±inf anywhere (the tests are false), an
+    /// `s` out of range, `p.len() != dim`, and the scalar, SSE2 and
+    /// FMA-less AVX2 levels.
+    pub fn nearest(&self, level: SimdLevel, p: &[f64], p_norm: f64) -> usize {
+        debug_assert!(
+            p_norm.partial_cmp(&norm(p)) != Some(std::cmp::Ordering::Less),
+            "p_norm below norm(p)"
+        );
+        self.certified(level, p, p_norm)
+            .unwrap_or_else(|| nearest_groups4(level, p, &self.tposed, self.k).0)
+    }
+
+    /// The dot-product filter of [`Codebook::nearest`]: `Some(index)`
+    /// when the margin certifies it, `None` when the exact kernel must
+    /// decide.
+    #[cfg(target_arch = "x86_64")]
+    fn certified(&self, level: SimdLevel, p: &[f64], p_norm: f64) -> Option<usize> {
+        if clamp_level(level) != SimdLevel::Avx2 || !fma_detected() || p.len() != self.dim {
+            return None;
+        }
+        let s = p_norm + self.max_norm;
+        if !(CERT_MIN..CERT_MAX).contains(&s) {
+            return None;
+        }
+        let margin = 4.0 * (self.err_scale * s * s);
+        // SAFETY: AVX2 (clamped above) and FMA are runtime-detected;
+        // `p.len() == dim`, and `new` sized `tposed` to `⌈k/4⌉·dim·4`
+        // and `norm2` to `⌈k/4⌉·4`.
+        unsafe { x86::nearest_certified_avx2_fma(p, &self.tposed, &self.norm2, self.k, margin) }
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn certified(&self, _level: SimdLevel, _p: &[f64], _p_norm: f64) -> Option<usize> {
+        None
     }
 }
 
@@ -643,8 +853,62 @@ mod tests {
         }
     }
 
+    /// The vertical pass as it was written before `conv_columns`: one
+    /// scaled source row accumulated into each output row per tap.
+    fn per_tap_columns(src: &[f64], width: usize, taps: &[f64]) -> Vec<f64> {
+        let height = src.len() / width;
+        let mut out = vec![0.0f64; src.len()];
+        for (y, orow) in out.chunks_exact_mut(width).enumerate() {
+            for (i, &t) in taps.iter().enumerate() {
+                let yi = clamped_row(y, i, taps.len() / 2, height);
+                for (o, &s) in orow.iter_mut().zip(&src[yi * width..(yi + 1) * width]) {
+                    *o += t * s;
+                }
+            }
+        }
+        out
+    }
+
     #[test]
-    fn conv_axpy_diff_magnitude_levels_agree_bitwise() {
+    fn conv_columns_levels_agree_bitwise_with_the_per_tap_chain() {
+        // Widths around every vector step (2, 4, 8, 16), heights below
+        // and above the tap radius, a −0.0 product (0 + −0 = +0 must
+        // survive) and NaN/±inf pixels.
+        for width in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33] {
+            for height in [1usize, 2, 5, 12] {
+                for taps_n in [1usize, 3, 7, 21] {
+                    let n = width * height;
+                    let src = vec_with(
+                        61 + width as u64,
+                        n,
+                        &[
+                            (1, -0.0),
+                            (3, f64::NAN),
+                            (n / 2, f64::INFINITY),
+                            (n - 1, -2.5),
+                        ],
+                    );
+                    let mut taps = vec_with(62, taps_n, &[]);
+                    taps[0] = -taps[0];
+                    let want = per_tap_columns(&src, width, &taps);
+                    for level in available_levels() {
+                        let mut out = vec![1.0; n];
+                        conv_columns(level, &src, width, &taps, &mut out);
+                        for (i, (a, b)) in out.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                bits(*a),
+                                bits(*b),
+                                "{level:?} {width}x{height} taps={taps_n} at {i}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conv_diff_magnitude_levels_agree_bitwise() {
         for n in [1usize, 2, 3, 4, 5, 9, 31, 64] {
             for taps_n in [1usize, 3, 7, 11] {
                 let padded = vec_with(41, n + taps_n - 1, &[]);
@@ -660,23 +924,17 @@ mod tests {
                 }
             }
             let x = vec_with(43, n, &[]);
-            let y0 = vec_with(44, n, &[]);
             let gx = vec_with(45, n, &[(0, -0.25)]);
-            let mut ref_y = y0.clone();
-            axpy(SimdLevel::Scalar, 0.37, &x, &mut ref_y);
             let mut ref_d = vec![0.0; n];
             halved_diff(SimdLevel::Scalar, &x, &gx, &mut ref_d);
             let mut ref_m = vec![0.0; n];
             magnitude(SimdLevel::Scalar, &gx, &x, &mut ref_m);
             for level in available_levels() {
-                let mut y = y0.clone();
-                axpy(level, 0.37, &x, &mut y);
                 let mut d = vec![0.0; n];
                 halved_diff(level, &x, &gx, &mut d);
                 let mut mg = vec![0.0; n];
                 magnitude(level, &gx, &x, &mut mg);
                 for i in 0..n {
-                    assert_eq!(bits(y[i]), bits(ref_y[i]), "axpy {level:?}");
                     assert_eq!(bits(d[i]), bits(ref_d[i]), "diff {level:?}");
                     assert_eq!(bits(mg[i]), bits(ref_m[i]), "mag {level:?}");
                 }
@@ -684,26 +942,11 @@ mod tests {
         }
     }
 
-    /// Packs `k` centroids of dimension `dim` into the group-major
-    /// transposed layout (zero-padded lanes).
-    fn transpose_groups(cents: &[Vec<f64>], dim: usize) -> Vec<f64> {
-        let k = cents.len();
-        let ngroups = k.div_ceil(4);
-        let mut t = vec![0.0f64; ngroups * dim * 4];
-        for (ci, c) in cents.iter().enumerate() {
-            let (g, lane) = (ci / 4, ci % 4);
-            for j in 0..dim {
-                t[g * dim * 4 + j * 4 + lane] = c[j];
-            }
-        }
-        t
-    }
-
     #[test]
     fn nearest_groups4_matches_naive_and_ties_first() {
         for (k, dim) in [(1usize, 3usize), (3, 8), (4, 16), (5, 1), (9, 7), (16, 128)] {
             let cents: Vec<Vec<f64>> = (0..k).map(|c| vec_with(50 + c as u64, dim, &[])).collect();
-            let t = transpose_groups(&cents, dim);
+            let t = Codebook::new(&cents).tposed;
             let p = vec_with(99, dim, &[]);
             // Naive scalar reference with the first-wins tie-break.
             let naive = cents
@@ -729,9 +972,194 @@ mod tests {
         // Exact ties: duplicate centroids — the first index must win at
         // every level.
         let cents = vec![vec![0.5, 0.5], vec![0.5, 0.5], vec![0.9, 0.1]];
-        let t = transpose_groups(&cents, 2);
+        let t = Codebook::new(&cents).tposed;
         for level in available_levels() {
             assert_eq!(nearest_groups4(level, &[0.5, 0.5], &t, 3).0, 0);
+        }
+    }
+
+    /// How a [`codebook_case`] bends its random codebook and point.
+    #[derive(Debug, Clone, Copy)]
+    enum Bend {
+        /// Left as drawn: the margin should certify.
+        None,
+        /// The point sits on a word that is listed twice.
+        Duplicate,
+        /// The point is exactly midway between two words (dyadic
+        /// coordinates, so the midpoint is representable).
+        Midway,
+        /// A NaN, +inf or −inf coordinate in the point.
+        PointSpecial(f64),
+        /// A NaN, +inf or −inf coordinate in one word.
+        WordSpecial(f64),
+    }
+
+    /// `k` words of dimension `dim` with dyadic coordinates in
+    /// `[0, 1)·scale`, and a point, bent as `bend` says. The flag says
+    /// whether the case is built to tie (or to score NaN/±inf), so the
+    /// certificate must refuse it.
+    fn codebook_case(
+        seed: u64,
+        k: usize,
+        dim: usize,
+        scale: f64,
+        bend: Bend,
+    ) -> (Vec<Vec<f64>>, Vec<f64>, bool) {
+        let dyadic = |s: u64| -> Vec<f64> {
+            vec_with(s, dim, &[])
+                .into_iter()
+                .map(|v| (v * 1024.0).floor() / 1024.0 * scale)
+                .collect()
+        };
+        let mut words: Vec<Vec<f64>> = (0..k)
+            .map(|c| dyadic(seed ^ ((c as u64 + 1) << 8)))
+            .collect();
+        let mut p = dyadic(seed ^ 0xABCD);
+        let a = (seed as usize) % k;
+        let sq =
+            |x: &[f64], y: &[f64]| -> f64 { x.iter().zip(y).map(|(u, v)| (u - v) * (u - v)).sum() };
+        match bend {
+            // Duplicate and midway need two words; with one there is
+            // nothing to tie, so the case stays a plain one.
+            Bend::None | Bend::Duplicate | Bend::Midway if k == 1 => (words, p, false),
+            Bend::None => (words, p, false),
+            Bend::Duplicate => {
+                // Off the dyadic grid by a quarter step in every
+                // coordinate: any word off word `a` is farther.
+                let b = (a + 1) % k;
+                words[b] = words[a].clone();
+                p = words[a].iter().map(|v| v + scale / 4096.0).collect();
+                (words, p, true)
+            }
+            Bend::Midway => {
+                // Midway between `a` and its nearest word: no third word
+                // can be nearer to the midpoint than those two.
+                let b = (0..k)
+                    .filter(|&c| c != a)
+                    .min_by(|&x, &y| sq(&words[a], &words[x]).total_cmp(&sq(&words[a], &words[y])))
+                    .expect("k >= 2");
+                p = words[a]
+                    .iter()
+                    .zip(&words[b])
+                    .map(|(x, y)| (x + y) / 2.0)
+                    .collect();
+                (words, p, true)
+            }
+            Bend::PointSpecial(v) => {
+                p[(seed as usize / 7) % dim] = v;
+                (words, p, true)
+            }
+            Bend::WordSpecial(v) => {
+                words[a][(seed as usize / 7) % dim] = v;
+                (words, p, true)
+            }
+        }
+    }
+
+    const BENDS: [Bend; 9] = [
+        Bend::None,
+        Bend::Duplicate,
+        Bend::Midway,
+        Bend::PointSpecial(f64::NAN),
+        Bend::PointSpecial(f64::INFINITY),
+        Bend::PointSpecial(f64::NEG_INFINITY),
+        Bend::WordSpecial(f64::NAN),
+        Bend::WordSpecial(f64::INFINITY),
+        Bend::WordSpecial(f64::NEG_INFINITY),
+    ];
+
+    /// Coordinate scales. Tiny: 1e-80 certifies, 1e-160 and 1e-300 are
+    /// below the range (their squares underflow). Huge: 1e100 and 1e140
+    /// certify, 1e200 is above it.
+    const SCALES: [f64; 9] = [1.0, 1e-3, 1e3, 1e-80, 1e-160, 1e-300, 1e100, 1e140, 1e200];
+
+    /// Whether this host runs the certified filter at `Avx2`.
+    fn certifies_here() -> bool {
+        cfg!(target_arch = "x86_64") && detected_max() == SimdLevel::Avx2 && fma_detected()
+    }
+
+    #[test]
+    fn codebook_certifies_separated_words_and_refuses_built_ties() {
+        // 16 words of 128-d unit-scale descriptors: the benchmark's shape.
+        let (words, _, _) = codebook_case(3, 16, 128, 1.0, Bend::None);
+        let book = Codebook::new(&words);
+        for (i, w) in words.iter().enumerate() {
+            // A point a hair off word i is nearest to it by a wide margin.
+            let p: Vec<f64> = w.iter().map(|v| v + 1e-3).collect();
+            let n = norm(&p);
+            for level in available_levels() {
+                assert_eq!(book.nearest(level, &p, n), i, "{level:?}");
+            }
+            if certifies_here() {
+                assert_eq!(book.certified(SimdLevel::Avx2, &p, n), Some(i));
+            }
+            // Scalar, SSE2 and arity mismatches never take the filter.
+            assert_eq!(book.certified(SimdLevel::Scalar, &p, n), None);
+            assert_eq!(book.certified(SimdLevel::Sse2, &p, n), None);
+            assert_eq!(book.certified(SimdLevel::Avx2, &p[1..], n), None);
+        }
+        // A word listed twice, the point on it: the exact kernel's first
+        // index wins, and the filter refuses the zero margin.
+        let mut dup = words.clone();
+        dup[9] = dup[4].clone();
+        let book = Codebook::new(&dup);
+        let n = norm(&dup[4]);
+        assert_eq!(book.certified(SimdLevel::Avx2, &dup[4], n), None);
+        for level in available_levels() {
+            assert_eq!(book.nearest(level, &dup[4], n), 4);
+        }
+        // Tiny and huge magnitudes inside the range certify; outside it
+        // they fall back even when well separated.
+        for (scale, inside) in [
+            (1e-80, true),
+            (1e140, true),
+            (1e-300, false),
+            (1e200, false),
+        ] {
+            let (words, _, _) = codebook_case(5, 5, 3, scale, Bend::None);
+            let book = Codebook::new(&words);
+            let n = norm(&words[2]);
+            let want = (inside && certifies_here()).then_some(2);
+            assert_eq!(
+                book.certified(SimdLevel::Avx2, &words[2], n),
+                want,
+                "scale {scale}"
+            );
+            // At 1e-300 every squared distance underflows to 0, so the
+            // exact kernel's answer is its first index.
+            for level in available_levels() {
+                let exact = nearest_groups4(level, &words[2], &book.tposed, 5).0;
+                assert_eq!(book.nearest(level, &words[2], n), exact);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `Codebook::nearest` ≡ the exact kernel's index at every
+        /// level: odd dimensions, `k` not a multiple of 4 and above 16,
+        /// duplicate words, exact midpoints, tiny and huge magnitudes,
+        /// NaN and ±inf — and every case built to tie takes the exact
+        /// kernel.
+        #[test]
+        fn prop_codebook_nearest_is_the_exact_index(
+            seed in 0u64..1_000_000,
+            k in 1usize..=37,
+            dim in 1usize..=33,
+            scale in 0usize..SCALES.len(),
+            bend in 0usize..BENDS.len(),
+        ) {
+            let (words, p, tie) = codebook_case(seed, k, dim, SCALES[scale], BENDS[bend]);
+            let book = Codebook::new(&words);
+            let n = norm(&p);
+            for level in available_levels() {
+                let want = nearest_groups4(level, &p, &book.tposed, k).0;
+                prop_assert_eq!(book.nearest(level, &p, n), want, "{:?}", level);
+            }
+            if tie {
+                prop_assert_eq!(book.certified(SimdLevel::Avx2, &p, n), None);
+            }
         }
     }
 

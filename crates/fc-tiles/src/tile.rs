@@ -51,7 +51,8 @@ impl Tile {
 
     /// Renders `attr` as a row-major grayscale raster in `[0, 1]`,
     /// min-max normalized over the given `(lo, hi)` value domain (the
-    /// renderer's color scale). Empty cells map to 0.
+    /// renderer's color scale). Empty cells map to 0, and so do NaN and
+    /// ±inf values: a colour scale has no place for them.
     ///
     /// This is the "visualization" that the SB recommender's machine
     /// vision signatures (SIFT/denseSIFT) operate on — the paper computes
@@ -67,7 +68,7 @@ impl Tile {
             .iter()
             .enumerate()
             .map(|(i, &v)| {
-                if validity.get(i) {
+                if validity.get(i) && v.is_finite() {
                     ((v - lo) / span).clamp(0.0, 1.0)
                 } else {
                     0.0
@@ -118,6 +119,18 @@ mod tests {
         arr.set("v", &[0, 1], 1.0).unwrap();
         let t = Tile::new(TileId::ROOT, arr);
         assert_eq!(t.render("v", 0.0, 1.0).unwrap(), vec![0.0, 1.0]);
+    }
+
+    #[test]
+    fn render_non_finite_values_are_black() {
+        let schema = Schema::grid2d("T", 2, 2, &["v"]).unwrap();
+        let arr = DenseArray::from_vec(
+            schema,
+            vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.5],
+        )
+        .unwrap();
+        let t = Tile::new(TileId::ROOT, arr);
+        assert_eq!(t.render("v", 0.0, 1.0).unwrap(), vec![0.0, 0.0, 0.0, 0.5]);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The hot path is [`GradientField`]: gradient magnitudes and
 //! orientation bins are computed once per image (magnitude through the
-//! [`fc_simd`] kernel layer, orientation with the same scalar
-//! `atan2`/binning formula as the per-patch code), and the Gaussian
+//! [`fc_simd`] kernel layer, orientation as the octant of the gradient,
+//! which equals the per-patch code's `atan2`/binning formula away from
+//! the octant edges and falls back to it near them), and the Gaussian
 //! spatial weight is looked up from a per-radius table whenever the
 //! patch center has integer coordinates — which covers every detected
 //! keypoint and every dense grid site. Both shortcuts are exact, so
@@ -34,9 +35,9 @@ pub type Descriptor = Vec<f64>;
 /// per-pixel `sqrt`/`atan2` work is paid once instead of once per
 /// overlapping patch. Magnitudes are `(gx² + gy²).sqrt()` evaluated by
 /// [`fc_simd::magnitude`] (bit-identical at every dispatch level);
-/// orientation bins use the exact binning expression of
-/// [`describe_patch`] and are only evaluated where the magnitude does
-/// not rule the pixel out.
+/// orientation bins equal the binning expression of [`describe_patch`]
+/// (see `orientation_bin`) and are only evaluated where the magnitude
+/// does not rule the pixel out.
 #[derive(Debug, Clone)]
 pub struct GradientField {
     width: usize,
@@ -65,8 +66,7 @@ impl GradientField {
             // NaN magnitude on the same path as the per-patch code.
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
             if !(mag[i] <= 0.0) {
-                let theta = gy[i].atan2(gx[i]).rem_euclid(TAU);
-                *b = (((theta / TAU) * ORI_BINS as f64).floor() as usize % ORI_BINS) as u8;
+                *b = orientation_bin(gx[i], gy[i]);
             }
         }
         Self {
@@ -95,6 +95,38 @@ impl GradientField {
         let yi = y.clamp(0, self.height as isize - 1) as usize;
         let idx = yi * self.width + xi;
         (self.mag[idx], self.bin[idx])
+    }
+}
+
+/// The orientation bin of [`describe_patch`]: `atan2(gy, gx)` taken into
+/// `[0, 2π)` and cut into [`ORI_BINS`] equal sectors.
+fn atan2_bin(gx: f64, gy: f64) -> u8 {
+    let theta = gy.atan2(gx).rem_euclid(TAU);
+    (((theta / TAU) * ORI_BINS as f64).floor() as usize % ORI_BINS) as u8
+}
+
+/// [`atan2_bin`] from comparisons. The eight bins are the octants, so
+/// the signs of `gx` and `gy` give the quadrant and `|gy| > |gx|` the
+/// half of it. That is exact whenever the gradient is more than a
+/// relative `1e-9` away from an axis and from a diagonal: `atan2`,
+/// `rem_euclid`, `/ 2π` and `· 8` together err by a few ulp (~1e-15),
+/// far inside that distance from a bin edge. Everything else — the axes
+/// and diagonals themselves, ±0, NaN and ±inf (the tolerance tests are
+/// then false) — takes [`atan2_bin`].
+#[inline]
+fn orientation_bin(gx: f64, gy: f64) -> u8 {
+    let (ax, ay) = (gx.abs(), gy.abs());
+    let (lo, hi) = if ax < ay { (ax, ay) } else { (ay, ax) };
+    let tol = 1e-9 * hi;
+    if lo > tol && (ax - ay).abs() > tol {
+        let (sx, sy) = (u8::from(gx < 0.0), u8::from(gy < 0.0));
+        // Quadrant q = 2·sy + (sx ^ sy) counter-clockwise from +x; the
+        // steeper half comes second in quadrants 0 and 2, first in 1
+        // and 3.
+        let steep = u8::from(ay > ax);
+        4 * sy + 2 * (sx ^ sy) + (steep ^ sx ^ sy)
+    } else {
+        atan2_bin(gx, gy)
     }
 }
 
@@ -166,8 +198,7 @@ pub fn describe_patch(
                 continue;
             }
             // Orientation bin in [0, 2π).
-            let theta = gy.atan2(gx).rem_euclid(TAU);
-            let bin = ((theta / TAU) * ORI_BINS as f64).floor() as usize % ORI_BINS;
+            let bin = atan2_bin(gx, gy) as usize;
             // Gaussian spatial weighting centred on the keypoint.
             let d2 = ((px as f64 - cx).powi(2) + (py as f64 - cy).powi(2)) / (r * r);
             let weight = (-d2).exp();
@@ -382,6 +413,74 @@ mod tests {
                     (None, None) => {}
                     _ => panic!("patch ({cx},{cy},{r}) presence differs at {level:?}"),
                 }
+            }
+        }
+    }
+
+    /// Axes, diagonals, ±0, subnormals, huge values, NaN and ±inf, and
+    /// values a hair to either side of an axis or a diagonal.
+    const EDGE_VALUES: [f64; 16] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -1e-310,
+        1e-300,
+        1.0,
+        -1.0,
+        1.0 + 1e-12,
+        -(1.0 - 1e-9),
+        3.5,
+        1e300,
+        -f64::MAX,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    #[test]
+    fn octant_bin_equals_atan2_bin_on_every_edge_pair() {
+        for &gx in &EDGE_VALUES {
+            for &gy in &EDGE_VALUES {
+                assert_eq!(
+                    orientation_bin(gx, gy),
+                    atan2_bin(gx, gy),
+                    "({gx:e}, {gy:e})"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// The octant equals the `atan2` formula: arbitrary bit patterns
+        /// (subnormals, huge, NaN, ±inf), gradient-scale values, points
+        /// near an axis or a diagonal at every relative distance from
+        /// 1e-3 down to 1e-18, and each case in all four quadrants.
+        #[test]
+        fn prop_octant_bin_equals_atan2_bin(
+            bits in proptest::prelude::any::<u64>(),
+            other in proptest::prelude::any::<u64>(),
+            unit in 0.0f64..1.0,
+            kind in 0usize..4,
+            rel_exp in 3i32..=18,
+            scale_exp in -320i32..=300,
+        ) {
+            let scale = 10f64.powi(scale_exp);
+            let rel = 10f64.powi(-rel_exp);
+            let (gx, gy) = match kind {
+                // Any two doubles.
+                0 => (f64::from_bits(bits), f64::from_bits(other)),
+                // The gradients a [0, 1] image produces.
+                1 => (unit - 0.5, f64::from_bits(other) % 0.5),
+                // Near an axis.
+                2 => (scale, scale * rel * unit),
+                // Near a diagonal, both sides.
+                _ => (scale, scale * (1.0 + rel * (2.0 * unit - 1.0))),
+            };
+            for (x, y) in [(gx, gy), (-gx, gy), (-gx, -gy), (gx, -gy), (gy, gx)] {
+                proptest::prop_assert_eq!(orientation_bin(x, y), atan2_bin(x, y), "({:e}, {:e})", x, y);
             }
         }
     }

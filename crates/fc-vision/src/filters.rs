@@ -1,7 +1,7 @@
 //! Separable Gaussian filtering and image gradients.
 //!
 //! Both hot loops are expressed over the [`fc_simd`] kernel layer
-//! (`conv_valid`, `axpy`, `halved_diff`): each pass keeps the exact
+//! (`conv_valid`, `conv_columns`, `halved_diff`): each pass keeps the exact
 //! per-element operation order of the original scalar code, so the
 //! output is **bit-identical** at every dispatch level — blurring feeds
 //! the DoG detector, and a single ULP of drift there would move
@@ -56,17 +56,11 @@ pub fn gaussian_blur_with(img: &GrayImage, sigma: f64, level: SimdLevel) -> Gray
         fc_simd::conv_valid(level, &padded, &kernel, &mut tmp[y * w..(y + 1) * w]);
     }
 
-    // Vertical pass: one axpy per tap over the clamped source row. The
+    // Vertical pass: one column-kernel call over the whole image. Each
     // output starts at 0.0 and accumulates `k[i] * tmp[clamp(y+i-r)]`
     // in tap order — the same per-element chain as the scalar loop.
     let mut out = vec![0.0f64; w * h];
-    for y in 0..h {
-        let orow = &mut out[y * w..(y + 1) * w];
-        for (i, &kv) in kernel.iter().enumerate() {
-            let yi = (y as isize + i as isize - radius as isize).clamp(0, h as isize - 1) as usize;
-            fc_simd::axpy(level, kv, &tmp[yi * w..(yi + 1) * w], orow);
-        }
-    }
+    fc_simd::conv_columns(level, &tmp, w, &kernel, &mut out);
     GrayImage::new(w, h, out)
 }
 
