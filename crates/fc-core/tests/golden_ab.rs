@@ -8,11 +8,23 @@
 //! ranking must stay bit-identical, not just order-identical. The
 //! model is the paper's Markov-3 chain trained on the synthetic study
 //! traces.
+//!
+//! `study_traces_replay_is_pinned` was captured from the forward walk
+//! before its distributions became folded Kneser–Ney rows and its path
+//! endpoints a per-tile move tree: it replays every study request at
+//! d = 2 and d = 3 on the dataset's own grid, through a model an engine
+//! has bound to that grid and through one no engine has seen.
 
 use fc_array::{IoMode, LatencyModel, SimClock};
-use fc_core::{AbRecommender, PredictionContext, Recommender, Request, SessionHistory};
+use fc_core::engine::PhaseSource;
+use fc_core::signature::SignatureKind;
+use fc_core::{
+    AbRecommender, EngineConfig, PredictionContext, PredictionEngine, Recommender, Request,
+    SbConfig, SbRecommender, SessionHistory,
+};
 use fc_sim::dataset::{DatasetConfig, StudyDataset};
 use fc_sim::study::{Study, StudyConfig};
+use fc_sim::trace::Trace;
 use fc_tiles::{Geometry, Move, Quadrant, TileId, TileStore};
 use std::sync::OnceLock;
 
@@ -36,17 +48,28 @@ impl Fold {
     }
 }
 
-/// Markov-3 over the move sequences of the 18-user synthetic study
-/// (built once for both tests).
-fn study_model() -> &'static AbRecommender {
-    static MODEL: OnceLock<AbRecommender> = OnceLock::new();
-    MODEL.get_or_init(|| {
+/// The 18-user synthetic study over the tiny dataset: its tile grid and
+/// its traces (built once for every test).
+fn study() -> &'static (Geometry, Vec<Trace>) {
+    static STUDY: OnceLock<(Geometry, Vec<Trace>)> = OnceLock::new();
+    STUDY.get_or_init(|| {
         let dataset = StudyDataset::build(DatasetConfig::tiny());
         let study = Study::generate(&dataset, &StudyConfig::default());
-        let seqs: Vec<Vec<u16>> = study.traces.iter().map(|t| t.move_sequence()).collect();
-        assert!(seqs.iter().map(Vec::len).sum::<usize>() > 500);
-        AbRecommender::train(seqs.iter().map(Vec::as_slice), 3)
+        (dataset.pyramid.geometry(), study.traces)
     })
+}
+
+/// Markov-3 over the study's move sequences.
+fn train() -> AbRecommender {
+    let seqs: Vec<Vec<u16>> = study().1.iter().map(Trace::move_sequence).collect();
+    assert!(seqs.iter().map(Vec::len).sum::<usize>() > 500);
+    AbRecommender::train(seqs.iter().map(Vec::as_slice), 3)
+}
+
+/// The study model shared by the fixed-tile pins, which no engine binds.
+fn study_model() -> &'static AbRecommender {
+    static MODEL: OnceLock<AbRecommender> = OnceLock::new();
+    MODEL.get_or_init(train)
 }
 
 /// Move histories of length 0–3, as they sit in a 3-request session
@@ -129,6 +152,57 @@ fn study_geometry_rankings_are_pinned() {
         ],
         "AB ranking changed at d = 1, 2, 3 (got {got:#x?})"
     );
+}
+
+/// Folds ranking and score bits of every request of every study trace,
+/// replayed through a 3-request session history, at distance `d`.
+fn replay_fingerprint(ab: &AbRecommender, g: Geometry, d: usize) -> u64 {
+    let store = TileStore::new(g, LatencyModel::free(), IoMode::Simulated, SimClock::new());
+    let mut fold = Fold::new();
+    for trace in &study().1 {
+        let mut history = SessionHistory::new(3);
+        for step in &trace.steps {
+            let request = Request::new(step.tile, step.mv);
+            history.push(request);
+            let candidates = g.candidates(step.tile, d);
+            let ctx = PredictionContext {
+                request,
+                history: &history,
+                candidates: &candidates,
+                geometry: g,
+                store: &store,
+                roi: &[],
+            };
+            for (t, score) in ab.scored(&ctx) {
+                fold.tile(t);
+                fold.u64(score.to_bits());
+            }
+        }
+    }
+    fold.0
+}
+
+#[test]
+fn study_traces_replay_is_pinned() {
+    let (g, traces) = study();
+    assert_eq!(traces.len(), 54, "18 users × 3 tasks");
+    let unbound = train();
+    let bound = train();
+    PredictionEngine::new(
+        *g,
+        bound.clone(),
+        SbRecommender::new(SbConfig::single(SignatureKind::Hist1D)),
+        PhaseSource::Heuristic,
+        EngineConfig::default(),
+    );
+    for ab in [&unbound, &bound, &bound] {
+        let got: Vec<u64> = [2, 3].map(|d| replay_fingerprint(ab, *g, d)).to_vec();
+        assert_eq!(
+            got,
+            [0xebab_6e49_b2cc_b2ab, 0xa9fd_2475_3dcd_eb42],
+            "AB replay changed at d = 2, 3 (got {got:#x?})"
+        );
+    }
 }
 
 #[test]
