@@ -9,6 +9,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fc_array::{regrid, AggFn, DenseArray, IoMode, LatencyModel, Schema, SimClock};
 use fc_bench::context::ExpContext;
 use fc_bench::seed_baseline::{seed_decode_server_msg, seed_encode_server_msg, seed_regrid_with};
+use fc_core::ab::MoveTree;
 use fc_core::engine::PhaseSource;
 use fc_core::paircache::PairCache;
 use fc_core::sb::{chi_squared, PredictScratch};
@@ -158,18 +159,8 @@ fn bench_models(c: &mut Criterion) {
     c.bench_function("AB rank 9 candidates", |b| {
         b.iter(|| ab.rank(black_box(&ctx)))
     });
-    // The dwell-request shape (`DWELL_DISTANCE = 2`): candidates two
-    // moves away make AB walk the request tile's move tree.
-    let deep = g.candidates(cur.tile, 2);
     c.bench_function("geometry candidates d = 2", |b| {
         b.iter(|| g.candidates(black_box(cur.tile), 2))
-    });
-    let deep_ctx = PredictionContext {
-        candidates: &deep,
-        ..ctx
-    };
-    c.bench_function(&format!("AB rank {} candidates (d = 2)", deep.len()), |b| {
-        b.iter(|| ab.rank(black_box(&deep_ctx)))
     });
     c.bench_function("SB rank 9 candidates (4 signatures)", |b| {
         b.iter(|| sb.rank(black_box(&ctx)))
@@ -375,15 +366,19 @@ fn bench_engine_and_cache(c: &mut Criterion) {
 /// Over the benchmark's `ctx32` dataset and its trained models: the
 /// phase classifier's two paths — the SVM, which each (tile, move kind)
 /// meets once per process, and the memo hit every later request takes
-/// — then what a Hello costs before the first byte is served: an engine
-/// built from the models, then its first prediction at the
-/// `predict-deep` shape (1365 tiles, four signatures, candidates two
-/// moves out), which is when the engine's pair cache is allocated.
+/// — and AB's at the dwell-request shape (`DWELL_DISTANCE = 2`, also
+/// `predict-deep`'s): one Kneser–Ney row, one tile's move tree, which a
+/// process builds once, and a ranking that walks a warm tree; then what
+/// a Hello costs before the first byte is served: an engine built from
+/// the models, then its first prediction at the `predict-deep` shape
+/// (1365 tiles, four signatures, candidates two moves out), which is
+/// when the engine's pair cache is allocated.
 fn bench_trained_models(c: &mut Criterion) {
     let ctx = ExpContext::build(1024, 6, 32, 18);
     let train: Vec<_> = ctx.study.traces.iter().collect();
     let (ab, classifier) = (ctx.ab_model(&train, 3), ctx.classifier_for(&train));
     let pyramid = &ctx.dataset.pyramid;
+    let g = pyramid.geometry();
 
     let open = || {
         PredictionEngine::new(
@@ -409,6 +404,42 @@ fn bench_trained_models(c: &mut Criterion) {
     c.bench_function("phase classify (memo hit)", |b| {
         b.iter(|| classifier.predict(black_box(&deep_pan), None))
     });
+
+    // Three pans right onto `deep_pan`'s tile.
+    let right = Move::PanRight.index() as u16;
+    let seqs: Vec<Vec<u16>> = train.iter().map(|t| t.move_sequence()).collect();
+    let chain = KneserNey::train(seqs.iter().map(Vec::as_slice), 3, 9);
+    let mut row = [0.0; 9];
+    c.bench_function("kneser-ney distribution (study model)", |b| {
+        b.iter(|| {
+            chain.distribution_into(black_box(&[right; 3]), &mut row);
+            black_box(row[0])
+        })
+    });
+    c.bench_function("AB move tree build (one tile)", |b| {
+        b.iter(|| MoveTree::new(g, black_box(deep_pan.tile)))
+    });
+    let mut history = SessionHistory::new(3);
+    for x in 7..=9 {
+        history.push(Request::new(TileId::new(5, 17, x), Some(Move::PanRight)));
+    }
+    let candidates = g.candidates(deep_pan.tile, 2);
+    let deep = PredictionContext {
+        request: deep_pan,
+        history: &history,
+        candidates: &candidates,
+        geometry: g,
+        store: pyramid.store(),
+        roi: &[],
+    };
+    // The engine binds the trees every clone shares; one ranking builds
+    // this tile's.
+    open();
+    ab.rank(&deep);
+    c.bench_function(
+        "AB rank d = 2, study-trained Markov-3, ctx32 geometry (warm trees)",
+        |b| b.iter(|| ab.rank(black_box(&deep))),
+    );
 
     c.bench_function("session open: engine from trained models", |b| b.iter(open));
     c.bench_function("session open + first predict (4 signatures, d = 2)", |b| {

@@ -16,26 +16,49 @@
 //!
 //! Candidates rank by score descending, ties by `TileId` ascending.
 //!
-//! The move tree is walked **once per request**, forward from the
-//! requested tile: each of its ≤ 1 + 9 + 81 interior nodes computes its
-//! smoothed distribution once, and every path's endpoint keeps the best
-//! probability seen, reaching its candidates by one probe of an index
-//! built from the candidate list when the request starts. The work
-//! does not depend on how many candidates there are, and when every
-//! candidate is one move away (prediction distance 1, the default)
-//! only the root's distribution is computed.
+//! When every candidate is one move away (prediction distance 1, the
+//! default) only the root's distribution is computed, and each
+//! candidate finds its move among the requested tile's nine
+//! neighbours. Otherwise the move tree is walked **once per request**,
+//! forward from the requested tile: each of its ≤ 1 + 9 + 81 interior
+//! nodes computes its distribution once, and every path's endpoint
+//! keeps the best probability seen; each candidate then reads its
+//! endpoint's. Where each path ends depends only on the tile and the
+//! grid, so it is resolved once per tile and process into a
+//! [`MoveTree`], shared by every clone of the model: the walk reads a
+//! byte per path and applies no move, and its work does not depend on
+//! how many candidates there are.
 
 use crate::recommender::{PredictionContext, Recommender};
+use crate::slots::TileSlots;
 use fc_ngram::KneserNey;
 use fc_tiles::{Geometry, TileId, MOVES};
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
+/// Moves out of a tile: the branching factor of a move tree.
+const N: usize = MOVES.len();
 
 /// One smoothed next-move distribution, indexed by `Move::index`.
-type MoveDist = [f64; MOVES.len()];
+type MoveDist = [f64; N];
+
+/// A path's endpoint byte when the path takes an illegal move; also a
+/// free slot of a tree's endpoint index.
+const ILLEGAL: u8 = u8::MAX;
+
+/// Slots of a tree's endpoint index: a power of two at least twice the
+/// most endpoints a tree holds, so a probe run stays short.
+const INDEX_SLOTS: usize = 512;
+
+/// Most trees a memo holds: one 16-byte slot each, about 4 KiB per tree
+/// once built. A grid larger than this is memoized from level 0 down to
+/// the last level that fits.
+const MEMO_TREES: usize = 1 << 16;
 
 #[cfg(test)]
 thread_local! {
     static DISTRIBUTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static TREES_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Distributions computed so far on this thread — what the work-count
@@ -45,12 +68,156 @@ pub(crate) fn distributions_computed() -> usize {
     DISTRIBUTIONS.with(std::cell::Cell::get)
 }
 
+/// The three-move tree of one origin tile under one geometry: where
+/// each path of one, two and three moves ends, as an index into the
+/// tree's distinct endpoints (`ILLEGAL` when the path takes an illegal
+/// move), and an index from tile to endpoint.
+pub struct MoveTree {
+    /// `one[m1]`.
+    one: [u8; N],
+    /// `two[m1 * N + m2]`.
+    two: [u8; N * N],
+    /// `three[(m1 * N + m2) * N + m3]`.
+    three: [u8; N * N * N],
+    /// The distinct endpoints, in the order the paths first reach them.
+    endpoints: Vec<TileId>,
+    /// Open-addressed from a tile's hash: an index into `endpoints`, or
+    /// `ILLEGAL` for a free slot.
+    index: [u8; INDEX_SLOTS],
+}
+
+impl MoveTree {
+    /// Resolves every path of one to three moves out of `origin`: 819
+    /// [`Geometry::apply`] calls.
+    ///
+    /// # Panics
+    /// Panics when the tree has 255 or more distinct endpoints, which
+    /// no grid allows (see the bound in the body).
+    pub fn new(geometry: Geometry, origin: TileId) -> Self {
+        #[cfg(test)]
+        TREES_BUILT.with(|n| n.set(n.get() + 1));
+        let mut tree = Self {
+            one: [ILLEGAL; N],
+            two: [ILLEGAL; N * N],
+            three: [ILLEGAL; N * N * N],
+            endpoints: Vec::new(),
+            index: [ILLEGAL; INDEX_SLOTS],
+        };
+        for (m1, mv1) in MOVES.into_iter().enumerate() {
+            let Some(t1) = geometry.apply(origin, mv1) else {
+                continue;
+            };
+            tree.one[m1] = tree.intern(t1);
+            for (m2, mv2) in MOVES.into_iter().enumerate() {
+                let Some(t2) = geometry.apply(t1, mv2) else {
+                    continue;
+                };
+                let path = m1 * N + m2;
+                tree.two[path] = tree.intern(t2);
+                for (m3, mv3) in MOVES.into_iter().enumerate() {
+                    if let Some(t3) = geometry.apply(t2, mv3) {
+                        tree.three[path * N + m3] = tree.intern(t3);
+                    }
+                }
+            }
+        }
+        tree.endpoints.shrink_to_fit();
+        tree
+    }
+
+    /// Fibonacci hash of the packed coordinates; a collision costs a
+    /// probe, never a wrong answer (both probes compare the tile).
+    fn home(t: TileId) -> usize {
+        let packed = (u64::from(t.level) << 58) ^ (u64::from(t.y) << 29) ^ u64::from(t.x);
+        (packed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - INDEX_SLOTS.trailing_zeros())) as usize
+    }
+
+    /// The endpoint index of `tile`, or the free slot its probe run
+    /// ends at.
+    fn probe(&self, tile: TileId) -> Result<u8, usize> {
+        let mut s = Self::home(tile);
+        loop {
+            match self.index[s] {
+                ILLEGAL => return Err(s),
+                e if self.endpoints[usize::from(e)] == tile => return Ok(e),
+                _ => s = (s + 1) % INDEX_SLOTS,
+            }
+        }
+    }
+
+    /// `tile`'s endpoint index, added when new.
+    fn intern(&mut self, tile: TileId) -> u8 {
+        self.probe(tile).unwrap_or_else(|free| {
+            // Which tiles three moves reach depends only on which moves
+            // are legal nearby and on the origin's coordinates mod 8
+            // (three zoom-outs). A 10-level grid of 512² deepest tiles
+            // holds every such case with three levels above and below,
+            // and its most is 242 endpoints (ctx32's most is 208,
+            // ctx64's 144). So a byte names any endpoint, with
+            // `ILLEGAL` to spare.
+            assert!(
+                self.endpoints.len() < usize::from(ILLEGAL),
+                "a move tree has fewer than 255 endpoints"
+            );
+            let e = self.endpoints.len() as u8;
+            self.endpoints.push(tile);
+            self.index[free] = e;
+            e
+        })
+    }
+
+    /// The endpoint index of `tile`, when some path ends there.
+    fn endpoint(&self, tile: TileId) -> Option<usize> {
+        self.probe(tile).ok().map(usize::from)
+    }
+}
+
 /// The AB recommendation model: a Kneser–Ney smoothed move-sequence
 /// Markov chain. The chain is immutable once trained, so a clone — one
-/// per session — shares its tables.
-#[derive(Debug, Clone)]
+/// per session — shares its tables, and shares the move trees of the
+/// geometry that the first [`crate::PredictionEngine`] built over it
+/// binds.
+#[derive(Clone)]
 pub struct AbRecommender {
-    model: Arc<KneserNey>,
+    trained: Arc<Trained>,
+}
+
+struct Trained {
+    chain: KneserNey,
+    trees: OnceLock<TreeMemo>,
+}
+
+/// One lazily built tree per tile of a geometry's grid.
+struct TreeMemo {
+    geometry: Geometry,
+    slots: TileSlots,
+    trees: Box<[OnceLock<Box<MoveTree>>]>,
+}
+
+impl TreeMemo {
+    fn new(geometry: Geometry) -> Self {
+        let slots = TileSlots::new(geometry, MEMO_TREES);
+        Self {
+            geometry,
+            trees: (0..slots.len()).map(|_| OnceLock::new()).collect(),
+            slots,
+        }
+    }
+
+    fn filled(&self) -> usize {
+        self.trees.iter().filter(|t| t.get().is_some()).count()
+    }
+}
+
+impl fmt::Debug for AbRecommender {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let memo = self.trained.trees.get();
+        f.debug_struct("AbRecommender")
+            .field("order", &self.order())
+            .field("trees_filled", &memo.map_or(0, TreeMemo::filled))
+            .field("tree_slots", &memo.map_or(0, |m| m.trees.len()))
+            .finish()
+    }
 }
 
 impl AbRecommender {
@@ -61,22 +228,96 @@ impl AbRecommender {
         I: IntoIterator<Item = &'a [u16]>,
     {
         Self {
-            model: Arc::new(KneserNey::train(traces, order, MOVES.len())),
+            trained: Arc::new(Trained {
+                chain: KneserNey::train(traces, order, MOVES.len()),
+                trees: OnceLock::new(),
+            }),
         }
     }
 
     /// Context length of the underlying chain.
     pub fn order(&self) -> usize {
-        self.model.order()
+        self.trained.chain.order()
+    }
+
+    /// Binds the memo of move trees to `geometry`'s tile grid, for this
+    /// model and every clone of it. The first call binds; later calls —
+    /// whatever their geometry — do nothing. A request on another
+    /// geometry, or on a tile past the memo's cap, builds its tree for
+    /// that call alone. Trees are built lazily, by the first request
+    /// that walks each one.
+    pub(crate) fn memoize(&self, geometry: Geometry) {
+        self.trained.trees.get_or_init(|| TreeMemo::new(geometry));
+    }
+
+    /// The move tree of `origin`: the memo's, built there on first use,
+    /// or else one built into `local`.
+    fn tree<'t>(
+        &'t self,
+        geometry: Geometry,
+        origin: TileId,
+        local: &'t mut Option<MoveTree>,
+    ) -> &'t MoveTree {
+        let memo = self.trained.trees.get().filter(|m| m.geometry == geometry);
+        match memo.and_then(|m| Some(&m.trees[m.slots.slot(origin)?])) {
+            Some(cell) => cell.get_or_init(|| Box::new(MoveTree::new(geometry, origin))),
+            None => local.insert(MoveTree::new(geometry, origin)),
+        }
     }
 
     /// The smoothed distribution of the move after `seq`.
     fn dist(&self, seq: &[u16]) -> MoveDist {
         #[cfg(test)]
         DISTRIBUTIONS.with(|n| n.set(n.get() + 1));
-        let mut dist = [0.0; MOVES.len()];
-        self.model.distribution_into(seq, &mut dist);
+        let mut dist = [0.0; N];
+        self.trained.chain.distribution_into(seq, &mut dist);
         dist
+    }
+
+    /// The best path probability into each of `tree`'s endpoints, by
+    /// the module doc's rule: the walk's products, maxed per endpoint,
+    /// then a one-move endpoint's move probability over whatever longer
+    /// paths led back to it. `seq` is the history's move sequence, and
+    /// `first` its distribution.
+    fn walk(
+        &self,
+        tree: &MoveTree,
+        seq: &mut Vec<u16>,
+        first: &MoveDist,
+    ) -> [f64; ILLEGAL as usize] {
+        let mut best = [0.0f64; ILLEGAL as usize];
+        for (m1, &p1) in first.iter().enumerate() {
+            if tree.one[m1] == ILLEGAL {
+                continue;
+            }
+            seq.push(m1 as u16);
+            let second = self.dist(seq);
+            for (m2, &p2) in second.iter().enumerate() {
+                let path = m1 * N + m2;
+                let e2 = tree.two[path];
+                if e2 == ILLEGAL {
+                    continue;
+                }
+                let e2 = usize::from(e2);
+                best[e2] = best[e2].max(p1 * p2);
+                seq.push(m2 as u16);
+                let third = self.dist(seq);
+                for (&e3, &p3) in tree.three[path * N..][..N].iter().zip(&third) {
+                    if e3 != ILLEGAL {
+                        let e3 = usize::from(e3);
+                        best[e3] = best[e3].max(p1 * (p2 * p3));
+                    }
+                }
+                seq.pop();
+            }
+            seq.pop();
+        }
+        for (&e1, &p1) in tree.one.iter().zip(first) {
+            if e1 != ILLEGAL {
+                best[usize::from(e1)] = p1;
+            }
+        }
+        best
     }
 
     /// The candidates with their AB scores, best first: score
@@ -88,122 +329,28 @@ impl AbRecommender {
         let origin = ctx.request.tile;
         let mut seq = ctx.history.move_sequence();
         let first = self.dist(&seq);
-        // Kept sorted by tile while scoring: a listed-twice candidate's
-        // entries are adjacent, and `at` knows where each tile's begin.
-        let mut scored: Vec<(TileId, f64)> = ctx.candidates.iter().map(|&c| (c, 0.0)).collect();
-        scored.sort_unstable_by_key(|&(t, _)| t);
-        let at = Endpoints::new(&scored);
         let hops = MOVES.map(|m| g.apply(origin, m));
-        if scored.iter().any(|&(c, _)| !hops.contains(&Some(c))) {
-            for (m1, t1, p1) in steps(g, origin, &first) {
-                seq.push(m1);
-                let second = self.dist(&seq);
-                for (m2, t2, p2) in steps(g, t1, &second) {
-                    at.raise(&mut scored, t2, p1 * p2);
-                    seq.push(m2);
-                    let third = self.dist(&seq);
-                    for (_, t3, p3) in steps(g, t2, &third) {
-                        at.raise(&mut scored, t3, p1 * (p2 * p3));
-                    }
-                    seq.pop();
-                }
-                seq.pop();
-            }
+        let mut scored = Vec::with_capacity(ctx.candidates.len());
+        for &c in ctx.candidates {
+            let Some(m) = hops.iter().position(|&h| h == Some(c)) else {
+                break;
+            };
+            scored.push((c, first[m]));
         }
-        // One move away: that move's probability, whatever longer
-        // paths led back here.
-        for (_, t1, p1) in steps(g, origin, &first) {
-            for e in at.entries(&mut scored, t1) {
-                e.1 = p1;
-            }
+        if scored.len() < ctx.candidates.len() {
+            // Some candidate is more than one move away: walk the tree.
+            let mut local = None;
+            let tree = self.tree(g, origin, &mut local);
+            let best = self.walk(tree, &mut seq, &first);
+            scored.clear();
+            scored.extend(
+                ctx.candidates
+                    .iter()
+                    .map(|&c| (c, tree.endpoint(c).map_or(0.0, |e| best[e]))),
+            );
         }
         scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         scored
-    }
-}
-
-/// The legal moves out of `from`: `(move id, tile reached, probability)`.
-fn steps(
-    g: Geometry,
-    from: TileId,
-    dist: &MoveDist,
-) -> impl Iterator<Item = (u16, TileId, f64)> + '_ {
-    MOVES.into_iter().filter_map(move |m| {
-        let to = g.apply(from, m)?;
-        Some((m.index() as u16, to, dist[m.index()]))
-    })
-}
-
-/// Where each distinct tile's entries begin in a candidate list sorted
-/// by tile: an open-addressed table, built once per request, so that
-/// each of the walk's ≤ 810 path endpoints costs one probe instead of a
-/// binary search. At most a quarter full, because most endpoints are
-/// not candidates and a miss should end at its home slot.
-struct Endpoints {
-    /// Power-of-two many; an index into the list, or `VACANT`.
-    slots: Vec<u32>,
-    /// `64 − log2(slots.len())`: the hash's top bits are the home slot.
-    shift: u32,
-}
-
-const VACANT: u32 = u32::MAX;
-
-impl Endpoints {
-    fn new(scored: &[(TileId, f64)]) -> Self {
-        assert!(scored.len() < VACANT as usize, "candidate list too long");
-        let len = (scored.len() * 4).next_power_of_two().max(2);
-        let mut at = Self {
-            slots: vec![VACANT; len],
-            shift: 64 - len.trailing_zeros(),
-        };
-        for (i, &(tile, _)) in scored.iter().enumerate() {
-            if i > 0 && scored[i - 1].0 == tile {
-                continue;
-            }
-            let mut s = at.home(tile);
-            while at.slots[s] != VACANT {
-                s = (s + 1) & (len - 1);
-            }
-            at.slots[s] = i as u32;
-        }
-        at
-    }
-
-    /// Fibonacci hash of the packed coordinates (a collision costs a
-    /// probe, never a wrong answer: `entries` compares the tile).
-    fn home(&self, t: TileId) -> usize {
-        let packed = (u64::from(t.level) << 58) ^ (u64::from(t.y) << 29) ^ u64::from(t.x);
-        (packed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
-    }
-
-    /// The entries of `scored` (the list this was built from) for
-    /// `tile`: none when it is not a candidate, several when the caller
-    /// listed it more than once.
-    fn entries<'s>(
-        &self,
-        scored: &'s mut [(TileId, f64)],
-        tile: TileId,
-    ) -> &'s mut [(TileId, f64)] {
-        let mask = self.slots.len() - 1;
-        let mut s = self.home(tile);
-        loop {
-            let lo = self.slots[s] as usize;
-            if lo == VACANT as usize {
-                return &mut [];
-            }
-            if scored[lo].0 == tile {
-                let n = scored[lo..].iter().take_while(|e| e.0 == tile).count();
-                return &mut scored[lo..lo + n];
-            }
-            s = (s + 1) & mask;
-        }
-    }
-
-    /// Records a path of probability `p` ending at `tile`.
-    fn raise(&self, scored: &mut [(TileId, f64)], tile: TileId, p: f64) {
-        for e in self.entries(scored, tile) {
-            e.1 = e.1.max(p);
-        }
     }
 }
 
@@ -268,14 +415,21 @@ mod tests {
     /// `scored` as it was computed before the forward expansion.
     fn dfs_scored(ab: &AbRecommender, ctx: &PredictionContext<'_>) -> Vec<(TileId, f64)> {
         let mut seq = ctx.history.move_sequence();
-        let dist = ab.model.distribution(&seq);
+        let dist = ab.trained.chain.distribution(&seq);
         let mut scored: Vec<(TileId, f64)> = ctx
             .candidates
             .iter()
             .map(|&c| {
                 let score = match ctx.geometry.move_between(ctx.request.tile, c) {
                     Some(m) => dist[m.index()],
-                    None => path_prob(&ab.model, ctx.geometry, &mut seq, ctx.request.tile, c, 3),
+                    None => path_prob(
+                        &ab.trained.chain,
+                        ctx.geometry,
+                        &mut seq,
+                        ctx.request.tile,
+                        c,
+                        3,
+                    ),
                 };
                 (c, score)
             })
@@ -418,6 +572,125 @@ mod tests {
         assert_eq!(count(&repeated), walk);
     }
 
+    /// Move trees built so far on this thread.
+    fn trees_built() -> usize {
+        TREES_BUILT.with(std::cell::Cell::get)
+    }
+
+    fn right_run_model() -> AbRecommender {
+        AbRecommender::train(right_runs().iter().map(Vec::as_slice), 3)
+    }
+
+    /// Ranks a pan onto `tile` against its `d`-move candidates, checks
+    /// the ranking against the per-candidate search bit for bit, and
+    /// returns how many move trees the ranking built.
+    fn trees_for(ab: &AbRecommender, g: Geometry, tile: TileId, d: usize) -> usize {
+        let s = store(g);
+        let mut h = SessionHistory::new(3);
+        let cur = Request::new(tile, Some(Move::PanRight));
+        h.push(cur);
+        let candidates = g.candidates(tile, d);
+        let ctx = PredictionContext {
+            request: cur,
+            history: &h,
+            candidates: &candidates,
+            geometry: g,
+            store: &s,
+            roi: &[],
+        };
+        let before = trees_built();
+        let got = ab.scored(&ctx);
+        let built = trees_built() - before;
+        let bits = |scored: Vec<(TileId, f64)>| -> Vec<(TileId, u64)> {
+            scored.into_iter().map(|(t, p)| (t, p.to_bits())).collect()
+        };
+        assert_eq!(bits(got), bits(dfs_scored(ab, &ctx)), "{tile} at d = {d}");
+        built
+    }
+
+    #[test]
+    fn a_clone_reuses_its_parents_trees() {
+        let (ab, g) = (right_run_model(), geometry());
+        ab.memoize(g);
+        let tile = TileId::new(2, 1, 1);
+        assert_eq!(trees_for(&ab, g, tile, 2), 1);
+        assert_eq!(trees_for(&ab, g, tile, 3), 0, "one tree serves every d > 1");
+        let clone = ab.clone();
+        assert_eq!(trees_for(&clone, g, tile, 2), 0);
+        assert_eq!(trees_for(&clone, g, TileId::new(2, 1, 2), 2), 1);
+        assert_eq!(trees_for(&ab, g, TileId::new(2, 1, 2), 3), 0);
+        // 1 + 4 + 16 + 64 tiles.
+        let shown = format!("{ab:?}");
+        assert!(shown.contains("trees_filled: 2, tree_slots: 85"), "{shown}");
+    }
+
+    #[test]
+    fn a_d1_request_builds_no_tree() {
+        let (ab, g) = (right_run_model(), geometry());
+        ab.memoize(g);
+        for tile in g.all_tiles() {
+            assert_eq!(trees_for(&ab, g, tile, 1), 0, "{tile}");
+        }
+        let shown = format!("{ab:?}");
+        assert!(shown.contains("trees_filled: 0, tree_slots: 85"), "{shown}");
+    }
+
+    /// A context on a geometry other than the bound one gets a tree of
+    /// its own for the call, even for a tile both grids hold.
+    #[test]
+    fn another_geometry_is_ranked_exactly_and_leaves_the_memo_alone() {
+        let (ab, g) = (right_run_model(), geometry());
+        ab.memoize(g);
+        let other = Geometry::new(6, 1024, 1024, 32, 32);
+        let tile = TileId::new(2, 1, 1);
+        assert!(g.contains(tile) && other.contains(tile));
+        assert_eq!(trees_for(&ab, other, tile, 2), 1);
+        assert_eq!(trees_for(&ab, other, tile, 2), 1, "built again per call");
+        ab.memoize(other);
+        assert_eq!(trees_for(&ab, other, tile, 3), 1, "the first binding holds");
+        let shown = format!("{ab:?}");
+        assert!(shown.contains("trees_filled: 0, tree_slots: 85"), "{shown}");
+        assert_eq!(trees_for(&ab, g, tile, 2), 1);
+        assert_eq!(trees_for(&ab, g, tile, 2), 0);
+    }
+
+    #[test]
+    fn a_tile_past_the_cap_is_ranked_exactly() {
+        // 4^0 + … + 4^7 = 21,845 tiles fit the cap; with level 8 the
+        // grid would need 87,381 slots.
+        let (ab, g) = (right_run_model(), Geometry::new(10, 512, 512, 1, 1));
+        ab.memoize(g);
+        let memoized = TileId::new(7, 100, 100);
+        assert_eq!(trees_for(&ab, g, memoized, 2), 1);
+        assert_eq!(trees_for(&ab, g, memoized, 2), 0);
+        for past in [TileId::new(8, 200, 200), TileId::new(9, 300, 300)] {
+            assert_eq!(trees_for(&ab, g, past, 2), 1, "{past}");
+            assert_eq!(trees_for(&ab, g, past, 2), 1, "{past} again");
+        }
+        let shown = format!("{ab:?}");
+        assert!(
+            shown.contains("trees_filled: 1, tree_slots: 21845"),
+            "{shown}"
+        );
+    }
+
+    /// An endpoint's byte has room: the most endpoints any tile's tree
+    /// has on both benchmark grids, and at an interior tile of a deep
+    /// grid, which no tile exceeds.
+    #[test]
+    fn endpoints_fit_a_byte() {
+        let most = |g: Geometry| {
+            g.all_tiles()
+                .map(|t| MoveTree::new(g, t).endpoints.len())
+                .max()
+        };
+        assert_eq!(most(Geometry::new(6, 1024, 1024, 32, 32)), Some(208));
+        assert_eq!(most(Geometry::new(5, 1024, 1024, 64, 64)), Some(144));
+        let deep = Geometry::new(10, 512, 512, 1, 1);
+        let interior = MoveTree::new(deep, TileId::new(5, 16, 16));
+        assert_eq!(interior.endpoints.len(), 242);
+    }
+
     const GEOMETRIES: [(u8, usize, usize, usize, usize); 4] = [
         (4, 512, 512, 64, 64),
         (6, 1024, 1024, 32, 32),
@@ -430,8 +703,9 @@ mod tests {
         /// The forward expansion is the per-candidate search, bit for
         /// bit: same scores, same order — over random models of order
         /// 0–4, every geometry shape, any tile, histories of 0–4 moves,
-        /// d = 1..3, and candidate lists that also hold the request
-        /// tile, a repeated tile and a tile no path reaches.
+        /// d = 1..3, candidate lists that also hold the request tile, a
+        /// repeated tile and a tile no path reaches, and move trees
+        /// built for the call or (twice: built, then read) memoized.
         #[test]
         fn forward_expansion_matches_per_candidate_search(
             traces in proptest::collection::vec(
@@ -443,10 +717,14 @@ mod tests {
             capacity in 1usize..5,
             d in 1usize..4,
             extras in any::<bool>(),
+            memoized in any::<bool>(),
         ) {
             let ab = AbRecommender::train(traces.iter().map(Vec::as_slice), order);
             let (levels, raw_h, raw_w, tile_h, tile_w) = GEOMETRIES[shape];
             let g = Geometry::new(levels, raw_h, raw_w, tile_h, tile_w);
+            if memoized {
+                ab.memoize(g);
+            }
             let s = store(g);
             let tile = g.all_tiles().nth(tile as usize % g.total_tiles()).unwrap();
             let mut h = SessionHistory::new(capacity);
@@ -473,7 +751,11 @@ mod tests {
             let bits = |scored: Vec<(TileId, f64)>| -> Vec<(TileId, u64)> {
                 scored.into_iter().map(|(t, p)| (t, p.to_bits())).collect()
             };
-            prop_assert_eq!(bits(ab.scored(&ctx)), bits(dfs_scored(&ab, &ctx)));
+            let want = bits(dfs_scored(&ab, &ctx));
+            prop_assert_eq!(bits(ab.scored(&ctx)), want.clone());
+            if memoized {
+                prop_assert_eq!(bits(ab.scored(&ctx)), want);
+            }
         }
     }
 }

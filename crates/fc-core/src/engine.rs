@@ -148,8 +148,9 @@ impl std::fmt::Debug for PredictionEngine {
 }
 
 impl PredictionEngine {
-    /// Builds an engine. A classifier phase source gets its memo bound
-    /// to `geometry`, unless it (or a clone) already has one.
+    /// Builds an engine. The AB model's move-tree memo, and a classifier
+    /// phase source's memo, get bound to `geometry`, unless the model
+    /// (or a clone) already has one.
     pub fn new(
         geometry: Geometry,
         ab: AbRecommender,
@@ -157,6 +158,7 @@ impl PredictionEngine {
         phase_source: PhaseSource,
         config: EngineConfig,
     ) -> Self {
+        ab.memoize(geometry);
         if let PhaseSource::Classifier(c) = &phase_source {
             c.memoize(geometry);
         }

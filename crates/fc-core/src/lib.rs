@@ -53,6 +53,7 @@ pub mod recommender;
 pub mod roi;
 pub mod sb;
 pub mod signature;
+mod slots;
 
 pub use ab::AbRecommender;
 pub use alloc::{boost_toward_hotspots, AllocationStrategy, HotspotBlend};

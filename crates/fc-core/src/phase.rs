@@ -6,6 +6,7 @@
 
 use crate::features::{phase_features, NUM_FEATURES};
 use crate::history::Request;
+use crate::slots::TileSlots;
 use fc_ml::{Scaler, SvmClassifier, SvmParams};
 use fc_tiles::{Geometry, TileId};
 use std::fmt;
@@ -98,45 +99,31 @@ const _: () = assert!(NUM_FEATURES == 6);
 /// tile grid: 0 while unknown, else the class id + 1. Every fill of a
 /// cell stores the same byte, so relaxed loads and stores suffice.
 struct PhaseMemo {
-    /// Per memoized level: first cell, tile rows, tile columns.
-    levels: Vec<(usize, u32, u32)>,
+    /// A tile's cells are `slot * MOVE_KINDS..`, one per move kind.
+    slots: TileSlots,
     cells: Box<[AtomicU8]>,
 }
 
 impl PhaseMemo {
     fn new(geometry: Geometry) -> Self {
-        let mut levels = Vec::new();
-        let mut total = 0usize;
-        for level in 0..geometry.levels {
-            let (rows, cols) = geometry.tiles_at(level);
-            let next = (rows as usize)
-                .checked_mul(cols as usize)
-                .and_then(|n| n.checked_mul(MOVE_KINDS))
-                .and_then(|n| n.checked_add(total))
-                .filter(|&n| n <= MEMO_CELLS);
-            let Some(next) = next else { break };
-            levels.push((total, rows, cols));
-            total = next;
-        }
+        let slots = TileSlots::new(geometry, MEMO_CELLS / MOVE_KINDS);
         Self {
-            levels,
-            cells: (0..total).map(|_| AtomicU8::new(0)).collect(),
+            cells: (0..slots.len() * MOVE_KINDS)
+                .map(|_| AtomicU8::new(0))
+                .collect(),
+            slots,
         }
     }
 
     /// The cell of `tile` reached by the move whose one-hot is
     /// `features[3..6]`; `None` off the memoized grid.
     fn cell(&self, tile: TileId, features: &[f64; NUM_FEATURES]) -> Option<&AtomicU8> {
-        let &(first, rows, cols) = self.levels.get(usize::from(tile.level))?;
-        if tile.y >= rows || tile.x >= cols {
-            return None;
-        }
+        let slot = self.slots.slot(tile)?;
         let kind = features[3..]
             .iter()
             .position(|&f| f == 1.0)
             .map_or(0, |i| i + 1);
-        let tile_ix = tile.y as usize * cols as usize + tile.x as usize;
-        self.cells.get(first + tile_ix * MOVE_KINDS + kind)
+        self.cells.get(slot * MOVE_KINDS + kind)
     }
 
     fn filled(&self) -> usize {

@@ -100,15 +100,19 @@ impl<T: Copy + Default> PackedRows<T> {
     }
 
     /// The same keys over rows of `width` cells, each appended by `f`
-    /// from the row it replaces.
+    /// from the key and the row it replaces.
     pub(crate) fn map_rows<U>(
         self,
         width: usize,
-        mut f: impl FnMut(&[T], &mut Vec<U>),
+        mut f: impl FnMut(u64, &[T], &mut Vec<U>),
     ) -> PackedRows<U> {
-        let mut cells = Vec::with_capacity(self.cells.len() / self.width * width);
-        for row in self.cells.chunks_exact(self.width) {
-            f(row, &mut cells);
+        let mut keys = vec![0; self.cells.len() / self.width];
+        for &(key, row) in self.slots.iter().filter(|slot| slot.1 != VACANT) {
+            keys[row as usize] = key;
+        }
+        let mut cells = Vec::with_capacity(keys.len() * width);
+        for (&key, row) in keys.iter().zip(self.cells.chunks_exact(self.width)) {
+            f(key, row, &mut cells);
         }
         PackedRows {
             slots: self.slots,

@@ -29,15 +29,19 @@
 //! rejects the rest.
 //!
 //! A trained [`KneserNey`] keeps no counts. Per stored context it holds
-//! the `vocab` discounted terms `max(count − D, 0) / total` and the
-//! backoff weight `D · N1+ / total`, evaluated once when the model is
-//! built, and a query folds them lowest order first as
-//! `term + weight · lower`. Those are the expressions, operands and
-//! order of operations the count-table model evaluated on every query
-//! (no fused multiply-add either way), so every probability is
-//! bit-identical to it: `tests/golden_ngram.rs` pins values captured
-//! from that model, and `tests/properties.rs` keeps its per-query
-//! recursion over raw counts as the oracle.
+//! that context's whole next-token distribution, `vocab` cells folded
+//! once when the model is built: the discounted terms
+//! `max(count − D, 0) / total` plus the backoff weight `D · N1+ / total`
+//! times the folded row of the context's longest stored proper suffix
+//! (uniform when there is none). A query copies the row of its
+//! context's longest stored suffix. The recursion evaluated per query
+//! skips an order whose context was never seen, so it folds exactly
+//! those suffixes, with the same expressions, operands and order of
+//! operations (no fused multiply-add either way): every probability is
+//! bit-identical to it. `tests/golden_ngram.rs` pins values captured
+//! from the count-table model, `tests/properties.rs` keeps its
+//! per-query recursion over raw counts as an oracle, and `model`'s unit
+//! tests keep the per-order recursion over smoothed rows as another.
 //!
 //! Packed, a token outside the vocabulary would alias another
 //! context's key, so tokens are checked where they enter

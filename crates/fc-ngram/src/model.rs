@@ -11,23 +11,28 @@
 //! ```
 //!
 //! where `c′` drops the oldest token and `D` is the per-order absolute
-//! discount `n1 / (n1 + 2·n2)` estimated from that order's table.
+//! discount `n1 / (n1 + 2·n2)` estimated from that order's table. An
+//! order whose context was never seen contributes nothing: `P(w | c)`
+//! is then `P(w | c′)`.
 //!
-//! The two fractions depend only on the stored counts, so
-//! [`KneserNey::from_counts`] evaluates them once per stored context
-//! and drops the counts; a query is one probe per order and
-//! `term + weight · P(w | c′)` per token, lowest order first. The
-//! crate doc says why that is bit-identical to evaluating the
-//! recursion from the counts on every query.
+//! Every term depends only on the stored counts, so
+//! [`KneserNey::from_counts`] evaluates the whole recursion once per
+//! stored context and drops the counts; a query is the stored row of
+//! its context's longest stored suffix. The crate doc says why that is
+//! bit-identical to evaluating the recursion on every query.
 
 use crate::counts::{row_distinct, row_total, PackedRows, TransitionCounts};
 
 /// A trained Kneser–Ney n-gram model.
 #[derive(Debug, Clone)]
 pub struct KneserNey {
-    /// `orders[k]` answers contexts of length `k`: [`smoothed`] rows.
-    orders: Vec<PackedRows<f64>>,
-    /// Per-order discounts, aligned with `orders`.
+    /// `folded[k]` answers the stored contexts of length `k`: each one's
+    /// whole next-token distribution, `vocab` cells.
+    folded: Vec<PackedRows<f64>>,
+    /// `places[k] = vocab^k`, the weight of the oldest token of a
+    /// length-`k + 1` context's key.
+    places: Vec<u64>,
+    /// Per-order discounts, aligned with `folded`.
     discounts: Vec<f64>,
     vocab: usize,
     order: usize,
@@ -38,12 +43,31 @@ pub struct KneserNey {
 /// followed by the backoff weight `D · N1+(c·) / count(c)`.
 fn smoothed(table: TransitionCounts, d: f64) -> PackedRows<f64> {
     let vocab = table.vocab();
-    table.into_rows().map_rows(vocab + 1, |row, terms| {
+    table.into_rows().map_rows(vocab + 1, |_, row, terms| {
         // A stored row holds at least one observation: total > 0.
         let total = row_total(row) as f64;
         terms.extend(row.iter().map(|&c| (c as f64 - d).max(0.0) / total));
         terms.push(d * row_distinct(row) as f64 / total);
     })
+}
+
+/// Every order's [`smoothed`] table, `[k]` for contexts of length `k`,
+/// and its discount: raw counts at the top, below it each order the
+/// continuation counts of the next.
+fn smoothed_orders(top: TransitionCounts) -> (Vec<PackedRows<f64>>, Vec<f64>) {
+    let mut tables = vec![top];
+    for _ in 0..tables[0].order() {
+        let next = tables.last().expect("nonempty").continuation_table();
+        tables.push(next);
+    }
+    tables.reverse();
+    let discounts: Vec<f64> = tables.iter().map(estimate_discount).collect();
+    let orders = tables
+        .into_iter()
+        .zip(&discounts)
+        .map(|(table, &d)| smoothed(table, d))
+        .collect();
+    (orders, discounts)
 }
 
 impl KneserNey {
@@ -59,25 +83,39 @@ impl KneserNey {
     }
 
     /// Builds the model from a pre-computed top-level count table.
+    ///
+    /// Folds each order's smoothed rows, lowest order first: a stored
+    /// context's row becomes `discounted[w] + weight · lower[w]`, where
+    /// `lower` is the folded row of its longest stored proper suffix
+    /// (uniform when it has none) — the recursion's own operands, in
+    /// its own order.
     pub fn from_counts(top: TransitionCounts) -> Self {
         let order = top.order();
         let vocab = top.vocab();
-        // `tables[k]` covers contexts of length `k`: raw counts at the
-        // top, below it each order the continuation counts of the next.
-        let mut tables = vec![top];
-        for _ in 0..order {
-            let next = tables.last().expect("nonempty").continuation_table();
-            tables.push(next);
+        let (smoothed, discounts) = smoothed_orders(top);
+        let places: Vec<u64> = (0..order as u32).map(|k| (vocab as u64).pow(k)).collect();
+        let uniform = 1.0 / vocab as f64;
+        let mut folded: Vec<PackedRows<f64>> = Vec::with_capacity(order + 1);
+        for rows in smoothed {
+            let k = folded.len();
+            let next = rows.map_rows(vocab, |key, row, out| {
+                // Dropping tokens from the old end keeps `key % vocab^j`.
+                let lower = (0..k).rev().find_map(|j| folded[j].get(key % places[j]));
+                let start = out.len();
+                match lower {
+                    Some(lower) => out.extend_from_slice(lower),
+                    None => out.resize(start + vocab, uniform),
+                }
+                let backoff_weight = row[vocab];
+                for (p, &discounted) in out[start..].iter_mut().zip(row) {
+                    *p = discounted + backoff_weight * *p;
+                }
+            });
+            folded.push(next);
         }
-        tables.reverse();
-        let discounts: Vec<f64> = tables.iter().map(estimate_discount).collect();
-        let orders = tables
-            .into_iter()
-            .zip(&discounts)
-            .map(|(table, &d)| smoothed(table, d))
-            .collect();
         Self {
-            orders,
+            folded,
+            places,
             discounts,
             vocab,
             order,
@@ -97,22 +135,16 @@ impl KneserNey {
 
     /// P(next | history): uses the last `order` tokens of `history`
     /// (fewer if the history is shorter). Never returns 0 — smoothing
-    /// guarantees mass on unseen moves.
-    ///
-    /// This is the module-level recursion for one token;
-    /// [`Self::distribution_into`] computes the same values (bit for
-    /// bit, property-tested) a vocabulary row at a time.
+    /// guarantees mass on unseen moves. One cell of the row
+    /// [`Self::distribution_into`] copies.
     ///
     /// # Panics
     /// Panics when `next`, or a token of the context, is outside the
     /// vocabulary.
     pub fn prob(&self, history: &[u16], next: u16) -> f64 {
         assert!((next as usize) < self.vocab, "token out of vocabulary");
-        let mut p = 1.0 / self.vocab as f64;
-        for row in self.rows(self.context(history)) {
-            p = row[next as usize] + row[self.vocab] * p;
-        }
-        p
+        self.row(self.context(history))
+            .map_or(1.0 / self.vocab as f64, |row| row[next as usize])
     }
 
     /// The full next-token distribution given `history`; sums to 1.
@@ -122,24 +154,19 @@ impl KneserNey {
         out
     }
 
-    /// [`Self::distribution`] written into `out`, without allocating:
-    /// one probe per order, lowest order first, each order folding its
-    /// stored row over the lower-order distribution already in `out`
-    /// with one multiply and one add per token. Orders whose context
-    /// was never seen leave `out` as it is (full weight on the
-    /// lower-order model).
+    /// [`Self::distribution`] written into `out`, without allocating: a
+    /// copy of the folded row of the context's longest stored suffix,
+    /// or the uniform distribution when not even the empty context was
+    /// ever seen.
     ///
     /// # Panics
     /// Panics when `out.len()` is not the vocabulary size, or a token of
     /// the context is outside the vocabulary.
     pub fn distribution_into(&self, history: &[u16], out: &mut [f64]) {
         assert_eq!(out.len(), self.vocab, "one slot per vocabulary token");
-        out.fill(1.0 / self.vocab as f64);
-        for row in self.rows(self.context(history)) {
-            let backoff_weight = row[self.vocab];
-            for (p, &discounted) in out.iter_mut().zip(row) {
-                *p = discounted + backoff_weight * *p;
-            }
+        match self.row(self.context(history)) {
+            Some(row) => out.copy_from_slice(row),
+            None => out.fill(1.0 / self.vocab as f64),
         }
     }
 
@@ -155,19 +182,21 @@ impl KneserNey {
         ctx
     }
 
-    /// The stored rows of `ctx`'s suffixes, shortest first, the unseen
-    /// ones skipped. The key grows with the suffix: one multiply-add
-    /// prepends the next older token (`counts` module doc).
-    fn rows<'a>(&'a self, ctx: &'a [u16]) -> impl Iterator<Item = &'a [f64]> + 'a {
-        let mut key = 0u64;
-        let mut place = 1u64;
-        (0..=ctx.len()).filter_map(move |k| {
-            if k > 0 {
-                key += u64::from(ctx[ctx.len() - k]) * place;
-                place *= self.vocab as u64;
+    /// The folded row of `ctx`'s longest stored suffix, probing longest
+    /// first. Dropping the oldest token of a length-`j` suffix subtracts
+    /// its place from the key (`counts` module doc).
+    fn row(&self, ctx: &[u16]) -> Option<&[f64]> {
+        let vocab = self.vocab as u64;
+        let mut key = ctx.iter().fold(0, |key, &t| key * vocab + u64::from(t));
+        for j in (0..=ctx.len()).rev() {
+            if let Some(row) = self.folded[j].get(key) {
+                return Some(row);
             }
-            self.orders[k].get(key)
-        })
+            if j > 0 {
+                key -= u64::from(ctx[ctx.len() - j]) * self.places[j - 1];
+            }
+        }
+        None
     }
 }
 
@@ -184,8 +213,66 @@ fn estimate_discount(t: &TransitionCounts) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const V: usize = 9; // ForeCache's nine-move vocabulary
+
+    /// The per-order recursion the folded rows replaced, kept as their
+    /// oracle: every order's smoothed rows ([`smoothed_orders`]), folded
+    /// over the lower-order distribution lowest order first on each
+    /// query, an unseen order leaving it as it is.
+    fn recursion(orders: &[PackedRows<f64>], history: &[u16]) -> Vec<f64> {
+        let order = orders.len() - 1;
+        let ctx = &history[history.len() - history.len().min(order)..];
+        let mut out = vec![1.0 / V as f64; V];
+        for k in 0..=ctx.len() {
+            let key = ctx[ctx.len() - k..]
+                .iter()
+                .fold(0, |key, &t| key * V as u64 + u64::from(t));
+            if let Some(row) = orders[k].get(key) {
+                let backoff_weight = row[V];
+                for (p, &discounted) in out.iter_mut().zip(row) {
+                    *p = discounted + backoff_weight * *p;
+                }
+            }
+        }
+        out
+    }
+
+    /// Traces never hold this token, so a context holding it is unseen.
+    const ABSENT: u16 = V as u16 - 1;
+
+    proptest! {
+        /// The folded rows answer what the per-order recursion answers,
+        /// bit for bit, through `distribution_into` and `prob`: orders
+        /// 0–4, every suffix of a history longer than the order (so
+        /// contexts shorter than it too), and the same suffixes behind a
+        /// token no trace holds (unseen at their full length).
+        #[test]
+        fn folded_rows_are_the_per_order_recursion(
+            traces in proptest::collection::vec(
+                proptest::collection::vec(0..ABSENT, 0..40), 1..6),
+            order in 0usize..5,
+            history in proptest::collection::vec(0..ABSENT, 5..7),
+        ) {
+            let top = TransitionCounts::process_traces(traces.iter().map(Vec::as_slice), order, V);
+            let (orders, _) = smoothed_orders(top.clone());
+            let m = KneserNey::from_counts(top);
+            for start in 0..=history.len() {
+                let suffix = &history[start..];
+                let behind_absent: Vec<u16> = [ABSENT].iter().chain(suffix).copied().collect();
+                for h in [suffix, &behind_absent] {
+                    let want: Vec<u64> = recursion(&orders, h).iter().map(|p| p.to_bits()).collect();
+                    let mut row = [f64::NAN; V];
+                    m.distribution_into(h, &mut row);
+                    prop_assert_eq!(row.map(f64::to_bits).to_vec(), want.clone(), "history {:?}", h);
+                    for (w, bits) in want.iter().enumerate() {
+                        prop_assert_eq!(m.prob(h, w as u16).to_bits(), *bits);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     #[should_panic(expected = "history token out of vocabulary")]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 const V: usize = 9;
 
-/// The model as it answered before rows were smoothed at training time,
+/// The model as it answered before rows were folded at training time,
 /// kept as the oracle of [`KneserNey::prob`] and
 /// [`KneserNey::distribution_into`]: the Kneser–Ney recursion for one
 /// token, every term evaluated from the raw `u32` count rows on each
@@ -97,7 +97,7 @@ proptest! {
         let _ = truncated;
     }
 
-    /// Rows smoothed once at training time answer what the per-query
+    /// Rows folded once at training time answer what the per-query
     /// recursion over raw counts answers, bit for bit — row-wise
     /// (`distribution_into`, `distribution`) and per token (`prob`):
     /// orders 0–10, empty, short and over-long histories, and (random

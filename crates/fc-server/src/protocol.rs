@@ -65,6 +65,12 @@ pub const MAX_FRAME: usize = 64 << 20;
 /// field; both ends enforce this far smaller bound instead.
 pub const MAX_DATASET_NAME: usize = 256;
 
+/// The largest client message body: a Hello (tag, prefetch budget,
+/// string length) naming a dataset of [`MAX_DATASET_NAME`] bytes. A
+/// server ends a session, without a reply, at a frame prefix that
+/// claims more; replies keep [`MAX_FRAME`].
+pub const MAX_CLIENT_FRAME: usize = 1 + 4 + 2 + MAX_DATASET_NAME;
+
 /// Client → server messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientMsg {
@@ -932,13 +938,20 @@ pub fn write_frame<W: Write>(w: &mut W, framed: &[u8]) -> io::Result<()> {
 /// Reads one frame body from a stream (without the length prefix).
 ///
 /// # Errors
-/// Propagates I/O errors; `InvalidData` for oversized frames;
+/// Propagates I/O errors; `InvalidData` for frames over [`MAX_FRAME`];
 /// `UnexpectedEof` when the stream ends, between frames or inside one.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Bytes> {
+    read_frame_within(r, MAX_FRAME)
+}
+
+/// [`read_frame`] for bodies of at most `max` bytes: a prefix claiming
+/// more fails with `InvalidData` before anything is reserved or read
+/// past it.
+pub(crate) fn read_frame_within<R: Read>(r: &mut R, max: usize) -> io::Result<Bytes> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
+    if len > max {
         return Err(bad("frame too large"));
     }
     // `read_to_end` fills the reserved capacity as it stands — no
@@ -1210,5 +1223,30 @@ mod tests {
         buf.extend_from_slice(&[0u8; 16]);
         let mut cursor = std::io::Cursor::new(buf);
         assert!(read_frame(&mut cursor).is_err());
+    }
+
+    /// The client-frame bound is the longest message a client can send:
+    /// a Hello naming a dataset of the longest accepted name, which
+    /// reads back; one byte more is refused at the prefix.
+    #[test]
+    fn the_client_frame_bound_is_the_longest_hello() {
+        let longest = ClientMsg::Hello {
+            prefetch_k: u32::MAX,
+            dataset: "x".repeat(MAX_DATASET_NAME),
+        };
+        let tile = ClientMsg::RequestTile {
+            tile: TileId::new(u8::MAX, u32::MAX, u32::MAX),
+            mv: Some(Move::ZoomIn(Quadrant::Se)),
+        };
+        for (m, len) in [(&longest, MAX_CLIENT_FRAME), (&tile, 11)] {
+            let framed = m.encode();
+            assert_eq!(framed.len(), 4 + len, "{m:?}");
+            let body = read_frame_within(&mut &framed[..], MAX_CLIENT_FRAME).unwrap();
+            assert_eq!(&ClientMsg::decode(body).unwrap(), m);
+        }
+        let mut over = ((MAX_CLIENT_FRAME + 1) as u32).to_le_bytes().to_vec();
+        over.resize(4 + MAX_CLIENT_FRAME + 1, 0);
+        let err = read_frame_within(&mut &over[..], MAX_CLIENT_FRAME).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

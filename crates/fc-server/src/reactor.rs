@@ -43,7 +43,7 @@
 //! push never queues behind (or delays) a reply.
 
 use crate::epoll::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT};
-use crate::protocol::{ClientMsg, ErrorCode, Frame, ServerMsg, MAX_FRAME};
+use crate::protocol::{ClientMsg, ErrorCode, Frame, ServerMsg, MAX_CLIENT_FRAME};
 use crate::server::{handle_msg, Flow, PushCounters, Reply, ServedDatasets, ServerConfig};
 use fc_core::{Middleware, MultiUserCache, PushPlanner};
 use fc_tiles::TileId;
@@ -382,9 +382,10 @@ fn serve_buffered(s: &mut Session, served: &ServedDatasets, config: &ServerConfi
         }
         // fc-check: allow(handler-unwrap) -- rest.len() >= 4 is checked directly above
         let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        if len > MAX_FRAME {
-            // Corrupt prefix: the threaded read_frame fails the
-            // session without a reply; mirror that.
+        if len > MAX_CLIENT_FRAME {
+            // Longer than any client message: the threaded loop fails
+            // the session at the prefix without a reply; mirror that,
+            // rather than waiting on the claimed body.
             s.dead = true;
             break;
         }

@@ -11,7 +11,8 @@
 //! namespace's cross-session hotspot model.
 
 use crate::protocol::{
-    read_frame, wire_shape, ClientMsg, ErrorCode, Frame, ServerMsg, TilePayload,
+    read_frame_within, wire_shape, ClientMsg, ErrorCode, Frame, ServerMsg, TilePayload,
+    MAX_CLIENT_FRAME,
 };
 use fc_core::{
     BatchConfig, DatasetNamespace, DatasetRegistry, FaultPlan, HotspotConfig, LatencyProfile,
@@ -589,7 +590,9 @@ fn serve_session(
     // charge simulated think time via the same `note_idle`.
     let mut last_request: Option<Instant> = None;
     loop {
-        let body = match read_frame(&mut stream) {
+        // A prefix over the longest client message ends the session
+        // before anything is reserved for it, without a reply.
+        let body = match read_frame_within(&mut stream, MAX_CLIENT_FRAME) {
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
             // A read timeout is a slow or dead client, not a server
@@ -668,25 +671,14 @@ pub(crate) fn handle_msg(
             } else {
                 prefetch_k as usize
             };
-            // Bound the name before echoing it anywhere: wire strings
-            // are u16-length, so an unbounded (up to 64 KiB) name
-            // folded into an Error reason would otherwise dominate the
-            // reply (the codec truncates oversized strings).
-            let resolved = if dataset.len() > crate::protocol::MAX_DATASET_NAME {
-                Err((
-                    ErrorCode::Malformed,
-                    format!(
-                        "dataset name too long: {} bytes (max {})",
-                        dataset.len(),
-                        crate::protocol::MAX_DATASET_NAME
-                    ),
-                ))
-            } else {
-                served.resolve(&dataset).ok_or((
-                    ErrorCode::UnknownDataset,
-                    format!("unknown dataset: {dataset:?}"),
-                ))
-            };
+            // The name is at most `MAX_DATASET_NAME` bytes: a longer
+            // Hello exceeds `MAX_CLIENT_FRAME`, and both substrates end
+            // the session at its prefix. So echoing it keeps the reply
+            // small.
+            let resolved = served.resolve(&dataset).ok_or((
+                ErrorCode::UnknownDataset,
+                format!("unknown dataset: {dataset:?}"),
+            ));
             let reply = match resolved {
                 Err((code, reason)) => ServerMsg::Error { code, reason },
                 Ok(d) => {

@@ -276,9 +276,11 @@ fn one_process_serves_two_datasets_in_separate_namespaces() {
 }
 
 /// Regression: a Hello whose dataset name approaches the u16 wire
-/// limit must get a bounded error reply — echoing the raw name into
-/// the Error reason used to overflow the reply's own string field and
-/// panic the session thread (leaking the active-session counter).
+/// limit must cost no more than its own session — echoing the raw name
+/// into the Error reason used to overflow the reply's own string field
+/// and panic the session thread (leaking the active-session counter).
+/// Such a Hello is longer than any client message may be, so the
+/// server ends the session at its frame prefix, without a reply.
 #[test]
 fn oversized_dataset_name_is_rejected_not_fatal() {
     use fc_server::protocol::{read_frame, write_frame, MAX_DATASET_NAME};
@@ -288,23 +290,28 @@ fn oversized_dataset_name_is_rejected_not_fatal() {
     let long = "x".repeat(MAX_DATASET_NAME + 1);
     let err = Client::connect_dataset(server.addr(), 2, &long).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    // Raw-frame client: a near-u16-max name (encodable, but whose
-    // echoed Error reason would not be) must draw a bounded error.
+    // Raw-frame client: a near-u16-max name. The server may hang up
+    // while the frame is still being written.
     let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
     let hello = ClientMsg::Hello {
         prefetch_k: 1,
         dataset: "x".repeat(65_530),
     };
-    write_frame(&mut stream, &hello.encode()).expect("send");
-    match ServerMsg::decode(read_frame(&mut stream).expect("alive")).expect("reply") {
-        ServerMsg::Error { code, reason } => {
-            assert_eq!(code, fc_server::ErrorCode::Malformed);
-            assert!(reason.contains("too long"), "{reason}");
-            assert!(!reason.contains("xxx"), "name must not be echoed");
-        }
-        other => panic!("expected error, got {other:?}"),
-    }
-    // The connection survives: a proper Hello still opens a session.
+    let _ = write_frame(&mut stream, &hello.encode());
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
+    let closed = read_frame(&mut stream).expect_err("no reply");
+    assert!(
+        !matches!(
+            closed.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+        "the server closes the session: {closed}"
+    );
+    // The server survives: a proper Hello on a new connection opens a
+    // session.
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
     let hello = ClientMsg::Hello {
         prefetch_k: 1,
         dataset: String::new(),

@@ -8,7 +8,9 @@ use fc_core::{
     AbRecommender, AllocationStrategy, EngineConfig, PredictionEngine, PushConfig, PushPolicy,
     SbConfig, SbRecommender,
 };
-use fc_server::protocol::{read_frame, write_frame, ClientMsg, ServerMsg};
+use fc_server::protocol::{
+    read_frame, write_frame, ClientMsg, ServerMsg, MAX_CLIENT_FRAME, MAX_DATASET_NAME,
+};
 use fc_server::server::tile_payload;
 use fc_server::{
     Client, DatasetSpec, EngineFactory, ErrorCode, MultiUserServing, PushServing, Server,
@@ -360,6 +362,58 @@ fn mid_frame_disconnect_is_reaped_cleanly() {
         "mid-frame disconnect reaped",
     );
     server.shutdown();
+}
+
+/// A frame prefix longer than any client message ends the session on
+/// both substrates, without a reply and without waiting for the body
+/// it claims; a Hello of exactly the bound is still served.
+#[test]
+fn oversized_client_prefix_is_reaped_on_both_substrates() {
+    use std::io::{Read, Write};
+    for reactor in [false, true] {
+        let (mut server, _ds) = start_server_with(ServerConfig {
+            reactor,
+            ..ServerConfig::default()
+        });
+        // 32 MiB claimed, 1 KiB sent, and the connection kept open.
+        let mut hostile = TcpStream::connect(server.addr()).expect("connect");
+        hostile
+            .write_all(&(32u32 << 20).to_le_bytes())
+            .expect("prefix");
+        hostile.write_all(&[0u8; 1024]).expect("some body");
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        match hostile.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("reactor {reactor}: expected a hang-up, got {other:?}"),
+        }
+        wait_for(|| server.active_sessions() == 0, "oversized prefix reaped");
+
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let longest = ClientMsg::Hello {
+            prefetch_k: 2,
+            dataset: "x".repeat(MAX_DATASET_NAME),
+        }
+        .encode();
+        assert_eq!(longest.len(), 4 + MAX_CLIENT_FRAME);
+        write_frame(&mut stream, &longest).expect("longest hello");
+        match ServerMsg::decode(read_frame(&mut stream).expect("reply")).expect("decode") {
+            ServerMsg::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownDataset),
+            other => panic!("reactor {reactor}: {other:?}"),
+        }
+        let hello = ClientMsg::Hello {
+            prefetch_k: 2,
+            dataset: String::new(),
+        };
+        write_frame(&mut stream, &hello.encode()).expect("hello");
+        let welcome = ServerMsg::decode(read_frame(&mut stream).expect("reply")).expect("decode");
+        assert!(matches!(welcome, ServerMsg::Welcome { .. }), "{welcome:?}");
+        write_frame(&mut stream, &ClientMsg::Bye.encode()).expect("bye");
+        wait_for(|| server.active_sessions() == 0, "session closed");
+        server.shutdown();
+    }
 }
 
 #[test]
