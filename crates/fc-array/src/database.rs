@@ -8,8 +8,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A catalog of named arrays. Cloning is cheap (shared state), so one
-/// `Database` can be handed to the query executor, the tile builder, and
-/// the middleware simultaneously.
+/// `Database` can be handed to the tile builder and the middleware
+/// simultaneously.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     arrays: Arc<RwLock<HashMap<String, Arc<DenseArray>>>>,
@@ -41,28 +41,6 @@ impl Database {
             .cloned()
             .ok_or_else(|| ArrayError::NoSuchArray(name.to_string()))
     }
-
-    /// Drops the array named `name`; returns whether it existed.
-    pub fn remove(&self, name: &str) -> bool {
-        self.arrays.write().remove(name).is_some()
-    }
-
-    /// Sorted list of array names.
-    pub fn list(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.arrays.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Number of stored arrays.
-    pub fn len(&self) -> usize {
-        self.arrays.read().len()
-    }
-
-    /// Whether the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.arrays.read().is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -89,18 +67,5 @@ mod tests {
         let db2 = db.clone();
         db.store("A", small("a"));
         assert!(db2.scan("A").is_ok());
-        assert!(db2.remove("A"));
-        assert!(db.scan("A").is_err());
-    }
-
-    #[test]
-    fn list_is_sorted() {
-        let db = Database::new();
-        db.store("B", small("b"));
-        db.store("A", small("a"));
-        db.store("C", small("c"));
-        assert_eq!(db.list(), vec!["A", "B", "C"]);
-        assert_eq!(db.len(), 3);
-        assert!(!db.is_empty());
     }
 }

@@ -27,14 +27,6 @@ impl<'a> CellView<'a> {
         self.array.attrs[ai][self.cell]
     }
 
-    /// Value of the attribute named `name`.
-    ///
-    /// # Errors
-    /// [`ArrayError::UnknownName`] if absent.
-    pub fn attr_by_name(&self, name: &str) -> Result<f64> {
-        Ok(self.attr(self.array.schema.attr_index(name)?))
-    }
-
     /// Coordinates of this cell.
     pub fn coords(&self) -> Vec<usize> {
         self.array.schema.coords_of(self.cell)
@@ -126,11 +118,6 @@ impl DenseArray {
         self.schema.ncells()
     }
 
-    /// Number of *present* (non-empty) cells.
-    pub fn npresent(&self) -> usize {
-        self.valid.count_ones()
-    }
-
     /// Reads attribute `attr` at `coords`; `None` when the cell is empty.
     ///
     /// # Errors
@@ -170,15 +157,6 @@ impl DenseArray {
     /// [`ArrayError::UnknownName`] if absent.
     pub fn attr_values(&self, attr: &str) -> Result<&[f64]> {
         Ok(&self.attrs[self.schema.attr_index(attr)?])
-    }
-
-    /// Mutable raw values of one attribute.
-    ///
-    /// # Errors
-    /// [`ArrayError::UnknownName`] if absent.
-    pub fn attr_values_mut(&mut self, attr: &str) -> Result<&mut [f64]> {
-        let ai = self.schema.attr_index(attr)?;
-        Ok(&mut self.attrs[ai])
     }
 
     /// The validity (presence) mask.
@@ -307,7 +285,7 @@ mod tests {
         let a = arr();
         assert_eq!(a.get("v", &[0, 0]).unwrap(), Some(1.0));
         assert_eq!(a.get("v", &[1, 2]).unwrap(), Some(6.0));
-        assert_eq!(a.npresent(), 6);
+        assert_eq!(a.validity().count_ones(), 6);
     }
 
     #[test]
@@ -325,7 +303,7 @@ mod tests {
         assert_eq!(a.get("v", &[0, 0]).unwrap(), None);
         a.set("v", &[0, 0], 9.0).unwrap();
         assert_eq!(a.get("v", &[0, 0]).unwrap(), Some(9.0));
-        assert_eq!(a.npresent(), 1);
+        assert_eq!(a.validity().count_ones(), 1);
         a.clear_cell(&[0, 0]).unwrap();
         assert_eq!(a.get("v", &[0, 0]).unwrap(), None);
     }
@@ -344,8 +322,8 @@ mod tests {
     fn cellview_by_name() {
         let a = arr();
         let c = a.cells().nth(4).unwrap();
-        assert_eq!(c.attr_by_name("v").unwrap(), 5.0);
-        assert!(c.attr_by_name("w").is_err());
+        assert_eq!(c.attr(a.schema().attr_index("v").unwrap()), 5.0);
+        assert!(a.schema().attr_index("w").is_err());
         assert_eq!(c.index(), 4);
     }
 

@@ -16,8 +16,7 @@
 //! * a chunked storage engine with a **simulated I/O latency model**
 //!   ([`storage::SimDisk`]) so experiments can reproduce the paper's
 //!   19.5 ms cache-hit / 984 ms cache-miss behaviour deterministically;
-//! * a small composable query layer ([`query::Query`]) and a named-array
-//!   [`Database`], mirroring SciDB's `store(apply(join(…)))` style.
+//! * a named-array [`Database`], SciDB's `store(…)` / `scan(…)`.
 //!
 //! The design goal is *behavioural* fidelity: every DBMS code path the
 //! paper exercises (materialized-view building, tile reads with large
@@ -32,7 +31,6 @@ pub mod database;
 pub mod dense;
 pub mod error;
 pub mod ops;
-pub mod query;
 pub mod schema;
 pub mod storage;
 
@@ -44,6 +42,5 @@ pub use error::{ArrayError, Result};
 pub use ops::{
     apply, extract_block_2d, join, project, regrid, regrid_with, regrid_with_reference, subarray,
 };
-pub use query::Query;
 pub use schema::{Attribute, Dimension, Schema};
 pub use storage::{BlobSize, IoMode, IoStats, LatencyModel, SimClock, SimDisk};

@@ -54,14 +54,6 @@ impl LatencyModel {
         }
     }
 
-    /// A fast local-disk-like model for unit tests.
-    pub fn fast() -> Self {
-        Self {
-            seek: Duration::from_micros(100),
-            per_byte_ns: 1,
-        }
-    }
-
     /// Zero-cost model (pure in-memory store).
     pub fn free() -> Self {
         Self {
@@ -155,11 +147,6 @@ impl<K: Eq + Hash + Clone, V: BlobSize> SimDisk<K, V> {
         }
     }
 
-    /// An in-memory, zero-latency disk (for tests).
-    pub fn in_memory() -> Self {
-        Self::new(LatencyModel::free(), IoMode::Simulated, SimClock::new())
-    }
-
     /// Stores a blob under `key`, replacing any previous blob.
     pub fn write(&self, key: K, value: V) {
         self.chunks.lock().insert(key, Arc::new(value));
@@ -237,6 +224,10 @@ impl<K: Eq + Hash + Clone, V: BlobSize> SimDisk<K, V> {
 mod tests {
     use super::*;
 
+    fn in_memory<K: Eq + Hash + Clone>() -> SimDisk<K, Vec<f64>> {
+        SimDisk::new(LatencyModel::free(), IoMode::Simulated, SimClock::new())
+    }
+
     #[test]
     fn latency_cost_combines_seek_and_transfer() {
         let m = LatencyModel {
@@ -253,13 +244,16 @@ mod tests {
     #[test]
     fn read_charges_clock_and_counts() {
         let clock = SimClock::new();
-        let disk: SimDisk<u32, Vec<f64>> =
-            SimDisk::new(LatencyModel::fast(), IoMode::Simulated, clock.clone());
+        let model = LatencyModel {
+            seek: Duration::from_micros(100),
+            per_byte_ns: 1,
+        };
+        let disk: SimDisk<u32, Vec<f64>> = SimDisk::new(model, IoMode::Simulated, clock.clone());
         disk.write(1, vec![0.0; 100]);
         assert!(disk.contains(&1));
         let (blob, cost) = disk.read(&1).unwrap();
         assert_eq!(blob.len(), 100);
-        assert_eq!(cost, LatencyModel::fast().cost(800));
+        assert_eq!(cost, model.cost(800));
         assert_eq!(clock.now(), cost);
         let s = disk.stats();
         assert_eq!(s.reads, 1);
@@ -270,7 +264,7 @@ mod tests {
 
     #[test]
     fn missing_key_is_free() {
-        let disk: SimDisk<u32, Vec<f64>> = SimDisk::in_memory();
+        let disk: SimDisk<u32, Vec<f64>> = in_memory();
         assert!(disk.read(&42).is_none());
         assert_eq!(disk.stats().reads, 0);
         assert_eq!(disk.clock().now(), Duration::ZERO);
@@ -297,7 +291,7 @@ mod tests {
 
     #[test]
     fn overwrite_replaces_blob() {
-        let disk: SimDisk<&'static str, Vec<f64>> = SimDisk::in_memory();
+        let disk: SimDisk<&'static str, Vec<f64>> = in_memory();
         disk.write("a", vec![1.0]);
         disk.write("a", vec![2.0, 3.0]);
         assert_eq!(disk.len(), 1);

@@ -43,7 +43,7 @@ proptest! {
     fn regrid_count_conserves_presence(a in small_array(), wy in 1usize..5, wx in 1usize..5) {
         let out = regrid(&a, &[wy, wx], AggFn::Count).unwrap();
         let counted: f64 = out.cells().map(|c| c.attr(0)).sum();
-        prop_assert_eq!(counted as usize, a.npresent());
+        prop_assert_eq!(counted as usize, a.validity().count_ones());
     }
 
     /// Min <= Avg <= Max for every regrid output cell.
@@ -63,7 +63,7 @@ proptest! {
     fn regrid_unit_window_is_identity(a in small_array()) {
         let out = regrid(&a, &[1, 1], AggFn::Avg).unwrap();
         prop_assert_eq!(out.shape(), a.shape());
-        prop_assert_eq!(out.npresent(), a.npresent());
+        prop_assert_eq!(out.validity().count_ones(), a.validity().count_ones());
         for (ca, cb) in a.cells().zip(out.cells()) {
             prop_assert_eq!(ca.coords(), cb.coords());
             prop_assert!((ca.attr(0) - cb.attr(0)).abs() < 1e-12);
@@ -83,7 +83,7 @@ proptest! {
             while x < shape[1] {
                 let x_hi = (x + tx).min(shape[1]);
                 let t = subarray(&a, &[(y, y_hi), (x, x_hi)]).unwrap();
-                covered += t.npresent();
+                covered += t.validity().count_ones();
                 // Every tile cell matches its source cell.
                 for c in t.cells() {
                     let co = c.coords();
@@ -94,7 +94,7 @@ proptest! {
             }
             y = y_hi;
         }
-        prop_assert_eq!(covered, a.npresent());
+        prop_assert_eq!(covered, a.validity().count_ones());
     }
 
     /// flat_index/coords_of roundtrip for arbitrary shapes.

@@ -1,6 +1,7 @@
-//! Integration tests for the query layer against multi-step pipelines.
+//! Integration tests for the paper's Query 1 and the operators and
+//! catalog it runs on, across multi-step pipelines.
 
-use fc_array::{AggFn, Database, DenseArray, Query, Schema};
+use fc_array::{apply, join, regrid, AggFn, Database, DenseArray, Schema};
 
 /// Builds the paper's full Query 1 + zoom-level pipeline end to end:
 /// bands → join → NDSI UDF → store → per-level regrids.
@@ -13,34 +14,27 @@ fn query1_then_zoom_levels() {
         let data: Vec<f64> = (0..n * n).map(|i| f(i / n, i % n)).collect();
         DenseArray::from_vec(schema, data).unwrap()
     };
-    db.store(
+    let vis = db.store(
         "SVIS",
         mk("SVIS", &|y, _| 0.2 + 0.6 * (y as f64 / n as f64)),
     );
-    db.store(
+    let swir = db.store(
         "SSWIR",
         mk("SSWIR", &|y, _| 0.8 - 0.6 * (y as f64 / n as f64)),
     );
 
-    Query::scan("SVIS")
-        .join(Query::scan("SSWIR"))
-        .apply("ndsi", |c| {
-            let v = c.attr(0);
-            let s = c.attr(1);
-            (v - s) / (v + s)
-        })
-        .store("NDSI")
-        .execute(&db)
-        .unwrap();
+    let ndsi = apply(&join(&vis, &swir).unwrap(), "ndsi", |c| {
+        let v = c.attr(0);
+        let s = c.attr(1);
+        (v - s) / (v + s)
+    })
+    .unwrap();
+    let ndsi = db.store("NDSI", ndsi);
 
     // Materialize three zoom levels like the tile builder does.
     for (level, window) in [(0usize, 4usize), (1, 2), (2, 1)] {
         let name = format!("NDSI_L{level}");
-        Query::scan("NDSI")
-            .regrid(&[window, window], AggFn::Avg)
-            .store(&name)
-            .execute(&db)
-            .unwrap();
+        db.store(&name, regrid(&ndsi, &[window, window], AggFn::Avg).unwrap());
         let view = db.scan(&name).unwrap();
         assert_eq!(view.shape(), vec![n / window, n / window]);
     }
@@ -54,24 +48,17 @@ fn query1_then_zoom_levels() {
     assert!(bottom > 0.3, "bottom {bottom}");
 }
 
-/// Filters compose with aggregation: masked cells never contribute.
+/// Masked (emptied) cells never contribute to aggregation.
 #[test]
 fn filter_then_regrid_skips_masked_cells() {
-    let db = Database::new();
-    let schema = Schema::grid2d("M", 4, 4, &["v", "keep"]).unwrap();
-    let mut arr = DenseArray::empty(schema);
+    let schema = Schema::grid2d("M", 4, 4, &["v"]).unwrap();
+    let mut arr = DenseArray::filled(schema, 10.0);
     for y in 0..4 {
-        for x in 0..4 {
-            arr.set("v", &[y, x], 10.0).unwrap();
-            arr.set("keep", &[y, x], f64::from(u8::from(x < 2)))
-                .unwrap();
+        for x in 2..4 {
+            arr.clear_cell(&[y, x]).unwrap();
         }
     }
-    let out = Query::literal(arr)
-        .filter(|c| c.attr_by_name("keep").unwrap() > 0.5)
-        .regrid(&[4, 4], AggFn::Count)
-        .execute(&db)
-        .unwrap();
+    let out = regrid(&arr, &[4, 4], AggFn::Count).unwrap();
     assert_eq!(out.get("v", &[0, 0]).unwrap(), Some(8.0));
 }
 
@@ -80,12 +67,8 @@ fn filter_then_regrid_skips_masked_cells() {
 fn store_overwrite_roundtrip() {
     let db = Database::new();
     let schema = Schema::grid2d("A", 2, 2, &["v"]).unwrap();
-    db.store("X", DenseArray::filled(schema.clone(), 1.0));
-    Query::scan("X")
-        .apply("w", |c| c.attr(0) * 2.0)
-        .store("X")
-        .execute(&db)
-        .unwrap();
+    let x = db.store("X", DenseArray::filled(schema, 1.0));
+    db.store("X", apply(&x, "w", |c| c.attr(0) * 2.0).unwrap());
     let x = db.scan("X").unwrap();
     assert_eq!(x.get("w", &[0, 0]).unwrap(), Some(2.0));
     assert_eq!(x.schema().attrs.len(), 2);

@@ -246,6 +246,7 @@ fn seed_pad_to(block: &DenseArray, h: usize, w: usize) -> ArrayResult<DenseArray
 ///
 /// # Errors
 /// As `PyramidBuilder::build`.
+// fc-check: allow(unreferenced-pub) -- reference oracle: golden_datapath holds the live pyramid build to this seed copy
 pub fn seed_build_pyramid(
     base: &DenseArray,
     cfg: &PyramidConfig,
@@ -685,6 +686,7 @@ impl SeedVocabulary {
 /// each vision signature re-rendering the tile and re-running the full
 /// detector/descriptor pipeline, exactly as the seed's per-signature
 /// computer objects did.
+// fc-check: allow(unreferenced-pub) -- reference oracle: golden_datapath holds the live signature pass to this seed copy
 pub fn seed_attach_signatures(
     geometry: Geometry,
     store: &TileStore,

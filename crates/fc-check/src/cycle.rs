@@ -180,16 +180,6 @@ impl LockGraph {
     }
 }
 
-/// Convenience: builds a graph from `(from, to)` pairs (e.g. the
-/// output of `parking_lot::lockgraph::capture`) and finds a cycle.
-pub fn find_cycle_in(edges: &[(String, String)]) -> Option<Vec<String>> {
-    let mut g = LockGraph::new();
-    for (from, to) in edges {
-        g.add_edge(from, to);
-    }
-    g.find_cycle()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

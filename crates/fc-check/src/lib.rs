@@ -5,7 +5,8 @@
 //! 1. **Lint gate** ([`lint`]) — a token-level scanner that enforces
 //!    repo-wide invariants (SAFETY comments on `unsafe`, SimClock
 //!    discipline, shim-only locking, panic-free server handlers,
-//!    bounded wire strings) with an explicit, reasoned waiver syntax.
+//!    bounded wire strings, no `pub` item that only tests call) with
+//!    an explicit, reasoned waiver syntax.
 //! 2. **Lock-order cycle check** ([`cycle`]) — merges the acquisition
 //!    graphs dumped by `FC_LOCKGRAPH=1` test runs and flags any cycle
 //!    as a potential deadlock.
@@ -20,5 +21,5 @@
 pub mod cycle;
 pub mod lint;
 
-pub use cycle::{find_cycle_in, LockGraph};
-pub use lint::{lint_source, lint_tree, mask_source, Finding, LintSummary};
+pub use cycle::LockGraph;
+pub use lint::{lint_sources, lint_tree, mask_source, Finding, LintSummary};

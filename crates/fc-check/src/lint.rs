@@ -12,6 +12,11 @@
 //! | `handler-unwrap` | fc-server `src/`                        | no `.unwrap()`/`.expect()`/`panic!` in client-reachable paths |
 //! | `no-print`       | library `src/` (fc-bench and bins exempt) | no `println!`/`eprintln!`/`dbg!` in libraries |
 //! | `wire-string`    | fc-server `src/`                        | wire writes go through the bounded-string helper (`wire_str`) |
+//! | `unreferenced-pub` | `pub` items in `crates/fc-*/src`      | every item is named by code outside its definition, `use` lines and tests |
+//!
+//! The first six rules read one file at a time; `unreferenced-pub`
+//! reads the whole tree, so it runs as a second pass over every file
+//! [`lint_sources`] is given.
 //!
 //! Every rule honours an explicit inline waiver on the same line or
 //! the line above:
@@ -23,6 +28,7 @@
 //! A waiver without a reason is itself a finding (`bad-waiver`), so
 //! every exception in the tree stays visible and greppable.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -233,53 +239,60 @@ fn mask_impl(src: &str, keep_comments: bool) -> String {
 // Region helpers
 // ---------------------------------------------------------------------------
 
-/// Marks lines inside `#[cfg(test)]`-gated items (brace-matched on the
-/// masked text). Test-only code is exempt from the runtime-discipline
-/// rules (wall-clock, handler-unwrap, no-print).
+/// Marks lines inside `#[cfg(test)]`-gated items (on the masked text).
+/// Test-only code is exempt from the runtime-discipline rules
+/// (wall-clock, handler-unwrap, no-print), and its references are test
+/// callers for `unreferenced-pub`.
 fn test_region_lines(masked: &str) -> Vec<bool> {
-    let nlines = masked.lines().count();
-    let mut in_test = vec![false; nlines];
-    let bytes: Vec<char> = masked.chars().collect();
-    let mut line_of = Vec::with_capacity(bytes.len());
-    {
-        let mut ln = 0;
-        for &c in &bytes {
-            line_of.push(ln);
-            if c == '\n' {
-                ln += 1;
-            }
-        }
-    }
-    let text: String = masked.to_string();
+    const ATTR: &str = "#[cfg(test)]";
+    let b = masked.as_bytes();
+    let mut in_test = vec![false; masked.lines().count()];
+    let line_at = |pos: usize| b[..pos].iter().filter(|&&c| c == b'\n').count();
     let mut search = 0;
-    while let Some(pos) = text[search..].find("#[cfg(test)]") {
+    while let Some(pos) = masked[search..].find(ATTR) {
         let at = search + pos;
-        // First '{' after the attribute opens the gated item.
-        let Some(rel) = text[at..].find('{') else {
+        search = at + ATTR.len();
+        // The gated item ends at the first `;` outside parentheses and
+        // brackets, unless a `{` comes first, in which case it ends at
+        // that brace's match: a gated `use` or statement gates itself,
+        // not the next braced block.
+        let mut depth = 0i32;
+        let Some(first) = (search..b.len()).find(|&k| match b[k] {
+            b'(' | b'[' => {
+                depth += 1;
+                false
+            }
+            b')' | b']' => {
+                depth -= 1;
+                false
+            }
+            b'{' | b';' => depth == 0,
+            _ => false,
+        }) else {
             break;
         };
-        let open = at + rel;
-        let mut depth = 0usize;
-        let mut end = open;
-        for (k, &c) in bytes.iter().enumerate().skip(open) {
-            if c == '{' {
-                depth += 1;
-            } else if c == '}' {
-                depth -= 1;
-                if depth == 0 {
-                    end = k;
-                    break;
-                }
-            }
-        }
-        let (l0, l1) = (
-            line_of[open.min(line_of.len() - 1)],
-            line_of[end.min(line_of.len() - 1)],
-        );
-        for l in in_test.iter_mut().take(l1 + 1).skip(l0) {
+        let end = if b[first] == b';' {
+            first
+        } else {
+            let mut braces = 0usize;
+            (first..b.len())
+                .find(|&k| match b[k] {
+                    b'{' => {
+                        braces += 1;
+                        false
+                    }
+                    b'}' => {
+                        braces -= 1;
+                        braces == 0
+                    }
+                    _ => false,
+                })
+                .unwrap_or(b.len() - 1)
+        };
+        let last = line_at(end).min(in_test.len() - 1);
+        for l in &mut in_test[line_at(at)..=last] {
             *l = true;
         }
-        search = at + "#[cfg(test)]".len();
     }
     in_test
 }
@@ -521,68 +534,247 @@ fn scan_wire_string(ctx: &FileCtx<'_>, out: &mut Vec<Finding>, summary: &mut Lin
     }
 }
 
-/// Lints one source text under its repo-relative `label`; returns the
-/// findings (waived ones excluded, broken waivers included).
-pub fn lint_source(label: &str, src: &str) -> Vec<Finding> {
-    let mut summary = LintSummary::default();
-    lint_source_counted(label, src, &mut summary)
-}
-
-fn lint_source_counted(label: &str, src: &str, summary: &mut LintSummary) -> Vec<Finding> {
-    let masked = mask_source(src);
-    let ctx = FileCtx {
-        label,
-        raw_lines: src.lines().collect(),
-        masked_lines: masked.lines().map(str::to_string).collect(),
-        comment_lines: comments_only(src).lines().map(str::to_string).collect(),
-        in_test: test_region_lines(&masked),
+/// Lints `(label, source)` pairs as one tree: the per-file rules on
+/// each file, then `unreferenced-pub` across all of them.
+pub fn lint_sources(files: &[(&str, &str)]) -> (Vec<Finding>, LintSummary) {
+    let mut summary = LintSummary {
+        files: files.len(),
+        ..LintSummary::default()
     };
     let mut out = Vec::new();
+    let mut ctxs = Vec::with_capacity(files.len());
+    let mut index = PubIndex::default();
+    for &(label, src) in files {
+        let masked = mask_source(src);
+        let ctx = FileCtx {
+            label,
+            raw_lines: src.lines().collect(),
+            masked_lines: masked.lines().map(str::to_string).collect(),
+            comment_lines: comments_only(src).lines().map(str::to_string).collect(),
+            in_test: test_region_lines(&masked),
+        };
+        lint_file(&ctx, &mut out, &mut summary);
+        index.add(ctxs.len(), &ctx, &masked);
+        ctxs.push(ctx);
+    }
+    index.report(&ctxs, &mut out, &mut summary);
+    summary.findings = out.len();
+    (out, summary)
+}
+
+fn lint_file(ctx: &FileCtx<'_>, out: &mut Vec<Finding>, summary: &mut LintSummary) {
+    let label = ctx.label;
     if rule_applies("safety-comment", label) {
-        scan_safety_comments(&ctx, &mut out, summary);
+        scan_safety_comments(ctx, out, summary);
     }
     if rule_applies("wall-clock", label) {
         scan_tokens(
-            &ctx,
+            ctx,
             "wall-clock",
             &["Instant::now", "SystemTime", ".elapsed()"],
             true,
             "ambient wall clock in a SimClock-disciplined crate — use \
              `parking_lot::time::now()` or take a clock parameter",
-            &mut out,
+            out,
             summary,
         );
     }
     if rule_applies("std-sync", label) {
-        scan_std_sync(&ctx, &mut out, summary);
+        scan_std_sync(ctx, out, summary);
     }
     if rule_applies("handler-unwrap", label) {
         scan_tokens(
-            &ctx,
+            ctx,
             "handler-unwrap",
             &[".unwrap(", ".expect(", "panic!("],
             true,
             "panic path in client-reachable server code — return an ErrorCode \
              or waive with the invariant that makes this unreachable",
-            &mut out,
+            out,
             summary,
         );
     }
     if rule_applies("no-print", label) {
         scan_tokens(
-            &ctx,
+            ctx,
             "no-print",
             &["println!(", "eprintln!(", "print!(", "eprint!(", "dbg!("],
             true,
             "stdout/stderr noise in a library crate",
-            &mut out,
+            out,
             summary,
         );
     }
     if rule_applies("wire-string", label) {
-        scan_wire_string(&ctx, &mut out, summary);
+        scan_wire_string(ctx, out, summary);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// unreferenced-pub (whole-tree pass)
+// ---------------------------------------------------------------------------
+
+/// Index into [`PubIndex::refs`]' counts: where a reference sits.
+const CODE: usize = 0;
+const TEST: usize = 1;
+
+/// Whether references in `label` count as callers from code or from
+/// tests, or not at all.
+fn caller_role(label: &str) -> Option<usize> {
+    match label.split('/').collect::<Vec<_>>()[..] {
+        ["crates", _, "src" | "benches", ..]
+        | ["benchmark", "src", ..]
+        | ["examples", ..]
+        | ["src", ..] => Some(CODE),
+        ["crates", _, "tests", ..] | ["tests", ..] => Some(TEST),
+        _ => None,
+    }
+}
+
+/// Identifier and one-character punctuation tokens of masked source,
+/// each with its 0-based line.
+fn tokens(masked: &str) -> Vec<(usize, &str)> {
+    let b = masked.as_bytes();
+    let ident = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    let mut out = Vec::new();
+    let (mut i, mut line) = (0, 0);
+    while i < b.len() {
+        let c = b[i];
+        if ident(c) {
+            let s = i;
+            while i < b.len() && ident(b[i]) {
+                i += 1;
+            }
+            out.push((line, &masked[s..i]));
+            continue;
+        }
+        if c == b'\n' {
+            line += 1;
+        } else if c.is_ascii_punctuation() {
+            out.push((line, &masked[i..=i]));
+        }
+        i += 1;
     }
     out
+}
+
+/// If `toks[k]` is the `pub` of a `pub fn`/`struct`/`enum`/`const`/
+/// `static`/`type`/`trait` item, the indices of its keyword and its name.
+/// `pub(crate)`, `pub use`, `pub mod` and `pub` fields are not items here.
+fn pub_item(toks: &[(usize, &str)], k: usize) -> Option<(usize, usize)> {
+    let word = |j: usize| toks.get(j).map(|t| t.1);
+    let mut j = k + 1;
+    loop {
+        match word(j)? {
+            "unsafe" | "async" | "extern" => j += 1,
+            "const" if matches!(word(j + 1)?, "fn" | "unsafe" | "async" | "extern") => j += 1,
+            "fn" | "struct" | "enum" | "const" | "static" | "type" | "trait" => {
+                let name = j + 1 + usize::from(word(j + 1)? == "mut");
+                let first = word(name)?.as_bytes()[0];
+                return (first.is_ascii_alphabetic() || first == b'_').then_some((j, name));
+            }
+            _ => return None,
+        }
+    }
+}
+
+/// A `pub` item that `unreferenced-pub` checks.
+struct PubDef {
+    file: usize,
+    line: usize,
+    /// `pub fn name`, as the finding quotes it.
+    what: String,
+    name: String,
+}
+
+/// The tree's `pub` items and, per identifier, how often it is named
+/// from code and from tests — built one file at a time, so the tree is
+/// tokenized once however many items it defines.
+#[derive(Default)]
+struct PubIndex {
+    defs: Vec<PubDef>,
+    refs: HashMap<String, [u32; 2]>,
+}
+
+impl PubIndex {
+    /// Indexes file number `file`. Items count from `crates/fc-*/src`
+    /// outside test regions; references count from the trees
+    /// [`caller_role`] names, except `use` declarations and an item's
+    /// own name at its definition.
+    fn add(&mut self, file: usize, ctx: &FileCtx<'_>, masked: &str) {
+        let Some(role) = caller_role(ctx.label) else {
+            return;
+        };
+        let defines = ctx.label.starts_with("crates/fc-") && ctx.label.contains("/src/");
+        let toks = tokens(masked);
+        let mut k = 0;
+        let mut def_name = None;
+        while k < toks.len() {
+            let (line, word) = toks[k];
+            let in_test = role == TEST || ctx.in_test.get(line).copied().unwrap_or(false);
+            match word {
+                "use" => {
+                    while k < toks.len() && toks[k].1 != ";" {
+                        k += 1;
+                    }
+                }
+                "pub" => {
+                    if let Some((kw, name)) = pub_item(&toks, k) {
+                        def_name = Some(name);
+                        if defines && !in_test {
+                            self.defs.push(PubDef {
+                                file,
+                                line,
+                                what: format!("pub {} {}", toks[kw].1, toks[name].1),
+                                name: toks[name].1.to_string(),
+                            });
+                        }
+                    }
+                }
+                _ if Some(k) == def_name => {}
+                _ if word.as_bytes()[0].is_ascii_alphabetic() || word.starts_with('_') => {
+                    let region = if in_test { TEST } else { CODE };
+                    match self.refs.get_mut(word) {
+                        Some(counts) => counts[region] += 1,
+                        None => {
+                            let mut counts = [0; 2];
+                            counts[region] = 1;
+                            self.refs.insert(word.to_string(), counts);
+                        }
+                    }
+                }
+                _ => {}
+            }
+            k += 1;
+        }
+    }
+
+    /// Emits a finding for every item nothing names from code.
+    fn report(&self, ctxs: &[FileCtx<'_>], out: &mut Vec<Finding>, summary: &mut LintSummary) {
+        for d in &self.defs {
+            let [code, test] = self.refs.get(&d.name).copied().unwrap_or_default();
+            if code > 0 {
+                continue;
+            }
+            let message = if test == 0 {
+                format!("`{}` has no caller — delete it", d.what)
+            } else {
+                format!(
+                    "`{}` is called only from tests — delete it, move it into the one \
+                     test file that uses it, or waive it with a reason",
+                    d.what
+                )
+            };
+            emit(
+                out,
+                summary,
+                &ctxs[d.file],
+                "unreferenced-pub",
+                d.line,
+                message,
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -611,23 +803,21 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 /// Lints every `.rs` file under `root` (skipping `target/` and
 /// `.git/`); returns findings plus scan counts.
 pub fn lint_tree(root: &Path) -> (Vec<Finding>, LintSummary) {
-    let mut files = Vec::new();
-    collect_rs(root, &mut files);
-    files.sort();
-    let mut summary = LintSummary::default();
-    let mut out = Vec::new();
-    for f in &files {
-        let Ok(src) = std::fs::read_to_string(f) else {
-            continue;
-        };
-        let label = f
-            .strip_prefix(root)
-            .unwrap_or(f)
-            .to_string_lossy()
-            .replace('\\', "/");
-        summary.files += 1;
-        out.extend(lint_source_counted(&label, &src, &mut summary));
-    }
-    summary.findings = out.len();
-    (out, summary)
+    let mut paths = Vec::new();
+    collect_rs(root, &mut paths);
+    paths.sort();
+    let files: Vec<(String, String)> = paths
+        .iter()
+        .filter_map(|f| {
+            let src = std::fs::read_to_string(f).ok()?;
+            let label = f
+                .strip_prefix(root)
+                .unwrap_or(f)
+                .to_string_lossy()
+                .replace('\\', "/");
+            Some((label, src))
+        })
+        .collect();
+    let borrowed: Vec<(&str, &str)> = files.iter().map(|(l, s)| (&l[..], &s[..])).collect();
+    lint_sources(&borrowed)
 }

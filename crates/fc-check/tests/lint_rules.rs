@@ -1,11 +1,16 @@
 //! Fixture coverage for every lint rule: each rule has a firing
 //! fixture, a non-firing control, and a waiver pair (honoured waiver
 //! plus reason-less `bad-waiver`). Fixtures are inline string
-//! literals scanned through `lint_source` with a label that routes
+//! literals scanned through `lint_sources` with labels that route
 //! them to the right rule set — nothing here touches the real tree,
 //! so `repo_lint_clean` stays independent.
 
-use fc_check::{lint_source, mask_source, Finding};
+use fc_check::{lint_sources, mask_source, Finding};
+
+/// Lints one source text under `label`, as a tree of one file.
+fn lint_source(label: &str, src: &str) -> Vec<Finding> {
+    lint_sources(&[(label, src)]).0
+}
 
 fn rules(findings: &[Finding]) -> Vec<&'static str> {
     findings.iter().map(|f| f.rule).collect()
@@ -67,6 +72,22 @@ fn wall_clock_in_fc_core_fires_and_is_scoped() {
 fn wall_clock_inside_cfg_test_is_exempt() {
     let src = "#[cfg(test)]\nmod tests {\n    fn f() { let t = Instant::now(); }\n}\n";
     assert!(lint_source("crates/fc-core/src/x.rs", src).is_empty());
+}
+
+/// `#[cfg(test)]` on a `;`-terminated item gates that item only, not
+/// the next braced block.
+#[test]
+fn cfg_test_on_a_use_does_not_exempt_the_next_block() {
+    let src = "#[cfg(test)]\nuse std::fmt;\nfn f() { let _ = std::time::Instant::now(); }\n";
+    assert_eq!(
+        rules(&lint_source("crates/fc-core/src/x.rs", src)),
+        ["wall-clock"]
+    );
+    let stmt = "fn f() {\n    #[cfg(test)]\n    COUNT.with(|n| n.set(n.get() + 1));\n    match 0 { _ => drop(std::time::Instant::now()) }\n}\n";
+    assert_eq!(
+        rules(&lint_source("crates/fc-core/src/x.rs", stmt)),
+        ["wall-clock"]
+    );
 }
 
 #[test]
@@ -214,4 +235,98 @@ fn masking_keeps_lifetimes_and_raw_strings_straight() {
         "lifetime mistaken for char: {masked}"
     );
     assert!(!masked.contains("println"));
+}
+
+// -------------------------------------------------------------------------
+// unreferenced-pub
+// -------------------------------------------------------------------------
+
+/// The tree's findings for `unreferenced-pub`, as `(file, line)`.
+fn unreferenced(files: &[(&str, &str)]) -> Vec<(String, usize)> {
+    lint_sources(files)
+        .0
+        .into_iter()
+        .filter(|f| f.rule == "unreferenced-pub")
+        .map(|f| (f.file, f.line))
+        .collect()
+}
+
+const LIB: &str = "crates/fc-x/src/lib.rs";
+
+#[test]
+fn uncalled_pub_fn_is_flagged() {
+    let f = lint_source(
+        LIB,
+        "pub fn lonely() {}\npub fn used() {}\nfn main() { used(); }\n",
+    );
+    assert_eq!(rules(&f), ["unreferenced-pub"]);
+    assert_eq!(f[0].line, 1);
+    assert!(
+        f[0].message.contains("`pub fn lonely` has no caller"),
+        "{}",
+        f[0].message
+    );
+}
+
+#[test]
+fn test_only_callers_get_their_own_message() {
+    let def = "pub fn helper() {}\n";
+    let from_tests_dir = lint_sources(&[
+        (LIB, def),
+        ("crates/fc-x/tests/t.rs", "#[test] fn t() { helper(); }\n"),
+    ])
+    .0;
+    let from_cfg_test = lint_source(
+        LIB,
+        "pub fn helper() {}\n#[cfg(test)]\nmod tests {\n    #[test] fn t() { super::helper(); }\n}\n",
+    );
+    for f in [from_tests_dir, from_cfg_test] {
+        assert_eq!(rules(&f), ["unreferenced-pub"]);
+        assert!(
+            f[0].message.contains("called only from tests"),
+            "{}",
+            f[0].message
+        );
+    }
+}
+
+#[test]
+fn a_re_export_alone_is_not_a_caller() {
+    let files = [
+        ("crates/fc-x/src/a.rs", "pub struct Thing;\n"),
+        (LIB, "pub mod a;\npub use a::{\n    Thing,\n};\n"),
+    ];
+    assert_eq!(
+        unreferenced(&files),
+        [("crates/fc-x/src/a.rs".to_string(), 1)]
+    );
+}
+
+#[test]
+fn benchmark_benches_and_examples_are_callers() {
+    for caller in [
+        "benchmark/src/sut.rs",
+        "crates/fc-y/benches/micro.rs",
+        "examples/demo.rs",
+    ] {
+        let files = [
+            (LIB, "pub fn entry() {}\n"),
+            (caller, "fn main() { fc_x::entry(); }\n"),
+        ];
+        assert!(unreferenced(&files).is_empty(), "{caller} should count");
+    }
+}
+
+#[test]
+fn restricted_visibility_is_ignored() {
+    let src = "pub(crate) fn a() {}\npub(super) struct B;\npub(in crate::x) const C: u8 = 0;\n";
+    assert!(lint_source(LIB, src).is_empty());
+}
+
+#[test]
+fn unreferenced_pub_waivers_need_a_reason() {
+    let waived = "// fc-check: allow(unreferenced-pub) -- reference oracle for the golden tests\npub fn oracle() {}\n";
+    assert!(lint_source(LIB, waived).is_empty());
+    let bare = "pub fn oracle() {} // fc-check: allow(unreferenced-pub)\n";
+    assert_eq!(rules(&lint_source(LIB, bare)), ["bad-waiver"]);
 }

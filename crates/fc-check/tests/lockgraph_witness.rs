@@ -7,16 +7,17 @@
 //! Debug-only: the witness is compiled out of release builds.
 #![cfg(debug_assertions)]
 
-use fc_check::find_cycle_in;
+use fc_check::LockGraph;
 use parking_lot::{lockgraph, Mutex};
 
-/// Maps witness edges (instance ids) to the `(from, to)` string pairs
-/// the cycle finder consumes.
-fn as_pairs(edges: &[lockgraph::Edge]) -> Vec<(String, String)> {
-    edges
-        .iter()
-        .map(|e| (format!("#{}", e.from_id), format!("#{}", e.to_id)))
-        .collect()
+/// The cycle `fc-check`'s graph finds over witness edges, keyed by
+/// lock instance id.
+fn find_cycle(edges: &[lockgraph::Edge]) -> Option<Vec<String>> {
+    let mut g = LockGraph::new();
+    for e in edges {
+        g.add_edge(&format!("#{}", e.from_id), &format!("#{}", e.to_id));
+    }
+    g.find_cycle()
 }
 
 #[test]
@@ -34,7 +35,7 @@ fn seeded_inversion_is_flagged_as_cycle() {
         }
     });
     assert_eq!(edges.len(), 2, "one edge per nested acquisition");
-    let cycle = find_cycle_in(&as_pairs(&edges)).expect("inversion must be a cycle");
+    let cycle = find_cycle(&edges).expect("inversion must be a cycle");
     assert_eq!(cycle.first(), cycle.last());
 }
 
@@ -55,7 +56,7 @@ fn consistent_order_is_clean() {
         }
     });
     assert!(edges.len() >= 3);
-    assert!(find_cycle_in(&as_pairs(&edges)).is_none());
+    assert!(find_cycle(&edges).is_none());
 }
 
 /// The striped-lock mistake that motivated instance-id keying: one
@@ -78,7 +79,7 @@ fn striped_lock_inversion_at_a_single_site_is_caught() {
     // Both acquisitions happened at the same call site…
     assert_eq!(edges[0].to_site, edges[1].to_site);
     // …yet the instance-level graph still shows the inversion.
-    assert!(find_cycle_in(&as_pairs(&edges)).is_some());
+    assert!(find_cycle(&edges).is_some());
 }
 
 /// Re-acquiring the same mutex on one thread is a guaranteed

@@ -394,7 +394,8 @@ mod tests {
         if depth == 0 {
             return 0.0;
         }
-        let dist = model.distribution(seq);
+        let mut dist = [0.0; N];
+        model.distribution_into(seq, &mut dist);
         let mut best = 0.0f64;
         for m in MOVES {
             if let Some(next) = geometry.apply(from, m) {
@@ -415,7 +416,8 @@ mod tests {
     /// `scored` as it was computed before the forward expansion.
     fn dfs_scored(ab: &AbRecommender, ctx: &PredictionContext<'_>) -> Vec<(TileId, f64)> {
         let mut seq = ctx.history.move_sequence();
-        let dist = ab.trained.chain.distribution(&seq);
+        let mut dist = [0.0; N];
+        ab.trained.chain.distribution_into(&seq, &mut dist);
         let mut scored: Vec<(TileId, f64)> = ctx
             .candidates
             .iter()

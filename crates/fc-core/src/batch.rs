@@ -93,6 +93,7 @@ impl PredictScheduler {
 
     /// Counters of the shared χ² pair cache, cumulative over every
     /// session (waits for a rank in progress).
+    // fc-check: allow(unreferenced-pub) -- accessor that ROADMAP item 3's metrics registry replaces (PairCacheStats)
     pub fn pair_cache_stats(&self) -> PairCacheStats {
         self.shared.lock().0.stats()
     }

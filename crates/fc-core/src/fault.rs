@@ -258,44 +258,9 @@ impl FaultPlan {
         )
     }
 
-    /// **Error burst** (the flash-crowd companion): inside the window
-    /// most attempts fail outright; almost no spikes, no wedges. Pair
-    /// with a convergent (hotspot) workload for the flash-crowd +
-    /// error-burst chaos scenario.
-    pub fn error_burst(seed: u64, from: u64, until: u64) -> Self {
-        Self::windowed(
-            seed,
-            FaultWindow {
-                from,
-                until,
-                rates: FaultRates {
-                    transient_per_mille: 850,
-                    transient_first_attempts: 0,
-                    spike_per_mille: 100,
-                    spike: Duration::from_millis(100),
-                    stuck_per_mille: 0,
-                },
-            },
-        )
-    }
-
-    /// **Degraded backend**: a constant low-grade fault floor with no
-    /// window — background flakiness rather than an incident.
-    pub fn degraded_backend(seed: u64) -> Self {
-        Self::new(
-            seed,
-            FaultRates {
-                transient_per_mille: 100,
-                transient_first_attempts: 0,
-                spike_per_mille: 200,
-                spike: Duration::from_millis(150),
-                stuck_per_mille: 10,
-            },
-        )
-    }
-
     /// A plan where every attempt fails transiently — the retry budget
     /// always exhausts (test helper for the degradation ladder).
+    // fc-check: allow(unreferenced-pub) -- fixture shared across crates: fc-core's fault_injection and fc-server's robustness tests
     pub fn always_failing(seed: u64) -> Self {
         Self::new(
             seed,
@@ -318,13 +283,6 @@ impl FaultPlan {
             Some(w) if request_index >= w.from && request_index < w.until => w.rates,
             _ => self.base,
         }
-    }
-
-    /// Whether `request_index` falls inside the plan's fault window
-    /// (always false for windowless plans).
-    pub fn in_window(&self, request_index: u64) -> bool {
-        self.window
-            .is_some_and(|w| request_index >= w.from && request_index < w.until)
     }
 
     /// Counters of faults injected so far.
@@ -460,14 +418,15 @@ mod tests {
     fn window_bounds_are_half_open_and_quiet_outside() {
         let plan = FaultPlan::brownout(7, 10, 20);
         for req in [0u64, 9, 20, 21, 1000] {
-            assert!(!plan.in_window(req));
+            assert_eq!(plan.rates_at(req), FaultRates::default());
             for x in 0..64 {
                 for attempt in 0..4 {
                     assert_eq!(plan.decide(tile(x), req, attempt), None, "req {req}");
                 }
             }
         }
-        assert!(plan.in_window(10) && plan.in_window(19));
+        assert_ne!(plan.rates_at(10), FaultRates::default());
+        assert_eq!(plan.rates_at(10), plan.rates_at(19));
         // Inside the window the forced-first-attempt knob guarantees a
         // transient on attempt 0 of every fetch.
         assert_eq!(plan.decide(tile(0), 10, 0), Some(FaultKind::Transient));
@@ -519,9 +478,17 @@ mod tests {
 
     #[test]
     fn degraded_backend_has_no_window_and_constant_rates() {
-        let plan = FaultPlan::degraded_backend(11);
-        assert!(!plan.in_window(0) && !plan.in_window(u64::MAX - 1));
-        assert_eq!(plan.rates_at(0), plan.rates_at(1_000_000));
+        let plan = FaultPlan::new(
+            11,
+            FaultRates {
+                transient_per_mille: 100,
+                spike_per_mille: 200,
+                spike: Duration::from_millis(150),
+                stuck_per_mille: 10,
+                ..FaultRates::default()
+            },
+        );
+        assert_eq!(plan.rates_at(0), plan.rates_at(u64::MAX - 1));
         let mut injected = 0;
         for x in 0..64 {
             for req in 0..32 {

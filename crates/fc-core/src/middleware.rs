@@ -344,11 +344,6 @@ impl Middleware {
         });
     }
 
-    /// Detaches the fault plan (the fetch path reverts to infallible).
-    pub fn clear_faults(&mut self) {
-        self.faults = None;
-    }
-
     /// Serviceable requests seen so far under the attached fault plan
     /// — the request-index coordinate fault windows are expressed in.
     /// Zero when no plan is attached.
@@ -725,6 +720,7 @@ impl Middleware {
     }
 
     /// Cache counters.
+    // fc-check: allow(unreferenced-pub) -- accessor that ROADMAP item 3's metrics registry replaces (CacheStats)
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
@@ -732,16 +728,6 @@ impl Middleware {
     /// The underlying engine (e.g. to inspect ROI state).
     pub fn engine(&self) -> &PredictionEngine {
         &self.engine
-    }
-
-    /// The prefetch budget k.
-    pub fn prefetch_budget(&self) -> usize {
-        self.k
-    }
-
-    /// Changes the prefetch budget (the paper varies k from 1 to 8).
-    pub fn set_prefetch_budget(&mut self, k: usize) {
-        self.k = k;
     }
 
     /// Resets the session (history, ROI, cache, stats). In shared mode
@@ -971,11 +957,14 @@ mod tests {
     #[test]
     fn budget_is_adjustable() {
         let p = pyramid();
-        let mut mw = middleware(p, 1);
-        assert_eq!(mw.prefetch_budget(), 1);
-        mw.set_prefetch_budget(8);
-        let r = mw.request(TileId::new(2, 2, 2), None).unwrap();
-        assert!(r.prefetched.len() > 1);
+        let one = middleware(p.clone(), 1)
+            .request(TileId::new(2, 2, 2), None)
+            .unwrap();
+        assert!(one.prefetched.len() <= 1);
+        let eight = middleware(p, 8)
+            .request(TileId::new(2, 2, 2), None)
+            .unwrap();
+        assert!(eight.prefetched.len() > 1);
     }
 
     /// Work count: a request estimates the phase once — for the reply —

@@ -54,8 +54,8 @@
 //! each dataset gets its own [`SharedTileCache`] **namespace**, and one
 //! global tile budget is partitioned exactly across the attached
 //! namespaces (the same base-plus-remainder math the shard partition
-//! uses) — attaching or detaching a dataset repartitions every
-//! namespace's capacity via [`MultiUserCache::set_capacity`].
+//! uses) — attaching a dataset repartitions every namespace's
+//! capacity via [`MultiUserCache::set_capacity`].
 //!
 //! Each namespace also trains a **cross-session popularity model**
 //! online. Residency-based [`MultiUserCache::popular`] forgets a tile
@@ -210,7 +210,7 @@ pub trait MultiUserCache: Send + Sync {
     /// Current global capacity in tiles.
     fn capacity(&self) -> usize;
     /// Re-partitions the cache to a new global capacity (the
-    /// [`DatasetRegistry`] calls this when datasets attach/detach),
+    /// [`DatasetRegistry`] calls this when a dataset attaches),
     /// evicting down per shard when shrinking. Sharded caches require
     /// `capacity >=` their shard count.
     fn set_capacity(&self, capacity: usize);
@@ -679,7 +679,7 @@ pub struct SharedTileCache {
     holds: Box<[Mutex<HoldStripe>]>,
     /// Per-shard capacity, parallel to `shards`; sums to `capacity`.
     /// Atomic so [`MultiUserCache::set_capacity`] repartitioning (the
-    /// registry's dataset attach/detach path) publishes new caps
+    /// registry's dataset attach path) publishes new caps
     /// without locking every shard at once.
     shard_caps: Box<[AtomicUsize]>,
     /// `shards.len() - 1` — valid because the count is a power of two.
@@ -805,6 +805,7 @@ impl SharedTileCache {
     /// shard lock); `fc-check`'s model suites use it to assert the
     /// holders/hold-index consistency invariant under every explored
     /// interleaving.
+    // fc-check: allow(unreferenced-pub) -- fixture shared across crates: fc-check's model_cache suite reads the holders through it
     pub fn holders_of(&self, id: TileId) -> Option<Vec<SessionId>> {
         self.shards[self.shard_of(id)]
             .lock()
@@ -816,6 +817,7 @@ impl SharedTileCache {
     /// `session`'s hold-index entry (the tile ids the reverse index
     /// believes it holds), or `None` when absent. Diagnostic accessor
     /// for the model suites (takes one stripe lock).
+    // fc-check: allow(unreferenced-pub) -- fixture shared across crates: fc-check's model_cache suite reads the hold index through it
     pub fn hold_index_of(&self, session: SessionId) -> Option<Vec<TileId>> {
         self.holds[self.hold_stripe_of(session)]
             .lock()
@@ -1232,16 +1234,10 @@ impl DatasetNamespace {
 
 /// Partitions one global tile budget across per-dataset
 /// [`SharedTileCache`] namespaces: attaching a dataset opens a
-/// namespace (shrinking every other namespace's capacity), detaching
-/// closes it (returning its slice to the survivors). The per-namespace
-/// split reuses the exact base-plus-remainder partition the shard
-/// split uses, keyed by attach order, so Σ namespace capacities ==
-/// `budget` at all times.
-///
-/// Sessions hold a namespace's cache through an `Arc`; detaching a
-/// dataset mid-session leaves those sessions on the (now
-/// unregistered) cache until their handles drop — the registry only
-/// governs the budget of *attached* namespaces.
+/// namespace, shrinking every other namespace's capacity. The
+/// per-namespace split reuses the exact base-plus-remainder partition
+/// the shard split uses, keyed by attach order, so Σ namespace
+/// capacities == `budget` at all times.
 #[derive(Debug)]
 pub struct DatasetRegistry {
     cfg: RegistryConfig,
@@ -1356,29 +1352,6 @@ impl DatasetRegistry {
         g.push(ns.clone());
         Self::repartition(self.cfg.budget, &g);
         ns
-    }
-
-    /// Detaches `name`, returning its budget slice to the surviving
-    /// namespaces. Returns whether the dataset was attached.
-    pub fn detach(&self, name: &str) -> bool {
-        let mut g = self.namespaces.lock();
-        let before = g.len();
-        g.retain(|ns| ns.name != name);
-        let removed = g.len() < before;
-        if removed {
-            Self::repartition(self.cfg.budget, &g);
-        }
-        removed
-    }
-
-    /// Per-namespace capacities after the last (re)partition, in
-    /// attach order.
-    pub fn capacities(&self) -> Vec<(String, usize)> {
-        self.namespaces
-            .lock()
-            .iter()
-            .map(|ns| (ns.name.clone(), ns.cache.capacity()))
-            .collect()
     }
 
     /// Applies the exact partition of `budget` over the attached
@@ -1695,6 +1668,14 @@ mod tests {
         MultiUserCache::set_capacity(&c, 2);
     }
 
+    /// Per-namespace capacities, in attach order.
+    fn capacities(r: &DatasetRegistry) -> Vec<usize> {
+        r.names()
+            .iter()
+            .map(|n| r.get(n).unwrap().cache().capacity())
+            .collect()
+    }
+
     #[test]
     fn registry_partitions_budget_exactly_across_namespaces() {
         let r = DatasetRegistry::new(RegistryConfig {
@@ -1709,22 +1690,14 @@ mod tests {
         assert_eq!(a.cache().capacity(), 5);
         assert_eq!(b.cache().capacity(), 5);
         let _c = r.attach("c");
-        let caps: Vec<usize> = r.capacities().iter().map(|&(_, c)| c).collect();
+        let caps = capacities(&r);
         assert_eq!(caps, vec![4, 3, 3], "attach order gets the remainder");
         assert_eq!(caps.iter().sum::<usize>(), 10, "exact partition");
         // Attach is idempotent: same namespace back, no repartition.
         assert!(Arc::ptr_eq(&a, &r.attach("a")));
         assert_eq!(r.len(), 3);
-        // Detach returns the slice to the survivors.
-        assert!(r.detach("b"));
-        assert!(!r.detach("b"), "second detach is a no-op");
-        assert_eq!(r.names(), vec!["a", "c"]);
-        assert_eq!(
-            r.capacities().iter().map(|&(_, c)| c).sum::<usize>(),
-            10,
-            "budget conserved after detach"
-        );
-        assert!(r.get("b").is_none());
+        assert_eq!(r.names(), vec!["a", "b", "c"]);
+        assert!(r.get("d").is_none());
         assert_eq!(r.get("a").unwrap().name(), "a");
     }
 
@@ -1744,7 +1717,7 @@ mod tests {
             r.attach(name);
         }
         assert_eq!(
-            r.capacities().iter().map(|&(_, c)| c).sum::<usize>(),
+            capacities(&r).iter().sum::<usize>(),
             60,
             "exact partition before the rejected attach"
         );
@@ -1754,7 +1727,7 @@ mod tests {
         assert_eq!(r.len(), 3, "rejected namespace must not be attached");
         assert!(r.get("d").is_none());
         assert_eq!(
-            r.capacities().iter().map(|&(_, c)| c).sum::<usize>(),
+            capacities(&r).iter().sum::<usize>(),
             60,
             "budget invariant survives the unwind"
         );

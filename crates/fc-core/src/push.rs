@@ -84,17 +84,6 @@ pub struct PushStats {
     pub used: u64,
 }
 
-impl PushStats {
-    /// Useful-push ratio in `[0, 1]` (0 when nothing was pushed).
-    pub fn efficiency(&self) -> f64 {
-        if self.pushed == 0 {
-            0.0
-        } else {
-            self.used as f64 / self.pushed as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     tile: TileId,

@@ -50,16 +50,6 @@ impl RoiTracker {
         &self.roi
     }
 
-    /// The in-progress (uncommitted) ROI, exposed for diagnostics.
-    pub fn pending(&self) -> &[TileId] {
-        &self.temp_roi
-    }
-
-    /// Whether a zoom-in has opened a collection window.
-    pub fn collecting(&self) -> bool {
-        self.in_flag
-    }
-
     /// Resets all state (new session).
     pub fn reset(&mut self) {
         self.roi.clear();
@@ -88,13 +78,13 @@ mod tests {
         let b = TileId::new(3, 2, 3);
         let c = TileId::new(3, 3, 3);
         t.update(&req(a, zin()));
-        assert!(t.collecting());
+        assert!(t.in_flag);
         t.update(&req(b, Move::PanRight));
         t.update(&req(c, Move::PanDown));
         assert!(t.roi().is_empty(), "ROI not committed until zoom-out");
         let out = t.update(&req(TileId::new(2, 1, 1), Move::ZoomOut)).to_vec();
         assert_eq!(out, vec![a, b, c]);
-        assert!(!t.collecting());
+        assert!(!t.in_flag);
     }
 
     #[test]
@@ -125,7 +115,7 @@ mod tests {
         t.update(&req(TileId::new(1, 0, 0), Move::PanRight));
         t.update(&req(TileId::new(1, 0, 1), Move::PanRight));
         assert!(t.roi().is_empty());
-        assert!(t.pending().is_empty());
+        assert!(t.temp_roi.is_empty());
     }
 
     #[test]
@@ -133,7 +123,7 @@ mod tests {
         let mut t = RoiTracker::new();
         t.update(&Request::initial(TileId::ROOT));
         assert!(t.roi().is_empty());
-        assert!(!t.collecting());
+        assert!(!t.in_flag);
     }
 
     #[test]
@@ -144,6 +134,6 @@ mod tests {
         assert!(!t.roi().is_empty());
         t.reset();
         assert!(t.roi().is_empty());
-        assert!(!t.collecting());
+        assert!(!t.in_flag);
     }
 }

@@ -186,7 +186,7 @@ fn exhausted_fetch_degrades_to_resident_ancestor() {
 
 /// With nothing resident to degrade to, the failure surfaces as a
 /// clean `FetchError` with no counters moved; the session recovers
-/// once the plan is detached.
+/// once the plan goes quiet.
 #[test]
 fn failure_without_ancestor_is_a_clean_error() {
     let p = pyramid();
@@ -204,7 +204,7 @@ fn failure_without_ancestor_is_a_clean_error() {
     assert_eq!((s.requests, s.fetch_failures), (0, 1));
     // `request` maps the failure to None for legacy callers.
     assert!(mw.request(TileId::new(2, 1, 1), None).is_none());
-    mw.clear_faults();
+    mw.set_faults(Arc::new(FaultPlan::quiet(3)), RetryPolicy::default());
     assert!(mw
         .try_request(TileId::new(2, 1, 1), None)
         .unwrap()

@@ -121,11 +121,6 @@ impl KMeans {
         }
     }
 
-    /// Index of the nearest centroid.
-    pub fn assign(&self, point: &[f64]) -> usize {
-        nearest(&self.centroids, point).0
-    }
-
     /// The fitted centroids.
     pub fn centroids(&self) -> &[Vec<f64>] {
         &self.centroids
@@ -184,6 +179,13 @@ fn nearest(centroids: &[Vec<f64>], p: &[f64]) -> (usize, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl KMeans {
+        /// Index of the nearest centroid.
+        fn assign(&self, point: &[f64]) -> usize {
+            nearest(&self.centroids, point).0
+        }
+    }
 
     fn blobs() -> Vec<Vec<f64>> {
         let mut data = Vec::new();

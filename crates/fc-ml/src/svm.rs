@@ -187,6 +187,7 @@ impl BinarySvm {
     }
 
     /// Number of support vectors retained.
+    // fc-check: allow(unreferenced-pub) -- reference oracle: golden_svm pins every trained machine by its support-vector count
     pub fn num_support(&self) -> usize {
         self.support.len()
     }
@@ -285,11 +286,6 @@ impl SvmClassifier {
     pub fn num_classes(&self) -> usize {
         self.num_classes
     }
-
-    /// Number of trained pairwise machines.
-    pub fn num_machines(&self) -> usize {
-        self.machines.len()
-    }
 }
 
 #[cfg(test)]
@@ -382,7 +378,7 @@ mod tests {
         }
         let clf = SvmClassifier::train(&x, &labels, SvmParams::rbf_default(2));
         assert_eq!(clf.num_classes(), 3);
-        assert_eq!(clf.num_machines(), 3);
+        assert_eq!(clf.machines.len(), 3);
         let correct = x
             .iter()
             .zip(&labels)
@@ -408,7 +404,7 @@ mod tests {
                 ..SvmParams::rbf_default(1)
             },
         );
-        assert_eq!(clf.num_machines(), 1);
+        assert_eq!(clf.machines.len(), 1);
         assert_eq!(clf.predict(&[0.05]), 0);
         assert_eq!(clf.predict(&[5.05]), 2);
     }

@@ -134,7 +134,7 @@ fn study_phase_machines_are_pinned() {
     );
 
     let clf = SvmClassifier::train(&scaled, &labels, params);
-    assert_eq!(clf.num_machines(), 3);
+    assert_eq!(clf.num_classes(), 3);
     let mut f = Fold::new();
     let mut correct = 0;
     for (_, label, features) in &rows {

@@ -133,31 +133,12 @@ impl KneserNey {
         &self.discounts
     }
 
-    /// P(next | history): uses the last `order` tokens of `history`
-    /// (fewer if the history is shorter). Never returns 0 — smoothing
-    /// guarantees mass on unseen moves. One cell of the row
-    /// [`Self::distribution_into`] copies.
-    ///
-    /// # Panics
-    /// Panics when `next`, or a token of the context, is outside the
-    /// vocabulary.
-    pub fn prob(&self, history: &[u16], next: u16) -> f64 {
-        assert!((next as usize) < self.vocab, "token out of vocabulary");
-        self.row(self.context(history))
-            .map_or(1.0 / self.vocab as f64, |row| row[next as usize])
-    }
-
-    /// The full next-token distribution given `history`; sums to 1.
-    pub fn distribution(&self, history: &[u16]) -> Vec<f64> {
-        let mut out = vec![0.0; self.vocab];
-        self.distribution_into(history, &mut out);
-        out
-    }
-
-    /// [`Self::distribution`] written into `out`, without allocating: a
-    /// copy of the folded row of the context's longest stored suffix,
-    /// or the uniform distribution when not even the empty context was
-    /// ever seen.
+    /// The next-token distribution given `history`, written into `out`
+    /// without allocating: the last `order` tokens of `history` (fewer
+    /// if the history is shorter) select the folded row of the
+    /// context's longest stored suffix, or the uniform distribution when
+    /// not even the empty context was ever seen. The row sums to 1 and
+    /// has no zero cell: smoothing guarantees mass on unseen moves.
     ///
     /// # Panics
     /// Panics when `out.len()` is not the vocabulary size, or a token of
@@ -217,6 +198,15 @@ mod tests {
 
     const V: usize = 9; // ForeCache's nine-move vocabulary
 
+    impl KneserNey {
+        /// The next-token distribution after `history`, as a fresh row.
+        fn distribution(&self, history: &[u16]) -> Vec<f64> {
+            let mut out = vec![0.0; self.vocab];
+            self.distribution_into(history, &mut out);
+            out
+        }
+    }
+
     /// The per-order recursion the folded rows replaced, kept as their
     /// oracle: every order's smoothed rows ([`smoothed_orders`]), folded
     /// over the lower-order distribution lowest order first on each
@@ -244,7 +234,7 @@ mod tests {
 
     proptest! {
         /// The folded rows answer what the per-order recursion answers,
-        /// bit for bit, through `distribution_into` and `prob`: orders
+        /// bit for bit, through `distribution_into`: orders
         /// 0–4, every suffix of a history longer than the order (so
         /// contexts shorter than it too), and the same suffixes behind a
         /// token no trace holds (unseen at their full length).
@@ -265,10 +255,7 @@ mod tests {
                     let want: Vec<u64> = recursion(&orders, h).iter().map(|p| p.to_bits()).collect();
                     let mut row = [f64::NAN; V];
                     m.distribution_into(h, &mut row);
-                    prop_assert_eq!(row.map(f64::to_bits).to_vec(), want.clone(), "history {:?}", h);
-                    for (w, bits) in want.iter().enumerate() {
-                        prop_assert_eq!(m.prob(h, w as u16).to_bits(), *bits);
-                    }
+                    prop_assert_eq!(row.map(f64::to_bits).to_vec(), want, "history {:?}", h);
                 }
             }
         }
@@ -279,13 +266,6 @@ mod tests {
     fn out_of_vocabulary_history_is_rejected() {
         // Unchecked, the context (9) would pack to the key of (1, 0).
         toy_model(3).distribution(&[3, 3, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "token out of vocabulary")]
-    fn out_of_vocabulary_next_token_is_rejected() {
-        // Unchecked, token 9 would read a row's backoff weight.
-        toy_model(3).prob(&[3, 3, 3], 9);
     }
 
     /// Tokens older than the context never enter a key, so they are

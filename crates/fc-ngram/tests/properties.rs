@@ -62,6 +62,13 @@ impl CountRecursion {
     }
 }
 
+/// The next-token distribution after `history`.
+fn distribution(m: &KneserNey, history: &[u16]) -> [f64; V] {
+    let mut row = [f64::NAN; V];
+    m.distribution_into(history, &mut row);
+    row
+}
+
 fn traces() -> impl Strategy<Value = Vec<Vec<u16>>> {
     proptest::collection::vec(proptest::collection::vec(0u16..V as u16, 0..40), 1..6)
 }
@@ -73,34 +80,25 @@ proptest! {
                                 hist in proptest::collection::vec(0u16..V as u16, 0..6)) {
         let refs: Vec<&[u16]> = ts.iter().map(|t| t.as_slice()).collect();
         let m = KneserNey::train(refs, order, V);
-        let d = m.distribution(&hist);
+        let d = distribution(&m, &hist);
         let sum: f64 = d.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-6, "sum = {sum}");
         prop_assert!(d.iter().all(|&p| p > 0.0 && p <= 1.0));
     }
 
-    /// prob() only depends on the last `order` tokens of history.
+    /// A distribution only depends on the last `order` tokens of history.
     #[test]
     fn prob_uses_bounded_history(ts in traces(), order in 0usize..4,
-                                 hist in proptest::collection::vec(0u16..V as u16, 6..10),
-                                 next in 0u16..V as u16) {
+                                 hist in proptest::collection::vec(0u16..V as u16, 6..10)) {
         let refs: Vec<&[u16]> = ts.iter().map(|t| t.as_slice()).collect();
         let m = KneserNey::train(refs, order, V);
-        let full = m.prob(&hist, next);
-        let truncated = m.prob(&hist[hist.len() - order.max(1)..], next);
-        if order > 0 {
-            let tail = m.prob(&hist[hist.len() - order..], next);
-            prop_assert!((full - tail).abs() < 1e-12);
-        } else {
-            prop_assert!((full - m.prob(&[], next)).abs() < 1e-12);
-        }
-        let _ = truncated;
+        let full = distribution(&m, &hist);
+        let tail = distribution(&m, &hist[hist.len() - order..]);
+        prop_assert_eq!(full.map(f64::to_bits), tail.map(f64::to_bits));
     }
 
     /// Rows folded once at training time answer what the per-query
-    /// recursion over raw counts answers, bit for bit — row-wise
-    /// (`distribution_into`, `distribution`) and per token (`prob`):
-    /// orders 0–10, empty, short and over-long histories, and (random
+    /// recursion over raw counts answers, bit for bit: orders 0–10, empty, short and over-long histories, and (random
     /// histories over sparse traces) contexts never seen at some or
     /// every order.
     #[test]
@@ -110,13 +108,9 @@ proptest! {
         let oracle = CountRecursion::train(&ts, order);
         let bits = |d: &[f64]| d.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(m.discounts()), bits(&oracle.discounts));
-        let mut row = [f64::NAN; V];
-        m.distribution_into(&hist, &mut row);
-        for (w, p) in row.iter().enumerate() {
+        for (w, p) in distribution(&m, &hist).iter().enumerate() {
             let want = oracle.prob(&hist, w as u16).to_bits();
             prop_assert_eq!(p.to_bits(), want, "row, token {}", w);
-            prop_assert_eq!(m.prob(&hist, w as u16).to_bits(), want, "prob, token {}", w);
         }
-        prop_assert_eq!(bits(&m.distribution(&hist)), bits(&row));
     }
 }

@@ -14,9 +14,6 @@ pub struct Client {
     stream: TcpStream,
     levels: u8,
     deepest_tiles: (u32, u32),
-    /// Unsolicited [`ServerMsg::Push`] tiles received while awaiting
-    /// replies, in arrival order (drained by [`Client::take_pushed`]).
-    pushed: Vec<TilePayload>,
     /// Every request is encoded here: after the Hello, sending
     /// allocates nothing.
     frame: FrameBuf,
@@ -130,7 +127,6 @@ impl Client {
                 stream,
                 levels,
                 deepest_tiles,
-                pushed: Vec::new(),
                 frame,
             }),
             ServerMsg::Error { code, reason } => Err(server_err(code, reason)),
@@ -209,25 +205,17 @@ impl Client {
         write_frame(&mut self.stream, msg.encode_into(&mut self.frame))
     }
 
-    /// Reads the next *reply*, stashing any unsolicited
+    /// Reads the next *reply*, skipping any unsolicited
     /// [`ServerMsg::Push`] frames that arrive first — a push is never
     /// the answer to a request, so the request/reply rhythm is
     /// preserved no matter how many pushes interleave.
     fn read_reply(&mut self) -> io::Result<ServerMsg> {
         loop {
             match ServerMsg::decode(read_frame(&mut self.stream)?)? {
-                ServerMsg::Push { payload } => self.pushed.push(payload),
+                ServerMsg::Push { .. } => {}
                 reply => return Ok(reply),
             }
         }
-    }
-
-    /// Drains the tiles the server has pushed unsolicited so far, in
-    /// arrival order. Pushes are only *observed* while a reply is
-    /// being awaited (the client never reads the socket otherwise), so
-    /// after a reply this reflects every push sent before it.
-    pub fn take_pushed(&mut self) -> Vec<TilePayload> {
-        std::mem::take(&mut self.pushed)
     }
 
     /// Closes the session politely.

@@ -403,6 +403,7 @@ impl Server {
 
     /// Per-namespace shared-cache statistics, one entry per served
     /// dataset (multi-user mode; empty otherwise).
+    // fc-check: allow(unreferenced-pub) -- accessor that ROADMAP item 3's metrics registry replaces (SharedCacheStats)
     pub fn namespace_stats(&self) -> Vec<(String, SharedCacheStats)> {
         self.served
             .datasets
@@ -418,6 +419,7 @@ impl Server {
     /// Per-namespace cache capacities after the registry's partition
     /// (multi-user mode; empty otherwise) — Σ equals the configured
     /// global `cache_capacity`.
+    // fc-check: allow(unreferenced-pub) -- accessor that ROADMAP item 3's metrics registry replaces
     pub fn namespace_capacities(&self) -> Vec<(String, usize)> {
         self.served
             .datasets

@@ -78,11 +78,12 @@ fn tile_of(p: &TilePayload) -> Arc<Tile> {
         attrs: p.attrs.iter().map(Attribute::new).collect(),
     };
     let mut array = DenseArray::filled(schema, 0.0);
-    for (name, column) in p.attrs.iter().zip(&p.data) {
-        array
-            .attr_values_mut(name)
-            .expect("attr of the schema")
-            .copy_from_slice(column);
+    let mut cell_values = vec![0.0; p.data.len()];
+    for cell in 0..h * w {
+        for (v, column) in cell_values.iter_mut().zip(&p.data) {
+            *v = column[cell];
+        }
+        array.fill_cell(cell, &cell_values).expect("cell in range");
     }
     for (cell, _) in p.present.iter().enumerate().filter(|(_, &b)| b == 0) {
         array

@@ -9,7 +9,7 @@ use fc_core::{
     SbConfig, SbRecommender,
 };
 use fc_server::protocol::{
-    read_frame, write_frame, ClientMsg, ServerMsg, MAX_CLIENT_FRAME, MAX_DATASET_NAME,
+    read_frame, write_frame, ClientMsg, ServerMsg, TilePayload, MAX_CLIENT_FRAME, MAX_DATASET_NAME,
 };
 use fc_server::server::tile_payload;
 use fc_server::{
@@ -18,7 +18,7 @@ use fc_server::{
 };
 use fc_sim::dataset::{DatasetConfig, StudyDataset};
 use fc_tiles::{Move, Quadrant, TileId};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -433,6 +433,58 @@ fn idle_session_times_out_on_the_reactor_clock() {
     server.shutdown();
 }
 
+/// A raw-frame session that keeps the `Push` frames arriving ahead of
+/// each reply (the client library skips them). Pushes are only
+/// observed while a reply is awaited, so after a reply this holds every
+/// push sent before it.
+struct PushWatcher {
+    stream: TcpStream,
+    pushed: Vec<TilePayload>,
+}
+
+impl PushWatcher {
+    fn connect(addr: SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        let mut w = Self {
+            stream,
+            pushed: Vec::new(),
+        };
+        let hello = ClientMsg::Hello {
+            prefetch_k: 4,
+            dataset: String::new(),
+        };
+        let welcome = w.call(&hello);
+        assert!(matches!(welcome, ServerMsg::Welcome { .. }), "{welcome:?}");
+        w
+    }
+
+    /// Sends `msg` and returns its reply.
+    fn call(&mut self, msg: &ClientMsg) -> ServerMsg {
+        write_frame(&mut self.stream, &msg.encode()).expect("send");
+        loop {
+            let frame = read_frame(&mut self.stream).expect("reply frame");
+            match ServerMsg::decode(frame).expect("decode") {
+                ServerMsg::Push { payload } => self.pushed.push(payload),
+                reply => return reply,
+            }
+        }
+    }
+
+    /// Requests `tile` and returns the tile the reply carries.
+    fn request_tile(&mut self, tile: TileId) -> TileId {
+        let mv = Some(Move::PanRight);
+        match self.call(&ClientMsg::RequestTile { tile, mv }) {
+            ServerMsg::Tile { payload, .. } => payload.tile,
+            other => panic!("unexpected reply to RequestTile: {other:?}"),
+        }
+    }
+
+    fn bye(mut self) {
+        write_frame(&mut self.stream, &ClientMsg::Bye.encode()).expect("bye");
+    }
+}
+
 #[test]
 fn utility_push_ships_predicted_tiles_and_counts_use() {
     let (mut server, ds) = start_server_with(ServerConfig {
@@ -448,36 +500,30 @@ fn utility_push_ships_predicted_tiles_and_counts_use() {
         ..ServerConfig::default()
     });
     let deepest = ds.pyramid.geometry().levels - 1;
-    let mut c = Client::connect(server.addr(), 4).expect("connect");
+    let mut c = PushWatcher::connect(server.addr());
     // Establish a rightward pan run the AB model can extrapolate,
     // leaving think-time gaps for push ticks to fire in.
     for x in 0..3 {
-        c.request_tile(TileId::new(deepest, 1, x), Some(Move::PanRight))
-            .expect("pan tile");
+        c.request_tile(TileId::new(deepest, 1, x));
         std::thread::sleep(Duration::from_millis(120));
     }
-    // Push frames are observed while awaiting replies; poke the
-    // socket with stats until pushes surface.
-    let mut pushed = Vec::new();
+    // Poke the socket with stats until pushes surface.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while pushed.is_empty() && Instant::now() < deadline {
+    while c.pushed.is_empty() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(60));
-        let _ = c.stats().expect("stats");
-        pushed = c.take_pushed();
+        c.call(&ClientMsg::GetStats);
     }
-    assert!(!pushed.is_empty(), "the planner must push in think time");
+    assert!(!c.pushed.is_empty(), "the planner must push in think time");
     let (srv_pushed, _) = server.push_stats();
-    assert!(srv_pushed >= pushed.len() as u64);
+    assert!(srv_pushed >= c.pushed.len() as u64);
     // Requesting a pushed tile books a *used* push server-side.
-    let hit = c
-        .request_tile(pushed[0].tile, Some(Move::PanRight))
-        .expect("pushed tile served");
-    assert_eq!(hit.payload.tile, pushed[0].tile);
+    let pushed = c.pushed[0].tile;
+    assert_eq!(c.request_tile(pushed), pushed);
     wait_for(
         || server.push_stats().1 >= 1,
         "a pushed-then-requested tile counted as used",
     );
-    c.bye().expect("bye");
+    c.bye();
     server.shutdown();
 }
 
@@ -489,16 +535,15 @@ fn push_stays_silent_without_opt_in() {
         ..ServerConfig::default()
     });
     let deepest = ds.pyramid.geometry().levels - 1;
-    let mut c = Client::connect(server.addr(), 4).expect("connect");
+    let mut c = PushWatcher::connect(server.addr());
     for x in 0..3 {
-        c.request_tile(TileId::new(deepest, 1, x), Some(Move::PanRight))
-            .expect("pan tile");
+        c.request_tile(TileId::new(deepest, 1, x));
         std::thread::sleep(Duration::from_millis(80));
     }
-    let _ = c.stats().expect("stats");
-    assert!(c.take_pushed().is_empty(), "no push without opt-in");
+    c.call(&ClientMsg::GetStats);
+    assert!(c.pushed.is_empty(), "no push without opt-in");
     assert_eq!(server.push_stats(), (0, 0));
-    c.bye().expect("bye");
+    c.bye();
     server.shutdown();
 }
 

@@ -53,6 +53,7 @@ impl DatasetConfig {
 
     /// A small configuration for unit tests: 128² cells, 32-cell tiles,
     /// three levels (21 tiles).
+    // fc-check: allow(unreferenced-pub) -- fixture shared across crates: fc-sim, fc-core, fc-server and root tests build on it
     pub fn tiny() -> Self {
         Self {
             terrain: TerrainConfig {

@@ -13,7 +13,7 @@
 //! Snowy mountain ranges appear as spatially coherent clusters of
 //! high-NDSI cells — the ROIs the paper's users hunt for.
 
-use fc_array::{Database, DenseArray, Query, Schema};
+use fc_array::{apply, join, Database, DenseArray, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -217,12 +217,6 @@ impl Fbm {
     }
 }
 
-/// Fractal Brownian motion at one point: octaves of value noise,
-/// persistence 0.5.
-pub fn fbm(seed: u64, x: f64, y: f64, octaves: u32) -> f64 {
-    Fbm::new(seed, octaves).at(x, y)
-}
-
 /// Distance from point `p` to segment `ab`, all in unit coordinates.
 fn dist_to_segment(p: (f64, f64), a: (f64, f64), b: (f64, f64)) -> f64 {
     let (px, py) = p;
@@ -321,25 +315,26 @@ pub fn generate(cfg: &TerrainConfig) -> Terrain {
 pub fn build_ndsi_database(cfg: &TerrainConfig) -> (Database, std::sync::Arc<DenseArray>) {
     let terrain = generate(cfg);
     let db = Database::new();
-    db.store("SVIS", terrain.vis);
-    db.store("SSWIR", terrain.swir);
-    db.store("MASK", terrain.mask);
+    let vis = db.store("SVIS", terrain.vis);
+    let swir = db.store("SSWIR", terrain.swir);
+    let mask = db.store("MASK", terrain.mask);
 
-    // Query 1: NDSI = (VIS − SWIR) / (VIS + SWIR), as a UDF over the join.
-    let ndsi = Query::scan("SVIS")
-        .join(Query::scan("SSWIR"))
-        .apply("ndsi", |c| {
+    // Query 1: NDSI = (VIS − SWIR) / (VIS + SWIR), as a UDF over the
+    // join, which is dropped as soon as the UDF has read it.
+    let ndsi = apply(
+        &join(&vis, &swir).expect("bands share dimensions"),
+        "ndsi",
+        |c| {
             let v = c.attr(0); // SVIS.reflectance
             let s = c.attr(1); // SSWIR.reflectance
             (v - s) / (v + s)
-        })
-        .execute(&db)
-        .expect("Query 1 executes");
+        },
+    )
+    .expect("ndsi is a new attribute");
 
     // Flatten to the study schema: max/min/avg NDSI + land mask. The raw
     // level carries identical max/min/avg (one week flattened, §5.1.1);
     // they diverge at coarser zoom levels through per-attribute regrid.
-    let mask = db.scan("MASK").expect("mask stored");
     let n = ndsi.shape();
     let schema = Schema::new(
         "NDSI",
@@ -368,6 +363,11 @@ pub fn build_ndsi_database(cfg: &TerrainConfig) -> (Database, std::sync::Arc<Den
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Fractal Brownian motion at one point, from a fresh sampler.
+    fn fbm(seed: u64, x: f64, y: f64, octaves: u32) -> f64 {
+        Fbm::new(seed, octaves).at(x, y)
+    }
 
     fn small_cfg() -> TerrainConfig {
         TerrainConfig {

@@ -23,9 +23,7 @@
 
 use crate::trace::{Trace, TraceStep};
 use fc_core::engine::heuristic_phase;
-use fc_core::{
-    BurstConfig, BurstTracker, Middleware, MiddlewareStats, Request, Response, TrafficPhase,
-};
+use fc_core::{BurstConfig, Middleware, MiddlewareStats, Request, Response, TrafficPhase};
 use fc_tiles::{Geometry, Move, Quadrant, TileId};
 use std::time::Duration;
 
@@ -80,30 +78,6 @@ impl Workload {
     /// Whether the workload has no steps.
     pub fn is_empty(&self) -> bool {
         self.trace.steps.is_empty()
-    }
-
-    /// Seconds of declared traffic per phase (burst/dwell/idle
-    /// occupancy by *time*, not step count) — what the generator
-    /// promises, for comparison against the middleware's `per_traffic`
-    /// step counts.
-    pub fn declared_occupancy(&self) -> [usize; 3] {
-        let mut counts = [0usize; 3];
-        for p in &self.declared {
-            counts[p.index()] += 1;
-        }
-        counts
-    }
-
-    /// The phase sequence a tracker with config `cfg` recovers from
-    /// this workload's think schedule — the exact gap sequence the
-    /// middleware's session timeline produces on replay (request
-    /// latency cancels out of consecutive gap measurements; only the
-    /// explicit think time remains).
-    pub fn classify(&self, cfg: BurstConfig) -> Vec<TrafficPhase> {
-        let mut t = BurstTracker::new(cfg);
-        (0..self.len())
-            .map(|i| t.observe((i > 0).then(|| self.think[i])))
-            .collect()
     }
 }
 
@@ -627,6 +601,7 @@ pub struct ZooOutcome {
 /// Replays `w` through `mw`, charging each step's think time to the
 /// session timeline before issuing the request — exactly the gap
 /// structure the burst classifier sees in production.
+// fc-check: allow(unreferenced-pub) -- fixture shared across crates: the golden_burst and zoo test crates both replay through it
 pub fn replay_workload(mw: &mut Middleware, w: &Workload) -> ZooOutcome {
     let mut served = 0usize;
     let mut hits = 0usize;
@@ -820,6 +795,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fc_core::BurstTracker;
 
     fn geometry() -> Geometry {
         Geometry::new(3, 128, 128, 16, 16)
@@ -858,7 +834,13 @@ mod tests {
     #[test]
     fn default_classifier_recovers_declared_structure() {
         for w in zoo(geometry(), 160, 11) {
-            let got = w.classify(BurstConfig::default());
+            // The gap sequence the middleware's session timeline sees on
+            // replay: request latency cancels out of consecutive gaps,
+            // only the explicit think time remains.
+            let mut t = BurstTracker::new(BurstConfig::default());
+            let got: Vec<TrafficPhase> = (0..w.len())
+                .map(|i| t.observe((i > 0).then(|| w.think[i])))
+                .collect();
             let agree = got.iter().zip(&w.declared).filter(|(a, b)| a == b).count();
             // Think bands sit strictly inside the hysteresis bands, so
             // recovery is exact — any slack here is a generator bug.
@@ -902,7 +884,10 @@ mod tests {
     #[test]
     fn zoom_dive_declares_all_traffic_phases() {
         let w = zoom_dive(geometry(), 200, 5, 0);
-        let occ = w.declared_occupancy();
+        let mut occ = [0usize; 3];
+        for p in &w.declared {
+            occ[p.index()] += 1;
+        }
         assert!(
             occ.iter().all(|&n| n > 0),
             "zoom-dive must exercise burst, dwell, and idle: {occ:?}"

@@ -6,13 +6,48 @@
 use fc_core::engine::PhaseSource;
 use fc_core::signature::SignatureKind;
 use fc_core::{
-    AbRecommender, AllocationStrategy, EngineConfig, FaultPlan, PredictionEngine, RetryPolicy,
-    SbConfig, SbRecommender,
+    AbRecommender, AllocationStrategy, EngineConfig, FaultPlan, FaultRates, FaultWindow,
+    PredictionEngine, RetryPolicy, SbConfig, SbRecommender,
 };
 use fc_sim::multiuser::{hotspot_workload, synthetic_workload, CacheImpl, MultiUserConfig};
 use fc_sim::{assert_invariants, run_chaos, ChaosConfig};
 use fc_tiles::{Geometry, Move, Pyramid, PyramidBuilder, PyramidConfig, TileId};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// **Error burst** (the flash-crowd companion): inside `[from, until)`
+/// most attempts fail outright; almost no spikes, no wedges.
+fn error_burst(seed: u64, from: u64, until: u64) -> FaultPlan {
+    FaultPlan::windowed(
+        seed,
+        FaultWindow {
+            from,
+            until,
+            rates: FaultRates {
+                transient_per_mille: 850,
+                transient_first_attempts: 0,
+                spike_per_mille: 100,
+                spike: Duration::from_millis(100),
+                stuck_per_mille: 0,
+            },
+        },
+    )
+}
+
+/// **Degraded backend**: a constant low-grade fault floor with no
+/// window — background flakiness rather than an incident.
+fn degraded_backend(seed: u64) -> FaultPlan {
+    FaultPlan::new(
+        seed,
+        FaultRates {
+            transient_per_mille: 100,
+            transient_first_attempts: 0,
+            spike_per_mille: 200,
+            spike: Duration::from_millis(150),
+            stuck_per_mille: 10,
+        },
+    )
+}
 
 fn pyramid() -> Arc<Pyramid> {
     let schema = fc_array::Schema::grid2d("G", 128, 128, &["v"]).unwrap();
@@ -138,7 +173,7 @@ fn chaos_flash_crowd_error_burst_is_contained() {
             cache: CacheImpl::Sharded { shards: 4 },
             ..MultiUserConfig::default()
         },
-        plan: Arc::new(FaultPlan::error_burst(11, 10, 26)),
+        plan: Arc::new(error_burst(11, 10, 26)),
         retry: RetryPolicy::default(),
         fault_window: (10, 26),
         burst: None,
@@ -176,7 +211,7 @@ fn chaos_degraded_backend_stays_mostly_served() {
             cache_capacity: 32,
             ..MultiUserConfig::default()
         },
-        plan: Arc::new(FaultPlan::degraded_backend(3)),
+        plan: Arc::new(degraded_backend(3)),
         retry: RetryPolicy::default(),
         fault_window: (0, u64::MAX),
         burst: None,

@@ -33,7 +33,7 @@ impl Fold {
 fn fingerprint(arr: &DenseArray) -> u64 {
     let mut f = Fold::new();
     f.u64(arr.ncells() as u64);
-    f.u64(arr.npresent() as u64);
+    f.u64(arr.validity().count_ones() as u64);
     for ai in 0..arr.schema().attrs.len() {
         for &v in arr.attr_col(ai) {
             f.u64(v.to_bits());

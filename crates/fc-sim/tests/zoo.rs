@@ -52,6 +52,17 @@ fn engine(g: Geometry) -> PredictionEngine {
     )
 }
 
+/// Steps of declared traffic per phase (burst/dwell/idle) — what the
+/// generator promises, for comparison against the middleware's
+/// `per_traffic` step counts.
+fn declared_occupancy(w: &Workload) -> [usize; 3] {
+    let mut counts = [0usize; 3];
+    for p in &w.declared {
+        counts[p.index()] += 1;
+    }
+    counts
+}
+
 fn session(p: &Arc<Pyramid>, burst: Option<BurstConfig>) -> Middleware {
     let mut mw = Middleware::new(
         engine(p.geometry()),
@@ -149,7 +160,7 @@ fn middleware_recovers_declared_structure_on_replay() {
         assert_eq!(out.served, w.len(), "{}: unservable tiles in zoo", w.name);
         assert_eq!(
             out.stats.per_traffic,
-            w.declared_occupancy(),
+            declared_occupancy(&w),
             "{}: middleware must recover the declared phase structure",
             w.name
         );

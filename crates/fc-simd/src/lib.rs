@@ -122,6 +122,7 @@ pub fn clamp_level(level: SimdLevel) -> SimdLevel {
 /// All levels this CPU can run, ascending (always starts with
 /// [`SimdLevel::Scalar`]). Test suites iterate this to assert bitwise
 /// agreement on every dispatchable path.
+// fc-check: allow(unreferenced-pub) -- fixture shared across crates: fc-simd, fc-vision and fc-core's golden_simd iterate it
 pub fn available_levels() -> Vec<SimdLevel> {
     [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
         .into_iter()

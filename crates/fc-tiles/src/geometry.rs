@@ -60,12 +60,6 @@ impl Geometry {
         1usize << (self.levels - 1 - level)
     }
 
-    /// Cell dimensions `(h, w)` of the materialized view at `level`.
-    pub fn level_shape(&self, level: u8) -> (usize, usize) {
-        let w = self.agg_window(level);
-        (self.raw_h.div_ceil(w), self.raw_w.div_ceil(w))
-    }
-
     /// Tile-grid dimensions `(rows, cols)` at `level`:
     /// `⌈⌈raw / 2^s⌉ / tile⌉ = ⌈⌈raw / tile⌉ / 2^s⌉` (nested ceilings
     /// compose), with `s = levels − 1 − level` — a shift of the deepest
@@ -180,9 +174,6 @@ mod tests {
     #[test]
     fn level_shapes_double() {
         let g = geo();
-        assert_eq!(g.level_shape(0), (64, 64));
-        assert_eq!(g.level_shape(1), (128, 128));
-        assert_eq!(g.level_shape(3), (512, 512));
         assert_eq!(g.tiles_at(0), (1, 1));
         assert_eq!(g.tiles_at(1), (2, 2));
         assert_eq!(g.tiles_at(3), (8, 8));
@@ -195,7 +186,6 @@ mod tests {
         // level 2 raw: 300x500 → 5x8 tiles
         assert_eq!(g.tiles_at(2), (5, 8));
         // level 0 window 4: 75x125 cells → 2x2 tiles
-        assert_eq!(g.level_shape(0), (75, 125));
         assert_eq!(g.tiles_at(0), (2, 2));
     }
 

@@ -98,19 +98,6 @@ impl Move {
         )
     }
 
-    /// The pan move that undoes this one (`None` for zooms: a
-    /// zoom-in picks a quadrant, so reversal is not well-defined at
-    /// the move level).
-    pub fn opposite(self) -> Option<Move> {
-        match self {
-            Move::PanUp => Some(Move::PanDown),
-            Move::PanDown => Some(Move::PanUp),
-            Move::PanLeft => Some(Move::PanRight),
-            Move::PanRight => Some(Move::PanLeft),
-            Move::ZoomOut | Move::ZoomIn(_) => None,
-        }
-    }
-
     /// Whether this is a zoom-in move.
     pub fn is_zoom_in(self) -> bool {
         matches!(self, Move::ZoomIn(_))

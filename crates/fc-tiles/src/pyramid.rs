@@ -295,7 +295,7 @@ mod tests {
         // 16..20, cols 24..28 → 16 present cells, padded to 8x8.
         let (edge, _) = p.store().fetch_backend(TileId::new(1, 2, 3)).unwrap();
         assert_eq!(edge.shape(), (8, 8));
-        assert_eq!(edge.array.npresent(), 16);
+        assert_eq!(edge.array.validity().count_ones(), 16);
         // All tiles have the same dimensions (§2.3).
         for id in p.geometry().all_tiles() {
             let (t, _) = p.store().fetch_backend(id).unwrap();

@@ -329,7 +329,10 @@ mod tests {
     fn store() -> TileStore {
         TileStore::new(
             Geometry::new(2, 16, 16, 8, 8),
-            LatencyModel::fast(),
+            LatencyModel {
+                seek: Duration::from_micros(100),
+                per_byte_ns: 1,
+            },
             IoMode::Simulated,
             SimClock::new(),
         )

@@ -43,11 +43,6 @@ impl Vocabulary {
     pub fn histogram(&self, descriptors: &[Descriptor]) -> Vec<f64> {
         self.codebook.histogram(descriptors)
     }
-
-    /// Nearest visual word for one descriptor.
-    pub fn quantize(&self, descriptor: &Descriptor) -> usize {
-        self.codebook.assign(descriptor)
-    }
 }
 
 #[cfg(test)]
@@ -76,8 +71,8 @@ mod tests {
         let vocab = Vocabulary::train(&corpus, 2, 7);
         assert_eq!(vocab.size(), 2);
         assert_ne!(
-            vocab.quantize(&fake_descriptor(0)),
-            vocab.quantize(&fake_descriptor(4))
+            vocab.histogram(&[fake_descriptor(0)]),
+            vocab.histogram(&[fake_descriptor(4)])
         );
     }
 

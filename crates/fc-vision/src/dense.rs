@@ -40,7 +40,7 @@ pub fn dense_descriptors_on(field: &GradientField, step: usize, radius: f64) -> 
 mod tests {
     use super::*;
     use crate::descriptor::{describe_patch, DESCRIPTOR_DIM};
-    use crate::filters::gradients;
+    use crate::filters::gradients_with;
 
     #[test]
     fn grid_covers_image() {
@@ -88,7 +88,7 @@ mod tests {
         );
         // Naive reference: per-site describe_patch over the gradient
         // images, exactly as the seed implementation did.
-        let (dx, dy) = gradients(&img);
+        let (dx, dy) = gradients_with(&img, fc_simd::active_level());
         let mut want = Vec::new();
         let mut y = 8 / 2;
         while y < img.height() {

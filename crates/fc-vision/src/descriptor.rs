@@ -164,6 +164,7 @@ impl WeightTables {
 /// 8-bin orientation histograms, L2-normalized, clipped at 0.2, and
 /// renormalized (SIFT's illumination normalization). Returns `None` for
 /// degenerate patches (zero gradient energy).
+// fc-check: allow(unreferenced-pub) -- reference oracle: describe_patch_on and the dense grid are checked against it bit for bit
 pub fn describe_patch(
     dx: &GrayImage,
     dy: &GrayImage,
@@ -287,15 +288,10 @@ fn normalize_sift(h: &mut [f64]) -> bool {
     true
 }
 
-/// Describes a set of detected keypoints over `img`. The patch radius is
+/// Describes a set of detected keypoints over a prebuilt
+/// [`GradientField`], so callers that also extract dense descriptors
+/// from the same image share one gradient pass. The patch radius is
 /// `3 × scale` (descriptor window grows with keypoint scale, as in SIFT).
-pub fn describe_keypoints(img: &GrayImage, keypoints: &[Keypoint]) -> Vec<Descriptor> {
-    describe_keypoints_on(&GradientField::new(img), keypoints)
-}
-
-/// [`describe_keypoints`] over a prebuilt [`GradientField`], so callers
-/// that also extract dense descriptors from the same image share one
-/// gradient pass.
 pub fn describe_keypoints_on(field: &GradientField, keypoints: &[Keypoint]) -> Vec<Descriptor> {
     let mut tables = WeightTables::default();
     keypoints
@@ -307,8 +303,11 @@ pub fn describe_keypoints_on(field: &GradientField, keypoints: &[Keypoint]) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filters::gradients;
     use crate::keypoints::{detect_keypoints, DetectorParams};
+
+    fn gradients(img: &GrayImage) -> (GrayImage, GrayImage) {
+        crate::filters::gradients_with(img, fc_simd::active_level())
+    }
 
     fn blob(w: usize, h: usize, cx: f64, cy: f64) -> GrayImage {
         let mut px = Vec::with_capacity(w * h);
@@ -376,7 +375,7 @@ mod tests {
     fn describe_keypoints_end_to_end() {
         let img = blob(48, 48, 24.0, 24.0);
         let kps = detect_keypoints(&img, &DetectorParams::default());
-        let descs = describe_keypoints(&img, &kps);
+        let descs = describe_keypoints_on(&GradientField::new(&img), &kps);
         assert!(!descs.is_empty());
         assert!(descs.iter().all(|d| d.len() == DESCRIPTOR_DIM));
     }
@@ -489,7 +488,7 @@ mod tests {
     fn describe_keypoints_on_matches_describe_keypoints() {
         let img = blob(48, 48, 24.0, 24.0);
         let kps = detect_keypoints(&img, &DetectorParams::default());
-        let want = describe_keypoints(&img, &kps);
+        let want = describe_keypoints_on(&GradientField::new(&img), &kps);
         for level in fc_simd::available_levels() {
             let field = GradientField::with_level(&img, level);
             let got = describe_keypoints_on(&field, &kps);

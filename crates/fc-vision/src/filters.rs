@@ -64,13 +64,8 @@ pub fn gaussian_blur_with(img: &GrayImage, sigma: f64, level: SimdLevel) -> Gray
     GrayImage::new(w, h, out)
 }
 
-/// Central-difference gradients; returns `(dx, dy)` images.
-pub fn gradients(img: &GrayImage) -> (GrayImage, GrayImage) {
-    gradients_with(img, fc_simd::active_level())
-}
-
-/// [`gradients`] at an explicit SIMD dispatch level (bit-identical
-/// across levels; exposed for the golden dispatch-equivalence tests).
+/// Central-difference gradients at SIMD dispatch level `level`
+/// (bit-identical across levels); returns `(dx, dy)` images.
 pub fn gradients_with(img: &GrayImage, level: SimdLevel) -> (GrayImage, GrayImage) {
     let (w, h) = (img.width(), img.height());
     let pix = img.pixels();
@@ -211,7 +206,7 @@ mod tests {
     fn gradients_of_ramp() {
         // Horizontal ramp: dx == slope, dy == 0 (away from edges).
         let img = GrayImage::new(5, 4, (0..20).map(|i| (i % 5) as f64 * 0.1).collect());
-        let (dx, dy) = gradients(&img);
+        let (dx, dy) = gradients_with(&img, fc_simd::active_level());
         for y in 0..4 {
             for x in 1..4 {
                 assert!((dx.get(x, y) - 0.1).abs() < 1e-12);

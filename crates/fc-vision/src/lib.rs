@@ -35,8 +35,8 @@ pub mod keypoints;
 pub use bovw::Vocabulary;
 pub use dense::{dense_descriptors, dense_descriptors_on};
 pub use descriptor::{
-    describe_keypoints, describe_keypoints_on, describe_patch, describe_patch_on, Descriptor,
-    GradientField, WeightTables, DESCRIPTOR_DIM,
+    describe_keypoints_on, describe_patch, describe_patch_on, Descriptor, GradientField,
+    WeightTables, DESCRIPTOR_DIM,
 };
 pub use image::GrayImage;
 pub use keypoints::{detect_keypoints, DetectorParams, Keypoint};

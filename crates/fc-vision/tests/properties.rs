@@ -1,8 +1,8 @@
 //! Property-based tests for the vision substrate.
 
 use fc_vision::{
-    dense_descriptors, describe_keypoints, detect_keypoints, DetectorParams, GrayImage,
-    DESCRIPTOR_DIM,
+    dense_descriptors, describe_keypoints_on, detect_keypoints, DetectorParams, GradientField,
+    GrayImage, DESCRIPTOR_DIM,
 };
 use proptest::prelude::*;
 
@@ -44,7 +44,7 @@ proptest! {
     #[test]
     fn descriptors_are_unit_vectors(img in images()) {
         let kps = detect_keypoints(&img, &DetectorParams::default());
-        for d in describe_keypoints(&img, &kps) {
+        for d in describe_keypoints_on(&GradientField::new(&img), &kps) {
             prop_assert_eq!(d.len(), DESCRIPTOR_DIM);
             let norm: f64 = d.iter().map(|x| x * x).sum::<f64>().sqrt();
             prop_assert!((norm - 1.0).abs() < 1e-6, "norm {norm}");
