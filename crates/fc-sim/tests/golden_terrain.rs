@@ -8,7 +8,8 @@
 //! and 128, one side that is not a power of two (the lattice cell
 //! boundaries then fall between raster cells at irregular strides) and
 //! the default 512; the seeds are the default one, which every
-//! benchmark and experiment uses, and one other.
+//! benchmark and experiment uses, and one other. The benchmark's own
+//! 1024² field at the default seed is pinned too, in the release suite.
 
 use fc_array::DenseArray;
 use fc_sim::terrain::{build_ndsi_database, generate, TerrainConfig};
@@ -169,6 +170,29 @@ const GOLDEN: [(usize, u64, [u64; 5]); 8] = [
     ),
 ];
 
+/// The benchmark's dataset: 1024² at the default seed.
+const BENCHMARK: (usize, u64, [u64; 5]) = (
+    1024,
+    DEFAULT_SEED,
+    [
+        0x93b173fa50e54e40,
+        0x740e8853a3c2d450,
+        0x127f6a090d66ef87,
+        0xee2d2e02c4e175f8,
+        0x12c1de0277d5e3e8,
+    ],
+);
+
+fn show(table: &[(usize, u64, [u64; 5])]) -> String {
+    table
+        .iter()
+        .map(|(size, seed, f)| {
+            let f = f.map(|h| format!("{h:#018x}")).join(", ");
+            format!("    ({size}, {seed:#x}, [{f}]),\n")
+        })
+        .collect()
+}
+
 #[test]
 fn default_seed_is_the_pinned_one() {
     assert_eq!(TerrainConfig::default().seed, DEFAULT_SEED);
@@ -183,12 +207,18 @@ fn terrain_and_ndsi_bits_are_pinned() {
     assert!(
         actual == GOLDEN,
         "terrain bits moved; actual table:\n{}",
-        actual
-            .iter()
-            .map(|(size, seed, f)| {
-                let f = f.map(|h| format!("{h:#018x}")).join(", ");
-                format!("    ({size}, {seed:#x}, [{f}]),\n")
-            })
-            .collect::<String>()
+        show(&actual)
+    );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "the 1024² field runs in the release suite")]
+fn benchmark_terrain_bits_are_pinned() {
+    let (size, seed, _) = BENCHMARK;
+    let actual = (size, seed, fingerprints(size, seed));
+    assert!(
+        actual == BENCHMARK,
+        "benchmark terrain bits moved; actual:\n{}",
+        show(&[actual])
     );
 }
