@@ -19,8 +19,9 @@ use fc_core::{
     MomentumRecommender, PredictionContext, PredictionEngine, Recommender, Request, SbConfig,
     SbRecommender, SessionHistory,
 };
-use fc_ml::KMeans;
+use fc_ml::{BinarySvm, KMeans, SvmParams};
 use fc_ngram::KneserNey;
+use fc_sim::terrain::{generate, TerrainConfig};
 use fc_tiles::{Geometry, Move, Pyramid, PyramidBuilder, PyramidConfig, Tile, TileId, TileStore};
 use fc_vision::{
     dense_descriptors, detect_keypoints, DetectorParams, GradientField, GrayImage, DESCRIPTOR_DIM,
@@ -119,6 +120,43 @@ fn bench_kmeans(c: &mut Criterion) {
         .collect();
     c.bench_function("k-means fit 4096 × 128-d, 16 words", |b| {
         b.iter(|| KMeans::fit(black_box(&data), 16, 30, 7))
+    });
+}
+
+/// Set-up's two serial loops below the benchmark's size: the terrain
+/// generator, and one SMO machine on rows shaped like the phase
+/// features (three coordinates in [-1, 1], three ±1 move flags) under
+/// labels that overlap.
+fn bench_setup(c: &mut Criterion) {
+    let cfg = TerrainConfig {
+        size: 256,
+        ..TerrainConfig::default()
+    };
+    c.bench_function("terrain generate 256²", |b| {
+        b.iter(|| generate(black_box(&cfg)))
+    });
+
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut unit = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % 2001) as f64 / 1000.0 - 1.0
+    };
+    let flag = |v: f64| if v > 0.0 { 1.0 } else { -1.0 };
+    let x: Vec<Vec<f64>> = (0..400)
+        .map(|_| {
+            let coords = [unit(), unit(), unit()];
+            let flags = [flag(unit()), flag(unit()), flag(unit())];
+            coords.into_iter().chain(flags).collect()
+        })
+        .collect();
+    let y: Vec<f64> = x
+        .iter()
+        .map(|r| flag(r[0] + 0.5 * r[2] + 0.5 * unit()))
+        .collect();
+    c.bench_function("SMO train 400 × 6 RBF", |b| {
+        b.iter(|| BinarySvm::train(black_box(&x), &y, SvmParams::rbf_default(6)))
     });
 }
 
@@ -511,6 +549,7 @@ criterion_group!(
     bench_array_ops,
     bench_vision,
     bench_kmeans,
+    bench_setup,
     bench_models,
     bench_sb_distances,
     bench_sb_steady_walk,

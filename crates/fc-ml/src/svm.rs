@@ -73,8 +73,9 @@ impl BinarySvm {
         let mut rng = StdRng::seed_from_u64(p.seed);
 
         // Precompute the kernel matrix, dense and symmetric so that
-        // `f(i)` reads along a contiguous row; training sets here are
-        // small (≈1.4k rows in the paper's study).
+        // `f(i)` reads along a contiguous row, and `f_block` eight rows
+        // along one term's; training sets here are small (≈1.4k rows in
+        // the paper's study).
         let k = gram(x, p.kernel);
         let at = |i: usize, j: usize| k[i * m + j];
         let mut alpha = vec![0.0f64; m];
@@ -94,11 +95,19 @@ impl BinarySvm {
 
         let mut passes = 0usize;
         let mut iters = 0usize;
+        let mut fs = [0.0f64; BLOCK];
         while passes < p.max_passes && iters < p.max_iters {
             iters += 1;
             let mut num_changed = 0usize;
+            // The rows whose `f` is in `fs`, from `fresh.start` on, at
+            // the current terms and bias.
+            let mut fresh = 0..0;
             for i in 0..m {
-                let ei = f(&terms, b, i) - y[i];
+                if !fresh.contains(&i) {
+                    fs = f_block(&k, m, &terms, b, i);
+                    fresh = i..(i + BLOCK).min(m);
+                }
+                let ei = fs[i - fresh.start] - y[i];
                 let r = y[i] * ei;
                 if (r < -p.tol && alpha[i] < p.c) || (r > p.tol && alpha[i] > 0.0) {
                     // Pick a random partner j != i (Platt's simplification).
@@ -142,6 +151,7 @@ impl BinarySvm {
                         (b1 + b2) / 2.0
                     };
                     num_changed += 1;
+                    fresh = 0..0;
                 }
             }
             if num_changed == 0 {
@@ -205,10 +215,30 @@ fn set_term(terms: &mut Vec<(usize, f64)>, t: usize, alpha_y: f64) {
     }
 }
 
-/// The kernel matrix of `x`, row-major; each pair is evaluated once.
+/// How many rows' `f` one pass over the terms computes.
+const BLOCK: usize = 8;
+
+/// `f` at rows `i..i + BLOCK`, as eight add chains in one pass over the
+/// terms. Row `i + l`'s chain is `f(i + l)`'s: both halves of the Gram
+/// matrix hold the same bits, so term `t`'s row at column `i + l` is row
+/// `i + l`'s at column `t`. Lanes past the last row read the next row or
+/// `gram`'s padding, and are not used.
+fn f_block(k: &[f64], m: usize, terms: &[(usize, f64)], b: f64, i: usize) -> [f64; BLOCK] {
+    let mut s = [b; BLOCK];
+    for &(t, alpha_y) in terms {
+        let col: &[f64; BLOCK] = k[t * m + i..][..BLOCK].try_into().expect("BLOCK wide");
+        for (s, &kt) in s.iter_mut().zip(col) {
+            *s += alpha_y * kt;
+        }
+    }
+    s
+}
+
+/// The kernel matrix of `x`, row-major, and `BLOCK - 1` cells of
+/// padding for `f_block`'s last rows; each pair is evaluated once.
 fn gram(x: &[Vec<f64>], kernel: Kernel) -> Vec<f64> {
     let n = x.len();
-    let mut vals = vec![0.0; n * n];
+    let mut vals = vec![0.0; n * n + BLOCK - 1];
     for i in 0..n {
         for j in 0..=i {
             let v = kernel.eval(&x[i], &x[j]);

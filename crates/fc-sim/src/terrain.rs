@@ -106,114 +106,120 @@ fn lattice(seed: u64, xi: i64, yi: i64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// One octave of value noise. It remembers what the next sample of a
-/// raster row needs again: the row's `y` with its floor and smoothstep
-/// weight, and the four corner hashes of the lattice cell it is in.
-/// Each is kept under the value it was computed from — the weight
-/// under `y`, the corners under the cell — and recomputed when a
-/// sample brings another, so any call order gives what a fresh octave
-/// would. Along a row 2–170 consecutive samples share a cell.
-struct Octave {
-    seed: u64,
-    /// The last sample's `y`, `y.floor()`, and the smoothstep of their
-    /// difference.
-    y: f64,
-    y0: f64,
-    sy: f64,
-    /// `corners` are `lattice` at `(xi, yi)`, `(xi + 1, yi)`,
-    /// `(xi, yi + 1)` and `(xi + 1, yi + 1)` for `(xi, yi) = (x0 as
-    /// i64, y0 as i64)`, and stand for `x0 <= x < x1`: `x1` is `x0 +
-    /// 1.0`, or `x0` — no `x` — once `y0` has moved on.
-    x0: f64,
-    x1: f64,
-    corners: [f64; 4],
-}
-
-impl Octave {
-    fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            y: 0.0,
-            y0: 0.0,
-            sy: 0.0,
-            x0: 0.0,
-            x1: 0.0,
-            corners: [0.0; 4],
-        }
-    }
-
-    fn set_row(&mut self, y: f64) {
-        let y0 = y.floor();
-        if y0 != self.y0 {
-            self.y0 = y0;
-            self.x1 = self.x0;
-        }
-        let fy = y - y0;
-        self.y = y;
-        self.sy = fy * fy * (3.0 - 2.0 * fy);
-    }
-
-    fn enter_cell(&mut self, x0: f64) {
-        let (xi, yi) = (x0 as i64, self.y0 as i64);
-        self.x0 = x0;
-        self.x1 = x0 + 1.0;
-        self.corners = [
-            lattice(self.seed, xi, yi),
-            lattice(self.seed, xi + 1, yi),
-            lattice(self.seed, xi, yi + 1),
-            lattice(self.seed, xi + 1, yi + 1),
-        ];
-    }
-
-    /// Smoothstep-interpolated value noise at `(x, y)` (unit frequency).
-    fn at(&mut self, x: f64, y: f64) -> f64 {
-        // NaN fails both tests and is recomputed every time. The two
-        // zeros pass for each other, and may: a zero `fx` or `fy` of
-        // either sign squares to the same weight.
-        if y != self.y {
-            self.set_row(y);
-        }
-        // For an integral `x0`, `x0 <= x < x0 + 1.0` is `x.floor() ==
-        // x0`; where the sum rounds, every float between is `x0`.
-        if !(self.x0 <= x && x < self.x1) {
-            self.enter_cell(x.floor());
-        }
-        let fx = x - self.x0;
-        let sx = fx * fx * (3.0 - 2.0 * fx);
-        let [v00, v10, v01, v11] = self.corners;
-        let top = v00 + (v10 - v00) * sx;
-        let bot = v01 + (v11 - v01) * sx;
-        top + (bot - top) * self.sy
-    }
+/// Smoothstep weight of the offset `f` into a lattice cell.
+fn smoothstep(f: f64) -> f64 {
+    f * f * (3.0 - 2.0 * f)
 }
 
 /// Fractal Brownian motion — octaves of value noise, persistence 0.5 —
-/// as a sampler to be asked point after point.
-struct Fbm {
-    octaves: Vec<Octave>,
+/// read row by row off an `n × n` raster: cell `(xi, yi)` samples the
+/// point `(xi / n · scale, yi / n · scale)`. Coordinates are never
+/// negative, so truncation is their floor.
+struct FbmRows {
+    n: usize,
+    scale: f64,
+    octaves: Vec<OctaveRows>,
+    norm: f64,
+    total: Vec<f64>,
 }
 
-impl Fbm {
-    fn new(seed: u64, octaves: u32) -> Self {
+/// One octave's state along the rows. Per raster column it keeps the
+/// lattice column left of the sample and the smoothstep weight into
+/// it; per lattice line `y0`, the line's values already interpolated at
+/// every column (`top`) and the next line's (`bot`). A row between the
+/// same two lines reuses both; one a line further down reuses `bot` as
+/// its `top`.
+struct OctaveRows {
+    seed: u64,
+    amp: f64,
+    freq: f64,
+    cols: Vec<(usize, f64)>,
+    /// Scratch: one lattice line at every column `cols` reaches.
+    line: Vec<f64>,
+    y0: Option<usize>,
+    top: Vec<f64>,
+    bot: Vec<f64>,
+}
+
+impl FbmRows {
+    fn new(seed: u64, octaves: u32, n: usize, scale: f64) -> Self {
+        let (mut amp, mut freq, mut norm) = (0.5, 1.0, 0.0);
+        let octaves = (0..octaves)
+            .map(|o| {
+                let cols: Vec<(usize, f64)> = (0..n)
+                    .map(|xi| {
+                        let x = xi as f64 / n as f64 * scale * freq;
+                        let x0 = x as usize;
+                        (x0, smoothstep(x - x0 as f64))
+                    })
+                    .collect();
+                let octave = OctaveRows {
+                    seed: seed.wrapping_add(o as u64),
+                    amp,
+                    freq,
+                    line: vec![0.0; cols.last().map_or(0, |&(x0, _)| x0 + 2)],
+                    cols,
+                    y0: None,
+                    top: vec![0.0; n],
+                    bot: vec![0.0; n],
+                };
+                norm += amp;
+                amp *= 0.5;
+                freq *= 2.0;
+                octave
+            })
+            .collect();
         Self {
-            octaves: (0..octaves)
-                .map(|o| Octave::new(seed.wrapping_add(o as u64)))
-                .collect(),
+            n,
+            scale,
+            octaves,
+            norm,
+            total: vec![0.0; n],
         }
     }
 
-    fn at(&mut self, x: f64, y: f64) -> f64 {
-        let mut amp = 0.5;
-        let mut freq = 1.0;
-        let mut total = 0.0;
-        let mut norm = 0.0;
-        for octave in &mut self.octaves {
-            total += amp * octave.at(x * freq, y * freq);
-            norm += amp;
-            amp *= 0.5;
-            freq *= 2.0;
+    /// The noise at every cell of raster row `yi`.
+    fn row(&mut self, yi: usize) -> &[f64] {
+        let y = yi as f64 / self.n as f64 * self.scale;
+        self.total.fill(0.0);
+        for o in &mut self.octaves {
+            let y = y * o.freq;
+            let y0 = y as usize;
+            let sy = smoothstep(y - y0 as f64);
+            o.move_to(y0);
+            for (t, (&top, &bot)) in self.total.iter_mut().zip(o.top.iter().zip(&o.bot)) {
+                *t += o.amp * (top + (bot - top) * sy);
+            }
         }
-        total / norm
+        for t in &mut self.total {
+            *t /= self.norm;
+        }
+        &self.total
+    }
+}
+
+impl OctaveRows {
+    /// Makes `top` and `bot` lattice lines `y0` and `y0 + 1`.
+    fn move_to(&mut self, y0: usize) {
+        match self.y0 {
+            Some(at) if at == y0 => return,
+            Some(at) if at + 1 == y0 => {}
+            _ => self.fill_bot(y0),
+        }
+        std::mem::swap(&mut self.top, &mut self.bot);
+        self.fill_bot(y0 + 1);
+        self.y0 = Some(y0);
+    }
+
+    /// Makes `bot` lattice line `yl`, interpolated at every column.
+    fn fill_bot(&mut self, yl: usize) {
+        for (x0, l) in self.line.iter_mut().enumerate() {
+            *l = lattice(self.seed, x0 as i64, yl as i64);
+        }
+        for (v, &(x0, sx)) in self.bot.iter_mut().zip(&self.cols) {
+            let (a, b) = (self.line[x0], self.line[x0 + 1]);
+            *v = a + (b - a) * sx;
+        }
     }
 }
 
@@ -254,20 +260,24 @@ pub fn generate(cfg: &TerrainConfig) -> Terrain {
     let mut swir = vec![0.0f64; n * n];
     let mut mask = vec![0.0f64; n * n];
 
-    let mut base_noise = Fbm::new(cfg.seed, 5);
-    let mut crag_noise = Fbm::new(cfg.seed ^ 0xC4A6, 5);
-    let mut vis_noise = Fbm::new(band_noise_seed, 4);
-    let mut swir_noise = Fbm::new(band_noise_seed ^ 0x51, 4);
+    let mut base_noise = FbmRows::new(cfg.seed, 5, n, 6.0);
+    let mut crag_noise = FbmRows::new(cfg.seed ^ 0xC4A6, 5, n, 28.0);
+    let mut vis_noise = FbmRows::new(band_noise_seed, 4, n, 56.0);
+    let mut swir_noise = FbmRows::new(band_noise_seed ^ 0x51, 4, n, 56.0);
 
     for yi in 0..n {
+        let base_row = base_noise.row(yi);
+        let crag_row = crag_noise.row(yi);
+        let vis_row = vis_noise.row(yi);
+        let swir_row = swir_noise.row(yi);
         for xi in 0..n {
             let u = xi as f64 / n as f64;
             let v = yi as f64 / n as f64;
             // Base continent: low rolling noise.
-            let base = 0.30 * base_noise.at(u * 6.0, v * 6.0);
+            let base = 0.30 * base_row[xi];
             // Ridge systems, under one craggy modulation so ranges
             // contain distinct peaks.
-            let crag = 0.55 + 0.9 * crag_noise.at(u * 28.0, v * 28.0);
+            let crag = 0.55 + 0.9 * crag_row[xi];
             let mut ridge_elev = 0.0f64;
             for r in &ridges {
                 let d = dist_to_segment((u, v), r.a, r.b);
@@ -282,8 +292,8 @@ pub fn generate(cfg: &TerrainConfig) -> Terrain {
 
             // Band synthesis. Snow is bright in VIS, dark in SWIR
             // (that contrast is what the NDSI detects).
-            let noise_v = 0.13 * (vis_noise.at(u * 56.0, v * 56.0) - 0.5);
-            let noise_s = 0.13 * (swir_noise.at(u * 56.0, v * 56.0) - 0.5);
+            let noise_v = 0.13 * (vis_row[xi] - 0.5);
+            let noise_s = 0.13 * (swir_row[xi] - 0.5);
             let visr = (0.16 + 0.64 * snow + 0.08 * elev + noise_v).clamp(0.01, 1.0);
             let swirr = (0.44 - 0.34 * snow + 0.05 * (1.0 - elev) + noise_s).clamp(0.01, 1.0);
 
@@ -364,9 +374,29 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Fractal Brownian motion at one point, from a fresh sampler.
+    /// Fractal Brownian motion at one point: per octave `floor`, the
+    /// four lattice corners and the smoothstep lerp. The oracle the row
+    /// sampler must equal bit for bit.
     fn fbm(seed: u64, x: f64, y: f64, octaves: u32) -> f64 {
-        Fbm::new(seed, octaves).at(x, y)
+        let (mut amp, mut freq, mut total, mut norm) = (0.5, 1.0, 0.0, 0.0);
+        for o in 0..octaves {
+            let seed = seed.wrapping_add(o as u64);
+            let (x, y) = (x * freq, y * freq);
+            let (x0, y0) = (x.floor(), y.floor());
+            let (sx, sy) = (smoothstep(x - x0), smoothstep(y - y0));
+            let (xi, yi) = (x0 as i64, y0 as i64);
+            let v00 = lattice(seed, xi, yi);
+            let v10 = lattice(seed, xi + 1, yi);
+            let v01 = lattice(seed, xi, yi + 1);
+            let v11 = lattice(seed, xi + 1, yi + 1);
+            let top = v00 + (v10 - v00) * sx;
+            let bot = v01 + (v11 - v01) * sx;
+            total += amp * (top + (bot - top) * sy);
+            norm += amp;
+            amp *= 0.5;
+            freq *= 2.0;
+        }
+        total / norm
     }
 
     fn small_cfg() -> TerrainConfig {
@@ -464,56 +494,35 @@ mod tests {
         );
     }
 
-    /// The zeros compare equal, so in x and in y a sampler serves
-    /// `-0.0` from what it kept for `0.0` and the other way round,
-    /// where a fresh one would have floored to the other zero.
-    #[test]
-    fn sampler_matches_one_shot_across_the_zeros() {
-        let mut noise = Fbm::new(9, 3);
-        for (x, y) in [
-            (0.3, 0.3),
-            (-0.0, 0.3),
-            (-0.4, -0.0),
-            (-0.0, -0.0),
-            (0.3, 0.0),
-        ] {
-            assert_eq!(
-                noise.at(x, y).to_bits(),
-                fbm(9, x, y, 3).to_bits(),
-                "({x}, {y})"
-            );
-        }
-    }
-
     proptest! {
-        /// A sampler that has been anywhere answers as a fresh one does:
-        /// what an octave keeps is a cache, not an assumption about
-        /// raster order. Each step jumps anywhere in ±40, creeps along x or y
-        /// in either direction (so runs of samples share cells and
-        /// leave them through every side), or lands on a cell boundary.
+        /// The row sampler is the one-shot oracle at every cell, on
+        /// sides that are not powers of two too (lattice lines then fall
+        /// between raster rows at irregular strides, and at scale 56 a
+        /// row can skip a line). A second pass bottom-up, where every
+        /// row is a jump back, reads the same rows again.
         #[test]
-        fn sampler_matches_one_shot_in_any_call_order(
+        fn row_sampler_matches_one_shot_at_every_cell(
+            n in 1usize..=300,
             seed in any::<u64>(),
             octaves in 1u32..=6,
-            steps in proptest::collection::vec(
-                (0u8..4, -40.0f64..40.0, -40.0f64..40.0),
-                1..200,
-            ),
+            scale in 0usize..3,
         ) {
-            let mut noise = Fbm::new(seed, octaves);
-            let (mut x, mut y) = (0.0f64, 0.0f64);
-            for (kind, a, b) in steps {
-                match kind {
-                    0 => (x, y) = (a, b),
-                    1 => x += a * 0.01,
-                    2 => y += b * 0.01,
-                    _ => x = x.round(),
+            let scale = [6.0, 28.0, 56.0][scale];
+            let mut noise = FbmRows::new(seed, octaves, n, scale);
+            let rows: Vec<Vec<f64>> = (0..n).map(|yi| noise.row(yi).to_vec()).collect();
+            for (yi, row) in rows.iter().enumerate() {
+                let v = yi as f64 / n as f64;
+                for (xi, got) in row.iter().enumerate() {
+                    let u = xi as f64 / n as f64;
+                    prop_assert_eq!(
+                        got.to_bits(),
+                        fbm(seed, u * scale, v * scale, octaves).to_bits(),
+                        "cell ({}, {}) of {}²", xi, yi, n
+                    );
                 }
-                prop_assert_eq!(
-                    noise.at(x, y).to_bits(),
-                    fbm(seed, x, y, octaves).to_bits(),
-                    "at ({}, {})", x, y
-                );
+            }
+            for yi in (0..n).rev() {
+                prop_assert_eq!(noise.row(yi), rows[yi].as_slice(), "row {} again", yi);
             }
         }
     }
