@@ -150,6 +150,16 @@ impl BitVec {
         apply(&mut self.words[whi], hi_mask);
     }
 
+    /// The word-wise AND of two vectors of equal length.
+    pub(crate) fn and(&self, other: &BitVec) -> BitVec {
+        assert_eq!(self.len, other.len, "bit vector lengths differ");
+        let mut out = self.clone();
+        for (a, b) in out.words.iter_mut().zip(&other.words) {
+            *a &= b;
+        }
+        out
+    }
+
     /// Iterates over the bits in order.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))

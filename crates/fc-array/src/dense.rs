@@ -1,16 +1,28 @@
 //! Dense n-dimensional arrays with named attributes.
+//!
+//! Attribute columns are copy-on-write: `clone`, `project`, `join`,
+//! `apply` and `extract_block_2d` pass a column they do not change on as
+//! the input's buffer, and the first write to a shared column copies it.
+//! Sharing follows provenance, never content. [`DenseArray::nbytes`]
+//! counts logical bytes, not resident ones, so sharing never changes a
+//! simulated cost.
+
+use std::sync::Arc;
 
 use crate::bitvec::BitVec;
 use crate::error::{ArrayError, Result};
 use crate::schema::Schema;
+
+/// A copy-on-write attribute column.
+pub(crate) type Column = Arc<Vec<f64>>;
 
 /// A dense n-dimensional array. Cell values are stored row-major per
 /// attribute; a shared validity mask marks *empty* cells (SciDB-style).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseArray {
     schema: Schema,
-    /// `attrs[attr_index][cell_index]`.
-    attrs: Vec<Vec<f64>>,
+    /// `attrs[attr_index][cell_index]`; copy-on-write, possibly shared.
+    attrs: Vec<Column>,
     valid: BitVec,
 }
 
@@ -43,7 +55,10 @@ impl DenseArray {
     /// with `fill`.
     pub fn filled(schema: Schema, fill: f64) -> Self {
         let n = schema.ncells();
-        let attrs = vec![vec![fill; n]; schema.attrs.len()];
+        // One buffer per column: `vec![Arc::new(..); k]` would alias them.
+        let attrs = (0..schema.attrs.len())
+            .map(|_| Arc::new(vec![fill; n]))
+            .collect();
         Self {
             valid: BitVec::filled(n, true),
             schema,
@@ -54,13 +69,9 @@ impl DenseArray {
     /// Creates an array where every cell is *empty* (to be populated with
     /// [`DenseArray::set`]).
     pub fn empty(schema: Schema) -> Self {
-        let n = schema.ncells();
-        let attrs = vec![vec![f64::NAN; n]; schema.attrs.len()];
-        Self {
-            valid: BitVec::filled(n, false),
-            schema,
-            attrs,
-        }
+        let mut a = Self::filled(schema, f64::NAN);
+        a.valid = BitVec::filled(a.ncells(), false);
+        a
     }
 
     /// Builds a single-attribute array from row-major data.
@@ -85,14 +96,14 @@ impl DenseArray {
         let n = schema.ncells();
         Ok(Self {
             schema,
-            attrs: vec![data],
+            attrs: vec![Arc::new(data)],
             valid: BitVec::filled(n, true),
         })
     }
 
-    /// Assembles an array from pre-built attribute columns and a validity
-    /// mask (the columnar constructor used by `ops::project`).
-    pub(crate) fn from_parts(schema: Schema, attrs: Vec<Vec<f64>>, valid: BitVec) -> Self {
+    /// Assembles an array from pre-built (possibly shared) attribute
+    /// columns and a validity mask: the operators' columnar constructor.
+    pub(crate) fn from_parts(schema: Schema, attrs: Vec<Column>, valid: BitVec) -> Self {
         debug_assert_eq!(attrs.len(), schema.attrs.len());
         debug_assert!(attrs.iter().all(|a| a.len() == schema.ncells()));
         debug_assert_eq!(valid.len(), schema.ncells());
@@ -135,7 +146,7 @@ impl DenseArray {
     pub fn set(&mut self, attr: &str, coords: &[usize], value: f64) -> Result<()> {
         let ai = self.schema.attr_index(attr)?;
         let idx = self.schema.flat_index(coords)?;
-        self.attrs[ai][idx] = value;
+        Arc::make_mut(&mut self.attrs[ai])[idx] = value;
         self.valid.set(idx, true);
         Ok(())
     }
@@ -192,9 +203,15 @@ impl DenseArray {
         &self.attrs[ai]
     }
 
-    /// Mutable raw values of attribute `ai`.
+    /// The buffer behind attribute `ai`, for operators that pass it on
+    /// shared.
+    pub(crate) fn attr_buf(&self, ai: usize) -> &Column {
+        &self.attrs[ai]
+    }
+
+    /// Mutable raw values of attribute `ai`, un-shared first.
     pub(crate) fn attr_col_mut(&mut self, ai: usize) -> &mut [f64] {
-        &mut self.attrs[ai]
+        Arc::make_mut(&mut self.attrs[ai]).as_mut_slice()
     }
 
     /// Mutable validity mask (for blocked operators that compute presence
@@ -232,7 +249,7 @@ impl DenseArray {
     pub(crate) fn write_cell(&mut self, idx: usize, values: &[f64], present: bool) {
         debug_assert_eq!(values.len(), self.attrs.len());
         for (a, &v) in self.attrs.iter_mut().zip(values) {
-            a[idx] = v;
+            Arc::make_mut(a)[idx] = v;
         }
         self.valid.set(idx, present);
     }
@@ -255,7 +272,7 @@ impl DenseArray {
             )));
         }
         self.schema.attrs.push(crate::schema::Attribute::new(name));
-        self.attrs.push(values);
+        self.attrs.push(Arc::new(values));
         Ok(())
     }
 
@@ -265,7 +282,9 @@ impl DenseArray {
         self
     }
 
-    /// Approximate heap footprint in bytes, used by the simulated disk.
+    /// Logical size in bytes, used by the simulated disk: 8 per cell per
+    /// attribute plus the mask. Shared columns count once per attribute,
+    /// so this is not the resident footprint.
     pub fn nbytes(&self) -> usize {
         self.attrs.iter().map(|a| a.len() * 8).sum::<usize>() + self.valid.nbytes()
     }

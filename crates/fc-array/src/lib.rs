@@ -40,7 +40,8 @@ pub use database::Database;
 pub use dense::{CellView, DenseArray};
 pub use error::{ArrayError, Result};
 pub use ops::{
-    apply, extract_block_2d, join, project, regrid, regrid_with, regrid_with_reference, subarray,
+    apply, extract_block_2d, join, project, project_as, regrid, regrid_with, regrid_with_reference,
+    subarray,
 };
 pub use schema::{Attribute, Dimension, Schema};
 pub use storage::{BlobSize, IoMode, IoStats, LatencyModel, SimClock, SimDisk};

@@ -30,9 +30,11 @@
 //! n-dimensional inputs and anchors the golden equivalence tests
 //! (`tests/golden_regrid.rs`).
 
+use std::sync::Arc;
+
 use crate::agg::{AggFn, AggState};
 use crate::bitvec::BitVec;
-use crate::dense::{CellView, DenseArray};
+use crate::dense::{CellView, Column, DenseArray};
 use crate::error::{ArrayError, Result};
 use crate::schema::Schema;
 
@@ -509,15 +511,13 @@ pub fn extract_block_2d(
         ],
         schema.attrs.iter().map(|a| a.name.clone()),
     )?;
-    let mut out = DenseArray::empty(out_schema);
     let copy_h = (in_shape[0] - y0).min(h);
     let copy_w = (in_shape[1] - x0).min(w);
     let iw = in_shape[1];
     let valid = input.validity();
 
-    for ai in 0..schema.attrs.len() {
-        let src = input.attr_col(ai);
-        let dst = out.attr_col_mut(ai);
+    let cols = map_bufs(input, 0..schema.attrs.len(), |src| {
+        let mut dst = vec![f64::NAN; h * w];
         for r in 0..copy_h {
             let sbase = (y0 + r) * iw + x0;
             let drow = &mut dst[r * w..r * w + copy_w];
@@ -532,8 +532,9 @@ pub fn extract_block_2d(
                 }
             }
         }
-    }
-    let out_valid = out.validity_mut();
+        Arc::new(dst)
+    });
+    let mut out_valid = BitVec::filled(h * w, false);
     for r in 0..copy_h {
         let sbase = (y0 + r) * iw + x0;
         if valid.all_set_in(sbase, sbase + copy_w) {
@@ -546,40 +547,82 @@ pub fn extract_block_2d(
             }
         }
     }
-    Ok(out)
+    Ok(DenseArray::from_parts(out_schema, cols, out_valid))
+}
+
+/// Maps the buffers behind `input`'s attributes `ais` through `f`, once
+/// per distinct buffer: attributes that share a buffer in `input` share
+/// the result.
+fn map_bufs(
+    input: &DenseArray,
+    ais: impl IntoIterator<Item = usize>,
+    mut f: impl FnMut(&Column) -> Column,
+) -> Vec<Column> {
+    let mut done: Vec<(&Column, Column)> = Vec::new();
+    for src in ais.into_iter().map(|ai| input.attr_buf(ai)) {
+        let out = match done.iter().find(|(s, _)| Arc::ptr_eq(s, src)) {
+            Some((_, out)) => Arc::clone(out),
+            None => f(src),
+        };
+        done.push((src, out));
+    }
+    done.into_iter().map(|(_, out)| out).collect()
+}
+
+/// `input`'s columns `ais` under the presence mask `valid`: shared as
+/// they are when `share`, otherwise copied once per buffer with NaN at
+/// every cell `valid` leaves empty (the canonical empty representation).
+fn carry(
+    input: &DenseArray,
+    ais: impl IntoIterator<Item = usize>,
+    valid: &BitVec,
+    share: bool,
+) -> Vec<Column> {
+    map_bufs(input, ais, |src| {
+        if share {
+            return Arc::clone(src);
+        }
+        let mut col = src.to_vec();
+        for (i, v) in col.iter_mut().enumerate() {
+            if !valid.get(i) {
+                *v = f64::NAN;
+            }
+        }
+        Arc::new(col)
+    })
 }
 
 /// Keeps only the named attributes, in the given order (SciDB `project`,
 /// §2.3's "SELECT avg(ndsi)" projection step). Cell presence is
-/// unchanged by projection, so attribute columns are copied whole; cells
-/// that are empty keep the canonical NaN representation.
+/// unchanged by projection. When every cell is present the output shares
+/// the input's columns; otherwise they are copied with empty cells
+/// scrubbed to the canonical NaN representation.
 ///
 /// # Errors
 /// [`ArrayError::UnknownName`] for absent attributes,
 /// [`ArrayError::InvalidArgument`] for duplicates or an empty selection.
 pub fn project(input: &DenseArray, attrs: &[&str]) -> Result<DenseArray> {
+    let pairs: Vec<(&str, &str)> = attrs.iter().map(|&a| (a, a)).collect();
+    project_as(input, &pairs)
+}
+
+/// [`project`] with renaming: for each `(from, to)` in order, output
+/// attribute `to` holds input attribute `from`. One input attribute may
+/// appear under several output names, and those then share one buffer.
+///
+/// # Errors
+/// As [`project`]; duplicates are checked among the output names.
+pub fn project_as(input: &DenseArray, attrs: &[(&str, &str)]) -> Result<DenseArray> {
     let schema = input.schema();
     let out_schema = Schema::new(
         schema.name.clone(),
         schema.dims.iter().map(|d| (d.name.clone(), d.len)),
-        attrs.iter().map(|s| s.to_string()),
+        attrs.iter().map(|(_, to)| to.to_string()),
     )?;
+    let ais = attrs.iter().map(|(from, _)| schema.attr_index(from));
+    let ais = ais.collect::<Result<Vec<_>>>()?;
     let valid = input.validity().clone();
-    let all_present = valid.all();
-    let mut cols = Vec::with_capacity(attrs.len());
-    for name in attrs {
-        let mut col = input.attr_col(schema.attr_index(name)?).to_vec();
-        if !all_present {
-            // Scrub stale values at empty cells so the raw storage matches
-            // a per-cell rebuild.
-            for (i, v) in col.iter_mut().enumerate() {
-                if !valid.get(i) {
-                    *v = f64::NAN;
-                }
-            }
-        }
-        cols.push(col);
-    }
+    let cols = carry(input, ais, &valid, valid.all());
     Ok(DenseArray::from_parts(out_schema, cols, valid))
 }
 
@@ -587,7 +630,9 @@ pub fn project(input: &DenseArray, attrs: &[&str]) -> Result<DenseArray> {
 /// implicitly — Query 1 line 3). Both inputs must have identical
 /// dimensions. Output cells are present where *both* inputs are present.
 /// Attribute name conflicts are resolved by qualifying with the source
-/// array name (`SVIS.reflectance`), as SciDB does.
+/// array name (`SVIS.reflectance`), as SciDB does. A side whose present
+/// cells all survive the join passes its columns on shared; the other
+/// side's columns are copied with NaN at every empty output cell.
 ///
 /// # Errors
 /// [`ArrayError::SchemaMismatch`] when dimensions differ.
@@ -623,24 +668,15 @@ pub fn join(left: &DenseArray, right: &DenseArray) -> Result<DenseArray> {
         left.schema().dims.iter().map(|d| (d.name.clone(), d.len)),
         attr_names,
     )?;
-    let mut out = DenseArray::empty(out_schema);
-    let nl = left.schema().attrs.len();
-    let nr = right.schema().attrs.len();
-    let mut values = vec![0.0f64; nl + nr];
-    for idx in 0..left.ncells() {
-        if left.valid_at(idx) && right.valid_at(idx) {
-            let lc = left.cell_view(idx);
-            let rc = right.cell_view(idx);
-            for (ai, v) in values[..nl].iter_mut().enumerate() {
-                *v = lc.attr(ai);
-            }
-            for (ai, v) in values[nl..].iter_mut().enumerate() {
-                *v = rc.attr(ai);
-            }
-            out.write_cell(idx, &values, true);
-        }
-    }
-    Ok(out)
+    let valid = left.validity().and(right.validity());
+    let kept = valid.count_ones();
+    let side = |a: &DenseArray| {
+        let share = a.validity().count_ones() == kept;
+        carry(a, 0..a.schema().attrs.len(), &valid, share)
+    };
+    let mut cols = side(left);
+    cols.extend(side(right));
+    Ok(DenseArray::from_parts(out_schema, cols, valid))
 }
 
 /// Adds a computed attribute `name` via the user-defined function `udf`

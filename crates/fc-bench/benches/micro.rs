@@ -21,7 +21,7 @@ use fc_core::{
 };
 use fc_ml::{BinarySvm, KMeans, SvmParams};
 use fc_ngram::KneserNey;
-use fc_sim::terrain::{generate, TerrainConfig};
+use fc_sim::terrain::{build_ndsi_database, generate, TerrainConfig};
 use fc_tiles::{Geometry, Move, Pyramid, PyramidBuilder, PyramidConfig, Tile, TileId, TileStore};
 use fc_vision::{
     dense_descriptors, detect_keypoints, DetectorParams, GradientField, GrayImage, DESCRIPTOR_DIM,
@@ -124,7 +124,8 @@ fn bench_kmeans(c: &mut Criterion) {
 }
 
 /// Set-up's two serial loops below the benchmark's size: the terrain
-/// generator, and one SMO machine on rows shaped like the phase
+/// generator (alone, and inside Query 1's NDSI database), and one SMO
+/// machine on rows shaped like the phase
 /// features (three coordinates in [-1, 1], three ±1 move flags) under
 /// labels that overlap.
 fn bench_setup(c: &mut Criterion) {
@@ -134,6 +135,11 @@ fn bench_setup(c: &mut Criterion) {
     };
     c.bench_function("terrain generate 256²", |b| {
         b.iter(|| generate(black_box(&cfg)))
+    });
+    // Query 1 end to end: terrain, the band join, the NDSI UDF and the
+    // flatten to the study schema, whose raw max/min/avg share a buffer.
+    c.bench_function("NDSI database 256²", |b| {
+        b.iter(|| build_ndsi_database(black_box(&cfg)))
     });
 
     let mut state = 0x2545_F491_4F6C_DD1Du64;

@@ -13,7 +13,7 @@
 //! Snowy mountain ranges appear as spatially coherent clusters of
 //! high-NDSI cells — the ROIs the paper's users hunt for.
 
-use fc_array::{apply, join, Database, DenseArray, Schema};
+use fc_array::{apply, join, project_as, Database, DenseArray, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -343,28 +343,19 @@ pub fn build_ndsi_database(cfg: &TerrainConfig) -> (Database, std::sync::Arc<Den
     .expect("ndsi is a new attribute");
 
     // Flatten to the study schema: max/min/avg NDSI + land mask. The raw
-    // level carries identical max/min/avg (one week flattened, §5.1.1);
-    // they diverge at coarser zoom levels through per-attribute regrid.
-    let n = ndsi.shape();
-    let schema = Schema::new(
-        "NDSI",
-        [("y".to_string(), n[0]), ("x".to_string(), n[1])],
-        [
-            "ndsi_max".to_string(),
-            "ndsi_min".to_string(),
-            "ndsi_avg".to_string(),
-            "land".to_string(),
+    // level carries identical max/min/avg (one week flattened, §5.1.1),
+    // so the three name the one `ndsi` buffer; they diverge at coarser
+    // zoom levels through per-attribute regrid.
+    let out = project_as(
+        &join(&ndsi, &mask).expect("mask shares the bands' dimensions"),
+        &[
+            ("ndsi", "ndsi_max"),
+            ("ndsi", "ndsi_min"),
+            ("ndsi", "ndsi_avg"),
+            ("land", "land"),
         ],
     )
     .expect("NDSI study schema");
-    let mut out = DenseArray::empty(schema);
-    let ai = ndsi.schema().attr_index("ndsi").expect("ndsi attr");
-    let mask_vals = mask.attr_values("land").expect("land attr").to_vec();
-    for c in ndsi.cells() {
-        let v = c.attr(ai);
-        let m = mask_vals[c.index()];
-        out.fill_cell(c.index(), &[v, v, v, m]).expect("same shape");
-    }
     let arr = db.store("NDSI", out);
     (db, arr)
 }

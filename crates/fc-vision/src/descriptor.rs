@@ -236,19 +236,20 @@ pub fn describe_patch_on(
     let table: Option<(&[f64], isize, isize)> =
         integer_center.then(|| (tables.get(r), cx as isize, cy as isize));
 
+    // Spatial cells, once per window column (u) and row (v); NaN lands in cell 0.
+    let grid_cell = |p: isize, lo: f64| {
+        let c = ((p as f64 - lo) / cell).floor();
+        ((c >= 0.0 || c.is_nan()) && (c as usize) < GRID).then_some(c as usize)
+    };
+    let us: Vec<Option<usize>> = (lo_x..=hi_x).map(|px| grid_cell(px, cx - r)).collect();
     for py in lo_y..=hi_y {
-        for px in lo_x..=hi_x {
+        let Some(v) = grid_cell(py, cy - r) else {
+            continue;
+        };
+        for (px, &u) in (lo_x..=hi_x).zip(&us) {
+            let Some(u) = u else { continue };
             let (mag, bin) = field.at(px, py);
             if mag <= 0.0 {
-                continue;
-            }
-            let u = ((px as f64 - (cx - r)) / cell).floor();
-            let v = ((py as f64 - (cy - r)) / cell).floor();
-            if u < 0.0 || v < 0.0 {
-                continue;
-            }
-            let (u, v) = (u as usize, v as usize);
-            if u >= GRID || v >= GRID {
                 continue;
             }
             let weight = match table {
@@ -384,7 +385,7 @@ mod tests {
     fn field_path_is_bit_identical_to_patch_path_at_every_level() {
         let img = blob(40, 36, 19.0, 17.0);
         let (dx, dy) = gradients(&img);
-        // Integer, fractional, off-edge, and sub-minimum-radius centers.
+        // Integer, fractional, off-edge, sub-minimum-radius and NaN centers.
         let cases = [
             (20.0, 18.0, 6.0),
             (20.0, 18.0, 4.5),
@@ -392,6 +393,8 @@ mod tests {
             (2.0, 2.0, 6.0),
             (38.0, 34.0, 6.0),
             (10.0, 10.0, 1.0),
+            (f64::NAN, 18.0, 6.0),
+            (20.0, f64::NAN, 6.0),
         ];
         for level in fc_simd::available_levels() {
             let field = GradientField::with_level(&img, level);
