@@ -12,13 +12,15 @@
 //! dispatch level (CI runs the suite once per level; prediction is
 //! golden-tested bit-identical across levels, so one pin serves all).
 //!
-//! **On:** the six zoo workloads at the `exp_multiuser` A/B shape
+//! **Zoo A/B:** the six zoo workloads at the `exp_multiuser` A/B shape
 //! (4 sessions × 256 steps, capacity 64 / 4 shards, k = 4, seed 77, the
 //! same geometry, signatures and engine, so the counts equal
-//! `BENCH_multiuser.json`'s `workload_zoo` rows) are pinned by value with
-//! `BurstConfig::default()` — the shared-mode `run_zoo_shared` report
-//! and the private-mode `replay_workload` fingerprint — plus the
-//! shared-mode report with momentum and the auto sweep fallback off.
+//! `BENCH_multiuser.json`'s `workload_zoo` rows) are pinned by value:
+//! the shared-mode `run_zoo_shared` report with burst scheduling off
+//! (the A/B's uniform leg) and with `BurstConfig::default()`, the
+//! private-mode `replay_workload` fingerprint with the default config,
+//! and the shared-mode report with momentum and the auto sweep
+//! fallback off.
 
 use fc_core::engine::PhaseSource;
 use fc_core::signature::SignatureKind;
@@ -249,8 +251,8 @@ fn zoo_engine(p: &Arc<Pyramid>) -> PredictionEngine {
     )
 }
 
-/// What one burst-on zoo run is pinned to: the `ZooReport` integers
-/// and its fingerprint.
+/// What one shared zoo run is pinned to: the `ZooReport` integers and
+/// its fingerprint.
 #[derive(Debug, PartialEq, Eq)]
 struct ZooPin {
     hits: usize,
@@ -272,16 +274,27 @@ impl From<ZooReport> for ZooPin {
     }
 }
 
-fn zoo_shared(p: &Arc<Pyramid>, name: &str, burst: BurstConfig) -> ZooPin {
+fn zoo_shared(p: &Arc<Pyramid>, name: &str, burst: Option<BurstConfig>) -> ZooPin {
     let workloads = zoo::crowd(name, p.geometry(), 256, 4, 77);
     let cfg = ZooAbConfig {
         cache_capacity: 64,
         shards: 4,
         k: 4,
-        burst: Some(burst),
+        burst,
         ..ZooAbConfig::default()
     };
     run_zoo_shared(p, || zoo_engine(p), &workloads, &cfg).into()
+}
+
+/// Burst-off, shared mode: the A/B's uniform-budget leg, every zoo
+/// workload's report pinned by value.
+#[test]
+fn burst_off_zoo_reports_are_pinned_shared() {
+    let p = zoo_pyramid();
+    for (name, want) in ZOO_NAMES.iter().zip(GOLDEN_ZOO_SHARED_OFF) {
+        let got = zoo_shared(&p, name, None);
+        assert_eq!(got, want, "{name}: burst-off shared replay diverged");
+    }
 }
 
 /// Burst-on, shared mode, default config: every zoo workload's report
@@ -290,7 +303,7 @@ fn zoo_shared(p: &Arc<Pyramid>, name: &str, burst: BurstConfig) -> ZooPin {
 fn burst_on_zoo_reports_are_pinned_shared() {
     let p = zoo_pyramid();
     for (name, want) in ZOO_NAMES.iter().zip(GOLDEN_ZOO_SHARED) {
-        let got = zoo_shared(&p, name, BurstConfig::default());
+        let got = zoo_shared(&p, name, Some(BurstConfig::default()));
         assert_eq!(got, want, "{name}: burst-on shared replay diverged");
     }
 }
@@ -306,7 +319,7 @@ fn burst_on_zoo_reports_are_pinned_without_momentum_or_auto() {
         ..BurstConfig::default()
     };
     for (name, want) in ZOO_NAMES.iter().zip(GOLDEN_ZOO_SHARED_LEGACY) {
-        let got = zoo_shared(&p, name, legacy);
+        let got = zoo_shared(&p, name, Some(legacy));
         assert_eq!(got, want, "{name}: legacy burst-on shared replay diverged");
     }
 }
@@ -425,6 +438,58 @@ const GOLDEN_ZOO_SHARED_LEGACY: [ZooPin; 6] = [
         prefetch_used: 23,
         per_traffic: [989, 31, 4],
         fingerprint: 14_941_530_416_227_293_326,
+    },
+];
+/// The burst-off leg, captured at the last commit with a separate
+/// zoo harness, in `ZOO_NAMES` order.
+const GOLDEN_ZOO_SHARED_OFF: [ZooPin; 6] = [
+    // bursty-pan-sprint
+    ZooPin {
+        hits: 976,
+        prefetch_issued: 1167,
+        prefetch_used: 91,
+        per_traffic: [0, 0, 0],
+        fingerprint: 8_579_117_273_974_753_099,
+    },
+    // zoom-dive
+    ZooPin {
+        hits: 905,
+        prefetch_issued: 1078,
+        prefetch_used: 242,
+        per_traffic: [0, 0, 0],
+        fingerprint: 8_562_870_466_243_033_230,
+    },
+    // spiral-sweep
+    ZooPin {
+        hits: 856,
+        prefetch_issued: 528,
+        prefetch_used: 191,
+        per_traffic: [0, 0, 0],
+        fingerprint: 940_159_520_100_749_007,
+    },
+    // grid-sweep
+    ZooPin {
+        hits: 956,
+        prefetch_issued: 869,
+        prefetch_used: 370,
+        per_traffic: [0, 0, 0],
+        fingerprint: 5_440_785_107_946_104_138,
+    },
+    // revisit-loop
+    ZooPin {
+        hits: 966,
+        prefetch_issued: 538,
+        prefetch_used: 24,
+        per_traffic: [0, 0, 0],
+        fingerprint: 14_705_583_438_335_689_300,
+    },
+    // flash-crowd
+    ZooPin {
+        hits: 1012,
+        prefetch_issued: 83,
+        prefetch_used: 17,
+        per_traffic: [0, 0, 0],
+        fingerprint: 10_276_893_922_644_087_379,
     },
 ];
 const GOLDEN_ZOO_PRIVATE: [u64; 6] = [
