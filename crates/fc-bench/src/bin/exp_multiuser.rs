@@ -2,13 +2,21 @@
 //! cache vs. the retained single-mutex reference, plus the
 //! multi-dataset hotspot-model scenario.
 //!
-//! **Part 1 — contention sweep.** Runs the `fc-sim` multi-user replay
-//! driver (K concurrent simulated analysts, mixed pan/zoom workloads
-//! over one shared pyramid) at 1, 8, and 64 sessions against two
-//! serving configurations:
+//! Parts 2–4 run on `fc-sim`'s multi-session driver in deterministic
+//! lockstep (`fc_sim::multiuser::run`): every session steps in
+//! round-robin on one thread, so their sections are a function of the
+//! code alone and repeat exactly from run to run. Only Part 1 needs
+//! real concurrency.
+//!
+//! **Part 1 — contention sweep.** Runs the same driver with one OS
+//! thread per session (`fc_sim::multiuser::run_threaded`; mixed
+//! pan/zoom workloads over one shared pyramid) at 1, 8, and 64
+//! sessions against three serving configurations:
 //!
 //! * `single_mutex` — the pre-sharding [`fc_core::SingleMutexTileCache`]
 //!   with per-session pair caches: the seed multi-user path;
+//! * `sharded_only` — the lock-striped [`fc_core::SharedTileCache`]
+//!   with per-session pair caches;
 //! * `sharded_batched` — the lock-striped [`fc_core::SharedTileCache`]
 //!   plus the [`fc_core::PredictScheduler`]: every session's SB
 //!   ranking runs through one shared χ² pair cache, one at a time.
@@ -22,15 +30,15 @@
 //! reported as per-namespace hit-rate and cross-session-hit deltas.
 //!
 //! **Part 3 — fault A/B.** The same synthetic workload replayed twice
-//! through the fallible fetch path (`fc_sim::run_chaos`): once under a
-//! quiet [`fc_core::FaultPlan`] and once under a backend brownout
+//! through the fallible fetch path (a run with `fc_sim::Faults`): once
+//! under a quiet [`fc_core::FaultPlan`] and once under a backend brownout
 //! covering the middle half of the run. Reported as degraded-reply and
 //! failure rates, in-window and post-window hit rates, and p50/p99
 //! user-visible latency — the `fault_ab` JSON section.
 //!
 //! **Part 4 — workload-zoo scheduler A/B.** Every named zoo workload
-//! (`fc_sim::zoo::ZOO_NAMES`) replayed through the deterministic
-//! lockstep harness (`fc_sim::zoo::run_zoo_shared`) twice — burst
+//! (`fc_sim::zoo::ZOO_NAMES`) replayed as one crowd of sessions
+//! (`fc_sim::zoo::run_crowd`) twice — burst
 //! scheduler off (uniform per-request budget) and on
 //! ([`fc_core::BurstConfig::default`]) — over a tight communal cache,
 //! recording per-workload hit rate, useful-prefetch ratio, prefetch
@@ -71,16 +79,16 @@ use fc_core::{
 };
 use fc_server::{EngineFactory, MultiUserServing, PushServing, Server, ServerConfig};
 use fc_sim::multiuser::{
-    hotspot_workload, run_multi_dataset, run_multi_user, synthetic_workload, CacheImpl,
-    MultiDatasetConfig, MultiUserConfig, NamespaceReport,
+    hotspot_workload, run, run_threaded, synthetic_workload, CacheImpl, Faults, MultiUserConfig,
+    NamespaceReport, RunConfig, RunReport,
 };
 use fc_sim::swarm::{run_swarm, SwarmConfig, SwarmReport};
-use fc_sim::zoo::{self, run_zoo_shared, ZooAbConfig, ZooReport, ZOO_NAMES};
-use fc_sim::{assert_invariants, run_chaos, ChaosConfig, ChaosReport};
+use fc_sim::zoo::{self, run_crowd, ZOO_NAMES};
+use fc_sim::{assert_invariants, trace::Trace};
 use fc_tiles::{Geometry, Move, Pyramid, PyramidBuilder, PyramidConfig};
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Shared-cache capacity (tiles). Well below the tile count so both
 /// configurations run under constant eviction pressure at high session
@@ -153,12 +161,13 @@ fn pyramid(seed: u64) -> Arc<Pyramid> {
     p
 }
 
-fn engine(g: Geometry) -> PredictionEngine {
+/// The engine every replay session runs, for its dataset's pyramid.
+fn engine(p: &Arc<Pyramid>) -> PredictionEngine {
     let r = Move::PanRight.index() as u16;
     let traces: Vec<Vec<u16>> = vec![vec![r; 50]];
     let refs: Vec<&[u16]> = traces.iter().map(|t| t.as_slice()).collect();
     PredictionEngine::new(
-        g,
+        p.geometry(),
         AbRecommender::train(refs, 3),
         SbRecommender::new(SbConfig::single(SignatureKind::Hist1D)),
         PhaseSource::Heuristic,
@@ -167,11 +176,6 @@ fn engine(g: Geometry) -> PredictionEngine {
             ..EngineConfig::default()
         },
     )
-}
-
-fn engine_factory(p: &Arc<Pyramid>) -> impl Fn() -> PredictionEngine + Sync {
-    let g = p.geometry();
-    move || engine(g)
 }
 
 struct Row {
@@ -186,58 +190,48 @@ struct Row {
     evictions: usize,
 }
 
-/// One namespace's off/on pair from the multi-dataset A/B.
-struct NamespaceDelta {
-    dataset: String,
-    capacity: usize,
-    off: NamespaceReport,
-    on: NamespaceReport,
-}
-
 /// Runs the multi-dataset scenario twice (hotspot model off, then on)
 /// over fresh pyramids each time, pairing the per-namespace reports.
-fn run_multi_dataset_ab(sessions: usize, steps: usize) -> Vec<NamespaceDelta> {
-    let run = |hotspots: bool| {
-        let datasets: Vec<(String, Arc<Pyramid>, Vec<fc_sim::trace::Trace>)> = MD_DATASETS
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
+fn run_multi_dataset_ab(sessions: usize, steps: usize) -> Vec<(NamespaceReport, NamespaceReport)> {
+    let leg = |hotspots: bool| {
+        let data: Vec<(Arc<Pyramid>, Vec<Trace>)> = (0..MD_DATASETS.len())
+            .map(|i| {
                 let p = pyramid(1 + i as u64 * 37);
                 let traces = hotspot_workload(p.geometry(), sessions, steps, MD_ATTRACTORS);
-                (name.to_string(), p, traces)
+                (p, traces)
             })
             .collect();
-        let cfg = MultiDatasetConfig {
-            sessions_per_dataset: sessions,
-            steps_per_session: steps,
-            global_budget: MD_BUDGET,
-            shards: 0,
-            hotspots,
-            hotspot_cfg: HotspotConfig {
-                top_n: MD_ATTRACTORS,
-                refresh_every: 32,
+        let datasets: Vec<_> = MD_DATASETS
+            .iter()
+            .zip(&data)
+            .map(|(&name, (p, traces))| (name, p, &traces[..]))
+            .collect();
+        let cfg = RunConfig {
+            base: MultiUserConfig {
+                sessions,
+                steps_per_session: steps,
+                cache_capacity: MD_BUDGET,
+                cache: CacheImpl::Sharded { shards: 0 },
+                batch_predicts: false,
+                k: MD_K,
+                ..MultiUserConfig::default()
             },
-            blend: HotspotBlend {
-                radius: 8,
-                phases: [true, true, true],
-            },
-            k: MD_K,
-            ..MultiDatasetConfig::default()
+            hotspots: hotspots.then_some((
+                HotspotConfig {
+                    top_n: MD_ATTRACTORS,
+                    refresh_every: 32,
+                },
+                HotspotBlend {
+                    radius: 8,
+                    phases: [true, true, true],
+                },
+            )),
+            ..RunConfig::default()
         };
-        run_multi_dataset(&datasets, |p| engine(p.geometry()), &cfg)
+        run(&datasets, engine, &cfg)
     };
-    let off = run(false);
-    let on = run(true);
-    off.namespaces
-        .into_iter()
-        .zip(on.namespaces)
-        .map(|(off, on)| NamespaceDelta {
-            dataset: off.dataset.clone(),
-            capacity: off.capacity,
-            off,
-            on,
-        })
-        .collect()
+    let off = leg(false).namespaces;
+    off.into_iter().zip(leg(true).namespaces).collect()
 }
 
 /// Fault A/B shape (part 3): the same workload replayed under a quiet
@@ -261,8 +255,8 @@ const ZOO_SEED: u64 = 77;
 /// One zoo workload's off/on pair.
 struct ZooDelta {
     name: &'static str,
-    off: ZooReport,
-    on: ZooReport,
+    off: RunReport,
+    on: RunReport,
 }
 
 /// A small pyramid for the zoo A/B (the part-1 pyramid's 5460 tiles
@@ -292,30 +286,33 @@ fn zoo_pyramid() -> Arc<Pyramid> {
     p
 }
 
-/// Runs every named zoo workload through the deterministic lockstep
-/// harness with the burst scheduler off, then on.
+/// Runs every named zoo workload as one lockstep crowd with the burst
+/// scheduler off, then on.
 fn run_zoo_ab(steps: usize) -> Vec<ZooDelta> {
     let p = zoo_pyramid();
-    let g = p.geometry();
     ZOO_NAMES
         .iter()
         .map(|&name| {
-            let workloads = zoo::crowd(name, g, steps, ZOO_SESSIONS, ZOO_SEED);
-            let mk = |burst| ZooAbConfig {
-                cache_capacity: ZOO_CAPACITY,
-                shards: ZOO_SHARDS,
-                k: ZOO_K,
-                burst,
-                ..ZooAbConfig::default()
+            let workloads = zoo::crowd(name, p.geometry(), steps, ZOO_SESSIONS, ZOO_SEED);
+            let leg = |burst| {
+                let cfg = RunConfig {
+                    base: MultiUserConfig {
+                        cache_capacity: ZOO_CAPACITY,
+                        cache: CacheImpl::Sharded { shards: ZOO_SHARDS },
+                        batch_predicts: false,
+                        k: ZOO_K,
+                        ..MultiUserConfig::default()
+                    },
+                    burst,
+                    ..RunConfig::default()
+                };
+                run_crowd(&p, engine, &workloads, &cfg)
             };
-            let off = run_zoo_shared(&p, || engine(g), &workloads, &mk(None));
-            let on = run_zoo_shared(
-                &p,
-                || engine(g),
-                &workloads,
-                &mk(Some(BurstConfig::default())),
-            );
-            ZooDelta { name, off, on }
+            ZooDelta {
+                name,
+                off: leg(None),
+                on: leg(Some(BurstConfig::default())),
+            }
         })
         .collect()
 }
@@ -529,14 +526,13 @@ fn push_arm_json(r: &SwarmReport, (pushed, used): (u64, u64)) -> String {
 /// through the fallible fetch path, window `[from, until)`.
 fn run_fault_arm(
     p: &Arc<Pyramid>,
-    factory: impl Fn() -> PredictionEngine + Sync,
     sessions: usize,
     steps: usize,
     plan: FaultPlan,
     window: (u64, u64),
-) -> ChaosReport {
+) -> RunReport {
     let traces = synthetic_workload(p.geometry(), sessions, steps, 5);
-    let cfg = ChaosConfig {
+    let cfg = RunConfig {
         base: MultiUserConfig {
             sessions,
             steps_per_session: steps,
@@ -546,20 +542,21 @@ fn run_fault_arm(
             k: K,
             ..MultiUserConfig::default()
         },
-        plan: Arc::new(plan),
-        retry: RetryPolicy::default(),
-        fault_window: window,
-        burst: None,
-        think: Vec::new(),
+        faults: Some(Faults {
+            plan: Arc::new(plan),
+            retry: RetryPolicy::default(),
+            window,
+        }),
+        ..RunConfig::default()
     };
-    let r = run_chaos(p, factory, &traces, &cfg);
+    let r = run(&[("fault", p, &traces)], engine, &cfg);
     assert_invariants(&r);
     r
 }
 
 /// One arm's JSON fields (rates over the whole run; the `during` /
 /// `after` splits let the report show recovery once the window shuts).
-fn fault_arm_json(r: &ChaosReport) -> String {
+fn fault_arm_json(r: &RunReport) -> String {
     let rate = |n: usize, d: usize| if d == 0 { 0.0 } else { n as f64 / d as f64 };
     format!(
         "{{\"attempts\": {}, \"served\": {}, \"degraded_rate\": {:.4}, \"failure_rate\": {:.4}, \"hit_rate_during\": {:.3}, \"hit_rate_after\": {:.3}, \"retries\": {}, \"latency_p50_us\": {:.1}, \"latency_p99_us\": {:.1}}}",
@@ -588,7 +585,6 @@ fn main() {
 
     let p = pyramid(0);
     let g = p.geometry();
-    let factory = engine_factory(&p);
     // Zoom cadence 5: frequent §5.2.2 zoom-out/in excursions widen
     // each session's working set across levels, keeping the shared
     // cache under constant replacement pressure in steady state.
@@ -613,7 +609,7 @@ fn main() {
     for round in 0..rounds {
         for (si, &sessions) in session_counts.iter().enumerate() {
             for (ci, (name, cache, batched)) in configs.iter().enumerate() {
-                let cfg = MultiUserConfig {
+                let base = MultiUserConfig {
                     sessions,
                     steps_per_session: steps,
                     cache_capacity: CAPACITY,
@@ -622,25 +618,34 @@ fn main() {
                     k: K,
                     ..MultiUserConfig::default()
                 };
+                let sweep = |steps_per_session| {
+                    let cfg = RunConfig {
+                        base: MultiUserConfig {
+                            steps_per_session,
+                            ..base.clone()
+                        },
+                        ..RunConfig::default()
+                    };
+                    let start = Instant::now();
+                    let r = run_threaded(&[("sweep", &p, &traces)], engine, &cfg);
+                    (r, start.elapsed())
+                };
                 if round == 0 && !smoke {
                     // Short warm-up (page caches, lazy index freeze).
-                    let warm = MultiUserConfig {
-                        steps_per_session: 32,
-                        ..cfg.clone()
-                    };
-                    let _ = run_multi_user(&p, &factory, &traces, &warm);
+                    let _ = sweep(32);
                 }
-                let r = run_multi_user(&p, &factory, &traces, &cfg);
+                let (r, wall) = sweep(steps);
+                let shared = r.namespaces[0].shared;
                 cells[si * configs.len() + ci].push(Row {
                     cache: name,
                     batched: *batched,
                     sessions,
-                    throughput_rps: r.throughput_rps,
+                    throughput_rps: r.served as f64 / wall.as_secs_f64().max(1e-9),
                     predict_p50_us: r.predict_p50.as_nanos() as f64 / 1e3,
                     predict_p99_us: r.predict_p99.as_nanos() as f64 / 1e3,
-                    hit_rate: r.hit_rate,
-                    cross_session_hits: r.shared.cross_session_hits,
-                    evictions: r.shared.evictions,
+                    hit_rate: r.hit_rate(),
+                    cross_session_hits: shared.cross_session_hits,
+                    evictions: shared.evictions,
                 });
             }
         }
@@ -677,7 +682,6 @@ fn main() {
     let window = (fault_steps as u64 / 4, 3 * fault_steps as u64 / 4);
     let quiet = run_fault_arm(
         &p,
-        &factory,
         fault_sessions,
         fault_steps,
         FaultPlan::quiet(FAULT_SEED),
@@ -685,7 +689,6 @@ fn main() {
     );
     let brownout = run_fault_arm(
         &p,
-        &factory,
         fault_sessions,
         fault_steps,
         FaultPlan::brownout(FAULT_SEED, window.0, window.1),
@@ -772,18 +775,18 @@ fn main() {
         MD_DATASETS.len()
     );
     json.push_str("    \"namespaces\": [\n");
-    for (i, d) in deltas.iter().enumerate() {
+    for (i, (off, on)) in deltas.iter().enumerate() {
         let _ = write!(
             json,
             "      {{\"dataset\": \"{}\", \"capacity\": {}, \"hit_rate_model_off\": {:.3}, \"hit_rate_model_on\": {:.3}, \"hit_rate_delta\": {:.3}, \"cross_session_hits_model_off\": {}, \"cross_session_hits_model_on\": {}, \"hotspot_epochs\": {}}}",
-            d.dataset,
-            d.capacity,
-            d.off.hit_rate,
-            d.on.hit_rate,
-            d.on.hit_rate - d.off.hit_rate,
-            d.off.shared.cross_session_hits,
-            d.on.shared.cross_session_hits,
-            d.on.hotspot_epoch,
+            off.dataset,
+            off.capacity,
+            off.hit_rate(),
+            on.hit_rate(),
+            on.hit_rate() - off.hit_rate(),
+            off.shared.cross_session_hits,
+            on.shared.cross_session_hits,
+            on.hotspot_epoch,
         );
         json.push_str(if i + 1 < deltas.len() { ",\n" } else { "\n" });
     }
@@ -806,11 +809,11 @@ fn main() {
             json,
             "      {{\"workload\": \"{}\", \"hit_rate_off\": {:.3}, \"hit_rate_on\": {:.3}, \"hit_rate_delta\": {:.3}, \"prefetch_efficiency_off\": {:.3}, \"prefetch_efficiency_on\": {:.3}, \"prefetch_issued_off\": {}, \"prefetch_issued_on\": {}, \"prefetch_used_off\": {}, \"prefetch_used_on\": {}, \"phase_occupancy_on\": [{}, {}, {}]}}",
             d.name,
-            d.off.hit_rate,
-            d.on.hit_rate,
-            d.on.hit_rate - d.off.hit_rate,
-            d.off.prefetch_efficiency,
-            d.on.prefetch_efficiency,
+            d.off.hit_rate(),
+            d.on.hit_rate(),
+            d.on.hit_rate() - d.off.hit_rate(),
+            d.off.prefetch_efficiency(),
+            d.on.prefetch_efficiency(),
             d.off.prefetch_issued,
             d.on.prefetch_issued,
             d.off.prefetch_used,
@@ -917,16 +920,16 @@ fn main() {
         "{:<8} {:>9} {:>9} {:>9} {:>7} {:>12} {:>12}",
         "dataset", "capacity", "hit-off", "hit-on", "delta", "cross-off", "cross-on"
     );
-    for d in &deltas {
+    for (off, on) in &deltas {
         println!(
             "{:<8} {:>9} {:>9.3} {:>9.3} {:>+7.3} {:>12} {:>12}",
-            d.dataset,
-            d.capacity,
-            d.off.hit_rate,
-            d.on.hit_rate,
-            d.on.hit_rate - d.off.hit_rate,
-            d.off.shared.cross_session_hits,
-            d.on.shared.cross_session_hits,
+            off.dataset,
+            off.capacity,
+            off.hit_rate(),
+            on.hit_rate(),
+            on.hit_rate() - off.hit_rate(),
+            off.shared.cross_session_hits,
+            on.shared.cross_session_hits,
         );
     }
     println!();
@@ -978,11 +981,11 @@ fn main() {
         println!(
             "{:<18} {:>8.3} {:>8.3} {:>+7.3} {:>8.3} {:>8.3} {:>10} {:>10} {:>10}/{}/{}",
             d.name,
-            d.off.hit_rate,
-            d.on.hit_rate,
-            d.on.hit_rate - d.off.hit_rate,
-            d.off.prefetch_efficiency,
-            d.on.prefetch_efficiency,
+            d.off.hit_rate(),
+            d.on.hit_rate(),
+            d.on.hit_rate() - d.off.hit_rate(),
+            d.off.prefetch_efficiency(),
+            d.on.prefetch_efficiency(),
             d.off.prefetch_issued,
             d.on.prefetch_issued,
             d.on.per_traffic[0],

@@ -21,11 +21,18 @@
 //!   trace, collect each model's top-k predictions, count a hit when the
 //!   next requested tile is in the list; leave-one-user-out
 //!   cross-validation as in §5.4;
-//! * [`multiuser`] — the multi-user replay driver: K concurrent
-//!   simulated analysts (threads) over one shared pyramid, joined
-//!   through the shared tile cache and optional cross-session predict
-//!   scheduler, reporting aggregate throughput and predict-latency
-//!   percentiles (the `exp_multiuser` substrate);
+//! * [`multiuser`] — the multi-session replay driver: K simulated
+//!   analysts per dataset, each dataset one shared-cache namespace,
+//!   stepped in deterministic lockstep (or on threads, for the
+//!   lock-contention sweep), under one config that sets faults, burst
+//!   scheduling, think time and the hotspot blend, with one report
+//!   per run (the `exp_multiuser` substrate);
+//! * [`chaos`] — the invariants every run must hold under any fault
+//!   schedule (bounded namespaces, balanced accounting, no escaped
+//!   panic);
+//! * [`zoo`] — the deterministic workload zoo: named, seeded traces
+//!   with think times and declared traffic phases, for the burst
+//!   scheduler's A/B;
 //! * [`swarm`] — the socket-level fleet driver: hundreds-to-thousands
 //!   of paced, nonblocking client sessions from one thread against a
 //!   live `fc-server` (threaded or reactor), measuring wire-path
@@ -47,10 +54,11 @@ pub mod user;
 pub mod zoo;
 
 pub use auto_weights::{learn_weights, LearnedWeights};
-pub use chaos::{assert_invariants, run_chaos, ChaosConfig, ChaosReport, PhaseStats};
+pub use chaos::assert_invariants;
 pub use dataset::{DatasetConfig, StudyDataset};
 pub use multiuser::{
-    run_multi_user, synthetic_workload, CacheImpl, MultiUserConfig, MultiUserReport,
+    run, run_threaded, synthetic_workload, CacheImpl, Faults, MultiUserConfig, PhaseStats,
+    RunConfig, RunReport,
 };
 pub use replay::{AccuracyReport, Predictor, ReplayOutcome};
 pub use study::{Study, StudyConfig};

@@ -1,32 +1,42 @@
-//! Multi-user replay: K concurrent simulated analysts over one shared
-//! dataset.
+//! The multi-session replay driver: K simulated analysts over one or
+//! more shared datasets.
 //!
 //! The paper's evaluation replays one analyst at a time (§5.2.2); the
-//! ROADMAP's north star is a backend shared by many. This driver closes
-//! the gap: it runs `sessions` OS threads, each a full
-//! [`Middleware`] session (engine + private history cache) over one
-//! shared pyramid, joined through a [`MultiUserCache`] (the lock-striped
-//! [`fc_core::SharedTileCache`] or the retained
-//! [`fc_core::SingleMutexTileCache`] reference) and, optionally, one
-//! χ² pair cache shared through a [`PredictScheduler`]. Sessions replay *different*
-//! traces (mixed pan runs and zoom cadences at distinct rows — mixed
-//! ROI workloads), so the shared cache sees both disjoint working sets
-//! and communal hotspots.
+//! ROADMAP's north star is a backend shared by many. Every session is
+//! a full [`Middleware`] (engine + private history cache) replaying its
+//! own trace. Its shared tile cache is its dataset's
+//! [`DatasetRegistry`] namespace (one global budget split across the
+//! datasets), and with `batch_predicts` it ranks through the dataset's
+//! one χ² pair cache ([`PredictScheduler`]). One [`RunConfig`] sets,
+//! for every session of a run, the workload shape, the fault schedule,
+//! burst scheduling, think time and the cross-session hotspot blend.
 //!
-//! The report aggregates what `exp_multiuser` publishes: wall-clock
-//! request throughput, p50/p99 per-request predict latency (including
-//! any wait for the shared pair cache), hit rates, shared-cache
-//! statistics, and scheduler statistics.
+//! Two loops drive the same per-session step:
+//!
+//! - [`run`] steps every session in lockstep round-robin on one thread
+//!   (session 0 step 0, session 1 step 0, …, session 0 step 1, …). The
+//!   report, fingerprint included, is a function of the inputs alone
+//!   (bar the two wall-clock predict percentiles): every A/B leg and
+//!   every test replays bit-identically.
+//! - [`run_threaded`] gives each session its own OS thread. Which
+//!   session installs a shared tile first then depends on the OS
+//!   scheduler, so only the lock-contention sweep (`exp_multiuser`)
+//!   and its invariant test use it.
+//!
+//! [`synthetic_workload`] and [`hotspot_workload`] build the scripted
+//! traces the drivers replay.
 
 use crate::trace::{Trace, TraceStep};
 use fc_core::{
-    BatchConfig, DatasetRegistry, HotspotBlend, HotspotConfig, LatencyProfile, Middleware,
-    MultiUserCache, Phase, PredictScheduler, PredictionEngine, RegistryConfig, SchedulerStats,
-    SharedCacheStats, SharedSessionHandle, SharedTileCache, SingleMutexTileCache,
+    BatchConfig, BurstConfig, DatasetRegistry, FaultPlan, FetchError, HotspotBlend, HotspotConfig,
+    LatencyProfile, Middleware, MultiUserCache, Phase, PredictScheduler, PredictionEngine,
+    RegistryConfig, Response, RetryPolicy, SchedulerStats, SharedCacheStats, SharedHotspotModel,
+    SharedSessionHandle, SingleMutexTileCache,
 };
 use fc_tiles::{Geometry, Move, Pyramid, Quadrant, TileId};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which shared-cache implementation the sessions meet in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,19 +50,21 @@ pub enum CacheImpl {
     },
 }
 
-/// Driver configuration.
+/// The workload shape of a run.
 #[derive(Debug, Clone)]
 pub struct MultiUserConfig {
-    /// Concurrent sessions (threads).
+    /// Sessions per dataset.
     pub sessions: usize,
-    /// Requests each session replays (its trace repeats as needed).
+    /// Serviceable requests each session attempts (its trace repeats
+    /// as needed).
     pub steps_per_session: usize,
-    /// Shared-cache capacity in tiles.
+    /// Global shared-cache budget in tiles, split exactly across the
+    /// datasets' namespaces.
     pub cache_capacity: usize,
     /// Shared-cache implementation under test.
     pub cache: CacheImpl,
-    /// Whether sessions rank through one shared pair cache (a
-    /// [`PredictScheduler`]) instead of one each.
+    /// Whether a dataset's sessions rank through one shared pair cache
+    /// (a [`PredictScheduler`]) instead of one each.
     pub batch_predicts: bool,
     /// Per-session prefetch budget k.
     pub k: usize,
@@ -77,105 +89,449 @@ impl Default for MultiUserConfig {
     }
 }
 
-/// Aggregate outcome of one multi-user run.
+/// A fault schedule every session of a run replays under.
 #[derive(Debug, Clone)]
-pub struct MultiUserReport {
-    /// Sessions run.
-    pub sessions: usize,
-    /// Total requests served across sessions.
-    pub requests: usize,
-    /// Wall-clock time of the concurrent phase.
-    pub wall: Duration,
-    /// Aggregate served requests (= predicts) per second.
-    pub throughput_rps: f64,
-    /// Median per-request predict latency.
-    pub predict_p50: Duration,
-    /// 99th-percentile per-request predict latency.
-    pub predict_p99: Duration,
-    /// Session-visible cache-hit rate (private + shared combined).
-    pub hit_rate: f64,
-    /// Shared-cache counters.
+pub struct Faults {
+    /// The plan, shared by all sessions; decisions stay deterministic
+    /// because the plan keys on each session's own request index.
+    pub plan: Arc<FaultPlan>,
+    /// Retry/backoff/deadline budget for faulted fetches.
+    pub retry: RetryPolicy,
+    /// `[from, until)` request-index window the plan's faults cover,
+    /// used to bucket the report's phase statistics. Use
+    /// `(0, u64::MAX)` for an unwindowed (always-on) plan.
+    pub window: (u64, u64),
+}
+
+/// One run: the workload shape plus what every session runs under.
+#[derive(Debug, Clone, Default)]
+pub struct RunConfig {
+    /// Workload shape (sessions, steps, cache, batching, k, …).
+    pub base: MultiUserConfig,
+    /// The fault schedule; `None` is the fault-free fetch path.
+    pub faults: Option<Faults>,
+    /// Burst-aware prefetch scheduling (`None` keeps the uniform
+    /// per-request budget).
+    pub burst: Option<BurstConfig>,
+    /// Think-time schedules, parallel to each dataset's traces:
+    /// session `i` charges `think[i % think.len()][j]` to its timeline
+    /// before step `j` of each pass (the gap stream the burst
+    /// classifier sees). Empty = back-to-back replay.
+    pub think: Vec<Vec<Duration>>,
+    /// The cross-session hotspot model's cadence and the engine-side
+    /// blend every session applies (`None` = model off).
+    pub hotspots: Option<(HotspotConfig, HotspotBlend)>,
+}
+
+/// One dataset of a run: its namespace name, its pyramid, and the
+/// traces its sessions replay (session `i` replays
+/// `traces[i % traces.len()]`).
+pub type Dataset<'a> = (&'a str, &'a Arc<Pyramid>, &'a [Trace]);
+
+/// Outcome counters for one phase (before/during/after the window).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseStats {
+    /// Serviceable requests attempted.
+    pub attempts: usize,
+    /// Replies produced (clean or degraded).
+    pub served: usize,
+    /// Cache hits among the served.
+    pub hits: usize,
+    /// Degraded (ancestor-fallback) replies among the served.
+    pub degraded: usize,
+    /// Attempts that failed outright (no resident ancestor).
+    pub failures: usize,
+}
+
+impl PhaseStats {
+    /// Hit rate over served replies; zero when nothing was served.
+    pub fn hit_rate(&self) -> f64 {
+        ratio(self.hits, self.served)
+    }
+
+    fn absorb(&mut self, o: &PhaseStats) {
+        self.attempts += o.attempts;
+        self.served += o.served;
+        self.hits += o.hits;
+        self.degraded += o.degraded;
+        self.failures += o.failures;
+    }
+}
+
+/// `n / d`, zero when `d` is.
+fn ratio(n: usize, d: usize) -> f64 {
+    if d == 0 {
+        0.0
+    } else {
+        n as f64 / d as f64
+    }
+}
+
+/// One dataset's namespace at the end of a run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NamespaceReport {
+    /// Dataset name.
+    pub dataset: String,
+    /// The namespace's capacity slice of the global budget.
+    pub capacity: usize,
+    /// High-water mark of resident tiles, sampled after every step of
+    /// a lockstep [`run`]. [`run_threaded`] leaves it 0: reading a
+    /// sharded cache's size locks every shard, and doing that per
+    /// request would contend with the locks the sweep measures.
+    pub max_resident: usize,
+    /// Replies served to this dataset's sessions.
+    pub served: usize,
+    /// Cache hits among them (private + shared combined).
+    pub hits: usize,
+    /// Shared-cache counters of the namespace.
     pub shared: SharedCacheStats,
     /// Scheduler counters when `batch_predicts` was on.
     pub scheduler: Option<SchedulerStats>,
+    /// Hotspot-model epoch at the end of the run (0 = model off or
+    /// never refreshed).
+    pub hotspot_epoch: u64,
 }
 
-/// Builds the shared cache named by `cfg`.
-pub fn build_cache(cfg: &MultiUserConfig) -> Arc<dyn MultiUserCache> {
-    match cfg.cache {
-        CacheImpl::SingleMutex => Arc::new(SingleMutexTileCache::new(cfg.cache_capacity)),
-        CacheImpl::Sharded { shards: 0 } => Arc::new(SharedTileCache::new(cfg.cache_capacity)),
-        CacheImpl::Sharded { shards } => {
-            Arc::new(SharedTileCache::with_shards(cfg.cache_capacity, shards))
+impl NamespaceReport {
+    /// Session-visible hit rate over served replies.
+    pub fn hit_rate(&self) -> f64 {
+        ratio(self.hits, self.served)
+    }
+}
+
+/// Aggregate outcome of one run.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunReport {
+    /// Sessions run, across datasets.
+    pub sessions: usize,
+    /// Serviceable attempts across sessions.
+    pub attempts: usize,
+    /// Replies produced (clean + degraded).
+    pub served: usize,
+    /// Degraded replies among them.
+    pub degraded: usize,
+    /// Outright failures.
+    pub failures: usize,
+    /// Backend retries spent on primary fetches.
+    pub retries: u64,
+    /// Sessions stopped by a panic (must be zero — see
+    /// [`crate::assert_invariants`]).
+    pub panics: usize,
+    /// Attempts before the fault window opened.
+    pub before: PhaseStats,
+    /// Attempts inside the window (every attempt without faults).
+    pub during: PhaseStats,
+    /// Attempts after the window closed.
+    pub after: PhaseStats,
+    /// Non-degraded replies whose phase the allocation strategy gives
+    /// an SB slot at the configured budget: the requests that rank SB,
+    /// derived from the replies and not from the engine's own counts.
+    pub sb_ranked: usize,
+    /// Median user-visible latency over served replies (includes
+    /// spike charges and retry backoff on the simulated clock).
+    pub latency_p50: Duration,
+    /// 99th-percentile user-visible latency over served replies.
+    pub latency_p99: Duration,
+    /// Median wall time of a reply's prediction (includes any wait for
+    /// the shared pair cache).
+    pub predict_p50: Duration,
+    /// 99th-percentile wall time of a reply's prediction.
+    pub predict_p99: Duration,
+    /// Served requests per traffic phase (burst/dwell/idle), summed
+    /// over sessions; all zero unless burst scheduling was on.
+    pub per_traffic: [usize; 3],
+    /// Speculative tiles fetched across sessions.
+    pub prefetch_issued: usize,
+    /// Speculative tiles later served as cache hits.
+    pub prefetch_used: usize,
+    /// Whether burst-aware scheduling was active for this run.
+    pub burst_active: bool,
+    /// FNV-1a fold of every reply's observable surface in run order
+    /// ([`run`]), or of each session's own fold in session order
+    /// ([`run_threaded`]).
+    pub fingerprint: u64,
+    /// One report per dataset, in input order.
+    pub namespaces: Vec<NamespaceReport>,
+}
+
+impl RunReport {
+    /// Cache hits among the served replies.
+    pub fn hits(&self) -> usize {
+        self.before.hits + self.during.hits + self.after.hits
+    }
+
+    /// Session-visible hit rate over served replies.
+    pub fn hit_rate(&self) -> f64 {
+        ratio(self.hits(), self.served)
+    }
+
+    /// Speculative tiles later served as hits, over those fetched.
+    pub fn prefetch_efficiency(&self) -> f64 {
+        ratio(self.prefetch_used, self.prefetch_issued)
+    }
+}
+
+/// A session's position in its trace: the one per-session step both
+/// loops (and [`crate::zoo::replay_workload`]) drive. Each call to
+/// [`Cursor::step`] issues one trace step. A repeat of the trace starts
+/// a fresh navigation arc, so the first step of each pass carries no
+/// move; unservable tiles do not count as attempts; and a full pass
+/// that attempted nothing ends the replay.
+pub(crate) struct Cursor<'a> {
+    trace: &'a Trace,
+    think: &'a [Duration],
+    target: usize,
+    next: usize,
+    attempts: usize,
+    pass_start: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor that attempts `target` requests from `trace`, charging
+    /// `think[j]` (when present) before step `j`.
+    pub(crate) fn new(trace: &'a Trace, think: &'a [Duration], target: usize) -> Self {
+        Self {
+            trace,
+            think,
+            target,
+            next: 0,
+            attempts: 0,
+            pass_start: 0,
         }
     }
+
+    /// Issues the next trace step through `mw` and returns the tile,
+    /// the session's fault request index before the request, and what
+    /// [`Middleware::try_request`] returned (`Ok(None)` = unservable,
+    /// not an attempt); `None` once the session is done.
+    pub(crate) fn step(
+        &mut self,
+        mw: &mut Middleware,
+    ) -> Option<(TileId, u64, Result<Option<Response>, FetchError>)> {
+        if self.attempts >= self.target {
+            return None;
+        }
+        if self.next == self.trace.steps.len() {
+            if self.attempts == self.pass_start {
+                return None;
+            }
+            self.next = 0;
+            self.pass_start = self.attempts;
+        }
+        let j = self.next;
+        self.next += 1;
+        let step = &self.trace.steps[j];
+        let index = mw.fault_request_index();
+        if let Some(&d) = self.think.get(j) {
+            mw.note_idle(d);
+        }
+        let mv = if j == 0 { None } else { step.mv };
+        let result = mw.try_request(step.tile, mv);
+        self.attempts += usize::from(!matches!(result, Ok(None)));
+        Some((step.tile, index, result))
+    }
 }
 
-/// Runs `cfg.sessions` concurrent analysts. Session `i` replays
-/// `traces[i % traces.len()]`, cycling it until `steps_per_session`
-/// requests have been served. `engine_factory` builds each session's
-/// private prediction engine (as in `fc-server`).
-pub fn run_multi_user<F>(
-    pyramid: &Arc<Pyramid>,
-    engine_factory: F,
-    traces: &[Trace],
-    cfg: &MultiUserConfig,
-) -> MultiUserReport
-where
-    F: Fn() -> PredictionEngine + Sync,
-{
-    assert!(cfg.sessions > 0, "need at least one session");
-    assert!(!traces.is_empty(), "need at least one trace");
-    let cache = build_cache(cfg);
-    let scheduler = cfg.batch_predicts.then(|| {
-        Arc::new(PredictScheduler::new(
-            engine_factory().sb_model().clone(),
-            pyramid.clone(),
-            BatchConfig::default(),
-        ))
-    });
+/// One session of a run.
+struct Session<'a> {
+    dataset: usize,
+    mw: Middleware,
+    cursor: Cursor<'a>,
+    tally: Tally,
+}
 
-    struct SessionOutcome {
-        requests: usize,
-        hits: usize,
-        predict_ns: Vec<u64>,
+/// What one session has seen so far.
+#[derive(Default)]
+struct Tally {
+    /// Attempts before, during and after the fault window.
+    phases: [PhaseStats; 3],
+    retries: u64,
+    sb_ranked: usize,
+    max_resident: usize,
+    latency_ns: Vec<u64>,
+    predict_ns: Vec<u64>,
+    panicked: bool,
+}
+
+impl Session<'_> {
+    /// Issues one step and books it, folding a served reply into `fp`.
+    /// Returns whether the session goes on. A panic inside the step is
+    /// caught here: the session is marked and stopped, and the run
+    /// goes on without it.
+    fn advance(&mut self, cfg: &RunConfig, fp: &mut u64) -> bool {
+        match catch_unwind(AssertUnwindSafe(|| self.book_step(cfg, fp))) {
+            Ok(more) => more,
+            Err(_) => {
+                self.tally.panicked = true;
+                false
+            }
+        }
     }
 
-    let start = Instant::now();
-    let outcomes: Vec<SessionOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.sessions)
-            .map(|i| {
-                let trace = &traces[i % traces.len()];
-                let cache = cache.clone();
-                let scheduler = scheduler.clone();
-                let engine = engine_factory();
-                let pyramid = pyramid.clone();
+    fn book_step(&mut self, cfg: &RunConfig, fp: &mut u64) -> bool {
+        let Some((tile, index, result)) = self.cursor.step(&mut self.mw) else {
+            return false;
+        };
+        let (from, until) = cfg.faults.as_ref().map_or((0, u64::MAX), |f| f.window);
+        let t = &mut self.tally;
+        let bucket = &mut t.phases[usize::from(index >= from) + usize::from(index >= until)];
+        match result {
+            Ok(None) => return true,
+            Ok(Some(resp)) => {
+                bucket.served += 1;
+                bucket.hits += usize::from(resp.cache_hit);
+                bucket.degraded += usize::from(resp.degraded);
+                t.retries += u64::from(resp.fetch_retries);
+                let strategy = self.mw.engine().config().strategy;
+                let (_, sb_slots) = strategy.allocate(resp.phase, cfg.base.k);
+                t.sb_ranked += usize::from(!resp.degraded && sb_slots > 0);
+                t.latency_ns.push(nanos(resp.latency));
+                t.predict_ns.push(nanos(resp.predict_time));
+                fold_response(fp, tile, &resp);
+            }
+            Err(_) => bucket.failures += 1,
+        }
+        bucket.attempts += 1;
+        true
+    }
+}
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// A dataset's shared state for one run.
+struct Namespace {
+    name: String,
+    cache: Arc<dyn MultiUserCache>,
+    scheduler: Option<Arc<PredictScheduler>>,
+    hotspots: Option<Arc<SharedHotspotModel>>,
+}
+
+/// Builds every dataset's namespace and `cfg.base.sessions` sessions
+/// per dataset, dataset by dataset, in session order.
+fn open<'a, F>(
+    datasets: &[Dataset<'a>],
+    engine_factory: F,
+    cfg: &'a RunConfig,
+) -> (Vec<Session<'a>>, Vec<Namespace>)
+where
+    F: Fn(&Arc<Pyramid>) -> PredictionEngine,
+{
+    assert!(cfg.base.sessions > 0, "need at least one session");
+    assert!(!datasets.is_empty(), "need at least one dataset");
+    let registry = DatasetRegistry::new(RegistryConfig {
+        budget: cfg.base.cache_capacity,
+        shards: match cfg.base.cache {
+            CacheImpl::Sharded { shards } => shards,
+            CacheImpl::SingleMutex => 0,
+        },
+        hotspots: cfg.hotspots.map_or_else(HotspotConfig::default, |(h, _)| h),
+    });
+    let mut sessions = Vec::new();
+    let mut namespaces = Vec::new();
+    for (d, &(name, pyramid, traces)) in datasets.iter().enumerate() {
+        assert!(!traces.is_empty(), "dataset {name} needs traces");
+        let ns = registry.attach(name);
+        let cache: Arc<dyn MultiUserCache> = match cfg.base.cache {
+            CacheImpl::SingleMutex => Arc::new(SingleMutexTileCache::new(ns.cache().capacity())),
+            CacheImpl::Sharded { .. } => ns.cache().clone(),
+        };
+        let hotspots = cfg.hotspots.map(|_| ns.hotspots().clone());
+        let engines: Vec<PredictionEngine> = (0..cfg.base.sessions)
+            .map(|_| engine_factory(pyramid))
+            .collect();
+        let scheduler = cfg.base.batch_predicts.then(|| {
+            Arc::new(PredictScheduler::new(
+                engines[0].sb_model().clone(),
+                pyramid.clone(),
+                BatchConfig::default(),
+            ))
+        });
+        for (i, mut engine) in engines.into_iter().enumerate() {
+            let mut handle = SharedSessionHandle::open(cache.clone(), scheduler.clone());
+            if let (Some((_, blend)), Some(model)) = (cfg.hotspots, &hotspots) {
+                engine.set_hotspot_blend(Some(blend));
+                handle = handle.with_hotspots(model.clone());
+            }
+            let mut mw = Middleware::new_shared(
+                engine,
+                pyramid.clone(),
+                cfg.base.profile,
+                cfg.base.history_cache,
+                cfg.base.k,
+                handle,
+            );
+            if let Some(f) = &cfg.faults {
+                mw.set_faults(f.plan.clone(), f.retry);
+            }
+            mw.set_burst(cfg.burst);
+            let think = match cfg.think.len() {
+                0 => &[][..],
+                n => &cfg.think[i % n][..],
+            };
+            sessions.push(Session {
+                dataset: d,
+                mw,
+                cursor: Cursor::new(&traces[i % traces.len()], think, cfg.base.steps_per_session),
+                tally: Tally::default(),
+            });
+        }
+        namespaces.push(Namespace {
+            name: name.to_string(),
+            cache,
+            scheduler,
+            hotspots,
+        });
+    }
+    (sessions, namespaces)
+}
+
+/// Replays `cfg.base.sessions` analysts on each of `datasets`, every
+/// session stepped in lockstep round-robin on the calling thread until
+/// each has attempted `steps_per_session` requests (or can make no
+/// progress). `engine_factory` builds each session's private
+/// prediction engine for its dataset's pyramid. Same inputs ⇒
+/// bit-identical report.
+pub fn run<'a, F>(datasets: &[Dataset<'a>], engine_factory: F, cfg: &'a RunConfig) -> RunReport
+where
+    F: Fn(&Arc<Pyramid>) -> PredictionEngine,
+{
+    let (mut sessions, namespaces) = open(datasets, engine_factory, cfg);
+    let mut fp = FNV_OFFSET;
+    let mut live: Vec<&mut Session> = sessions.iter_mut().collect();
+    while !live.is_empty() {
+        live.retain_mut(|s| {
+            let more = s.advance(cfg, &mut fp);
+            let resident = s.mw.shared().map_or(0, |h| h.cache().len());
+            s.tally.max_resident = s.tally.max_resident.max(resident);
+            more
+        });
+    }
+    report(sessions, namespaces, cfg, fp)
+}
+
+/// [`run`] with every session on its own OS thread, so sessions meet
+/// on the shared cache's and pair cache's locks for real. Interleaving
+/// follows the OS scheduler: the report is not reproducible, and its
+/// fingerprint folds each session's own fold in session order.
+pub fn run_threaded<'a, F>(
+    datasets: &[Dataset<'a>],
+    engine_factory: F,
+    cfg: &'a RunConfig,
+) -> RunReport
+where
+    F: Fn(&Arc<Pyramid>) -> PredictionEngine,
+{
+    let (mut sessions, namespaces) = open(datasets, engine_factory, cfg);
+    let folds: Vec<u64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = sessions
+            .iter_mut()
+            .map(|s| {
                 scope.spawn(move || {
-                    let handle = SharedSessionHandle::open(cache, scheduler);
-                    let mut mw = Middleware::new_shared(
-                        engine,
-                        pyramid,
-                        cfg.profile,
-                        cfg.history_cache,
-                        cfg.k,
-                        handle,
-                    );
-                    let mut out = SessionOutcome {
-                        requests: 0,
-                        hits: 0,
-                        predict_ns: Vec::with_capacity(cfg.steps_per_session),
-                    };
-                    replay_cycled(trace, cfg.steps_per_session, |_, tile, mv| {
-                        let Some(resp) = mw.request(tile, mv) else {
-                            return false;
-                        };
-                        out.requests += 1;
-                        out.hits += usize::from(resp.cache_hit);
-                        out.predict_ns
-                            .push(u64::try_from(resp.predict_time.as_nanos()).unwrap_or(u64::MAX));
-                        true
-                    });
-                    out
+                    let mut fp = FNV_OFFSET;
+                    while s.advance(cfg, &mut fp) {}
+                    fp
                 })
             })
             .collect();
@@ -184,69 +540,116 @@ where
             .map(|h| h.join().expect("session thread"))
             .collect()
     });
-    let wall = start.elapsed();
-
-    let requests: usize = outcomes.iter().map(|o| o.requests).sum();
-    let hits: usize = outcomes.iter().map(|o| o.hits).sum();
-    let mut all_ns: Vec<u64> = outcomes.into_iter().flat_map(|o| o.predict_ns).collect();
-    all_ns.sort_unstable();
-
-    MultiUserReport {
-        sessions: cfg.sessions,
-        requests,
-        wall,
-        throughput_rps: if wall.as_secs_f64() > 0.0 {
-            requests as f64 / wall.as_secs_f64()
-        } else {
-            0.0
-        },
-        predict_p50: percentile(&all_ns, 0.50),
-        predict_p99: percentile(&all_ns, 0.99),
-        hit_rate: if requests == 0 {
-            0.0
-        } else {
-            hits as f64 / requests as f64
-        },
-        shared: cache.stats(),
-        scheduler: scheduler.map(|s| s.stats()),
-    }
+    let mut fp = FNV_OFFSET;
+    folds.into_iter().for_each(|v| fnv(&mut fp, v));
+    report(sessions, namespaces, cfg, fp)
 }
 
-/// Cycles `trace` until `target` requests have counted. A repeat of
-/// the trace starts a fresh navigation arc, so the first step of each
-/// pass carries no move; a full pass that counted nothing (empty
-/// trace, or every tile unservable) can never progress and ends the
-/// replay. `request(step index, tile, move)` issues one request and
-/// says whether it counted.
-pub(crate) fn replay_cycled(
-    trace: &Trace,
-    target: usize,
-    mut request: impl FnMut(usize, TileId, Option<Move>) -> bool,
-) {
-    let mut counted = 0usize;
-    loop {
-        let before = counted;
-        for (j, step) in trace.steps.iter().enumerate() {
-            if counted >= target {
-                return;
-            }
-            let mv = if j == 0 { None } else { step.mv };
-            counted += usize::from(request(j, step.tile, mv));
+/// Sums the finished sessions into one report. Sessions close (their
+/// handles drop) before the namespace counters are read.
+fn report(
+    sessions: Vec<Session>,
+    namespaces: Vec<Namespace>,
+    cfg: &RunConfig,
+    fingerprint: u64,
+) -> RunReport {
+    let mut r = RunReport {
+        sessions: sessions.len(),
+        burst_active: cfg.burst.is_some(),
+        fingerprint,
+        ..RunReport::default()
+    };
+    // Per namespace: (max resident, served, hits).
+    let mut per_ns = vec![(0usize, 0usize, 0usize); namespaces.len()];
+    let mut latency_ns = Vec::new();
+    let mut predict_ns = Vec::new();
+    for s in sessions {
+        let t = s.tally;
+        for (sum, p) in [&mut r.before, &mut r.during, &mut r.after]
+            .into_iter()
+            .zip(&t.phases)
+        {
+            sum.absorb(p);
         }
-        if counted == before {
-            return;
+        r.retries += t.retries;
+        r.sb_ranked += t.sb_ranked;
+        r.panics += usize::from(t.panicked);
+        let st = s.mw.stats();
+        for (sum, n) in r.per_traffic.iter_mut().zip(st.per_traffic) {
+            *sum += n;
         }
+        r.prefetch_issued += st.prefetch_issued;
+        r.prefetch_used += st.prefetch_used;
+        let ns = &mut per_ns[s.dataset];
+        ns.0 = ns.0.max(t.max_resident);
+        ns.1 += t.phases.iter().map(|p| p.served).sum::<usize>();
+        ns.2 += t.phases.iter().map(|p| p.hits).sum::<usize>();
+        latency_ns.extend(t.latency_ns);
+        predict_ns.extend(t.predict_ns);
     }
+    let phases = [r.before, r.during, r.after];
+    r.attempts = phases.iter().map(|p| p.attempts).sum();
+    r.served = phases.iter().map(|p| p.served).sum();
+    r.degraded = phases.iter().map(|p| p.degraded).sum();
+    r.failures = phases.iter().map(|p| p.failures).sum();
+    latency_ns.sort_unstable();
+    predict_ns.sort_unstable();
+    r.latency_p50 = percentile(&latency_ns, 0.50);
+    r.latency_p99 = percentile(&latency_ns, 0.99);
+    r.predict_p50 = percentile(&predict_ns, 0.50);
+    r.predict_p99 = percentile(&predict_ns, 0.99);
+    r.namespaces = namespaces
+        .into_iter()
+        .zip(per_ns)
+        .map(|(ns, (max_resident, served, hits))| NamespaceReport {
+            dataset: ns.name,
+            capacity: ns.cache.capacity(),
+            max_resident,
+            served,
+            hits,
+            shared: ns.cache.stats(),
+            scheduler: ns.scheduler.map(|s| s.stats()),
+            hotspot_epoch: ns.hotspots.map_or(0, |m| m.epoch()),
+        })
+        .collect();
+    r
 }
 
 /// The `p`-quantile (nearest rank) of ascending nanosecond samples;
 /// zero when there are none.
-pub(crate) fn percentile(sorted_ns: &[u64], p: f64) -> Duration {
+fn percentile(sorted_ns: &[u64], p: f64) -> Duration {
     let Some(last) = sorted_ns.len().checked_sub(1) else {
         return Duration::ZERO;
     };
     let idx = ((last as f64) * p).round() as usize;
     Duration::from_nanos(sorted_ns[idx.min(last)])
+}
+
+/// The FNV-1a offset basis every replay fingerprint starts from.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `v`'s little-endian bytes into the FNV-1a fingerprint `fp`.
+fn fnv(fp: &mut u64, v: u64) {
+    for byte in v.to_le_bytes() {
+        *fp ^= u64::from(byte);
+        *fp = fp.wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+/// Folds one response's observable surface — requested tile, latency,
+/// hit flag, traffic phase, prefetched ids — into the FNV-1a
+/// fingerprint `fp`. The one fold every replay uses.
+pub(crate) fn fold_response(fp: &mut u64, tile: TileId, resp: &Response) {
+    let words = |t: TileId| [u64::from(t.level), u64::from(t.y), u64::from(t.x)];
+    let mut fold = |v: u64| fnv(fp, v);
+    words(tile).into_iter().for_each(&mut fold);
+    fold(nanos(resp.latency));
+    fold(u64::from(resp.cache_hit));
+    fold(resp.traffic.map_or(u64::MAX, |t| t.index() as u64));
+    fold(resp.prefetched.len() as u64);
+    for &t in &resp.prefetched {
+        words(t).into_iter().for_each(&mut fold);
+    }
 }
 
 /// Builds `sessions` deterministic scripted traces over `geometry`:
@@ -422,215 +825,6 @@ pub fn hotspot_workload(
     traces
 }
 
-/// Configuration of the multi-dataset, hotspot-model scenario.
-#[derive(Debug, Clone)]
-pub struct MultiDatasetConfig {
-    /// Concurrent sessions (threads) per dataset.
-    pub sessions_per_dataset: usize,
-    /// Requests each session replays.
-    pub steps_per_session: usize,
-    /// Global tile budget, partitioned exactly across the dataset
-    /// namespaces by the [`DatasetRegistry`].
-    pub global_budget: usize,
-    /// Shards per namespace cache (0 = default striping).
-    pub shards: usize,
-    /// The A/B knob: whether sessions carry their namespace's
-    /// cross-session hotspot model and blend its prior.
-    pub hotspots: bool,
-    /// Model cadence (used when `hotspots` is on).
-    pub hotspot_cfg: HotspotConfig,
-    /// Engine-side blend (applied to every session's engine when
-    /// `hotspots` is on).
-    pub blend: HotspotBlend,
-    /// Per-session prefetch budget k.
-    pub k: usize,
-    /// Private last-n history cache per session.
-    pub history_cache: usize,
-    /// Latency profile for hit/miss accounting.
-    pub profile: LatencyProfile,
-}
-
-impl Default for MultiDatasetConfig {
-    fn default() -> Self {
-        Self {
-            sessions_per_dataset: 4,
-            steps_per_session: 96,
-            global_budget: 1024,
-            shards: 0,
-            hotspots: false,
-            hotspot_cfg: HotspotConfig::default(),
-            blend: HotspotBlend {
-                radius: 6,
-                phases: [true, true, true],
-            },
-            k: 4,
-            history_cache: 4,
-            profile: LatencyProfile::paper(),
-        }
-    }
-}
-
-/// Per-namespace outcome of a multi-dataset run.
-#[derive(Debug, Clone)]
-pub struct NamespaceReport {
-    /// Dataset name.
-    pub dataset: String,
-    /// The namespace's capacity slice of the global budget.
-    pub capacity: usize,
-    /// Requests served by this dataset's sessions.
-    pub requests: usize,
-    /// Session-visible hit rate (private + shared combined).
-    pub hit_rate: f64,
-    /// Shared-cache counters of the namespace.
-    pub shared: SharedCacheStats,
-    /// Hotspot-model epoch at the end of the run (0 = model off or
-    /// never refreshed).
-    pub hotspot_epoch: u64,
-}
-
-/// Aggregate outcome of one multi-dataset run.
-#[derive(Debug, Clone)]
-pub struct MultiDatasetReport {
-    /// Wall-clock time of the concurrent phase.
-    pub wall: Duration,
-    /// Total requests across all namespaces.
-    pub requests: usize,
-    /// Aggregate served requests per second.
-    pub throughput_rps: f64,
-    /// One report per dataset, in input order.
-    pub namespaces: Vec<NamespaceReport>,
-}
-
-/// Runs `cfg.sessions_per_dataset` concurrent analysts on **each** of
-/// `datasets` — one [`DatasetRegistry`] namespace per dataset under
-/// one global budget, with the cross-session hotspot model on or off
-/// (`cfg.hotspots`). Session `i` of a dataset replays
-/// `traces[i % traces.len()]` from that dataset's trace set, cycling
-/// until `steps_per_session` requests have been served.
-pub fn run_multi_dataset<F>(
-    datasets: &[(String, Arc<Pyramid>, Vec<Trace>)],
-    engine_factory: F,
-    cfg: &MultiDatasetConfig,
-) -> MultiDatasetReport
-where
-    F: Fn(&Arc<Pyramid>) -> PredictionEngine + Sync,
-{
-    assert!(!datasets.is_empty(), "need at least one dataset");
-    assert!(cfg.sessions_per_dataset > 0, "need at least one session");
-    let registry = DatasetRegistry::new(RegistryConfig {
-        budget: cfg.global_budget,
-        shards: cfg.shards,
-        hotspots: cfg.hotspot_cfg,
-    });
-    let namespaces: Vec<_> = datasets
-        .iter()
-        .map(|(name, _, traces)| {
-            assert!(!traces.is_empty(), "dataset {name} needs traces");
-            registry.attach(name)
-        })
-        .collect();
-
-    struct SessionOutcome {
-        dataset: usize,
-        requests: usize,
-        hits: usize,
-    }
-
-    let start = Instant::now();
-    let outcomes: Vec<SessionOutcome> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (di, (_, pyramid, traces)) in datasets.iter().enumerate() {
-            let ns = &namespaces[di];
-            for si in 0..cfg.sessions_per_dataset {
-                let trace = &traces[si % traces.len()];
-                let pyramid = pyramid.clone();
-                let ns = ns.clone();
-                let engine_factory = &engine_factory;
-                handles.push(scope.spawn(move || {
-                    let mut engine = engine_factory(&pyramid);
-                    if cfg.hotspots {
-                        engine.set_hotspot_blend(Some(cfg.blend));
-                    }
-                    let cache: Arc<dyn MultiUserCache> = ns.cache().clone();
-                    let mut handle = SharedSessionHandle::open(cache, None);
-                    if cfg.hotspots {
-                        handle = handle.with_hotspots(ns.hotspots().clone());
-                    }
-                    let mut mw = Middleware::new_shared(
-                        engine,
-                        pyramid,
-                        cfg.profile,
-                        cfg.history_cache,
-                        cfg.k,
-                        handle,
-                    );
-                    let mut out = SessionOutcome {
-                        dataset: di,
-                        requests: 0,
-                        hits: 0,
-                    };
-                    replay_cycled(trace, cfg.steps_per_session, |_, tile, mv| {
-                        let Some(resp) = mw.request(tile, mv) else {
-                            return false;
-                        };
-                        out.requests += 1;
-                        out.hits += usize::from(resp.cache_hit);
-                        true
-                    });
-                    out
-                }));
-            }
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("session thread"))
-            .collect()
-    });
-    let wall = start.elapsed();
-
-    let namespaces: Vec<NamespaceReport> = datasets
-        .iter()
-        .enumerate()
-        .map(|(di, (name, _, _))| {
-            let requests: usize = outcomes
-                .iter()
-                .filter(|o| o.dataset == di)
-                .map(|o| o.requests)
-                .sum();
-            let hits: usize = outcomes
-                .iter()
-                .filter(|o| o.dataset == di)
-                .map(|o| o.hits)
-                .sum();
-            let ns = registry.get(name).expect("attached");
-            NamespaceReport {
-                dataset: name.clone(),
-                capacity: ns.cache().capacity(),
-                requests,
-                hit_rate: if requests == 0 {
-                    0.0
-                } else {
-                    hits as f64 / requests as f64
-                },
-                shared: ns.cache().stats(),
-                hotspot_epoch: ns.hotspots().epoch(),
-            }
-        })
-        .collect();
-    let requests: usize = namespaces.iter().map(|n| n.requests).sum();
-
-    MultiDatasetReport {
-        wall,
-        requests,
-        throughput_rps: if wall.as_secs_f64() > 0.0 {
-            requests as f64 / wall.as_secs_f64()
-        } else {
-            0.0
-        },
-        namespaces,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,22 +849,20 @@ mod tests {
         Arc::new(p)
     }
 
-    fn factory(g: Geometry) -> impl Fn() -> PredictionEngine + Sync {
-        move || {
-            let r = Move::PanRight.index() as u16;
-            let traces: Vec<Vec<u16>> = vec![vec![r; 10]];
-            let refs: Vec<&[u16]> = traces.iter().map(|t| t.as_slice()).collect();
-            PredictionEngine::new(
-                g,
-                AbRecommender::train(refs, 3),
-                SbRecommender::new(SbConfig::single(SignatureKind::Hist1D)),
-                PhaseSource::Heuristic,
-                EngineConfig {
-                    strategy: AllocationStrategy::Updated,
-                    ..EngineConfig::default()
-                },
-            )
-        }
+    fn engine(p: &Arc<Pyramid>) -> PredictionEngine {
+        let r = Move::PanRight.index() as u16;
+        let traces: Vec<Vec<u16>> = vec![vec![r; 10]];
+        let refs: Vec<&[u16]> = traces.iter().map(|t| t.as_slice()).collect();
+        PredictionEngine::new(
+            p.geometry(),
+            AbRecommender::train(refs, 3),
+            SbRecommender::new(SbConfig::single(SignatureKind::Hist1D)),
+            PhaseSource::Heuristic,
+            EngineConfig {
+                strategy: AllocationStrategy::Updated,
+                ..EngineConfig::default()
+            },
+        )
     }
 
     #[test]
@@ -701,32 +893,73 @@ mod tests {
     #[test]
     fn concurrent_run_accounts_every_request() {
         let p = pyramid();
-        let g = p.geometry();
-        let traces = synthetic_workload(g, 4, 30, 6);
+        let traces = synthetic_workload(p.geometry(), 4, 30, 6);
         for cache in [CacheImpl::SingleMutex, CacheImpl::Sharded { shards: 4 }] {
-            let cfg = MultiUserConfig {
-                sessions: 4,
-                steps_per_session: 30,
-                cache_capacity: 16,
-                cache,
-                batch_predicts: true,
-                // Past AB's four slots, so SB has one in every phase
-                // and every request ranks through the shared cache.
-                k: 5,
-                ..MultiUserConfig::default()
+            let cfg = RunConfig {
+                base: MultiUserConfig {
+                    sessions: 4,
+                    steps_per_session: 30,
+                    cache_capacity: 16,
+                    cache,
+                    batch_predicts: true,
+                    // Past AB's four slots, so SB has one in every phase
+                    // and every request ranks through the shared cache.
+                    k: 5,
+                    ..MultiUserConfig::default()
+                },
+                ..RunConfig::default()
             };
-            let r = run_multi_user(&p, factory(g), &traces, &cfg);
-            assert_eq!(r.requests, 4 * 30, "{cache:?}");
-            assert!(r.throughput_rps > 0.0);
+            let r = run_threaded(&[("g", &p, &traces[..])], engine, &cfg);
+            assert_eq!(r.served, 4 * 30, "{cache:?}");
+            assert_eq!(r.panics, 0);
             assert!(r.predict_p50 <= r.predict_p99);
-            assert!((0.0..=1.0).contains(&r.hit_rate));
+            assert!((0.0..=1.0).contains(&r.hit_rate()));
             // Stats balance: every shared-cache probe is a hit or miss.
-            let s = r.shared;
+            let s = r.namespaces[0].shared;
             assert!(s.hits + s.misses > 0);
             assert!(s.cross_session_hits <= s.hits);
-            let sched = r.scheduler.expect("shared pair cache on");
+            let sched = r.namespaces[0].scheduler.expect("shared pair cache on");
             assert_eq!(sched.jobs, 4 * 30, "one SB rank per request");
         }
+    }
+
+    /// The cursor cycles its trace, skips unservable tiles without
+    /// counting them, and ends after a pass that attempted nothing.
+    #[test]
+    fn cursor_cycles_and_skips_unservable_tiles() {
+        let p = pyramid();
+        let g = p.geometry();
+        let outside = TileId::new(g.levels, 0, 0);
+        let step = |tile| TraceStep {
+            tile,
+            mv: None,
+            phase: Phase::Foraging,
+        };
+        let trace = Trace {
+            user: 0,
+            task: 0,
+            steps: vec![step(TileId::ROOT), step(outside)],
+        };
+        let mut mw = Middleware::new(engine(&p), p.clone(), LatencyProfile::paper(), 4, 0);
+        let mut cursor = Cursor::new(&trace, &[], 3);
+        let mut issued = Vec::new();
+        while let Some((tile, _, result)) = cursor.step(&mut mw) {
+            issued.push((tile, matches!(result, Ok(Some(_)))));
+        }
+        let served = (TileId::ROOT, true);
+        let skipped = (outside, false);
+        assert_eq!(issued, [served, skipped, served, skipped, served]);
+        let dead = Trace {
+            user: 0,
+            task: 0,
+            steps: vec![step(outside)],
+        };
+        let mut cursor = Cursor::new(&dead, &[], 3);
+        assert!(cursor.step(&mut mw).is_some());
+        assert!(
+            cursor.step(&mut mw).is_none(),
+            "a pass with no attempt ends"
+        );
     }
 
     #[test]
@@ -769,68 +1002,84 @@ mod tests {
 
     #[test]
     fn multi_dataset_run_partitions_budget_and_reports_per_namespace() {
-        let p1 = pyramid();
-        let p2 = pyramid();
-        let g = p1.geometry();
-        let traces = hotspot_workload(g, 2, 40, 2);
-        let datasets = vec![
-            ("west".to_string(), p1.clone(), traces.clone()),
-            ("east".to_string(), p2, traces),
+        let (west, east) = (pyramid(), pyramid());
+        let traces = hotspot_workload(west.geometry(), 2, 40, 2);
+        let datasets = [("west", &west, &traces[..]), ("east", &east, &traces[..])];
+        // Pinned per leg: the run's fingerprint, then each namespace's
+        // (hits, cross-session hits, hotspot epoch).
+        let pins = [
+            (1_391_862_381_458_899_717, [(69, 15, 0); 2]),
+            (8_852_986_954_812_206_845, [(69, 15, 10); 2]),
         ];
-        for hotspots in [false, true] {
-            let cfg = MultiDatasetConfig {
-                sessions_per_dataset: 2,
-                steps_per_session: 40,
-                global_budget: 64,
-                shards: 1,
-                hotspots,
-                hotspot_cfg: HotspotConfig {
-                    top_n: 4,
-                    refresh_every: 8,
+        for (hotspots, (want_fp, want_ns)) in [false, true].into_iter().zip(pins) {
+            let cfg = RunConfig {
+                base: MultiUserConfig {
+                    sessions: 2,
+                    steps_per_session: 40,
+                    cache_capacity: 64,
+                    cache: CacheImpl::Sharded { shards: 1 },
+                    batch_predicts: false,
+                    // Below the deepest-level candidate count, so the
+                    // ranking (and with it the hotspot prior) decides
+                    // what gets prefetched.
+                    k: 2,
+                    ..MultiUserConfig::default()
                 },
-                ..MultiDatasetConfig::default()
+                hotspots: hotspots.then_some((
+                    HotspotConfig {
+                        top_n: 4,
+                        refresh_every: 8,
+                    },
+                    HotspotBlend {
+                        radius: 6,
+                        phases: [true, true, true],
+                    },
+                )),
+                ..RunConfig::default()
             };
-            let r = run_multi_dataset(&datasets, |p| factory(p.geometry())(), &cfg);
-            assert_eq!(r.requests, 2 * 2 * 40, "hotspots={hotspots}");
-            assert_eq!(r.namespaces.len(), 2);
+            let r = run(&datasets, engine, &cfg);
+            assert_eq!(r.served, 2 * 2 * 40, "hotspots={hotspots}");
             let caps: usize = r.namespaces.iter().map(|n| n.capacity).sum();
             assert_eq!(caps, 64, "namespace capacities sum to the budget");
             for n in &r.namespaces {
-                assert_eq!(n.requests, 2 * 40);
-                assert!((0.0..=1.0).contains(&n.hit_rate));
-                assert!(n.shared.hits + n.shared.misses > 0);
-                if hotspots {
-                    assert!(n.hotspot_epoch > 0, "model must have refreshed: {n:?}");
-                } else {
-                    assert_eq!(n.hotspot_epoch, 0, "model off ⇒ no epochs");
-                }
+                assert_eq!(n.served, 2 * 40);
+                assert!(n.max_resident <= n.capacity, "{n:?}");
             }
+            let got = r.namespaces.iter().map(|n| {
+                let s = n.shared;
+                (n.hits, s.cross_session_hits, n.hotspot_epoch)
+            });
+            assert_eq!(
+                (r.fingerprint, got.collect::<Vec<_>>()),
+                (want_fp, want_ns.to_vec()),
+                "hotspots={hotspots}"
+            );
         }
     }
 
     #[test]
     fn sessions_close_after_the_run() {
         let p = pyramid();
-        let g = p.geometry();
-        let traces = synthetic_workload(g, 2, 10, 5);
-        let cfg = MultiUserConfig {
-            sessions: 2,
-            steps_per_session: 10,
-            cache_capacity: 8,
-            batch_predicts: false,
-            ..MultiUserConfig::default()
+        let traces = synthetic_workload(p.geometry(), 2, 10, 5);
+        let cfg = RunConfig {
+            base: MultiUserConfig {
+                sessions: 2,
+                steps_per_session: 10,
+                cache_capacity: 8,
+                batch_predicts: false,
+                ..MultiUserConfig::default()
+            },
+            ..RunConfig::default()
         };
-        let cache = build_cache(&cfg);
-        // run_multi_user builds its own cache; emulate one session here
-        // to check the handle lifecycle directly.
-        {
-            let h = SharedSessionHandle::open(cache.clone(), None);
-            assert_eq!(cache.session_count(), 1);
-            drop(h);
-        }
+        // The drivers open their own caches; check the handle
+        // lifecycle on one directly.
+        let cache: Arc<dyn MultiUserCache> = Arc::new(fc_core::SharedTileCache::new(8));
+        let h = SharedSessionHandle::open(cache.clone(), None);
+        assert_eq!(cache.session_count(), 1);
+        drop(h);
         assert_eq!(cache.session_count(), 0);
-        let r = run_multi_user(&p, factory(g), &traces, &cfg);
-        assert!(r.scheduler.is_none());
-        assert_eq!(r.requests, 20);
+        let r = run(&[("g", &p, &traces[..])], engine, &cfg);
+        assert!(r.namespaces[0].scheduler.is_none());
+        assert_eq!(r.served, 20);
     }
 }

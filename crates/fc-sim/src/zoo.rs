@@ -21,10 +21,14 @@
 //! generators keep any *shared* structure (the flash-crowd target) on
 //! the base seed.
 
+use crate::multiuser::{
+    fold_response, run, Cursor, MultiUserConfig, RunConfig, RunReport, FNV_OFFSET,
+};
 use crate::trace::{Trace, TraceStep};
 use fc_core::engine::heuristic_phase;
-use fc_core::{BurstConfig, Middleware, MiddlewareStats, Request, Response, TrafficPhase};
-use fc_tiles::{Geometry, Move, Quadrant, TileId};
+use fc_core::{Middleware, MiddlewareStats, PredictionEngine, Request, TrafficPhase};
+use fc_tiles::{Geometry, Move, Pyramid, Quadrant, TileId};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The zoo roster, in registry order.
@@ -277,6 +281,10 @@ pub fn zoom_dive(g: Geometry, steps: usize, seed: u64, session: usize) -> Worklo
     assert!(g.levels >= 2, "zoom-dive needs at least two levels");
     let top = g.levels.saturating_sub(2).min(1);
     let (rows, cols) = g.tiles_at(top);
+    assert!(
+        rows * cols > 1,
+        "zoom-dive needs more than one tile at its survey level L{top}"
+    );
     let origin = TileId::new(
         top,
         rng.range(0, u64::from(rows) - 1) as u32,
@@ -438,6 +446,10 @@ pub fn revisit_loop(g: Geometry, steps: usize, seed: u64, session: usize) -> Wor
     let mut rng = Rng::new(session_seed(seed, session) ^ 0x4e57);
     let level = g.levels - 1;
     let (rows, cols) = g.tiles_at(level);
+    assert!(
+        rows >= 2 && cols >= 3,
+        "revisit-loop needs a deepest level at least 3 tiles wide and 2 tall"
+    );
     let w = rng.range(2, u64::from(cols.min(4)) - 1) as u32;
     let h = rng.range(1, u64::from(rows.min(3)) - 1) as u32;
     let y0 = rng.range(0, u64::from(rows - h) - 1) as u32;
@@ -598,23 +610,22 @@ pub struct ZooOutcome {
     pub stats: MiddlewareStats,
 }
 
-/// Replays `w` through `mw`, charging each step's think time to the
-/// session timeline before issuing the request — exactly the gap
-/// structure the burst classifier sees in production.
+/// Replays `w` once through `mw` — the driver's per-session step over
+/// a private session — charging each step's think time to the session
+/// timeline before issuing the request: exactly the gap structure the
+/// burst classifier sees in production.
 // fc-check: allow(unreferenced-pub) -- fixture shared across crates: the golden_burst and zoo test crates both replay through it
 pub fn replay_workload(mw: &mut Middleware, w: &Workload) -> ZooOutcome {
+    let mut cursor = Cursor::new(&w.trace, &w.think, w.len());
     let mut served = 0usize;
     let mut hits = 0usize;
     let mut fp = FNV_OFFSET;
-    for (i, step) in w.trace.steps.iter().enumerate() {
-        mw.note_idle(w.think[i]);
-        let mv = if i == 0 { None } else { step.mv };
-        let Some(resp) = mw.request(step.tile, mv) else {
-            continue;
-        };
-        served += 1;
-        hits += usize::from(resp.cache_hit);
-        fold_response(&mut fp, step.tile, &resp);
+    while let Some((tile, _, result)) = cursor.step(mw) {
+        if let Ok(Some(resp)) = result {
+            served += 1;
+            hits += usize::from(resp.cache_hit);
+            fold_response(&mut fp, tile, &resp);
+        }
     }
     ZooOutcome {
         served,
@@ -624,178 +635,38 @@ pub fn replay_workload(mw: &mut Middleware, w: &Workload) -> ZooOutcome {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds one response's observable surface — requested tile, latency,
-/// hit flag, traffic phase, prefetched ids — into the FNV-1a
-/// fingerprint `fp`. The one fold both replay harnesses use.
-fn fold_response(fp: &mut u64, tile: TileId, resp: &Response) {
-    let mut fold = |v: u64| {
-        for byte in v.to_le_bytes() {
-            *fp ^= u64::from(byte);
-            *fp = fp.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    let words = |t: TileId| [u64::from(t.level), u64::from(t.y), u64::from(t.x)];
-    words(tile).into_iter().for_each(&mut fold);
-    fold(u64::try_from(resp.latency.as_nanos()).unwrap_or(u64::MAX));
-    fold(u64::from(resp.cache_hit));
-    fold(resp.traffic.map_or(u64::MAX, |t| t.index() as u64));
-    fold(resp.prefetched.len() as u64);
-    for &t in &resp.prefetched {
-        words(t).into_iter().for_each(&mut fold);
-    }
-}
-
-/// Shape of one deterministic multi-session zoo replay (the
-/// scheduler on/off A/B substrate `exp_multiuser` runs per workload).
-#[derive(Debug, Clone, Copy)]
-pub struct ZooAbConfig {
-    /// Shared-cache capacity in tiles — keep it *tight* relative to
-    /// `sessions × k`: the A/B's effect is residency under churn.
-    pub cache_capacity: usize,
-    /// Shared-cache shard count.
-    pub shards: usize,
-    /// Private last-n history cache per session.
-    pub history_cache: usize,
-    /// Per-session prefetch budget k.
-    pub k: usize,
-    /// Latency profile for hit/miss accounting.
-    pub profile: fc_core::LatencyProfile,
-    /// Burst-aware scheduling (`None` = the uniform baseline leg).
-    pub burst: Option<BurstConfig>,
-}
-
-impl Default for ZooAbConfig {
-    fn default() -> Self {
-        Self {
-            cache_capacity: 64,
-            shards: 4,
-            history_cache: 4,
-            k: 8,
-            profile: fc_core::LatencyProfile::paper(),
-            burst: None,
-        }
-    }
-}
-
-/// Aggregate outcome of a multi-session zoo replay.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ZooReport {
-    /// Sessions replayed.
-    pub sessions: usize,
-    /// Requests served across sessions.
-    pub requests: usize,
-    /// Cache hits among them.
-    pub hits: usize,
-    /// Hit rate in `[0, 1]`.
-    pub hit_rate: f64,
-    /// Speculative tiles fetched across sessions.
-    pub prefetch_issued: usize,
-    /// Speculative tiles later served as cache hits.
-    pub prefetch_used: usize,
-    /// Useful-prefetch ratio in `[0, 1]` (0 when nothing issued).
-    pub prefetch_efficiency: f64,
-    /// Served requests per traffic phase; all zero with burst off.
-    pub per_traffic: [usize; 3],
-    /// FNV-1a fold of every session's per-response surface, in
-    /// deterministic interleave order.
-    pub fingerprint: u64,
-}
-
-/// Replays `workloads` as concurrent sessions over one shared tile
-/// cache, **deterministically**: sessions advance in lockstep
-/// round-robin on a single thread (session 0 step 0, session 1 step
-/// 0, …, session 0 step 1, …), each charging its own think time to
-/// its own session timeline. Same pyramid + workloads + config ⇒
-/// bit-identical report — the property the A/B legs need so their
-/// delta measures the scheduler, not thread interleaving.
-pub fn run_zoo_shared<F>(
-    pyramid: &std::sync::Arc<fc_tiles::Pyramid>,
+/// Replays `workloads` as concurrent sessions of one dataset through
+/// the lockstep driver ([`run`]): session `i` replays `workloads[i]`
+/// once with its think schedule. The workloads set `sessions`,
+/// `steps_per_session` and `think`; everything else comes from `cfg`.
+/// Same pyramid + workloads + config ⇒ bit-identical report, so an
+/// A/B's delta measures the configuration, not the interleaving.
+pub fn run_crowd<F>(
+    pyramid: &Arc<Pyramid>,
     engine_factory: F,
     workloads: &[Workload],
-    cfg: &ZooAbConfig,
-) -> ZooReport
+    cfg: &RunConfig,
+) -> RunReport
 where
-    F: Fn() -> fc_core::PredictionEngine,
+    F: Fn(&Arc<Pyramid>) -> PredictionEngine,
 {
-    use fc_core::{MultiUserCache, SharedSessionHandle, SharedTileCache};
-    assert!(!workloads.is_empty(), "need at least one workload");
-    let cache: std::sync::Arc<dyn MultiUserCache> = std::sync::Arc::new(
-        SharedTileCache::with_shards(cfg.cache_capacity, cfg.shards.max(1)),
-    );
-    let mut sessions: Vec<Middleware> = workloads
-        .iter()
-        .map(|_| {
-            let mut mw = Middleware::new_shared(
-                engine_factory(),
-                pyramid.clone(),
-                cfg.profile,
-                cfg.history_cache,
-                cfg.k,
-                SharedSessionHandle::open(cache.clone(), None),
-            );
-            mw.set_burst(cfg.burst);
-            mw
-        })
-        .collect();
-
-    let mut fp = FNV_OFFSET;
-    let longest = workloads.iter().map(Workload::len).max().unwrap_or(0);
-    let mut requests = 0usize;
-    let mut hits = 0usize;
-    for step in 0..longest {
-        for (mw, w) in sessions.iter_mut().zip(workloads) {
-            let Some(t) = w.trace.steps.get(step) else {
-                continue;
-            };
-            mw.note_idle(w.think[step]);
-            let mv = if step == 0 { None } else { t.mv };
-            let Some(resp) = mw.request(t.tile, mv) else {
-                continue;
-            };
-            requests += 1;
-            hits += usize::from(resp.cache_hit);
-            fold_response(&mut fp, t.tile, &resp);
-        }
-    }
-
-    let mut prefetch_issued = 0usize;
-    let mut prefetch_used = 0usize;
-    let mut per_traffic = [0usize; 3];
-    for mw in &sessions {
-        let s = mw.stats();
-        prefetch_issued += s.prefetch_issued;
-        prefetch_used += s.prefetch_used;
-        for (sum, n) in per_traffic.iter_mut().zip(s.per_traffic) {
-            *sum += n;
-        }
-    }
-    ZooReport {
-        sessions: sessions.len(),
-        requests,
-        hits,
-        hit_rate: if requests == 0 {
-            0.0
-        } else {
-            hits as f64 / requests as f64
+    let traces: Vec<Trace> = workloads.iter().map(|w| w.trace.clone()).collect();
+    let cfg = RunConfig {
+        base: MultiUserConfig {
+            sessions: workloads.len(),
+            steps_per_session: workloads.iter().map(Workload::len).max().unwrap_or(0),
+            ..cfg.base.clone()
         },
-        prefetch_issued,
-        prefetch_used,
-        prefetch_efficiency: if prefetch_issued == 0 {
-            0.0
-        } else {
-            prefetch_used as f64 / prefetch_issued as f64
-        },
-        per_traffic,
-        fingerprint: fp,
-    }
+        think: workloads.iter().map(|w| w.think.clone()).collect(),
+        ..cfg.clone()
+    };
+    run(&[("zoo", pyramid, &traces)], engine_factory, &cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fc_core::BurstTracker;
+    use fc_core::{BurstConfig, BurstTracker};
 
     fn geometry() -> Geometry {
         Geometry::new(3, 128, 128, 16, 16)
@@ -879,6 +750,25 @@ mod tests {
             crowd[0].trace.steps[0].tile, crowd[1].trace.steps[0].tile,
             "sessions should approach from different origins"
         );
+    }
+
+    /// Deepest level 2×2: too small for either generator's shape.
+    fn tiny() -> Geometry {
+        Geometry::new(2, 64, 64, 32, 32)
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "revisit-loop needs a deepest level at least 3 tiles wide and 2 tall"
+    )]
+    fn revisit_loop_refuses_a_tiny_geometry() {
+        revisit_loop(tiny(), 16, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "zoom-dive needs more than one tile at its survey level L0")]
+    fn zoom_dive_refuses_a_tiny_geometry() {
+        zoom_dive(tiny(), 16, 1, 0);
     }
 
     #[test]

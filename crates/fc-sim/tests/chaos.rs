@@ -10,8 +10,9 @@ use fc_core::{
     PredictionEngine, RetryPolicy, SbConfig, SbRecommender,
 };
 use fc_sim::multiuser::{hotspot_workload, synthetic_workload, CacheImpl, MultiUserConfig};
-use fc_sim::{assert_invariants, run_chaos, ChaosConfig};
-use fc_tiles::{Geometry, Move, Pyramid, PyramidBuilder, PyramidConfig, TileId};
+use fc_sim::trace::Trace;
+use fc_sim::{assert_invariants, Faults, RunConfig, RunReport};
+use fc_tiles::{Move, Pyramid, PyramidBuilder, PyramidConfig, TileId};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -64,22 +65,25 @@ fn pyramid() -> Arc<Pyramid> {
     Arc::new(p)
 }
 
-fn factory(g: Geometry) -> impl Fn() -> PredictionEngine + Sync {
-    move || {
-        let r = Move::PanRight.index() as u16;
-        let traces: Vec<Vec<u16>> = vec![vec![r; 10]];
-        let refs: Vec<&[u16]> = traces.iter().map(|t| t.as_slice()).collect();
-        PredictionEngine::new(
-            g,
-            AbRecommender::train(refs, 3),
-            SbRecommender::new(SbConfig::single(SignatureKind::Hist1D)),
-            PhaseSource::Heuristic,
-            EngineConfig {
-                strategy: AllocationStrategy::Updated,
-                ..EngineConfig::default()
-            },
-        )
-    }
+fn engine(p: &Arc<Pyramid>) -> PredictionEngine {
+    let r = Move::PanRight.index() as u16;
+    let traces: Vec<Vec<u16>> = vec![vec![r; 10]];
+    let refs: Vec<&[u16]> = traces.iter().map(|t| t.as_slice()).collect();
+    PredictionEngine::new(
+        p.geometry(),
+        AbRecommender::train(refs, 3),
+        SbRecommender::new(SbConfig::single(SignatureKind::Hist1D)),
+        PhaseSource::Heuristic,
+        EngineConfig {
+            strategy: AllocationStrategy::Updated,
+            ..EngineConfig::default()
+        },
+    )
+}
+
+/// One lockstep run of `traces` over `p`.
+fn run(p: &Arc<Pyramid>, traces: &[Trace], cfg: &RunConfig) -> RunReport {
+    fc_sim::run(&[("chaos", p, traces)], engine, cfg)
 }
 
 #[test]
@@ -87,20 +91,21 @@ fn chaos_quiet_plan_is_faultless() {
     let p = pyramid();
     let g = p.geometry();
     let traces = synthetic_workload(g, 2, 24, 6);
-    let cfg = ChaosConfig {
+    let cfg = RunConfig {
         base: MultiUserConfig {
             sessions: 2,
             steps_per_session: 24,
             cache_capacity: 32,
             ..MultiUserConfig::default()
         },
-        plan: Arc::new(FaultPlan::quiet(1)),
-        retry: RetryPolicy::default(),
-        fault_window: (0, u64::MAX),
-        burst: None,
-        think: Vec::new(),
+        faults: Some(Faults {
+            plan: Arc::new(FaultPlan::quiet(1)),
+            retry: RetryPolicy::default(),
+            window: (0, u64::MAX),
+        }),
+        ..RunConfig::default()
     };
-    let r = run_chaos(&p, factory(g), &traces, &cfg);
+    let r = run(&p, &traces, &cfg);
     assert_invariants(&r);
     assert_eq!(r.attempts, 2 * 24);
     assert_eq!(r.served, r.attempts, "a quiet plan serves everything");
@@ -118,30 +123,34 @@ fn chaos_backend_brownout_recovers() {
     let p = pyramid();
     let g = p.geometry();
     let traces = synthetic_workload(g, 4, 40, 6);
-    let cfg = ChaosConfig {
+    let cfg = RunConfig {
         base: MultiUserConfig {
             sessions: 4,
             steps_per_session: 40,
             cache_capacity: 32,
             ..MultiUserConfig::default()
         },
-        plan: Arc::new(FaultPlan::brownout(7, 8, 20)),
-        retry: RetryPolicy::default(),
-        fault_window: (8, 20),
-        burst: None,
-        think: Vec::new(),
+        faults: Some(Faults {
+            plan: Arc::new(FaultPlan::brownout(7, 8, 20)),
+            retry: RetryPolicy::default(),
+            window: (8, 20),
+        }),
+        ..RunConfig::default()
     };
-    let r = run_chaos(&p, factory(g), &traces, &cfg);
+    let r = run(&p, &traces, &cfg);
     assert_invariants(&r);
     assert_eq!(r.attempts, 4 * 40, "every session drained its steps");
     // The scheduler check bites under faults: at k = 4 under `Updated`
     // only Sensemaking requests rank SB, so the job count sits strictly
     // inside the predicted requests, and a report one job short is
     // refused.
-    let jobs = r.scheduler.expect("batch_predicts is the default").jobs;
+    let jobs = r.namespaces[0]
+        .scheduler
+        .expect("batch_predicts is the default")
+        .jobs;
     assert!(0 < jobs && jobs < (r.served - r.degraded) as u64, "{r:?}");
     let mut short = r.clone();
-    short.scheduler.as_mut().unwrap().jobs -= 1;
+    short.namespaces[0].scheduler.as_mut().unwrap().jobs -= 1;
     assert!(std::panic::catch_unwind(|| assert_invariants(&short)).is_err());
     // Outside the window the plan is quiet: clean serving only.
     assert_eq!(r.before.failures + r.before.degraded, 0, "{:?}", r.before);
@@ -163,7 +172,7 @@ fn chaos_flash_crowd_error_burst_is_contained() {
     let p = pyramid();
     let g = p.geometry();
     let traces = hotspot_workload(g, 6, 48, 2);
-    let cfg = ChaosConfig {
+    let cfg = RunConfig {
         base: MultiUserConfig {
             sessions: 6,
             steps_per_session: 48,
@@ -173,13 +182,14 @@ fn chaos_flash_crowd_error_burst_is_contained() {
             cache: CacheImpl::Sharded { shards: 4 },
             ..MultiUserConfig::default()
         },
-        plan: Arc::new(error_burst(11, 10, 26)),
-        retry: RetryPolicy::default(),
-        fault_window: (10, 26),
-        burst: None,
-        think: Vec::new(),
+        faults: Some(Faults {
+            plan: Arc::new(error_burst(11, 10, 26)),
+            retry: RetryPolicy::default(),
+            window: (10, 26),
+        }),
+        ..RunConfig::default()
     };
-    let r = run_chaos(&p, factory(g), &traces, &cfg);
+    let r = run(&p, &traces, &cfg);
     assert_invariants(&r);
     assert_eq!(r.attempts, 6 * 48);
     // The burst must actually bite…
@@ -192,7 +202,7 @@ fn chaos_flash_crowd_error_burst_is_contained() {
     assert_eq!(r.before.failures + r.before.degraded, 0, "{:?}", r.before);
     assert_eq!(r.after.failures + r.after.degraded, 0, "{:?}", r.after);
     // and the coalescing scheduler keeps draining under it.
-    let sched = r.scheduler.expect("batching on");
+    let sched = r.namespaces[0].scheduler.expect("batching on");
     assert!(sched.jobs > 0);
 }
 
@@ -204,20 +214,21 @@ fn chaos_degraded_backend_stays_mostly_served() {
     let p = pyramid();
     let g = p.geometry();
     let traces = synthetic_workload(g, 4, 32, 5);
-    let cfg = ChaosConfig {
+    let cfg = RunConfig {
         base: MultiUserConfig {
             sessions: 4,
             steps_per_session: 32,
             cache_capacity: 32,
             ..MultiUserConfig::default()
         },
-        plan: Arc::new(degraded_backend(3)),
-        retry: RetryPolicy::default(),
-        fault_window: (0, u64::MAX),
-        burst: None,
-        think: Vec::new(),
+        faults: Some(Faults {
+            plan: Arc::new(degraded_backend(3)),
+            retry: RetryPolicy::default(),
+            window: (0, u64::MAX),
+        }),
+        ..RunConfig::default()
     };
-    let r = run_chaos(&p, factory(g), &traces, &cfg);
+    let r = run(&p, &traces, &cfg);
     assert_invariants(&r);
     assert_eq!(r.attempts, 4 * 32);
     // Everything lands in the (unbounded) window bucket.
@@ -232,40 +243,69 @@ fn chaos_degraded_backend_stays_mostly_served() {
     );
 }
 
-/// One session, batching off: the whole replay — fault decisions,
-/// retries, degraded replies, cache contents — is a pure function of
-/// the (plan, trace) pair and replays bit-identically.
+/// Eight sessions, batching on, a brownout: the whole replay — fault
+/// decisions, retries, degraded replies, shared-cache contention,
+/// every reply's surface — is a pure function of the (plan, traces)
+/// pair under the lockstep driver and replays bit-identically. Only
+/// the two wall-clock predict percentiles may differ.
 #[test]
-fn chaos_single_session_replay_is_deterministic() {
-    let p = pyramid();
-    let g = p.geometry();
-    let traces = synthetic_workload(g, 1, 36, 5);
-    let cfg = ChaosConfig {
+fn chaos_multi_session_replay_is_deterministic() {
+    let traces = synthetic_workload(pyramid().geometry(), 8, 36, 5);
+    let cfg = RunConfig {
         base: MultiUserConfig {
-            sessions: 1,
+            sessions: 8,
             steps_per_session: 36,
             cache_capacity: 16,
-            batch_predicts: false,
+            cache: CacheImpl::Sharded { shards: 4 },
+            batch_predicts: true,
             ..MultiUserConfig::default()
         },
-        plan: Arc::new(FaultPlan::brownout(23, 6, 18)),
-        retry: RetryPolicy::default(),
-        fault_window: (6, 18),
-        burst: None,
-        think: Vec::new(),
+        faults: Some(Faults {
+            plan: Arc::new(FaultPlan::brownout(23, 6, 18)),
+            retry: RetryPolicy::default(),
+            window: (6, 18),
+        }),
+        ..RunConfig::default()
     };
-    let a = run_chaos(&p, factory(g), &traces, &cfg);
-    let b = run_chaos(&pyramid(), factory(g), &traces, &cfg);
+    let simulated = |r: RunReport| RunReport {
+        predict_p50: Duration::ZERO,
+        predict_p99: Duration::ZERO,
+        ..r
+    };
+    let a = run(&pyramid(), &traces, &cfg);
+    let b = run(&pyramid(), &traces, &cfg);
     assert_invariants(&a);
-    assert_eq!(a.before, b.before);
-    assert_eq!(a.during, b.during);
-    assert_eq!(a.after, b.after);
-    assert_eq!(a.retries, b.retries);
-    assert_eq!(a.max_resident, b.max_resident);
-    assert_eq!(
-        (a.served, a.degraded, a.failures),
-        (b.served, b.degraded, b.failures)
-    );
+    assert!(a.retries > 0 && a.during.attempts > 0, "{a:?}");
+    assert_eq!(simulated(a), simulated(b));
+}
+
+/// A brownout on real threads: the sessions meet on the shared tile
+/// cache's and pair cache's locks for real, every invariant holds, and
+/// the run drains (no session wedges on the shared pair cache). The
+/// threaded loop samples no residency; the lockstep tests check it.
+#[test]
+fn chaos_threaded_brownout_holds_invariants() {
+    let p = pyramid();
+    let traces = synthetic_workload(p.geometry(), 8, 40, 6);
+    let cfg = RunConfig {
+        base: MultiUserConfig {
+            sessions: 8,
+            steps_per_session: 40,
+            cache_capacity: 32,
+            cache: CacheImpl::Sharded { shards: 4 },
+            ..MultiUserConfig::default()
+        },
+        faults: Some(Faults {
+            plan: Arc::new(FaultPlan::brownout(7, 8, 20)),
+            retry: RetryPolicy::default(),
+            window: (8, 20),
+        }),
+        ..RunConfig::default()
+    };
+    let r = fc_sim::run_threaded(&[("chaos", &p, &traces[..])], engine, &cfg);
+    assert_invariants(&r);
+    assert_eq!(r.attempts, 8 * 40, "every session drained its steps");
+    assert!(r.namespaces[0].scheduler.expect("batching on").jobs > 0);
 }
 
 /// The deepest corner tile is reachable only through faulted fetches
@@ -295,7 +335,7 @@ fn chaos_window_serves_ancestors_not_errors_when_resident() {
         task: 0,
         steps,
     };
-    let cfg = ChaosConfig {
+    let cfg = RunConfig {
         base: MultiUserConfig {
             sessions: 1,
             steps_per_session: 12,
@@ -306,24 +346,25 @@ fn chaos_window_serves_ancestors_not_errors_when_resident() {
         },
         // Request 0 (the root warm-up) is clean; every fetch after it
         // fails until the retry budget exhausts.
-        plan: Arc::new(FaultPlan::windowed(
-            5,
-            fc_core::FaultWindow {
-                from: 1,
-                until: u64::MAX,
-                rates: fc_core::FaultRates {
-                    transient_per_mille: 1000,
-                    transient_first_attempts: u32::MAX,
-                    ..fc_core::FaultRates::default()
+        faults: Some(Faults {
+            plan: Arc::new(FaultPlan::windowed(
+                5,
+                fc_core::FaultWindow {
+                    from: 1,
+                    until: u64::MAX,
+                    rates: fc_core::FaultRates {
+                        transient_per_mille: 1000,
+                        transient_first_attempts: u32::MAX,
+                        ..fc_core::FaultRates::default()
+                    },
                 },
-            },
-        )),
-        retry: RetryPolicy::default(),
-        fault_window: (1, u64::MAX),
-        burst: None,
-        think: Vec::new(),
+            )),
+            retry: RetryPolicy::default(),
+            window: (1, u64::MAX),
+        }),
+        ..RunConfig::default()
     };
-    let r = run_chaos(&p, factory(g), &[trace], &cfg);
+    let r = run(&p, &[trace], &cfg);
     assert_invariants(&r);
     assert_eq!(r.attempts, 12);
     assert_eq!(r.before.served, 1, "the warm-up request is clean");

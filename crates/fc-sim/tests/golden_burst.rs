@@ -16,7 +16,7 @@
 //! (4 sessions × 256 steps, capacity 64 / 4 shards, k = 4, seed 77, the
 //! same geometry, signatures and engine, so the counts equal
 //! `BENCH_multiuser.json`'s `workload_zoo` rows) are pinned by value:
-//! the shared-mode `run_zoo_shared` report with burst scheduling off
+//! the shared-mode `run_crowd` report with burst scheduling off
 //! (the A/B's uniform leg) and with `BurstConfig::default()`, the
 //! private-mode `replay_workload` fingerprint with the default config,
 //! and the shared-mode report with momentum and the auto sweep
@@ -30,8 +30,10 @@ use fc_core::{
     SharedTileCache,
 };
 use fc_sim::multiuser::synthetic_workload;
+use fc_sim::multiuser::{CacheImpl, MultiUserConfig};
 use fc_sim::trace::Trace;
-use fc_sim::zoo::{self, replay_workload, run_zoo_shared, ZooAbConfig, ZooReport, ZOO_NAMES};
+use fc_sim::zoo::{self, replay_workload, run_crowd, ZOO_NAMES};
+use fc_sim::{RunConfig, RunReport};
 use fc_tiles::{Move, Pyramid, PyramidBuilder, PyramidConfig};
 use std::sync::Arc;
 
@@ -251,8 +253,8 @@ fn zoo_engine(p: &Arc<Pyramid>) -> PredictionEngine {
     )
 }
 
-/// What one shared zoo run is pinned to: the `ZooReport` integers and
-/// its fingerprint.
+/// What one shared zoo run is pinned to: the report's hit and prefetch
+/// counts, its traffic occupancy and its fingerprint.
 #[derive(Debug, PartialEq, Eq)]
 struct ZooPin {
     hits: usize,
@@ -262,10 +264,10 @@ struct ZooPin {
     fingerprint: u64,
 }
 
-impl From<ZooReport> for ZooPin {
-    fn from(r: ZooReport) -> Self {
+impl From<RunReport> for ZooPin {
+    fn from(r: RunReport) -> Self {
         ZooPin {
-            hits: r.hits,
+            hits: r.hits(),
             prefetch_issued: r.prefetch_issued,
             prefetch_used: r.prefetch_used,
             per_traffic: r.per_traffic,
@@ -276,14 +278,18 @@ impl From<ZooReport> for ZooPin {
 
 fn zoo_shared(p: &Arc<Pyramid>, name: &str, burst: Option<BurstConfig>) -> ZooPin {
     let workloads = zoo::crowd(name, p.geometry(), 256, 4, 77);
-    let cfg = ZooAbConfig {
-        cache_capacity: 64,
-        shards: 4,
-        k: 4,
+    let cfg = RunConfig {
+        base: MultiUserConfig {
+            cache_capacity: 64,
+            cache: CacheImpl::Sharded { shards: 4 },
+            batch_predicts: false,
+            k: 4,
+            ..MultiUserConfig::default()
+        },
         burst,
-        ..ZooAbConfig::default()
+        ..RunConfig::default()
     };
-    run_zoo_shared(p, || zoo_engine(p), &workloads, &cfg).into()
+    run_crowd(p, zoo_engine, &workloads, &cfg).into()
 }
 
 /// Burst-off, shared mode: the A/B's uniform-budget leg, every zoo

@@ -12,8 +12,8 @@ use fc_core::{
     Middleware, PredictionEngine, RetryPolicy, SbConfig, SbRecommender, TrafficPhase,
 };
 use fc_sim::multiuser::{CacheImpl, MultiUserConfig};
-use fc_sim::zoo::{self, replay_workload, Workload, ZOO_NAMES};
-use fc_sim::{assert_invariants, run_chaos, ChaosConfig};
+use fc_sim::zoo::{self, replay_workload, run_crowd, Workload, ZOO_NAMES};
+use fc_sim::{assert_invariants, Faults, RunConfig};
 use fc_tiles::{Geometry, Move, Pyramid, PyramidBuilder, PyramidConfig};
 use std::sync::Arc;
 
@@ -191,12 +191,12 @@ fn ab_pyramid() -> Arc<Pyramid> {
 /// A per-step model with no momentum signal for horizontal runs: its
 /// AB corpus is vertical survey traces — the realistic cross-task
 /// mismatch the burst scheduler exists for.
-fn cross_task_engine(g: Geometry) -> PredictionEngine {
+fn cross_task_engine(p: &Arc<Pyramid>) -> PredictionEngine {
     let d = Move::PanDown.index() as u16;
     let traces: Vec<Vec<u16>> = vec![vec![d; 10]];
     let refs: Vec<&[u16]> = traces.iter().map(|t| t.as_slice()).collect();
     PredictionEngine::new(
-        g,
+        p.geometry(),
         AbRecommender::train(refs, 3),
         SbRecommender::new(SbConfig::single(SignatureKind::Hist1D)),
         PhaseSource::Heuristic,
@@ -205,6 +205,25 @@ fn cross_task_engine(g: Geometry) -> PredictionEngine {
             ..EngineConfig::default()
         },
     )
+}
+
+/// The A/B shape: a 64-tile shared cache in 4 shards, no shared pair
+/// cache, and a 4-tile uniform budget — wide enough to matter, narrow
+/// enough that the per-step models must actually choose: with no
+/// momentum signal they spend it on same-column lookalikes while the
+/// sprint runs horizontally.
+fn ab_config(burst: Option<BurstConfig>) -> RunConfig {
+    RunConfig {
+        base: MultiUserConfig {
+            cache_capacity: 64,
+            cache: CacheImpl::Sharded { shards: 4 },
+            batch_predicts: false,
+            k: 4,
+            ..MultiUserConfig::default()
+        },
+        burst,
+        ..RunConfig::default()
+    }
 }
 
 /// The multi-session A/B harness is deterministic (single-threaded
@@ -231,42 +250,31 @@ fn scheduler_ab_wins_on_sprint_and_revisit_workloads() {
     let g = p.geometry();
     for name in ["bursty-pan-sprint", "revisit-loop"] {
         let workloads = zoo::crowd(name, g, 256, 4, 77);
-        let mk = |burst| fc_sim::zoo::ZooAbConfig {
-            cache_capacity: 64,
-            shards: 4,
-            // A 4-tile uniform budget: wide enough to matter, narrow
-            // enough that the per-step models must actually choose —
-            // with no momentum signal they spend it on same-column
-            // lookalikes while the sprint runs horizontally.
-            k: 4,
-            burst,
-            ..Default::default()
-        };
-        let off = fc_sim::zoo::run_zoo_shared(&p, || cross_task_engine(g), &workloads, &mk(None));
-        let off2 = fc_sim::zoo::run_zoo_shared(&p, || cross_task_engine(g), &workloads, &mk(None));
-        assert_eq!(off, off2, "{name}: A/B legs must be deterministic");
-        let on = fc_sim::zoo::run_zoo_shared(
-            &p,
-            || cross_task_engine(g),
-            &workloads,
-            &mk(Some(BurstConfig::default())),
+        let leg = |burst| run_crowd(&p, cross_task_engine, &workloads, &ab_config(burst));
+        let off = leg(None);
+        let off2 = leg(None);
+        assert_eq!(
+            (off.fingerprint, off.hits(), off.prefetch_used),
+            (off2.fingerprint, off2.hits(), off2.prefetch_used),
+            "{name}: A/B legs must be deterministic"
         );
-        assert_eq!(off.requests, on.requests, "{name}: same served work");
+        let on = leg(Some(BurstConfig::default()));
+        assert_eq!(off.served, on.served, "{name}: same served work");
         assert!(
-            on.hit_rate > off.hit_rate,
+            on.hit_rate() > off.hit_rate(),
             "{name}: hit rate must improve: off {:.3} vs on {:.3}",
-            off.hit_rate,
-            on.hit_rate
+            off.hit_rate(),
+            on.hit_rate()
         );
         assert!(
-            on.prefetch_efficiency > off.prefetch_efficiency,
+            on.prefetch_efficiency() > off.prefetch_efficiency(),
             "{name}: useful-prefetch ratio must improve: off {:.3} vs on {:.3}",
-            off.prefetch_efficiency,
-            on.prefetch_efficiency
+            off.prefetch_efficiency(),
+            on.prefetch_efficiency()
         );
         assert_eq!(
             on.per_traffic.iter().sum::<usize>(),
-            on.requests,
+            on.served,
             "{name}: traffic accounting balances"
         );
     }
@@ -285,53 +293,37 @@ fn auto_mode_recovers_sweeps_to_off_parity() {
     let g = p.geometry();
     for name in ["spiral-sweep", "grid-sweep"] {
         let workloads = zoo::crowd(name, g, 256, 4, 77);
-        let mk = |burst| fc_sim::zoo::ZooAbConfig {
-            cache_capacity: 64,
-            shards: 4,
-            k: 4,
-            burst,
-            ..Default::default()
-        };
-        let off = fc_sim::zoo::run_zoo_shared(&p, || cross_task_engine(g), &workloads, &mk(None));
-        let on = fc_sim::zoo::run_zoo_shared(
-            &p,
-            || cross_task_engine(g),
-            &workloads,
-            &mk(Some(BurstConfig::default())),
-        );
-        let legacy = fc_sim::zoo::run_zoo_shared(
-            &p,
-            || cross_task_engine(g),
-            &workloads,
-            &mk(Some(BurstConfig {
-                momentum: false,
-                auto_window: 0,
-                ..BurstConfig::default()
-            })),
-        );
+        let leg = |burst| run_crowd(&p, cross_task_engine, &workloads, &ab_config(burst));
+        let off = leg(None);
+        let on = leg(Some(BurstConfig::default()));
+        let legacy = leg(Some(BurstConfig {
+            momentum: false,
+            auto_window: 0,
+            ..BurstConfig::default()
+        }));
         // The blind spot: reactive-only bursts with no quiet windows
         // collapse the hit rate (measured: spiral 0.82→0.16, grid
         // 0.93→0.16 at this shape).
         assert!(
-            legacy.hit_rate < off.hit_rate - 0.3,
+            legacy.hit_rate() < off.hit_rate() - 0.3,
             "{name}: expected the legacy scheduler to collapse on sweeps \
              (the blind spot this test guards): off {:.3} vs legacy {:.3}",
-            off.hit_rate,
-            legacy.hit_rate
+            off.hit_rate(),
+            legacy.hit_rate()
         );
         // The recovery: defaults hold both metrics to off-parity
         // (within noise — spiral actually beats off on both).
         assert!(
-            on.hit_rate >= off.hit_rate - 0.02,
+            on.hit_rate() >= off.hit_rate() - 0.02,
             "{name}: sweep must recover to off-parity hit rate: off {:.3} vs on {:.3}",
-            off.hit_rate,
-            on.hit_rate
+            off.hit_rate(),
+            on.hit_rate()
         );
         assert!(
-            on.prefetch_efficiency >= off.prefetch_efficiency - 0.02,
+            on.prefetch_efficiency() >= off.prefetch_efficiency() - 0.02,
             "{name}: sweep must recover to off-parity efficiency: off {:.3} vs on {:.3}",
-            off.prefetch_efficiency,
-            on.prefetch_efficiency
+            off.prefetch_efficiency(),
+            on.prefetch_efficiency()
         );
     }
 }
@@ -346,23 +338,21 @@ fn flash_crowd_brownout_with_burst_scheduler_holds_invariants() {
     let p = pyramid();
     let g = p.geometry();
     let crowd: Vec<Workload> = zoo::crowd("flash-crowd", g, 48, 4, 1337);
-    let traces = crowd.iter().map(|w| w.trace.clone()).collect::<Vec<_>>();
-    let think = crowd.iter().map(|w| w.think.clone()).collect::<Vec<_>>();
-    let cfg = ChaosConfig {
+    let cfg = RunConfig {
         base: MultiUserConfig {
-            sessions: 4,
-            steps_per_session: 48,
             cache_capacity: 32,
             cache: CacheImpl::Sharded { shards: 4 },
             ..MultiUserConfig::default()
         },
-        plan: Arc::new(FaultPlan::brownout(21, 10, 28)),
-        retry: RetryPolicy::default(),
-        fault_window: (10, 28),
+        faults: Some(Faults {
+            plan: Arc::new(FaultPlan::brownout(21, 10, 28)),
+            retry: RetryPolicy::default(),
+            window: (10, 28),
+        }),
         burst: Some(BurstConfig::default()),
-        think,
+        ..RunConfig::default()
     };
-    let r = run_chaos(&p, move || engine(g), &traces, &cfg);
+    let r = run_crowd(&p, |p| engine(p.geometry()), &crowd, &cfg);
     assert_invariants(&r);
     assert!(r.burst_active);
     assert_eq!(r.attempts, 4 * 48);
