@@ -30,7 +30,7 @@ pub enum AggFn {
 /// addition is not associative): pushing the same values in the same
 /// order as `fold` yields bit-identical results.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AggState {
+pub(crate) struct AggState {
     /// Present values folded so far.
     pub n: u64,
     /// Running sum.
@@ -49,7 +49,7 @@ impl Default for AggState {
 
 impl AggState {
     /// The identity accumulator (no values folded).
-    pub const EMPTY: Self = Self {
+    pub(crate) const EMPTY: Self = Self {
         n: 0,
         sum: 0.0,
         min: f64::INFINITY,
@@ -60,7 +60,7 @@ impl AggState {
     /// NaN values poison `sum` but are ignored by `min`/`max` (IEEE
     /// `minNum`/`maxNum` semantics of `f64::min`/`f64::max`).
     #[inline(always)]
-    pub fn push(&mut self, v: f64) {
+    pub(crate) fn push(&mut self, v: f64) {
         self.n += 1;
         self.sum += v;
         self.min = self.min.min(v);
@@ -70,7 +70,7 @@ impl AggState {
     /// Finishes into the given aggregate; `None` when no values were
     /// folded (the output cell stays empty).
     #[inline]
-    pub fn finish(&self, f: AggFn) -> Option<f64> {
+    pub(crate) fn finish(&self, f: AggFn) -> Option<f64> {
         if self.n == 0 {
             return None;
         }

@@ -15,12 +15,12 @@ pub struct BitVec {
 
 impl BitVec {
     /// Creates an empty bit vector.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Creates a bit vector of `len` bits, all set to `value`.
-    pub fn filled(len: usize, value: bool) -> Self {
+    pub(crate) fn filled(len: usize, value: bool) -> Self {
         let word = if value { u64::MAX } else { 0 };
         let nwords = len.div_ceil(64);
         let mut v = Self {
@@ -32,13 +32,8 @@ impl BitVec {
     }
 
     /// Number of bits stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the vector holds zero bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Returns the bit at `idx`.
@@ -56,7 +51,7 @@ impl BitVec {
     /// # Panics
     /// Panics if `idx >= len`.
     #[inline]
-    pub fn set(&mut self, idx: usize, value: bool) {
+    pub(crate) fn set(&mut self, idx: usize, value: bool) {
         assert!(idx < self.len, "bit index {idx} out of range {}", self.len);
         let (w, b) = (idx / 64, idx % 64);
         if value {
@@ -67,7 +62,7 @@ impl BitVec {
     }
 
     /// Appends a bit.
-    pub fn push(&mut self, value: bool) {
+    pub(crate) fn push(&mut self, value: bool) {
         if self.len.is_multiple_of(64) {
             self.words.push(0);
         }
@@ -84,7 +79,7 @@ impl BitVec {
     }
 
     /// Whether every bit is set.
-    pub fn all(&self) -> bool {
+    pub(crate) fn all(&self) -> bool {
         self.count_ones() == self.len
     }
 
@@ -95,7 +90,7 @@ impl BitVec {
     ///
     /// # Panics
     /// Panics if `hi > len` or `lo > hi`.
-    pub fn all_set_in(&self, lo: usize, hi: usize) -> bool {
+    pub(crate) fn all_set_in(&self, lo: usize, hi: usize) -> bool {
         assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of range");
         if lo == hi {
             return true;
@@ -123,7 +118,7 @@ impl BitVec {
     ///
     /// # Panics
     /// Panics if `hi > len` or `lo > hi`.
-    pub fn set_range(&mut self, lo: usize, hi: usize, value: bool) {
+    pub(crate) fn set_range(&mut self, lo: usize, hi: usize, value: bool) {
         assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of range");
         if lo == hi {
             return;
@@ -181,7 +176,7 @@ impl BitVec {
 
     /// Approximate heap footprint in bytes (used by the simulated disk to
     /// charge transfer time).
-    pub fn nbytes(&self) -> usize {
+    pub(crate) fn nbytes(&self) -> usize {
         self.words.len() * 8
     }
 

@@ -25,16 +25,16 @@
 
 #![warn(missing_docs)]
 
-pub mod agg;
-pub mod bitvec;
-pub mod database;
-pub mod dense;
-pub mod error;
-pub mod ops;
-pub mod schema;
-pub mod storage;
+mod agg;
+mod bitvec;
+mod database;
+mod dense;
+mod error;
+mod ops;
+mod schema;
+mod storage;
 
-pub use agg::{AggFn, AggState};
+pub use agg::AggFn;
 pub use bitvec::BitVec;
 pub use database::Database;
 pub use dense::{CellView, DenseArray};

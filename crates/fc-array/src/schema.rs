@@ -188,7 +188,7 @@ impl Schema {
 
     /// True when both schemas have identical dimension names and lengths
     /// (attribute sets may differ) — the precondition for cell-wise `join`.
-    pub fn dims_match(&self, other: &Schema) -> bool {
+    pub(crate) fn dims_match(&self, other: &Schema) -> bool {
         self.dims == other.dims
     }
 }

@@ -194,11 +194,6 @@ impl<K: Eq + Hash + Clone, V: BlobSize> SimDisk<K, V> {
         self.len() == 0
     }
 
-    /// All stored keys (unordered).
-    pub fn keys(&self) -> Vec<K> {
-        self.chunks.lock().keys().cloned().collect()
-    }
-
     /// Snapshot of I/O statistics.
     pub fn stats(&self) -> IoStats {
         *self.stats.lock()

@@ -69,7 +69,7 @@ impl ExpContext {
     }
 
     /// Predictor factory: Momentum baseline.
-    pub fn momentum(&self) -> Box<dyn Predictor> {
+    pub(crate) fn momentum(&self) -> Box<dyn Predictor> {
         Box::new(ModelPredictor::new(
             Box::new(MomentumRecommender),
             self.dataset.pyramid.clone(),
@@ -77,7 +77,7 @@ impl ExpContext {
     }
 
     /// Predictor factory: Hotspot baseline trained on the fold's traces.
-    pub fn hotspot(&self, train: &[&Trace]) -> Box<dyn Predictor> {
+    pub(crate) fn hotspot(&self, train: &[&Trace]) -> Box<dyn Predictor> {
         let tiles: Vec<Vec<fc_tiles::TileId>> = train.iter().map(|t| t.tile_sequence()).collect();
         Box::new(ModelPredictor::new(
             Box::new(HotspotRecommender::train(&tiles, 10, 4)),
@@ -86,7 +86,7 @@ impl ExpContext {
     }
 
     /// Predictor factory: AB (Markov-n) trained on the fold's traces.
-    pub fn ab(&self, train: &[&Trace], order: usize) -> Box<dyn Predictor> {
+    pub(crate) fn ab(&self, train: &[&Trace], order: usize) -> Box<dyn Predictor> {
         Box::new(ModelPredictor::new(
             Box::new(self.ab_model(train, order)),
             self.dataset.pyramid.clone(),
@@ -101,7 +101,7 @@ impl ExpContext {
     }
 
     /// Predictor factory: SB with one signature.
-    pub fn sb_single(&self, kind: SignatureKind) -> Box<dyn Predictor> {
+    pub(crate) fn sb_single(&self, kind: SignatureKind) -> Box<dyn Predictor> {
         Box::new(ModelPredictor::new(
             Box::new(SbRecommender::new(SbConfig::single(kind))),
             self.dataset.pyramid.clone(),
@@ -109,7 +109,7 @@ impl ExpContext {
     }
 
     /// Predictor factory: SB with a custom config.
-    pub fn sb_with(&self, cfg: SbConfig) -> Box<dyn Predictor> {
+    pub(crate) fn sb_with(&self, cfg: SbConfig) -> Box<dyn Predictor> {
         Box::new(ModelPredictor::new(
             Box::new(SbRecommender::new(cfg)),
             self.dataset.pyramid.clone(),
@@ -117,7 +117,7 @@ impl ExpContext {
     }
 
     /// A fold-trained phase classifier, cached by training-user set.
-    pub fn classifier_for_cached(&self, train: &[&Trace]) -> PhaseClassifier {
+    pub(crate) fn classifier_for_cached(&self, train: &[&Trace]) -> PhaseClassifier {
         let mut users: Vec<usize> = train.iter().map(|t| t.user).collect();
         users.sort_unstable();
         users.dedup();
@@ -146,12 +146,12 @@ impl ExpContext {
     /// Predictor factory: the full two-level engine ("hybrid": Markov3
     /// AB plus SIFT SB under the §5.4.3 allocation, phase from a
     /// fold-trained classifier — the configuration of Figs. 10c–13).
-    pub fn hybrid(&self, train: &[&Trace]) -> Box<dyn Predictor> {
+    pub(crate) fn hybrid(&self, train: &[&Trace]) -> Box<dyn Predictor> {
         self.hybrid_with(train, AllocationStrategy::Updated, SignatureKind::Sift)
     }
 
     /// Hybrid with explicit strategy/signature (ablations).
-    pub fn hybrid_with(
+    pub(crate) fn hybrid_with(
         &self,
         train: &[&Trace],
         strategy: AllocationStrategy,

@@ -1,17 +1,17 @@
 //! One module per experiment family; every experiment is a
 //! `fn(&ExpContext) -> String` that returns its printable report.
 
-pub mod ablation;
-pub mod accuracy;
-pub mod classifier;
-pub mod data_model;
-pub mod latency;
-pub mod study_stats;
+pub(crate) mod ablation;
+pub(crate) mod accuracy;
+pub(crate) mod classifier;
+pub(crate) mod data_model;
+pub(crate) mod latency;
+pub(crate) mod study_stats;
 
 use crate::context::ExpContext;
 
 /// An experiment runner: renders one table/figure from the context.
-pub type ExpRunner = fn(&ExpContext) -> String;
+pub(crate) type ExpRunner = fn(&ExpContext) -> String;
 
 /// Every experiment, in the order of the report (docs/BENCHMARKS.md,
 /// "`run_all` → the paper reproduction report"): `(id, runner)`.

@@ -11,7 +11,7 @@ use fc_sim::replay::loocv;
 
 /// Algorithm 3 ablation: drop the Manhattan penalty and/or the physical
 /// distance division and watch SB accuracy move.
-pub fn ablation_sb(ctx: &ExpContext) -> String {
+pub(crate) fn ablation_sb(ctx: &ExpContext) -> String {
     let mut out = banner("Ablation — Algorithm 3 distance terms (SB, all signatures, k = 2)");
     let variants: [(&str, bool, bool); 4] = [
         ("full Algorithm 3", true, true),
@@ -54,7 +54,7 @@ pub fn ablation_sb(ctx: &ExpContext) -> String {
 /// §6.2 extension: automatic signature-weight learning. Compares the SB
 /// recommender with equal weights vs weights learned from the training
 /// folds' standalone accuracies.
-pub fn auto_weights(ctx: &ExpContext) -> String {
+pub(crate) fn auto_weights(ctx: &ExpContext) -> String {
     let mut out = banner("§6.2 extension — automatic signature selection");
     let k = 3usize;
     let equal = loocv(&ctx.study.traces, k, |_| ctx.sb_with(SbConfig::all_equal()));
@@ -92,7 +92,7 @@ pub fn auto_weights(ctx: &ExpContext) -> String {
 
 /// Allocation-strategy ablation: §4.4 original vs §5.4.3 updated vs
 /// single-model engines.
-pub fn ablation_alloc(ctx: &ExpContext) -> String {
+pub(crate) fn ablation_alloc(ctx: &ExpContext) -> String {
     let mut out = banner("Ablation — cache allocation strategies (two-level engine)");
     let strategies = [
         AllocationStrategy::Updated,

@@ -9,10 +9,10 @@ use fc_sim::replay::{loocv, AccuracyReport, Predictor};
 use fc_sim::trace::Trace;
 
 /// The prefetch budgets the paper sweeps ("We varied k from 1 to 8").
-pub const KS: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
+pub(crate) const KS: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 
 /// LOOCV accuracy for one model family across all k.
-pub fn sweep<F>(ctx: &ExpContext, mut factory: F) -> Vec<(usize, AccuracyReport)>
+pub(crate) fn sweep<F>(ctx: &ExpContext, mut factory: F) -> Vec<(usize, AccuracyReport)>
 where
     F: FnMut(&[&Trace]) -> Box<dyn Predictor>,
 {
@@ -22,7 +22,7 @@ where
 }
 
 /// Renders one per-phase accuracy table: columns = models, rows = k.
-pub fn phase_table(
+pub(crate) fn phase_table(
     phase: Option<Phase>,
     names: &[&str],
     sweeps: &[Vec<(usize, AccuracyReport)>],
@@ -49,7 +49,7 @@ pub fn phase_table(
 }
 
 /// §5.4.2: Markov chain order sweep (n = 2 … 10).
-pub fn markov_sweep(ctx: &ExpContext) -> String {
+pub(crate) fn markov_sweep(ctx: &ExpContext) -> String {
     let mut out = banner("§5.4.2 — AB model history-length sweep (Markov2 … Markov10)");
     let mut rows = Vec::new();
     let mut accs = Vec::new();
@@ -73,7 +73,7 @@ pub fn markov_sweep(ctx: &ExpContext) -> String {
 }
 
 /// Fig. 10a: AB (Markov3) vs Momentum vs Hotspot, per phase, k = 1..8.
-pub fn fig10a(ctx: &ExpContext) -> String {
+pub(crate) fn fig10a(ctx: &ExpContext) -> String {
     let mut out = banner("Figure 10a — AB model vs existing techniques, per phase");
     let ab = sweep(ctx, |train| ctx.ab(train, 3));
     let momentum = sweep(ctx, |_| ctx.momentum());
@@ -100,7 +100,7 @@ pub fn fig10a(ctx: &ExpContext) -> String {
 }
 
 /// Fig. 10b: the four signatures, per phase, k = 1..8.
-pub fn fig10b(ctx: &ExpContext) -> String {
+pub(crate) fn fig10b(ctx: &ExpContext) -> String {
     let mut out = banner("Figure 10b — SB signature accuracy, per phase");
     let sweeps: Vec<Vec<(usize, AccuracyReport)>> = SIGNATURE_KINDS
         .iter()
@@ -129,7 +129,7 @@ pub fn fig10b(ctx: &ExpContext) -> String {
 }
 
 /// Fig. 10c: the final two-level engine vs its best individual models.
-pub fn fig10c(ctx: &ExpContext) -> String {
+pub(crate) fn fig10c(ctx: &ExpContext) -> String {
     let mut out = banner("Figure 10c — final engine (hybrid) vs best individual models");
     let hybrid = sweep(ctx, |train| ctx.hybrid(train));
     let ab = sweep(ctx, |train| ctx.ab(train, 3));
@@ -164,7 +164,7 @@ pub fn fig10c(ctx: &ExpContext) -> String {
 }
 
 /// Fig. 11: the hybrid engine vs Momentum and Hotspot, per phase.
-pub fn fig11(ctx: &ExpContext) -> String {
+pub(crate) fn fig11(ctx: &ExpContext) -> String {
     let mut out = banner("Figure 11 — hybrid vs existing techniques, per phase");
     let hybrid = sweep(ctx, |train| ctx.hybrid(train));
     let momentum = sweep(ctx, |_| ctx.momentum());

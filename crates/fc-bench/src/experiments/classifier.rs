@@ -36,7 +36,7 @@ fn loocv_features(ctx: &ExpContext, columns: &[usize]) -> (f64, f64) {
 }
 
 /// Table 1: single-feature SVM accuracies for the phase classifier.
-pub fn table1(ctx: &ExpContext) -> String {
+pub(crate) fn table1(ctx: &ExpContext) -> String {
     let mut out = banner("Table 1 — input features for the SVM phase classifier");
     let paper = [0.676, 0.692, 0.696, 0.580, 0.556, 0.448];
     let mut rows = Vec::new();
@@ -55,7 +55,7 @@ pub fn table1(ctx: &ExpContext) -> String {
 }
 
 /// §5.4.1: the full six-feature classifier's cross-validated accuracy.
-pub fn phase_acc(ctx: &ExpContext) -> String {
+pub(crate) fn phase_acc(ctx: &ExpContext) -> String {
     let mut out = banner("§5.4.1 — predicting the current analysis phase");
     let all: Vec<usize> = (0..NUM_FEATURES).collect();
     let (a, best) = loocv_features(ctx, &all);

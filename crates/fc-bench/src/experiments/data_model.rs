@@ -10,7 +10,7 @@ use fc_tiles::TileId;
 
 /// Fig. 3 + Fig. 4: a 16×16 array aggregated with parameters (2,2) to
 /// 8×8, then partitioned with tiling parameters (4,4) into four tiles.
-pub fn fig3_4(_ctx: &ExpContext) -> String {
+pub(crate) fn fig3_4(_ctx: &ExpContext) -> String {
     let mut out = banner("Figure 3/4 — aggregation & tiling worked example");
     let schema = Schema::grid2d("RAW", 16, 16, &["v"]).expect("schema");
     let raw = DenseArray::from_vec(schema, (0..256).map(f64::from).collect()).expect("raw 16x16");
@@ -45,7 +45,7 @@ pub fn fig3_4(_ctx: &ExpContext) -> String {
 
 /// Table 2: the four signatures, demonstrated by comparing a snowy ROI
 /// tile against (a) its snowy neighbour and (b) a distant snow-free tile.
-pub fn table2(ctx: &ExpContext) -> String {
+pub(crate) fn table2(ctx: &ExpContext) -> String {
     let mut out = banner("Table 2 — tile signatures and what they discriminate");
     let g = ctx.dataset.pyramid.geometry();
     let store = ctx.dataset.pyramid.store();

@@ -31,7 +31,7 @@ fn simulated_avg_ms(outcomes: &[ReplayOutcome], profile: LatencyProfile, seed: u
 
 /// Fig. 12: average response time vs prefetch accuracy for all models and
 /// fetch sizes, with the linear fit.
-pub fn fig12(ctx: &ExpContext) -> String {
+pub(crate) fn fig12(ctx: &ExpContext) -> String {
     let mut out = banner("Figure 12 — response time vs prefetch accuracy (all models × k)");
     let profile = LatencyProfile::paper();
     let mut xs = Vec::new();
@@ -107,7 +107,7 @@ pub fn fig12(ctx: &ExpContext) -> String {
 
 /// Fig. 13: average prefetching response times for hybrid / Momentum /
 /// Hotspot across k, against the no-prefetch baseline.
-pub fn fig13(ctx: &ExpContext) -> String {
+pub(crate) fn fig13(ctx: &ExpContext) -> String {
     let mut out = banner("Figure 13 — average response times (hybrid vs existing techniques)");
     let profile = LatencyProfile::paper();
     let hybrid = sweep(ctx, |train| ctx.hybrid(train));
@@ -180,7 +180,7 @@ pub fn fig13(ctx: &ExpContext) -> String {
 
 /// §5.5 headline numbers: 430% over no-prefetch, 88% over existing
 /// prefetchers, 25% better Navigation accuracy.
-pub fn headline(ctx: &ExpContext) -> String {
+pub(crate) fn headline(ctx: &ExpContext) -> String {
     let mut out = banner("§5.5 headline — ForeCache vs baselines at k = 5");
     let profile = LatencyProfile::paper();
     let k = 5usize;

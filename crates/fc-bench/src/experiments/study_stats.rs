@@ -6,7 +6,7 @@ use crate::fmt::{banner, pct, table};
 
 /// Fig. 8a/8b (+ 8c–e): distribution of moves and phases per task, and
 /// per-user move distributions.
-pub fn fig8(ctx: &ExpContext) -> String {
+pub(crate) fn fig8(ctx: &ExpContext) -> String {
     let mut out = banner("Figure 8 — distribution of moves and phases");
     let study = &ctx.study;
 
@@ -90,7 +90,7 @@ fn avg_len(ctx: &ExpContext, task: usize) -> f64 {
 
 /// Fig. 9: change in zoom level per request for study participant 2,
 /// task 2.
-pub fn fig9(ctx: &ExpContext) -> String {
+pub(crate) fn fig9(ctx: &ExpContext) -> String {
     let mut out = banner("Figure 9 — zoom level per request (participant 2, task 2)");
     let trace = ctx
         .study

@@ -1,7 +1,7 @@
 //! Plain-text table formatting shared by the experiment binaries.
 
 /// Renders a table: header row + data rows, columns padded to content.
-pub fn table(header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn table(header: &[&str], rows: &[Vec<String>]) -> String {
     let ncols = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -34,22 +34,17 @@ pub fn table(header: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Formats a fraction as a percentage with one decimal.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
 /// Formats a fraction as a bare 3-decimal accuracy (paper style).
-pub fn acc(x: f64) -> String {
+pub(crate) fn acc(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Formats a duration in milliseconds with one decimal.
-pub fn ms(d: std::time::Duration) -> String {
-    format!("{:.1}", d.as_secs_f64() * 1e3)
-}
-
 /// A section banner.
-pub fn banner(title: &str) -> String {
+pub(crate) fn banner(title: &str) -> String {
     format!("\n=== {title} ===\n")
 }
 
@@ -77,7 +72,6 @@ mod tests {
     fn formatters() {
         assert_eq!(pct(0.825), "82.5%");
         assert_eq!(acc(0.8254), "0.825");
-        assert_eq!(ms(std::time::Duration::from_micros(19500)), "19.5");
         assert!(banner("X").contains("=== X ==="));
     }
 }

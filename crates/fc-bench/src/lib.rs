@@ -14,7 +14,7 @@
 
 pub mod context;
 pub mod experiments;
-pub mod fmt;
+mod fmt;
 pub mod seed_baseline;
 
 pub use context::ExpContext;

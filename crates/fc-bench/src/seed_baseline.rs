@@ -17,7 +17,7 @@
 //!   stack: nested-loop Gaussian blur and gradients, per-patch
 //!   `sqrt`/`atan2`/`exp` descriptor pooling recomputed for SIFT and
 //!   denseSIFT separately, and a scalar-`nearest` k-means
-//!   ([`SeedKMeans`]). All of it is pinned here verbatim so the baseline
+//!   (`SeedKMeans`). All of it is pinned here verbatim so the baseline
 //!   keeps the seed's cost even though the live pipeline now runs on the
 //!   `fc-simd` kernel layer with a shared per-tile gradient field.
 //! * **tile wire codec** — the seed encoded/decoded every `f64` through
@@ -547,13 +547,13 @@ fn seed_sift_descriptors(img: &GrayImage, cfg: &SignatureConfig) -> Vec<Vec<f64>
 
 /// The seed's k-means (fc-ml at the seed commit), verbatim: scalar
 /// `nearest` in both the Lloyd assignment and histogram quantization.
-pub struct SeedKMeans {
+pub(crate) struct SeedKMeans {
     centroids: Vec<Vec<f64>>,
 }
 
 impl SeedKMeans {
     /// The seed's `KMeans::fit`, verbatim.
-    pub fn fit(data: &[Vec<f64>], k: usize, max_iters: usize, seed: u64) -> Self {
+    pub(crate) fn fit(data: &[Vec<f64>], k: usize, max_iters: usize, seed: u64) -> Self {
         assert!(!data.is_empty(), "k-means needs data");
         assert!(k > 0, "k must be positive");
         let dim = data[0].len();
@@ -622,7 +622,7 @@ impl SeedKMeans {
     }
 
     /// The seed's `KMeans::histogram`, verbatim.
-    pub fn histogram(&self, points: &[Vec<f64>]) -> Vec<f64> {
+    pub(crate) fn histogram(&self, points: &[Vec<f64>]) -> Vec<f64> {
         let mut h = vec![0.0f64; self.centroids.len()];
         for p in points {
             h[seed_nearest(&self.centroids, p).0] += 1.0;
@@ -652,14 +652,14 @@ fn seed_nearest(centroids: &[Vec<f64>], p: &[f64]) -> (usize, f64) {
     best
 }
 
-/// The seed's `Vocabulary`, verbatim (over [`SeedKMeans`]).
+/// The seed's `Vocabulary`, verbatim (over `SeedKMeans`).
 pub struct SeedVocabulary {
     codebook: SeedKMeans,
 }
 
 impl SeedVocabulary {
     /// The seed's `Vocabulary::train`, verbatim.
-    pub fn train(corpus: &[Vec<f64>], k: usize, seed: u64) -> Self {
+    pub(crate) fn train(corpus: &[Vec<f64>], k: usize, seed: u64) -> Self {
         assert!(
             !corpus.is_empty(),
             "cannot train a vocabulary on no descriptors"
@@ -670,7 +670,7 @@ impl SeedVocabulary {
     }
 
     /// The seed's `Vocabulary::histogram`, verbatim.
-    pub fn histogram(&self, descriptors: &[Vec<f64>]) -> Vec<f64> {
+    pub(crate) fn histogram(&self, descriptors: &[Vec<f64>]) -> Vec<f64> {
         self.codebook.histogram(descriptors)
     }
 }

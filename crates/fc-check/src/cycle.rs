@@ -46,7 +46,7 @@ impl LockGraph {
     }
 
     /// Records an acquisition site for `node` (shown when reporting).
-    pub fn add_label(&mut self, node: &str, site: &str) {
+    pub(crate) fn add_label(&mut self, node: &str, site: &str) {
         self.labels
             .entry(node.to_string())
             .or_default()
@@ -69,7 +69,7 @@ impl LockGraph {
     /// never alias. Lines are either the shim's four-column form
     /// `#from_id\tfrom_site\t#to_id\tto_site` or a bare `from\tto`
     /// node pair. Blank lines and `//` comments are skipped.
-    pub fn ingest_tsv(&mut self, text: &str, ns: &str) {
+    pub(crate) fn ingest_tsv(&mut self, text: &str, ns: &str) {
         for line in text.lines() {
             let line = line.trim();
             if line.is_empty() || line.starts_with("//") {

@@ -13,10 +13,14 @@
 //! | `no-print`       | library `src/` (fc-bench and bins exempt) | no `println!`/`eprintln!`/`dbg!` in libraries |
 //! | `wire-string`    | fc-server `src/`                        | wire writes go through the bounded-string helper (`wire_str`) |
 //! | `unreferenced-pub` | `pub` items in `crates/fc-*/src`      | every item is named by code outside its definition, `use` lines and tests |
+//! | `crate-local-pub` | `pub fn`/`const`/`static`/`mod` in `crates/fc-*/src` library code | every item is named by some file outside its own library |
 //!
-//! The first six rules read one file at a time; `unreferenced-pub`
-//! reads the whole tree, so it runs as a second pass over every file
-//! [`lint_sources`] is given.
+//! The first six rules read one file at a time; `unreferenced-pub` and
+//! `crate-local-pub` read the whole tree, so they run as one second
+//! pass over every file [`lint_sources`] is given. An item named only
+//! inside its own library is `pub(crate)` in all but name: narrowed,
+//! rustc's `dead_code` lint checks it exactly, which name matching
+//! cannot.
 //!
 //! Every rule honours an explicit inline waiver on the same line or
 //! the line above:
@@ -535,7 +539,8 @@ fn scan_wire_string(ctx: &FileCtx<'_>, out: &mut Vec<Finding>, summary: &mut Lin
 }
 
 /// Lints `(label, source)` pairs as one tree: the per-file rules on
-/// each file, then `unreferenced-pub` across all of them.
+/// each file, then `unreferenced-pub` and `crate-local-pub` across all
+/// of them.
 pub fn lint_sources(files: &[(&str, &str)]) -> (Vec<Finding>, LintSummary) {
     let mut summary = LintSummary {
         files: files.len(),
@@ -611,7 +616,7 @@ fn lint_file(ctx: &FileCtx<'_>, out: &mut Vec<Finding>, summary: &mut LintSummar
 }
 
 // ---------------------------------------------------------------------------
-// unreferenced-pub (whole-tree pass)
+// unreferenced-pub and crate-local-pub (whole-tree pass)
 // ---------------------------------------------------------------------------
 
 /// Index into [`PubIndex::refs`]' counts: where a reference sits.
@@ -629,6 +634,57 @@ fn caller_role(label: &str) -> Option<usize> {
         ["crates", _, "tests", ..] | ["tests", ..] => Some(TEST),
         _ => None,
     }
+}
+
+/// The crate directory of a library source file (`crates/<name>/src`,
+/// binaries excluded): code that is compiled into that library.
+fn library(label: &str) -> Option<&str> {
+    match label.split('/').collect::<Vec<_>>()[..] {
+        ["crates", name, "src", first, ..] if first != "bin" && first != "main.rs" => Some(name),
+        _ => None,
+    }
+}
+
+/// Where an identifier is named: nowhere yet, only in one place, or in
+/// several. A place is one library, or everything outside libraries.
+#[derive(Default, Clone, Copy)]
+enum Seen {
+    #[default]
+    Nowhere,
+    Only(usize),
+    Spread,
+}
+
+impl Seen {
+    fn add(&mut self, place: usize) {
+        *self = match *self {
+            Seen::Nowhere => Seen::Only(place),
+            Seen::Only(p) if p == place => Seen::Only(p),
+            _ => Seen::Spread,
+        };
+    }
+
+    /// Whether some mention sits outside `place`.
+    fn outside(self, place: usize) -> bool {
+        match self {
+            Seen::Nowhere => false,
+            Seen::Only(p) => p != place,
+            Seen::Spread => true,
+        }
+    }
+}
+
+/// How an identifier is named across the tree.
+#[derive(Default)]
+struct Refs {
+    /// Mentions outside `use` declarations, from code ([`CODE`]) and
+    /// from tests ([`TEST`]).
+    counts: [u32; 2],
+    /// Where those mentions sit.
+    named: Seen,
+    /// Where mentions inside `use` declarations sit: a module is named
+    /// by the paths that import through it.
+    imported: Seen,
 }
 
 /// Identifier and one-character punctuation tokens of masked source,
@@ -658,9 +714,15 @@ fn tokens(masked: &str) -> Vec<(usize, &str)> {
     out
 }
 
+/// Whether a token from [`tokens`] is an identifier (or keyword).
+fn is_ident(token: &str) -> bool {
+    token.as_bytes()[0].is_ascii_alphabetic() || token.starts_with('_')
+}
+
 /// If `toks[k]` is the `pub` of a `pub fn`/`struct`/`enum`/`const`/
-/// `static`/`type`/`trait` item, the indices of its keyword and its name.
-/// `pub(crate)`, `pub use`, `pub mod` and `pub` fields are not items here.
+/// `static`/`type`/`trait`/`mod` item, the indices of its keyword and
+/// its name. `pub(crate)`, `pub use` and `pub` fields are not items
+/// here.
 fn pub_item(toks: &[(usize, &str)], k: usize) -> Option<(usize, usize)> {
     let word = |j: usize| toks.get(j).map(|t| t.1);
     let mut j = k + 1;
@@ -668,44 +730,73 @@ fn pub_item(toks: &[(usize, &str)], k: usize) -> Option<(usize, usize)> {
         match word(j)? {
             "unsafe" | "async" | "extern" => j += 1,
             "const" if matches!(word(j + 1)?, "fn" | "unsafe" | "async" | "extern") => j += 1,
-            "fn" | "struct" | "enum" | "const" | "static" | "type" | "trait" => {
+            "fn" | "struct" | "enum" | "const" | "static" | "type" | "trait" | "mod" => {
                 let name = j + 1 + usize::from(word(j + 1)? == "mut");
-                let first = word(name)?.as_bytes()[0];
-                return (first.is_ascii_alphabetic() || first == b'_').then_some((j, name));
+                return is_ident(word(name)?).then_some((j, name));
             }
             _ => return None,
         }
     }
 }
 
-/// A `pub` item that `unreferenced-pub` checks.
+/// A `pub` item that `unreferenced-pub` and `crate-local-pub` check.
 struct PubDef {
     file: usize,
     line: usize,
-    /// `pub fn name`, as the finding quotes it.
-    what: String,
+    /// `fn`, `struct`, `mod`, ….
+    kind: String,
     name: String,
+    /// The [`PubIndex::place`] of the library defining it, or 0 for a
+    /// binary.
+    place: usize,
 }
 
-/// The tree's `pub` items and, per identifier, how often it is named
-/// from code and from tests — built one file at a time, so the tree is
-/// tokenized once however many items it defines.
+/// The tree's `pub` items and, per identifier, how often and where it
+/// is named — built one file at a time, so the tree is tokenized once
+/// however many items it defines.
 #[derive(Default)]
 struct PubIndex {
     defs: Vec<PubDef>,
-    refs: HashMap<String, [u32; 2]>,
+    refs: HashMap<String, Refs>,
+    /// The libraries seen so far; library `libs[i]` is place `i + 1`,
+    /// and place 0 is everything outside libraries.
+    libs: Vec<String>,
 }
 
 impl PubIndex {
+    /// The place of the library `label` belongs to, or 0.
+    fn place(&mut self, label: &str) -> usize {
+        let Some(lib) = library(label) else {
+            return 0;
+        };
+        match self.libs.iter().position(|l| l == lib) {
+            Some(i) => i + 1,
+            None => {
+                self.libs.push(lib.to_string());
+                self.libs.len()
+            }
+        }
+    }
+
+    /// The counts of `word`, created on first sight.
+    fn refs(&mut self, word: &str) -> &mut Refs {
+        if !self.refs.contains_key(word) {
+            self.refs.insert(word.to_string(), Refs::default());
+        }
+        self.refs.get_mut(word).expect("inserted above")
+    }
+
     /// Indexes file number `file`. Items count from `crates/fc-*/src`
     /// outside test regions; references count from the trees
-    /// [`caller_role`] names, except `use` declarations and an item's
-    /// own name at its definition.
+    /// [`caller_role`] names, except an item's own name at its
+    /// definition. Mentions inside `use` declarations count only as
+    /// imports.
     fn add(&mut self, file: usize, ctx: &FileCtx<'_>, masked: &str) {
         let Some(role) = caller_role(ctx.label) else {
             return;
         };
         let defines = ctx.label.starts_with("crates/fc-") && ctx.label.contains("/src/");
+        let place = self.place(ctx.label);
         let toks = tokens(masked);
         let mut k = 0;
         let mut def_name = None;
@@ -715,6 +806,9 @@ impl PubIndex {
             match word {
                 "use" => {
                     while k < toks.len() && toks[k].1 != ";" {
+                        if is_ident(toks[k].1) {
+                            self.refs(toks[k].1).imported.add(place);
+                        }
                         k += 1;
                     }
                 }
@@ -725,23 +819,18 @@ impl PubIndex {
                             self.defs.push(PubDef {
                                 file,
                                 line,
-                                what: format!("pub {} {}", toks[kw].1, toks[name].1),
+                                kind: toks[kw].1.to_string(),
                                 name: toks[name].1.to_string(),
+                                place,
                             });
                         }
                     }
                 }
                 _ if Some(k) == def_name => {}
-                _ if word.as_bytes()[0].is_ascii_alphabetic() || word.starts_with('_') => {
-                    let region = if in_test { TEST } else { CODE };
-                    match self.refs.get_mut(word) {
-                        Some(counts) => counts[region] += 1,
-                        None => {
-                            let mut counts = [0; 2];
-                            counts[region] = 1;
-                            self.refs.insert(word.to_string(), counts);
-                        }
-                    }
+                _ if is_ident(word) => {
+                    let refs = self.refs(word);
+                    refs.counts[if in_test { TEST } else { CODE }] += 1;
+                    refs.named.add(place);
                 }
                 _ => {}
             }
@@ -749,30 +838,43 @@ impl PubIndex {
         }
     }
 
-    /// Emits a finding for every item nothing names from code.
+    /// Emits a finding for every item nothing names from code
+    /// (`unreferenced-pub`), and for every library `fn`, `const`,
+    /// `static` or `mod` that nothing outside its library names
+    /// (`crate-local-pub`). Types and traits are exempt from the second:
+    /// their visibility follows the signatures that expose them, which
+    /// rustc's `private_interfaces` lint checks.
     fn report(&self, ctxs: &[FileCtx<'_>], out: &mut Vec<Finding>, summary: &mut LintSummary) {
+        let none = Refs::default();
         for d in &self.defs {
-            let [code, test] = self.refs.get(&d.name).copied().unwrap_or_default();
-            if code > 0 {
-                continue;
-            }
-            let message = if test == 0 {
-                format!("`{}` has no caller — delete it", d.what)
+            let refs = self.refs.get(&d.name).unwrap_or(&none);
+            let [code, test] = refs.counts;
+            let what = format!("pub {} {}", d.kind, d.name);
+            let (rule, message) = if code == 0 && d.kind != "mod" {
+                let message = if test == 0 {
+                    format!("`{what}` has no caller — delete it")
+                } else {
+                    format!(
+                        "`{what}` is called only from tests — delete it, move it into the one \
+                         test file that uses it, or waive it with a reason"
+                    )
+                };
+                ("unreferenced-pub", message)
+            } else if d.place > 0
+                && matches!(&d.kind[..], "fn" | "const" | "static" | "mod")
+                && !refs.named.outside(d.place)
+                && !(d.kind == "mod" && refs.imported.outside(d.place))
+            {
+                let message = format!(
+                    "`{what}` is named only inside its own crate — narrow it to \
+                     `pub(crate)` (a `pub mod` in `lib.rs` to `mod`), so rustc's \
+                     `dead_code` lint checks it"
+                );
+                ("crate-local-pub", message)
             } else {
-                format!(
-                    "`{}` is called only from tests — delete it, move it into the one \
-                     test file that uses it, or waive it with a reason",
-                    d.what
-                )
+                continue;
             };
-            emit(
-                out,
-                summary,
-                &ctxs[d.file],
-                "unreferenced-pub",
-                d.line,
-                message,
-            );
+            emit(out, summary, &ctxs[d.file], rule, d.line, message);
         }
     }
 }

@@ -255,10 +255,11 @@ const LIB: &str = "crates/fc-x/src/lib.rs";
 
 #[test]
 fn uncalled_pub_fn_is_flagged() {
-    let f = lint_source(
-        LIB,
-        "pub fn lonely() {}\npub fn used() {}\nfn main() { used(); }\n",
-    );
+    let f = lint_sources(&[
+        (LIB, "pub fn lonely() {}\npub fn used() {}\n"),
+        ("crates/fc-y/src/lib.rs", "fn f() { fc_x::used(); }\n"),
+    ])
+    .0;
     assert_eq!(rules(&f), ["unreferenced-pub"]);
     assert_eq!(f[0].line, 1);
     assert!(
@@ -328,5 +329,98 @@ fn unreferenced_pub_waivers_need_a_reason() {
     let waived = "// fc-check: allow(unreferenced-pub) -- reference oracle for the golden tests\npub fn oracle() {}\n";
     assert!(lint_source(LIB, waived).is_empty());
     let bare = "pub fn oracle() {} // fc-check: allow(unreferenced-pub)\n";
+    assert_eq!(rules(&lint_source(LIB, bare)), ["bad-waiver"]);
+}
+
+// -------------------------------------------------------------------------
+// crate-local-pub
+// -------------------------------------------------------------------------
+
+/// The tree's findings for `crate-local-pub`, as `(file, line)`.
+fn crate_local(files: &[(&str, &str)]) -> Vec<(String, usize)> {
+    lint_sources(files)
+        .0
+        .into_iter()
+        .filter(|f| f.rule == "crate-local-pub")
+        .map(|f| (f.file, f.line))
+        .collect()
+}
+
+#[test]
+fn pub_items_named_only_inside_their_library_are_flagged() {
+    let src = "pub fn helper() {}\npub mod inner;\npub const LIMIT: usize = 1;\n\
+               pub static NAME: &str = \"x\";\n\
+               fn f() -> usize { helper(); inner::g(); LIMIT + NAME.len() }\n";
+    let f = lint_source(LIB, src);
+    assert_eq!(rules(&f), ["crate-local-pub"; 4]);
+    assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [1, 2, 3, 4]);
+    assert!(
+        f[0].message
+            .contains("`pub fn helper` is named only inside its own crate"),
+        "{}",
+        f[0].message
+    );
+}
+
+#[test]
+fn names_from_tests_benches_bins_and_other_crates_count() {
+    for caller in [
+        "crates/fc-x/tests/t.rs",
+        "crates/fc-x/benches/micro.rs",
+        "crates/fc-x/src/bin/tool.rs",
+        "crates/fc-x/src/main.rs",
+        "crates/fc-y/src/lib.rs",
+        "benchmark/src/sut.rs",
+    ] {
+        let files = [
+            (LIB, "pub fn helper() {}\nfn f() { helper(); }\n"),
+            (caller, "fn main() { fc_x::helper(); }\n"),
+        ];
+        let f = lint_sources(&files).0;
+        assert!(f.is_empty(), "{caller} should count: {f:?}");
+    }
+}
+
+#[test]
+fn types_and_traits_named_only_inside_their_library_are_exempt() {
+    let src = "pub struct Thing;\npub enum Kind { A }\npub trait Act {}\npub type Id = u8;\n\
+               fn f(_: Thing, _: Kind, _: &dyn Act, _: Id) {}\n";
+    assert!(lint_source(LIB, src).is_empty());
+}
+
+#[test]
+fn a_use_line_alone_is_not_a_use() {
+    // Neither the library's own re-export nor another crate's import
+    // names `helper`; only calls do.
+    let files = [
+        ("crates/fc-x/src/a.rs", "pub fn helper() {}\n"),
+        (LIB, "mod a;\npub use a::helper;\nfn f() { helper(); }\n"),
+        ("crates/fc-y/src/lib.rs", "pub use fc_x::helper;\n"),
+    ];
+    assert_eq!(
+        crate_local(&files),
+        [("crates/fc-x/src/a.rs".to_string(), 1)]
+    );
+    // A module, though, is named by the paths that import through it.
+    let files = [
+        ("crates/fc-x/src/a.rs", "pub struct Thing;\n"),
+        (LIB, "pub mod a;\n"),
+        (
+            "crates/fc-y/src/lib.rs",
+            "use fc_x::a::Thing;\nfn f(_: Thing) {}\n",
+        ),
+    ];
+    assert!(crate_local(&files).is_empty());
+}
+
+#[test]
+fn crate_local_pub_waivers_need_a_reason() {
+    let waived =
+        "// fc-check: allow(crate-local-pub) -- kept public for a caller outside the tree\n\
+                  pub fn helper() {}\nfn f() { helper(); }\n";
+    let (f, summary) = lint_sources(&[(LIB, waived)]);
+    assert!(f.is_empty(), "{f:?}");
+    assert_eq!(summary.waivers_used, 1);
+    let bare = "pub fn helper() {} // fc-check: allow(crate-local-pub)\nfn f() { helper(); }\n";
     assert_eq!(rules(&lint_source(LIB, bare)), ["bad-waiver"]);
 }

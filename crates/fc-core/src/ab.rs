@@ -236,7 +236,7 @@ impl AbRecommender {
     }
 
     /// Context length of the underlying chain.
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.trained.chain.order()
     }
 

@@ -13,7 +13,7 @@
 //! * AB-only / SB-only for the ablation benches.
 //!
 //! The module also hosts the **cross-session hotspot prior**
-//! ([`HotspotBlend`], [`boost_toward_hotspots`]): in multi-user mode
+//! ([`HotspotBlend`], `boost_toward_hotspots`): in multi-user mode
 //! the engine can re-rank each model's candidate list toward the
 //! communal hotspots the shared cache's popularity sketch discovered
 //! online — the same toward-hotspot boost the Doshi-et-al. Hotspot
@@ -99,7 +99,7 @@ impl Default for HotspotBlend {
 
 impl HotspotBlend {
     /// Whether the prior applies in `phase`.
-    pub fn applies_in(&self, phase: Phase) -> bool {
+    pub(crate) fn applies_in(&self, phase: Phase) -> bool {
         self.phases[phase.index()]
     }
 }
@@ -116,7 +116,7 @@ impl HotspotBlend {
 /// the top-N, and a zero-distance "nearest hotspot" would silence the
 /// pull of every real neighbour exactly when the user sits on a
 /// popular path.
-pub fn boost_toward_hotspots(
+pub(crate) fn boost_toward_hotspots(
     list: &mut [TileId],
     current: TileId,
     hotspots: &[(TileId, u64)],

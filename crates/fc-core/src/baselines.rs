@@ -19,12 +19,12 @@ pub struct MomentumRecommender;
 
 impl MomentumRecommender {
     /// The probability assigned to the repeat-move tile.
-    pub const REPEAT_PROB: f64 = 0.9;
+    pub(crate) const REPEAT_PROB: f64 = 0.9;
     /// The probability assigned to each other candidate.
-    pub const OTHER_PROB: f64 = 0.0125;
+    pub(crate) const OTHER_PROB: f64 = 0.0125;
 
     /// Scores each candidate under the Momentum distribution.
-    pub fn scores(ctx: &PredictionContext<'_>) -> Vec<(TileId, f64)> {
+    pub(crate) fn scores(ctx: &PredictionContext<'_>) -> Vec<(TileId, f64)> {
         let repeat_target = ctx
             .request
             .mv
@@ -87,13 +87,8 @@ impl HotspotRecommender {
         }
     }
 
-    /// The trained hotspot tiles, most popular first.
-    pub fn hotspots(&self) -> &[TileId] {
-        &self.hotspots
-    }
-
     /// The nearest hotspot within the radius of `tile`, if any.
-    pub fn nearby_hotspot(&self, tile: TileId) -> Option<TileId> {
+    pub(crate) fn nearby_hotspot(&self, tile: TileId) -> Option<TileId> {
         self.hotspots
             .iter()
             .copied()
@@ -225,8 +220,8 @@ mod tests {
             vec![hot, TileId::new(3, 1, 1)],
         ];
         let hs = HotspotRecommender::train(&traces, 2, 3);
-        assert_eq!(hs.hotspots()[0], hot);
-        assert_eq!(hs.hotspots().len(), 2);
+        assert_eq!(hs.hotspots[0], hot);
+        assert_eq!(hs.hotspots.len(), 2);
     }
 
     #[test]

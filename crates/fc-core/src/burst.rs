@@ -84,29 +84,6 @@ impl TrafficPhase {
             TrafficPhase::Idle => 2,
         }
     }
-
-    /// Inverse of [`TrafficPhase::index`].
-    pub fn from_index(i: usize) -> Option<TrafficPhase> {
-        match i {
-            0 => Some(TrafficPhase::Burst),
-            1 => Some(TrafficPhase::Dwell),
-            2 => Some(TrafficPhase::Idle),
-            _ => None,
-        }
-    }
-
-    /// Lower-case name (bench JSON keys).
-    pub fn name(self) -> &'static str {
-        match self {
-            TrafficPhase::Burst => "burst",
-            TrafficPhase::Dwell => "dwell",
-            TrafficPhase::Idle => "idle",
-        }
-    }
-
-    /// All phases, in [`TrafficPhase::index`] order.
-    pub const ALL: [TrafficPhase; 3] =
-        [TrafficPhase::Burst, TrafficPhase::Dwell, TrafficPhase::Idle];
 }
 
 /// Thresholds of the phase state machine, plus the two sweep
@@ -189,7 +166,7 @@ impl BurstConfig {
     /// (`burst_enter ≤ burst_exit ≤ idle_exit ≤ idle_enter`). The
     /// tracker asserts this at construction: a crossed band would make
     /// one gap qualify for two phases at once.
-    pub fn thresholds_ordered(&self) -> bool {
+    pub(crate) fn thresholds_ordered(&self) -> bool {
         self.burst_enter <= self.burst_exit
             && self.burst_exit <= self.idle_exit
             && self.idle_exit <= self.idle_enter
@@ -201,7 +178,7 @@ impl BurstConfig {
     /// counter-cyclical schedule applied to the session's configured
     /// budget `k` — none while bursting, `2k` during dwell, a one-tile
     /// trickle when idle.
-    pub fn speculative_budget(&self, phase: TrafficPhase, k: usize) -> usize {
+    pub(crate) fn speculative_budget(&self, phase: TrafficPhase, k: usize) -> usize {
         match phase {
             TrafficPhase::Burst => BURST_BUDGET,
             TrafficPhase::Dwell => k.saturating_mul(DWELL_BOOST),
@@ -217,8 +194,6 @@ impl BurstConfig {
 pub struct BurstTracker {
     cfg: BurstConfig,
     phase: TrafficPhase,
-    observed: u64,
-    transitions: u64,
     /// Ring of `phase == Burst` verdicts for the last
     /// `cfg.auto_window` requests (empty when auto mode is off).
     window: VecDeque<bool>,
@@ -233,7 +208,7 @@ impl BurstTracker {
     ///
     /// # Panics
     /// If the config's thresholds are not ordered
-    /// ([`BurstConfig::thresholds_ordered`]).
+    /// (`BurstConfig::thresholds_ordered`).
     pub fn new(cfg: BurstConfig) -> Self {
         assert!(
             cfg.thresholds_ordered(),
@@ -242,8 +217,6 @@ impl BurstTracker {
         Self {
             cfg,
             phase: TrafficPhase::Burst,
-            observed: 0,
-            transitions: 0,
             window: VecDeque::with_capacity(cfg.auto_window),
             bursts_in_window: 0,
             sweeping: false,
@@ -255,7 +228,6 @@ impl BurstTracker {
     /// request, which keeps the initial phase). Returns the phase the
     /// request is served under.
     pub fn observe(&mut self, gap: Option<Duration>) -> TrafficPhase {
-        self.observed += 1;
         if let Some(gap) = gap {
             let cfg = &self.cfg;
             let next = match self.phase {
@@ -287,10 +259,7 @@ impl BurstTracker {
                     }
                 }
             };
-            if next != self.phase {
-                self.transitions += 1;
-                self.phase = next;
-            }
+            self.phase = next;
         }
         self.note_phase_for_sweep();
         self.phase
@@ -325,7 +294,7 @@ impl BurstTracker {
     /// Whether the auto detector currently classifies this session as
     /// a pause-free sweep (serve it with the uniform budget). Always
     /// `false` when [`BurstConfig::auto_window`] is 0.
-    pub fn sweeping(&self) -> bool {
+    pub(crate) fn sweeping(&self) -> bool {
         self.sweeping
     }
 
@@ -334,18 +303,8 @@ impl BurstTracker {
         self.phase
     }
 
-    /// Requests observed so far.
-    pub fn observed(&self) -> u64 {
-        self.observed
-    }
-
-    /// Phase transitions so far (a flapping classifier shows here).
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
     /// The thresholds and policy this tracker runs under.
-    pub fn config(&self) -> &BurstConfig {
+    pub(crate) fn config(&self) -> &BurstConfig {
         &self.cfg
     }
 }
@@ -437,11 +396,6 @@ impl BurstPlanner {
             last_move: None,
             recent: VecDeque::new(),
         }
-    }
-
-    /// Back to a fresh session under the same config.
-    pub(crate) fn reset(&mut self) {
-        *self = Self::new(*self.tracker.config());
     }
 
     pub(crate) fn tracker(&self) -> &BurstTracker {
@@ -653,7 +607,6 @@ mod tests {
         let mut t = BurstTracker::new(BurstConfig::default());
         assert_eq!(t.phase(), TrafficPhase::Burst);
         assert_eq!(t.observe(None), TrafficPhase::Burst);
-        assert_eq!(t.transitions(), 0);
     }
 
     #[test]
@@ -664,7 +617,6 @@ mod tests {
         assert_eq!(t.observe(Some(ms(2_000))), TrafficPhase::Dwell);
         assert_eq!(t.observe(Some(ms(60_000))), TrafficPhase::Idle);
         assert_eq!(t.observe(Some(ms(50))), TrafficPhase::Burst);
-        assert_eq!(t.transitions(), 3);
     }
 
     #[test]
@@ -679,7 +631,6 @@ mod tests {
         assert_eq!(t.observe(Some(ms(2_000))), TrafficPhase::Dwell);
         assert_eq!(t.observe(Some(ms(300))), TrafficPhase::Dwell);
         assert_eq!(t.observe(Some(ms(450))), TrafficPhase::Dwell);
-        assert_eq!(t.transitions(), 1, "band gaps caused no transitions");
     }
 
     #[test]
@@ -701,7 +652,7 @@ mod tests {
         assert_eq!(cfg.speculative_budget(TrafficPhase::Dwell, 4), 8);
         assert_eq!(cfg.speculative_budget(TrafficPhase::Idle, 4), 1);
         // Zero k stays zero everywhere.
-        for p in TrafficPhase::ALL {
+        for p in [TrafficPhase::Burst, TrafficPhase::Dwell, TrafficPhase::Idle] {
             assert_eq!(cfg.speculative_budget(p, 0), 0);
         }
     }
@@ -796,10 +747,9 @@ mod tests {
 
     #[test]
     fn index_roundtrip() {
-        for p in TrafficPhase::ALL {
-            assert_eq!(TrafficPhase::from_index(p.index()), Some(p));
-            assert!(!p.name().is_empty());
+        let phases = [TrafficPhase::Burst, TrafficPhase::Dwell, TrafficPhase::Idle];
+        for (i, p) in phases.into_iter().enumerate() {
+            assert_eq!(p.index(), i, "{p:?} indexes its stats slot");
         }
-        assert_eq!(TrafficPhase::from_index(3), None);
     }
 }

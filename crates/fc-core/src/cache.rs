@@ -21,18 +21,6 @@ pub struct CacheStats {
     pub prefetched: usize,
 }
 
-impl CacheStats {
-    /// Hit rate in `[0, 1]`; 0 when no lookups.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The main-memory middleware cache.
 #[derive(Debug)]
 pub struct CacheManager {
@@ -71,7 +59,7 @@ impl CacheManager {
     /// (and the backend) first, then records the outcome once with
     /// [`CacheManager::count_lookup`], so a shared-cache hit is never
     /// booked as a private miss and an unserved request books nothing.
-    pub fn peek(&self, id: TileId) -> Option<Arc<Tile>> {
+    pub(crate) fn peek(&self, id: TileId) -> Option<Arc<Tile>> {
         self.prefetch
             .get(&id)
             .or_else(|| self.resident.get(&id))
@@ -80,7 +68,7 @@ impl CacheManager {
 
     /// Records the outcome of a lookup resolved through
     /// [`CacheManager::peek`] (see there).
-    pub fn count_lookup(&mut self, hit: bool) {
+    pub(crate) fn count_lookup(&mut self, hit: bool) {
         if hit {
             self.stats.hits += 1;
         } else {
@@ -89,7 +77,7 @@ impl CacheManager {
     }
 
     /// Checks residency without touching the stats.
-    pub fn contains(&self, id: TileId) -> bool {
+    pub(crate) fn contains(&self, id: TileId) -> bool {
         self.prefetch.contains_key(&id) || self.resident.contains_key(&id)
     }
 
@@ -137,7 +125,7 @@ impl CacheManager {
     /// a still-predicted tile fetched on an earlier cycle stays
     /// resident until the burst that wants it arrives — the
     /// private-mode analog of the shared cache's hold set.
-    pub fn install_prefetch_keeping(&mut self, tiles: Vec<Arc<Tile>>, keep: &[TileId]) {
+    pub(crate) fn install_prefetch_keeping(&mut self, tiles: Vec<Arc<Tile>>, keep: &[TileId]) {
         let kept: Vec<Arc<Tile>> = keep
             .iter()
             .filter_map(|id| self.prefetch.get(id).cloned())
@@ -148,38 +136,9 @@ impl CacheManager {
         }
     }
 
-    /// Tile count currently resident (history + prefetch, counting
-    /// overlaps once).
-    pub fn len(&self) -> usize {
-        let overlap = self
-            .prefetch
-            .keys()
-            .filter(|id| self.resident.contains_key(id))
-            .count();
-        self.prefetch.len() + self.resident.len() - overlap
-    }
-
-    /// Whether nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.prefetch.is_empty() && self.resident.is_empty()
-    }
-
     /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Resets counters (not contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
-    /// Drops all cached tiles and counters (new session).
-    pub fn clear(&mut self) {
-        self.history.clear();
-        self.prefetch.clear();
-        self.resident.clear();
-        self.stats = CacheStats::default();
     }
 }
 
@@ -207,7 +166,6 @@ mod tests {
         assert!(c.lookup(tid(1)).is_some());
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -218,7 +176,7 @@ mod tests {
         c.note_request(tile(tid(3)));
         assert!(!c.contains(tid(1)));
         assert!(c.contains(tid(2)) && c.contains(tid(3)));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.resident.len(), 2);
     }
 
     #[test]
@@ -241,23 +199,5 @@ mod tests {
         assert!(!c.contains(tid(5)) && !c.contains(tid(6)));
         assert!(c.contains(tid(7)));
         assert_eq!(c.stats().prefetched, 3);
-    }
-
-    #[test]
-    fn len_counts_overlap_once() {
-        let mut c = CacheManager::new(2);
-        c.note_request(tile(tid(1)));
-        c.install_prefetch(vec![tile(tid(1)), tile(tid(2))]);
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut c = CacheManager::new(2);
-        c.note_request(tile(tid(1)));
-        c.lookup(tid(1));
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.stats(), CacheStats::default());
     }
 }

@@ -227,7 +227,7 @@ impl PredictionEngine {
     /// another session's probes. All zero when the call ranked without
     /// a cache (no history yet, metadata-free store) or did not rank SB
     /// at all (the allocation gave it no slot and AB filled the budget).
-    pub fn last_pair_cache(&self) -> PairCacheStats {
+    pub(crate) fn last_pair_cache(&self) -> PairCacheStats {
         self.last_pair_cache
     }
 
@@ -329,13 +329,6 @@ impl PredictionEngine {
     /// paths share one configuration).
     pub fn sb_model(&self) -> &SbRecommender {
         &self.sb
-    }
-
-    /// The SIMD dispatch level the engine's SB hot paths run at
-    /// (resolved at model construction; surfaced so benches and
-    /// diagnostics can report which kernels actually executed).
-    pub fn simd_level(&self) -> fc_simd::SimdLevel {
-        self.sb.simd_level()
     }
 
     /// The session history (read-only).
@@ -666,6 +659,6 @@ mod tests {
         assert_eq!(e.roi(), &[TileId::new(2, 0, 0), TileId::new(2, 0, 1)]);
         e.reset_session();
         assert!(e.roi().is_empty());
-        assert!(e.history().is_empty());
+        assert!(e.history().last().is_none());
     }
 }

@@ -26,12 +26,11 @@
 //! pre-fault code — zero cost by default, enforced by golden tests.
 
 use fc_tiles::TileId;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// One injected fault on a single fetch attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// The fetch succeeds but costs this much extra backend latency.
     LatencySpike(Duration),
     /// The attempt fails with a retryable error.
@@ -108,7 +107,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The backoff charged before retry number `retry` (1-based), with
     /// the plan-seeded jitter for `(tile, request_index)` folded in.
-    pub fn backoff(
+    pub(crate) fn backoff(
         &self,
         plan: &FaultPlan,
         tile: TileId,
@@ -181,18 +180,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Monotonic counters of faults actually injected (relaxed atomics;
-/// approximate under concurrency, exact in single-threaded replays).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Latency spikes injected (primary fetches and prefetches).
-    pub spikes: u64,
-    /// Transient errors injected.
-    pub transients: u64,
-    /// Stuck fetches injected.
-    pub stuck: u64,
-}
-
 /// A seeded, deterministic schedule of backend faults.
 ///
 /// Decisions are keyed by `(tile id, request index, attempt)`, so the
@@ -204,9 +191,6 @@ pub struct FaultPlan {
     seed: u64,
     base: FaultRates,
     window: Option<FaultWindow>,
-    spikes: AtomicU64,
-    transients: AtomicU64,
-    stuck: AtomicU64,
 }
 
 impl FaultPlan {
@@ -216,9 +200,6 @@ impl FaultPlan {
             seed,
             base,
             window: None,
-            spikes: AtomicU64::new(0),
-            transients: AtomicU64::new(0),
-            stuck: AtomicU64::new(0),
         }
     }
 
@@ -272,25 +253,11 @@ impl FaultPlan {
         )
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The rates in effect at `request_index`.
-    pub fn rates_at(&self, request_index: u64) -> FaultRates {
+    pub(crate) fn rates_at(&self, request_index: u64) -> FaultRates {
         match self.window {
             Some(w) if request_index >= w.from && request_index < w.until => w.rates,
             _ => self.base,
-        }
-    }
-
-    /// Counters of faults injected so far.
-    pub fn stats(&self) -> FaultStats {
-        FaultStats {
-            spikes: self.spikes.load(Ordering::Relaxed),
-            transients: self.transients.load(Ordering::Relaxed),
-            stuck: self.stuck.load(Ordering::Relaxed),
         }
     }
 
@@ -310,9 +277,13 @@ impl FaultPlan {
     }
 
     /// The fault (if any) injected into fetch `attempt` (0-based) of
-    /// the request at `request_index` for `tile`. Pure in its inputs;
-    /// records the decision in [`FaultPlan::stats`].
-    pub fn decide(&self, tile: TileId, request_index: u64, attempt: u32) -> Option<FaultKind> {
+    /// the request at `request_index` for `tile`. Pure in its inputs.
+    pub(crate) fn decide(
+        &self,
+        tile: TileId,
+        request_index: u64,
+        attempt: u32,
+    ) -> Option<FaultKind> {
         let rates = self.rates_at(request_index);
         if rates.quiet() {
             return None;
@@ -321,7 +292,6 @@ impl FaultPlan {
             rates.stuck_per_mille,
             self.roll(tile, request_index, attempt, SALT_STUCK),
         ) {
-            self.stuck.fetch_add(1, Ordering::Relaxed);
             return Some(FaultKind::Stuck);
         }
         if attempt < rates.transient_first_attempts
@@ -330,14 +300,12 @@ impl FaultPlan {
                 self.roll(tile, request_index, attempt, SALT_TRANSIENT),
             )
         {
-            self.transients.fetch_add(1, Ordering::Relaxed);
             return Some(FaultKind::Transient);
         }
         if self.hits(
             rates.spike_per_mille,
             self.roll(tile, request_index, attempt, SALT_SPIKE),
         ) {
-            self.spikes.fetch_add(1, Ordering::Relaxed);
             return Some(FaultKind::LatencySpike(rates.spike));
         }
         None
@@ -347,7 +315,7 @@ impl FaultPlan {
     /// by the request at `request_index`. Prefetches are best-effort:
     /// no retries, so transient and stuck both mean "skip this tile";
     /// a spike only makes the background fetch cost more.
-    pub fn decide_prefetch(&self, tile: TileId, request_index: u64) -> Option<FaultKind> {
+    pub(crate) fn decide_prefetch(&self, tile: TileId, request_index: u64) -> Option<FaultKind> {
         let rates = self.rates_at(request_index);
         if rates.quiet() {
             return None;
@@ -356,21 +324,18 @@ impl FaultPlan {
             rates.stuck_per_mille,
             self.roll(tile, request_index, 0, SALT_PREFETCH ^ SALT_STUCK),
         ) {
-            self.stuck.fetch_add(1, Ordering::Relaxed);
             return Some(FaultKind::Stuck);
         }
         if self.hits(
             rates.transient_per_mille,
             self.roll(tile, request_index, 0, SALT_PREFETCH ^ SALT_TRANSIENT),
         ) {
-            self.transients.fetch_add(1, Ordering::Relaxed);
             return Some(FaultKind::Transient);
         }
         if self.hits(
             rates.spike_per_mille,
             self.roll(tile, request_index, 0, SALT_PREFETCH ^ SALT_SPIKE),
         ) {
-            self.spikes.fetch_add(1, Ordering::Relaxed);
             return Some(FaultKind::LatencySpike(rates.spike));
         }
         None
@@ -438,7 +403,6 @@ mod tests {
         for attempt in 0..64 {
             assert_eq!(plan.decide(tile(3), 5, attempt), Some(FaultKind::Transient));
         }
-        assert_eq!(plan.stats().transients, 64);
     }
 
     #[test]
@@ -450,7 +414,6 @@ mod tests {
                 assert_eq!(plan.decide_prefetch(tile(x), req), None);
             }
         }
-        assert_eq!(plan.stats(), FaultStats::default());
     }
 
     #[test]

@@ -70,29 +70,14 @@ impl SessionHistory {
     }
 
     /// Number of stored requests.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.items.len()
-    }
-
-    /// Whether no requests are stored.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Configured capacity (the paper's history-length parameter n).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Oldest-to-newest iteration.
-    pub fn iter(&self) -> impl Iterator<Item = &Request> {
-        self.items.iter()
     }
 
     /// The move sequence (vocabulary ids) of stored requests, oldest to
     /// newest, skipping the initial moveless request — the n-gram model's
     /// context.
-    pub fn move_sequence(&self) -> Vec<u16> {
+    pub(crate) fn move_sequence(&self) -> Vec<u16> {
         self.items
             .iter()
             .filter_map(|r| r.mv.map(|m| m.index() as u16))
@@ -121,10 +106,10 @@ mod tests {
             h.push(Request::new(t(0, 0, i), Some(Move::PanRight)));
         }
         assert_eq!(h.len(), 3);
-        assert_eq!(h.iter().next().unwrap().tile, t(0, 0, 2));
+        assert_eq!(h.items.front().unwrap().tile, t(0, 0, 2));
         assert_eq!(h.last().unwrap().tile, t(0, 0, 4));
         assert_eq!(h.previous().unwrap().tile, t(0, 0, 3));
-        assert_eq!(h.capacity(), 3);
+        assert_eq!(h.capacity, 3);
     }
 
     #[test]
@@ -146,9 +131,9 @@ mod tests {
     fn clear_resets() {
         let mut h = SessionHistory::new(2);
         h.push(Request::initial(t(0, 0, 0)));
-        assert!(!h.is_empty());
+        assert!(!h.items.is_empty());
         h.clear();
-        assert!(h.is_empty());
+        assert!(h.items.is_empty());
         assert!(h.last().is_none());
         assert!(h.previous().is_none());
     }

@@ -6,11 +6,11 @@
 //!
 //! * Top level: an SVM classifier over Table-1 features predicts the
 //!   user's current **analysis phase** — Foraging, Navigation, or
-//!   Sensemaking ([`phase`], [`features`]).
+//!   Sensemaking (`phase`, `features`).
 //! * Bottom level: per-phase **recommendation models** run in parallel —
 //!   the Action-Based Markov model ([`ab`]) and the Signature-Based
 //!   visual-similarity model ([`sb`], Algorithm 3) — plus the Momentum
-//!   and Hotspot baselines from Doshi et al. ([`baselines`]).
+//!   and Hotspot baselines from Doshi et al. (`baselines`).
 //! * The [`engine::PredictionEngine`] combines both levels through a
 //!   cache [`alloc::AllocationStrategy`] (§4.4, updated in §5.4.3).
 //! * The [`cache::CacheManager`] holds the last *n* requested tiles plus
@@ -28,54 +28,51 @@
 //!   namespaces, and each namespace's eviction-surviving popularity
 //!   sketch feeds a [`multiuser::SharedHotspotModel`] — epoch-stamped
 //!   communal hotspot snapshots blended into candidate ranking
-//!   ([`alloc::boost_toward_hotspots`], opt-in via
+//!   (`alloc::boost_toward_hotspots`, opt-in via
 //!   [`engine::EngineConfig::hotspot`]).
 
 #![warn(missing_docs)]
 
 pub mod ab;
 pub mod alloc;
-pub mod baselines;
+mod baselines;
 pub mod batch;
-pub mod burst;
-pub mod cache;
+mod burst;
+mod cache;
 pub mod engine;
-pub mod fault;
-pub mod features;
-pub mod history;
-pub mod latency;
-pub mod middleware;
+mod fault;
+mod features;
+mod history;
+mod latency;
+mod middleware;
 pub mod multiuser;
 pub mod paircache;
-pub mod phase;
-pub mod push;
-pub mod recommender;
-pub mod roi;
+mod phase;
+mod push;
+mod recommender;
+mod roi;
 pub mod sb;
 pub mod signature;
 mod slots;
 
 pub use ab::AbRecommender;
-pub use alloc::{boost_toward_hotspots, AllocationStrategy, HotspotBlend};
+pub use alloc::{AllocationStrategy, HotspotBlend};
 pub use baselines::{HotspotRecommender, MomentumRecommender};
 pub use batch::{BatchConfig, PredictScheduler, SchedulerStats};
 pub use burst::{BurstConfig, BurstTracker, TrafficPhase};
 pub use cache::{CacheManager, CacheStats};
 pub use engine::{EngineConfig, PredictOptions, PredictionEngine};
-pub use fault::{
-    FaultKind, FaultPlan, FaultRates, FaultStats, FaultWindow, FetchError, RetryPolicy,
-};
+pub use fault::{FaultPlan, FaultRates, FaultWindow, FetchError, RetryPolicy};
 pub use fc_simd::SimdLevel;
 pub use features::{phase_features, FEATURE_NAMES, NUM_FEATURES};
 pub use history::{Request, SessionHistory};
 pub use latency::LatencyProfile;
 pub use middleware::{Middleware, MiddlewareStats, Response, SharedSessionHandle};
 pub use multiuser::{
-    DatasetNamespace, DatasetRegistry, HotspotConfig, HotspotSnapshot, HotspotView, MultiUserCache,
-    RegistryConfig, SessionId, SharedCacheStats, SharedHotspotModel, SharedTileCache,
-    SingleMutexTileCache,
+    DatasetNamespace, DatasetRegistry, HotspotConfig, MultiUserCache, RegistryConfig, SessionId,
+    SharedCacheStats, SharedHotspotModel, SharedTileCache, SingleMutexTileCache,
 };
-pub use paircache::{PairCache, PairCacheStats};
+pub use paircache::PairCache;
 pub use phase::{Phase, PhaseClassifier};
 pub use push::{PushConfig, PushPlanner, PushPolicy, PushStats};
 pub use recommender::{PredictionContext, Recommender};

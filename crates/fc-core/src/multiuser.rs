@@ -64,7 +64,7 @@
 //! sketch (a capped, periodically-halved count map) updated on every
 //! lookup and fresh install; [`MultiUserCache::hot`] ranks it. A [`SharedHotspotModel`]
 //! periodically snapshots the top-N into an epoch-stamped list that
-//! sessions read lock-free in steady state (see [`HotspotView`]) and
+//! sessions read lock-free in steady state (see `HotspotView`) and
 //! blend into candidate ranking (`alloc::boost_toward_hotspots`,
 //! gated per phase by `EngineConfig::hotspot`).
 
@@ -107,18 +107,6 @@ pub struct SharedCacheStats {
     pub cross_session_hits: usize,
     /// Evictions performed.
     pub evictions: usize,
-}
-
-impl SharedCacheStats {
-    /// Overall hit rate.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// Lock-free statistics counters shared by both cache implementations.
@@ -634,7 +622,7 @@ impl MultiUserCache for SingleMutexTileCache {
 
 /// Default shard count for [`SharedTileCache::new`] (clamped down to
 /// the largest power of two ≤ capacity so every shard owns ≥ 1 slot).
-pub const DEFAULT_SHARDS: usize = 16;
+pub(crate) const DEFAULT_SHARDS: usize = 16;
 
 /// The shard count a dynamically-striped cache gets for `capacity`:
 /// the largest power of two ≤ min([`DEFAULT_SHARDS`], `capacity`).
@@ -718,7 +706,7 @@ impl std::fmt::Debug for SharedTileCache {
 
 impl SharedTileCache {
     /// Creates a cache holding at most `capacity` tiles in total,
-    /// striped over [`DEFAULT_SHARDS`] shards (fewer when `capacity`
+    /// striped over `DEFAULT_SHARDS` shards (fewer when `capacity`
     /// is small, so no shard has zero slots).
     ///
     /// # Panics
@@ -763,7 +751,7 @@ impl SharedTileCache {
     }
 
     /// The configured shard count.
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
@@ -793,11 +781,6 @@ impl SharedTileCache {
                 list.push(id);
             }
         }
-    }
-
-    /// Total capacity in tiles.
-    pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
     }
 
     /// The sessions currently holding resident tile `id`, or `None`
@@ -1053,7 +1036,7 @@ pub struct HotspotConfig {
     /// Hotspots kept per snapshot (the top-N of the sketch).
     pub top_n: usize,
     /// Requests between snapshot refreshes (each session's request
-    /// ticks the model once; see [`SharedHotspotModel::observe`]).
+    /// ticks the model once; see `SharedHotspotModel::observe`).
     pub refresh_every: u64,
 }
 
@@ -1084,7 +1067,7 @@ pub struct HotspotSnapshot {
 /// ([`MultiUserCache::hot`]) into an epoch-stamped [`HotspotSnapshot`].
 ///
 /// **Readers are lock-free in steady state**: a session keeps a
-/// [`HotspotView`] whose `current` does one atomic epoch load per
+/// `HotspotView` whose `current` does one atomic epoch load per
 /// predict and only touches the snapshot mutex when the model has
 /// published a new epoch (every [`HotspotConfig::refresh_every`]
 /// requests). Writers (refresh) swap the `Arc` under a mutex that is
@@ -1118,18 +1101,13 @@ impl SharedHotspotModel {
         }
     }
 
-    /// The model configuration.
-    pub fn config(&self) -> HotspotConfig {
-        self.cfg
-    }
-
     /// Epoch of the current snapshot (one atomic load).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
     /// The current snapshot (cheap `Arc` clone under the snapshot
-    /// mutex; sessions should go through a [`HotspotView`] instead so
+    /// mutex; sessions should go through a `HotspotView` instead so
     /// steady state skips the lock).
     pub fn snapshot(&self) -> Arc<HotspotSnapshot> {
         self.snap.lock().clone()
@@ -1138,7 +1116,7 @@ impl SharedHotspotModel {
     /// Counts one request against the refresh cadence; every
     /// `refresh_every`-th call rebuilds the snapshot from `cache`'s
     /// sketch. Call once per served request (any session).
-    pub fn observe(&self, cache: &dyn MultiUserCache) {
+    pub(crate) fn observe(&self, cache: &dyn MultiUserCache) {
         let t = self.ticks.fetch_add(1, Ordering::Relaxed) + 1;
         if t.is_multiple_of(self.cfg.refresh_every) {
             self.refresh(cache);
@@ -1162,14 +1140,14 @@ impl SharedHotspotModel {
 /// state costs one atomic epoch compare; the snapshot mutex is taken
 /// only on publication boundaries.
 #[derive(Debug, Clone, Default)]
-pub struct HotspotView {
+pub(crate) struct HotspotView {
     cached: Arc<HotspotSnapshot>,
 }
 
 impl HotspotView {
     /// The freshest snapshot, refreshing the cached `Arc` only when
     /// `model` has published a new epoch.
-    pub fn current(&mut self, model: &SharedHotspotModel) -> &Arc<HotspotSnapshot> {
+    pub(crate) fn current(&mut self, model: &SharedHotspotModel) -> &Arc<HotspotSnapshot> {
         if self.cached.epoch != model.epoch() {
             self.cached = model.snapshot();
         }
@@ -1215,11 +1193,6 @@ pub struct DatasetNamespace {
 }
 
 impl DatasetNamespace {
-    /// The dataset name this namespace serves.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The namespace's tile cache (its capacity is managed by the
     /// registry's repartitioning; don't `set_capacity` it directly).
     pub fn cache(&self) -> &Arc<SharedTileCache> {
@@ -1256,39 +1229,6 @@ impl DatasetRegistry {
             cfg,
             namespaces: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The global tile budget.
-    pub fn budget(&self) -> usize {
-        self.cfg.budget
-    }
-
-    /// Number of attached namespaces.
-    pub fn len(&self) -> usize {
-        self.namespaces.lock().len()
-    }
-
-    /// Whether no dataset is attached.
-    pub fn is_empty(&self) -> bool {
-        self.namespaces.lock().is_empty()
-    }
-
-    /// Attached dataset names, in attach order.
-    pub fn names(&self) -> Vec<String> {
-        self.namespaces
-            .lock()
-            .iter()
-            .map(|ns| ns.name.clone())
-            .collect()
-    }
-
-    /// The namespace serving `name`, if attached.
-    pub fn get(&self, name: &str) -> Option<Arc<DatasetNamespace>> {
-        self.namespaces
-            .lock()
-            .iter()
-            .find(|ns| ns.name == name)
-            .cloned()
     }
 
     /// Opens (or returns the existing) namespace for `name`,
@@ -1670,9 +1610,19 @@ mod tests {
 
     /// Per-namespace capacities, in attach order.
     fn capacities(r: &DatasetRegistry) -> Vec<usize> {
-        r.names()
+        r.namespaces
+            .lock()
             .iter()
-            .map(|n| r.get(n).unwrap().cache().capacity())
+            .map(|ns| ns.cache.capacity())
+            .collect()
+    }
+
+    /// Attached dataset names, in attach order.
+    fn names(r: &DatasetRegistry) -> Vec<String> {
+        r.namespaces
+            .lock()
+            .iter()
+            .map(|ns| ns.name.clone())
             .collect()
     }
 
@@ -1683,7 +1633,7 @@ mod tests {
             shards: 1,
             hotspots: HotspotConfig::default(),
         });
-        assert!(r.is_empty());
+        assert!(names(&r).is_empty());
         let a = r.attach("a");
         assert_eq!(a.cache().capacity(), 10, "sole namespace owns the budget");
         let b = r.attach("b");
@@ -1695,10 +1645,7 @@ mod tests {
         assert_eq!(caps.iter().sum::<usize>(), 10, "exact partition");
         // Attach is idempotent: same namespace back, no repartition.
         assert!(Arc::ptr_eq(&a, &r.attach("a")));
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.names(), vec!["a", "b", "c"]);
-        assert!(r.get("d").is_none());
-        assert_eq!(r.get("a").unwrap().name(), "a");
+        assert_eq!(names(&r), ["a", "b", "c"]);
     }
 
     #[test]
@@ -1724,8 +1671,11 @@ mod tests {
         let panicked =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r.attach("d"))).is_err();
         assert!(panicked, "a slice below the shard count must be rejected");
-        assert_eq!(r.len(), 3, "rejected namespace must not be attached");
-        assert!(r.get("d").is_none());
+        assert_eq!(
+            names(&r),
+            ["a", "b", "c"],
+            "rejected namespace must not be attached"
+        );
         assert_eq!(
             capacities(&r).iter().sum::<usize>(),
             60,

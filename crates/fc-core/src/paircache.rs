@@ -36,7 +36,7 @@
 //!
 //! The cache is valid for exactly one *domain*: a
 //! `(SignatureIndex::build_id, signature key set)` pair.
-//! Each [`PairCache::begin`] compares the requested domain against the
+//! Each `PairCache::begin` compares the requested domain against the
 //! current one; any difference — a metadata epoch bump rebuilt the
 //! index, the recommender's key set changed —
 //! bumps the cache **generation** instead of clearing the table. Every
@@ -53,8 +53,8 @@
 //! # Sizing: the table follows what it holds
 //!
 //! A table is asked for with a **ceiling** ([`PairCache::new`];
-//! [`PairCache::fit`] takes it from
-//! [`crate::signature::pair_cache_capacity_hint`]) and starts with at
+//! `PairCache::fit` takes it from
+//! `crate::signature::pair_cache_capacity_hint`) and starts with at
 //! most 2¹² slots (256 KiB) of it, so opening a session costs a
 //! request's worth of time rather than a 16 MiB fill. The cache counts
 //! the slots written in the current generation; when an insert takes
@@ -150,16 +150,6 @@ impl PairCacheStats {
             hits: self.hits.saturating_sub(earlier.hits),
             misses: self.misses.saturating_sub(earlier.misses),
             invalidations: self.invalidations.saturating_sub(earlier.invalidations),
-        }
-    }
-
-    /// Hit fraction in `[0, 1]`; zero when no probes happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
         }
     }
 }
@@ -309,7 +299,7 @@ impl PairCache {
     /// generation, with no clearing pass. Only a different ceiling (the
     /// first call on a [`Default`] cache, or an index of another
     /// shape) starts a new table, small and with zeroed counters.
-    pub fn fit(&mut self, index: &SignatureIndex) {
+    pub(crate) fn fit(&mut self, index: &SignatureIndex) {
         let want = crate::signature::pair_cache_capacity_hint(index.keys().len(), index.ntiles());
         if self.ceiling != want {
             *self = Self::new(want);
@@ -341,7 +331,7 @@ impl PairCache {
     /// is *disabled* until the next `begin`: probes miss, inserts and
     /// the hit/miss counters are no-ops, and the fill computes every
     /// pair.
-    pub fn begin(&mut self, index: &SignatureIndex, keys: &[MetaKey]) -> bool {
+    pub(crate) fn begin(&mut self, index: &SignatureIndex, keys: &[MetaKey]) -> bool {
         let mut fp = splitmix64(index.build_id() ^ 0xC2B2_AE3D_27D4_EB4F);
         for k in keys {
             fp = splitmix64(fp ^ (u64::from(k.raw()) + 1));

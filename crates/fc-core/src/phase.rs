@@ -145,26 +145,14 @@ impl fmt::Debug for PhaseClassifier {
 }
 
 impl PhaseClassifier {
-    /// Trains from labeled requests: each sample is a `(current, previous)`
-    /// request pair plus its hand-labeled phase.
+    /// Trains from one feature vector per labeled request — the
+    /// [`phase_features`] of its `(current, previous)` pair, or a
+    /// Table-1 ablation's subset of them — and its phase's
+    /// [`Phase::index`].
     ///
     /// # Panics
     /// Panics on empty or single-class training data (propagated from the
     /// SVM trainer).
-    pub fn train(samples: &[(Request, Option<Request>)], labels: &[Phase]) -> Self {
-        let feats: Vec<Vec<f64>> = samples
-            .iter()
-            .map(|(r, prev)| phase_features(r, prev.as_ref()).to_vec())
-            .collect();
-        let label_ids: Vec<usize> = labels.iter().map(|p| p.index()).collect();
-        Self::train_on_features(&feats, &label_ids)
-    }
-
-    /// Trains directly from feature vectors (used by the Table-1
-    /// single-feature ablation).
-    ///
-    /// # Panics
-    /// As [`PhaseClassifier::train`].
     pub fn train_on_features(feats: &[Vec<f64>], label_ids: &[usize]) -> Self {
         let scaler = Scaler::fit(feats);
         let scaled = scaler.transform_all(feats);
@@ -227,6 +215,15 @@ mod tests {
     use super::*;
     use fc_tiles::{Move, Quadrant, TileId};
 
+    fn train(samples: &[(Request, Option<Request>)], labels: &[Phase]) -> PhaseClassifier {
+        let feats: Vec<Vec<f64>> = samples
+            .iter()
+            .map(|(r, prev)| phase_features(r, prev.as_ref()).to_vec())
+            .collect();
+        let label_ids: Vec<usize> = labels.iter().map(|p| p.index()).collect();
+        PhaseClassifier::train_on_features(&feats, &label_ids)
+    }
+
     #[test]
     fn phase_index_roundtrip() {
         for p in Phase::ALL {
@@ -270,7 +267,7 @@ mod tests {
             samples.push((cur, Some(prev)));
             labels.push(Phase::Sensemaking);
         }
-        let clf = PhaseClassifier::train(&samples, &labels);
+        let clf = train(&samples, &labels);
         let correct = samples
             .iter()
             .zip(&labels)
@@ -290,7 +287,7 @@ mod tests {
             ),
         ];
         let labels = vec![Phase::Foraging, Phase::Sensemaking];
-        let clf = PhaseClassifier::train(&samples, &labels);
+        let clf = train(&samples, &labels);
         // Must not panic; any of the trained phases is acceptable.
         let p = clf.predict(&Request::initial(TileId::new(1, 0, 0)), None);
         assert!(Phase::ALL.contains(&p));

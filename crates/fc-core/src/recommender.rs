@@ -28,7 +28,7 @@ impl PredictionContext<'_> {
     /// The SB model's reference set: the last committed ROI, or the
     /// current tile before any ROI has been committed (the recommender
     /// then looks for "more tiles like the one being viewed").
-    pub fn reference_tiles(&self) -> &[TileId] {
+    pub(crate) fn reference_tiles(&self) -> &[TileId] {
         if self.roi.is_empty() {
             std::slice::from_ref(&self.request.tile)
         } else {

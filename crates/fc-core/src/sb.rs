@@ -239,7 +239,7 @@ impl SbRecommender {
     /// order, bit-identical to [`Self::distances`] across hits, misses
     /// and epoch invalidations, whoever warmed the cache
     /// (golden-tested). A cache that is disabled — zero capacity, or a
-    /// domain it rejects (see [`PairCache::begin`]) — misses every
+    /// domain it rejects (see `PairCache::begin`) — misses every
     /// probe and ignores every write-back, so callers that cannot
     /// cache pass `PairCache::new(0)` and get the same bits.
     pub fn distances_into(
@@ -766,7 +766,7 @@ fn copy_lanes(lanes: &mut [f64], at: usize, slot: &crate::paircache::Slot, nsig:
 /// [`chi_squared`]'s skip, so both forms agree bitwise (the accumulator
 /// is non-negative, and adding +0.0 to a non-negative `f64` is exact).
 #[inline]
-pub fn chi_squared_rows(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn chi_squared_rows(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = 0.0f64;
     for (&x, &y) in a.iter().zip(b) {
@@ -833,7 +833,7 @@ fn chi_squared_lanes(
 /// `dphysical(A, B)`: Euclidean distance between tile centres in the
 /// deeper level's tile coordinates, floored at 1 so the division in
 /// Algorithm 3 line 13 is well-defined for coincident tiles.
-pub fn physical_distance(a: TileId, b: TileId) -> f64 {
+pub(crate) fn physical_distance(a: TileId, b: TileId) -> f64 {
     let level = a.level.max(b.level);
     let pa = a.project_to(level);
     let pb = b.project_to(level);

@@ -135,7 +135,7 @@ impl SignatureConfig {
 /// eviction takes over. An engine has no table at all until its first
 /// predict ranks through one, and sessions ranking through a scheduler
 /// share one table.
-pub fn pair_cache_capacity_hint(nsig: usize, ntiles: usize) -> usize {
+pub(crate) fn pair_cache_capacity_hint(nsig: usize, ntiles: usize) -> usize {
     nsig.max(1)
         .saturating_mul(ntiles.max(1))
         .saturating_mul(32)

@@ -72,11 +72,6 @@ impl ConfusionMatrix {
             *a += b;
         }
     }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.n
-    }
 }
 
 /// Fraction of positions where `truth[i] == pred[i]`.

@@ -15,7 +15,7 @@ pub enum Kernel {
 
 impl Kernel {
     /// RBF with LibSVM's default gamma for `num_features` features.
-    pub fn rbf_default(num_features: usize) -> Self {
+    pub(crate) fn rbf_default(num_features: usize) -> Self {
         Kernel::Rbf {
             gamma: 1.0 / num_features.max(1) as f64,
         }

@@ -11,18 +11,18 @@
 //! * [`Scaler`] — min-max feature scaling to `[-1, 1]` (svm-scale);
 //! * [`KMeans`] — Lloyd's algorithm with k-means++ seeding, used by the
 //!   bag-of-visual-words signature pipeline in `fc-vision`;
-//! * [`eval`] — confusion matrices, leave-one-out-by-group
+//! * `eval` — confusion matrices, leave-one-out-by-group
 //!   cross-validation (§5.4: "the models were trained on the trace data
 //!   of the other 17 out of 18 participants"), and ordinary least squares
 //!   for the paper's Fig. 12 accuracy↔latency fit.
 
 #![warn(missing_docs)]
 
-pub mod eval;
-pub mod kernel;
-pub mod kmeans;
-pub mod scale;
-pub mod svm;
+mod eval;
+mod kernel;
+mod kmeans;
+mod scale;
+mod svm;
 
 pub use eval::{accuracy, leave_one_group_out, linreg, mean, std_dev, ConfusionMatrix, LinReg};
 pub use kernel::Kernel;

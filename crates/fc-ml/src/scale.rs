@@ -52,11 +52,6 @@ impl Scaler {
     pub fn transform_all(&self, data: &[Vec<f64>]) -> Vec<Vec<f64>> {
         data.iter().map(|r| self.transform(r)).collect()
     }
-
-    /// Number of features the scaler was fitted on.
-    pub fn dim(&self) -> usize {
-        self.mins.len()
-    }
 }
 
 #[cfg(test)]
@@ -69,7 +64,7 @@ mod tests {
         assert_eq!(s.transform(&[0.0, 10.0]), vec![-1.0, -1.0]);
         assert_eq!(s.transform(&[4.0, 20.0]), vec![1.0, 1.0]);
         assert_eq!(s.transform(&[2.0, 15.0]), vec![0.0, 0.0]);
-        assert_eq!(s.dim(), 2);
+        assert_eq!(s.mins.len(), 2);
     }
 
     #[test]

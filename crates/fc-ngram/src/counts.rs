@@ -143,7 +143,7 @@ impl TransitionCounts {
     /// Panics when `vocab` is 0 or does not fit `u16`, and when `order`
     /// tokens do not fit one `u64` key (`vocab^order` overflows: the
     /// longest order is 63 for two tokens, 20 for nine, 15 for sixteen).
-    pub fn new(order: usize, vocab: usize) -> Self {
+    pub(crate) fn new(order: usize, vocab: usize) -> Self {
         assert!(vocab > 0, "vocabulary must be non-empty");
         assert!(vocab <= u16::MAX as usize + 1, "vocabulary too large");
         let keys = u32::try_from(order)
@@ -178,7 +178,7 @@ impl TransitionCounts {
     /// # Panics
     /// Panics when `seq` holds a token outside the vocabulary (its key
     /// would be another context's).
-    pub fn update_frequencies(&mut self, seq: &[u16]) {
+    pub(crate) fn update_frequencies(&mut self, seq: &[u16]) {
         assert!(
             seq.iter().all(|&t| (t as usize) < self.vocab),
             "token out of vocabulary"
@@ -208,12 +208,12 @@ impl TransitionCounts {
     }
 
     /// Context length of this table.
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.order
     }
 
     /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
+    pub(crate) fn vocab(&self) -> usize {
         self.vocab
     }
 

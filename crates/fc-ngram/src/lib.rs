@@ -24,8 +24,8 @@
 //! `Σ c_i · vocab^(n−i)` (newest token in the units place), so a longer
 //! context's key is its suffix's key plus one multiply-add, and one
 //! representation — per order, one index from key to row and one flat
-//! arena of rows ([`counts`]) — serves every order whose contexts fit
-//! the key: up to Markov-20 over nine moves; [`TransitionCounts::new`]
+//! arena of rows (`counts`) — serves every order whose contexts fit
+//! the key: up to Markov-20 over nine moves; `TransitionCounts::new`
 //! rejects the rest.
 //!
 //! A trained [`KneserNey`] keeps no counts. Per stored context it holds
@@ -45,13 +45,13 @@
 //!
 //! Packed, a token outside the vocabulary would alias another
 //! context's key, so tokens are checked where they enter
-//! ([`TransitionCounts::update_frequencies`], the context of every
+//! (`TransitionCounts::update_frequencies`, the context of every
 //! [`KneserNey`] query) and rejected with a panic.
 
 #![warn(missing_docs)]
 
-pub mod counts;
-pub mod model;
+mod counts;
+mod model;
 
 pub use counts::TransitionCounts;
 pub use model::KneserNey;

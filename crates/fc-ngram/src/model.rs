@@ -89,7 +89,7 @@ impl KneserNey {
     /// `lower` is the folded row of its longest stored proper suffix
     /// (uniform when it has none) — the recursion's own operands, in
     /// its own order.
-    pub fn from_counts(top: TransitionCounts) -> Self {
+    pub(crate) fn from_counts(top: TransitionCounts) -> Self {
         let order = top.order();
         let vocab = top.vocab();
         let (smoothed, discounts) = smoothed_orders(top);

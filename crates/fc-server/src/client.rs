@@ -13,7 +13,6 @@ use std::time::Duration;
 pub struct Client {
     stream: TcpStream,
     levels: u8,
-    deepest_tiles: (u32, u32),
     /// Every request is encoded here: after the Hello, sending
     /// allocates nothing.
     frame: FrameBuf,
@@ -120,13 +119,9 @@ impl Client {
         };
         write_frame(&mut stream, hello.encode_into(&mut frame))?;
         match ServerMsg::decode(read_frame(&mut stream)?)? {
-            ServerMsg::Welcome {
-                levels,
-                deepest_tiles,
-            } => Ok(Client {
+            ServerMsg::Welcome { levels, .. } => Ok(Client {
                 stream,
                 levels,
-                deepest_tiles,
                 frame,
             }),
             ServerMsg::Error { code, reason } => Err(server_err(code, reason)),
@@ -139,11 +134,6 @@ impl Client {
     /// Number of zoom levels in the served dataset.
     pub fn levels(&self) -> u8 {
         self.levels
-    }
-
-    /// Tile-grid dimensions at the deepest level.
-    pub fn deepest_tiles(&self) -> (u32, u32) {
-        self.deepest_tiles
     }
 
     /// Requests a tile.

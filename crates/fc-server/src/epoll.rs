@@ -27,9 +27,9 @@ pub const EPOLLIN: u32 = 0x001;
 /// Writable without blocking.
 pub const EPOLLOUT: u32 = 0x004;
 /// Error condition (delivered regardless of interest).
-pub const EPOLLERR: u32 = 0x008;
+pub(crate) const EPOLLERR: u32 = 0x008;
 /// Peer hangup (delivered regardless of interest).
-pub const EPOLLHUP: u32 = 0x010;
+pub(crate) const EPOLLHUP: u32 = 0x010;
 
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
@@ -70,7 +70,7 @@ impl EpollEvent {
     }
 
     /// Whether the kernel flagged an error condition.
-    pub fn failed(&self) -> bool {
+    pub(crate) fn failed(&self) -> bool {
         self.events & EPOLLERR != 0
     }
 }

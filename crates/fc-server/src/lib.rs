@@ -31,12 +31,12 @@
 //!   bit-identical replies, plus the
 //!   utility-scheduled server push
 //!   ([`server::ServerConfig::push`], [`fc_core::PushPlanner`]);
-//! * [`client`] — a blocking client for Rust front-ends and tests.
+//! * `client` — a blocking client for Rust front-ends and tests.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod client;
+mod client;
 pub mod epoll;
 pub mod protocol;
 pub(crate) mod reactor;

@@ -57,7 +57,7 @@ use std::io::{self, IoSlice, Read, Write};
 use std::sync::Arc;
 
 /// Maximum accepted frame size (guards against corrupt length prefixes).
-pub const MAX_FRAME: usize = 64 << 20;
+pub(crate) const MAX_FRAME: usize = 64 << 20;
 
 /// Maximum dataset-name length accepted in a Hello. Wire strings carry
 /// a u16 length, so an unbounded name echoed into an Error reason
@@ -68,7 +68,7 @@ pub const MAX_DATASET_NAME: usize = 256;
 /// The largest client message body: a Hello (tag, prefetch budget,
 /// string length) naming a dataset of [`MAX_DATASET_NAME`] bytes. A
 /// server ends a session, without a reply, at a frame prefix that
-/// claims more; replies keep [`MAX_FRAME`].
+/// claims more; replies keep `MAX_FRAME`.
 pub const MAX_CLIENT_FRAME: usize = 1 + 4 + 2 + MAX_DATASET_NAME;
 
 /// Client → server messages.
@@ -236,11 +236,6 @@ impl FrameBuf {
     /// An empty buffer (first encode sizes it exactly).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Retained capacity in bytes (the high-water frame size).
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
     }
 
     /// Clears and reserves for one frame of exactly `body_len` payload
@@ -562,7 +557,7 @@ impl ClientMsg {
     /// Encodes into a reusable [`FrameBuf`], returning the framed bytes
     /// (valid until the next encode on the same buffer). Allocation-free
     /// once the buffer has warmed to the largest frame it carries.
-    pub fn encode_into<'a>(&self, frame: &'a mut FrameBuf) -> &'a [u8] {
+    pub(crate) fn encode_into<'a>(&self, frame: &'a mut FrameBuf) -> &'a [u8] {
         let body = frame.start_frame(self.encoded_body_len());
         match self {
             ClientMsg::Hello {
@@ -938,7 +933,7 @@ pub fn write_frame<W: Write>(w: &mut W, framed: &[u8]) -> io::Result<()> {
 /// Reads one frame body from a stream (without the length prefix).
 ///
 /// # Errors
-/// Propagates I/O errors; `InvalidData` for frames over [`MAX_FRAME`];
+/// Propagates I/O errors; `InvalidData` for frames over `MAX_FRAME`;
 /// `UnexpectedEof` when the stream ends, between frames or inside one.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Bytes> {
     read_frame_within(r, MAX_FRAME)

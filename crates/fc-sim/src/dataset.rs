@@ -37,20 +37,6 @@ impl Default for DatasetConfig {
 }
 
 impl DatasetConfig {
-    /// The full-size study configuration used by the experiment binaries:
-    /// 1024² raw cells, 64-cell tiles, six zoom levels (1365 tiles).
-    pub fn study() -> Self {
-        Self {
-            terrain: TerrainConfig {
-                size: 1024,
-                ..TerrainConfig::default()
-            },
-            levels: 6,
-            tile: 64,
-            ..Self::default()
-        }
-    }
-
     /// A small configuration for unit tests: 128² cells, 32-cell tiles,
     /// three levels (21 tiles).
     // fc-check: allow(unreferenced-pub) -- fixture shared across crates: fc-sim, fc-core, fc-server and root tests build on it
@@ -127,7 +113,12 @@ impl StudyDataset {
     }
 
     /// Fraction of a tile's cells with `attr ≥ threshold`.
-    pub fn tile_fraction_above(&self, id: TileId, attr: &str, threshold: f64) -> Option<f64> {
+    pub(crate) fn tile_fraction_above(
+        &self,
+        id: TileId,
+        attr: &str,
+        threshold: f64,
+    ) -> Option<f64> {
         let t = self.pyramid.store().fetch_offline(id)?;
         let vals = t.present_values(attr).ok()?;
         if vals.is_empty() {

@@ -12,7 +12,7 @@
 //!   through the paper's Query-1 `join`+`apply` NDSI pipeline in
 //!   `fc-array`;
 //! * [`dataset`] — the tiled study dataset: NDSI pyramid + signatures;
-//! * [`user`] — a stochastic behavioural agent that explores the pyramid
+//! * `user` — a stochastic behavioural agent that explores the pyramid
 //!   according to the paper's own three-phase analysis model, emitting
 //!   ground-truth-labeled traces;
 //! * [`study`] — 18 parameterized users × 3 tasks = 54 traces;
@@ -27,7 +27,7 @@
 //!   lock-contention sweep), under one config that sets faults, burst
 //!   scheduling, think time and the hotspot blend, with one report
 //!   per run (the `exp_multiuser` substrate);
-//! * [`chaos`] — the invariants every run must hold under any fault
+//! * `chaos` — the invariants every run must hold under any fault
 //!   schedule (bounded namespaces, balanced accounting, no escaped
 //!   panic);
 //! * [`zoo`] — the deterministic workload zoo: named, seeded traces
@@ -41,24 +41,23 @@
 #![warn(missing_docs)]
 
 pub mod auto_weights;
-pub mod chaos;
+mod chaos;
 pub mod dataset;
 pub mod multiuser;
 pub mod replay;
 pub mod study;
 pub mod swarm;
-pub mod task;
+mod task;
 pub mod terrain;
 pub mod trace;
-pub mod user;
+mod user;
 pub mod zoo;
 
-pub use auto_weights::{learn_weights, LearnedWeights};
+pub use auto_weights::learn_weights;
 pub use chaos::assert_invariants;
 pub use dataset::{DatasetConfig, StudyDataset};
 pub use multiuser::{
-    run, run_threaded, synthetic_workload, CacheImpl, Faults, MultiUserConfig, PhaseStats,
-    RunConfig, RunReport,
+    run, run_threaded, synthetic_workload, CacheImpl, Faults, MultiUserConfig, RunConfig, RunReport,
 };
 pub use replay::{AccuracyReport, Predictor, ReplayOutcome};
 pub use study::{Study, StudyConfig};
@@ -66,5 +65,4 @@ pub use swarm::{run_swarm, SwarmConfig, SwarmReport};
 pub use task::TaskSpec;
 pub use terrain::TerrainConfig;
 pub use trace::{Trace, TraceStep};
-pub use user::UserParams;
-pub use zoo::{replay_workload, Workload, ZooOutcome, ZOO_NAMES};
+pub use zoo::{replay_workload, Workload, ZOO_NAMES};

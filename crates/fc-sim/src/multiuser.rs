@@ -126,7 +126,7 @@ pub struct RunConfig {
 /// One dataset of a run: its namespace name, its pyramid, and the
 /// traces its sessions replay (session `i` replays
 /// `traces[i % traces.len()]`).
-pub type Dataset<'a> = (&'a str, &'a Arc<Pyramid>, &'a [Trace]);
+pub(crate) type Dataset<'a> = (&'a str, &'a Arc<Pyramid>, &'a [Trace]);
 
 /// Outcome counters for one phase (before/during/after the window).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

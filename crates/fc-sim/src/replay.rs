@@ -224,7 +224,7 @@ impl AccuracyReport {
     }
 
     /// Averages several reports (the paper averages across users).
-    pub fn average(reports: &[AccuracyReport]) -> Self {
+    pub(crate) fn average(reports: &[AccuracyReport]) -> Self {
         if reports.is_empty() {
             return Self {
                 overall: 0.0,

@@ -24,7 +24,7 @@ pub struct TileRect {
 impl TileRect {
     /// Whether the rectangle contains `id` (projected to the rect's
     /// level when levels differ).
-    pub fn contains(&self, id: TileId) -> bool {
+    pub(crate) fn contains(&self, id: TileId) -> bool {
         let p = id.project_to(self.level);
         p.y >= self.y0 && p.y < self.y1 && p.x >= self.x0 && p.x < self.x1
     }
@@ -32,7 +32,7 @@ impl TileRect {
     /// Whether the tile's full coverage area intersects the rectangle
     /// (unlike [`TileRect::contains`], which tests only the projected
     /// origin corner for coarser tiles).
-    pub fn overlaps(&self, id: TileId) -> bool {
+    pub(crate) fn overlaps(&self, id: TileId) -> bool {
         if id.level <= self.level {
             let shift = u32::from(self.level - id.level);
             let y0 = id.y << shift;
@@ -45,25 +45,8 @@ impl TileRect {
         }
     }
 
-    /// Iterates the tile ids inside the rectangle.
-    pub fn tiles(&self) -> impl Iterator<Item = TileId> + '_ {
-        let level = self.level;
-        (self.y0..self.y1)
-            .flat_map(move |y| (self.x0..self.x1).map(move |x| TileId::new(level, y, x)))
-    }
-
-    /// Number of tiles inside.
-    pub fn len(&self) -> usize {
-        ((self.y1 - self.y0) as usize) * ((self.x1 - self.x0) as usize)
-    }
-
-    /// Whether the rectangle is degenerate.
-    pub fn is_empty(&self) -> bool {
-        self.y1 <= self.y0 || self.x1 <= self.x0
-    }
-
     /// Center tile of the rectangle.
-    pub fn center(&self) -> TileId {
+    pub(crate) fn center(&self) -> TileId {
         TileId::new(
             self.level,
             (self.y0 + self.y1.saturating_sub(1)) / 2,
@@ -104,7 +87,7 @@ impl TaskSpec {
     /// Task thresholds and region sizes mirror the difficulty ordering
     /// the paper reports (task 1 longest, task 3 shortest: 35/25/17
     /// average requests).
-    pub fn study_tasks(levels: u8) -> Vec<TaskSpec> {
+    pub(crate) fn study_tasks(levels: u8) -> Vec<TaskSpec> {
         assert!(levels >= 3, "study tasks need at least 3 levels");
         let target = levels - 1; // deepest level, like "raw data" answers
         let (rows, cols) = (1u32 << target, 1u32 << target); // quadtree tiles
@@ -196,23 +179,7 @@ mod tests {
         // Coarser tile projects down: level-2 tile (1, 0) covers level-3
         // rows 2..4, cols 0..2 — inside.
         assert!(r.contains(TileId::new(2, 1, 0)));
-        assert_eq!(r.len(), 4);
-        assert!(!r.is_empty());
         assert_eq!(r.center(), TileId::new(3, 2, 0));
-    }
-
-    #[test]
-    fn rect_tiles_enumerates_all() {
-        let r = TileRect {
-            level: 2,
-            y0: 1,
-            y1: 3,
-            x0: 2,
-            x1: 4,
-        };
-        let tiles: Vec<TileId> = r.tiles().collect();
-        assert_eq!(tiles.len(), r.len());
-        assert!(tiles.iter().all(|&t| r.contains(t)));
     }
 
     #[test]
@@ -221,7 +188,7 @@ mod tests {
         assert_eq!(tasks.len(), 3);
         for t in &tasks {
             assert_eq!(t.target_level, 3);
-            assert!(!t.region.is_empty());
+            assert!(t.region.y0 < t.region.y1 && t.region.x0 < t.region.x1);
             assert_eq!(t.tiles_needed, 4);
         }
         // Regions must not fully overlap: centers differ.

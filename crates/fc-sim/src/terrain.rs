@@ -41,7 +41,7 @@ impl Default for TerrainConfig {
 /// A ridge segment: mountains form along the line `(x0,y0)→(x1,y1)` in
 /// unit coordinates.
 #[derive(Debug, Clone, Copy)]
-pub struct Ridge {
+pub(crate) struct Ridge {
     /// Segment start (unit coords).
     pub a: (f64, f64),
     /// Segment end (unit coords).
@@ -55,7 +55,7 @@ pub struct Ridge {
 /// The three study ranges: west (Rockies analogue, task 1), north-east
 /// (Alps analogue, task 2), and south (Andes analogue, task 3). Unit
 /// coordinates: x → longitude (east), y → latitude (south).
-pub fn study_ridges() -> [Ridge; 3] {
+pub(crate) fn study_ridges() -> [Ridge; 3] {
     [
         Ridge {
             a: (0.12, 0.15),

@@ -29,7 +29,7 @@ use std::collections::HashSet;
 
 /// Per-user behavioural parameters (the 18 study users differ in these).
 #[derive(Debug, Clone, Copy)]
-pub struct UserParams {
+pub(crate) struct UserParams {
     /// RNG seed.
     pub seed: u64,
     /// Probability of a non-greedy pan while foraging.
@@ -56,7 +56,7 @@ pub struct UserParams {
 impl UserParams {
     /// Deterministic parameters for study user `i` (0..17), spanning the
     /// behaviour groups visible in the paper's Fig. 8c–e.
-    pub fn study_user(i: usize) -> Self {
+    pub(crate) fn study_user(i: usize) -> Self {
         let group = i % 3;
         Self {
             seed: 0xA11CE ^ ((i as u64) << 8),
@@ -90,7 +90,7 @@ enum AgentState {
 }
 
 /// Runs one simulated session and returns the labeled trace.
-pub fn run_session(
+pub(crate) fn run_session(
     dataset: &StudyDataset,
     task: &TaskSpec,
     params: &UserParams,

@@ -363,7 +363,7 @@ pub fn zoom_dive(g: Geometry, steps: usize, seed: u64, session: usize) -> Worklo
 /// with a dwell step at each corner (legs grow 1, 1, 2, 2, 3, 3, …).
 /// The spiral revisits no tile, so it stresses the *prediction* side:
 /// only direction-following prefetch helps.
-pub fn spiral_sweep(g: Geometry, steps: usize, seed: u64, session: usize) -> Workload {
+pub(crate) fn spiral_sweep(g: Geometry, steps: usize, seed: u64, session: usize) -> Workload {
     let mut rng = Rng::new(session_seed(seed, session) ^ 0x59a1);
     let level = g.levels - 1;
     let (rows, cols) = g.tiles_at(level);
@@ -402,7 +402,7 @@ pub fn spiral_sweep(g: Geometry, steps: usize, seed: u64, session: usize) -> Wor
 /// A serpentine full-row scan at the deepest level: burst across each
 /// row, dwell on the row-turn (the paper's Foraging sweep, paced the
 /// way real scans are — fast inside a row, a pause at each edge).
-pub fn grid_sweep(g: Geometry, steps: usize, seed: u64, session: usize) -> Workload {
+pub(crate) fn grid_sweep(g: Geometry, steps: usize, seed: u64, session: usize) -> Workload {
     let mut rng = Rng::new(session_seed(seed, session) ^ 0x6e1d);
     let level = g.levels - 1;
     let (rows, _) = g.tiles_at(level);
@@ -442,7 +442,7 @@ pub fn grid_sweep(g: Geometry, steps: usize, seed: u64, session: usize) -> Workl
 /// canonical revisit workload — every tile comes back around, so
 /// prefetched residency (not prediction novelty) decides the hit
 /// rate.
-pub fn revisit_loop(g: Geometry, steps: usize, seed: u64, session: usize) -> Workload {
+pub(crate) fn revisit_loop(g: Geometry, steps: usize, seed: u64, session: usize) -> Workload {
     let mut rng = Rng::new(session_seed(seed, session) ^ 0x4e57);
     let level = g.levels - 1;
     let (rows, cols) = g.tiles_at(level);
@@ -503,7 +503,7 @@ pub fn revisit_loop(g: Geometry, steps: usize, seed: u64, session: usize) -> Wor
 /// "event", then storms a tight loop around it in burst pace. The
 /// multi-user stressor: disjoint approach paths, then maximal overlap
 /// under the heaviest request rate.
-pub fn flash_crowd(g: Geometry, steps: usize, seed: u64, session: usize) -> Workload {
+pub(crate) fn flash_crowd(g: Geometry, steps: usize, seed: u64, session: usize) -> Workload {
     // Shared structure from the base seed — all sessions, one target.
     let mut shared = Rng::new(seed ^ 0xf1a5);
     let level = g.levels - 1;

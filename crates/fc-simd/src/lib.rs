@@ -198,7 +198,7 @@ pub fn max_num(a: f64, b: f64) -> f64 {
 /// inputs only (callers guard with `denom > 1e-12`; signatures are
 /// finite).
 #[inline]
-pub fn fast_recip(x: f64) -> f64 {
+pub(crate) fn fast_recip(x: f64) -> f64 {
     let mut y = f64::from_bits(0x7FDE_6238_22FC_16E6u64.wrapping_sub(x.to_bits()));
     y *= 2.0 - x * y;
     y *= 2.0 - x * y;
@@ -355,7 +355,7 @@ fn nearest_groups4_scalar(p: &[f64], tposed: &[f64], k: usize) -> (usize, f64) {
 /// performing exactly the scalar per-bin sequence in `j` order:
 /// `denom = x + y`, `num = (x − y)²`, accumulate `num/denom` when
 /// `denom > 1e-12`, else `+0.0`. `RECIP` switches the division to
-/// `num · fast_recip(denom)` (the [`fast_recip`] bit-trick). All
+/// `num · fast_recip(denom)` (the `fast_recip` bit-trick). All
 /// levels are bit-identical, including NaN/±inf propagation from
 /// degenerate bins (a NaN bin's `denom` fails the ordered `>` guard
 /// identically everywhere).

@@ -22,13 +22,13 @@
 
 #![warn(missing_docs)]
 
-pub mod geometry;
-pub mod id;
+mod geometry;
+mod id;
 pub mod nav;
-pub mod pyramid;
-pub mod sigindex;
-pub mod store;
-pub mod tile;
+mod pyramid;
+mod sigindex;
+mod store;
+mod tile;
 
 pub use geometry::Geometry;
 pub use id::TileId;

@@ -68,15 +68,6 @@ impl PyramidConfig {
             io_mode: IoMode::Simulated,
         }
     }
-
-    /// Same as [`PyramidConfig::simple`] but with the SciDB-like backend
-    /// latency used in the paper's experiments.
-    pub fn scidb_like(levels: u8, tile: usize, attrs: &[&str]) -> Self {
-        Self {
-            latency: LatencyModel::scidb_like(),
-            ..Self::simple(levels, tile, attrs)
-        }
-    }
 }
 
 /// A fully built tile pyramid: geometry + backend tile store.

@@ -58,11 +58,6 @@ pub struct SigMatrix {
 }
 
 impl SigMatrix {
-    /// Row width (the key's widest stored vector).
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// The signature row for a dense tile index; `None` when the tile
     /// has no vector under this key.
     #[inline]
@@ -123,7 +118,7 @@ impl SignatureIndex {
     /// over the map to size each matrix plus one to fill it — this runs
     /// offline (at `attach_signatures` time or on the first read after
     /// a metadata change), never on the request path.
-    pub fn build(geometry: Geometry, meta: &HashMap<TileId, TileMeta>) -> Self {
+    pub(crate) fn build(geometry: Geometry, meta: &HashMap<TileId, TileMeta>) -> Self {
         let mut level_dims = Vec::with_capacity(geometry.levels as usize);
         let mut ntiles = 0usize;
         for l in 0..geometry.levels {
@@ -180,13 +175,8 @@ impl SignatureIndex {
         }
     }
 
-    /// The geometry the dense indexing is defined over.
-    pub fn geometry(&self) -> Geometry {
-        self.geometry
-    }
-
     /// A process-unique identity for this build. Every
-    /// [`SignatureIndex::build`] — including rebuilds of the same store
+    /// `SignatureIndex::build` — including rebuilds of the same store
     /// after a metadata epoch bump — gets a fresh id, so derived caches
     /// (e.g. the χ² pair cache in `fc-core`) can detect *any* index
     /// change with one integer compare and invalidate in O(1), without
@@ -232,7 +222,9 @@ mod tests {
     fn meta_map(entries: &[(TileId, &str, Vec<f64>)]) -> HashMap<TileId, TileMeta> {
         let mut map: HashMap<TileId, TileMeta> = HashMap::new();
         for (id, name, v) in entries {
-            map.entry(*id).or_default().put(*name, v.clone());
+            map.entry(*id)
+                .or_default()
+                .put_shared(MetaKey::intern(name), v.clone().into());
         }
         map
     }
@@ -276,7 +268,7 @@ mod tests {
         ]);
         let ix = SignatureIndex::build(g, &map);
         let hist = ix.matrix(MetaKey::intern("hist")).unwrap();
-        assert_eq!(hist.dim(), 3);
+        assert_eq!(hist.dim, 3);
         assert_eq!(
             hist.row(ix.dense_index(a).unwrap()).unwrap(),
             &[0.25, 0.75, 0.0]
@@ -291,7 +283,7 @@ mod tests {
             .is_none());
         // The narrower key has its own matrix.
         let mean = ix.matrix(MetaKey::intern("mean")).unwrap();
-        assert_eq!(mean.dim(), 1);
+        assert_eq!(mean.dim, 1);
         assert!(ix.matrix(MetaKey::intern("nope")).is_none());
     }
 }

@@ -23,8 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// An interned metadata-key handle: copyable, order-stable, and
-/// resolvable back to its name without touching the store.
+/// An interned metadata-key handle: copyable and order-stable.
 ///
 /// Interning is global to the process; the number of distinct keys is
 /// small and fixed (the four signature names plus ad-hoc test keys), so
@@ -32,19 +31,10 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MetaKey(u32);
 
-struct Interner {
-    by_name: HashMap<&'static str, u32>,
-    names: Vec<&'static str>,
-}
-
-fn interner() -> &'static RwLock<Interner> {
-    static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        RwLock::new(Interner {
-            by_name: HashMap::new(),
-            names: Vec::new(),
-        })
-    })
+/// Each interned name and its key's id.
+fn interner() -> &'static RwLock<HashMap<&'static str, u32>> {
+    static INTERNER: OnceLock<RwLock<HashMap<&'static str, u32>>> = OnceLock::new();
+    INTERNER.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
 impl MetaKey {
@@ -54,24 +44,18 @@ impl MetaKey {
             return k;
         }
         let mut i = interner().write();
-        if let Some(&id) = i.by_name.get(name) {
+        if let Some(&id) = i.get(name) {
             return Self(id);
         }
-        let id = u32::try_from(i.names.len()).expect("metadata key space fits u32");
+        let id = u32::try_from(i.len()).expect("metadata key space fits u32");
         let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-        i.names.push(leaked);
-        i.by_name.insert(leaked, id);
+        i.insert(leaked, id);
         Self(id)
     }
 
     /// The key for `name` if it was interned before; never interns.
-    pub fn lookup(name: &str) -> Option<Self> {
-        interner().read().by_name.get(name).map(|&id| Self(id))
-    }
-
-    /// The interned name.
-    pub fn name(self) -> &'static str {
-        interner().read().names[self.0 as usize]
+    pub(crate) fn lookup(name: &str) -> Option<Self> {
+        interner().read().get(name).map(|&id| Self(id))
     }
 
     /// The raw interned id — stable for the lifetime of the process,
@@ -99,7 +83,7 @@ impl TileMeta {
     }
 
     /// Looks up a metadata vector by interned key.
-    pub fn get_key(&self, key: MetaKey) -> Option<&[f64]> {
+    pub(crate) fn get_key(&self, key: MetaKey) -> Option<&[f64]> {
         self.entries
             .iter()
             .find(|(k, _)| *k == key)
@@ -107,26 +91,21 @@ impl TileMeta {
     }
 
     /// A shared handle to a metadata vector (no copy).
-    pub fn shared(&self, name: &str) -> Option<Arc<[f64]>> {
+    pub(crate) fn shared(&self, name: &str) -> Option<Arc<[f64]>> {
         self.shared_key(MetaKey::lookup(name)?)
     }
 
     /// A shared handle to a metadata vector by interned key (no copy,
     /// no interner lookup).
-    pub fn shared_key(&self, key: MetaKey) -> Option<Arc<[f64]>> {
+    pub(crate) fn shared_key(&self, key: MetaKey) -> Option<Arc<[f64]>> {
         self.entries
             .iter()
             .find(|(k, _)| *k == key)
             .map(|(_, v)| v.clone())
     }
 
-    /// Inserts or replaces a metadata vector.
-    pub fn put(&mut self, name: impl AsRef<str>, value: Vec<f64>) {
-        self.put_shared(MetaKey::intern(name.as_ref()), value.into());
-    }
-
     /// Inserts or replaces a metadata vector by key, sharing `value`.
-    pub fn put_shared(&mut self, key: MetaKey, value: Arc<[f64]>) {
+    pub(crate) fn put_shared(&mut self, key: MetaKey, value: Arc<[f64]>) {
         if let Some(e) = self.entries.iter_mut().find(|(k, _)| *k == key) {
             e.1 = value;
         } else {
@@ -134,24 +113,9 @@ impl TileMeta {
         }
     }
 
-    /// Names of all stored metadata vectors.
-    pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.entries.iter().map(|(k, _)| k.name())
-    }
-
     /// Key/vector pairs, in insertion order.
-    pub fn entries(&self) -> impl Iterator<Item = (&MetaKey, &Arc<[f64]>)> {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&MetaKey, &Arc<[f64]>)> {
         self.entries.iter().map(|(k, v)| (k, v))
-    }
-
-    /// Number of stored vectors.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no metadata is stored.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -272,7 +236,7 @@ impl TileStore {
 
     /// The frozen signature index over the current metadata, building
     /// it if the cached copy was invalidated. `None` when the store has
-    /// no metadata at all. See [`crate::sigindex`] for the concurrency
+    /// no metadata at all. See `crate::sigindex` for the concurrency
     /// model.
     pub fn signature_index(&self) -> Option<Arc<SignatureIndex>> {
         if let Some(ix) = self.sig_index.read().as_ref() {
@@ -376,7 +340,7 @@ mod tests {
         assert_eq!(s.clock().now(), before, "metadata reads are free");
         assert_eq!(m.get("hist").unwrap(), &[1.0, 2.0]);
         assert_eq!(m.get("mean").unwrap(), &[0.5]);
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.entries.len(), 2);
         assert_eq!(&*s.meta_vec(id, "mean").unwrap(), &[0.5]);
         assert!(s.meta_vec(id, "nope").is_none());
         assert!(s.meta(TileId::new(1, 0, 0)).is_none());
@@ -396,12 +360,12 @@ mod tests {
     #[test]
     fn meta_put_replaces() {
         let mut m = TileMeta::default();
-        assert!(m.is_empty());
-        m.put("a", vec![1.0]);
-        m.put("a", vec![2.0]);
+        assert!(m.entries.is_empty());
+        let a = MetaKey::intern("a");
+        m.put_shared(a, vec![1.0].into());
+        m.put_shared(a, vec![2.0].into());
         assert_eq!(m.get("a").unwrap(), &[2.0]);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.names().collect::<Vec<_>>(), vec!["a"]);
+        assert_eq!(m.entries.len(), 1);
     }
 
     #[test]
@@ -409,7 +373,6 @@ mod tests {
         let k1 = MetaKey::intern("stable-key");
         let k2 = MetaKey::intern("stable-key");
         assert_eq!(k1, k2);
-        assert_eq!(k1.name(), "stable-key");
         assert_eq!(MetaKey::lookup("stable-key"), Some(k1));
         assert_ne!(MetaKey::intern("other-key"), k1);
     }

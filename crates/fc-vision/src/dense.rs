@@ -59,7 +59,7 @@ mod tests {
 
     #[test]
     fn flat_image_yields_no_descriptors() {
-        let img = GrayImage::filled(32, 32, 0.7);
+        let img = GrayImage::new(32, 32, vec![0.7; 1024]);
         assert!(dense_descriptors(&img, 8, 6.0).is_empty());
     }
 

@@ -27,7 +27,7 @@ const ORI_BINS: usize = 8;
 pub const DESCRIPTOR_DIM: usize = GRID * GRID * ORI_BINS;
 
 /// A dense descriptor vector (L2-normalized, SIFT clip at 0.2).
-pub type Descriptor = Vec<f64>;
+pub(crate) type Descriptor = Vec<f64>;
 
 /// Precomputed gradient magnitudes and orientation bins for one image.
 ///
@@ -54,7 +54,7 @@ impl GradientField {
 
     /// Builds the field at an explicit dispatch level (bit-identical
     /// across levels; exposed for the golden dispatch tests).
-    pub fn with_level(img: &GrayImage, level: SimdLevel) -> Self {
+    pub(crate) fn with_level(img: &GrayImage, level: SimdLevel) -> Self {
         let (dx, dy) = gradients_with(img, level);
         let (gx, gy) = (dx.pixels(), dy.pixels());
         let mut mag = vec![0.0f64; gx.len()];
@@ -78,12 +78,12 @@ impl GradientField {
     }
 
     /// Image width in pixels.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
     /// Image height in pixels.
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.height
     }
 
@@ -139,7 +139,7 @@ fn orientation_bin(gx: f64, gy: f64) -> u8 {
 /// across the descriptor calls of a batch ([`describe_keypoints_on`],
 /// [`crate::dense_descriptors_on`]) to amortize the `exp` calls.
 #[derive(Debug, Default)]
-pub struct WeightTables {
+pub(crate) struct WeightTables {
     tables: HashMap<u64, Vec<f64>>,
 }
 
@@ -215,7 +215,7 @@ pub fn describe_patch(
 /// per-patch path for every center (integer centers hit the weight
 /// table; others recompute the weight exactly as [`describe_patch`]
 /// does).
-pub fn describe_patch_on(
+pub(crate) fn describe_patch_on(
     field: &GradientField,
     cx: f64,
     cy: f64,
@@ -336,7 +336,7 @@ mod tests {
 
     #[test]
     fn flat_patch_yields_none() {
-        let img = GrayImage::filled(32, 32, 0.3);
+        let img = GrayImage::new(32, 32, vec![0.3; 1024]);
         let (dx, dy) = gradients(&img);
         assert!(describe_patch(&dx, &dy, 16.0, 16.0, 6.0).is_none());
         let field = GradientField::new(&img);

@@ -12,7 +12,7 @@ use fc_simd::SimdLevel;
 
 /// Builds a normalized 1-D Gaussian kernel for `sigma`, truncated at
 /// ±3σ (odd length ≥ 1).
-pub fn gaussian_kernel(sigma: f64) -> Vec<f64> {
+pub(crate) fn gaussian_kernel(sigma: f64) -> Vec<f64> {
     assert!(sigma > 0.0, "sigma must be positive");
     let radius = (3.0 * sigma).ceil() as usize;
     let mut k = Vec::with_capacity(2 * radius + 1);
@@ -29,13 +29,13 @@ pub fn gaussian_kernel(sigma: f64) -> Vec<f64> {
 }
 
 /// Gaussian-blurs an image with a separable convolution (clamp-to-edge).
-pub fn gaussian_blur(img: &GrayImage, sigma: f64) -> GrayImage {
+pub(crate) fn gaussian_blur(img: &GrayImage, sigma: f64) -> GrayImage {
     gaussian_blur_with(img, sigma, fc_simd::active_level())
 }
 
 /// [`gaussian_blur`] at an explicit SIMD dispatch level (bit-identical
 /// across levels; exposed for the golden dispatch-equivalence tests).
-pub fn gaussian_blur_with(img: &GrayImage, sigma: f64, level: SimdLevel) -> GrayImage {
+pub(crate) fn gaussian_blur_with(img: &GrayImage, sigma: f64, level: SimdLevel) -> GrayImage {
     let kernel = gaussian_kernel(sigma);
     let radius = kernel.len() / 2;
     let (w, h) = (img.width(), img.height());
@@ -66,7 +66,7 @@ pub fn gaussian_blur_with(img: &GrayImage, sigma: f64, level: SimdLevel) -> Gray
 
 /// Central-difference gradients at SIMD dispatch level `level`
 /// (bit-identical across levels); returns `(dx, dy)` images.
-pub fn gradients_with(img: &GrayImage, level: SimdLevel) -> (GrayImage, GrayImage) {
+pub(crate) fn gradients_with(img: &GrayImage, level: SimdLevel) -> (GrayImage, GrayImage) {
     let (w, h) = (img.width(), img.height());
     let pix = img.pixels();
     let mut dx = vec![0.0f64; w * h];
@@ -175,15 +175,16 @@ mod tests {
 
     #[test]
     fn blur_preserves_constant_images() {
-        let img = GrayImage::filled(8, 8, 0.42);
+        let img = GrayImage::new(8, 8, vec![0.42; 64]);
         let b = gaussian_blur(&img, 1.5);
         assert!(b.pixels().iter().all(|&v| (v - 0.42).abs() < 1e-12));
     }
 
     #[test]
     fn blur_smooths_an_impulse() {
-        let mut img = GrayImage::filled(9, 9, 0.0);
-        img.set(4, 4, 1.0);
+        let mut px = vec![0.0; 81];
+        px[4 * 9 + 4] = 1.0;
+        let img = GrayImage::new(9, 9, px);
         let b = gaussian_blur(&img, 1.0);
         // Peak stays at the center but is reduced; energy is conserved
         // away from borders.
@@ -195,8 +196,9 @@ mod tests {
 
     #[test]
     fn blur_is_monotone_in_sigma() {
-        let mut img = GrayImage::filled(15, 15, 0.0);
-        img.set(7, 7, 1.0);
+        let mut px = vec![0.0; 225];
+        px[7 * 15 + 7] = 1.0;
+        let img = GrayImage::new(15, 15, px);
         let s1 = gaussian_blur(&img, 0.8).get(7, 7);
         let s2 = gaussian_blur(&img, 1.6).get(7, 7);
         assert!(s1 > s2, "more blur → flatter peak");

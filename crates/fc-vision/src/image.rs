@@ -24,11 +24,6 @@ impl GrayImage {
         }
     }
 
-    /// A constant image.
-    pub fn filled(width: usize, height: usize, value: f64) -> Self {
-        Self::new(width, height, vec![value; width * height])
-    }
-
     /// Image width in pixels.
     pub fn width(&self) -> usize {
         self.width
@@ -63,16 +58,6 @@ impl GrayImage {
         self.pixels[y * self.width + x]
     }
 
-    /// Sets the pixel at `(x, y)`.
-    ///
-    /// # Panics
-    /// Panics when out of bounds.
-    #[inline]
-    pub fn set(&mut self, x: usize, y: usize, v: f64) {
-        assert!(x < self.width && y < self.height, "pixel out of bounds");
-        self.pixels[y * self.width + x] = v;
-    }
-
     /// Half-resolution copy (every other pixel; inputs should be blurred
     /// first to avoid aliasing).
     pub fn downsample2(&self) -> GrayImage {
@@ -85,11 +70,6 @@ impl GrayImage {
             }
         }
         GrayImage::new(w, h, out)
-    }
-
-    /// Mean pixel value.
-    pub fn mean(&self) -> f64 {
-        self.pixels.iter().sum::<f64>() / self.pixels.len() as f64
     }
 
     /// Pixel-wise difference `self - other` (for DoG layers).
@@ -148,23 +128,15 @@ mod tests {
         assert_eq!(d.get(1, 0), 2.0);
         assert_eq!(d.get(0, 1), 8.0);
         // Degenerate 1-pixel image survives.
-        let tiny = GrayImage::filled(1, 1, 0.5).downsample2();
+        let tiny = GrayImage::new(1, 1, vec![0.5; 1]).downsample2();
         assert_eq!((tiny.width(), tiny.height()), (1, 1));
     }
 
     #[test]
     fn diff_and_mean() {
-        let a = GrayImage::filled(2, 2, 0.75);
-        let b = GrayImage::filled(2, 2, 0.25);
+        let a = GrayImage::new(2, 2, vec![0.75; 4]);
+        let b = GrayImage::new(2, 2, vec![0.25; 4]);
         let d = a.diff(&b);
         assert!(d.pixels().iter().all(|&v| (v - 0.5).abs() < 1e-15));
-        assert!((a.mean() - 0.75).abs() < 1e-15);
-    }
-
-    #[test]
-    fn set_updates_pixel() {
-        let mut img = GrayImage::filled(2, 2, 0.0);
-        img.set(1, 1, 0.9);
-        assert_eq!(img.get(1, 1), 0.9);
     }
 }

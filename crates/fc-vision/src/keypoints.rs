@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn blank_image_has_no_keypoints() {
-        let img = GrayImage::filled(32, 32, 0.5);
+        let img = GrayImage::new(32, 32, vec![0.5; 1024]);
         assert!(detect_keypoints(&img, &DetectorParams::default()).is_empty());
     }
 
@@ -173,14 +173,15 @@ mod tests {
 
     #[test]
     fn multiple_blobs_yield_multiple_sites() {
-        let mut img = blob_image(64, 64, 16.0, 16.0, 2.5);
+        let one = blob_image(64, 64, 16.0, 16.0, 2.5);
         let other = blob_image(64, 64, 48.0, 48.0, 2.5);
-        for y in 0..64 {
-            for x in 0..64 {
-                let v = img.get(x, y).max(other.get(x, y));
-                img.set(x, y, v);
-            }
-        }
+        let px = one
+            .pixels()
+            .iter()
+            .zip(other.pixels())
+            .map(|(a, b)| a.max(*b))
+            .collect();
+        let img = GrayImage::new(64, 64, px);
         let kps = detect_keypoints(&img, &DetectorParams::default());
         let near =
             |kp: &Keypoint, cx: f64, cy: f64| (kp.x - cx).abs() <= 5.0 && (kp.y - cy).abs() <= 5.0;
@@ -217,7 +218,7 @@ mod tests {
 
     #[test]
     fn tiny_images_do_not_crash() {
-        let img = GrayImage::filled(4, 4, 0.1);
+        let img = GrayImage::new(4, 4, vec![0.1; 16]);
         assert!(detect_keypoints(&img, &DetectorParams::default()).is_empty());
     }
 }
