@@ -1,67 +1,15 @@
-//! Golden equivalence for the rebuilt data path against the seed
-//! implementations reproduced in `fc_bench::seed_baseline`:
-//!
-//! * the zero-copy tile wire codec must produce byte-identical frames
-//!   to the seed's per-value codec and decode the seed's frames to the
-//!   same messages (bit-level, NaN-safe);
-//! * the blocked pyramid build must materialize bit-identical tiles to
-//!   the seed's `subarray` + per-cell-padding build, ragged edges and
-//!   empty cells included.
+//! Golden pins for the tile wire codec. `sample_messages()` covers
+//! every `ServerMsg` variant, a column holding NaN, ±inf, −0.0 and
+//! extreme magnitudes, a tile with no attributes, and a `Push`. Each
+//! message's frame is pinned byte for byte, one literal per message so
+//! that a wire change names the message it broke, and each pinned
+//! frame must decode back to its message bit for bit.
 
-use fc_array::{DenseArray, Schema};
-use fc_bench::seed_baseline::{seed_build_pyramid, seed_decode_server_msg, seed_encode_server_msg};
+use bytes::Bytes;
+use fc_bench::seed_baseline::{seed_decode_server_msg, seed_encode_server_msg};
 use fc_server::protocol::unframe;
-use fc_server::{ServerMsg, TilePayload};
-use fc_tiles::{PyramidBuilder, PyramidConfig, TileId};
-
-/// NaN-safe bit-level equality for server messages.
-fn assert_msg_bits_equal(a: &ServerMsg, b: &ServerMsg) {
-    match (a, b) {
-        (
-            ServerMsg::Tile {
-                payload: pa,
-                latency_ns: la,
-                cache_hit: ca,
-                phase: ha,
-                degraded: da,
-            },
-            ServerMsg::Tile {
-                payload: pb,
-                latency_ns: lb,
-                cache_hit: cb,
-                phase: hb,
-                degraded: db,
-            },
-        ) => {
-            assert_eq!((la, ca, ha, da), (lb, cb, hb, db));
-            assert_eq!(pa.tile, pb.tile);
-            assert_eq!((pa.h, pa.w), (pb.h, pb.w));
-            assert_eq!(pa.attrs, pb.attrs);
-            assert_eq!(pa.present, pb.present);
-            assert_eq!(pa.data.len(), pb.data.len());
-            for (ca, cb) in pa.data.iter().zip(&pb.data) {
-                assert_eq!(ca.len(), cb.len());
-                for (x, y) in ca.iter().zip(cb) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
-                }
-            }
-        }
-        (ServerMsg::Push { payload: pa }, ServerMsg::Push { payload: pb }) => {
-            assert_eq!(pa.tile, pb.tile);
-            assert_eq!((pa.h, pa.w), (pb.h, pb.w));
-            assert_eq!(pa.attrs, pb.attrs);
-            assert_eq!(pa.present, pb.present);
-            assert_eq!(pa.data.len(), pb.data.len());
-            for (ca, cb) in pa.data.iter().zip(&pb.data) {
-                assert_eq!(ca.len(), cb.len());
-                for (x, y) in ca.iter().zip(cb) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
-                }
-            }
-        }
-        _ => assert_eq!(a, b),
-    }
-}
+use fc_server::{FrameBuf, ServerMsg, TilePayload};
+use fc_tiles::TileId;
 
 fn sample_messages() -> Vec<ServerMsg> {
     let payload = TilePayload {
@@ -139,104 +87,127 @@ fn sample_messages() -> Vec<ServerMsg> {
     ]
 }
 
-#[test]
-fn zero_copy_encode_matches_seed_bytes() {
-    let mut frame = fc_server::FrameBuf::new();
-    for msg in sample_messages() {
-        let seed = seed_encode_server_msg(&msg);
-        let new = msg.encode();
-        assert_eq!(&seed[..], &new[..], "encode() frame bytes");
-        let reused = msg.encode_into(&mut frame);
-        assert_eq!(&seed[..], reused, "encode_into() frame bytes");
-    }
+/// `Welcome`: level count and deepest-level tile grid. 14 bytes.
+const WELCOME: &str = "0a00000000062000000030000000";
+
+/// `Tile` hit: two columns, NaN, ±inf, −0.0, 1e300, −1e-300 and two empty cells. 255 bytes.
+const TILE: &str = "\
+    fb0000000103070000000b0000000400000003000000e08b2901000000000102\
+    00020008006e6473695f617667000000000000d03f000000000000f8bf000000\
+    000000f87f000000000000f07f000000000000f0ff00000000000000809c7500\
+    883ce4377e59f3f8c21f6ea5810000000000000a400000000000000000000000\
+    00000045400000000000001cc004006c616e64000000000000f03f0000000000\
+    00f03f000000000000f03f000000000000f03f000000000000f03f0000000000\
+    00f03f000000000000f03f000000000000f03f000000000000f03f0000000000\
+    00f03f000000000000f03f000000000000f03f010100010101000101010101";
+
+/// Degraded `Tile` miss with no attributes and every cell empty. 39 bytes.
+const EMPTY_TILE: &str = "\
+    2300000001000000000000000000020000000200000001000000000000000000\
+    01000000000000";
+
+/// `Stats` with `u64::MAX` requests. 45 bytes.
+const STATS: &str = "\
+    2900000002ffffffffffffffff00000000000000007b00000000000000110000\
+    00000000000900000000000000";
+
+/// `Error` with its code and reason text. 31 bytes.
+const ERROR: &str = "1b000000030317006e6f20737563682074696c653a204c392028312c203229";
+
+/// `Push` of a one-column tile holding NaN and −0.0. 70 bytes.
+const PUSH: &str = "\
+    42000000040201000000030000000200000002000000010008006e6473695f61\
+    7667000000000000c03f000000000000f87f0000000000000080000000000000\
+    234001000101";
+
+/// `sample_messages()`' frames in order, each with the name a failure
+/// reports: 454 bytes in all.
+const FRAMES: [(&str, &str); 6] = [
+    ("WELCOME", WELCOME),
+    ("TILE", TILE),
+    ("EMPTY_TILE", EMPTY_TILE),
+    ("STATS", STATS),
+    ("ERROR", ERROR),
+    ("PUSH", PUSH),
+];
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit"))
+        .collect()
 }
 
-#[test]
-fn zero_copy_decode_matches_seed_decode() {
-    for msg in sample_messages() {
-        let framed = seed_encode_server_msg(&msg);
-        let seed_dec = seed_decode_server_msg(unframe(&framed)).unwrap();
-        let new_dec = ServerMsg::decode(unframe(&framed)).unwrap();
-        assert_msg_bits_equal(&seed_dec, &new_dec);
-        assert_msg_bits_equal(&new_dec, &msg);
-    }
-}
-
-/// NaN-safe bit-level equality for dense arrays.
-fn assert_array_bits_equal(a: &DenseArray, b: &DenseArray, label: &str) {
-    assert_eq!(a.schema(), b.schema(), "{label}: schema");
-    assert_eq!(a.validity(), b.validity(), "{label}: validity");
-    for attr in &a.schema().attrs {
-        let av = a.attr_values(&attr.name).unwrap();
-        let bv = b.attr_values(&attr.name).unwrap();
-        for (i, (x, y)) in av.iter().zip(bv).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{label}: {}[{i}] {x} vs {y}",
-                attr.name
-            );
+/// NaN-safe bit-level equality for tile payloads.
+fn assert_payload_bits_equal(a: &TilePayload, b: &TilePayload) {
+    assert_eq!(a.tile, b.tile);
+    assert_eq!((a.h, a.w), (b.h, b.w));
+    assert_eq!(a.attrs, b.attrs);
+    assert_eq!(a.present, b.present);
+    assert_eq!(a.data.len(), b.data.len());
+    for (ca, cb) in a.data.iter().zip(&b.data) {
+        assert_eq!(ca.len(), cb.len());
+        for (x, y) in ca.iter().zip(cb) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
         }
     }
 }
 
-#[test]
-fn attach_signatures_matches_seed_attach() {
-    use fc_bench::seed_baseline::seed_attach_signatures;
-    use fc_core::signature::{SignatureConfig, SIGNATURE_KINDS};
-
-    let schema = Schema::grid2d("B", 64, 64, &["v"]).unwrap();
-    let data: Vec<f64> = (0..64 * 64)
-        .map(|i| ((i as f64 * 0.37).sin().abs() + (i % 64) as f64 / 64.0) / 2.0)
-        .collect();
-    let base = DenseArray::from_vec(schema, data).unwrap();
-    let cfg = PyramidConfig::simple(3, 16, &["v"]);
-    let seed_pyr = PyramidBuilder::new().build(&base, &cfg).unwrap();
-    let new_pyr = PyramidBuilder::new().build(&base, &cfg).unwrap();
-    let mut sig_cfg = SignatureConfig::ndsi("v");
-    sig_cfg.domain = (0.0, 1.0);
-    seed_attach_signatures(seed_pyr.geometry(), seed_pyr.store(), &sig_cfg);
-    fc_core::signature::attach_signatures(&new_pyr, &sig_cfg);
-    for id in new_pyr.geometry().all_tiles() {
-        let seed_meta = seed_pyr.store().meta(id).expect("seed meta");
-        let new_meta = new_pyr.store().meta(id).expect("new meta");
-        for kind in SIGNATURE_KINDS {
-            let a = seed_meta.get(kind.meta_name()).expect("seed sig");
-            let b = new_meta.get(kind.meta_name()).expect("new sig");
-            assert_eq!(a.len(), b.len(), "{id} {}", kind.meta_name());
-            for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{id} {}[{i}]: {x} vs {y}",
-                    kind.meta_name()
-                );
-            }
+/// NaN-safe bit-level equality for server messages.
+fn assert_msg_bits_equal(a: &ServerMsg, b: &ServerMsg) {
+    match (a, b) {
+        (
+            ServerMsg::Tile {
+                payload: pa,
+                latency_ns: la,
+                cache_hit: ca,
+                phase: ha,
+                degraded: da,
+            },
+            ServerMsg::Tile {
+                payload: pb,
+                latency_ns: lb,
+                cache_hit: cb,
+                phase: hb,
+                degraded: db,
+            },
+        ) => {
+            assert_eq!((la, ca, ha, da), (lb, cb, hb, db));
+            assert_payload_bits_equal(pa, pb);
         }
+        (ServerMsg::Push { payload: pa }, ServerMsg::Push { payload: pb }) => {
+            assert_payload_bits_equal(pa, pb)
+        }
+        _ => assert_eq!(a, b),
     }
 }
 
 #[test]
-fn blocked_pyramid_build_matches_seed_build() {
-    // Ragged 100×70 base with a hole, 3 levels of 16×16 tiles: edge
-    // tiles need padding and some windows aggregate over empty cells.
-    let schema = Schema::grid2d("R", 100, 70, &["v"]).unwrap();
-    let data: Vec<f64> = (0..100 * 70)
-        .map(|i| ((i as f64) * 0.031).sin() * 4.0)
-        .collect();
-    let mut base = DenseArray::from_vec(schema, data).unwrap();
-    for y in 20..28 {
-        for x in 30..55 {
-            base.clear_cell(&[y, x]).unwrap();
-        }
+fn encoded_frames_are_pinned() {
+    let mut frame = FrameBuf::new();
+    for ((name, hex), msg) in FRAMES.into_iter().zip(sample_messages()) {
+        let want = unhex(hex);
+        assert_eq!(&msg.encode()[..], &want[..], "{name}: encode() frame bytes");
+        assert_eq!(
+            msg.encode_into(&mut frame),
+            &want[..],
+            "{name}: encode_into() frame bytes"
+        );
+        assert_eq!(
+            &seed_encode_server_msg(&msg)[..],
+            &want[..],
+            "{name}: seed frame bytes"
+        );
     }
-    let cfg = PyramidConfig::simple(3, 16, &["v"]);
-    let (seed_g, seed_store) = seed_build_pyramid(&base, &cfg).unwrap();
-    let built = PyramidBuilder::new().build(&base, &cfg).unwrap();
-    assert_eq!(seed_g, built.geometry());
-    for id in built.geometry().all_tiles() {
-        let seed_tile = seed_store.fetch_offline(id).expect("seed tile");
-        let new_tile = built.store().fetch_offline(id).expect("built tile");
-        assert_array_bits_equal(&seed_tile.array, &new_tile.array, &format!("{id}"));
+}
+
+#[test]
+fn pinned_frames_decode_to_their_messages() {
+    for ((name, hex), msg) in FRAMES.into_iter().zip(sample_messages()) {
+        let framed = Bytes::from(unhex(hex));
+        let decoded = ServerMsg::decode(unframe(&framed))
+            .unwrap_or_else(|e| panic!("{name}: pinned frame does not decode: {e}"));
+        assert_msg_bits_equal(&decoded, &msg);
+        assert_msg_bits_equal(&seed_decode_server_msg(unframe(&framed)).unwrap(), &msg);
     }
 }

@@ -19,11 +19,18 @@
 //! benchmark's two contexts (1024² terrain; `ctx32` 6 levels of 32²,
 //! `ctx64` 5 levels of 64²) take too long unoptimized and run in
 //! release only.
+//!
+//! Two synthetic pyramids pin what the terrain shapes do not reach: a
+//! ragged 100×70 base with a hole, whose edge tiles are padded and some
+//! of whose windows aggregate over empty cells (its served bytes), and
+//! a 64² base of 16² tiles (its signatures).
 
-use fc_array::BlobSize;
-use fc_core::signature::SIGNATURE_KINDS;
+use fc_array::{BlobSize, DenseArray, Schema};
+use fc_bench::seed_baseline::{seed_attach_signatures, seed_build_pyramid};
+use fc_core::signature::{attach_signatures, SignatureConfig, SIGNATURE_KINDS};
 use fc_sim::terrain::TerrainConfig;
 use fc_sim::{DatasetConfig, StudyDataset};
+use fc_tiles::{Geometry, PyramidBuilder, PyramidConfig, TileStore};
 
 /// FNV-1a 64-bit fold; stable across platforms and runs.
 struct Fold(u64);
@@ -74,29 +81,44 @@ fn fingerprints(size: usize, levels: u8, tile: usize) -> [u64; 4] {
         }
         f.0
     };
-    let (mut sigs, mut tiles) = (Fold::new(), Fold::new());
-    let mut mask = Vec::new();
-    let store = ds.pyramid.store();
-    for id in ds.pyramid.geometry().all_tiles() {
-        for kind in SIGNATURE_KINDS {
-            sigs.vec(&store.meta_vec(id, kind.meta_name()).expect("signature"));
-        }
-        let t = store.fetch_offline(id).expect("tile");
-        for (ai, attr) in t.array.schema().attrs.iter().enumerate() {
-            tiles.bytes(attr.name.as_bytes());
-            tiles.vec(t.array.attr_col(ai));
-        }
-        mask.clear();
-        t.array.validity().expand_into(&mut mask);
-        tiles.bytes(&mask);
-        tiles.u64(t.nbytes() as u64);
-    }
+    let (geometry, store) = (ds.pyramid.geometry(), ds.pyramid.store());
     [
         vocab(ds.sift_vocab.centroids()),
         vocab(ds.dense_vocab.centroids()),
-        sigs.0,
-        tiles.0,
+        signature_fold(geometry, store),
+        tile_fold(geometry, store),
     ]
+}
+
+/// Every tile's four signatures in `Geometry::all_tiles` order, the
+/// kinds of each tile in Table-2 order.
+fn signature_fold(geometry: Geometry, store: &TileStore) -> u64 {
+    let mut f = Fold::new();
+    for id in geometry.all_tiles() {
+        for kind in SIGNATURE_KINDS {
+            f.vec(&store.meta_vec(id, kind.meta_name()).expect("signature"));
+        }
+    }
+    f.0
+}
+
+/// Every tile's served bytes in `Geometry::all_tiles` order: each
+/// attribute's name and column bits, the presence mask and `nbytes`.
+fn tile_fold(geometry: Geometry, store: &TileStore) -> u64 {
+    let mut f = Fold::new();
+    let mut mask = Vec::new();
+    for id in geometry.all_tiles() {
+        let t = store.fetch_offline(id).expect("tile");
+        for (ai, attr) in t.array.schema().attrs.iter().enumerate() {
+            f.bytes(attr.name.as_bytes());
+            f.vec(t.array.attr_col(ai));
+        }
+        mask.clear();
+        t.array.validity().expand_into(&mut mask);
+        f.bytes(&mask);
+        f.u64(t.nbytes() as u64);
+    }
+    f.0
 }
 
 fn check(size: usize, levels: u8, tile: usize, want: [u64; 4]) {
@@ -167,5 +189,66 @@ fn benchmark_ctx64_is_pinned() {
             0xda28bc0bb2c0b0ed,
             0xd9535933f51c0c50,
         ],
+    );
+}
+
+fn check_fold(what: &str, got: u64, want: u64) {
+    assert!(got == want, "{what} moved; actual: {got:#018x}");
+}
+
+#[test]
+fn ragged_pyramid_is_pinned() {
+    let schema = Schema::grid2d("R", 100, 70, &["v"]).unwrap();
+    let data: Vec<f64> = (0..100 * 70)
+        .map(|i| ((i as f64) * 0.031).sin() * 4.0)
+        .collect();
+    let mut base = DenseArray::from_vec(schema, data).unwrap();
+    for y in 20..28 {
+        for x in 30..55 {
+            base.clear_cell(&[y, x]).unwrap();
+        }
+    }
+    let cfg = PyramidConfig::simple(3, 16, &["v"]);
+    let built = PyramidBuilder::new().build(&base, &cfg).unwrap();
+    assert_eq!(built.geometry().all_tiles().count(), 51);
+    let want = 0x8a3ba582db28f2b3;
+    check_fold(
+        "ragged tiles",
+        tile_fold(built.geometry(), built.store()),
+        want,
+    );
+    let (seed_geometry, seed_store) = seed_build_pyramid(&base, &cfg).unwrap();
+    assert_eq!(seed_geometry, built.geometry());
+    check_fold(
+        "seed ragged tiles",
+        tile_fold(seed_geometry, &seed_store),
+        want,
+    );
+}
+
+#[test]
+fn signature_pass_64_is_pinned() {
+    let schema = Schema::grid2d("B", 64, 64, &["v"]).unwrap();
+    let data: Vec<f64> = (0..64 * 64)
+        .map(|i| ((i as f64 * 0.37).sin().abs() + (i % 64) as f64 / 64.0) / 2.0)
+        .collect();
+    let base = DenseArray::from_vec(schema, data).unwrap();
+    let cfg = PyramidConfig::simple(3, 16, &["v"]);
+    let mut sig_cfg = SignatureConfig::ndsi("v");
+    sig_cfg.domain = (0.0, 1.0);
+    let want = 0x81aa3c23f877dbc0;
+    let pyramid = PyramidBuilder::new().build(&base, &cfg).unwrap();
+    attach_signatures(&pyramid, &sig_cfg);
+    check_fold(
+        "64² signatures",
+        signature_fold(pyramid.geometry(), pyramid.store()),
+        want,
+    );
+    let seed_pyramid = PyramidBuilder::new().build(&base, &cfg).unwrap();
+    seed_attach_signatures(seed_pyramid.geometry(), seed_pyramid.store(), &sig_cfg);
+    check_fold(
+        "seed 64² signatures",
+        signature_fold(seed_pyramid.geometry(), seed_pyramid.store()),
+        want,
     );
 }
