@@ -131,7 +131,7 @@ impl Schema {
     }
 
     /// Row-major strides for each dimension.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut s = vec![1usize; self.dims.len()];
         for i in (0..self.dims.len().saturating_sub(1)).rev() {
             s[i] = s[i + 1] * self.dims[i + 1].len;

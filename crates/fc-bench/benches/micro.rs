@@ -1,14 +1,13 @@
 //! Criterion micro-benchmarks for the hot paths of every subsystem:
 //! array aggregation, pyramid building, signatures, model prediction
-//! steps, cache operations, and protocol encoding. The `(seed impl)`
-//! rows time the seed implementations in `fc_bench::seed_baseline`
-//! next to the live ones; run under `FC_FORCE_SCALAR=1` for the scalar
-//! dispatch level.
+//! steps, cache operations, and protocol encoding. Run under
+//! `FC_FORCE_SCALAR=1` for the scalar dispatch level. The speedups of
+//! the data path over the seed implementations are recorded in
+//! docs/BENCHMARKS.md's frozen table.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fc_array::{regrid, AggFn, DenseArray, IoMode, LatencyModel, Schema, SimClock};
 use fc_bench::context::ExpContext;
-use fc_bench::seed_baseline::{seed_decode_server_msg, seed_encode_server_msg, seed_regrid_with};
 use fc_core::ab::MoveTree;
 use fc_core::engine::PhaseSource;
 use fc_core::paircache::PairCache;
@@ -51,9 +50,6 @@ fn built_pyramid() -> Arc<Pyramid> {
 
 fn bench_array_ops(c: &mut Criterion) {
     let a = base_array(256);
-    c.bench_function("regrid 256x256 window 4 avg (seed impl)", |b| {
-        b.iter(|| seed_regrid_with(black_box(&a), &[4, 4], &[AggFn::Avg]).expect("regrid"))
-    });
     c.bench_function("regrid 256x256 window 4 avg", |b| {
         b.iter(|| regrid(black_box(&a), &[4, 4], AggFn::Avg).expect("regrid"))
     });
@@ -509,9 +505,6 @@ fn bench_protocol(c: &mut Criterion) {
         phase: 1,
         degraded: false,
     };
-    c.bench_function("protocol encode 32x32 tile (seed impl)", |b| {
-        b.iter(|| seed_encode_server_msg(black_box(&msg)))
-    });
     c.bench_function("protocol encode 32x32 tile", |b| b.iter(|| msg.encode()));
     let mut frame = fc_server::FrameBuf::new();
     c.bench_function("protocol encode 32x32 tile (reused FrameBuf)", |b| {
@@ -536,12 +529,6 @@ fn bench_protocol(c: &mut Criterion) {
         })
     });
     let encoded = msg.encode();
-    c.bench_function("protocol decode 32x32 tile (seed impl)", |b| {
-        b.iter(|| {
-            seed_decode_server_msg(fc_server::protocol::unframe(black_box(&encoded)))
-                .expect("decode")
-        })
-    });
     c.bench_function("protocol decode 32x32 tile", |b| {
         b.iter(|| {
             fc_server::ServerMsg::decode(fc_server::protocol::unframe(black_box(&encoded)))

@@ -15,6 +15,5 @@
 pub mod context;
 pub mod experiments;
 mod fmt;
-pub mod seed_baseline;
 
 pub use context::ExpContext;

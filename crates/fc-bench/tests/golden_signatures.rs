@@ -26,7 +26,6 @@
 //! a 64² base of 16² tiles (its signatures).
 
 use fc_array::{BlobSize, DenseArray, Schema};
-use fc_bench::seed_baseline::{seed_attach_signatures, seed_build_pyramid};
 use fc_core::signature::{attach_signatures, SignatureConfig, SIGNATURE_KINDS};
 use fc_sim::terrain::TerrainConfig;
 use fc_sim::{DatasetConfig, StudyDataset};
@@ -211,19 +210,8 @@ fn ragged_pyramid_is_pinned() {
     let cfg = PyramidConfig::simple(3, 16, &["v"]);
     let built = PyramidBuilder::new().build(&base, &cfg).unwrap();
     assert_eq!(built.geometry().all_tiles().count(), 51);
-    let want = 0x8a3ba582db28f2b3;
-    check_fold(
-        "ragged tiles",
-        tile_fold(built.geometry(), built.store()),
-        want,
-    );
-    let (seed_geometry, seed_store) = seed_build_pyramid(&base, &cfg).unwrap();
-    assert_eq!(seed_geometry, built.geometry());
-    check_fold(
-        "seed ragged tiles",
-        tile_fold(seed_geometry, &seed_store),
-        want,
-    );
+    let got = tile_fold(built.geometry(), built.store());
+    check_fold("ragged tiles", got, 0x8a3ba582db28f2b3);
 }
 
 #[test]
@@ -236,19 +224,8 @@ fn signature_pass_64_is_pinned() {
     let cfg = PyramidConfig::simple(3, 16, &["v"]);
     let mut sig_cfg = SignatureConfig::ndsi("v");
     sig_cfg.domain = (0.0, 1.0);
-    let want = 0x81aa3c23f877dbc0;
     let pyramid = PyramidBuilder::new().build(&base, &cfg).unwrap();
     attach_signatures(&pyramid, &sig_cfg);
-    check_fold(
-        "64² signatures",
-        signature_fold(pyramid.geometry(), pyramid.store()),
-        want,
-    );
-    let seed_pyramid = PyramidBuilder::new().build(&base, &cfg).unwrap();
-    seed_attach_signatures(seed_pyramid.geometry(), seed_pyramid.store(), &sig_cfg);
-    check_fold(
-        "seed 64² signatures",
-        signature_fold(seed_pyramid.geometry(), seed_pyramid.store()),
-        want,
-    );
+    let got = signature_fold(pyramid.geometry(), pyramid.store());
+    check_fold("64² signatures", got, 0x81aa3c23f877dbc0);
 }

@@ -144,7 +144,7 @@ pub(crate) fn pair_cache_capacity_hint(nsig: usize, ntiles: usize) -> usize {
 }
 
 /// Renders a tile to the grayscale image the vision signatures consume.
-pub fn tile_image(tile: &Tile, attr: &str, domain: (f64, f64)) -> GrayImage {
+pub(crate) fn tile_image(tile: &Tile, attr: &str, domain: (f64, f64)) -> GrayImage {
     let (h, w) = tile.shape();
     let raster = tile
         .render(attr, domain.0, domain.1)
@@ -162,20 +162,15 @@ fn signature_values(tile: &Tile, attr: &str, out: &mut Vec<f64>) {
     out.retain(|v| v.is_finite());
 }
 
-/// Computes the [`SignatureKind::NormalDist`] vector: `[mean, std]`.
-pub fn normal_signature(tile: &Tile, attr: &str) -> Vec<f64> {
-    let mut vals = Vec::new();
-    signature_values(tile, attr, &mut vals);
-    normal_signature_from(&vals)
-}
-
-/// [`normal_signature`] over an already-collected value slice.
+/// Computes the [`SignatureKind::NormalDist`] vector, `[mean, std]`,
+/// over a tile's collected values (see `signature_values`).
 fn normal_signature_from(vals: &[f64]) -> Vec<f64> {
     vec![fc_ml::mean(vals), fc_ml::std_dev(vals)]
 }
 
 /// Computes the [`SignatureKind::Hist1D`] vector: a normalized
 /// `bins`-bucket histogram of attribute values over `domain`.
+// fc-check: allow(unreferenced-pub) -- fixture shared across crates: fc-core's fault_injection and fc-sim's zoo and golden_burst tests build Hist1D datasets with it
 pub fn hist_signature(tile: &Tile, attr: &str, domain: (f64, f64), bins: usize) -> Vec<f64> {
     let mut vals = Vec::new();
     signature_values(tile, attr, &mut vals);
@@ -322,10 +317,16 @@ mod tests {
         )
     }
 
+    fn values(tile: &Tile) -> Vec<f64> {
+        let mut vals = Vec::new();
+        signature_values(tile, "v", &mut vals);
+        vals
+    }
+
     #[test]
     fn normal_signature_mean_std() {
         let t = tile_with(vec![1.0, 1.0, 3.0, 3.0], 2);
-        let s = normal_signature(&t, "v");
+        let s = normal_signature_from(&values(&t));
         assert_eq!(s.len(), 2);
         assert!((s[0] - 2.0).abs() < 1e-12);
         assert!((s[1] - 1.0).abs() < 1e-12);
@@ -348,7 +349,7 @@ mod tests {
         let t = Tile::new(TileId::ROOT, DenseArray::empty(schema));
         let h = hist_signature(&t, "v", (-1.0, 1.0), 4);
         assert_eq!(h, vec![0.0; 4]);
-        let n = normal_signature(&t, "v");
+        let n = normal_signature_from(&values(&t));
         assert_eq!(n, vec![0.0, 0.0]);
     }
 
@@ -389,7 +390,7 @@ mod tests {
 
     #[test]
     fn one_nan_cell_is_a_missing_cell_to_the_signature_pass() {
-        // The textured base of `golden_datapath`, one present cell NaN;
+        // The textured base of `golden_signatures`' 64² pass, one present cell NaN;
         // every coarser level's average over it is NaN too.
         let schema = Schema::grid2d("B", 64, 64, &["v"]).unwrap();
         let mut data: Vec<f64> = (0..64 * 64)

@@ -141,7 +141,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// Decodes a wire byte (total: unknown values map to `General`).
-    pub fn from_u8(v: u8) -> Self {
+    pub(crate) fn from_u8(v: u8) -> Self {
         match v {
             1 => ErrorCode::Malformed,
             2 => ErrorCode::UnknownDataset,

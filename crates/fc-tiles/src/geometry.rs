@@ -56,7 +56,7 @@ impl Geometry {
     }
 
     /// Aggregation window applied to the raw array for `level`.
-    pub fn agg_window(&self, level: u8) -> usize {
+    pub(crate) fn agg_window(&self, level: u8) -> usize {
         1usize << (self.levels - 1 - level)
     }
 

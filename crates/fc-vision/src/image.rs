@@ -42,7 +42,7 @@ impl GrayImage {
     /// Pixel at `(x, y)` with clamp-to-edge semantics for out-of-range
     /// coordinates (the convolution boundary convention).
     #[inline]
-    pub fn get_clamped(&self, x: isize, y: isize) -> f64 {
+    pub(crate) fn get_clamped(&self, x: isize, y: isize) -> f64 {
         let xi = x.clamp(0, self.width as isize - 1) as usize;
         let yi = y.clamp(0, self.height as isize - 1) as usize;
         self.pixels[yi * self.width + xi]
@@ -60,7 +60,7 @@ impl GrayImage {
 
     /// Half-resolution copy (every other pixel; inputs should be blurred
     /// first to avoid aliasing).
-    pub fn downsample2(&self) -> GrayImage {
+    pub(crate) fn downsample2(&self) -> GrayImage {
         let w = (self.width / 2).max(1);
         let h = (self.height / 2).max(1);
         let mut out = Vec::with_capacity(w * h);
