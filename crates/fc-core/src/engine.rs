@@ -130,6 +130,8 @@ pub struct PredictionEngine {
     /// Pair-cache activity of the last predict — see
     /// [`Self::last_pair_cache`].
     last_pair_cache: PairCacheStats,
+    /// The last request's candidate set — see [`Self::candidates`].
+    candidate_buf: Vec<TileId>,
     /// The store's frozen signature index, cached with the
     /// `(store_id, meta_epoch)` it was read at; revalidated per
     /// predict with one atomic load so the steady state acquires no
@@ -173,6 +175,7 @@ impl PredictionEngine {
             scratch: PredictScratch::default(),
             pair_cache: PairCache::default(),
             last_pair_cache: PairCacheStats::default(),
+            candidate_buf: Vec::new(),
             sig_cache: None,
         }
     }
@@ -227,8 +230,16 @@ impl PredictionEngine {
     /// another session's probes. All zero when the call ranked without
     /// a cache (no history yet, metadata-free store) or did not rank SB
     /// at all (the allocation gave it no slot and AB filled the budget).
-    pub(crate) fn last_pair_cache(&self) -> PairCacheStats {
+    pub fn last_pair_cache(&self) -> PairCacheStats {
         self.last_pair_cache
+    }
+
+    /// The candidate set of `tile` at prediction distance `d`, as every
+    /// predict ranks it: [`Geometry::candidates`] of the engine's
+    /// geometry, element by element.
+    pub fn candidates(&mut self, tile: TileId, d: usize) -> &[TileId] {
+        self.candidate_buf = self.geometry.candidates(tile, d);
+        &self.candidate_buf
     }
 
     /// [`Self::predict`] with per-call overrides — see
@@ -256,11 +267,12 @@ impl PredictionEngine {
         // one atomic load (unused on the scheduler path, which owns
         // its own index refresh).
         let index = self.refresh_sig_cache(store);
-        let candidates = self.geometry.candidates(last.tile, distance);
+        self.candidates(last.tile, distance);
+        let candidates = &self.candidate_buf;
         let ctx = PredictionContext {
             request: last,
             history: &self.history,
-            candidates: &candidates,
+            candidates,
             geometry: self.geometry,
             store,
             roi: self.roi.roi(),
@@ -279,7 +291,7 @@ impl PredictionEngine {
             (sb_list, self.last_pair_cache) = match (scheduler, &index) {
                 // Cross-session path: the scheduler owns index refresh,
                 // scratch and the shared pair cache.
-                (Some(s), _) => s.rank_counted(&candidates, ctx.reference_tiles()),
+                (Some(s), _) => s.rank_counted(candidates, ctx.reference_tiles()),
                 // SB: frozen-index fast path through the pair cache
                 // when metadata exists (steady state probes instead of
                 // dividing); the locked reference path only serves
@@ -288,7 +300,7 @@ impl PredictionEngine {
                     self.pair_cache.fit(ix);
                     self.sb.rank_tiles(
                         ix,
-                        &candidates,
+                        candidates,
                         ctx.reference_tiles(),
                         &mut self.pair_cache,
                         &mut self.scratch,
@@ -551,6 +563,85 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// An engine over `g` whose AB model bound its move trees to
+    /// `memo` first.
+    fn engine_bound_to(g: Geometry, memo: Geometry) -> PredictionEngine {
+        let open = |g| {
+            PredictionEngine::new(
+                g,
+                AbRecommender::train([[0u16; 4].as_slice()], 3),
+                SbRecommender::new(SbConfig::single(SignatureKind::Hist1D)),
+                PhaseSource::Heuristic,
+                EngineConfig::default(),
+            )
+        };
+        let bound = open(memo);
+        PredictionEngine::new(
+            g,
+            bound.ab.clone(),
+            bound.sb.clone(),
+            PhaseSource::Heuristic,
+            EngineConfig::default(),
+        )
+    }
+
+    /// The engine's candidate list is `Geometry::candidates`, order
+    /// included, for every tile of the benchmark's two grids (`ctx32`,
+    /// `ctx64`) and of a ragged one, at d = 1, 2, 3; and past the move
+    /// trees' depth (d = 4) and on a geometry the AB model's memo is not
+    /// bound to, on a sample of tiles.
+    #[test]
+    fn candidates_are_the_geometry_bfs_on_every_tile() {
+        let other = Geometry::new(4, 512, 512, 64, 64);
+        for g in [
+            Geometry::new(6, 1024, 1024, 32, 32),
+            Geometry::new(5, 1024, 1024, 64, 64),
+            Geometry::new(3, 300, 500, 64, 64),
+        ] {
+            let mut e = engine_bound_to(g, g);
+            let mut elsewhere = engine_bound_to(g, other);
+            for (i, tile) in g.all_tiles().enumerate() {
+                for d in 1..=3 {
+                    let want = g.candidates(tile, d);
+                    assert_eq!(e.candidates(tile, d), want, "{tile} d = {d}");
+                    if i % 7 == 0 {
+                        assert_eq!(elsewhere.candidates(tile, d), want, "{tile} d = {d}");
+                    }
+                }
+                if i % 31 == 0 {
+                    assert_eq!(e.candidates(tile, 4), g.candidates(tile, 4), "{tile}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The same on any grid shape, any tile, d = 0..4, with the AB
+        /// model's memo bound to the engine's geometry or to another.
+        #[test]
+        fn candidates_match_the_geometry_bfs(
+            levels in 1u8..8,
+            raw_h in 1usize..=300,
+            raw_w in 1usize..=300,
+            tile_h in 1usize..=64,
+            tile_w in 1usize..=64,
+            pick in proptest::prelude::any::<u64>(),
+            d in 0usize..5,
+            bound_elsewhere in proptest::prelude::any::<bool>(),
+        ) {
+            let g = Geometry::new(levels, raw_h, raw_w, tile_h, tile_w);
+            let memo = if bound_elsewhere { geometry() } else { g };
+            let mut e = engine_bound_to(g, memo);
+            let level = (pick % u64::from(levels)) as u8;
+            let (rows, cols) = g.tiles_at(level);
+            let tile = TileId::new(level, (pick >> 8) as u32 % rows, (pick >> 36) as u32 % cols);
+            let want = g.candidates(tile, d);
+            proptest::prop_assert_eq!(e.candidates(tile, d), want.as_slice());
         }
     }
 
