@@ -202,6 +202,19 @@ fn bench_models(c: &mut Criterion) {
     c.bench_function("geometry candidates d = 2", |b| {
         b.iter(|| g.candidates(black_box(cur.tile), 2))
     });
+    // The engine binds the AB model's move trees; the first call builds
+    // this tile's, and every later one reads it into the engine's buffer.
+    let mut engine = PredictionEngine::new(
+        g,
+        ab.clone(),
+        sb.clone(),
+        PhaseSource::Heuristic,
+        EngineConfig::default(),
+    );
+    engine.candidates(cur.tile, 2);
+    c.bench_function("engine candidates d = 2 (move tree)", |b| {
+        b.iter(|| engine.candidates(black_box(cur.tile), 2).len())
+    });
     c.bench_function("SB rank 9 candidates (4 signatures)", |b| {
         b.iter(|| sb.rank(black_box(&ctx)))
     });

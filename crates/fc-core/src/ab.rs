@@ -28,6 +28,12 @@
 //! [`MoveTree`], shared by every clone of the model: the walk reads a
 //! byte per path and applies no move, and its work does not depend on
 //! how many candidates there are.
+//!
+//! The same tree supplies the engine's candidate set at d = 2 and 3:
+//! its paths are resolved ring by ring, so its distinct endpoints come
+//! out in [`Geometry::candidates`]' BFS order, and the candidate set is
+//! a slice of them. Once a tile's tree exists, a request applies no
+//! move to find its candidates.
 
 use crate::recommender::{PredictionContext, Recommender};
 use crate::slots::TileSlots;
@@ -68,6 +74,12 @@ pub(crate) fn distributions_computed() -> usize {
     DISTRIBUTIONS.with(std::cell::Cell::get)
 }
 
+/// Move trees built so far on this thread.
+#[cfg(test)]
+pub(crate) fn trees_built() -> usize {
+    TREES_BUILT.with(std::cell::Cell::get)
+}
+
 /// The three-move tree of one origin tile under one geometry: where
 /// each path of one, two and three moves ends, as an index into the
 /// tree's distinct endpoints (`ILLEGAL` when the path takes an illegal
@@ -79,8 +91,15 @@ pub struct MoveTree {
     two: [u8; N * N],
     /// `three[(m1 * N + m2) * N + m3]`.
     three: [u8; N * N * N],
-    /// The distinct endpoints, in the order the paths first reach them.
+    /// The origin, then the distinct endpoints in the order the paths
+    /// first reach them when they are resolved ring by ring: every
+    /// one-move path, then every two-move path, then every three-move
+    /// path, each in move order. After the origin, that is
+    /// [`Geometry::candidates`]' BFS order.
     endpoints: Vec<TileId>,
+    /// How many of `endpoints` are at most two moves out, the origin
+    /// included.
+    within_two: u8,
     /// Open-addressed from a tile's hash: an index into `endpoints`, or
     /// `ILLEGAL` for a free slot.
     index: [u8; INDEX_SLOTS],
@@ -101,28 +120,43 @@ impl MoveTree {
             two: [ILLEGAL; N * N],
             three: [ILLEGAL; N * N * N],
             endpoints: Vec::new(),
+            within_two: 0,
             index: [ILLEGAL; INDEX_SLOTS],
         };
+        tree.intern(origin);
         for (m1, mv1) in MOVES.into_iter().enumerate() {
-            let Some(t1) = geometry.apply(origin, mv1) else {
+            if let Some(t1) = geometry.apply(origin, mv1) {
+                tree.one[m1] = tree.intern(t1);
+            }
+        }
+        for m1 in 0..N {
+            let Some(t1) = tree.tile(tree.one[m1]) else {
                 continue;
             };
-            tree.one[m1] = tree.intern(t1);
             for (m2, mv2) in MOVES.into_iter().enumerate() {
-                let Some(t2) = geometry.apply(t1, mv2) else {
-                    continue;
-                };
-                let path = m1 * N + m2;
-                tree.two[path] = tree.intern(t2);
-                for (m3, mv3) in MOVES.into_iter().enumerate() {
-                    if let Some(t3) = geometry.apply(t2, mv3) {
-                        tree.three[path * N + m3] = tree.intern(t3);
-                    }
+                if let Some(t2) = geometry.apply(t1, mv2) {
+                    tree.two[m1 * N + m2] = tree.intern(t2);
+                }
+            }
+        }
+        tree.within_two = tree.endpoints.len() as u8;
+        for path in 0..N * N {
+            let Some(t2) = tree.tile(tree.two[path]) else {
+                continue;
+            };
+            for (m3, mv3) in MOVES.into_iter().enumerate() {
+                if let Some(t3) = geometry.apply(t2, mv3) {
+                    tree.three[path * N + m3] = tree.intern(t3);
                 }
             }
         }
         tree.endpoints.shrink_to_fit();
         tree
+    }
+
+    /// The tile a path ends at, unless it takes an illegal move.
+    fn tile(&self, e: u8) -> Option<TileId> {
+        (e != ILLEGAL).then(|| self.endpoints[usize::from(e)])
     }
 
     /// Fibonacci hash of the packed coordinates; a collision costs a
@@ -169,6 +203,16 @@ impl MoveTree {
     /// The endpoint index of `tile`, when some path ends there.
     fn endpoint(&self, tile: TileId) -> Option<usize> {
         self.probe(tile).ok().map(usize::from)
+    }
+
+    /// Every tile one to `d` (2 or 3) moves out of the origin:
+    /// [`Geometry::candidates`]' list, element by element.
+    fn candidates(&self, d: usize) -> &[TileId] {
+        debug_assert!(matches!(d, 2 | 3), "a tree holds rings 1 to 3");
+        match d {
+            2 => &self.endpoints[1..usize::from(self.within_two)],
+            _ => &self.endpoints[1..],
+        }
     }
 }
 
@@ -250,18 +294,58 @@ impl AbRecommender {
         self.trained.trees.get_or_init(|| TreeMemo::new(geometry));
     }
 
-    /// The move tree of `origin`: the memo's, built there on first use,
-    /// or else one built into `local`.
+    /// The memo's move tree of `origin`, built there on first use;
+    /// `None` when the memo is unbound, bound to another geometry, or
+    /// capped before `origin`'s level.
+    fn memo_tree(&self, geometry: Geometry, origin: TileId) -> Option<&MoveTree> {
+        let memo = self
+            .trained
+            .trees
+            .get()
+            .filter(|m| m.geometry == geometry)?;
+        let cell = &memo.trees[memo.slots.slot(origin)?];
+        Some(cell.get_or_init(|| Box::new(MoveTree::new(geometry, origin))))
+    }
+
+    /// The move tree of `origin`: the memo's, or else one built into
+    /// `local`.
     fn tree<'t>(
         &'t self,
         geometry: Geometry,
         origin: TileId,
         local: &'t mut Option<MoveTree>,
     ) -> &'t MoveTree {
-        let memo = self.trained.trees.get().filter(|m| m.geometry == geometry);
-        match memo.and_then(|m| Some(&m.trees[m.slots.slot(origin)?])) {
-            Some(cell) => cell.get_or_init(|| Box::new(MoveTree::new(geometry, origin))),
+        match self.memo_tree(geometry, origin) {
+            Some(tree) => tree,
             None => local.insert(MoveTree::new(geometry, origin)),
+        }
+    }
+
+    /// The candidate set of `origin` at prediction distance `d`, into
+    /// `out`: [`Geometry::candidates`]' list, element by element, read
+    /// from state the process resolves once. At d = 1 it is `origin`'s
+    /// legal neighbours in move order: no two moves out of a tile land
+    /// on the same tile, and none lands back on it. At d = 2 and 3 it is
+    /// read off the memo's move tree. Past d = 3, or off the memo,
+    /// [`Geometry::candidates`] runs; no tree is built for the call.
+    pub(crate) fn candidates_into(
+        &self,
+        geometry: Geometry,
+        origin: TileId,
+        d: usize,
+        out: &mut Vec<TileId>,
+    ) {
+        out.clear();
+        let tree = match d {
+            2 | 3 => self.memo_tree(geometry, origin),
+            _ => None,
+        };
+        match tree {
+            Some(tree) => out.extend_from_slice(tree.candidates(d)),
+            None if d == 1 => {
+                out.extend(MOVES.into_iter().filter_map(|m| geometry.apply(origin, m)))
+            }
+            None => out.extend(geometry.candidates(origin, d)),
         }
     }
 
@@ -572,11 +656,6 @@ mod tests {
         assert_eq!(count(&d2[d1.len()..d1.len() + 1]), walk);
         let repeated: Vec<TileId> = d3.iter().cycle().take(4 * d3.len()).copied().collect();
         assert_eq!(count(&repeated), walk);
-    }
-
-    /// Move trees built so far on this thread.
-    fn trees_built() -> usize {
-        TREES_BUILT.with(std::cell::Cell::get)
     }
 
     fn right_run_model() -> AbRecommender {

@@ -236,9 +236,11 @@ impl PredictionEngine {
 
     /// The candidate set of `tile` at prediction distance `d`, as every
     /// predict ranks it: [`Geometry::candidates`] of the engine's
-    /// geometry, element by element.
+    /// geometry, element by element, read from the AB model's move
+    /// trees (which every clone shares) into a buffer the engine reuses.
     pub fn candidates(&mut self, tile: TileId, d: usize) -> &[TileId] {
-        self.candidate_buf = self.geometry.candidates(tile, d);
+        self.ab
+            .candidates_into(self.geometry, tile, d, &mut self.candidate_buf);
         &self.candidate_buf
     }
 
@@ -390,7 +392,7 @@ pub fn heuristic_phase(geometry: Geometry, request: &Request) -> Phase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ab::distributions_computed;
+    use crate::ab::{distributions_computed, trees_built};
     use crate::sb::SbConfig;
     use crate::signature::SignatureKind;
     use fc_array::{IoMode, LatencyModel, SimClock};
@@ -616,6 +618,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The candidate set builds a move tree only where AB's d = 2 and
+    /// d = 3 rankings build one: never at d = 1, past d = 3, or off the
+    /// memo.
+    #[test]
+    fn candidates_build_trees_only_on_the_memo_at_d2_and_d3() {
+        let g = geometry();
+        let mut e = engine_bound_to(g, g);
+        let mut elsewhere = engine_bound_to(g, Geometry::new(6, 1024, 1024, 32, 32));
+        let tile = TileId::new(2, 1, 1);
+        let before = trees_built();
+        e.candidates(tile, 1);
+        e.candidates(tile, 4);
+        elsewhere.candidates(tile, 2);
+        elsewhere.candidates(tile, 3);
+        assert_eq!(trees_built(), before);
+        e.candidates(tile, 2);
+        e.candidates(tile, 3);
+        assert_eq!(trees_built(), before + 1, "one tree serves d = 2 and 3");
     }
 
     proptest::proptest! {

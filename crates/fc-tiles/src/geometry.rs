@@ -139,6 +139,11 @@ impl Geometry {
     /// `d` moves** from `from`, excluding `from` itself (paper §4.3.1,
     /// default `d = 1`). Order: BFS (distance-1 tiles first), move order
     /// within a ring.
+    ///
+    /// This search is the reference. The prediction engine reads the
+    /// same list at d ≤ 3 from the AB model's per-tile move trees, which
+    /// a process resolves once (`fc-core`'s `AbRecommender`), and calls
+    /// this only past them.
     pub fn candidates(&self, from: TileId, d: usize) -> Vec<TileId> {
         // `out` is its own seen-set and, by index range, its own
         // frontier; `from` sits at the front until the search is done.
