@@ -322,11 +322,9 @@ impl AbRecommender {
     }
 
     /// The candidate set of `origin` at prediction distance `d`, into
-    /// `out`: [`Geometry::candidates`]' list, element by element, read
-    /// from state the process resolves once. At d = 1 it is `origin`'s
-    /// legal neighbours in move order: no two moves out of a tile land
-    /// on the same tile, and none lands back on it. At d = 2 and 3 it is
-    /// read off the memo's move tree. Past d = 3, or off the memo,
+    /// `out`: [`Geometry::candidates`]' list, element by element. At
+    /// d = 2 and 3 it is read off the memo's move tree, which the
+    /// process resolves once. At d = 1, past d = 3, or off the memo,
     /// [`Geometry::candidates`] runs; no tree is built for the call.
     pub(crate) fn candidates_into(
         &self,
@@ -342,9 +340,6 @@ impl AbRecommender {
         };
         match tree {
             Some(tree) => out.extend_from_slice(tree.candidates(d)),
-            None if d == 1 => {
-                out.extend(MOVES.into_iter().filter_map(|m| geometry.apply(origin, m)))
-            }
             None => out.extend(geometry.candidates(origin, d)),
         }
     }

@@ -141,9 +141,9 @@ impl Geometry {
     /// within a ring.
     ///
     /// This search is the reference. The prediction engine reads the
-    /// same list at d ≤ 3 from the AB model's per-tile move trees, which
-    /// a process resolves once (`fc-core`'s `AbRecommender`), and calls
-    /// this only past them.
+    /// same list at d = 2 and 3 from the AB model's per-tile move trees,
+    /// which a process resolves once (`fc-core`'s `AbRecommender`), and
+    /// calls this everywhere else.
     pub fn candidates(&self, from: TileId, d: usize) -> Vec<TileId> {
         // `out` is its own seen-set and, by index range, its own
         // frontier; `from` sits at the front until the search is done.
