@@ -236,8 +236,9 @@ impl PredictionEngine {
 
     /// The candidate set of `tile` at prediction distance `d`, as every
     /// predict ranks it: [`Geometry::candidates`] of the engine's
-    /// geometry, element by element, read from the AB model's move
-    /// trees (which every clone shares) into a buffer the engine reuses.
+    /// geometry, element by element, into a buffer the engine reuses.
+    /// At d = 2 and 3 it is read off the AB model's move trees, which
+    /// every clone shares.
     pub fn candidates(&mut self, tile: TileId, d: usize) -> &[TileId] {
         self.ab
             .candidates_into(self.geometry, tile, d, &mut self.candidate_buf);
