@@ -6,6 +6,22 @@
 //! of this packed representation, which matters when every tile in a
 //! pyramid carries a mask.
 
+/// Each byte value's eight bits as eight bytes (1 = set), low bit
+/// first: the per-byte step of [`BitVec::expand_into`].
+const BYTE_BITS: [[u8; 8]; 256] = {
+    let mut table = [[0u8; 8]; 256];
+    let mut v = 0;
+    while v < 256 {
+        let mut b = 0;
+        while b < 8 {
+            table[v][b] = (v >> b) as u8 & 1;
+            b += 1;
+        }
+        v += 1;
+    }
+    table
+};
+
 /// A packed, growable bit vector.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BitVec {
@@ -161,15 +177,20 @@ impl BitVec {
     }
 
     /// Appends the bits to `out` as one byte each (1 = set) — the wire
-    /// form of a validity mask. Expands a 64-bit word at a time: one
-    /// bounds check and one length update per word, where pushing
-    /// [`BitVec::iter`]'s bits pays a range assert and a divide per bit.
+    /// form of a validity mask. Expands a 64-bit word at a time, each of
+    /// its bytes by one lookup in `BYTE_BITS`: eight 8-byte copies and
+    /// one append per word, where shifting out one bit at a time pays a
+    /// shift, a mask and a store per bit.
     pub fn expand_into(&self, out: &mut Vec<u8>) {
         out.reserve(self.len);
         let mut left = self.len;
+        let mut expanded = [0u8; 64];
         for &word in &self.words {
             let n = left.min(64);
-            out.extend((0..n).map(|b| (word >> b) as u8 & 1));
+            for (bits, byte) in expanded.chunks_exact_mut(8).zip(word.to_le_bytes()) {
+                bits.copy_from_slice(&BYTE_BITS[usize::from(byte)]);
+            }
+            out.extend_from_slice(&expanded[..n]);
             left -= n;
         }
     }
@@ -284,7 +305,7 @@ mod tests {
     #[test]
     fn expand_into_matches_per_bit_iteration() {
         let per_bit = |v: &BitVec| v.iter().map(u8::from).collect::<Vec<u8>>();
-        for len in [0, 1, 63, 64, 65, 4096] {
+        for len in [0, 1, 7, 63, 64, 65, 127, 1000, 4096] {
             // A pattern with no period dividing 64, so a word expanded
             // at the wrong offset cannot look right.
             let v: BitVec = (0..len).map(|i| i % 7 < 3 || i % 64 == 63).collect();
