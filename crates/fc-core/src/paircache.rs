@@ -553,6 +553,7 @@ impl Drop for PairCache {
 mod tests {
     use super::*;
     use fc_tiles::{Geometry, TileId, TileStore};
+    use proptest::prelude::*;
 
     fn small_index() -> SignatureIndex {
         let g = Geometry::new(2, 32, 32, 16, 16);
@@ -722,25 +723,6 @@ mod tests {
         c.insert(k, &[v], 0, 1.0);
         assert_eq!(c.live, 1);
     }
-}
-
-#[cfg(test)]
-mod recycling_tests {
-    use super::*;
-    use fc_tiles::{Geometry, TileId, TileStore};
-    use proptest::prelude::*;
-
-    fn index() -> SignatureIndex {
-        let g = Geometry::new(2, 32, 32, 16, 16);
-        let s = TileStore::new(
-            g,
-            fc_array::LatencyModel::free(),
-            fc_array::IoMode::Simulated,
-            fc_array::SimClock::new(),
-        );
-        s.put_meta(TileId::ROOT, "sig", vec![0.5, 0.5]);
-        (*s.signature_index().unwrap()).clone()
-    }
 
     fn parked() -> usize {
         PARKED.with(|p| p.borrow().len())
@@ -753,7 +735,7 @@ mod recycling_tests {
     /// Two index builds under three key sets, the last one more
     /// signatures than a slot holds (a domain the cache rejects).
     fn domains() -> Vec<(SignatureIndex, Vec<MetaKey>)> {
-        let (a, b) = (index(), index());
+        let (a, b) = (small_index(), small_index());
         let key = |name: &str| MetaKey::intern(name);
         let many = (0..=MAX_CACHED_SIGS)
             .map(|i| key(&format!("k{i}")))
