@@ -425,7 +425,8 @@ fn bench_engine_and_cache(c: &mut Criterion) {
 /// a Hello costs before the first byte is served: an engine built from
 /// the models, then its first prediction at the `predict-deep` shape
 /// (1365 tiles, four signatures, candidates two moves out), which is
-/// when the engine's pair cache is allocated.
+/// when the engine's pair cache gets its table: after the first
+/// iteration, the one the previous iteration's engine released.
 fn bench_trained_models(c: &mut Criterion) {
     let ctx = ExpContext::build(1024, 6, 32, 18);
     let train: Vec<_> = ctx.study.traces.iter().collect();
