@@ -154,7 +154,7 @@ impl SbRecommender {
 
     /// [`Self::new`] with an explicit SIMD dispatch level (clamped to
     /// what the CPU supports), ignoring the environment knobs — used by
-    /// the per-level golden tests and the scalar-baseline benches.
+    /// the per-level golden tests (`golden_simd`).
     pub fn with_simd_level(cfg: SbConfig, level: SimdLevel) -> Self {
         let name = if cfg.weights.len() == 1 {
             format!("SB:{}", cfg.weights[0].0.display_name())
@@ -263,7 +263,7 @@ impl SbRecommender {
     /// kernel over the gathered miss frontier only, writes misses
     /// back, and accumulates the per-signature maxima (Algorithm 3
     /// line 2) on the fly from the `pen · raw` products
-    /// ([`fc_simd::max_num`] selects one argument and is insensitive
+    /// (`max_num` selects one argument and is insensitive
     /// to accumulation order, so the maxima equal the reference's
     /// running `max` bit-for-bit). The fill is sequential — probes and
     /// write-backs mutate the cache — and targets interactive steady
@@ -382,18 +382,17 @@ impl SbRecommender {
             }
             // Line 2 on the fly: the same `pen · raw` products the
             // reference maximizes over, in a different order —
-            // `max_num` doesn't care. Full-width configs take the
-            // vector kernel (one `max_num` lane per signature).
+            // `max_num` doesn't care.
             if nsig == MAX_CACHED_SIGS {
                 let jm: &mut [f64; MAX_CACHED_SIGS] = (&mut s.maxes[..MAX_CACHED_SIGS])
                     .try_into()
                     .expect("nsig == 4");
-                fc_simd::max_pen_accum4(self.simd, chunk, pen, jm);
+                max_pen_accum4(chunk, pen, jm);
             } else {
                 for (bi, &p) in pen.iter().enumerate() {
                     let lanes = &chunk[bi * nsig..(bi + 1) * nsig];
                     for (mx, &v) in s.maxes.iter_mut().zip(lanes) {
-                        *mx = fc_simd::max_num(*mx, p * v);
+                        *mx = max_num(*mx, p * v);
                     }
                 }
             }
@@ -760,6 +759,34 @@ fn copy_lanes(lanes: &mut [f64], at: usize, slot: &crate::paircache::Slot, nsig:
     }
 }
 
+/// IEEE `maxNum`: the larger argument, treating NaN as missing
+/// (`max_num(a, NaN) == a`, `max_num(NaN, b) == b`); on a
+/// `+0.0`/`−0.0` tie it returns `b`. Associative and commutative over
+/// any multiset of values with at most one distinct NaN payload, so the
+/// fill's per-signature maxima do not depend on the order it visits
+/// pairs in.
+#[inline]
+fn max_num(a: f64, b: f64) -> f64 {
+    if b.is_nan() || a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// Algorithm 3 line 2 over one candidate's ROI-major block of a
+/// four-signature config: for each pair `bi`,
+/// `mx[i] = max_num(mx[i], pen[bi] · block[bi·4 + i])`. The fixed
+/// width runs faster than the fill's general `nsig` loop.
+fn max_pen_accum4(block: &[f64], pen: &[f64], mx: &mut [f64; MAX_CACHED_SIGS]) {
+    for (bi, &p) in pen.iter().enumerate() {
+        let lanes = &block[bi * 4..bi * 4 + 4];
+        for (m, &v) in mx.iter_mut().zip(lanes) {
+            *m = max_num(*m, p * v);
+        }
+    }
+}
+
 /// χ² over two equal-length contiguous rows — the hot-path form used
 /// against [`SignatureIndex`] matrices, whose rows are zero-padded to a
 /// common width. Zero-padded bins contribute exactly 0, as in
@@ -785,13 +812,13 @@ pub(crate) fn chi_squared_rows(a: &[f64], b: &[f64]) -> f64 {
 /// distance 1).
 ///
 /// Present lanes are processed four at a time through
-/// [`fc_simd::chi2_acc4`] with one independent accumulator per lane.
-/// Each lane performs exactly the operations of [`chi_squared_rows`]
-/// in the same order — lanes are independent sums, so the blocking
-/// adds data parallelism without reassociating any addition, and
-/// results stay bit-identical to the scalar loop at every dispatch
-/// level (the vector guard adds `+0.0` for rejected bins, exactly the
-/// scalar's `else` arm).
+/// [`fc_simd::chi2_acc4`], whose four interleaved accumulators run
+/// about twice as fast as four [`chi_squared_rows`] calls. Each lane
+/// performs exactly the operations of [`chi_squared_rows`] in the same
+/// order — lanes are independent sums, so the blocking adds
+/// instruction-level parallelism without reassociating any addition,
+/// and results stay bit-identical to the single-row loop. `chi2_acc4`
+/// runs the same scalar fold at every dispatch level.
 fn chi_squared_lanes(
     simd: SimdLevel,
     row_a: &[f64],

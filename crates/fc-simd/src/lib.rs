@@ -1,16 +1,19 @@
 //! Runtime-dispatched explicit-SIMD kernels for the ForeCache hot paths.
 //!
-//! Every kernel in this crate exists in three variants — portable
-//! scalar, x86-64 SSE2, and AVX2 — selected at runtime by a
-//! [`SimdLevel`] argument. The contract that makes the dispatch safe to
-//! use on golden-tested paths is **lane-for-lane bit-identity**: each
-//! vector variant performs exactly the floating-point operations of the
-//! scalar variant, on the same operands, in the same per-lane order, so
-//! all three produce bit-identical results (including NaN/±inf
-//! propagation from degenerate inputs). Where an operation's result is
-//! order-insensitive by construction (the [`max_num`] reductions), the
-//! variants may partition work differently, but the returned value is
-//! still bitwise equal.
+//! Every kernel has a portable scalar reference. The kernels whose
+//! vector arms beat it at their production shape — [`combine_exact4`],
+//! [`conv_valid`], [`conv_columns`], [`halved_diff`] and the exact
+//! nearest-centroid kernel behind [`Codebook::nearest`] — also have an
+//! x86-64 SSE2 and an AVX2 arm, selected at runtime by a [`SimdLevel`]
+//! argument. [`chi2_acc4`] takes a level too but runs its scalar fold at
+//! every level: its vector arms measured no faster and were deleted
+//! (docs/BENCHMARKS.md, "The SIMD dispatch level"). The contract that
+//! makes the dispatch safe to use on golden-tested paths is
+//! **lane-for-lane bit-identity**: each vector arm performs exactly the
+//! floating-point operations of the scalar reference, on the same
+//! operands, in the same per-lane order, so every level produces
+//! bit-identical results (including NaN/±inf propagation from
+//! degenerate inputs).
 //!
 //! One entry meets the contract at its output instead of per lane:
 //! [`Codebook::nearest`] may decide the nearest centroid from dot
@@ -28,9 +31,10 @@
 //! * Callers thread an explicit [`SimdLevel`] through to the kernels
 //!   (e.g. `SbRecommender` resolves it at construction), so tests can
 //!   pin any level via [`available_levels`].
-//! * Every kernel re-clamps its `level` argument to the detected CPU
-//!   features, so a stale or hostile level value degrades to a slower
-//!   correct path instead of executing unsupported instructions.
+//! * Every dispatching kernel re-clamps its `level` argument to the
+//!   detected CPU features, so a stale or hostile level value degrades
+//!   to a slower correct path instead of executing unsupported
+//!   instructions.
 //! * On non-x86-64 targets everything runs the scalar variant.
 //!
 //! # Adding a kernel
@@ -43,6 +47,11 @@
 //!    scalar order.
 //! 3. Dispatch through a `match clamp_level(level)` and add a
 //!    levels-agree bitwise test (plus a proptest) at the bottom.
+//! 4. Keep an arm only if it pays: time every level against the scalar
+//!    reference at the kernel's production shape, interleaved in one
+//!    process, and the callers end to end. An arm that is no faster than
+//!    scalar is deleted, and the kernel runs its scalar reference at
+//!    that level (docs/BENCHMARKS.md has the rule and the recipe).
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -173,22 +182,6 @@ pub fn active_level() -> SimdLevel {
 // Scalar building blocks (the bit-level specification).
 // ---------------------------------------------------------------------------
 
-/// IEEE `maxNum`: the larger argument, treating NaN as missing
-/// (`max_num(a, NaN) == a`, `max_num(NaN, b) == b`). Fully specified —
-/// on a `+0.0`/`−0.0` tie it returns `b` — which is what lets the
-/// vector reductions emulate it exactly (`max_pd` + an unordered-`b`
-/// blend). Associative and commutative over any multiset of values
-/// with at most one distinct NaN payload, so reductions built on it
-/// are partition-order insensitive.
-#[inline]
-pub fn max_num(a: f64, b: f64) -> f64 {
-    if b.is_nan() || a > b {
-        a
-    } else {
-        b
-    }
-}
-
 /// Division-free reciprocal: exponent-trick initial guess (subtracting
 /// the bit pattern from a magic constant negates the exponent and
 /// roughly inverts the mantissa) refined by three Newton–Raphson steps
@@ -207,7 +200,7 @@ pub(crate) fn fast_recip(x: f64) -> f64 {
 }
 
 /// One χ² bin folded into a lane accumulator — the per-lane operation
-/// all `chi2_acc4` variants perform verbatim: `denom = x + y`,
+/// of `chi2_acc4`: `denom = x + y`,
 /// `num = (x − y)²`, accumulate `num/denom` (or
 /// `num · fast_recip(denom)` under `RECIP`) when `denom > 1e-12`, else
 /// `+0.0` (the rejected-lane division is never evaluated's worth of
@@ -225,32 +218,6 @@ fn chi2_lane<const RECIP: bool>(acc: &mut f64, x: f64, y: f64) {
     } else {
         0.0
     };
-}
-
-fn chi2_acc4_scalar<const RECIP: bool>(
-    a: &[f64],
-    b0: &[f64],
-    b1: &[f64],
-    b2: &[f64],
-    b3: &[f64],
-) -> [f64; 4] {
-    let mut acc = [0.0f64; 4];
-    for (j, &x) in a.iter().enumerate() {
-        chi2_lane::<RECIP>(&mut acc[0], x, b0[j]);
-        chi2_lane::<RECIP>(&mut acc[1], x, b1[j]);
-        chi2_lane::<RECIP>(&mut acc[2], x, b2[j]);
-        chi2_lane::<RECIP>(&mut acc[3], x, b3[j]);
-    }
-    acc
-}
-
-fn max_pen_accum4_scalar(block: &[f64], pen: &[f64], mx: &mut [f64; 4]) {
-    for (bi, &p) in pen.iter().enumerate() {
-        let lanes = &block[bi * 4..bi * 4 + 4];
-        for (m, &v) in mx.iter_mut().zip(lanes) {
-            *m = max_num(*m, p * v);
-        }
-    }
 }
 
 fn combine_exact4_scalar(
@@ -315,12 +282,6 @@ fn halved_diff_scalar(plus: &[f64], minus: &[f64], out: &mut [f64]) {
     }
 }
 
-fn magnitude_scalar(gx: &[f64], gy: &[f64], out: &mut [f64]) {
-    for ((o, &x), &y) in out.iter_mut().zip(gx).zip(gy) {
-        *o = (x * x + y * y).sqrt();
-    }
-}
-
 fn nearest_groups4_scalar(p: &[f64], tposed: &[f64], k: usize) -> (usize, f64) {
     let dim = p.len();
     let ngroups = k.div_ceil(4);
@@ -352,18 +313,23 @@ fn nearest_groups4_scalar(p: &[f64], tposed: &[f64], k: usize) -> (usize, f64) {
 /// χ² accumulators of one row `a` against four rows `b0..b3` of equal
 /// length — the SB miss-frontier kernel. Returns the four raw
 /// accumulators (callers finish with `pen · (acc/2)`), each lane
-/// performing exactly the scalar per-bin sequence in `j` order:
-/// `denom = x + y`, `num = (x − y)²`, accumulate `num/denom` when
-/// `denom > 1e-12`, else `+0.0`. `RECIP` switches the division to
-/// `num · fast_recip(denom)` (the `fast_recip` bit-trick). All
-/// levels are bit-identical, including NaN/±inf propagation from
-/// degenerate bins (a NaN bin's `denom` fails the ordered `>` guard
-/// identically everywhere).
+/// performing the per-bin sequence in `j` order: `denom = x + y`,
+/// `num = (x − y)²`, accumulate `num/denom` when `denom > 1e-12`, else
+/// `+0.0`. `RECIP` switches the division to `num · fast_recip(denom)`
+/// (the `fast_recip` bit-trick). A NaN bin's `denom` fails the ordered
+/// `>` guard, so NaN and ±inf propagate as in a single-row fold.
+///
+/// `level` is accepted but does not change the path: every level runs
+/// this scalar four-accumulator fold. Its SSE2 and AVX2 arms measured
+/// no faster at the production shape (16-bin signatures) and were
+/// deleted; the parameter stays because the benchmark's per-layer probe
+/// passes one. The four interleaved accumulators still run about twice
+/// as fast as four single-row folds, so callers block four rows a call.
 ///
 /// # Panics
 /// Panics when any of `b0..b3` is shorter than `a`.
 pub fn chi2_acc4<const RECIP: bool>(
-    level: SimdLevel,
+    _level: SimdLevel,
     a: &[f64],
     b0: &[f64],
     b1: &[f64],
@@ -375,40 +341,14 @@ pub fn chi2_acc4<const RECIP: bool>(
         b0.len() >= dim && b1.len() >= dim && b2.len() >= dim && b3.len() >= dim,
         "chi2_acc4: rows shorter than a"
     );
-    match clamp_level(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline; rows `b0..b3` are at least `a.len()` long (asserted above).
-        SimdLevel::Sse2 => unsafe { x86::chi2_acc4_sse2::<RECIP>(a, b0, b1, b2, b3) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_level` returns `Avx2` only when runtime-detected; rows `b0..b3` are at least `a.len()` long (asserted above).
-        SimdLevel::Avx2 => unsafe { x86::chi2_acc4_avx2::<RECIP>(a, b0, b1, b2, b3) },
-        _ => chi2_acc4_scalar::<RECIP>(a, b0, b1, b2, b3),
+    let mut acc = [0.0f64; 4];
+    for (j, &x) in a.iter().enumerate() {
+        chi2_lane::<RECIP>(&mut acc[0], x, b0[j]);
+        chi2_lane::<RECIP>(&mut acc[1], x, b1[j]);
+        chi2_lane::<RECIP>(&mut acc[2], x, b2[j]);
+        chi2_lane::<RECIP>(&mut acc[3], x, b3[j]);
     }
-}
-
-/// Per-signature maxima accumulation over an ROI-major 4-lane block:
-/// for each pair `bi`, `mx[i] = max_num(mx[i], pen[bi] · block[bi·4 + i])`.
-/// This is Algorithm 3 line 2 accumulated on the fly during the SB
-/// fill — the same `pen · raw` products the reference path's running
-/// `max` sees, in a different order, which [`max_num`] is insensitive
-/// to.
-///
-/// # Panics
-/// Panics when `block.len() < pen.len() · 4`.
-pub fn max_pen_accum4(level: SimdLevel, block: &[f64], pen: &[f64], mx: &mut [f64; 4]) {
-    assert!(
-        block.len() >= pen.len() * 4,
-        "max_pen_accum4: block shorter than pen·4"
-    );
-    match clamp_level(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline; `block.len() >= pen.len()*4` (asserted above).
-        SimdLevel::Sse2 => unsafe { x86::max_pen_accum4_sse2(block, pen, mx) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_level` returns `Avx2` only when runtime-detected; `block.len() >= pen.len()*4` (asserted above).
-        SimdLevel::Avx2 => unsafe { x86::max_pen_accum4_avx2(block, pen, mx) },
-        _ => max_pen_accum4_scalar(block, pen, mx),
-    }
+    acc
 }
 
 /// Algorithm 3 lines 10–15 for one candidate over an ROI-major raw
@@ -514,28 +454,6 @@ pub fn halved_diff(level: SimdLevel, plus: &[f64], minus: &[f64], out: &mut [f64
         // SAFETY: `clamp_level` returns `Avx2` only when runtime-detected; `plus` and `minus` are at least `out.len()` long (asserted above).
         SimdLevel::Avx2 => unsafe { x86::halved_diff_avx2(plus, minus, out) },
         _ => halved_diff_scalar(plus, minus, out),
-    }
-}
-
-/// Gradient magnitude `out[i] = √(gx[i]² + gy[i]²)` over `out.len()`
-/// elements (evaluated as `(gx·gx + gy·gy).sqrt()` — the descriptor
-/// pipeline's per-pixel magnitude).
-///
-/// # Panics
-/// Panics when `gx` or `gy` is shorter than `out`.
-pub fn magnitude(level: SimdLevel, gx: &[f64], gy: &[f64], out: &mut [f64]) {
-    assert!(
-        gx.len() >= out.len() && gy.len() >= out.len(),
-        "magnitude: inputs shorter than out"
-    );
-    match clamp_level(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline; `gx` and `gy` are at least `out.len()` long (asserted above).
-        SimdLevel::Sse2 => unsafe { x86::magnitude_sse2(gx, gy, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_level` returns `Avx2` only when runtime-detected; `gx` and `gy` are at least `out.len()` long (asserted above).
-        SimdLevel::Avx2 => unsafe { x86::magnitude_avx2(gx, gy, out) },
-        _ => magnitude_scalar(gx, gy, out),
     }
 }
 
@@ -795,45 +713,38 @@ mod tests {
     }
 
     #[test]
-    fn chi2_acc4_levels_agree_bitwise() {
+    fn chi2_acc4_lanes_are_single_row_folds() {
         // Includes NaN bins, ±inf bins, zeros (denominator guard), and
         // odd lengths.
+        fn row_fold(a: &[f64], b: &[f64], recip: bool) -> f64 {
+            let mut acc = 0.0f64;
+            for (&x, &y) in a.iter().zip(b) {
+                let (denom, num) = (x + y, (x - y) * (x - y));
+                if denom > 1e-12 {
+                    acc += if recip {
+                        num * fast_recip(denom)
+                    } else {
+                        num / denom
+                    };
+                }
+            }
+            acc
+        }
         for n in [0usize, 1, 3, 4, 7, 16, 33] {
             let a = vec_with(1, n, &[(0, 0.0), (2, f64::NAN), (5, f64::INFINITY)]);
             let b0 = vec_with(2, n, &[(2, f64::NAN)]);
             let b1 = vec_with(3, n, &[(5, f64::INFINITY)]);
             let b2 = vec_with(4, n, &[(1, f64::NEG_INFINITY)]);
             let b3 = vec_with(5, n, &[(0, 0.0)]);
-            let reference = chi2_acc4::<false>(SimdLevel::Scalar, &a, &b0, &b1, &b2, &b3);
-            let reference_r = chi2_acc4::<true>(SimdLevel::Scalar, &a, &b0, &b1, &b2, &b3);
-            for level in available_levels() {
-                let got = chi2_acc4::<false>(level, &a, &b0, &b1, &b2, &b3);
-                let got_r = chi2_acc4::<true>(level, &a, &b0, &b1, &b2, &b3);
-                for k in 0..4 {
-                    assert_eq!(bits(got[k]), bits(reference[k]), "{level:?} n={n} k={k}");
-                    assert_eq!(
-                        bits(got_r[k]),
-                        bits(reference_r[k]),
-                        "recip {level:?} n={n}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn max_pen_accum4_levels_agree_bitwise() {
-        for nr in [0usize, 1, 2, 5, 16] {
-            let block = vec_with(11, nr * 4, &[(2, f64::NAN), (7, f64::INFINITY)]);
-            let pen = vec_with(12, nr, &[]);
-            let mut reference = [1.0f64; 4];
-            max_pen_accum4(SimdLevel::Scalar, &block, &pen, &mut reference);
-            for level in available_levels() {
-                let mut mx = [1.0f64; 4];
-                max_pen_accum4(level, &block, &pen, &mut mx);
-                for k in 0..4 {
-                    assert_eq!(bits(mx[k]), bits(reference[k]), "{level:?} nr={nr}");
-                }
+            let got = chi2_acc4::<false>(SimdLevel::Scalar, &a, &b0, &b1, &b2, &b3);
+            let got_r = chi2_acc4::<true>(SimdLevel::Scalar, &a, &b0, &b1, &b2, &b3);
+            for (k, b) in [&b0, &b1, &b2, &b3].into_iter().enumerate() {
+                assert_eq!(bits(got[k]), bits(row_fold(&a, b, false)), "n={n} k={k}");
+                assert_eq!(
+                    bits(got_r[k]),
+                    bits(row_fold(&a, b, true)),
+                    "recip n={n} k={k}"
+                );
             }
         }
     }
@@ -909,7 +820,7 @@ mod tests {
     }
 
     #[test]
-    fn conv_diff_magnitude_levels_agree_bitwise() {
+    fn conv_diff_levels_agree_bitwise() {
         for n in [1usize, 2, 3, 4, 5, 9, 31, 64] {
             for taps_n in [1usize, 3, 7, 11] {
                 let padded = vec_with(41, n + taps_n - 1, &[]);
@@ -928,16 +839,11 @@ mod tests {
             let gx = vec_with(45, n, &[(0, -0.25)]);
             let mut ref_d = vec![0.0; n];
             halved_diff(SimdLevel::Scalar, &x, &gx, &mut ref_d);
-            let mut ref_m = vec![0.0; n];
-            magnitude(SimdLevel::Scalar, &gx, &x, &mut ref_m);
             for level in available_levels() {
                 let mut d = vec![0.0; n];
                 halved_diff(level, &x, &gx, &mut d);
-                let mut mg = vec![0.0; n];
-                magnitude(level, &gx, &x, &mut mg);
                 for i in 0..n {
                     assert_eq!(bits(d[i]), bits(ref_d[i]), "diff {level:?}");
-                    assert_eq!(bits(mg[i]), bits(ref_m[i]), "mag {level:?}");
                 }
             }
         }

@@ -1,12 +1,14 @@
-//! x86-64 SSE2 and AVX2 implementations of the crate's kernels.
+//! x86-64 SSE2 and AVX2 arms of the crate's kernels.
 //!
-//! Every function here mirrors its scalar reference in `lib.rs`
+//! Only kernels whose vector arms beat the scalar reference at their
+//! production shape have arms here (docs/BENCHMARKS.md, "The SIMD
+//! dispatch level"); `chi2_acc4` runs its scalar fold at every level.
+//! Every function mirrors its scalar reference in `lib.rs`
 //! operation-for-operation: the IEEE basic operations (`+ − × ÷ √`) are
 //! correctly rounded, so performing the scalar sequence per lane yields
 //! bit-identical results. Order-sensitive reductions (running sums)
-//! extract lanes and fold in the scalar order; `max_num` reductions are
-//! partition-insensitive and fold freely. None of the mirrors use FMA —
-//! contraction would change results. The one function that does,
+//! extract lanes and fold in the scalar order. None of the mirrors use
+//! FMA — contraction would change results. The one function that does,
 //! `nearest_certified_avx2_fma`, mirrors nothing: it is the filter of
 //! `Codebook::nearest`, whose output alone is held to the exact kernel.
 //!
@@ -20,234 +22,6 @@
 //! detection before selecting them.
 
 use core::arch::x86_64::*;
-
-/// Bit pattern whose wrapping subtraction approximates `1/x` in the
-/// exponent field (see `fast_recip` in `lib.rs`).
-const RECIP_MAGIC: i64 = 0x7FDE_6238_22FC_16E6u64 as i64;
-
-// ---------------------------------------------------------------------------
-// Shared helpers.
-// ---------------------------------------------------------------------------
-
-/// `fast_recip` on two lanes: same magic, same three Newton steps in
-/// the same order (`y ← y·(2 − x·y)`).
-// SAFETY: register-only SSE2 arithmetic (baseline on every x86-64 CPU); no
-// memory access, so there are no preconditions beyond the cfg gate.
-#[inline(always)]
-unsafe fn mm_fast_recip(x: __m128d, two: __m128d, magic: __m128i) -> __m128d {
-    unsafe {
-        let mut y = _mm_castsi128_pd(_mm_sub_epi64(magic, _mm_castpd_si128(x)));
-        y = _mm_mul_pd(y, _mm_sub_pd(two, _mm_mul_pd(x, y)));
-        y = _mm_mul_pd(y, _mm_sub_pd(two, _mm_mul_pd(x, y)));
-        y = _mm_mul_pd(y, _mm_sub_pd(two, _mm_mul_pd(x, y)));
-        y
-    }
-}
-
-/// `fast_recip` on four lanes (`_mm256_sub_epi64` needs AVX2).
-// SAFETY: register-only AVX2 arithmetic; callers must run with AVX2 enabled
-// (the dispatchers clamp the level to runtime detection).
-#[inline(always)]
-unsafe fn mm256_fast_recip(x: __m256d, two: __m256d, magic: __m256i) -> __m256d {
-    unsafe {
-        let mut y = _mm256_castsi256_pd(_mm256_sub_epi64(magic, _mm256_castpd_si256(x)));
-        y = _mm256_mul_pd(y, _mm256_sub_pd(two, _mm256_mul_pd(x, y)));
-        y = _mm256_mul_pd(y, _mm256_sub_pd(two, _mm256_mul_pd(x, y)));
-        y = _mm256_mul_pd(y, _mm256_sub_pd(two, _mm256_mul_pd(x, y)));
-        y
-    }
-}
-
-/// `max_num(a, b)` per lane without `blendv` (SSE2 has no variable
-/// blend): `max_pd(a, b)` already returns `a` when `a > b` and `b`
-/// otherwise (including when `a` is NaN); the only case needing repair
-/// is NaN `b`, selected back to `a` through the unordered mask.
-// SAFETY: register-only SSE2 arithmetic (baseline on every x86-64 CPU); no
-// memory access, so there are no preconditions beyond the cfg gate.
-#[inline(always)]
-unsafe fn mm_max_num(a: __m128d, b: __m128d) -> __m128d {
-    unsafe {
-        let m = _mm_max_pd(a, b);
-        let b_nan = _mm_cmpunord_pd(b, b);
-        _mm_or_pd(_mm_and_pd(b_nan, a), _mm_andnot_pd(b_nan, m))
-    }
-}
-
-/// `max_num(a, b)` per lane using AVX's variable blend.
-// SAFETY: register-only AVX2 arithmetic; callers must run with AVX2 enabled
-// (the dispatchers clamp the level to runtime detection).
-#[inline(always)]
-unsafe fn mm256_max_num(a: __m256d, b: __m256d) -> __m256d {
-    unsafe {
-        let m = _mm256_max_pd(a, b);
-        let b_nan = _mm256_cmp_pd::<_CMP_UNORD_Q>(b, b);
-        _mm256_blendv_pd(m, a, b_nan)
-    }
-}
-
-/// One χ² bin step on two lanes — the vector body of `chi2_lane`.
-/// The unselected lane adds `and(q, 0-mask) = +0.0`, exactly the
-/// scalar's `+= 0.0` arm; the ordered `>` comparison is false for NaN
-/// denominators just like the scalar guard.
-// SAFETY: register-only SSE2 arithmetic (baseline on every x86-64 CPU); no
-// memory access, so there are no preconditions beyond the cfg gate.
-#[inline(always)]
-unsafe fn chi2_step_sse2<const RECIP: bool>(
-    acc: __m128d,
-    x: __m128d,
-    y: __m128d,
-    eps: __m128d,
-    two: __m128d,
-    magic: __m128i,
-) -> __m128d {
-    // SAFETY: see the function-level comment above.
-    unsafe {
-        let denom = _mm_add_pd(x, y);
-        let d = _mm_sub_pd(x, y);
-        let num = _mm_mul_pd(d, d);
-        let q = if RECIP {
-            _mm_mul_pd(num, mm_fast_recip(denom, two, magic))
-        } else {
-            _mm_div_pd(num, denom)
-        };
-        let mask = _mm_cmpgt_pd(denom, eps);
-        _mm_add_pd(acc, _mm_and_pd(q, mask))
-    }
-}
-
-/// One χ² bin step on four lanes.
-// SAFETY: register-only AVX2 arithmetic; callers must run with AVX2 enabled
-// (the dispatchers clamp the level to runtime detection).
-#[inline(always)]
-unsafe fn chi2_step_avx2<const RECIP: bool>(
-    acc: __m256d,
-    x: __m256d,
-    y: __m256d,
-    eps: __m256d,
-    two: __m256d,
-    magic: __m256i,
-) -> __m256d {
-    // SAFETY: see the function-level comment above.
-    unsafe {
-        let denom = _mm256_add_pd(x, y);
-        let d = _mm256_sub_pd(x, y);
-        let num = _mm256_mul_pd(d, d);
-        let q = if RECIP {
-            _mm256_mul_pd(num, mm256_fast_recip(denom, two, magic))
-        } else {
-            _mm256_div_pd(num, denom)
-        };
-        let mask = _mm256_cmp_pd::<_CMP_GT_OQ>(denom, eps);
-        _mm256_add_pd(acc, _mm256_and_pd(q, mask))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// chi2_acc4
-// ---------------------------------------------------------------------------
-
-// SAFETY: SSE2 is the x86-64 baseline. Every `get_unchecked(j)` has
-// `j < a.len()` and the dispatcher asserts `b0..b3` are at least `a.len()`
-// long; stores target the local 4-element output array.
-pub(crate) unsafe fn chi2_acc4_sse2<const RECIP: bool>(
-    a: &[f64],
-    b0: &[f64],
-    b1: &[f64],
-    b2: &[f64],
-    b3: &[f64],
-) -> [f64; 4] {
-    // SAFETY: see the function-level comment above.
-    unsafe {
-        let eps = _mm_set1_pd(1e-12);
-        let two = _mm_set1_pd(2.0);
-        let magic = _mm_set1_epi64x(RECIP_MAGIC);
-        let mut acc01 = _mm_setzero_pd();
-        let mut acc23 = _mm_setzero_pd();
-        for j in 0..a.len() {
-            let x = _mm_set1_pd(*a.get_unchecked(j));
-            let y01 = _mm_set_pd(*b1.get_unchecked(j), *b0.get_unchecked(j));
-            let y23 = _mm_set_pd(*b3.get_unchecked(j), *b2.get_unchecked(j));
-            acc01 = chi2_step_sse2::<RECIP>(acc01, x, y01, eps, two, magic);
-            acc23 = chi2_step_sse2::<RECIP>(acc23, x, y23, eps, two, magic);
-        }
-        let mut out = [0.0f64; 4];
-        _mm_storeu_pd(out.as_mut_ptr(), acc01);
-        _mm_storeu_pd(out.as_mut_ptr().add(2), acc23);
-        out
-    }
-}
-
-// SAFETY: the dispatcher selects this only when AVX2 is runtime-detected.
-// Every `get_unchecked(j)` has `j < a.len()` and the dispatcher asserts
-// `b0..b3` are at least `a.len()` long; stores target the local output array.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn chi2_acc4_avx2<const RECIP: bool>(
-    a: &[f64],
-    b0: &[f64],
-    b1: &[f64],
-    b2: &[f64],
-    b3: &[f64],
-) -> [f64; 4] {
-    // SAFETY: see the function-level comment above.
-    unsafe {
-        let eps = _mm256_set1_pd(1e-12);
-        let two = _mm256_set1_pd(2.0);
-        let magic = _mm256_set1_epi64x(RECIP_MAGIC);
-        let mut acc = _mm256_setzero_pd();
-        for j in 0..a.len() {
-            let x = _mm256_set1_pd(*a.get_unchecked(j));
-            let y = _mm256_set_pd(
-                *b3.get_unchecked(j),
-                *b2.get_unchecked(j),
-                *b1.get_unchecked(j),
-                *b0.get_unchecked(j),
-            );
-            acc = chi2_step_avx2::<RECIP>(acc, x, y, eps, two, magic);
-        }
-        let mut out = [0.0f64; 4];
-        _mm256_storeu_pd(out.as_mut_ptr(), acc);
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// max_pen_accum4
-// ---------------------------------------------------------------------------
-
-// SAFETY: SSE2 is the x86-64 baseline; reads cover `block[bi*4..bi*4+4]` for
-// `bi < pen.len()` and the dispatcher asserts `block.len() >= pen.len()*4`;
-// `mx` loads/stores touch exactly its four elements.
-pub(crate) unsafe fn max_pen_accum4_sse2(block: &[f64], pen: &[f64], mx: &mut [f64; 4]) {
-    unsafe {
-        let mut m01 = _mm_loadu_pd(mx.as_ptr());
-        let mut m23 = _mm_loadu_pd(mx.as_ptr().add(2));
-        for (bi, &p) in pen.iter().enumerate() {
-            let pv = _mm_set1_pd(p);
-            let v01 = _mm_loadu_pd(block.as_ptr().add(bi * 4));
-            let v23 = _mm_loadu_pd(block.as_ptr().add(bi * 4 + 2));
-            m01 = mm_max_num(m01, _mm_mul_pd(pv, v01));
-            m23 = mm_max_num(m23, _mm_mul_pd(pv, v23));
-        }
-        _mm_storeu_pd(mx.as_mut_ptr(), m01);
-        _mm_storeu_pd(mx.as_mut_ptr().add(2), m23);
-    }
-}
-
-// SAFETY: AVX2 is runtime-detected by the dispatcher; reads cover
-// `block[bi*4..bi*4+4]` for `bi < pen.len()` and the dispatcher asserts
-// `block.len() >= pen.len()*4`; `mx` loads/stores touch exactly its four
-// elements.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn max_pen_accum4_avx2(block: &[f64], pen: &[f64], mx: &mut [f64; 4]) {
-    unsafe {
-        let mut m4 = _mm256_loadu_pd(mx.as_ptr());
-        for (bi, &p) in pen.iter().enumerate() {
-            let v = _mm256_loadu_pd(block.as_ptr().add(bi * 4));
-            m4 = mm256_max_num(m4, _mm256_mul_pd(_mm256_set1_pd(p), v));
-        }
-        _mm256_storeu_pd(mx.as_mut_ptr(), m4);
-    }
-}
 
 // ---------------------------------------------------------------------------
 // combine_exact4
@@ -382,7 +156,7 @@ pub(crate) unsafe fn combine_exact4_avx2(
 }
 
 // ---------------------------------------------------------------------------
-// Vision kernels: conv_valid / conv_columns / halved_diff / magnitude
+// Vision kernels: conv_valid / conv_columns / halved_diff
 // ---------------------------------------------------------------------------
 
 // SAFETY: SSE2 is the x86-64 baseline; reads touch `padded[x + i + 1]` at
@@ -578,49 +352,6 @@ pub(crate) unsafe fn halved_diff_avx2(plus: &[f64], minus: &[f64], out: &mut [f6
         }
         while i < n {
             out[i] = (plus[i] - minus[i]) / 2.0;
-            i += 1;
-        }
-    }
-}
-
-// SAFETY: SSE2 is the x86-64 baseline; the loop bound `i + 2 <= out.len()`
-// keeps every access in bounds (the dispatcher asserts `gx` and `gy` are at
-// least `out.len()` long).
-pub(crate) unsafe fn magnitude_sse2(gx: &[f64], gy: &[f64], out: &mut [f64]) {
-    unsafe {
-        let n = out.len();
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let x = _mm_loadu_pd(gx.as_ptr().add(i));
-            let y = _mm_loadu_pd(gy.as_ptr().add(i));
-            let s = _mm_add_pd(_mm_mul_pd(x, x), _mm_mul_pd(y, y));
-            _mm_storeu_pd(out.as_mut_ptr().add(i), _mm_sqrt_pd(s));
-            i += 2;
-        }
-        while i < n {
-            out[i] = (gx[i] * gx[i] + gy[i] * gy[i]).sqrt();
-            i += 1;
-        }
-    }
-}
-
-// SAFETY: AVX2 is runtime-detected by the dispatcher; the loop bound
-// `i + 4 <= out.len()` keeps every access in bounds (the dispatcher asserts
-// `gx` and `gy` are at least `out.len()` long).
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn magnitude_avx2(gx: &[f64], gy: &[f64], out: &mut [f64]) {
-    unsafe {
-        let n = out.len();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let x = _mm256_loadu_pd(gx.as_ptr().add(i));
-            let y = _mm256_loadu_pd(gy.as_ptr().add(i));
-            let s = _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(y, y));
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_sqrt_pd(s));
-            i += 4;
-        }
-        while i < n {
-            out[i] = (gx[i] * gx[i] + gy[i] * gy[i]).sqrt();
             i += 1;
         }
     }

@@ -1,7 +1,7 @@
 //! SIFT-style 128-d gradient-orientation descriptors.
 //!
 //! The hot path is [`GradientField`]: gradient magnitudes and
-//! orientation bins are computed once per image (magnitude through the
+//! orientation bins are computed once per image (gradients through the
 //! [`fc_simd`] kernel layer, orientation as the octant of the gradient,
 //! which equals the per-patch code's `atan2`/binning formula away from
 //! the octant edges and falls back to it near them), and the Gaussian
@@ -33,8 +33,8 @@ pub(crate) type Descriptor = Vec<f64>;
 ///
 /// Every descriptor drawn from the same image shares this field, so the
 /// per-pixel `sqrt`/`atan2` work is paid once instead of once per
-/// overlapping patch. Magnitudes are `(gx² + gy²).sqrt()` evaluated by
-/// [`fc_simd::magnitude`] (bit-identical at every dispatch level);
+/// overlapping patch. Magnitudes are `(gx·gx + gy·gy).sqrt()`, the
+/// expression of [`describe_patch`];
 /// orientation bins equal the binning expression of [`describe_patch`]
 /// (see `orientation_bin`) and are only evaluated where the magnitude
 /// does not rule the pixel out.
@@ -57,8 +57,11 @@ impl GradientField {
     pub(crate) fn with_level(img: &GrayImage, level: SimdLevel) -> Self {
         let (dx, dy) = gradients_with(img, level);
         let (gx, gy) = (dx.pixels(), dy.pixels());
-        let mut mag = vec![0.0f64; gx.len()];
-        fc_simd::magnitude(level, gx, gy, &mut mag);
+        let mag: Vec<f64> = gx
+            .iter()
+            .zip(gy)
+            .map(|(&x, &y)| (x * x + y * y).sqrt())
+            .collect();
         let mut bin = vec![0u8; gx.len()];
         for (i, b) in bin.iter_mut().enumerate() {
             // Pixels with mag <= 0.0 are skipped by every descriptor, so
