@@ -25,6 +25,7 @@ use fc_tiles::{Geometry, Move, Pyramid, PyramidBuilder, PyramidConfig, Tile, Til
 use fc_vision::{
     dense_descriptors, detect_keypoints, DetectorParams, GradientField, GrayImage, DESCRIPTOR_DIM,
 };
+use std::io::{self, IoSliceMut, Read};
 use std::sync::Arc;
 
 fn base_array(side: usize) -> DenseArray {
@@ -505,6 +506,40 @@ fn bench_trained_models(c: &mut Criterion) {
     });
 }
 
+/// One frame repeated without end, read as a socket reads: a vectored
+/// read fills every buffer it is given.
+struct Replay {
+    frame: Vec<u8>,
+    pos: usize,
+}
+
+impl Replay {
+    fn new(frame: Vec<u8>) -> Self {
+        Self { frame, pos: 0 }
+    }
+}
+
+impl Read for Replay {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.read_vectored(&mut [IoSliceMut::new(buf)])
+    }
+
+    fn read_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> io::Result<usize> {
+        let mut total = 0;
+        for buf in bufs {
+            let mut at = 0;
+            while at < buf.len() {
+                let n = (buf.len() - at).min(self.frame.len() - self.pos);
+                buf[at..at + n].copy_from_slice(&self.frame[self.pos..self.pos + n]);
+                at += n;
+                self.pos = (self.pos + n) % self.frame.len();
+            }
+            total += at;
+        }
+        Ok(total)
+    }
+}
+
 fn bench_protocol(c: &mut Criterion) {
     let pyramid = built_pyramid();
     let tile = pyramid
@@ -540,6 +575,23 @@ fn bench_protocol(c: &mut Criterion) {
     c.bench_function("reply frame 64x64x4: build + to_vec", |b| {
         b.iter(|| {
             fc_server::Frame::tile(black_box(&wide).clone(), 19_500_000, true, 1, false).to_vec()
+        })
+    });
+    // What the client does per tile reply, over an in-memory stream
+    // after one warm reply: the receive path (prefix, then one vectored
+    // read into the payload), and the reference it replaced (the body
+    // into a frame-sized buffer, then a decode that copies each column).
+    let reply = fc_server::Frame::tile(wide.clone(), 19_500_000, true, 1, false).to_vec();
+    let mut rx = fc_server::ReplyReader::new(Replay::new(reply.clone()));
+    rx.next_msg().expect("warm reply");
+    c.bench_function("client receive 64x64x4 reply", |b| {
+        b.iter(|| rx.next_msg().expect("reply"))
+    });
+    let mut stream = Replay::new(reply);
+    c.bench_function("read_frame + decode 64x64x4 reply", |b| {
+        b.iter(|| {
+            let body = fc_server::protocol::read_frame(&mut stream).expect("frame");
+            fc_server::ServerMsg::decode(body).expect("decode")
         })
     });
     let encoded = msg.encode();

@@ -27,11 +27,22 @@
 //!   benchmarks time, and the big-endian fallback. Both encoders write
 //!   a tile body through one layout function, so the format is written
 //!   down once.
-//! * **decode** takes one zero-copy sub-view of the frame per attribute
-//!   column (`copy_to_bytes` shares the frame allocation) and collects
-//!   `f64::from_le_bytes` over `chunks_exact(8)` — the only copy is
-//!   into the destination `Vec<f64>` itself. [`read_frame`] reads a
-//!   body into reserved capacity without zero-filling it first.
+//! * **decode** — one decoder reads a server message from any
+//!   [`Read`] through a byte count of the body it may take, so every
+//!   check is one piece of code: the tile-dimension bound before any
+//!   size arithmetic, the truncation checks before anything is sized,
+//!   UTF-8, unknown tags. Each f64 column arrives with one read into
+//!   its own zeroed `Vec<f64>`, seen as bytes (swapped after the read on
+//!   a big-endian host), and the whole body is read, trailing bytes
+//!   included, so a stream stays in step after a rejected message.
+//!   [`ServerMsg::decode`] runs it over a body in memory; the
+//!   [`Client`]'s [`ReplyReader`] runs it straight off the socket's
+//!   read-ahead, and in the steady state receives a tile reply with one
+//!   vectored read into its payload, checked afterwards against the
+//!   layout it predicted (`read_tile_of`). [`read_frame`] reads a whole
+//!   body into reserved capacity without zero-filling it first; the
+//!   server reads requests with it, and the tests hold the client to
+//!   it followed by [`ServerMsg::decode`].
 //!
 //! Frames are pre-sized to their exact encoded length (each message's
 //! `encoded_body_len`); the length prefix is patched afterwards from
@@ -50,10 +61,11 @@
 //! messages, sessions, and threads freely.
 //!
 //! [`Client`]: crate::client::Client
+//! [`ReplyReader`]: crate::client::ReplyReader
 
 use bytes::{Buf, Bytes};
 use fc_tiles::{Move, Tile, TileId};
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, IoSlice, IoSliceMut, Read, Write};
 use std::sync::Arc;
 
 /// Maximum accepted frame size (guards against corrupt length prefixes).
@@ -285,6 +297,11 @@ fn wire_str(s: &str) -> &str {
     &s[..end]
 }
 
+/// What `put_string` writes for `s`: its length prefix and bytes.
+fn wire_name_len(s: &str) -> usize {
+    2 + wire_str(s).len()
+}
+
 fn put_string(buf: &mut Vec<u8>, s: &str) {
     let bytes = wire_str(s).as_bytes();
     let len = bytes.len() as u16;
@@ -328,18 +345,6 @@ fn put_f64_column(out: &mut Vec<u8>, values: &[f64]) {
     }
 }
 
-/// Bulk-reads `n` little-endian f64s from the front of `buf` via a
-/// zero-copy sub-view; the destination `Vec` is the only copy made,
-/// allocated at its exact size and written once.
-fn get_f64_column(buf: &mut Bytes, n: usize) -> Vec<f64> {
-    debug_assert!(buf.remaining() >= n * 8);
-    let raw = buf.copy_to_bytes(n * 8);
-    raw.chunks_exact(8)
-        // fc-check: allow(handler-unwrap) -- chunks_exact(8) yields exactly 8-byte slices
-        .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
-        .collect()
-}
-
 fn get_tile_id(buf: &mut Bytes) -> io::Result<TileId> {
     if buf.remaining() < 9 {
         return Err(bad("truncated tile id"));
@@ -353,6 +358,124 @@ fn get_tile_id(buf: &mut Bytes) -> io::Result<TileId> {
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+fn mid_frame() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "stream ended mid-frame")
+}
+
+/// Fills `bufs` in order from `r`, with vectored reads; the stream
+/// ending first is [`read_frame`]'s `UnexpectedEof`. `Interrupted` is
+/// retried.
+fn read_full(r: &mut impl Read, mut bufs: &mut [IoSliceMut<'_>]) -> io::Result<()> {
+    IoSliceMut::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match r.read_vectored(bufs) {
+            Ok(0) => return Err(mid_frame()),
+            Ok(n) => IoSliceMut::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// One server-message body being read from any [`Read`]: at most
+/// `left` more bytes of `inner`. The server-message decoder reads
+/// through it, so one decoder serves a body in memory
+/// ([`ServerMsg::decode`]) and one still in the socket (the
+/// [`Client`](crate::client::Client)'s receive path). A read the body
+/// is too short for fails with the decoder's truncation message before
+/// anything is allocated or read; the stream ending first fails as
+/// [`read_frame`] does.
+struct Body<R> {
+    inner: R,
+    left: usize,
+}
+
+impl<R: Read> Body<R> {
+    /// Fills `buf`, or fails with `what` when the body holds fewer
+    /// bytes.
+    fn fill(&mut self, buf: &mut [u8], what: &str) -> io::Result<()> {
+        if buf.len() > self.left {
+            return Err(bad(what));
+        }
+        self.left -= buf.len();
+        read_full(&mut self.inner, &mut [IoSliceMut::new(buf)])
+    }
+
+    fn take<const N: usize>(&mut self, what: &str) -> io::Result<[u8; N]> {
+        let mut a = [0; N];
+        self.fill(&mut a, what)?;
+        Ok(a)
+    }
+
+    fn u8(&mut self, what: &str) -> io::Result<u8> {
+        Ok(self.take::<1>(what)?[0])
+    }
+
+    /// `n` bytes into a `Vec` sized only once the body is known to hold
+    /// them.
+    fn bytes(&mut self, n: usize, what: &str) -> io::Result<Vec<u8>> {
+        if n > self.left {
+            return Err(bad(what));
+        }
+        let mut v = vec![0; n];
+        self.fill(&mut v, what)?;
+        Ok(v)
+    }
+
+    /// `n` f64 values, received with one read into their own `Vec`.
+    fn column(&mut self, n: usize) -> io::Result<Vec<f64>> {
+        const WHAT: &str = "truncated attribute data";
+        if n * 8 > self.left {
+            return Err(bad(WHAT));
+        }
+        let mut values = vec![0.0; n];
+        self.fill(column_bytes_mut(&mut values), WHAT)?;
+        column_from_le(&mut values);
+        Ok(values)
+    }
+
+    fn string(&mut self) -> io::Result<String> {
+        let len = u16::from_le_bytes(self.take("truncated string length")?) as usize;
+        String::from_utf8(self.bytes(len, "truncated string body")?)
+            .map_err(|_| bad("invalid UTF-8"))
+    }
+
+    fn tile_id(&mut self) -> io::Result<TileId> {
+        const WHAT: &str = "truncated tile id";
+        Ok(TileId::new(
+            self.u8(WHAT)?,
+            u32::from_le_bytes(self.take(WHAT)?),
+            u32::from_le_bytes(self.take(WHAT)?),
+        ))
+    }
+
+    /// Reads what the decoder left — trailing bytes, or the rest of a
+    /// body it rejected — so the stream stays in step with the frames.
+    fn finish(mut self) -> io::Result<()> {
+        let left = self.left as u64;
+        if io::copy(&mut self.inner.by_ref().take(left), &mut io::sink())? < left {
+            return Err(mid_frame());
+        }
+        Ok(())
+    }
+}
+
+/// Decodes one server message of `len` body bytes from `r`, reading
+/// exactly those bytes whatever the outcome (unless the stream fails):
+/// the one decoder of [`ServerMsg`]s. The stream ending inside the body
+/// wins over any decode error, as with [`read_frame`] then
+/// [`ServerMsg::decode`].
+pub(crate) fn read_server_msg(r: impl Read, len: usize) -> io::Result<ServerMsg> {
+    let mut body = Body {
+        inner: r,
+        left: len,
+    };
+    let msg = get_server_msg(&mut body);
+    body.finish()?;
+    msg
 }
 
 /// The scalars a [`ServerMsg::Tile`] carries beside its payload.
@@ -403,23 +526,26 @@ impl TileHeader {
 
     /// Reads the header behind a `TAG_TILE` (`reply`) or `TAG_PUSH`
     /// tag, and the attribute count that closes it.
-    fn get(reply: bool, body: &mut Bytes) -> io::Result<(Self, usize)> {
-        let tile = get_tile_id(body)?;
-        if body.remaining() < Self::len(reply) - 1 - 9 {
-            return Err(bad(if reply {
-                "truncated Tile header"
-            } else {
-                "truncated Push header"
-            }));
-        }
-        let (h, w) = (body.get_u32_le(), body.get_u32_le());
-        let reply = reply.then(|| ReplyMeta {
-            latency_ns: body.get_u64_le(),
-            cache_hit: body.get_u8() != 0,
-            phase: body.get_u8(),
-            degraded: body.get_u8() != 0,
-        });
-        let nattrs = body.get_u16_le() as usize;
+    fn get(reply: bool, body: &mut Body<impl Read>) -> io::Result<(Self, usize)> {
+        let tile = body.tile_id()?;
+        let what = if reply {
+            "truncated Tile header"
+        } else {
+            "truncated Push header"
+        };
+        let h = u32::from_le_bytes(body.take(what)?);
+        let w = u32::from_le_bytes(body.take(what)?);
+        let reply = if reply {
+            Some(ReplyMeta {
+                latency_ns: u64::from_le_bytes(body.take(what)?),
+                cache_hit: body.u8(what)? != 0,
+                phase: body.u8(what)?,
+                degraded: body.u8(what)? != 0,
+            })
+        } else {
+            None
+        };
+        let nattrs = u16::from_le_bytes(body.take(what)?) as usize;
         Ok((Self { tile, h, w, reply }, nattrs))
     }
 }
@@ -433,7 +559,7 @@ fn tile_body_len<'a>(
     column_len: usize,
     mask_len: usize,
 ) -> usize {
-    let attrs: usize = names.map(|n| 2 + wire_str(n).len() + column_len).sum();
+    let attrs: usize = names.map(|n| wire_name_len(n) + column_len).sum();
     TileHeader::len(reply) + attrs + mask_len
 }
 
@@ -477,7 +603,7 @@ fn put_payload(out: &mut Vec<u8>, p: &TilePayload, reply: Option<ReplyMeta>) {
 }
 
 /// Reads a tile-bearing body behind its tag back into a message.
-fn get_tile_msg(reply: bool, body: &mut Bytes) -> io::Result<ServerMsg> {
+fn get_tile_msg(reply: bool, body: &mut Body<impl Read>) -> io::Result<ServerMsg> {
     let (header, nattrs) = TileHeader::get(reply, body)?;
     // Bound the cell count before any size arithmetic: a crafted h×w
     // near usize::MAX would wrap `ncells * 8` below and slip past the
@@ -490,15 +616,8 @@ fn get_tile_msg(reply: bool, body: &mut Bytes) -> io::Result<ServerMsg> {
     let mut attrs = Vec::with_capacity(nattrs);
     let mut data = Vec::with_capacity(nattrs);
     for _ in 0..nattrs {
-        let name = get_string(body)?;
-        if body.remaining() < ncells * 8 {
-            return Err(bad("truncated attribute data"));
-        }
-        attrs.push(name);
-        data.push(get_f64_column(body, ncells));
-    }
-    if body.remaining() < ncells {
-        return Err(bad("truncated presence mask"));
+        attrs.push(body.string()?);
+        data.push(body.column(ncells)?);
     }
     let payload = TilePayload {
         tile: header.tile,
@@ -506,9 +625,113 @@ fn get_tile_msg(reply: bool, body: &mut Bytes) -> io::Result<ServerMsg> {
         w: header.w,
         attrs,
         data,
-        present: body.copy_to_bytes(ncells).to_vec(),
+        present: body.bytes(ncells, "truncated presence mask")?,
     };
     Ok(tile_msg(payload, header.reply))
+}
+
+/// Receives a [`ServerMsg::Tile`] of `len` body bytes whose attributes
+/// are `names` straight into its payload, or `None`, having read
+/// nothing, when no such tile is `len` bytes long.
+///
+/// A tile of these attributes and `n` cells is `fixed + n·(8·attrs + 1)`
+/// bytes, so `len` names `n`, and every piece of the body has its
+/// place before a byte arrives: one vectored read fills the header and
+/// first name, each column in its `Vec<f64>`, each further name, and
+/// the mask in its `Vec<u8>`. The bytes are then checked to be what
+/// was predicted — the `Tile` tag, `h·w = n`, the attribute count,
+/// every name — and where any differs (a schema change; a `Push` of a
+/// matching length) the pieces, in wire order, go through the
+/// decoder, so the answer is always [`ServerMsg::decode`]'s on the same
+/// bytes.
+pub(crate) fn read_tile_of(
+    r: &mut impl Read,
+    len: usize,
+    names: &[String],
+) -> Option<io::Result<ServerMsg>> {
+    let fixed = TileHeader::len(true) + names.iter().map(|s| wire_name_len(s)).sum::<usize>();
+    let per_cell = 8 * names.len() + 1;
+    let cells = len
+        .checked_sub(fixed)
+        .filter(|&c| c > 0 && c % per_cell == 0)?;
+    Some(read_tile_cells(r, len, names, fixed, cells / per_cell))
+}
+
+fn read_tile_cells(
+    r: &mut impl Read,
+    len: usize,
+    names: &[String],
+    fixed: usize,
+    n: usize,
+) -> io::Result<ServerMsg> {
+    const HEAD: usize = TileHeader::len(true);
+    // The header and every name with its length prefix, in wire order.
+    let mut small = vec![0; fixed];
+    let mut data: Vec<Vec<f64>> = names.iter().map(|_| vec![0.0; n]).collect();
+    let mut present = vec![0; n];
+    let mut pieces: Vec<&mut [u8]> = Vec::with_capacity(2 * names.len() + 1);
+    let (head, mut rest) = small.split_at_mut(HEAD + names.first().map_or(0, |s| wire_name_len(s)));
+    pieces.push(head);
+    for (i, values) in data.iter_mut().enumerate() {
+        if i > 0 {
+            let (name, tail) = std::mem::take(&mut rest).split_at_mut(wire_name_len(&names[i]));
+            pieces.push(name);
+            rest = tail;
+        }
+        pieces.push(column_bytes_mut(values));
+    }
+    pieces.push(&mut present);
+    let mut iov: Vec<IoSliceMut<'_>> = pieces.iter_mut().map(|p| IoSliceMut::new(p)).collect();
+    read_full(r, &mut iov)?;
+
+    let tag = pieces[0][0];
+    let mut header_body = Body {
+        inner: &pieces[0][1..HEAD],
+        left: HEAD - 1,
+    };
+    let (header, nattrs) = TileHeader::get(true, &mut header_body)?;
+    let wire_names = (0..names.len()).map(|i| match i {
+        0 => &pieces[0][HEAD..],
+        i => &*pieces[2 * i],
+    });
+    let predicted = tag == TAG_TILE
+        && u64::from(header.h) * u64::from(header.w) == n as u64
+        && nattrs == names.len()
+        && names.iter().zip(wire_names).all(|(name, wire)| {
+            let name = wire_str(name).as_bytes();
+            usize::from(u16::from_le_bytes([wire[0], wire[1]])) == name.len() && wire[2..] == *name
+        });
+    if !predicted {
+        let pieces = pieces.iter().map(|p| &**p);
+        return read_server_msg(Concat(pieces, &[]), len);
+    }
+    for values in &mut data {
+        column_from_le(values);
+    }
+    let payload = TilePayload {
+        tile: header.tile,
+        h: header.h,
+        w: header.w,
+        attrs: names.to_vec(),
+        data,
+        present,
+    };
+    Ok(tile_msg(payload, header.reply))
+}
+
+/// Byte slices read one after another as one stream.
+struct Concat<'a, I>(I, &'a [u8]);
+
+impl<'a, I: Iterator<Item = &'a [u8]>> Read for Concat<'a, I> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        while self.1.is_empty() {
+            match self.0.next() {
+                Some(piece) => self.1 = piece,
+                None => return Ok(0),
+            }
+        }
+        self.1.read(buf)
+    }
 }
 
 /// A `Tile` (with its reply scalars) or a `Push` (without) around
@@ -704,45 +927,41 @@ impl ServerMsg {
     ///
     /// # Errors
     /// `InvalidData` on malformed bodies.
-    pub fn decode(mut body: Bytes) -> io::Result<Self> {
-        if body.is_empty() {
-            return Err(bad("empty message"));
+    pub fn decode(body: Bytes) -> io::Result<Self> {
+        read_server_msg(&body[..], body.len())
+    }
+}
+
+/// The server-message decoder, over a body in memory or in a stream.
+fn get_server_msg(body: &mut Body<impl Read>) -> io::Result<ServerMsg> {
+    match body.u8("empty message")? {
+        0 => {
+            const WHAT: &str = "truncated Welcome";
+            Ok(ServerMsg::Welcome {
+                levels: body.u8(WHAT)?,
+                deepest_tiles: (
+                    u32::from_le_bytes(body.take(WHAT)?),
+                    u32::from_le_bytes(body.take(WHAT)?),
+                ),
+            })
         }
-        match body.get_u8() {
-            0 => {
-                if body.remaining() < 9 {
-                    return Err(bad("truncated Welcome"));
-                }
-                Ok(ServerMsg::Welcome {
-                    levels: body.get_u8(),
-                    deepest_tiles: (body.get_u32_le(), body.get_u32_le()),
-                })
-            }
-            tag @ (TAG_TILE | TAG_PUSH) => get_tile_msg(tag == TAG_TILE, &mut body),
-            2 => {
-                if body.remaining() < 40 {
-                    return Err(bad("truncated Stats"));
-                }
-                Ok(ServerMsg::Stats {
-                    requests: body.get_u64_le(),
-                    hits: body.get_u64_le(),
-                    avg_latency_ns: body.get_u64_le(),
-                    prefetch_issued: body.get_u64_le(),
-                    prefetch_used: body.get_u64_le(),
-                })
-            }
-            3 => {
-                if body.remaining() < 1 {
-                    return Err(bad("truncated Error"));
-                }
-                let code = ErrorCode::from_u8(body.get_u8());
-                Ok(ServerMsg::Error {
-                    code,
-                    reason: get_string(&mut body)?,
-                })
-            }
-            t => Err(bad(&format!("unknown server tag {t}"))),
+        tag @ (TAG_TILE | TAG_PUSH) => get_tile_msg(tag == TAG_TILE, body),
+        2 => {
+            const WHAT: &str = "truncated Stats";
+            let mut next = || body.take(WHAT).map(u64::from_le_bytes);
+            Ok(ServerMsg::Stats {
+                requests: next()?,
+                hits: next()?,
+                avg_latency_ns: next()?,
+                prefetch_issued: next()?,
+                prefetch_used: next()?,
+            })
         }
+        3 => Ok(ServerMsg::Error {
+            code: ErrorCode::from_u8(body.u8("truncated Error")?),
+            reason: body.string()?,
+        }),
+        t => Err(bad(&format!("unknown server tag {t}"))),
     }
 }
 
@@ -780,6 +999,32 @@ fn column_bytes(values: &[f64]) -> &[u8] {
     // `u8` has alignment 1 and no invalid bit patterns, and nothing
     // writes through a shared borrow.
     unsafe { std::slice::from_raw_parts(values.as_ptr().cast(), std::mem::size_of_val(values)) }
+}
+
+/// The bytes of a column to receive into: [`column_bytes`] for the
+/// reader. After a read they hold the wire's bytes, which
+/// [`column_from_le`] turns into the values.
+fn column_bytes_mut(values: &mut [f64]) -> &mut [u8] {
+    // SAFETY: `values` is a live, initialised `[f64]` borrowed
+    // exclusively, so the `size_of_val(values)` bytes behind its pointer
+    // are readable, writable and initialised, and nothing else reaches
+    // them for the lifetime of the borrow the result keeps; `u8` has
+    // alignment 1, and every bit pattern written through it leaves a
+    // valid `f64`.
+    unsafe {
+        std::slice::from_raw_parts_mut(values.as_mut_ptr().cast(), std::mem::size_of_val(values))
+    }
+}
+
+/// Turns a column received through [`column_bytes_mut`] from its wire
+/// bytes into its values: nothing to do on a little-endian host; a
+/// big-endian one swaps each value, as [`Frame::tile`] swaps there.
+fn column_from_le(values: &mut [f64]) {
+    if cfg!(target_endian = "big") {
+        for v in values {
+            *v = f64::from_bits(u64::from_le(v.to_bits()));
+        }
+    }
 }
 
 // A frame always has its prefix and tag: there is no empty one to ask about.
@@ -943,24 +1188,28 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Bytes> {
 /// more fails with `InvalidData` before anything is reserved or read
 /// past it.
 pub(crate) fn read_frame_within<R: Read>(r: &mut R, max: usize) -> io::Result<Bytes> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > max {
-        return Err(bad("frame too large"));
-    }
+    let len = read_prefix(r, max)?;
     // `read_to_end` fills the reserved capacity as it stands — no
     // zero-fill of bytes the read is about to overwrite — and `take`
     // stops it at this frame's end.
     let mut body = Vec::with_capacity(len);
     r.take(len as u64).read_to_end(&mut body)?;
     if body.len() < len {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "stream ended mid-frame",
-        ));
+        return Err(mid_frame());
     }
     Ok(Bytes::from(body))
+}
+
+/// Reads a frame's length prefix: the length of the body that follows,
+/// or `InvalidData` when it claims more than `max` bytes.
+pub(crate) fn read_prefix(r: &mut impl Read, max: usize) -> io::Result<usize> {
+    let mut len_buf = [0u8; 4];
+    r.read_exact(&mut len_buf)?;
+    let len = u32::from_le_bytes(len_buf) as usize;
+    if len > max {
+        return Err(bad("frame too large"));
+    }
+    Ok(len)
 }
 
 /// Strips the 4-byte length prefix from an encoded message (test helper
