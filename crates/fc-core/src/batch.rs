@@ -26,6 +26,7 @@
 
 use crate::paircache::{PairCache, PairCacheStats};
 use crate::sb::{PredictScratch, SbRecommender};
+use crate::stages::{lap, Stage, StageClock};
 use fc_tiles::{Pyramid, TileId};
 use parking_lot::atomic::AtomicU64;
 use parking_lot::Mutex;
@@ -104,16 +105,18 @@ impl PredictScheduler {
     /// bit-identical to [`SbRecommender::rank_indexed_cached`] on the
     /// same inputs.
     pub fn rank(&self, candidates: &[TileId], refs: &[TileId]) -> Vec<TileId> {
-        self.rank_counted(candidates, refs).0
+        self.rank_counted(candidates, refs, None).0
     }
 
     /// [`Self::rank`], plus the shared cache's hit/miss counts for
     /// this call alone — read while the lock is held, so another
-    /// session's probes never leak into them.
+    /// session's probes never leak into them. The wait for the lock is
+    /// timed into `clock` when one is given.
     pub(crate) fn rank_counted(
         &self,
         candidates: &[TileId],
         refs: &[TileId],
+        clock: Option<&StageClock>,
     ) -> (Vec<TileId>, PairCacheStats) {
         self.jobs.fetch_add(1, Ordering::Relaxed);
         let store = self.pyramid.store();
@@ -124,7 +127,9 @@ impl PredictScheduler {
             let ranked = self.sb.rank_reference(store, candidates, refs);
             return (ranked, PairCacheStats::default());
         };
+        let t = clock.map(StageClock::now);
         let mut shared = self.shared.lock();
+        lap(clock, Stage::TableWait, t);
         let (cache, scratch) = &mut *shared;
         cache.fit(&index);
         self.sb.rank_tiles(&index, candidates, refs, cache, scratch)
@@ -182,7 +187,7 @@ mod tests {
         assert_eq!(s.stats(), SchedulerStats::default());
         let cands = p.geometry().candidates(TileId::new(2, 2, 2), 1);
         let refs = [TileId::new(2, 2, 2)];
-        let (ranked, delta) = s.rank_counted(&cands, &refs);
+        let (ranked, delta) = s.rank_counted(&cands, &refs, None);
         assert_eq!(ranked, solo(&p, &cands, &refs));
         assert_eq!((delta.hits, delta.misses), (0, cands.len() as u64));
         assert_eq!(delta, s.pair_cache_stats());
@@ -241,7 +246,7 @@ mod tests {
         let s = scheduler(&p);
         let cands = [TileId::new(2, 1, 1), TileId::new(2, 1, 2)];
         let refs = [TileId::new(2, 1, 0)];
-        let (ranked, delta) = s.rank_counted(&cands, &refs);
+        let (ranked, delta) = s.rank_counted(&cands, &refs, None);
         assert_eq!(ranked, solo(&p, &cands, &refs));
         assert_eq!(delta, PairCacheStats::default());
         assert_eq!(s.stats().jobs, 1);

@@ -15,6 +15,7 @@ use crate::phase::{Phase, PhaseClassifier};
 use crate::recommender::{PredictionContext, Recommender};
 use crate::roi::RoiTracker;
 use crate::sb::{PredictScratch, SbRecommender};
+use crate::stages::{lap, Stage, StageClock};
 use fc_tiles::{Geometry, SignatureIndex, TileId, TileStore};
 use std::sync::Arc;
 
@@ -137,6 +138,9 @@ pub struct PredictionEngine {
     /// predict with one atomic load so the steady state acquires no
     /// store locks, and never confused between stores.
     sig_cache: Option<((u64, u64), Arc<SignatureIndex>)>,
+    /// Times the AB and SB rankings when attached
+    /// ([`Self::set_stage_clock`]).
+    stages: Option<Arc<StageClock>>,
 }
 
 impl std::fmt::Debug for PredictionEngine {
@@ -177,7 +181,15 @@ impl PredictionEngine {
             last_pair_cache: PairCacheStats::default(),
             candidate_buf: Vec::new(),
             sig_cache: None,
+            stages: None,
         }
+    }
+
+    /// Attaches (or detaches) a stage clock timing each predict's AB
+    /// ranking, SB ranking and pair-table wait
+    /// ([`crate::Middleware::set_stage_clock`] attaches the session's).
+    pub(crate) fn set_stage_clock(&mut self, clock: Option<Arc<StageClock>>) {
+        self.stages = clock;
     }
 
     /// Records a request (history + ROI tracking). Call once per user
@@ -289,12 +301,14 @@ impl PredictionEngine {
         // budgets outside Sensemaking). AB is skipped in turn where SB
         // fills the budget alone (Sensemaking under `Updated`,
         // `SbOnly`).
+        let clock = self.stages.as_deref();
         let mut sb_list = Vec::new();
         if sb_slots > 0 {
+            let t = clock.map(StageClock::now);
             (sb_list, self.last_pair_cache) = match (scheduler, &index) {
                 // Cross-session path: the scheduler owns index refresh,
                 // scratch and the shared pair cache.
-                (Some(s), _) => s.rank_counted(candidates, ctx.reference_tiles()),
+                (Some(s), _) => s.rank_counted(candidates, ctx.reference_tiles(), clock),
                 // SB: frozen-index fast path through the pair cache
                 // when metadata exists (steady state probes instead of
                 // dividing); the locked reference path only serves
@@ -311,10 +325,14 @@ impl PredictionEngine {
                 }
                 (None, None) => (self.sb.rank(&ctx), PairCacheStats::default()),
             };
+            lap(clock, Stage::Sb, t);
         }
         let sb_fills_budget = sb_list.len() >= (ab_slots + sb_slots).min(candidates.len());
         let mut ab_list = if ab_slots > 0 || !sb_fills_budget {
-            self.ab.rank(&ctx)
+            let t = clock.map(StageClock::now);
+            let ranked = self.ab.rank(&ctx);
+            lap(clock, Stage::Ab, t);
+            ranked
         } else {
             Vec::new()
         };

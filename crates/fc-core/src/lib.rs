@@ -54,6 +54,7 @@ mod roi;
 pub mod sb;
 pub mod signature;
 mod slots;
+mod stages;
 
 pub use ab::AbRecommender;
 pub use alloc::{AllocationStrategy, HotspotBlend};
@@ -79,3 +80,4 @@ pub use recommender::{PredictionContext, Recommender};
 pub use roi::RoiTracker;
 pub use sb::{SbConfig, SbRecommender};
 pub use signature::{SignatureKind, SIGNATURE_KINDS};
+pub use stages::{ClockFn, Stage, StageClock};

@@ -20,6 +20,7 @@ use crate::multiuser::{
 };
 use crate::paircache::PairCacheStats;
 use crate::phase::Phase;
+use crate::stages::{lap, Stage, StageClock};
 use fc_tiles::{Pyramid, Tile, TileId, TileStore};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -213,6 +214,9 @@ pub struct Middleware {
     /// Tracked unconditionally; behavior-inert (no stats, no cache
     /// effect) until something drains it.
     push_candidates: Vec<TileId>,
+    /// Per-stage request timing, when a clock is attached
+    /// ([`Middleware::set_stage_clock`]); `None` reads no time.
+    stages: Option<Arc<StageClock>>,
 }
 
 /// The session's attachment to a fault plan: the shared plan, the
@@ -271,7 +275,23 @@ impl Middleware {
             burst: None,
             speculative: HashSet::new(),
             push_candidates: Vec::new(),
+            stages: None,
         }
+    }
+
+    /// Attaches (or detaches) a stage clock: every request then
+    /// records its serve, predict, plan, install and book durations,
+    /// and the engine its AB, SB and pair-table wait, into `clock`.
+    /// Sessions may share one clock.
+    pub fn set_stage_clock(&mut self, clock: Option<Arc<StageClock>>) {
+        self.engine.set_stage_clock(clock.clone());
+        self.stages = clock;
+    }
+
+    /// The attached stage clock.
+    // fc-check: allow(unreferenced-pub) -- the stage clock's test-visible accessor; callers that attach a clock keep their own `Arc`
+    pub fn stage_clock(&self) -> Option<&StageClock> {
+        self.stages.as_deref()
     }
 
     /// Attaches (or detaches) burst-aware prefetch scheduling — the
@@ -374,8 +394,10 @@ impl Middleware {
     /// The request runs as four stages that hand one `Plan` forward:
     /// **serve** the tile and record it, **predict** the ranked list
     /// the plan asks the engine for, **plan** what to fetch and pin,
-    /// **install** it for the next request. The plan is the burst
-    /// planner's when one is attached, else the uniform plan.
+    /// **install** it for the next request; then **book** the reply.
+    /// The plan is the burst planner's when one is attached, else the
+    /// uniform plan. With a stage clock attached each stage's duration
+    /// is recorded in it.
     ///
     /// # Errors
     /// [`FetchError`] as above (fault plans only).
@@ -392,6 +414,7 @@ impl Middleware {
         if !self.pyramid.geometry().contains(id) || !self.pyramid.store().contains(id) {
             return Ok(None);
         }
+        let t = self.stages.as_ref().map(|c| c.now());
         // Under a fault plan every serviceable request ticks the
         // session's request index — the coordinate fault windows are
         // keyed by — whether it ends in a hit, a miss, or a failure.
@@ -412,6 +435,7 @@ impl Middleware {
         let Some(mut resp) = self.serve(req, plan.traffic, faults.as_ref())? else {
             return Ok(None);
         };
+        let mut t = lap(self.stages.as_deref(), Stage::Serve, t);
         // A degraded reply skips prediction and prefetch: the backend
         // is in no state for speculative I/O.
         if !resp.degraded {
@@ -425,11 +449,15 @@ impl Middleware {
                 .and_then(SharedSessionHandle::hotspot_prior);
             let prior: &[(TileId, u64)] = prior.as_ref().map_or(&[], |s| s.hotspots.as_slice());
             resp.pair_cache = self.predict(&mut plan, resp.phase, prior);
+            t = lap(self.stages.as_deref(), Stage::Predict, t);
             self.plan(&mut plan, req, resp.cache_hit && !was_speculative, prior);
             resp.predict_time = parking_lot::time::now().saturating_duration_since(start);
+            t = lap(self.stages.as_deref(), Stage::Plan, t);
             resp.prefetched = self.install(plan, faults.as_ref());
+            t = lap(self.stages.as_deref(), Stage::Install, t);
         }
         self.book(req, &resp, was_speculative);
+        lap(self.stages.as_deref(), Stage::Book, t);
         Ok(Some(resp))
     }
 
@@ -840,6 +868,63 @@ mod tests {
 
     fn middleware(p: Arc<Pyramid>, k: usize) -> Middleware {
         Middleware::new(engine(&p), p, LatencyProfile::paper(), 3, k)
+    }
+
+    thread_local! {
+        static TICKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A clock that advances 1 µs per read.
+    fn ticking() -> u64 {
+        TICKS.with(|t| {
+            t.set(t.get() + 1_000);
+            t.get()
+        })
+    }
+
+    /// Every stage of every request lands in the attached clock, and
+    /// a session without one reads none.
+    #[test]
+    fn the_stage_clock_times_each_stage_of_each_request() {
+        let p = pyramid();
+        let mut mw = Middleware::new(
+            engine_with(&p, AllocationStrategy::Updated),
+            p.clone(),
+            LatencyProfile::paper(),
+            3,
+            4,
+        );
+        assert!(mw.stage_clock().is_none());
+        mw.set_stage_clock(Some(Arc::new(StageClock::new(ticking))));
+        let (n, mut sb_ranked) = (4u64, 0);
+        mw.request(TileId::new(2, 1, 0), None).unwrap();
+        for x in 1..n as u32 {
+            let before = TICKS.with(std::cell::Cell::get);
+            let r = mw
+                .request(TileId::new(2, 1, x), Some(Move::PanRight))
+                .unwrap();
+            sb_ranked += u64::from(r.pair_cache.hits + r.pair_cache.misses > 0);
+            // Two reads bracket the request, plus two per ranking.
+            assert!(TICKS.with(std::cell::Cell::get) > before + 2_000);
+        }
+        let clock = mw.stage_clock().expect("attached");
+        for stage in [
+            Stage::Serve,
+            Stage::Predict,
+            Stage::Plan,
+            Stage::Install,
+            Stage::Book,
+        ] {
+            assert_eq!(clock.count(stage), n, "{}", stage.name());
+        }
+        // Serve, plan, install and book each span one tick; predict
+        // spans the engine's own reads too.
+        let serve = clock.quantile(Stage::Serve, 0.5).unwrap();
+        assert!(serve.abs_diff(1_000) <= 63, "{serve}");
+        assert!(clock.quantile(Stage::Predict, 0.5).unwrap() > serve);
+        assert!(sb_ranked > 0);
+        assert_eq!(clock.count(Stage::Sb), sb_ranked);
+        assert!(clock.count(Stage::Ab) > 0);
     }
 
     #[test]
