@@ -10,8 +10,11 @@
 //! `golden_engine` keeps one engine per strategy across every trace
 //! (`reset_session` keeps the pair table), so it never opens a second
 //! table; this pin does, at d = 1 and 2 under `Updated` and `SbOnly`.
-//! Each fingerprint folds every predicted list and each request's
-//! pair-cache hits, misses and invalidations.
+//! Each case has two fingerprints: a ranking fold over every predicted
+//! list, and a counter fold over each request's pair-cache hits,
+//! misses and invalidations. The rankings are exact whoever warmed the
+//! pair table; the counters move with which pairs it holds, and are
+//! re-recorded on purpose when that changes.
 
 use fc_core::engine::PhaseSource;
 use fc_core::{
@@ -48,14 +51,15 @@ const K: usize = 8;
 
 /// Replays the traces two sessions at a time, each on an engine of its
 /// own that is dropped after its trace's last request, and folds each
-/// request's prediction and pair-cache counts.
+/// request's prediction (the first value) and pair-cache counts (the
+/// second).
 fn fingerprint(
     dataset: &StudyDataset,
     traces: &[Trace],
     ab: &AbRecommender,
     strategy: AllocationStrategy,
     d: usize,
-) -> u64 {
+) -> (u64, u64) {
     let store = dataset.pyramid.store();
     let open = || {
         PredictionEngine::new(
@@ -70,7 +74,7 @@ fn fingerprint(
             },
         )
     };
-    let mut fold = Fold::new();
+    let (mut fold, mut counts) = (Fold::new(), Fold::new());
     for pair in traces.chunks(2) {
         let mut engines: Vec<Option<PredictionEngine>> = vec![None, None];
         let longest = pair.iter().map(|t| t.steps.len()).max().unwrap_or(0);
@@ -87,16 +91,16 @@ fn fingerprint(
                     fold.tile(t);
                 }
                 let pairs = engine.last_pair_cache();
-                fold.u64(pairs.hits);
-                fold.u64(pairs.misses);
-                fold.u64(pairs.invalidations);
+                counts.u64(pairs.hits);
+                counts.u64(pairs.misses);
+                counts.u64(pairs.invalidations);
                 if i + 1 == trace.steps.len() {
                     engines[slot] = None;
                 }
             }
         }
     }
-    fold.0
+    (fold.0, counts.0)
 }
 
 #[test]
@@ -106,18 +110,30 @@ fn study_replay_with_a_fresh_engine_per_session_is_pinned() {
     assert_eq!(traces.len(), 54, "18 users × 3 tasks");
     let seqs: Vec<Vec<u16>> = traces.iter().map(Trace::move_sequence).collect();
     let ab = AbRecommender::train(seqs.iter().map(Vec::as_slice), 3);
-    let got: Vec<[u64; 2]> = (1..=2)
+    let got: Vec<[(u64, u64); 2]> = (1..=2)
         .map(|d| {
             [AllocationStrategy::Updated, AllocationStrategy::SbOnly]
                 .map(|strategy| fingerprint(&dataset, &traces, &ab, strategy, d))
         })
         .collect();
-    let want: [[u64; 2]; 2] = [
-        [0x99cf_5930_fe7e_d3c0, 0x655c_3bc2_e57f_82a0],
-        [0x27c3_abbd_d31d_a70a, 0x0497_9f7a_1283_be08],
+    let rankings: Vec<[u64; 2]> = got.iter().map(|row| row.map(|f| f.0)).collect();
+    let counts: Vec<[u64; 2]> = got.iter().map(|row| row.map(|f| f.1)).collect();
+    let want_rankings: [[u64; 2]; 2] = [
+        [0x6975_50fa_95e3_58e2, 0x2f2f_f1ea_038c_c202],
+        [0x9e2f_d74e_047c_4005, 0x3cb9_9922_190c_2b47],
     ];
     assert_eq!(
-        got, want,
-        "churn replay changed; rows are d = 1, 2, columns Updated, SbOnly (got {got:#x?})"
+        rankings, want_rankings,
+        "churn replay's rankings changed; rows are d = 1, 2, columns Updated, SbOnly \
+         (got {rankings:#x?})"
+    );
+    let want_counts: [[u64; 2]; 2] = [
+        [0x4058_0724_1152_5be7, 0x4058_0724_1152_5be7],
+        [0x81b3_d265_17ea_31ca, 0x81b3_d265_17ea_31ca],
+    ];
+    assert_eq!(
+        counts, want_counts,
+        "churn replay's pair-cache counts changed; rows are d = 1, 2, columns Updated, \
+         SbOnly (got {counts:#x?})"
     );
 }

@@ -2,10 +2,13 @@
 //! request of every study trace replayed through
 //! `PredictionEngine::predict_with`, at prediction distance 1, 2 and 3,
 //! under each allocation strategy, with SB scoring all four signatures.
-//! Each fingerprint folds every predicted list and the χ² pair-cache
-//! hits, misses and invalidations of each request, so it covers the
-//! candidate set the engine hands both recommenders, their rankings,
-//! the merge and the pair cache's evictions. The recommender pins
+//! Each case has two fingerprints: a ranking fold over every predicted
+//! list, which covers the candidate set the engine hands both
+//! recommenders, their rankings and the merge; and a counter fold over
+//! the χ² pair-cache hits, misses and invalidations of each request,
+//! which covers the pair cache's evictions. The rankings are exact
+//! whoever warmed the pair table; the counters move with which pairs
+//! it holds, and are re-recorded on purpose when that changes. The recommender pins
 //! (`golden_ab`, `golden_sb`, `golden_paircache`) build their candidate
 //! lists with `Geometry::candidates` themselves; this one takes the
 //! engine's.
@@ -46,13 +49,13 @@ const K: usize = 8;
 /// Replays every trace through one engine per strategy, resetting the
 /// session between traces (the engine's pair cache carries over, as it
 /// does across a session's requests), and folds each request's
-/// prediction and pair-cache counts.
+/// prediction (the first value) and pair-cache counts (the second).
 fn fingerprints(
     dataset: &StudyDataset,
     traces: &[Trace],
     ab: &AbRecommender,
     d: usize,
-) -> Vec<u64> {
+) -> Vec<(u64, u64)> {
     let store = dataset.pyramid.store();
     let strategies = [
         AllocationStrategy::Original,
@@ -74,7 +77,7 @@ fn fingerprints(
                     ..EngineConfig::default()
                 },
             );
-            let mut fold = Fold::new();
+            let (mut fold, mut counts) = (Fold::new(), Fold::new());
             for trace in traces {
                 engine.reset_session();
                 for step in &trace.steps {
@@ -85,12 +88,12 @@ fn fingerprints(
                         fold.tile(t);
                     }
                     let pairs = engine.last_pair_cache();
-                    fold.u64(pairs.hits);
-                    fold.u64(pairs.misses);
-                    fold.u64(pairs.invalidations);
+                    counts.u64(pairs.hits);
+                    counts.u64(pairs.misses);
+                    counts.u64(pairs.invalidations);
                 }
             }
-            fold.0
+            (fold.0, counts.0)
         })
         .collect()
 }
@@ -102,32 +105,65 @@ fn study_replay_through_the_engine_is_pinned() {
     assert_eq!(traces.len(), 54, "18 users × 3 tasks");
     let seqs: Vec<Vec<u16>> = traces.iter().map(Trace::move_sequence).collect();
     let ab = AbRecommender::train(seqs.iter().map(Vec::as_slice), 3);
-    let got: Vec<Vec<u64>> = (1..=3)
+    let got: Vec<Vec<(u64, u64)>> = (1..=3)
         .map(|d| fingerprints(&dataset, &traces, &ab, d))
         .collect();
-    let want: [[u64; 4]; 3] = [
+    let rankings: Vec<Vec<u64>> = got
+        .iter()
+        .map(|r| r.iter().map(|f| f.0).collect())
+        .collect();
+    let counts: Vec<Vec<u64>> = got
+        .iter()
+        .map(|r| r.iter().map(|f| f.1).collect())
+        .collect();
+    let want_rankings: [[u64; 4]; 3] = [
         [
-            0xc133_8dc0_b001_952f,
-            0x877a_087d_ae5c_2a8e,
-            0x894b_ccd0_dfda_3102,
-            0x11a5_3ae8_b2ed_3eee,
+            0x2846_3d36_1101_7f02,
+            0x39a6_8fb5_933e_9562,
+            0xd852_896b_9d1a_e242,
+            0x7373_5116_8ed2_5c82,
         ],
         [
-            0xa8a1_f687_fff3_f5aa,
-            0xf6b3_8223_c690_851c,
-            0x9d30_155d_e5ee_adc4,
-            0xd51d_7f57_0885_54de,
+            0x8230_8812_14ba_f8a4,
+            0x1cb5_e89b_a83f_70a5,
+            0x1d59_21cd_f539_37e4,
+            0x591c_3b86_81fe_3a87,
         ],
         [
-            0xc027_e6ed_051d_e260,
-            0x1783_f94f_e87c_d34e,
-            0x6e3c_f053_207f_3146,
-            0x9c3c_18fd_6e93_e94f,
+            0x435d_412d_4d2f_0346,
+            0xf387_fbcb_d921_7e07,
+            0x615c_0844_451d_2cc6,
+            0x671f_9917_e091_ce66,
         ],
     ];
     assert_eq!(
-        got, want,
-        "engine replay changed; rows are d = 1, 2, 3, columns Original, Updated, AbOnly, \
-         SbOnly (got {got:#x?})"
+        rankings, want_rankings,
+        "engine replay's rankings changed; rows are d = 1, 2, 3, columns Original, Updated, \
+         AbOnly, SbOnly (got {rankings:#x?})"
+    );
+    let want_counts: [[u64; 4]; 3] = [
+        [
+            0x7d19_8c12_6c37_d5a8,
+            0x30d3_c864_5f2e_5929,
+            0xb334_5502_332d_1ee5,
+            0x30d3_c864_5f2e_5929,
+        ],
+        [
+            0xa7a3_cd36_a761_cbab,
+            0x44a1_d290_f2db_07dc,
+            0xb334_5502_332d_1ee5,
+            0x44a1_d290_f2db_07dc,
+        ],
+        [
+            0x7f90_f6aa_9fec_efe3,
+            0x85e6_0628_63db_5bac,
+            0xb334_5502_332d_1ee5,
+            0x85e6_0628_63db_5bac,
+        ],
+    ];
+    assert_eq!(
+        counts, want_counts,
+        "engine replay's pair-cache counts changed; rows are d = 1, 2, 3, columns Original, \
+         Updated, AbOnly, SbOnly (got {counts:#x?})"
     );
 }

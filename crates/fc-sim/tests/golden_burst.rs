@@ -97,8 +97,9 @@ fn engine(p: &Arc<Pyramid>) -> PredictionEngine {
 }
 
 /// Replays `trace` through `mw`, folding every observable of every
-/// response plus the final stats into the fingerprint.
-fn replay(mw: &mut Middleware, trace: &Trace, fold: &mut Fold) {
+/// response plus the final stats into `fold`, and each response's
+/// pair-cache delta into `counts`.
+fn replay(mw: &mut Middleware, trace: &Trace, fold: &mut Fold, counts: &mut Fold) {
     for (j, step) in trace.steps.iter().enumerate() {
         let mv = if j == 0 { None } else { step.mv };
         let Some(resp) = mw.request(step.tile, mv) else {
@@ -112,8 +113,8 @@ fn replay(mw: &mut Middleware, trace: &Trace, fold: &mut Fold) {
         for t in &resp.prefetched {
             fold.tile(*t);
         }
-        fold.u64(resp.pair_cache.hits);
-        fold.u64(resp.pair_cache.misses);
+        counts.u64(resp.pair_cache.hits);
+        counts.u64(resp.pair_cache.misses);
         fold.u64(u64::from(resp.degraded));
     }
     let s = mw.stats();
@@ -135,15 +136,19 @@ fn replay(mw: &mut Middleware, trace: &Trace, fold: &mut Fold) {
 fn burst_config_none_is_bit_identical_private() {
     let p = pyramid();
     let traces = synthetic_workload(p.geometry(), 2, 96, 6);
-    let mut fold = Fold::new();
+    let (mut fold, mut counts) = (Fold::new(), Fold::new());
     for trace in &traces {
         let mut mw = Middleware::new(engine(&p), p.clone(), LatencyProfile::paper(), 4, 4);
-        replay(&mut mw, trace, &mut fold);
+        replay(&mut mw, trace, &mut fold, &mut counts);
     }
     fold.u64(u64::try_from(p.store().clock().now().as_nanos()).unwrap());
     assert_eq!(
         fold.0, GOLDEN_PRIVATE,
         "private-mode replay diverged from the pre-burst-scheduler middleware"
+    );
+    assert_eq!(
+        counts.0, GOLDEN_PRIVATE_PAIRS,
+        "private-mode replay's pair-cache counts changed"
     );
 }
 
@@ -205,10 +210,12 @@ fn burst_config_none_is_bit_identical_shared() {
 /// The replays above with burst scheduling off. The shared value is
 /// the one captured at the commit *before* the burst scheduler landed
 /// (PR 7 head). The private replay also folds each response's
-/// pair-cache counts, so its value moves with which requests rank SB
-/// (at k = 4 under `Updated`, only those in Sensemaking) as well as
-/// with what they are served.
-const GOLDEN_PRIVATE: u64 = 13_123_499_312_440_946_627;
+/// pair-cache counts, apart, so that fold moves with which requests
+/// rank SB (at k = 4 under `Updated`, only those in Sensemaking) and
+/// with which pairs the table already holds, while the first moves
+/// only with what the requests are served.
+const GOLDEN_PRIVATE: u64 = 5_095_954_937_012_719_669;
+const GOLDEN_PRIVATE_PAIRS: u64 = 6_534_135_864_930_624_847;
 const GOLDEN_SHARED: u64 = 4_225_050_109_384_278_978;
 
 /// `exp_multiuser`'s zoo A/B pyramid: 256² base, 16-cell tiles, four
