@@ -1,6 +1,6 @@
-//! Multi-user serving benchmark: sharded cache + dataset-shared pair
-//! cache vs. the retained single-mutex reference, plus the
-//! multi-dataset hotspot-model scenario.
+//! Multi-user serving benchmark: sharded cache vs. the retained
+//! single-mutex reference, plus the multi-dataset hotspot-model
+//! scenario.
 //!
 //! Parts 2–4 run on `fc-sim`'s multi-session driver in deterministic
 //! lockstep (`fc_sim::multiuser::run`): every session steps in
@@ -11,15 +11,16 @@
 //! **Part 1 — contention sweep.** Runs the same driver with one OS
 //! thread per session (`fc_sim::multiuser::run_threaded`; mixed
 //! pan/zoom workloads over one shared pyramid) at 1, 8, and 64
-//! sessions against three serving configurations:
+//! sessions against two shared tile caches:
 //!
-//! * `single_mutex` — the pre-sharding [`fc_core::SingleMutexTileCache`]
-//!   with per-session pair caches: the seed multi-user path;
-//! * `sharded_only` — the lock-striped [`fc_core::SharedTileCache`]
-//!   with per-session pair caches;
-//! * `sharded_batched` — the lock-striped [`fc_core::SharedTileCache`]
-//!   plus the [`fc_core::PredictScheduler`]: every session's SB
-//!   ranking runs through one shared χ² pair cache, one at a time.
+//! * `single_mutex` — the pre-sharding [`fc_core::SingleMutexTileCache`]:
+//!   the seed multi-user path;
+//! * `sharded` — the lock-striped [`fc_core::SharedTileCache`].
+//!
+//! Either way every session's SB ranking runs through the pyramid's one
+//! shared χ² pair table, one fill at a time (`fc_core::paircache`,
+//! "Sharing"); the table lives as long as the pyramid, so the warm-up
+//! sweep and every earlier configuration leave it warm.
 //!
 //! **Part 2 — multi-dataset hotspot model.** Two pyramids served from
 //! one process through a [`fc_core::DatasetRegistry`] (one cache
@@ -180,7 +181,6 @@ fn engine(p: &Arc<Pyramid>) -> PredictionEngine {
 
 struct Row {
     cache: &'static str,
-    batched: bool,
     sessions: usize,
     throughput_rps: f64,
     predict_p50_us: f64,
@@ -212,7 +212,6 @@ fn run_multi_dataset_ab(sessions: usize, steps: usize) -> Vec<(NamespaceReport, 
                 steps_per_session: steps,
                 cache_capacity: MD_BUDGET,
                 cache: CacheImpl::Sharded { shards: 0 },
-                batch_predicts: false,
                 k: MD_K,
                 ..MultiUserConfig::default()
             },
@@ -299,7 +298,6 @@ fn run_zoo_ab(steps: usize) -> Vec<ZooDelta> {
                     base: MultiUserConfig {
                         cache_capacity: ZOO_CAPACITY,
                         cache: CacheImpl::Sharded { shards: ZOO_SHARDS },
-                        batch_predicts: false,
                         k: ZOO_K,
                         ..MultiUserConfig::default()
                     },
@@ -538,7 +536,6 @@ fn run_fault_arm(
             steps_per_session: steps,
             cache_capacity: CAPACITY,
             cache: CacheImpl::Sharded { shards: SHARDS },
-            batch_predicts: true,
             k: K,
             ..MultiUserConfig::default()
         },
@@ -590,14 +587,9 @@ fn main() {
     // cache under constant replacement pressure in steady state.
     let traces = synthetic_workload(g, *session_counts.iter().max().unwrap(), steps, 5);
 
-    let configs: [(&'static str, CacheImpl, bool); 3] = [
-        ("single_mutex", CacheImpl::SingleMutex, false),
-        ("sharded_only", CacheImpl::Sharded { shards: SHARDS }, false),
-        (
-            "sharded_batched",
-            CacheImpl::Sharded { shards: SHARDS },
-            true,
-        ),
+    let configs: [(&'static str, CacheImpl); 2] = [
+        ("single_mutex", CacheImpl::SingleMutex),
+        ("sharded", CacheImpl::Sharded { shards: SHARDS }),
     ];
 
     // Interleaved rounds with a per-cell median: slow container
@@ -608,13 +600,12 @@ fn main() {
         .collect();
     for round in 0..rounds {
         for (si, &sessions) in session_counts.iter().enumerate() {
-            for (ci, (name, cache, batched)) in configs.iter().enumerate() {
+            for (ci, (name, cache)) in configs.iter().enumerate() {
                 let base = MultiUserConfig {
                     sessions,
                     steps_per_session: steps,
                     cache_capacity: CAPACITY,
                     cache: *cache,
-                    batch_predicts: *batched,
                     k: K,
                     ..MultiUserConfig::default()
                 };
@@ -638,7 +629,6 @@ fn main() {
                 let shared = r.namespaces[0].shared;
                 cells[si * configs.len() + ci].push(Row {
                     cache: name,
-                    batched: *batched,
                     sessions,
                     throughput_rps: r.served as f64 / wall.as_secs_f64().max(1e-9),
                     predict_p50_us: r.predict_p50.as_nanos() as f64 / 1e3,
@@ -666,8 +656,7 @@ fn main() {
             .map(|r| r.throughput_rps)
             .unwrap_or(0.0)
     };
-    let speedup64 =
-        tput("sharded_batched", max_sessions) / tput("single_mutex", max_sessions).max(1e-9);
+    let speedup64 = tput("sharded", max_sessions) / tput("single_mutex", max_sessions).max(1e-9);
 
     // Part 2: the multi-dataset hotspot-model A/B.
     let deltas = run_multi_dataset_ab(md_sessions, md_steps);
@@ -751,9 +740,8 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"cache\": \"{}\", \"batched\": {}, \"sessions\": {}, \"throughput_rps\": {:.0}, \"predict_p50_us\": {:.1}, \"predict_p99_us\": {:.1}, \"hit_rate\": {:.3}, \"cross_session_hits\": {}, \"evictions\": {}}}",
+            "    {{\"cache\": \"{}\", \"sessions\": {}, \"throughput_rps\": {:.0}, \"predict_p50_us\": {:.1}, \"predict_p99_us\": {:.1}, \"hit_rate\": {:.3}, \"cross_session_hits\": {}, \"evictions\": {}}}",
             r.cache,
-            r.batched,
             r.sessions,
             r.throughput_rps,
             r.predict_p50_us,
@@ -880,7 +868,7 @@ fn main() {
         std::fs::write("BENCH_multiuser.json", &json).expect("write BENCH_multiuser.json");
     }
 
-    println!("# exp_multiuser — sharded cache + shared pair cache vs single-mutex reference");
+    println!("# exp_multiuser — sharded cache vs single-mutex reference (one shared pair table)");
     println!();
     println!(
         "{:<16} {:>8} {:>14} {:>12} {:>12} {:>9} {:>12} {:>10}",
@@ -905,12 +893,10 @@ fn main() {
             .find(|r| r.cache == cache && r.sessions == max_sessions)
             .map(|r| r.predict_p50_us * 1e3)
     };
-    if let (Some(mutex_p50), Some(sharded_p50)) =
-        (p50_at("single_mutex"), p50_at("sharded_batched"))
-    {
+    if let (Some(mutex_p50), Some(sharded_p50)) = (p50_at("single_mutex"), p50_at("sharded")) {
         println!(
             "{}  (p50 at {max_sessions} sessions)",
-            summary_line("mutex -> sharded+batch", mutex_p50, sharded_p50)
+            summary_line("mutex -> sharded", mutex_p50, sharded_p50)
         );
     }
     println!("speedup at {max_sessions} sessions: {speedup64:.2}x (acceptance: >= 4x)");

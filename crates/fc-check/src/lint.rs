@@ -12,10 +12,11 @@
 //! | `handler-unwrap` | fc-server `src/`                        | no `.unwrap()`/`.expect()`/`panic!` in client-reachable paths |
 //! | `no-print`       | library `src/` (fc-bench and bins exempt) | no `println!`/`eprintln!`/`dbg!` in libraries |
 //! | `wire-string`    | fc-server `src/`                        | wire writes go through the bounded-string helper (`wire_str`) |
+//! | `pair-table`     | `crates/fc-*/src` but the table's owner | no `PairCache::{new, for_index, default}` — one χ² pair table per index build and key set, made in `fc-core/src/paircache.rs` |
 //! | `unreferenced-pub` | `pub` items in `crates/fc-*/src`      | every item is named by code outside its definition, `use` lines and tests |
 //! | `crate-local-pub` | `pub fn`/`const`/`static`/`mod` in `crates/fc-*/src` library code | every item is named by some file outside its own library |
 //!
-//! The first six rules read one file at a time; `unreferenced-pub` and
+//! The first seven rules read one file at a time; `unreferenced-pub` and
 //! `crate-local-pub` read the whole tree, so they run as one second
 //! pass over every file [`lint_sources`] is given. An item named only
 //! inside its own library is `pub(crate)` in all but name: narrowed,
@@ -379,6 +380,9 @@ fn is_src(label: &str) -> bool {
     label.contains("/src/")
 }
 
+/// The one file that makes χ² pair tables for the request path.
+const PAIR_TABLE_OWNER: &str = "crates/fc-core/src/paircache.rs";
+
 fn rule_applies(rule: &'static str, label: &str) -> bool {
     match rule {
         "safety-comment" => true,
@@ -390,6 +394,7 @@ fn rule_applies(rule: &'static str, label: &str) -> bool {
         }
         "std-sync" => is_src(label) && !in_dir(label, "crates/shims/"),
         "handler-unwrap" | "wire-string" => is_src(label) && in_dir(label, "crates/fc-server/"),
+        "pair-table" => is_src(label) && in_dir(label, "crates/fc-") && label != PAIR_TABLE_OWNER,
         "no-print" => {
             is_src(label)
                 && !in_dir(label, "crates/fc-bench/")
@@ -612,6 +617,22 @@ fn lint_file(ctx: &FileCtx<'_>, out: &mut Vec<Finding>, summary: &mut LintSummar
     }
     if rule_applies("wire-string", label) {
         scan_wire_string(ctx, out, summary);
+    }
+    if rule_applies("pair-table", label) {
+        scan_tokens(
+            ctx,
+            "pair-table",
+            &[
+                "PairCache::new(",
+                "PairCache::for_index(",
+                "PairCache::default(",
+            ],
+            true,
+            "a χ² pair table made outside its owner — rank through the index \
+             build's shared table (`fc-core/src/paircache.rs`, \"Sharing\")",
+            out,
+            summary,
+        );
     }
 }
 

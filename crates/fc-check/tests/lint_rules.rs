@@ -178,6 +178,45 @@ fn raw_as_bytes_on_wire_fires_and_helper_is_clean() {
 // Waivers
 // -------------------------------------------------------------------------
 
+// -------------------------------------------------------------------------
+// pair-table
+// -------------------------------------------------------------------------
+
+#[test]
+fn pair_table_made_outside_its_owner_fires() {
+    for make in ["new(0)", "for_index(&ix)", "default()"] {
+        let src = format!("fn f() {{ let c = PairCache::{make}; }}\n");
+        let f = lint_source("crates/fc-core/src/engine.rs", &src);
+        assert_eq!(rules(&f), ["pair-table"], "{make}");
+        assert_eq!(
+            rules(&lint_source("crates/fc-sim/src/x.rs", &src)),
+            ["pair-table"]
+        );
+    }
+    let src = "fn f() { let c = PairCache::for_index(&ix); }\n";
+    // The owner makes the dataset's tables; test regions, integration
+    // tests, benches and the benchmark keep tables of their own.
+    assert!(lint_source("crates/fc-core/src/paircache.rs", src).is_empty());
+    let gated = "#[cfg(test)]\nmod tests {\n    fn f() { let c = PairCache::new(64); }\n}\n";
+    assert!(lint_source("crates/fc-core/src/sb.rs", gated).is_empty());
+    assert!(lint_source("crates/fc-core/tests/golden_sb.rs", src).is_empty());
+    assert!(lint_source("crates/fc-bench/benches/micro.rs", src).is_empty());
+    assert!(lint_source("benchmark/src/sut.rs", src).is_empty());
+}
+
+#[test]
+fn pair_table_waivers_need_a_reason() {
+    let waived = "// fc-check: allow(pair-table) -- a reference table for a direct probe\nfn f() { let c = PairCache::new(64); }\n";
+    let (findings, summary) = lint_sources(&[("crates/fc-core/src/sb.rs", waived)]);
+    assert!(findings.is_empty(), "{findings:?}");
+    assert_eq!(summary.waivers_used, 1);
+    let bare = "fn f() { let c = PairCache::new(64); } // fc-check: allow(pair-table)\n";
+    assert_eq!(
+        rules(&lint_source("crates/fc-core/src/sb.rs", bare)),
+        ["bad-waiver"]
+    );
+}
+
 #[test]
 fn waiver_with_reason_suppresses_finding() {
     let src = "fn f() { let t = Instant::now(); } // fc-check: allow(wall-clock) -- fixture needs real time\n";

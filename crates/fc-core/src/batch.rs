@@ -1,37 +1,31 @@
-//! The χ² pair cache every session of a dataset shares (the predict
-//! half of the multi-user serving core).
+//! A ranker over a pyramid's current signature index, for callers
+//! without an engine.
 //!
-//! A busy server runs many sessions over the same tiles, so a
-//! [`PredictScheduler`] holds **one** [`PairCache`] for all of them:
-//! the pairs session A computed are hits for session B — §6.2's shared
-//! tile cache, applied to prediction arithmetic. Sessions take turns;
-//! each turn is the engine's own [`SbRecommender::rank_indexed_cached`]
-//! fill, so every ranking is bit-identical to the one the session
-//! would have computed alone.
+//! Every SB ranking in the process goes through the index build's
+//! shared χ² pair table (`crate::paircache`, "Sharing"), engines and
+//! this ranker alike, so a [`PredictScheduler`] adds nothing to
+//! serving: it holds an SB model and a pyramid, refreshes the index
+//! and ranks through the same table, bit-identical to
+//! [`SbRecommender::rank_indexed_cached`] on the same inputs.
 //!
-//! Cache and scratch sit behind **one mutex, held across the fill**.
-//! The signature index is refreshed *before* the mutex is taken, so
-//! the mutex is a leaf of the lock order and nothing waits on anything
-//! but it: no condition variable, no timed wait. A panic inside the
-//! fill unwinds through the (non-poisoning) guard and leaves a usable
-//! ranker: [`PairCache`] writes a slot only after its χ² is computed,
-//! and the scratch is rebuilt by every call.
-//!
-//! The names are older than the design. This was a group-commit
-//! rendezvous merging concurrent jobs into one batched fill; measured,
-//! it merged under 0.3 % of them. `benchmark/src/sut.rs`, which
-//! ordinary changes may not edit, spells `PredictScheduler::new(sb,
-//! pyramid, BatchConfig::default())` and reads `stats().largest_batch`,
-//! so those stay until the benchmark's own change (ROADMAP item 2(a)).
+//! It stays because `benchmark/src/sut.rs`, which ordinary changes may
+//! not edit, spells `PredictScheduler::new(sb, pyramid,
+//! BatchConfig::default())`, `rank` and `stats().largest_batch`; the
+//! names are older than the design (this was once a group-commit
+//! rendezvous). ROADMAP items 2(a) and 5(a) delete it.
 
-use crate::paircache::{PairCache, PairCacheStats};
+use crate::paircache::PairCacheStats;
 use crate::sb::{PredictScratch, SbRecommender};
-use crate::stages::{lap, Stage, StageClock};
 use fc_tiles::{Pyramid, TileId};
 use parking_lot::atomic::AtomicU64;
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+thread_local! {
+    /// The fill's buffers, reused by every rank on this thread.
+    static SCRATCH: RefCell<PredictScratch> = RefCell::new(PredictScratch::default());
+}
 
 /// Nothing to configure; held for the benchmark adapter (module docs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -47,21 +41,15 @@ pub struct SchedulerStats {
     pub largest_batch: usize,
 }
 
-/// Ranks every session of one pyramid through one shared χ² pair
-/// cache. Construct one per served pyramid and share it (`Arc`) across
-/// sessions; rankings are bit-identical to per-session prediction.
+/// Ranks candidates over one pyramid's current signature index through
+/// the index build's shared χ² pair table.
 ///
-/// The [`SbRecommender`] must be configured identically to the
-/// sessions' own (same signature weights and flags) — the engine
-/// factory that builds session engines should also supply this model,
-/// e.g. via [`crate::engine::PredictionEngine::sb_model`].
+/// The [`SbRecommender`] decides the key set, and so the table: a
+/// scheduler built with the sessions' SB configuration ranks through
+/// the very table their engines use.
 pub struct PredictScheduler {
     sb: SbRecommender,
     pyramid: Arc<Pyramid>,
-    /// The shared cache, sized from the first ranked index (an epoch
-    /// bump keeps the table and invalidates by generation), and the
-    /// scratch the fill runs on.
-    shared: Mutex<(PairCache, PredictScratch)>,
     jobs: AtomicU64,
 }
 
@@ -72,13 +60,11 @@ impl std::fmt::Debug for PredictScheduler {
 }
 
 impl PredictScheduler {
-    /// Creates the shared ranker for sessions exploring `pyramid`,
-    /// scoring with `sb` (a clone of the sessions' SB model).
+    /// Creates a ranker for `pyramid`, scoring with `sb`.
     pub fn new(sb: SbRecommender, pyramid: Arc<Pyramid>, _cfg: BatchConfig) -> Self {
         Self {
             sb,
             pyramid,
-            shared: Mutex::default(),
             jobs: AtomicU64::new(0),
         }
     }
@@ -92,47 +78,36 @@ impl PredictScheduler {
         }
     }
 
-    /// Counters of the shared χ² pair cache, cumulative over every
-    /// session (waits for a rank in progress).
+    /// Counters of the shared χ² pair table this ranker uses,
+    /// cumulative over every session ranking through it (waits for a
+    /// rank in progress); zero before any ranking made the table.
     // fc-check: allow(unreferenced-pub) -- accessor that ROADMAP item 3's metrics registry replaces (PairCacheStats)
     pub fn pair_cache_stats(&self) -> PairCacheStats {
-        self.shared.lock().0.stats()
+        let index = self.pyramid.store().signature_index();
+        index
+            .and_then(|ix| self.sb.pair_table(&ix))
+            .map_or_else(PairCacheStats::default, |(stats, _)| stats)
     }
 
     /// Ranks `candidates` against `refs` (the session's ROI, or its
     /// current tile when no ROI is committed) through the shared
-    /// cache, after any rank already in progress. The ranking is
-    /// bit-identical to [`SbRecommender::rank_indexed_cached`] on the
-    /// same inputs.
+    /// table. The ranking is bit-identical to
+    /// [`SbRecommender::rank_indexed_cached`] on the same inputs.
     pub fn rank(&self, candidates: &[TileId], refs: &[TileId]) -> Vec<TileId> {
-        self.rank_counted(candidates, refs, None).0
-    }
-
-    /// [`Self::rank`], plus the shared cache's hit/miss counts for
-    /// this call alone — read while the lock is held, so another
-    /// session's probes never leak into them. The wait for the lock is
-    /// timed into `clock` when one is given.
-    pub(crate) fn rank_counted(
-        &self,
-        candidates: &[TileId],
-        refs: &[TileId],
-        clock: Option<&StageClock>,
-    ) -> (Vec<TileId>, PairCacheStats) {
         self.jobs.fetch_add(1, Ordering::Relaxed);
         let store = self.pyramid.store();
-        // Store locks first, ours last: the mutex stays a leaf.
+        // The store's locks first, the table's last: its lock stays a
+        // leaf.
         let Some(index) = store.signature_index() else {
             // Metadata-free store: the locked reference path, exactly
-            // the sessions' own fallback. Nothing to cache.
-            let ranked = self.sb.rank_reference(store, candidates, refs);
-            return (ranked, PairCacheStats::default());
+            // the engines' own fallback. Nothing to cache.
+            return self.sb.rank_reference(store, candidates, refs);
         };
-        let t = clock.map(StageClock::now);
-        let mut shared = self.shared.lock();
-        lap(clock, Stage::TableWait, t);
-        let (cache, scratch) = &mut *shared;
-        cache.fit(&index);
-        self.sb.rank_tiles(&index, candidates, refs, cache, scratch)
+        SCRATCH.with_borrow_mut(|scratch| {
+            self.sb
+                .rank_shared(&index, candidates, refs, scratch, None)
+                .0
+        })
     }
 }
 
@@ -185,12 +160,12 @@ mod tests {
         let p = pyramid(Some(sane));
         let s = scheduler(&p);
         assert_eq!(s.stats(), SchedulerStats::default());
+        assert_eq!(s.pair_cache_stats(), PairCacheStats::default());
         let cands = p.geometry().candidates(TileId::new(2, 2, 2), 1);
         let refs = [TileId::new(2, 2, 2)];
-        let (ranked, delta) = s.rank_counted(&cands, &refs, None);
-        assert_eq!(ranked, solo(&p, &cands, &refs));
-        assert_eq!((delta.hits, delta.misses), (0, cands.len() as u64));
-        assert_eq!(delta, s.pair_cache_stats());
+        assert_eq!(s.rank(&cands, &refs), solo(&p, &cands, &refs));
+        let pc = s.pair_cache_stats();
+        assert_eq!((pc.hits, pc.misses), (0, cands.len() as u64));
         assert_eq!((s.stats().jobs, s.stats().largest_batch), (1, 1));
     }
 
@@ -218,26 +193,37 @@ mod tests {
         assert_eq!(pc.hits + pc.misses, probes as u64);
     }
 
+    /// One infinite signature: χ² against it is ∞/∞ = NaN (NaN inputs
+    /// are skipped by the zero-bin guard, but ∞ passes it).
+    fn poisoned(id: TileId) -> Vec<f64> {
+        if id == TileId::new(2, 1, 1) {
+            vec![f64::INFINITY, 0.5]
+        } else {
+            sane(id)
+        }
+    }
+
     #[test]
     fn panicking_rank_leaves_the_ranker_usable() {
-        // Infinite metadata drives χ² to ∞/∞ = NaN (NaN inputs are
-        // skipped by the zero-bin guard, but ∞ passes it), so
-        // sort_scored's finite-distance expectation fires while the
-        // rank holds the lock.
-        let p = pyramid(Some(|_| vec![f64::INFINITY, 0.5]));
+        let p = pyramid(Some(poisoned));
         let s = scheduler(&p);
-        let cands = [TileId::new(2, 1, 1), TileId::new(2, 1, 2)];
         let refs = [TileId::new(2, 1, 0)];
+        // sort_scored's finite-distance expectation fires while the
+        // rank holds the table lock.
+        let cands = [TileId::new(2, 1, 1), TileId::new(2, 1, 2)];
         let panicked = std::thread::scope(|scope| scope.spawn(|| s.rank(&cands, &refs)).join());
         assert!(panicked.is_err(), "NaN distances must still panic");
-        // The lock was released by the unwind and the cache holds only
-        // whole slots: with sane metadata the next rank is the
-        // reference ranking, and no probe of either call went missing.
-        put_sigs(&p, sane);
-        assert_eq!(s.rank(&cands, &refs), solo(&p, &cands, &refs));
-        let pc = s.pair_cache_stats();
-        assert_eq!(pc.hits + pc.misses, 2 * cands.len() as u64);
-        assert_eq!(pc.invalidations, 1, "the repair rebuilt the index");
+        // The unwind released the lock and the table holds only whole
+        // slots: another session, on another thread, ranks exactly
+        // through the same table and hits the pair the panicked rank
+        // wrote.
+        let other = scheduler(&p);
+        let cands = [TileId::new(2, 1, 2), TileId::new(2, 2, 2)];
+        let ranked = std::thread::scope(|scope| scope.spawn(|| other.rank(&cands, &refs)).join());
+        assert_eq!(ranked.unwrap(), solo(&p, &cands, &refs));
+        let pc = other.pair_cache_stats();
+        assert_eq!((pc.hits, pc.misses), (1, 3), "one table for both rankers");
+        assert_eq!(pc, s.pair_cache_stats());
     }
 
     #[test]
@@ -246,9 +232,8 @@ mod tests {
         let s = scheduler(&p);
         let cands = [TileId::new(2, 1, 1), TileId::new(2, 1, 2)];
         let refs = [TileId::new(2, 1, 0)];
-        let (ranked, delta) = s.rank_counted(&cands, &refs, None);
-        assert_eq!(ranked, solo(&p, &cands, &refs));
-        assert_eq!(delta, PairCacheStats::default());
+        assert_eq!(s.rank(&cands, &refs), solo(&p, &cands, &refs));
+        assert_eq!(s.pair_cache_stats(), PairCacheStats::default());
         assert_eq!(s.stats().jobs, 1);
     }
 }

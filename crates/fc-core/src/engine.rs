@@ -8,9 +8,8 @@
 
 use crate::ab::AbRecommender;
 use crate::alloc::{boost_toward_hotspots, merge_allocated, AllocationStrategy, HotspotBlend};
-use crate::batch::PredictScheduler;
 use crate::history::{Request, SessionHistory};
-use crate::paircache::{PairCache, PairCacheStats};
+use crate::paircache::PairCacheStats;
 use crate::phase::{Phase, PhaseClassifier};
 use crate::recommender::{PredictionContext, Recommender};
 use crate::roi::RoiTracker;
@@ -70,13 +69,6 @@ pub struct PredictOptions<'a> {
     /// (used when evaluating the bottom level against hand-labeled
     /// phases, §5.4.2).
     pub phase: Option<Phase>,
-    /// Compute the SB ranking through the dataset's shared pair cache
-    /// instead of the engine's own. The result is bit-identical to
-    /// the local path (golden-tested). The scheduler must be built
-    /// over the same pyramid as the store and with the same SB
-    /// configuration as this engine (see
-    /// [`PredictionEngine::sb_model`]).
-    pub scheduler: Option<&'a PredictScheduler>,
     /// Cross-session hotspot prior (the current
     /// [`crate::multiuser::HotspotSnapshot`] entries of the session's
     /// namespace). Applied only when [`EngineConfig::hotspot`] is set
@@ -119,15 +111,9 @@ pub struct PredictionEngine {
     phase_source: PhaseSource,
     history: SessionHistory,
     roi: RoiTracker,
-    /// Reused buffers for the allocation-free SB fast path.
+    /// Reused buffers for the allocation-free SB fast path (its χ²
+    /// pairs live in the index build's shared table).
     scratch: PredictScratch,
-    /// Epoch-stamped χ² pair-distance cache for steady-state SB
-    /// prediction: empty until the first predict that ranks through
-    /// it (never, when every predict goes through a shared scheduler),
-    /// which bounds it for the current index; from there it grows with
-    /// the pairs the session meets. Domain changes invalidate it in
-    /// O(1).
-    pair_cache: PairCache,
     /// Pair-cache activity of the last predict — see
     /// [`Self::last_pair_cache`].
     last_pair_cache: PairCacheStats,
@@ -177,7 +163,6 @@ impl PredictionEngine {
             sb,
             phase_source,
             scratch: PredictScratch::default(),
-            pair_cache: PairCache::default(),
             last_pair_cache: PairCacheStats::default(),
             candidate_buf: Vec::new(),
             sig_cache: None,
@@ -236,12 +221,11 @@ impl PredictionEngine {
 
     /// χ² pair-cache activity of the most recent
     /// [`Self::predict_with`] alone: the hits and misses its SB
-    /// ranking made, in the engine's own cache or — through
-    /// [`PredictOptions::scheduler`] — in the shared one, where the
-    /// counts are taken under the cache's lock and so never include
-    /// another session's probes. All zero when the call ranked without
-    /// a cache (no history yet, metadata-free store) or did not rank SB
-    /// at all (the allocation gave it no slot and AB filled the budget).
+    /// ranking made in the index build's shared table, counted under
+    /// the table's lock and so never including another session's
+    /// probes. All zero when the call ranked without a table (no
+    /// history yet, metadata-free store) or did not rank SB at all (the
+    /// allocation gave it no slot and AB filled the budget).
     pub fn last_pair_cache(&self) -> PairCacheStats {
         self.last_pair_cache
     }
@@ -267,7 +251,6 @@ impl PredictionEngine {
     ) -> Vec<TileId> {
         let PredictOptions {
             phase,
-            scheduler,
             hotspots,
             distance,
         } = opts;
@@ -278,9 +261,8 @@ impl PredictionEngine {
             return Vec::new();
         };
         let last = *last;
-        // Refreshed before `ctx` borrows the engine; steady state is
-        // one atomic load (unused on the scheduler path, which owns
-        // its own index refresh).
+        // Refreshed before `ctx` borrows the engine, and before the
+        // pair table's lock is taken; steady state is one atomic load.
         let index = self.refresh_sig_cache(store);
         self.candidates(last.tile, distance);
         let candidates = &self.candidate_buf;
@@ -305,25 +287,19 @@ impl PredictionEngine {
         let mut sb_list = Vec::new();
         if sb_slots > 0 {
             let t = clock.map(StageClock::now);
-            (sb_list, self.last_pair_cache) = match (scheduler, &index) {
-                // Cross-session path: the scheduler owns index refresh,
-                // scratch and the shared pair cache.
-                (Some(s), _) => s.rank_counted(candidates, ctx.reference_tiles(), clock),
-                // SB: frozen-index fast path through the pair cache
-                // when metadata exists (steady state probes instead of
-                // dividing); the locked reference path only serves
-                // metadata-free stores.
-                (None, Some(ix)) => {
-                    self.pair_cache.fit(ix);
-                    self.sb.rank_tiles(
-                        ix,
-                        candidates,
-                        ctx.reference_tiles(),
-                        &mut self.pair_cache,
-                        &mut self.scratch,
-                    )
-                }
-                (None, None) => (self.sb.rank(&ctx), PairCacheStats::default()),
+            (sb_list, self.last_pair_cache) = match &index {
+                // SB: the frozen-index fast path through the build's
+                // shared pair table when metadata exists (steady state
+                // probes instead of dividing); the locked reference
+                // path only serves metadata-free stores.
+                Some(ix) => self.sb.rank_shared(
+                    ix,
+                    candidates,
+                    ctx.reference_tiles(),
+                    &mut self.scratch,
+                    clock,
+                ),
+                None => (self.sb.rank(&ctx), PairCacheStats::default()),
             };
             lap(clock, Stage::Sb, t);
         }
@@ -357,9 +333,7 @@ impl PredictionEngine {
         self.config.hotspot = blend;
     }
 
-    /// The engine's SB model (e.g. to clone into a
-    /// [`crate::batch::PredictScheduler`] so the shared and local
-    /// paths share one configuration).
+    /// The engine's SB model.
     pub fn sb_model(&self) -> &SbRecommender {
         &self.sb
     }
@@ -524,7 +498,6 @@ mod tests {
         // The options call with the defaults spelled out is `predict`.
         let spelled = PredictOptions {
             phase: Some(e.current_phase()),
-            scheduler: None,
             hotspots: &[],
             distance: Some(e.config().distance),
         };

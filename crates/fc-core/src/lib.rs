@@ -21,9 +21,9 @@
 //!   [`multiuser`] holds the lock-striped [`multiuser::SharedTileCache`]
 //!   (power-of-two shards, per-shard LRU clocks, globally repartitioned
 //!   prefetch budgets) next to the retained single-mutex golden
-//!   reference, and [`batch`] gives every session of a dataset one
-//!   shared χ² pair cache to rank through, bit-identical to
-//!   per-session prediction. A [`multiuser::DatasetRegistry`]
+//!   reference, and every session of a dataset ranks through the one
+//!   χ² pair table its signature index build carries ([`paircache`]),
+//!   bit-identical to per-session prediction. A [`multiuser::DatasetRegistry`]
 //!   partitions one global tile budget across per-dataset cache
 //!   namespaces, and each namespace's eviction-surviving popularity
 //!   sketch feeds a [`multiuser::SharedHotspotModel`] — epoch-stamped

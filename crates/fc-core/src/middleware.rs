@@ -44,10 +44,10 @@ pub struct Response {
     /// `exp_multiuser` reports percentiles of.
     pub predict_time: Duration,
     /// χ² pair-cache activity of this request's prediction alone
-    /// (`PredictionEngine::last_pair_cache`): probes of the engine's
-    /// private cache or — with a shared scheduler — of the dataset's
-    /// shared cache, counted under its lock, so summed over every
-    /// session's responses they equal the cache's own totals.
+    /// (`PredictionEngine::last_pair_cache`): probes of the index
+    /// build's shared pair table, counted under its lock, so summed
+    /// over every session's responses they equal the table's own
+    /// totals.
     pub pair_cache: PairCacheStats,
     /// Whether this is a **degraded** reply: the requested tile's fetch
     /// failed within its deadline budget, so the middleware served the
@@ -65,14 +65,12 @@ pub struct Response {
 }
 
 /// A session's membership in the multi-user serving layer: its slot in
-/// the shared tile cache, plus (optionally) the scheduler whose pair
-/// cache it shares with the dataset's other sessions. Dropping the
-/// handle closes the session — holds release and the prefetch budget
-/// repartitions across the remaining sessions.
+/// the shared tile cache. Dropping the handle closes the session —
+/// holds release and the prefetch budget repartitions across the
+/// remaining sessions.
 pub struct SharedSessionHandle {
     cache: Arc<dyn MultiUserCache>,
     id: SessionId,
-    scheduler: Option<Arc<PredictScheduler>>,
     /// The namespace's cross-session hotspot model, when popularity
     /// blending is on for this session.
     hotspots: Option<Arc<SharedHotspotModel>>,
@@ -84,21 +82,21 @@ impl std::fmt::Debug for SharedSessionHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedSessionHandle")
             .field("id", &self.id)
-            .field("batched", &self.scheduler.is_some())
             .field("hotspots", &self.hotspots.is_some())
             .finish()
     }
 }
 
 impl SharedSessionHandle {
-    /// Opens a session on `cache`, ranking through `scheduler`'s shared
-    /// pair cache when one is given.
-    pub fn open(cache: Arc<dyn MultiUserCache>, scheduler: Option<Arc<PredictScheduler>>) -> Self {
+    /// Opens a session on `cache`. Every session ranks through its
+    /// dataset's shared χ² pair table whatever `_scheduler` is; the
+    /// parameter is held for the benchmark adapter, which passes one
+    /// (`crate::batch`, module docs).
+    pub fn open(cache: Arc<dyn MultiUserCache>, _scheduler: Option<Arc<PredictScheduler>>) -> Self {
         let id = cache.open_session();
         Self {
             cache,
             id,
-            scheduler,
             hotspots: None,
             view: HotspotView::default(),
         }
@@ -195,8 +193,7 @@ pub struct Middleware {
     stats: MiddlewareStats,
     /// Multi-user mode: prefetched tiles go to the shared cache (under
     /// the session's fair budget slice) instead of the private
-    /// prefetch set, and predictions may rank through the dataset's
-    /// shared pair cache.
+    /// prefetch set.
     shared: Option<SharedSessionHandle>,
     /// Fault injection (chaos runs only): `None` keeps the fetch path
     /// byte-for-byte the fault-free code.
@@ -348,11 +345,9 @@ impl Middleware {
     }
 
     /// Creates a middleware session in multi-user mode: lookups fall
-    /// back to the shared tile cache (earning cross-session hits),
+    /// back to the shared tile cache (earning cross-session hits) and
     /// prefetched tiles install into it under the session's fair
-    /// budget slice, and — when the handle carries a scheduler —
-    /// predictions rank through the χ² pair cache every session of
-    /// the dataset shares. The private cache still keeps the last
+    /// budget slice. The private cache still keeps the last
     /// `history_cache` requested tiles, as in single-user mode.
     pub fn new_shared(
         engine: PredictionEngine,
@@ -566,8 +561,8 @@ impl Middleware {
     }
 
     /// Stage 2 — predict: one engine call for the budget and horizon
-    /// the plan names (through the handle's shared scheduler when it
-    /// has one, blending `prior` if the engine's config opts in), or
+    /// the plan names (blending `prior` if the engine's config opts
+    /// in), or
     /// none at all when the plan keeps the engine off. `phase` is the
     /// estimate stage 1 put in the reply: nothing was observed since,
     /// so the engine would classify the same history to the same
@@ -586,7 +581,6 @@ impl Middleware {
             k,
             PredictOptions {
                 phase: Some(phase),
-                scheduler: self.shared.as_ref().and_then(|sh| sh.scheduler.as_deref()),
                 hotspots: prior,
                 distance,
             },
@@ -1096,18 +1090,12 @@ mod tests {
     /// pick up whatever the other session probed meanwhile.)
     #[test]
     fn shared_pair_cache_counts_are_the_requests_own() {
-        use crate::batch::{BatchConfig, PredictScheduler};
         use crate::multiuser::SharedTileCache;
         let p = pyramid();
         let cache: Arc<dyn MultiUserCache> = Arc::new(SharedTileCache::with_shards(64, 1));
-        let sched = Arc::new(PredictScheduler::new(
-            engine(&p).sb_model().clone(),
-            p.clone(),
-            BatchConfig::default(),
-        ));
         const STEPS: u32 = 4;
         let walk = |row: u32| {
-            let handle = SharedSessionHandle::open(cache.clone(), Some(sched.clone()));
+            let handle = SharedSessionHandle::open(cache.clone(), None);
             let mut mw = Middleware::new_shared(
                 engine_with(&p, AllocationStrategy::SbOnly),
                 p.clone(),
@@ -1131,10 +1119,11 @@ mod tests {
             let other = scope.spawn(|| walk(2));
             (walk(1), other.join().unwrap())
         });
-        let total = sched.pair_cache_stats();
+        let index = p.store().signature_index().unwrap();
+        let sb = SbRecommender::new(SbConfig::single(SignatureKind::Hist1D));
+        let (total, _) = sb.pair_table(&index).expect("both sessions ranked");
         assert_eq!((h1 + h2, m1 + m2), (total.hits, total.misses));
         assert!(total.hits > 0 && total.misses > 0, "{total:?}");
-        assert_eq!(sched.stats().jobs, u64::from(2 * 8 * STEPS));
     }
 
     /// Regression (dangling miss counter): a request the backend

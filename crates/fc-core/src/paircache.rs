@@ -53,21 +53,18 @@
 //! # Sizing: the table follows what it holds
 //!
 //! A table is asked for with a **ceiling** ([`PairCache::new`];
-//! `PairCache::fit` takes it from
+//! [`PairCache::for_index`] takes it from
 //! `crate::signature::pair_cache_capacity_hint`) and starts with at
-//! most 2¹² slots (256 KiB) of it, so opening a session costs a
-//! request's worth of time rather than a 16 MiB fill — and a table
-//! released at that size is recycled ("Recycling", below), so a
-//! session opened after another closed pays no fill at all. The cache
-//! counts the slots written in the current generation; when an insert
-//! takes that count past half the table, the table doubles, until it
-//! reaches the ceiling — where it is a fixed-size table that evicts, as
-//! every table here was before. Half is a measured choice: a doubling holds
-//! the old and the new table at once, and an earlier one (¼, ⅛) takes a
-//! dataset-shared table to its ceiling, and the process past its old
-//! peak, for pairs that half-full tables hold in half the memory; the
-//! price is the evictions a fuller table makes (ROADMAP item 5 has the
-//! sweep). A generation bump restarts the count and keeps the table.
+//! most 2¹² slots (256 KiB) of it. The cache counts the slots written
+//! in the current generation; when an insert takes that count past
+//! half the table, the table doubles, until it reaches the ceiling —
+//! where it is a fixed-size table that evicts, as every table here was
+//! before. Half is a measured choice: a doubling holds the old and the
+//! new table at once, and an earlier one (¼, ⅛) takes a dataset-shared
+//! table to its ceiling, and the process past its old peak, for pairs
+//! that half-full tables hold in half the memory; the price is the
+//! evictions a fuller table makes (ROADMAP item 5 has the sweep). A
+//! generation bump restarts the count and keeps the table.
 //!
 //! A doubling **re-homes** the live generation's slots and drops the
 //! stale ones. The probe invariant survives it because the new table
@@ -85,39 +82,47 @@
 //! `δ` old slots between `h` and the key, a different one for each. So
 //! one of the `δ + 1` is still stale, and `δ < PROBE_WINDOW`.)
 //!
-//! # Recycling: a released table reads as a fresh one
+//! # Sharing: one table per index build and key set
 //!
-//! A cache dropped while its table is still at the start size parks
-//! the table, with the generation it was last written in, in a small
-//! per-thread free list (at most `PARKED_TABLES`). The next
-//! [`PairCache::new`] on that thread that starts at that size takes it
-//! instead of allocating and filling 256 KiB, and starts its
-//! generation one above the parked one. That is exact, because a
-//! slot's fields are read only when its stamp equals the cache's
-//! generation: `scan` stops at the first stale slot, `place` fills the
-//! first stale slot, and `grow` re-homes only slots of the current
-//! generation. A table whose every stamp is below the generation
-//! therefore cannot be told from a zeroed one — same probes, same slot
-//! placement, same growth, same counters. A table that grew is freed,
-//! so a recycled table is never larger than a fresh one would be (size
-//! decides eviction); a zero-capacity cache has no table to park; and
-//! a cache dropped during thread teardown frees its table. Recycling
-//! acts wherever a thread that dropped a table opens another: each
-//! session's engine cache, and the scheduler's shared one.
+//! A χ² value depends only on the two tiles' signatures, which are
+//! fixed when the dataset's [`SignatureIndex`] is built. So the pairs
+//! belong to the build, not to a session: each build carries one table
+//! per signature key set (in the index's memo slot,
+//! [`SignatureIndex::memo`]), and every engine ranking over that build
+//! with that key set — each session's
+//! [`crate::engine::PredictionEngine`], in process or behind a server,
+//! and the [`crate::batch::PredictScheduler`] — ranks through it. A
+//! pair any session computed is a hit for every later one: §6.2's
+//! shared tile cache, applied to prediction arithmetic.
 //!
-//! # Sharing
+//! - **Ownership and lifetime.** The tables are made on the first
+//!   ranking over a build, each at the start size, and freed when the
+//!   build's last `Arc<SignatureIndex>` drops; a metadata write makes a
+//!   new build, whose rankings start a new table. A shared table's
+//!   domain never changes, so it never invalidates.
+//! - **The lock is a leaf.** A build's tables sit behind one
+//!   `parking_lot` mutex, held across one fill. Callers read the
+//!   store's signature index *before* taking it, and the fill takes no
+//!   other lock, so nothing is acquired under it. Counters a caller
+//!   reports for its own ranking are deltas read under the lock, so
+//!   another session's probes never leak into them. A panic inside a
+//!   fill unwinds through the non-poisoning guard and leaves a usable
+//!   table: a slot is written only after its χ² is computed.
+//! - **Exactness.** Slots hold exact values, and each fill normalizes
+//!   over its own pairs, so a ranking is bit-identical whoever warmed
+//!   the table; only the hit and miss counts depend on that.
 //!
-//! [`crate::engine::PredictionEngine`] owns one cache per session next
-//! to its `PredictScratch`; [`crate::batch::PredictScheduler`] owns one
-//! cache *shared by every session of a dataset*, so session B hits the
-//! pairs session A computed — the multi-user analogue of §6.2's shared
-//! tile cache, applied to prediction arithmetic. Both are this one
-//! growing table.
+//! Only this module constructs a table for the request path; `fc-check
+//! lint`'s `pair-table` rule holds every other `crates/fc-*/src` file
+//! to that. A [`PairCache`] of one's own ([`PairCache::new`],
+//! [`PairCache::for_index`]) remains for callers that manage a table
+//! themselves: the reference tests and the benchmark's direct probes.
 //!
 //! [`SignatureIndex`]: fc_tiles::SignatureIndex
 
+use crate::stages::{lap, Stage, StageClock};
 use fc_tiles::{MetaKey, SignatureIndex};
-use std::cell::RefCell;
+use parking_lot::Mutex;
 
 /// Most signatures a slot can hold inline. Configurations with more
 /// weighted signatures than this run with the cache disabled (the
@@ -140,28 +145,6 @@ const DENSE_BITS: u32 = 28;
 /// [`crate::signature::pair_cache_capacity_hint`] asks for — so a
 /// table asked for at this size or below never grows.
 const START_SLOTS: usize = 1 << 12;
-
-/// Most released start-size tables a thread keeps for the next
-/// [`PairCache::new`] (module docs, "Recycling"). Two: a server or
-/// benchmark driver turns sessions over two at a time.
-const PARKED_TABLES: usize = 2;
-
-thread_local! {
-    /// Released start-size tables, each with the generation it was
-    /// last written in.
-    static PARKED: RefCell<Vec<(Vec<Slot>, u64)>> = const { RefCell::new(Vec::new()) };
-}
-
-#[cfg(test)]
-thread_local! {
-    static RECYCLED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Parked tables taken by [`PairCache::new`] so far on this thread.
-#[cfg(test)]
-pub(crate) fn tables_recycled() -> usize {
-    RECYCLED.with(std::cell::Cell::get)
-}
 
 /// The SplitMix64 finalizer: a stateless, deterministic mix whose low
 /// bits are well distributed, so power-of-two masks spread dense key
@@ -305,8 +288,7 @@ impl PairCache {
     /// Creates a cache of at most `capacity` slots (rounded up to a
     /// power of two; `0` builds a permanently disabled cache that
     /// misses every probe). The table starts with at most 2¹² of them
-    /// and doubles as it fills (module docs, "Sizing"); at 2¹² it is a
-    /// table this thread released, when it has one ("Recycling").
+    /// and doubles as it fills (module docs, "Sizing").
     pub fn new(capacity: usize) -> Self {
         let ceiling = if capacity == 0 {
             0
@@ -314,27 +296,12 @@ impl PairCache {
             capacity.next_power_of_two()
         };
         let start = ceiling.min(START_SLOTS);
-        let parked = if start == START_SLOTS {
-            PARKED.try_with(|p| p.borrow_mut().pop()).ok().flatten()
-        } else {
-            None
-        };
-        // The generation starts above every stamp in the table, so it
-        // reads as all-stale.
-        let (slots, gen) = match parked {
-            Some((slots, last)) => {
-                #[cfg(test)]
-                RECYCLED.with(|n| n.set(n.get() + 1));
-                (slots, last + 1)
-            }
-            None => (vec![EMPTY_SLOT; start], 1),
-        };
         Self {
-            slots,
+            slots: vec![EMPTY_SLOT; start],
             mask: start.wrapping_sub(1),
             ceiling,
             live: 0,
-            gen,
+            gen: 1,
             domain: None,
             enabled: false,
             hits: 0,
@@ -343,26 +310,50 @@ impl PairCache {
         }
     }
 
-    /// A cache sized for steady-state prediction over `index`.
+    /// A cache sized for steady-state prediction over `index` (see
+    /// [`crate::signature::pair_cache_capacity_hint`]) — the one place
+    /// a pair cache gets its ceiling.
     pub fn for_index(index: &SignatureIndex) -> Self {
-        let mut cache = Self::default();
-        cache.fit(index);
-        cache
+        Self::new(crate::signature::pair_cache_capacity_hint(
+            index.keys().len(),
+            index.ntiles(),
+        ))
     }
 
-    /// Bounds the cache for steady-state prediction over `index` (see
-    /// [`crate::signature::pair_cache_capacity_hint`]) — the one place
-    /// a pair cache gets its ceiling. A table that already has it is
-    /// kept as it is, at whatever size it has grown to: after an epoch
-    /// bump [`Self::begin`] sees the new build id and invalidates by
-    /// generation, with no clearing pass. Only a different ceiling (the
-    /// first call on a [`Default`] cache, or an index of another
-    /// shape) starts a new table, small and with zeroed counters.
-    pub(crate) fn fit(&mut self, index: &SignatureIndex) {
-        let want = crate::signature::pair_cache_capacity_hint(index.keys().len(), index.ntiles());
-        if self.ceiling != want {
-            *self = Self::new(want);
-        }
+    /// Runs `f` on `index`'s shared table for the key set `keys`
+    /// (module docs, "Sharing"), under the build's table lock; the
+    /// first call for a key set makes its table. The wait for the lock
+    /// is timed into `clock` when one is given.
+    pub(crate) fn with_shared<R>(
+        index: &SignatureIndex,
+        keys: &[MetaKey],
+        clock: Option<&StageClock>,
+        f: impl FnOnce(&mut PairCache) -> R,
+    ) -> R {
+        let tables: &PairTables = index.memo(PairTables::default);
+        let t = clock.map(StageClock::now);
+        let mut sets = tables.0.lock();
+        lap(clock, Stage::TableWait, t);
+        let i = match sets.iter().position(|(k, _)| **k == *keys) {
+            Some(i) => i,
+            None => {
+                sets.push((keys.into(), Self::for_index(index)));
+                sets.len() - 1
+            }
+        };
+        f(&mut sets[i].1)
+    }
+
+    /// The counters and slot count of `index`'s shared table for
+    /// `keys`, or `None` before any ranking made it.
+    pub(crate) fn shared_snapshot(
+        index: &SignatureIndex,
+        keys: &[MetaKey],
+    ) -> Option<(PairCacheStats, usize)> {
+        let tables: &PairTables = index.memo(PairTables::default);
+        let sets = tables.0.lock();
+        let (_, table) = sets.iter().find(|(k, _)| **k == *keys)?;
+        Some((table.stats(), table.capacity()))
     }
 
     /// Slots the table has now (a power of two, or zero when
@@ -531,29 +522,16 @@ impl PairCache {
     }
 }
 
-impl Drop for PairCache {
-    /// Parks a start-size table for this thread's next [`PairCache::new`]
-    /// (module docs, "Recycling"); frees any other, and any table
-    /// dropped once the list is full or the thread is tearing down.
-    fn drop(&mut self) {
-        if self.slots.len() != START_SLOTS {
-            return;
-        }
-        let table = (std::mem::take(&mut self.slots), self.gen);
-        let _ = PARKED.try_with(|p| {
-            let mut parked = p.borrow_mut();
-            if parked.len() < PARKED_TABLES {
-                parked.push(table);
-            }
-        });
-    }
-}
+/// The χ² pair tables of one [`SignatureIndex`] build, one per
+/// signature key set, behind the build's one table lock (module docs,
+/// "Sharing").
+#[derive(Default)]
+struct PairTables(Mutex<Vec<(Box<[MetaKey]>, PairCache)>>);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fc_tiles::{Geometry, TileId, TileStore};
-    use proptest::prelude::*;
 
     fn small_index() -> SignatureIndex {
         let g = Geometry::new(2, 32, 32, 16, 16);
@@ -722,174 +700,5 @@ mod tests {
         assert!(c.probe(k).is_none());
         c.insert(k, &[v], 0, 1.0);
         assert_eq!(c.live, 1);
-    }
-
-    fn parked() -> usize {
-        PARKED.with(|p| p.borrow().len())
-    }
-
-    fn drain() {
-        PARKED.with(|p| p.borrow_mut().clear());
-    }
-
-    /// Two index builds under three key sets, the last one more
-    /// signatures than a slot holds (a domain the cache rejects).
-    fn domains() -> Vec<(SignatureIndex, Vec<MetaKey>)> {
-        let (a, b) = (small_index(), small_index());
-        let key = |name: &str| MetaKey::intern(name);
-        let many = (0..=MAX_CACHED_SIGS)
-            .map(|i| key(&format!("k{i}")))
-            .collect();
-        vec![
-            (a.clone(), vec![key("sig")]),
-            (a, vec![key("other")]),
-            (b.clone(), vec![key("sig"), key("other")]),
-            (b, many),
-        ]
-    }
-
-    /// What one operation returned; equal on two caches when they
-    /// cannot be told apart by it.
-    #[derive(Debug, PartialEq)]
-    enum Seen {
-        Begin(bool),
-        Probe(Option<(u64, u32, [u64; MAX_CACHED_SIGS], u64)>),
-        Done,
-    }
-
-    fn seen(s: Option<&Slot>) -> Seen {
-        Seen::Probe(s.map(|s| (s.key, s.dmanh, s.vals.map(f64::to_bits), s.denom.to_bits())))
-    }
-
-    /// A run of the fill's key pattern: 44 candidates against sixteen
-    /// consecutive ROI indices, 704 pairs.
-    fn bulk(c: &mut PairCache, base: usize) {
-        for cand in 0..44 {
-            for lo in 0..16 {
-                let v = (base * 64 + cand * 16 + lo) as f64;
-                c.insert(pair_key(lo, 10_000 + base * 64 + cand), &[v, -v], 3, 2.0);
-            }
-        }
-    }
-
-    fn apply(
-        c: &mut PairCache,
-        (op, a, b): (u8, usize, usize),
-        domains: &[(SignatureIndex, Vec<MetaKey>)],
-    ) -> Seen {
-        match op {
-            0 => {
-                let (ix, keys) = &domains[a % domains.len()];
-                Seen::Begin(c.begin(ix, keys))
-            }
-            1 => seen(c.probe(pair_key(a, b))),
-            2 => {
-                c.insert(pair_key(a, b), &[a as f64, b as f64], (a + b) as u32, 1.5);
-                Seen::Done
-            }
-            3 => {
-                bulk(c, a % 8);
-                Seen::Done
-            }
-            _ => {
-                c.record(a as u64, b as u64);
-                Seen::Done
-            }
-        }
-    }
-
-    fn ops() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
-        proptest::collection::vec((0u8..5, 0usize..600, 0usize..600), 0..48)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-        /// A cache over a table recycled from a dirty one — written,
-        /// evicted and invalidated under other domains, at another
-        /// ceiling — answers every operation as a fresh cache does:
-        /// same probes, capacity and counters, through domain switches
-        /// and a doubling.
-        #[test]
-        fn a_recycled_table_reads_as_a_fresh_one(dirty_ops in ops(), walk in ops()) {
-            let domains = domains();
-            drain();
-            let mut fresh = PairCache::new(1 << 14);
-            let mut dirty = PairCache::new(START_SLOTS);
-            for op in dirty_ops {
-                apply(&mut dirty, op, &domains);
-            }
-            drop(dirty);
-            prop_assert_eq!(parked(), 1);
-            let recycled_before = tables_recycled();
-            let mut recycled = PairCache::new(1 << 14);
-            prop_assert_eq!(tables_recycled(), recycled_before + 1);
-            prop_assert_eq!(parked(), 0);
-            // The walk, then enough of the fill's pattern under one
-            // live domain to double the table, then a probe of every
-            // pair the walk and the fill wrote.
-            let fill = (0..4).map(|base| (3, base, 0));
-            let written: Vec<(usize, usize)> = walk
-                .iter()
-                .filter(|op| op.0 == 2)
-                .map(|&(_, a, b)| (a, b))
-                .chain((0..4 * 64).flat_map(|c| (0..16).map(move |lo| (lo, 10_000 + c))))
-                .collect();
-            let probes = written.into_iter().map(|(a, b)| (1, a, b));
-            let script = walk.into_iter().chain([(0, 0, 0)]).chain(fill).chain(probes);
-            for op in script {
-                prop_assert_eq!(apply(&mut recycled, op, &domains), apply(&mut fresh, op, &domains), "{:?}", op);
-                prop_assert_eq!(recycled.capacity(), fresh.capacity());
-                prop_assert_eq!(recycled.stats(), fresh.stats());
-            }
-            prop_assert!(fresh.capacity() > START_SLOTS, "the fill doubles the table");
-        }
-    }
-
-    #[test]
-    fn only_start_size_tables_are_parked_and_the_list_is_bounded() {
-        let (ix, keys) = &domains()[0];
-        drain();
-        // Zero capacity: no table. Below the start size: not parked.
-        drop(PairCache::new(0));
-        drop(PairCache::new(8));
-        assert_eq!(parked(), 0);
-        // Grown past the start size: freed, not parked.
-        let mut grown = PairCache::new(1 << 14);
-        assert!(grown.begin(ix, keys));
-        for base in 0..4 {
-            bulk(&mut grown, base);
-        }
-        assert_eq!(grown.capacity(), 2 * START_SLOTS);
-        drop(grown);
-        assert_eq!(parked(), 0);
-        // More start-size tables than the bound: the rest are freed.
-        let caches: Vec<PairCache> = (0..PARKED_TABLES + 2)
-            .map(|_| PairCache::new(1 << 14))
-            .collect();
-        drop(caches);
-        assert_eq!(parked(), PARKED_TABLES);
-        let before = tables_recycled();
-        let again: Vec<PairCache> = (0..PARKED_TABLES + 1)
-            .map(|_| PairCache::new(START_SLOTS))
-            .collect();
-        assert_eq!(tables_recycled(), before + PARKED_TABLES);
-        assert!(again.iter().all(|c| c.capacity() == START_SLOTS));
-        // A table below the start size takes none.
-        drop(again);
-        let small = PairCache::new(8);
-        assert_eq!((small.capacity(), parked()), (8, PARKED_TABLES));
-    }
-
-    #[test]
-    fn a_cache_dropped_at_thread_exit_frees_its_table() {
-        thread_local! {
-            static HELD: RefCell<Option<PairCache>> = const { RefCell::new(None) };
-        }
-        std::thread::spawn(|| {
-            drop(PairCache::new(START_SLOTS));
-            HELD.with(|h| *h.borrow_mut() = Some(PairCache::new(START_SLOTS)));
-        })
-        .join()
-        .expect("thread teardown drops the cache without a panic");
     }
 }

@@ -26,11 +26,11 @@
 //! [`PairCache`] before the χ² kernel runs, and every buffer reused
 //! from a caller-owned [`PredictScratch`] — no locks, no signature
 //! copies, no allocation. One call scores one job — one session's
-//! candidates against its reference tiles; sessions that share a cache
-//! (see [`crate::batch::PredictScheduler`]) take turns, each call
-//! normalizing over its own pairs only, so what another session left
-//! in the cache changes which pairs are probed instead of computed and
-//! never a bit of the result. A disabled cache (`PairCache::new(0)`,
+//! candidates against its reference tiles; the sessions of a dataset
+//! share one cache per index build (see `crate::paircache`,
+//! "Sharing") and take turns, each call normalizing over its own pairs
+//! only, so what another session left in the cache changes which pairs
+//! are probed instead of computed and never a bit of the result. A disabled cache (`PairCache::new(0)`,
 //! or a domain the cache rejects) misses every probe, so the same fill
 //! serves callers that cannot cache.
 //!
@@ -46,6 +46,7 @@ use crate::paircache::{
 };
 use crate::recommender::{PredictionContext, Recommender};
 use crate::signature::SignatureKind;
+use crate::stages::StageClock;
 use fc_simd::SimdLevel;
 use fc_tiles::{MetaKey, SignatureIndex, TileId, TileStore};
 
@@ -628,9 +629,7 @@ impl SbRecommender {
 
     /// [`Self::rank_indexed_cached`] on bare tile lists — the fill, the
     /// sort, the ranked ids — plus what this call alone added to
-    /// `cache`'s counters. The one ranking routine behind the engine's
-    /// own path and the dataset-shared one
-    /// ([`crate::batch::PredictScheduler::rank`]).
+    /// `cache`'s counters.
     pub(crate) fn rank_tiles(
         &self,
         index: &SignatureIndex,
@@ -646,6 +645,30 @@ impl SbRecommender {
         let ranked = scored.iter().map(|&(t, _)| t).collect();
         scratch.scored = scored;
         (ranked, cache.stats().since(before))
+    }
+
+    /// [`Self::rank_tiles`] through `index`'s shared pair table for this
+    /// recommender's key set, under the table lock (`crate::paircache`,
+    /// "Sharing"); the counters are this call's alone. The ranking
+    /// every engine and the scheduler run.
+    pub(crate) fn rank_shared(
+        &self,
+        index: &SignatureIndex,
+        candidates: &[TileId],
+        roi: &[TileId],
+        scratch: &mut PredictScratch,
+        clock: Option<&StageClock>,
+    ) -> (Vec<TileId>, PairCacheStats) {
+        PairCache::with_shared(index, &self.keys, clock, |cache| {
+            self.rank_tiles(index, candidates, roi, cache, scratch)
+        })
+    }
+
+    /// `index`'s shared pair table for this recommender's key set: its
+    /// counters over every ranking so far and its slots (64 bytes
+    /// each). `None` until a ranking over `index` made it.
+    pub fn pair_table(&self, index: &SignatureIndex) -> Option<(PairCacheStats, usize)> {
+        PairCache::shared_snapshot(index, &self.keys)
     }
 }
 

@@ -128,13 +128,12 @@ impl SignatureConfig {
 /// slots (256 KiB – 16 MiB at 64-byte slots).
 ///
 /// A table starts at the floor and doubles when half of it holds
-/// pairs of the current generation, so what a session or a dataset
-/// pays follows the pairs it has met (a median study session ends
-/// with a few hundred, a dataset-shared table with a few thousand to
-/// tens of thousands): the ceiling only says where doubling stops and
-/// eviction takes over. An engine has no table at all until its first
-/// predict ranks through one, and sessions ranking through a scheduler
-/// share one table.
+/// pairs of the current generation, so what a dataset pays follows the
+/// pairs its sessions have met (a median study session meets a few
+/// hundred, a dataset's sessions together a few thousand to tens of
+/// thousands): the ceiling only says where doubling stops and eviction
+/// takes over. An index build has no table until the first ranking
+/// over it, and every session ranking over it shares that one.
 pub(crate) fn pair_cache_capacity_hint(nsig: usize, ntiles: usize) -> usize {
     nsig.max(1)
         .saturating_mul(ntiles.max(1))

@@ -1,16 +1,17 @@
-//! Golden regression tests for prediction through the dataset-shared
-//! pair cache: an engine ranking through a [`PredictScheduler`] must
-//! predict exactly what it predicts alone — step by step beside a twin
-//! engine, and with several sessions' threads on one scheduler at once.
+//! Golden regression tests for prediction through the dataset's shared
+//! χ² pair table: every engine over one pyramid ranks through the one
+//! table its signature index build carries, so a pair one session
+//! computed is a hit for the next — and every ranking must still be
+//! exactly the locked reference path's (`SbRecommender::distances`),
+//! step by step beside a twin engine, through a [`PredictScheduler`],
+//! and with sessions on several threads at once.
 
 use fc_array::{DenseArray, Schema};
 use fc_core::batch::{BatchConfig, PredictScheduler};
 use fc_core::engine::PhaseSource;
 use fc_core::sb::{SbConfig, SbRecommender};
 use fc_core::signature::{attach_signatures, SignatureConfig};
-use fc_core::{
-    AbRecommender, AllocationStrategy, EngineConfig, PredictOptions, PredictionEngine, Request,
-};
+use fc_core::{AbRecommender, AllocationStrategy, EngineConfig, PredictionEngine, Request};
 use fc_tiles::{Move, Pyramid, PyramidBuilder, PyramidConfig, TileId};
 use std::sync::Arc;
 
@@ -38,6 +39,7 @@ fn seeded_pyramid() -> Arc<Pyramid> {
     pyramid
 }
 
+/// An engine whose every prediction is its SB ranking (`SbOnly`).
 fn engine(g: fc_tiles::Geometry) -> PredictionEngine {
     let r = Move::PanRight.index() as u16;
     let traces: Vec<Vec<u16>> = vec![vec![r; 12]];
@@ -48,18 +50,40 @@ fn engine(g: fc_tiles::Geometry) -> PredictionEngine {
         SbRecommender::new(SbConfig::all_equal()),
         PhaseSource::Heuristic,
         EngineConfig {
-            strategy: AllocationStrategy::Updated,
+            strategy: AllocationStrategy::SbOnly,
             ..EngineConfig::default()
         },
     )
 }
 
-/// Predict options routing the SB ranking through `scheduler`.
-fn through(scheduler: &PredictScheduler) -> PredictOptions<'_> {
-    PredictOptions {
-        scheduler: Some(scheduler),
-        ..PredictOptions::default()
-    }
+/// The candidates and reference tiles of an engine's last request.
+fn job(e: &mut PredictionEngine) -> (Vec<TileId>, Vec<TileId>) {
+    let last = e.history().last().expect("a request").tile;
+    let refs = if e.roi().is_empty() {
+        vec![last]
+    } else {
+        e.roi().to_vec()
+    };
+    (e.candidates(last, 1).to_vec(), refs)
+}
+
+/// The reference ranking: `SbRecommender::distances` over the store's
+/// locked metadata, ascending, ties by tile id.
+fn reference(pyramid: &Pyramid, cands: &[TileId], refs: &[TileId]) -> Vec<TileId> {
+    let sb = SbRecommender::new(SbConfig::all_equal());
+    let mut scored = sb.distances(pyramid.store(), cands, refs);
+    scored.sort_by(|a, b| {
+        a.1.partial_cmp(&b.1)
+            .expect("finite distances")
+            .then(a.0.cmp(&b.0))
+    });
+    scored.into_iter().map(|(t, _)| t).collect()
+}
+
+/// Probes the engine's last predict made in the shared table.
+fn probes(e: &PredictionEngine) -> u64 {
+    let p = e.last_pair_cache();
+    p.hits + p.misses
 }
 
 #[test]
@@ -71,11 +95,11 @@ fn scheduler_predictions_match_unbatched_engine_exactly() {
         pyramid.clone(),
         BatchConfig::default(),
     );
-
-    // Twin engines observe the same walk; one predicts through the
-    // scheduler, the other locally. Every prediction list must match.
-    let mut batched = engine(g);
-    let mut local = engine(g);
+    // Twin engines observe the same walk and predict in turn: the
+    // second's ranking probes only pairs the first wrote, and both —
+    // and the scheduler on the same job — rank as the reference does.
+    let mut first = engine(g);
+    let mut second = engine(g);
     let walk = [
         (TileId::new(2, 1, 0), None),
         (TileId::new(2, 1, 1), Some(Move::PanRight)),
@@ -88,13 +112,19 @@ fn scheduler_predictions_match_unbatched_engine_exactly() {
         (TileId::new(2, 2, 2), Some(Move::PanDown)),
     ];
     for (i, &(t, mv)) in walk.iter().enumerate() {
-        batched.observe(Request::new(t, mv));
-        local.observe(Request::new(t, mv));
+        first.observe(Request::new(t, mv));
+        second.observe(Request::new(t, mv));
+        let (cands, refs) = job(&mut first);
+        let want = reference(&pyramid, &cands, &refs);
         for k in [1, 4, 9] {
-            let a = batched.predict_with(pyramid.store(), k, through(&scheduler));
-            let b = local.predict(pyramid.store(), k);
-            assert_eq!(a, b, "step {i}, k={k}");
+            let a = first.predict(pyramid.store(), k);
+            let b = second.predict(pyramid.store(), k);
+            assert_eq!(a, want[..k.min(want.len())], "step {i}, k={k}");
+            assert_eq!(b, a, "step {i}, k={k}");
+            let pairs = second.last_pair_cache();
+            assert_eq!((pairs.hits, pairs.misses), (probes(&first), 0), "step {i}");
         }
+        assert_eq!(scheduler.rank(&cands, &refs), want, "step {i}");
     }
 }
 
@@ -102,41 +132,40 @@ fn scheduler_predictions_match_unbatched_engine_exactly() {
 fn concurrent_scheduler_fan_in_matches_solo_predictions() {
     let pyramid = seeded_pyramid();
     let g = pyramid.geometry();
-    let scheduler = Arc::new(PredictScheduler::new(
-        SbRecommender::new(SbConfig::all_equal()),
-        pyramid.clone(),
-        BatchConfig::default(),
-    ));
+    let start = |i: usize| TileId::new(2, (i % 4) as u32, (i % 3) as u32);
+    // Engines on their own threads over one store: each ranks through
+    // the one table, and each ranking is the reference's.
     const N: usize = 6;
-    let results: Vec<(usize, Vec<TileId>)> = std::thread::scope(|scope| {
+    let probed: u64 = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..N)
             .map(|i| {
-                let scheduler = scheduler.clone();
-                let pyramid = pyramid.clone();
+                let pyramid = &pyramid;
                 scope.spawn(move || {
                     let mut e = engine(g);
-                    let start = TileId::new(2, (i % 4) as u32, (i % 3) as u32);
-                    e.observe(Request::initial(start));
-                    e.observe(Request::new(
-                        g.apply(start, Move::PanRight).unwrap_or(start),
-                        Some(Move::PanRight),
-                    ));
-                    (i, e.predict_with(pyramid.store(), 6, through(&scheduler)))
+                    let mut probed = 0;
+                    e.observe(Request::initial(start(i)));
+                    for _ in 0..3 {
+                        let (cands, refs) = job(&mut e);
+                        let got = e.predict(pyramid.store(), 9);
+                        assert_eq!(got, reference(pyramid, &cands, &refs), "session {i}");
+                        probed += probes(&e);
+                        let last = e.history().last().unwrap().tile;
+                        let next = g.apply(last, Move::PanRight).unwrap_or(last);
+                        e.observe(Request::new(next, Some(Move::PanRight)));
+                    }
+                    probed
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
     });
-    for (i, got) in results {
-        let mut e = engine(g);
-        let start = TileId::new(2, (i % 4) as u32, (i % 3) as u32);
-        e.observe(Request::initial(start));
-        e.observe(Request::new(
-            g.apply(start, Move::PanRight).unwrap_or(start),
-            Some(Move::PanRight),
-        ));
-        let solo = e.predict(pyramid.store(), 6);
-        assert_eq!(got, solo, "session {i}");
-    }
-    assert_eq!(scheduler.stats().jobs, N as u64);
+    let index = pyramid.store().signature_index().unwrap();
+    let sb = SbRecommender::new(SbConfig::all_equal());
+    let (table, _) = sb.pair_table(&index).expect("the sessions made it");
+    assert_eq!(
+        table.hits + table.misses,
+        probed,
+        "every probe in one table"
+    );
+    assert!(table.hits > 0, "sessions share pairs: {table:?}");
 }

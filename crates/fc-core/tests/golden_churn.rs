@@ -4,12 +4,12 @@
 //! ends. Traces run two at a time on one thread, interleaved request by
 //! request: each session opens and takes its first tile before the
 //! next one opens, then the two alternate, as the benchmark's driver
-//! does. So every session after the first two opens its χ² pair table
-//! right after another session dropped one.
+//! does. Every engine ranks through the dataset's one χ² pair table,
+//! so each session finds the pairs the sessions before it computed.
 //!
-//! `golden_engine` keeps one engine per strategy across every trace
-//! (`reset_session` keeps the pair table), so it never opens a second
-//! table; this pin does, at d = 1 and 2 under `Updated` and `SbOnly`.
+//! `golden_engine` keeps one engine per strategy across every trace;
+//! this pin opens a fresh one per session, at d = 1 and 2 under
+//! `Updated` and `SbOnly`.
 //! Each case has two fingerprints: a ranking fold over every predicted
 //! list, and a counter fold over each request's pair-cache hits,
 //! misses and invalidations. The rankings are exact whoever warmed the

@@ -47,8 +47,8 @@ impl Fold {
 const K: usize = 8;
 
 /// Replays every trace through one engine per strategy, resetting the
-/// session between traces (the engine's pair cache carries over, as it
-/// does across a session's requests), and folds each request's
+/// session between traces (the dataset's pair table carries over, as
+/// it does across sessions and strategies), and folds each request's
 /// prediction (the first value) and pair-cache counts (the second).
 fn fingerprints(
     dataset: &StudyDataset,

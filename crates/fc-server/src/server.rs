@@ -15,9 +15,9 @@ use crate::protocol::{
     MAX_CLIENT_FRAME,
 };
 use fc_core::{
-    BatchConfig, DatasetNamespace, DatasetRegistry, FaultPlan, HotspotConfig, LatencyProfile,
-    Middleware, MultiUserCache, PredictScheduler, PredictionEngine, RegistryConfig, RetryPolicy,
-    SharedCacheStats, SharedSessionHandle,
+    DatasetNamespace, DatasetRegistry, FaultPlan, HotspotConfig, LatencyProfile, Middleware,
+    MultiUserCache, PredictionEngine, RegistryConfig, RetryPolicy, SharedCacheStats,
+    SharedSessionHandle,
 };
 use fc_tiles::{Pyramid, Tile};
 use std::io;
@@ -55,7 +55,8 @@ impl std::fmt::Debug for DatasetSpec {
 }
 
 /// Multi-user serving parameters (see `fc_core::multiuser` for the
-/// sharding invariants and `fc_core::batch` for the shared pair cache).
+/// sharding invariants). A dataset's sessions rank through its one
+/// shared χ² pair table whatever the mode (`fc_core::paircache`).
 #[derive(Debug, Clone)]
 pub struct MultiUserServing {
     /// **Global** tile budget: partitioned exactly across dataset
@@ -65,10 +66,6 @@ pub struct MultiUserServing {
     /// Shard count per namespace (power of two); 0 picks the default
     /// striping.
     pub shards: usize,
-    /// Whether a dataset's sessions rank through one shared χ² pair
-    /// cache (one `fc_core::PredictScheduler` per dataset) instead of
-    /// one pair cache each.
-    pub batch_predicts: bool,
     /// Opt-in cross-session hotspot model: when set, every session's
     /// handle carries its namespace's `SharedHotspotModel` at this
     /// cadence. The prior only takes effect for engines whose
@@ -82,7 +79,6 @@ impl Default for MultiUserServing {
         Self {
             cache_capacity: 4096,
             shards: 0,
-            batch_predicts: true,
             hotspots: None,
         }
     }
@@ -206,7 +202,7 @@ impl Default for ServerConfig {
 }
 
 /// One dataset's serving state: spec + (in multi-user mode) its cache
-/// namespace and predict scheduler.
+/// namespace.
 pub(crate) struct ServedDataset {
     pub(crate) spec: DatasetSpec,
     pub(crate) shared: Option<DatasetShared>,
@@ -215,7 +211,6 @@ pub(crate) struct ServedDataset {
 /// A dataset's slice of the multi-user serving core.
 pub(crate) struct DatasetShared {
     pub(crate) namespace: Arc<DatasetNamespace>,
-    pub(crate) scheduler: Option<Arc<PredictScheduler>>,
     /// Whether sessions' handles carry the namespace's hotspot model.
     pub(crate) hotspots_on: bool,
 }
@@ -334,20 +329,8 @@ impl Server {
                     // fc-check: allow(handler-unwrap) -- registry is built above whenever multi_user config is set
                     let registry = registry.as_ref().expect("registry exists in mu mode");
                     let namespace = registry.attach(&spec.name);
-                    // The scheduler's SB model must match the
-                    // sessions': probe the factory once and clone its
-                    // model.
-                    let scheduler = mu.batch_predicts.then(|| {
-                        let probe = (spec.engines)();
-                        Arc::new(PredictScheduler::new(
-                            probe.sb_model().clone(),
-                            spec.pyramid.clone(),
-                            BatchConfig::default(),
-                        ))
-                    });
                     DatasetShared {
                         namespace,
-                        scheduler,
                         hotspots_on: mu.hotspots.is_some(),
                     }
                 });
@@ -430,17 +413,6 @@ impl Server {
                     .map(|s| (d.spec.name.clone(), s.namespace.cache().capacity()))
             })
             .collect()
-    }
-
-    /// Predict-scheduler statistics of the default dataset, when its
-    /// sessions share one (`MultiUserServing::batch_predicts`).
-    pub fn scheduler_stats(&self) -> Option<fc_core::SchedulerStats> {
-        self.served
-            .datasets
-            .first()
-            .and_then(|d| d.shared.as_ref())
-            .and_then(|s| s.scheduler.as_ref())
-            .map(|s| s.stats())
     }
 
     /// Cumulative server-push accounting `(pushed, used)` across all
@@ -706,7 +678,7 @@ pub(crate) fn handle_msg(
                         Some(s) => {
                             let mut handle = SharedSessionHandle::open(
                                 s.namespace.cache().clone() as Arc<dyn MultiUserCache>,
-                                s.scheduler.clone(),
+                                None,
                             );
                             if s.hotspots_on {
                                 handle = handle.with_hotspots(s.namespace.hotspots().clone());

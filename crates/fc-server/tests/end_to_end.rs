@@ -148,8 +148,15 @@ fn multi_user_mode_shares_prefetched_tiles_across_sessions() {
         shared.cross_session_hits > 0,
         "expected cross-session hits, got {shared:?}"
     );
-    let sched = server.scheduler_stats().expect("shared pair cache on");
-    assert!(sched.jobs > 0);
+    // Both sessions ranked SB through the dataset's one pair table.
+    let index = ds
+        .pyramid
+        .store()
+        .signature_index()
+        .expect("signatures attached");
+    let sb = SbRecommender::new(SbConfig::single(SignatureKind::Hist1D));
+    let (pairs, _) = sb.pair_table(&index).expect("sessions ranked SB");
+    assert!(pairs.misses > 0, "{pairs:?}");
     first.expect("held client").bye().expect("bye");
     server.shutdown();
 }

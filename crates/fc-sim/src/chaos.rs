@@ -19,9 +19,10 @@
 //!   namespace's slice of the global budget;
 //! - **accounting balances** — every attempt is served (possibly
 //!   degraded) or failed, and lands in exactly one phase bucket;
-//! - **the shared pair cache ranks exactly the SB requests**;
+//! - **the pair counts add up** — each dataset's replies report the χ²
+//!   pair probes its shared pair table counted;
 //! - **the run drains** — the driver returning at all means no session
-//!   wedged on the shared pair cache's lock (under
+//!   wedged on the shared pair table's lock (under
 //!   [`crate::multiuser::run_threaded`], where a wedge could happen).
 
 use crate::multiuser::RunReport;
@@ -81,16 +82,14 @@ pub fn assert_invariants(r: &RunReport) {
             "traffic buckets must stay empty with burst scheduling off: {r:?}"
         );
     }
-    let schedulers: Vec<_> = r.namespaces.iter().filter_map(|n| n.scheduler).collect();
-    if !schedulers.is_empty() {
-        // One rank per predicted request whose allocation gives SB a
-        // slot: a degraded reply skips prediction, and the burst
-        // planner may keep the engine off or change the budget.
-        let jobs: u64 = schedulers.iter().map(|s| s.jobs).sum();
-        let predicted = (r.served - r.degraded) as u64;
-        assert!(
-            jobs <= predicted && (r.burst_active || jobs == r.sb_ranked as u64),
-            "scheduler jobs must match the requests that rank SB: {schedulers:?} vs {r:?}"
+    for n in &r.namespaces {
+        // Each reply's pair counts are read under the table's lock, so
+        // a dataset's replies add up to what its table counted.
+        let table = n.pair_table.hits + n.pair_table.misses;
+        assert_eq!(
+            table, n.pair_probes,
+            "{}: the replies' χ² pair probes must add up to the table's: {n:?}",
+            n.dataset
         );
     }
 }

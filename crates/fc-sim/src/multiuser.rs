@@ -6,8 +6,8 @@
 //! a full [`Middleware`] (engine + private history cache) replaying its
 //! own trace. Its shared tile cache is its dataset's
 //! [`DatasetRegistry`] namespace (one global budget split across the
-//! datasets), and with `batch_predicts` it ranks through the dataset's
-//! one χ² pair cache ([`PredictScheduler`]). One [`RunConfig`] sets,
+//! datasets), and like every engine it ranks through the dataset's one
+//! χ² pair table (`fc_core::paircache`, "Sharing"). One [`RunConfig`] sets,
 //! for every session of a run, the workload shape, the fault schedule,
 //! burst scheduling, think time and the cross-session hotspot blend.
 //!
@@ -27,11 +27,12 @@
 //! traces the drivers replay.
 
 use crate::trace::{Trace, TraceStep};
+use fc_core::paircache::PairCacheStats;
 use fc_core::{
-    BatchConfig, BurstConfig, DatasetRegistry, FaultPlan, FetchError, HotspotBlend, HotspotConfig,
-    LatencyProfile, Middleware, MultiUserCache, Phase, PredictScheduler, PredictionEngine,
-    RegistryConfig, Response, RetryPolicy, SchedulerStats, SharedCacheStats, SharedHotspotModel,
-    SharedSessionHandle, SingleMutexTileCache,
+    BurstConfig, DatasetRegistry, FaultPlan, FetchError, HotspotBlend, HotspotConfig,
+    LatencyProfile, Middleware, MultiUserCache, Phase, PredictionEngine, RegistryConfig, Response,
+    RetryPolicy, SbRecommender, SharedCacheStats, SharedHotspotModel, SharedSessionHandle,
+    SingleMutexTileCache,
 };
 use fc_tiles::{Geometry, Move, Pyramid, Quadrant, TileId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -63,9 +64,6 @@ pub struct MultiUserConfig {
     pub cache_capacity: usize,
     /// Shared-cache implementation under test.
     pub cache: CacheImpl,
-    /// Whether a dataset's sessions rank through one shared pair cache
-    /// (a [`PredictScheduler`]) instead of one each.
-    pub batch_predicts: bool,
     /// Per-session prefetch budget k.
     pub k: usize,
     /// Private last-n history cache per session.
@@ -81,7 +79,6 @@ impl Default for MultiUserConfig {
             steps_per_session: 64,
             cache_capacity: 1024,
             cache: CacheImpl::Sharded { shards: 0 },
-            batch_predicts: true,
             k: 4,
             history_cache: 4,
             profile: LatencyProfile::paper(),
@@ -185,8 +182,13 @@ pub struct NamespaceReport {
     pub hits: usize,
     /// Shared-cache counters of the namespace.
     pub shared: SharedCacheStats,
-    /// Scheduler counters when `batch_predicts` was on.
-    pub scheduler: Option<SchedulerStats>,
+    /// χ² pair probes the dataset's replies report
+    /// (`Response::pair_cache`, hits plus misses), summed.
+    pub pair_probes: u64,
+    /// What the dataset's shared χ² pair table counted over the run.
+    /// Its probes equal `pair_probes` while no other run ranks over the
+    /// same pyramid at the same time.
+    pub pair_table: PairCacheStats,
     /// Hotspot-model epoch at the end of the run (0 = model off or
     /// never refreshed).
     pub hotspot_epoch: u64,
@@ -347,6 +349,7 @@ struct Tally {
     phases: [PhaseStats; 3],
     retries: u64,
     sb_ranked: usize,
+    pair_probes: u64,
     max_resident: usize,
     latency_ns: Vec<u64>,
     predict_ns: Vec<u64>,
@@ -385,6 +388,7 @@ impl Session<'_> {
                 let strategy = self.mw.engine().config().strategy;
                 let (_, sb_slots) = strategy.allocate(resp.phase, cfg.base.k);
                 t.sb_ranked += usize::from(!resp.degraded && sb_slots > 0);
+                t.pair_probes += resp.pair_cache.hits + resp.pair_cache.misses;
                 t.latency_ns.push(nanos(resp.latency));
                 t.predict_ns.push(nanos(resp.predict_time));
                 fold_response(fp, tile, &resp);
@@ -404,8 +408,22 @@ fn nanos(d: Duration) -> u64 {
 struct Namespace {
     name: String,
     cache: Arc<dyn MultiUserCache>,
-    scheduler: Option<Arc<PredictScheduler>>,
+    /// The dataset's pyramid and SB model, and its pair table's
+    /// counters when the run opened.
+    pyramid: Arc<Pyramid>,
+    sb: SbRecommender,
+    pair_table: PairCacheStats,
     hotspots: Option<Arc<SharedHotspotModel>>,
+}
+
+impl Namespace {
+    /// The counters of the dataset's shared pair table now.
+    fn pair_table(&self) -> PairCacheStats {
+        let index = self.pyramid.store().signature_index();
+        index
+            .and_then(|ix| self.sb.pair_table(&ix))
+            .map_or_else(PairCacheStats::default, |(stats, _)| stats)
+    }
 }
 
 /// Builds every dataset's namespace and `cfg.base.sessions` sessions
@@ -441,15 +459,17 @@ where
         let engines: Vec<PredictionEngine> = (0..cfg.base.sessions)
             .map(|_| engine_factory(pyramid))
             .collect();
-        let scheduler = cfg.base.batch_predicts.then(|| {
-            Arc::new(PredictScheduler::new(
-                engines[0].sb_model().clone(),
-                pyramid.clone(),
-                BatchConfig::default(),
-            ))
-        });
+        let mut namespace = Namespace {
+            name: name.to_string(),
+            cache: cache.clone(),
+            pyramid: pyramid.clone(),
+            sb: engines[0].sb_model().clone(),
+            pair_table: PairCacheStats::default(),
+            hotspots: hotspots.clone(),
+        };
+        namespace.pair_table = namespace.pair_table();
         for (i, mut engine) in engines.into_iter().enumerate() {
-            let mut handle = SharedSessionHandle::open(cache.clone(), scheduler.clone());
+            let mut handle = SharedSessionHandle::open(cache.clone(), None);
             if let (Some((_, blend)), Some(model)) = (cfg.hotspots, &hotspots) {
                 engine.set_hotspot_blend(Some(blend));
                 handle = handle.with_hotspots(model.clone());
@@ -477,12 +497,7 @@ where
                 tally: Tally::default(),
             });
         }
-        namespaces.push(Namespace {
-            name: name.to_string(),
-            cache,
-            scheduler,
-            hotspots,
-        });
+        namespaces.push(namespace);
     }
     (sessions, namespaces)
 }
@@ -559,8 +574,8 @@ fn report(
         fingerprint,
         ..RunReport::default()
     };
-    // Per namespace: (max resident, served, hits).
-    let mut per_ns = vec![(0usize, 0usize, 0usize); namespaces.len()];
+    // Per namespace: (max resident, served, hits, pair probes).
+    let mut per_ns = vec![(0usize, 0usize, 0usize, 0u64); namespaces.len()];
     let mut latency_ns = Vec::new();
     let mut predict_ns = Vec::new();
     for s in sessions {
@@ -584,6 +599,7 @@ fn report(
         ns.0 = ns.0.max(t.max_resident);
         ns.1 += t.phases.iter().map(|p| p.served).sum::<usize>();
         ns.2 += t.phases.iter().map(|p| p.hits).sum::<usize>();
+        ns.3 += t.pair_probes;
         latency_ns.extend(t.latency_ns);
         predict_ns.extend(t.predict_ns);
     }
@@ -601,16 +617,19 @@ fn report(
     r.namespaces = namespaces
         .into_iter()
         .zip(per_ns)
-        .map(|(ns, (max_resident, served, hits))| NamespaceReport {
-            dataset: ns.name,
-            capacity: ns.cache.capacity(),
-            max_resident,
-            served,
-            hits,
-            shared: ns.cache.stats(),
-            scheduler: ns.scheduler.map(|s| s.stats()),
-            hotspot_epoch: ns.hotspots.map_or(0, |m| m.epoch()),
-        })
+        .map(
+            |(ns, (max_resident, served, hits, pair_probes))| NamespaceReport {
+                capacity: ns.cache.capacity(),
+                max_resident,
+                served,
+                hits,
+                shared: ns.cache.stats(),
+                pair_probes,
+                pair_table: ns.pair_table().since(ns.pair_table),
+                hotspot_epoch: ns.hotspots.as_ref().map_or(0, |m| m.epoch()),
+                dataset: ns.name,
+            },
+        )
         .collect();
     r
 }
@@ -901,9 +920,8 @@ mod tests {
                     steps_per_session: 30,
                     cache_capacity: 16,
                     cache,
-                    batch_predicts: true,
                     // Past AB's four slots, so SB has one in every phase
-                    // and every request ranks through the shared cache.
+                    // and every request ranks through the shared table.
                     k: 5,
                     ..MultiUserConfig::default()
                 },
@@ -918,8 +936,10 @@ mod tests {
             let s = r.namespaces[0].shared;
             assert!(s.hits + s.misses > 0);
             assert!(s.cross_session_hits <= s.hits);
-            let sched = r.namespaces[0].scheduler.expect("shared pair cache on");
-            assert_eq!(sched.jobs, 4 * 30, "one SB rank per request");
+            assert_eq!(r.sb_ranked, 4 * 30, "one SB rank per request");
+            let ns = &r.namespaces[0];
+            let table = ns.pair_table.hits + ns.pair_table.misses;
+            assert!(ns.pair_probes > 0 && table == ns.pair_probes, "{ns:?}");
         }
     }
 
@@ -1018,7 +1038,6 @@ mod tests {
                     steps_per_session: 40,
                     cache_capacity: 64,
                     cache: CacheImpl::Sharded { shards: 1 },
-                    batch_predicts: false,
                     // Below the deepest-level candidate count, so the
                     // ranking (and with it the hotspot prior) decides
                     // what gets prefetched.
@@ -1066,7 +1085,6 @@ mod tests {
                 sessions: 2,
                 steps_per_session: 10,
                 cache_capacity: 8,
-                batch_predicts: false,
                 ..MultiUserConfig::default()
             },
             ..RunConfig::default()
@@ -1079,7 +1097,6 @@ mod tests {
         drop(h);
         assert_eq!(cache.session_count(), 0);
         let r = run(&[("g", &p, &traces[..])], engine, &cfg);
-        assert!(r.namespaces[0].scheduler.is_none());
         assert_eq!(r.served, 20);
     }
 }

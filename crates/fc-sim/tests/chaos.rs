@@ -140,17 +140,13 @@ fn chaos_backend_brownout_recovers() {
     let r = run(&p, &traces, &cfg);
     assert_invariants(&r);
     assert_eq!(r.attempts, 4 * 40, "every session drained its steps");
-    // The scheduler check bites under faults: at k = 4 under `Updated`
-    // only Sensemaking requests rank SB, so the job count sits strictly
-    // inside the predicted requests, and a report one job short is
-    // refused.
-    let jobs = r.namespaces[0]
-        .scheduler
-        .expect("batch_predicts is the default")
-        .jobs;
-    assert!(0 < jobs && jobs < (r.served - r.degraded) as u64, "{r:?}");
+    // The pair-count check bites under faults: at k = 4 under
+    // `Updated` only Sensemaking requests rank SB, so some replies
+    // probe no pair, and a report one probe short is refused.
+    let probes = r.namespaces[0].pair_probes;
+    assert!(0 < probes && r.sb_ranked < (r.served - r.degraded), "{r:?}");
     let mut short = r.clone();
-    short.namespaces[0].scheduler.as_mut().unwrap().jobs -= 1;
+    short.namespaces[0].pair_probes -= 1;
     assert!(std::panic::catch_unwind(|| assert_invariants(&short)).is_err());
     // Outside the window the plan is quiet: clean serving only.
     assert_eq!(r.before.failures + r.before.degraded, 0, "{:?}", r.before);
@@ -201,9 +197,8 @@ fn chaos_flash_crowd_error_burst_is_contained() {
     // …while staying inside the window,
     assert_eq!(r.before.failures + r.before.degraded, 0, "{:?}", r.before);
     assert_eq!(r.after.failures + r.after.degraded, 0, "{:?}", r.after);
-    // and the coalescing scheduler keeps draining under it.
-    let sched = r.namespaces[0].scheduler.expect("batching on");
-    assert!(sched.jobs > 0);
+    // and the shared pair table keeps ranking under it.
+    assert!(r.namespaces[0].pair_probes > 0);
 }
 
 /// Degraded backend: a windowless low-grade fault floor. Slow-client
@@ -257,7 +252,6 @@ fn chaos_multi_session_replay_is_deterministic() {
             steps_per_session: 36,
             cache_capacity: 16,
             cache: CacheImpl::Sharded { shards: 4 },
-            batch_predicts: true,
             ..MultiUserConfig::default()
         },
         faults: Some(Faults {
@@ -305,7 +299,7 @@ fn chaos_threaded_brownout_holds_invariants() {
     let r = fc_sim::run_threaded(&[("chaos", &p, &traces[..])], engine, &cfg);
     assert_invariants(&r);
     assert_eq!(r.attempts, 8 * 40, "every session drained its steps");
-    assert!(r.namespaces[0].scheduler.expect("batching on").jobs > 0);
+    assert!(r.namespaces[0].pair_probes > 0);
 }
 
 /// The deepest corner tile is reachable only through faulted fetches
@@ -340,7 +334,6 @@ fn chaos_window_serves_ancestors_not_errors_when_resident() {
             sessions: 1,
             steps_per_session: 12,
             cache_capacity: 16,
-            batch_predicts: false,
             k: 0,
             ..MultiUserConfig::default()
         },

@@ -289,7 +289,6 @@ fn zoo_shared(p: &Arc<Pyramid>, name: &str, burst: Option<BurstConfig>) -> ZooPi
         base: MultiUserConfig {
             cache_capacity: 64,
             cache: CacheImpl::Sharded { shards: 4 },
-            batch_predicts: false,
             k: 4,
             ..MultiUserConfig::default()
         },

@@ -217,7 +217,6 @@ fn ab_config(burst: Option<BurstConfig>) -> RunConfig {
         base: MultiUserConfig {
             cache_capacity: 64,
             cache: CacheImpl::Sharded { shards: 4 },
-            batch_predicts: false,
             k: 4,
             ..MultiUserConfig::default()
         },

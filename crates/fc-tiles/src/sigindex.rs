@@ -27,6 +27,14 @@
 //! all-zero bins, so padded entries contribute nothing and distances
 //! are bit-identical to comparing the original unpadded vectors.
 //!
+//! # Derived state: the memo
+//!
+//! A consumer may attach one value of its own to a build
+//! ([`SignatureIndex::memo`]): made on first use, shared by the build's
+//! clones and dropped with the last of them. fc-core keeps its χ² pair
+//! tables there, so every session ranking over one build shares them
+//! and a rebuild starts with none.
+//!
 //! Scope: the index covers tiles **inside its geometry**. Metadata
 //! stored under out-of-geometry ids (`put_meta` does not validate) is
 //! dropped at build time, so such tiles read as "no signature" here
@@ -40,8 +48,10 @@
 use crate::geometry::Geometry;
 use crate::id::TileId;
 use crate::store::{MetaKey, TileMeta};
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Source of process-unique [`SignatureIndex::build_id`] values.
 static NEXT_BUILD_ID: AtomicU64 = AtomicU64::new(0);
@@ -98,6 +108,22 @@ pub struct SignatureIndex {
     mats: Vec<SigMatrix>,
     /// Process-unique identity of this build (see [`Self::build_id`]).
     build_id: u64,
+    /// What a consumer derived from this build (see [`Self::memo`]).
+    memo: Memo,
+}
+
+/// The slot behind [`SignatureIndex::memo`], shared by a build's clones.
+#[derive(Clone, Default)]
+struct Memo(Arc<OnceLock<Box<dyn Any + Send + Sync>>>);
+
+impl std::fmt::Debug for Memo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if self.0.get().is_some() {
+            "Memo(set)"
+        } else {
+            "Memo"
+        })
+    }
 }
 
 /// Structural equality: two indexes over the same geometry and matrices
@@ -156,6 +182,7 @@ impl SignatureIndex {
             keys: Vec::new(),
             mats: Vec::new(),
             build_id: NEXT_BUILD_ID.fetch_add(1, Ordering::Relaxed),
+            memo: Memo::default(),
         };
         for (&id, m) in meta {
             let Some(dense) = index.dense_index(id) else {
@@ -184,6 +211,22 @@ impl SignatureIndex {
     #[inline]
     pub fn build_id(&self) -> u64 {
         self.build_id
+    }
+
+    /// The value a consumer derives from this build: made by `init` on
+    /// the first call, then the same value for every caller and every
+    /// clone of the build, and dropped with the build's last clone.
+    /// fc-core keeps its χ² pair tables here. A build holds one memo,
+    /// so every call must ask for the same type `T`.
+    ///
+    /// # Panics
+    /// When an earlier call stored a value of another type.
+    pub fn memo<T: Any + Send + Sync>(&self, init: impl FnOnce() -> T) -> &T {
+        self.memo
+            .0
+            .get_or_init(|| Box::new(init()))
+            .downcast_ref()
+            .expect("a signature index build holds one memo type")
     }
 
     /// Number of tiles (dense index domain size).
@@ -254,6 +297,37 @@ mod tests {
         assert_eq!(a, b, "same data compares equal despite fresh ids");
         // A clone keeps the identity: it is the same frozen build.
         assert_eq!(a.clone().build_id(), a.build_id());
+    }
+
+    #[test]
+    fn the_memo_is_made_once_per_build_and_dropped_with_it() {
+        let g = Geometry::new(2, 32, 32, 16, 16);
+        let map = meta_map(&[(TileId::ROOT, "hist", vec![0.25, 0.75])]);
+        let a = SignatureIndex::build(g, &map);
+        let made = Arc::new(AtomicU64::new(0));
+        let memo = |ix: &SignatureIndex| {
+            let made = made.clone();
+            ix.memo(move || {
+                made.fetch_add(1, Ordering::Relaxed);
+                Arc::new(7u32)
+            })
+            .clone()
+        };
+        let first = memo(&a);
+        // Every call and every clone of the build reads the one value …
+        let clone = a.clone();
+        assert!(Arc::ptr_eq(&first, &memo(&a)));
+        assert!(Arc::ptr_eq(&first, &memo(&clone)));
+        assert_eq!(made.load(Ordering::Relaxed), 1);
+        // … a rebuild makes its own …
+        let b = SignatureIndex::build(g, &map);
+        assert!(!Arc::ptr_eq(&first, &memo(&b)));
+        assert_eq!(made.load(Ordering::Relaxed), 2);
+        // … and the value goes with the build's last clone.
+        drop(a);
+        assert_eq!(Arc::strong_count(&first), 2);
+        drop(clone);
+        assert_eq!(Arc::strong_count(&first), 1);
     }
 
     #[test]

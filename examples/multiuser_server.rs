@@ -2,8 +2,9 @@
 //! tile pyramid across several concurrent browsing sessions (§3, §5.5:
 //! "many users can actively navigate the data freely and in parallel")
 //! — running the multi-user serving core: a lock-striped shared tile
-//! cache (communal prefetches, fairly repartitioned budgets) plus one
-//! χ² pair cache every session's predictions rank through.
+//! cache (communal prefetches, fairly repartitioned budgets) plus the
+//! dataset's one χ² pair table every session's predictions rank
+//! through.
 //!
 //! ```sh
 //! cargo run --example multiuser_server --release
@@ -31,6 +32,7 @@ fn main() {
         ..DatasetConfig::default()
     });
     let pyramid = ds.pyramid.clone();
+    let index_pyramid = pyramid.clone();
 
     let engine_pyramid = pyramid.clone();
     let factory: EngineFactory = Arc::new(move || {
@@ -52,7 +54,8 @@ fn main() {
 
     let config = ServerConfig {
         // The multi-user serving core: sessions share a lock-striped
-        // tile cache and rank through one shared pair cache.
+        // tile cache (and, as every session does, the dataset's pair
+        // table).
         multi_user: Some(MultiUserServing::default()),
         ..ServerConfig::default()
     };
@@ -121,8 +124,15 @@ fn main() {
             shared.hits, shared.misses, shared.cross_session_hits, shared.evictions
         );
     }
-    if let Some(sched) = server.scheduler_stats() {
-        println!("shared pair cache: {} rankings served", sched.jobs);
+    let sb = SbRecommender::new(SbConfig::all_equal());
+    let index = index_pyramid.store().signature_index();
+    if let Some((pairs, slots)) = index.and_then(|ix| sb.pair_table(&ix)) {
+        println!(
+            "shared pair table: {} hits / {} misses, {} KiB",
+            pairs.hits,
+            pairs.misses,
+            slots * 64 / 1024
+        );
     }
     server.shutdown();
     println!("server stopped");
