@@ -128,8 +128,8 @@ fn study_replay_with_a_fresh_engine_per_session_is_pinned() {
          (got {rankings:#x?})"
     );
     let want_counts: [[u64; 2]; 2] = [
-        [0x4058_0724_1152_5be7, 0x4058_0724_1152_5be7],
-        [0x81b3_d265_17ea_31ca, 0x81b3_d265_17ea_31ca],
+        [0xea18_5143_d671_aab1, 0x50c1_e51c_da81_d985],
+        [0x8032_9c8f_47a9_12d2, 0xf410_223c_9536_c9b4],
     ];
     assert_eq!(
         counts, want_counts,

@@ -144,21 +144,21 @@ fn study_replay_through_the_engine_is_pinned() {
     let want_counts: [[u64; 4]; 3] = [
         [
             0x7d19_8c12_6c37_d5a8,
-            0x30d3_c864_5f2e_5929,
+            0x7fe7_9198_8532_6405,
             0xb334_5502_332d_1ee5,
-            0x30d3_c864_5f2e_5929,
+            0x4777_5e92_a403_57c5,
         ],
         [
-            0xa7a3_cd36_a761_cbab,
-            0x44a1_d290_f2db_07dc,
+            0x87f5_4490_df27_7bf3,
+            0x0cf2_e9e9_ef46_da4a,
             0xb334_5502_332d_1ee5,
-            0x44a1_d290_f2db_07dc,
+            0xdba8_7c79_4f4f_ebf4,
         ],
         [
-            0x7f90_f6aa_9fec_efe3,
-            0x85e6_0628_63db_5bac,
+            0x9b8a_fceb_8377_0133,
+            0x643d_8688_10e1_6fc4,
             0xb334_5502_332d_1ee5,
-            0x85e6_0628_63db_5bac,
+            0x5fd5_8d7f_7c4b_dbe6,
         ],
     ];
     assert_eq!(

@@ -215,7 +215,7 @@ fn burst_config_none_is_bit_identical_shared() {
 /// with which pairs the table already holds, while the first moves
 /// only with what the requests are served.
 const GOLDEN_PRIVATE: u64 = 5_095_954_937_012_719_669;
-const GOLDEN_PRIVATE_PAIRS: u64 = 6_534_135_864_930_624_847;
+const GOLDEN_PRIVATE_PAIRS: u64 = 1_892_997_080_476_643_503;
 const GOLDEN_SHARED: u64 = 4_225_050_109_384_278_978;
 
 /// `exp_multiuser`'s zoo A/B pyramid: 256² base, 16-cell tiles, four
