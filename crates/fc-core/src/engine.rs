@@ -467,6 +467,60 @@ mod tests {
         assert_ne!(before[0], after[0], "stale index would repeat {before:?}");
     }
 
+    /// Engines over one store rank through one table per index build:
+    /// a second engine hits what the first computed, a metadata write
+    /// sends the next ranking to the new build's fresh table, and the
+    /// old table goes with the old build's last `Arc`.
+    #[test]
+    fn engines_share_the_index_builds_table_until_a_rebuild() {
+        let g = geometry();
+        let s = store(g);
+        let walk = |e: &mut PredictionEngine| {
+            e.observe(Request::initial(TileId::new(3, 4, 4)));
+            e.observe(Request::new(TileId::new(3, 4, 5), Some(Move::PanRight)));
+        };
+        let (mut a, mut b) = (
+            engine(AllocationStrategy::SbOnly),
+            engine(AllocationStrategy::SbOnly),
+        );
+        walk(&mut a);
+        walk(&mut b);
+        let first = a.predict(&s, 4);
+        let cold = a.last_pair_cache();
+        assert_eq!((cold.hits, cold.invalidations), (0, 0));
+        assert_eq!(b.predict(&s, 4), first);
+        assert_eq!(
+            (b.last_pair_cache().hits, b.last_pair_cache().misses),
+            (cold.misses, 0)
+        );
+        let old = s.signature_index().unwrap();
+        let sb = SbRecommender::new(SbConfig::single(SignatureKind::Hist1D));
+        let (table, slots) = sb.pair_table(&old).expect("made by the first ranking");
+        assert_eq!((table.hits, table.misses), (cold.misses, cold.misses));
+        // A metadata write rebuilds the index: the next ranking starts
+        // the new build's table, and leaves the old one as it was.
+        s.put_meta(
+            TileId::ROOT,
+            SignatureKind::Hist1D.meta_name(),
+            vec![0.5, 0.5],
+        );
+        assert_eq!(a.predict(&s, 4), first);
+        assert_eq!(a.last_pair_cache().hits, 0);
+        let new = s.signature_index().unwrap();
+        assert_ne!(new.build_id(), old.build_id());
+        assert_eq!(sb.pair_table(&new).unwrap().0.misses, cold.misses);
+        assert_eq!(sb.pair_table(&old), Some((table, slots)));
+        // `b` still holds the old build; once it moves on, this `Arc`
+        // is the last, and dropping it frees the build and its table.
+        b.predict(&s, 4);
+        let weak = Arc::downgrade(&old);
+        drop(old);
+        assert!(
+            weak.upgrade().is_none(),
+            "the old build outlived its last Arc"
+        );
+    }
+
     #[test]
     fn empty_engine_predicts_nothing() {
         let mut e = engine(AllocationStrategy::Updated);

@@ -13,7 +13,7 @@
 //! odd-numbered ones' traces replayed two sessions at a time. A lap
 //! replays every trace once on a fresh shared cache. The first lap is
 //! a burn-in; the stage percentiles cover the laps after it, and the
-//! χ² counts are printed per lap.
+//! χ² counts are printed per lap, then the dataset's pair table.
 
 use forecache::array::LatencyModel;
 use forecache::core::engine::PhaseSource;
@@ -133,6 +133,19 @@ fn main() {
             "{name:<8} {requests:>9}  {:>14.2}  {:>13.3}",
             misses as f64 / requests as f64,
             hits as f64 / (hits + misses).max(1) as f64
+        );
+    }
+
+    let index = pyramid
+        .store()
+        .signature_index()
+        .expect("signatures attached");
+    if let Some((pairs, slots)) = SbRecommender::new(SbConfig::all_equal()).pair_table(&index) {
+        println!(
+            "pair table: {slots} slots ({} KiB), {} hits / {} misses over every lap",
+            slots * 64 / 1024,
+            pairs.hits,
+            pairs.misses
         );
     }
 
