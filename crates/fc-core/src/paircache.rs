@@ -311,8 +311,8 @@ impl PairCache {
     }
 
     /// A cache sized for steady-state prediction over `index` (see
-    /// [`crate::signature::pair_cache_capacity_hint`]) — the one place
-    /// a pair cache gets its ceiling.
+    /// `crate::signature::pair_cache_capacity_hint`) — the one place a
+    /// pair cache gets its ceiling.
     pub fn for_index(index: &SignatureIndex) -> Self {
         Self::new(crate::signature::pair_cache_capacity_hint(
             index.keys().len(),
