@@ -30,9 +30,10 @@
 //! share one cache per index build (see `crate::paircache`,
 //! "Sharing") and take turns, each call normalizing over its own pairs
 //! only, so what another session left in the cache changes which pairs
-//! are probed instead of computed and never a bit of the result. A disabled cache (`PairCache::new(0)`,
-//! or a domain the cache rejects) misses every probe, so the same fill
-//! serves callers that cannot cache.
+//! are probed instead of computed and never a bit of the result. A
+//! disabled cache (`PairCache::new(0)`, or a domain the cache rejects)
+//! misses every probe, so the same fill serves callers that cannot
+//! cache.
 //!
 //! Both paths produce **bit-identical** distances for tiles inside
 //! the index's geometry: they perform the same floating-point

@@ -7,9 +7,10 @@
 //! own trace. Its shared tile cache is its dataset's
 //! [`DatasetRegistry`] namespace (one global budget split across the
 //! datasets), and like every engine it ranks through the dataset's one
-//! χ² pair table (`fc_core::paircache`, "Sharing"). One [`RunConfig`] sets,
-//! for every session of a run, the workload shape, the fault schedule,
-//! burst scheduling, think time and the cross-session hotspot blend.
+//! χ² pair table (`fc_core::paircache`, "Sharing"). One [`RunConfig`]
+//! sets, for every session of a run, the workload shape, the fault
+//! schedule, burst scheduling, think time and the cross-session
+//! hotspot blend.
 //!
 //! Two loops drive the same per-session step:
 //!
