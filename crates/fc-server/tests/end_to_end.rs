@@ -1,5 +1,12 @@
-//! End-to-end client/server tests over localhost.
+//! End-to-end client/server tests over localhost. A test whose
+//! sessions are deterministic folds every reply into a value pin
+//! (`common::Pin`); one whose outcome depends on wall-clock gaps or
+//! thread scheduling asserts its outcome's shape.
 
+#[macro_use]
+mod common;
+
+use common::Pin;
 use fc_core::engine::PhaseSource;
 use fc_core::signature::SignatureKind;
 use fc_core::{
@@ -42,9 +49,11 @@ fn session_serves_tiles_and_stats() {
     let (mut server, ds) = start_server();
     let mut client = Client::connect(server.addr(), 4).expect("client connects");
     assert_eq!(client.levels(), ds.pyramid.geometry().levels);
+    let mut pin = Pin::default();
 
     // Walk: root → zoom in → pan.
     let root = client.request_tile(TileId::ROOT, None).expect("root tile");
+    fold_tile!(pin, root);
     assert_eq!(root.payload.tile, TileId::ROOT);
     assert!(!root.cache_hit, "first request is a miss");
     assert!(root.payload.attrs.contains(&"ndsi_avg".to_string()));
@@ -58,9 +67,12 @@ fn session_serves_tiles_and_stats() {
         .request_tile(TileId::new(1, 0, 0), Some(Move::ZoomIn(Quadrant::Nw)))
         .expect("child tile");
     assert_eq!(child.payload.tile, TileId::new(1, 0, 0));
+    fold_tile!(pin, child);
 
     let stats = client.stats().expect("stats");
     assert_eq!(stats.requests, 2);
+    fold_stats!(pin, stats);
+    pin.check(0xc09f20b360d0b563, "root, then its NW child");
 
     client.bye().expect("clean close");
     server.shutdown();
@@ -70,11 +82,16 @@ fn session_serves_tiles_and_stats() {
 fn bad_requests_are_rejected_not_fatal() {
     let (mut server, _ds) = start_server();
     let mut client = Client::connect(server.addr(), 2).expect("connect");
+    let mut pin = Pin::default();
     // Nonexistent tile → error reply, connection stays usable.
-    let err = client.request_tile(TileId::new(7, 0, 0), None);
-    assert!(err.is_err());
-    let ok = client.request_tile(TileId::ROOT, None);
-    assert!(ok.is_ok());
+    let err = client
+        .request_tile(TileId::new(7, 0, 0), None)
+        .expect_err("no such tile");
+    pin.error(&err);
+    let ok = client.request_tile(TileId::ROOT, None).expect("root");
+    fold_tile!(pin, ok);
+    fold_stats!(pin, client.stats().expect("stats"));
+    pin.check(0x4031731306da0e8d, "a missing tile, then the root");
     client.bye().unwrap();
     server.shutdown();
 }
@@ -115,10 +132,13 @@ fn multi_user_mode_shares_prefetched_tiles_across_sessions() {
     let deepest = g.levels - 1;
     // Two sessions walk the same pan run, one after the other: the
     // second rides the first's communal prefetches.
-    let walk = |hold: bool| {
+    let mut pin = Pin::default();
+    let mut walk = |hold: bool| {
         let mut c = Client::connect(addr, 5).expect("connect");
-        c.request_tile(TileId::new(deepest, 1, 0), None)
+        let first = c
+            .request_tile(TileId::new(deepest, 1, 0), None)
             .expect("first");
+        fold_tile!(pin, first);
         let mut hits = 0;
         for x in 1..4 {
             let a = c
@@ -127,7 +147,9 @@ fn multi_user_mode_shares_prefetched_tiles_across_sessions() {
             if a.cache_hit {
                 hits += 1;
             }
+            fold_tile!(pin, a);
         }
+        fold_stats!(pin, c.stats().expect("stats"));
         if hold {
             (Some(c), hits)
         } else {
@@ -148,6 +170,11 @@ fn multi_user_mode_shares_prefetched_tiles_across_sessions() {
         shared.cross_session_hits > 0,
         "expected cross-session hits, got {shared:?}"
     );
+    fold_shared(&mut pin, &shared);
+    pin.check(
+        0xb993cf3c76c603e0,
+        "two sessions' pan runs, the second on shared prefetches, and the namespace's counters",
+    );
     // Both sessions ranked SB through the dataset's one pair table.
     let index = ds
         .pyramid
@@ -159,6 +186,11 @@ fn multi_user_mode_shares_prefetched_tiles_across_sessions() {
     assert!(pairs.misses > 0, "{pairs:?}");
     first.expect("held client").bye().expect("bye");
     server.shutdown();
+}
+
+/// Folds a namespace's shared-cache counters into `pin`.
+fn fold_shared(pin: &mut Pin, s: &fc_core::SharedCacheStats) {
+    pin.scalars([s.hits, s.misses, s.cross_session_hits, s.evictions].map(|v| v as u64));
 }
 
 fn engine_factory_for(pyramid: &Arc<Pyramid>) -> EngineFactory {
@@ -232,12 +264,15 @@ fn one_process_serves_two_datasets_in_separate_namespaces() {
     default.bye().expect("bye");
 
     // Each namespace serves its own pyramid.
-    let walk = |dataset: &str, levels: u8| {
+    let mut pin = Pin::default();
+    let mut walk = |dataset: &str, levels: u8| {
         let mut c = Client::connect_dataset(addr, 5, dataset).expect("connect");
         assert_eq!(c.levels(), levels, "{dataset}");
         let deepest = levels - 1;
-        c.request_tile(TileId::new(deepest, 1, 0), None)
+        let first = c
+            .request_tile(TileId::new(deepest, 1, 0), None)
             .expect("first");
+        fold_tile!(pin, first);
         let mut hits = 0;
         for x in 1..4 {
             let a = c
@@ -246,7 +281,9 @@ fn one_process_serves_two_datasets_in_separate_namespaces() {
             if a.cache_hit {
                 hits += 1;
             }
+            fold_tile!(pin, a);
         }
+        fold_stats!(pin, c.stats().expect("stats"));
         (c, hits)
     };
     let west_levels = west.pyramid.geometry().levels;
@@ -263,6 +300,12 @@ fn one_process_serves_two_datasets_in_separate_namespaces() {
         server.namespace_stats().into_iter().collect();
     let west_stats = stats["west"];
     let east_stats = stats["east"];
+    fold_shared(&mut pin, &west_stats);
+    fold_shared(&mut pin, &east_stats);
+    pin.check(
+        0x6e211dd2e78ce398,
+        "two west sessions, then one east session, and both namespaces' counters",
+    );
     assert!(
         west_stats.cross_session_hits > 0,
         "west sharing: {west_stats:?}"
@@ -339,10 +382,12 @@ fn prefetching_speeds_up_predictable_walks() {
     let deepest = g.levels - 1;
     // Pan right along the deepest level; the right-run-trained AB model
     // should prefetch continuations.
+    let mut pin = Pin::default();
     let mut hits = 0;
-    client
+    let first = client
         .request_tile(TileId::new(deepest, 1, 0), None)
         .expect("first");
+    fold_tile!(pin, first);
     for x in 1..4 {
         let a = client
             .request_tile(TileId::new(deepest, 1, x), Some(Move::PanRight))
@@ -351,8 +396,11 @@ fn prefetching_speeds_up_predictable_walks() {
             hits += 1;
             assert!(a.latency.as_millis() < 100, "hits are fast");
         }
+        fold_tile!(pin, a);
     }
     assert!(hits >= 2, "expected prefetch hits, got {hits}");
+    fold_stats!(pin, client.stats().expect("stats"));
+    pin.check(0xc0ae9e49e3bd473b, "a pan run along the deepest level");
     client.bye().unwrap();
     server.shutdown();
 }
@@ -369,21 +417,26 @@ fn burst_scheduler_wired_through_server_config() {
         ..ServerConfig::default()
     });
     let deepest = ds.pyramid.geometry().levels - 1;
-    let walk = |server: &Server| {
+    let walk = |server: &Server, pin: &mut Pin| {
         let mut client = Client::connect(server.addr(), 4).expect("client connects");
-        client
+        let first = client
             .request_tile(TileId::new(deepest, 0, 0), None)
             .expect("first tile");
+        fold_tile!(pin, first);
         for x in 1..4 {
-            client
+            let a = client
                 .request_tile(TileId::new(deepest, 0, x), Some(Move::PanRight))
                 .expect("pan tile");
+            fold_tile!(pin, a);
         }
         let stats = client.stats().expect("stats");
+        fold_stats!(pin, stats);
         client.bye().expect("clean close");
         stats
     };
-    let on = walk(&server);
+    // The burst legs' phases and budgets follow the wall-clock gaps
+    // between requests, so only the uniform-budget leg is pinned.
+    let on = walk(&server, &mut Pin::default());
     server.shutdown();
     assert_eq!(on.requests, 4);
     assert!(
@@ -404,7 +457,7 @@ fn burst_scheduler_wired_through_server_config() {
         }),
         ..ServerConfig::default()
     });
-    let reactive = walk(&server);
+    let reactive = walk(&server, &mut Pin::default());
     server.shutdown();
     assert_eq!(reactive.requests, 4);
     assert_eq!(
@@ -415,8 +468,13 @@ fn burst_scheduler_wired_through_server_config() {
     // The same walk against a default (uniform-budget) server issues
     // speculative fetches every request.
     let (mut server, _ds) = start_server();
-    let off = walk(&server);
+    let mut pin = Pin::default();
+    let off = walk(&server, &mut pin);
     server.shutdown();
+    pin.check(
+        0x13a8dac1dae66cf8,
+        "the same pan run under the uniform budget",
+    );
     assert_eq!(off.requests, 4);
     assert!(
         off.prefetch_issued > 0,

@@ -1,7 +1,14 @@
 //! Failure-containment tests for the serving stack: admission control,
 //! socket timeouts, panic containment, structured error codes, and the
-//! degraded-reply path end-to-end over localhost.
+//! degraded-reply path end-to-end over localhost. Where a session's
+//! replies are deterministic they are folded into a value pin
+//! (`common::Pin`); shed, timeout and teardown outcomes that follow
+//! wall-clock gaps or thread scheduling keep their shape assertions.
 
+#[macro_use]
+mod common;
+
+use common::Pin;
 use fc_core::engine::PhaseSource;
 use fc_core::signature::SignatureKind;
 use fc_core::{
@@ -97,20 +104,28 @@ fn overloaded_server_sheds_at_accept_with_structured_code() {
             ..ServerConfig::default()
         },
     );
+    let mut pin = Pin::default();
     let mut first = Client::connect(server.addr(), 2).expect("first session admitted");
-    first.request_tile(TileId::ROOT, None).expect("serves");
+    fold_tile!(pin, first.request_tile(TileId::ROOT, None).expect("serves"));
     wait_for(|| server.active_sessions() == 1, "session registration");
     // The second connection is shed before a session thread exists.
     let err = Client::connect(server.addr(), 2).expect_err("must shed");
     assert_eq!(code_of(&err), Some(ErrorCode::Overloaded), "{err}");
+    pin.error(&err);
     // The first session is unaffected, and capacity frees on its exit.
-    first
+    let child = first
         .request_tile(TileId::new(1, 0, 0), None)
         .expect("still serving");
+    fold_tile!(pin, child);
+    fold_stats!(pin, first.stats().expect("stats"));
     first.bye().expect("bye");
     wait_for(|| server.active_sessions() == 0, "capacity release");
     let mut again = Client::connect(server.addr(), 2).expect("admitted after release");
-    again.request_tile(TileId::ROOT, None).expect("serves");
+    fold_tile!(pin, again.request_tile(TileId::ROOT, None).expect("serves"));
+    pin.check(
+        0xe44098cce9815e6e,
+        "the admitted session, the shed one, then a fresh one",
+    );
     server.shutdown();
 }
 
@@ -134,14 +149,22 @@ fn overload_watermark_sheds_hello_on_cache_pressure() {
             ..ServerConfig::default()
         },
     );
+    let mut pin = Pin::default();
     let mut first = Client::connect(server.addr(), 2).expect("first admitted");
-    first.request_tile(TileId::ROOT, None).expect("serves");
+    fold_tile!(pin, first.request_tile(TileId::ROOT, None).expect("serves"));
     let err = Client::connect(server.addr(), 2).expect_err("watermark must shed");
     assert_eq!(code_of(&err), Some(ErrorCode::Overloaded), "{err}");
+    pin.error(&err);
     // The shed session's teardown must not disturb the admitted one.
-    first
+    let child = first
         .request_tile(TileId::new(1, 0, 0), None)
         .expect("still serving");
+    fold_tile!(pin, child);
+    fold_stats!(pin, first.stats().expect("stats"));
+    pin.check(
+        0x44b91eb7b44daae0,
+        "the admitted session around the shed one",
+    );
     first.bye().expect("bye");
     // With the namespace idle again, admission resumes.
     wait_for(|| server.active_sessions() == 0, "session close");
@@ -172,7 +195,10 @@ fn read_timeout_reclaims_stalled_sessions() {
     drop(stalled);
     // Live clients are unaffected as long as they keep talking.
     let mut c = Client::connect(server.addr(), 2).expect("connect");
-    c.request_tile(TileId::ROOT, None).expect("serves");
+    let mut pin = Pin::default();
+    fold_tile!(pin, c.request_tile(TileId::ROOT, None).expect("serves"));
+    fold_stats!(pin, c.stats().expect("stats"));
+    pin.check(0x97f4837b282e28b9, "the live session after the reclaim");
     server.shutdown();
 }
 
@@ -212,19 +238,31 @@ fn hostile_prefetch_budget(reactor: bool) {
         ..ServerConfig::default()
     };
     let mut server = bind(p, AllocationStrategy::Updated, config);
+    let mut pin = Pin::default();
     let mut bystander = Client::connect(server.addr(), 2).expect("bystander connects");
-    bystander
+    let root = bystander
         .request_tile(TileId::ROOT, None)
         .expect("bystander served");
+    fold_tile!(pin, root);
     let mut hostile = Client::connect(server.addr(), u32::MAX).expect("hello accepted");
     // A tile or a structured error, never a dead socket.
-    if let Err(e) = hostile.request_tile(TileId::ROOT, None) {
-        assert!(code_of(&e).is_some(), "{e}");
+    match hostile.request_tile(TileId::ROOT, None) {
+        Ok(a) => fold_tile!(pin, a),
+        Err(e) => {
+            assert!(code_of(&e).is_some(), "{e}");
+            pin.error(&e);
+        }
     }
     let zoom = Move::ZoomIn(fc_tiles::Quadrant::Nw);
-    bystander
+    let child = bystander
         .request_tile(TileId::new(1, 0, 0), Some(zoom))
         .expect("the bystander's next request is served");
+    fold_tile!(pin, child);
+    fold_stats!(pin, bystander.stats().expect("stats"));
+    pin.check(
+        0xea6482542279b5cb,
+        "the bystander around the hostile request",
+    );
     server.shutdown();
 }
 
@@ -313,6 +351,10 @@ fn exhausted_fetches_surface_as_unavailable() {
     // The session survives the failure; the client chooses what's next.
     let stats = client.stats().expect("session still up");
     assert_eq!(stats.requests, 0, "failed fetches serve nothing");
+    let mut pin = Pin::default();
+    pin.error(&err);
+    fold_stats!(pin, stats);
+    pin.check(0x33bd3f5178137b20, "an exhausted fetch");
     client.bye().expect("bye");
     server.shutdown();
 }
@@ -345,8 +387,10 @@ fn degraded_replies_carry_the_resident_ancestor() {
         },
     );
     let mut client = Client::connect(server.addr(), 2).expect("connect");
+    let mut pin = Pin::default();
     let root = client.request_tile(TileId::ROOT, None).expect("clean");
     assert!(!root.degraded);
+    fold_tile!(pin, root);
     // A deep tile the engine would not have prefetched off the root
     // request — its parent is not resident either, so the ladder walks
     // all the way up to the cached root.
@@ -358,6 +402,12 @@ fn degraded_replies_carry_the_resident_ancestor() {
         child.payload.tile,
         TileId::ROOT,
         "the resident ancestor answers in the child's place"
+    );
+    fold_tile!(pin, child);
+    fold_stats!(pin, client.stats().expect("stats"));
+    pin.check(
+        0x22602ee5a0815628,
+        "a clean root, then a degraded deep tile",
     );
     client.bye().expect("bye");
     server.shutdown();
