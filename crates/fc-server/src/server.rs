@@ -174,8 +174,8 @@ pub struct ServerConfig {
     /// bit-identical to the unscheduled server).
     pub burst: Option<fc_core::BurstConfig>,
     /// Serve sessions on the single-threaded poll reactor instead of
-    /// one thread per connection (default: `false`, the threaded
-    /// path). Same codec, same `handle_msg`, same admission control —
+    /// one thread per connection (default: `true`, the reactor). Same
+    /// codec, same `handle_msg`, same admission control —
     /// replies are bit-identical; only the concurrency substrate
     /// changes.
     pub reactor: bool,
@@ -195,7 +195,7 @@ impl Default for ServerConfig {
             limits: SessionLimits::default(),
             faults: None,
             burst: None,
-            reactor: false,
+            reactor: true,
             push: None,
         }
     }
