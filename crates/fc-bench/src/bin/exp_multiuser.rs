@@ -404,7 +404,6 @@ fn run_reactor_leg(
         p.clone(),
         factory,
         ServerConfig {
-            reactor: true,
             multi_user: Some(MultiUserServing::default()),
             ..ServerConfig::default()
         },
@@ -444,7 +443,6 @@ fn run_push_leg(
         p.clone(),
         factory,
         ServerConfig {
-            reactor: true,
             multi_user: Some(MultiUserServing::default()),
             burst: Some(BurstConfig {
                 burst_enter: PUSH_BURST_ENTER,

@@ -7,7 +7,7 @@
 //! | rule             | scope                                   | enforces |
 //! |------------------|-----------------------------------------|----------|
 //! | `safety-comment` | every `.rs` file                        | each `unsafe` carries a `// SAFETY:` comment |
-//! | `wall-clock`     | fc-core/fc-tiles/fc-array `src/`        | no ambient time (`Instant::now`, `SystemTime`, `.elapsed()`) — SimClock / `parking_lot::time` discipline |
+//! | `wall-clock`     | fc-core/fc-tiles/fc-array/fc-server `src/` | no ambient time (`Instant::now`, `SystemTime`, `.elapsed()`) — SimClock / `parking_lot::time` discipline; the server reads the clock once per reactor turn |
 //! | `std-sync`       | all `src/` outside `crates/shims`       | no `std::sync::{Mutex,RwLock,Condvar}` — the shim is the instrumented seam |
 //! | `handler-unwrap` | fc-server `src/`                        | no `.unwrap()`/`.expect()`/`panic!` in client-reachable paths |
 //! | `no-print`       | library `src/` (fc-bench and bins exempt) | no `println!`/`eprintln!`/`dbg!` in libraries |
@@ -390,7 +390,8 @@ fn rule_applies(rule: &'static str, label: &str) -> bool {
             is_src(label)
                 && (in_dir(label, "crates/fc-core/")
                     || in_dir(label, "crates/fc-tiles/")
-                    || in_dir(label, "crates/fc-array/"))
+                    || in_dir(label, "crates/fc-array/")
+                    || in_dir(label, "crates/fc-server/"))
         }
         "std-sync" => is_src(label) && !in_dir(label, "crates/shims/"),
         "handler-unwrap" | "wire-string" => is_src(label) && in_dir(label, "crates/fc-server/"),

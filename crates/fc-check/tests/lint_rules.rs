@@ -63,9 +63,28 @@ fn wall_clock_in_fc_core_fires_and_is_scoped() {
         ["wall-clock"]
     );
     // Same token outside the SimClock-disciplined crates: no finding.
-    assert!(lint_source("crates/fc-server/src/x.rs", src).is_empty());
+    assert!(lint_source("crates/fc-sim/src/x.rs", src).is_empty());
     // Integration tests of the disciplined crates are exempt too.
     assert!(lint_source("crates/fc-core/tests/x.rs", src).is_empty());
+}
+
+/// The server reads the clock once per reactor turn and passes that
+/// `now` down: any other read in its `src` is a finding.
+#[test]
+fn wall_clock_in_fc_server_fires() {
+    let src = "fn serve(s: &mut Session) { s.last_request = Some(Instant::now()); }\n";
+    assert_eq!(
+        rules(&lint_source("crates/fc-server/src/reactor.rs", src)),
+        ["wall-clock"]
+    );
+}
+
+#[test]
+fn waived_wall_clock_read_in_fc_server_passes() {
+    let src = "    // fc-check: allow(wall-clock) -- the turn's one read\n    let now = Instant::now();\n";
+    let (findings, summary) = lint_sources(&[("crates/fc-server/src/reactor.rs", src)]);
+    assert!(findings.is_empty(), "{findings:?}");
+    assert_eq!(summary.waivers_used, 1);
 }
 
 #[test]

@@ -11,26 +11,26 @@
 //! This crate provides:
 //! * [`protocol`] — a length-prefixed binary wire format (no external
 //!   serialization framework; `bytes` for framing);
-//! * [`server`] — a threaded TCP server: one connection = one user
-//!   session with its own [`fc_core::Middleware`] (prediction engine +
-//!   cache) over a shared tile pyramid, supporting many concurrent
-//!   users (§5.5: "many users can actively navigate the data freely and
-//!   in parallel"); with [`server::ServerConfig::multi_user`] set,
+//! * [`server`] — the TCP server: one connection = one user session
+//!   with its own [`fc_core::Middleware`] (prediction engine + cache)
+//!   over a shared tile pyramid, supporting many concurrent users
+//!   (§5.5: "many users can actively navigate the data freely and in
+//!   parallel"); with [`server::ServerConfig::multi_user`] set,
 //!   sessions additionally share the lock-striped
 //!   [`fc_core::SharedTileCache`] (communal prefetches, fairly
 //!   repartitioned budgets); every session ranks through the dataset's
 //!   shared χ² pair table (`fc_core::paircache`);
+//! * the session reactor — every session multiplexed on one
+//!   single-threaded readiness loop, the server's only serving path:
+//!   per-session read re-assembly and bounded write queues of
+//!   [`protocol::Frame`]s around one message handler, plus the
+//!   utility-scheduled server push
+//!   ([`server::ServerConfig::push`], [`fc_core::PushPlanner`]);
 //! * [`epoll`] — a minimal `epoll(7)` readiness shim over std (the
 //!   container has no mio/tokio; std already links libc, so the
 //!   syscalls are a plain `extern "C"` away) for the reactor's
-//!   O(ready) wakeups at thousands of sessions;
-//! * the session reactor (via [`server::ServerConfig::reactor`]) —
-//!   the same sessions multiplexed on a single-threaded readiness loop:
-//!   per-session read re-assembly and bounded write queues of
-//!   [`protocol::Frame`]s around the same message handler,
-//!   bit-identical replies, plus the
-//!   utility-scheduled server push
-//!   ([`server::ServerConfig::push`], [`fc_core::PushPlanner`]);
+//!   O(ready) wakeups at thousands of sessions — so the server needs
+//!   Linux;
 //! * `client` — a blocking client for Rust front-ends and tests.
 
 #![warn(missing_docs)]

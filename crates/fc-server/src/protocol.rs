@@ -16,8 +16,8 @@
 //!   reference. [`Frame::write_to`] hands all pieces to one vectored
 //!   write and resumes at any byte, so a reply is never copied into a
 //!   payload, an encode buffer or a write queue; a queued tile frame
-//!   is an `Arc` and a few KiB. Both serving substrates send `Frame`s
-//!   and nothing else. (On a big-endian host [`Frame::tile`] falls
+//!   is an `Arc` and a few KiB. The server sends `Frame`s and nothing
+//!   else. (On a big-endian host [`Frame::tile`] falls
 //!   back to an owned, byte-swapped frame from the reference encoder.)
 //! * **reference encode** — [`TilePayload`] (from
 //!   `server::tile_payload`) through [`ServerMsg::encode`] /
@@ -1181,14 +1181,9 @@ pub fn write_frame<W: Write>(w: &mut W, framed: &[u8]) -> io::Result<()> {
 /// Propagates I/O errors; `InvalidData` for frames over `MAX_FRAME`;
 /// `UnexpectedEof` when the stream ends, between frames or inside one.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Bytes> {
-    read_frame_within(r, MAX_FRAME)
-}
-
-/// [`read_frame`] for bodies of at most `max` bytes: a prefix claiming
-/// more fails with `InvalidData` before anything is reserved or read
-/// past it.
-pub(crate) fn read_frame_within<R: Read>(r: &mut R, max: usize) -> io::Result<Bytes> {
-    let len = read_prefix(r, max)?;
+    // A prefix claiming too much fails before anything is reserved or
+    // read past it.
+    let len = read_prefix(r, MAX_FRAME)?;
     // `read_to_end` fills the reserved capacity as it stands — no
     // zero-fill of bytes the read is about to overwrite — and `take`
     // stops it at this frame's end.
@@ -1471,7 +1466,7 @@ mod tests {
 
     /// The client-frame bound is the longest message a client can send:
     /// a Hello naming a dataset of the longest accepted name, which
-    /// reads back; one byte more is refused at the prefix.
+    /// reads back; a prefix one byte longer is refused under the bound.
     #[test]
     fn the_client_frame_bound_is_the_longest_hello() {
         let longest = ClientMsg::Hello {
@@ -1485,12 +1480,16 @@ mod tests {
         for (m, len) in [(&longest, MAX_CLIENT_FRAME), (&tile, 11)] {
             let framed = m.encode();
             assert_eq!(framed.len(), 4 + len, "{m:?}");
-            let body = read_frame_within(&mut &framed[..], MAX_CLIENT_FRAME).unwrap();
+            assert_eq!(
+                read_prefix(&mut &framed[..], MAX_CLIENT_FRAME).unwrap(),
+                len
+            );
+            let body = read_frame(&mut &framed[..]).unwrap();
             assert_eq!(&ClientMsg::decode(body).unwrap(), m);
         }
         let mut over = ((MAX_CLIENT_FRAME + 1) as u32).to_le_bytes().to_vec();
         over.resize(4 + MAX_CLIENT_FRAME + 1, 0);
-        let err = read_frame_within(&mut &over[..], MAX_CLIENT_FRAME).unwrap_err();
+        let err = read_prefix(&mut &over[..], MAX_CLIENT_FRAME).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

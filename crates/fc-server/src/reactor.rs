@@ -1,25 +1,26 @@
 //! The session reactor: every connection on one thread, multiplexed
-//! over [`crate::epoll`] readiness instead of one blocked thread per
-//! session.
+//! over [`crate::epoll`] readiness.
 //!
-//! The threaded path spends a stack and a scheduler slot per idle
-//! session; at ForeCache's think-time-dominated workloads that is
-//! almost all of them, almost all of the time. The reactor inverts
-//! the cost: a session at rest is one entry in the kernel's epoll
-//! interest list, and a wakeup costs O(ready events), independent of
-//! fleet size (a `poll(2)` table would re-scan every descriptor per
-//! wakeup — O(sessions × request rate), the very tail the reactor
-//! exists to flatten; see [`crate::epoll`]). Semantics are unchanged
-//! — the same [`crate::server::handle_msg`] runs under the same
-//! per-message `catch_unwind`, the same admission control sheds at
-//! the same points, and a single-session trace is bit-identical to
-//! the threaded server's, responses and stats alike.
+//! At ForeCache's think-time-dominated workloads almost every session
+//! is idle almost all of the time. Here a session at rest is one entry
+//! in the kernel's epoll interest list rather than a blocked thread's
+//! stack and scheduler slot, and a wakeup costs O(ready events),
+//! independent of fleet size (a `poll(2)` table would re-scan every
+//! descriptor per wakeup — O(sessions × request rate), the very tail
+//! the reactor exists to flatten; see [`crate::epoll`]). Each message
+//! runs through [`crate::server::handle_msg`] under a per-message
+//! `catch_unwind`, so a middleware panic costs only its own session.
+//!
+//! The loop reads the wall clock once per turn, after each wait: every
+//! timeout, tick and inter-request gap of that turn is measured from
+//! the same `now`.
 //!
 //! What the event loop owns per session:
 //!
 //! * a **read accumulator** re-assembling length-prefixed frames from
-//!   whatever byte granularity the socket delivers (a mid-frame
-//!   disconnect is detected as EOF with bytes pending);
+//!   whatever byte granularity the socket delivers, one read chunk
+//!   per readiness event (a mid-frame disconnect is detected as EOF
+//!   with bytes pending);
 //! * a **bounded write queue** of [`Frame`]s
 //!   ([`crate::server::SessionLimits::max_write_queue`]): a reply is
 //!   flushed opportunistically with one vectored write straight from
@@ -43,7 +44,7 @@
 //! push never queues behind (or delays) a reply.
 
 use crate::epoll::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT};
-use crate::protocol::{ClientMsg, ErrorCode, Frame, ServerMsg, MAX_CLIENT_FRAME};
+use crate::protocol::{read_prefix, ClientMsg, ErrorCode, Frame, ServerMsg, MAX_CLIENT_FRAME};
 use crate::server::{handle_msg, Flow, PushCounters, Reply, ServedDatasets, ServerConfig};
 use fc_core::{Middleware, MultiUserCache, PushPlanner};
 use fc_tiles::TileId;
@@ -59,7 +60,9 @@ use std::time::{Duration, Instant};
 /// socket event arrives earlier.
 const TICK: Duration = Duration::from_millis(25);
 
-/// Read granularity per readiness event.
+/// The most a session reads per readiness event: a pipelining peer's
+/// backlog waits in its socket, not in the accumulator, and the
+/// level-triggered wait surfaces the rest on the next turn.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// The listener's registration token (session ids count up from 0, so
@@ -79,7 +82,7 @@ struct Session {
     /// dataset — the residency oracle and payload source for pushes.
     push_cache: Option<Arc<dyn MultiUserCache>>,
     /// Unparsed inbound bytes (at most one partial frame plus one
-    /// read chunk).
+    /// [`READ_CHUNK`]).
     rbuf: Vec<u8>,
     /// Tiles requested since the last push-planner settlement, in
     /// arrival order.
@@ -143,8 +146,9 @@ fn sync_interest(ep: &Epoll, s: &mut Session) {
     }
 }
 
-/// The reactor accept-and-serve loop (runs on the server's background
-/// thread; the counterpart of the threaded `accept_loop`).
+/// The accept-and-serve loop (runs on the server's background thread
+/// until `shutdown` is set; the sessions still open then are dropped
+/// with it).
 pub(crate) fn reactor_loop(
     listener: TcpListener,
     served: Arc<ServedDatasets>,
@@ -166,8 +170,10 @@ pub(crate) fn reactor_loop(
         return;
     }
     let mut events = vec![EpollEvent::zeroed(); EVENT_BATCH];
-    let mut last_push_tick = Instant::now();
-    let mut last_housekeeping = Instant::now();
+    // fc-check: allow(wall-clock) -- the reactor's start-up read: the first tick's reference
+    let start = Instant::now();
+    let mut last_push_tick = start;
+    let mut last_housekeeping = start;
 
     loop {
         if shutdown.load(Ordering::Relaxed) {
@@ -176,6 +182,7 @@ pub(crate) fn reactor_loop(
         let Ok(n) = ep.wait(&mut events, Some(TICK)) else {
             break;
         };
+        // fc-check: allow(wall-clock) -- the turn's one read: every clock of this turn measures from it
         let now = Instant::now();
         let mut reap = false;
         for ev in &events[..n] {
@@ -187,6 +194,7 @@ pub(crate) fn reactor_loop(
                     &mut next_sid,
                     &config,
                     &sessions_gauge,
+                    now,
                 );
                 continue;
             }
@@ -276,13 +284,14 @@ pub(crate) fn reactor_loop(
             });
         }
     }
-    // Dropping the sessions drops their middlewares: shared holds
-    // release and namespace budgets repartition, same as thread exit.
+    // Shutdown: dropping the sessions closes their sockets and drops
+    // their middlewares, so shared holds release and namespace budgets
+    // repartition.
     sessions_gauge.fetch_sub(sessions.len(), Ordering::Relaxed);
 }
 
-/// Accepts every connection the listener has ready, applying the same
-/// max-sessions shed as the threaded accept loop.
+/// Accepts every connection the listener has ready, shedding those
+/// past `max_sessions` with `Overloaded`.
 fn accept_ready(
     listener: &TcpListener,
     ep: &Epoll,
@@ -290,6 +299,7 @@ fn accept_ready(
     next_sid: &mut u64,
     config: &ServerConfig,
     gauge: &AtomicUsize,
+    now: Instant,
 ) {
     loop {
         match listener.accept() {
@@ -300,9 +310,10 @@ fn accept_ready(
                         code: ErrorCode::Overloaded,
                         reason: format!("server at capacity ({max} sessions)"),
                     };
-                    // Best-effort courtesy note, as on the threaded
-                    // path: a kernel send buffer swallows a small
-                    // frame even from a nonblocking socket.
+                    // Best-effort courtesy note: a kernel send buffer
+                    // swallows a small frame even from a nonblocking
+                    // socket, and a peer that already hung up just
+                    // loses it.
                     let _ = stream.set_nodelay(true);
                     let _ = Frame::msg(&reply).write_to(&mut stream, &mut 0);
                     continue;
@@ -316,7 +327,7 @@ fn accept_ready(
                 if ep.add(stream.as_raw_fd(), EPOLLIN, sid).is_err() {
                     continue;
                 }
-                sessions.insert(sid, Session::new(stream, sid, Instant::now()));
+                sessions.insert(sid, Session::new(stream, sid, now));
                 gauge.fetch_add(1, Ordering::Relaxed);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -325,8 +336,8 @@ fn accept_ready(
     }
 }
 
-/// Drains the socket into the read accumulator and serves every
-/// complete frame in it.
+/// Reads one chunk into the read accumulator and serves every complete
+/// frame in it.
 fn handle_readable(
     s: &mut Session,
     served: &ServedDatasets,
@@ -334,33 +345,26 @@ fn handle_readable(
     scratch: &mut [u8],
     now: Instant,
 ) {
-    let mut saw_eof = false;
-    loop {
+    let saw_eof = loop {
         match s.stream.read(scratch) {
-            Ok(0) => {
-                saw_eof = true;
-                break;
-            }
+            Ok(0) => break true,
             Ok(n) => {
                 s.last_read = now;
                 s.rbuf.extend_from_slice(&scratch[..n]);
-                if n < scratch.len() {
-                    break;
-                }
+                break false;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break false,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
                 s.dead = true;
                 return;
             }
         }
-    }
+    };
     // Serve what arrived *before* acting on the close: a client that
     // pipelines a request and immediately half-closes still gets its
-    // reply, exactly as the threaded loop (which reads the frame
-    // first and only sees EOF on the next read) behaves.
-    serve_buffered(s, served, config);
+    // reply.
+    serve_buffered(s, served, config, now);
     if saw_eof && !s.dead {
         // Whatever is left in the accumulator is a mid-frame
         // disconnect; either way the peer sends no more — flush any
@@ -373,35 +377,38 @@ fn handle_readable(
 }
 
 /// Parses and serves complete frames from the accumulator.
-fn serve_buffered(s: &mut Session, served: &ServedDatasets, config: &ServerConfig) {
+fn serve_buffered(s: &mut Session, served: &ServedDatasets, config: &ServerConfig, now: Instant) {
     let mut consumed = 0;
     while !s.closing && !s.dead {
         let rest = &s.rbuf[consumed..];
         if rest.len() < 4 {
             break;
         }
-        // fc-check: allow(handler-unwrap) -- rest.len() >= 4 is checked directly above
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        if len > MAX_CLIENT_FRAME {
-            // Longer than any client message: the threaded loop fails
-            // the session at the prefix without a reply; mirror that,
-            // rather than waiting on the claimed body.
+        let Ok(len) = read_prefix(&mut &rest[..4], MAX_CLIENT_FRAME) else {
+            // Longer than any client message: end the session at the
+            // prefix, without a reply and without waiting on the
+            // claimed body.
             s.dead = true;
             break;
-        }
+        };
         if rest.len() < 4 + len {
             break;
         }
         let body = bytes::Bytes::from(rest[4..4 + len].to_vec());
         consumed += 4 + len;
-        serve_msg(s, body, served, config);
+        serve_msg(s, body, served, config, now);
     }
     s.rbuf.drain(..consumed);
 }
 
-/// Decodes and serves one client message — the reactor twin of one
-/// iteration of the threaded session loop, with identical semantics.
-fn serve_msg(s: &mut Session, body: bytes::Bytes, served: &ServedDatasets, config: &ServerConfig) {
+/// Decodes and serves one client message read in the turn at `now`.
+fn serve_msg(
+    s: &mut Session,
+    body: bytes::Bytes,
+    served: &ServedDatasets,
+    config: &ServerConfig,
+    now: Instant,
+) {
     let msg = match ClientMsg::decode(body) {
         Ok(m) => m,
         Err(e) => {
@@ -419,10 +426,10 @@ fn serve_msg(s: &mut Session, body: bytes::Bytes, served: &ServedDatasets, confi
     if let ClientMsg::RequestTile { tile, .. } = &msg {
         s.requested.push(*tile);
         // Live serving drives the session's burst timeline with the
-        // real inter-request gap (the analyst's think time), exactly
-        // as the threaded session loop does — the replay harnesses
-        // charge simulated think time through the same `note_idle`.
-        let now = Instant::now();
+        // real inter-request gap (the analyst's think time) — the
+        // replay harnesses charge simulated think time through the
+        // same `note_idle`. Requests read in one turn share its `now`,
+        // so the second one's gap is 0.
         if let (Some(mw), Some(prev)) = (s.middleware.as_mut(), s.last_request) {
             mw.note_idle(now.duration_since(prev));
         }
@@ -509,7 +516,7 @@ fn flush_writes(s: &mut Session, now: Instant) {
 fn enforce_timeouts(s: &mut Session, config: &ServerConfig, now: Instant) {
     if let Some(rt) = config.limits.read_timeout {
         if !s.closing && now.duration_since(s.last_read) > rt {
-            // Idle client: silent teardown, as on the threaded path.
+            // Idle client: silent teardown.
             s.dead = true;
         }
     }

@@ -1,5 +1,7 @@
-//! The threaded middleware server: one TCP connection = one user session
-//! with its own prediction engine over a served pyramid. One process
+//! The middleware server: one TCP connection = one user session with
+//! its own prediction engine over a served pyramid, every session
+//! multiplexed on the single-threaded epoll reactor
+//! (`crate::reactor`). One process
 //! serves one or many datasets ([`Server::bind_datasets`]): the Hello
 //! handshake names the dataset, and in multi-user mode
 //! ([`ServerConfig::multi_user`]) each dataset gets its own cache
@@ -10,10 +12,7 @@
 //! that every session's SB ranking runs through, and (opt-in) the
 //! namespace's cross-session hotspot model.
 
-use crate::protocol::{
-    read_frame_within, wire_shape, ClientMsg, ErrorCode, Frame, ServerMsg, TilePayload,
-    MAX_CLIENT_FRAME,
-};
+use crate::protocol::{wire_shape, ClientMsg, ErrorCode, Frame, ServerMsg, TilePayload};
 use fc_core::{
     DatasetNamespace, DatasetRegistry, FaultPlan, HotspotConfig, LatencyProfile, Middleware,
     MultiUserCache, PredictionEngine, RegistryConfig, RetryPolicy, SharedCacheStats,
@@ -21,11 +20,11 @@ use fc_core::{
 };
 use fc_tiles::{Pyramid, Tile};
 use std::io;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Builds a fresh prediction engine per session (sessions never share
 /// history/ROI state; what *is* shared in multi-user mode — the tile
@@ -84,9 +83,9 @@ impl Default for MultiUserServing {
     }
 }
 
-/// Session admission and socket-liveness limits. The all-off
-/// [`Default`] keeps the server's historical accept-everything,
-/// block-forever behaviour; production configs should set all four.
+/// Session admission and socket-liveness limits, enforced by the
+/// reactor. The all-off [`Default`] admits every session and never
+/// times one out; production configs should set all five.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionLimits {
     /// Maximum concurrently active sessions; connections beyond it are
@@ -98,24 +97,20 @@ pub struct SessionLimits {
     /// it would drop its namespace's fair per-session tile budget
     /// below this floor (0 = no watermark).
     pub min_session_budget: usize,
-    /// Per-session socket read timeout: a client idle past it (a
-    /// slow-client or dead peer) gets a clean server-side teardown
-    /// instead of pinning a session thread forever (`None` = block).
-    /// In reactor mode this is the idle-session timeout, enforced on
-    /// the event loop's clock rather than the socket.
+    /// Idle-session timeout, on the event loop's clock: a client that
+    /// sends nothing for this long (a slow client or a dead peer) gets
+    /// a clean server-side teardown (`None` = never).
     pub read_timeout: Option<Duration>,
-    /// Per-session socket write timeout (`None` = block). In reactor
-    /// mode this is the write-stall timeout: a session whose socket
-    /// stays unwritable this long with output pending is torn down.
+    /// Write-stall timeout: a session whose socket stays unwritable
+    /// this long with output pending is torn down (`None` = never).
     pub write_timeout: Option<Duration>,
-    /// Reactor mode only: bound on a session's pending write queue,
-    /// in frames. A reply that would queue past it sheds the session
-    /// with [`ErrorCode::Overloaded`] — a slow reader's backlog is
-    /// bounded memory, never unbounded (0 = unbounded, the historical
-    /// behaviour). The threaded path needs no bound: its blocking
-    /// writes hold at most one frame. A queued tile frame holds its
-    /// tile by `Arc`, not by copy, so it keeps that tile's memory alive
-    /// past a cache eviction: at most this many tiles per session.
+    /// Bound on a session's pending write queue, in frames. A reply
+    /// that would queue past it sheds the session with
+    /// [`ErrorCode::Overloaded`] — a slow reader's backlog is bounded
+    /// memory, never unbounded (0 = unbounded). A queued tile frame
+    /// holds its tile by `Arc`, not by copy, so it keeps that tile's
+    /// memory alive past a cache eviction: at most this many tiles per
+    /// session.
     pub max_write_queue: usize,
 }
 
@@ -131,8 +126,8 @@ pub struct FaultSetup {
     pub retry: RetryPolicy,
 }
 
-/// Server-push serving parameters (reactor mode, multi-user only —
-/// pushes ship tiles already resident in the shared cache).
+/// Server-push serving parameters (multi-user only — pushes ship tiles
+/// already resident in the shared cache).
 #[derive(Debug, Clone, Copy)]
 pub struct PushServing {
     /// The planner's policy and queue bounds.
@@ -173,14 +168,14 @@ pub struct ServerConfig {
     /// middleware (default: `None` — the uniform per-request budget,
     /// bit-identical to the unscheduled server).
     pub burst: Option<fc_core::BurstConfig>,
-    /// Serve sessions on the single-threaded poll reactor instead of
-    /// one thread per connection (default: `true`, the reactor). Same
-    /// codec, same `handle_msg`, same admission control —
-    /// replies are bit-identical; only the concurrency substrate
-    /// changes.
+    /// Must stay `true` (the default): sessions are served on the
+    /// epoll reactor, the server's only serving path, and
+    /// [`Server::bind_datasets`] refuses `false` with `InvalidInput`.
+    /// The field is kept only because the benchmark's driver spells
+    /// `reactor: true`; it is removed with ROADMAP item 2(a).
     pub reactor: bool,
-    /// Utility-scheduled server push (reactor + multi-user mode only;
-    /// ignored elsewhere). Default: `None` — no unsolicited frames,
+    /// Utility-scheduled server push (multi-user mode only; ignored
+    /// otherwise). Default: `None` — no unsolicited frames,
     /// bit-identical to the pre-push wire stream.
     pub push: Option<PushServing>,
 }
@@ -215,7 +210,7 @@ pub(crate) struct DatasetShared {
     pub(crate) hotspots_on: bool,
 }
 
-/// Everything the accept loop shares with session threads.
+/// Everything the reactor's sessions share.
 pub(crate) struct ServedDatasets {
     pub(crate) datasets: Vec<ServedDataset>,
     /// The registry partitioning the global budget (multi-user mode).
@@ -249,7 +244,7 @@ pub(crate) struct PushCounters {
 pub struct Server {
     local_addr: std::net::SocketAddr,
     shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    reactor_thread: Option<JoinHandle<()>>,
     active_sessions: Arc<AtomicUsize>,
     served: Arc<ServedDatasets>,
     push_counters: Arc<PushCounters>,
@@ -257,7 +252,7 @@ pub struct Server {
 
 impl Server {
     /// Binds to `addr` (use port 0 for an ephemeral port) serving one
-    /// dataset, and starts the accept loop on a background thread.
+    /// dataset, and starts the reactor on a background thread.
     ///
     /// # Errors
     /// Propagates socket errors.
@@ -286,7 +281,8 @@ impl Server {
     ///
     /// # Errors
     /// Propagates socket errors; `InvalidInput` when `datasets` is
-    /// empty or contains duplicate names.
+    /// empty or contains duplicate names, or when `config.reactor` is
+    /// `false`.
     ///
     /// # Panics
     /// Panics (from the registry) when the per-namespace budget slice
@@ -296,6 +292,12 @@ impl Server {
         datasets: Vec<DatasetSpec>,
         config: ServerConfig,
     ) -> io::Result<Server> {
+        if !config.reactor {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "the reactor is the only serving path: `reactor` must be true",
+            ));
+        }
         if datasets.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -339,35 +341,17 @@ impl Server {
             .collect();
         let served = Arc::new(ServedDatasets { datasets, registry });
         let push_counters = Arc::new(PushCounters::default());
-        let accept_shutdown = shutdown.clone();
-        let accept_sessions = active_sessions.clone();
-        let accept_served = served.clone();
-        let accept_push = push_counters.clone();
-        let accept_config = config;
-        let accept_thread = std::thread::spawn(move || {
-            if accept_config.reactor {
-                crate::reactor::reactor_loop(
-                    listener,
-                    accept_served,
-                    accept_config,
-                    accept_shutdown,
-                    accept_sessions,
-                    accept_push,
-                );
-            } else {
-                accept_loop(
-                    listener,
-                    accept_served,
-                    accept_config,
-                    accept_shutdown,
-                    accept_sessions,
-                );
-            }
-        });
+        let reactor_thread = {
+            let (served, shutdown) = (served.clone(), shutdown.clone());
+            let (sessions, push) = (active_sessions.clone(), push_counters.clone());
+            std::thread::spawn(move || {
+                crate::reactor::reactor_loop(listener, served, config, shutdown, sessions, push)
+            })
+        };
         Ok(Server {
             local_addr,
             shutdown,
-            accept_thread: Some(accept_thread),
+            reactor_thread: Some(reactor_thread),
             active_sessions,
             served,
             push_counters,
@@ -416,9 +400,8 @@ impl Server {
     }
 
     /// Cumulative server-push accounting `(pushed, used)` across all
-    /// reactor sessions: frames handed to the wire unsolicited, and
-    /// how many of them the session then requested. Both zero outside
-    /// reactor mode or with push off.
+    /// sessions: frames handed to the wire unsolicited, and how many of
+    /// them the session then requested. Both zero with push off.
     pub fn push_stats(&self) -> (u64, u64) {
         (
             self.push_counters.pushed.load(Ordering::Relaxed),
@@ -436,11 +419,14 @@ impl Server {
         self.active_sessions.load(Ordering::Relaxed)
     }
 
-    /// Stops accepting and joins the accept thread. Existing session
-    /// threads finish on their own when clients disconnect.
+    /// Stops the reactor and joins its thread. The listener closes and
+    /// every live session is dropped with the loop: its socket closes,
+    /// so a connected client's next request fails, its middleware
+    /// releases its shared holds, and [`Server::active_sessions`] reads
+    /// 0 on return.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept_thread.take() {
+        if let Some(h) = self.reactor_thread.take() {
             let _ = h.join();
         }
     }
@@ -452,59 +438,8 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    served: Arc<ServedDatasets>,
-    config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
-    sessions: Arc<AtomicUsize>,
-) {
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                // Admission control: shed with a structured error at
-                // accept time rather than accept-then-wedge. The reply
-                // is best-effort — a peer that already hung up just
-                // loses the courtesy note.
-                let max = config.limits.max_sessions;
-                if max > 0 && sessions.load(Ordering::Relaxed) >= max {
-                    let reply = ServerMsg::Error {
-                        code: ErrorCode::Overloaded,
-                        reason: format!("server at capacity ({max} sessions)"),
-                    };
-                    let _ = stream.set_nodelay(true);
-                    let _ = Frame::msg(&reply).write_to(&mut stream, &mut 0);
-                    continue;
-                }
-                let served = served.clone();
-                let config = config.clone();
-                let sessions = sessions.clone();
-                sessions.fetch_add(1, Ordering::Relaxed);
-                std::thread::spawn(move || {
-                    // Last-resort containment: `serve_session` already
-                    // converts per-message panics into error replies,
-                    // but whatever escapes (I/O layer, teardown) must
-                    // still decrement the session count, or admission
-                    // control would leak capacity on every incident.
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        serve_session(stream, served, config)
-                    }));
-                    sessions.fetch_sub(1, Ordering::Relaxed);
-                    drop(outcome); // contained; the session is gone either way
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// What the session loop does after handling one message. Shared by
-/// the threaded loop and the reactor — the two substrates interpret
-/// the same verdicts, which is what keeps their wire streams
-/// bit-identical.
+/// What the reactor does with a session after [`handle_msg`] handled
+/// one message.
 pub(crate) enum Flow {
     /// Send the reply, keep serving.
     Reply(Reply),
@@ -529,7 +464,7 @@ pub(crate) enum Reply {
 }
 
 impl Reply {
-    /// The frame both substrates send for this reply.
+    /// The frame the reactor sends for this reply.
     pub(crate) fn into_frame(self) -> Frame {
         match self {
             Reply::Msg(msg) => Frame::msg(&msg),
@@ -544,91 +479,9 @@ impl Reply {
     }
 }
 
-fn serve_session(
-    mut stream: TcpStream,
-    served: Arc<ServedDatasets>,
-    config: ServerConfig,
-) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(config.limits.read_timeout)?;
-    stream.set_write_timeout(config.limits.write_timeout)?;
-    // Dropping the middleware (on return, including error and panic
-    // paths, or when a new Hello rebinds the session to another
-    // dataset) closes its shared session: holds release and the
-    // prefetch budget repartitions across the namespace's surviving
-    // sessions.
-    let mut middleware: Option<Middleware> = None;
-    // Wall-clock arrival of the previous tile request: live serving
-    // drives the session's burst timeline with real inter-request
-    // gaps (the analyst's think time), where the replay harnesses
-    // charge simulated think time via the same `note_idle`.
-    let mut last_request: Option<Instant> = None;
-    loop {
-        // A prefix over the longest client message ends the session
-        // before anything is reserved for it, without a reply.
-        let body = match read_frame_within(&mut stream, MAX_CLIENT_FRAME) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            // A read timeout is a slow or dead client, not a server
-            // fault: tear down cleanly so the thread and any shared
-            // holds are reclaimed.
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Ok(())
-            }
-            Err(e) => return Err(e),
-        };
-        let msg = match ClientMsg::decode(body) {
-            Ok(m) => m,
-            // Tell the client why before hanging up — a silent close
-            // is indistinguishable from a server crash.
-            Err(e) => {
-                let reply = ServerMsg::Error {
-                    code: ErrorCode::Malformed,
-                    reason: format!("malformed message: {e}"),
-                };
-                let _ = Frame::msg(&reply).write_to(&mut stream, &mut 0);
-                return Err(e);
-            }
-        };
-        if matches!(msg, ClientMsg::RequestTile { .. }) {
-            let now = Instant::now();
-            if let (Some(mw), Some(prev)) = (middleware.as_mut(), last_request) {
-                mw.note_idle(now.duration_since(prev));
-            }
-            last_request = Some(now);
-        }
-        // Contain per-message panics (middleware bugs, poisoned tile
-        // data): the client gets a structured Internal error and the
-        // session tears down cleanly — dropping `middleware` releases
-        // its shared holds — instead of the thread evaporating with
-        // the socket left dangling.
-        let flow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_msg(msg, &mut middleware, &served, &config)
-        }))
-        .unwrap_or_else(|_panic| {
-            middleware = None;
-            Flow::ReplyClose(ServerMsg::Error {
-                code: ErrorCode::Internal,
-                reason: "internal error; closing session".into(),
-            })
-        });
-        // The blocking socket takes the whole frame or fails the
-        // session (a write timeout surfaces as an error here).
-        match flow {
-            Flow::Reply(reply) => reply.into_frame().write_to(&mut stream, &mut 0)?,
-            Flow::ReplyClose(reply) => {
-                let _ = Frame::msg(&reply).write_to(&mut stream, &mut 0);
-                return Ok(());
-            }
-            Flow::Close => return Ok(()),
-        }
-    }
-}
-
-/// Handles one decoded client message. Runs under the session loop's
-/// `catch_unwind`; must not write to the socket (the loop owns it).
+/// Handles one decoded client message. Runs under the reactor's
+/// per-message `catch_unwind`; must not write to the socket (the
+/// reactor owns it).
 pub(crate) fn handle_msg(
     msg: ClientMsg,
     middleware: &mut Option<Middleware>,
@@ -646,7 +499,7 @@ pub(crate) fn handle_msg(
                 prefetch_k as usize
             };
             // The name is at most `MAX_DATASET_NAME` bytes: a longer
-            // Hello exceeds `MAX_CLIENT_FRAME`, and both substrates end
+            // Hello exceeds `MAX_CLIENT_FRAME`, and the reactor ends
             // the session at its prefix. So echoing it keeps the reply
             // small.
             let resolved = served.resolve(&dataset).ok_or((

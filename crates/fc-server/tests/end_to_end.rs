@@ -328,7 +328,7 @@ fn one_process_serves_two_datasets_in_separate_namespaces() {
 /// Regression: a Hello whose dataset name approaches the u16 wire
 /// limit must cost no more than its own session — echoing the raw name
 /// into the Error reason used to overflow the reply's own string field
-/// and panic the session thread (leaking the active-session counter).
+/// and panic the session (leaking the active-session counter).
 /// Such a Hello is longer than any client message may be, so the
 /// server ends the session at its frame prefix, without a reply.
 #[test]

@@ -1,6 +1,6 @@
-//! Reactor-path tests: equivalence with the threaded server, the
-//! failure paths that only exist on an event loop (write backpressure,
-//! mid-frame disconnects, idle teardown), and utility-scheduled push.
+//! Reactor tests: a golden trace pinned by value, the failure paths of
+//! an event loop (write backpressure, pipelined input, mid-frame
+//! disconnects, idle teardown, shutdown), and utility-scheduled push.
 
 #[macro_use]
 mod common;
@@ -84,43 +84,19 @@ fn golden_walk(addr: std::net::SocketAddr) -> Pin {
 }
 
 /// The golden walk's replies, recorded from the thread-per-connection
-/// server.
+/// server this crate served sessions with before the reactor.
 const GOLDEN_WALK: u64 = 0x1d48ff0c4bdbb4ed;
 
 #[test]
 fn reactor_is_bit_identical_to_threaded_on_a_golden_trace() {
-    let ds = StudyDataset::build(DatasetConfig::tiny());
-    let factory = pan_right_factory(&ds);
-    let threaded = Server::bind(
-        "127.0.0.1:0",
-        ds.pyramid.clone(),
-        factory.clone(),
-        ServerConfig::default(),
-    )
-    .expect("threaded server");
-    let reactor = Server::bind(
-        "127.0.0.1:0",
-        ds.pyramid.clone(),
-        factory,
-        ServerConfig {
-            reactor: true,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("reactor server");
-    let (mut threaded, mut reactor) = (threaded, reactor);
-    golden_walk(threaded.addr()).check(GOLDEN_WALK, "threaded server");
-    golden_walk(reactor.addr()).check(GOLDEN_WALK, "reactor");
-    threaded.shutdown();
-    reactor.shutdown();
+    let (mut server, _ds) = start_server_with(ServerConfig::default());
+    golden_walk(server.addr()).check(GOLDEN_WALK, "reactor");
+    server.shutdown();
 }
 
 #[test]
 fn reactor_serves_concurrent_isolated_sessions() {
-    let (mut server, _ds) = start_server_with(ServerConfig {
-        reactor: true,
-        ..ServerConfig::default()
-    });
+    let (mut server, _ds) = start_server_with(ServerConfig::default());
     let addr = server.addr();
     let handles: Vec<_> = (0..4)
         .map(|i| {
@@ -146,7 +122,6 @@ fn reactor_serves_concurrent_isolated_sessions() {
 #[test]
 fn reactor_sheds_at_max_sessions() {
     let (mut server, _ds) = start_server_with(ServerConfig {
-        reactor: true,
         limits: SessionLimits {
             max_sessions: 2,
             ..SessionLimits::default()
@@ -170,7 +145,6 @@ fn reactor_sheds_at_max_sessions() {
 #[test]
 fn slow_reader_backlog_is_shed_with_overloaded() {
     let (mut server, _ds) = start_server_with(ServerConfig {
-        reactor: true,
         limits: SessionLimits {
             max_write_queue: 2,
             ..SessionLimits::default()
@@ -260,14 +234,18 @@ impl std::io::Read for Trickle {
 /// never sheds), reads nothing until all are sent, then drains in
 /// 1 KiB reads. Most replies are cut somewhere — header, column,
 /// mask — by a full socket and finished later from the queue; every
-/// one must still be its tile, bit for bit.
+/// one must still be its tile, bit for bit. Behind the tiles the client
+/// pipelines more than two read chunks of `GetStats` frames: the
+/// reactor takes them a chunk per turn, so a bystander session opened
+/// first is served while that input is still arriving, and every
+/// `Stats` reply follows the tiles in order.
 #[test]
 fn pipelined_replies_resume_mid_frame_through_a_full_socket() {
     const REQUESTS: usize = 600; // × 33 KiB ≈ 20 MB of replies
+    const STATS: usize = 30_000; // × 5 B ≈ 146 KiB of requests
     let (mut server, ds) = start_server_with(ServerConfig {
-        reactor: true,
         limits: SessionLimits {
-            max_write_queue: REQUESTS + 1,
+            max_write_queue: REQUESTS + STATS + 1,
             ..SessionLimits::default()
         },
         ..ServerConfig::default()
@@ -281,6 +259,7 @@ fn pipelined_replies_resume_mid_frame_through_a_full_socket() {
         .map(|&id| bits(tile_payload(&store.fetch_offline(id).expect("tile"))))
         .collect();
 
+    let mut bystander = Client::connect(server.addr(), 2).expect("bystander connects");
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
     let hello = ClientMsg::Hello {
@@ -295,6 +274,13 @@ fn pipelined_replies_resume_mid_frame_through_a_full_socket() {
         };
         write_frame(&mut stream, &request.encode()).expect("pipelined request");
     }
+    let stats = ClientMsg::GetStats.encode().repeat(STATS);
+    assert!(stats.len() > 2 * 64 * 1024, "more than two read chunks");
+    write_frame(&mut stream, &stats).expect("pipelined stats requests");
+    bystander
+        .request_tile(TileId::ROOT, None)
+        .expect("the bystander is served behind the pipelined input");
+    bystander.bye().expect("bye");
     let mut stream = Trickle(stream);
     let welcome = ServerMsg::decode(read_frame(&mut stream).expect("welcome")).expect("decode");
     assert!(matches!(welcome, ServerMsg::Welcome { .. }));
@@ -311,6 +297,15 @@ fn pipelined_replies_resume_mid_frame_through_a_full_socket() {
             other => panic!("reply {i}: {other:?}"),
         }
     }
+    for i in 0..STATS {
+        let frame = read_frame(&mut stream).expect("stats frame");
+        match ServerMsg::decode(frame).expect("well-formed reply") {
+            ServerMsg::Stats { requests, .. } => {
+                assert_eq!(requests, REQUESTS as u64, "stats reply {i}");
+            }
+            other => panic!("stats reply {i}: {other:?}"),
+        }
+    }
     write_frame(&mut stream.0, &ClientMsg::Bye.encode()).expect("bye");
     wait_for(|| server.active_sessions() == 0, "session closed");
     server.shutdown();
@@ -318,10 +313,7 @@ fn pipelined_replies_resume_mid_frame_through_a_full_socket() {
 
 #[test]
 fn mid_frame_disconnect_is_reaped_cleanly() {
-    let (mut server, _ds) = start_server_with(ServerConfig {
-        reactor: true,
-        ..ServerConfig::default()
-    });
+    let (mut server, _ds) = start_server_with(ServerConfig::default());
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     write_frame(
         &mut stream,
@@ -347,62 +339,56 @@ fn mid_frame_disconnect_is_reaped_cleanly() {
     server.shutdown();
 }
 
-/// A frame prefix longer than any client message ends the session on
-/// both substrates, without a reply and without waiting for the body
-/// it claims; a Hello of exactly the bound is still served.
+/// A frame prefix longer than any client message ends the session,
+/// without a reply and without waiting for the body it claims; a Hello
+/// of exactly the bound is still served.
 #[test]
-fn oversized_client_prefix_is_reaped_on_both_substrates() {
+fn oversized_client_prefix_is_reaped() {
     use std::io::{Read, Write};
-    for reactor in [false, true] {
-        let (mut server, _ds) = start_server_with(ServerConfig {
-            reactor,
-            ..ServerConfig::default()
-        });
-        // 32 MiB claimed, 1 KiB sent, and the connection kept open.
-        let mut hostile = TcpStream::connect(server.addr()).expect("connect");
-        hostile
-            .write_all(&(32u32 << 20).to_le_bytes())
-            .expect("prefix");
-        hostile.write_all(&[0u8; 1024]).expect("some body");
-        hostile
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        match hostile.read(&mut [0u8; 1]) {
-            Ok(0) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
-            other => panic!("reactor {reactor}: expected a hang-up, got {other:?}"),
-        }
-        wait_for(|| server.active_sessions() == 0, "oversized prefix reaped");
-
-        let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        let longest = ClientMsg::Hello {
-            prefetch_k: 2,
-            dataset: "x".repeat(MAX_DATASET_NAME),
-        }
-        .encode();
-        assert_eq!(longest.len(), 4 + MAX_CLIENT_FRAME);
-        write_frame(&mut stream, &longest).expect("longest hello");
-        match ServerMsg::decode(read_frame(&mut stream).expect("reply")).expect("decode") {
-            ServerMsg::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownDataset),
-            other => panic!("reactor {reactor}: {other:?}"),
-        }
-        let hello = ClientMsg::Hello {
-            prefetch_k: 2,
-            dataset: String::new(),
-        };
-        write_frame(&mut stream, &hello.encode()).expect("hello");
-        let welcome = ServerMsg::decode(read_frame(&mut stream).expect("reply")).expect("decode");
-        assert!(matches!(welcome, ServerMsg::Welcome { .. }), "{welcome:?}");
-        write_frame(&mut stream, &ClientMsg::Bye.encode()).expect("bye");
-        wait_for(|| server.active_sessions() == 0, "session closed");
-        server.shutdown();
+    let (mut server, _ds) = start_server_with(ServerConfig::default());
+    // 32 MiB claimed, 1 KiB sent, and the connection kept open.
+    let mut hostile = TcpStream::connect(server.addr()).expect("connect");
+    hostile
+        .write_all(&(32u32 << 20).to_le_bytes())
+        .expect("prefix");
+    hostile.write_all(&[0u8; 1024]).expect("some body");
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    match hostile.read(&mut [0u8; 1]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("expected a hang-up, got {other:?}"),
     }
+    wait_for(|| server.active_sessions() == 0, "oversized prefix reaped");
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let longest = ClientMsg::Hello {
+        prefetch_k: 2,
+        dataset: "x".repeat(MAX_DATASET_NAME),
+    }
+    .encode();
+    assert_eq!(longest.len(), 4 + MAX_CLIENT_FRAME);
+    write_frame(&mut stream, &longest).expect("longest hello");
+    match ServerMsg::decode(read_frame(&mut stream).expect("reply")).expect("decode") {
+        ServerMsg::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownDataset),
+        other => panic!("{other:?}"),
+    }
+    let hello = ClientMsg::Hello {
+        prefetch_k: 2,
+        dataset: String::new(),
+    };
+    write_frame(&mut stream, &hello.encode()).expect("hello");
+    let welcome = ServerMsg::decode(read_frame(&mut stream).expect("reply")).expect("decode");
+    assert!(matches!(welcome, ServerMsg::Welcome { .. }), "{welcome:?}");
+    write_frame(&mut stream, &ClientMsg::Bye.encode()).expect("bye");
+    wait_for(|| server.active_sessions() == 0, "session closed");
+    server.shutdown();
 }
 
 #[test]
 fn idle_session_times_out_on_the_reactor_clock() {
     let (mut server, _ds) = start_server_with(ServerConfig {
-        reactor: true,
         limits: SessionLimits {
             read_timeout: Some(Duration::from_millis(150)),
             ..SessionLimits::default()
@@ -414,6 +400,42 @@ fn idle_session_times_out_on_the_reactor_clock() {
     // Say nothing. The reactor's idle clock reaps the session.
     wait_for(|| server.active_sessions() == 0, "idle teardown");
     server.shutdown();
+}
+
+/// Shutdown takes the live sessions down with the reactor: a connected
+/// client's next request fails, and no session is left counted.
+#[test]
+fn shutdown_closes_live_sessions() {
+    let (mut server, _ds) = start_server_with(ServerConfig::default());
+    let mut c = Client::connect(server.addr(), 2).expect("connect");
+    c.request_tile(TileId::ROOT, None).expect("served");
+    wait_for(|| server.active_sessions() == 1, "session admitted");
+    server.shutdown();
+    assert_eq!(server.active_sessions(), 0);
+    let after = c.request_tile(TileId::new(1, 0, 0), None);
+    assert!(
+        after.is_err(),
+        "the session closed with the server: {after:?}"
+    );
+}
+
+/// The reactor is the only serving path: a config asking for anything
+/// else is refused rather than silently served from the reactor.
+#[test]
+fn reactor_false_is_refused() {
+    let ds = StudyDataset::build(DatasetConfig::tiny());
+    let config = ServerConfig {
+        reactor: false,
+        ..ServerConfig::default()
+    };
+    let refused = Server::bind(
+        "127.0.0.1:0",
+        ds.pyramid.clone(),
+        pan_right_factory(&ds),
+        config,
+    );
+    let err = refused.err().expect("reactor: false is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
 }
 
 /// A raw-frame session that keeps the `Push` frames arriving ahead of
@@ -471,7 +493,6 @@ impl PushWatcher {
 #[test]
 fn utility_push_ships_predicted_tiles_and_counts_use() {
     let (mut server, ds) = start_server_with(ServerConfig {
-        reactor: true,
         multi_user: Some(MultiUserServing::default()),
         push: Some(PushServing {
             planner: PushConfig {
@@ -513,7 +534,6 @@ fn utility_push_ships_predicted_tiles_and_counts_use() {
 #[test]
 fn push_stays_silent_without_opt_in() {
     let (mut server, ds) = start_server_with(ServerConfig {
-        reactor: true,
         multi_user: Some(MultiUserServing::default()),
         ..ServerConfig::default()
     });
@@ -550,7 +570,6 @@ fn reactor_supports_multiple_datasets() {
         "127.0.0.1:0",
         specs,
         ServerConfig {
-            reactor: true,
             multi_user: Some(MultiUserServing::default()),
             ..ServerConfig::default()
         },

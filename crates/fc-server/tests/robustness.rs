@@ -108,7 +108,7 @@ fn overloaded_server_sheds_at_accept_with_structured_code() {
     let mut first = Client::connect(server.addr(), 2).expect("first session admitted");
     fold_tile!(pin, first.request_tile(TileId::ROOT, None).expect("serves"));
     wait_for(|| server.active_sessions() == 1, "session registration");
-    // The second connection is shed before a session thread exists.
+    // The second connection is shed before a session exists.
     let err = Client::connect(server.addr(), 2).expect_err("must shed");
     assert_eq!(code_of(&err), Some(ErrorCode::Overloaded), "{err}");
     pin.error(&err);
@@ -187,8 +187,8 @@ fn read_timeout_reclaims_stalled_sessions() {
             ..ServerConfig::default()
         },
     );
-    // A client that connects and never speaks: the session thread must
-    // not be pinned forever.
+    // A client that connects and never speaks: its session must not be
+    // held forever.
     let stalled = std::net::TcpStream::connect(server.addr()).expect("connect");
     wait_for(|| server.active_sessions() == 1, "session start");
     wait_for(|| server.active_sessions() == 0, "stalled-session reclaim");
@@ -231,13 +231,10 @@ fn session_panic_becomes_error_reply_and_clean_teardown() {
 /// bystander session open. The budget used to size the ranked list's
 /// reservation on the session's first predict — 51 GB, an allocation
 /// failure, which aborts the process past every `catch_unwind`.
-fn hostile_prefetch_budget(reactor: bool) {
+#[test]
+fn hostile_prefetch_budget_costs_only_its_own_session() {
     let p = pyramid(good_sig);
-    let config = ServerConfig {
-        reactor,
-        ..ServerConfig::default()
-    };
-    let mut server = bind(p, AllocationStrategy::Updated, config);
+    let mut server = bind(p, AllocationStrategy::Updated, ServerConfig::default());
     let mut pin = Pin::default();
     let mut bystander = Client::connect(server.addr(), 2).expect("bystander connects");
     let root = bystander
@@ -264,16 +261,6 @@ fn hostile_prefetch_budget(reactor: bool) {
         "the bystander around the hostile request",
     );
     server.shutdown();
-}
-
-#[test]
-fn hostile_prefetch_budget_costs_only_its_own_session_threaded() {
-    hostile_prefetch_budget(false);
-}
-
-#[test]
-fn hostile_prefetch_budget_costs_only_its_own_session_reactor() {
-    hostile_prefetch_budget(true);
 }
 
 #[test]

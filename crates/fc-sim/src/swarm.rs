@@ -4,7 +4,7 @@
 //!
 //! The multi-user replay harness ([`crate::multiuser`]) measures the
 //! serving core in-process; this driver measures the *wire path* — the
-//! reactor (or the threaded server) behind real TCP, real framing,
+//! reactor behind real TCP, real framing,
 //! real readiness. It is the load generator for the `exp_multiuser`
 //! reactor section: does tail latency stay flat when the session count
 //! multiplies by 16?

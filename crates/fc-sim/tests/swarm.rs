@@ -56,7 +56,6 @@ fn swarm_completes_a_clean_run_on_the_reactor() {
         ds.pyramid.clone(),
         factory(&ds),
         ServerConfig {
-            reactor: true,
             multi_user: Some(MultiUserServing::default()),
             ..ServerConfig::default()
         },
@@ -97,7 +96,6 @@ fn a_pushed_tile_counts_as_used_once() {
         ds.pyramid.clone(),
         factory(&ds),
         ServerConfig {
-            reactor: true,
             multi_user: Some(MultiUserServing::default()),
             push: Some(PushServing::default()),
             ..ServerConfig::default()
@@ -150,7 +148,6 @@ fn chaos_swarm_through_the_reactor_preserves_invariants() {
         ds.pyramid.clone(),
         factory(&ds),
         ServerConfig {
-            reactor: true,
             multi_user: Some(MultiUserServing::default()),
             faults: Some(FaultSetup {
                 plan: Arc::new(plan),
