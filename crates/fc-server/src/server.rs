@@ -171,7 +171,7 @@ pub struct ServerConfig {
     /// Must stay `true` (the default): sessions are served on the
     /// epoll reactor, the server's only serving path, and
     /// [`Server::bind_datasets`] refuses `false` with `InvalidInput`.
-    /// The field is kept only because the benchmark's driver spells
+    /// The field is kept only because `benchmark/src/sut.rs` spells
     /// `reactor: true`; it is removed with ROADMAP item 2(a).
     pub reactor: bool,
     /// Utility-scheduled server push (multi-user mode only; ignored
