@@ -235,10 +235,10 @@ impl std::io::Read for Trickle {
 /// 1 KiB reads. Most replies are cut somewhere — header, column,
 /// mask — by a full socket and finished later from the queue; every
 /// one must still be its tile, bit for bit. Behind the tiles the client
-/// pipelines more than two read chunks of `GetStats` frames: the
-/// reactor takes them a chunk per turn, so a bystander session opened
-/// first is served while that input is still arriving, and every
-/// `Stats` reply follows the tiles in order.
+/// pipelines more than two read chunks of `GetStats` frames, which the
+/// reactor reads a chunk per readiness event: a bystander session
+/// opened first is still served behind them, and every `Stats` reply
+/// follows the tiles in order.
 #[test]
 fn pipelined_replies_resume_mid_frame_through_a_full_socket() {
     const REQUESTS: usize = 600; // × 33 KiB ≈ 20 MB of replies
