@@ -63,7 +63,7 @@ fn wall_clock_in_fc_core_fires_and_is_scoped() {
         ["wall-clock"]
     );
     // Same token outside the SimClock-disciplined crates: no finding.
-    assert!(lint_source("crates/fc-sim/src/x.rs", src).is_empty());
+    assert!(lint_source("crates/fc-bench/src/x.rs", src).is_empty());
     // Integration tests of the disciplined crates are exempt too.
     assert!(lint_source("crates/fc-core/tests/x.rs", src).is_empty());
 }
@@ -85,6 +85,18 @@ fn waived_wall_clock_read_in_fc_server_passes() {
     let (findings, summary) = lint_sources(&[("crates/fc-server/src/reactor.rs", src)]);
     assert!(findings.is_empty(), "{findings:?}");
     assert_eq!(summary.waivers_used, 1);
+}
+
+/// The lockstep replay driver runs on the simulated clock alone; only
+/// the swarm, which times real sockets, may read the wall clock.
+#[test]
+fn wall_clock_in_fc_sim_fires_but_the_swarm_is_exempt() {
+    let src = "fn step() { let t = Instant::now(); }\n";
+    assert_eq!(
+        rules(&lint_source("crates/fc-sim/src/multiuser.rs", src)),
+        ["wall-clock"]
+    );
+    assert!(lint_source("crates/fc-sim/src/swarm.rs", src).is_empty());
 }
 
 #[test]

@@ -36,7 +36,7 @@
 //! (momentum lookahead; the auto sweep fallback to the uniform plan).
 //! The per-phase budget policy is constants: the values every
 //! `workload_zoo` row of `BENCH_multiuser.json` was measured at
-//! (`exp_multiuser` part 4: 4 sessions × 256 steps, 64-tile cache in 4
+//! (`exp_multiuser` part 3: 4 sessions × 256 steps, 64-tile cache in 4
 //! shards, k = 4, seed 77), which no caller ever changed:
 //!
 //! | constant | value | role, and the zoo evidence for it |

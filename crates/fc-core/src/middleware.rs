@@ -40,8 +40,8 @@ pub struct Response {
     /// Tiles prefetched after answering (for the next request).
     pub prefetched: Vec<TileId>,
     /// Wall time the prediction-engine call took (includes any wait
-    /// for the dataset's shared pair cache) — the quantity
-    /// `exp_multiuser` reports percentiles of.
+    /// for the dataset's shared pair cache) — the quantity the
+    /// benchmark's `fc-core.engine.predict_p50_us` reports.
     pub predict_time: Duration,
     /// χ² pair-cache activity of this request's prediction alone
     /// (`PredictionEngine::last_pair_cache`): probes of the index

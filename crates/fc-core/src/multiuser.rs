@@ -41,8 +41,7 @@
 //! [`SingleMutexTileCache`]: it is the golden reference the sharded
 //! cache is tested against (a 1-shard cache is bit-identical to it; an
 //! N-shard cache behaves like N independent references over the
-//! hash-partitioned id space), and the baseline `exp_multiuser`
-//! benchmarks contention against.
+//! hash-partitioned id space).
 //!
 //! Statistics are lock-free atomics on both implementations' shared
 //! paths (hits, misses, cross-session hits, evictions), so hot-path
@@ -131,9 +130,9 @@ impl AtomicStats {
 
 /// The operations a multi-user tile cache offers to sessions. Both the
 /// lock-striped [`SharedTileCache`] and the retained
-/// [`SingleMutexTileCache`] reference implement it, so the middleware,
-/// the `fc-sim` multi-user driver, and `exp_multiuser` can run either
-/// behind `Arc<dyn MultiUserCache>`.
+/// [`SingleMutexTileCache`] reference implement it, so the middleware
+/// and the tests that hold one to the other run either behind
+/// `Arc<dyn MultiUserCache>`.
 pub trait MultiUserCache: Send + Sync {
     /// Opens a session; the prefetch budget re-partitions across all
     /// open sessions.
@@ -453,10 +452,8 @@ impl SessionRegistry {
 
 /// The pre-sharding shared cache: one global mutex around the whole
 /// residency map. Retained as the **golden reference** for the
-/// lock-striped [`SharedTileCache`] (which must match it exactly at one
-/// shard, and per shard at N) and as the contention baseline
-/// `exp_multiuser` measures against. New code should use
-/// [`SharedTileCache`].
+/// lock-striped [`SharedTileCache`], which must match it exactly at one
+/// shard, and per shard at N. New code should use [`SharedTileCache`].
 pub struct SingleMutexTileCache {
     inner: Mutex<TileMap>,
     /// Atomic so [`MultiUserCache::set_capacity`] repartitioning never
@@ -651,8 +648,7 @@ type HoldStripe = HashMap<SessionId, Vec<TileId>>;
 /// [`MultiUserCache::close_session`] walk only that list (≤ prefetch
 /// budget + history in steady state) and lock only the shards those
 /// ids hash to — the single-mutex reference instead scans every
-/// resident tile per request, which `exp_multiuser` measures as its
-/// dominant per-request cost. Invariants: (a) a session in a
+/// resident tile per request. Invariants: (a) a session in a
 /// resident's `holders` ⇒ the id is in that session's hold list (the
 /// converse may be briefly stale: ids evicted while still in the
 /// session's keep-set linger, bounded by the keep-set size, until a

@@ -42,7 +42,7 @@ pub mod protocol;
 pub(crate) mod reactor;
 pub mod server;
 
-pub use client::{Client, ReplyReader, ServerError};
+pub use client::{Client, ReplyReader, ServerError, SessionStats, TileAnswer};
 pub use protocol::{ClientMsg, ErrorCode, Frame, FrameBuf, ServerMsg, TilePayload};
 pub use server::{
     DatasetSpec, EngineFactory, FaultSetup, MultiUserServing, PushServing, Server, ServerConfig,

@@ -6,43 +6,13 @@
 // every kind.
 #![allow(dead_code)]
 
-use fc_server::{ServerError, TilePayload};
+use fc_server::{ServerError, SessionStats, TileAnswer, TilePayload};
 use std::io;
 use std::time::Duration;
 
 /// Nanoseconds of a simulated duration, as the wire carries them.
-pub fn nanos(d: Duration) -> u64 {
+fn nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Folds a `Client::request_tile` answer into a [`Pin`]: payload, then
-/// simulated latency, hit flag, phase and degraded flag. (The answer's
-/// type is not exported, so its fields are read at the call site.)
-macro_rules! fold_tile {
-    ($pin:expr, $answer:expr) => {{
-        let a = &$answer;
-        $pin.payload(&a.payload);
-        $pin.scalars([
-            common::nanos(a.latency),
-            u64::from(a.cache_hit),
-            u64::from(a.phase),
-            u64::from(a.degraded),
-        ]);
-    }};
-}
-
-/// Folds a `Client::stats` reply into a [`Pin`].
-macro_rules! fold_stats {
-    ($pin:expr, $stats:expr) => {{
-        let s = &$stats;
-        $pin.scalars([
-            s.requests,
-            s.hits,
-            common::nanos(s.avg_latency),
-            s.prefetch_issued,
-            s.prefetch_used,
-        ]);
-    }};
 }
 
 /// FNV-1a 64-bit fold over a session's replies; stable across
@@ -88,6 +58,29 @@ impl Pin {
             }
         }
         self.bytes(&p.present);
+    }
+
+    /// A `Client::request_tile` answer: payload, then simulated
+    /// latency, hit flag, phase and degraded flag.
+    pub fn tile(&mut self, a: &TileAnswer) {
+        self.payload(&a.payload);
+        self.scalars([
+            nanos(a.latency),
+            u64::from(a.cache_hit),
+            u64::from(a.phase),
+            u64::from(a.degraded),
+        ]);
+    }
+
+    /// A `Client::stats` reply.
+    pub fn stats(&mut self, s: &SessionStats) {
+        self.scalars([
+            s.requests,
+            s.hits,
+            nanos(s.avg_latency),
+            s.prefetch_issued,
+            s.prefetch_used,
+        ]);
     }
 
     /// Scalar reply fields: flags, counters, simulated durations.

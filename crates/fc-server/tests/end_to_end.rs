@@ -3,7 +3,6 @@
 //! (`common::Pin`); one whose outcome depends on wall-clock gaps or
 //! thread scheduling asserts its outcome's shape.
 
-#[macro_use]
 mod common;
 
 use common::Pin;
@@ -53,7 +52,7 @@ fn session_serves_tiles_and_stats() {
 
     // Walk: root → zoom in → pan.
     let root = client.request_tile(TileId::ROOT, None).expect("root tile");
-    fold_tile!(pin, root);
+    pin.tile(&root);
     assert_eq!(root.payload.tile, TileId::ROOT);
     assert!(!root.cache_hit, "first request is a miss");
     assert!(root.payload.attrs.contains(&"ndsi_avg".to_string()));
@@ -67,11 +66,11 @@ fn session_serves_tiles_and_stats() {
         .request_tile(TileId::new(1, 0, 0), Some(Move::ZoomIn(Quadrant::Nw)))
         .expect("child tile");
     assert_eq!(child.payload.tile, TileId::new(1, 0, 0));
-    fold_tile!(pin, child);
+    pin.tile(&child);
 
     let stats = client.stats().expect("stats");
     assert_eq!(stats.requests, 2);
-    fold_stats!(pin, stats);
+    pin.stats(&stats);
     pin.check(0xc09f20b360d0b563, "root, then its NW child");
 
     client.bye().expect("clean close");
@@ -89,8 +88,8 @@ fn bad_requests_are_rejected_not_fatal() {
         .expect_err("no such tile");
     pin.error(&err);
     let ok = client.request_tile(TileId::ROOT, None).expect("root");
-    fold_tile!(pin, ok);
-    fold_stats!(pin, client.stats().expect("stats"));
+    pin.tile(&ok);
+    pin.stats(&client.stats().expect("stats"));
     pin.check(0x4031731306da0e8d, "a missing tile, then the root");
     client.bye().unwrap();
     server.shutdown();
@@ -138,7 +137,7 @@ fn multi_user_mode_shares_prefetched_tiles_across_sessions() {
         let first = c
             .request_tile(TileId::new(deepest, 1, 0), None)
             .expect("first");
-        fold_tile!(pin, first);
+        pin.tile(&first);
         let mut hits = 0;
         for x in 1..4 {
             let a = c
@@ -147,9 +146,9 @@ fn multi_user_mode_shares_prefetched_tiles_across_sessions() {
             if a.cache_hit {
                 hits += 1;
             }
-            fold_tile!(pin, a);
+            pin.tile(&a);
         }
-        fold_stats!(pin, c.stats().expect("stats"));
+        pin.stats(&c.stats().expect("stats"));
         if hold {
             (Some(c), hits)
         } else {
@@ -272,7 +271,7 @@ fn one_process_serves_two_datasets_in_separate_namespaces() {
         let first = c
             .request_tile(TileId::new(deepest, 1, 0), None)
             .expect("first");
-        fold_tile!(pin, first);
+        pin.tile(&first);
         let mut hits = 0;
         for x in 1..4 {
             let a = c
@@ -281,9 +280,9 @@ fn one_process_serves_two_datasets_in_separate_namespaces() {
             if a.cache_hit {
                 hits += 1;
             }
-            fold_tile!(pin, a);
+            pin.tile(&a);
         }
-        fold_stats!(pin, c.stats().expect("stats"));
+        pin.stats(&c.stats().expect("stats"));
         (c, hits)
     };
     let west_levels = west.pyramid.geometry().levels;
@@ -387,7 +386,7 @@ fn prefetching_speeds_up_predictable_walks() {
     let first = client
         .request_tile(TileId::new(deepest, 1, 0), None)
         .expect("first");
-    fold_tile!(pin, first);
+    pin.tile(&first);
     for x in 1..4 {
         let a = client
             .request_tile(TileId::new(deepest, 1, x), Some(Move::PanRight))
@@ -396,10 +395,10 @@ fn prefetching_speeds_up_predictable_walks() {
             hits += 1;
             assert!(a.latency.as_millis() < 100, "hits are fast");
         }
-        fold_tile!(pin, a);
+        pin.tile(&a);
     }
     assert!(hits >= 2, "expected prefetch hits, got {hits}");
-    fold_stats!(pin, client.stats().expect("stats"));
+    pin.stats(&client.stats().expect("stats"));
     pin.check(0xc0ae9e49e3bd473b, "a pan run along the deepest level");
     client.bye().unwrap();
     server.shutdown();
@@ -422,15 +421,15 @@ fn burst_scheduler_wired_through_server_config() {
         let first = client
             .request_tile(TileId::new(deepest, 0, 0), None)
             .expect("first tile");
-        fold_tile!(pin, first);
+        pin.tile(&first);
         for x in 1..4 {
             let a = client
                 .request_tile(TileId::new(deepest, 0, x), Some(Move::PanRight))
                 .expect("pan tile");
-            fold_tile!(pin, a);
+            pin.tile(&a);
         }
         let stats = client.stats().expect("stats");
-        fold_stats!(pin, stats);
+        pin.stats(&stats);
         client.bye().expect("clean close");
         stats
     };

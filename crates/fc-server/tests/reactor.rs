@@ -2,7 +2,6 @@
 //! an event loop (write backpressure, pipelined input, mid-frame
 //! disconnects, idle teardown, shutdown), and utility-scheduled push.
 
-#[macro_use]
 mod common;
 
 use common::Pin;
@@ -76,9 +75,9 @@ fn golden_walk(addr: std::net::SocketAddr) -> Pin {
     }
     let mut pin = Pin::default();
     for (tile, mv) in walk {
-        fold_tile!(pin, c.request_tile(tile, mv).expect("tile reply"));
+        pin.tile(&c.request_tile(tile, mv).expect("tile reply"));
     }
-    fold_stats!(pin, c.stats().expect("stats"));
+    pin.stats(&c.stats().expect("stats"));
     c.bye().expect("bye");
     pin
 }

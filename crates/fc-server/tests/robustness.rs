@@ -5,7 +5,6 @@
 //! (`common::Pin`); shed, timeout and teardown outcomes that follow
 //! wall-clock gaps or thread scheduling keep their shape assertions.
 
-#[macro_use]
 mod common;
 
 use common::Pin;
@@ -106,7 +105,7 @@ fn overloaded_server_sheds_at_accept_with_structured_code() {
     );
     let mut pin = Pin::default();
     let mut first = Client::connect(server.addr(), 2).expect("first session admitted");
-    fold_tile!(pin, first.request_tile(TileId::ROOT, None).expect("serves"));
+    pin.tile(&first.request_tile(TileId::ROOT, None).expect("serves"));
     wait_for(|| server.active_sessions() == 1, "session registration");
     // The second connection is shed before a session exists.
     let err = Client::connect(server.addr(), 2).expect_err("must shed");
@@ -116,12 +115,12 @@ fn overloaded_server_sheds_at_accept_with_structured_code() {
     let child = first
         .request_tile(TileId::new(1, 0, 0), None)
         .expect("still serving");
-    fold_tile!(pin, child);
-    fold_stats!(pin, first.stats().expect("stats"));
+    pin.tile(&child);
+    pin.stats(&first.stats().expect("stats"));
     first.bye().expect("bye");
     wait_for(|| server.active_sessions() == 0, "capacity release");
     let mut again = Client::connect(server.addr(), 2).expect("admitted after release");
-    fold_tile!(pin, again.request_tile(TileId::ROOT, None).expect("serves"));
+    pin.tile(&again.request_tile(TileId::ROOT, None).expect("serves"));
     pin.check(
         0xe44098cce9815e6e,
         "the admitted session, the shed one, then a fresh one",
@@ -151,7 +150,7 @@ fn overload_watermark_sheds_hello_on_cache_pressure() {
     );
     let mut pin = Pin::default();
     let mut first = Client::connect(server.addr(), 2).expect("first admitted");
-    fold_tile!(pin, first.request_tile(TileId::ROOT, None).expect("serves"));
+    pin.tile(&first.request_tile(TileId::ROOT, None).expect("serves"));
     let err = Client::connect(server.addr(), 2).expect_err("watermark must shed");
     assert_eq!(code_of(&err), Some(ErrorCode::Overloaded), "{err}");
     pin.error(&err);
@@ -159,8 +158,8 @@ fn overload_watermark_sheds_hello_on_cache_pressure() {
     let child = first
         .request_tile(TileId::new(1, 0, 0), None)
         .expect("still serving");
-    fold_tile!(pin, child);
-    fold_stats!(pin, first.stats().expect("stats"));
+    pin.tile(&child);
+    pin.stats(&first.stats().expect("stats"));
     pin.check(
         0x44b91eb7b44daae0,
         "the admitted session around the shed one",
@@ -196,8 +195,8 @@ fn read_timeout_reclaims_stalled_sessions() {
     // Live clients are unaffected as long as they keep talking.
     let mut c = Client::connect(server.addr(), 2).expect("connect");
     let mut pin = Pin::default();
-    fold_tile!(pin, c.request_tile(TileId::ROOT, None).expect("serves"));
-    fold_stats!(pin, c.stats().expect("stats"));
+    pin.tile(&c.request_tile(TileId::ROOT, None).expect("serves"));
+    pin.stats(&c.stats().expect("stats"));
     pin.check(0x97f4837b282e28b9, "the live session after the reclaim");
     server.shutdown();
 }
@@ -240,11 +239,11 @@ fn hostile_prefetch_budget_costs_only_its_own_session() {
     let root = bystander
         .request_tile(TileId::ROOT, None)
         .expect("bystander served");
-    fold_tile!(pin, root);
+    pin.tile(&root);
     let mut hostile = Client::connect(server.addr(), u32::MAX).expect("hello accepted");
     // A tile or a structured error, never a dead socket.
     match hostile.request_tile(TileId::ROOT, None) {
-        Ok(a) => fold_tile!(pin, a),
+        Ok(a) => pin.tile(&a),
         Err(e) => {
             assert!(code_of(&e).is_some(), "{e}");
             pin.error(&e);
@@ -254,8 +253,8 @@ fn hostile_prefetch_budget_costs_only_its_own_session() {
     let child = bystander
         .request_tile(TileId::new(1, 0, 0), Some(zoom))
         .expect("the bystander's next request is served");
-    fold_tile!(pin, child);
-    fold_stats!(pin, bystander.stats().expect("stats"));
+    pin.tile(&child);
+    pin.stats(&bystander.stats().expect("stats"));
     pin.check(
         0xea6482542279b5cb,
         "the bystander around the hostile request",
@@ -340,7 +339,7 @@ fn exhausted_fetches_surface_as_unavailable() {
     assert_eq!(stats.requests, 0, "failed fetches serve nothing");
     let mut pin = Pin::default();
     pin.error(&err);
-    fold_stats!(pin, stats);
+    pin.stats(&stats);
     pin.check(0x33bd3f5178137b20, "an exhausted fetch");
     client.bye().expect("bye");
     server.shutdown();
@@ -377,7 +376,7 @@ fn degraded_replies_carry_the_resident_ancestor() {
     let mut pin = Pin::default();
     let root = client.request_tile(TileId::ROOT, None).expect("clean");
     assert!(!root.degraded);
-    fold_tile!(pin, root);
+    pin.tile(&root);
     // A deep tile the engine would not have prefetched off the root
     // request — its parent is not resident either, so the ladder walks
     // all the way up to the cached root.
@@ -390,8 +389,8 @@ fn degraded_replies_carry_the_resident_ancestor() {
         TileId::ROOT,
         "the resident ancestor answers in the child's place"
     );
-    fold_tile!(pin, child);
-    fold_stats!(pin, client.stats().expect("stats"));
+    pin.tile(&child);
+    pin.stats(&client.stats().expect("stats"));
     pin.check(
         0x22602ee5a0815628,
         "a clean root, then a degraded deep tile",

@@ -20,10 +20,7 @@
 //! - **accounting balances** — every attempt is served (possibly
 //!   degraded) or failed, and lands in exactly one phase bucket;
 //! - **the pair counts add up** — each dataset's replies report the χ²
-//!   pair probes its shared pair table counted;
-//! - **the run drains** — the driver returning at all means no session
-//!   wedged on the shared pair table's lock (under
-//!   [`crate::multiuser::run_threaded`], where a wedge could happen).
+//!   pair probes its shared pair table counted.
 
 use crate::multiuser::RunReport;
 

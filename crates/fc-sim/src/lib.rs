@@ -23,10 +23,9 @@
 //!   cross-validation as in §5.4;
 //! * [`multiuser`] — the multi-session replay driver: K simulated
 //!   analysts per dataset, each dataset one shared-cache namespace,
-//!   stepped in deterministic lockstep (or on threads, for the
-//!   lock-contention sweep), under one config that sets faults, burst
-//!   scheduling, think time and the hotspot blend, with one report
-//!   per run (the `exp_multiuser` substrate);
+//!   stepped in deterministic lockstep on one thread, under one config
+//!   that sets faults, burst scheduling, think time and the hotspot
+//!   blend, with one report per run (the `exp_multiuser` substrate);
 //! * `chaos` — the invariants every run must hold under any fault
 //!   schedule (bounded namespaces, balanced accounting, no escaped
 //!   panic);
@@ -35,8 +34,8 @@
 //!   scheduler's A/B;
 //! * [`swarm`] — the socket-level fleet driver: hundreds-to-thousands
 //!   of paced, nonblocking client sessions from one thread against a
-//!   live `fc-server` (threaded or reactor), measuring wire-path
-//!   request latency and observing server pushes.
+//!   live `fc-server` reactor, measuring wire-path request latency
+//!   and observing server pushes.
 
 #![warn(missing_docs)]
 
@@ -56,9 +55,7 @@ pub mod zoo;
 pub use auto_weights::learn_weights;
 pub use chaos::assert_invariants;
 pub use dataset::{DatasetConfig, StudyDataset};
-pub use multiuser::{
-    run, run_threaded, synthetic_workload, CacheImpl, Faults, MultiUserConfig, RunConfig, RunReport,
-};
+pub use multiuser::{run, synthetic_workload, Faults, MultiUserConfig, RunConfig, RunReport};
 pub use replay::{AccuracyReport, Predictor, ReplayOutcome};
 pub use study::{Study, StudyConfig};
 pub use swarm::{run_swarm, SwarmConfig, SwarmReport};

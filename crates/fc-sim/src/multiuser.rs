@@ -12,20 +12,14 @@
 //! schedule, burst scheduling, think time and the cross-session
 //! hotspot blend.
 //!
-//! Two loops drive the same per-session step:
-//!
-//! - [`run`] steps every session in lockstep round-robin on one thread
-//!   (session 0 step 0, session 1 step 0, …, session 0 step 1, …). The
-//!   report, fingerprint included, is a function of the inputs alone
-//!   (bar the two wall-clock predict percentiles): every A/B leg and
-//!   every test replays bit-identically.
-//! - [`run_threaded`] gives each session its own OS thread. Which
-//!   session installs a shared tile first then depends on the OS
-//!   scheduler, so only the lock-contention sweep (`exp_multiuser`)
-//!   and its invariant test use it.
+//! [`run`] steps every session in lockstep round-robin on one thread
+//! (session 0 step 0, session 1 step 0, …, session 0 step 1, …), the
+//! way the server's one reactor thread interleaves its sessions. The
+//! report, fingerprint included, is a function of the inputs alone:
+//! every A/B leg and every test replays bit-identically.
 //!
 //! [`synthetic_workload`] and [`hotspot_workload`] build the scripted
-//! traces the drivers replay.
+//! traces the driver replays.
 
 use crate::trace::{Trace, TraceStep};
 use fc_core::paircache::PairCacheStats;
@@ -33,24 +27,11 @@ use fc_core::{
     BurstConfig, DatasetRegistry, FaultPlan, FetchError, HotspotBlend, HotspotConfig,
     LatencyProfile, Middleware, MultiUserCache, Phase, PredictionEngine, RegistryConfig, Response,
     RetryPolicy, SbRecommender, SharedCacheStats, SharedHotspotModel, SharedSessionHandle,
-    SingleMutexTileCache,
 };
 use fc_tiles::{Geometry, Move, Pyramid, Quadrant, TileId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Which shared-cache implementation the sessions meet in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheImpl {
-    /// The retained pre-sharding reference: one global mutex.
-    SingleMutex,
-    /// The lock-striped cache; `shards` 0 picks the default striping.
-    Sharded {
-        /// Shard count (power of two, 0 = default).
-        shards: usize,
-    },
-}
 
 /// The workload shape of a run.
 #[derive(Debug, Clone)]
@@ -63,8 +44,9 @@ pub struct MultiUserConfig {
     /// Global shared-cache budget in tiles, split exactly across the
     /// datasets' namespaces.
     pub cache_capacity: usize,
-    /// Shared-cache implementation under test.
-    pub cache: CacheImpl,
+    /// Shard count of each namespace's lock-striped cache (power of
+    /// two, 0 = default striping).
+    pub shards: usize,
     /// Per-session prefetch budget k.
     pub k: usize,
     /// Private last-n history cache per session.
@@ -79,7 +61,7 @@ impl Default for MultiUserConfig {
             sessions: 8,
             steps_per_session: 64,
             cache_capacity: 1024,
-            cache: CacheImpl::Sharded { shards: 0 },
+            shards: 0,
             k: 4,
             history_cache: 4,
             profile: LatencyProfile::paper(),
@@ -172,10 +154,7 @@ pub struct NamespaceReport {
     pub dataset: String,
     /// The namespace's capacity slice of the global budget.
     pub capacity: usize,
-    /// High-water mark of resident tiles, sampled after every step of
-    /// a lockstep [`run`]. [`run_threaded`] leaves it 0: reading a
-    /// sharded cache's size locks every shard, and doing that per
-    /// request would contend with the locks the sweep measures.
+    /// High-water mark of resident tiles, sampled after every step.
     pub max_resident: usize,
     /// Replies served to this dataset's sessions.
     pub served: usize,
@@ -235,11 +214,6 @@ pub struct RunReport {
     pub latency_p50: Duration,
     /// 99th-percentile user-visible latency over served replies.
     pub latency_p99: Duration,
-    /// Median wall time of a reply's prediction (includes any wait for
-    /// the shared pair cache).
-    pub predict_p50: Duration,
-    /// 99th-percentile wall time of a reply's prediction.
-    pub predict_p99: Duration,
     /// Served requests per traffic phase (burst/dwell/idle), summed
     /// over sessions; all zero unless burst scheduling was on.
     pub per_traffic: [usize; 3],
@@ -249,9 +223,7 @@ pub struct RunReport {
     pub prefetch_used: usize,
     /// Whether burst-aware scheduling was active for this run.
     pub burst_active: bool,
-    /// FNV-1a fold of every reply's observable surface in run order
-    /// ([`run`]), or of each session's own fold in session order
-    /// ([`run_threaded`]).
+    /// FNV-1a fold of every reply's observable surface in run order.
     pub fingerprint: u64,
     /// One report per dataset, in input order.
     pub namespaces: Vec<NamespaceReport>,
@@ -274,8 +246,8 @@ impl RunReport {
     }
 }
 
-/// A session's position in its trace: the one per-session step both
-/// loops (and [`crate::zoo::replay_workload`]) drive. Each call to
+/// A session's position in its trace: the one per-session step [`run`]
+/// (and [`crate::zoo::replay_workload`]) drives. Each call to
 /// [`Cursor::step`] issues one trace step. A repeat of the trace starts
 /// a fresh navigation arc, so the first step of each pass carries no
 /// move; unservable tiles do not count as attempts; and a full pass
@@ -353,7 +325,6 @@ struct Tally {
     pair_probes: u64,
     max_resident: usize,
     latency_ns: Vec<u64>,
-    predict_ns: Vec<u64>,
     panicked: bool,
 }
 
@@ -391,7 +362,6 @@ impl Session<'_> {
                 t.sb_ranked += usize::from(!resp.degraded && sb_slots > 0);
                 t.pair_probes += resp.pair_cache.hits + resp.pair_cache.misses;
                 t.latency_ns.push(nanos(resp.latency));
-                t.predict_ns.push(nanos(resp.predict_time));
                 fold_response(fp, tile, &resp);
             }
             Err(_) => bucket.failures += 1,
@@ -441,10 +411,7 @@ where
     assert!(!datasets.is_empty(), "need at least one dataset");
     let registry = DatasetRegistry::new(RegistryConfig {
         budget: cfg.base.cache_capacity,
-        shards: match cfg.base.cache {
-            CacheImpl::Sharded { shards } => shards,
-            CacheImpl::SingleMutex => 0,
-        },
+        shards: cfg.base.shards,
         hotspots: cfg.hotspots.map_or_else(HotspotConfig::default, |(h, _)| h),
     });
     let mut sessions = Vec::new();
@@ -452,10 +419,7 @@ where
     for (d, &(name, pyramid, traces)) in datasets.iter().enumerate() {
         assert!(!traces.is_empty(), "dataset {name} needs traces");
         let ns = registry.attach(name);
-        let cache: Arc<dyn MultiUserCache> = match cfg.base.cache {
-            CacheImpl::SingleMutex => Arc::new(SingleMutexTileCache::new(ns.cache().capacity())),
-            CacheImpl::Sharded { .. } => ns.cache().clone(),
-        };
+        let cache: Arc<dyn MultiUserCache> = ns.cache().clone();
         let hotspots = cfg.hotspots.map(|_| ns.hotspots().clone());
         let engines: Vec<PredictionEngine> = (0..cfg.base.sessions)
             .map(|_| engine_factory(pyramid))
@@ -527,40 +491,6 @@ where
     report(sessions, namespaces, cfg, fp)
 }
 
-/// [`run`] with every session on its own OS thread, so sessions meet
-/// on the shared cache's and pair cache's locks for real. Interleaving
-/// follows the OS scheduler: the report is not reproducible, and its
-/// fingerprint folds each session's own fold in session order.
-pub fn run_threaded<'a, F>(
-    datasets: &[Dataset<'a>],
-    engine_factory: F,
-    cfg: &'a RunConfig,
-) -> RunReport
-where
-    F: Fn(&Arc<Pyramid>) -> PredictionEngine,
-{
-    let (mut sessions, namespaces) = open(datasets, engine_factory, cfg);
-    let folds: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = sessions
-            .iter_mut()
-            .map(|s| {
-                scope.spawn(move || {
-                    let mut fp = FNV_OFFSET;
-                    while s.advance(cfg, &mut fp) {}
-                    fp
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("session thread"))
-            .collect()
-    });
-    let mut fp = FNV_OFFSET;
-    folds.into_iter().for_each(|v| fnv(&mut fp, v));
-    report(sessions, namespaces, cfg, fp)
-}
-
 /// Sums the finished sessions into one report. Sessions close (their
 /// handles drop) before the namespace counters are read.
 fn report(
@@ -578,7 +508,6 @@ fn report(
     // Per namespace: (max resident, served, hits, pair probes).
     let mut per_ns = vec![(0usize, 0usize, 0usize, 0u64); namespaces.len()];
     let mut latency_ns = Vec::new();
-    let mut predict_ns = Vec::new();
     for s in sessions {
         let t = s.tally;
         for (sum, p) in [&mut r.before, &mut r.during, &mut r.after]
@@ -602,7 +531,6 @@ fn report(
         ns.2 += t.phases.iter().map(|p| p.hits).sum::<usize>();
         ns.3 += t.pair_probes;
         latency_ns.extend(t.latency_ns);
-        predict_ns.extend(t.predict_ns);
     }
     let phases = [r.before, r.during, r.after];
     r.attempts = phases.iter().map(|p| p.attempts).sum();
@@ -610,11 +538,8 @@ fn report(
     r.degraded = phases.iter().map(|p| p.degraded).sum();
     r.failures = phases.iter().map(|p| p.failures).sum();
     latency_ns.sort_unstable();
-    predict_ns.sort_unstable();
     r.latency_p50 = percentile(&latency_ns, 0.50);
     r.latency_p99 = percentile(&latency_ns, 0.99);
-    r.predict_p50 = percentile(&predict_ns, 0.50);
-    r.predict_p99 = percentile(&predict_ns, 0.99);
     r.namespaces = namespaces
         .into_iter()
         .zip(per_ns)
@@ -914,34 +839,31 @@ mod tests {
     fn concurrent_run_accounts_every_request() {
         let p = pyramid();
         let traces = synthetic_workload(p.geometry(), 4, 30, 6);
-        for cache in [CacheImpl::SingleMutex, CacheImpl::Sharded { shards: 4 }] {
-            let cfg = RunConfig {
-                base: MultiUserConfig {
-                    sessions: 4,
-                    steps_per_session: 30,
-                    cache_capacity: 16,
-                    cache,
-                    // Past AB's four slots, so SB has one in every phase
-                    // and every request ranks through the shared table.
-                    k: 5,
-                    ..MultiUserConfig::default()
-                },
-                ..RunConfig::default()
-            };
-            let r = run_threaded(&[("g", &p, &traces[..])], engine, &cfg);
-            assert_eq!(r.served, 4 * 30, "{cache:?}");
-            assert_eq!(r.panics, 0);
-            assert!(r.predict_p50 <= r.predict_p99);
-            assert!((0.0..=1.0).contains(&r.hit_rate()));
-            // Stats balance: every shared-cache probe is a hit or miss.
-            let s = r.namespaces[0].shared;
-            assert!(s.hits + s.misses > 0);
-            assert!(s.cross_session_hits <= s.hits);
-            assert_eq!(r.sb_ranked, 4 * 30, "one SB rank per request");
-            let ns = &r.namespaces[0];
-            let table = ns.pair_table.hits + ns.pair_table.misses;
-            assert!(ns.pair_probes > 0 && table == ns.pair_probes, "{ns:?}");
-        }
+        let cfg = RunConfig {
+            base: MultiUserConfig {
+                sessions: 4,
+                steps_per_session: 30,
+                cache_capacity: 16,
+                shards: 4,
+                // Past AB's four slots, so SB has one in every phase
+                // and every request ranks through the shared table.
+                k: 5,
+                ..MultiUserConfig::default()
+            },
+            ..RunConfig::default()
+        };
+        let r = run(&[("g", &p, &traces[..])], engine, &cfg);
+        assert_eq!(r.served, 4 * 30);
+        assert_eq!(r.panics, 0);
+        assert!((0.0..=1.0).contains(&r.hit_rate()));
+        // Stats balance: every shared-cache probe is a hit or miss.
+        let s = r.namespaces[0].shared;
+        assert!(s.hits + s.misses > 0);
+        assert!(s.cross_session_hits <= s.hits);
+        assert_eq!(r.sb_ranked, 4 * 30, "one SB rank per request");
+        let ns = &r.namespaces[0];
+        let table = ns.pair_table.hits + ns.pair_table.misses;
+        assert!(ns.pair_probes > 0 && table == ns.pair_probes, "{ns:?}");
     }
 
     /// The cursor cycles its trace, skips unservable tiles without
@@ -1038,7 +960,7 @@ mod tests {
                     sessions: 2,
                     steps_per_session: 40,
                     cache_capacity: 64,
-                    cache: CacheImpl::Sharded { shards: 1 },
+                    shards: 1,
                     // Below the deepest-level candidate count, so the
                     // ranking (and with it the hotspot prior) decides
                     // what gets prefetched.
@@ -1090,7 +1012,7 @@ mod tests {
             },
             ..RunConfig::default()
         };
-        // The drivers open their own caches; check the handle
+        // The driver opens its own caches; check the handle
         // lifecycle on one directly.
         let cache: Arc<dyn MultiUserCache> = Arc::new(fc_core::SharedTileCache::new(8));
         let h = SharedSessionHandle::open(cache.clone(), None);

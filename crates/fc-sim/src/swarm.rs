@@ -4,10 +4,9 @@
 //!
 //! The multi-user replay harness ([`crate::multiuser`]) measures the
 //! serving core in-process; this driver measures the *wire path* — the
-//! reactor behind real TCP, real framing,
-//! real readiness. It is the load generator for the `exp_multiuser`
-//! reactor section: does tail latency stay flat when the session count
-//! multiplies by 16?
+//! reactor behind real TCP, real framing, real readiness. It is the
+//! load generator for the `exp_multiuser` reactor section: does tail
+//! latency stay flat when the session count multiplies by 16?
 //!
 //! Design choices that make thousands of sessions honest on one box:
 //!
@@ -28,6 +27,7 @@
 //! client's behaviour.
 
 use fc_server::epoll::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT};
+use fc_server::protocol::read_frame;
 use fc_server::{ClientMsg, ServerMsg};
 use fc_tiles::{Move, TileId};
 use std::collections::VecDeque;
@@ -239,7 +239,10 @@ pub fn run_swarm(addr: SocketAddr, cfg: &SwarmConfig) -> SwarmReport {
         }
         .encode();
         stream.write_all(&hello).expect("hello frame");
-        let reply = read_one_blocking(&mut stream).expect("welcome frame");
+        // Still blocking: read the whole reply, bounded like the client's.
+        let reply = read_frame(&mut stream)
+            .and_then(ServerMsg::decode)
+            .expect("welcome frame");
         match reply {
             ServerMsg::Welcome {
                 levels,
@@ -548,15 +551,4 @@ fn flush(s: &mut Sim) {
             Err(e) => panic!("swarm write error: {e}"),
         }
     }
-}
-
-/// Blocking read of one frame (handshake only; the socket is still in
-/// blocking mode).
-fn read_one_blocking(stream: &mut TcpStream) -> io::Result<ServerMsg> {
-    let mut prefix = [0u8; 4];
-    stream.read_exact(&mut prefix)?;
-    let len = u32::from_le_bytes(prefix) as usize;
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    ServerMsg::decode(bytes::Bytes::from(body)).map_err(io::Error::other)
 }

@@ -30,7 +30,7 @@ use fc_core::{
     SharedTileCache,
 };
 use fc_sim::multiuser::synthetic_workload;
-use fc_sim::multiuser::{CacheImpl, MultiUserConfig};
+use fc_sim::multiuser::MultiUserConfig;
 use fc_sim::trace::Trace;
 use fc_sim::zoo::{self, replay_workload, run_crowd, ZOO_NAMES};
 use fc_sim::{RunConfig, RunReport};
@@ -288,7 +288,7 @@ fn zoo_shared(p: &Arc<Pyramid>, name: &str, burst: Option<BurstConfig>) -> ZooPi
     let cfg = RunConfig {
         base: MultiUserConfig {
             cache_capacity: 64,
-            cache: CacheImpl::Sharded { shards: 4 },
+            shards: 4,
             k: 4,
             ..MultiUserConfig::default()
         },

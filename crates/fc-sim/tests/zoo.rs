@@ -11,7 +11,7 @@ use fc_core::{
     AbRecommender, AllocationStrategy, BurstConfig, EngineConfig, FaultPlan, LatencyProfile,
     Middleware, PredictionEngine, RetryPolicy, SbConfig, SbRecommender, TrafficPhase,
 };
-use fc_sim::multiuser::{CacheImpl, MultiUserConfig};
+use fc_sim::multiuser::MultiUserConfig;
 use fc_sim::zoo::{self, replay_workload, run_crowd, Workload, ZOO_NAMES};
 use fc_sim::{assert_invariants, Faults, RunConfig};
 use fc_tiles::{Geometry, Move, Pyramid, PyramidBuilder, PyramidConfig};
@@ -216,7 +216,7 @@ fn ab_config(burst: Option<BurstConfig>) -> RunConfig {
     RunConfig {
         base: MultiUserConfig {
             cache_capacity: 64,
-            cache: CacheImpl::Sharded { shards: 4 },
+            shards: 4,
             k: 4,
             ..MultiUserConfig::default()
         },
@@ -340,7 +340,7 @@ fn flash_crowd_brownout_with_burst_scheduler_holds_invariants() {
     let cfg = RunConfig {
         base: MultiUserConfig {
             cache_capacity: 32,
-            cache: CacheImpl::Sharded { shards: 4 },
+            shards: 4,
             ..MultiUserConfig::default()
         },
         faults: Some(Faults {
