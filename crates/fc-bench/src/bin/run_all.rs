@@ -2,9 +2,25 @@
 //! combined report to `EXPERIMENTS-report.txt`. The report is a function
 //! of the scale alone — timings go to stderr — so CI diffs the `small`
 //! one against its committed twin (`docs/EXPERIMENTS-report.small.txt`).
+//!
+//! `run_all <id>` runs one experiment of `fc_bench::experiments::all()`
+//! instead, prints its section and writes no file; an unknown id exits
+//! non-zero and lists the ids.
 use std::io::Write;
 
 fn main() {
+    if let Some(id) = std::env::args().nth(1) {
+        let Some(f) = fc_bench::experiments::by_name(&id) else {
+            let ids: Vec<&str> = fc_bench::experiments::all()
+                .into_iter()
+                .map(|(n, _)| n)
+                .collect();
+            eprintln!("unknown experiment `{id}`; ids: {}", ids.join(" "));
+            std::process::exit(2);
+        };
+        print!("{}", f(&fc_bench::ExpContext::load()));
+        return;
+    }
     let started = std::time::Instant::now();
     let ctx = fc_bench::ExpContext::load();
     let mut report = String::new();

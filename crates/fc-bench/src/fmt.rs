@@ -1,4 +1,4 @@
-//! Plain-text table formatting shared by the experiment binaries.
+//! Plain-text table formatting shared by the experiments.
 
 /// Renders a table: header row + data rows, columns padded to content.
 pub(crate) fn table(header: &[&str], rows: &[Vec<String>]) -> String {

@@ -42,9 +42,7 @@
 //! not representable in the index and ranks as "missing" there — see
 //! the scope note in `fc_tiles::sigindex`.
 
-use crate::paircache::{
-    pair_key, pair_key_ordered, slot_base, PairCache, PairCacheStats, MAX_CACHED_SIGS,
-};
+use crate::paircache::{pair_key, PairCache, PairCacheStats, MAX_CACHED_SIGS};
 use crate::recommender::{PredictionContext, Recommender};
 use crate::signature::SignatureKind;
 use crate::stages::StageClock;
@@ -336,7 +334,6 @@ impl SbRecommender {
         }
 
         let rd = &s.roi_dense[..];
-        let rd_max = rd.iter().copied().max().unwrap_or(NO_ROW);
         let (mut hits, mut misses) = (0u64, 0u64);
         for (ai, &a) in candidates.iter().enumerate() {
             let ra = s.cand_rows[ai];
@@ -351,7 +348,6 @@ impl SbRecommender {
                 roi,
                 ra,
                 rd,
-                rd_max,
                 chunk,
                 pen,
                 den,
@@ -407,15 +403,9 @@ impl SbRecommender {
     /// penalty and denominator, copies hit (or missing-tile) raw lanes
     /// into `lanes` (`nsig` per pair), and defers misses into
     /// `miss_bi`/`miss_geo` with their geometry stashed for
-    /// write-back. Returns the (hits, misses) deltas.
-    ///
-    /// Fast path: when every ROI dense index is valid and below the
-    /// candidate's (the steady state — ROI tiles live at coarser
-    /// levels, which have smaller dense indices), the candidate is the
-    /// `hi` half of every pair key: one hash per candidate,
-    /// consecutive slots per ROI. `NO_ROW` is `usize::MAX`, so any
-    /// out-of-geometry ROI tile disables the fast path by dominating
-    /// `rd_max`.
+    /// write-back. A pair with either tile outside the index reads raw
+    /// distance 1 for every signature. Returns the (hits, misses)
+    /// deltas.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn resolve_pairs(
@@ -425,7 +415,6 @@ impl SbRecommender {
         roi: &[TileId],
         ra: usize,
         rd: &[usize],
-        rd_max: usize,
         lanes: &mut [f64],
         pen: &mut [f64],
         den: &mut [f64],
@@ -436,55 +425,24 @@ impl SbRecommender {
         let (mut hits, mut misses) = (0u64, 0u64);
         miss_bi.clear();
         miss_geo.clear();
-        let tile_missing =
-            |bi: usize, b: TileId, pen: &mut [f64], den: &mut [f64], lanes: &mut [f64]| {
-                // Candidate or ROI tile outside the index: every signature
-                // reads as raw distance 1.
+        for (bi, (&b, &rb)) in roi.iter().zip(rd).enumerate() {
+            if ra == NO_ROW || rb == NO_ROW {
                 let (dmanh, dphys) = pair_geometry(a, b);
                 pen[bi] = self.penalty_of(dmanh);
                 den[bi] = self.denom_of(dphys);
                 lanes[bi * nsig..(bi + 1) * nsig].fill(1.0);
-            };
-        if ra == NO_ROW {
-            for (bi, &b) in roi.iter().enumerate() {
-                tile_missing(bi, b, pen, den, lanes);
-            }
-        } else if ra > rd_max {
-            let base = slot_base(ra);
-            for (bi, &rb) in rd.iter().enumerate() {
-                let key = pair_key_ordered(rb, ra);
-                if let Some(slot) = cache.probe_from(base, rb, key) {
-                    hits += 1;
-                    pen[bi] = self.penalty_of(slot.dmanh);
-                    den[bi] = self.denom_of(slot.denom);
-                    copy_lanes(lanes, bi * nsig, slot, nsig);
-                } else {
-                    misses += 1;
-                    let (dmanh, dphys) = pair_geometry(a, roi[bi]);
-                    pen[bi] = self.penalty_of(dmanh);
-                    den[bi] = self.denom_of(dphys);
-                    miss_bi.push(bi as u32);
-                    miss_geo.push((dmanh, dphys));
-                }
-            }
-        } else {
-            for (bi, &b) in roi.iter().enumerate() {
-                let rb = rd[bi];
-                if rb == NO_ROW {
-                    tile_missing(bi, b, pen, den, lanes);
-                } else if let Some(slot) = cache.probe(pair_key(ra, rb)) {
-                    hits += 1;
-                    pen[bi] = self.penalty_of(slot.dmanh);
-                    den[bi] = self.denom_of(slot.denom);
-                    copy_lanes(lanes, bi * nsig, slot, nsig);
-                } else {
-                    misses += 1;
-                    let (dmanh, dphys) = pair_geometry(a, b);
-                    pen[bi] = self.penalty_of(dmanh);
-                    den[bi] = self.denom_of(dphys);
-                    miss_bi.push(bi as u32);
-                    miss_geo.push((dmanh, dphys));
-                }
+            } else if let Some(slot) = cache.probe(pair_key(ra, rb)) {
+                hits += 1;
+                pen[bi] = self.penalty_of(slot.dmanh);
+                den[bi] = self.denom_of(slot.denom);
+                copy_lanes(lanes, bi * nsig, slot, nsig);
+            } else {
+                misses += 1;
+                let (dmanh, dphys) = pair_geometry(a, b);
+                pen[bi] = self.penalty_of(dmanh);
+                den[bi] = self.denom_of(dphys);
+                miss_bi.push(bi as u32);
+                miss_geo.push((dmanh, dphys));
             }
         }
         (hits, misses)

@@ -121,10 +121,10 @@ impl SignatureConfig {
 /// pyramid a session explores — not with the full pair count `ntiles²`.
 /// One slot covers **all** of a pair's signatures, so `nsig` barely
 /// matters; `32 × nsig × ntiles` keeps the load factor of a table that
-/// has reached it low enough (≲ 0.1 for serpentine exploration of a
-/// whole level) that the additive slot mapping's runs-of-`|R|` rarely
-/// overlap another candidate's probe window — overlaps turn into
-/// evict-and-recompute churn. The result is clamped to `[2¹², 2¹⁸]`
+/// has reached it low (≲ 0.1 for serpentine exploration of a whole
+/// level), far below the half-full point where a hashed home slot's
+/// probe window starts to overflow and evict (see `PROBE_WINDOW` in
+/// `crate::paircache`). The result is clamped to `[2¹², 2¹⁸]`
 /// slots (256 KiB – 16 MiB at 64-byte slots).
 ///
 /// A table starts at the floor and doubles when half of it holds

@@ -429,6 +429,9 @@ fn next_step(s: &mut Sim, deepest: u8, grid: (u32, u32)) -> (TileId, Option<Move
 }
 
 /// Nonblocking read + frame parse; dispatches every complete message.
+/// Frames are split by [`read_frame`] over the buffered bytes, so a
+/// prefix over its bound fails here, at once; `UnexpectedEof` is a
+/// frame still arriving.
 fn drain_reads(
     s: &mut Sim,
     scratch: &mut [u8],
@@ -452,16 +455,13 @@ fn drain_reads(
     }
     let mut consumed = 0;
     while s.phase != Phase::Done {
-        let rest = &s.rbuf[consumed..];
-        if rest.len() < 4 {
-            break;
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        if rest.len() < 4 + len {
-            break;
-        }
-        let body = bytes::Bytes::from(rest[4..4 + len].to_vec());
-        consumed += 4 + len;
+        let mut rest = &s.rbuf[consumed..];
+        let body = match read_frame(&mut rest) {
+            Ok(body) => body,
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
+            Err(e) => panic!("swarm frame error: {e}"),
+        };
+        consumed = s.rbuf.len() - rest.len();
         let msg = ServerMsg::decode(body).expect("well-formed server frame");
         dispatch(s, msg, now, report, done);
     }

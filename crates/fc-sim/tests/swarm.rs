@@ -196,3 +196,50 @@ fn chaos_swarm_through_the_reactor_preserves_invariants() {
     probe.bye().expect("bye");
     server.shutdown();
 }
+
+/// A reply prefix over the frame bound fails the swarm as soon as it
+/// arrives, instead of buffering until the deadline.
+#[test]
+fn an_oversized_reply_prefix_fails_at_once() {
+    use fc_server::{ClientMsg, ServerMsg};
+    use std::io::{Read, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let hello = fc_server::protocol::read_frame(&mut conn).unwrap();
+        assert!(matches!(
+            ClientMsg::decode(hello),
+            Ok(ClientMsg::Hello { .. })
+        ));
+        let welcome = ServerMsg::Welcome {
+            levels: 2,
+            deepest_tiles: (2, 2),
+        };
+        conn.write_all(&welcome.encode()).unwrap();
+        // Answer the first request with a prefix claiming 4 GiB, then
+        // hold the connection open until the swarm drops it.
+        fc_server::protocol::read_frame(&mut conn).unwrap();
+        conn.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        let _ = conn.read(&mut [0u8; 64]);
+    });
+    let cfg = SwarmConfig {
+        sessions: 1,
+        requests_per_session: 1,
+        pace: Duration::from_millis(1),
+        deadline: Duration::from_secs(60),
+        ..SwarmConfig::default()
+    };
+    let t = Instant::now();
+    let err = std::panic::catch_unwind(|| run_swarm(addr, &cfg)).expect_err("swarm must fail");
+    assert!(
+        t.elapsed() < Duration::from_secs(20),
+        "failed only at the deadline"
+    );
+    let msg = err
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .unwrap_or("");
+    assert!(msg.contains("frame too large"), "{msg}");
+    peer.join().unwrap();
+}
