@@ -6,7 +6,9 @@
 //! lockstep (`fc_sim::multiuser::run`): every session steps in
 //! round-robin on one thread, as the server's one reactor thread
 //! serves them, so their sections are a function of the code alone
-//! and repeat exactly from run to run. Every session's SB ranking runs
+//! and repeat exactly from run to run. Each run is a
+//! [`fc_server::ServerConfig`], and the driver opens every session the
+//! way the server's Hello does. Every session's SB ranking runs
 //! through its dataset's one shared χ² pair table
 //! (`fc_core::paircache`, "Sharing").
 //!
@@ -20,11 +22,12 @@
 //!
 //! **Part 2 — fault A/B.** A synthetic mixed pan/zoom workload
 //! (`fc_sim::multiuser::synthetic_workload`) replayed twice through the
-//! fallible fetch path (a run with `fc_sim::Faults`): once under a
-//! quiet [`fc_core::FaultPlan`] and once under a backend brownout
-//! covering the middle half of the run. Reported as degraded-reply and
-//! failure rates, in-window and post-window hit rates, and p50/p99
-//! user-visible latency — the `fault_ab` JSON section.
+//! fallible fetch path (a run whose `ServerConfig` sets `faults`):
+//! once under a quiet [`fc_core::FaultPlan`] and once under a backend
+//! brownout covering the middle half of the run. Reported as
+//! degraded-reply and failure rates, in-window and post-window hit
+//! rates, and p50/p99 user-visible latency — the `fault_ab` JSON
+//! section.
 //!
 //! **Part 3 — workload-zoo scheduler A/B.** Every named zoo workload
 //! (`fc_sim::zoo::ZOO_NAMES`) replayed as one crowd of sessions
@@ -42,14 +45,14 @@
 //! comparison isolates session-count overhead rather than offered
 //! load), reporting p50/p99 enqueue→reply latency and the 1024:64
 //! p99 ratio (acceptance: ≤ 2×, i.e. a flat tail when the session
-//! count multiplies by 16). Then the push A/B: two servers with
-//! server push enabled at the **same** tick budget, utility
-//! scheduling ([`fc_core::PushPolicy::Utility`]) vs the round-robin
-//! baseline, over a heterogeneous fleet (predictable serpentine
-//! dwellers interleaved with burst explorers — see the `PUSH_*`
-//! constants), compared on push efficiency (pushed tiles the session
-//! actually requested afterwards / all pushed tiles) — the `reactor`
-//! section.
+//! count multiplies by 16). Then the push A/B: servers with server
+//! push enabled at the **same** tick budget, utility scheduling
+//! ([`fc_core::PushPolicy::Utility`]) vs the round-robin baseline,
+//! [`SWARM_TAIL_RUNS`] runs per arm in alternation, over a
+//! heterogeneous fleet (predictable serpentine dwellers interleaved
+//! with burst explorers — see the `PUSH_*` constants), compared on the
+//! median push efficiency (pushed tiles the session actually requested
+//! afterwards / all pushed tiles) — the `reactor` section.
 //!
 //! Writes `BENCH_multiuser.json` with the fault A/B's pyramid and
 //! cache `shape`, the `multi_dataset`, `fault_ab`, `workload_zoo` and
@@ -63,10 +66,9 @@ use fc_core::{
     AbRecommender, AllocationStrategy, BurstConfig, EngineConfig, FaultPlan, HotspotBlend,
     HotspotConfig, PredictionEngine, PushConfig, PushPolicy, RetryPolicy, SbConfig, SbRecommender,
 };
-use fc_server::{EngineFactory, MultiUserServing, PushServing, Server, ServerConfig};
+use fc_server::{EngineFactory, FaultSetup, MultiUserServing, PushServing, Server, ServerConfig};
 use fc_sim::multiuser::{
-    hotspot_workload, run, synthetic_workload, Faults, MultiUserConfig, NamespaceReport, RunConfig,
-    RunReport,
+    hotspot_workload, run, synthetic_workload, NamespaceReport, RunConfig, RunReport,
 };
 use fc_sim::swarm::{run_swarm, SwarmConfig, SwarmReport};
 use fc_sim::zoo::{self, run_crowd, ZOO_NAMES};
@@ -142,6 +144,19 @@ fn engine(p: &Arc<Pyramid>) -> PredictionEngine {
     )
 }
 
+/// A lockstep run at prefetch budget `k` over the shared cache `mu`;
+/// faults and burst scheduling off.
+fn lockstep(k: usize, mu: MultiUserServing) -> RunConfig {
+    RunConfig {
+        serving: ServerConfig {
+            default_k: k,
+            multi_user: Some(mu),
+            ..ServerConfig::default()
+        },
+        ..RunConfig::default()
+    }
+}
+
 /// Runs the multi-dataset scenario twice (hotspot model off, then on)
 /// over fresh pyramids each time, pairing the per-namespace reports.
 fn run_multi_dataset_ab(sessions: usize, steps: usize) -> Vec<(NamespaceReport, NamespaceReport)> {
@@ -158,27 +173,31 @@ fn run_multi_dataset_ab(sessions: usize, steps: usize) -> Vec<(NamespaceReport, 
             .zip(&data)
             .map(|(&name, (p, traces))| (name, p, &traces[..]))
             .collect();
-        let cfg = RunConfig {
-            base: MultiUserConfig {
-                sessions,
-                steps_per_session: steps,
-                cache_capacity: MD_BUDGET,
-                k: MD_K,
-                ..MultiUserConfig::default()
-            },
-            hotspots: hotspots.then_some((
-                HotspotConfig {
-                    top_n: MD_ATTRACTORS,
-                    refresh_every: 32,
-                },
-                HotspotBlend {
-                    radius: 8,
-                    phases: [true, true, true],
-                },
-            )),
-            ..RunConfig::default()
+        let mu = MultiUserServing {
+            cache_capacity: MD_BUDGET,
+            shards: 0,
+            hotspots: hotspots.then_some(HotspotConfig {
+                top_n: MD_ATTRACTORS,
+                refresh_every: 32,
+            }),
         };
-        run(&datasets, engine, &cfg)
+        let cfg = RunConfig {
+            sessions,
+            steps_per_session: steps,
+            ..lockstep(MD_K, mu)
+        };
+        // The server feeds the model; each session's engine blends its
+        // prior.
+        let blend = hotspots.then_some(HotspotBlend {
+            radius: 8,
+            phases: [true, true, true],
+        });
+        let blended = |p: &Arc<Pyramid>| {
+            let mut e = engine(p);
+            e.set_hotspot_blend(blend);
+            e
+        };
+        run(&datasets, blended, &cfg)
     };
     let off = leg(false).namespaces;
     off.into_iter().zip(leg(true).namespaces).collect()
@@ -245,16 +264,13 @@ fn run_zoo_ab(steps: usize) -> Vec<ZooDelta> {
         .map(|&name| {
             let workloads = zoo::crowd(name, p.geometry(), steps, ZOO_SESSIONS, ZOO_SEED);
             let leg = |burst| {
-                let cfg = RunConfig {
-                    base: MultiUserConfig {
-                        cache_capacity: ZOO_CAPACITY,
-                        shards: ZOO_SHARDS,
-                        k: ZOO_K,
-                        ..MultiUserConfig::default()
-                    },
-                    burst,
-                    ..RunConfig::default()
+                let mu = MultiUserServing {
+                    cache_capacity: ZOO_CAPACITY,
+                    shards: ZOO_SHARDS,
+                    hotspots: None,
                 };
+                let mut cfg = lockstep(ZOO_K, mu);
+                cfg.serving.burst = burst;
                 run_crowd(&p, engine, &workloads, &cfg)
             };
             ZooDelta {
@@ -280,12 +296,13 @@ fn run_zoo_ab(steps: usize) -> Vec<ZooDelta> {
 const SWARM_LEGS: [(usize, usize); 2] = [(64, 32), (1024, 4)];
 /// Aggregate offered load for every tail leg, requests per second.
 const SWARM_RATE: f64 = 512.0;
-/// Runs per tail leg; the reported figures are the run with the best
-/// p99. The box shares one CPU between swarm driver, server, and the
-/// rest of the system, and a single scheduler hiccup lands whole
-/// milliseconds on a ~300 µs p99 — min-over-runs is the standard
+/// Runs per tail leg and per push arm. A tail leg reports its run with
+/// the best p99: the box shares one CPU between swarm driver, server,
+/// and the rest of the system, and a single scheduler hiccup lands
+/// whole milliseconds on a ~300 µs p99 — min-over-runs is the standard
 /// noise-floor estimate for that regime (every run must still finish
-/// error-free to count).
+/// error-free to count). A push arm reports its medians, since its
+/// headline is a ratio of counts rather than a latency floor.
 const SWARM_TAIL_RUNS: usize = 2;
 /// The 1024:64 p99 ratio the acceptance criterion tracks (≤ 2×).
 const TAIL_ACCEPTANCE: f64 = 2.0;
@@ -381,12 +398,7 @@ fn run_reactor_leg(
 /// thresholds the heterogeneous fleet is calibrated against), drives
 /// the dweller + explorer swarm, and returns the swarm's report plus
 /// the server-side push counters `(pushed, used)`.
-fn run_push_leg(
-    p: &Arc<Pyramid>,
-    policy: PushPolicy,
-    sessions: usize,
-    requests: usize,
-) -> (SwarmReport, (u64, u64)) {
+fn run_push_leg(p: &Arc<Pyramid>, policy: PushPolicy, sessions: usize, requests: usize) -> PushRun {
     let g = p.geometry();
     let factory: EngineFactory = Arc::new(move || swarm_engine(g));
     let mut server = Server::bind(
@@ -452,20 +464,64 @@ fn best_tail_leg(
     best.expect("at least one tail run")
 }
 
-/// One push arm's JSON fields: server-side counters (authoritative)
-/// plus the client-side echo from the swarm.
-fn push_arm_json(r: &SwarmReport, (pushed, used): (u64, u64)) -> String {
-    let eff = if pushed == 0 {
+/// One push run: the swarm's report and the server-side push counters
+/// `(pushed, used)`.
+type PushRun = (SwarmReport, (u64, u64));
+
+/// `used ÷ pushed`, zero when nothing was pushed.
+fn push_efficiency(&(_, (pushed, used)): &PushRun) -> f64 {
+    if pushed == 0 {
         0.0
     } else {
         used as f64 / pushed as f64
-    };
+    }
+}
+
+/// A run's client-observed p99, in µs.
+fn p99_us(r: &SwarmReport) -> f64 {
+    r.latency_quantile(0.99).as_nanos() as f64 / 1e3
+}
+
+/// The median of `xs` (the mean of the middle two for an even count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    }
+}
+
+/// One push arm's medians `(efficiency, p99 µs)` over its runs.
+fn push_arm_medians(runs: &[PushRun]) -> (f64, f64) {
+    (
+        median(runs.iter().map(push_efficiency).collect()),
+        median(runs.iter().map(|(r, _)| p99_us(r)).collect()),
+    )
+}
+
+/// One push arm's JSON: the medians over its runs, then each run's
+/// server-side counters (authoritative) plus the client-side echo from
+/// the swarm.
+fn push_arm_json(runs: &[PushRun]) -> String {
+    let (eff, p99) = push_arm_medians(runs);
+    let per_run: Vec<String> = runs
+        .iter()
+        .map(|run @ (r, (pushed, used))| {
+            format!(
+                "{{\"pushed\": {pushed}, \"used\": {used}, \"efficiency\": {:.3}, \"client_pushes\": {}, \"client_pushes_used\": {}, \"hit_rate\": {:.3}, \"p99_us\": {:.1}}}",
+                push_efficiency(run),
+                r.pushes,
+                r.pushes_used,
+                r.hit_rate(),
+                p99_us(r),
+            )
+        })
+        .collect();
     format!(
-        "{{\"pushed\": {pushed}, \"used\": {used}, \"efficiency\": {eff:.3}, \"client_pushes\": {}, \"client_pushes_used\": {}, \"hit_rate\": {:.3}, \"p99_us\": {:.1}}}",
-        r.pushes,
-        r.pushes_used,
-        r.hit_rate(),
-        r.latency_quantile(0.99).as_nanos() as f64 / 1e3,
+        "{{\"efficiency\": {eff:.3}, \"p99_us\": {p99:.1}, \"runs\": [{}]}}",
+        per_run.join(", ")
     )
 }
 
@@ -479,22 +535,21 @@ fn run_fault_arm(
     window: (u64, u64),
 ) -> RunReport {
     let traces = synthetic_workload(p.geometry(), sessions, steps, 5);
-    let cfg = RunConfig {
-        base: MultiUserConfig {
-            sessions,
-            steps_per_session: steps,
-            cache_capacity: CAPACITY,
-            shards: SHARDS,
-            k: K,
-            ..MultiUserConfig::default()
-        },
-        faults: Some(Faults {
-            plan: Arc::new(plan),
-            retry: RetryPolicy::default(),
-            window,
-        }),
-        ..RunConfig::default()
+    let mu = MultiUserServing {
+        cache_capacity: CAPACITY,
+        shards: SHARDS,
+        hotspots: None,
     };
+    let mut cfg = RunConfig {
+        sessions,
+        steps_per_session: steps,
+        fault_window: window,
+        ..lockstep(K, mu)
+    };
+    cfg.serving.faults = Some(FaultSetup {
+        plan: Arc::new(plan),
+        retry: RetryPolicy::default(),
+    });
     let r = run(&[("fault", p, &traces)], engine, &cfg);
     assert_invariants(&r);
     r
@@ -589,16 +644,18 @@ fn main() {
             )
         })
         .collect();
-    let p99_us = |r: &SwarmReport| r.latency_quantile(0.99).as_nanos() as f64 / 1e3;
     let tail_ratio = p99_us(&tail_legs[tail_legs.len() - 1].3) / p99_us(&tail_legs[0].3).max(1e-9);
-    let (push_util, push_util_stats) =
-        run_push_leg(&swarm_p, PushPolicy::Utility, push_sessions, push_requests);
-    let (push_rr, push_rr_stats) = run_push_leg(
-        &swarm_p,
-        PushPolicy::RoundRobin,
-        push_sessions,
-        push_requests,
-    );
+    // The two push arms alternate run by run, so a drift of the shared
+    // host lands on both.
+    let (mut push_util, mut push_rr) = (Vec::new(), Vec::new());
+    for _ in 0..SWARM_TAIL_RUNS.max(1) {
+        for (policy, runs) in [
+            (PushPolicy::Utility, &mut push_util),
+            (PushPolicy::RoundRobin, &mut push_rr),
+        ] {
+            runs.push(run_push_leg(&swarm_p, policy, push_sessions, push_requests));
+        }
+    }
 
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"multiuser\",\n");
@@ -692,7 +749,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"push_ab\": {{\n      \"sessions\": {push_sessions}, \"requests_per_session\": {push_requests}, \"pace_ms\": {}, \"tick_budget\": {PUSH_TICK_BUDGET},",
+        "    \"push_ab\": {{\n      \"runs_per_arm\": {SWARM_TAIL_RUNS}, \"sessions\": {push_sessions}, \"requests_per_session\": {push_requests}, \"pace_ms\": {}, \"tick_budget\": {PUSH_TICK_BUDGET},",
         PUSH_PACE.as_millis()
     );
     let _ = writeln!(
@@ -703,16 +760,8 @@ fn main() {
         PUSH_BURST_ENTER.as_millis(),
         PUSH_BURST_EXIT.as_millis()
     );
-    let _ = writeln!(
-        json,
-        "      \"utility\": {},",
-        push_arm_json(&push_util, push_util_stats)
-    );
-    let _ = writeln!(
-        json,
-        "      \"round_robin\": {}",
-        push_arm_json(&push_rr, push_rr_stats)
-    );
+    let _ = writeln!(json, "      \"utility\": {},", push_arm_json(&push_util));
+    let _ = writeln!(json, "      \"round_robin\": {}", push_arm_json(&push_rr));
     json.push_str("    }\n  }\n}\n");
     if !smoke {
         std::fs::write("BENCH_multiuser.json", &json).expect("write BENCH_multiuser.json");
@@ -820,28 +869,29 @@ fn main() {
     println!("p99 tail ratio: {tail_ratio:.2}x (acceptance: <= {TAIL_ACCEPTANCE}x)");
     println!();
     println!(
-        "# push A/B — utility vs round-robin at tick budget {PUSH_TICK_BUDGET} ({push_sessions} sessions, every {PUSH_EXPLORER_EVERY}nd a burst explorer)"
+        "# push A/B — utility vs round-robin at tick budget {PUSH_TICK_BUDGET} ({push_sessions} sessions, every {PUSH_EXPLORER_EVERY}nd a burst explorer), {SWARM_TAIL_RUNS} runs per arm"
     );
     println!(
-        "{:<12} {:>8} {:>8} {:>11} {:>8} {:>12}",
-        "policy", "pushed", "used", "efficiency", "hit", "p99 µs"
+        "{:<12} {:>4} {:>8} {:>8} {:>11} {:>8} {:>12}",
+        "policy", "run", "pushed", "used", "efficiency", "hit", "p99 µs"
     );
-    for (name, r, (pushed, used)) in [
-        ("utility", &push_util, push_util_stats),
-        ("round_robin", &push_rr, push_rr_stats),
-    ] {
+    for (name, runs) in [("utility", &push_util), ("round_robin", &push_rr)] {
+        for (i, run @ (r, (pushed, used))) in runs.iter().enumerate() {
+            println!(
+                "{:<12} {:>4} {:>8} {:>8} {:>11.3} {:>8.3} {:>12.1}",
+                name,
+                i,
+                pushed,
+                used,
+                push_efficiency(run),
+                r.hit_rate(),
+                p99_us(r),
+            );
+        }
+        let (eff, p99) = push_arm_medians(runs);
         println!(
-            "{:<12} {:>8} {:>8} {:>11.3} {:>8.3} {:>12.1}",
-            name,
-            pushed,
-            used,
-            if pushed == 0 {
-                0.0
-            } else {
-                used as f64 / pushed as f64
-            },
-            r.hit_rate(),
-            p99_us(r),
+            "{:<12} {:>4} {:>8} {:>8} {:>11.3} {:>8} {:>12.1}",
+            name, "med", "", "", eff, "", p99
         );
     }
     println!();
@@ -852,15 +902,8 @@ fn main() {
         if tail_ratio > TAIL_ACCEPTANCE {
             eprintln!("WARNING: reactor p99 tail ratio above the {TAIL_ACCEPTANCE}x acceptance");
         }
-        let eff = |(pushed, used): (u64, u64)| {
-            if pushed == 0 {
-                0.0
-            } else {
-                used as f64 / pushed as f64
-            }
-        };
-        if eff(push_util_stats) <= eff(push_rr_stats) {
-            eprintln!("WARNING: utility push efficiency did not beat round-robin");
+        if push_arm_medians(&push_util).0 <= push_arm_medians(&push_rr).0 {
+            eprintln!("WARNING: utility push median efficiency did not beat round-robin");
         }
     }
 }

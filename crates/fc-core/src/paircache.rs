@@ -83,7 +83,7 @@
 //! one of the `δ + 1` is still stale, and `δ < PROBE_WINDOW`.) The
 //! argument uses only that a key's new home is its old home, or that
 //! plus the old length: true of any `h(key) & mask`, so of
-//! [`home_slot`]'s.
+//! `home_slot`'s.
 //!
 //! # Sharing: one table per index build and key set
 //!

@@ -5,14 +5,19 @@
 //! on a real pyramid with all four signatures attached. A disabled
 //! cache (`PairCache::new(0)`) and a cache-rejected domain (five
 //! weighted signatures) run the same fill and are held to the same
-//! bits.
+//! bits. And the table outlives its sessions: a trace replayed again
+//! through fresh engines misses no pair.
 
 use fc_array::{DenseArray, Schema};
+use fc_core::engine::PhaseSource;
 use fc_core::paircache::PairCache;
 use fc_core::sb::{PredictScratch, SbConfig, SbRecommender};
 use fc_core::signature::{attach_signatures, SignatureConfig, SignatureKind};
-use fc_core::{BatchConfig, PredictScheduler};
-use fc_tiles::{Pyramid, PyramidBuilder, PyramidConfig, TileId};
+use fc_core::{
+    AbRecommender, AllocationStrategy, BatchConfig, EngineConfig, LatencyProfile, Middleware,
+    PredictScheduler, PredictionEngine,
+};
+use fc_tiles::{Move, Pyramid, PyramidBuilder, PyramidConfig, TileId};
 use std::sync::Arc;
 
 /// A deterministic 128×128 terrain with enough structure that the four
@@ -317,4 +322,49 @@ fn growth_walk_is_bit_identical_to_the_disabled_fill() {
     assert!(stats.hits > stats.misses, "a serpentine revisits its pairs");
     assert!(stats.misses > 8192, "enough distinct pairs to outgrow 2^13");
     assert!(doublings >= 3, "the table doubled {doublings} times");
+}
+
+/// The dataset's pair table outlives its sessions: a trace replayed a
+/// second time, through fresh engines over the same pyramid, finds
+/// every χ² pair it ranks already resident — the table keeps every
+/// pair it has room for, so the second replay's replies report no
+/// pair miss.
+#[test]
+fn a_second_replay_on_fresh_engines_misses_no_pair() {
+    let p = terrain_pyramid(256, 4, 32);
+    let deepest = p.geometry().levels - 1;
+    // A serpentine over the deepest level's top four rows.
+    let trace: Vec<(TileId, Option<Move>)> = (0..4u32)
+        .flat_map(|y| {
+            (0..8u32).map(move |i| {
+                let x = if y % 2 == 0 { i } else { 7 - i };
+                let mv = match (i, y % 2) {
+                    (0, _) if y == 0 => None,
+                    (0, _) => Some(Move::PanDown),
+                    (_, 0) => Some(Move::PanRight),
+                    _ => Some(Move::PanLeft),
+                };
+                (TileId::new(deepest, y, x), mv)
+            })
+        })
+        .collect();
+    let replay = || -> u64 {
+        let engine = PredictionEngine::new(
+            p.geometry(),
+            AbRecommender::train(vec![&[Move::PanRight.index() as u16; 8][..]], 3),
+            SbRecommender::new(SbConfig::all_equal()),
+            PhaseSource::Heuristic,
+            EngineConfig {
+                strategy: AllocationStrategy::SbOnly,
+                ..EngineConfig::default()
+            },
+        );
+        let mut mw = Middleware::new(engine, p.clone(), LatencyProfile::paper(), 4, 4);
+        trace
+            .iter()
+            .map(|&(tile, mv)| mw.request(tile, mv).unwrap().pair_cache.misses)
+            .sum()
+    };
+    assert!(replay() > 0, "the first replay fills the table");
+    assert_eq!(replay(), 0, "the second replay finds every pair");
 }

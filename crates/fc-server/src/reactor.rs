@@ -8,8 +8,10 @@
 //! independent of fleet size (a `poll(2)` table would re-scan every
 //! descriptor per wakeup — O(sessions × request rate), the very tail
 //! the reactor exists to flatten; see [`crate::epoll`]). Each message
-//! runs through [`crate::server::handle_msg`] under a per-message
-//! `catch_unwind`, so a middleware panic costs only its own session.
+//! runs through `handle_msg` under a per-message `catch_unwind`, so a
+//! middleware panic costs only its own session. A Hello opens its
+//! session through [`crate::ServerConfig::open_session`], the one
+//! session recipe the server and `fc_sim::run` share.
 //!
 //! The loop reads the wall clock once per turn, after each wait: every
 //! timeout, tick and inter-request gap of that turn is measured from
@@ -45,7 +47,7 @@
 
 use crate::epoll::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT};
 use crate::protocol::{read_prefix, ClientMsg, ErrorCode, Frame, ServerMsg, MAX_CLIENT_FRAME};
-use crate::server::{handle_msg, Flow, PushCounters, Reply, ServedDatasets, ServerConfig};
+use crate::server::{PushCounters, ServedDatasets, ServerConfig};
 use fc_core::{Middleware, MultiUserCache, PushPlanner};
 use fc_tiles::TileId;
 use std::collections::{HashMap, VecDeque};
@@ -435,12 +437,8 @@ fn serve_msg(
         }
         s.last_request = Some(now);
     }
-    let hello_dataset = match &msg {
-        ClientMsg::Hello { dataset, .. } => Some(dataset.clone()),
-        _ => None,
-    };
     let flow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        handle_msg(msg, &mut s.middleware, served, config)
+        handle_msg(s, msg, served, config)
     }))
     .unwrap_or_else(|_panic| {
         s.middleware = None;
@@ -450,22 +448,119 @@ fn serve_msg(
         })
     });
     match flow {
-        Flow::Reply(reply) => {
-            // A successful Hello re-bound the session; refresh the
-            // push payload source to the (new) namespace cache.
-            if let (Some(name), Reply::Msg(ServerMsg::Welcome { .. })) = (&hello_dataset, &reply) {
-                s.push_cache = served
-                    .resolve(name)
-                    .and_then(|d| d.shared.as_ref())
-                    .map(|sh| sh.namespace.cache().clone() as Arc<dyn MultiUserCache>);
-            }
-            enqueue(s, reply.into_frame(), config);
-        }
+        Flow::Reply(frame) => enqueue(s, frame, config),
         Flow::ReplyClose(reply) => {
             enqueue(s, Frame::msg(&reply), config);
             s.closing = true;
         }
         Flow::Close => s.closing = true,
+    }
+}
+
+/// What the reactor does with a session after [`handle_msg`] handled
+/// one message.
+enum Flow {
+    /// Send the frame, keep serving. A tile reply's frame holds the
+    /// tile as the middleware handed it over — the `Arc`, never a
+    /// [`crate::TilePayload`] copy of its columns.
+    Reply(Frame),
+    /// Send the reply (best-effort), then tear the session down.
+    ReplyClose(ServerMsg),
+    /// Tear the session down silently (client said Bye).
+    Close,
+}
+
+/// Handles one decoded client message. Runs under the per-message
+/// `catch_unwind`; must not write to the socket (the caller owns it).
+fn handle_msg(
+    s: &mut Session,
+    msg: ClientMsg,
+    served: &ServedDatasets,
+    config: &ServerConfig,
+) -> Flow {
+    let error = |code, reason| Flow::Reply(Frame::msg(&ServerMsg::Error { code, reason }));
+    match msg {
+        ClientMsg::Hello {
+            prefetch_k,
+            dataset,
+        } => {
+            // The name is at most `MAX_DATASET_NAME` bytes: a longer
+            // Hello exceeds `MAX_CLIENT_FRAME`, and the reactor ends
+            // the session at its prefix. So echoing it keeps the reply
+            // small.
+            let Some(d) = served.resolve(&dataset) else {
+                let reason = format!("unknown dataset: {dataset:?}");
+                return error(ErrorCode::UnknownDataset, reason);
+            };
+            // Overload watermark: admitting another session into this
+            // namespace must not starve everyone's fair tile budget
+            // below the configured floor.
+            let floor = config.limits.min_session_budget;
+            if let (true, Some(ns)) = (floor > 0, &d.namespace) {
+                let cache = ns.cache();
+                let budget_after = cache.capacity() / (cache.session_count() + 1);
+                if budget_after < floor {
+                    return Flow::ReplyClose(ServerMsg::Error {
+                        code: ErrorCode::Overloaded,
+                        reason: format!(
+                            "namespace under pressure: per-session budget \
+                             {budget_after} would fall below {floor}"
+                        ),
+                    });
+                }
+            }
+            let pyramid = &d.spec.pyramid;
+            let engine = (d.spec.engines)();
+            let namespace = d.namespace.as_deref();
+            let mw = config.open_session(engine, pyramid.clone(), namespace, prefetch_k as usize);
+            s.middleware = Some(mw);
+            // The push payload source follows the session's namespace.
+            s.push_cache = namespace.map(|ns| ns.cache().clone() as Arc<dyn MultiUserCache>);
+            let g = pyramid.geometry();
+            Flow::Reply(Frame::msg(&ServerMsg::Welcome {
+                levels: g.levels,
+                deepest_tiles: g.tiles_at(g.levels - 1),
+            }))
+        }
+        ClientMsg::RequestTile { tile, mv } => match s.middleware.as_mut() {
+            None => error(
+                ErrorCode::General,
+                "session not opened: send Hello first".into(),
+            ),
+            Some(mw) => match mw.try_request(tile, mv) {
+                Ok(Some(resp)) => Flow::Reply(Frame::tile(
+                    resp.tile,
+                    u64::try_from(resp.latency.as_nanos()).unwrap_or(u64::MAX),
+                    resp.cache_hit,
+                    // fc-check: allow(handler-unwrap) -- phase index is 0..3 by construction, always fits u8
+                    u8::try_from(resp.phase.index()).expect("phase id"),
+                    resp.degraded,
+                )),
+                Ok(None) => error(ErrorCode::NoSuchTile, format!("no such tile: {tile}")),
+                // The fetch exhausted its retry/deadline budget with
+                // nothing resident to degrade to. The session stays
+                // up: the fault may be transient and the client
+                // decides whether to retry or re-navigate.
+                Err(e) => error(
+                    ErrorCode::Unavailable,
+                    format!("tile {tile} unavailable: {e}"),
+                ),
+            },
+        },
+        ClientMsg::GetStats => match s.middleware.as_ref() {
+            None => error(ErrorCode::General, "session not opened".into()),
+            Some(mw) => {
+                let st = mw.stats();
+                Flow::Reply(Frame::msg(&ServerMsg::Stats {
+                    requests: st.requests as u64,
+                    hits: st.hits as u64,
+                    avg_latency_ns: u64::try_from(st.avg_latency().as_nanos()).unwrap_or(u64::MAX),
+                    prefetch_issued: st.prefetch_issued as u64,
+                    prefetch_used: st.prefetch_used as u64,
+                }))
+            }
+        },
+        ClientMsg::Bye => Flow::Close,
     }
 }
 

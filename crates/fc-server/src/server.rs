@@ -12,7 +12,7 @@
 //! that every session's SB ranking runs through, and (opt-in) the
 //! namespace's cross-session hotspot model.
 
-use crate::protocol::{wire_shape, ClientMsg, ErrorCode, Frame, ServerMsg, TilePayload};
+use crate::protocol::{wire_shape, TilePayload};
 use fc_core::{
     DatasetNamespace, DatasetRegistry, FaultPlan, HotspotConfig, LatencyProfile, Middleware,
     MultiUserCache, PredictionEngine, RegistryConfig, RetryPolicy, SharedCacheStats,
@@ -89,13 +89,13 @@ impl Default for MultiUserServing {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionLimits {
     /// Maximum concurrently active sessions; connections beyond it are
-    /// shed at accept time with [`ErrorCode::Overloaded`] instead of
-    /// accepted-then-wedged (0 = unlimited).
+    /// shed at accept time with [`crate::ErrorCode::Overloaded`]
+    /// instead of accepted-then-wedged (0 = unlimited).
     pub max_sessions: usize,
     /// Overload watermark on shared-cache pressure (multi-user mode):
-    /// a Hello is shed with [`ErrorCode::Overloaded`] when admitting
-    /// it would drop its namespace's fair per-session tile budget
-    /// below this floor (0 = no watermark).
+    /// a Hello is shed with [`crate::ErrorCode::Overloaded`] when
+    /// admitting it would drop its namespace's fair per-session tile
+    /// budget below this floor (0 = no watermark).
     pub min_session_budget: usize,
     /// Idle-session timeout, on the event loop's clock: a client that
     /// sends nothing for this long (a slow client or a dead peer) gets
@@ -106,11 +106,11 @@ pub struct SessionLimits {
     pub write_timeout: Option<Duration>,
     /// Bound on a session's pending write queue, in frames. A reply
     /// that would queue past it sheds the session with
-    /// [`ErrorCode::Overloaded`] — a slow reader's backlog is bounded
-    /// memory, never unbounded (0 = unbounded). A queued tile frame
-    /// holds its tile by `Arc`, not by copy, so it keeps that tile's
-    /// memory alive past a cache eviction: at most this many tiles per
-    /// session.
+    /// [`crate::ErrorCode::Overloaded`] — a slow reader's backlog is
+    /// bounded memory, never unbounded (0 = unbounded). A queued tile
+    /// frame holds its tile by `Arc`, not by copy, so it keeps that
+    /// tile's memory alive past a cache eviction: at most this many
+    /// tiles per session.
     pub max_write_queue: usize,
 }
 
@@ -196,27 +196,72 @@ impl Default for ServerConfig {
     }
 }
 
+impl MultiUserServing {
+    /// The registry that partitions [`Self::cache_capacity`] across the
+    /// served datasets, one namespace per [`DatasetRegistry::attach`]:
+    /// the server builds one per process, `fc_sim::run` one per run.
+    pub fn registry(&self) -> DatasetRegistry {
+        DatasetRegistry::new(RegistryConfig {
+            budget: self.cache_capacity,
+            shards: self.shards,
+            hotspots: self.hotspots.unwrap_or_default(),
+        })
+    }
+}
+
+impl ServerConfig {
+    /// Builds one session's middleware: what a Hello opens, and what
+    /// `fc_sim::run` opens for each of its sessions. `engine` is the
+    /// session's own, already built for `pyramid`. In multi-user mode
+    /// `namespace` is the dataset's cache namespace: the session's
+    /// handle joins its shared cache and, when
+    /// [`MultiUserServing::hotspots`] is set, feeds its hotspot model;
+    /// `None` gives the session private caches only. `prefetch_k` is
+    /// the budget as the Hello carries it (0 = [`Self::default_k`]).
+    /// The faults and burst scheduling set here apply to every
+    /// session.
+    pub fn open_session(
+        &self,
+        engine: PredictionEngine,
+        pyramid: Arc<Pyramid>,
+        namespace: Option<&DatasetNamespace>,
+        prefetch_k: usize,
+    ) -> Middleware {
+        let k = if prefetch_k == 0 {
+            self.default_k
+        } else {
+            prefetch_k
+        };
+        let (profile, history) = (self.profile, self.history_cache);
+        let hotspots_on = matches!(&self.multi_user, Some(mu) if mu.hotspots.is_some());
+        let mut mw = match namespace {
+            Some(ns) => {
+                let mut handle = SharedSessionHandle::open(ns.cache().clone(), None);
+                if hotspots_on {
+                    handle = handle.with_hotspots(ns.hotspots().clone());
+                }
+                Middleware::new_shared(engine, pyramid, profile, history, k, handle)
+            }
+            None => Middleware::new(engine, pyramid, profile, history, k),
+        };
+        if let Some(fs) = &self.faults {
+            mw.set_faults(fs.plan.clone(), fs.retry);
+        }
+        mw.set_burst(self.burst);
+        mw
+    }
+}
+
 /// One dataset's serving state: spec + (in multi-user mode) its cache
 /// namespace.
 pub(crate) struct ServedDataset {
     pub(crate) spec: DatasetSpec,
-    pub(crate) shared: Option<DatasetShared>,
-}
-
-/// A dataset's slice of the multi-user serving core.
-pub(crate) struct DatasetShared {
-    pub(crate) namespace: Arc<DatasetNamespace>,
-    /// Whether sessions' handles carry the namespace's hotspot model.
-    pub(crate) hotspots_on: bool,
+    pub(crate) namespace: Option<Arc<DatasetNamespace>>,
 }
 
 /// Everything the reactor's sessions share.
 pub(crate) struct ServedDatasets {
     pub(crate) datasets: Vec<ServedDataset>,
-    /// The registry partitioning the global budget (multi-user mode).
-    /// Held so the namespaces stay attached for the server's lifetime.
-    #[allow(dead_code)]
-    registry: Option<Arc<DatasetRegistry>>,
 }
 
 impl ServedDatasets {
@@ -317,29 +362,15 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let active_sessions = Arc::new(AtomicUsize::new(0));
-        let registry = config.multi_user.as_ref().map(|mu| {
-            Arc::new(DatasetRegistry::new(RegistryConfig {
-                budget: mu.cache_capacity,
-                shards: mu.shards,
-                hotspots: mu.hotspots.unwrap_or_default(),
-            }))
-        });
+        let registry = config.multi_user.as_ref().map(MultiUserServing::registry);
         let datasets: Vec<ServedDataset> = datasets
             .into_iter()
-            .map(|spec| {
-                let shared = config.multi_user.as_ref().map(|mu| {
-                    // fc-check: allow(handler-unwrap) -- registry is built above whenever multi_user config is set
-                    let registry = registry.as_ref().expect("registry exists in mu mode");
-                    let namespace = registry.attach(&spec.name);
-                    DatasetShared {
-                        namespace,
-                        hotspots_on: mu.hotspots.is_some(),
-                    }
-                });
-                ServedDataset { spec, shared }
+            .map(|spec| ServedDataset {
+                namespace: registry.as_ref().map(|r| r.attach(&spec.name)),
+                spec,
             })
             .collect();
-        let served = Arc::new(ServedDatasets { datasets, registry });
+        let served = Arc::new(ServedDatasets { datasets });
         let push_counters = Arc::new(PushCounters::default());
         let reactor_thread = {
             let (served, shutdown) = (served.clone(), shutdown.clone());
@@ -364,8 +395,8 @@ impl Server {
         self.served
             .datasets
             .first()
-            .and_then(|d| d.shared.as_ref())
-            .map(|s| s.namespace.cache().stats())
+            .and_then(|d| d.namespace.as_ref())
+            .map(|ns| ns.cache().stats())
     }
 
     /// Per-namespace shared-cache statistics, one entry per served
@@ -376,9 +407,9 @@ impl Server {
             .datasets
             .iter()
             .filter_map(|d| {
-                d.shared
+                d.namespace
                     .as_ref()
-                    .map(|s| (d.spec.name.clone(), s.namespace.cache().stats()))
+                    .map(|ns| (d.spec.name.clone(), ns.cache().stats()))
             })
             .collect()
     }
@@ -392,9 +423,9 @@ impl Server {
             .datasets
             .iter()
             .filter_map(|d| {
-                d.shared
+                d.namespace
                     .as_ref()
-                    .map(|s| (d.spec.name.clone(), s.namespace.cache().capacity()))
+                    .map(|ns| (d.spec.name.clone(), ns.cache().capacity()))
             })
             .collect()
     }
@@ -438,192 +469,10 @@ impl Drop for Server {
     }
 }
 
-/// What the reactor does with a session after [`handle_msg`] handled
-/// one message.
-pub(crate) enum Flow {
-    /// Send the reply, keep serving.
-    Reply(Reply),
-    /// Send the reply (best-effort), then tear the session down.
-    ReplyClose(ServerMsg),
-    /// Tear the session down silently (client said Bye).
-    Close,
-}
-
-/// What [`handle_msg`] answers a request with: a small owned message,
-/// or a tile as the middleware handed it over — the `Arc` and the four
-/// reply scalars, never a [`TilePayload`] copy of its columns.
-pub(crate) enum Reply {
-    Msg(ServerMsg),
-    Tile {
-        tile: Arc<Tile>,
-        latency_ns: u64,
-        cache_hit: bool,
-        phase: u8,
-        degraded: bool,
-    },
-}
-
-impl Reply {
-    /// The frame the reactor sends for this reply.
-    pub(crate) fn into_frame(self) -> Frame {
-        match self {
-            Reply::Msg(msg) => Frame::msg(&msg),
-            Reply::Tile {
-                tile,
-                latency_ns,
-                cache_hit,
-                phase,
-                degraded,
-            } => Frame::tile(tile, latency_ns, cache_hit, phase, degraded),
-        }
-    }
-}
-
-/// Handles one decoded client message. Runs under the reactor's
-/// per-message `catch_unwind`; must not write to the socket (the
-/// reactor owns it).
-pub(crate) fn handle_msg(
-    msg: ClientMsg,
-    middleware: &mut Option<Middleware>,
-    served: &ServedDatasets,
-    config: &ServerConfig,
-) -> Flow {
-    match msg {
-        ClientMsg::Hello {
-            prefetch_k,
-            dataset,
-        } => {
-            let k = if prefetch_k == 0 {
-                config.default_k
-            } else {
-                prefetch_k as usize
-            };
-            // The name is at most `MAX_DATASET_NAME` bytes: a longer
-            // Hello exceeds `MAX_CLIENT_FRAME`, and the reactor ends
-            // the session at its prefix. So echoing it keeps the reply
-            // small.
-            let resolved = served.resolve(&dataset).ok_or((
-                ErrorCode::UnknownDataset,
-                format!("unknown dataset: {dataset:?}"),
-            ));
-            let reply = match resolved {
-                Err((code, reason)) => ServerMsg::Error { code, reason },
-                Ok(d) => {
-                    // Overload watermark: admitting another session
-                    // into this namespace must not starve everyone's
-                    // fair tile budget below the configured floor.
-                    let floor = config.limits.min_session_budget;
-                    if let (true, Some(s)) = (floor > 0, &d.shared) {
-                        let cache = s.namespace.cache();
-                        let budget_after = cache.capacity() / (cache.session_count() + 1);
-                        if budget_after < floor {
-                            return Flow::ReplyClose(ServerMsg::Error {
-                                code: ErrorCode::Overloaded,
-                                reason: format!(
-                                    "namespace under pressure: per-session budget \
-                                     {budget_after} would fall below {floor}"
-                                ),
-                            });
-                        }
-                    }
-                    let pyramid = d.spec.pyramid.clone();
-                    let mut mw = match &d.shared {
-                        Some(s) => {
-                            let mut handle = SharedSessionHandle::open(
-                                s.namespace.cache().clone() as Arc<dyn MultiUserCache>,
-                                None,
-                            );
-                            if s.hotspots_on {
-                                handle = handle.with_hotspots(s.namespace.hotspots().clone());
-                            }
-                            Middleware::new_shared(
-                                (d.spec.engines)(),
-                                pyramid.clone(),
-                                config.profile,
-                                config.history_cache,
-                                k,
-                                handle,
-                            )
-                        }
-                        None => Middleware::new(
-                            (d.spec.engines)(),
-                            pyramid.clone(),
-                            config.profile,
-                            config.history_cache,
-                            k,
-                        ),
-                    };
-                    if let Some(fs) = &config.faults {
-                        mw.set_faults(fs.plan.clone(), fs.retry);
-                    }
-                    mw.set_burst(config.burst);
-                    *middleware = Some(mw);
-                    let g = pyramid.geometry();
-                    ServerMsg::Welcome {
-                        levels: g.levels,
-                        deepest_tiles: g.tiles_at(g.levels - 1),
-                    }
-                }
-            };
-            Flow::Reply(Reply::Msg(reply))
-        }
-        ClientMsg::RequestTile { tile, mv } => {
-            let error = |code, reason| Reply::Msg(ServerMsg::Error { code, reason });
-            let reply = match middleware.as_mut() {
-                None => error(
-                    ErrorCode::General,
-                    "session not opened: send Hello first".into(),
-                ),
-                Some(mw) => match mw.try_request(tile, mv) {
-                    Ok(Some(resp)) => Reply::Tile {
-                        tile: resp.tile,
-                        latency_ns: u64::try_from(resp.latency.as_nanos()).unwrap_or(u64::MAX),
-                        cache_hit: resp.cache_hit,
-                        // fc-check: allow(handler-unwrap) -- phase index is 0..3 by construction, always fits u8
-                        phase: u8::try_from(resp.phase.index()).expect("phase id"),
-                        degraded: resp.degraded,
-                    },
-                    Ok(None) => error(ErrorCode::NoSuchTile, format!("no such tile: {tile}")),
-                    // The fetch exhausted its retry/deadline budget
-                    // with nothing resident to degrade to. The session
-                    // stays up: the fault may be transient and the
-                    // client decides whether to retry or re-navigate.
-                    Err(e) => error(
-                        ErrorCode::Unavailable,
-                        format!("tile {tile} unavailable: {e}"),
-                    ),
-                },
-            };
-            Flow::Reply(reply)
-        }
-        ClientMsg::GetStats => {
-            let reply = match middleware.as_ref() {
-                None => ServerMsg::Error {
-                    code: ErrorCode::General,
-                    reason: "session not opened".into(),
-                },
-                Some(mw) => {
-                    let s = mw.stats();
-                    ServerMsg::Stats {
-                        requests: s.requests as u64,
-                        hits: s.hits as u64,
-                        avg_latency_ns: u64::try_from(s.avg_latency().as_nanos())
-                            .unwrap_or(u64::MAX),
-                        prefetch_issued: s.prefetch_issued as u64,
-                        prefetch_used: s.prefetch_used as u64,
-                    }
-                }
-            };
-            Flow::Reply(Reply::Msg(reply))
-        }
-        ClientMsg::Bye => Flow::Close,
-    }
-}
-
 /// Converts a tile into its wire payload: an owned copy of its names,
 /// columns and expanded presence mask. Serving does not call this —
-/// replies leave by reference ([`Frame::tile`]) — it feeds the
-/// reference encoder the tests and benchmarks compare against.
+/// replies leave by reference ([`crate::Frame::tile`]) — it feeds
+/// the reference encoder the tests and benchmarks compare against.
 pub fn tile_payload(tile: &Tile) -> TilePayload {
     let (h, w) = wire_shape(tile);
     let array = &tile.array;

@@ -1,8 +1,8 @@
 //! Chaos invariants: what every run of the multi-session driver must
 //! preserve, no matter how hostile its fault schedule.
 //!
-//! A chaos run is a [`crate::multiuser::run`] with
-//! [`crate::multiuser::Faults`]: every session replays its trace
+//! A chaos run is a [`crate::multiuser::run`] whose serving config
+//! sets `faults` (`fc_server::FaultSetup`): every session replays its trace
 //! through the *fallible* fetch path
 //! ([`fc_core::Middleware::try_request`]), so a backend brownout or
 //! error burst produces the full degradation ladder — retried fetches,

@@ -23,9 +23,11 @@
 //!   cross-validation as in §5.4;
 //! * [`multiuser`] — the multi-session replay driver: K simulated
 //!   analysts per dataset, each dataset one shared-cache namespace,
-//!   stepped in deterministic lockstep on one thread, under one config
-//!   that sets faults, burst scheduling, think time and the hotspot
-//!   blend, with one report per run (the `exp_multiuser` substrate);
+//!   stepped in deterministic lockstep on one thread. It reads the
+//!   server's own `fc_server::ServerConfig` (faults, burst scheduling,
+//!   the hotspot model) and opens each session through the server's
+//!   session recipe; one report per run (the `exp_multiuser`
+//!   substrate);
 //! * `chaos` — the invariants every run must hold under any fault
 //!   schedule (bounded namespaces, balanced accounting, no escaped
 //!   panic);
@@ -55,7 +57,7 @@ pub mod zoo;
 pub use auto_weights::learn_weights;
 pub use chaos::assert_invariants;
 pub use dataset::{DatasetConfig, StudyDataset};
-pub use multiuser::{run, synthetic_workload, Faults, MultiUserConfig, RunConfig, RunReport};
+pub use multiuser::{run, synthetic_workload, RunConfig, RunReport};
 pub use replay::{AccuracyReport, Predictor, ReplayOutcome};
 pub use study::{Study, StudyConfig};
 pub use swarm::{run_swarm, SwarmConfig, SwarmReport};

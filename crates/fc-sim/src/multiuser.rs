@@ -2,15 +2,16 @@
 //! more shared datasets.
 //!
 //! The paper's evaluation replays one analyst at a time (§5.2.2); the
-//! ROADMAP's north star is a backend shared by many. Every session is
-//! a full [`Middleware`] (engine + private history cache) replaying its
-//! own trace. Its shared tile cache is its dataset's
-//! [`DatasetRegistry`] namespace (one global budget split across the
-//! datasets), and like every engine it ranks through the dataset's one
-//! χ² pair table (`fc_core::paircache`, "Sharing"). One [`RunConfig`]
-//! sets, for every session of a run, the workload shape, the fault
-//! schedule, burst scheduling, think time and the cross-session
-//! hotspot blend.
+//! ROADMAP's north star is a backend shared by many. The driver reads
+//! the server's own [`ServerConfig`] and opens every session the way a
+//! Hello does: one [`MultiUserServing::registry`] per run, one
+//! namespace per dataset, and [`ServerConfig::open_session`] per
+//! session, so a session here is the [`Middleware`] the server would
+//! build — its private engine and history cache, its dataset's shared
+//! tile cache, and its dataset's one χ² pair table
+//! (`fc_core::paircache`, "Sharing"). [`RunConfig`] adds only the
+//! workload shape: session and step counts, think time, and the fault
+//! window the report's phases bucket by.
 //!
 //! [`run`] steps every session in lockstep round-robin on one thread
 //! (session 0 step 0, session 1 step 0, …, session 0 step 1, …), the
@@ -24,83 +25,65 @@
 use crate::trace::{Trace, TraceStep};
 use fc_core::paircache::PairCacheStats;
 use fc_core::{
-    BurstConfig, DatasetRegistry, FaultPlan, FetchError, HotspotBlend, HotspotConfig,
-    LatencyProfile, Middleware, MultiUserCache, Phase, PredictionEngine, RegistryConfig, Response,
-    RetryPolicy, SbRecommender, SharedCacheStats, SharedHotspotModel, SharedSessionHandle,
+    DatasetNamespace, FetchError, Middleware, MiddlewareStats, MultiUserCache, Phase,
+    PredictionEngine, Response, SbRecommender, SharedCacheStats,
 };
+use fc_server::{MultiUserServing, ServerConfig};
 use fc_tiles::{Geometry, Move, Pyramid, Quadrant, TileId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The workload shape of a run.
+/// One run: the serving config every session opens under, and the
+/// workload shape.
+///
+/// Of [`Self::serving`] the driver reads what a session is built from
+/// — `profile`, `history_cache`, `default_k` (every session's prefetch
+/// budget, as a Hello that leaves `prefetch_k` at 0), `multi_user`
+/// (required: the driver replays shared-cache sessions), `faults` and
+/// `burst`. There are no sockets, so `limits` and `reactor` go unread,
+/// and `push` must be `None`: pushes drain on the reactor's tick,
+/// which lockstep has no counterpart of.
 #[derive(Debug, Clone)]
-pub struct MultiUserConfig {
+pub struct RunConfig {
+    /// The server config every session opens under.
+    pub serving: ServerConfig,
     /// Sessions per dataset.
     pub sessions: usize,
     /// Serviceable requests each session attempts (its trace repeats
     /// as needed).
     pub steps_per_session: usize,
-    /// Global shared-cache budget in tiles, split exactly across the
-    /// datasets' namespaces.
-    pub cache_capacity: usize,
-    /// Shard count of each namespace's lock-striped cache (power of
-    /// two, 0 = default striping).
-    pub shards: usize,
-    /// Per-session prefetch budget k.
-    pub k: usize,
-    /// Private last-n history cache per session.
-    pub history_cache: usize,
-    /// Latency profile for hit/miss accounting.
-    pub profile: LatencyProfile,
-}
-
-impl Default for MultiUserConfig {
-    fn default() -> Self {
-        Self {
-            sessions: 8,
-            steps_per_session: 64,
-            cache_capacity: 1024,
-            shards: 0,
-            k: 4,
-            history_cache: 4,
-            profile: LatencyProfile::paper(),
-        }
-    }
-}
-
-/// A fault schedule every session of a run replays under.
-#[derive(Debug, Clone)]
-pub struct Faults {
-    /// The plan, shared by all sessions; decisions stay deterministic
-    /// because the plan keys on each session's own request index.
-    pub plan: Arc<FaultPlan>,
-    /// Retry/backoff/deadline budget for faulted fetches.
-    pub retry: RetryPolicy,
-    /// `[from, until)` request-index window the plan's faults cover,
-    /// used to bucket the report's phase statistics. Use
-    /// `(0, u64::MAX)` for an unwindowed (always-on) plan.
-    pub window: (u64, u64),
-}
-
-/// One run: the workload shape plus what every session runs under.
-#[derive(Debug, Clone, Default)]
-pub struct RunConfig {
-    /// Workload shape (sessions, steps, cache, batching, k, …).
-    pub base: MultiUserConfig,
-    /// The fault schedule; `None` is the fault-free fetch path.
-    pub faults: Option<Faults>,
-    /// Burst-aware prefetch scheduling (`None` keeps the uniform
-    /// per-request budget).
-    pub burst: Option<BurstConfig>,
     /// Think-time schedules, parallel to each dataset's traces:
     /// session `i` charges `think[i % think.len()][j]` to its timeline
     /// before step `j` of each pass (the gap stream the burst
     /// classifier sees). Empty = back-to-back replay.
     pub think: Vec<Vec<Duration>>,
-    /// The cross-session hotspot model's cadence and the engine-side
-    /// blend every session applies (`None` = model off).
-    pub hotspots: Option<(HotspotConfig, HotspotBlend)>,
+    /// `[from, until)` request-index window of `serving.faults`' plan,
+    /// used to bucket the report's phase statistics; `(0, u64::MAX)`
+    /// (the default) for an unwindowed plan or none.
+    pub fault_window: (u64, u64),
+}
+
+impl Default for RunConfig {
+    /// 8 sessions of 64 steps over a 1,024-tile shared cache, k 4,
+    /// and the server's defaults otherwise (history 4, the paper's
+    /// latency profile).
+    fn default() -> Self {
+        Self {
+            serving: ServerConfig {
+                default_k: 4,
+                multi_user: Some(MultiUserServing {
+                    cache_capacity: 1024,
+                    ..MultiUserServing::default()
+                }),
+                ..ServerConfig::default()
+            },
+            sessions: 8,
+            steps_per_session: 64,
+            think: Vec::new(),
+            fault_window: (0, u64::MAX),
+        }
+    }
 }
 
 /// One dataset of a run: its namespace name, its pyramid, and the
@@ -184,8 +167,10 @@ impl NamespaceReport {
 /// Aggregate outcome of one run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
-    /// Sessions run, across datasets.
-    pub sessions: usize,
+    /// Each session's middleware counters at the end of the run, in
+    /// session order (dataset by dataset): what a `GetStats` would
+    /// answer it.
+    pub session_stats: Vec<MiddlewareStats>,
     /// Serviceable attempts across sessions.
     pub attempts: usize,
     /// Replies produced (clean + degraded).
@@ -347,7 +332,7 @@ impl Session<'_> {
         let Some((tile, index, result)) = self.cursor.step(&mut self.mw) else {
             return false;
         };
-        let (from, until) = cfg.faults.as_ref().map_or((0, u64::MAX), |f| f.window);
+        let (from, until) = cfg.fault_window;
         let t = &mut self.tally;
         let bucket = &mut t.phases[usize::from(index >= from) + usize::from(index >= until)];
         match result {
@@ -358,7 +343,7 @@ impl Session<'_> {
                 bucket.degraded += usize::from(resp.degraded);
                 t.retries += u64::from(resp.fetch_retries);
                 let strategy = self.mw.engine().config().strategy;
-                let (_, sb_slots) = strategy.allocate(resp.phase, cfg.base.k);
+                let (_, sb_slots) = strategy.allocate(resp.phase, cfg.serving.default_k);
                 t.sb_ranked += usize::from(!resp.degraded && sb_slots > 0);
                 t.pair_probes += resp.pair_cache.hits + resp.pair_cache.misses;
                 t.latency_ns.push(nanos(resp.latency));
@@ -378,13 +363,12 @@ fn nanos(d: Duration) -> u64 {
 /// A dataset's shared state for one run.
 struct Namespace {
     name: String,
-    cache: Arc<dyn MultiUserCache>,
+    namespace: Arc<DatasetNamespace>,
     /// The dataset's pyramid and SB model, and its pair table's
     /// counters when the run opened.
     pyramid: Arc<Pyramid>,
     sb: SbRecommender,
     pair_table: PairCacheStats,
-    hotspots: Option<Arc<SharedHotspotModel>>,
 }
 
 impl Namespace {
@@ -397,8 +381,9 @@ impl Namespace {
     }
 }
 
-/// Builds every dataset's namespace and `cfg.base.sessions` sessions
-/// per dataset, dataset by dataset, in session order.
+/// Builds every dataset's namespace and `cfg.sessions` sessions per
+/// dataset, dataset by dataset, in session order, through the
+/// server's registry and session recipe.
 fn open<'a, F>(
     datasets: &[Dataset<'a>],
     engine_factory: F,
@@ -407,58 +392,44 @@ fn open<'a, F>(
 where
     F: Fn(&Arc<Pyramid>) -> PredictionEngine,
 {
-    assert!(cfg.base.sessions > 0, "need at least one session");
+    assert!(cfg.sessions > 0, "need at least one session");
     assert!(!datasets.is_empty(), "need at least one dataset");
-    let registry = DatasetRegistry::new(RegistryConfig {
-        budget: cfg.base.cache_capacity,
-        shards: cfg.base.shards,
-        hotspots: cfg.hotspots.map_or_else(HotspotConfig::default, |(h, _)| h),
-    });
+    assert!(
+        cfg.serving.push.is_none(),
+        "push drains on the reactor's tick; lockstep has none"
+    );
+    let registry = cfg
+        .serving
+        .multi_user
+        .as_ref()
+        .expect("the driver replays shared-cache sessions: set `serving.multi_user`")
+        .registry();
     let mut sessions = Vec::new();
     let mut namespaces = Vec::new();
     for (d, &(name, pyramid, traces)) in datasets.iter().enumerate() {
         assert!(!traces.is_empty(), "dataset {name} needs traces");
         let ns = registry.attach(name);
-        let cache: Arc<dyn MultiUserCache> = ns.cache().clone();
-        let hotspots = cfg.hotspots.map(|_| ns.hotspots().clone());
-        let engines: Vec<PredictionEngine> = (0..cfg.base.sessions)
-            .map(|_| engine_factory(pyramid))
-            .collect();
+        let engines: Vec<PredictionEngine> =
+            (0..cfg.sessions).map(|_| engine_factory(pyramid)).collect();
         let mut namespace = Namespace {
             name: name.to_string(),
-            cache: cache.clone(),
+            namespace: ns.clone(),
             pyramid: pyramid.clone(),
             sb: engines[0].sb_model().clone(),
             pair_table: PairCacheStats::default(),
-            hotspots: hotspots.clone(),
         };
         namespace.pair_table = namespace.pair_table();
-        for (i, mut engine) in engines.into_iter().enumerate() {
-            let mut handle = SharedSessionHandle::open(cache.clone(), None);
-            if let (Some((_, blend)), Some(model)) = (cfg.hotspots, &hotspots) {
-                engine.set_hotspot_blend(Some(blend));
-                handle = handle.with_hotspots(model.clone());
-            }
-            let mut mw = Middleware::new_shared(
-                engine,
-                pyramid.clone(),
-                cfg.base.profile,
-                cfg.base.history_cache,
-                cfg.base.k,
-                handle,
-            );
-            if let Some(f) = &cfg.faults {
-                mw.set_faults(f.plan.clone(), f.retry);
-            }
-            mw.set_burst(cfg.burst);
+        for (i, engine) in engines.into_iter().enumerate() {
             let think = match cfg.think.len() {
                 0 => &[][..],
                 n => &cfg.think[i % n][..],
             };
             sessions.push(Session {
                 dataset: d,
-                mw,
-                cursor: Cursor::new(&traces[i % traces.len()], think, cfg.base.steps_per_session),
+                mw: cfg
+                    .serving
+                    .open_session(engine, pyramid.clone(), Some(&ns), 0),
+                cursor: Cursor::new(&traces[i % traces.len()], think, cfg.steps_per_session),
                 tally: Tally::default(),
             });
         }
@@ -467,12 +438,14 @@ where
     (sessions, namespaces)
 }
 
-/// Replays `cfg.base.sessions` analysts on each of `datasets`, every
+/// Replays `cfg.sessions` analysts on each of `datasets`, every
 /// session stepped in lockstep round-robin on the calling thread until
 /// each has attempted `steps_per_session` requests (or can make no
 /// progress). `engine_factory` builds each session's private
-/// prediction engine for its dataset's pyramid. Same inputs ⇒
-/// bit-identical report.
+/// prediction engine for its dataset's pyramid, as a server's
+/// [`fc_server::EngineFactory`] does: an engine that blends the
+/// hotspot prior (`EngineConfig::hotspot`) comes from it. Same inputs
+/// ⇒ bit-identical report.
 pub fn run<'a, F>(datasets: &[Dataset<'a>], engine_factory: F, cfg: &'a RunConfig) -> RunReport
 where
     F: Fn(&Arc<Pyramid>) -> PredictionEngine,
@@ -500,8 +473,7 @@ fn report(
     fingerprint: u64,
 ) -> RunReport {
     let mut r = RunReport {
-        sessions: sessions.len(),
-        burst_active: cfg.burst.is_some(),
+        burst_active: cfg.serving.burst.is_some(),
         fingerprint,
         ..RunReport::default()
     };
@@ -520,6 +492,7 @@ fn report(
         r.sb_ranked += t.sb_ranked;
         r.panics += usize::from(t.panicked);
         let st = s.mw.stats();
+        r.session_stats.push(st);
         for (sum, n) in r.per_traffic.iter_mut().zip(st.per_traffic) {
             *sum += n;
         }
@@ -545,14 +518,14 @@ fn report(
         .zip(per_ns)
         .map(
             |(ns, (max_resident, served, hits, pair_probes))| NamespaceReport {
-                capacity: ns.cache.capacity(),
+                capacity: ns.namespace.cache().capacity(),
                 max_resident,
                 served,
                 hits,
-                shared: ns.cache.stats(),
+                shared: ns.namespace.cache().stats(),
                 pair_probes,
                 pair_table: ns.pair_table().since(ns.pair_table),
-                hotspot_epoch: ns.hotspots.as_ref().map_or(0, |m| m.epoch()),
+                hotspot_epoch: ns.namespace.hotspots().epoch(),
                 dataset: ns.name,
             },
         )
@@ -776,7 +749,10 @@ mod tests {
     use fc_array::{DenseArray, Schema};
     use fc_core::engine::PhaseSource;
     use fc_core::signature::SignatureKind;
-    use fc_core::{AbRecommender, AllocationStrategy, EngineConfig, SbConfig, SbRecommender};
+    use fc_core::{
+        AbRecommender, AllocationStrategy, EngineConfig, HotspotBlend, HotspotConfig,
+        LatencyProfile, SbConfig, SbRecommender, SharedSessionHandle,
+    };
     use fc_tiles::{PyramidBuilder, PyramidConfig};
 
     fn pyramid() -> Arc<Pyramid> {
@@ -810,6 +786,32 @@ mod tests {
         )
     }
 
+    /// A run of `sessions` × `steps` over a shared cache of `capacity`
+    /// tiles in `shards` shards at prefetch budget `k`.
+    fn config(
+        sessions: usize,
+        steps: usize,
+        capacity: usize,
+        shards: usize,
+        k: usize,
+    ) -> RunConfig {
+        let d = RunConfig::default();
+        RunConfig {
+            serving: ServerConfig {
+                default_k: k,
+                multi_user: Some(MultiUserServing {
+                    cache_capacity: capacity,
+                    shards,
+                    hotspots: None,
+                }),
+                ..d.serving
+            },
+            sessions,
+            steps_per_session: steps,
+            ..d
+        }
+    }
+
     #[test]
     fn synthetic_workload_is_deterministic_and_well_formed() {
         let p = pyramid();
@@ -839,19 +841,9 @@ mod tests {
     fn concurrent_run_accounts_every_request() {
         let p = pyramid();
         let traces = synthetic_workload(p.geometry(), 4, 30, 6);
-        let cfg = RunConfig {
-            base: MultiUserConfig {
-                sessions: 4,
-                steps_per_session: 30,
-                cache_capacity: 16,
-                shards: 4,
-                // Past AB's four slots, so SB has one in every phase
-                // and every request ranks through the shared table.
-                k: 5,
-                ..MultiUserConfig::default()
-            },
-            ..RunConfig::default()
-        };
+        // k = 5: past AB's four slots, so SB has one in every phase
+        // and every request ranks through the shared table.
+        let cfg = config(4, 30, 16, 4, 5);
         let r = run(&[("g", &p, &traces[..])], engine, &cfg);
         assert_eq!(r.served, 4 * 30);
         assert_eq!(r.panics, 0);
@@ -955,31 +947,28 @@ mod tests {
             (8_852_986_954_812_206_845, [(69, 15, 10); 2]),
         ];
         for (hotspots, (want_fp, want_ns)) in [false, true].into_iter().zip(pins) {
-            let cfg = RunConfig {
-                base: MultiUserConfig {
-                    sessions: 2,
-                    steps_per_session: 40,
-                    cache_capacity: 64,
-                    shards: 1,
-                    // Below the deepest-level candidate count, so the
-                    // ranking (and with it the hotspot prior) decides
-                    // what gets prefetched.
-                    k: 2,
-                    ..MultiUserConfig::default()
-                },
-                hotspots: hotspots.then_some((
-                    HotspotConfig {
-                        top_n: 4,
-                        refresh_every: 8,
-                    },
-                    HotspotBlend {
-                        radius: 6,
-                        phases: [true, true, true],
-                    },
-                )),
-                ..RunConfig::default()
+            // k = 2: below the deepest-level candidate count, so the
+            // ranking (and with it the hotspot prior) decides what
+            // gets prefetched.
+            let mut cfg = config(2, 40, 64, 1, 2);
+            if let Some(mu) = cfg.serving.multi_user.as_mut() {
+                mu.hotspots = hotspots.then_some(HotspotConfig {
+                    top_n: 4,
+                    refresh_every: 8,
+                });
+            }
+            // The model feeds every session's handle; the engines
+            // blend its prior.
+            let blend = hotspots.then_some(HotspotBlend {
+                radius: 6,
+                phases: [true, true, true],
+            });
+            let blended = |p: &Arc<Pyramid>| {
+                let mut e = engine(p);
+                e.set_hotspot_blend(blend);
+                e
             };
-            let r = run(&datasets, engine, &cfg);
+            let r = run(&datasets, blended, &cfg);
             assert_eq!(r.served, 2 * 2 * 40, "hotspots={hotspots}");
             let caps: usize = r.namespaces.iter().map(|n| n.capacity).sum();
             assert_eq!(caps, 64, "namespace capacities sum to the budget");
@@ -1003,15 +992,7 @@ mod tests {
     fn sessions_close_after_the_run() {
         let p = pyramid();
         let traces = synthetic_workload(p.geometry(), 2, 10, 5);
-        let cfg = RunConfig {
-            base: MultiUserConfig {
-                sessions: 2,
-                steps_per_session: 10,
-                cache_capacity: 8,
-                ..MultiUserConfig::default()
-            },
-            ..RunConfig::default()
-        };
+        let cfg = config(2, 10, 8, 0, 4);
         // The driver opens its own caches; check the handle
         // lifecycle on one directly.
         let cache: Arc<dyn MultiUserCache> = Arc::new(fc_core::SharedTileCache::new(8));

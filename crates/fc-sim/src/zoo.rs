@@ -21,9 +21,7 @@
 //! generators keep any *shared* structure (the flash-crowd target) on
 //! the base seed.
 
-use crate::multiuser::{
-    fold_response, run, Cursor, MultiUserConfig, RunConfig, RunReport, FNV_OFFSET,
-};
+use crate::multiuser::{fold_response, run, Cursor, RunConfig, RunReport, FNV_OFFSET};
 use crate::trace::{Trace, TraceStep};
 use fc_core::engine::heuristic_phase;
 use fc_core::{Middleware, MiddlewareStats, PredictionEngine, Request, TrafficPhase};
@@ -652,11 +650,8 @@ where
 {
     let traces: Vec<Trace> = workloads.iter().map(|w| w.trace.clone()).collect();
     let cfg = RunConfig {
-        base: MultiUserConfig {
-            sessions: workloads.len(),
-            steps_per_session: workloads.iter().map(Workload::len).max().unwrap_or(0),
-            ..cfg.base.clone()
-        },
+        sessions: workloads.len(),
+        steps_per_session: workloads.iter().map(Workload::len).max().unwrap_or(0),
         think: workloads.iter().map(|w| w.think.clone()).collect(),
         ..cfg.clone()
     };

@@ -9,9 +9,10 @@ use fc_core::{
     AbRecommender, AllocationStrategy, EngineConfig, FaultPlan, FaultRates, FaultWindow,
     PredictionEngine, RetryPolicy, SbConfig, SbRecommender,
 };
-use fc_sim::multiuser::{hotspot_workload, synthetic_workload, MultiUserConfig};
+use fc_server::{FaultSetup, MultiUserServing, ServerConfig};
+use fc_sim::multiuser::{hotspot_workload, synthetic_workload};
 use fc_sim::trace::Trace;
-use fc_sim::{assert_invariants, Faults, RunConfig, RunReport};
+use fc_sim::{assert_invariants, RunConfig, RunReport};
 use fc_tiles::{Move, Pyramid, PyramidBuilder, PyramidConfig, TileId};
 use std::sync::Arc;
 use std::time::Duration;
@@ -81,6 +82,37 @@ fn engine(p: &Arc<Pyramid>) -> PredictionEngine {
     )
 }
 
+/// A run of `sessions` × `steps` over a shared cache of `capacity`
+/// tiles in `shards` shards (0 = default striping), every session under
+/// `plan` with its faults covering `window`.
+fn faulted(
+    sessions: usize,
+    steps: usize,
+    (capacity, shards): (usize, usize),
+    plan: FaultPlan,
+    window: (u64, u64),
+) -> RunConfig {
+    let d = RunConfig::default();
+    RunConfig {
+        serving: ServerConfig {
+            multi_user: Some(MultiUserServing {
+                cache_capacity: capacity,
+                shards,
+                hotspots: None,
+            }),
+            faults: Some(FaultSetup {
+                plan: Arc::new(plan),
+                retry: RetryPolicy::default(),
+            }),
+            ..d.serving
+        },
+        sessions,
+        steps_per_session: steps,
+        fault_window: window,
+        ..d
+    }
+}
+
 /// One lockstep run of `traces` over `p`.
 fn run(p: &Arc<Pyramid>, traces: &[Trace], cfg: &RunConfig) -> RunReport {
     fc_sim::run(&[("chaos", p, traces)], engine, cfg)
@@ -91,20 +123,7 @@ fn chaos_quiet_plan_is_faultless() {
     let p = pyramid();
     let g = p.geometry();
     let traces = synthetic_workload(g, 2, 24, 6);
-    let cfg = RunConfig {
-        base: MultiUserConfig {
-            sessions: 2,
-            steps_per_session: 24,
-            cache_capacity: 32,
-            ..MultiUserConfig::default()
-        },
-        faults: Some(Faults {
-            plan: Arc::new(FaultPlan::quiet(1)),
-            retry: RetryPolicy::default(),
-            window: (0, u64::MAX),
-        }),
-        ..RunConfig::default()
-    };
+    let cfg = faulted(2, 24, (32, 0), FaultPlan::quiet(1), (0, u64::MAX));
     let r = run(&p, &traces, &cfg);
     assert_invariants(&r);
     assert_eq!(r.attempts, 2 * 24);
@@ -123,20 +142,7 @@ fn chaos_backend_brownout_recovers() {
     let p = pyramid();
     let g = p.geometry();
     let traces = synthetic_workload(g, 4, 40, 6);
-    let cfg = RunConfig {
-        base: MultiUserConfig {
-            sessions: 4,
-            steps_per_session: 40,
-            cache_capacity: 32,
-            ..MultiUserConfig::default()
-        },
-        faults: Some(Faults {
-            plan: Arc::new(FaultPlan::brownout(7, 8, 20)),
-            retry: RetryPolicy::default(),
-            window: (8, 20),
-        }),
-        ..RunConfig::default()
-    };
+    let cfg = faulted(4, 40, (32, 0), FaultPlan::brownout(7, 8, 20), (8, 20));
     let r = run(&p, &traces, &cfg);
     assert_invariants(&r);
     assert_eq!(r.attempts, 4 * 40, "every session drained its steps");
@@ -168,23 +174,9 @@ fn chaos_flash_crowd_error_burst_is_contained() {
     let p = pyramid();
     let g = p.geometry();
     let traces = hotspot_workload(g, 6, 48, 2);
-    let cfg = RunConfig {
-        base: MultiUserConfig {
-            sessions: 6,
-            steps_per_session: 48,
-            // Tight budget: the flash crowd cannot simply cache its
-            // way around the burst.
-            cache_capacity: 8,
-            shards: 4,
-            ..MultiUserConfig::default()
-        },
-        faults: Some(Faults {
-            plan: Arc::new(error_burst(11, 10, 26)),
-            retry: RetryPolicy::default(),
-            window: (10, 26),
-        }),
-        ..RunConfig::default()
-    };
+    // Tight budget: the flash crowd cannot simply cache its way
+    // around the burst.
+    let cfg = faulted(6, 48, (8, 4), error_burst(11, 10, 26), (10, 26));
     let r = run(&p, &traces, &cfg);
     assert_invariants(&r);
     assert_eq!(r.attempts, 6 * 48);
@@ -209,20 +201,7 @@ fn chaos_degraded_backend_stays_mostly_served() {
     let p = pyramid();
     let g = p.geometry();
     let traces = synthetic_workload(g, 4, 32, 5);
-    let cfg = RunConfig {
-        base: MultiUserConfig {
-            sessions: 4,
-            steps_per_session: 32,
-            cache_capacity: 32,
-            ..MultiUserConfig::default()
-        },
-        faults: Some(Faults {
-            plan: Arc::new(degraded_backend(3)),
-            retry: RetryPolicy::default(),
-            window: (0, u64::MAX),
-        }),
-        ..RunConfig::default()
-    };
+    let cfg = faulted(4, 32, (32, 0), degraded_backend(3), (0, u64::MAX));
     let r = run(&p, &traces, &cfg);
     assert_invariants(&r);
     assert_eq!(r.attempts, 4 * 32);
@@ -245,21 +224,7 @@ fn chaos_degraded_backend_stays_mostly_served() {
 #[test]
 fn chaos_multi_session_replay_is_deterministic() {
     let traces = synthetic_workload(pyramid().geometry(), 8, 36, 5);
-    let cfg = RunConfig {
-        base: MultiUserConfig {
-            sessions: 8,
-            steps_per_session: 36,
-            cache_capacity: 16,
-            shards: 4,
-            ..MultiUserConfig::default()
-        },
-        faults: Some(Faults {
-            plan: Arc::new(FaultPlan::brownout(23, 6, 18)),
-            retry: RetryPolicy::default(),
-            window: (6, 18),
-        }),
-        ..RunConfig::default()
-    };
+    let cfg = faulted(8, 36, (16, 4), FaultPlan::brownout(23, 6, 18), (6, 18));
     let a = run(&pyramid(), &traces, &cfg);
     let b = run(&pyramid(), &traces, &cfg);
     assert_invariants(&a);
@@ -294,34 +259,22 @@ fn chaos_window_serves_ancestors_not_errors_when_resident() {
         task: 0,
         steps,
     };
-    let cfg = RunConfig {
-        base: MultiUserConfig {
-            sessions: 1,
-            steps_per_session: 12,
-            cache_capacity: 16,
-            k: 0,
-            ..MultiUserConfig::default()
+    // Request 0 (the root warm-up) is clean; every fetch after it
+    // fails until the retry budget exhausts.
+    let plan = FaultPlan::windowed(
+        5,
+        fc_core::FaultWindow {
+            from: 1,
+            until: u64::MAX,
+            rates: fc_core::FaultRates {
+                transient_per_mille: 1000,
+                transient_first_attempts: u32::MAX,
+                ..fc_core::FaultRates::default()
+            },
         },
-        // Request 0 (the root warm-up) is clean; every fetch after it
-        // fails until the retry budget exhausts.
-        faults: Some(Faults {
-            plan: Arc::new(FaultPlan::windowed(
-                5,
-                fc_core::FaultWindow {
-                    from: 1,
-                    until: u64::MAX,
-                    rates: fc_core::FaultRates {
-                        transient_per_mille: 1000,
-                        transient_first_attempts: u32::MAX,
-                        ..fc_core::FaultRates::default()
-                    },
-                },
-            )),
-            retry: RetryPolicy::default(),
-            window: (1, u64::MAX),
-        }),
-        ..RunConfig::default()
-    };
+    );
+    let mut cfg = faulted(1, 12, (16, 0), plan, (1, u64::MAX));
+    cfg.serving.default_k = 0;
     let r = run(&p, &[trace], &cfg);
     assert_invariants(&r);
     assert_eq!(r.attempts, 12);

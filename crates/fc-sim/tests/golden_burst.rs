@@ -29,8 +29,8 @@ use fc_core::{
     MultiUserCache, PredictionEngine, SbConfig, SbRecommender, SharedSessionHandle,
     SharedTileCache,
 };
+use fc_server::{MultiUserServing, ServerConfig};
 use fc_sim::multiuser::synthetic_workload;
-use fc_sim::multiuser::MultiUserConfig;
 use fc_sim::trace::Trace;
 use fc_sim::zoo::{self, replay_workload, run_crowd, ZOO_NAMES};
 use fc_sim::{RunConfig, RunReport};
@@ -285,15 +285,19 @@ impl From<RunReport> for ZooPin {
 
 fn zoo_shared(p: &Arc<Pyramid>, name: &str, burst: Option<BurstConfig>) -> ZooPin {
     let workloads = zoo::crowd(name, p.geometry(), 256, 4, 77);
+    let d = RunConfig::default();
     let cfg = RunConfig {
-        base: MultiUserConfig {
-            cache_capacity: 64,
-            shards: 4,
-            k: 4,
-            ..MultiUserConfig::default()
+        serving: ServerConfig {
+            default_k: 4,
+            multi_user: Some(MultiUserServing {
+                cache_capacity: 64,
+                shards: 4,
+                hotspots: None,
+            }),
+            burst,
+            ..d.serving
         },
-        burst,
-        ..RunConfig::default()
+        ..d
     };
     run_crowd(p, zoo_engine, &workloads, &cfg).into()
 }

@@ -11,9 +11,9 @@ use fc_core::{
     AbRecommender, AllocationStrategy, BurstConfig, EngineConfig, FaultPlan, LatencyProfile,
     Middleware, PredictionEngine, RetryPolicy, SbConfig, SbRecommender, TrafficPhase,
 };
-use fc_sim::multiuser::MultiUserConfig;
+use fc_server::{FaultSetup, MultiUserServing, ServerConfig};
 use fc_sim::zoo::{self, replay_workload, run_crowd, Workload, ZOO_NAMES};
-use fc_sim::{assert_invariants, Faults, RunConfig};
+use fc_sim::{assert_invariants, RunConfig};
 use fc_tiles::{Geometry, Move, Pyramid, PyramidBuilder, PyramidConfig};
 use std::sync::Arc;
 
@@ -213,15 +213,19 @@ fn cross_task_engine(p: &Arc<Pyramid>) -> PredictionEngine {
 /// momentum signal they spend it on same-column lookalikes while the
 /// sprint runs horizontally.
 fn ab_config(burst: Option<BurstConfig>) -> RunConfig {
+    let d = RunConfig::default();
     RunConfig {
-        base: MultiUserConfig {
-            cache_capacity: 64,
-            shards: 4,
-            k: 4,
-            ..MultiUserConfig::default()
+        serving: ServerConfig {
+            default_k: 4,
+            multi_user: Some(MultiUserServing {
+                cache_capacity: 64,
+                shards: 4,
+                hotspots: None,
+            }),
+            burst,
+            ..d.serving
         },
-        burst,
-        ..RunConfig::default()
+        ..d
     }
 }
 
@@ -337,19 +341,23 @@ fn flash_crowd_brownout_with_burst_scheduler_holds_invariants() {
     let p = pyramid();
     let g = p.geometry();
     let crowd: Vec<Workload> = zoo::crowd("flash-crowd", g, 48, 4, 1337);
+    let d = RunConfig::default();
     let cfg = RunConfig {
-        base: MultiUserConfig {
-            cache_capacity: 32,
-            shards: 4,
-            ..MultiUserConfig::default()
+        serving: ServerConfig {
+            multi_user: Some(MultiUserServing {
+                cache_capacity: 32,
+                shards: 4,
+                hotspots: None,
+            }),
+            faults: Some(FaultSetup {
+                plan: Arc::new(FaultPlan::brownout(21, 10, 28)),
+                retry: RetryPolicy::default(),
+            }),
+            burst: Some(BurstConfig::default()),
+            ..d.serving
         },
-        faults: Some(Faults {
-            plan: Arc::new(FaultPlan::brownout(21, 10, 28)),
-            retry: RetryPolicy::default(),
-            window: (10, 28),
-        }),
-        burst: Some(BurstConfig::default()),
-        ..RunConfig::default()
+        fault_window: (10, 28),
+        ..d
     };
     let r = run_crowd(&p, |p| engine(p.geometry()), &crowd, &cfg);
     assert_invariants(&r);
