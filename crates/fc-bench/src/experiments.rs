@@ -6,6 +6,7 @@ pub(crate) mod accuracy;
 pub(crate) mod classifier;
 pub(crate) mod data_model;
 pub(crate) mod latency;
+pub(crate) mod serving;
 pub(crate) mod study_stats;
 
 use crate::context::ExpContext;
@@ -34,6 +35,10 @@ pub fn all() -> Vec<(&'static str, ExpRunner)> {
         ("ablation_sb", ablation::ablation_sb),
         ("auto_weights", ablation::auto_weights),
         ("ablation_alloc", ablation::ablation_alloc),
+        ("multi_dataset", serving::multi_dataset),
+        ("fault_ab", serving::fault_ab),
+        ("workload_zoo", serving::workload_zoo),
+        ("push_ab", serving::push_ab),
     ]
 }
 

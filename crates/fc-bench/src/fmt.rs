@@ -33,6 +33,12 @@ pub(crate) fn table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// A table header written as one line: its whitespace-separated
+/// column names.
+pub(crate) fn cols(names: &str) -> Vec<&str> {
+    names.split_whitespace().collect()
+}
+
 /// Formats a fraction as a percentage with one decimal.
 pub(crate) fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)

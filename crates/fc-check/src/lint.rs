@@ -7,7 +7,7 @@
 //! | rule             | scope                                   | enforces |
 //! |------------------|-----------------------------------------|----------|
 //! | `safety-comment` | every `.rs` file                        | each `unsafe` carries a `// SAFETY:` comment |
-//! | `wall-clock`     | fc-core/fc-tiles/fc-array/fc-server/fc-sim `src/` (but fc-sim's `swarm.rs`) | no ambient time (`Instant::now`, `SystemTime`, `.elapsed()`) — SimClock / `parking_lot::time` discipline; the server reads the clock once per reactor turn; the swarm load generator times real sockets by design |
+//! | `wall-clock`     | fc-core/fc-tiles/fc-array/fc-server/fc-sim `src/` | no ambient time (`Instant::now`, `SystemTime`, `.elapsed()`) — SimClock / `parking_lot::time` discipline; the server reads the clock once per reactor turn |
 //! | `std-sync`       | all `src/` outside `crates/shims`       | no `std::sync::{Mutex,RwLock,Condvar}` — the shim is the instrumented seam |
 //! | `handler-unwrap` | fc-server `src/`                        | no `.unwrap()`/`.expect()`/`panic!` in client-reachable paths |
 //! | `no-print`       | library `src/` (fc-bench and bins exempt) | no `println!`/`eprintln!`/`dbg!` in libraries |
@@ -383,10 +383,6 @@ fn is_src(label: &str) -> bool {
 /// The one file that makes χ² pair tables for the request path.
 const PAIR_TABLE_OWNER: &str = "crates/fc-core/src/paircache.rs";
 
-/// fc-sim's wire load generator: it measures real socket latency, so
-/// it reads the wall clock by design.
-const SWARM_DRIVER: &str = "crates/fc-sim/src/swarm.rs";
-
 fn rule_applies(rule: &'static str, label: &str) -> bool {
     match rule {
         "safety-comment" => true,
@@ -396,7 +392,7 @@ fn rule_applies(rule: &'static str, label: &str) -> bool {
                     || in_dir(label, "crates/fc-tiles/")
                     || in_dir(label, "crates/fc-array/")
                     || in_dir(label, "crates/fc-server/")
-                    || (in_dir(label, "crates/fc-sim/") && label != SWARM_DRIVER))
+                    || in_dir(label, "crates/fc-sim/"))
         }
         "std-sync" => is_src(label) && !in_dir(label, "crates/shims/"),
         "handler-unwrap" | "wire-string" => is_src(label) && in_dir(label, "crates/fc-server/"),

@@ -87,16 +87,14 @@ fn waived_wall_clock_read_in_fc_server_passes() {
     assert_eq!(summary.waivers_used, 1);
 }
 
-/// The lockstep replay driver runs on the simulated clock alone; only
-/// the swarm, which times real sockets, may read the wall clock.
+/// The lockstep replay driver runs on the simulated clock alone.
 #[test]
-fn wall_clock_in_fc_sim_fires_but_the_swarm_is_exempt() {
+fn wall_clock_in_fc_sim_fires() {
     let src = "fn step() { let t = Instant::now(); }\n";
     assert_eq!(
         rules(&lint_source("crates/fc-sim/src/multiuser.rs", src)),
         ["wall-clock"]
     );
-    assert!(lint_source("crates/fc-sim/src/swarm.rs", src).is_empty());
 }
 
 #[test]

@@ -34,9 +34,9 @@
 //! and the two refinements that close the policy's blind spot,
 //! pause-free sweeps with no quiet window to spend a budget in
 //! (momentum lookahead; the auto sweep fallback to the uniform plan).
-//! The per-phase budget policy is constants: the values every
-//! `workload_zoo` row of `BENCH_multiuser.json` was measured at
-//! (`exp_multiuser` part 3: 4 sessions × 256 steps, 64-tile cache in 4
+//! The per-phase budget policy is constants: the values every row of
+//! the report's `workload_zoo` section is measured at (fc-bench's
+//! `run_all workload_zoo`: 4 sessions × 256 steps, 64-tile cache in 4
 //! shards, k = 4, seed 77), which no caller ever changed:
 //!
 //! | constant | value | role, and the zoo evidence for it |

@@ -38,8 +38,8 @@
 //!
 //! [`PushPolicy::RoundRobin`] is the A/B control: same queues, same
 //! budget, but sessions are drained cyclically with no utility model —
-//! the baseline the `exp_multiuser` reactor section measures the
-//! utility schedule against.
+//! the baseline the report's `push_ab` section (fc-bench's `run_all`)
+//! measures the utility schedule and push off against.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 

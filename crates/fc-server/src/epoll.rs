@@ -8,8 +8,7 @@
 //! no matter how little work userspace does. `epoll` inverts the
 //! contract: descriptors register once, the kernel keeps the interest
 //! list, and each wakeup returns only the ready entries — O(ready),
-//! independent of fleet size. The reactor and the `fc-sim` swarm
-//! driver both multiplex on this shim.
+//! independent of fleet size. The reactor multiplexes on this shim.
 //!
 //! Level-triggered (the default), matching `poll(2)` semantics: a
 //! readiness bit stays set until the condition is drained, so the
@@ -23,16 +22,15 @@ use std::os::unix::io::RawFd;
 use std::time::Duration;
 
 /// Readable data (or a peer close, which reads as EOF).
-pub const EPOLLIN: u32 = 0x001;
+pub(crate) const EPOLLIN: u32 = 0x001;
 /// Writable without blocking.
-pub const EPOLLOUT: u32 = 0x004;
+pub(crate) const EPOLLOUT: u32 = 0x004;
 /// Error condition (delivered regardless of interest).
 pub(crate) const EPOLLERR: u32 = 0x008;
 /// Peer hangup (delivered regardless of interest).
 pub(crate) const EPOLLHUP: u32 = 0x010;
 
 const EPOLL_CTL_ADD: c_int = 1;
-const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 
@@ -42,30 +40,30 @@ const EPOLL_CLOEXEC: c_int = 0o2000000;
 #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
 #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
 #[derive(Debug, Clone, Copy)]
-pub struct EpollEvent {
+pub(crate) struct EpollEvent {
     events: u32,
     data: u64,
 }
 
 impl EpollEvent {
     /// An empty slot for the wait buffer.
-    pub fn zeroed() -> Self {
+    pub(crate) fn zeroed() -> Self {
         Self { events: 0, data: 0 }
     }
 
     /// The token the descriptor was registered with.
-    pub fn token(&self) -> u64 {
+    pub(crate) fn token(&self) -> u64 {
         self.data
     }
 
     /// Whether the descriptor is readable (or at EOF / errored —
     /// conditions a read will surface, so the read path must run).
-    pub fn readable(&self) -> bool {
+    pub(crate) fn readable(&self) -> bool {
         self.events & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0
     }
 
     /// Whether the descriptor is writable without blocking.
-    pub fn writable(&self) -> bool {
+    pub(crate) fn writable(&self) -> bool {
         self.events & EPOLLOUT != 0
     }
 
@@ -87,13 +85,11 @@ extern "C" {
 /// Closing a registered descriptor removes it from the interest list
 /// automatically (the kernel holds the underlying file, not the fd
 /// number), so plain drop-based teardown needs no explicit
-/// [`delete`] — `delete` exists for descriptors that outlive their
-/// registration, like a finished-but-still-open client socket.
+/// unregistration.
 ///
 /// [`wait`]: Epoll::wait
-/// [`delete`]: Epoll::delete
 #[derive(Debug)]
-pub struct Epoll {
+pub(crate) struct Epoll {
     fd: RawFd,
 }
 
@@ -102,7 +98,7 @@ impl Epoll {
     ///
     /// # Errors
     /// The raw OS error from `epoll_create1`.
-    pub fn new() -> io::Result<Self> {
+    pub(crate) fn new() -> io::Result<Self> {
         // SAFETY: epoll_create1 takes no pointers; a negative return is
         // checked below and surfaced as the OS error.
         let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
@@ -132,7 +128,7 @@ impl Epoll {
     /// # Errors
     /// The raw OS error from `epoll_ctl` (e.g. an already-registered
     /// descriptor).
-    pub fn add(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+    pub(crate) fn add(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, events, token)
     }
 
@@ -140,16 +136,8 @@ impl Epoll {
     ///
     /// # Errors
     /// The raw OS error from `epoll_ctl`.
-    pub fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+    pub(crate) fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, events, token)
-    }
-
-    /// Unregisters `fd`.
-    ///
-    /// # Errors
-    /// The raw OS error from `epoll_ctl`.
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Blocks until at least one registered descriptor is ready or
@@ -161,7 +149,11 @@ impl Epoll {
     ///
     /// # Errors
     /// The raw OS error for anything other than EINTR.
-    pub fn wait(&self, events: &mut [EpollEvent], timeout: Option<Duration>) -> io::Result<usize> {
+    pub(crate) fn wait(
+        &self,
+        events: &mut [EpollEvent],
+        timeout: Option<Duration>,
+    ) -> io::Result<usize> {
         let timeout_ms: c_int = match timeout {
             None => -1,
             Some(d) => {
@@ -213,6 +205,8 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
+
+    const EPOLL_CTL_DEL: c_int = 2;
 
     fn socket_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -288,7 +282,7 @@ mod tests {
         let mut evs = [EpollEvent::zeroed(); 4];
         let n = ep.wait(&mut evs, Some(Duration::from_secs(2))).unwrap();
         assert_eq!(n, 1);
-        ep.delete(b.as_raw_fd()).unwrap();
+        ep.ctl(EPOLL_CTL_DEL, b.as_raw_fd(), 0, 0).unwrap();
         let n = ep.wait(&mut evs, Some(Duration::from_millis(20))).unwrap();
         assert_eq!(n, 0, "unregistered descriptors never surface");
     }

@@ -26,7 +26,7 @@
 //!   [`protocol::Frame`]s around one message handler, plus the
 //!   utility-scheduled server push
 //!   ([`server::ServerConfig::push`], [`fc_core::PushPlanner`]);
-//! * [`epoll`] — a minimal `epoll(7)` readiness shim over std (the
+//! * `epoll` — a minimal `epoll(7)` readiness shim over std (the
 //!   container has no mio/tokio; std already links libc, so the
 //!   syscalls are a plain `extern "C"` away) for the reactor's
 //!   O(ready) wakeups at thousands of sessions — so the server needs
@@ -37,7 +37,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod client;
-pub mod epoll;
+mod epoll;
 pub mod protocol;
 pub(crate) mod reactor;
 pub mod server;
@@ -45,6 +45,6 @@ pub mod server;
 pub use client::{Client, ReplyReader, ServerError, SessionStats, TileAnswer};
 pub use protocol::{ClientMsg, ErrorCode, Frame, FrameBuf, ServerMsg, TilePayload};
 pub use server::{
-    DatasetSpec, EngineFactory, FaultSetup, MultiUserServing, PushServing, Server, ServerConfig,
-    SessionLimits,
+    refill_push, DatasetSpec, EngineFactory, FaultSetup, MultiUserServing, PushServing, Server,
+    ServerConfig, SessionLimits,
 };

@@ -38,16 +38,16 @@
 //!
 //! Between socket events the loop runs the **push tick**: each served
 //! request refills the session's candidate queue in the
-//! [`fc_core::PushPlanner`] (ranked predictions via
-//! [`fc_core::Middleware::take_push_candidates`], phase via
-//! [`fc_core::Middleware::traffic_phase`]), and each tick drains the
-//! planner's picks into [`Frame::push`] frames — only to sessions
-//! whose socket is writable *and* whose write queue is empty, so a
-//! push never queues behind (or delays) a reply.
+//! [`fc_core::PushPlanner`] ([`crate::refill_push`]), and each tick
+//! ([`crate::PushServing::tick`]) drains the planner's picks into
+//! [`Frame::push`] frames — only to sessions whose socket is writable
+//! *and* whose write queue is empty, so a push never queues behind (or
+//! delays) a reply. `fc_sim::run` calls the same two halves, once a
+//! step and once a lockstep round.
 
 use crate::epoll::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT};
 use crate::protocol::{read_prefix, ClientMsg, ErrorCode, Frame, ServerMsg, MAX_CLIENT_FRAME};
-use crate::server::{PushCounters, ServedDatasets, ServerConfig};
+use crate::server::{refill_push, PushCounters, PushServing, ServedDatasets, ServerConfig};
 use fc_core::{Middleware, MultiUserCache, PushPlanner};
 use fc_tiles::TileId;
 use std::collections::{HashMap, VecDeque};
@@ -161,7 +161,7 @@ pub(crate) fn reactor_loop(
 ) {
     let mut sessions: HashMap<u64, Session> = HashMap::new();
     let mut next_sid: u64 = 0;
-    let mut planner = config.push.map(|p| PushPlanner::new(p.planner));
+    let mut push = config.push.map(|p| (p, PushPlanner::new(p.planner)));
     let mut scratch = vec![0u8; READ_CHUNK];
     let Ok(ep) = Epoll::new() else {
         // No readiness primitive, no reactor: unbind by returning (the
@@ -220,8 +220,11 @@ pub(crate) fn reactor_loop(
                     handle_readable(s, &served, &config, &mut scratch, now);
                     flush_writes(s, now);
                 }
-                if let Some(p) = planner.as_mut() {
-                    refill_push(s, p);
+                if let Some((_, p)) = push.as_mut() {
+                    match s.middleware.as_mut() {
+                        Some(mw) => refill_push(p, s.sid, s.requested.drain(..), mw),
+                        None => s.requested.clear(),
+                    }
                 }
             }));
             if outcome.is_err() {
@@ -246,24 +249,14 @@ pub(crate) fn reactor_loop(
             }
         }
 
-        if let Some(p) = planner.as_mut() {
+        if let Some((serving, p)) = push.as_mut() {
             // The tick budget is per TICK of wall clock, not per loop
             // iteration: under traffic the wait returns on readiness
             // far more often than the tick, and an ungated drain would
             // inflate the budget until the schedule stops mattering.
             if now.duration_since(last_push_tick) >= TICK {
                 last_push_tick = now;
-                push_tick(
-                    &mut sessions,
-                    &ep,
-                    p,
-                    config
-                        .push
-                        // fc-check: allow(handler-unwrap) -- the planner is only constructed when push config is present
-                        .expect("planner implies push config")
-                        .tick_budget,
-                    now,
-                );
+                push_tick(&mut sessions, &ep, serving, p, now);
             }
             let stats = p.stats();
             push_counters.pushed.store(stats.pushed, Ordering::Relaxed);
@@ -277,7 +270,7 @@ pub(crate) fn reactor_loop(
             sessions.retain(|&sid, s| {
                 let done = s.dead || (s.closing && s.wq.is_empty());
                 if done {
-                    if let Some(p) = planner.as_mut() {
+                    if let Some((_, p)) = push.as_mut() {
                         p.drop_session(sid);
                     }
                     sessions_gauge.fetch_sub(1, Ordering::Relaxed);
@@ -624,33 +617,15 @@ fn enforce_timeouts(s: &mut Session, config: &ServerConfig, now: Instant) {
     }
 }
 
-/// Feeds the session's latest served request into the push planner.
-fn refill_push(s: &mut Session, planner: &mut PushPlanner) {
-    let Some(mw) = s.middleware.as_mut() else {
-        s.requested.clear();
-        return;
-    };
-    for tile in s.requested.drain(..) {
-        planner.note_request(s.sid, tile);
-    }
-    let candidates = mw.take_push_candidates();
-    if !candidates.is_empty() {
-        planner.refill(s.sid, &candidates, mw.traffic_phase());
-    }
-}
-
-/// One push tick: plan against the currently writable sessions and
-/// enqueue the picks as Push frames.
+/// One push tick: plans against the currently writable sessions and
+/// enqueues the picks as Push frames.
 fn push_tick(
     sessions: &mut HashMap<u64, Session>,
     ep: &Epoll,
+    serving: &PushServing,
     planner: &mut PushPlanner,
-    budget: usize,
     now: Instant,
 ) {
-    if budget == 0 || planner.pending_sessions() == 0 {
-        return;
-    }
     // Writable for push = live, bound to a namespace cache, and with
     // an *empty* write queue: a push must never delay a reply, so any
     // pending frame disqualifies the session this tick.
@@ -659,24 +634,12 @@ fn push_tick(
         .filter(|s| !s.dead && !s.closing && s.wq.is_empty() && s.push_cache.is_some())
         .map(|s| s.sid)
         .collect();
-    if writable.is_empty() {
-        return;
-    }
-    let caches: HashMap<u64, Arc<dyn MultiUserCache>> = sessions
-        .values()
-        .filter(|s| s.push_cache.is_some())
-        // fc-check: allow(handler-unwrap) -- the filter above keeps only sessions with push_cache set
-        .map(|s| (s.sid, s.push_cache.clone().expect("filtered")))
-        .collect();
-    let picks = planner.plan(budget, &writable, |sid, tile| {
-        caches.get(&sid).is_some_and(|c| c.contains(tile))
+    let picks = serving.tick(planner, &writable, |sid| {
+        sessions.get(&sid).and_then(|s| s.push_cache.as_deref())
     });
-    for (sid, tile) in picks {
+    for (sid, t) in picks {
         let Some(s) = sessions.get_mut(&sid) else {
             continue;
-        };
-        let Some(t) = s.push_cache.as_ref().and_then(|c| c.peek(tile)) else {
-            continue; // evicted between plan and drain
         };
         s.wq.push_back(Frame::push(t));
         flush_writes(s, now);

@@ -15,10 +15,10 @@
 use crate::protocol::{wire_shape, TilePayload};
 use fc_core::{
     DatasetNamespace, DatasetRegistry, FaultPlan, HotspotConfig, LatencyProfile, Middleware,
-    MultiUserCache, PredictionEngine, RegistryConfig, RetryPolicy, SharedCacheStats,
+    MultiUserCache, PredictionEngine, PushPlanner, RegistryConfig, RetryPolicy, SharedCacheStats,
     SharedSessionHandle,
 };
-use fc_tiles::{Pyramid, Tile};
+use fc_tiles::{Pyramid, Tile, TileId};
 use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -144,6 +144,50 @@ impl Default for PushServing {
             planner: fc_core::PushConfig::default(),
             tick_budget: 4,
         }
+    }
+}
+
+impl PushServing {
+    /// One push tick: up to [`Self::tick_budget`] `(session, tile)`
+    /// picks among the `writable` sessions, in drain order, each vetted
+    /// against and read from its session's namespace cache (`cache_of`)
+    /// through [`MultiUserCache::peek`], which moves no counter. The
+    /// reactor ticks once a `TICK`, `fc_sim::run` once a round.
+    pub fn tick<'c>(
+        &self,
+        planner: &mut PushPlanner,
+        writable: &[u64],
+        cache_of: impl Fn(u64) -> Option<&'c dyn MultiUserCache>,
+    ) -> Vec<(u64, Arc<Tile>)> {
+        if self.tick_budget == 0 || planner.pending_sessions() == 0 || writable.is_empty() {
+            return Vec::new();
+        }
+        let picks = planner.plan(self.tick_budget, writable, |sid, tile| {
+            cache_of(sid).is_some_and(|c| c.contains(tile))
+        });
+        picks
+            .into_iter()
+            .filter_map(|(sid, tile)| Some((sid, cache_of(sid)?.peek(tile)?)))
+            .collect()
+    }
+}
+
+/// The per-session half of server push, after a session's requests
+/// are served (the reactor's and `fc_sim::run`'s): settles each tile
+/// it `requested` against its outstanding pushes, then refills its
+/// candidate queue from the last request's ranked predictions.
+pub fn refill_push(
+    planner: &mut PushPlanner,
+    sid: u64,
+    requested: impl IntoIterator<Item = TileId>,
+    mw: &mut Middleware,
+) {
+    for tile in requested {
+        planner.note_request(sid, tile);
+    }
+    let candidates = mw.take_push_candidates();
+    if !candidates.is_empty() {
+        planner.refill(sid, &candidates, mw.traffic_phase());
     }
 }
 
@@ -433,6 +477,7 @@ impl Server {
     /// Cumulative server-push accounting `(pushed, used)` across all
     /// sessions: frames handed to the wire unsolicited, and how many of
     /// them the session then requested. Both zero with push off.
+    // fc-check: allow(unreferenced-pub) -- accessor that ROADMAP item 3's metrics registry replaces
     pub fn push_stats(&self) -> (u64, u64) {
         (
             self.push_counters.pushed.load(Ordering::Relaxed),

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::Pin;
+use common::{Pin, PushWatcher};
 use fc_core::engine::PhaseSource;
 use fc_core::signature::SignatureKind;
 use fc_core::{
@@ -12,7 +12,7 @@ use fc_core::{
     SbConfig, SbRecommender,
 };
 use fc_server::protocol::{
-    read_frame, write_frame, ClientMsg, ServerMsg, TilePayload, MAX_CLIENT_FRAME, MAX_DATASET_NAME,
+    read_frame, write_frame, ClientMsg, ServerMsg, MAX_CLIENT_FRAME, MAX_DATASET_NAME,
 };
 use fc_server::server::tile_payload;
 use fc_server::{
@@ -21,7 +21,7 @@ use fc_server::{
 };
 use fc_sim::dataset::{DatasetConfig, StudyDataset};
 use fc_tiles::{Move, Quadrant, TileId};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -437,58 +437,6 @@ fn reactor_false_is_refused() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
 }
 
-/// A raw-frame session that keeps the `Push` frames arriving ahead of
-/// each reply (the client library skips them). Pushes are only
-/// observed while a reply is awaited, so after a reply this holds every
-/// push sent before it.
-struct PushWatcher {
-    stream: TcpStream,
-    pushed: Vec<TilePayload>,
-}
-
-impl PushWatcher {
-    fn connect(addr: SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
-        let mut w = Self {
-            stream,
-            pushed: Vec::new(),
-        };
-        let hello = ClientMsg::Hello {
-            prefetch_k: 4,
-            dataset: String::new(),
-        };
-        let welcome = w.call(&hello);
-        assert!(matches!(welcome, ServerMsg::Welcome { .. }), "{welcome:?}");
-        w
-    }
-
-    /// Sends `msg` and returns its reply.
-    fn call(&mut self, msg: &ClientMsg) -> ServerMsg {
-        write_frame(&mut self.stream, &msg.encode()).expect("send");
-        loop {
-            let frame = read_frame(&mut self.stream).expect("reply frame");
-            match ServerMsg::decode(frame).expect("decode") {
-                ServerMsg::Push { payload } => self.pushed.push(payload),
-                reply => return reply,
-            }
-        }
-    }
-
-    /// Requests `tile` and returns the tile the reply carries.
-    fn request_tile(&mut self, tile: TileId) -> TileId {
-        let mv = Some(Move::PanRight);
-        match self.call(&ClientMsg::RequestTile { tile, mv }) {
-            ServerMsg::Tile { payload, .. } => payload.tile,
-            other => panic!("unexpected reply to RequestTile: {other:?}"),
-        }
-    }
-
-    fn bye(mut self) {
-        write_frame(&mut self.stream, &ClientMsg::Bye.encode()).expect("bye");
-    }
-}
-
 #[test]
 fn utility_push_ships_predicted_tiles_and_counts_use() {
     let (mut server, ds) = start_server_with(ServerConfig {
@@ -507,7 +455,7 @@ fn utility_push_ships_predicted_tiles_and_counts_use() {
     // Establish a rightward pan run the AB model can extrapolate,
     // leaving think-time gaps for push ticks to fire in.
     for x in 0..3 {
-        c.request_tile(TileId::new(deepest, 1, x));
+        c.request_tile(TileId::new(deepest, 1, x), Some(Move::PanRight));
         std::thread::sleep(Duration::from_millis(120));
     }
     // Poke the socket with stats until pushes surface.
@@ -521,7 +469,7 @@ fn utility_push_ships_predicted_tiles_and_counts_use() {
     assert!(srv_pushed >= c.pushed.len() as u64);
     // Requesting a pushed tile books a *used* push server-side.
     let pushed = c.pushed[0].tile;
-    assert_eq!(c.request_tile(pushed), pushed);
+    assert_eq!(c.request_tile(pushed, Some(Move::PanRight)), pushed);
     wait_for(
         || server.push_stats().1 >= 1,
         "a pushed-then-requested tile counted as used",
@@ -539,7 +487,7 @@ fn push_stays_silent_without_opt_in() {
     let deepest = ds.pyramid.geometry().levels - 1;
     let mut c = PushWatcher::connect(server.addr());
     for x in 0..3 {
-        c.request_tile(TileId::new(deepest, 1, x));
+        c.request_tile(TileId::new(deepest, 1, x), Some(Move::PanRight));
         std::thread::sleep(Duration::from_millis(80));
     }
     c.call(&ClientMsg::GetStats);

@@ -25,19 +25,15 @@
 //!   analysts per dataset, each dataset one shared-cache namespace,
 //!   stepped in deterministic lockstep on one thread. It reads the
 //!   server's own `fc_server::ServerConfig` (faults, burst scheduling,
-//!   the hotspot model) and opens each session through the server's
-//!   session recipe; one report per run (the `exp_multiuser`
-//!   substrate);
+//!   the hotspot model, server push) and opens each session through
+//!   the server's session recipe; one report per run (the substrate of
+//!   fc-bench's multi-user report sections);
 //! * `chaos` — the invariants every run must hold under any fault
 //!   schedule (bounded namespaces, balanced accounting, no escaped
 //!   panic);
 //! * [`zoo`] — the deterministic workload zoo: named, seeded traces
 //!   with think times and declared traffic phases, for the burst
-//!   scheduler's A/B;
-//! * [`swarm`] — the socket-level fleet driver: hundreds-to-thousands
-//!   of paced, nonblocking client sessions from one thread against a
-//!   live `fc-server` reactor, measuring wire-path request latency
-//!   and observing server pushes.
+//!   scheduler's A/B.
 
 #![warn(missing_docs)]
 
@@ -47,7 +43,6 @@ pub mod dataset;
 pub mod multiuser;
 pub mod replay;
 pub mod study;
-pub mod swarm;
 mod task;
 pub mod terrain;
 pub mod trace;
@@ -60,7 +55,6 @@ pub use dataset::{DatasetConfig, StudyDataset};
 pub use multiuser::{run, synthetic_workload, RunConfig, RunReport};
 pub use replay::{AccuracyReport, Predictor, ReplayOutcome};
 pub use study::{Study, StudyConfig};
-pub use swarm::{run_swarm, SwarmConfig, SwarmReport};
 pub use task::TaskSpec;
 pub use terrain::TerrainConfig;
 pub use trace::{Trace, TraceStep};

@@ -12,10 +12,10 @@
 //! dispatch level (CI runs the suite once per level; prediction is
 //! golden-tested bit-identical across levels, so one pin serves all).
 //!
-//! **Zoo A/B:** the six zoo workloads at the `exp_multiuser` A/B shape
-//! (4 sessions × 256 steps, capacity 64 / 4 shards, k = 4, seed 77, the
-//! same geometry, signatures and engine, so the counts equal
-//! `BENCH_multiuser.json`'s `workload_zoo` rows) are pinned by value:
+//! **Zoo A/B:** the six zoo workloads at the shape of the report's
+//! `workload_zoo` section (4 sessions × 256 steps, capacity 64 / 4
+//! shards, k = 4, seed 77, the same geometry, signatures and engine, so
+//! the counts equal that section's rows) are pinned by value:
 //! the shared-mode `run_crowd` report with burst scheduling off
 //! (the A/B's uniform leg) and with `BurstConfig::default()`, the
 //! private-mode `replay_workload` fingerprint with the default config,
@@ -218,8 +218,8 @@ const GOLDEN_PRIVATE: u64 = 5_095_954_937_012_719_669;
 const GOLDEN_PRIVATE_PAIRS: u64 = 1_892_997_080_476_643_503;
 const GOLDEN_SHARED: u64 = 4_225_050_109_384_278_978;
 
-/// `exp_multiuser`'s zoo A/B pyramid: 256² base, 16-cell tiles, four
-/// levels (341 tiles), synthetic per-tile signatures.
+/// The `workload_zoo` section's pyramid: 256² base, 16-cell tiles,
+/// four levels (340 tiles), synthetic per-tile signatures.
 fn zoo_pyramid() -> Arc<Pyramid> {
     let side = 256;
     let schema = fc_array::Schema::grid2d("ZOO", side, side, &["v"]).unwrap();
@@ -243,7 +243,8 @@ fn zoo_pyramid() -> Arc<Pyramid> {
     Arc::new(p)
 }
 
-/// `exp_multiuser`'s engine: AB trained on one 50-step right-pan run.
+/// The `workload_zoo` section's engine: AB trained on one 50-step
+/// right-pan run.
 fn zoo_engine(p: &Arc<Pyramid>) -> PredictionEngine {
     let r = Move::PanRight.index() as u16;
     let traces: Vec<Vec<u16>> = vec![vec![r; 50]];

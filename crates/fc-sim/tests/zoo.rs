@@ -98,8 +98,8 @@ fn zoo_replays_bit_identically_from_seed() {
     }
 }
 
-/// The scheduler-off replay is deterministic too (the A/B baseline
-/// leg of `exp_multiuser` depends on it).
+/// The scheduler-off replay is deterministic too (the baseline leg of
+/// the report's `workload_zoo` section depends on it).
 #[test]
 fn zoo_replays_bit_identically_with_scheduler_off() {
     let p = pyramid();
