@@ -103,6 +103,45 @@ fn walk_fleet(server: &Server, ds: &StudyDataset, sessions: usize, steps: usize)
     t
 }
 
+/// No panic escaped the per-session containment: the reactor is still
+/// serving fresh sessions.
+fn assert_still_serves(server: &Server) {
+    let mut probe = Client::connect(server.addr(), 2).expect("reactor still alive");
+    probe
+        .request_tile(TileId::ROOT, None)
+        .expect("still serving");
+    probe.bye().expect("bye");
+}
+
+/// A fault-free fleet of 32 sessions: every request is served, none
+/// draws an error reply, the server's per-session accounting matches
+/// the wire, and prefetches used never exceed those issued.
+#[test]
+fn swarm_completes_a_clean_run_on_the_reactor() {
+    let ds = StudyDataset::build(DatasetConfig::tiny());
+    let mut server = Server::bind(
+        "127.0.0.1:0",
+        ds.pyramid.clone(),
+        factory(&ds),
+        ServerConfig {
+            multi_user: Some(MultiUserServing::default()),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server binds");
+    let t = walk_fleet(&server, &ds, 32, 8);
+    assert_eq!(t.attempts, 32 * 8, "every scripted request attempted");
+    assert_eq!(t.errors, 0, "a clean run has no error replies");
+    assert_eq!(
+        t.served, t.attempts,
+        "server-side accounting matches the wire: {t:?}"
+    );
+    assert!(t.prefetch_used <= t.prefetch_issued, "{t:?}");
+    wait_drained(&server);
+    assert_still_serves(&server);
+    server.shutdown();
+}
+
 /// The socket-level chaos run: transient backend faults mid-window,
 /// bounded write queues, liveness timeouts — all at once, through the
 /// reactor — and the same fleet on a fault-free server. The
@@ -162,13 +201,7 @@ fn chaos_swarm_through_the_reactor_preserves_invariants() {
             "faults={faulty}: {t:?}"
         );
         wait_drained(&server);
-        // No panic escaped the per-session containment: the reactor is
-        // still serving fresh sessions.
-        let mut probe = Client::connect(server.addr(), 2).expect("reactor still alive");
-        probe
-            .request_tile(TileId::ROOT, None)
-            .expect("still serving");
-        probe.bye().expect("bye");
+        assert_still_serves(&server);
         server.shutdown();
         latency.push(t.latency);
     }
