@@ -24,6 +24,7 @@
 //! caller.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod agg;
 mod bitvec;

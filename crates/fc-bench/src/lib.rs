@@ -11,6 +11,7 @@
 //! (512² terrain, 5 levels, 10 users — minutes faster, same shapes).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod context;
 pub mod experiments;

@@ -18,6 +18,8 @@
 //! suites are debug-only (the shim's scheduler hooks compile away in
 //! release builds). See `docs/CHECKS.md` for the runbook.
 
+#![forbid(unsafe_code)]
+
 mod cycle;
 mod lint;
 

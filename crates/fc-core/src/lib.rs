@@ -32,6 +32,7 @@
 //!   [`engine::EngineConfig::hotspot`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ab;
 pub mod alloc;

@@ -17,6 +17,7 @@
 //!   for the paper's Fig. 12 accuracy↔latency fit.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod eval;
 mod kernel;

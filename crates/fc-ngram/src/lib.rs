@@ -49,6 +49,7 @@
 //! [`KneserNey`] query) and rejected with a panic.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod counts;
 mod model;

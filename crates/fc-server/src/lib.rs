@@ -34,9 +34,10 @@
 //! * `client` — a blocking client for Rust front-ends and tests.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(unsafe_code)]
 
 mod client;
+#[allow(unsafe_code)]
 mod epoll;
 pub mod protocol;
 pub(crate) mod reactor;

@@ -992,6 +992,7 @@ const MAX_IOV: usize = 16;
 /// A column's wire bytes. The protocol is little-endian, so on a
 /// little-endian host (the only kind that builds a spliced [`Frame`])
 /// they are the values as they lie in memory.
+#[allow(unsafe_code)]
 fn column_bytes(values: &[f64]) -> &[u8] {
     // SAFETY: `values` is a live, initialised `[f64]`, so the
     // `size_of_val(values)` bytes behind its pointer are readable and
@@ -1004,6 +1005,7 @@ fn column_bytes(values: &[f64]) -> &[u8] {
 /// The bytes of a column to receive into: [`column_bytes`] for the
 /// reader. After a read they hold the wire's bytes, which
 /// [`column_from_le`] turns into the values.
+#[allow(unsafe_code)]
 fn column_bytes_mut(values: &mut [f64]) -> &mut [u8] {
     // SAFETY: `values` is a live, initialised `[f64]` borrowed
     // exclusively, so the `size_of_val(values)` bytes behind its pointer

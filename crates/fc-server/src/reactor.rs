@@ -87,7 +87,7 @@ struct Session {
     /// [`READ_CHUNK`]).
     rbuf: Vec<u8>,
     /// Tiles requested since the last push-planner settlement, in
-    /// arrival order.
+    /// arrival order (always empty with push off).
     requested: Vec<TileId>,
     /// Wall-clock arrival of the previous tile request — the real
     /// inter-request gap that drives the session's burst timeline
@@ -419,7 +419,9 @@ fn serve_msg(
     // The push planner settles served requests before the middleware
     // runs: "used" means pushed strictly before requested.
     if let ClientMsg::RequestTile { tile, .. } = &msg {
-        s.requested.push(*tile);
+        if config.push.is_some() {
+            s.requested.push(*tile);
+        }
         // Live serving drives the session's burst timeline with the
         // real inter-request gap (the analyst's think time) — the
         // replay harnesses charge simulated think time through the
@@ -644,5 +646,43 @@ fn push_tick(
         s.wq.push_back(Frame::push(t));
         flush_writes(s, now);
         sync_interest(ep, s);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::PushServing;
+
+    /// Serves three tile requests on one end of a loopback connection
+    /// and returns how many the session holds for the push planner.
+    fn requested_after_three(config: &ServerConfig) -> usize {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let _peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let now = Instant::now();
+        let mut s = Session::new(listener.accept().expect("accept").0, 0, now);
+        let req = ClientMsg::RequestTile {
+            tile: TileId::ROOT,
+            mv: None,
+        };
+        for _ in 0..3 {
+            s.rbuf.extend_from_slice(&req.encode());
+        }
+        let no_datasets = ServedDatasets {
+            datasets: Vec::new(),
+        };
+        serve_buffered(&mut s, &no_datasets, config, now);
+        assert_eq!(s.wq.len(), 3, "every request is answered");
+        s.requested.len()
+    }
+
+    #[test]
+    fn only_a_push_session_records_its_requests() {
+        assert_eq!(requested_after_three(&ServerConfig::default()), 0);
+        let push = ServerConfig {
+            push: Some(PushServing::default()),
+            ..ServerConfig::default()
+        };
+        assert_eq!(requested_after_three(&push), 3);
     }
 }

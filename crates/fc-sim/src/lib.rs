@@ -36,6 +36,7 @@
 //!   scheduler's A/B.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod auto_weights;
 mod chaos;

@@ -44,7 +44,10 @@
 //! 2. Mirror it in the private `x86` module with SSE2 (`__m128d`) and AVX2 (`__m256d`)
 //!    lanes, preserving per-lane operation order. Reductions that are
 //!    order-sensitive (running sums) must extract lanes and fold in the
-//!    scalar order.
+//!    scalar order. An arm is a safe `#[target_feature]` fn: it indexes
+//!    like safe Rust (fixed-size chunks, `zip`, slices cut to length at
+//!    entry keep the bounds checks out of its loops) and loads and
+//!    stores lanes only through the module's `&[f64; N]` helpers.
 //! 3. Dispatch through a `match clamp_level(level)` and add a
 //!    levels-agree bitwise test (plus a proptest) at the bottom.
 //! 4. Keep an arm only if it pays: time every level against the scalar
@@ -54,7 +57,7 @@
 //!    that level (docs/BENCHMARKS.md has the rule and the recipe).
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(unsafe_code)]
 
 #[cfg(target_arch = "x86_64")]
 mod x86;
@@ -220,6 +223,18 @@ fn chi2_lane<const RECIP: bool>(acc: &mut f64, x: f64, y: f64) {
     };
 }
 
+/// One pair's term of [`combine_exact4`]: `√sq / den` for the pair's
+/// four signature lanes.
+#[inline(always)]
+fn combine_pair(lanes: &[f64; 4], p: f64, den: f64, w: &[f64; 4], m: &[f64; 4]) -> f64 {
+    let mut sq = 0.0f64;
+    for i in 0..4 {
+        let dv = (lanes[i] * p) / m[i];
+        sq += w[i] * dv * dv;
+    }
+    sq.sqrt() / den
+}
+
 fn combine_exact4_scalar(
     block: &[f64],
     pen: &[f64],
@@ -228,14 +243,8 @@ fn combine_exact4_scalar(
     m: &[f64; 4],
 ) -> f64 {
     let mut total = 0.0f64;
-    for (bi, lanes) in block.chunks_exact(4).enumerate() {
-        let p = pen[bi];
-        let mut sq = 0.0f64;
-        for i in 0..4 {
-            let dv = (lanes[i] * p) / m[i];
-            sq += w[i] * dv * dv;
-        }
-        total += sq.sqrt() / den[bi];
+    for (bi, lanes) in block.as_chunks::<4>().0.iter().enumerate() {
+        total += combine_pair(lanes, pen[bi], den[bi], w, m);
     }
     total
 }
@@ -296,14 +305,21 @@ fn nearest_groups4_scalar(p: &[f64], tposed: &[f64], k: usize) -> (usize, f64) {
                 *a += d * d;
             }
         }
-        for (lane, &dd) in acc.iter().enumerate() {
-            let ci = g * 4 + lane;
-            if ci < k && dd < best.1 {
-                best = (ci, dd);
-            }
-        }
+        fold_group(&mut best, &acc, g, k);
     }
     best
+}
+
+/// Folds group `g`'s four lane distances into `best` in lane order:
+/// strictly smaller wins, padded lanes (`≥ k`) never do.
+#[inline(always)]
+fn fold_group(best: &mut (usize, f64), dist: &[f64; 4], g: usize, k: usize) {
+    for (lane, &dd) in dist.iter().enumerate() {
+        let ci = g * 4 + lane;
+        if ci < k && dd < best.1 {
+            *best = (ci, dd);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -363,6 +379,7 @@ pub fn chi2_acc4<const RECIP: bool>(
 ///
 /// # Panics
 /// Panics when `block.len() < pen.len()·4` or `den.len() < pen.len()`.
+#[allow(unsafe_code)]
 pub fn combine_exact4(
     level: SimdLevel,
     block: &[f64],
@@ -377,10 +394,10 @@ pub fn combine_exact4(
     );
     match clamp_level(level) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline; `block.len() >= pen.len()*4` and `den.len() >= pen.len()` (asserted above).
+        // SAFETY: SSE2 is the x86-64 baseline.
         SimdLevel::Sse2 => unsafe { x86::combine_exact4_sse2(block, pen, den, w, m) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_level` returns `Avx2` only when runtime-detected; `block.len() >= pen.len()*4` and `den.len() >= pen.len()` (asserted above).
+        // SAFETY: `clamp_level` returns `Avx2` only when AVX2 is runtime-detected.
         SimdLevel::Avx2 => unsafe { x86::combine_exact4_avx2(block, pen, den, w, m) },
         _ => combine_exact4_scalar(block, pen, den, w, m),
     }
@@ -393,6 +410,7 @@ pub fn combine_exact4(
 ///
 /// # Panics
 /// Panics when `padded.len() + 1 < out.len() + taps.len()`.
+#[allow(unsafe_code)]
 pub fn conv_valid(level: SimdLevel, padded: &[f64], taps: &[f64], out: &mut [f64]) {
     assert!(
         padded.len() + 1 >= out.len() + taps.len(),
@@ -400,10 +418,10 @@ pub fn conv_valid(level: SimdLevel, padded: &[f64], taps: &[f64], out: &mut [f64
     );
     match clamp_level(level) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline; `padded.len() + 1 >= out.len() + taps.len()` (asserted above).
+        // SAFETY: SSE2 is the x86-64 baseline.
         SimdLevel::Sse2 => unsafe { x86::conv_valid_sse2(padded, taps, out) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_level` returns `Avx2` only when runtime-detected; `padded.len() + 1 >= out.len() + taps.len()` (asserted above).
+        // SAFETY: `clamp_level` returns `Avx2` only when AVX2 is runtime-detected.
         SimdLevel::Avx2 => unsafe { x86::conv_valid_avx2(padded, taps, out) },
         _ => conv_valid_scalar(padded, taps, out),
     }
@@ -420,6 +438,7 @@ pub fn conv_valid(level: SimdLevel, padded: &[f64], taps: &[f64], out: &mut [f64
 /// # Panics
 /// Panics when `width == 0`, `src.len()` is not a multiple of `width`,
 /// or `out.len() != src.len()`.
+#[allow(unsafe_code)]
 pub fn conv_columns(level: SimdLevel, src: &[f64], width: usize, taps: &[f64], out: &mut [f64]) {
     assert!(
         width > 0 && src.len().is_multiple_of(width) && out.len() == src.len(),
@@ -427,10 +446,10 @@ pub fn conv_columns(level: SimdLevel, src: &[f64], width: usize, taps: &[f64], o
     );
     match clamp_level(level) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline; `src` and `out` are the same whole rows of `width > 0` (asserted above).
+        // SAFETY: SSE2 is the x86-64 baseline.
         SimdLevel::Sse2 => unsafe { x86::conv_columns_sse2(src, width, taps, out) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_level` returns `Avx2` only when runtime-detected; `src` and `out` are the same whole rows of `width > 0` (asserted above).
+        // SAFETY: `clamp_level` returns `Avx2` only when AVX2 is runtime-detected.
         SimdLevel::Avx2 => unsafe { x86::conv_columns_avx2(src, width, taps, out) },
         _ => conv_columns_scalar(src, width, taps, out),
     }
@@ -441,6 +460,7 @@ pub fn conv_columns(level: SimdLevel, src: &[f64], width: usize, taps: &[f64], o
 ///
 /// # Panics
 /// Panics when `plus` or `minus` is shorter than `out`.
+#[allow(unsafe_code)]
 pub fn halved_diff(level: SimdLevel, plus: &[f64], minus: &[f64], out: &mut [f64]) {
     assert!(
         plus.len() >= out.len() && minus.len() >= out.len(),
@@ -448,10 +468,10 @@ pub fn halved_diff(level: SimdLevel, plus: &[f64], minus: &[f64], out: &mut [f64
     );
     match clamp_level(level) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline; `plus` and `minus` are at least `out.len()` long (asserted above).
+        // SAFETY: SSE2 is the x86-64 baseline.
         SimdLevel::Sse2 => unsafe { x86::halved_diff_sse2(plus, minus, out) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_level` returns `Avx2` only when runtime-detected; `plus` and `minus` are at least `out.len()` long (asserted above).
+        // SAFETY: `clamp_level` returns `Avx2` only when AVX2 is runtime-detected.
         SimdLevel::Avx2 => unsafe { x86::halved_diff_avx2(plus, minus, out) },
         _ => halved_diff_scalar(plus, minus, out),
     }
@@ -470,6 +490,7 @@ pub fn halved_diff(level: SimdLevel, plus: &[f64], minus: &[f64], out: &mut [f64
 ///
 /// # Panics
 /// Panics when `tposed.len() < ⌈k/4⌉ · p.len() · 4` or `k == 0`.
+#[allow(unsafe_code)]
 fn nearest_groups4(level: SimdLevel, p: &[f64], tposed: &[f64], k: usize) -> (usize, f64) {
     assert!(k > 0, "nearest_groups4: empty codebook");
     assert!(
@@ -478,10 +499,10 @@ fn nearest_groups4(level: SimdLevel, p: &[f64], tposed: &[f64], k: usize) -> (us
     );
     match clamp_level(level) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline; `tposed.len() >= (k/4 rounded up)*p.len()*4` (asserted above).
+        // SAFETY: SSE2 is the x86-64 baseline.
         SimdLevel::Sse2 => unsafe { x86::nearest_groups4_sse2(p, tposed, k) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp_level` returns `Avx2` only when runtime-detected; `tposed.len() >= (k/4 rounded up)*p.len()*4` (asserted above).
+        // SAFETY: `clamp_level` returns `Avx2` only when AVX2 is runtime-detected.
         SimdLevel::Avx2 => unsafe { x86::nearest_groups4_avx2(p, tposed, k) },
         _ => nearest_groups4_scalar(p, tposed, k),
     }
@@ -622,6 +643,7 @@ impl Codebook {
     /// when the margin certifies it, `None` when the exact kernel must
     /// decide.
     #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
     fn certified(&self, level: SimdLevel, p: &[f64], p_norm: f64) -> Option<usize> {
         if clamp_level(level) != SimdLevel::Avx2 || !fma_detected() || p.len() != self.dim {
             return None;
@@ -631,9 +653,7 @@ impl Codebook {
             return None;
         }
         let margin = 4.0 * (self.err_scale * s * s);
-        // SAFETY: AVX2 (clamped above) and FMA are runtime-detected;
-        // `p.len() == dim`, and `new` sized `tposed` to `⌈k/4⌉·dim·4`
-        // and `norm2` to `⌈k/4⌉·4`.
+        // SAFETY: AVX2 (clamped above) and FMA are runtime-detected.
         unsafe { x86::nearest_certified_avx2_fma(p, &self.tposed, &self.norm2, self.k, margin) }
     }
 
@@ -1060,9 +1080,11 @@ mod tests {
             let (words, p, tie) = codebook_case(seed, k, dim, SCALES[scale], BENDS[bend]);
             let book = Codebook::new(&words);
             let n = norm(&p);
+            let scalar = nearest_groups4(SimdLevel::Scalar, &p, &book.tposed, k);
             for level in available_levels() {
-                let want = nearest_groups4(level, &p, &book.tposed, k).0;
-                prop_assert_eq!(book.nearest(level, &p, n), want, "{:?}", level);
+                let exact = nearest_groups4(level, &p, &book.tposed, k);
+                prop_assert_eq!((exact.0, bits(exact.1)), (scalar.0, bits(scalar.1)), "{:?}", level);
+                prop_assert_eq!(book.nearest(level, &p, n), exact.0, "{:?}", level);
             }
             if tie {
                 prop_assert_eq!(book.certified(SimdLevel::Avx2, &p, n), None);
@@ -1106,17 +1128,23 @@ mod tests {
             }
         }
 
+        /// `conv_valid`, and `halved_diff` over the same rows.
         #[test]
         fn prop_conv_valid_bitwise(n in 1usize..48, taps_n in 1usize..13, seed in 0u64..1_000_000) {
             let padded = vec_with(seed, n + taps_n - 1, &[]);
             let taps = vec_with(seed ^ 7, taps_n, &[]);
             let mut reference = vec![0.0; n];
             conv_valid(SimdLevel::Scalar, &padded, &taps, &mut reference);
+            let mut ref_diff = vec![0.0; n];
+            halved_diff(SimdLevel::Scalar, &padded[taps_n - 1..], &padded, &mut ref_diff);
             for level in available_levels() {
                 let mut out = vec![0.0; n];
                 conv_valid(level, &padded, &taps, &mut out);
+                let mut diff = vec![0.0; n];
+                halved_diff(level, &padded[taps_n - 1..], &padded, &mut diff);
                 for i in 0..n {
                     prop_assert_eq!(bits(out[i]), bits(reference[i]));
+                    prop_assert_eq!(bits(diff[i]), bits(ref_diff[i]));
                 }
             }
         }

@@ -21,6 +21,7 @@
 //! through levels 1, 2, 3").
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod geometry;
 mod id;

@@ -24,6 +24,7 @@
 //! and keeps matching deterministic.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod bovw;
 mod dense;
