@@ -38,7 +38,6 @@ pub fn all() -> Vec<(&'static str, ExpRunner)> {
         ("multi_dataset", serving::multi_dataset),
         ("fault_ab", serving::fault_ab),
         ("workload_zoo", serving::workload_zoo),
-        ("push_ab", serving::push_ab),
     ]
 }
 

@@ -1,6 +1,5 @@
 //! The multi-user serving sections: the hotspot model, the fault
-//! ladder, the burst scheduler and server push, each an A/B on the
-//! lockstep driver (`fc_sim::run`).
+//! ladder and the burst scheduler, each an A/B on the lockstep driver (`fc_sim::run`).
 //!
 //! The driver steps every session round-robin on one thread, as the
 //! server's one reactor thread serves them, and opens each session
@@ -16,18 +15,14 @@ use fc_core::engine::PhaseSource;
 use fc_core::signature::SignatureKind;
 use fc_core::{
     AbRecommender, AllocationStrategy, BurstConfig, EngineConfig, FaultPlan, HotspotBlend,
-    HotspotConfig, Phase, PredictionEngine, PushConfig, PushPolicy, RetryPolicy, SbConfig,
-    SbRecommender,
+    HotspotConfig, PredictionEngine, RetryPolicy, SbConfig, SbRecommender,
 };
-use fc_server::{FaultSetup, MultiUserServing, PushServing, ServerConfig};
-use fc_sim::multiuser::{hotspot_workload, run, synthetic_workload, RunConfig, RunReport};
+use fc_server::{FaultSetup, MultiUserServing, ServerConfig};
+use fc_sim::multiuser::{hotspot_workload, run, synthetic_workload, RunConfig};
 use fc_sim::zoo::{self, run_crowd, ZOO_NAMES};
-use fc_sim::{assert_invariants, Trace, TraceStep};
-use fc_tiles::{Geometry, Move, Pyramid, PyramidBuilder, PyramidConfig, TileId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use fc_sim::{assert_invariants, Trace};
+use fc_tiles::{Move, Pyramid, PyramidBuilder, PyramidConfig};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A pyramid of 16-cell tiles over a `side`² synthetic base, with
 /// cheap deterministic 8-bin histogram signatures: 1024² and 6 levels
@@ -287,147 +282,5 @@ pub(crate) fn workload_zoo(_: &ExpContext) -> String {
         mu.shards,
     ));
     out.push_str(&table(&cols("workload hit-off hit-on delta used/issued-off used/issued-on issued-off/on used-off/on burst/dwell/idle-on"), &rows));
-    out
-}
-
-const PUSH_SESSIONS: usize = 32;
-/// An explorer walks 6× a dweller's steps; the dwellers replay their
-/// traces, so both halves of the fleet stay live the whole run.
-const PUSH_DWELL_STEPS: usize = 32;
-const PUSH_EXPLORER_STEPS: usize = 6 * PUSH_DWELL_STEPS;
-const PUSH_DWELL_THINK: Duration = Duration::from_millis(60);
-const PUSH_EXPLORER_THINK: Duration = Duration::from_millis(10);
-/// Gaps at or below the first classify as burst, gaps above the second
-/// leave it: explorers think inside the band, dwellers above it.
-const PUSH_BURST: (Duration, Duration) = (Duration::from_millis(20), Duration::from_millis(50));
-/// Far below the fleet's refill rate, so the schedule decides which
-/// sessions' candidates reach the wire.
-const PUSH_TICK_BUDGET: usize = 2;
-
-/// An explorer's trace at `g`'s deepest level: a seeded start cell,
-/// then a seeded pan each step (redrawn when it would leave the level).
-fn explorer(g: Geometry, seed: u64) -> Trace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let deepest = g.levels - 1;
-    let (rows, cols) = g.tiles_at(deepest);
-    let mut tile = TileId::new(deepest, rng.gen_range(0..rows), rng.gen_range(0..cols));
-    let mut steps = vec![TraceStep {
-        tile,
-        mv: None,
-        phase: Phase::Foraging,
-    }];
-    while steps.len() < PUSH_EXPLORER_STEPS {
-        let mv = Move::from_index(rng.gen_range(0..4));
-        if let Some(next) = g.apply(tile, mv) {
-            tile = next;
-            steps.push(TraceStep {
-                tile,
-                mv: Some(mv),
-                phase: Phase::Foraging,
-            });
-        }
-    }
-    Trace {
-        user: 0,
-        task: 0,
-        steps,
-    }
-}
-
-/// Server push on the lockstep driver: push off, utility scheduling
-/// and the round-robin baseline at one tick budget, over a fleet whose
-/// even sessions are explorers (pseudo-random pans no model
-/// anticipates, burst-paced) and odd ones serpentine dwellers. Push
-/// ships resident tiles and reads them without accounting, so hit rate
-/// and backend reads must equal push off's; the arms differ in how
-/// many pushed tiles the sessions go on to request.
-pub(crate) fn push_ab(_: &ExpContext) -> String {
-    let p = pyramid(256, 4, 0.13, 0);
-    let g = p.geometry();
-    // Pure serpentine: no zoom excursion within a dweller's steps.
-    let dwellers = synthetic_workload(g, PUSH_SESSIONS, PUSH_DWELL_STEPS, PUSH_DWELL_STEPS);
-    let traces: Vec<Trace> = dwellers
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| if i % 2 == 0 { explorer(g, i as u64) } else { t })
-        .collect();
-    let mu = MultiUserServing::default();
-    let ab_only = |p: &Arc<Pyramid>| engine(p, AllocationStrategy::AbOnly);
-    let arm = |policy: Option<PushPolicy>| {
-        let mut cfg = lockstep(PUSH_SESSIONS, PUSH_EXPLORER_STEPS, 2, mu.clone());
-        cfg.serving.burst = Some(BurstConfig {
-            burst_enter: PUSH_BURST.0,
-            burst_exit: PUSH_BURST.1,
-            ..BurstConfig::default()
-        });
-        cfg.serving.push = policy.map(|policy| PushServing {
-            planner: PushConfig {
-                policy,
-                ..PushConfig::default()
-            },
-            tick_budget: PUSH_TICK_BUDGET,
-        });
-        // Session `i` thinks on schedule `i % 2`.
-        cfg.think = vec![
-            vec![PUSH_EXPLORER_THINK; PUSH_EXPLORER_STEPS],
-            vec![PUSH_DWELL_THINK; PUSH_DWELL_STEPS],
-        ];
-        run(&[("push", &p, &traces)], ab_only, &cfg)
-    };
-    let (off, utility, rr) = (
-        arm(None),
-        arm(Some(PushPolicy::Utility)),
-        arm(Some(PushPolicy::RoundRobin)),
-    );
-    // Demand misses plus speculative fetches.
-    let reads = |r: &RunReport| r.served - r.hits() + r.prefetch_issued;
-    let rows: Vec<Vec<String>> = [("off", &off), ("utility", &utility), ("round-robin", &rr)]
-        .into_iter()
-        .map(|(name, r)| {
-            let (sent, used) = (r.push.pushed as usize, r.push.used as usize);
-            vec![
-                name.to_string(),
-                sent.to_string(),
-                used.to_string(),
-                acc(ratio(used, sent)),
-                acc(r.hit_rate()),
-                acc(ratio(reads(r), r.served)),
-            ]
-        })
-        .collect();
-    let mut out = banner("Multi-user — server push: off, utility, round-robin");
-    out.push_str(&format!(
-        "{PUSH_SESSIONS} sessions over {} tiles, k 2, tick budget {PUSH_TICK_BUDGET} a round; \
-         even sessions explore ({} ms think, {PUSH_EXPLORER_STEPS} steps), odd ones dwell ({} ms \
-         think, {PUSH_DWELL_STEPS} steps, repeated); burst at or below {} ms, out above {} ms\n",
-        g.total_tiles(),
-        PUSH_EXPLORER_THINK.as_millis(),
-        PUSH_DWELL_THINK.as_millis(),
-        PUSH_BURST.0.as_millis(),
-        PUSH_BURST.1.as_millis(),
-    ));
-    out.push_str(&table(
-        &cols("push sent used used/sent hit-rate backend-reads/request"),
-        &rows,
-    ));
-    let same = |r: &RunReport| r.hits() == off.hits() && reads(r) == reads(&off);
-    let yes = |b: bool| if b { "yes" } else { "no" };
-    // Cross-multiplied, so the verdict is read off the counts.
-    let (u, b) = (utility.push, rr.push);
-    out.push_str(&format!(
-        "hits and backend reads equal push off's: utility {}, round-robin {}\n\
-         utility used/sent beats round-robin's: {} ({}/{} vs {}/{})\n\
-         against push off, which sends nothing: utility adds {} tiles to the wire and saves {} \
-         backend reads\n",
-        yes(same(&utility)),
-        yes(same(&rr)),
-        yes(u.used * b.pushed > b.used * u.pushed),
-        u.used,
-        u.pushed,
-        b.used,
-        b.pushed,
-        u.pushed,
-        reads(&off) as i64 - reads(&utility) as i64,
-    ));
     out
 }

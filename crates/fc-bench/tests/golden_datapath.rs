@@ -1,6 +1,6 @@
 //! Golden pins for the tile wire codec. `sample_messages()` covers
 //! every `ServerMsg` variant, a column holding NaN, ±inf, −0.0 and
-//! extreme magnitudes, a tile with no attributes, and a `Push`. Each
+//! extreme magnitudes, and a tile with no attributes. Each
 //! message's frame is pinned byte for byte, one literal per message so
 //! that a wire change names the message it broke, and each pinned
 //! frame must decode back to its message bit for bit.
@@ -73,16 +73,6 @@ fn sample_messages() -> Vec<ServerMsg> {
             code: fc_server::ErrorCode::NoSuchTile,
             reason: "no such tile: L9 (1, 2)".into(),
         },
-        ServerMsg::Push {
-            payload: TilePayload {
-                tile: TileId::new(2, 1, 3),
-                h: 2,
-                w: 2,
-                attrs: vec!["ndsi_avg".into()],
-                data: vec![vec![0.125, f64::NAN, -0.0, 9.5]],
-                present: vec![1, 0, 1, 1],
-            },
-        },
     ]
 }
 
@@ -113,21 +103,14 @@ const STATS: &str = "\
 /// `Error` with its code and reason text. 31 bytes.
 const ERROR: &str = "1b000000030317006e6f20737563682074696c653a204c392028312c203229";
 
-/// `Push` of a one-column tile holding NaN and −0.0. 70 bytes.
-const PUSH: &str = "\
-    42000000040201000000030000000200000002000000010008006e6473695f61\
-    7667000000000000c03f000000000000f87f0000000000000080000000000000\
-    234001000101";
-
 /// `sample_messages()`' frames in order, each with the name a failure
-/// reports: 454 bytes in all.
-const FRAMES: [(&str, &str); 6] = [
+/// reports: 384 bytes in all.
+const FRAMES: [(&str, &str); 5] = [
     ("WELCOME", WELCOME),
     ("TILE", TILE),
     ("EMPTY_TILE", EMPTY_TILE),
     ("STATS", STATS),
     ("ERROR", ERROR),
-    ("PUSH", PUSH),
 ];
 
 fn unhex(hex: &str) -> Vec<u8> {
@@ -173,9 +156,6 @@ fn assert_msg_bits_equal(a: &ServerMsg, b: &ServerMsg) {
         ) => {
             assert_eq!((la, ca, ha, da), (lb, cb, hb, db));
             assert_payload_bits_equal(pa, pb);
-        }
-        (ServerMsg::Push { payload: pa }, ServerMsg::Push { payload: pb }) => {
-            assert_payload_bits_equal(pa, pb)
         }
         _ => assert_eq!(a, b),
     }

@@ -398,6 +398,7 @@ impl BurstPlanner {
         }
     }
 
+    #[cfg(test)]
     pub(crate) fn tracker(&self) -> &BurstTracker {
         &self.tracker
     }

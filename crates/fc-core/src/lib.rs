@@ -49,7 +49,6 @@ mod middleware;
 pub mod multiuser;
 pub mod paircache;
 mod phase;
-mod push;
 mod recommender;
 mod roi;
 pub mod sb;
@@ -76,7 +75,6 @@ pub use multiuser::{
 };
 pub use paircache::PairCache;
 pub use phase::{Phase, PhaseClassifier};
-pub use push::{PushConfig, PushPlanner, PushPolicy, PushStats};
 pub use recommender::{PredictionContext, Recommender};
 pub use roi::RoiTracker;
 pub use sb::{SbConfig, SbRecommender};

@@ -205,12 +205,6 @@ pub struct Middleware {
     /// yet — the outstanding speculation `prefetch_used` is settled
     /// against. Tracked unconditionally (it never changes behavior).
     speculative: HashSet<TileId>,
-    /// The last request's full ranked prediction list, captured
-    /// *before* the fetch-budget truncation — the server-push
-    /// planner's candidate feed ([`Middleware::take_push_candidates`]).
-    /// Tracked unconditionally; behavior-inert (no stats, no cache
-    /// effect) until something drains it.
-    push_candidates: Vec<TileId>,
     /// Per-stage request timing, when a clock is attached
     /// ([`Middleware::set_stage_clock`]); `None` reads no time.
     stages: Option<Arc<StageClock>>,
@@ -271,7 +265,6 @@ impl Middleware {
             faults: None,
             burst: None,
             speculative: HashSet::new(),
-            push_candidates: Vec::new(),
             stages: None,
         }
     }
@@ -296,20 +289,6 @@ impl Middleware {
     /// session timeline, recent-tile ring and pinned plan all reset.
     pub fn set_burst(&mut self, cfg: Option<BurstConfig>) {
         self.burst = cfg.map(BurstPlanner::new);
-    }
-
-    /// The session's current traffic phase (`None` when burst-aware
-    /// scheduling is off).
-    pub fn traffic_phase(&self) -> Option<TrafficPhase> {
-        self.burst.as_ref().map(|b| b.tracker().phase())
-    }
-
-    /// Takes the last request's full ranked prediction list (before
-    /// the fetch-budget truncation) — the candidate feed for the
-    /// server-push planner ([`crate::PushPlanner::refill`]). Empty
-    /// until a request has been served, and after each take.
-    pub fn take_push_candidates(&mut self) -> Vec<TileId> {
-        std::mem::take(&mut self.push_candidates)
     }
 
     /// Advances the session's burst timeline by `d` of user think
@@ -602,12 +581,6 @@ impl Middleware {
             b.plan(plan, req, organic_hit, geometry, prior, slice);
         }
         plan.fetch_cap = plan.fetch_cap.min(slice.unwrap_or(usize::MAX));
-        // Captured before the fetch cap applies: the push planner
-        // wants the whole ranked belief, including tiles already
-        // resident (they are exactly the ones a push can ship without
-        // new backend I/O).
-        self.push_candidates.clear();
-        self.push_candidates.extend_from_slice(&plan.ranked);
     }
 
     /// Stage 4 — install: fetches the plan's non-resident tiles up to
@@ -1226,12 +1199,12 @@ mod tests {
         let p = pyramid();
         let mut mw = middleware(p, 4);
         mw.set_burst(Some(BurstConfig::default()));
-        assert_eq!(mw.traffic_phase(), Some(TrafficPhase::Burst));
 
-        // Back-to-back requests land inside the burst-enter threshold:
-        // reactive-only — the engine stays off, and the only
-        // speculation is the momentum lookahead along the confirmed
-        // pan (one tile, no move on r1 means none at all).
+        // A fresh planner starts in burst, and back-to-back requests
+        // land inside the burst-enter threshold: reactive-only — the
+        // engine stays off, and the only speculation is the momentum
+        // lookahead along the confirmed pan (one tile, no move on r1
+        // means none at all).
         let r1 = mw.request(TileId::new(2, 2, 0), None).unwrap();
         let r2 = mw
             .request(TileId::new(2, 2, 1), Some(Move::PanRight))
@@ -1308,7 +1281,7 @@ mod tests {
         assert_eq!(r.traffic, Some(TrafficPhase::Dwell));
         assert!(!r.cache_hit);
         assert!(
-            !mw.take_push_candidates().contains(&hot),
+            !r.prefetched.contains(&hot),
             "the requested tile must not ride its own dwell plan"
         );
         assert!(
@@ -1364,14 +1337,15 @@ mod tests {
             }
             walk
         };
+        let mut last = None;
         for &(id, mv) in &serp {
-            mw.request(id, mv).unwrap();
+            last = Some(mw.request(id, mv).unwrap());
         }
         assert!(
             mw.burst.as_ref().is_some_and(|b| b.tracker().sweeping()),
             "a pause-free sweep must trip the auto fallback"
         );
-        assert_eq!(mw.traffic_phase(), Some(TrafficPhase::Burst));
+        assert_eq!(last.and_then(|r| r.traffic), Some(TrafficPhase::Burst));
         // Second lap, still sweeping: a mid-row pan is served with
         // the uniform budget — the model speculates again (a reactive
         // burst would fetch at most the single momentum tile; sweep

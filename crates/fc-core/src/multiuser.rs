@@ -150,12 +150,6 @@ pub trait MultiUserCache: Send + Sync {
     /// Residency check that touches neither stats nor recency (for
     /// prefetch filtering).
     fn contains(&self, id: TileId) -> bool;
-    /// Fetches a resident tile **without any accounting**: no stats,
-    /// no popularity, no recency, no holder registration. The push
-    /// planner reads candidate payloads through this — a speculative
-    /// server push must not forge the hit/miss record or train the
-    /// popularity model the way a real session request would.
-    fn peek(&self, id: TileId) -> Option<Arc<Tile>>;
     /// Installs tiles fetched for `session`, evicting per policy when
     /// over capacity; at most the session's fair budget per call.
     /// Returns the number of tiles actually installed.
@@ -541,10 +535,6 @@ impl MultiUserCache for SingleMutexTileCache {
         self.inner.lock().tiles.contains_key(&id)
     }
 
-    fn peek(&self, id: TileId) -> Option<Arc<Tile>> {
-        self.inner.lock().tiles.get(&id).map(|r| r.tile.clone())
-    }
-
     fn hold(&self, session: SessionId, ids: &[TileId]) {
         let mut g = self.inner.lock();
         for &id in ids {
@@ -865,14 +855,6 @@ impl MultiUserCache for SharedTileCache {
             .lock()
             .tiles
             .contains_key(&id)
-    }
-
-    fn peek(&self, id: TileId) -> Option<Arc<Tile>> {
-        self.shards[self.shard_of(id)]
-            .lock()
-            .tiles
-            .get(&id)
-            .map(|r| r.tile.clone())
     }
 
     fn hold(&self, session: SessionId, ids: &[TileId]) {

@@ -42,7 +42,7 @@ const READ_AHEAD: usize = 512;
 /// vectored read that places the columns and the mask in the `Vec`s
 /// the payload returns (the protocol's `read_tile_of`, which predicts
 /// the layout from the attribute names of the last `Tile` received).
-/// Everything else — a session's first reply, pushes, `Stats`,
+/// Everything else — a session's first reply, `Stats`,
 /// `Error`, the `Welcome` — goes through the one server-message
 /// decoder straight off the read-ahead buffer. Either way the answer
 /// is [`ServerMsg::decode`]'s over the frame's body, and exactly the
@@ -209,7 +209,7 @@ impl Client {
     /// tile).
     pub fn request_tile(&mut self, tile: TileId, mv: Option<Move>) -> io::Result<TileAnswer> {
         self.send(&ClientMsg::RequestTile { tile, mv })?;
-        match self.read_reply()? {
+        match self.rx.next_msg()? {
             ServerMsg::Tile {
                 payload,
                 latency_ns,
@@ -236,7 +236,7 @@ impl Client {
     /// Socket or protocol errors.
     pub fn stats(&mut self) -> io::Result<SessionStats> {
         self.send(&ClientMsg::GetStats)?;
-        match self.read_reply()? {
+        match self.rx.next_msg()? {
             ServerMsg::Stats {
                 requests,
                 hits,
@@ -259,19 +259,6 @@ impl Client {
 
     fn send(&mut self, msg: &ClientMsg) -> io::Result<()> {
         write_frame(self.rx.reader.get_mut(), msg.encode_into(&mut self.frame))
-    }
-
-    /// Reads the next *reply*, skipping any unsolicited
-    /// [`ServerMsg::Push`] frames that arrive first — a push is never
-    /// the answer to a request, so the request/reply rhythm is
-    /// preserved no matter how many pushes interleave.
-    fn read_reply(&mut self) -> io::Result<ServerMsg> {
-        loop {
-            match self.rx.next_msg()? {
-                ServerMsg::Push { .. } => {}
-                reply => return Ok(reply),
-            }
-        }
     }
 
     /// Closes the session politely.
@@ -403,9 +390,9 @@ mod tests {
 
     /// One session's replies, as the reference encoder frames them:
     /// tiles of one schema in `shapes` (ragged, possibly empty), a
-    /// `Push` between them, a renamed schema whose names keep their
-    /// lengths, a wider one, tiles whose `h·w` is not the cell count
-    /// their length predicts, `Stats` and `Error`.
+    /// renamed schema whose names keep their lengths, a wider one,
+    /// tiles whose `h·w` is not the cell count their length predicts,
+    /// `Stats` and `Error`.
     fn session(shapes: &[(u32, u32)], seed: u64) -> Vec<Bytes> {
         const A: &[&str] = &["ndsi", "land", "v"];
         const RENAMED: &[&str] = &["ndsj", "land", "v"];
@@ -426,9 +413,6 @@ mod tests {
             },
             reply(payload(A, shape(0), seed), 1),
             reply(payload(A, shape(1), seed + 1), 2),
-            ServerMsg::Push {
-                payload: payload(A, shape(2), seed + 2),
-            },
             reply(payload(A, shape(3), seed + 3), 3),
             reply(payload(RENAMED, shape(4), seed + 4), 4),
             reply(payload(RENAMED, shape(5), seed + 5), 5),

@@ -23,9 +23,8 @@
 //! * the session reactor — every session multiplexed on one
 //!   single-threaded readiness loop, the server's only serving path:
 //!   per-session read re-assembly and bounded write queues of
-//!   [`protocol::Frame`]s around one message handler, plus the
-//!   utility-scheduled server push
-//!   ([`server::ServerConfig::push`], [`fc_core::PushPlanner`]);
+//!   [`protocol::Frame`]s around one message handler; the server
+//!   sends replies and shed notices, nothing unsolicited;
 //! * `epoll` — a minimal `epoll(7)` readiness shim over std (the
 //!   container has no mio/tokio; std already links libc, so the
 //!   syscalls are a plain `extern "C"` away) for the reactor's
@@ -46,6 +45,5 @@ pub mod server;
 pub use client::{Client, ReplyReader, ServerError, SessionStats, TileAnswer};
 pub use protocol::{ClientMsg, ErrorCode, Frame, FrameBuf, ServerMsg, TilePayload};
 pub use server::{
-    refill_push, DatasetSpec, EngineFactory, FaultSetup, MultiUserServing, PushServing, Server,
-    ServerConfig, SessionLimits,
+    DatasetSpec, EngineFactory, FaultSetup, MultiUserServing, Server, ServerConfig, SessionLimits,
 };

@@ -226,14 +226,6 @@ pub enum ServerMsg {
         /// Human-readable reason.
         reason: String,
     },
-    /// A server-initiated speculative tile: the push planner decided
-    /// this session is likely to request it soon and its socket had
-    /// write headroom. Unsolicited — the client caches or drops it; it
-    /// is never an answer to an outstanding request.
-    Push {
-        /// The payload.
-        payload: TilePayload,
-    },
 }
 
 /// A reusable frame-encoding buffer; see the module docs for the reuse
@@ -478,94 +470,72 @@ pub(crate) fn read_server_msg(r: impl Read, len: usize) -> io::Result<ServerMsg>
     msg
 }
 
-/// The scalars a [`ServerMsg::Tile`] carries beside its payload.
+/// What a `Tile` body holds ahead of its attributes: identity, shape
+/// and the reply scalars.
 #[derive(Debug, Clone, Copy)]
-struct ReplyMeta {
+struct TileHeader {
+    tile: TileId,
+    h: u32,
+    w: u32,
     latency_ns: u64,
     cache_hit: bool,
     phase: u8,
     degraded: bool,
 }
 
-/// What a tile-bearing body holds ahead of its attributes: identity,
-/// shape, and — in a `Tile`; a `Push` has none — the reply scalars.
-/// `reply` decides the tag.
-#[derive(Debug, Clone, Copy)]
-struct TileHeader {
-    tile: TileId,
-    h: u32,
-    w: u32,
-    reply: Option<ReplyMeta>,
-}
-
 const TAG_TILE: u8 = 1;
-const TAG_PUSH: u8 = 4;
 
 impl TileHeader {
     /// Encoded size, tag through attribute count.
-    const fn len(reply: bool) -> usize {
-        1 + 9 + 4 + 4 + if reply { 8 + 1 + 1 + 1 } else { 0 } + 2
-    }
+    const LEN: usize = 1 + 9 + 4 + 4 + 8 + 1 + 1 + 1 + 2;
 
     fn put(&self, out: &mut Vec<u8>, nattrs: usize) {
-        let reply = self.reply.is_some();
-        out.push(if reply { TAG_TILE } else { TAG_PUSH });
+        out.push(TAG_TILE);
         put_tile_id(out, self.tile);
         out.extend_from_slice(&self.h.to_le_bytes());
         out.extend_from_slice(&self.w.to_le_bytes());
-        if let Some(r) = self.reply {
-            out.extend_from_slice(&r.latency_ns.to_le_bytes());
-            out.push(u8::from(r.cache_hit));
-            out.push(r.phase);
-            out.push(u8::from(r.degraded));
-        }
+        out.extend_from_slice(&self.latency_ns.to_le_bytes());
+        out.push(u8::from(self.cache_hit));
+        out.push(self.phase);
+        out.push(u8::from(self.degraded));
         // fc-check: allow(handler-unwrap) -- attr count comes from the served dataset schema, far below u16::MAX
         let nattrs = u16::try_from(nattrs).expect("attr count");
         out.extend_from_slice(&nattrs.to_le_bytes());
     }
 
-    /// Reads the header behind a `TAG_TILE` (`reply`) or `TAG_PUSH`
-    /// tag, and the attribute count that closes it.
-    fn get(reply: bool, body: &mut Body<impl Read>) -> io::Result<(Self, usize)> {
-        let tile = body.tile_id()?;
-        let what = if reply {
-            "truncated Tile header"
-        } else {
-            "truncated Push header"
+    /// Reads the header behind a `TAG_TILE` tag, and the attribute
+    /// count that closes it.
+    fn get(body: &mut Body<impl Read>) -> io::Result<(Self, usize)> {
+        const WHAT: &str = "truncated Tile header";
+        let header = Self {
+            tile: body.tile_id()?,
+            h: u32::from_le_bytes(body.take(WHAT)?),
+            w: u32::from_le_bytes(body.take(WHAT)?),
+            latency_ns: u64::from_le_bytes(body.take(WHAT)?),
+            cache_hit: body.u8(WHAT)? != 0,
+            phase: body.u8(WHAT)?,
+            degraded: body.u8(WHAT)? != 0,
         };
-        let h = u32::from_le_bytes(body.take(what)?);
-        let w = u32::from_le_bytes(body.take(what)?);
-        let reply = if reply {
-            Some(ReplyMeta {
-                latency_ns: u64::from_le_bytes(body.take(what)?),
-                cache_hit: body.u8(what)? != 0,
-                phase: body.u8(what)?,
-                degraded: body.u8(what)? != 0,
-            })
-        } else {
-            None
-        };
-        let nattrs = u16::from_le_bytes(body.take(what)?) as usize;
-        Ok((Self { tile, h, w, reply }, nattrs))
+        let nattrs = u16::from_le_bytes(body.take(WHAT)?) as usize;
+        Ok((header, nattrs))
     }
 }
 
-/// Exact size of a tile-bearing body whose columns take `column_len`
+/// Exact size of a `Tile` body whose columns take `column_len`
 /// bytes each (0 for the bytes a [`Frame`] owns: its columns are not
 /// in the buffer).
 fn tile_body_len<'a>(
-    reply: bool,
     names: impl Iterator<Item = &'a str>,
     column_len: usize,
     mask_len: usize,
 ) -> usize {
     let attrs: usize = names.map(|n| wire_name_len(n) + column_len).sum();
-    TileHeader::len(reply) + attrs + mask_len
+    TileHeader::LEN + attrs + mask_len
 }
 
-/// Writes a tile-bearing body, `Tile` and `Push` alike — the one place
-/// the layout is written down: the header, then per attribute its name
-/// and its column, then the presence mask. `column(out, i)` puts
+/// Writes a `Tile` body — the one place the layout is written down:
+/// the header, then per attribute its name and its column, then the
+/// presence mask. `column(out, i)` puts
 /// attribute `i`'s values (the reference encoder) or only notes where
 /// they belong (a [`Frame`]).
 fn put_tile_body<'a>(
@@ -585,26 +555,25 @@ fn put_tile_body<'a>(
 
 /// The reference encoder's two halves of the above, over an owned
 /// [`TilePayload`].
-fn payload_body_len(p: &TilePayload, reply: bool) -> usize {
+fn payload_body_len(p: &TilePayload) -> usize {
     let column_len = p.h as usize * p.w as usize * 8;
     let names = p.attrs.iter().map(String::as_str);
-    tile_body_len(reply, names, column_len, p.present.len())
+    tile_body_len(names, column_len, p.present.len())
 }
 
-fn put_payload(out: &mut Vec<u8>, p: &TilePayload, reply: Option<ReplyMeta>) {
-    let (tile, h, w) = (p.tile, p.h, p.w);
+fn put_payload(out: &mut Vec<u8>, p: &TilePayload, header: &TileHeader) {
     put_tile_body(
         out,
-        &TileHeader { tile, h, w, reply },
+        header,
         p.attrs.iter().map(String::as_str),
         |out, i| put_f64_column(out, p.data.get(i).map_or(&[], Vec::as_slice)),
         |out| out.extend_from_slice(&p.present),
     );
 }
 
-/// Reads a tile-bearing body behind its tag back into a message.
-fn get_tile_msg(reply: bool, body: &mut Body<impl Read>) -> io::Result<ServerMsg> {
-    let (header, nattrs) = TileHeader::get(reply, body)?;
+/// Reads a `Tile` body behind its tag back into a message.
+fn get_tile_msg(body: &mut Body<impl Read>) -> io::Result<ServerMsg> {
+    let (header, nattrs) = TileHeader::get(body)?;
     // Bound the cell count before any size arithmetic: a crafted h×w
     // near usize::MAX would wrap `ncells * 8` below and slip past the
     // truncation checks. No valid frame can carry more than MAX_FRAME
@@ -627,7 +596,7 @@ fn get_tile_msg(reply: bool, body: &mut Body<impl Read>) -> io::Result<ServerMsg
         data,
         present: body.bytes(ncells, "truncated presence mask")?,
     };
-    Ok(tile_msg(payload, header.reply))
+    Ok(tile_msg(payload, &header))
 }
 
 /// Receives a [`ServerMsg::Tile`] of `len` body bytes whose attributes
@@ -640,16 +609,15 @@ fn get_tile_msg(reply: bool, body: &mut Body<impl Read>) -> io::Result<ServerMsg
 /// first name, each column in its `Vec<f64>`, each further name, and
 /// the mask in its `Vec<u8>`. The bytes are then checked to be what
 /// was predicted — the `Tile` tag, `h·w = n`, the attribute count,
-/// every name — and where any differs (a schema change; a `Push` of a
-/// matching length) the pieces, in wire order, go through the
-/// decoder, so the answer is always [`ServerMsg::decode`]'s on the same
-/// bytes.
+/// every name — and where any differs (a schema change) the pieces,
+/// in wire order, go through the decoder, so the answer is always
+/// [`ServerMsg::decode`]'s on the same bytes.
 pub(crate) fn read_tile_of(
     r: &mut impl Read,
     len: usize,
     names: &[String],
 ) -> Option<io::Result<ServerMsg>> {
-    let fixed = TileHeader::len(true) + names.iter().map(|s| wire_name_len(s)).sum::<usize>();
+    let fixed = TileHeader::LEN + names.iter().map(|s| wire_name_len(s)).sum::<usize>();
     let per_cell = 8 * names.len() + 1;
     let cells = len
         .checked_sub(fixed)
@@ -664,7 +632,7 @@ fn read_tile_cells(
     fixed: usize,
     n: usize,
 ) -> io::Result<ServerMsg> {
-    const HEAD: usize = TileHeader::len(true);
+    const HEAD: usize = TileHeader::LEN;
     // The header and every name with its length prefix, in wire order.
     let mut small = vec![0; fixed];
     let mut data: Vec<Vec<f64>> = names.iter().map(|_| vec![0.0; n]).collect();
@@ -689,7 +657,7 @@ fn read_tile_cells(
         inner: &pieces[0][1..HEAD],
         left: HEAD - 1,
     };
-    let (header, nattrs) = TileHeader::get(true, &mut header_body)?;
+    let (header, nattrs) = TileHeader::get(&mut header_body)?;
     let wire_names = (0..names.len()).map(|i| match i {
         0 => &pieces[0][HEAD..],
         i => &*pieces[2 * i],
@@ -716,7 +684,7 @@ fn read_tile_cells(
         data,
         present,
     };
-    Ok(tile_msg(payload, header.reply))
+    Ok(tile_msg(payload, &header))
 }
 
 /// Byte slices read one after another as one stream.
@@ -734,18 +702,14 @@ impl<'a, I: Iterator<Item = &'a [u8]>> Read for Concat<'a, I> {
     }
 }
 
-/// A `Tile` (with its reply scalars) or a `Push` (without) around
-/// `payload`.
-fn tile_msg(payload: TilePayload, reply: Option<ReplyMeta>) -> ServerMsg {
-    match reply {
-        Some(r) => ServerMsg::Tile {
-            payload,
-            latency_ns: r.latency_ns,
-            cache_hit: r.cache_hit,
-            phase: r.phase,
-            degraded: r.degraded,
-        },
-        None => ServerMsg::Push { payload },
+/// The `Tile` of `header`'s reply scalars around `payload`.
+fn tile_msg(payload: TilePayload, header: &TileHeader) -> ServerMsg {
+    ServerMsg::Tile {
+        payload,
+        latency_ns: header.latency_ns,
+        cache_hit: header.cache_hit,
+        phase: header.phase,
+        degraded: header.degraded,
     }
 }
 
@@ -860,10 +824,9 @@ impl ServerMsg {
     fn encoded_body_len(&self) -> usize {
         match self {
             ServerMsg::Welcome { .. } => 1 + 1 + 4 + 4,
-            ServerMsg::Tile { payload, .. } => payload_body_len(payload, true),
+            ServerMsg::Tile { payload, .. } => payload_body_len(payload),
             ServerMsg::Stats { .. } => 1 + 8 + 8 + 8 + 8 + 8,
             ServerMsg::Error { reason, .. } => 1 + 1 + 2 + wire_str(reason).len(),
-            ServerMsg::Push { payload } => payload_body_len(payload, false),
         }
     }
 
@@ -892,12 +855,15 @@ impl ServerMsg {
             } => put_payload(
                 body,
                 payload,
-                Some(ReplyMeta {
+                &TileHeader {
+                    tile: payload.tile,
+                    h: payload.h,
+                    w: payload.w,
                     latency_ns: *latency_ns,
                     cache_hit: *cache_hit,
                     phase: *phase,
                     degraded: *degraded,
-                }),
+                },
             ),
             ServerMsg::Stats {
                 requests,
@@ -918,7 +884,6 @@ impl ServerMsg {
                 body.push(*code as u8);
                 put_string(body, reason);
             }
-            ServerMsg::Push { payload } => put_payload(body, payload, None),
         }
         frame.finish_frame(0)
     }
@@ -945,7 +910,7 @@ fn get_server_msg(body: &mut Body<impl Read>) -> io::Result<ServerMsg> {
                 ),
             })
         }
-        tag @ (TAG_TILE | TAG_PUSH) => get_tile_msg(tag == TAG_TILE, body),
+        TAG_TILE => get_tile_msg(body),
         2 => {
             const WHAT: &str = "truncated Stats";
             let mut next = || body.take(WHAT).map(u64::from_le_bytes);
@@ -969,7 +934,7 @@ fn get_server_msg(body: &mut Body<impl Read>) -> io::Result<ServerMsg> {
 /// for a tile, the columns it sends **by reference**.
 ///
 /// `owned` is the whole frame for the small messages ([`Frame::msg`]).
-/// For a tile ([`Frame::tile`], [`Frame::push`]) it is everything but
+/// For a tile ([`Frame::tile`]) it is everything but
 /// the f64 columns — length prefix, tag, header, `u16`-prefixed
 /// attribute names, presence mask — and `spliced` holds the tile with
 /// the cuts: `cuts[i]` is the offset in `owned` where attribute `i`'s
@@ -1051,39 +1016,26 @@ impl Frame {
         phase: u8,
         degraded: bool,
     ) -> Frame {
-        let reply = ReplyMeta {
-            latency_ns,
-            cache_hit,
-            phase,
-            degraded,
-        };
-        Self::of_tile(tile, Some(reply))
-    }
-
-    /// The [`ServerMsg::Push`] carrying `tile`, its columns by
-    /// reference.
-    pub fn push(tile: Arc<Tile>) -> Frame {
-        Self::of_tile(tile, None)
-    }
-
-    fn of_tile(tile: Arc<Tile>, reply: Option<ReplyMeta>) -> Frame {
-        if cfg!(target_endian = "big") {
-            // The columns in memory are not their wire bytes here:
-            // send an owned, byte-swapped frame.
-            return Frame::msg(&tile_msg(crate::server::tile_payload(&tile), reply));
-        }
-        let array = &tile.array;
-        let attrs = &array.schema().attrs;
-        let names = || attrs.iter().map(|a| a.name.as_str());
         let (h, w) = wire_shape(&tile);
         let header = TileHeader {
             tile: tile.id,
             h,
             w,
-            reply,
+            latency_ns,
+            cache_hit,
+            phase,
+            degraded,
         };
+        if cfg!(target_endian = "big") {
+            // The columns in memory are not their wire bytes here:
+            // send an owned, byte-swapped frame.
+            return Frame::msg(&tile_msg(crate::server::tile_payload(&tile), &header));
+        }
+        let array = &tile.array;
+        let attrs = &array.schema().attrs;
+        let names = || attrs.iter().map(|a| a.name.as_str());
         let mut buf = FrameBuf::new();
-        let owned = buf.start_frame(tile_body_len(reply.is_some(), names(), 0, array.ncells()));
+        let owned = buf.start_frame(tile_body_len(names(), 0, array.ncells()));
         let mut cuts = Vec::with_capacity(attrs.len());
         put_tile_body(
             owned,
@@ -1294,33 +1246,12 @@ mod tests {
                 code: ErrorCode::Overloaded,
                 reason: String::new(),
             },
-            ServerMsg::Push {
-                payload: TilePayload {
-                    tile: TileId::new(3, 4, 5),
-                    h: 2,
-                    w: 2,
-                    attrs: vec!["ndsi_avg".into()],
-                    data: vec![vec![0.5, 0.25, 0.75, 1.0]],
-                    present: vec![1, 1, 1, 0],
-                },
-            },
         ];
         for m in msgs {
             let enc = m.encode();
             let dec = ServerMsg::decode(unframe(&enc)).unwrap();
             assert_eq!(dec, m);
         }
-    }
-
-    #[test]
-    fn truncated_push_rejected() {
-        let mut b = BytesMut::new();
-        b.put_u8(4); // Push tag
-        b.put_u8(0); // tile id
-        b.put_u32_le(0);
-        b.put_u32_le(0);
-        b.put_u32_le(4); // h — header then ends early
-        assert!(ServerMsg::decode(b.freeze()).is_err());
     }
 
     #[test]

@@ -36,20 +36,14 @@
 //!   timeout, `write_timeout` as the write-stall timeout (measured
 //!   from the moment a write first refuses to make progress).
 //!
-//! Between socket events the loop runs the **push tick**: each served
-//! request refills the session's candidate queue in the
-//! [`fc_core::PushPlanner`] ([`crate::refill_push`]), and each tick
-//! ([`crate::PushServing::tick`]) drains the planner's picks into
-//! [`Frame::push`] frames — only to sessions whose socket is writable
-//! *and* whose write queue is empty, so a push never queues behind (or
-//! delays) a reply. `fc_sim::run` calls the same two halves, once a
-//! step and once a lockstep round.
+//! The server writes nothing unsolicited: every frame a session is
+//! sent answers one of its messages, or is the `Overloaded` notice
+//! that sheds it.
 
 use crate::epoll::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT};
 use crate::protocol::{read_prefix, ClientMsg, ErrorCode, Frame, ServerMsg, MAX_CLIENT_FRAME};
-use crate::server::{refill_push, PushCounters, PushServing, ServedDatasets, ServerConfig};
-use fc_core::{Middleware, MultiUserCache, PushPlanner};
-use fc_tiles::TileId;
+use crate::server::{ServedDatasets, ServerConfig};
+use fc_core::{Middleware, MultiUserCache};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
@@ -58,7 +52,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Wait tick: the upper bound on shutdown/timeout/push latency when no
+/// Wait tick: the upper bound on shutdown/timeout latency when no
 /// socket event arrives earlier.
 const TICK: Duration = Duration::from_millis(25);
 
@@ -80,15 +74,9 @@ struct Session {
     stream: TcpStream,
     sid: u64,
     middleware: Option<Middleware>,
-    /// The session's namespace cache when it browses a multi-user
-    /// dataset — the residency oracle and payload source for pushes.
-    push_cache: Option<Arc<dyn MultiUserCache>>,
     /// Unparsed inbound bytes (at most one partial frame plus one
     /// [`READ_CHUNK`]).
     rbuf: Vec<u8>,
-    /// Tiles requested since the last push-planner settlement, in
-    /// arrival order (always empty with push off).
-    requested: Vec<TileId>,
     /// Wall-clock arrival of the previous tile request — the real
     /// inter-request gap that drives the session's burst timeline
     /// (see `serve_msg`).
@@ -117,9 +105,7 @@ impl Session {
             stream,
             sid,
             middleware: None,
-            push_cache: None,
             rbuf: Vec::new(),
-            requested: Vec::new(),
             last_request: None,
             wq: VecDeque::new(),
             wpos: 0,
@@ -157,11 +143,9 @@ pub(crate) fn reactor_loop(
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
     sessions_gauge: Arc<AtomicUsize>,
-    push_counters: Arc<PushCounters>,
 ) {
     let mut sessions: HashMap<u64, Session> = HashMap::new();
     let mut next_sid: u64 = 0;
-    let mut push = config.push.map(|p| (p, PushPlanner::new(p.planner)));
     let mut scratch = vec![0u8; READ_CHUNK];
     let Ok(ep) = Epoll::new() else {
         // No readiness primitive, no reactor: unbind by returning (the
@@ -173,9 +157,7 @@ pub(crate) fn reactor_loop(
     }
     let mut events = vec![EpollEvent::zeroed(); EVENT_BATCH];
     // fc-check: allow(wall-clock) -- the reactor's start-up read: the first tick's reference
-    let start = Instant::now();
-    let mut last_push_tick = start;
-    let mut last_housekeeping = start;
+    let mut last_housekeeping = Instant::now();
 
     loop {
         if shutdown.load(Ordering::Relaxed) {
@@ -220,12 +202,6 @@ pub(crate) fn reactor_loop(
                     handle_readable(s, &served, &config, &mut scratch, now);
                     flush_writes(s, now);
                 }
-                if let Some((_, p)) = push.as_mut() {
-                    match s.middleware.as_mut() {
-                        Some(mw) => refill_push(p, s.sid, s.requested.drain(..), mw),
-                        None => s.requested.clear(),
-                    }
-                }
             }));
             if outcome.is_err() {
                 s.dead = true;
@@ -249,30 +225,13 @@ pub(crate) fn reactor_loop(
             }
         }
 
-        if let Some((serving, p)) = push.as_mut() {
-            // The tick budget is per TICK of wall clock, not per loop
-            // iteration: under traffic the wait returns on readiness
-            // far more often than the tick, and an ungated drain would
-            // inflate the budget until the schedule stops mattering.
-            if now.duration_since(last_push_tick) >= TICK {
-                last_push_tick = now;
-                push_tick(&mut sessions, &ep, serving, p, now);
-            }
-            let stats = p.stats();
-            push_counters.pushed.store(stats.pushed, Ordering::Relaxed);
-            push_counters.used.store(stats.used, Ordering::Relaxed);
-        }
-
         // Reap: closing sessions with a drained queue, and the dead.
         // Dropping a session closes its socket, which also removes it
         // from the epoll interest list.
         if reap {
-            sessions.retain(|&sid, s| {
+            sessions.retain(|_, s| {
                 let done = s.dead || (s.closing && s.wq.is_empty());
                 if done {
-                    if let Some((_, p)) = push.as_mut() {
-                        p.drop_session(sid);
-                    }
                     sessions_gauge.fetch_sub(1, Ordering::Relaxed);
                 }
                 !done
@@ -416,12 +375,7 @@ fn serve_msg(
             return;
         }
     };
-    // The push planner settles served requests before the middleware
-    // runs: "used" means pushed strictly before requested.
-    if let ClientMsg::RequestTile { tile, .. } = &msg {
-        if config.push.is_some() {
-            s.requested.push(*tile);
-        }
+    if matches!(msg, ClientMsg::RequestTile { .. }) {
         // Live serving drives the session's burst timeline with the
         // real inter-request gap (the analyst's think time) — the
         // replay harnesses charge simulated think time through the
@@ -509,8 +463,6 @@ fn handle_msg(
             let namespace = d.namespace.as_deref();
             let mw = config.open_session(engine, pyramid.clone(), namespace, prefetch_k as usize);
             s.middleware = Some(mw);
-            // The push payload source follows the session's namespace.
-            s.push_cache = namespace.map(|ns| ns.cache().clone() as Arc<dyn MultiUserCache>);
             let g = pyramid.geometry();
             Flow::Reply(Frame::msg(&ServerMsg::Welcome {
                 levels: g.levels,
@@ -619,70 +571,101 @@ fn enforce_timeouts(s: &mut Session, config: &ServerConfig, now: Instant) {
     }
 }
 
-/// One push tick: plans against the currently writable sessions and
-/// enqueues the picks as Push frames.
-fn push_tick(
-    sessions: &mut HashMap<u64, Session>,
-    ep: &Epoll,
-    serving: &PushServing,
-    planner: &mut PushPlanner,
-    now: Instant,
-) {
-    // Writable for push = live, bound to a namespace cache, and with
-    // an *empty* write queue: a push must never delay a reply, so any
-    // pending frame disqualifies the session this tick.
-    let writable: Vec<u64> = sessions
-        .values()
-        .filter(|s| !s.dead && !s.closing && s.wq.is_empty() && s.push_cache.is_some())
-        .map(|s| s.sid)
-        .collect();
-    let picks = serving.tick(planner, &writable, |sid| {
-        sessions.get(&sid).and_then(|s| s.push_cache.as_deref())
-    });
-    for (sid, t) in picks {
-        let Some(s) = sessions.get_mut(&sid) else {
-            continue;
-        };
-        s.wq.push_back(Frame::push(t));
-        flush_writes(s, now);
-        sync_interest(ep, s);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::PushServing;
+    use fc_tiles::TileId;
+    use proptest::prelude::*;
 
-    /// Serves three tile requests on one end of a loopback connection
-    /// and returns how many the session holds for the push planner.
-    fn requested_after_three(config: &ServerConfig) -> usize {
+    /// A fresh session on one end of a loopback connection, and the
+    /// peer end, which keeps the socket open.
+    fn session() -> (Session, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let _peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let now = Instant::now();
-        let mut s = Session::new(listener.accept().expect("accept").0, 0, now);
-        let req = ClientMsg::RequestTile {
-            tile: TileId::ROOT,
-            mv: None,
-        };
-        for _ in 0..3 {
-            s.rbuf.extend_from_slice(&req.encode());
-        }
+        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        (Session::new(stream, 0, Instant::now()), peer)
+    }
+
+    /// Hands `piece` to the read accumulator and serves what completes,
+    /// as `handle_readable` does with one read.
+    fn feed(s: &mut Session, piece: &[u8]) {
         let no_datasets = ServedDatasets {
             datasets: Vec::new(),
         };
-        serve_buffered(&mut s, &no_datasets, config, now);
-        assert_eq!(s.wq.len(), 3, "every request is answered");
-        s.requested.len()
+        s.rbuf.extend_from_slice(piece);
+        serve_buffered(s, &no_datasets, &ServerConfig::default(), Instant::now());
     }
 
+    /// The queued frames' bytes and the `closing` state after `stream`
+    /// arrives in the pieces `cuts` splits it into.
+    fn served(stream: &[u8], cuts: &[usize]) -> (Vec<Vec<u8>>, bool) {
+        let (mut s, _peer) = session();
+        let mut cuts = cuts.to_vec();
+        cuts.sort_unstable();
+        let mut at = 0;
+        for cut in cuts.into_iter().chain([stream.len()]) {
+            feed(&mut s, &stream[at..cut]);
+            at = cut;
+        }
+        assert!(!s.dead);
+        (s.wq.iter().map(Frame::to_vec).collect(), s.closing)
+    }
+
+    /// `GetStats` and `RequestTile` before any `Hello`, a `Hello` for a
+    /// dataset the server does not serve, then `Bye`.
+    fn client_stream() -> Vec<u8> {
+        let msgs = [
+            ClientMsg::GetStats,
+            ClientMsg::RequestTile {
+                tile: TileId::ROOT,
+                mv: None,
+            },
+            ClientMsg::Hello {
+                prefetch_k: 2,
+                dataset: "nope".into(),
+            },
+            ClientMsg::Bye,
+        ];
+        msgs.iter().flat_map(|m| m.encode().to_vec()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// However the socket splits a client's bytes, the session
+        /// queues the same replies and ends in the same state.
+        #[test]
+        fn a_split_stream_is_served_as_the_whole(
+            cuts in proptest::collection::vec(0usize..1000, 0..8),
+        ) {
+            let stream = client_stream();
+            let whole = served(&stream, &[]);
+            // Three errors (two before the Hello, one for its dataset),
+            // then the Bye closes.
+            prop_assert_eq!((whole.0.len(), whole.1), (3, true));
+            let cuts: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
+            prop_assert_eq!(served(&stream, &cuts), whole);
+        }
+    }
+
+    /// A prefix longer than any client message ends the session once
+    /// its fourth byte arrives, whatever read brings it, and earns no
+    /// reply.
     #[test]
-    fn only_a_push_session_records_its_requests() {
-        assert_eq!(requested_after_three(&ServerConfig::default()), 0);
-        let push = ServerConfig {
-            push: Some(PushServing::default()),
-            ..ServerConfig::default()
-        };
-        assert_eq!(requested_after_three(&push), 3);
+    fn an_oversized_prefix_split_across_reads_kills_the_session() {
+        let prefix = u32::try_from(MAX_CLIENT_FRAME + 1)
+            .expect("fits")
+            .to_le_bytes();
+        for k in 1..4 {
+            let (mut s, _peer) = session();
+            let mut first = ClientMsg::GetStats.encode().to_vec();
+            first.extend_from_slice(&prefix[..k]);
+            feed(&mut s, &first);
+            assert!(!s.dead, "split at {k}: alive until the prefix is whole");
+            assert_eq!(s.wq.len(), 1, "split at {k}: the GetStats is answered");
+            feed(&mut s, &prefix[k..]);
+            assert!(s.dead, "split at {k}: the prefix ends the session");
+            assert_eq!(s.wq.len(), 1, "split at {k}: no reply to the prefix");
+        }
     }
 }

@@ -15,13 +15,13 @@
 use crate::protocol::{wire_shape, TilePayload};
 use fc_core::{
     DatasetNamespace, DatasetRegistry, FaultPlan, HotspotConfig, LatencyProfile, Middleware,
-    MultiUserCache, PredictionEngine, PushPlanner, RegistryConfig, RetryPolicy, SharedCacheStats,
+    MultiUserCache, PredictionEngine, RegistryConfig, RetryPolicy, SharedCacheStats,
     SharedSessionHandle,
 };
-use fc_tiles::{Pyramid, Tile, TileId};
+use fc_tiles::{Pyramid, Tile};
 use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -126,71 +126,6 @@ pub struct FaultSetup {
     pub retry: RetryPolicy,
 }
 
-/// Server-push serving parameters (multi-user only — pushes ship tiles
-/// already resident in the shared cache).
-#[derive(Debug, Clone, Copy)]
-pub struct PushServing {
-    /// The planner's policy and queue bounds.
-    pub planner: fc_core::PushConfig,
-    /// Pushes the planner may hand to the wire per reactor tick — the
-    /// global drain budget the utility (or round-robin) schedule
-    /// allocates across writable sessions.
-    pub tick_budget: usize,
-}
-
-impl Default for PushServing {
-    fn default() -> Self {
-        Self {
-            planner: fc_core::PushConfig::default(),
-            tick_budget: 4,
-        }
-    }
-}
-
-impl PushServing {
-    /// One push tick: up to [`Self::tick_budget`] `(session, tile)`
-    /// picks among the `writable` sessions, in drain order, each vetted
-    /// against and read from its session's namespace cache (`cache_of`)
-    /// through [`MultiUserCache::peek`], which moves no counter. The
-    /// reactor ticks once a `TICK`, `fc_sim::run` once a round.
-    pub fn tick<'c>(
-        &self,
-        planner: &mut PushPlanner,
-        writable: &[u64],
-        cache_of: impl Fn(u64) -> Option<&'c dyn MultiUserCache>,
-    ) -> Vec<(u64, Arc<Tile>)> {
-        if self.tick_budget == 0 || planner.pending_sessions() == 0 || writable.is_empty() {
-            return Vec::new();
-        }
-        let picks = planner.plan(self.tick_budget, writable, |sid, tile| {
-            cache_of(sid).is_some_and(|c| c.contains(tile))
-        });
-        picks
-            .into_iter()
-            .filter_map(|(sid, tile)| Some((sid, cache_of(sid)?.peek(tile)?)))
-            .collect()
-    }
-}
-
-/// The per-session half of server push, after a session's requests
-/// are served (the reactor's and `fc_sim::run`'s): settles each tile
-/// it `requested` against its outstanding pushes, then refills its
-/// candidate queue from the last request's ranked predictions.
-pub fn refill_push(
-    planner: &mut PushPlanner,
-    sid: u64,
-    requested: impl IntoIterator<Item = TileId>,
-    mw: &mut Middleware,
-) {
-    for tile in requested {
-        planner.note_request(sid, tile);
-    }
-    let candidates = mw.take_push_candidates();
-    if !candidates.is_empty() {
-        planner.refill(sid, &candidates, mw.traffic_phase());
-    }
-}
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -218,10 +153,6 @@ pub struct ServerConfig {
     /// The field is kept only because `benchmark/src/sut.rs` spells
     /// `reactor: true`; it is removed with ROADMAP item 2(a).
     pub reactor: bool,
-    /// Utility-scheduled server push (multi-user mode only; ignored
-    /// otherwise). Default: `None` — no unsolicited frames,
-    /// bit-identical to the pre-push wire stream.
-    pub push: Option<PushServing>,
 }
 
 impl Default for ServerConfig {
@@ -235,7 +166,6 @@ impl Default for ServerConfig {
             faults: None,
             burst: None,
             reactor: true,
-            push: None,
         }
     }
 }
@@ -320,15 +250,6 @@ impl ServedDatasets {
     }
 }
 
-/// Cumulative push accounting mirrored out of the reactor's planner
-/// (the reactor thread owns the planner; these atomics are the
-/// observable copy).
-#[derive(Debug, Default)]
-pub(crate) struct PushCounters {
-    pub(crate) pushed: AtomicU64,
-    pub(crate) used: AtomicU64,
-}
-
 /// A running ForeCache server.
 pub struct Server {
     local_addr: std::net::SocketAddr,
@@ -336,7 +257,6 @@ pub struct Server {
     reactor_thread: Option<JoinHandle<()>>,
     active_sessions: Arc<AtomicUsize>,
     served: Arc<ServedDatasets>,
-    push_counters: Arc<PushCounters>,
 }
 
 impl Server {
@@ -415,12 +335,11 @@ impl Server {
             })
             .collect();
         let served = Arc::new(ServedDatasets { datasets });
-        let push_counters = Arc::new(PushCounters::default());
         let reactor_thread = {
             let (served, shutdown) = (served.clone(), shutdown.clone());
-            let (sessions, push) = (active_sessions.clone(), push_counters.clone());
+            let sessions = active_sessions.clone();
             std::thread::spawn(move || {
-                crate::reactor::reactor_loop(listener, served, config, shutdown, sessions, push)
+                crate::reactor::reactor_loop(listener, served, config, shutdown, sessions)
             })
         };
         Ok(Server {
@@ -429,7 +348,6 @@ impl Server {
             reactor_thread: Some(reactor_thread),
             active_sessions,
             served,
-            push_counters,
         })
     }
 
@@ -472,17 +390,6 @@ impl Server {
                     .map(|ns| (d.spec.name.clone(), ns.cache().capacity()))
             })
             .collect()
-    }
-
-    /// Cumulative server-push accounting `(pushed, used)` across all
-    /// sessions: frames handed to the wire unsolicited, and how many of
-    /// them the session then requested. Both zero with push off.
-    // fc-check: allow(unreferenced-pub) -- accessor that ROADMAP item 3's metrics registry replaces
-    pub fn push_stats(&self) -> (u64, u64) {
-        (
-            self.push_counters.pushed.load(Ordering::Relaxed),
-            self.push_counters.used.load(Ordering::Relaxed),
-        )
     }
 
     /// The bound address (for clients).

@@ -1,17 +1,13 @@
 //! Value pins for server sessions: every reply a test session gets,
 //! folded into one `u64`, so a suite asserts what the server answered
-//! by value rather than by shape. Also a raw-frame session that sees
-//! the server's pushes.
+//! by value rather than by shape.
 
 // Each suite folds the kinds of reply it sees; not every suite sees
 // every kind.
 #![allow(dead_code)]
 
-use fc_server::protocol::{read_frame, write_frame};
-use fc_server::{ClientMsg, ServerError, ServerMsg, SessionStats, TileAnswer, TilePayload};
-use fc_tiles::{Move, TileId};
+use fc_server::{ServerError, SessionStats, TileAnswer, TilePayload};
 use std::io;
-use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 /// Nanoseconds of a simulated duration, as the wire carries them.
@@ -111,57 +107,5 @@ impl Pin {
             "{session}: replies fold to {:#018x}, pinned {pinned:#018x}",
             self.0
         );
-    }
-}
-
-/// A raw-frame session that keeps the `Push` frames arriving ahead of
-/// each reply (the client library skips them). Pushes are only
-/// observed while a reply is awaited, so after a reply this holds every
-/// push sent before it.
-pub struct PushWatcher {
-    stream: TcpStream,
-    pub pushed: Vec<TilePayload>,
-}
-
-impl PushWatcher {
-    pub fn connect(addr: SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
-        let mut w = Self {
-            stream,
-            pushed: Vec::new(),
-        };
-        let hello = ClientMsg::Hello {
-            prefetch_k: 4,
-            dataset: String::new(),
-        };
-        let welcome = w.call(&hello);
-        assert!(matches!(welcome, ServerMsg::Welcome { .. }), "{welcome:?}");
-        w
-    }
-
-    /// Sends `msg` and returns its reply.
-    pub fn call(&mut self, msg: &ClientMsg) -> ServerMsg {
-        write_frame(&mut self.stream, &msg.encode()).expect("send");
-        loop {
-            let frame = read_frame(&mut self.stream).expect("reply frame");
-            match ServerMsg::decode(frame).expect("decode") {
-                ServerMsg::Push { payload } => self.pushed.push(payload),
-                reply => return reply,
-            }
-        }
-    }
-
-    /// Requests `tile` after `mv` and returns the tile the reply
-    /// carries.
-    pub fn request_tile(&mut self, tile: TileId, mv: Option<Move>) -> TileId {
-        match self.call(&ClientMsg::RequestTile { tile, mv }) {
-            ServerMsg::Tile { payload, .. } => payload.tile,
-            other => panic!("unexpected reply to RequestTile: {other:?}"),
-        }
-    }
-
-    pub fn bye(mut self) {
-        write_frame(&mut self.stream, &ClientMsg::Bye.encode()).expect("bye");
     }
 }

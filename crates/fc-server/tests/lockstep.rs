@@ -7,11 +7,7 @@
 //! session's `GetStats`, its replies' summed latency and the
 //! namespace's shared-cache counters must equal what the driver
 //! reports for the same sessions on the same `ServerConfig`, with the
-//! hotspot model off and on, and with server push on: a push reads
-//! its tile without accounting (`MultiUserCache::peek`), so it moves
-//! none of these counts. How many tiles are pushed and used depends on
-//! when the reactor's wall-clock tick fires, so those are not
-//! compared.
+//! hotspot model off and on.
 
 use fc_core::engine::PhaseSource;
 use fc_core::signature::SignatureKind;
@@ -19,7 +15,7 @@ use fc_core::{
     AbRecommender, AllocationStrategy, EngineConfig, HotspotBlend, HotspotConfig, PredictionEngine,
     SbConfig, SbRecommender, SharedCacheStats,
 };
-use fc_server::{Client, EngineFactory, MultiUserServing, PushServing, Server, ServerConfig};
+use fc_server::{Client, EngineFactory, MultiUserServing, Server, ServerConfig};
 use fc_sim::multiuser::hotspot_workload;
 use fc_sim::{RunConfig, Trace};
 use fc_tiles::{Move, Pyramid, PyramidBuilder, PyramidConfig};
@@ -120,7 +116,7 @@ fn over_the_wire(
 }
 
 /// Runs the reactor and the driver on one config and compares them.
-fn assert_agree(hotspots: bool, push: Option<PushServing>) {
+fn assert_agree(hotspots: bool) {
     let p = pyramid();
     let traces = hotspot_workload(p.geometry(), SESSIONS, TRACE_LEN, 2);
     let d = RunConfig::default();
@@ -138,7 +134,6 @@ fn assert_agree(hotspots: bool, push: Option<PushServing>) {
                     refresh_every: 8,
                 }),
             }),
-            push,
             ..d.serving
         },
         sessions: SESSIONS,
@@ -182,31 +177,14 @@ fn assert_agree(hotspots: bool, push: Option<PushServing>) {
     if hotspots {
         assert!(r.namespaces[0].hotspot_epoch > 0);
     }
-    if push.is_some() {
-        assert!(r.push.pushed > 0 && r.push.used > 0, "{:?}", r.push);
-        // Push never forges a count: the same driver run with push off
-        // serves every session the same replies.
-        let mut off = cfg.clone();
-        off.serving.push = None;
-        let o = fc_sim::run(&[("", &p, &traces[..])], |p| engine(p, blend), &off);
-        assert_eq!(
-            (o.fingerprint, &o.session_stats, o.namespaces[0].shared),
-            (r.fingerprint, &r.session_stats, r.namespaces[0].shared)
-        );
-    }
 }
 
 #[test]
 fn reactor_and_lockstep_driver_agree() {
-    assert_agree(false, None);
+    assert_agree(false);
 }
 
 #[test]
 fn reactor_and_lockstep_driver_agree_with_hotspots() {
-    assert_agree(true, None);
-}
-
-#[test]
-fn reactor_and_lockstep_driver_agree_with_push() {
-    assert_agree(false, Some(PushServing::default()));
+    assert_agree(true);
 }

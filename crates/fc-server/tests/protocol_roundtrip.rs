@@ -265,8 +265,8 @@ proptest! {
 
     /// The frame the server sends — columns spliced in by reference
     /// from the tile — is the reference encoder's frame over
-    /// `tile_payload` of the same tile, byte for byte, `Tile` and
-    /// `Push` alike, and knows its own length.
+    /// `tile_payload` of the same tile, byte for byte, and knows its
+    /// own length.
     #[test]
     fn frame_is_the_reference_encoding_byte_for_byte(
         level in 0u8..10,
@@ -293,14 +293,9 @@ proptest! {
         .encode();
         let generated = ServerMsg::Tile { payload, latency_ns, cache_hit, phase, degraded };
         prop_assert_eq!(&tile_ref[..], &generated.encode()[..], "tile_of is faithful");
-        let frame = Frame::tile(tile.clone(), latency_ns, cache_hit, phase, degraded);
+        let frame = Frame::tile(tile, latency_ns, cache_hit, phase, degraded);
         prop_assert_eq!(frame.len(), tile_ref.len());
         prop_assert_eq!(&frame.to_vec()[..], &tile_ref[..]);
-
-        let push_ref = ServerMsg::Push { payload: tile_payload(&tile) }.encode();
-        let frame = Frame::push(tile);
-        prop_assert_eq!(frame.len(), push_ref.len());
-        prop_assert_eq!(&frame.to_vec()[..], &push_ref[..]);
     }
 
     /// `write_to` through a writer that accepts arbitrary amounts and
@@ -320,7 +315,8 @@ proptest! {
             unreachable!("tile_msg builds a Tile");
         };
         let owned = ServerMsg::Error { code: ErrorCode::Internal, reason: "e".repeat(h as usize) };
-        for frame in [Frame::push(tile_of(&payload)), Frame::msg(&owned)] {
+        let tile = Frame::tile(tile_of(&payload), 0, false, 0, false);
+        for frame in [tile, Frame::msg(&owned)] {
             // The script ends on a call that accepts, so it cannot
             // refuse forever.
             let script = script.iter().copied().chain([last]).collect();

@@ -1,23 +1,22 @@
 //! Reactor tests: a golden trace pinned by value, the failure paths of
 //! an event loop (write backpressure, pipelined input, mid-frame
-//! disconnects, idle teardown, shutdown), and utility-scheduled push.
+//! disconnects, idle teardown, shutdown).
 
 mod common;
 
-use common::{Pin, PushWatcher};
+use common::Pin;
 use fc_core::engine::PhaseSource;
 use fc_core::signature::SignatureKind;
 use fc_core::{
-    AbRecommender, AllocationStrategy, EngineConfig, PredictionEngine, PushConfig, PushPolicy,
-    SbConfig, SbRecommender,
+    AbRecommender, AllocationStrategy, EngineConfig, PredictionEngine, SbConfig, SbRecommender,
 };
 use fc_server::protocol::{
     read_frame, write_frame, ClientMsg, ServerMsg, MAX_CLIENT_FRAME, MAX_DATASET_NAME,
 };
 use fc_server::server::tile_payload;
 use fc_server::{
-    Client, DatasetSpec, EngineFactory, ErrorCode, MultiUserServing, PushServing, Server,
-    ServerConfig, ServerError, SessionLimits,
+    Client, DatasetSpec, EngineFactory, ErrorCode, MultiUserServing, Server, ServerConfig,
+    ServerError, SessionLimits,
 };
 use fc_sim::dataset::{DatasetConfig, StudyDataset};
 use fc_tiles::{Move, Quadrant, TileId};
@@ -250,7 +249,16 @@ fn pipelined_replies_resume_mid_frame_through_a_full_socket() {
         ..ServerConfig::default()
     });
     // A tile's payload as bytes (NaN-safe): what each reply must carry.
-    let bits = |payload| ServerMsg::Push { payload }.encode();
+    let bits = |payload| {
+        let reply = ServerMsg::Tile {
+            payload,
+            latency_ns: 0,
+            cache_hit: false,
+            phase: 0,
+            degraded: false,
+        };
+        reply.encode()
+    };
     let store = ds.pyramid.store();
     let tiles: Vec<TileId> = ds.pyramid.geometry().all_tiles().collect();
     let expected: Vec<_> = tiles
@@ -435,66 +443,6 @@ fn reactor_false_is_refused() {
     );
     let err = refused.err().expect("reactor: false is refused");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
-}
-
-#[test]
-fn utility_push_ships_predicted_tiles_and_counts_use() {
-    let (mut server, ds) = start_server_with(ServerConfig {
-        multi_user: Some(MultiUserServing::default()),
-        push: Some(PushServing {
-            planner: PushConfig {
-                policy: PushPolicy::Utility,
-                ..PushConfig::default()
-            },
-            tick_budget: 4,
-        }),
-        ..ServerConfig::default()
-    });
-    let deepest = ds.pyramid.geometry().levels - 1;
-    let mut c = PushWatcher::connect(server.addr());
-    // Establish a rightward pan run the AB model can extrapolate,
-    // leaving think-time gaps for push ticks to fire in.
-    for x in 0..3 {
-        c.request_tile(TileId::new(deepest, 1, x), Some(Move::PanRight));
-        std::thread::sleep(Duration::from_millis(120));
-    }
-    // Poke the socket with stats until pushes surface.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while c.pushed.is_empty() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(60));
-        c.call(&ClientMsg::GetStats);
-    }
-    assert!(!c.pushed.is_empty(), "the planner must push in think time");
-    let (srv_pushed, _) = server.push_stats();
-    assert!(srv_pushed >= c.pushed.len() as u64);
-    // Requesting a pushed tile books a *used* push server-side.
-    let pushed = c.pushed[0].tile;
-    assert_eq!(c.request_tile(pushed, Some(Move::PanRight)), pushed);
-    wait_for(
-        || server.push_stats().1 >= 1,
-        "a pushed-then-requested tile counted as used",
-    );
-    c.bye();
-    server.shutdown();
-}
-
-#[test]
-fn push_stays_silent_without_opt_in() {
-    let (mut server, ds) = start_server_with(ServerConfig {
-        multi_user: Some(MultiUserServing::default()),
-        ..ServerConfig::default()
-    });
-    let deepest = ds.pyramid.geometry().levels - 1;
-    let mut c = PushWatcher::connect(server.addr());
-    for x in 0..3 {
-        c.request_tile(TileId::new(deepest, 1, x), Some(Move::PanRight));
-        std::thread::sleep(Duration::from_millis(80));
-    }
-    c.call(&ClientMsg::GetStats);
-    assert!(c.pushed.is_empty(), "no push without opt-in");
-    assert_eq!(server.push_stats(), (0, 0));
-    c.bye();
-    server.shutdown();
 }
 
 #[test]

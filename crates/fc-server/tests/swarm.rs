@@ -1,12 +1,9 @@
 //! Fleets of real clients against one reactor: the socket-level
 //! robustness invariants under backend faults, bounded write queues
-//! and timeouts; push accounting seen from both ends; and a client
-//! that meets an oversized reply prefix. Each fleet keeps one request
-//! in flight at a time, round-robin, as `lockstep.rs` does.
+//! and timeouts; and a client that meets an oversized reply prefix.
+//! Each fleet keeps one request in flight at a time, round-robin, as
+//! `lockstep.rs` does.
 
-mod common;
-
-use common::PushWatcher;
 use fc_core::engine::PhaseSource;
 use fc_core::signature::SignatureKind;
 use fc_core::{
@@ -15,8 +12,8 @@ use fc_core::{
 };
 use fc_server::protocol::read_frame;
 use fc_server::{
-    Client, ClientMsg, EngineFactory, FaultSetup, MultiUserServing, PushServing, Server,
-    ServerConfig, ServerMsg, SessionLimits,
+    Client, ClientMsg, EngineFactory, FaultSetup, MultiUserServing, Server, ServerConfig,
+    ServerMsg, SessionLimits,
 };
 use fc_sim::dataset::{DatasetConfig, StudyDataset};
 use fc_sim::synthetic_workload;
@@ -219,104 +216,6 @@ fn chaos_swarm_through_the_reactor_preserves_invariants() {
     }
     // The window's faults fired: their retries cost simulated time.
     assert!(latency[0] > latency[1], "{latency:?}");
-}
-
-/// SplitMix64, for the walkers' moves.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// One random walker of `a_pushed_tile_counts_as_used_once`: its
-/// session, its cell and seed, and the tiles pushed to it that it has
-/// not requested since.
-struct Walker {
-    watcher: PushWatcher,
-    cell: (u32, u32),
-    seed: u64,
-    outstanding: Vec<TileId>,
-}
-
-/// Walkers pan at random over the 4×4 deepest level, so they keep
-/// coming back to tiles the server pushed earlier. Each push counts as
-/// used at most once — on the server's planner and on the client, which
-/// books a push used by the first later request of its tile.
-#[test]
-fn a_pushed_tile_counts_as_used_once() {
-    let ds = StudyDataset::build(DatasetConfig::tiny());
-    let mut server = Server::bind(
-        "127.0.0.1:0",
-        ds.pyramid.clone(),
-        factory(&ds),
-        ServerConfig {
-            multi_user: Some(MultiUserServing::default()),
-            push: Some(PushServing::default()),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server binds");
-    let g = ds.pyramid.geometry();
-    let deepest = g.levels - 1;
-    let (rows, cols) = g.tiles_at(deepest);
-    assert_eq!((rows, cols), (4, 4));
-    let mut walkers: Vec<Walker> = (0..4)
-        .map(|i| Walker {
-            watcher: PushWatcher::connect(server.addr()),
-            cell: (i % rows, (i * 3) % cols),
-            seed: 7 + u64::from(i),
-            outstanding: Vec::new(),
-        })
-        .collect();
-    let (mut pushes, mut used) = (0u64, 0u64);
-    for step in 0..96 {
-        for w in &mut walkers {
-            let mv = if step == 0 {
-                None
-            } else {
-                let (r, c) = w.cell;
-                let (mv, next) = match mix(&mut w.seed) % 4 {
-                    0 if c + 1 < cols => (Move::PanRight, (r, c + 1)),
-                    1 if c > 0 => (Move::PanLeft, (r, c - 1)),
-                    2 if r + 1 < rows => (Move::PanDown, (r + 1, c)),
-                    3 if r > 0 => (Move::PanUp, (r - 1, c)),
-                    _ => (Move::PanDown, ((r + 1) % rows, c)),
-                };
-                w.cell = next;
-                Some(mv)
-            };
-            let tile = TileId::new(deepest, w.cell.0, w.cell.1);
-            assert_eq!(w.watcher.request_tile(tile, mv), tile);
-            for p in w.watcher.pushed.drain(..) {
-                w.outstanding.push(p.tile);
-                pushes += 1;
-            }
-            if let Some(at) = w.outstanding.iter().position(|&t| t == tile) {
-                w.outstanding.swap_remove(at);
-                used += 1;
-            }
-        }
-        // Think time, so the reactor's push tick fires between rounds.
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(pushes > 0, "the walk must draw pushes to revisit");
-    assert!(used <= pushes, "client: used {used} > pushed {pushes}");
-    for w in walkers {
-        w.watcher.bye();
-    }
-    wait_drained(&server);
-    let (srv_pushed, srv_used) = server.push_stats();
-    assert!(
-        srv_pushed >= pushes,
-        "server {srv_pushed} < client {pushes}"
-    );
-    assert!(
-        srv_used <= srv_pushed,
-        "server: used {srv_used} > pushed {srv_pushed}"
-    );
-    server.shutdown();
 }
 
 /// A reply prefix over the frame bound fails the client's request as

@@ -25,7 +25,7 @@
 //!   analysts per dataset, each dataset one shared-cache namespace,
 //!   stepped in deterministic lockstep on one thread. It reads the
 //!   server's own `fc_server::ServerConfig` (faults, burst scheduling,
-//!   the hotspot model, server push) and opens each session through
+//!   the hotspot model) and opens each session through
 //!   the server's session recipe; one report per run (the substrate of
 //!   fc-bench's multi-user report sections);
 //! * `chaos` — the invariants every run must hold under any fault

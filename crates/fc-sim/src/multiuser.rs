@@ -15,12 +15,9 @@
 //!
 //! [`run`] steps every session in lockstep round-robin on one thread
 //! (session 0 step 0, session 1 step 0, …, session 0 step 1, …), the
-//! way the server's one reactor thread interleaves its sessions. With
-//! server push on, each step runs the reactor's per-session half of
-//! push ([`fc_server::refill_push`]) and each round one push tick
-//! ([`fc_server::PushServing::tick`]) with every live session
-//! writable. The report, fingerprint included, is a function of the
-//! inputs alone: every A/B leg and every test replays bit-identically.
+//! way the server's one reactor thread interleaves its sessions. The
+//! report, fingerprint included, is a function of the inputs alone:
+//! every A/B leg and every test replays bit-identically.
 //!
 //! [`synthetic_workload`] and [`hotspot_workload`] build the scripted
 //! traces the driver replays.
@@ -29,9 +26,9 @@ use crate::trace::{Trace, TraceStep};
 use fc_core::paircache::PairCacheStats;
 use fc_core::{
     DatasetNamespace, FetchError, Middleware, MiddlewareStats, MultiUserCache, Phase,
-    PredictionEngine, PushPlanner, PushStats, Response, SbRecommender, SharedCacheStats,
+    PredictionEngine, Response, SbRecommender, SharedCacheStats,
 };
-use fc_server::{refill_push, MultiUserServing, ServerConfig};
+use fc_server::{MultiUserServing, ServerConfig};
 use fc_tiles::{Geometry, Move, Pyramid, Quadrant, TileId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -43,9 +40,8 @@ use std::time::Duration;
 /// Of [`Self::serving`] the driver reads what a session is built from
 /// — `profile`, `history_cache`, `default_k` (every session's prefetch
 /// budget, as a Hello that leaves `prefetch_k` at 0), `multi_user`
-/// (required: the driver replays shared-cache sessions), `faults`,
-/// `burst` and `push`. There are no sockets, so `limits` and `reactor`
-/// go unread.
+/// (required: the driver replays shared-cache sessions), `faults` and
+/// `burst`. There are no sockets, so `limits` and `reactor` go unread.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// The server config every session opens under.
@@ -210,9 +206,6 @@ pub struct RunReport {
     pub prefetch_used: usize,
     /// Whether burst-aware scheduling was active for this run.
     pub burst_active: bool,
-    /// The push planner's counts: tiles pushed, and pushes a session
-    /// requested afterwards, each once. Zero with push off.
-    pub push: PushStats,
     /// FNV-1a fold of every reply's observable surface in run order.
     pub fingerprint: u64,
     /// One report per dataset, in input order.
@@ -299,8 +292,6 @@ impl<'a> Cursor<'a> {
 
 /// One session of a run.
 struct Session<'a> {
-    /// Position in the run's session order: its push-planner id.
-    sid: u64,
     dataset: usize,
     mw: Middleware,
     cursor: Cursor<'a>,
@@ -325,8 +316,8 @@ impl Session<'_> {
     /// Returns whether the session goes on. A panic inside the step is
     /// caught here: the session is marked and stopped, and the run
     /// goes on without it.
-    fn advance(&mut self, cfg: &RunConfig, push: Option<&mut PushPlanner>, fp: &mut u64) -> bool {
-        match catch_unwind(AssertUnwindSafe(|| self.book_step(cfg, push, fp))) {
+    fn advance(&mut self, cfg: &RunConfig, fp: &mut u64) -> bool {
+        match catch_unwind(AssertUnwindSafe(|| self.book_step(cfg, fp))) {
             Ok(more) => more,
             Err(_) => {
                 self.tally.panicked = true;
@@ -335,13 +326,10 @@ impl Session<'_> {
         }
     }
 
-    fn book_step(&mut self, cfg: &RunConfig, push: Option<&mut PushPlanner>, fp: &mut u64) -> bool {
+    fn book_step(&mut self, cfg: &RunConfig, fp: &mut u64) -> bool {
         let Some((tile, index, result)) = self.cursor.step(&mut self.mw) else {
             return false;
         };
-        if let Some(planner) = push {
-            refill_push(planner, self.sid, [tile], &mut self.mw);
-        }
         let (from, until) = cfg.fault_window;
         let t = &mut self.tally;
         let bucket = &mut t.phases[usize::from(index >= from) + usize::from(index >= until)];
@@ -431,7 +419,6 @@ where
                 n => &cfg.think[i % n][..],
             };
             sessions.push(Session {
-                sid: sessions.len() as u64,
                 dataset: d,
                 mw: cfg
                     .serving
@@ -458,33 +445,17 @@ where
     F: Fn(&Arc<Pyramid>) -> PredictionEngine,
 {
     let (mut sessions, namespaces) = open(datasets, engine_factory, cfg);
-    let mut push = cfg.serving.push.map(|p| (p, PushPlanner::new(p.planner)));
-    // Push's residency test and payload source, by session id.
-    let caches: Vec<&dyn MultiUserCache> = sessions
-        .iter()
-        .map(|s| &**namespaces[s.dataset].namespace.cache() as &dyn MultiUserCache)
-        .collect();
     let mut fp = FNV_OFFSET;
     let mut live: Vec<&mut Session> = sessions.iter_mut().collect();
     while !live.is_empty() {
         live.retain_mut(|s| {
-            let more = s.advance(cfg, push.as_mut().map(|(_, p)| p), &mut fp);
+            let more = s.advance(cfg, &mut fp);
             let resident = s.mw.shared().map_or(0, |h| h.cache().len());
             s.tally.max_resident = s.tally.max_resident.max(resident);
-            if let (false, Some((_, p))) = (more, push.as_mut()) {
-                // A finished session leaves the planner, as the
-                // reactor's reap drops a closed one.
-                p.drop_session(s.sid);
-            }
             more
         });
-        if let Some((serving, planner)) = push.as_mut() {
-            let writable: Vec<u64> = live.iter().map(|s| s.sid).collect();
-            serving.tick(planner, &writable, |sid| Some(caches[sid as usize]));
-        }
     }
-    let push = push.map_or_else(PushStats::default, |(_, p)| p.stats());
-    report(sessions, namespaces, cfg, fp, push)
+    report(sessions, namespaces, cfg, fp)
 }
 
 /// Sums the finished sessions into one report. Sessions close (their
@@ -494,12 +465,10 @@ fn report(
     namespaces: Vec<Namespace>,
     cfg: &RunConfig,
     fingerprint: u64,
-    push: PushStats,
 ) -> RunReport {
     let mut r = RunReport {
         burst_active: cfg.serving.burst.is_some(),
         fingerprint,
-        push,
         ..RunReport::default()
     };
     // Per namespace: (max resident, served, hits, pair probes).

@@ -2,12 +2,14 @@
 //!
 //! Every kernel has a portable scalar reference. The kernels whose
 //! vector arms beat it at their production shape — [`combine_exact4`],
-//! [`conv_valid`], [`conv_columns`], [`halved_diff`] and the exact
-//! nearest-centroid kernel behind [`Codebook::nearest`] — also have an
-//! x86-64 SSE2 and an AVX2 arm, selected at runtime by a [`SimdLevel`]
-//! argument. [`chi2_acc4`] takes a level too but runs its scalar fold at
-//! every level: its vector arms measured no faster and were deleted
-//! (docs/BENCHMARKS.md, "The SIMD dispatch level"). The contract that
+//! [`conv_valid`], [`conv_columns`] and the exact nearest-centroid
+//! kernel behind [`Codebook::nearest`] — also have an x86-64 SSE2 and
+//! an AVX2 arm, selected at runtime by a [`SimdLevel`] argument;
+//! [`halved_diff`] has an AVX2 arm only: its SSE2 arm measured no
+//! faster than the scalar loop and was deleted. [`chi2_acc4`] takes a
+//! level too but runs its scalar fold at every level: its vector arms
+//! measured no faster and were deleted (docs/BENCHMARKS.md, "The SIMD
+//! dispatch level"). The contract that
 //! makes the dispatch safe to use on golden-tested paths is
 //! **lane-for-lane bit-identity**: each vector arm performs exactly the
 //! floating-point operations of the scalar reference, on the same
@@ -467,9 +469,6 @@ pub fn halved_diff(level: SimdLevel, plus: &[f64], minus: &[f64], out: &mut [f64
         "halved_diff: inputs shorter than out"
     );
     match clamp_level(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline.
-        SimdLevel::Sse2 => unsafe { x86::halved_diff_sse2(plus, minus, out) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `clamp_level` returns `Avx2` only when AVX2 is runtime-detected.
         SimdLevel::Avx2 => unsafe { x86::halved_diff_avx2(plus, minus, out) },

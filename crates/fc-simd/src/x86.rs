@@ -260,22 +260,6 @@ pub(crate) fn conv_columns_avx2(src: &[f64], width: usize, taps: &[f64], out: &m
     }
 }
 
-#[target_feature(enable = "sse2")]
-pub(crate) fn halved_diff_sse2(plus: &[f64], minus: &[f64], out: &mut [f64]) {
-    let n = out.len();
-    let (plus, minus) = (&plus[..n], &minus[..n]);
-    let (heads, tail) = out.as_chunks_mut::<2>();
-    let two = _mm_set1_pd(2.0);
-    let lanes = plus.as_chunks::<2>().0.iter().zip(minus.as_chunks::<2>().0);
-    for (o, (p, m)) in heads.iter_mut().zip(lanes) {
-        st2(o, _mm_div_pd(_mm_sub_pd(ld2(p), ld2(m)), two));
-    }
-    let done = heads.len() * 2;
-    for ((o, &p), &m) in tail.iter_mut().zip(&plus[done..]).zip(&minus[done..]) {
-        *o = (p - m) / 2.0;
-    }
-}
-
 #[target_feature(enable = "avx2")]
 pub(crate) fn halved_diff_avx2(plus: &[f64], minus: &[f64], out: &mut [f64]) {
     let n = out.len();
